@@ -16,11 +16,21 @@
 //! §4: a "compressed" explicit representation of all allowed executions,
 //! from which `ctr-engine` enumerates paths in time linear in the original
 //! graph.
+//!
+//! Each query is written once, as a method of the [`Analyzer`] session,
+//! generic over the table the rules run under (see [`mod@crate::apply`]).
+//! A session over a [`Memo`] keeps its answers across queries and edits;
+//! the one-shot functions here open a session over the table that records
+//! nothing, ask once, and drop it.
 
-use crate::apply::{apply_all_with, ChannelAlloc, Parallelism};
+use crate::apply::{
+    apply_all_in, apply_must_in, apply_must_not_in, ChannelAlloc, Parallelism, Scratch, Table,
+};
 use crate::constraints::Constraint;
-use crate::excise::{excise_with_diagnostics_par, KnotReport};
+use crate::excise::{excise_in, KnotReport};
 use crate::goal::Goal;
+use crate::memo::{Memo, MemoStats};
+use crate::symbol::Symbol;
 use crate::unique::{check_unique_events, DuplicateEvent};
 use std::fmt;
 
@@ -124,22 +134,43 @@ pub fn compile_unchecked_with(
     constraints: &[Constraint],
     par: Parallelism,
 ) -> Compiled {
-    let applied = if constraints.is_empty() {
-        // Nothing to compile in: share the input goal untouched and skip
-        // the channel scan a fresh allocator would do.
-        goal.clone()
+    let channels = if constraints.is_empty() {
+        // Nothing will be allocated: skip the channel scan.
+        ChannelAlloc::new()
     } else {
-        let mut channels = ChannelAlloc::fresh_for(goal);
-        apply_all_with(constraints, goal, &mut channels, par)
+        ChannelAlloc::fresh_for(goal)
     };
+    let has_conditions = mentions_conditions(goal);
+    compile_in(
+        &mut Scratch,
+        goal,
+        constraints,
+        channels,
+        has_conditions,
+        par,
+    )
+}
+
+/// `Excise(Apply(C, G))` through `table`, with the channel scan and the
+/// condition test of `goal` supplied by the caller — a session computes
+/// both once, so a warm query never re-walks the input goal.
+pub(crate) fn compile_in<T: Table>(
+    table: &mut T,
+    goal: &Goal,
+    constraints: &[Constraint],
+    mut channels: ChannelAlloc,
+    has_conditions: bool,
+    par: Parallelism,
+) -> Compiled {
+    let applied = apply_all_in(table, constraints, goal, &mut channels, par);
     let applied_size = applied.size();
-    let excised = excise_with_diagnostics_par(&applied, par);
+    let excised = excise_in(table, &applied, par);
     Compiled {
         goal: excised.goal,
         knots: excised.reports,
         applied_size,
         guaranteed_knot_free: excised.guaranteed_knot_free,
-        has_conditions: mentions_conditions(goal),
+        has_conditions,
     }
 }
 
@@ -167,46 +198,6 @@ impl Verification {
     }
 }
 
-/// Verification (Theorem 5.9): does every legal execution of `G ∧ C`
-/// satisfy `property`?
-///
-/// Constructive: compiles `G ∧ C ∧ ¬property`; if the result is `¬path`
-/// the property holds, otherwise the compiled goal is returned as the most
-/// general counterexample.
-pub fn verify(
-    goal: &Goal,
-    constraints: &[Constraint],
-    property: &Constraint,
-) -> Result<Verification, CompileError> {
-    let mut with_negation: Vec<Constraint> = constraints.to_vec();
-    with_negation.push(Constraint::not(property.clone()));
-    let compiled = compile(goal, &with_negation)?;
-    if compiled.is_consistent() {
-        Ok(Verification::CounterExample(compiled.goal))
-    } else {
-        Ok(Verification::Holds)
-    }
-}
-
-/// Redundancy (Theorem 5.10): is `constraints[index]` implied by the rest
-/// of the specification?
-pub fn is_redundant(
-    goal: &Goal,
-    constraints: &[Constraint],
-    index: usize,
-) -> Result<bool, CompileError> {
-    assert!(index < constraints.len(), "constraint index out of range");
-    check_unique_events(goal).map_err(CompileError::NotUniqueEvent)?;
-    // Build the probe set `(C − {φ}) ∧ ¬φ` in one pass instead of copying
-    // the slice twice (once here, once inside `verify`): φ is redundant
-    // iff the probe compiles to `¬path`.
-    let mut probe: Vec<Constraint> = Vec::with_capacity(constraints.len());
-    probe.extend(constraints[..index].iter().cloned());
-    probe.extend(constraints[index + 1..].iter().cloned());
-    probe.push(Constraint::not(constraints[index].clone()));
-    Ok(!compile_unchecked(goal, &probe).is_consistent())
-}
-
 /// Designer feedback: how each activity relates to the set of allowed
 /// executions of a compiled specification.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -218,36 +209,6 @@ pub enum ActivityStatus {
     /// Occurs in no allowed execution — the constraints (or the graph)
     /// rule it out entirely; usually a specification bug.
     Dead,
-}
-
-/// Classifies every activity of `goal` against the allowed executions of
-/// `goal ∧ constraints` (the "eliminates the parts of the control graph"
-/// effect of §5, surfaced as a report).
-///
-/// Costs two primitive `Apply` passes per activity over the compiled
-/// goal: `e` is *dead* iff `Apply(∇e, G_C) = ¬path` and *mandatory* iff
-/// `Apply(¬∇e, G_C)` excises to `¬path`.
-pub fn activity_report(
-    goal: &Goal,
-    constraints: &[Constraint],
-) -> Result<Vec<(crate::symbol::Symbol, ActivityStatus)>, CompileError> {
-    let compiled = compile(goal, constraints)?;
-    let mut out = Vec::new();
-    for event in goal.events() {
-        let status = if compiled.goal.is_nopath()
-            || crate::apply::apply_must(event, &compiled.goal).is_nopath()
-        {
-            ActivityStatus::Dead
-        } else if crate::excise::excise(&crate::apply::apply_must_not(event, &compiled.goal))
-            .is_nopath()
-        {
-            ActivityStatus::Mandatory
-        } else {
-            ActivityStatus::Optional
-        };
-        out.push((event, status));
-    }
-    Ok(out)
 }
 
 /// How two activities are ordered across the allowed executions.
@@ -263,60 +224,275 @@ pub enum Ordering {
     NeverTogether,
 }
 
-/// Decides the execution-order relation between two activities under the
-/// specification — two Klein-order verifications (Theorem 5.9).
+/// An analysis session over one workflow goal and its constraint set.
+///
+/// Opening a session checks the unique-event property once; every query
+/// after that compiles through the session's table. Over a [`Memo`] (the
+/// public instance) the table persists, so repeated and incrementally
+/// edited queries replay shared work as hits. The one-shot functions of
+/// this module run the same methods over the table that records nothing,
+/// so their verdicts and compiled goals are structurally equal.
+pub struct Analyzer<T = Memo> {
+    goal: Goal,
+    constraints: Vec<Constraint>,
+    table: T,
+    /// `ChannelAlloc::fresh_for(goal)`, computed once (it walks the goal).
+    base_channels: ChannelAlloc,
+    /// `mentions_conditions(goal)`, computed once.
+    has_conditions: bool,
+    /// Compiled `G ∧ C`, invalidated by constraint edits.
+    compiled: Option<Compiled>,
+}
+
+impl Analyzer {
+    /// Opens a session. Fails (once) if `goal` violates the unique-event
+    /// property — the same precondition [`compile`] checks per call.
+    pub fn new(goal: &Goal, constraints: &[Constraint]) -> Result<Analyzer, CompileError> {
+        Analyzer::over(Memo::new(), goal, constraints)
+    }
+
+    /// Memo-table counters for this session.
+    pub fn stats(&self) -> MemoStats {
+        self.table.stats()
+    }
+
+    /// Resets the hit/miss counters (tables are kept warm).
+    pub fn reset_counters(&mut self) {
+        self.table.reset_counters();
+    }
+}
+
+// The private bound is the point: which table a session runs over is fixed
+// by the entry point the caller uses, not chosen by the caller.
+#[allow(private_bounds)]
+impl<T: Table> Analyzer<T> {
+    fn over(table: T, goal: &Goal, constraints: &[Constraint]) -> Result<Self, CompileError> {
+        check_unique_events(goal).map_err(CompileError::NotUniqueEvent)?;
+        Ok(Analyzer {
+            base_channels: ChannelAlloc::fresh_for(goal),
+            has_conditions: mentions_conditions(goal),
+            goal: goal.clone(),
+            constraints: constraints.to_vec(),
+            table,
+            compiled: None,
+        })
+    }
+
+    /// The workflow goal under analysis.
+    pub fn goal(&self) -> &Goal {
+        &self.goal
+    }
+
+    /// The current constraint set.
+    pub fn constraints(&self) -> &[Constraint] {
+        &self.constraints
+    }
+
+    /// Compiles the goal with the constraint list as it stands.
+    fn compile(&mut self) -> Compiled {
+        compile_in(
+            &mut self.table,
+            &self.goal,
+            &self.constraints,
+            self.base_channels.clone(),
+            self.has_conditions,
+            T::PAR,
+        )
+    }
+
+    /// Compiles the constraint set plus one per-query `extra` constraint.
+    fn query(&mut self, extra: Constraint) -> Compiled {
+        self.constraints.push(extra);
+        let compiled = self.compile();
+        self.constraints.pop();
+        compiled
+    }
+
+    /// The compiled `G ∧ C` — computed on first use, cached until a
+    /// constraint edit, structurally equal to [`compile`]'s.
+    pub fn compiled(&mut self) -> &Compiled {
+        if self.compiled.is_none() {
+            self.compiled = Some(self.compile());
+        }
+        self.compiled.as_ref().expect("just computed")
+    }
+
+    /// Consistency (Theorem 5.8) of the current specification.
+    pub fn is_consistent(&mut self) -> bool {
+        self.compiled().is_consistent()
+    }
+
+    /// Verification (Theorem 5.9): does every legal execution of `G ∧ C`
+    /// satisfy `property`?
+    ///
+    /// Constructive: compiles `G ∧ C ∧ ¬property`; if the result is
+    /// `¬path` the property holds, otherwise the compiled goal is returned
+    /// as the most general counterexample.
+    pub fn verify(&mut self, property: &Constraint) -> Verification {
+        let compiled = self.query(Constraint::not(property.clone()));
+        if compiled.is_consistent() {
+            Verification::CounterExample(compiled.goal)
+        } else {
+            Verification::Holds
+        }
+    }
+
+    /// Verifies every property through the session table. Over a [`Memo`]
+    /// the compiled `G ∧ C` prefix replays as hits from the second
+    /// property on.
+    pub fn verify_all(&mut self, properties: &[Constraint]) -> Vec<Verification> {
+        properties.iter().map(|p| self.verify(p)).collect()
+    }
+
+    /// Classifies every activity of the goal against the allowed
+    /// executions of `G ∧ C` (the "eliminates the parts of the control
+    /// graph" effect of §5, surfaced as a report).
+    ///
+    /// Costs two primitive `Apply` passes per activity over the compiled
+    /// goal: `e` is *dead* iff `Apply(∇e, G_C) = ¬path` and *mandatory* iff
+    /// `Apply(¬∇e, G_C)` excises to `¬path`.
+    pub fn activity_report(&mut self) -> Vec<(Symbol, ActivityStatus)> {
+        let compiled = self.compiled().goal.clone();
+        let table = &mut self.table;
+        let classify = |event| {
+            if compiled.is_nopath() || apply_must_in(table, event, &compiled).is_nopath() {
+                return (event, ActivityStatus::Dead);
+            }
+            let without = apply_must_not_in(table, event, &compiled);
+            if excise_in(table, &without, T::PAR).goal.is_nopath() {
+                (event, ActivityStatus::Mandatory)
+            } else {
+                (event, ActivityStatus::Optional)
+            }
+        };
+        self.goal.events().into_iter().map(classify).collect()
+    }
+
+    /// Decides the execution-order relation between two activities under
+    /// the specification — two Klein-order verifications (Theorem 5.9).
+    pub fn ordering(&mut self, a: Symbol, b: Symbol) -> Ordering {
+        let together = Constraint::and(vec![Constraint::Must(a), Constraint::Must(b)]);
+        if !self.query(together).is_consistent() {
+            return Ordering::NeverTogether;
+        }
+        let before = self.verify(&Constraint::klein_order(a, b)).holds();
+        let after = self.verify(&Constraint::klein_order(b, a)).holds();
+        match (before, after) {
+            (true, _) => Ordering::AlwaysBefore,
+            (false, true) => Ordering::AlwaysAfter,
+            (false, false) => Ordering::Unordered,
+        }
+    }
+
+    /// Greedy redundancy elimination (Theorem 5.10): the indices of a
+    /// retained subset with every redundant constraint removed. Later
+    /// constraints are checked against the already-retained ones, so the
+    /// result is a minimal equivalent subset with respect to this
+    /// elimination order. The session's constraint set itself is left
+    /// unchanged.
+    pub fn minimize_constraints(&mut self) -> Vec<usize> {
+        let mut retained: Vec<usize> = (0..self.constraints.len()).collect();
+        // The list is edited in place by moves and restored at the end:
+        // each probe takes φᵢ out, pushes ¬φᵢ, compiles — the same sequence
+        // `verify(goal, rest, φ)` would compile — and puts φᵢ back only if
+        // it is needed, with no per-iteration O(n) re-clone of the
+        // retained set.
+        let original = self.constraints.clone();
+        let mut i = 0;
+        while i < retained.len() {
+            let phi = self.constraints.remove(i);
+            self.constraints.push(Constraint::not(phi));
+            let consistent = self.compile().is_consistent();
+            let Some(Constraint::Not(phi)) = self.constraints.pop() else {
+                unreachable!("pushed ¬φ above");
+            };
+            if consistent {
+                // Some execution of the rest violates φ: keep it.
+                self.constraints.insert(i, *phi);
+                i += 1;
+            } else {
+                retained.remove(i);
+            }
+        }
+        self.constraints = original;
+        retained
+    }
+
+    /// Appends a constraint, returning its index. Invalidates the cached
+    /// compile; the table persists, so re-verification replays the
+    /// unchanged prefix as hits and only compiles the new suffix.
+    pub fn add_constraint(&mut self, constraint: Constraint) -> usize {
+        self.constraints.push(constraint);
+        self.compiled = None;
+        self.constraints.len() - 1
+    }
+
+    /// Removes and returns the constraint at `index` (panics if out of
+    /// range). Invalidates the cached compile; the table persists.
+    pub fn remove_constraint(&mut self, index: usize) -> Constraint {
+        let removed = self.constraints.remove(index);
+        self.compiled = None;
+        removed
+    }
+
+    /// Replaces the constraint at `index`, returning the old one (panics
+    /// if out of range). Invalidates the cached compile; the table
+    /// persists, so re-verification costs roughly the changed region: the
+    /// prefix before `index` replays as hits.
+    pub fn replace_constraint(&mut self, index: usize, constraint: Constraint) -> Constraint {
+        let old = std::mem::replace(&mut self.constraints[index], constraint);
+        self.compiled = None;
+        old
+    }
+}
+
+/// [`Analyzer::verify`] as a one-shot call.
+pub fn verify(
+    goal: &Goal,
+    constraints: &[Constraint],
+    property: &Constraint,
+) -> Result<Verification, CompileError> {
+    Ok(Analyzer::over(Scratch, goal, constraints)?.verify(property))
+}
+
+/// Redundancy (Theorem 5.10): is `constraints[index]` implied by the rest
+/// of the specification — does every execution of `G ∧ (C − {φ})` satisfy
+/// `φ`?
+pub fn is_redundant(
+    goal: &Goal,
+    constraints: &[Constraint],
+    index: usize,
+) -> Result<bool, CompileError> {
+    assert!(index < constraints.len(), "constraint index out of range");
+    let mut rest = Analyzer::over(Scratch, goal, constraints)?;
+    let phi = rest.remove_constraint(index);
+    Ok(rest.verify(&phi).holds())
+}
+
+/// [`Analyzer::activity_report`] as a one-shot call.
+pub fn activity_report(
+    goal: &Goal,
+    constraints: &[Constraint],
+) -> Result<Vec<(Symbol, ActivityStatus)>, CompileError> {
+    Ok(Analyzer::over(Scratch, goal, constraints)?.activity_report())
+}
+
+/// [`Analyzer::ordering`] as a one-shot call.
 pub fn ordering(
     goal: &Goal,
     constraints: &[Constraint],
-    a: crate::symbol::Symbol,
-    b: crate::symbol::Symbol,
+    a: Symbol,
+    b: Symbol,
 ) -> Result<Ordering, CompileError> {
-    let together = Constraint::and(vec![Constraint::Must(a), Constraint::Must(b)]);
-    let mut with_both = constraints.to_vec();
-    with_both.push(together);
-    if !compile(goal, &with_both)?.is_consistent() {
-        return Ok(Ordering::NeverTogether);
-    }
-    let before = verify(goal, constraints, &Constraint::klein_order(a, b))?.holds();
-    let after = verify(goal, constraints, &Constraint::klein_order(b, a))?.holds();
-    Ok(match (before, after) {
-        (true, _) => Ordering::AlwaysBefore,
-        (false, true) => Ordering::AlwaysAfter,
-        (false, false) => Ordering::Unordered,
-    })
+    Ok(Analyzer::over(Scratch, goal, constraints)?.ordering(a, b))
 }
 
-/// Removes every redundant constraint from the set, greedily, returning
-/// the retained subset (indices into the input). Later constraints are
-/// checked against the already-retained ones, so the result is a minimal
-/// equivalent subset with respect to this elimination order.
+/// [`Analyzer::minimize_constraints`] as a one-shot call.
 pub fn minimize_constraints(
     goal: &Goal,
     constraints: &[Constraint],
 ) -> Result<Vec<usize>, CompileError> {
-    check_unique_events(goal).map_err(CompileError::NotUniqueEvent)?;
-    let mut retained: Vec<usize> = (0..constraints.len()).collect();
-    // One working copy, edited by moves: each probe takes φᵢ out, pushes
-    // ¬φᵢ, compiles, and restores — no per-iteration O(n) re-clone of the
-    // retained set (which made the loop O(n²) `Constraint` clones).
-    let mut kept: Vec<Constraint> = constraints.to_vec();
-    let mut i = 0;
-    while i < retained.len() {
-        let phi = kept.remove(i);
-        kept.push(Constraint::not(phi));
-        let consistent = compile_unchecked(goal, &kept).is_consistent();
-        let Some(Constraint::Not(phi)) = kept.pop() else {
-            unreachable!("pushed ¬φ above");
-        };
-        if consistent {
-            // Some execution of the rest violates φ: keep it.
-            kept.insert(i, *phi);
-            i += 1;
-        } else {
-            retained.remove(i);
-        }
-    }
-    Ok(retained)
+    Ok(Analyzer::over(Scratch, goal, constraints)?.minimize_constraints())
 }
 
 #[cfg(test)]

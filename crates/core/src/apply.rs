@@ -25,10 +25,22 @@
 //!    by `Apply(C₁ ∨ C₂, T) = Apply(C₁, T) ∨ Apply(C₂, T)` and sequential
 //!    composition over `∧` — yielding the `O(d^N · |T|)` size bound of
 //!    Theorem 5.11.
+//!
+//! # Rules × table
+//!
+//! Every rule is written once, as a crate-private `*_in` function generic
+//! over a `Table`: the rule hands each subgoal rewrite to the table, which
+//! either replays a recorded answer or runs the rule. Tabling is a
+//! strategy over the rules, not a second set of them. The public functions
+//! here run the rules over `Scratch`, the zero-sized table that records
+//! nothing; [`crate::memo::Memo`] is the table that remembers. Both yield
+//! structurally equal goals by construction.
 
 use crate::constraints::{Basic, Conjunct, Constraint, NormalForm};
+use crate::excise::ExciseResult;
 use crate::goal::{conc, isolated, or, seq, Channel, Goal};
 use crate::symbol::Symbol;
+use std::sync::OnceLock;
 
 /// How the compiler distributes independent rewriting work over threads.
 ///
@@ -39,7 +51,8 @@ use crate::symbol::Symbol;
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Parallelism {
     /// Parallelize when the estimated work is large enough to amortize
-    /// thread spawn cost; stay sequential on small goals.
+    /// thread spawn cost and there is more than one CPU to run it on;
+    /// stay sequential otherwise.
     #[default]
     Auto,
     /// Always sequential — the reference path for differential tests.
@@ -53,16 +66,29 @@ pub enum Parallelism {
 /// `Parallelism::Auto` fans out.
 const PAR_WORK_THRESHOLD: usize = 1 << 10;
 
+/// CPUs this process may run on, read once: the query walks the affinity
+/// mask and the cgroup quota files, too slow to repeat per compile.
+pub(crate) fn available_cpus() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 impl Parallelism {
-    /// Whether to fan out `tasks` independent pieces of work over an
-    /// input of `size` units. Shared by every consumer of the knob (the
-    /// compiler's disjunct fan-out, the runtime's Monte-Carlo sampler) so
-    /// "how much work justifies threads" is decided in one place.
+    /// Whether to fan out `tasks` independent pieces of work, each over
+    /// an input of `size` units. Shared by every consumer of the knob (the
+    /// compiler's disjunct fan-out, `Excise`'s branch fan-out, the
+    /// runtime's Monte-Carlo sampler) so "how much work justifies threads"
+    /// is decided in one place. On a single CPU `Auto` never fans out:
+    /// threads there only add spawn and switch cost.
     pub fn fan_out(self, size: usize, tasks: usize) -> bool {
         match self {
             Parallelism::Never => false,
             Parallelism::Always => tasks > 1,
-            Parallelism::Auto => tasks > 1 && size.saturating_mul(tasks) >= PAR_WORK_THRESHOLD,
+            Parallelism::Auto => {
+                tasks > 1
+                    && size.saturating_mul(tasks) >= PAR_WORK_THRESHOLD
+                    && available_cpus() > 1
+            }
         }
     }
 }
@@ -112,41 +138,121 @@ impl ChannelAlloc {
     }
 }
 
+/// Which rewrite a [`Table`] is asked about; with the input subgoal, the
+/// whole key of an answer.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub(crate) enum Op {
+    /// `Apply(∇α, ·)`.
+    Must(Symbol),
+    /// `Apply(¬∇α, ·)`.
+    MustNot(Symbol),
+    /// `sync(α<β, ·)` at a fixed, caller-supplied channel. The channel is
+    /// part of the key, so the answer is a function of the key even though
+    /// `apply_order` allocates the channel freshly per compilation.
+    Sync(Symbol, Symbol, u32),
+    /// Canonicalizing [`Goal::simplify`].
+    Simplify,
+}
+
+/// The strategy the rules run under: a rule asks the table for each
+/// `(op, subgoal)` answer, and the table runs the rule or replays a
+/// recorded result. Answers are pure functions of their keys, so all
+/// tables produce structurally equal goals.
+pub(crate) trait Table: Sized {
+    /// The fan-out mode of whole compilations through this table. A
+    /// `&mut` table cannot cross the fan-out threads (their workers run
+    /// on [`Scratch`]), so a table that holds state stays sequential.
+    const PAR: Parallelism;
+
+    /// The answer to `op` on `goal`: a recorded one, or `rule`'s — which
+    /// gets the table back for its recursive calls.
+    fn rewrite(&mut self, op: Op, goal: &Goal, rule: impl FnOnce(&mut Self) -> Goal) -> Goal;
+
+    /// The `Excise` outcome of the choice-rooted-free region `goal`: a
+    /// recorded one, or `analyze`'s.
+    fn region(&mut self, goal: &Goal, analyze: impl FnOnce() -> ExciseResult) -> ExciseResult;
+
+    /// [`Constraint::normalize`], possibly recorded.
+    fn normalize(&mut self, constraint: &Constraint) -> NormalForm;
+}
+
+/// The table that records nothing: every question runs its rule. Zero-
+/// sized, so the one-shot path monomorphizes to the bare recursion.
+pub(crate) struct Scratch;
+
+impl Table for Scratch {
+    const PAR: Parallelism = Parallelism::Auto;
+
+    #[inline]
+    fn rewrite(&mut self, _: Op, _: &Goal, rule: impl FnOnce(&mut Self) -> Goal) -> Goal {
+        rule(self)
+    }
+
+    #[inline]
+    fn region(&mut self, _: &Goal, analyze: impl FnOnce() -> ExciseResult) -> ExciseResult {
+        analyze()
+    }
+
+    #[inline]
+    fn normalize(&mut self, constraint: &Constraint) -> NormalForm {
+        constraint.normalize()
+    }
+}
+
 /// Upper bound on the channels one conjunct can allocate: one per order
 /// basic ([`apply_order`] allocates at most once, and only for orders).
-/// Shared with the tabled compiler (`crate::memo`), which must reserve
-/// identical per-disjunct ranges to reproduce the untabled numbering.
-pub(crate) fn order_budget(conj: &Conjunct) -> u32 {
+fn order_budget(conj: &Conjunct) -> u32 {
     conj.iter()
         .filter(|b| matches!(b, Basic::Order(..)))
         .count() as u32
 }
 
-/// Applies `f` to every child of an n-ary node. Returns `None` when every
-/// result is the same allocation as the original child — the caller then
-/// reuses the whole node instead of rebuilding it, so sharing survives even
-/// when the event fingerprint gave a false positive. Otherwise returns the
-/// rewritten child vector, with untouched children as `Arc` bumps.
-pub(crate) fn map_children_shared(
-    gs: &crate::goal::GoalList,
-    mut f: impl FnMut(&Goal) -> Goal,
-) -> Option<Vec<Goal>> {
-    let mut out: Option<Vec<Goal>> = None;
-    for (i, child) in gs.iter().enumerate() {
-        let new = f(child);
-        if out.is_none() && new.ptr_eq(child) {
-            continue;
-        }
-        out.get_or_insert_with(|| gs[..i].to_vec()).push(new);
+/// Rebuilds an n-ary node from new children through the node's own smart
+/// constructor.
+fn rebuild(node: &Goal, children: Vec<Goal>) -> Goal {
+    match node {
+        Goal::Seq(_) => seq(children),
+        Goal::Conc(_) => conc(children),
+        Goal::Or(_) => or(children),
+        other => unreachable!("`{other}` is not an n-ary node"),
     }
-    out
 }
 
-/// `Apply(∇α, T)` — Definition 5.1, positive primitive.
-///
-/// The result's executions are the executions of `T` in which `α` occurs.
-/// Returns `¬path` when no execution of `T` contains `α`.
-pub fn apply_must(alpha: Symbol, goal: &Goal) -> Goal {
+/// The congruence step shared by `¬∇α` and `sync`: rewrites the children
+/// of a connective with `f` and rebuilds it. When every result is the same
+/// allocation as the original child the node itself is handed back, so
+/// sharing with the input goal survives even when the event fingerprint
+/// gave a false positive; otherwise untouched children are `Arc` bumps.
+fn map_connective(goal: &Goal, mut f: impl FnMut(&Goal) -> Goal) -> Goal {
+    match goal {
+        Goal::Seq(gs) | Goal::Conc(gs) | Goal::Or(gs) => {
+            let mut out: Option<Vec<Goal>> = None;
+            for (i, child) in gs.iter().enumerate() {
+                let new = f(child);
+                if out.is_none() && new.ptr_eq(child) {
+                    continue;
+                }
+                out.get_or_insert_with(|| gs[..i].to_vec()).push(new);
+            }
+            out.map_or_else(|| goal.clone(), |kids| rebuild(goal, kids))
+        }
+        Goal::Isolated(g) => {
+            let new = f(g);
+            if new.ptr_eq(g) {
+                goal.clone()
+            } else {
+                isolated(new)
+            }
+        }
+        // Occurrences inside ◇ are hypothetical — they never appear on the
+        // execution path, so they can neither violate ¬∇α nor take part in
+        // synchronization. The other leaves have no children.
+        _ => goal.clone(),
+    }
+}
+
+/// [`apply_must`] through `table`.
+pub(crate) fn apply_must_in<T: Table>(table: &mut T, alpha: Symbol, goal: &Goal) -> Goal {
     // Event-index pruning: a subtree whose cached fingerprint excludes α
     // cannot witness ∇α, so the whole walk below would only rebuild it
     // into ¬path. Answer in O(1) instead — this is what keeps the per-
@@ -154,20 +260,15 @@ pub fn apply_must(alpha: Symbol, goal: &Goal) -> Goal {
     if !goal.may_mention(alpha) {
         return Goal::NoPath;
     }
-    match goal {
-        Goal::Atom(a) => {
-            if a.as_event() == Some(alpha) {
-                goal.clone()
-            } else {
-                Goal::NoPath
-            }
-        }
+    table.rewrite(Op::Must(alpha), goal, |table| match goal {
+        Goal::Atom(a) if a.as_event() == Some(alpha) => goal.clone(),
         // Apply(∇α, T ⊗ K) = (Apply(∇α,T) ⊗ K) ∨ (T ⊗ Apply(∇α,K)),
-        // generalized n-ary: a disjunct per child position. Children not
-        // mentioning α yield ¬path and their disjunct is absorbed.
-        Goal::Seq(gs) => or((0..gs.len())
+        // generalized n-ary and likewise for `|`: a disjunct per child
+        // position. Children not mentioning α yield ¬path and their
+        // disjunct is absorbed.
+        Goal::Seq(gs) | Goal::Conc(gs) => or((0..gs.len())
             .map(|i| {
-                let rewritten = apply_must(alpha, &gs[i]);
+                let rewritten = apply_must_in(table, alpha, &gs[i]);
                 if rewritten.is_nopath() {
                     return Goal::NoPath;
                 }
@@ -175,29 +276,191 @@ pub fn apply_must(alpha: Symbol, goal: &Goal) -> Goal {
                 children.extend(gs[..i].iter().cloned());
                 children.push(rewritten);
                 children.extend(gs[i + 1..].iter().cloned());
-                seq(children)
+                rebuild(goal, children)
             })
             .collect()),
-        Goal::Conc(gs) => or((0..gs.len())
-            .map(|i| {
-                let rewritten = apply_must(alpha, &gs[i]);
-                if rewritten.is_nopath() {
-                    return Goal::NoPath;
-                }
-                let mut children = Vec::with_capacity(gs.len());
-                children.extend(gs[..i].iter().cloned());
-                children.push(rewritten);
-                children.extend(gs[i + 1..].iter().cloned());
-                conc(children)
-            })
-            .collect()),
-        Goal::Or(gs) => or(gs.iter().map(|g| apply_must(alpha, g)).collect()),
-        Goal::Isolated(g) => isolated(apply_must(alpha, g)),
+        Goal::Or(gs) => or(gs.iter().map(|g| apply_must_in(table, alpha, g)).collect()),
+        Goal::Isolated(g) => isolated(apply_must_in(table, alpha, g)),
         // Events inside ◇ do not occur on the final execution path (◇
         // consumes no path), so they cannot witness ∇α.
-        Goal::Possible(_) => Goal::NoPath,
-        Goal::Send(_) | Goal::Receive(_) | Goal::Empty | Goal::NoPath => Goal::NoPath,
+        Goal::Atom(_)
+        | Goal::Possible(_)
+        | Goal::Send(_)
+        | Goal::Receive(_)
+        | Goal::Empty
+        | Goal::NoPath => Goal::NoPath,
+    })
+}
+
+/// [`apply_must_not`] through `table`.
+pub(crate) fn apply_must_not_in<T: Table>(table: &mut T, alpha: Symbol, goal: &Goal) -> Goal {
+    // Event-index pruning: a subtree provably not mentioning α is its own
+    // rewrite. Returning the clone (an `Arc` bump) hands back the *same*
+    // allocation, so unchanged branches stay shared with the input goal.
+    if !goal.may_mention(alpha) {
+        return goal.clone();
     }
+    table.rewrite(Op::MustNot(alpha), goal, |table| match goal {
+        Goal::Atom(a) if a.as_event() == Some(alpha) => Goal::NoPath,
+        _ => map_connective(goal, |g| apply_must_not_in(table, alpha, g)),
+    })
+}
+
+/// [`sync`] through `table`.
+pub(crate) fn sync_in<T: Table>(
+    table: &mut T,
+    alpha: Symbol,
+    beta: Symbol,
+    xi: Channel,
+    goal: &Goal,
+) -> Goal {
+    // Event-index pruning: subtrees mentioning neither α nor β are
+    // returned as-is (shared), skipping the rebuild entirely.
+    if !goal.may_mention(alpha) && !goal.may_mention(beta) {
+        return goal.clone();
+    }
+    table.rewrite(Op::Sync(alpha, beta, xi.0), goal, |table| match goal {
+        Goal::Atom(a) if a.as_event() == Some(alpha) => seq(vec![goal.clone(), Goal::Send(xi)]),
+        Goal::Atom(a) if a.as_event() == Some(beta) => seq(vec![Goal::Receive(xi), goal.clone()]),
+        _ => map_connective(goal, |g| sync_in(table, alpha, beta, xi, g)),
+    })
+}
+
+/// [`apply_order`] through `table`. The channel is drawn from `channels`
+/// whatever the table, so it cannot be part of a recorded answer; only
+/// the two `∇` stages and the `sync` stage at the drawn channel are.
+pub(crate) fn apply_order_in<T: Table>(
+    table: &mut T,
+    alpha: Symbol,
+    beta: Symbol,
+    goal: &Goal,
+    channels: &mut ChannelAlloc,
+) -> Goal {
+    if alpha == beta {
+        // ∇α ⊗ ∇α requires two occurrences of α: unsatisfiable on
+        // unique-event goals.
+        return Goal::NoPath;
+    }
+    let after_beta = apply_must_in(table, beta, goal);
+    let inner = apply_must_in(table, alpha, &after_beta);
+    if inner.is_nopath() {
+        return Goal::NoPath;
+    }
+    let xi = channels.fresh();
+    sync_in(table, alpha, beta, xi, &inner)
+}
+
+/// [`apply_basic`] through `table`.
+pub(crate) fn apply_basic_in<T: Table>(
+    table: &mut T,
+    basic: &Basic,
+    goal: &Goal,
+    channels: &mut ChannelAlloc,
+) -> Goal {
+    match *basic {
+        Basic::Must(e) => apply_must_in(table, e, goal),
+        Basic::MustNot(e) => apply_must_not_in(table, e, goal),
+        Basic::Order(a, b) => apply_order_in(table, a, b, goal, channels),
+    }
+}
+
+/// [`apply_conjunct`] through `table`.
+pub(crate) fn apply_conjunct_in<T: Table>(
+    table: &mut T,
+    conj: &Conjunct,
+    goal: &Goal,
+    channels: &mut ChannelAlloc,
+) -> Goal {
+    // An empty conjunct is the trivially-true constraint: the input goal
+    // is its own compilation (shared, not copied).
+    let Some((first, rest)) = conj.split_first() else {
+        return goal.clone();
+    };
+    let mut current = apply_basic_in(table, first, goal, channels);
+    for basic in rest {
+        if current.is_nopath() {
+            return Goal::NoPath;
+        }
+        current = apply_basic_in(table, basic, &current, channels);
+    }
+    current
+}
+
+/// [`apply_normal_form_with`] through `table`.
+///
+/// The disjuncts are independent — each rewrites the *same* input goal —
+/// so they can fan out across threads. Channel ranges are pre-partitioned
+/// per disjunct (see [`ChannelAlloc::reserve`]) whether or not they do,
+/// and the results merged in disjunct order, making the output identical
+/// across modes and tables.
+pub(crate) fn apply_normal_form_in<T: Table>(
+    table: &mut T,
+    nf: &NormalForm,
+    goal: &Goal,
+    channels: &mut ChannelAlloc,
+    par: Parallelism,
+) -> Goal {
+    let disjuncts = &nf.disjuncts;
+    if disjuncts.len() == 1 {
+        return apply_conjunct_in(table, &disjuncts[0], goal, channels);
+    }
+    let mut allocs: Vec<ChannelAlloc> = disjuncts
+        .iter()
+        .map(|conj| channels.reserve(order_budget(conj)))
+        .collect();
+    let tasks = disjuncts.iter().zip(allocs.iter_mut());
+    let results: Vec<Goal> = if par.fan_out(goal.size(), disjuncts.len()) {
+        // `table` cannot be shared with the workers; see `Table::PAR`.
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = tasks
+                .map(|(conj, alloc)| {
+                    scope.spawn(move || apply_conjunct_in(&mut Scratch, conj, goal, alloc))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("apply worker panicked"))
+                .collect()
+        })
+    } else {
+        tasks
+            .map(|(conj, alloc)| apply_conjunct_in(table, conj, goal, alloc))
+            .collect()
+    };
+    or(results)
+}
+
+/// [`apply_all_with`] through `table`. With a table that records, an
+/// unchanged constraint prefix replays as one top-level hit per basic.
+pub(crate) fn apply_all_in<T: Table>(
+    table: &mut T,
+    constraints: &[Constraint],
+    goal: &Goal,
+    channels: &mut ChannelAlloc,
+    par: Parallelism,
+) -> Goal {
+    // No constraints: the goal compiles to itself — share it untouched.
+    let Some((first, rest)) = constraints.split_first() else {
+        return goal.clone();
+    };
+    let nf = table.normalize(first);
+    let mut current = apply_normal_form_in(table, &nf, goal, channels, par);
+    for c in rest {
+        if current.is_nopath() {
+            return Goal::NoPath;
+        }
+        let nf = table.normalize(c);
+        current = apply_normal_form_in(table, &nf, &current, channels, par);
+    }
+    current
+}
+
+/// `Apply(∇α, T)` — Definition 5.1, positive primitive.
+///
+/// The result's executions are the executions of `T` in which `α` occurs.
+/// Returns `¬path` when no execution of `T` contains `α`.
+pub fn apply_must(alpha: Symbol, goal: &Goal) -> Goal {
+    apply_must_in(&mut Scratch, alpha, goal)
 }
 
 /// `Apply(¬∇α, T)` — Definition 5.1, negative primitive.
@@ -206,135 +469,32 @@ pub fn apply_must(alpha: Symbol, goal: &Goal) -> Goal {
 /// occur: every occurrence of `α` is replaced by `¬path`, which prunes the
 /// containing conjunction and drops the containing `∨`-branch.
 pub fn apply_must_not(alpha: Symbol, goal: &Goal) -> Goal {
-    // Event-index pruning: a subtree provably not mentioning α is its own
-    // rewrite. Returning the clone (an `Arc` bump) hands back the *same*
-    // allocation, so unchanged branches stay shared with the input goal.
-    if !goal.may_mention(alpha) {
-        return goal.clone();
-    }
-    match goal {
-        Goal::Atom(a) => {
-            if a.as_event() == Some(alpha) {
-                Goal::NoPath
-            } else {
-                goal.clone()
-            }
-        }
-        Goal::Seq(gs) => match map_children_shared(gs, |g| apply_must_not(alpha, g)) {
-            Some(kids) => seq(kids),
-            None => goal.clone(),
-        },
-        Goal::Conc(gs) => match map_children_shared(gs, |g| apply_must_not(alpha, g)) {
-            Some(kids) => conc(kids),
-            None => goal.clone(),
-        },
-        Goal::Or(gs) => match map_children_shared(gs, |g| apply_must_not(alpha, g)) {
-            Some(kids) => or(kids),
-            None => goal.clone(),
-        },
-        Goal::Isolated(g) => {
-            let new = apply_must_not(alpha, g);
-            if new.ptr_eq(g) {
-                goal.clone()
-            } else {
-                isolated(new)
-            }
-        }
-        // Occurrences inside ◇ are hypothetical — they do not appear on the
-        // execution path, so they cannot violate ¬∇α.
-        Goal::Possible(_) => goal.clone(),
-        Goal::Send(_) | Goal::Receive(_) | Goal::Empty | Goal::NoPath => goal.clone(),
-    }
+    apply_must_not_in(&mut Scratch, alpha, goal)
 }
 
 /// The `sync(α<β, T)` rewriting of Definition 5.3: every occurrence of
 /// event `α` becomes `α ⊗ send(ξ)` and every occurrence of `β` becomes
 /// `receive(ξ) ⊗ β`.
 pub fn sync(alpha: Symbol, beta: Symbol, xi: Channel, goal: &Goal) -> Goal {
-    // Event-index pruning: subtrees mentioning neither α nor β are
-    // returned as-is (shared), skipping the rebuild entirely.
-    if !goal.may_mention(alpha) && !goal.may_mention(beta) {
-        return goal.clone();
-    }
-    match goal {
-        Goal::Atom(a) => {
-            if a.as_event() == Some(alpha) {
-                seq(vec![goal.clone(), Goal::Send(xi)])
-            } else if a.as_event() == Some(beta) {
-                seq(vec![Goal::Receive(xi), goal.clone()])
-            } else {
-                goal.clone()
-            }
-        }
-        Goal::Seq(gs) => match map_children_shared(gs, |g| sync(alpha, beta, xi, g)) {
-            Some(kids) => seq(kids),
-            None => goal.clone(),
-        },
-        Goal::Conc(gs) => match map_children_shared(gs, |g| sync(alpha, beta, xi, g)) {
-            Some(kids) => conc(kids),
-            None => goal.clone(),
-        },
-        Goal::Or(gs) => match map_children_shared(gs, |g| sync(alpha, beta, xi, g)) {
-            Some(kids) => or(kids),
-            None => goal.clone(),
-        },
-        Goal::Isolated(g) => {
-            let new = sync(alpha, beta, xi, g);
-            if new.ptr_eq(g) {
-                goal.clone()
-            } else {
-                isolated(new)
-            }
-        }
-        // Hypothetical occurrences inside ◇ never execute, so they take no
-        // part in synchronization.
-        Goal::Possible(_) => goal.clone(),
-        Goal::Send(_) | Goal::Receive(_) | Goal::Empty | Goal::NoPath => goal.clone(),
-    }
+    sync_in(&mut Scratch, alpha, beta, xi, goal)
 }
 
 /// `Apply(∇α ⊗ ∇β, T)` — Definition 5.3:
 /// `sync(α<β, Apply(∇α, Apply(∇β, T)))` with a fresh channel.
 pub fn apply_order(alpha: Symbol, beta: Symbol, goal: &Goal, channels: &mut ChannelAlloc) -> Goal {
-    if alpha == beta {
-        // ∇α ⊗ ∇α requires two occurrences of α: unsatisfiable on
-        // unique-event goals.
-        return Goal::NoPath;
-    }
-    let inner = apply_must(alpha, &apply_must(beta, goal));
-    if inner.is_nopath() {
-        return Goal::NoPath;
-    }
-    let xi = channels.fresh();
-    sync(alpha, beta, xi, &inner)
+    apply_order_in(&mut Scratch, alpha, beta, goal, channels)
 }
 
 /// `Apply` of a single basic constraint.
 pub fn apply_basic(basic: &Basic, goal: &Goal, channels: &mut ChannelAlloc) -> Goal {
-    match *basic {
-        Basic::Must(e) => apply_must(e, goal),
-        Basic::MustNot(e) => apply_must_not(e, goal),
-        Basic::Order(a, b) => apply_order(a, b, goal, channels),
-    }
+    apply_basic_in(&mut Scratch, basic, goal, channels)
 }
 
 /// `Apply` of a conjunction of basics: sequential composition — each
 /// application preserves the unique-event property, so the next may be
 /// applied to its output (Definition 5.5).
 pub fn apply_conjunct(conj: &Conjunct, goal: &Goal, channels: &mut ChannelAlloc) -> Goal {
-    // An empty conjunct is the trivially-true constraint: the input goal
-    // is its own compilation (shared, not copied).
-    let Some((first, rest)) = conj.split_first() else {
-        return goal.clone();
-    };
-    let mut current = apply_basic(first, goal, channels);
-    for basic in rest {
-        if current.is_nopath() {
-            return Goal::NoPath;
-        }
-        current = apply_basic(basic, &current, channels);
-    }
-    current
+    apply_conjunct_in(&mut Scratch, conj, goal, channels)
 }
 
 /// `Apply` of one normalized constraint:
@@ -345,46 +505,15 @@ pub fn apply_normal_form(nf: &NormalForm, goal: &Goal, channels: &mut ChannelAll
     apply_normal_form_with(nf, goal, channels, Parallelism::Auto)
 }
 
-/// [`apply_normal_form`] with an explicit parallelism mode.
-///
-/// The disjuncts are independent — each rewrites the *same* input goal —
-/// so they fan out across threads. Channel ranges are pre-partitioned per
-/// disjunct (see [`ChannelAlloc::reserve`]) and the results merged in
-/// disjunct order, making the output identical across modes.
+/// [`apply_normal_form`] with an explicit parallelism mode for the
+/// disjunct fan-out; the output is identical across modes.
 pub fn apply_normal_form_with(
     nf: &NormalForm,
     goal: &Goal,
     channels: &mut ChannelAlloc,
     par: Parallelism,
 ) -> Goal {
-    let disjuncts = &nf.disjuncts;
-    if disjuncts.len() == 1 {
-        return apply_conjunct(&disjuncts[0], goal, channels);
-    }
-    let mut allocs: Vec<ChannelAlloc> = disjuncts
-        .iter()
-        .map(|conj| channels.reserve(order_budget(conj)))
-        .collect();
-    let results: Vec<Goal> = if par.fan_out(goal.size(), disjuncts.len()) {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = disjuncts
-                .iter()
-                .zip(allocs.iter_mut())
-                .map(|(conj, alloc)| scope.spawn(move || apply_conjunct(conj, goal, alloc)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("apply worker panicked"))
-                .collect()
-        })
-    } else {
-        disjuncts
-            .iter()
-            .zip(allocs.iter_mut())
-            .map(|(conj, alloc)| apply_conjunct(conj, goal, alloc))
-            .collect()
-    };
-    or(results)
+    apply_normal_form_in(&mut Scratch, nf, goal, channels, par)
 }
 
 /// `Apply(C, G)` for a whole constraint set `C = δ₁ ∧ … ∧ δₙ`
@@ -410,18 +539,7 @@ pub fn apply_all_with(
     channels: &mut ChannelAlloc,
     par: Parallelism,
 ) -> Goal {
-    // No constraints: the goal compiles to itself — share it untouched.
-    let Some((first, rest)) = constraints.split_first() else {
-        return goal.clone();
-    };
-    let mut current = apply_normal_form_with(&first.normalize(), goal, channels, par);
-    for c in rest {
-        if current.is_nopath() {
-            return Goal::NoPath;
-        }
-        current = apply_normal_form_with(&c.normalize(), &current, channels, par);
-    }
-    current
+    apply_all_in(&mut Scratch, constraints, goal, channels, par)
 }
 
 /// Convenience wrapper: compiles `constraints` into `goal` with channels
@@ -631,6 +749,16 @@ mod tests {
         let mut ch = ChannelAlloc::fresh_for(&goal);
         assert_eq!(ch.fresh(), Channel(6));
         assert_eq!(ch.fresh(), Channel(7));
+    }
+
+    #[test]
+    fn auto_fans_out_only_with_a_second_cpu() {
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        // Far above the work floor: only the CPU count can say no.
+        assert_eq!(Parallelism::Auto.fan_out(1 << 20, 8), cpus > 1);
+        assert!(!Parallelism::Auto.fan_out(1, 2), "below the work floor");
+        assert!(Parallelism::Always.fan_out(1, 2));
+        assert!(!Parallelism::Never.fan_out(1 << 20, 8));
     }
 
     #[test]

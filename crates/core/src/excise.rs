@@ -43,7 +43,7 @@
 //! knot-entangled choices and runs in time proportional to the goal size
 //! (Theorem 5.11) — measured in experiment E2.
 
-use crate::apply::Parallelism;
+use crate::apply::{available_cpus, Op, Parallelism, Scratch, Table};
 use crate::goal::{Channel, Goal};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -125,26 +125,27 @@ pub fn excise_with_diagnostics(goal: &Goal) -> ExciseResult {
 /// flag are merged back in branch order, making the output identical
 /// across modes.
 pub fn excise_with_diagnostics_par(goal: &Goal, par: Parallelism) -> ExciseResult {
+    excise_in(&mut Scratch, goal, par)
+}
+
+/// [`excise_with_diagnostics_par`] through `table`, which is asked for
+/// each region's outcome (diagnostics included) and for the final
+/// canonicalization.
+pub(crate) fn excise_in<T: Table>(table: &mut T, goal: &Goal, par: Parallelism) -> ExciseResult {
     let mut reports = Vec::new();
     let mut guaranteed = true;
     let out = match goal {
-        Goal::Or(gs) if should_fan_out(par, goal, gs.len()) => {
+        // The branches partition the goal: `n` tasks of `size / n` each
+        // (a hand-built `∨` may have no branches at all).
+        Goal::Or(gs) if par.fan_out(goal.size() / gs.len().max(1), gs.len()) => {
             crate::goal::or(excise_branches_parallel(gs, &mut reports, &mut guaranteed))
         }
-        _ => excise_inner(goal, &mut reports, &mut guaranteed),
+        _ => excise_inner(table, goal, &mut reports, &mut guaranteed),
     };
     ExciseResult {
-        goal: out.simplify(),
+        goal: table.rewrite(Op::Simplify, &out, |_| out.simplify()),
         reports,
         guaranteed_knot_free: guaranteed,
-    }
-}
-
-fn should_fan_out(par: Parallelism, goal: &Goal, branches: usize) -> bool {
-    match par {
-        Parallelism::Never => false,
-        Parallelism::Always => branches > 1,
-        Parallelism::Auto => branches > 1 && goal.size() >= 1 << 11,
     }
 }
 
@@ -157,9 +158,7 @@ fn excise_branches_parallel(
     reports: &mut Vec<KnotReport>,
     guaranteed: &mut bool,
 ) -> Vec<Goal> {
-    let workers = std::thread::available_parallelism()
-        .map_or(1, |n| n.get())
-        .min(gs.len());
+    let workers = available_cpus().min(gs.len());
     let chunk_len = gs.len().div_ceil(workers);
     let chunk_results: Vec<(Vec<Goal>, Vec<KnotReport>, bool)> = std::thread::scope(|scope| {
         let handles: Vec<_> = gs
@@ -170,7 +169,9 @@ fn excise_branches_parallel(
                     let mut chunk_guaranteed = true;
                     let excised: Vec<Goal> = chunk
                         .iter()
-                        .map(|g| excise_inner(g, &mut chunk_reports, &mut chunk_guaranteed))
+                        .map(|g| {
+                            excise_inner(&mut Scratch, g, &mut chunk_reports, &mut chunk_guaranteed)
+                        })
                         .collect();
                     (excised, chunk_reports, chunk_guaranteed)
                 })
@@ -190,20 +191,34 @@ fn excise_branches_parallel(
     branches
 }
 
-pub(crate) fn excise_inner(
+fn excise_inner<T: Table>(
+    table: &mut T,
     goal: &Goal,
     reports: &mut Vec<KnotReport>,
     guaranteed: &mut bool,
 ) -> Goal {
-    match goal {
-        // Exact distribution at a disjunctive root.
-        Goal::Or(gs) => crate::goal::or(
+    // Exact distribution at a disjunctive root: each branch is its own
+    // region, and so its own unit for the table.
+    if let Goal::Or(gs) = goal {
+        return crate::goal::or(
             gs.iter()
-                .map(|g| excise_inner(g, reports, guaranteed))
+                .map(|g| excise_inner(table, g, reports, guaranteed))
                 .collect(),
-        ),
-        _ => excise_region(goal, reports, guaranteed),
+        );
     }
+    let region = table.region(goal, || {
+        let mut reports = Vec::new();
+        let mut guaranteed = true;
+        let goal = excise_region(goal, &mut reports, &mut guaranteed);
+        ExciseResult {
+            goal,
+            reports,
+            guaranteed_knot_free: guaranteed,
+        }
+    });
+    reports.extend(region.reports);
+    *guaranteed &= region.guaranteed_knot_free;
+    region.goal
 }
 
 // ---------------------------------------------------------------------------
@@ -592,7 +607,9 @@ fn expand_and_recurse(
     let variants: Vec<Goal> = (0..branches)
         .map(|b| {
             let g = replace_or_at(goal, path, b);
-            excise_inner(&g, reports, guaranteed)
+            // Inside a region the sub-answers belong to that region's
+            // outcome; only whole regions go through a table.
+            excise_inner(&mut Scratch, &g, reports, guaranteed)
         })
         .collect();
     crate::goal::or(variants)

@@ -1,17 +1,14 @@
-//! Tabled analysis: hash-consed subgoal memoization and the cross-query
-//! [`Analyzer`] session.
+//! The recording table: hash-consed subgoals and the answers to every
+//! rewrite asked about them.
 //!
-//! Verification (Theorem 5.9) is NP-complete, and every entry point in
-//! [`crate::analysis`] pays full price every time: `verify` recompiles
-//! `G ∧ C ∧ ¬Φ` from scratch, `ordering` runs three independent compiles,
-//! and `minimize_constraints` is a loop of nearly identical `is_redundant`
-//! compiles. Across those queries the *same* subgoals are rewritten by the
-//! *same* primitive operations over and over — the shape SLG-style tabling
-//! (Swift/Warren) and mir-formality's `cosld` solver exploit: memoize
-//! subgoal results, keyed on structure, with an explicit in-progress stack
-//! guarding re-entry.
-//!
-//! Three layers:
+//! Verification (Theorem 5.9) is NP-complete, and across the queries of a
+//! session — a batch of properties, a re-verification after one edit, the
+//! n+1 compiles of `minimize_constraints` — the *same* subgoals are
+//! rewritten by the *same* primitive operations over and over. That is the
+//! shape SLG-style tabling (Swift/Warren) exploits: remember subgoal
+//! answers, keyed on structure. The rules live in [`mod@crate::apply`] and
+//! [`mod@crate::excise`], written once over a table strategy; this module
+//! is the strategy that remembers:
 //!
 //! 1. [`GoalTable`] — a hash-consing table interning `Goal` subtrees into
 //!    stable [`NodeId`]s. Buckets are keyed by the cached
@@ -21,36 +18,27 @@
 //!    identity). Repeated subtrees across disjuncts and across queries
 //!    therefore share one id, and re-encountering a cached `Arc` costs one
 //!    pointer compare.
-//! 2. [`Memo`] — memo tables for the **channel-free** rewrites
-//!    (`apply_must`, `apply_must_not`, `sync` at a fixed channel,
-//!    `simplify`, and per-region `Excise` results), keyed on
-//!    `(op, event, node_id)`. `apply_order` allocates a fresh channel, so
-//!    its output depends on allocator state and is not tabled as a unit;
-//!    see DESIGN.md §13 for the channel-normalization decision (table the
-//!    channel-free inner `apply_must ∘ apply_must` stage, plus the `sync`
-//!    stage keyed on the *concrete* channel it was given — deterministic
-//!    once the channel is part of the key).
-//! 3. [`Analyzer`] — a session owning one `Memo` across queries:
-//!    `verify_all`, `activity_report`, `ordering`, `minimize_constraints`,
-//!    and incremental re-verification after adding/removing/replacing one
-//!    constraint in roughly the cost of the changed region (the unchanged
-//!    constraint prefix replays as top-level memo hits).
+//! 2. [`Memo`] — the answers, keyed on `(op, event, node_id)`: `∇α`,
+//!    `¬∇α`, `sync` at a fixed channel, `simplify`, per-region `Excise`
+//!    outcomes, and normal forms per constraint. `apply_order` draws a
+//!    fresh channel, so its output depends on allocator state and is not
+//!    an answer as a unit; its two `∇` stages are, and so is the `sync`
+//!    stage keyed on the *concrete* channel it was given (DESIGN.md §13).
 //!
-//! Every tabled operation is a pure function of its key, so outputs are
-//! **bit-identical** to the untabled path — pinned by the equivalence
-//! proptest in `tests/tabled_analysis.rs` and asserted again by the
-//! `verify_incr` benchmarks.
+//! The session that keeps one `Memo` across queries is [`Analyzer`]. The
+//! rules being shared, a `Memo` yields goals structurally equal to the
+//! one-shot functions' by construction; `tests/tabled_analysis.rs` pins
+//! what can still differ — that each answer is a function of its key.
 
-use crate::analysis::{
-    mentions_conditions, ActivityStatus, CompileError, Compiled, Ordering, Verification,
-};
-use crate::apply::{map_children_shared, order_budget, ChannelAlloc};
+use crate::analysis::{compile_in, mentions_conditions, Compiled};
+use crate::apply::{ChannelAlloc, Op, Parallelism, Table};
 use crate::constraints::{Basic, Conjunct, Constraint, NormalForm};
-use crate::excise::{ExciseResult, KnotReport};
-use crate::goal::{conc, isolated, or, seq, Channel, Goal};
+use crate::excise::ExciseResult;
+use crate::goal::{Channel, Goal};
 use crate::symbol::Symbol;
-use crate::unique::check_unique_events;
 use std::collections::HashMap;
+
+pub use crate::analysis::Analyzer;
 
 /// Stable id of an interned goal subtree. Ids are dense indices into the
 /// owning [`GoalTable`]; equal goals always receive the same id.
@@ -119,32 +107,6 @@ impl GoalTable {
     }
 }
 
-/// Memo key: which channel-free rewrite, at which event/channel binding.
-/// Paired with the [`NodeId`] of the input subtree.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-enum Op {
-    /// `Apply(∇α, ·)`.
-    Must(Symbol),
-    /// `Apply(¬∇α, ·)`.
-    MustNot(Symbol),
-    /// `sync(α<β, ·)` at a fixed, caller-supplied channel. The channel is
-    /// part of the key, so the entry is deterministic even though
-    /// `apply_order` allocates it freshly per compilation.
-    Sync(Symbol, Symbol, u32),
-    /// Canonicalizing [`Goal::simplify`].
-    Simplify,
-}
-
-type Key = (Op, NodeId);
-
-/// Cached per-region `Excise` outcome: the rewritten goal plus the exact
-/// diagnostics the untabled pass would have appended.
-struct ExciseEntry {
-    goal: Goal,
-    reports: Vec<KnotReport>,
-    guaranteed: bool,
-}
-
 /// Observability counters for the memo tables.
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct MemoStats {
@@ -168,31 +130,82 @@ impl std::fmt::Display for MemoStats {
     }
 }
 
-/// Memoizing rewrite engine over one [`GoalTable`].
+/// The recording table: answers persist for the lifetime of the `Memo`,
+/// so repeated queries over overlapping goals (the [`Analyzer`] pattern)
+/// replay shared regions as O(1) hits.
 ///
-/// Each public method is bit-identical to its untabled counterpart in
-/// [`mod@crate::apply`] / [`mod@crate::excise`] / [`crate::goal`]; the tables only
-/// change how often the structural recursion actually runs. Tables persist
-/// for the lifetime of the `Memo`, so repeated queries over overlapping
-/// goals (the [`Analyzer`] pattern) replay shared regions as O(1) hits.
+/// Each public method runs the same rule as the function of the same name
+/// in [`mod@crate::apply`] / [`mod@crate::excise`] / [`crate::goal`], through
+/// this table; the table only changes how often the structural recursion
+/// actually runs.
 #[derive(Default)]
 pub struct Memo {
     table: GoalTable,
-    rewrites: HashMap<Key, Goal>,
-    excise: HashMap<NodeId, ExciseEntry>,
+    rewrites: HashMap<(Op, NodeId), Goal>,
+    /// Per-region `Excise` outcomes: the rewritten goal plus the exact
+    /// diagnostics the analysis appended.
+    excise: HashMap<NodeId, ExciseResult>,
     normal_forms: HashMap<Constraint, NormalForm>,
-    /// Explicit in-progress stack, per the cosld shape: a key is pushed
-    /// while its entry is being computed and popped before insertion. A
-    /// lookup that finds its own key on the stack is a re-entrant proof
-    /// attempt; goals are finite trees so this cannot happen for the
-    /// structural rewrites, but the guard keeps the tabling sound if a
-    /// future (co)recursive rule layer reuses these tables — re-entries
-    /// fall back to the untabled computation instead of looping.
-    in_progress: Vec<Key>,
     hits: u64,
     misses: u64,
-    /// Re-entrant lookups resolved by the in-progress guard.
-    reentries: u64,
+}
+
+impl Table for Memo {
+    const PAR: Parallelism = Parallelism::Never;
+
+    fn rewrite(&mut self, op: Op, goal: &Goal, rule: impl FnOnce(&mut Memo) -> Goal) -> Goal {
+        // Leaves are O(1) rewrites and never touch the tables. The `Apply`
+        // rewrites never look inside ◇; only `simplify` descends into it.
+        let tabled = match goal {
+            Goal::Seq(_) | Goal::Conc(_) | Goal::Or(_) | Goal::Isolated(_) => true,
+            Goal::Possible(_) => op == Op::Simplify,
+            _ => false,
+        };
+        if !tabled {
+            return rule(self);
+        }
+        let key = (op, self.table.intern(goal));
+        if let Some(hit) = self.rewrites.get(&key) {
+            self.hits += 1;
+            return hit.clone();
+        }
+        self.misses += 1;
+        let out = rule(self);
+        self.rewrites.insert(key, out.clone());
+        out
+    }
+
+    fn region(&mut self, goal: &Goal, analyze: impl FnOnce() -> ExciseResult) -> ExciseResult {
+        // Leaves carry no channel structure worth caching.
+        if !matches!(
+            goal,
+            Goal::Seq(_) | Goal::Conc(_) | Goal::Isolated(_) | Goal::Possible(_)
+        ) {
+            return analyze();
+        }
+        let id = self.table.intern(goal);
+        if let Some(hit) = self.excise.get(&id) {
+            self.hits += 1;
+            return hit.clone();
+        }
+        self.misses += 1;
+        let out = analyze();
+        self.excise.insert(id, out.clone());
+        out
+    }
+
+    /// Constraint sets replay verbatim across queries, so the normal form
+    /// is computed once per distinct constraint.
+    fn normalize(&mut self, constraint: &Constraint) -> NormalForm {
+        if let Some(nf) = self.normal_forms.get(constraint) {
+            self.hits += 1;
+            return nf.clone();
+        }
+        self.misses += 1;
+        let nf = constraint.normalize();
+        self.normal_forms.insert(constraint.clone(), nf.clone());
+        nf
+    }
 }
 
 impl Memo {
@@ -216,207 +229,34 @@ impl Memo {
     pub fn reset_counters(&mut self) {
         self.hits = 0;
         self.misses = 0;
-        self.reentries = 0;
     }
 
-    /// Looks up `key`, counting the outcome. Returns the cached goal, or
-    /// `None` on a miss (counted) — re-entrant lookups are reported
-    /// through the second flag so callers can skip caching.
-    fn probe(&mut self, key: &Key) -> (Option<Goal>, bool) {
-        if let Some(hit) = self.rewrites.get(key) {
-            self.hits += 1;
-            return (Some(hit.clone()), false);
-        }
-        self.misses += 1;
-        if self.in_progress.contains(key) {
-            self.reentries += 1;
-            return (None, true);
-        }
-        (None, false)
-    }
-
-    fn finish(&mut self, key: Key, out: Goal) -> Goal {
-        let popped = self.in_progress.pop();
-        debug_assert_eq!(popped, Some(key), "in-progress stack discipline");
-        self.rewrites.insert(key, out.clone());
-        out
-    }
-
-    /// Tabled `Apply(∇α, T)` — bit-identical to [`crate::apply::apply_must`].
+    /// Tabled `Apply(∇α, T)` — see [`crate::apply::apply_must`].
     pub fn apply_must(&mut self, alpha: Symbol, goal: &Goal) -> Goal {
-        // Same O(1) fast paths as the untabled rewrite: fingerprint
-        // pruning and leaf cases never touch the tables.
-        if !goal.may_mention(alpha) {
-            return Goal::NoPath;
-        }
-        match goal {
-            Goal::Seq(_) | Goal::Conc(_) | Goal::Or(_) | Goal::Isolated(_) => {}
-            _ => return crate::apply::apply_must(alpha, goal),
-        }
-        let id = self.table.intern(goal);
-        let key = (Op::Must(alpha), id);
-        let (cached, reentrant) = self.probe(&key);
-        if let Some(hit) = cached {
-            return hit;
-        }
-        if reentrant {
-            return crate::apply::apply_must(alpha, goal);
-        }
-        self.in_progress.push(key);
-        let out = match goal {
-            Goal::Seq(gs) => or((0..gs.len())
-                .map(|i| {
-                    let rewritten = self.apply_must(alpha, &gs[i]);
-                    if rewritten.is_nopath() {
-                        return Goal::NoPath;
-                    }
-                    let mut children = Vec::with_capacity(gs.len());
-                    children.extend(gs[..i].iter().cloned());
-                    children.push(rewritten);
-                    children.extend(gs[i + 1..].iter().cloned());
-                    seq(children)
-                })
-                .collect()),
-            Goal::Conc(gs) => or((0..gs.len())
-                .map(|i| {
-                    let rewritten = self.apply_must(alpha, &gs[i]);
-                    if rewritten.is_nopath() {
-                        return Goal::NoPath;
-                    }
-                    let mut children = Vec::with_capacity(gs.len());
-                    children.extend(gs[..i].iter().cloned());
-                    children.push(rewritten);
-                    children.extend(gs[i + 1..].iter().cloned());
-                    conc(children)
-                })
-                .collect()),
-            Goal::Or(gs) => or(gs.iter().map(|g| self.apply_must(alpha, g)).collect()),
-            Goal::Isolated(g) => isolated(self.apply_must(alpha, g)),
-            _ => unreachable!("leaves handled above"),
-        };
-        self.finish(key, out)
+        crate::apply::apply_must_in(self, alpha, goal)
     }
 
-    /// Tabled `Apply(¬∇α, T)` — bit-identical to
-    /// [`crate::apply::apply_must_not`].
+    /// Tabled `Apply(¬∇α, T)` — see [`crate::apply::apply_must_not`].
     pub fn apply_must_not(&mut self, alpha: Symbol, goal: &Goal) -> Goal {
-        if !goal.may_mention(alpha) {
-            return goal.clone();
-        }
-        match goal {
-            Goal::Seq(_) | Goal::Conc(_) | Goal::Or(_) | Goal::Isolated(_) => {}
-            _ => return crate::apply::apply_must_not(alpha, goal),
-        }
-        let id = self.table.intern(goal);
-        let key = (Op::MustNot(alpha), id);
-        let (cached, reentrant) = self.probe(&key);
-        if let Some(hit) = cached {
-            return hit;
-        }
-        if reentrant {
-            return crate::apply::apply_must_not(alpha, goal);
-        }
-        self.in_progress.push(key);
-        let out = match goal {
-            Goal::Seq(gs) => match map_children_shared(gs, |g| self.apply_must_not(alpha, g)) {
-                Some(kids) => seq(kids),
-                None => goal.clone(),
-            },
-            Goal::Conc(gs) => match map_children_shared(gs, |g| self.apply_must_not(alpha, g)) {
-                Some(kids) => conc(kids),
-                None => goal.clone(),
-            },
-            Goal::Or(gs) => match map_children_shared(gs, |g| self.apply_must_not(alpha, g)) {
-                Some(kids) => or(kids),
-                None => goal.clone(),
-            },
-            Goal::Isolated(g) => {
-                let new = self.apply_must_not(alpha, g);
-                if new.ptr_eq(g) {
-                    goal.clone()
-                } else {
-                    isolated(new)
-                }
-            }
-            _ => unreachable!("leaves handled above"),
-        };
-        self.finish(key, out)
+        crate::apply::apply_must_not_in(self, alpha, goal)
     }
 
-    /// Tabled `sync(α<β, T)` at a fixed channel — bit-identical to
+    /// Tabled `sync(α<β, T)` at a fixed channel — see
     /// [`crate::apply::sync`]. The channel is part of the key; see the
-    /// module docs for why this stays deterministic.
+    /// module docs for why the answer stays a function of it.
     pub fn sync(&mut self, alpha: Symbol, beta: Symbol, xi: Channel, goal: &Goal) -> Goal {
-        if !goal.may_mention(alpha) && !goal.may_mention(beta) {
-            return goal.clone();
-        }
-        match goal {
-            Goal::Seq(_) | Goal::Conc(_) | Goal::Or(_) | Goal::Isolated(_) => {}
-            _ => return crate::apply::sync(alpha, beta, xi, goal),
-        }
-        let id = self.table.intern(goal);
-        let key = (Op::Sync(alpha, beta, xi.0), id);
-        let (cached, reentrant) = self.probe(&key);
-        if let Some(hit) = cached {
-            return hit;
-        }
-        if reentrant {
-            return crate::apply::sync(alpha, beta, xi, goal);
-        }
-        self.in_progress.push(key);
-        let out = match goal {
-            Goal::Seq(gs) => match map_children_shared(gs, |g| self.sync(alpha, beta, xi, g)) {
-                Some(kids) => seq(kids),
-                None => goal.clone(),
-            },
-            Goal::Conc(gs) => match map_children_shared(gs, |g| self.sync(alpha, beta, xi, g)) {
-                Some(kids) => conc(kids),
-                None => goal.clone(),
-            },
-            Goal::Or(gs) => match map_children_shared(gs, |g| self.sync(alpha, beta, xi, g)) {
-                Some(kids) => or(kids),
-                None => goal.clone(),
-            },
-            Goal::Isolated(g) => {
-                let new = self.sync(alpha, beta, xi, g);
-                if new.ptr_eq(g) {
-                    goal.clone()
-                } else {
-                    isolated(new)
-                }
-            }
-            _ => unreachable!("leaves handled above"),
-        };
-        self.finish(key, out)
+        crate::apply::sync_in(self, alpha, beta, xi, goal)
     }
 
-    /// Tabled canonicalization — bit-identical to [`Goal::simplify`].
-    /// Tabled at whole-subtree granularity: on goals built by this crate's
-    /// own transformations the untabled walk is a pure check, so the win
-    /// is skipping repeated whole-tree checks across queries.
+    /// Tabled canonicalization — see [`Goal::simplify`]. Tabled at
+    /// whole-subtree granularity.
     pub fn simplify(&mut self, goal: &Goal) -> Goal {
-        match goal {
-            Goal::Seq(_) | Goal::Conc(_) | Goal::Or(_) | Goal::Isolated(_) | Goal::Possible(_) => {}
-            _ => return goal.clone(),
-        }
-        let id = self.table.intern(goal);
-        let key = (Op::Simplify, id);
-        let (cached, reentrant) = self.probe(&key);
-        if let Some(hit) = cached {
-            return hit;
-        }
-        if reentrant {
-            return goal.simplify();
-        }
-        self.in_progress.push(key);
-        let out = goal.simplify();
-        self.finish(key, out)
+        self.rewrite(Op::Simplify, goal, |_| goal.simplify())
     }
 
-    /// Tabled `Apply(∇α ⊗ ∇β, T)` — bit-identical to
-    /// [`crate::apply::apply_order`]. Only the two channel-free stages are
-    /// tabled as such; the channel itself is drawn from `channels` exactly
-    /// like the untabled path, then keys the `sync` entry.
+    /// Tabled `Apply(∇α ⊗ ∇β, T)` — see [`crate::apply::apply_order`].
+    /// The channel is drawn from `channels` exactly like the one-shot
+    /// path, then keys the `sync` answer.
     pub fn apply_order(
         &mut self,
         alpha: Symbol,
@@ -424,29 +264,16 @@ impl Memo {
         goal: &Goal,
         channels: &mut ChannelAlloc,
     ) -> Goal {
-        if alpha == beta {
-            return Goal::NoPath;
-        }
-        let after_beta = self.apply_must(beta, goal);
-        let inner = self.apply_must(alpha, &after_beta);
-        if inner.is_nopath() {
-            return Goal::NoPath;
-        }
-        let xi = channels.fresh();
-        self.sync(alpha, beta, xi, &inner)
+        crate::apply::apply_order_in(self, alpha, beta, goal, channels)
     }
 
-    /// Tabled `Apply` of a single basic constraint — bit-identical to
+    /// Tabled `Apply` of a single basic constraint — see
     /// [`crate::apply::apply_basic`].
     pub fn apply_basic(&mut self, basic: &Basic, goal: &Goal, channels: &mut ChannelAlloc) -> Goal {
-        match *basic {
-            Basic::Must(e) => self.apply_must(e, goal),
-            Basic::MustNot(e) => self.apply_must_not(e, goal),
-            Basic::Order(a, b) => self.apply_order(a, b, goal, channels),
-        }
+        crate::apply::apply_basic_in(self, basic, goal, channels)
     }
 
-    /// Tabled `Apply` of a conjunction of basics — bit-identical to
+    /// Tabled `Apply` of a conjunction of basics — see
     /// [`crate::apply::apply_conjunct`].
     pub fn apply_conjunct(
         &mut self,
@@ -454,58 +281,21 @@ impl Memo {
         goal: &Goal,
         channels: &mut ChannelAlloc,
     ) -> Goal {
-        let Some((first, rest)) = conj.split_first() else {
-            return goal.clone();
-        };
-        let mut current = self.apply_basic(first, goal, channels);
-        for basic in rest {
-            if current.is_nopath() {
-                return Goal::NoPath;
-            }
-            current = self.apply_basic(basic, &current, channels);
-        }
-        current
+        crate::apply::apply_conjunct_in(self, conj, goal, channels)
     }
 
-    /// Cached [`Constraint::normalize`]: constraint sets replay verbatim
-    /// across queries, so the normal form is computed once per distinct
-    /// constraint.
-    fn normal_form(&mut self, c: &Constraint) -> NormalForm {
-        if let Some(nf) = self.normal_forms.get(c) {
-            self.hits += 1;
-            return nf.clone();
-        }
-        self.misses += 1;
-        let nf = c.normalize();
-        self.normal_forms.insert(c.clone(), nf.clone());
-        nf
-    }
-
-    /// Tabled `Apply` of one normalized constraint — bit-identical to
-    /// [`crate::apply::apply_normal_form`]. Channel ranges are reserved per
-    /// disjunct exactly like the untabled compiler, so numbering matches.
+    /// Tabled `Apply` of one normalized constraint — see
+    /// [`crate::apply::apply_normal_form`].
     pub fn apply_normal_form(
         &mut self,
         nf: &NormalForm,
         goal: &Goal,
         channels: &mut ChannelAlloc,
     ) -> Goal {
-        let disjuncts = &nf.disjuncts;
-        if disjuncts.len() == 1 {
-            return self.apply_conjunct(&disjuncts[0], goal, channels);
-        }
-        let mut allocs: Vec<ChannelAlloc> = disjuncts
-            .iter()
-            .map(|conj| channels.reserve(order_budget(conj)))
-            .collect();
-        or(disjuncts
-            .iter()
-            .zip(allocs.iter_mut())
-            .map(|(conj, alloc)| self.apply_conjunct(conj, goal, alloc))
-            .collect())
+        crate::apply::apply_normal_form_in(self, nf, goal, channels, Memo::PAR)
     }
 
-    /// Tabled `Apply(C, G)` for a whole constraint set — bit-identical to
+    /// Tabled `Apply(C, G)` for a whole constraint set — see
     /// [`crate::apply::apply_all`]. On a warm table, re-running an
     /// unchanged constraint prefix costs one top-level hit per basic.
     pub fn apply_all(
@@ -514,344 +304,42 @@ impl Memo {
         goal: &Goal,
         channels: &mut ChannelAlloc,
     ) -> Goal {
-        let Some((first, rest)) = constraints.split_first() else {
-            return goal.clone();
-        };
-        let nf = self.normal_form(first);
-        let mut current = self.apply_normal_form(&nf, goal, channels);
-        for c in rest {
-            if current.is_nopath() {
-                return Goal::NoPath;
-            }
-            let nf = self.normal_form(c);
-            current = self.apply_normal_form(&nf, &current, channels);
-        }
-        current
+        crate::apply::apply_all_in(self, constraints, goal, channels, Memo::PAR)
     }
 
-    /// Tabled `Excise` with diagnostics — bit-identical to
-    /// [`crate::excise::excise_with_diagnostics`]. Results are cached per
-    /// choice-rooted-free region (the unit the untabled pass analyzes),
-    /// including the exact `G_fail` reports it would have appended.
+    /// Tabled `Excise` with diagnostics — see
+    /// [`crate::excise::excise_with_diagnostics`]. Outcomes are recorded
+    /// per choice-rooted-free region (the unit the pass analyzes),
+    /// including the exact `G_fail` reports it appended.
     pub fn excise_with_diagnostics(&mut self, goal: &Goal) -> ExciseResult {
-        let mut reports = Vec::new();
-        let mut guaranteed = true;
-        let out = self.excise_inner(goal, &mut reports, &mut guaranteed);
-        ExciseResult {
-            goal: self.simplify(&out),
-            reports,
-            guaranteed_knot_free: guaranteed,
-        }
+        crate::excise::excise_in(self, goal, Memo::PAR)
     }
 
-    /// Tabled `Excise` without diagnostics — bit-identical to
-    /// [`crate::excise::excise`].
+    /// Tabled `Excise` without diagnostics — see [`crate::excise::excise`].
     pub fn excise(&mut self, goal: &Goal) -> Goal {
         self.excise_with_diagnostics(goal).goal
     }
 
-    fn excise_inner(
-        &mut self,
-        goal: &Goal,
-        reports: &mut Vec<KnotReport>,
-        guaranteed: &mut bool,
-    ) -> Goal {
-        // Distribution at a disjunctive root is exact (excise step 1), so
-        // each branch is its own tabling unit.
-        if let Goal::Or(gs) = goal {
-            return or(gs
-                .iter()
-                .map(|g| self.excise_inner(g, reports, guaranteed))
-                .collect());
-        }
-        match goal {
-            Goal::Seq(_) | Goal::Conc(_) | Goal::Isolated(_) | Goal::Possible(_) => {}
-            // Leaves carry no channel structure worth caching.
-            _ => return crate::excise::excise_inner(goal, reports, guaranteed),
-        }
-        let id = self.table.intern(goal);
-        if let Some(entry) = self.excise.get(&id) {
-            self.hits += 1;
-            reports.extend(entry.reports.iter().cloned());
-            *guaranteed &= entry.guaranteed;
-            return entry.goal.clone();
-        }
-        self.misses += 1;
-        let key = (Op::Simplify, id); // stack marker only; excise has its own table
-        if self.in_progress.contains(&key) {
-            self.reentries += 1;
-            return crate::excise::excise_inner(goal, reports, guaranteed);
-        }
-        self.in_progress.push(key);
-        let mut local_reports = Vec::new();
-        let mut local_guaranteed = true;
-        let out = crate::excise::excise_inner(goal, &mut local_reports, &mut local_guaranteed);
-        let popped = self.in_progress.pop();
-        debug_assert_eq!(popped, Some(key), "in-progress stack discipline");
-        reports.extend(local_reports.iter().cloned());
-        *guaranteed &= local_guaranteed;
-        self.excise.insert(
-            id,
-            ExciseEntry {
-                goal: out.clone(),
-                reports: local_reports,
-                guaranteed: local_guaranteed,
-            },
-        );
-        out
-    }
-
-    /// Tabled compilation of `G ∧ C` — bit-identical to
+    /// Tabled compilation of `G ∧ C` — see
     /// [`crate::analysis::compile_unchecked`] (the caller is responsible
     /// for the unique-event property, as there).
     pub fn compile_unchecked(&mut self, goal: &Goal, constraints: &[Constraint]) -> Compiled {
-        self.compile_seeded(
+        compile_in(
+            self,
             goal,
             constraints,
             ChannelAlloc::fresh_for(goal),
             mentions_conditions(goal),
+            Memo::PAR,
         )
-    }
-
-    /// [`Memo::compile_unchecked`] with the channel scan and condition
-    /// test pre-computed — the [`Analyzer`] caches both per session so a
-    /// warm query never re-walks the input goal.
-    fn compile_seeded(
-        &mut self,
-        goal: &Goal,
-        constraints: &[Constraint],
-        mut channels: ChannelAlloc,
-        has_conditions: bool,
-    ) -> Compiled {
-        let applied = if constraints.is_empty() {
-            goal.clone()
-        } else {
-            self.apply_all(constraints, goal, &mut channels)
-        };
-        let applied_size = applied.size();
-        let excised = self.excise_with_diagnostics(&applied);
-        Compiled {
-            goal: excised.goal,
-            knots: excised.reports,
-            applied_size,
-            guaranteed_knot_free: excised.guaranteed_knot_free,
-            has_conditions,
-        }
-    }
-}
-
-/// A cross-query analysis session over one workflow goal and its
-/// constraint set.
-///
-/// Construction checks the unique-event property once; every query after
-/// that runs through the session's persistent [`Memo`], so repeated and
-/// incrementally edited queries replay shared work as table hits. All
-/// verdicts and compiled goals are bit-identical to the corresponding
-/// one-shot functions in [`crate::analysis`].
-pub struct Analyzer {
-    goal: Goal,
-    constraints: Vec<Constraint>,
-    memo: Memo,
-    /// `ChannelAlloc::fresh_for(goal)`, computed once (it walks the goal).
-    base_channels: ChannelAlloc,
-    /// `mentions_conditions(goal)`, computed once.
-    has_conditions: bool,
-    /// Compiled `G ∧ C`, invalidated by constraint edits.
-    compiled: Option<Compiled>,
-    /// Reusable query buffer: the constraint set plus a per-query suffix.
-    scratch: Vec<Constraint>,
-}
-
-impl Analyzer {
-    /// Opens a session. Fails (once) if `goal` violates the unique-event
-    /// property — the same precondition [`crate::analysis::compile`]
-    /// checks per call.
-    pub fn new(goal: &Goal, constraints: &[Constraint]) -> Result<Analyzer, CompileError> {
-        check_unique_events(goal).map_err(CompileError::NotUniqueEvent)?;
-        Ok(Analyzer {
-            base_channels: ChannelAlloc::fresh_for(goal),
-            has_conditions: mentions_conditions(goal),
-            goal: goal.clone(),
-            constraints: constraints.to_vec(),
-            memo: Memo::new(),
-            compiled: None,
-            scratch: Vec::with_capacity(constraints.len() + 1),
-        })
-    }
-
-    /// The workflow goal under analysis.
-    pub fn goal(&self) -> &Goal {
-        &self.goal
-    }
-
-    /// The current constraint set.
-    pub fn constraints(&self) -> &[Constraint] {
-        &self.constraints
-    }
-
-    /// Memo-table counters for this session.
-    pub fn stats(&self) -> MemoStats {
-        self.memo.stats()
-    }
-
-    /// Resets the hit/miss counters (tables are kept warm).
-    pub fn reset_counters(&mut self) {
-        self.memo.reset_counters();
-    }
-
-    /// Compiles `goal ∧ extra` through the session tables, where `extra`
-    /// is the constraint set plus an optional per-query suffix.
-    fn query(&mut self, suffix: Option<Constraint>) -> Compiled {
-        self.scratch.clear();
-        self.scratch.extend(self.constraints.iter().cloned());
-        self.scratch.extend(suffix);
-        self.memo.compile_seeded(
-            &self.goal,
-            &self.scratch,
-            self.base_channels.clone(),
-            self.has_conditions,
-        )
-    }
-
-    /// The compiled `G ∧ C` — computed on first use, cached until a
-    /// constraint edit, bit-identical to [`crate::analysis::compile`].
-    pub fn compiled(&mut self) -> &Compiled {
-        if self.compiled.is_none() {
-            self.compiled = Some(self.query(None));
-        }
-        self.compiled.as_ref().expect("just computed")
-    }
-
-    /// Consistency (Theorem 5.8) of the current specification.
-    pub fn is_consistent(&mut self) -> bool {
-        self.compiled().is_consistent()
-    }
-
-    /// Verification (Theorem 5.9) — bit-identical to
-    /// [`crate::analysis::verify`], including the most-general
-    /// counterexample goal.
-    pub fn verify(&mut self, property: &Constraint) -> Verification {
-        let compiled = self.query(Some(Constraint::not(property.clone())));
-        if compiled.is_consistent() {
-            Verification::CounterExample(compiled.goal)
-        } else {
-            Verification::Holds
-        }
-    }
-
-    /// Verifies every property through the shared tables. The compiled
-    /// `G ∧ C` prefix replays as table hits from the second property on.
-    pub fn verify_all(&mut self, properties: &[Constraint]) -> Vec<Verification> {
-        properties.iter().map(|p| self.verify(p)).collect()
-    }
-
-    /// Activity classification — bit-identical to
-    /// [`crate::analysis::activity_report`].
-    pub fn activity_report(&mut self) -> Vec<(Symbol, ActivityStatus)> {
-        let compiled_goal = self.compiled().goal.clone();
-        let mut out = Vec::new();
-        for event in self.goal.events() {
-            let status = if compiled_goal.is_nopath()
-                || self.memo.apply_must(event, &compiled_goal).is_nopath()
-            {
-                ActivityStatus::Dead
-            } else {
-                let without = self.memo.apply_must_not(event, &compiled_goal);
-                if self.memo.excise(&without).is_nopath() {
-                    ActivityStatus::Mandatory
-                } else {
-                    ActivityStatus::Optional
-                }
-            };
-            out.push((event, status));
-        }
-        out
-    }
-
-    /// Execution-order relation between two activities — bit-identical to
-    /// [`crate::analysis::ordering`].
-    pub fn ordering(&mut self, a: Symbol, b: Symbol) -> Ordering {
-        let together = Constraint::and(vec![Constraint::Must(a), Constraint::Must(b)]);
-        if !self.query(Some(together)).is_consistent() {
-            return Ordering::NeverTogether;
-        }
-        let before = self.verify(&Constraint::klein_order(a, b)).holds();
-        let after = self.verify(&Constraint::klein_order(b, a)).holds();
-        match (before, after) {
-            (true, _) => Ordering::AlwaysBefore,
-            (false, true) => Ordering::AlwaysAfter,
-            (false, false) => Ordering::Unordered,
-        }
-    }
-
-    /// Greedy redundancy elimination — the same elimination order and
-    /// result as [`crate::analysis::minimize_constraints`], with every
-    /// `is_redundant` probe running through the warm tables. The session's
-    /// constraint set itself is left unchanged.
-    pub fn minimize_constraints(&mut self) -> Vec<usize> {
-        let mut retained: Vec<usize> = (0..self.constraints.len()).collect();
-        let mut kept = self.constraints.clone();
-        let mut i = 0;
-        while i < retained.len() {
-            // Probe set = kept − {i} followed by ¬φᵢ, built by moves: the
-            // same sequence `verify(goal, rest, φ)` would compile.
-            let phi = kept.remove(i);
-            kept.push(Constraint::not(phi));
-            let consistent = self
-                .memo
-                .compile_seeded(
-                    &self.goal,
-                    &kept,
-                    self.base_channels.clone(),
-                    self.has_conditions,
-                )
-                .is_consistent();
-            let Some(Constraint::Not(phi)) = kept.pop() else {
-                unreachable!("pushed ¬φ above");
-            };
-            if consistent {
-                // Some execution of the rest violates φ: not redundant.
-                kept.insert(i, *phi);
-                i += 1;
-            } else {
-                retained.remove(i);
-            }
-        }
-        retained
-    }
-
-    /// Appends a constraint, returning its index. Invalidates the cached
-    /// compile; the memo tables persist, so re-verification replays the
-    /// unchanged prefix as hits and only compiles the new suffix.
-    pub fn add_constraint(&mut self, constraint: Constraint) -> usize {
-        self.constraints.push(constraint);
-        self.compiled = None;
-        self.constraints.len() - 1
-    }
-
-    /// Removes and returns the constraint at `index` (panics if out of
-    /// range). Invalidates the cached compile; tables persist.
-    pub fn remove_constraint(&mut self, index: usize) -> Constraint {
-        let removed = self.constraints.remove(index);
-        self.compiled = None;
-        removed
-    }
-
-    /// Replaces the constraint at `index`, returning the old one (panics
-    /// if out of range). Invalidates the cached compile; tables persist,
-    /// so re-verification costs roughly the changed region: the prefix
-    /// before `index` replays as hits.
-    pub fn replace_constraint(&mut self, index: usize, constraint: Constraint) -> Constraint {
-        let old = std::mem::replace(&mut self.constraints[index], constraint);
-        self.compiled = None;
-        old
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis;
+    use crate::analysis::{self, CompileError};
+    use crate::goal::{conc, isolated, or, seq};
     use crate::symbol::sym;
 
     fn g(name: &str) -> Goal {
@@ -932,7 +420,6 @@ mod tests {
         let after = memo.stats();
         assert!(after.hits > before.hits, "replay hits the table");
         assert_eq!(after.entries, before.entries, "replay adds no entries");
-        assert!(memo.in_progress.is_empty(), "stack fully unwound");
     }
 
     #[test]
@@ -1070,6 +557,43 @@ mod tests {
         assert!(!first.knots.is_empty(), "the knot is reported");
         let replay = memo.compile_unchecked(&t, &constraints);
         assert_eq!(replay.knots, reference.knots, "cached reports replay");
+    }
+
+    /// *What* is tabled is part of the contract: the counters of a fixed
+    /// session script, recorded at the commit before the rules became
+    /// generic over the table. A change to which subgoals are interned,
+    /// probed or recorded moves these numbers.
+    #[test]
+    fn table_granularity_is_pinned() {
+        let goal = seq(vec![
+            g("a"),
+            conc(vec![
+                or(vec![g("b"), seq(vec![g("c"), g("d")])]),
+                isolated(seq(vec![g("e"), or(vec![g("f"), g("h")])])),
+                g("i"),
+            ]),
+            g("j"),
+        ]);
+        let constraints = vec![
+            Constraint::klein_order("b", "e"),
+            Constraint::order("c", "i"),
+            Constraint::must_not("h"),
+        ];
+        let stats = |hits, misses, entries, interned| MemoStats {
+            hits,
+            misses,
+            entries,
+            interned,
+        };
+        let mut an = Analyzer::new(&goal, &constraints).unwrap();
+        an.compiled();
+        assert_eq!(an.stats(), stats(0, 40, 40, 17), "cold compile");
+        an.verify(&Constraint::klein_order("a", "j"));
+        an.verify(&Constraint::must("f"));
+        assert_eq!(an.stats(), stats(24, 50, 50, 21), "two verifications");
+        an.replace_constraint(1, Constraint::order("e", "i"));
+        an.minimize_constraints();
+        assert_eq!(an.stats(), stats(47, 152, 152, 56), "edit, then minimize");
     }
 
     #[test]

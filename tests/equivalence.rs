@@ -15,11 +15,12 @@
 //! driven by proptest-chosen seeds; oversized interleaving spaces are
 //! skipped via the enumeration budget.
 
-use ctr::analysis::compile;
+use ctr::analysis::{compile, Verification};
 use ctr::constraints::Constraint;
 use ctr::excise::excise;
 use ctr::gen::{random_constraints, random_goal, GoalShape};
 use ctr::goal::Goal;
+use ctr::memo::Analyzer;
 use ctr::semantics::{event_traces, satisfies};
 use ctr::symbol::Symbol;
 use proptest::prelude::*;
@@ -235,6 +236,78 @@ proptest! {
         let compiled = compile(&goal, &constraints).unwrap();
         let Some(fast) = traces(&compiled.goal) else { return Ok(()) };
         prop_assert_eq!(fast, declarative, "goal {} constraints {:?}", goal, constraints);
+    }
+
+    /// The tabled path against the oracle itself. The one-shot functions
+    /// and the `Analyzer` share their rule text, so parity between them
+    /// cannot expose a wrong rule; here one warm session is driven through
+    /// an add/remove/replace edit script and, after every edit, its
+    /// compiled goal and a verification verdict are checked against the
+    /// trace semantics: `compiled()` denotes exactly the traces of `G`
+    /// satisfying the edited set, and a counterexample exactly those of
+    /// them that violate the property.
+    #[test]
+    fn warm_analyzer_edit_script_matches_semantics(
+        seed in 0u64..5000,
+        cseed in 0u64..5000,
+        n in 1usize..4,
+        script in proptest::collection::vec((0u8..3, 0usize..64, 0usize..64), 1..7),
+    ) {
+        let (goal, events) = random_goal(seed, shape(), "w");
+        prop_assume!(events.len() >= 2);
+        let Some(base) = traces(&goal) else { return Ok(()) };
+        let mut shadow = random_constraints(cseed, &events, n);
+        let pool = random_constraints(cseed.wrapping_add(1), &events, 8);
+        let mut analyzer = Analyzer::new(&goal, &shadow).expect("unique-event");
+        // Warm the table on the unedited set.
+        analyzer.compiled();
+
+        for (kind, at, pick) in script {
+            // One draw picks both the constraint an edit inserts and the
+            // property asked afterwards, out of the pool of 8.
+            let (with, ask) = (pick % 8, pick / 8);
+            match kind {
+                0 => {
+                    prop_assert_eq!(analyzer.add_constraint(pool[with].clone()), shadow.len());
+                    shadow.push(pool[with].clone());
+                }
+                1 if !shadow.is_empty() => {
+                    let at = at % shadow.len();
+                    prop_assert_eq!(analyzer.remove_constraint(at), shadow.remove(at));
+                }
+                2 if !shadow.is_empty() => {
+                    let at = at % shadow.len();
+                    let old = std::mem::replace(&mut shadow[at], pool[with].clone());
+                    prop_assert_eq!(analyzer.replace_constraint(at, pool[with].clone()), old);
+                }
+                _ => {}
+            }
+            let allowed: BTreeSet<Vec<Symbol>> = base
+                .iter()
+                .filter(|t| shadow.iter().all(|c| satisfies(t, c)))
+                .cloned()
+                .collect();
+            prop_assert_eq!(analyzer.is_consistent(), !allowed.is_empty(), "set {:?} on {}", shadow, goal);
+            let compiled = analyzer.compiled().goal.clone();
+            if let Some(got) = traces(&compiled) {
+                prop_assert_eq!(&got, &allowed, "set {:?} on {}", shadow, goal);
+            }
+
+            let property = &pool[ask];
+            let violating: BTreeSet<Vec<Symbol>> =
+                allowed.iter().filter(|t| !satisfies(t, property)).cloned().collect();
+            match analyzer.verify(property) {
+                Verification::Holds => {
+                    prop_assert!(violating.is_empty(), "{} under {:?} on {}", property, shadow, goal);
+                }
+                Verification::CounterExample(ce) => {
+                    prop_assert!(!violating.is_empty(), "{} under {:?} on {}", property, shadow, goal);
+                    if let Some(ce_traces) = traces(&ce) {
+                        prop_assert_eq!(ce_traces, violating, "{} under {:?} on {}", property, shadow, goal);
+                    }
+                }
+            }
+        }
     }
 
     /// Constraint normalization preserves satisfaction (Cor 3.5), and
