@@ -424,7 +424,7 @@ pub fn cmd_schedule(input: &str) -> Result<String, CliError> {
         }
         scheduler.fire(step.node);
     }
-    let path: Vec<String> = scheduler.trace().iter().map(ToString::to_string).collect();
+    let path: Vec<String> = scheduler.trace().map(ToString::to_string).collect();
     let _ = writeln!(out, "schedule: {}", path.join(" -> "));
     Ok(out)
 }

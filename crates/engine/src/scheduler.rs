@@ -26,6 +26,13 @@
 //! argument are written up in DESIGN.md §11; the from-scratch recursive
 //! walk is retained as [`Scheduler::eligible_reference`] and proptests
 //! pin the two observationally identical.
+//!
+//! A position in the compiled goal is all a running workflow needs, so
+//! the cursor is kept small: everything whose size the program fixes —
+//! done/locked/frontier/sent bits, one `u32` per `⊗`, `∨` and event
+//! leaf — sits in one arena laid out at compile time, and a new cursor
+//! is a copy of the program's cached initial one (DESIGN.md §11,
+//! "The cursor").
 
 use ctr::goal::{Channel, Goal};
 use ctr::symbol::Symbol;
@@ -33,11 +40,13 @@ use ctr::term::Atom;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::OnceLock;
 
 /// Index of a node in a [`Program`].
 pub type NodeId = usize;
 
-/// Sentinel for "no slot" / "end of list" in the dense event index.
+/// Sentinel in every `u32` the program and its cursors store: no parent,
+/// no slot, end of list, uncommitted `∨`.
 const NIL: u32 = u32::MAX;
 
 /// FxHash-style mixer for the compile-time symbol→slot map. The key is a
@@ -90,7 +99,25 @@ enum NodeKind {
 #[derive(Clone, Debug)]
 struct Node {
     kind: NodeKind,
-    parent: Option<NodeId>,
+    /// The parent node; [`NIL`] at the root.
+    parent: u32,
+    /// DFS pre-order rank. The frontier is kept sorted by this rank,
+    /// which reproduces the recursive walk's emission order;
+    /// `[pre, end)` is the node's subtree as a rank interval, making
+    /// descendant tests and subtree evictions O(1)/O(evicted).
+    pre: u32,
+    /// One past the last pre-order rank inside the node's subtree.
+    end: u32,
+    /// Dense slot of the node's event symbol; [`NIL`] for nodes that are
+    /// not event leaves. Lets the cursor's event index update without
+    /// hashing.
+    slot: u32,
+    /// The node's index among the nodes of its kind that own a `u32` of
+    /// cursor state: `⊗` nodes (position), `∨` nodes (choice) and event
+    /// leaves (dispatch-list link) are each numbered densely from 0, so
+    /// a cursor stores one word per such node instead of one per node.
+    /// [`NIL`] for every other node.
+    dense: u32,
 }
 
 /// Errors from compiling a goal into a schedulable program.
@@ -116,32 +143,49 @@ impl fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
+/// Where each section of a cursor's arena starts, in `u64` words; fixed
+/// once per program by [`Program::compile`]. Three bitsets over nodes
+/// (`done` at word 0, then `locked`, `in_frontier`), one over channels
+/// (`sent`), then four sections of `u32`s packed two to a word:
+/// `seq_pos` per `⊗` node, `or_choice` per `∨` node, `evt_head` per
+/// event slot and `evt_next` per event leaf. The `u32` sections from
+/// `or_choice` on start out all-[`NIL`], the rest all-zero.
+#[derive(Clone, Copy, Debug)]
+struct Layout {
+    locked: usize,
+    in_frontier: usize,
+    sent: usize,
+    seq_pos: usize,
+    or_choice: usize,
+    evt_head: usize,
+    evt_next: usize,
+    words: usize,
+}
+
 /// A compiled, schedulable workflow program.
 #[derive(Clone, Debug)]
 pub struct Program {
     nodes: Vec<Node>,
     root: NodeId,
-    /// DFS pre-order rank of each node. The frontier is kept sorted by
-    /// this rank, which reproduces the recursive walk's emission order;
-    /// `[pre[n], end[n])` is `n`'s subtree as a rank interval, making
-    /// descendant tests and subtree evictions O(1)/O(evicted).
-    pre: Vec<u32>,
-    /// One past the last pre-order rank inside each node's subtree.
-    end: Vec<u32>,
-    /// `receive` nodes per channel — consulted when a `send` fires to
-    /// promote newly enabled receives into the frontier.
-    recvs: HashMap<Channel, Vec<NodeId>>,
-    /// One past the largest channel id mentioned; sizes the dense
-    /// channel bitset carried by each cursor.
-    channel_bound: u32,
+    /// `receive` nodes by channel, consulted when a `send` fires to
+    /// promote newly enabled receives into the frontier: channel `c`'s
+    /// are `recv_nodes[recv_start[c]..recv_start[c + 1]]`, in node order.
+    /// Channel ids are dense (`ChannelAlloc` hands them out
+    /// contiguously), so `recv_start` has one entry per id up to the
+    /// largest mentioned, plus one.
+    recv_start: Vec<u32>,
+    recv_nodes: Vec<u32>,
     /// Event symbol → dense slot id, assigned at compile time. The one
     /// hashed lookup on the `fire_event` path; everything downstream
     /// indexes by slot.
     slots: SymbolMap<u32>,
-    /// Per node: the slot of its event symbol, or [`NIL`] for nodes that
-    /// are not event leaves. Lets the cursor's event index update without
-    /// hashing.
-    event_slot: Vec<u32>,
+    layout: Layout,
+    /// The cursor every execution starts from — initial frontier built,
+    /// leading silent steps drained. Filled by the first
+    /// [`Scheduler::new`]; later ones copy it instead of walking the
+    /// tree, and a program that is compiled but never scheduled never
+    /// pays for it.
+    initial: OnceLock<Cursor>,
 }
 
 impl Program {
@@ -154,52 +198,43 @@ impl Program {
         if simplified.is_nopath() {
             return Err(ScheduleError::Inconsistent);
         }
-        let mut nodes = Vec::with_capacity(simplified.size());
-        let root = build(&simplified, &mut nodes);
-        // Wire parents after construction.
-        let links: Vec<(NodeId, Vec<NodeId>)> = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (i, children_of(&n.kind).to_vec()))
-            .collect();
-        for (parent, children) in links {
-            for c in children {
-                nodes[c].parent = Some(parent);
-            }
+        let mut b = Builder {
+            nodes: Vec::with_capacity(simplified.size()),
+            ..Builder::default()
+        };
+        let root = b.build(&simplified);
+        // Stable, so each channel's receives stay in node order.
+        b.recvs.sort_by_key(|&(c, _)| c);
+        let mut recv_start = vec![0u32; b.channel_bound as usize + 1];
+        for &(c, _) in &b.recvs {
+            recv_start[c as usize + 1] += 1;
         }
-        let mut pre = vec![0u32; nodes.len()];
-        let mut end = vec![0u32; nodes.len()];
-        let mut counter = 0u32;
-        assign_ranks(&nodes, root, &mut pre, &mut end, &mut counter);
-        let mut recvs: HashMap<Channel, Vec<NodeId>> = HashMap::new();
-        let mut channel_bound = 0u32;
-        let mut slots: SymbolMap<u32> = SymbolMap::default();
-        let mut event_slot = vec![NIL; nodes.len()];
-        for (i, n) in nodes.iter().enumerate() {
-            match &n.kind {
-                NodeKind::Send(c) => channel_bound = channel_bound.max(c.0 + 1),
-                NodeKind::Recv(c) => {
-                    channel_bound = channel_bound.max(c.0 + 1);
-                    recvs.entry(*c).or_default().push(i);
-                }
-                NodeKind::Event(a) => {
-                    if let Some(s) = a.as_event() {
-                        let next = slots.len() as u32;
-                        event_slot[i] = *slots.entry(s).or_insert(next);
-                    }
-                }
-                _ => {}
-            }
+        for c in 0..b.channel_bound as usize {
+            recv_start[c + 1] += recv_start[c];
         }
+        let node_words = b.nodes.len().div_ceil(64);
+        let sent = 3 * node_words;
+        let seq_pos = sent + (b.channel_bound as usize).div_ceil(64);
+        let or_choice = seq_pos + (b.seqs as usize).div_ceil(2);
+        let evt_head = or_choice + (b.ors as usize).div_ceil(2);
+        let evt_next = evt_head + b.slots.len().div_ceil(2);
         Ok(Program {
-            nodes,
+            nodes: b.nodes,
             root,
-            pre,
-            end,
-            recvs,
-            channel_bound,
-            slots,
-            event_slot,
+            recv_start,
+            recv_nodes: b.recvs.iter().map(|&(_, n)| n).collect(),
+            slots: b.slots,
+            layout: Layout {
+                locked: node_words,
+                in_frontier: 2 * node_words,
+                sent,
+                seq_pos,
+                or_choice,
+                evt_head,
+                evt_next,
+                words: evt_next + (b.leaves as usize).div_ceil(2),
+            },
+            initial: OnceLock::new(),
         })
     }
 
@@ -224,12 +259,19 @@ impl Program {
     /// True if `node` lies in `anc`'s subtree (including `anc` itself).
     #[inline]
     fn in_subtree(&self, anc: NodeId, node: NodeId) -> bool {
-        self.pre[node] >= self.pre[anc] && self.pre[node] < self.end[anc]
+        let (anc, rank) = (&self.nodes[anc], self.nodes[node].pre);
+        rank >= anc.pre && rank < anc.end
     }
 
     /// The `receive` nodes listening on a channel.
-    fn recvs_on(&self, c: Channel) -> &[NodeId] {
-        self.recvs.get(&c).map_or(&[], Vec::as_slice)
+    fn recvs_on(&self, c: Channel) -> &[u32] {
+        let c = c.0 as usize;
+        &self.recv_nodes[self.recv_start[c] as usize..self.recv_start[c + 1] as usize]
+    }
+
+    /// The cursor every execution of this program starts from.
+    fn initial(&self) -> &Cursor {
+        self.initial.get_or_init(|| Cursor::build(self))
     }
 }
 
@@ -241,81 +283,126 @@ fn children_of(kind: &NodeKind) -> &[NodeId] {
     }
 }
 
-fn build(goal: &Goal, nodes: &mut Vec<Node>) -> NodeId {
-    let kind = match goal {
-        Goal::Atom(a) => NodeKind::Event(a.clone()),
-        Goal::Seq(gs) => NodeKind::Seq(gs.iter().map(|g| build(g, nodes)).collect()),
-        Goal::Conc(gs) => NodeKind::Conc(gs.iter().map(|g| build(g, nodes)).collect()),
-        Goal::Or(gs) => NodeKind::Or(gs.iter().map(|g| build(g, nodes)).collect()),
-        Goal::Isolated(g) => NodeKind::Iso(build(g, nodes)),
-        Goal::Possible(_) => NodeKind::Empty,
-        Goal::Send(c) => NodeKind::Send(*c),
-        Goal::Receive(c) => NodeKind::Recv(*c),
-        Goal::Empty => NodeKind::Empty,
-        Goal::NoPath => unreachable!("simplified non-¬path goals contain no ¬path"),
-    };
-    nodes.push(Node { kind, parent: None });
-    nodes.len() - 1
+/// State of one [`Program::compile`]: the arena under construction and
+/// the counters its single recursive pass keeps — pre-order rank, the
+/// per-kind dense indices, the event slots and the channels seen.
+#[derive(Default)]
+struct Builder {
+    nodes: Vec<Node>,
+    rank: u32,
+    seqs: u32,
+    ors: u32,
+    leaves: u32,
+    slots: SymbolMap<u32>,
+    /// One past the largest channel id mentioned.
+    channel_bound: u32,
+    /// `(channel, node)` of every `receive`, in node order.
+    recvs: Vec<(u32, u32)>,
 }
 
-fn assign_ranks(nodes: &[Node], node: NodeId, pre: &mut [u32], end: &mut [u32], counter: &mut u32) {
-    pre[node] = *counter;
-    *counter += 1;
-    for &c in children_of(&nodes[node].kind) {
-        assign_ranks(nodes, c, pre, end, counter);
-    }
-    end[node] = *counter;
-}
-
-/// A dense channel bitset: channel ids are allocated contiguously by
-/// `ChannelAlloc`, so membership is one shift-and-mask instead of a
-/// `BTreeSet` probe. Iteration yields channels in ascending id order —
-/// the same order the `BTreeSet` representation produced, which keeps
-/// [`Scheduler::state_key`] byte-identical.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-struct ChannelSet {
-    words: Vec<u64>,
-}
-
-impl ChannelSet {
-    fn with_bound(bound: u32) -> ChannelSet {
-        ChannelSet {
-            words: vec![0; (bound as usize).div_ceil(64)],
-        }
-    }
-
-    #[inline]
-    fn contains(&self, c: Channel) -> bool {
-        self.words
-            .get((c.0 / 64) as usize)
-            .is_some_and(|w| w & (1u64 << (c.0 % 64)) != 0)
-    }
-
-    /// Inserts the channel; true if it was newly added.
-    fn insert(&mut self, c: Channel) -> bool {
-        let (word, bit) = ((c.0 / 64) as usize, c.0 % 64);
-        if word >= self.words.len() {
-            self.words.resize(word + 1, 0);
-        }
-        let fresh = self.words[word] & (1u64 << bit) == 0;
-        self.words[word] |= 1u64 << bit;
-        fresh
-    }
-
-    /// Set channels in ascending id order.
-    fn iter(&self) -> impl Iterator<Item = Channel> + '_ {
-        self.words.iter().enumerate().flat_map(|(i, &word)| {
-            let mut w = word;
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    return None;
+impl Builder {
+    /// Pushes `goal`'s subtree (children first, so a node's id is its
+    /// post-order position) and returns the id of its root. Ranks, slots
+    /// and dense indices are assigned on the way; `parent` is wired when
+    /// the parent itself is pushed.
+    fn build(&mut self, goal: &Goal) -> NodeId {
+        let pre = self.rank;
+        self.rank += 1;
+        let (mut slot, mut dense) = (NIL, NIL);
+        let kind = match goal {
+            Goal::Atom(a) => {
+                if let Some(s) = a.as_event() {
+                    let next = self.slots.len() as u32;
+                    slot = *self.slots.entry(s).or_insert(next);
+                    dense = self.leaves;
+                    self.leaves += 1;
                 }
-                let bit = w.trailing_zeros();
-                w &= w - 1;
-                Some(Channel((i * 64) as u32 + bit))
-            })
-        })
+                NodeKind::Event(a.clone())
+            }
+            Goal::Seq(gs) => {
+                let cs = gs.iter().map(|g| self.build(g)).collect();
+                dense = self.seqs;
+                self.seqs += 1;
+                NodeKind::Seq(cs)
+            }
+            Goal::Conc(gs) => NodeKind::Conc(gs.iter().map(|g| self.build(g)).collect()),
+            Goal::Or(gs) => {
+                let cs = gs.iter().map(|g| self.build(g)).collect();
+                dense = self.ors;
+                self.ors += 1;
+                NodeKind::Or(cs)
+            }
+            Goal::Isolated(g) => NodeKind::Iso(self.build(g)),
+            Goal::Possible(_) | Goal::Empty => NodeKind::Empty,
+            Goal::Send(c) => {
+                self.channel_bound = self.channel_bound.max(c.0 + 1);
+                NodeKind::Send(*c)
+            }
+            Goal::Receive(c) => {
+                self.channel_bound = self.channel_bound.max(c.0 + 1);
+                self.recvs.push((c.0, self.nodes.len() as u32));
+                NodeKind::Recv(*c)
+            }
+            Goal::NoPath => unreachable!("simplified non-¬path goals contain no ¬path"),
+        };
+        let id = self.nodes.len();
+        for &c in children_of(&kind) {
+            self.nodes[c].parent = id as u32;
+        }
+        self.nodes.push(Node {
+            kind,
+            parent: NIL,
+            pre,
+            end: self.rank,
+            slot,
+            dense,
+        });
+        id
     }
+}
+
+// Bitset and packed-`u32` access into a cursor arena. `base` is a
+// section start from the program's `Layout`; `i` indexes within it.
+
+#[inline]
+fn bit(words: &[u64], base: usize, i: usize) -> bool {
+    words[base + i / 64] >> (i % 64) & 1 != 0
+}
+
+#[inline]
+fn set_bit(words: &mut [u64], base: usize, i: usize, on: bool) {
+    let (word, mask) = (&mut words[base + i / 64], 1u64 << (i % 64));
+    if on {
+        *word |= mask;
+    } else {
+        *word &= !mask;
+    }
+}
+
+#[inline]
+fn half(words: &[u64], base: usize, i: usize) -> u32 {
+    (words[base + i / 2] >> (i % 2 * 32)) as u32
+}
+
+#[inline]
+fn set_half(words: &mut [u64], base: usize, i: usize, v: u32) {
+    let (word, shift) = (&mut words[base + i / 2], i % 2 * 32);
+    *word = *word & !(u64::from(u32::MAX) << shift) | u64::from(v) << shift;
+}
+
+/// The indices of the set bits of `words`, ascending.
+fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(i, &word)| {
+        let mut w = word;
+        std::iter::from_fn(move || {
+            if w == 0 {
+                return None;
+            }
+            let bit = w.trailing_zeros() as usize;
+            w &= w - 1;
+            Some(i * 64 + bit)
+        })
+    })
 }
 
 /// One schedulable step.
@@ -331,66 +418,118 @@ pub struct Choice {
 /// The mutable cursor state, split out of [`Scheduler`] so the frontier
 /// machinery can borrow the (generically held) program and the state
 /// disjointly.
+///
+/// Everything whose size the program fixes lives in one allocation, the
+/// `arena`, laid out by the program's [`Layout`]: a *marking* in the DCR
+/// sense — bits per node, not machine words — plus one `u32` for each
+/// node that needs one. What remains are the few lists whose length
+/// depends on the run. Starting an execution is a copy of
+/// [`Program::initial`].
 #[derive(Clone, Debug)]
 struct Cursor {
-    done: Vec<bool>,
-    seq_pos: Vec<usize>,
-    or_choice: Vec<Option<NodeId>>,
-    sent: ChannelSet,
+    /// `done`, `locked` (membership mirror of `lock`), `in_frontier`
+    /// (membership mirror of `frontier`) and `sent` (channels sent on)
+    /// as bitsets; `seq_pos` (current child of each `⊗`) and
+    /// `or_choice` (committed child of each `∨`, [`NIL`] before); and
+    /// `fire_event`'s dispatch index — eligible *event* nodes by
+    /// event-symbol slot, as intrusive singly-linked lists: `evt_head`
+    /// of a slot is the first frontier node carrying that symbol,
+    /// `evt_next` of a leaf the next one (both [`NIL`]-terminated).
+    /// Maintenance is word writes — no hashing, no allocation; lists are
+    /// unordered and ties resolve by pre-order at dispatch.
+    arena: Box<[u64]>,
     /// Stack of entered, unfinished `⊙` nodes (innermost last).
-    lock: Vec<NodeId>,
-    /// Dense membership mirror of `lock` — O(1) instead of a `Vec` scan.
-    locked: Vec<bool>,
-    trace: Vec<Atom>,
+    lock: Vec<u32>,
+    /// The event nodes fired so far; [`Program::event`] gives the atoms.
+    trace: Vec<u32>,
     finished: bool,
     /// The eligible set, ignoring `⊙`-scoping, sorted by DFS pre-order
     /// rank (== the recursive walk's emission order). Invariant: a node
     /// is here iff the walk from the root would emit it.
     frontier: Vec<Choice>,
-    /// Dense membership mirror of `frontier`.
-    in_frontier: Vec<bool>,
-    /// Eligible *event* nodes by event-symbol slot — `fire_event`'s O(1)
-    /// dispatch index, as intrusive singly-linked lists: `evt_head[slot]`
-    /// is the first frontier node carrying that symbol, `evt_next[node]`
-    /// the next one (both [`NIL`]-terminated). Maintenance is pointer
-    /// writes — no hashing, no allocation; lists are unordered and ties
-    /// resolve by pre-order at dispatch.
-    evt_head: Vec<u32>,
-    evt_next: Vec<u32>,
     /// `frontier` filtered to the innermost `⊙` subtree; refreshed after
     /// every mutation while a lock is active, unused (empty) otherwise.
     scoped: Vec<Choice>,
-    /// Reusable scratch buffers — the fire path allocates nothing.
-    scratch: Vec<NodeId>,
-    scratch_or: Vec<(NodeId, NodeId)>,
-    scratch_evict: Vec<NodeId>,
 }
 
 impl Cursor {
-    fn new(p: &Program) -> Cursor {
-        let n = p.len();
+    /// The initial cursor, from scratch: a blank arena, the root's ready
+    /// leaves, leading silent steps drained.
+    fn build(p: &Program) -> Cursor {
+        let mut arena = vec![0u64; p.layout.words].into_boxed_slice();
+        arena[p.layout.or_choice..].fill(u64::MAX);
         let mut cursor = Cursor {
-            done: vec![false; n],
-            seq_pos: vec![0; n],
-            or_choice: vec![None; n],
-            sent: ChannelSet::with_bound(p.channel_bound),
+            arena,
             lock: Vec::new(),
-            locked: vec![false; n],
             trace: Vec::new(),
             finished: false,
             frontier: Vec::new(),
-            in_frontier: vec![false; n],
-            evt_head: vec![NIL; p.slots.len()],
-            evt_next: vec![NIL; n],
             scoped: Vec::new(),
-            scratch: Vec::new(),
-            scratch_or: Vec::new(),
-            scratch_evict: Vec::new(),
         };
         cursor.add_subtree(p, p.root);
         cursor.drain_silent(p);
-        cursor.finished = cursor.done[p.root];
+        cursor.finished = cursor.is_done(p.root);
         cursor
+    }
+
+    #[inline]
+    fn is_done(&self, node: NodeId) -> bool {
+        bit(&self.arena, 0, node)
+    }
+
+    #[inline]
+    fn is_locked(&self, p: &Program, node: NodeId) -> bool {
+        bit(&self.arena, p.layout.locked, node)
+    }
+
+    #[inline]
+    fn in_frontier(&self, p: &Program, node: NodeId) -> bool {
+        bit(&self.arena, p.layout.in_frontier, node)
+    }
+
+    #[inline]
+    fn is_sent(&self, p: &Program, c: Channel) -> bool {
+        bit(&self.arena, p.layout.sent, c.0 as usize)
+    }
+
+    /// The channels sent on so far, ascending.
+    fn sent<'a>(&'a self, p: &Program) -> impl Iterator<Item = u32> + 'a {
+        ones(&self.arena[p.layout.sent..p.layout.seq_pos]).map(|c| c as u32)
+    }
+
+    /// Index of the current child of the `⊗` node `n`.
+    #[inline]
+    fn seq_pos(&self, p: &Program, n: &Node) -> usize {
+        half(&self.arena, p.layout.seq_pos, n.dense as usize) as usize
+    }
+
+    /// The committed child of the `∨` node `n`, or [`NIL`].
+    #[inline]
+    fn or_choice(&self, p: &Program, n: &Node) -> u32 {
+        half(&self.arena, p.layout.or_choice, n.dense as usize)
+    }
+
+    #[inline]
+    fn evt_head(&self, p: &Program, slot: u32) -> u32 {
+        half(&self.arena, p.layout.evt_head, slot as usize)
+    }
+
+    #[inline]
+    fn set_evt_head(&mut self, p: &Program, slot: u32, node: u32) {
+        set_half(&mut self.arena, p.layout.evt_head, slot as usize, node);
+    }
+
+    /// The dispatch-list successor of the event leaf `node`.
+    #[inline]
+    fn evt_next(&self, p: &Program, node: u32) -> u32 {
+        let leaf = p.nodes[node as usize].dense as usize;
+        half(&self.arena, p.layout.evt_next, leaf)
+    }
+
+    #[inline]
+    fn set_evt_next(&mut self, p: &Program, node: u32, next: u32) {
+        let leaf = p.nodes[node as usize].dense as usize;
+        set_half(&mut self.arena, p.layout.evt_next, leaf, next);
     }
 
     /// True if `node` is visible through the current `⊙`-scoping: inside
@@ -399,7 +538,7 @@ impl Cursor {
     #[inline]
     fn scoped_visible(&self, p: &Program, node: NodeId) -> bool {
         match self.lock.last() {
-            Some(&l) => p.in_subtree(l, node),
+            Some(&l) => p.in_subtree(l as NodeId, node),
             None => true,
         }
     }
@@ -410,39 +549,44 @@ impl Cursor {
     fn refresh_scoped(&mut self, p: &Program) {
         self.scoped.clear();
         if let Some(&l) = self.lock.last() {
-            let (lo, hi) = (p.pre[l], p.end[l]);
-            self.scoped.extend(self.frontier.iter().filter(|c| {
-                let r = p.pre[c.node];
-                r >= lo && r < hi
-            }));
+            let l = l as NodeId;
+            self.scoped.extend(
+                self.frontier
+                    .iter()
+                    .filter(|c| p.in_subtree(l, c.node))
+                    .copied(),
+            );
         }
     }
 
     /// Inserts a leaf into the frontier at its pre-order position and
     /// indexes its event symbol.
     fn insert_choice(&mut self, p: &Program, node: NodeId, observable: bool) {
-        if self.in_frontier[node] {
+        if self.in_frontier(p, node) {
             return;
         }
-        self.in_frontier[node] = true;
-        let rank = p.pre[node];
-        let pos = self.frontier.partition_point(|c| p.pre[c.node] < rank);
+        set_bit(&mut self.arena, p.layout.in_frontier, node, true);
+        let n = &p.nodes[node];
+        let pos = self
+            .frontier
+            .partition_point(|c| p.nodes[c.node].pre < n.pre);
         self.frontier.insert(pos, Choice { node, observable });
-        let slot = p.event_slot[node];
-        if slot != NIL {
-            self.evt_next[node] = self.evt_head[slot as usize];
-            self.evt_head[slot as usize] = node as u32;
+        if n.slot != NIL {
+            self.set_evt_next(p, node as u32, self.evt_head(p, n.slot));
+            self.set_evt_head(p, n.slot, node as u32);
         }
     }
 
     /// Removes a node from the frontier (no-op if absent).
     fn remove_choice(&mut self, p: &Program, node: NodeId) {
-        if !self.in_frontier[node] {
+        if !self.in_frontier(p, node) {
             return;
         }
-        self.in_frontier[node] = false;
-        let rank = p.pre[node];
-        let pos = self.frontier.partition_point(|c| p.pre[c.node] < rank);
+        set_bit(&mut self.arena, p.layout.in_frontier, node, false);
+        let rank = p.nodes[node].pre;
+        let pos = self
+            .frontier
+            .partition_point(|c| p.nodes[c.node].pre < rank);
         debug_assert_eq!(self.frontier[pos].node, node);
         self.frontier.remove(pos);
         self.unindex_event(p, node);
@@ -452,22 +596,23 @@ impl Cursor {
     /// frontier nodes *sharing one event symbol* — almost always a
     /// singleton — not the frontier.
     fn unindex_event(&mut self, p: &Program, node: NodeId) {
-        let slot = p.event_slot[node];
+        let slot = p.nodes[node].slot;
         if slot == NIL {
             return;
         }
         let target = node as u32;
-        let mut cur = self.evt_head[slot as usize];
+        let after = self.evt_next(p, target);
+        let mut cur = self.evt_head(p, slot);
         if cur == target {
-            self.evt_head[slot as usize] = self.evt_next[node];
-            self.evt_next[node] = NIL;
+            self.set_evt_head(p, slot, after);
+            self.set_evt_next(p, target, NIL);
             return;
         }
         while cur != NIL {
-            let next = self.evt_next[cur as usize];
+            let next = self.evt_next(p, cur);
             if next == target {
-                self.evt_next[cur as usize] = self.evt_next[node];
-                self.evt_next[node] = NIL;
+                self.set_evt_next(p, cur, after);
+                self.set_evt_next(p, target, NIL);
                 return;
             }
             cur = next;
@@ -480,21 +625,14 @@ impl Cursor {
         if lo >= hi {
             return;
         }
-        let start = self.frontier.partition_point(|c| p.pre[c.node] < lo);
-        let stop = self.frontier.partition_point(|c| p.pre[c.node] < hi);
-        if start == stop {
-            return;
-        }
-        // `scratch` is live across this call (commit_path's iso list), so
-        // eviction keeps its own reusable buffer.
-        let mut evicted = std::mem::take(&mut self.scratch_evict);
-        evicted.clear();
-        evicted.extend(self.frontier.drain(start..stop).map(|c| c.node));
-        for &node in &evicted {
-            self.in_frontier[node] = false;
+        let start = self.frontier.partition_point(|c| p.nodes[c.node].pre < lo);
+        let stop = self.frontier.partition_point(|c| p.nodes[c.node].pre < hi);
+        for i in start..stop {
+            let node = self.frontier[i].node;
+            set_bit(&mut self.arena, p.layout.in_frontier, node, false);
             self.unindex_event(p, node);
         }
-        self.scratch_evict = evicted;
+        self.frontier.drain(start..stop);
     }
 
     /// Walks a freshly reached subtree, inserting its ready leaves — the
@@ -502,21 +640,22 @@ impl Cursor {
     /// the reached region, which the delta argument (DESIGN.md §11)
     /// charges to the nodes becoming reachable for the first time.
     fn add_subtree(&mut self, p: &Program, node: NodeId) {
-        if self.done[node] {
+        if self.is_done(node) {
             return;
         }
-        match &p.nodes[node].kind {
+        let n = &p.nodes[node];
+        match &n.kind {
             NodeKind::Event(_) => self.insert_choice(p, node, true),
             NodeKind::Send(_) | NodeKind::Empty => self.insert_choice(p, node, false),
             NodeKind::Recv(c) => {
                 // A blocked receive stays out of the frontier; the send
                 // that enables it promotes it via `recvs_on`.
-                if self.sent.contains(*c) {
+                if self.is_sent(p, *c) {
                     self.insert_choice(p, node, false);
                 }
             }
             NodeKind::Seq(cs) => {
-                if let Some(&cur) = cs.get(self.seq_pos[node]) {
+                if let Some(&cur) = cs.get(self.seq_pos(p, n)) {
                     self.add_subtree(p, cur);
                 }
             }
@@ -525,13 +664,13 @@ impl Cursor {
                     self.add_subtree(p, c);
                 }
             }
-            NodeKind::Or(cs) => match self.or_choice[node] {
-                Some(chosen) => self.add_subtree(p, chosen),
-                None => {
+            NodeKind::Or(cs) => match self.or_choice(p, n) {
+                NIL => {
                     for &c in cs {
                         self.add_subtree(p, c);
                     }
                 }
+                chosen => self.add_subtree(p, chosen as NodeId),
             },
             NodeKind::Iso(body) => self.add_subtree(p, *body),
         }
@@ -544,69 +683,76 @@ impl Cursor {
     fn walk_reachable(&self, p: &Program, node: NodeId) -> bool {
         let mut child = node;
         let mut cur = p.nodes[node].parent;
-        while let Some(a) = cur {
-            if self.done[a] {
+        while cur != NIL {
+            let a = cur as NodeId;
+            if self.is_done(a) {
                 return false;
             }
-            match &p.nodes[a].kind {
-                NodeKind::Seq(cs) if cs.get(self.seq_pos[a]) != Some(&child) => return false,
-                NodeKind::Or(_) if self.or_choice[a].is_some_and(|chosen| chosen != child) => {
-                    return false;
+            let n = &p.nodes[a];
+            match &n.kind {
+                NodeKind::Seq(cs) if cs.get(self.seq_pos(p, n)) != Some(&child) => return false,
+                NodeKind::Or(_) => {
+                    let chosen = self.or_choice(p, n);
+                    if chosen != NIL && chosen as NodeId != child {
+                        return false;
+                    }
                 }
                 _ => {}
             }
             child = a;
-            cur = p.nodes[a].parent;
+            cur = n.parent;
         }
         true
     }
 
     /// Commits every unchosen `∨` and un-entered `⊙` on the way to
-    /// `node`, evicting the frontier entries of abandoned `∨`-siblings.
-    /// Allocation-free: the upward walk records into reused scratch
-    /// buffers, and sibling eviction uses the rank-interval complement of
-    /// the committed child inside its parent.
+    /// `node`, evicting the frontier entries of abandoned `∨`-siblings
+    /// (the rank-interval complement of the committed child inside its
+    /// parent). One upward walk, no buffer: nothing a commit writes is
+    /// read further up.
     fn commit_path(&mut self, p: &Program, node: NodeId) {
-        self.scratch_or.clear();
-        self.scratch.clear();
+        let entered = self.lock.len();
         let mut child = node;
         let mut cur = p.nodes[node].parent;
-        while let Some(a) = cur {
-            match &p.nodes[a].kind {
-                NodeKind::Or(_) if self.or_choice[a].is_none() => {
-                    self.scratch_or.push((a, child));
+        while cur != NIL {
+            let a = cur as NodeId;
+            let n = &p.nodes[a];
+            match &n.kind {
+                NodeKind::Or(_) if self.or_choice(p, n) == NIL => {
+                    set_half(
+                        &mut self.arena,
+                        p.layout.or_choice,
+                        n.dense as usize,
+                        child as u32,
+                    );
+                    let chosen = &p.nodes[child];
+                    self.evict_range(p, n.pre, chosen.pre);
+                    self.evict_range(p, chosen.end, n.end);
                 }
-                NodeKind::Iso(_) if !self.locked[a] => self.scratch.push(a),
+                NodeKind::Iso(_) if !self.is_locked(p, a) => {
+                    self.lock.push(cur);
+                    set_bit(&mut self.arena, p.layout.locked, a, true);
+                }
                 _ => {}
             }
             child = a;
-            cur = p.nodes[a].parent;
+            cur = n.parent;
         }
-        let commits = std::mem::take(&mut self.scratch_or);
-        for &(a, chosen) in &commits {
-            self.or_choice[a] = Some(chosen);
-            self.evict_range(p, p.pre[a], p.pre[chosen]);
-            self.evict_range(p, p.end[chosen], p.end[a]);
-        }
-        self.scratch_or = commits;
-        // The upward walk met isos leaf-to-root; the lock stack pushes
-        // them root-to-leaf (innermost last), like the old path walk.
-        let isos = std::mem::take(&mut self.scratch);
-        for &a in isos.iter().rev() {
-            self.lock.push(a);
-            self.locked[a] = true;
-        }
-        self.scratch = isos;
+        // The walk met the new isos leaf-to-root; the lock stack holds
+        // them root-to-leaf (innermost last).
+        self.lock[entered..].reverse();
     }
 
     /// Records a fired `send` and promotes any receive on the channel
     /// that is already walk-reachable into the frontier.
     fn send_effect(&mut self, p: &Program, c: Channel) {
-        if !self.sent.insert(c) {
+        if self.is_sent(p, c) {
             return;
         }
+        set_bit(&mut self.arena, p.layout.sent, c.0 as usize, true);
         for &r in p.recvs_on(c) {
-            if !self.done[r] && !self.in_frontier[r] && self.walk_reachable(p, r) {
+            let r = r as NodeId;
+            if !self.is_done(r) && !self.in_frontier(p, r) && self.walk_reachable(p, r) {
                 self.insert_choice(p, r, false);
             }
         }
@@ -616,18 +762,26 @@ impl Cursor {
     /// frontier in sync: the completed node leaves it, a `⊗`-parent's
     /// next child enters it, an exiting `⊙` unlocks.
     fn complete(&mut self, p: &Program, node: NodeId) {
-        self.done[node] = true;
+        set_bit(&mut self.arena, 0, node, true);
         self.remove_choice(p, node);
-        let Some(parent) = p.nodes[node].parent else {
+        let up = p.nodes[node].parent;
+        if up == NIL {
             return;
-        };
-        match &p.nodes[parent].kind {
+        }
+        let parent = up as NodeId;
+        let n = &p.nodes[parent];
+        match &n.kind {
             NodeKind::Seq(cs) => {
-                let mut pos = self.seq_pos[parent];
-                while pos < cs.len() && self.done[cs[pos]] {
+                let mut pos = self.seq_pos(p, n);
+                while pos < cs.len() && self.is_done(cs[pos]) {
                     pos += 1;
                 }
-                self.seq_pos[parent] = pos;
+                set_half(
+                    &mut self.arena,
+                    p.layout.seq_pos,
+                    n.dense as usize,
+                    pos as u32,
+                );
                 if pos == cs.len() {
                     self.complete(p, parent);
                 } else {
@@ -635,21 +789,21 @@ impl Cursor {
                 }
             }
             NodeKind::Conc(cs) => {
-                if cs.iter().all(|&c| self.done[c]) {
+                if cs.iter().all(|&c| self.is_done(c)) {
                     self.complete(p, parent);
                 }
             }
             NodeKind::Or(_) => {
-                debug_assert_eq!(self.or_choice[parent], Some(node));
+                debug_assert_eq!(self.or_choice(p, n), node as u32);
                 self.complete(p, parent);
             }
             NodeKind::Iso(_) => {
-                if self.lock.last() == Some(&parent) {
+                if self.lock.last() == Some(&up) {
                     self.lock.pop();
                 } else {
-                    self.lock.retain(|&l| l != parent);
+                    self.lock.retain(|&l| l != up);
                 }
-                self.locked[parent] = false;
+                set_bit(&mut self.arena, p.layout.locked, parent, false);
                 self.complete(p, parent);
             }
             other => unreachable!("leaf parent must be a connective, got {other:?}"),
@@ -659,13 +813,15 @@ impl Cursor {
     /// True if firing `node` commits no `∨`-choice and enters no `⊙`.
     fn commitment_free(&self, p: &Program, node: NodeId) -> bool {
         let mut cur = p.nodes[node].parent;
-        while let Some(a) = cur {
-            match &p.nodes[a].kind {
-                NodeKind::Or(_) if self.or_choice[a].is_none() => return false,
-                NodeKind::Iso(_) if !self.locked[a] && !self.done[a] => return false,
+        while cur != NIL {
+            let a = cur as NodeId;
+            let n = &p.nodes[a];
+            match &n.kind {
+                NodeKind::Or(_) if self.or_choice(p, n) == NIL => return false,
+                NodeKind::Iso(_) if !self.is_locked(p, a) && !self.is_done(a) => return false,
                 _ => {}
             }
-            cur = p.nodes[a].parent;
+            cur = n.parent;
         }
         true
     }
@@ -674,73 +830,76 @@ impl Cursor {
     /// completion cascade, silent drain, finish flag, scoped refresh.
     fn fire(&mut self, p: &Program, node: NodeId) {
         debug_assert!(
-            self.in_frontier[node] && self.scoped_visible(p, node),
+            self.in_frontier(p, node) && self.scoped_visible(p, node),
             "fired node must be eligible"
         );
         self.commit_path(p, node);
         match &p.nodes[node].kind {
-            NodeKind::Event(a) => self.trace.push(a.clone()),
-            NodeKind::Send(c) => {
-                let c = *c;
-                self.send_effect(p, c);
-            }
+            NodeKind::Event(_) => self.trace.push(node as u32),
+            NodeKind::Send(c) => self.send_effect(p, *c),
             NodeKind::Recv(_) | NodeKind::Empty => {}
             other => unreachable!("only leaves fire, got {other:?}"),
         }
         self.complete(p, node);
         self.drain_silent(p);
-        self.finished = self.done[p.root];
+        self.finished = self.is_done(p.root);
         self.refresh_scoped(p);
     }
 
     /// Fires, to fixpoint, every eligible internal step that commits
     /// nothing: `Empty` nodes, `send`s, and enabled `receive`s whose path
-    /// is already fully committed. Candidates come from the frontier's
-    /// silent entries (scoped to the innermost `⊙`), not a tree walk.
+    /// is already fully committed. Candidates are the frontier's silent
+    /// entries (scoped to the innermost `⊙`), not a tree walk.
+    ///
+    /// The frontier is scanned in place while the steps it fires edit
+    /// it. Such a step only ever *adds* to what is enabled — it marks
+    /// nodes done, sends on channels and leaves `⊙`s, never commits an
+    /// `∨` — so the order the steps fire in does not change where the
+    /// fixpoint lands, and an entry that shifts past the scan position
+    /// is picked up by the next pass.
     fn drain_silent(&mut self, p: &Program) {
         loop {
-            let mut scratch = std::mem::take(&mut self.scratch);
-            scratch.clear();
-            match self.lock.last() {
-                Some(&l) => {
-                    let (lo, hi) = (p.pre[l], p.end[l]);
-                    scratch.extend(self.frontier.iter().filter_map(|c| {
-                        let r = p.pre[c.node];
-                        (!c.observable && r >= lo && r < hi).then_some(c.node)
-                    }));
-                }
-                None => scratch.extend(
-                    self.frontier
-                        .iter()
-                        .filter_map(|c| (!c.observable).then_some(c.node)),
-                ),
-            }
             let mut fired = false;
-            for &node in &scratch {
-                if self.done[node] || !self.in_frontier[node] || !self.commitment_free(p, node) {
+            let mut i = 0;
+            while let Some(&Choice { node, observable }) = self.frontier.get(i) {
+                let enabled = !observable
+                    && self.scoped_visible(p, node)
+                    && match &p.nodes[node].kind {
+                        NodeKind::Send(_) | NodeKind::Empty => true,
+                        NodeKind::Recv(c) => self.is_sent(p, *c),
+                        _ => false,
+                    }
+                    && self.commitment_free(p, node);
+                if !enabled {
+                    i += 1;
                     continue;
                 }
-                match &p.nodes[node].kind {
-                    NodeKind::Send(c) => {
-                        let c = *c;
-                        self.send_effect(p, c);
-                    }
-                    NodeKind::Recv(c) => {
-                        if !self.sent.contains(*c) {
-                            continue;
-                        }
-                    }
-                    NodeKind::Empty => {}
-                    _ => continue,
+                if let NodeKind::Send(c) = &p.nodes[node].kind {
+                    self.send_effect(p, *c);
                 }
+                // Removes entry `i`; the next candidate slides into it.
                 self.complete(p, node);
                 fired = true;
             }
-            self.scratch = scratch;
             if !fired {
                 return;
             }
         }
+    }
+
+    /// The first node in pre-order, among the eligible ones, that
+    /// carries the event symbol `slot`.
+    fn first_carrying(&self, p: &Program, slot: u32) -> Option<NodeId> {
+        let mut best: Option<(u32, u32)> = None;
+        let mut cur = self.evt_head(p, slot);
+        while cur != NIL {
+            let rank = p.nodes[cur as usize].pre;
+            if self.scoped_visible(p, cur as NodeId) && best.is_none_or(|(r, _)| rank < r) {
+                best = Some((rank, cur));
+            }
+            cur = self.evt_next(p, cur);
+        }
+        best.map(|(_, n)| n as NodeId)
     }
 
     /// Locates the next step toward an event node carrying `slot` whose
@@ -752,17 +911,18 @@ impl Cursor {
     /// timer gate's `seq(receive ξ, e)` inside an uncommitted `∨` —
     /// because choosing `e` is exactly the decision those steps commit.
     fn step_toward(&self, p: &Program, node: NodeId, slot: u32) -> Option<NodeId> {
-        if self.done[node] {
+        if self.is_done(node) {
             return None;
         }
-        match &p.nodes[node].kind {
-            NodeKind::Event(_) => (p.event_slot[node] == slot).then_some(node),
+        let n = &p.nodes[node];
+        match &n.kind {
+            NodeKind::Event(_) => (n.slot == slot).then_some(node),
             NodeKind::Send(_) | NodeKind::Recv(_) | NodeKind::Empty => None,
             NodeKind::Seq(cs) => {
-                let mut pos = self.seq_pos[node];
+                let mut pos = self.seq_pos(p, n);
                 let mut via = None;
                 while let Some(&cur) = cs.get(pos) {
-                    if self.done[cur] {
+                    if self.is_done(cur) {
                         pos += 1;
                         continue;
                     }
@@ -773,7 +933,7 @@ impl Cursor {
                     // the child is a silent leaf that is enabled *now*.
                     let silent = match &p.nodes[cur].kind {
                         NodeKind::Send(_) | NodeKind::Empty => true,
-                        NodeKind::Recv(c) => self.sent.contains(*c),
+                        NodeKind::Recv(c) => self.is_sent(p, *c),
                         _ => false,
                     };
                     if !silent {
@@ -785,9 +945,9 @@ impl Cursor {
                 None
             }
             NodeKind::Conc(cs) => cs.iter().find_map(|&c| self.step_toward(p, c, slot)),
-            NodeKind::Or(cs) => match self.or_choice[node] {
-                Some(chosen) => self.step_toward(p, chosen, slot),
-                None => cs.iter().find_map(|&c| self.step_toward(p, c, slot)),
+            NodeKind::Or(cs) => match self.or_choice(p, n) {
+                NIL => cs.iter().find_map(|&c| self.step_toward(p, c, slot)),
+                chosen => self.step_toward(p, chosen as NodeId, slot),
             },
             NodeKind::Iso(body) => self.step_toward(p, *body, slot),
         }
@@ -797,10 +957,11 @@ impl Cursor {
     /// implementation, retained as the oracle the incremental frontier is
     /// proptested against.
     fn collect_eligible_recursive(&self, p: &Program, node: NodeId, out: &mut Vec<Choice>) {
-        if self.done[node] {
+        if self.is_done(node) {
             return;
         }
-        match &p.nodes[node].kind {
+        let n = &p.nodes[node];
+        match &n.kind {
             NodeKind::Event(_) => out.push(Choice {
                 node,
                 observable: true,
@@ -810,7 +971,7 @@ impl Cursor {
                 observable: false,
             }),
             NodeKind::Recv(c) => {
-                if self.sent.contains(*c) {
+                if self.is_sent(p, *c) {
                     out.push(Choice {
                         node,
                         observable: false,
@@ -825,7 +986,7 @@ impl Cursor {
                 observable: false,
             }),
             NodeKind::Seq(cs) => {
-                if let Some(&cur) = cs.get(self.seq_pos[node]) {
+                if let Some(&cur) = cs.get(self.seq_pos(p, n)) {
                     self.collect_eligible_recursive(p, cur, out);
                 }
             }
@@ -834,16 +995,25 @@ impl Cursor {
                     self.collect_eligible_recursive(p, c, out);
                 }
             }
-            NodeKind::Or(cs) => match self.or_choice[node] {
-                Some(chosen) => self.collect_eligible_recursive(p, chosen, out),
-                None => {
+            NodeKind::Or(cs) => match self.or_choice(p, n) {
+                NIL => {
                     for &c in cs {
                         self.collect_eligible_recursive(p, c, out);
                     }
                 }
+                chosen => self.collect_eligible_recursive(p, chosen as NodeId, out),
             },
             NodeKind::Iso(body) => self.collect_eligible_recursive(p, *body, out),
         }
+    }
+
+    /// Heap bytes this cursor owns, plus its own size.
+    #[cfg(test)]
+    fn bytes(&self) -> usize {
+        std::mem::size_of::<Cursor>()
+            + std::mem::size_of_val(&*self.arena)
+            + (self.lock.capacity() + self.trace.capacity()) * std::mem::size_of::<u32>()
+            + (self.frontier.capacity() + self.scoped.capacity()) * std::mem::size_of::<Choice>()
     }
 }
 
@@ -861,11 +1031,12 @@ pub struct Scheduler<P: std::ops::Deref<Target = Program>> {
 }
 
 impl<P: std::ops::Deref<Target = Program>> Scheduler<P> {
-    /// A fresh cursor at the program's initial state. Leading `Empty`
-    /// nodes and commitment-free channel operations are drained
-    /// immediately.
+    /// A fresh cursor at the program's initial state: leading `Empty`
+    /// nodes and commitment-free channel operations are already
+    /// drained. The first call on a program computes that state; every
+    /// call copies it.
     pub fn new(program: P) -> Scheduler<P> {
-        let cursor = Cursor::new(&program);
+        let cursor = program.initial().clone();
         Scheduler { program, cursor }
     }
 
@@ -874,18 +1045,18 @@ impl<P: std::ops::Deref<Target = Program>> Scheduler<P> {
         &self.program
     }
 
-    /// The events fired so far.
-    pub fn trace(&self) -> &[Atom] {
-        &self.cursor.trace
+    /// The events fired so far, in order.
+    pub fn trace(&self) -> impl ExactSizeIterator<Item = &Atom> + '_ {
+        let p: &Program = &self.program;
+        self.cursor.trace.iter().map(move |&n| {
+            p.event(n as NodeId)
+                .expect("only event nodes enter the trace")
+        })
     }
 
     /// The trace as propositional event names.
     pub fn trace_names(&self) -> Vec<Symbol> {
-        self.cursor
-            .trace
-            .iter()
-            .filter_map(Atom::as_event)
-            .collect()
+        self.trace().filter_map(Atom::as_event).collect()
     }
 
     /// True when the whole workflow has completed. O(1).
@@ -912,16 +1083,23 @@ impl<P: std::ops::Deref<Target = Program>> Scheduler<P> {
         }
     }
 
+    /// The innermost active `⊙`, or the root: where eligibility starts.
+    fn scope_root(&self) -> NodeId {
+        self.cursor
+            .lock
+            .last()
+            .map_or(self.program.root, |&l| l as NodeId)
+    }
+
     /// The eligible set recomputed from scratch by the original recursive
     /// walk. This is the reference implementation the incremental
     /// frontier is verified against (proptests in this crate and at the
     /// workspace root); production callers use [`Scheduler::eligible`].
     #[doc(hidden)]
     pub fn eligible_reference(&self) -> Vec<Choice> {
-        let p: &Program = &self.program;
         let mut out = Vec::new();
-        let start = *self.cursor.lock.last().unwrap_or(&p.root);
-        self.cursor.collect_eligible_recursive(p, start, &mut out);
+        self.cursor
+            .collect_eligible_recursive(&self.program, self.scope_root(), &mut out);
         out
     }
 
@@ -931,8 +1109,7 @@ impl<P: std::ops::Deref<Target = Program>> Scheduler<P> {
     /// by the fired path and the region that changed, never the whole
     /// program.
     pub fn fire(&mut self, node: NodeId) {
-        let p: &Program = &self.program;
-        self.cursor.fire(p, node);
+        self.cursor.fire(&self.program, node);
     }
 
     /// Fires the atom named `event` if an eligible node carries it;
@@ -949,45 +1126,22 @@ impl<P: std::ops::Deref<Target = Program>> Scheduler<P> {
     /// then the event itself; choosing the event *is* the decision they
     /// commit, so no unrelated choice is ever taken on its behalf.
     pub fn fire_event(&mut self, event: Symbol) -> bool {
-        let slot = {
-            let p: &Program = &self.program;
-            match p.slots.get(&event) {
-                Some(&slot) => slot,
-                None => return false,
-            }
+        let Some(&slot) = self.program.slots.get(&event) else {
+            return false;
         };
         loop {
-            let direct = {
-                let p: &Program = &self.program;
-                let mut best: Option<(u32, NodeId)> = None;
-                let mut cur = self.cursor.evt_head[slot as usize];
-                while cur != NIL {
-                    let n = cur as NodeId;
-                    cur = self.cursor.evt_next[n];
-                    if !self.cursor.scoped_visible(p, n) {
-                        continue;
-                    }
-                    let rank = p.pre[n];
-                    if best.is_none_or(|(r, _)| rank < r) {
-                        best = Some((rank, n));
-                    }
-                }
-                best.map(|(_, n)| n)
-            };
-            if let Some(n) = direct {
+            if let Some(n) = self.cursor.first_carrying(&self.program, slot) {
                 self.fire(n);
                 return true;
             }
-            let step = {
-                let p: &Program = &self.program;
-                let start = *self.cursor.lock.last().unwrap_or(&p.root);
-                self.cursor.step_toward(p, start, slot)
-            };
+            let step = self
+                .cursor
+                .step_toward(&self.program, self.scope_root(), slot);
             match step {
                 // Fire the leading τ-step and retry: each iteration
                 // completes a node, so the loop is bounded by |program|.
                 Some(n) => {
-                    let carries_event = self.program.event_slot[n] == slot;
+                    let carries_event = self.program.nodes[n].slot == slot;
                     self.fire(n);
                     if carries_event {
                         return true;
@@ -1014,28 +1168,38 @@ impl<P: std::ops::Deref<Target = Program>> Scheduler<P> {
             let choice = *self.eligible().first()?;
             self.fire(choice.node);
         }
-        Some(self.cursor.trace)
+        Some(self.trace().cloned().collect())
     }
 
     /// A canonical fingerprint of the cursor state (node statuses, choice
     /// commitments, channels, locks). Two schedulers with equal keys admit
     /// the same continuations — the state identity used by explicit-state
     /// model checking over the marking graph.
+    ///
+    /// Per node, in node order: the done flag, the `⊗` position (0 for
+    /// any other node) and the `∨` choice (`u32::MAX` for any other node
+    /// or before the commit) — a full record for every node whatever its
+    /// kind, so the bytes do not depend on how the cursor packs them.
     pub fn state_key(&self) -> Vec<u8> {
-        let c = &self.cursor;
-        let mut key = Vec::with_capacity(c.done.len() * 10 + 16);
-        for (&d, (&pos, choice)) in c.done.iter().zip(c.seq_pos.iter().zip(c.or_choice.iter())) {
-            key.push(d as u8);
-            key.extend_from_slice(&(pos as u32).to_le_bytes());
-            key.extend_from_slice(&choice.map_or(u32::MAX, |n| n as u32).to_le_bytes());
+        let (p, c): (&Program, &Cursor) = (&self.program, &self.cursor);
+        let mut key = Vec::with_capacity(p.nodes.len() * 9 + 16);
+        for (node, n) in p.nodes.iter().enumerate() {
+            let (pos, choice) = match n.kind {
+                NodeKind::Seq(_) => (c.seq_pos(p, n) as u32, NIL),
+                NodeKind::Or(_) => (0, c.or_choice(p, n)),
+                _ => (0, NIL),
+            };
+            key.push(c.is_done(node) as u8);
+            key.extend_from_slice(&pos.to_le_bytes());
+            key.extend_from_slice(&choice.to_le_bytes());
         }
         key.push(0xFE);
-        for ch in c.sent.iter() {
-            key.extend_from_slice(&ch.0.to_le_bytes());
+        for ch in c.sent(p) {
+            key.extend_from_slice(&ch.to_le_bytes());
         }
         key.push(0xFD);
         for l in &c.lock {
-            key.extend_from_slice(&(*l as u32).to_le_bytes());
+            key.extend_from_slice(&l.to_le_bytes());
         }
         key
     }
@@ -1062,7 +1226,7 @@ impl<P: std::ops::Deref<Target = Program>> Scheduler<P> {
             let pick = eligible[(next() % eligible.len() as u64) as usize];
             self.fire(pick.node);
         }
-        Some(self.cursor.trace)
+        Some(self.trace().cloned().collect())
     }
 
     /// Enumerates every complete trace (as event-name sequences), up to
@@ -1295,7 +1459,7 @@ mod tests {
         assert!(p.is_empty());
         let s = Scheduler::new(&p);
         assert!(s.is_complete());
-        assert!(s.trace().is_empty());
+        assert_eq!(s.trace().len(), 0);
     }
 
     #[test]
@@ -1381,44 +1545,66 @@ mod tests {
         s.fire_event(sym("b"));
         let key = s.state_key();
 
-        // Reconstruct the expected key from first principles, with the
-        // channel section built through an actual BTreeSet.
+        // The bytes the vector-per-field cursor (one `bool`, one `usize`
+        // and one `Option<NodeId>` per node; channels in a `BTreeSet`)
+        // produced for this state, recorded from that implementation:
+        // per node `done, seq_pos: u32, or_choice: u32`, then the sent
+        // channels ascending, then the (empty) lock stack.
+        let done_and_pos: [(u8, u32); 11] = [
+            (1, 0), // a
+            (1, 0), // send ξ5
+            (1, 2), // a ⊗ send ξ5
+            (1, 0), // b
+            (1, 0), // send ξ2
+            (1, 2), // b ⊗ send ξ2
+            (1, 0), // receive ξ5
+            (1, 0), // receive ξ2
+            (0, 0), // c
+            (0, 2), // receive ξ5 ⊗ receive ξ2 ⊗ c
+            (0, 0), // the |
+        ];
         let mut expected = Vec::new();
-        for (&d, (&pos, choice)) in s
-            .cursor
-            .done
-            .iter()
-            .zip(s.cursor.seq_pos.iter().zip(s.cursor.or_choice.iter()))
-        {
-            expected.push(d as u8);
-            expected.extend_from_slice(&(pos as u32).to_le_bytes());
-            expected.extend_from_slice(&choice.map_or(u32::MAX, |n| n as u32).to_le_bytes());
+        for (done, pos) in done_and_pos {
+            expected.push(done);
+            expected.extend_from_slice(&pos.to_le_bytes());
+            expected.extend_from_slice(&u32::MAX.to_le_bytes());
         }
         expected.push(0xFE);
-        let sent: std::collections::BTreeSet<Channel> = s.cursor.sent.iter().collect();
-        assert_eq!(sent.len(), 2, "both sends drained into the channel set");
-        for c in &sent {
-            expected.extend_from_slice(&c.0.to_le_bytes());
-        }
+        expected.extend_from_slice(&2u32.to_le_bytes());
+        expected.extend_from_slice(&5u32.to_le_bytes());
         expected.push(0xFD);
-        for l in &s.cursor.lock {
-            expected.extend_from_slice(&(*l as u32).to_le_bytes());
-        }
         assert_eq!(key, expected);
     }
 
     #[test]
-    fn channel_set_iterates_ascending_across_words() {
-        let mut set = ChannelSet::default();
-        for id in [200u32, 3, 64, 0, 127, 65] {
-            assert!(set.insert(Channel(id)));
-            assert!(!set.insert(Channel(id)), "second insert is a no-op");
+    fn set_bits_iterate_ascending_across_words() {
+        let mut words = [0u64; 5];
+        for id in [200usize, 3, 64, 0, 127, 65] {
+            assert!(!bit(&words, 1, id));
+            set_bit(&mut words, 1, id, true);
+            assert!(bit(&words, 1, id));
         }
-        assert!(set.contains(Channel(64)));
-        assert!(!set.contains(Channel(63)));
-        assert!(!set.contains(Channel(1000)), "beyond allocated words");
-        let ids: Vec<u32> = set.iter().map(|c| c.0).collect();
+        assert!(!bit(&words, 1, 63));
+        assert_eq!(words[0], 0, "the section before `base` is untouched");
+        let ids: Vec<usize> = ones(&words[1..]).collect();
         assert_eq!(ids, vec![0, 3, 64, 65, 127, 200]);
+        set_bit(&mut words, 1, 64, false);
+        assert_eq!(ones(&words[1..]).nth(2), Some(65));
+    }
+
+    #[test]
+    fn packed_halves_do_not_disturb_their_neighbours() {
+        let mut words = [u64::MAX; 3];
+        set_half(&mut words, 1, 0, 7);
+        set_half(&mut words, 1, 3, 9);
+        assert_eq!(
+            [0, 1, 2, 3].map(|i| half(&words, 1, i)),
+            [7, NIL, NIL, 9],
+            "low half of word 1, high half of word 2"
+        );
+        set_half(&mut words, 1, 0, NIL);
+        set_half(&mut words, 1, 3, 0);
+        assert_eq!(words, [u64::MAX, u64::MAX, u64::from(u32::MAX)]);
     }
 
     /// Drives random schedules over the `gen` corpus, asserting after
@@ -1464,5 +1650,325 @@ mod tests {
             }
         }
         assert!(fires_checked > 500, "corpus exercised ({fires_checked})");
+    }
+
+    // --- The compact cursor against its oracles -------------------------
+
+    use ctr::gen::{self, GoalShape};
+    use proptest::prelude::*;
+
+    fn lcg(state: &mut u64) -> u64 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *state >> 33
+    }
+
+    /// A cursor built by the tree walk, bypassing the program's cached
+    /// initial one.
+    fn untemplated(p: &Program) -> Scheduler<&Program> {
+        Scheduler {
+            program: p,
+            cursor: Cursor::build(p),
+        }
+    }
+
+    /// Wraps some `⊗`/`|` subgoals in `⊙` (nesting wherever the recursion
+    /// stacks them) and gates some `|` siblings through a channel, ids
+    /// counting up from `*chan`.
+    fn decorate(goal: &Goal, rng: &mut u64, chan: &mut u32) -> Goal {
+        match goal {
+            Goal::Seq(gs) => {
+                let g = seq(gs.iter().map(|g| decorate(g, rng, chan)).collect());
+                if lcg(rng).is_multiple_of(3) {
+                    isolated(g)
+                } else {
+                    g
+                }
+            }
+            Goal::Conc(gs) => {
+                let mut inner: Vec<Goal> = gs.iter().map(|g| decorate(g, rng, chan)).collect();
+                if inner.len() >= 2 && lcg(rng).is_multiple_of(2) {
+                    let c = Channel(*chan);
+                    *chan += 37;
+                    let second = inner.remove(1);
+                    let first = inner.remove(0);
+                    inner.insert(0, seq(vec![first, Goal::Send(c)]));
+                    inner.insert(1, seq(vec![Goal::Receive(c), second]));
+                }
+                let g = conc(inner);
+                if lcg(rng).is_multiple_of(4) {
+                    isolated(g)
+                } else {
+                    g
+                }
+            }
+            Goal::Or(gs) => or(gs.iter().map(|g| decorate(g, rng, chan)).collect()),
+            other => other.clone(),
+        }
+    }
+
+    /// `|` of corpus goals over disjoint event pools, grown until the
+    /// compiled program passes `min_nodes`.
+    fn corpus_goal_over(seed: u64, min_nodes: usize) -> Goal {
+        let shape = GoalShape {
+            depth: 4,
+            width: 3,
+            or_bias: 0.35,
+        };
+        let mut parts = Vec::new();
+        loop {
+            let prefix = format!("w{}_", parts.len());
+            parts.push(gen::random_goal(seed + 7919 * parts.len() as u64, shape, &prefix).0);
+            let goal = conc(parts.clone());
+            if compile(&goal).len() > min_nodes {
+                return goal;
+            }
+        }
+    }
+
+    const FAMILIES: usize = 7;
+
+    /// The goal of one property case; `family` forces the arena shapes
+    /// a random corpus goal rarely has.
+    fn case_goal(seed: u64, family: usize) -> Goal {
+        let mut rng = seed ^ 0x5DEE_CE66;
+        // Channel ids start in the second or third bitset word.
+        let mut chan = 64 + (seed as u32 % 2) * 70;
+        // A corpus goal of at least `min_nodes`, decorated, then gated
+        // into a last event so at least one channel is always in play.
+        let corpus = |min_nodes: usize, rng: &mut u64, chan: &mut u32| {
+            let body = decorate(&corpus_goal_over(seed, min_nodes), rng, chan);
+            let gate = Channel(*chan);
+            conc(vec![
+                seq(vec![body, Goal::Send(gate)]),
+                seq(vec![Goal::Receive(gate), g("gated")]),
+            ])
+        };
+        match family {
+            // Corpus goals with nested ⊙ and channel ids ≥ 64.
+            0 => corpus(0, &mut rng, &mut chan),
+            // Two- and three-word node bitsets.
+            1 => corpus(64, &mut rng, &mut chan),
+            2 => corpus(128, &mut rng, &mut chan),
+            // No ⊗ node: an empty `seq_pos` section.
+            3 => conc(
+                (0..2 + seed % 5)
+                    .map(|i| {
+                        or(vec![
+                            g(&format!("n{i}l")),
+                            g(&format!("n{i}r")),
+                            Goal::Empty,
+                        ])
+                    })
+                    .collect(),
+            ),
+            // No ∨ node: an empty `or_choice` section.
+            4 => seq((0..2 + seed % 4)
+                .map(|i| conc(vec![g(&format!("s{i}a")), g(&format!("s{i}b"))]))
+                .collect()),
+            // ⊙ inside ⊙ inside ⊙, beside a free event.
+            5 => conc(vec![
+                isolated(seq(vec![
+                    g("i0"),
+                    isolated(conc(vec![
+                        g("i1"),
+                        isolated(seq(vec![g("i2"), or(vec![g("i3"), g("i4")])])),
+                    ])),
+                    g("i5"),
+                ])),
+                g("free"),
+            ]),
+            // What Apply + Excise emit: the fleet benchmark's program.
+            _ => layered16x2_orders(),
+        }
+    }
+
+    /// `layered_workflow(16, 2)` under an order constraint chaining all
+    /// sixteen stages, compiled — the benchmark's resident workflow.
+    fn layered16x2_orders() -> Goal {
+        // One event per stage, alternating lane and side.
+        let stage = |i: usize| {
+            let (left, right) = gen::layered_events(i, i % 2);
+            if i.is_multiple_of(3) {
+                left
+            } else {
+                right
+            }
+        };
+        let orders: Vec<ctr::constraints::Constraint> = (0..15)
+            .map(|i| ctr::constraints::Constraint::order(stage(i), stage(i + 1)))
+            .collect();
+        ctr::analysis::compile(&gen::layered_workflow(16, 2), &orders)
+            .expect("unique-event workflow")
+            .goal
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        Node(NodeId),
+        Event(Symbol),
+    }
+
+    fn apply(s: &mut Scheduler<&Program>, step: Step) {
+        match step {
+            Step::Node(n) => s.fire(n),
+            Step::Event(e) => {
+                s.fire_event(e);
+            }
+        }
+    }
+
+    /// Decodes `state_key` and checks it against the tree: every `⊗`
+    /// position, `∨` choice and done flag must be the one its node's
+    /// children imply, and nodes of other kinds must carry the neutral
+    /// record. A cursor whose per-kind indices aliased two nodes, or
+    /// whose sections overlapped, cannot pass this.
+    fn assert_key_is_coherent(s: &Scheduler<&Program>) {
+        let p = s.program();
+        let key = s.state_key();
+        let record = |n: NodeId| -> (bool, u32, u32) {
+            let r = &key[n * 9..n * 9 + 9];
+            (
+                r[0] == 1,
+                u32::from_le_bytes(r[1..5].try_into().unwrap()),
+                u32::from_le_bytes(r[5..9].try_into().unwrap()),
+            )
+        };
+        let done = |n: NodeId| record(n).0;
+        for (id, node) in p.nodes.iter().enumerate() {
+            let (is_done, pos, choice) = record(id);
+            assert_eq!(is_done, s.cursor.is_done(id));
+            match &node.kind {
+                NodeKind::Seq(cs) => {
+                    let pos = pos as usize;
+                    assert!(cs[..pos].iter().all(|&c| done(c)), "⊗ {id} skipped a child");
+                    assert!(cs.get(pos).is_none_or(|&c| !done(c)), "⊗ {id} lags");
+                    assert_eq!(is_done, pos == cs.len());
+                    assert_eq!(choice, NIL);
+                }
+                NodeKind::Or(cs) => {
+                    assert_eq!(pos, 0);
+                    match choice {
+                        NIL => assert!(!is_done && cs.iter().all(|&c| !done(c))),
+                        c => {
+                            assert!(cs.contains(&(c as NodeId)), "∨ {id} chose a stranger");
+                            assert_eq!(is_done, done(c as NodeId));
+                        }
+                    }
+                }
+                NodeKind::Conc(cs) => {
+                    assert_eq!((pos, choice), (0, NIL));
+                    assert_eq!(is_done, cs.iter().all(|&c| done(c)));
+                }
+                NodeKind::Iso(body) => {
+                    assert_eq!((pos, choice), (0, NIL));
+                    assert_eq!(is_done, done(*body));
+                }
+                _ => assert_eq!((pos, choice), (0, NIL)),
+            }
+        }
+        for &n in &s.cursor.trace {
+            assert!(done(n as NodeId), "traced node {n} is not done");
+        }
+        let tail = &key[p.len() * 9..];
+        let words = |bytes: &[u8]| -> Vec<u32> {
+            bytes
+                .chunks_exact(4)
+                .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+                .collect()
+        };
+        let sent: Vec<u32> = s.cursor.sent(p).collect();
+        assert!(sent.windows(2).all(|w| w[0] < w[1]), "channels ascend");
+        let locks_at = 2 + 4 * sent.len();
+        assert_eq!((tail[0], tail[locks_at - 1]), (0xFE, 0xFD));
+        assert_eq!(words(&tail[1..locks_at - 1]), sent);
+        let locks = words(&tail[locks_at..]);
+        assert_eq!(locks, s.cursor.lock);
+        assert!(locks.iter().all(|&l| s.cursor.is_locked(p, l as NodeId)));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(56))]
+
+        /// After every step of a random script — fires by node and by
+        /// name, refusals included — the cursor agrees with a replay of
+        /// the script so far on a cursor built without the template,
+        /// with the recursive eligibility walk, and with the tree; and
+        /// nothing it did shows in a sibling started from the same
+        /// program or in the template itself.
+        #[test]
+        fn compact_cursor_matches_replay_walk_and_tree(
+            seed in 0u64..10_000,
+            case in 0usize..10_000,
+            script in 0u64..u64::MAX,
+        ) {
+            let family = case % FAMILIES;
+            let goal = case_goal(seed, family);
+            let p = compile(&goal);
+            match family {
+                1 => prop_assert!(p.len() > 64),
+                2 => prop_assert!(p.len() > 128),
+                3 => prop_assert_eq!(p.layout.seq_pos, p.layout.or_choice, "no ⊗ words"),
+                4 => prop_assert_eq!(p.layout.or_choice, p.layout.evt_head, "no ∨ words"),
+                _ => {}
+            }
+            if family <= 2 {
+                prop_assert!(p.layout.seq_pos - p.layout.sent >= 2, "channel ids ≥ 64 in play");
+            }
+            let events: Vec<Symbol> = goal.events().into_iter().collect();
+
+            let sibling = Scheduler::new(&p);
+            let initial_key = sibling.state_key();
+            let initial_eligible = sibling.eligible().to_vec();
+            let mut s = Scheduler::new(&p);
+            let walked = untemplated(&p);
+            prop_assert_eq!(s.state_key(), walked.state_key());
+            prop_assert_eq!(s.eligible(), walked.eligible());
+
+            let mut rng = script;
+            let mut steps: Vec<Step> = Vec::new();
+            while !s.is_complete() && !s.eligible().is_empty() && steps.len() < 48 {
+                let step = if lcg(&mut rng).is_multiple_of(3) {
+                    Step::Event(events[lcg(&mut rng) as usize % events.len()])
+                } else {
+                    Step::Node(s.eligible()[lcg(&mut rng) as usize % s.eligible().len()].node)
+                };
+                apply(&mut s, step);
+                steps.push(step);
+
+                let mut replay = untemplated(&p);
+                for &step in &steps {
+                    apply(&mut replay, step);
+                }
+                prop_assert_eq!(s.state_key(), replay.state_key(), "after {:?} on {}", steps, goal);
+                prop_assert_eq!(s.eligible(), replay.eligible());
+                prop_assert_eq!(&s.cursor.trace, &replay.cursor.trace);
+                prop_assert_eq!(s.is_complete(), replay.is_complete());
+                let reference = s.eligible_reference();
+                prop_assert_eq!(s.eligible(), reference.as_slice(), "after {:?} on {}", steps, goal);
+                assert_key_is_coherent(&s);
+            }
+            let names: Vec<Symbol> = s.trace().filter_map(Atom::as_event).collect();
+            prop_assert_eq!(names, s.trace_names());
+
+            prop_assert_eq!(sibling.state_key(), initial_key.clone(), "sibling moved");
+            prop_assert_eq!(sibling.eligible(), initial_eligible.as_slice());
+            prop_assert_eq!(sibling.trace().len(), 0);
+            prop_assert_eq!(Scheduler::new(&p).state_key(), initial_key, "template moved");
+        }
+    }
+
+    #[test]
+    fn resident_cursor_of_the_fleet_workflow_fits_a_kibibyte() {
+        let p = compile(&layered16x2_orders());
+        let fresh = Scheduler::new(&p);
+        assert!(p.len() > 64, "multi-word bitsets ({} nodes)", p.len());
+        assert!(
+            fresh.cursor.bytes() <= 1024,
+            "{} B for {} nodes",
+            fresh.cursor.bytes(),
+            p.len()
+        );
     }
 }

@@ -1054,7 +1054,7 @@ impl Enactor {
             Vec::new()
         };
         EnactReport {
-            trace: scheduler.trace().to_vec(),
+            trace: scheduler.trace().cloned().collect(),
             completed,
             attempts: d.log,
             compensation,

@@ -184,6 +184,9 @@ pub(crate) struct DeployedTimer {
 }
 
 pub(crate) struct Deployment {
+    /// The name deployed under, shared with every instance started from
+    /// this deployment.
+    pub(crate) name: Arc<str>,
     /// The compiled goal rendered once in its concrete syntax — the
     /// exact bytes both the snapshot line and the durable deploy record
     /// use. Caching the render keeps snapshots (which compaction puts
@@ -198,7 +201,7 @@ pub(crate) struct Deployment {
 impl Deployment {
     /// Compiles a goal into a deployment, caching its rendered text and
     /// scanning its event alphabet once for timer ticks.
-    pub(crate) fn new(compiled: Goal) -> Result<Deployment, RuntimeError> {
+    pub(crate) fn new(name: &str, compiled: Goal) -> Result<Deployment, RuntimeError> {
         let program =
             Program::compile(&compiled).map_err(|e| RuntimeError::Compile(e.to_string()))?;
         let mut timers: Vec<DeployedTimer> = compiled
@@ -219,6 +222,7 @@ impl Deployment {
             .collect();
         timers.sort_by(|a, b| a.tick.as_str().cmp(b.tick.as_str()));
         Ok(Deployment {
+            name: name.into(),
             rendered: compiled.to_string(),
             program: Arc::new(program),
             timers,
@@ -263,7 +267,8 @@ pub(crate) enum TimerFired {
 /// exact same logic — the latter merely wraps each `Instance` in its own
 /// lock.
 pub(crate) struct Instance {
-    pub(crate) workflow: String,
+    /// The deployment's name ([`Deployment::name`], shared).
+    pub(crate) workflow: Arc<str>,
     pub(crate) journal: Vec<Symbol>,
     pub(crate) status: InstanceStatus,
     /// The program this instance pinned at start — also held by
@@ -280,8 +285,10 @@ pub(crate) struct Instance {
 }
 
 impl Instance {
-    /// A fresh instance of `workflow`, materializing its cursor once.
-    pub(crate) fn new(workflow: String, program: Arc<Program>) -> Instance {
+    /// A fresh instance of `deployment`: its cursor is a copy of the
+    /// program's initial one.
+    pub(crate) fn new(deployment: &Deployment) -> Instance {
+        let program = Arc::clone(&deployment.program);
         let cursor = Scheduler::new(Arc::clone(&program));
         let status = if cursor.is_complete() {
             InstanceStatus::Completed
@@ -289,7 +296,7 @@ impl Instance {
             InstanceStatus::Running
         };
         Instance {
-            workflow,
+            workflow: Arc::clone(&deployment.name),
             journal: Vec::new(),
             status,
             program,
@@ -609,29 +616,32 @@ impl Instance {
         id: InstanceId,
         store: Option<&dyn Store>,
     ) -> Result<InstanceStatus, RuntimeError> {
-        // Probe on a clone: silent advances are NOT journaled, so they
-        // must not leak into the cached cursor either — the cache always
-        // mirrors exactly what journal replay would produce. A silent
-        // *choice* is re-resolved after restore, so completion is
-        // recorded in the status instead.
-        let mut probe = self.cursor.clone();
+        if self.status == InstanceStatus::Completed {
+            return Ok(InstanceStatus::Completed);
+        }
+        // Silent steps are fired on a copy: they are NOT journaled, so
+        // they must not leak into the cached cursor either — the cache
+        // always mirrors exactly what journal replay would produce. A
+        // silent *choice* is re-resolved after restore, so completion
+        // is recorded in the status instead. The copy is made only
+        // once there is a silent step to fire.
+        let mut probe: Option<Scheduler<Arc<Program>>> = None;
         loop {
-            if probe.is_complete() {
-                if self.status != InstanceStatus::Completed {
-                    if let Some(store) = store {
-                        store
-                            .append(&Record::Complete { instance: id })
-                            .map_err(|e| RuntimeError::Store(e.to_string()))?;
-                    }
-                    self.status = InstanceStatus::Completed;
+            let at = probe.as_ref().unwrap_or(&self.cursor);
+            if at.is_complete() {
+                if let Some(store) = store {
+                    store
+                        .append(&Record::Complete { instance: id })
+                        .map_err(|e| RuntimeError::Store(e.to_string()))?;
                 }
+                self.status = InstanceStatus::Completed;
                 return Ok(InstanceStatus::Completed);
             }
-            let eligible = probe.eligible();
-            let Some(silent) = eligible.iter().find(|c| !c.observable) else {
+            let Some(silent) = at.eligible().iter().find(|c| !c.observable) else {
                 return Ok(self.status);
             };
-            probe.fire(silent.node);
+            let node = silent.node;
+            probe.get_or_insert_with(|| self.cursor.clone()).fire(node);
         }
     }
 
@@ -913,7 +923,7 @@ impl Runtime {
                 "duplicate start record for instance {id}"
             )));
         }
-        let mut instance = Instance::new(workflow.to_owned(), Arc::clone(&deployment.program));
+        let mut instance = Instance::new(deployment);
         for (name, due) in arms {
             let tick = Symbol::try_get(name).ok_or_else(|| {
                 RuntimeError::Journal(format!(
@@ -971,7 +981,7 @@ impl Runtime {
     /// running instances keep (and share, via `Arc`) the program they
     /// were started with.
     pub fn deploy_compiled(&mut self, name: &str, compiled: Goal) -> Result<(), RuntimeError> {
-        let deployment = Deployment::new(compiled)?;
+        let deployment = Deployment::new(name, compiled)?;
         if let Some(store) = &self.store {
             store
                 .append(&Record::Deploy {
@@ -1005,7 +1015,7 @@ impl Runtime {
                 .get(workflow)
                 .ok_or_else(|| RuntimeError::UnknownWorkflow(workflow.to_owned()))?,
         );
-        let mut instance = Instance::new(workflow.to_owned(), Arc::clone(&deployment.program));
+        let mut instance = Instance::new(&deployment);
         let id = self.next_id;
         if let Some(store) = &self.store {
             if !deployment.timers.is_empty() {
@@ -1075,8 +1085,8 @@ impl Runtime {
             .ok_or(RuntimeError::UnknownInstance(id))?;
         let deployment = self
             .deployments
-            .get(&inst.workflow)
-            .ok_or_else(|| RuntimeError::UnknownWorkflow(inst.workflow.clone()))?;
+            .get(&*inst.workflow)
+            .ok_or_else(|| RuntimeError::UnknownWorkflow(inst.workflow.to_string()))?;
         let replayed = inst.rebuild_cursor(Arc::clone(&deployment.program))?;
         self.replayed += replayed;
         Ok(())
@@ -1452,8 +1462,7 @@ impl Runtime {
                         "instance {id} references unknown workflow `{workflow}`"
                     )));
                 };
-                rt.instances
-                    .insert(id, Instance::new(workflow, Arc::clone(&deployment.program)));
+                rt.instances.insert(id, Instance::new(deployment));
                 rt.next_id = rt.next_id.max(id + 1);
                 // Replay through the public API so every journaled event
                 // is re-validated. This is the one place cursors are

@@ -342,7 +342,7 @@ impl SharedRuntime {
     /// list agree.
     pub fn start(&self, workflow: &str) -> Result<InstanceId, RuntimeError> {
         let deployment = self.inner.deployment(workflow)?;
-        let instance = Instance::new(workflow.to_owned(), Arc::clone(&deployment.program));
+        let instance = Instance::new(&deployment);
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
         let cell = Arc::new(Mutex::new(instance));
         let mut inst = lock(&cell);

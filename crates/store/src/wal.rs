@@ -310,8 +310,13 @@ impl WalStore {
                 let handle = std::thread::Builder::new()
                     .name("ctr-wal-syncer".to_owned())
                     .spawn(move || {
+                        // The flag is tested before every wait: `Drop`
+                        // may set it and notify while this thread is
+                        // starting up or syncing, and a notification
+                        // nobody waits for is lost — the wait would
+                        // then run its whole interval.
                         let mut stop = lock(&inner.stop);
-                        loop {
+                        while !*stop {
                             stop = wait_timeout(&inner.stop_cv, stop, interval);
                             if *stop {
                                 return;
@@ -774,6 +779,34 @@ mod tests {
             instance,
             events: events.iter().map(|s| (*s).to_owned()).collect(),
         }
+    }
+
+    /// A `Periodic` store dropped before its syncer thread first waits
+    /// (or between a pass and the next wait) must not sit out the
+    /// interval: the thread tests the stop flag before every wait.
+    #[test]
+    fn periodic_store_drops_promptly_whenever_the_syncer_is_caught() {
+        let dir = scratch("periodic-prompt-drop");
+        let options = WalOptions {
+            shards: 1,
+            durability: Durability::Periodic {
+                interval: Duration::from_secs(3600),
+            },
+            ..WalOptions::default()
+        };
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            for _ in 0..200 {
+                drop(WalStore::open_with(&dir, options).unwrap());
+            }
+            fs::remove_dir_all(&dir).ok();
+            done_tx.send(()).ok();
+        });
+        // The watchdog: a hung drop would otherwise hang the test run.
+        done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("200 open+drop cycles of a Periodic store finish within 10 s");
+        worker.join().unwrap();
     }
 
     #[test]
