@@ -17,11 +17,10 @@ use ctr::sym;
 use ctr_baselines::{explore, PassiveValidator, ProductScheduler};
 use ctr_bench::{fmt_ns, log_growth_factor, power_law_exponent, time_mean, Table};
 use ctr_engine::scheduler::{Program, Scheduler};
-use ctr_runtime::{
-    CoarseRuntime, InstanceId, InstanceStatus, Runtime, RuntimeError, SharedRuntime,
-};
+use ctr_runtime::{InstanceId, InstanceStatus, Runtime, RuntimeError, SharedRuntime};
 use ctr_workflow::{compile_modular, compile_triggers, Trigger, WorkflowSpec};
 use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 /// The host-facts row every `BENCH_*.json` table leads with: core
@@ -820,10 +819,10 @@ fn bench_exec_json(smoke: bool) {
         for &threads in threads_list {
             for coarse in [false, true] {
                 let handle: Box<dyn FleetHandle> = if coarse {
-                    let rt = CoarseRuntime::new();
+                    let mut rt = Runtime::new();
                     rt.deploy_compiled("layered", compiled.goal.clone())
                         .expect("compiles");
-                    Box::new(rt)
+                    Box::new(CoarseRuntime(Mutex::new(rt)))
                 } else {
                     let rt = SharedRuntime::new();
                     rt.deploy_compiled("layered", compiled.goal.clone())
@@ -1494,26 +1493,48 @@ trait FleetHandle: Sync {
     fn journal(&self, id: InstanceId) -> Result<Vec<String>, RuntimeError>;
 }
 
-macro_rules! impl_fleet_handle {
-    ($ty:ty) => {
-        impl FleetHandle for $ty {
-            fn start(&self, workflow: &str) -> Result<InstanceId, RuntimeError> {
-                <$ty>::start(self, workflow)
-            }
-            fn fire(&self, id: InstanceId, event: &str) -> Result<InstanceStatus, RuntimeError> {
-                <$ty>::fire(self, id, event)
-            }
-            fn try_complete(&self, id: InstanceId) -> Result<InstanceStatus, RuntimeError> {
-                <$ty>::try_complete(self, id)
-            }
-            fn journal(&self, id: InstanceId) -> Result<Vec<String>, RuntimeError> {
-                <$ty>::journal(self, id)
-            }
-        }
-    };
+impl FleetHandle for SharedRuntime {
+    fn start(&self, workflow: &str) -> Result<InstanceId, RuntimeError> {
+        SharedRuntime::start(self, workflow)
+    }
+    fn fire(&self, id: InstanceId, event: &str) -> Result<InstanceStatus, RuntimeError> {
+        SharedRuntime::fire(self, id, event)
+    }
+    fn try_complete(&self, id: InstanceId) -> Result<InstanceStatus, RuntimeError> {
+        SharedRuntime::try_complete(self, id)
+    }
+    fn journal(&self, id: InstanceId) -> Result<Vec<String>, RuntimeError> {
+        SharedRuntime::journal(self, id)
+    }
 }
-impl_fleet_handle!(SharedRuntime);
-impl_fleet_handle!(CoarseRuntime);
+
+/// The retired coarse-lock design: one `Mutex` around the whole
+/// [`Runtime`], so every client serializes even across independent
+/// instances. The measured baseline of the `fleet_mt_coarse/*` records
+/// in `BENCH_exec.json` — the sharded [`SharedRuntime`] must beat it on
+/// multi-threaded fleets, and the margin is pinned there per commit.
+struct CoarseRuntime(Mutex<Runtime>);
+
+impl CoarseRuntime {
+    fn lock(&self) -> MutexGuard<'_, Runtime> {
+        self.0.lock().expect("no client panics under the lock")
+    }
+}
+
+impl FleetHandle for CoarseRuntime {
+    fn start(&self, workflow: &str) -> Result<InstanceId, RuntimeError> {
+        self.lock().start(workflow)
+    }
+    fn fire(&self, id: InstanceId, event: &str) -> Result<InstanceStatus, RuntimeError> {
+        self.lock().fire(id, event)
+    }
+    fn try_complete(&self, id: InstanceId) -> Result<InstanceStatus, RuntimeError> {
+        self.lock().try_complete(id)
+    }
+    fn journal(&self, id: InstanceId) -> Result<Vec<String>, RuntimeError> {
+        self.lock().journal(id)
+    }
+}
 
 /// Starts `fleet` instances, splits them over `threads` client threads,
 /// and drives each through `trace`. Returns (wall time, total fires).

@@ -37,14 +37,18 @@
 //! ```
 
 pub mod enact;
+#[cfg(test)]
+mod faults;
+mod fleet;
 pub mod shared;
 pub mod stats;
 pub mod wheel;
 
 use ctr::goal::Goal;
-use ctr::timer::{parse_tick, TimerKind};
+use ctr::timer::parse_tick;
 use ctr_engine::scheduler::{Program, Scheduler};
 use ctr_store::Record;
+use fleet::TimerState;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -55,7 +59,7 @@ pub use enact::{
     AttemptOutcome, AttemptRecord, Backoff, ChoicePolicy, EnactError, EnactReport, Enactor, Fault,
     FaultPlan, Handler, RetryPolicy,
 };
-pub use shared::{CoarseRuntime, SharedRuntime};
+pub use shared::SharedRuntime;
 pub use stats::{simulate, simulate_par, Simulation};
 pub use wheel::{TimerToken, TimerWheel};
 
@@ -209,14 +213,10 @@ impl Deployment {
             .iter()
             .filter_map(|&event| {
                 let tick = parse_tick(event.as_str())?;
-                let base = match tick.kind {
-                    TimerKind::Deadline => Symbol::try_get(tick.base),
-                    TimerKind::After => None,
-                };
                 Some(DeployedTimer {
                     tick: event,
                     delay_ms: tick.delay_ms,
-                    base,
+                    base: fleet::tick_base(event.as_str()),
                 })
             })
             .collect();
@@ -252,17 +252,8 @@ pub(crate) struct ArmedTimer {
     pub(crate) base: Option<Symbol>,
 }
 
-/// Outcome of [`Instance::fire_timer`].
-pub(crate) enum TimerFired {
-    /// The tick committed as an ordinary journal event.
-    Fired,
-    /// The tick was no longer fireable — its deadline branch had been
-    /// committed away — so the expiry disarmed vacuously.
-    Vacuous,
-}
-
 /// One running instance: the journal (sole persistent state) plus the
-/// cached cursor. All per-instance operations live here so the
+/// cached cursor. Its transitions live in the `fleet` module, so the
 /// single-threaded [`Runtime`] and the sharded [`SharedRuntime`] run the
 /// exact same logic — the latter merely wraps each `Instance` in its own
 /// lock.
@@ -305,346 +296,6 @@ impl Instance {
         }
     }
 
-    /// Records a wheel-armed timer on this instance.
-    pub(crate) fn arm_timer(
-        &mut self,
-        tick: Symbol,
-        due: u64,
-        base: Option<Symbol>,
-        token: TimerToken,
-    ) {
-        self.timers.push(ArmedTimer {
-            tick,
-            due,
-            token,
-            base,
-        });
-    }
-
-    /// Removes and returns the pending timer for `tick`, if any.
-    pub(crate) fn take_timer(&mut self, tick: Symbol) -> Option<ArmedTimer> {
-        let i = self.timers.iter().position(|t| t.tick == tick)?;
-        Some(self.timers.remove(i))
-    }
-
-    /// Removes every timer settled by the journal suffix
-    /// `committed_from..` — the tick itself fired, or a deadline's base
-    /// event fired — or by completion (a completed instance has no
-    /// future), returning their wheel tokens. The caller cancels the
-    /// tokens on the wheel; split this way so [`Runtime`] and
-    /// [`SharedRuntime`] derive disarms identically under their
-    /// different locking.
-    pub(crate) fn settled_tokens(&mut self, committed_from: usize) -> Vec<TimerToken> {
-        if self.timers.is_empty() {
-            return Vec::new();
-        }
-        let mut dead: Vec<TimerToken> = Vec::new();
-        if self.status == InstanceStatus::Completed {
-            dead.extend(
-                std::mem::take(&mut self.timers)
-                    .into_iter()
-                    .map(|t| t.token),
-            );
-        } else {
-            let fired: Vec<Symbol> = self.journal[committed_from..].to_vec();
-            for sym in fired {
-                if let Some(t) = self.take_timer(sym) {
-                    dead.push(t.token);
-                }
-                while let Some(pos) = self.timers.iter().position(|t| t.base == Some(sym)) {
-                    dead.push(self.timers.remove(pos).token);
-                }
-            }
-        }
-        dead
-    }
-
-    /// Fires an expired tick as a journal event, write-ahead as
-    /// [`Record::TimerFire`] (which also restores the clock watermark
-    /// at recovery). A tick that is no longer structurally fireable —
-    /// its deadline's or-branch was committed away without the derived
-    /// disarm catching it — resolves [`TimerFired::Vacuous`], journaled
-    /// as [`Record::TimerCancel`] because the advance that discovered
-    /// it is not itself replayable. The caller has already removed the
-    /// timer from `timers`; on `Err` nothing was journaled and the
-    /// caller re-arms.
-    pub(crate) fn fire_timer(
-        &mut self,
-        id: InstanceId,
-        tick: Symbol,
-        at_ms: u64,
-        store: Option<&dyn Store>,
-    ) -> Result<TimerFired, RuntimeError> {
-        if self.status == InstanceStatus::Completed || !self.cursor.fire_event(tick) {
-            if let Some(store) = store {
-                store
-                    .append(&Record::TimerCancel {
-                        instance: id,
-                        event: tick.as_str().to_owned(),
-                    })
-                    .map_err(|e| RuntimeError::Store(e.to_string()))?;
-            }
-            return Ok(TimerFired::Vacuous);
-        }
-        if let Some(store) = store {
-            let record = Record::TimerFire {
-                instance: id,
-                event: tick.as_str().to_owned(),
-                at_ms,
-            };
-            if let Err(e) = store.append(&record) {
-                self.rebuild_cursor(Arc::clone(&self.program))?;
-                return Err(RuntimeError::Store(e.to_string()));
-            }
-        }
-        self.journal.push(tick);
-        if self.cursor.is_complete() {
-            self.status = InstanceStatus::Completed;
-        }
-        Ok(TimerFired::Fired)
-    }
-
-    /// Fires one event; see [`Runtime::fire`]. With a store attached
-    /// this is write-ahead: the event record must be durable before the
-    /// in-memory journal commits, and a failed persist rolls the cursor
-    /// back (by replaying the unchanged journal) so nothing half-fires.
-    pub(crate) fn fire(
-        &mut self,
-        id: InstanceId,
-        event: &str,
-        store: Option<&dyn Store>,
-    ) -> Result<InstanceStatus, RuntimeError> {
-        if self.status == InstanceStatus::Completed {
-            return Err(RuntimeError::AlreadyComplete(id));
-        }
-        // Non-interning lookup: event names come from clients, and a name
-        // that was never interned cannot be in any deployed program — it
-        // is rejected without permanently growing the global symbol
-        // table on behalf of unknown (possibly hostile) input.
-        let Some(symbol) = Symbol::try_get(event) else {
-            return Err(RuntimeError::NotEligible {
-                event: event.to_owned(),
-                eligible: self.eligible_names(),
-            });
-        };
-        // A failed `fire_event` leaves the cursor untouched, so the
-        // cache stays valid on the error path.
-        if !self.cursor.fire_event(symbol) {
-            return Err(RuntimeError::NotEligible {
-                event: event.to_owned(),
-                eligible: self.eligible_names(),
-            });
-        }
-        if let Some(store) = store {
-            let record = Record::Events {
-                instance: id,
-                events: vec![event.to_owned()],
-            };
-            if let Err(e) = store.append(&record) {
-                self.rebuild_cursor(Arc::clone(&self.program))?;
-                return Err(RuntimeError::Store(e.to_string()));
-            }
-        }
-        self.journal.push(symbol);
-        if self.cursor.is_complete() {
-            self.status = InstanceStatus::Completed;
-        }
-        Ok(self.status)
-    }
-
-    /// Fires a batch of events in order, stopping at the first failure;
-    /// see [`Runtime::fire_batch`]. The committed prefix reaches the
-    /// journal through a single `extend` — and, with a store attached,
-    /// a single durable append: the whole batch is one group commit
-    /// (one fsync on the WAL backend). If that append fails, the batch
-    /// commits **nothing** — the cursor is rolled back by replay, the
-    /// first event reports [`RuntimeError::Store`], and the rest are
-    /// [`FireOutcome::Skipped`]. `Err` is reserved for a rollback that
-    /// itself finds the journal unreplayable.
-    pub(crate) fn fire_batch<S: AsRef<str>>(
-        &mut self,
-        id: InstanceId,
-        events: &[S],
-        store: Option<&dyn Store>,
-    ) -> Result<Vec<FireOutcome>, RuntimeError> {
-        let status_before = self.status;
-        let mut outcomes = Vec::with_capacity(events.len());
-        let mut committed: Vec<Symbol> = Vec::with_capacity(events.len());
-        for event in events {
-            if matches!(
-                outcomes.last(),
-                Some(FireOutcome::Rejected(_) | FireOutcome::Skipped)
-            ) {
-                outcomes.push(FireOutcome::Skipped);
-                continue;
-            }
-            let event = event.as_ref();
-            if self.status == InstanceStatus::Completed {
-                outcomes.push(FireOutcome::Rejected(RuntimeError::AlreadyComplete(id)));
-                continue;
-            }
-            // Same non-interning lookup as `fire`: unknown names reject
-            // without growing the symbol table.
-            let symbol = Symbol::try_get(event).filter(|&s| self.cursor.fire_event(s));
-            let Some(symbol) = symbol else {
-                outcomes.push(FireOutcome::Rejected(RuntimeError::NotEligible {
-                    event: event.to_owned(),
-                    eligible: self.eligible_names(),
-                }));
-                continue;
-            };
-            committed.push(symbol);
-            if self.cursor.is_complete() {
-                self.status = InstanceStatus::Completed;
-            }
-            outcomes.push(FireOutcome::Fired(self.status));
-        }
-        if let Some(store) = store {
-            if !committed.is_empty() {
-                let record = Record::Events {
-                    instance: id,
-                    events: committed.iter().map(|s| s.as_str().to_owned()).collect(),
-                };
-                if let Err(e) = store.append(&record) {
-                    self.rebuild_cursor(Arc::clone(&self.program))?;
-                    self.status = status_before;
-                    let mut failed = Vec::with_capacity(events.len());
-                    failed.push(FireOutcome::Rejected(RuntimeError::Store(e.to_string())));
-                    failed.resize(events.len(), FireOutcome::Skipped);
-                    return Ok(failed);
-                }
-            }
-        }
-        self.journal.extend(committed);
-        Ok(outcomes)
-    }
-
-    /// Fires several independent *runs* (sub-batches) against this
-    /// instance, each with [`Instance::fire_batch`] semantics — a
-    /// failure stops its own run (rest [`FireOutcome::Skipped`]) but
-    /// never the following runs, exactly as if the runs had been
-    /// submitted as separate `fire_batch` calls back to back. The
-    /// difference is durability traffic: all committed events of the
-    /// whole burst reach the store through **one** append (one group
-    /// commit on the WAL backend) instead of one per run.
-    ///
-    /// The burst is consequently one commit unit: if the append fails,
-    /// *every* run rolls back (cursor rebuilt by replay, status
-    /// restored) and every run reports `Rejected(Store)` on its first
-    /// event with the rest `Skipped` — nothing was acknowledged, so no
-    /// caller can have observed the discarded prefix. `Err` is reserved
-    /// for a rollback that itself finds the journal unreplayable.
-    pub(crate) fn fire_runs<S: AsRef<str>>(
-        &mut self,
-        id: InstanceId,
-        runs: &[&[S]],
-        store: Option<&dyn Store>,
-    ) -> Result<Vec<Vec<FireOutcome>>, RuntimeError> {
-        let status_before = self.status;
-        let journal_before = self.journal.len();
-        let mut outcomes: Vec<Vec<FireOutcome>> = Vec::with_capacity(runs.len());
-        let mut committed: Vec<Symbol> = Vec::new();
-        for events in runs {
-            let mut run = Vec::with_capacity(events.len());
-            for event in *events {
-                if matches!(
-                    run.last(),
-                    Some(FireOutcome::Rejected(_) | FireOutcome::Skipped)
-                ) {
-                    run.push(FireOutcome::Skipped);
-                    continue;
-                }
-                let event = event.as_ref();
-                if self.status == InstanceStatus::Completed {
-                    run.push(FireOutcome::Rejected(RuntimeError::AlreadyComplete(id)));
-                    continue;
-                }
-                let symbol = Symbol::try_get(event).filter(|&s| self.cursor.fire_event(s));
-                let Some(symbol) = symbol else {
-                    run.push(FireOutcome::Rejected(RuntimeError::NotEligible {
-                        event: event.to_owned(),
-                        eligible: self.eligible_names(),
-                    }));
-                    continue;
-                };
-                committed.push(symbol);
-                // Later runs see the committed prefix immediately — the
-                // in-memory journal is extended run by run so a mid-burst
-                // snapshot or rollback always has the true event list.
-                self.journal.push(symbol);
-                if self.cursor.is_complete() {
-                    self.status = InstanceStatus::Completed;
-                }
-                run.push(FireOutcome::Fired(self.status));
-            }
-            outcomes.push(run);
-        }
-        if let Some(store) = store {
-            if !committed.is_empty() {
-                let record = Record::Events {
-                    instance: id,
-                    events: committed.iter().map(|s| s.as_str().to_owned()).collect(),
-                };
-                if let Err(e) = store.append(&record) {
-                    self.journal.truncate(journal_before);
-                    self.rebuild_cursor(Arc::clone(&self.program))?;
-                    self.status = status_before;
-                    let failed = runs
-                        .iter()
-                        .map(|events| {
-                            let mut run = Vec::with_capacity(events.len());
-                            if !events.is_empty() {
-                                run.push(FireOutcome::Rejected(RuntimeError::Store(e.to_string())));
-                                run.resize(events.len(), FireOutcome::Skipped);
-                            }
-                            run
-                        })
-                        .collect();
-                    return Ok(failed);
-                }
-            }
-        }
-        Ok(outcomes)
-    }
-
-    /// Probes silent completion; see [`Runtime::try_complete`]. A
-    /// silent completion is the one status change replaying the event
-    /// journal cannot reproduce, so with a store attached it persists
-    /// its own [`Record::Complete`] — durably, before the status flips.
-    pub(crate) fn try_complete(
-        &mut self,
-        id: InstanceId,
-        store: Option<&dyn Store>,
-    ) -> Result<InstanceStatus, RuntimeError> {
-        if self.status == InstanceStatus::Completed {
-            return Ok(InstanceStatus::Completed);
-        }
-        // Silent steps are fired on a copy: they are NOT journaled, so
-        // they must not leak into the cached cursor either — the cache
-        // always mirrors exactly what journal replay would produce. A
-        // silent *choice* is re-resolved after restore, so completion
-        // is recorded in the status instead. The copy is made only
-        // once there is a silent step to fire.
-        let mut probe: Option<Scheduler<Arc<Program>>> = None;
-        loop {
-            let at = probe.as_ref().unwrap_or(&self.cursor);
-            if at.is_complete() {
-                if let Some(store) = store {
-                    store
-                        .append(&Record::Complete { instance: id })
-                        .map_err(|e| RuntimeError::Store(e.to_string()))?;
-                }
-                self.status = InstanceStatus::Completed;
-                return Ok(InstanceStatus::Completed);
-            }
-            let Some(silent) = at.eligible().iter().find(|c| !c.observable) else {
-                return Ok(self.status);
-            };
-            let node = silent.node;
-            probe.get_or_insert_with(|| self.cursor.clone()).fire(node);
-        }
-    }
-
     /// Observable eligible events, deduplicated and sorted by name —
     /// allocation-free apart from the returned `Vec` (symbols resolve
     /// without copying). Timer ticks are filtered out: they fire
@@ -675,6 +326,18 @@ impl Instance {
     /// The journal as owned strings.
     pub(crate) fn journal_names(&self) -> Vec<String> {
         self.journal.iter().map(|s| s.as_str().to_owned()).collect()
+    }
+
+    /// Pending timers as `(tick event, absolute due ms)` pairs, sorted
+    /// by tick name.
+    pub(crate) fn pending_timers(&self) -> Vec<(String, u64)> {
+        let mut pending: Vec<(String, u64)> = self
+            .timers
+            .iter()
+            .map(|t| (t.tick.as_str().to_owned(), t.due))
+            .collect();
+        pending.sort();
+        pending
     }
 
     /// Appends this instance's snapshot line (shared serialization path;
@@ -795,12 +458,21 @@ pub struct Runtime {
     /// every deploy, start, fire, and silent completion is appended
     /// *before* the in-memory commit (write-ahead discipline).
     pub(crate) store: Option<Arc<dyn Store>>,
-    /// The logical clock (ms). Never ticks by itself: [`Runtime::advance`]
-    /// moves it, and recovery restores it to the latest durable expiry
-    /// watermark (`max` of replayed [`Record::TimerFire`] `at_ms`).
-    pub(crate) clock_ms: u64,
-    /// Pending timers across the fleet, keyed back to their instances.
-    pub(crate) wheel: TimerWheel<(InstanceId, Symbol)>,
+    /// Pending timers across the fleet, keyed back to their instances,
+    /// and the logical clock.
+    pub(crate) timers: TimerState,
+}
+
+/// Resolves an instance id for a mutating operation. A free function
+/// over the map, so the borrow leaves the runtime's timers and store
+/// free for the fleet core.
+fn instance_mut(
+    instances: &mut BTreeMap<InstanceId, Instance>,
+    id: InstanceId,
+) -> Result<&mut Instance, RuntimeError> {
+    instances
+        .get_mut(&id)
+        .ok_or(RuntimeError::UnknownInstance(id))
 }
 
 impl Runtime {
@@ -835,7 +507,8 @@ impl Runtime {
         };
         // Arm-before-visible buffering: a TimerArm only takes effect
         // when its Start follows. A crash between the two appends
-        // leaves an orphan arm, which simply never leaves this map.
+        // leaves an orphan arm, which either never leaves this map or
+        // meets a start that does not declare its ticks.
         let mut buffered_arms: BTreeMap<InstanceId, Vec<(String, u64)>> = BTreeMap::new();
         for record in replay.records {
             match record {
@@ -867,11 +540,16 @@ impl Runtime {
                     event,
                     at_ms,
                 } => {
-                    rt.replay_timer_fire(instance, &event, at_ms)?;
+                    let inst = rt.instances.get_mut(&instance).ok_or_else(|| {
+                        RuntimeError::Journal(format!("timer fire for unknown instance {instance}"))
+                    })?;
+                    fleet::replay_timer_fire(inst, instance, &event, at_ms, &mut rt.timers)?;
                     rt.replayed += 1;
                 }
                 Record::TimerCancel { instance, event } => {
-                    rt.replay_timer_cancel(instance, &event);
+                    if let Some(inst) = rt.instances.get_mut(&instance) {
+                        fleet::replay_timer_cancel(inst, &event, &mut rt.timers);
+                    }
                 }
                 Record::Complete { instance } => {
                     rt.try_complete(instance)?;
@@ -892,69 +570,38 @@ impl Runtime {
                 "no store attached to checkpoint into".to_owned(),
             ));
         };
-        let mut out = String::new();
-        render_snapshot(
-            self.deployments.iter().map(|(n, d)| (n, &**d)),
-            self.instances.iter().map(|(id, inst)| (*id, inst)),
-            &mut out,
-        );
         store
-            .checkpoint(&out)
+            .checkpoint(&self.snapshot())
             .map_err(|e| RuntimeError::Store(e.to_string()))
     }
 
     /// Adopts an instance under a caller-chosen id — the recovery path
     /// for durable [`Record::Start`] records, which must reproduce the
     /// exact ids clients were given before the crash. `arms` carries
-    /// the instance's buffered [`Record::TimerArm`] dues (absolute ms),
-    /// re-armed here exactly as the pre-crash start armed them.
+    /// the instance's buffered [`Record::TimerArm`] dues.
     fn adopt_instance(
         &mut self,
         id: InstanceId,
         workflow: &str,
         arms: &[(String, u64)],
     ) -> Result<(), RuntimeError> {
-        let deployment = self
-            .deployments
-            .get(workflow)
-            .ok_or_else(|| RuntimeError::UnknownWorkflow(workflow.to_owned()))?;
+        let deployment = Arc::clone(self.deployment(workflow)?);
         if self.instances.contains_key(&id) {
             return Err(RuntimeError::Journal(format!(
                 "duplicate start record for instance {id}"
             )));
         }
-        let mut instance = Instance::new(deployment);
-        for (name, due) in arms {
-            let tick = Symbol::try_get(name).ok_or_else(|| {
-                RuntimeError::Journal(format!(
-                    "arm record for instance {id} references unknown timer event `{name}`"
-                ))
-            })?;
-            let base = parse_tick(name).and_then(|t| match t.kind {
-                TimerKind::Deadline => Symbol::try_get(t.base),
-                TimerKind::After => None,
-            });
-            let token = self.wheel.arm(*due, (id, tick));
-            instance.arm_timer(tick, *due, base, token);
-        }
+        let mut instance = Instance::new(&deployment);
+        fleet::adopt(&mut instance, id, &deployment, arms, &mut self.timers);
         self.instances.insert(id, instance);
         self.next_id = self.next_id.max(id + 1);
         Ok(())
     }
 
-    /// Derived timer bookkeeping after events committed on an instance:
-    /// a deadline whose base event fired is satisfied (disarmed), a
-    /// tick that fired by any path disarms itself, and a completed
-    /// instance drains every pending timer. None of these write a
-    /// record — they are deterministic functions of the journaled
-    /// events, so replay reproduces them exactly.
-    fn settle_timers(&mut self, id: InstanceId, committed_from: usize) {
-        let Some(inst) = self.instances.get_mut(&id) else {
-            return;
-        };
-        for token in inst.settled_tokens(committed_from) {
-            self.wheel.cancel(token);
-        }
+    fn deployment(&self, workflow: &str) -> Result<&Arc<Deployment>, RuntimeError> {
+        self.deployments
+            .get(workflow)
+            .ok_or_else(|| RuntimeError::UnknownWorkflow(workflow.to_owned()))
     }
 
     /// Deploys a specification from its textual source. Compiles the
@@ -962,16 +609,8 @@ impl Runtime {
     /// specifications are rejected outright (there would be nothing to
     /// schedule).
     pub fn deploy_source(&mut self, source: &str) -> Result<String, RuntimeError> {
-        let spec =
-            ctr_parser::parse_spec(source).map_err(|e| RuntimeError::Parse(e.to_string()))?;
-        let name = spec.name.clone();
-        let compiled = spec
-            .compile()
-            .map_err(|e| RuntimeError::Compile(e.to_string()))?;
-        if !compiled.is_consistent() {
-            return Err(RuntimeError::Inconsistent(name));
-        }
-        self.deploy_compiled(&name, compiled.goal)?;
+        let (name, goal) = fleet::compile_source(source)?;
+        self.deploy_compiled(&name, goal)?;
         Ok(name)
     }
 
@@ -982,14 +621,7 @@ impl Runtime {
     /// were started with.
     pub fn deploy_compiled(&mut self, name: &str, compiled: Goal) -> Result<(), RuntimeError> {
         let deployment = Deployment::new(name, compiled)?;
-        if let Some(store) = &self.store {
-            store
-                .append(&Record::Deploy {
-                    name: name.to_owned(),
-                    goal: deployment.rendered.clone(),
-                })
-                .map_err(|e| RuntimeError::Store(e.to_string()))?;
-        }
+        fleet::persist_deploy(&deployment, self.store.as_deref())?;
         self.deployments
             .insert(name.to_owned(), Arc::new(deployment));
         Ok(())
@@ -1008,46 +640,21 @@ impl Runtime {
     /// [`Record::TimerArm`] goes to the store *before* its
     /// [`Record::Start`]. A crash between the two leaves an orphan arm,
     /// which recovery drops harmlessly; the reverse order could recover
-    /// an instance whose deadlines were silently lost.
+    /// an instance whose deadlines were silently lost. A failed persist
+    /// burns the allocated id: ids only ever need to be unique and
+    /// monotonic, and an orphan arm must not meet a later start.
     pub fn start(&mut self, workflow: &str) -> Result<InstanceId, RuntimeError> {
-        let deployment = Arc::clone(
-            self.deployments
-                .get(workflow)
-                .ok_or_else(|| RuntimeError::UnknownWorkflow(workflow.to_owned()))?,
-        );
+        let deployment = Arc::clone(self.deployment(workflow)?);
         let mut instance = Instance::new(&deployment);
         let id = self.next_id;
-        if let Some(store) = &self.store {
-            if !deployment.timers.is_empty() {
-                store
-                    .append(&Record::TimerArm {
-                        instance: id,
-                        timers: deployment
-                            .timers
-                            .iter()
-                            .map(|t| {
-                                (
-                                    t.tick.as_str().to_owned(),
-                                    self.clock_ms.saturating_add(t.delay_ms),
-                                )
-                            })
-                            .collect(),
-                    })
-                    .map_err(|e| RuntimeError::Store(e.to_string()))?;
-            }
-            store
-                .append(&Record::Start {
-                    instance: id,
-                    workflow: workflow.to_owned(),
-                })
-                .map_err(|e| RuntimeError::Store(e.to_string()))?;
-        }
-        for t in &deployment.timers {
-            let due = self.clock_ms.saturating_add(t.delay_ms);
-            let token = self.wheel.arm(due, (id, t.tick));
-            instance.arm_timer(t.tick, due, t.base, token);
-        }
-        self.next_id = id + 1;
+        self.next_id += 1;
+        fleet::start(
+            &mut instance,
+            id,
+            &deployment,
+            &mut self.timers,
+            self.store.as_deref(),
+        )?;
         self.instances.insert(id, instance);
         Ok(id)
     }
@@ -1079,10 +686,7 @@ impl Runtime {
     /// body) is a typed [`RuntimeError::Journal`] error and leaves the
     /// instance's cursor untouched.
     pub fn invalidate(&mut self, id: InstanceId) -> Result<(), RuntimeError> {
-        let inst = self
-            .instances
-            .get_mut(&id)
-            .ok_or(RuntimeError::UnknownInstance(id))?;
+        let inst = instance_mut(&mut self.instances, id)?;
         let deployment = self
             .deployments
             .get(&*inst.workflow)
@@ -1112,65 +716,54 @@ impl Runtime {
     /// compiled schedule does not allow at this stage — no run-time
     /// constraint checking, just structural eligibility. Advances the
     /// cached cursor in place: per-fire work is independent of the
-    /// journal length.
+    /// journal length. With a store attached this is write-ahead: the
+    /// event record must be durable before the in-memory journal
+    /// commits, and a failed persist rolls the cursor back (by
+    /// replaying the unchanged journal) so nothing half-fires.
     pub fn fire(&mut self, id: InstanceId, event: &str) -> Result<InstanceStatus, RuntimeError> {
-        let store = self.store.as_deref();
-        let inst = self
-            .instances
-            .get_mut(&id)
-            .ok_or(RuntimeError::UnknownInstance(id))?;
-        let before = inst.journal.len();
-        let result = inst.fire(id, event, store);
-        if result.is_ok() {
-            self.settle_timers(id, before);
-        }
-        result
+        let inst = instance_mut(&mut self.instances, id)?;
+        fleet::fire(inst, id, event, &mut self.timers, self.store.as_deref())
     }
 
     /// Fires a batch of events against one instance in order, under a
-    /// single instance resolution and a single journal extend.
+    /// single instance resolution and a single journal extend — and,
+    /// with a store attached, a single durable append: the whole batch
+    /// is one group commit (one fsync on the WAL backend).
     ///
     /// Partial-failure semantics: the batch stops at the first event that
     /// cannot fire — the committed prefix stays journaled (exactly the
     /// journal a sequence of individual [`Runtime::fire`] calls would
     /// have produced), the failing event reports
     /// [`FireOutcome::Rejected`], and the remaining events report
-    /// [`FireOutcome::Skipped`] untried. Returns one [`FireOutcome`] per
-    /// input event; `Err` only when the instance id itself is unknown.
+    /// [`FireOutcome::Skipped`] untried. If the store append fails the
+    /// batch commits **nothing**: the first event reports
+    /// [`RuntimeError::Store`] and the rest are skipped. Returns one
+    /// [`FireOutcome`] per input event; `Err` only when the instance id
+    /// itself is unknown.
     pub fn fire_batch<S: AsRef<str>>(
         &mut self,
         id: InstanceId,
         events: &[S],
     ) -> Result<Vec<FireOutcome>, RuntimeError> {
-        let store = self.store.as_deref();
-        let inst = self
-            .instances
-            .get_mut(&id)
-            .ok_or(RuntimeError::UnknownInstance(id))?;
-        let before = inst.journal.len();
-        let result = inst.fire_batch(id, events, store);
-        if result.is_ok() {
-            self.settle_timers(id, before);
-        }
-        result
+        let inst = instance_mut(&mut self.instances, id)?;
+        let mut outcomes = Vec::with_capacity(events.len());
+        fleet::fire_burst(
+            inst,
+            id,
+            fleet::one_run(events),
+            &mut outcomes,
+            &mut self.timers,
+            self.store.as_deref(),
+        )?;
+        Ok(outcomes)
     }
 
     /// Tries to finish an instance through silent steps only (committing
     /// `∨`-branches made of bookkeeping, e.g. an optional tail that was
     /// compiled away). Returns the resulting status.
     pub fn try_complete(&mut self, id: InstanceId) -> Result<InstanceStatus, RuntimeError> {
-        let store = self.store.as_deref();
-        let inst = self
-            .instances
-            .get_mut(&id)
-            .ok_or(RuntimeError::UnknownInstance(id))?;
-        let result = inst.try_complete(id, store);
-        if matches!(result, Ok(InstanceStatus::Completed)) {
-            // A completed instance has no future: drain its timers.
-            let len = self.instances.get(&id).map_or(0, |inst| inst.journal.len());
-            self.settle_timers(id, len);
-        }
-        result
+        let inst = instance_mut(&mut self.instances, id)?;
+        fleet::try_complete(inst, id, &mut self.timers, self.store.as_deref())
     }
 
     // --- Timers -------------------------------------------------------------
@@ -1179,31 +772,24 @@ impl Runtime {
     /// only through [`Runtime::advance`] — the runtime has no wall
     /// clock of its own, which keeps expiry deterministic under test.
     pub fn clock_ms(&self) -> u64 {
-        self.clock_ms
+        self.timers.clock_ms
     }
 
     /// Pending timers of an instance as `(tick event, absolute due ms)`
     /// pairs, sorted by tick name.
     pub fn pending_timers(&self, id: InstanceId) -> Result<Vec<(String, u64)>, RuntimeError> {
-        let inst = self.instance(id)?;
-        let mut out: Vec<(String, u64)> = inst
-            .timers
-            .iter()
-            .map(|t| (t.tick.as_str().to_owned(), t.due))
-            .collect();
-        out.sort();
-        Ok(out)
+        Ok(self.instance(id)?.pending_timers())
     }
 
     /// Total pending timers across the fleet — O(1) from the wheel.
     pub fn pending_timer_count(&self) -> usize {
-        self.wheel.len()
+        self.timers.wheel.len()
     }
 
     /// The earliest pending due across all instances, as a lower bound
     /// usable for sleeping; `None` when nothing is armed.
     pub fn next_timer_due(&self) -> Option<u64> {
-        self.wheel.next_due()
+        self.timers.wheel.next_due()
     }
 
     /// Advances the logical clock to `to_ms`, expiring every timer due
@@ -1215,64 +801,21 @@ impl Runtime {
     /// at or past `to_ms` is left alone. Returns the `(instance, tick)`
     /// pairs that fired.
     ///
-    /// On a store error the failed expiry is re-armed untouched and the
-    /// clock still reflects the timers already processed — a later
-    /// advance retries exactly the unfired tail.
+    /// On a store error the failed expiry and everything due after it
+    /// are re-armed untouched — a later advance retries exactly the
+    /// unfired tail.
     pub fn advance(&mut self, to_ms: u64) -> Result<Vec<(InstanceId, String)>, RuntimeError> {
-        let mut due_now = self.wheel.advance_to(to_ms);
-        // Wheel order is (due, arm order); re-sort ties by (instance,
-        // tick name) so expiry order is independent of arm history
-        // (snapshot restore re-arms in sorted order, replay in journal
-        // order — the fleet must expire identically either way).
-        due_now.sort_by(|a, b| (a.0, a.1 .0, a.1 .1.as_str()).cmp(&(b.0, b.1 .0, b.1 .1.as_str())));
-        let mut out = Vec::new();
-        for i in 0..due_now.len() {
-            let (due, (id, tick)) = due_now[i];
-            let store = self.store.as_deref();
-            let Some(inst) = self.instances.get_mut(&id) else {
-                continue;
-            };
-            let Some(armed) = inst.take_timer(tick) else {
-                continue; // disarmed earlier in this same batch
-            };
-            let before = inst.journal.len();
-            match inst.fire_timer(id, tick, due, store) {
-                Ok(TimerFired::Fired) => {
-                    out.push((id, tick.as_str().to_owned()));
-                    self.settle_timers(id, before);
+        let instances = &mut self.instances;
+        fleet::advance(
+            to_ms,
+            &mut self.timers,
+            self.store.as_deref(),
+            |id, expire| {
+                if let Some(inst) = instances.get_mut(&id) {
+                    expire(inst);
                 }
-                Ok(TimerFired::Vacuous) => {}
-                Err(e) => {
-                    // Re-arm the failed expiry *and* the rest of the
-                    // popped batch: the wheel no longer holds any of
-                    // them, and their instance entries carry dead
-                    // tokens — without this the unfired tail would
-                    // silently never expire.
-                    let token = self.wheel.arm(armed.due, (id, tick));
-                    self.instances
-                        .get_mut(&id)
-                        .expect("instance still exists")
-                        .arm_timer(tick, armed.due, armed.base, token);
-                    for &(_, (id2, tick2)) in &due_now[i + 1..] {
-                        let Some(inst) = self.instances.get_mut(&id2) else {
-                            continue;
-                        };
-                        let Some(armed2) = inst.take_timer(tick2) else {
-                            continue;
-                        };
-                        let token = self.wheel.arm(armed2.due, (id2, tick2));
-                        self.instances
-                            .get_mut(&id2)
-                            .expect("instance still exists")
-                            .arm_timer(tick2, armed2.due, armed2.base, token);
-                    }
-                    self.clock_ms = self.clock_ms.max(self.wheel.now());
-                    return Err(e);
-                }
-            }
-        }
-        self.clock_ms = self.clock_ms.max(to_ms);
-        Ok(out)
+            },
+        )
     }
 
     /// Explicitly disarms a pending timer by its tick event name,
@@ -1281,83 +824,8 @@ impl Runtime {
     /// cancel is not reproducible from the event journal, so it must be
     /// its own record.
     pub fn cancel_timer(&mut self, id: InstanceId, event: &str) -> Result<(), RuntimeError> {
-        let inst = self
-            .instances
-            .get_mut(&id)
-            .ok_or(RuntimeError::UnknownInstance(id))?;
-        let Some(tick) =
-            Symbol::try_get(event).filter(|s| inst.timers.iter().any(|t| t.tick == *s))
-        else {
-            return Err(RuntimeError::UnknownTimer {
-                instance: id,
-                event: event.to_owned(),
-            });
-        };
-        if let Some(store) = &self.store {
-            store
-                .append(&Record::TimerCancel {
-                    instance: id,
-                    event: event.to_owned(),
-                })
-                .map_err(|e| RuntimeError::Store(e.to_string()))?;
-        }
-        let armed = self
-            .instances
-            .get_mut(&id)
-            .expect("checked above")
-            .take_timer(tick)
-            .expect("checked pending above");
-        self.wheel.cancel(armed.token);
-        Ok(())
-    }
-
-    /// Replays a durable [`Record::TimerFire`]: restores the clock
-    /// watermark and fires the tick exactly as the pre-crash advance
-    /// did.
-    fn replay_timer_fire(
-        &mut self,
-        id: InstanceId,
-        event: &str,
-        at_ms: u64,
-    ) -> Result<(), RuntimeError> {
-        self.clock_ms = self.clock_ms.max(at_ms);
-        let tick = Symbol::try_get(event).ok_or_else(|| {
-            RuntimeError::Journal(format!(
-                "timer fire for instance {id} references unknown event `{event}`"
-            ))
-        })?;
-        let inst = self.instances.get_mut(&id).ok_or_else(|| {
-            RuntimeError::Journal(format!("timer fire for unknown instance {id}"))
-        })?;
-        if let Some(armed) = inst.take_timer(tick) {
-            self.wheel.cancel(armed.token);
-        }
-        let inst = self.instances.get_mut(&id).expect("checked above");
-        let before = inst.journal.len();
-        match inst.fire_timer(id, tick, at_ms, None)? {
-            TimerFired::Fired => {
-                self.settle_timers(id, before);
-                Ok(())
-            }
-            TimerFired::Vacuous => Err(RuntimeError::Journal(format!(
-                "instance {id}: replaying timer fire `{event}`: not eligible"
-            ))),
-        }
-    }
-
-    /// Replays a durable [`Record::TimerCancel`]. Lenient about an
-    /// already-absent timer: the record may follow a derived disarm the
-    /// event replay has reproduced on its own.
-    fn replay_timer_cancel(&mut self, id: InstanceId, event: &str) {
-        let Some(tick) = Symbol::try_get(event) else {
-            return;
-        };
-        let Some(inst) = self.instances.get_mut(&id) else {
-            return;
-        };
-        if let Some(armed) = inst.take_timer(tick) {
-            self.wheel.cancel(armed.token);
-        }
+        let inst = instance_mut(&mut self.instances, id)?;
+        fleet::cancel_timer(inst, id, event, &mut self.timers, self.store.as_deref())
     }
 
     /// Enacts a deployed workflow with the given [`Enactor`]: dispatches
@@ -1375,11 +843,7 @@ impl Runtime {
     /// [`Runtime::start`] an instance and [`Runtime::fire_batch`] the
     /// report's `completed` events, which the runtime then re-validates.
     pub fn enact(&self, workflow: &str, enactor: &Enactor) -> Result<EnactReport, RuntimeError> {
-        let deployment = self
-            .deployments
-            .get(workflow)
-            .ok_or_else(|| RuntimeError::UnknownWorkflow(workflow.to_owned()))?;
-        Ok(enactor.run_report(&deployment.program))
+        Ok(enactor.run_report(&self.deployment(workflow)?.program))
     }
 
     /// The journal of fired events.
@@ -1500,12 +964,7 @@ impl Runtime {
                 let tick = Symbol::try_get(name).ok_or_else(|| {
                     RuntimeError::Snapshot(format!("timer line references unknown event `{name}`"))
                 })?;
-                let base = parse_tick(name).and_then(|t| match t.kind {
-                    TimerKind::Deadline => Symbol::try_get(t.base),
-                    TimerKind::After => None,
-                });
-                let token = rt.wheel.arm(due, (id, tick));
-                inst.arm_timer(tick, due, base, token);
+                fleet::arm(inst, id, tick, due, fleet::tick_base(name), &mut rt.timers);
             } else {
                 return Err(RuntimeError::Snapshot(format!("unrecognized line: {line}")));
             }

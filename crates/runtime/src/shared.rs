@@ -1,60 +1,74 @@
-//! Thread-safe handles over the runtime, for services where many clients
-//! report events concurrently.
+//! The thread-safe handle over the runtime, for services where many
+//! clients report events concurrently.
 //!
 //! [`SharedRuntime`] is **sharded**: a fleet of independent workflow
 //! instances is exactly the workload the paper's compiled scheduler makes
 //! cheap per instance, so the service layer must not re-serialize it
-//! behind one lock. The state splits three ways:
+//! behind one lock. The state splits four ways:
 //!
 //! * a **read-mostly deployment registry** behind an [`RwLock`] — deploys
 //!   are rare, `start`/`fire` are hot, and readers only clone an `Arc`;
 //! * an **instance table striped across [`SHARD_COUNT`] shards** keyed by
 //!   `InstanceId`, each shard a small map behind its own [`Mutex`];
 //! * **per-instance state behind its own lock**, so two clients firing
-//!   events on *different* instances never contend.
+//!   events on *different* instances never contend;
+//! * the **timer wheel and logical clock** behind one mutex.
 //!
-//! The single-instance atomicity guarantee of the coarse-lock design is
-//! preserved *per instance*: eligibility check and journal append happen
-//! under that instance's lock, so of two clients racing to fire
-//! mutually-exclusive branch events exactly one wins and the loser gets
+//! This module is a *holder*: it resolves ids and takes locks, and hands
+//! the `&mut Instance` it locked, the timer mutex and the store to the
+//! `fleet` module, which owns every transition and its write-ahead
+//! ordering (and is the same code [`Runtime`] runs single-threaded).
+//! The single-instance atomicity guarantee is *per instance*:
+//! eligibility check and journal append happen under that instance's
+//! lock, so of two clients racing to fire mutually-exclusive branch
+//! events exactly one wins and the loser gets
 //! [`RuntimeError::NotEligible`] with the post-commit alternatives.
 //!
 //! ## Lock order
 //!
 //! `registry < shard[0] < … < shard[SHARD_COUNT−1] < instance locks <
-//! timer state`. The timer wheel and logical clock live behind one
-//! dedicated mutex at the *bottom* of the order: every fire path may
-//! take it briefly while holding an instance lock (derived disarms),
-//! while [`SharedRuntime::advance`] pops the expired batch under the
-//! timer lock **alone** and only then takes instance locks one at a
-//! time — so expiry never holds the wheel against the fleet.
-//! Operations on one instance take its shard lock only to resolve the id
-//! (releasing it before the instance lock); [`SharedRuntime::snapshot`]
-//! takes *every* shard lock in ascending index order and then every
-//! instance lock, freezing the fleet for a consistent point-in-time cut.
+//! timer state < the store's own stripe locks`. The store's locks are
+//! only ever taken inside a [`Store`] call, never around one. The timer
+//! mutex is taken by the core alone, for a few instructions at a time
+//! (read the clock, arm, cancel, pop the expired batch), never across a
+//! store append and never while another lock is being waited for.
+//!
+//! | operation | locks, in order | held across its append |
+//! |---|---|---|
+//! | `deploy_*` | registry (write) | registry (write) |
+//! | `start` | registry (read, released), shard, timer (brief, twice) | destination shard |
+//! | `fire`, `fire_batch`, `try_complete`, `cancel_timer` | shard (lookup, released), instance, timer (brief, only if a timer settles) | instance |
+//! | `fire_many`, `fire_runs` | each referenced shard once, ascending, one at a time; then each referenced instance, one at a time | instance |
+//! | `advance` | timer alone (pop the batch); then per expiry shard (lookup, released), instance, timer (brief); timer (move the clock) | instance |
+//! | `snapshot`, `checkpoint` | registry (read), every shard ascending, every instance — all held to the end | — (the freeze) |
+//!
 //! No path ever waits on the registry or a shard lock while holding an
 //! instance lock, so the order is acyclic. (This matters for more than
 //! tidiness: `RwLock` readers can queue behind a waiting writer, so a
 //! registry read taken under an instance lock could deadlock against
 //! `snapshot` + a pending deploy. `invalidate` therefore resolves the
-//! deployment *between* instance-lock critical sections.) Snapshot output is **byte-identical** to
-//! [`Runtime::snapshot`] on the same logical state — both serialize
-//! through the same per-deployment/per-instance code.
+//! deployment *between* instance-lock critical sections.)
 //!
-//! With a store attached, the store's own stripe locks sit strictly
-//! *below* every runtime lock (they are only ever taken inside a
-//! [`Store`] call, never around one), and each durable **control-record
-//! append rides inside the lock that publishes its effect**: deploy
-//! records under the registry write lock, start records under the
-//! destination shard lock, event/complete records under the instance
-//! lock. That discipline is what makes [`SharedRuntime::checkpoint`]'s
-//! freeze a true cut — holding the registry read lock, every shard
-//! lock, and every instance lock excludes every in-flight control
-//! append, so no record can take a sequence number below the checkpoint
-//! cut while the state it describes is still invisible to the snapshot.
-//! (Without it, a start could append its record, the checkpoint could
-//! truncate that record behind a snapshot that misses the instance, and
-//! recovery would fail on the instance's surviving event records.)
+//! Each durable **control-record append rides inside the lock that
+//! publishes its effect** (last column). That discipline is what makes
+//! [`SharedRuntime::checkpoint`]'s freeze a true cut — holding the
+//! registry read lock, every shard lock, and every instance lock
+//! excludes every in-flight control append, so no record can take a
+//! sequence number below the checkpoint cut while the state it
+//! describes is still invisible to the snapshot. (Without it, a start
+//! could append its record, the checkpoint could truncate that record
+//! behind a snapshot that misses the instance, and recovery would fail
+//! on the instance's surviving event records.)
+//!
+//! A started instance is inserted into its shard only after its wheel
+//! entries and its own timer list agree, still under the shard lock: an
+//! [`SharedRuntime::advance`] that already popped one of its timers
+//! waits on that shard lock for the lookup and then finds the instance
+//! complete with the timer it is about to fire.
+//!
+//! Snapshot output is **byte-identical** to [`Runtime::snapshot`] on the
+//! same logical state — both serialize through the same
+//! per-deployment/per-instance code.
 //!
 //! ## Durability policy and blocking
 //!
@@ -86,20 +100,16 @@
 //! mid-operation either completed its journal append or left it
 //! untouched, so the inner state is always valid. The symbol interner
 //! follows the same discipline (see `ctr::symbol`).
-//!
-//! [`CoarseRuntime`] is the retired single-`Mutex` design, kept (and kept
-//! correct) as the measured baseline for the `fleet_mt` benchmark family
-//! in `BENCH_exec.json`.
 
+use crate::fleet::{self, TimerState, Timers};
 use crate::render_snapshot;
-use crate::wheel::TimerWheel;
-use crate::TimerFired;
 use crate::{Deployment, FireOutcome, Instance, InstanceId, InstanceStatus, Runtime, RuntimeError};
 use ctr::symbol::Symbol;
 use ctr_store::Store;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
 
 /// Number of stripes in the instance table. Ids are assigned round-robin
 /// (`id % SHARD_COUNT`), so load spreads evenly; a power of two keeps the
@@ -112,17 +122,18 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// The timer state behind the bottom-of-order mutex: locked for the
+/// duration of one closure of the core's, and no longer.
+impl Timers for &Mutex<TimerState> {
+    fn with<R>(&mut self, f: impl FnOnce(&mut TimerState) -> R) -> R {
+        f(&mut lock(self))
+    }
+}
+
 type InstanceCell = Arc<Mutex<Instance>>;
 
-/// The fleet's timer wheel and logical clock, one mutex at the bottom
-/// of the lock order (see module docs). Entries key back to their
-/// instances; each instance's `timers` list holds the mirror entry and
-/// is the per-instance source of truth — a wheel pop whose instance
-/// entry is already gone is a stale expiry and is skipped.
-#[derive(Default)]
-struct TimerState {
-    wheel: TimerWheel<(InstanceId, Symbol)>,
-    clock_ms: u64,
+fn shard_of(id: InstanceId) -> usize {
+    (id % SHARD_COUNT as u64) as usize
 }
 
 /// One stripe of the instance table.
@@ -174,28 +185,25 @@ impl Default for Inner {
 
 impl Inner {
     fn shard(&self, id: InstanceId) -> &Shard {
-        &self.shards[(id % SHARD_COUNT as u64) as usize]
+        &self.shards[shard_of(id)]
     }
 
-    /// Resolves an id to its instance cell. Holds the shard lock only for
-    /// the lookup: callers then lock the instance itself, so operations
-    /// on different instances proceed in parallel.
-    fn instance(&self, id: InstanceId) -> Result<InstanceCell, RuntimeError> {
-        lock(&self.shard(id).instances)
-            .get(&id)
-            .cloned()
-            .ok_or(RuntimeError::UnknownInstance(id))
+    fn registry(&self) -> RwLockReadGuard<'_, BTreeMap<String, Arc<Deployment>>> {
+        self.registry.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn deployment(&self, workflow: &str) -> Result<Arc<Deployment>, RuntimeError> {
-        self.registry
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
+        self.registry()
             .get(workflow)
             .cloned()
             .ok_or_else(|| RuntimeError::UnknownWorkflow(workflow.to_owned()))
     }
 }
+
+/// One instance's share of a burst: its id, its cell (`None` if the id
+/// is unknown) and where its input positions sit in the position list
+/// [`SharedRuntime::resolve`] returns alongside.
+type Group = (InstanceId, Option<InstanceCell>, Range<usize>);
 
 impl SharedRuntime {
     /// Wraps an empty runtime.
@@ -210,12 +218,9 @@ impl SharedRuntime {
         let shared = SharedRuntime {
             inner: Arc::new(Inner {
                 store: rt.store,
-                // The wheel moves over whole: instance timer tokens
-                // stay valid against its slab.
-                timers: Mutex::new(TimerState {
-                    wheel: rt.wheel,
-                    clock_ms: rt.clock_ms,
-                }),
+                // The timer state moves over whole: instance timer
+                // tokens stay valid against the wheel's slab.
+                timers: Mutex::new(rt.timers),
                 ..Inner::default()
             }),
         };
@@ -251,145 +256,93 @@ impl SharedRuntime {
         Ok(SharedRuntime::from_runtime(Runtime::open(store)?))
     }
 
-    /// See [`Runtime::deploy_source`]. Parsing and compilation run
-    /// outside any lock; the registry write lock covers the durable
-    /// deploy append *and* the insert, so the record is durable before
-    /// the registry exposes the deployment — and a fleet frozen under
-    /// the registry read lock ([`SharedRuntime::checkpoint`]) has no
-    /// in-flight deploy whose record could predate the checkpoint cut
-    /// yet miss its snapshot.
+    /// The attached store, if any (`stats.rs` surfaces its counters as
+    /// [`crate::StoreStats`]).
+    pub(crate) fn store(&self) -> Option<&dyn Store> {
+        self.inner.store.as_deref()
+    }
+
+    /// The timer mutex, as the core takes it.
+    fn timers(&self) -> &Mutex<TimerState> {
+        &self.inner.timers
+    }
+
+    /// Lookup and locking for one instance: runs `f` under the
+    /// instance's own lock. The shard lock is held only to resolve the
+    /// id and released before the instance lock is taken, so operations
+    /// on different instances proceed in parallel.
+    fn with_instance<R>(
+        &self,
+        id: InstanceId,
+        f: impl FnOnce(&mut Instance) -> R,
+    ) -> Result<R, RuntimeError> {
+        let cell = lock(&self.inner.shard(id).instances).get(&id).cloned();
+        let cell = cell.ok_or(RuntimeError::UnknownInstance(id))?;
+        let mut inst = lock(&cell);
+        Ok(f(&mut inst))
+    }
+
+    /// See [`Runtime::deploy_source`]; parsing and compilation run
+    /// outside any lock (see [`SharedRuntime::deploy_compiled`]).
     pub fn deploy_source(&self, source: &str) -> Result<String, RuntimeError> {
-        let mut staging = Runtime::new();
-        let name = staging.deploy_source(source)?;
-        let deployment = staging.deployments.remove(&name).expect("just deployed");
-        let mut registry = self
-            .inner
-            .registry
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        self.persist_deploy(&name, &deployment)?;
-        registry.insert(name.clone(), deployment);
+        let (name, goal) = fleet::compile_source(source)?;
+        self.deploy_compiled(&name, goal)?;
         Ok(name)
     }
 
     /// See [`Runtime::deploy_compiled`]. Compilation runs outside any
-    /// lock; append + insert share the registry write lock (see
-    /// [`SharedRuntime::deploy_source`]). Running instances keep the
-    /// program they started with.
+    /// lock; the registry write lock covers the durable deploy append
+    /// *and* the insert, so the record is durable before the registry
+    /// exposes the deployment — and a fleet frozen under the registry
+    /// read lock ([`SharedRuntime::checkpoint`]) has no in-flight deploy
+    /// whose record could predate the checkpoint cut yet miss its
+    /// snapshot. Running instances keep the program they started with.
     pub fn deploy_compiled(
         &self,
         name: &str,
         compiled: ctr::goal::Goal,
     ) -> Result<(), RuntimeError> {
-        let mut staging = Runtime::new();
-        staging.deploy_compiled(name, compiled)?;
-        let deployment = staging.deployments.remove(name).expect("just deployed");
+        let deployment = Arc::new(Deployment::new(name, compiled)?);
         let mut registry = self
             .inner
             .registry
             .write()
             .unwrap_or_else(PoisonError::into_inner);
-        self.persist_deploy(name, &deployment)?;
+        fleet::persist_deploy(&deployment, self.store())?;
         registry.insert(name.to_owned(), deployment);
-        Ok(())
-    }
-
-    /// Write-ahead append of a deploy record (no-op without a store).
-    /// The staging runtime above is store-less on purpose: the record is
-    /// appended exactly once, here — and always with the registry write
-    /// lock held, see [`SharedRuntime::deploy_source`].
-    fn persist_deploy(&self, name: &str, deployment: &Deployment) -> Result<(), RuntimeError> {
-        if let Some(store) = &self.inner.store {
-            store
-                .append(&ctr_store::Record::Deploy {
-                    name: name.to_owned(),
-                    goal: deployment.rendered.clone(),
-                })
-                .map_err(|e| RuntimeError::Store(e.to_string()))?;
-        }
         Ok(())
     }
 
     /// Deployed workflow names.
     pub fn workflows(&self) -> Vec<String> {
-        self.inner
-            .registry
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .keys()
-            .cloned()
-            .collect()
+        self.inner.registry().keys().cloned().collect()
     }
 
     /// See [`Runtime::start`]. Takes the registry read lock (shared with
-    /// other starters) and one shard lock covering the durable start
-    /// append *and* the insert. With a store attached the start record
-    /// is durable before the instance becomes visible — so any event
-    /// subsequently fired on it lands in the log strictly after its
-    /// start (same stripe, later sequence number) — and, because the
-    /// append happens *under the destination shard's lock*, a fleet
-    /// frozen by [`SharedRuntime::checkpoint`] (which holds every shard
-    /// lock) has no in-flight start whose record could predate the
-    /// checkpoint cut yet miss its snapshot. A failed persist burns the
-    /// allocated id, which is harmless: ids only ever need to be unique
-    /// and monotonic.
-    /// Timers declared by the deployment are armed with arm-before-
-    /// visible discipline: the [`ctr_store::Record::TimerArm`] record
-    /// (absolute dues off one clock read) precedes the start record,
-    /// and the instance cell is **locked before it is published** — no
-    /// client, and no concurrent [`SharedRuntime::advance`], can
-    /// observe the instance until its wheel entries and its own timer
-    /// list agree.
+    /// other starters) and one shard lock covering the durable appends,
+    /// the arming of the instance's timers *and* the insert. With a
+    /// store attached the start record is durable before the instance
+    /// becomes visible — so any event subsequently fired on it lands in
+    /// the log strictly after its start (same stripe, later sequence
+    /// number) — and, because the appends happen *under the destination
+    /// shard's lock*, a fleet frozen by [`SharedRuntime::checkpoint`]
+    /// (which holds every shard lock) has no in-flight start whose
+    /// record could predate the checkpoint cut yet miss its snapshot. A
+    /// failed persist burns the allocated id, which is harmless: ids
+    /// only ever need to be unique and monotonic.
     pub fn start(&self, workflow: &str) -> Result<InstanceId, RuntimeError> {
         let deployment = self.inner.deployment(workflow)?;
-        let instance = Instance::new(&deployment);
+        let mut instance = Instance::new(&deployment);
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let cell = Arc::new(Mutex::new(instance));
-        let mut inst = lock(&cell);
-        // One clock read fixes the absolute dues: the durable record
-        // and the in-memory arms below must agree byte for byte even if
-        // an advance moves the clock in between.
-        let dues: Vec<u64> = if deployment.timers.is_empty() {
-            Vec::new()
-        } else {
-            let clock = lock(&self.inner.timers).clock_ms;
-            deployment
-                .timers
-                .iter()
-                .map(|t| clock.saturating_add(t.delay_ms))
-                .collect()
-        };
         let mut shard = lock(&self.inner.shard(id).instances);
-        if let Some(store) = &self.inner.store {
-            if !deployment.timers.is_empty() {
-                store
-                    .append(&ctr_store::Record::TimerArm {
-                        instance: id,
-                        timers: deployment
-                            .timers
-                            .iter()
-                            .zip(&dues)
-                            .map(|(t, &due)| (t.tick.as_str().to_owned(), due))
-                            .collect(),
-                    })
-                    .map_err(|e| RuntimeError::Store(e.to_string()))?;
-            }
-            store
-                .append(&ctr_store::Record::Start {
-                    instance: id,
-                    workflow: workflow.to_owned(),
-                })
-                .map_err(|e| RuntimeError::Store(e.to_string()))?;
-        }
-        shard.insert(id, Arc::clone(&cell));
-        drop(shard);
-        if !deployment.timers.is_empty() {
-            let mut ts = lock(&self.inner.timers);
-            for (t, &due) in deployment.timers.iter().zip(&dues) {
-                let token = ts.wheel.arm(due, (id, t.tick));
-                inst.arm_timer(t.tick, due, t.base, token);
-            }
-        }
+        fleet::start(
+            &mut instance,
+            id,
+            &deployment,
+            &mut self.timers(),
+            self.store(),
+        )?;
+        shard.insert(id, Arc::new(Mutex::new(instance)));
         Ok(id)
     }
 
@@ -403,31 +356,12 @@ impl SharedRuntime {
         ids
     }
 
-    /// Cancels the wheel entries of timers settled by the journal
-    /// suffix `committed_from..` (or by completion). Called with the
-    /// instance lock held — the timer lock sits below it in the order.
-    fn settle(&self, inst: &mut Instance, committed_from: usize) {
-        let dead = inst.settled_tokens(committed_from);
-        if dead.is_empty() {
-            return;
-        }
-        let mut ts = lock(&self.inner.timers);
-        for token in dead {
-            ts.wheel.cancel(token);
-        }
-    }
-
     /// See [`Runtime::fire`] — atomic with respect to other clients *of
     /// this instance*; clients of other instances proceed concurrently.
     pub fn fire(&self, id: InstanceId, event: &str) -> Result<InstanceStatus, RuntimeError> {
-        let cell = self.inner.instance(id)?;
-        let mut inst = lock(&cell);
-        let before = inst.journal.len();
-        let result = inst.fire(id, event, self.inner.store.as_deref());
-        if result.is_ok() {
-            self.settle(&mut inst, before);
-        }
-        result
+        self.with_instance(id, |inst| {
+            fleet::fire(inst, id, event, &mut self.timers(), self.store())
+        })?
     }
 
     /// See [`Runtime::fire_batch`]: fires a batch of events against one
@@ -442,14 +376,76 @@ impl SharedRuntime {
         id: InstanceId,
         events: &[S],
     ) -> Result<Vec<FireOutcome>, RuntimeError> {
-        let cell = self.inner.instance(id)?;
-        let mut inst = lock(&cell);
-        let before = inst.journal.len();
-        let outcomes = inst.fire_batch(id, events, self.inner.store.as_deref());
-        if outcomes.is_ok() {
-            self.settle(&mut inst, before);
+        let mut outcomes = Vec::with_capacity(events.len());
+        self.with_instance(id, |inst| {
+            let run = fleet::one_run(events);
+            fleet::fire_burst(
+                inst,
+                id,
+                run,
+                &mut outcomes,
+                &mut self.timers(),
+                self.store(),
+            )
+        })??;
+        Ok(outcomes)
+    }
+
+    /// Groups a burst's input positions — position `i` addresses
+    /// instance `id_at(i)` — by instance and resolves each instance's
+    /// cell: the one grouping under [`SharedRuntime::fire_many`] and
+    /// [`SharedRuntime::fire_runs`]. Returns the positions arranged so
+    /// that each instance's are contiguous and in input order, and one
+    /// [`Group`] per instance in first-appearance order, so
+    /// cross-instance progress stays deterministic.
+    ///
+    /// Shard locks are taken one at a time in ascending index order,
+    /// each released before the next, one acquisition per *referenced
+    /// shard* rather than one per position; no instance lock is taken.
+    fn resolve(&self, n: usize, id_at: impl Fn(usize) -> InstanceId) -> (Vec<usize>, Vec<Group>) {
+        let mut positions: Vec<usize> = (0..n).collect();
+        positions.sort_unstable_by_key(|&i| (shard_of(id_at(i)), id_at(i), i));
+        let mut groups: Vec<Group> = Vec::new();
+        let mut at = 0;
+        for in_shard in positions.chunk_by(|&a, &b| shard_of(id_at(a)) == shard_of(id_at(b))) {
+            let shard = lock(&self.inner.shard(id_at(in_shard[0])).instances);
+            for of_instance in in_shard.chunk_by(|&a, &b| id_at(a) == id_at(b)) {
+                let id = id_at(of_instance[0]);
+                groups.push((id, shard.get(&id).cloned(), at..at + of_instance.len()));
+                at += of_instance.len();
+            }
         }
-        outcomes
+        groups.sort_unstable_by_key(|(_, _, range)| positions[range.start]);
+        (positions, groups)
+    }
+
+    /// One instance's share of a burst that addresses many, fired under
+    /// one acquisition of its lock (see `fleet::fire_burst`); `out`,
+    /// empty on entry, receives one outcome per event. A group that
+    /// cannot be tried at all — the id is unknown, or a rollback found
+    /// the journal unreplayable — fails alone: every one of its runs
+    /// rejects its first event with the reason and skips the rest,
+    /// exactly as back-to-back submissions against that instance would,
+    /// and the other groups proceed.
+    fn fire_group<'a>(
+        &self,
+        id: InstanceId,
+        cell: Option<&InstanceCell>,
+        events: impl Iterator<Item = (bool, &'a str)> + Clone,
+        out: &mut Vec<FireOutcome>,
+    ) {
+        let tried = match cell {
+            Some(cell) => {
+                let mut inst = lock(cell);
+                let timers = &mut self.timers();
+                fleet::fire_burst(&mut inst, id, events.clone(), out, timers, self.store())
+            }
+            None => Err(RuntimeError::UnknownInstance(id)),
+        };
+        if let Err(e) = tried {
+            out.clear();
+            fleet::reject_runs(events, &e, out);
+        }
     }
 
     /// Fires a mixed batch of `(instance, event)` pairs, amortizing lock
@@ -470,143 +466,23 @@ impl SharedRuntime {
     /// ascending index order (each released before the next), and
     /// instance locks one at a time after all shard locks are released.
     pub fn fire_many<S: AsRef<str>>(&self, batch: &[(InstanceId, S)]) -> Vec<FireOutcome> {
-        // Fast path: a batch whose instance ids are pairwise distinct
-        // (the common interleaved-arrival shape — one event per instance
-        // per batch) needs none of the grouping bookkeeping below. Its
-        // per-instance runs are singletons, so per-instance order is
-        // input order, and a plain `fire` per pair under the same
-        // shard-by-shard resolution gives identical outcomes while
-        // skipping the order/group/cell maps whose allocations used to
-        // make these batches *trail* sequential fires.
-        let mut sorted_ids: Vec<InstanceId> = batch.iter().map(|(id, _)| *id).collect();
-        sorted_ids.sort_unstable();
-        if sorted_ids.windows(2).all(|w| w[0] != w[1]) {
-            return self.fire_many_singletons(batch);
-        }
-        drop(sorted_ids);
-        // Group event positions per instance, keeping first-appearance
-        // order so cross-instance progress stays deterministic.
-        let mut order: Vec<InstanceId> = Vec::new();
-        let mut groups: BTreeMap<InstanceId, Vec<usize>> = BTreeMap::new();
-        for (i, (id, _)) in batch.iter().enumerate() {
-            groups
-                .entry(*id)
-                .or_insert_with(|| {
-                    order.push(*id);
-                    Vec::new()
-                })
-                .push(i);
-        }
-        // Resolve cells shard by shard: one lock per referenced shard.
-        let mut by_shard: [Vec<InstanceId>; SHARD_COUNT] = std::array::from_fn(|_| Vec::new());
-        for &id in groups.keys() {
-            by_shard[(id % SHARD_COUNT as u64) as usize].push(id);
-        }
-        let mut cells: BTreeMap<InstanceId, Option<InstanceCell>> = BTreeMap::new();
-        for (s, ids) in by_shard.iter().enumerate() {
-            if ids.is_empty() {
-                continue;
-            }
-            let shard = lock(&self.inner.shards[s].instances);
-            for &id in ids {
-                cells.insert(id, shard.get(&id).cloned());
-            }
-        }
-        // Fire per instance: one instance-lock acquisition each, events
-        // spliced back to their input positions.
-        let mut outcomes: Vec<Option<FireOutcome>> = vec![None; batch.len()];
-        let mut events: Vec<&str> = Vec::new();
-        for id in order {
-            let positions = &groups[&id];
-            match &cells[&id] {
-                None => {
-                    let mut first = true;
-                    for &i in positions {
-                        outcomes[i] = Some(if std::mem::take(&mut first) {
-                            FireOutcome::Rejected(RuntimeError::UnknownInstance(id))
-                        } else {
-                            FireOutcome::Skipped
-                        });
-                    }
-                }
-                Some(cell) => {
-                    events.clear();
-                    events.extend(positions.iter().map(|&i| batch[i].1.as_ref()));
-                    let mut inst = lock(cell);
-                    let before = inst.journal.len();
-                    let result = inst.fire_batch(id, &events, self.inner.store.as_deref());
-                    if result.is_ok() {
-                        self.settle(&mut inst, before);
-                    }
-                    drop(inst);
-                    match result {
-                        Ok(per) => {
-                            for (&i, outcome) in positions.iter().zip(per) {
-                                outcomes[i] = Some(outcome);
-                            }
-                        }
-                        // The rollback itself failed (unreplayable
-                        // journal): surface it on this instance's first
-                        // position, skip the rest, and leave the other
-                        // instances' sub-batches to proceed.
-                        Err(e) => {
-                            let mut first = Some(e);
-                            for &i in positions {
-                                outcomes[i] = Some(match first.take() {
-                                    Some(e) => FireOutcome::Rejected(e),
-                                    None => FireOutcome::Skipped,
-                                });
-                            }
-                        }
-                    }
-                }
+        let (positions, groups) = self.resolve(batch.len(), |i| batch[i].0);
+        let mut outcomes = vec![FireOutcome::Skipped; batch.len()];
+        let mut fired = Vec::new();
+        for (id, cell, range) in groups {
+            // An instance's pairs are one run, spliced back to their
+            // input positions.
+            let positions = &positions[range];
+            let events = positions
+                .iter()
+                .enumerate()
+                .map(|(k, &i)| (k == 0, batch[i].1.as_ref()));
+            self.fire_group(id, cell.as_ref(), events, &mut fired);
+            for (&i, outcome) in positions.iter().zip(fired.drain(..)) {
+                outcomes[i] = outcome;
             }
         }
         outcomes
-            .into_iter()
-            .map(|o| o.expect("every position resolved"))
-            .collect()
-    }
-
-    /// [`SharedRuntime::fire_many`] for batches with pairwise-distinct
-    /// ids: shard-by-shard cell resolution (ascending, one lock per
-    /// referenced shard — same lock order as the general path), then one
-    /// plain `fire` per pair in input order. No grouping maps: the only
-    /// allocations are the flat position/cell vectors.
-    fn fire_many_singletons<S: AsRef<str>>(&self, batch: &[(InstanceId, S)]) -> Vec<FireOutcome> {
-        let mut by_shard: [Vec<usize>; SHARD_COUNT] = std::array::from_fn(|_| Vec::new());
-        for (i, (id, _)) in batch.iter().enumerate() {
-            by_shard[(id % SHARD_COUNT as u64) as usize].push(i);
-        }
-        let mut cells: Vec<Option<InstanceCell>> = Vec::new();
-        cells.resize_with(batch.len(), || None);
-        for (s, positions) in by_shard.iter().enumerate() {
-            if positions.is_empty() {
-                continue;
-            }
-            let shard = lock(&self.inner.shards[s].instances);
-            for &i in positions {
-                cells[i] = shard.get(&batch[i].0).cloned();
-            }
-        }
-        batch
-            .iter()
-            .zip(&cells)
-            .map(|((id, event), cell)| match cell {
-                None => FireOutcome::Rejected(RuntimeError::UnknownInstance(*id)),
-                Some(cell) => {
-                    let mut inst = lock(cell);
-                    let before = inst.journal.len();
-                    match inst.fire(*id, event.as_ref(), self.inner.store.as_deref()) {
-                        Ok(status) => {
-                            self.settle(&mut inst, before);
-                            FireOutcome::Fired(status)
-                        }
-                        Err(e) => FireOutcome::Rejected(e),
-                    }
-                }
-            })
-            .collect()
     }
 
     /// Fires a burst of independent *runs* — `(instance, events)`
@@ -625,191 +501,63 @@ impl SharedRuntime {
     /// into a wider failure domain (except store-append failure, where
     /// the burst is one commit unit and nothing is acknowledged).
     ///
-    /// Returns one outcome vector per input run, in input positions. An
-    /// unknown instance rejects the first event of its first run and
-    /// skips everything else addressed to it. Lock order is the
+    /// Returns one outcome vector per input run, in input positions.
+    /// Every run against an unknown instance rejects its own first
+    /// event and skips the rest. Lock order is the
     /// [`SharedRuntime::fire_many`] order: shard locks one at a time
     /// ascending, then instance locks one at a time.
     pub fn fire_runs<S: AsRef<str>>(&self, runs: &[(InstanceId, &[S])]) -> Vec<Vec<FireOutcome>> {
-        // Group run positions per instance, first-appearance order.
-        let mut order: Vec<InstanceId> = Vec::new();
-        let mut groups: BTreeMap<InstanceId, Vec<usize>> = BTreeMap::new();
-        for (i, (id, _)) in runs.iter().enumerate() {
-            groups
-                .entry(*id)
-                .or_insert_with(|| {
-                    order.push(*id);
-                    Vec::new()
-                })
-                .push(i);
-        }
-        // Resolve cells shard by shard, ascending.
-        let mut by_shard: [Vec<InstanceId>; SHARD_COUNT] = std::array::from_fn(|_| Vec::new());
-        for &id in groups.keys() {
-            by_shard[(id % SHARD_COUNT as u64) as usize].push(id);
-        }
-        let mut cells: BTreeMap<InstanceId, Option<InstanceCell>> = BTreeMap::new();
-        for (s, ids) in by_shard.iter().enumerate() {
-            if ids.is_empty() {
-                continue;
-            }
-            let shard = lock(&self.inner.shards[s].instances);
-            for &id in ids {
-                cells.insert(id, shard.get(&id).cloned());
-            }
-        }
-        let mut outcomes: Vec<Option<Vec<FireOutcome>>> = Vec::new();
-        outcomes.resize_with(runs.len(), || None);
-        for id in order {
-            let positions = &groups[&id];
-            match &cells[&id] {
-                None => {
-                    // Each run is a separate logical request: every one
-                    // rejects its first event, exactly as back-to-back
-                    // submissions against the unknown id would.
-                    for &i in positions {
-                        let events = runs[i].1;
-                        let mut run = Vec::with_capacity(events.len());
-                        if !events.is_empty() {
-                            run.push(FireOutcome::Rejected(RuntimeError::UnknownInstance(id)));
-                        }
-                        run.resize(events.len(), FireOutcome::Skipped);
-                        outcomes[i] = Some(run);
-                    }
-                }
-                Some(cell) => {
-                    let instance_runs: Vec<&[S]> = positions.iter().map(|&i| runs[i].1).collect();
-                    let mut inst = lock(cell);
-                    let before = inst.journal.len();
-                    let result = inst.fire_runs(id, &instance_runs, self.inner.store.as_deref());
-                    if result.is_ok() {
-                        self.settle(&mut inst, before);
-                    }
-                    drop(inst);
-                    match result {
-                        Ok(per_run) => {
-                            for (&i, run) in positions.iter().zip(per_run) {
-                                outcomes[i] = Some(run);
-                            }
-                        }
-                        // Rollback itself failed (unreplayable journal):
-                        // surface it on the first event of the first
-                        // run, skip everything else for this instance.
-                        Err(e) => {
-                            let mut first = Some(e);
-                            for &i in positions {
-                                let events = runs[i].1;
-                                let mut run = Vec::with_capacity(events.len());
-                                if !events.is_empty() {
-                                    if let Some(e) = first.take() {
-                                        run.push(FireOutcome::Rejected(e));
-                                    }
-                                }
-                                run.resize(events.len(), FireOutcome::Skipped);
-                                outcomes[i] = Some(run);
-                            }
-                        }
-                    }
-                }
+        let (positions, groups) = self.resolve(runs.len(), |i| runs[i].0);
+        let mut outcomes: Vec<Vec<FireOutcome>> = Vec::new();
+        outcomes.resize_with(runs.len(), Vec::new);
+        let mut fired = Vec::new();
+        for (id, cell, range) in groups {
+            let positions = &positions[range];
+            let events = positions.iter().flat_map(|&i| fleet::one_run(runs[i].1));
+            self.fire_group(id, cell.as_ref(), events, &mut fired);
+            for &i in positions {
+                outcomes[i] = fired.drain(..runs[i].1.len()).collect();
             }
         }
         outcomes
-            .into_iter()
-            .map(|o| o.expect("every run resolved"))
-            .collect()
     }
 
     // --- Timers -------------------------------------------------------------
 
     /// See [`Runtime::clock_ms`].
     pub fn clock_ms(&self) -> u64 {
-        lock(&self.inner.timers).clock_ms
+        lock(self.timers()).clock_ms
     }
 
     /// See [`Runtime::pending_timers`] — reads only the instance's own
     /// timer list, under its lock.
     pub fn pending_timers(&self, id: InstanceId) -> Result<Vec<(String, u64)>, RuntimeError> {
-        let cell = self.inner.instance(id)?;
-        let inst = lock(&cell);
-        let mut out: Vec<(String, u64)> = inst
-            .timers
-            .iter()
-            .map(|t| (t.tick.as_str().to_owned(), t.due))
-            .collect();
-        out.sort();
-        Ok(out)
+        self.with_instance(id, |inst| inst.pending_timers())
     }
 
     /// See [`Runtime::pending_timer_count`].
     pub fn pending_timer_count(&self) -> usize {
-        lock(&self.inner.timers).wheel.len()
+        lock(self.timers()).wheel.len()
     }
 
     /// See [`Runtime::next_timer_due`].
     pub fn next_timer_due(&self) -> Option<u64> {
-        lock(&self.inner.timers).wheel.next_due()
+        lock(self.timers()).wheel.next_due()
     }
 
     /// See [`Runtime::advance`] — same deterministic `(due, instance,
     /// tick)` expiry order and write-ahead discipline. The expired
-    /// batch is popped (and the clock moved) under the timer lock
-    /// alone; each expiry then fires under its own instance lock, so a
-    /// fleet-wide advance never serializes unrelated client fires. A
+    /// batch is popped under the timer lock alone; each expiry then
+    /// fires under its own instance lock, so a fleet-wide advance never
+    /// serializes unrelated client fires, and the clock moves last. A
     /// timer a client disarmed between pop and fire is skipped — the
-    /// instance's own list is the source of truth, and `take_timer`
-    /// under the instance lock makes each expiry exactly-once.
+    /// instance's own list is the source of truth, and taking the timer
+    /// off it under the instance lock makes each expiry exactly-once.
     pub fn advance(&self, to_ms: u64) -> Result<Vec<(InstanceId, String)>, RuntimeError> {
-        let mut due_now = {
-            let mut ts = lock(&self.inner.timers);
-            let batch = ts.wheel.advance_to(to_ms);
-            ts.clock_ms = ts.clock_ms.max(to_ms);
-            batch
-        };
-        due_now.sort_by(|a, b| (a.0, a.1 .0, a.1 .1.as_str()).cmp(&(b.0, b.1 .0, b.1 .1.as_str())));
-        let mut out = Vec::new();
-        for i in 0..due_now.len() {
-            let (due, (id, tick)) = due_now[i];
-            let Ok(cell) = self.inner.instance(id) else {
-                continue;
-            };
-            let mut inst = lock(&cell);
-            let Some(armed) = inst.take_timer(tick) else {
-                continue; // disarmed concurrently, or earlier in this batch
-            };
-            let before = inst.journal.len();
-            match inst.fire_timer(id, tick, due, self.inner.store.as_deref()) {
-                Ok(TimerFired::Fired) => {
-                    out.push((id, tick.as_str().to_owned()));
-                    self.settle(&mut inst, before);
-                }
-                Ok(TimerFired::Vacuous) => {}
-                Err(e) => {
-                    // Re-arm the failed expiry and the rest of the
-                    // popped batch (their wheel entries are gone and
-                    // their instance tokens dead); a later advance
-                    // retries exactly the unfired tail.
-                    {
-                        let mut ts = lock(&self.inner.timers);
-                        let token = ts.wheel.arm(armed.due, (id, tick));
-                        inst.arm_timer(tick, armed.due, armed.base, token);
-                    }
-                    drop(inst);
-                    for &(_, (id2, tick2)) in &due_now[i + 1..] {
-                        let Ok(cell2) = self.inner.instance(id2) else {
-                            continue;
-                        };
-                        let mut inst2 = lock(&cell2);
-                        if let Some(armed2) = inst2.take_timer(tick2) {
-                            let mut ts = lock(&self.inner.timers);
-                            let token = ts.wheel.arm(armed2.due, (id2, tick2));
-                            inst2.arm_timer(tick2, armed2.due, armed2.base, token);
-                        }
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok(out)
+        fleet::advance(to_ms, &mut self.timers(), self.store(), |id, expire| {
+            // An instance that is gone takes its timers with it.
+            let _ = self.with_instance(id, expire);
+        })
     }
 
     /// See [`Runtime::cancel_timer`] — the write-ahead
@@ -817,58 +565,32 @@ impl SharedRuntime {
     /// instance lock, so a checkpoint freeze excludes it like any other
     /// control record.
     pub fn cancel_timer(&self, id: InstanceId, event: &str) -> Result<(), RuntimeError> {
-        let cell = self.inner.instance(id)?;
-        let mut inst = lock(&cell);
-        let Some(tick) =
-            Symbol::try_get(event).filter(|s| inst.timers.iter().any(|t| t.tick == *s))
-        else {
-            return Err(RuntimeError::UnknownTimer {
-                instance: id,
-                event: event.to_owned(),
-            });
-        };
-        if let Some(store) = &self.inner.store {
-            store
-                .append(&ctr_store::Record::TimerCancel {
-                    instance: id,
-                    event: event.to_owned(),
-                })
-                .map_err(|e| RuntimeError::Store(e.to_string()))?;
-        }
-        let armed = inst.take_timer(tick).expect("checked pending above");
-        lock(&self.inner.timers).wheel.cancel(armed.token);
-        Ok(())
+        self.with_instance(id, |inst| {
+            fleet::cancel_timer(inst, id, event, &mut self.timers(), self.store())
+        })?
     }
 
     /// See [`Runtime::eligible`]. The answer is a snapshot: another
     /// client may commit a branch before you act on it — `fire` remains
     /// the arbiter.
     pub fn eligible(&self, id: InstanceId) -> Result<Vec<String>, RuntimeError> {
-        let cell = self.inner.instance(id)?;
-        let names = lock(&cell).eligible_names();
-        Ok(names)
+        self.with_instance(id, |inst| inst.eligible_names())
     }
 
     /// See [`Runtime::eligible_symbols`] — the allocation-free probe for
     /// hot polling loops.
     pub fn eligible_symbols(&self, id: InstanceId) -> Result<Vec<Symbol>, RuntimeError> {
-        let cell = self.inner.instance(id)?;
-        let events = lock(&cell).eligible_symbols();
-        Ok(events)
+        self.with_instance(id, |inst| inst.eligible_symbols())
     }
 
     /// See [`Runtime::journal`].
     pub fn journal(&self, id: InstanceId) -> Result<Vec<String>, RuntimeError> {
-        let cell = self.inner.instance(id)?;
-        let journal = lock(&cell).journal_names();
-        Ok(journal)
+        self.with_instance(id, |inst| inst.journal_names())
     }
 
     /// See [`Runtime::status`].
     pub fn status(&self, id: InstanceId) -> Result<InstanceStatus, RuntimeError> {
-        let cell = self.inner.instance(id)?;
-        let status = lock(&cell).status;
-        Ok(status)
+        self.with_instance(id, |inst| inst.status)
     }
 
     /// See [`Runtime::is_complete`].
@@ -878,14 +600,9 @@ impl SharedRuntime {
 
     /// See [`Runtime::try_complete`].
     pub fn try_complete(&self, id: InstanceId) -> Result<InstanceStatus, RuntimeError> {
-        let cell = self.inner.instance(id)?;
-        let mut inst = lock(&cell);
-        let status = inst.try_complete(id, self.inner.store.as_deref());
-        if matches!(status, Ok(InstanceStatus::Completed)) {
-            let len = inst.journal.len();
-            self.settle(&mut inst, len);
-        }
-        status
+        self.with_instance(id, |inst| {
+            fleet::try_complete(inst, id, &mut self.timers(), self.store())
+        })?
     }
 
     /// See [`Runtime::enact`]. The deployment `Arc` is resolved under a
@@ -913,10 +630,9 @@ impl SharedRuntime {
     /// a TOCTOU; events fired by other clients in the gap are simply part
     /// of the journal the rebuild replays.
     pub fn invalidate(&self, id: InstanceId) -> Result<(), RuntimeError> {
-        let cell = self.inner.instance(id)?;
-        let workflow = lock(&cell).workflow.clone();
-        let deployment = self.inner.deployment(&workflow)?;
-        let replayed = lock(&cell).rebuild_cursor(Arc::clone(&deployment.program))?;
+        let workflow = self.with_instance(id, |inst| inst.workflow.clone())?;
+        let program = Arc::clone(&self.inner.deployment(&workflow)?.program);
+        let replayed = self.with_instance(id, |inst| inst.rebuild_cursor(program))??;
         self.inner.replayed.fetch_add(replayed, Ordering::Relaxed);
         Ok(())
     }
@@ -945,7 +661,7 @@ impl SharedRuntime {
     /// the log truncation and be lost to both. Errors if no store is
     /// attached.
     pub fn checkpoint(&self) -> Result<(), RuntimeError> {
-        let store = self.inner.store.clone().ok_or_else(|| {
+        let store = self.store().ok_or_else(|| {
             RuntimeError::Store("no store attached to checkpoint into".to_owned())
         })?;
         self.frozen_snapshot(|snapshot| {
@@ -955,23 +671,13 @@ impl SharedRuntime {
         })
     }
 
-    /// The attached store, if any (crate-internal: `stats.rs` surfaces
-    /// its counters as [`crate::StoreStats`]).
-    pub(crate) fn store(&self) -> Option<&Arc<dyn Store>> {
-        self.inner.store.as_ref()
-    }
-
     /// Freezes the fleet (registry read lock, every shard lock in
     /// ascending index order, then every instance lock), renders the
     /// snapshot text, and runs `consume` on it *before* releasing
     /// anything — the shared underpinning of [`SharedRuntime::snapshot`]
     /// and [`SharedRuntime::checkpoint`].
     fn frozen_snapshot<R>(&self, consume: impl FnOnce(String) -> R) -> R {
-        let registry = self
-            .inner
-            .registry
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
+        let registry = self.inner.registry();
         let shard_guards: Vec<MutexGuard<'_, BTreeMap<InstanceId, InstanceCell>>> = self
             .inner
             .shards
@@ -999,90 +705,10 @@ impl SharedRuntime {
     }
 }
 
-/// The retired coarse-lock handle: one `Mutex` around the whole
-/// [`Runtime`], so every client serializes even across independent
-/// instances.
-///
-/// Kept as the measured baseline for the `fleet_mt/*` records in
-/// `BENCH_exec.json` — the sharded [`SharedRuntime`] must beat this on
-/// multi-threaded fleets, and the margin is pinned there per commit. Not
-/// deprecated for single-client embedding, but services should use
-/// [`SharedRuntime`].
-#[derive(Clone, Default)]
-pub struct CoarseRuntime {
-    inner: Arc<Mutex<Runtime>>,
-}
-
-impl CoarseRuntime {
-    /// Wraps an empty runtime.
-    pub fn new() -> CoarseRuntime {
-        CoarseRuntime::default()
-    }
-
-    /// Wraps an existing runtime.
-    pub fn from_runtime(rt: Runtime) -> CoarseRuntime {
-        CoarseRuntime {
-            inner: Arc::new(Mutex::new(rt)),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, Runtime> {
-        lock(&self.inner)
-    }
-
-    /// See [`Runtime::deploy_source`].
-    pub fn deploy_source(&self, source: &str) -> Result<String, RuntimeError> {
-        self.lock().deploy_source(source)
-    }
-
-    /// See [`Runtime::deploy_compiled`].
-    pub fn deploy_compiled(
-        &self,
-        name: &str,
-        compiled: ctr::goal::Goal,
-    ) -> Result<(), RuntimeError> {
-        self.lock().deploy_compiled(name, compiled)
-    }
-
-    /// See [`Runtime::start`].
-    pub fn start(&self, workflow: &str) -> Result<InstanceId, RuntimeError> {
-        self.lock().start(workflow)
-    }
-
-    /// See [`Runtime::fire`] — atomic with respect to other clients.
-    pub fn fire(&self, id: InstanceId, event: &str) -> Result<InstanceStatus, RuntimeError> {
-        self.lock().fire(id, event)
-    }
-
-    /// See [`Runtime::eligible`].
-    pub fn eligible(&self, id: InstanceId) -> Result<Vec<String>, RuntimeError> {
-        self.lock().eligible(id)
-    }
-
-    /// See [`Runtime::journal`].
-    pub fn journal(&self, id: InstanceId) -> Result<Vec<String>, RuntimeError> {
-        self.lock().journal(id)
-    }
-
-    /// See [`Runtime::status`].
-    pub fn status(&self, id: InstanceId) -> Result<InstanceStatus, RuntimeError> {
-        self.lock().status(id)
-    }
-
-    /// See [`Runtime::try_complete`].
-    pub fn try_complete(&self, id: InstanceId) -> Result<InstanceStatus, RuntimeError> {
-        self.lock().try_complete(id)
-    }
-
-    /// See [`Runtime::snapshot`].
-    pub fn snapshot(&self) -> String {
-        self.lock().snapshot()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultyStore;
 
     const PAY: &str = "workflow pay { graph invoice * (approve + reject) * file; }";
 
@@ -1096,7 +722,6 @@ mod tests {
     fn handles_are_send_sync_and_cloneable() {
         fn assert_send_sync<T: Send + Sync + Clone>() {}
         assert_send_sync::<SharedRuntime>();
-        assert_send_sync::<CoarseRuntime>();
     }
 
     #[test]
@@ -1341,25 +966,6 @@ mod tests {
     }
 
     #[test]
-    fn coarse_runtime_still_works() {
-        // The baseline keeps full semantics: races serialize globally.
-        let rt = CoarseRuntime::new();
-        rt.deploy_source(PAY).unwrap();
-        let id = rt.start("pay").unwrap();
-        rt.fire(id, "invoice").unwrap();
-        let (a, b) = (rt.clone(), rt.clone());
-        let ta = std::thread::spawn(move || a.fire(id, "approve").is_ok());
-        let tb = std::thread::spawn(move || b.fire(id, "reject").is_ok());
-        assert!(ta.join().unwrap() ^ tb.join().unwrap());
-        rt.fire(id, "file").unwrap();
-        assert_eq!(rt.status(id).unwrap(), InstanceStatus::Completed);
-        assert_eq!(
-            rt.snapshot(),
-            SharedRuntime::restore(&rt.snapshot()).unwrap().snapshot()
-        );
-    }
-
-    #[test]
     fn shared_fire_batch_matches_runtime_fire_batch() {
         let shared = shared_pay();
         let mut plain = Runtime::new();
@@ -1550,33 +1156,6 @@ mod tests {
         // The grouped appends replay to the same fleet.
         let recovered = SharedRuntime::open(store).unwrap();
         assert_eq!(recovered.snapshot(), rt.snapshot());
-    }
-
-    /// A store that fails every append once `fail` is set — the
-    /// burst-rollback probe.
-    struct FaultyStore {
-        inner: ctr_store::MemStore,
-        fail: std::sync::atomic::AtomicBool,
-    }
-
-    impl Store for FaultyStore {
-        fn append(&self, record: &ctr_store::Record) -> Result<(), ctr_store::StoreError> {
-            if self.fail.load(Ordering::Relaxed) {
-                return Err(ctr_store::StoreError::Io(
-                    "injected append failure".to_owned(),
-                ));
-            }
-            self.inner.append(record)
-        }
-        fn replay(&self) -> Result<ctr_store::Replay, ctr_store::StoreError> {
-            self.inner.replay()
-        }
-        fn checkpoint(&self, snapshot: &str) -> Result<(), ctr_store::StoreError> {
-            self.inner.checkpoint(snapshot)
-        }
-        fn stats(&self) -> ctr_store::StoreStats {
-            self.inner.stats()
-        }
     }
 
     #[test]
