@@ -8,9 +8,9 @@
 //! this so the JSON generation paths cannot silently rot.
 
 use ctr::analysis::compile;
-use ctr::apply::apply;
+use ctr::apply::{apply, apply_with, Parallelism};
 use ctr::constraints::Constraint;
-use ctr::excise::excise;
+use ctr::excise::{excise, excise_with_diagnostics_par};
 use ctr::gen;
 use ctr::goal::Goal;
 use ctr::sym;
@@ -613,7 +613,11 @@ fn a1_ablation() {
 ///
 /// One record per workload: the E1 linearity family (layered workflow,
 /// klein_chain(3)) and the E2 excise family, with apply and excise wall
-/// times measured separately.
+/// times measured separately, all sequential; then the same compile under
+/// `apply_par/{never,auto}` on a chain that stays below the fan-out floor
+/// and one whose last constraints cross it, so what `Parallelism::Auto`
+/// buys or costs on this host (the `num_cpus` of the host row) is a pair
+/// of rows.
 fn bench_compile_json(smoke: bool) {
     struct Record {
         name: String,
@@ -625,11 +629,11 @@ fn bench_compile_json(smoke: bool) {
     }
 
     let mut records = Vec::new();
-    let mut measure = |name: String, goal: &Goal, constraints: &[Constraint]| {
+    let mut measure = |name: String, goal: &Goal, constraints: &[Constraint], par: Parallelism| {
         let reps = if goal.size() > 2_000 { 3 } else { 10 };
-        let t_apply = time_mean(reps, || apply(constraints, goal));
-        let applied = apply(constraints, goal);
-        let t_excise = time_mean(reps, || excise(&applied));
+        let t_apply = time_mean(reps, || apply_with(constraints, goal, par));
+        let applied = apply_with(constraints, goal, par);
+        let t_excise = time_mean(reps, || excise_with_diagnostics_par(&applied, par));
         records.push(Record {
             name,
             goal_size: goal.size(),
@@ -647,6 +651,7 @@ fn bench_compile_json(smoke: bool) {
             format!("e1_apply_size/layers{layers}_klein3"),
             &goal,
             &gen::klein_chain(3),
+            Parallelism::Never,
         );
     }
     let e2_shapes: &[(usize, usize)] = if smoke {
@@ -660,7 +665,24 @@ fn bench_compile_json(smoke: bool) {
             format!("e2_excise_linear/layers{layers}_klein{n}"),
             &goal,
             &gen::klein_chain(n),
+            Parallelism::Never,
         );
+    }
+    let par_shapes: &[(usize, usize)] = if smoke {
+        &[(8, 3)]
+    } else {
+        &[(32, 3), (32, 5)]
+    };
+    for &(layers, n) in par_shapes {
+        let goal = gen::layered_workflow(layers, 2);
+        for (mode, par) in [("never", Parallelism::Never), ("auto", Parallelism::Auto)] {
+            measure(
+                format!("apply_par/{mode}/layers{layers}_klein{n}"),
+                &goal,
+                &gen::klein_chain(n),
+                par,
+            );
+        }
     }
 
     let rows: Vec<String> = records

@@ -62,9 +62,13 @@ pub enum Parallelism {
     Always,
 }
 
-/// Estimated-work floor (goal nodes × independent tasks) above which
-/// `Parallelism::Auto` fans out.
-const PAR_WORK_THRESHOLD: usize = 1 << 10;
+/// Estimated work (goal nodes × independent tasks) each worker thread must
+/// get before `Parallelism::Auto` fans out: ten times what starting the
+/// worker costs. Spawning and joining a scoped thread takes ≈ 12 µs, and
+/// a rewrite visits a node of its input in 6 ns (`Apply` down a Klein
+/// chain, `apply_par/*` in `BENCH_compile.json`) to 30 ns (`Excise`), so
+/// at the cheaper rate 120 µs is 20 000 node·tasks.
+const PAR_WORKER_FLOOR: usize = 20_000;
 
 /// CPUs this process may run on, read once: the query walks the affinity
 /// mask and the cgroup quota files, too slow to repeat per compile.
@@ -78,16 +82,17 @@ impl Parallelism {
     /// an input of `size` units. Shared by every consumer of the knob (the
     /// compiler's disjunct fan-out, `Excise`'s branch fan-out, the
     /// runtime's Monte-Carlo sampler) so "how much work justifies threads"
-    /// is decided in one place. On a single CPU `Auto` never fans out:
-    /// threads there only add spawn and switch cost.
+    /// is decided in one place: each of them deals its tasks to at most
+    /// one worker per CPU, and `Auto` fans out when every worker's share
+    /// reaches the floor. On a single CPU it never does: threads there
+    /// only add spawn and switch cost.
     pub fn fan_out(self, size: usize, tasks: usize) -> bool {
         match self {
             Parallelism::Never => false,
             Parallelism::Always => tasks > 1,
             Parallelism::Auto => {
-                tasks > 1
-                    && size.saturating_mul(tasks) >= PAR_WORK_THRESHOLD
-                    && available_cpus() > 1
+                let workers = tasks.min(available_cpus());
+                workers > 1 && size.saturating_mul(tasks) / workers >= PAR_WORKER_FLOOR
             }
         }
     }
@@ -207,34 +212,61 @@ fn order_budget(conj: &Conjunct) -> u32 {
         .count() as u32
 }
 
-/// Rebuilds an n-ary node from new children through the node's own smart
-/// constructor.
-fn rebuild(node: &Goal, children: Vec<Goal>) -> Goal {
+/// The `⊗`/`|` node `node` with its `i`-th child replaced by `new`: one
+/// child vector, which the node's constructor keeps as it is unless `new`
+/// is a unit or the same connective and has to be flattened in.
+fn splice(node: &Goal, children: &[Goal], i: usize, new: Goal) -> Goal {
+    let spliced = (children[..i].iter().cloned())
+        .chain(std::iter::once(new))
+        .chain(children[i + 1..].iter().cloned())
+        .collect();
     match node {
-        Goal::Seq(_) => seq(children),
-        Goal::Conc(_) => conc(children),
-        Goal::Or(_) => or(children),
-        other => unreachable!("`{other}` is not an n-ary node"),
+        Goal::Seq(_) => seq(spliced),
+        Goal::Conc(_) => conc(spliced),
+        other => unreachable!("`{other}` is not a conjunction"),
     }
 }
 
-/// The congruence step shared by `¬∇α` and `sync`: rewrites the children
-/// of a connective with `f` and rebuilds it. When every result is the same
+/// `∨` of the goals `alternatives` yields, built only when two of them
+/// are executable: none is `¬path`, and a single one is the answer as it
+/// stands.
+fn or_of(alternatives: impl Iterator<Item = Goal>) -> Goal {
+    let mut executable = alternatives.filter(|g| !g.is_nopath());
+    let Some(first) = executable.next() else {
+        return Goal::NoPath;
+    };
+    let Some(second) = executable.next() else {
+        return first;
+    };
+    let mut all = Vec::with_capacity(2 + executable.size_hint().1.unwrap_or(0));
+    all.extend([first, second]);
+    all.extend(executable);
+    or(all)
+}
+
+/// The congruence step shared by the rewrites: maps the children of a
+/// connective with `f` and rebuilds it. When every result is the same
 /// allocation as the original child the node itself is handed back, so
 /// sharing with the input goal survives even when the event fingerprint
 /// gave a false positive; otherwise untouched children are `Arc` bumps.
 fn map_connective(goal: &Goal, mut f: impl FnMut(&Goal) -> Goal) -> Goal {
     match goal {
         Goal::Seq(gs) | Goal::Conc(gs) | Goal::Or(gs) => {
-            let mut out: Option<Vec<Goal>> = None;
-            for (i, child) in gs.iter().enumerate() {
+            let first_change = gs.iter().enumerate().find_map(|(i, child)| {
                 let new = f(child);
-                if out.is_none() && new.ptr_eq(child) {
-                    continue;
-                }
-                out.get_or_insert_with(|| gs[..i].to_vec()).push(new);
+                (!new.ptr_eq(child)).then_some((i, new))
+            });
+            let Some((i, new)) = first_change else {
+                return goal.clone();
+            };
+            let children = (gs[..i].iter().cloned())
+                .chain(std::iter::once(new))
+                .chain(gs[i + 1..].iter().map(f));
+            match goal {
+                Goal::Seq(_) => seq(children.collect()),
+                Goal::Conc(_) => conc(children.collect()),
+                _ => or_of(children),
             }
-            out.map_or_else(|| goal.clone(), |kids| rebuild(goal, kids))
         }
         Goal::Isolated(g) => {
             let new = f(g);
@@ -265,22 +297,20 @@ pub(crate) fn apply_must_in<T: Table>(table: &mut T, alpha: Symbol, goal: &Goal)
         // Apply(∇α, T ⊗ K) = (Apply(∇α,T) ⊗ K) ∨ (T ⊗ Apply(∇α,K)),
         // generalized n-ary and likewise for `|`: a disjunct per child
         // position. Children not mentioning α yield ¬path and their
-        // disjunct is absorbed.
-        Goal::Seq(gs) | Goal::Conc(gs) => or((0..gs.len())
-            .map(|i| {
-                let rewritten = apply_must_in(table, alpha, &gs[i]);
-                if rewritten.is_nopath() {
-                    return Goal::NoPath;
-                }
-                let mut children = Vec::with_capacity(gs.len());
-                children.extend(gs[..i].iter().cloned());
-                children.push(rewritten);
-                children.extend(gs[i + 1..].iter().cloned());
-                rebuild(goal, children)
-            })
-            .collect()),
-        Goal::Or(gs) => or(gs.iter().map(|g| apply_must_in(table, alpha, g)).collect()),
-        Goal::Isolated(g) => isolated(apply_must_in(table, alpha, g)),
+        // disjunct is absorbed — on a unique-event goal that is all but
+        // one of them — and a child that comes back as itself (α is
+        // already forced there) makes its disjunct the node itself.
+        Goal::Seq(gs) | Goal::Conc(gs) => or_of(gs.iter().enumerate().map(|(i, child)| {
+            let rewritten = apply_must_in(table, alpha, child);
+            if rewritten.is_nopath() {
+                Goal::NoPath
+            } else if rewritten.ptr_eq(child) {
+                goal.clone()
+            } else {
+                splice(goal, gs, i, rewritten)
+            }
+        })),
+        Goal::Or(_) | Goal::Isolated(_) => map_connective(goal, |g| apply_must_in(table, alpha, g)),
         // Events inside ◇ do not occur on the final execution path (◇
         // consumes no path), so they cannot witness ∇α.
         Goal::Atom(_)
@@ -408,22 +438,35 @@ pub(crate) fn apply_normal_form_in<T: Table>(
         .iter()
         .map(|conj| channels.reserve(order_budget(conj)))
         .collect();
-    let tasks = disjuncts.iter().zip(allocs.iter_mut());
     let results: Vec<Goal> = if par.fan_out(goal.size(), disjuncts.len()) {
+        // Contiguous runs of disjuncts, one worker per CPU at most.
         // `table` cannot be shared with the workers; see `Table::PAR`.
+        let run = disjuncts
+            .len()
+            .div_ceil(available_cpus().min(disjuncts.len()));
         std::thread::scope(|scope| {
-            let handles: Vec<_> = tasks
-                .map(|(conj, alloc)| {
-                    scope.spawn(move || apply_conjunct_in(&mut Scratch, conj, goal, alloc))
+            let handles: Vec<_> = disjuncts
+                .chunks(run)
+                .zip(allocs.chunks_mut(run))
+                .map(|(conjs, allocs)| {
+                    scope.spawn(move || {
+                        conjs
+                            .iter()
+                            .zip(allocs)
+                            .map(|(conj, alloc)| apply_conjunct_in(&mut Scratch, conj, goal, alloc))
+                            .collect::<Vec<Goal>>()
+                    })
                 })
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("apply worker panicked"))
+                .flat_map(|h| h.join().expect("apply worker panicked"))
                 .collect()
         })
     } else {
-        tasks
+        disjuncts
+            .iter()
+            .zip(allocs.iter_mut())
             .map(|(conj, alloc)| apply_conjunct_in(table, conj, goal, alloc))
             .collect()
     };
@@ -458,7 +501,8 @@ pub(crate) fn apply_all_in<T: Table>(
 /// `Apply(∇α, T)` — Definition 5.1, positive primitive.
 ///
 /// The result's executions are the executions of `T` in which `α` occurs.
-/// Returns `¬path` when no execution of `T` contains `α`.
+/// Returns `¬path` when no execution of `T` contains `α`, and `T` itself —
+/// the same allocation — when every execution already does.
 pub fn apply_must(alpha: Symbol, goal: &Goal) -> Goal {
     apply_must_in(&mut Scratch, alpha, goal)
 }
@@ -819,6 +863,54 @@ mod tests {
             std::sync::Arc::ptr_eq(inner_big, orig_big),
             "shared prefix was rebuilt"
         );
+    }
+
+    /// The DNF a 3-SAT reduction reaches after its first few clauses: a
+    /// `∨` of `|`-terms, more of them than the inline dedup scan takes.
+    fn sat_dnf() -> (Goal, Vec<Constraint>) {
+        let (goal, clauses) = crate::gen::sat_to_workflow(&crate::gen::random_3sat(5, 8, 12));
+        let dnf = apply(&clauses[..4], &goal);
+        let Goal::Or(terms) = &dnf else {
+            panic!("expected a DNF, got {dnf}");
+        };
+        assert!(terms.len() > 16, "only {} terms", terms.len());
+        (dnf, clauses)
+    }
+
+    #[test]
+    fn must_of_a_forced_event_is_the_input_itself() {
+        // α already chosen in a lane: the term is its own rewrite.
+        let term = conc(vec![g("a"), or(vec![g("b"), g("c")]), g("d")]);
+        assert!(apply_must(sym("a"), &term).ptr_eq(&term));
+        // … and so is a whole DNF in which every term forces α.
+        let (dnf, _) = sat_dnf();
+        let forced = apply_must(sym("x0_t"), &dnf);
+        assert!(matches!(forced, Goal::Or(_)), "got {forced}");
+        assert!(apply_must(sym("x0_t"), &forced).ptr_eq(&forced));
+        assert!(apply(&[Constraint::must("x0_t")], &forced).ptr_eq(&forced));
+    }
+
+    #[test]
+    fn reapplying_a_clause_hands_back_the_terms_it_already_forced() {
+        // Applying a clause to its own output is not the identity on the
+        // `∨` (a term that forces one literal also spawns the variants
+        // forcing the others), but every term that survives unchanged is
+        // the same allocation — the outer dedup compares pointers.
+        let (dnf, clauses) = sat_dnf();
+        let once = apply(&clauses[4..5], &dnf);
+        let twice = apply(&clauses[4..5], &once);
+        let (Goal::Or(before), Goal::Or(after)) = (&once, &twice) else {
+            panic!("expected DNFs, got {once} and {twice}");
+        };
+        for term in before.iter() {
+            let kept = after
+                .iter()
+                .find(|t| *t == term)
+                .unwrap_or_else(|| panic!("`{term}` satisfies the clause and must survive"));
+            assert!(kept.ptr_eq(term), "`{term}` was rebuilt");
+        }
+        // From the second application on, nothing is left to add.
+        assert_eq!(apply(&clauses[4..5], &twice), twice);
     }
 
     #[test]

@@ -130,17 +130,23 @@ fn event_fp_bits(event: Symbol) -> u64 {
     (1u64 << (h & 63)) | (1u64 << ((h >> 6) & 63))
 }
 
-/// FxHash-style hasher behind the `Atom` case of [`Goal::structural_hash`].
+/// FxHash-style hasher for the crate's in-memory tables: the first-order
+/// `Atom` case of [`Goal::structural_hash`] and the maps of
+/// [`crate::memo`], whose keys are already-mixed structural hashes, dense
+/// node ids and interned symbols.
 ///
-/// The hash is purely in-memory (dedup buckets, memo keys) and never
-/// persisted, so a keyed SipHash pass per atom is pure overhead: one
+/// None of these hashes is persisted and none of the keys is chosen by a
+/// peer, so a keyed SipHash pass per probe is pure overhead: one
 /// rotate-xor-multiply round per written word spreads interned symbol ids
 /// and small term payloads well enough for bucketing. Same mixer as the
 /// engine's symbol→slot map.
 #[derive(Default)]
-struct AtomHasher(u64);
+pub(crate) struct FxHasher(u64);
 
-impl std::hash::Hasher for AtomHasher {
+/// [`FxHasher`] as a `HashMap` parameter.
+pub(crate) type FxBuildHasher = std::hash::BuildHasherDefault<FxHasher>;
+
+impl std::hash::Hasher for FxHasher {
     #[inline]
     fn finish(&self) -> u64 {
         self.0
@@ -321,11 +327,17 @@ impl Goal {
     pub fn structural_hash(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         match self {
-            Goal::Atom(a) => {
-                let mut hasher = AtomHasher::default();
-                a.hash(&mut hasher);
-                mix64(hasher.finish() ^ 0x01)
-            }
+            Goal::Atom(a) => match a.as_event() {
+                // The workflow fragment is propositional: an activity is
+                // its interned id, one mixer round away from a hash. The
+                // tag keeps it clear of the channel leaves' inputs.
+                Some(event) => mix64(0x0100_0000_0000_0000 | u64::from(event.index())),
+                None => {
+                    let mut hasher = FxHasher::default();
+                    a.hash(&mut hasher);
+                    mix64(hasher.finish() ^ 0x01)
+                }
+            },
             Goal::Seq(gs) => mix64(gs.hash ^ 0x02),
             Goal::Conc(gs) => mix64(gs.hash ^ 0x03),
             Goal::Or(gs) => mix64(gs.hash ^ 0x04),
@@ -487,7 +499,7 @@ impl Goal {
                 Some(kids) => Some(or(kids)),
                 None if gs.len() < 2
                     || gs.iter().any(|g| matches!(g, Goal::Or(_) | Goal::NoPath))
-                    || Self::has_duplicate_hash(gs) =>
+                    || Self::has_duplicates(gs) =>
                 {
                     Some(or(gs.to_vec()))
                 }
@@ -525,20 +537,10 @@ impl Goal {
         out
     }
 
-    /// Conservative duplicate test over the cached structural hashes: a
-    /// repeated hash forces the `∨`-idempotence rebuild (which performs the
-    /// exact equality check), a set of distinct hashes proves distinctness.
-    fn has_duplicate_hash(gs: &GoalList) -> bool {
-        if gs.len() <= 16 {
-            // Small lists: quadratic scan over the cached u64s beats
-            // allocating a hash set.
-            return gs.iter().enumerate().any(|(i, g)| {
-                let h = g.structural_hash();
-                gs[..i].iter().any(|e| e.structural_hash() == h)
-            });
-        }
-        let mut seen = std::collections::HashSet::with_capacity(gs.len());
-        gs.iter().any(|g| !seen.insert(g.structural_hash()))
+    /// True when two children are structurally equal — what forces the
+    /// `∨`-idempotence rebuild.
+    fn has_duplicates(gs: &GoalList) -> bool {
+        !duplicate_positions(gs).is_empty()
     }
 
     /// Number of `∨`-alternatives if fully distributed — an upper bound on
@@ -639,12 +641,51 @@ impl Ord for Goal {
     }
 }
 
-/// Reclaims the children of a shared list: moves them out when this is
-/// the only reference, clones (Arc bumps) otherwise.
-fn unwrap_list(list: Arc<GoalList>) -> Vec<Goal> {
+/// Appends the children of a nested list: moved out when this is the only
+/// reference, cloned (`Arc` bumps) otherwise.
+fn extend_from_list(out: &mut Vec<Goal>, list: Arc<GoalList>) {
     match Arc::try_unwrap(list) {
-        Ok(owned) => owned.children,
-        Err(shared) => shared.to_vec(),
+        Ok(owned) => out.extend(owned.children),
+        Err(shared) => out.extend_from_slice(&shared),
+    }
+}
+
+/// `⊗` (`serial`) or `|` of the given goals — the one body behind [`seq`]
+/// and [`conc`]. When no child is a unit or the same connective, the
+/// caller's vector becomes the node's child list as it is.
+fn conjunction(serial: bool, goals: Vec<Goal>) -> Goal {
+    if goals.iter().any(Goal::is_nopath) {
+        return Goal::NoPath;
+    }
+    // What a child contributes to the flattened list when it is the same
+    // connective as the one being built.
+    let nested = |g: &Goal| match g {
+        Goal::Seq(inner) if serial => Some(inner.len()),
+        Goal::Conc(inner) if !serial => Some(inner.len()),
+        _ => None,
+    };
+    let mut out = if goals
+        .iter()
+        .any(|g| g.is_empty_goal() || nested(g).is_some())
+    {
+        let mut flat = Vec::with_capacity(goals.iter().map(|g| nested(g).unwrap_or(1)).sum());
+        for g in goals {
+            match g {
+                Goal::Empty => {}
+                Goal::Seq(inner) if serial => extend_from_list(&mut flat, inner),
+                Goal::Conc(inner) if !serial => extend_from_list(&mut flat, inner),
+                other => flat.push(other),
+            }
+        }
+        flat
+    } else {
+        goals
+    };
+    match out.len() {
+        0 => Goal::Empty,
+        1 => out.pop().expect("len checked"),
+        _ if serial => Goal::raw_seq(out),
+        _ => Goal::raw_conc(out),
     }
 }
 
@@ -655,20 +696,7 @@ fn unwrap_list(list: Arc<GoalList>) -> Vec<Goal> {
 /// (`¬path ⊗ φ ≡ φ ⊗ ¬path ≡ ¬path`), a zero-length conjunction is
 /// `Empty`, and a singleton unwraps.
 pub fn seq(goals: Vec<Goal>) -> Goal {
-    let mut out = Vec::with_capacity(goals.len());
-    for g in goals {
-        match g {
-            Goal::NoPath => return Goal::NoPath,
-            Goal::Empty => {}
-            Goal::Seq(inner) => out.extend(unwrap_list(inner)),
-            other => out.push(other),
-        }
-    }
-    match out.len() {
-        0 => Goal::Empty,
-        1 => out.pop().expect("len checked"),
-        _ => Goal::raw_seq(out),
-    }
+    conjunction(true, goals)
 }
 
 /// Concurrent conjunction `|` of the given goals.
@@ -676,20 +704,72 @@ pub fn seq(goals: Vec<Goal>) -> Goal {
 /// Same invariants as [`seq`] with the `|` absorption tautology
 /// (`¬path | φ ≡ ¬path`).
 pub fn conc(goals: Vec<Goal>) -> Goal {
-    let mut out = Vec::with_capacity(goals.len());
-    for g in goals {
-        match g {
-            Goal::NoPath => return Goal::NoPath,
-            Goal::Empty => {}
-            Goal::Conc(inner) => out.extend(unwrap_list(inner)),
-            other => out.push(other),
+    conjunction(false, goals)
+}
+
+/// Alternative lists up to this length are deduplicated by a quadratic
+/// scan over their hashes; longer ones through an index table.
+const INLINE_DEDUP: usize = 16;
+
+/// [`later_duplicates`] under the goals' own cached structural hashes,
+/// gathered on the stack for short lists.
+fn duplicate_positions(goals: &[Goal]) -> Vec<usize> {
+    if goals.len() <= INLINE_DEDUP {
+        let mut hashes = [0u64; INLINE_DEDUP];
+        for (h, g) in hashes.iter_mut().zip(goals) {
+            *h = g.structural_hash();
+        }
+        later_duplicates(goals, &hashes[..goals.len()])
+    } else {
+        let hashes: Vec<u64> = goals.iter().map(Goal::structural_hash).collect();
+        later_duplicates(goals, &hashes)
+    }
+}
+
+/// The positions, ascending, of every goal structurally equal to an
+/// earlier one — the one "distinct by cached hash" test behind [`or`]'s
+/// idempotence step and [`Goal::simplify`]'s canonicity check. Empty (and
+/// unallocated) when all goals are distinct.
+///
+/// `hashes[i]` stands in for `goals[i]` and must agree on equal goals.
+/// Equal hashes only nominate a candidate: it is confirmed by real
+/// equality (which starts with a pointer comparison, so re-encountering a
+/// shared subtree is cheap). The hashes are a parameter so a test can
+/// force distinct goals to collide.
+fn later_duplicates(goals: &[Goal], hashes: &[u64]) -> Vec<usize> {
+    debug_assert_eq!(goals.len(), hashes.len());
+    let same = |i: usize, j: usize| hashes[i] == hashes[j] && goals[i] == goals[j];
+    let mut duplicates = Vec::new();
+    if goals.len() <= INLINE_DEDUP {
+        for i in 1..goals.len() {
+            if (0..i).any(|j| same(i, j)) {
+                duplicates.push(i);
+            }
+        }
+        return duplicates;
+    }
+    // Open addressing over positions, linear probing at load ≤ 1/2. The
+    // hashes come out of `mix64`, so their low bits index the table.
+    const VACANT: u32 = u32::MAX;
+    let mask = (goals.len() * 2).next_power_of_two() - 1;
+    let mut table = vec![VACANT; mask + 1];
+    for (i, &hash) in hashes.iter().enumerate() {
+        let mut slot = hash as usize & mask;
+        loop {
+            match table[slot] {
+                VACANT => {
+                    table[slot] = u32::try_from(i).expect("fewer than 2^32 alternatives");
+                    break;
+                }
+                j if same(i, j as usize) => {
+                    duplicates.push(i);
+                    break;
+                }
+                _ => slot = (slot + 1) & mask,
+            }
         }
     }
-    match out.len() {
-        0 => Goal::Empty,
-        1 => out.pop().expect("len checked"),
-        _ => Goal::raw_conc(out),
-    }
+    duplicates
 }
 
 /// Disjunction `∨` of the given goals.
@@ -702,44 +782,40 @@ pub fn conc(goals: Vec<Goal>) -> Goal {
 ///
 /// The idempotence step is what keeps repeated constraint compilation from
 /// exceeding the genuine `d^N` bound of Theorem 5.11: sequential `Apply`
-/// passes frequently regenerate identical pruned variants. The dedup uses
-/// the cached structural hash, so each candidate costs O(1) hashing
-/// rather than a full-tree walk.
+/// passes frequently regenerate identical pruned variants. It compares the
+/// cached structural hashes, so each candidate costs O(1) rather than a
+/// full-tree walk, and allocates nothing for up to sixteen alternatives
+/// (two flat arrays above that). When there is nothing to flatten, the
+/// caller's vector becomes the node's child list.
 pub fn or(goals: Vec<Goal>) -> Goal {
-    use std::collections::hash_map::Entry;
-    use std::collections::HashMap;
-
-    let mut out: Vec<Goal> = Vec::with_capacity(goals.len());
-    // Hash-bucketed dedup: the cached structural hash keys the buckets,
-    // equality is checked only within a bucket (and starts with a pointer
-    // comparison, so re-encountering a shared subtree is cheap).
-    let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
-    let push_unique = |out: &mut Vec<Goal>, buckets: &mut HashMap<u64, Vec<usize>>, g: Goal| {
-        let h = g.structural_hash();
-        match buckets.entry(h) {
-            Entry::Occupied(mut e) => {
-                if e.get().iter().any(|&i| out[i] == g) {
-                    return;
-                }
-                e.get_mut().push(out.len());
-                out.push(g);
-            }
-            Entry::Vacant(e) => {
-                e.insert(vec![out.len()]);
-                out.push(g);
+    let mut out = if goals.iter().any(|g| matches!(g, Goal::Or(_))) {
+        let flat_len = goals.iter().map(|g| match g {
+            Goal::Or(inner) => inner.len(),
+            _ => 1,
+        });
+        let mut flat = Vec::with_capacity(flat_len.sum());
+        for g in goals {
+            match g {
+                Goal::NoPath => {}
+                Goal::Or(inner) => extend_from_list(&mut flat, inner),
+                other => flat.push(other),
             }
         }
+        flat
+    } else {
+        let mut kept = goals;
+        kept.retain(|g| !g.is_nopath());
+        kept
     };
-    for g in goals {
-        match g {
-            Goal::NoPath => {}
-            Goal::Or(inner) => {
-                for child in unwrap_list(inner) {
-                    push_unique(&mut out, &mut buckets, child);
-                }
-            }
-            other => push_unique(&mut out, &mut buckets, other),
-        }
+    let duplicates = duplicate_positions(&out);
+    if !duplicates.is_empty() {
+        let mut position = 0;
+        let mut dropped = duplicates.into_iter().peekable();
+        out.retain(|_| {
+            let keep = dropped.next_if_eq(&position).is_none();
+            position += 1;
+            keep
+        });
     }
     match out.len() {
         0 => Goal::NoPath,
@@ -999,6 +1075,96 @@ mod tests {
         assert_eq!(g.variant_count(), 6);
         assert_eq!(Goal::NoPath.variant_count(), 0);
         assert_eq!(a().variant_count(), 1);
+    }
+
+    /// `or` as the tautologies define it: one level of flattening, `¬path`
+    /// dropped, the first of equal alternatives kept.
+    fn or_reference(goals: &[Goal]) -> Goal {
+        let mut out: Vec<Goal> = Vec::new();
+        for g in goals {
+            let alternatives = match g {
+                Goal::NoPath => &[][..],
+                Goal::Or(inner) => &inner[..],
+                other => std::slice::from_ref(other),
+            };
+            for alternative in alternatives {
+                if !out.contains(alternative) {
+                    out.push(alternative.clone());
+                }
+            }
+        }
+        match out.len() {
+            0 => Goal::NoPath,
+            1 => out.pop().expect("len checked"),
+            _ => Goal::raw_or(out),
+        }
+    }
+
+    /// Every subgoal of `goal`, the goal itself included.
+    fn subgoals(goal: &Goal, out: &mut Vec<Goal>) {
+        out.push(goal.clone());
+        match goal {
+            Goal::Seq(gs) | Goal::Conc(gs) | Goal::Or(gs) => {
+                gs.iter().for_each(|g| subgoals(g, out));
+            }
+            Goal::Isolated(g) | Goal::Possible(g) => subgoals(g, out),
+            _ => {}
+        }
+    }
+
+    proptest::proptest! {
+        /// `or` and its dedup helper against the `Vec::contains`
+        /// reference, on lists drawn with repetition from the subgoals of
+        /// a generated goal: lengths on both sides of the inline-scan
+        /// limit, nested `∨`s and `¬path` among the alternatives, and
+        /// hashes forced to collide.
+        #[test]
+        fn or_matches_the_contains_reference(
+            seed in 0u64..2000,
+            picks in proptest::collection::vec(0usize..1000, 0..48),
+        ) {
+            let (goal, _) = crate::gen::random_goal(seed, crate::gen::GoalShape::default(), "o");
+            let mut pool = vec![Goal::NoPath];
+            subgoals(&goal, &mut pool);
+            let list: Vec<Goal> = picks.iter().map(|&p| pool[p % pool.len()].clone()).collect();
+
+            let got = or(list.clone());
+            let want = or_reference(&list);
+            proptest::prop_assert_eq!(&got, &want, "or({:?})", list);
+
+            let repeats: Vec<usize> = (0..list.len())
+                .filter(|&i| list[..i].contains(&list[i]))
+                .collect();
+            let real: Vec<u64> = list.iter().map(Goal::structural_hash).collect();
+            let one_bucket = vec![0xDEAD_BEEF; list.len()];
+            let few_buckets: Vec<u64> = real.iter().map(|h| h % 3).collect();
+            for hashes in [&real, &one_bucket, &few_buckets] {
+                proptest::prop_assert_eq!(&later_duplicates(&list, hashes), &repeats);
+            }
+        }
+    }
+
+    #[test]
+    fn or_keeps_first_occurrences_past_the_inline_limit() {
+        let alternatives: Vec<Goal> = (0..40)
+            .map(|i| Goal::atom(format!("alt{}", i % 25)))
+            .collect();
+        let Goal::Or(kept) = or(alternatives.clone()) else {
+            panic!("expected a disjunction");
+        };
+        assert_eq!(kept.to_vec(), alternatives[..25].to_vec());
+    }
+
+    #[test]
+    fn constructors_keep_the_callers_vector_when_nothing_flattens() {
+        for build in [seq, conc, or] {
+            let children = vec![a(), b(), c()];
+            let buffer = children.as_ptr();
+            let (Goal::Seq(list) | Goal::Conc(list) | Goal::Or(list)) = build(children) else {
+                panic!("expected an n-ary node");
+            };
+            assert_eq!(list.as_ptr(), buffer, "children were copied");
+        }
     }
 
     #[test]

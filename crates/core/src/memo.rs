@@ -34,7 +34,7 @@ use crate::analysis::{compile_in, mentions_conditions, Compiled};
 use crate::apply::{ChannelAlloc, Op, Parallelism, Table};
 use crate::constraints::{Basic, Conjunct, Constraint, NormalForm};
 use crate::excise::ExciseResult;
-use crate::goal::{Channel, Goal};
+use crate::goal::{Channel, FxBuildHasher, Goal};
 use crate::symbol::Symbol;
 use std::collections::HashMap;
 
@@ -55,8 +55,14 @@ pub struct NodeId(u32);
 #[derive(Default)]
 pub struct GoalTable {
     nodes: Vec<Goal>,
-    buckets: HashMap<u64, Vec<u32>>,
+    /// Per node, the next node of its bucket ([`NO_NODE`] ends the chain).
+    next_in_bucket: Vec<u32>,
+    /// Structural hash → the bucket's most recently interned node.
+    buckets: HashMap<u64, u32, FxBuildHasher>,
 }
+
+/// End of a bucket chain.
+const NO_NODE: u32 = u32::MAX;
 
 impl GoalTable {
     /// An empty table.
@@ -74,8 +80,9 @@ impl GoalTable {
     /// Split out so the collision-safety test can force two structurally
     /// distinct goals through one bucket.
     fn intern_hashed(&mut self, goal: &Goal, hash: u64) -> NodeId {
-        let ids = self.buckets.entry(hash).or_default();
-        for &i in ids.iter() {
+        let head = self.buckets.get(&hash).copied().unwrap_or(NO_NODE);
+        let mut i = head;
+        while i != NO_NODE {
             let candidate = &self.nodes[i as usize];
             // Pointer compare first: re-encountering a cached Arc is the
             // common case on warm tables. Hash equality alone is NOT
@@ -84,10 +91,13 @@ impl GoalTable {
             if candidate.ptr_eq(goal) || candidate == goal {
                 return NodeId(i);
             }
+            i = self.next_in_bucket[i as usize];
         }
         let id = u32::try_from(self.nodes.len()).expect("fewer than 2^32 interned subgoals");
+        assert_ne!(id, NO_NODE, "the last id is the end-of-chain mark");
         self.nodes.push(goal.clone());
-        ids.push(id);
+        self.next_in_bucket.push(head);
+        self.buckets.insert(hash, id);
         NodeId(id)
     }
 
@@ -141,11 +151,11 @@ impl std::fmt::Display for MemoStats {
 #[derive(Default)]
 pub struct Memo {
     table: GoalTable,
-    rewrites: HashMap<(Op, NodeId), Goal>,
+    rewrites: HashMap<(Op, NodeId), Goal, FxBuildHasher>,
     /// Per-region `Excise` outcomes: the rewritten goal plus the exact
     /// diagnostics the analysis appended.
-    excise: HashMap<NodeId, ExciseResult>,
-    normal_forms: HashMap<Constraint, NormalForm>,
+    excise: HashMap<NodeId, ExciseResult, FxBuildHasher>,
+    normal_forms: HashMap<Constraint, NormalForm, FxBuildHasher>,
     hits: u64,
     misses: u64,
 }

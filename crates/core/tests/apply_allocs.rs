@@ -1,0 +1,104 @@
+//! Allocation budget of the `∇α` kernel, counted rather than timed.
+//!
+//! The counts are a function of the input alone, so they repeat exactly
+//! on any host: a rewrite that starts copying child vectors it does not
+//! return, or a `∨` that goes back to one bucket per alternative, fails
+//! here whatever the clock does. Integration tests are their own binary,
+//! which is what lets this one install a counting allocator; the counter
+//! is per thread because the harness runs tests side by side.
+
+use ctr::apply::{apply_must, apply_normal_form_with, ChannelAlloc, Parallelism};
+use ctr::gen::{random_3sat, sat_to_workflow};
+use ctr::goal::Goal;
+use ctr::sym;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the only addition is a bump of a thread-local
+// `Cell<u64>` that is const-initialized and has no destructor, so touching
+// it can neither allocate nor run during thread teardown.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: `layout` is the caller's, passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above
+        // with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: as for `dealloc`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocator calls (`alloc` + `realloc`) this thread makes inside `f`.
+fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// Number of `|`-terms of a DNF (1 for a goal that is a single term).
+fn terms(goal: &Goal) -> u64 {
+    match goal {
+        Goal::Or(gs) => gs.len() as u64,
+        _ => 1,
+    }
+}
+
+#[test]
+fn must_of_a_forced_event_allocates_nothing() {
+    let (goal, clauses) = sat_to_workflow(&random_3sat(5, 8, 12));
+    let dnf = ctr::apply::apply(&clauses[..4], &goal);
+    let alpha = sym("x0_t");
+    let forced = apply_must(alpha, &dnf);
+    assert!(terms(&forced) > 16, "want a DNF past the inline dedup scan");
+    let (again, count) = allocations(|| apply_must(alpha, &forced));
+    assert!(again.ptr_eq(&forced));
+    assert_eq!(count, 0, "re-forcing α walked {} terms", terms(&forced));
+}
+
+#[test]
+fn a_clause_costs_a_fixed_count_per_term_and_literal() {
+    // Per (term, literal): the spliced child vector and its `Arc`, when
+    // the literal's lane is still open; nothing when it is forced either
+    // way. Per clause on top: for each literal the alternatives of the
+    // `∨` walk, the dedup's two flat arrays and the new `∨` node, the
+    // same again for the outer `∨`, and the channel ranges. The most any
+    // clause below needs beyond two per pair is 10.
+    const PER_TERM_AND_LITERAL: u64 = 2;
+    const PER_CLAUSE: u64 = 16;
+    for (seed, vars) in [(1, 6), (2, 8), (3, 10)] {
+        let (goal, clauses) = sat_to_workflow(&random_3sat(seed, vars, 4 * vars));
+        let mut channels = ChannelAlloc::new();
+        let mut current = goal;
+        for clause in &clauses {
+            let nf = clause.normalize();
+            let pairs = terms(&current) * nf.disjunct_count() as u64;
+            let (next, count) = allocations(|| {
+                apply_normal_form_with(&nf, &current, &mut channels, Parallelism::Never)
+            });
+            assert!(
+                count <= PER_TERM_AND_LITERAL * pairs + PER_CLAUSE,
+                "seed {seed}: {count} allocations for {pairs} (term, literal) pairs"
+            );
+            current = next;
+        }
+    }
+}
