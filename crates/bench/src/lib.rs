@@ -1,10 +1,9 @@
-//! # ctr-bench — the experiment harness
+//! # ctr-bench — the paper's claims as printed tables
 //!
-//! Workload construction and measurement utilities shared by the
-//! Criterion benches (`benches/e*.rs`, one per experiment of DESIGN.md)
-//! and the deterministic table generator
-//! (`cargo run -p ctr-bench --bin experiments`), which regenerates every
-//! table of EXPERIMENTS.md.
+//! Measurement and table utilities for the `experiments` binary
+//! (`cargo run --release -p ctr-bench --bin experiments`), which prints
+//! every table of EXPERIMENTS.md, and the deliberately naive rewrite
+//! rules of the A1 ablation ([`ablation`]).
 
 pub mod ablation;
 

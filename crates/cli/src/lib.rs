@@ -723,9 +723,11 @@ USAGE:
         blocks until a client sends `shutdown`. --addr defaults to
         127.0.0.1:7171; port 0 binds an ephemeral port. --burst caps
         admitted requests per read burst (excess answer Busy).
-    ctr load <bench|ADDR> [flags]
-        load-test a serving endpoint, or regenerate BENCH_serve.json
-        (`ctr load --help` for flags and examples)
+    ctr load ADDR [flags]
+        drive a serving endpoint with a closed- or open-loop client
+        and print one report (`ctr load --help` for flags and
+        examples; serving benchmarks are benchmark/'s serve_*
+        workloads)
 
 CONSTRAINT SYNTAX:
     exists(e)  absent(e)  before(a,b)  serial(a,b,c)

@@ -63,11 +63,15 @@ pub enum Parallelism {
 }
 
 /// Estimated work (goal nodes × independent tasks) each worker thread must
-/// get before `Parallelism::Auto` fans out: ten times what starting the
-/// worker costs. Spawning and joining a scoped thread takes ≈ 12 µs, and
-/// a rewrite visits a node of its input in 6 ns (`Apply` down a Klein
-/// chain, `apply_par/*` in `BENCH_compile.json`) to 30 ns (`Excise`), so
-/// at the cheaper rate 120 µs is 20 000 node·tasks.
+/// get before `Parallelism::Auto` fans out. Spawning and joining a scoped
+/// thread takes ≈ 12 µs, so a worker's share repays ten spawns as long as
+/// a node·task costs at least 6 ns. The traced `compile_scratch` run
+/// (`bash benchmark/run.sh --workload compile_scratch --seed 1 --trace 1`)
+/// puts both rewrites above that: `core.excise.ns_per_in_node` is 36 ns
+/// and `core.apply.ns_per_out_node` 200 ns. The margin stays because an
+/// `Apply` task mostly walks nodes it hands back unchanged, and because
+/// `benchmark/results/README.md` measured the old, lower floor's `Auto`
+/// slower than `Never` on two vCPUs.
 const PAR_WORKER_FLOOR: usize = 20_000;
 
 /// CPUs this process may run on, read once: the query walks the affinity

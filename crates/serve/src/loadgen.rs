@@ -1,4 +1,4 @@
-//! The load harness behind `ctr load` and the `loadgen` binary.
+//! The load driver behind `ctr load`.
 //!
 //! Drives a `ctr serve` endpoint with N connections × M active
 //! instances per connection over a generated chain workflow, in two
@@ -18,16 +18,12 @@
 //! The harness records client-observed p50/p99 latency, wall-clock
 //! throughput, and — through the wire `stats` verb — the server's
 //! fsyncs-per-fire, so a durability configuration's coalescing shows
-//! up in the same table as its latency cost. [`bench_json`] spins up
-//! in-process servers (real loopback TCP) for every
-//! {connections} × {durability} cell and writes `BENCH_serve.json`,
-//! leading with the [`crate::host_json_row`] — a scaling curve from a
-//! 1-CPU CI box must say so.
+//! up in the same report as its latency cost. It is a client for
+//! driving a server by hand and for the CI kill-recover drill; serving
+//! performance numbers come from `benchmark/`'s `serve_*` workloads.
 
 use crate::client::{Client, ClientError};
 use crate::protocol::{self, Request, Response};
-use crate::server::{ServeOptions, Server};
-use ctr_runtime::SharedRuntime;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::mpsc;
@@ -383,179 +379,11 @@ pub fn drive(addr: &str, opts: &LoadOptions) -> Result<LoadReport, ClientError> 
     })
 }
 
-// --- BENCH_serve.json ------------------------------------------------------
+// --- CLI entry point (`ctr load`) ------------------------------------------
 
-/// Spins up an in-process server over real loopback TCP.
-fn spawn_server(
-    runtime: SharedRuntime,
-) -> (
-    std::net::SocketAddr,
-    crate::server::ServerHandle,
-    std::thread::JoinHandle<std::io::Result<()>>,
-) {
-    let server = Server::bind(runtime, "127.0.0.1:0", ServeOptions::default())
-        .expect("bind loopback ephemeral port");
-    let addr = server.local_addr();
-    let handle = server.handle();
-    let join = std::thread::spawn(move || server.run());
-    (addr, handle, join)
-}
-
-/// One durability configuration of the scaling table.
-fn bench_runtime(durability: &str) -> (SharedRuntime, Option<std::path::PathBuf>) {
-    match durability {
-        "mem" => (
-            SharedRuntime::with_store(std::sync::Arc::new(ctr_store::MemStore::new())),
-            None,
-        ),
-        "wal_coalesced" => {
-            let dir = std::env::temp_dir().join(format!(
-                "ctr_serve_bench_{}_{}",
-                std::process::id(),
-                std::time::SystemTime::now()
-                    .duration_since(std::time::UNIX_EPOCH)
-                    .map(|d| d.as_nanos())
-                    .unwrap_or(0)
-            ));
-            let store = ctr_store::WalStore::open_with(
-                &dir,
-                ctr_store::WalOptions {
-                    durability: ctr_store::Durability::coalesced(),
-                    ..ctr_store::WalOptions::default()
-                },
-            )
-            .expect("open WAL store in temp dir");
-            (
-                SharedRuntime::with_store(std::sync::Arc::new(store)),
-                Some(dir),
-            )
-        }
-        other => unreachable!("unknown durability {other}"),
-    }
-}
-
-/// Regenerates `BENCH_serve.json`: {1, 2, 4, 8} connections ×
-/// {mem, wal_coalesced}, each cell measured one-request-per-round-trip
-/// (`depth 1`) and pipelined (`depth 64`) over the same server, plus
-/// one open-loop row. The first row is the host-facts row — the core
-/// count is what decides whether a curve can honestly claim
-/// multi-core scaling.
-pub fn bench_json(path: &str, quick: bool) -> std::io::Result<()> {
-    let (rtt_fires, pipe_fires) = if quick { (200, 2_000) } else { (1_500, 24_000) };
-    // Half the server's default burst budget: deep enough to amortize
-    // syscalls and appends, shallow enough that setup chunks and the
-    // measured bursts never trip admission control.
-    let depth = 128;
-    let mut rows = vec![crate::host_json_row(if quick { &["smoke"] } else { &[] })];
-    for durability in ["mem", "wal_coalesced"] {
-        for connections in [1usize, 2, 4, 8] {
-            let (runtime, dir) = bench_runtime(durability);
-            let (addr, handle, join) = spawn_server(runtime);
-            let addr = addr.to_string();
-            let rtt = drive(
-                &addr,
-                &LoadOptions {
-                    connections,
-                    fires_per_conn: rtt_fires,
-                    depth: 1,
-                    ..LoadOptions::default()
-                },
-            )
-            .expect("rtt load run");
-            let pipelined = drive(
-                &addr,
-                &LoadOptions {
-                    connections,
-                    fires_per_conn: pipe_fires,
-                    depth,
-                    ..LoadOptions::default()
-                },
-            )
-            .expect("pipelined load run");
-            handle.shutdown();
-            join.join()
-                .expect("server thread")
-                .expect("server exits cleanly");
-            if let Some(dir) = dir {
-                let _ = std::fs::remove_dir_all(dir);
-            }
-            let speedup = if rtt.fires_per_sec > 0.0 {
-                pipelined.fires_per_sec / rtt.fires_per_sec
-            } else {
-                0.0
-            };
-            rows.push(format!(
-                "  {{\"name\": \"serve/{durability}x{connections}\", \"durability\": \"{durability}\", \
-                 \"connections\": {connections}, \"active_instances\": {}, \
-                 \"rtt_fires\": {}, \"rtt_fires_per_sec\": {:.0}, \"rtt_p50_us\": {}, \"rtt_p99_us\": {}, \
-                 \"rtt_fsyncs_per_fire\": {:.4}, \
-                 \"pipelined_depth\": {depth}, \"pipelined_fires\": {}, \"pipelined_fires_per_sec\": {:.0}, \
-                 \"pipelined_p50_us\": {}, \"pipelined_p99_us\": {}, \"pipelined_fsyncs_per_fire\": {:.4}, \
-                 \"batching_speedup\": {:.2}}}",
-                LoadOptions::default().active_instances,
-                rtt.total_fires,
-                rtt.fires_per_sec,
-                rtt.p50_us,
-                rtt.p99_us,
-                rtt.fsyncs_per_fire,
-                pipelined.total_fires,
-                pipelined.fires_per_sec,
-                pipelined.p50_us,
-                pipelined.p99_us,
-                pipelined.fsyncs_per_fire,
-                speedup,
-            ));
-            eprintln!(
-                "serve/{durability}x{connections}: rtt {:.0}/s (p50 {}us) → pipelined {:.0}/s (p50 {}us), {:.1}x",
-                rtt.fires_per_sec, rtt.p50_us, pipelined.fires_per_sec, pipelined.p50_us, speedup
-            );
-        }
-    }
-    // One open-loop row: latency under an offered rate the closed loop
-    // cannot measure (it self-throttles).
-    {
-        let (runtime, _) = bench_runtime("mem");
-        let (addr, handle, join) = spawn_server(runtime);
-        let rate = if quick { 2_000 } else { 10_000 };
-        let fires = if quick { 1_000 } else { 10_000 };
-        let report = drive(
-            &addr.to_string(),
-            &LoadOptions {
-                connections: 2,
-                fires_per_conn: fires,
-                mode: Mode::Open {
-                    rate_per_conn: rate,
-                },
-                ..LoadOptions::default()
-            },
-        )
-        .expect("open-loop load run");
-        handle.shutdown();
-        join.join()
-            .expect("server thread")
-            .expect("server exits cleanly");
-        rows.push(format!(
-            "  {{\"name\": \"serve/open_memx2@{rate}\", \"durability\": \"mem\", \"connections\": 2, \
-             \"offered_per_conn\": {rate}, \"total_fires\": {}, \"achieved_fires_per_sec\": {:.0}, \
-             \"p50_us\": {}, \"p99_us\": {}}}",
-            report.total_fires, report.fires_per_sec, report.p50_us, report.p99_us,
-        ));
-    }
-    let json = format!("[\n{}\n]\n", rows.join(",\n"));
-    std::fs::write(path, &json)?;
-    eprintln!("wrote {path} ({} rows)", rows.len());
-    Ok(())
-}
-
-// --- CLI entry point (shared by the `loadgen` binary and `ctr load`) ------
-
-/// Usage text for `loadgen` / `ctr load`.
+/// Usage text for `ctr load`.
 pub const LOAD_USAGE: &str = "\
 usage:
-  load bench [--quick] [--out PATH]
-      regenerate the BENCH_serve.json scaling table against in-process
-      servers ({1,2,4,8} connections x {mem, wal_coalesced}, closed
-      loop at depth 1 and 64, plus one open-loop row)
   load ADDR [flags]
       drive an external `ctr serve` endpoint and print one report
       --connections N   concurrent connections        (default 4)
@@ -573,8 +401,7 @@ examples:
   ctr serve --addr 127.0.0.1:7171 &
   ctr load 127.0.0.1:7171 --connections 8 --depth 64
   ctr load 127.0.0.1:7171 --connections 2 --depth 1 --fires 500
-  ctr load 127.0.0.1:7171 --rate 5000 --fires 20000
-  ctr load bench --quick --out BENCH_serve.json";
+  ctr load 127.0.0.1:7171 --rate 5000 --fires 20000";
 
 fn parse_flag_value(args: &[String], i: &mut usize, flag: &str) -> Result<String, String> {
     *i += 1;
@@ -584,8 +411,7 @@ fn parse_flag_value(args: &[String], i: &mut usize, flag: &str) -> Result<String
 }
 
 /// Parses `load` arguments and runs the requested shape. Returns the
-/// human-readable report text (already printed to stderr progress-wise
-/// by the bench path).
+/// human-readable report text.
 pub fn cli_main(args: &[String]) -> Result<String, String> {
     let Some(first) = args.first() else {
         return Err(LOAD_USAGE.to_owned());
@@ -593,20 +419,8 @@ pub fn cli_main(args: &[String]) -> Result<String, String> {
     if first == "--help" || first == "-h" || first == "help" {
         return Ok(LOAD_USAGE.to_owned());
     }
-    if first == "bench" {
-        let mut quick = false;
-        let mut out = "BENCH_serve.json".to_owned();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--quick" => quick = true,
-                "--out" => out = parse_flag_value(args, &mut i, "--out")?,
-                other => return Err(format!("unknown bench flag {other}\n\n{LOAD_USAGE}")),
-            }
-            i += 1;
-        }
-        bench_json(&out, quick).map_err(|e| format!("bench failed: {e}"))?;
-        return Ok(format!("wrote {out}"));
+    if !first.contains(':') {
+        return Err(format!("ADDR wants HOST:PORT, got {first}\n\n{LOAD_USAGE}"));
     }
     let addr = first.clone();
     let mut opts = LoadOptions::default();
@@ -661,4 +475,21 @@ pub fn cli_main(args: &[String]) -> Result<String, String> {
         text.push_str("\nserver    shutdown acknowledged");
     }
     Ok(text)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_address_without_a_port_is_rejected_with_the_usage_text() {
+        for args in [&["bench"][..], &["bench", "--quick"]] {
+            let args: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
+            let err = cli_main(&args).expect_err("not HOST:PORT");
+            assert!(
+                err.contains("HOST:PORT") && err.contains(LOAD_USAGE),
+                "{err}"
+            );
+        }
+    }
 }

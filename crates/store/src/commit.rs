@@ -2,10 +2,11 @@
 //!
 //! PR 7's append path held the stripe lock across `write_all` +
 //! `sync_data`, so N concurrent appenders on one stripe paid N serial
-//! fsyncs — the ~400× throughput cliff `BENCH_store.json` records
-//! between the in-memory and per-fire-fsync configurations. This module
-//! replaces that with the classic leader/follower group commit of
-//! production databases:
+//! fsyncs — the cliff between the ladder rungs `store_mem` (0.4 µs per
+//! fire) and `store_wal_strict` (104 µs, one fsync per fire) in
+//! `benchmark/results/trace-seed1.json`. This module replaces that
+//! with the classic leader/follower group commit of production
+//! databases:
 //!
 //! 1. **Stage.** An appender encodes its frame *under a short staging
 //!    lock* (where the global sequence number is also allocated, so the
