@@ -11,8 +11,15 @@
 //! `eligible()` materialization in the runtime, so it must not serialize
 //! concurrent readers behind the intern mutex. Names are published into a
 //! chunked store whose slots are [`OnceLock`]s — a resolve is two atomic
-//! acquire loads (chunk pointer, slot) and never blocks. Only an
-//! intern-*miss* takes the [`Mutex`] guarding the name→id map.
+//! acquire loads (chunk pointer, slot) and never blocks.
+//!
+//! The other direction is not lock-free: [`Symbol::intern`] **and**
+//! [`Symbol::try_get`] take the [`Mutex`] guarding the name→id map
+//! *before* they look, hit or miss, and SipHash the name under it. They
+//! belong to parsing, deployment, recovery and the rare timer verbs. The
+//! fire path does not call them: an event a client names is resolved by
+//! the deployed program's own name index (`Scheduler::fire_named` in
+//! `ctr-engine`), which never reaches this table.
 //!
 //! ## Poisoning
 //!
@@ -113,8 +120,9 @@ fn interner() -> &'static Interner {
 }
 
 impl Symbol {
-    /// Interns `name` and returns its symbol. Takes the intern mutex; the
-    /// hot resolution path ([`Symbol::as_str`]) does not.
+    /// Interns `name` and returns its symbol. Takes the intern mutex,
+    /// whether or not the name is already there; the hot resolution path
+    /// ([`Symbol::as_str`]) does not.
     pub fn intern(name: &str) -> Symbol {
         let interner = interner();
         // See the module docs: recovery is safe because appends publish
@@ -142,7 +150,8 @@ impl Symbol {
     /// merely buggy clients can pump the table forever. Validation
     /// paths should use `try_get`: a name that was never interned
     /// cannot refer to anything in the system, so it can be rejected
-    /// without allocating.
+    /// without allocating. Takes the intern mutex, like
+    /// [`Symbol::intern`]: not for per-event paths.
     pub fn try_get(name: &str) -> Option<Symbol> {
         let interner = interner();
         let map = interner.map.lock().unwrap_or_else(PoisonError::into_inner);

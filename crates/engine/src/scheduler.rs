@@ -82,6 +82,82 @@ impl Hasher for SymbolIdHasher {
 
 type SymbolMap<V> = HashMap<Symbol, V, BuildHasherDefault<SymbolIdHasher>>;
 
+/// One event of a program as [`Scheduler::fire_named`] finds it: the
+/// interned name, its symbol and the symbol's dispatch slot.
+#[derive(Clone, Copy, Debug)]
+struct Named {
+    name: &'static str,
+    symbol: Symbol,
+    slot: u32,
+}
+
+/// Event name → `(symbol, slot)`, for events that arrive as text: one
+/// hash and one string compare replace the interner's locked SipHash
+/// lookup *and* the symbol → slot lookup behind it. Open-addressed with
+/// linear probing, a power of two in size and at most half full, so a
+/// probe always ends at an empty entry.
+///
+/// The mixer is not keyed. That is safe here because only the program's
+/// own event names are ever *inserted*: a name from outside is looked up
+/// and nothing more, so a client cannot lengthen anyone's probe
+/// sequence, and whoever deploys a program can already make it
+/// arbitrarily expensive.
+#[derive(Clone, Debug)]
+struct NameIndex {
+    entries: Box<[Option<Named>]>,
+    /// `64 − log2(entries.len())`: the home entry is the hash's top bits.
+    shift: u32,
+}
+
+impl NameIndex {
+    fn build(slots: &SymbolMap<u32>) -> NameIndex {
+        let len = (slots.len() * 2).next_power_of_two().max(2);
+        let mut index = NameIndex {
+            entries: vec![None; len].into_boxed_slice(),
+            shift: u64::BITS - len.trailing_zeros(),
+        };
+        for (&symbol, &slot) in slots {
+            let name = symbol.as_str();
+            let mut at = index.home(name);
+            while index.entries[at].is_some() {
+                at = (at + 1) & (len - 1);
+            }
+            index.entries[at] = Some(Named { name, symbol, slot });
+        }
+        index
+    }
+
+    /// Where the probe for `name` starts: the name hashed a word at a
+    /// time (length first, the tail zero-padded) through the symbol-id
+    /// mixer.
+    fn home(&self, name: &str) -> usize {
+        let mut hasher = SymbolIdHasher::default();
+        hasher.write_u64(name.len() as u64);
+        let mut words = name.as_bytes().chunks_exact(8);
+        for word in &mut words {
+            hasher.write_u64(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            hasher.write_u64(u64::from_le_bytes(word));
+        }
+        (hasher.finish() >> self.shift) as usize
+    }
+
+    fn get(&self, name: &str) -> Option<Named> {
+        let mut at = self.home(name);
+        loop {
+            let entry = self.entries[at]?;
+            if entry.name == name {
+                return Some(entry);
+            }
+            at = (at + 1) & (self.entries.len() - 1);
+        }
+    }
+}
+
 #[derive(Clone, Debug)]
 enum NodeKind {
     /// A workflow activity/event (any atom: the scheduler is the
@@ -180,6 +256,11 @@ pub struct Program {
     /// indexes by slot.
     slots: SymbolMap<u32>,
     layout: Layout,
+    /// `slots` keyed by event *name* — the one lookup on the
+    /// `fire_named` path. Filled by [`Program::index_names`] or the first
+    /// fire by name: a program that is only compiled, enumerated or
+    /// scheduled by symbol never pays for it.
+    names: OnceLock<NameIndex>,
     /// The cursor every execution starts from — initial frontier built,
     /// leading silent steps drained. Filled by the first
     /// [`Scheduler::new`]; later ones copy it instead of walking the
@@ -234,6 +315,7 @@ impl Program {
                 evt_next,
                 words: evt_next + (b.leaves as usize).div_ceil(2),
             },
+            names: OnceLock::new(),
             initial: OnceLock::new(),
         })
     }
@@ -272,6 +354,19 @@ impl Program {
     /// The cursor every execution of this program starts from.
     fn initial(&self) -> &Cursor {
         self.initial.get_or_init(|| Cursor::build(self))
+    }
+
+    /// The program's events by name.
+    fn names(&self) -> &NameIndex {
+        self.names.get_or_init(|| NameIndex::build(&self.slots))
+    }
+
+    /// Builds the name index [`Scheduler::fire_named`] resolves events
+    /// in, unless it is built already. The first fire by name would do
+    /// it too; whoever deploys a program to be driven by name calls this
+    /// then, so that no fire pays for it.
+    pub fn index_names(&self) {
+        self.names();
     }
 }
 
@@ -1126,9 +1221,25 @@ impl<P: std::ops::Deref<Target = Program>> Scheduler<P> {
     /// then the event itself; choosing the event *is* the decision they
     /// commit, so no unrelated choice is ever taken on its behalf.
     pub fn fire_event(&mut self, event: Symbol) -> bool {
-        let Some(&slot) = self.program.slots.get(&event) else {
-            return false;
-        };
+        match self.program.slots.get(&event) {
+            Some(&slot) => self.fire_slot(slot),
+            None => false,
+        }
+    }
+
+    /// [`Scheduler::fire_event`] for an event that arrives as text:
+    /// fires it and returns its symbol, or `None` (nothing fired) when
+    /// no eligible node carries it. The name is looked up in the
+    /// program's own event index — never in the global interner, so a
+    /// name the program does not have costs one hash, takes no lock and
+    /// interns nothing, whoever else may have interned it.
+    pub fn fire_named(&mut self, event: &str) -> Option<Symbol> {
+        let named = self.program.names().get(event)?;
+        self.fire_slot(named.slot).then_some(named.symbol)
+    }
+
+    /// Fires the event whose dispatch slot is `slot`, if eligible.
+    fn fire_slot(&mut self, slot: u32) -> bool {
         loop {
             if let Some(n) = self.cursor.first_carrying(&self.program, slot) {
                 self.fire(n);
@@ -1650,6 +1761,123 @@ mod tests {
             }
         }
         assert!(fires_checked > 500, "corpus exercised ({fires_checked})");
+    }
+
+    /// Over the same corpus: firing by name is `Symbol::try_get` then
+    /// `fire_event`, step for step — the return value, the state and
+    /// the trace — for eligible events, refused ones, names interned by
+    /// someone else and names nobody interned; and it interns nothing.
+    #[test]
+    fn fire_named_matches_try_get_then_fire_event_on_corpus() {
+        let foreign = sym("fire_named_foreign_to_every_program");
+        let (mut fired, mut refused, mut unknown) = (0usize, 0usize, 0usize);
+        for seed in 0..60u64 {
+            let (goal, _) = ctr::gen::random_goal(
+                seed,
+                ctr::gen::GoalShape {
+                    depth: 4,
+                    width: 3,
+                    or_bias: 0.35,
+                },
+                "f",
+            );
+            let p = compile(&goal);
+            let alphabet: Vec<Symbol> = goal.events().into_iter().collect();
+            for salt in 0..4u64 {
+                let mut by_name = Scheduler::new(&p);
+                let mut by_symbol = Scheduler::new(&p);
+                let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt;
+                for step in 0..400 {
+                    if by_symbol.is_complete() || by_symbol.eligible().is_empty() {
+                        break;
+                    }
+                    let eligible: Vec<Symbol> = by_symbol
+                        .eligible()
+                        .iter()
+                        .filter_map(|c| p.event(c.node).and_then(Atom::as_event))
+                        .collect();
+                    let never = format!("fire_named_never_interned_{seed}_{salt}_{step}");
+                    let name = match lcg(&mut rng) % 8 {
+                        0 => foreign.as_str(),
+                        1 => never.as_str(),
+                        2 | 3 => alphabet[lcg(&mut rng) as usize % alphabet.len()].as_str(),
+                        _ if eligible.is_empty() => {
+                            // Only silent steps are left: take one on both.
+                            let node = by_symbol.eligible()[0].node;
+                            by_symbol.fire(node);
+                            by_name.fire(node);
+                            continue;
+                        }
+                        _ => eligible[lcg(&mut rng) as usize % eligible.len()].as_str(),
+                    };
+                    let expected = Symbol::try_get(name).filter(|&s| by_symbol.fire_event(s));
+                    assert_eq!(
+                        by_name.fire_named(name),
+                        expected,
+                        "seed {seed} salt {salt} step {step}: `{name}` on {goal}"
+                    );
+                    assert_eq!(by_name.state_key(), by_symbol.state_key());
+                    assert_eq!(by_name.cursor.trace, by_symbol.cursor.trace);
+                    assert_eq!(by_name.eligible(), by_symbol.eligible());
+                    if name == never {
+                        assert_eq!(Symbol::try_get(name), None, "`{name}` was interned");
+                    }
+                    match expected {
+                        Some(_) => fired += 1,
+                        None if p.names().get(name).is_some() => refused += 1,
+                        None => unknown += 1,
+                    }
+                }
+            }
+        }
+        assert!(
+            fired > 500 && refused > 100 && unknown > 100,
+            "corpus exercised ({fired} fired, {refused} refused, {unknown} unknown)"
+        );
+        // Other tests intern concurrently, so retry the count comparison
+        // instead of demanding a quiescent table.
+        let p = compile(&seq(vec![g("a"), g("b")]));
+        for attempt in 0.. {
+            let before = Symbol::interned_count();
+            let mut s = Scheduler::new(&p);
+            for i in 0..64 {
+                let name = format!("fire_named_count_probe_{attempt}_{i}");
+                assert_eq!(s.fire_named(&name), None);
+            }
+            assert_eq!(s.fire_named(foreign.as_str()), None);
+            assert_eq!(s.fire_named("a"), Some(sym("a")));
+            if Symbol::interned_count() == before {
+                break;
+            }
+            assert!(attempt < 5, "interner table would not settle");
+        }
+    }
+
+    #[test]
+    fn name_index_finds_every_event_whatever_the_name_length() {
+        // Names of 0–40 bytes: every tail length of the word-at-a-time
+        // hash, names that differ only past a word boundary or only in
+        // length, and more names than one probe run is long.
+        let names: Vec<String> = (0..=40usize)
+            .flat_map(|len| ["x", "y"].map(|c| c.repeat(len)))
+            .chain((0..8).map(|i| format!("{}{i}", "shared_prefix_of_16".repeat(2))))
+            .filter(|name| !name.is_empty())
+            .collect();
+        let p = compile(&conc(names.iter().map(|name| g(name)).collect()));
+        let index = p.names();
+        assert!(index.entries.len() >= 2 * names.len());
+        for name in &names {
+            let found = index.get(name).expect("every event is indexed");
+            assert_eq!((found.name, found.symbol), (name.as_str(), sym(name)));
+            assert_eq!(Some(&found.slot), p.slots.get(&found.symbol));
+            assert!(index.get(&format!("{name}z")).is_none());
+        }
+        assert!(index.get("").is_none());
+        assert!(index.get(&"x".repeat(41)).is_none());
+        // A single-event program still has an empty entry to stop at.
+        let one = compile(&g("only"));
+        assert!(one.names().get("only").is_some());
+        assert!(one.names().get("other").is_none());
     }
 
     // --- The compact cursor against its oracles -------------------------

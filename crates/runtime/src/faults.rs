@@ -345,3 +345,63 @@ fn runtime_orphan_arm_never_becomes_a_phantom_timer() {
 fn shared_runtime_orphan_arm_never_becomes_a_phantom_timer() {
     orphan_arm_never_becomes_a_phantom_timer::<SharedRuntime>();
 }
+
+/// A burst's outcomes share one buffer, instance after instance, so a
+/// store fault in one instance's append must cost exactly that
+/// instance's share of it: the outcomes of the instances fired before
+/// stay, the ones after are still tried, and only the faulted instance
+/// rolls back.
+#[test]
+fn a_store_fault_mid_burst_rejects_only_its_own_instance() {
+    use FireOutcome::{Fired, Rejected, Skipped};
+    use InstanceStatus::Running;
+    // Appends: 0 = Deploy, 1–3 = Start, then one per instance of the
+    // burst in first-appearance order: 4 = a, 5 = b, 6 = c.
+    for by_pairs in [false, true] {
+        let store = FailNth::new(5);
+        let rt = SharedRuntime::with_store(Arc::clone(&store) as Arc<dyn Store>);
+        rt.deploy_source(PLAIN).unwrap();
+        let [a, b, c] = [(); 3].map(|()| rt.start("plain").unwrap());
+        let store_fault = |o: &FireOutcome| matches!(o, Rejected(RuntimeError::Store(_)));
+        if by_pairs {
+            let outcomes = rt.fire_many(&[
+                (a, "invoice"),
+                (b, "invoice"),
+                (a, "approve"),
+                (c, "invoice"),
+                (b, "approve"),
+            ]);
+            assert_eq!(outcomes[0], Fired(Running));
+            assert_eq!(outcomes[2], Fired(Running));
+            assert_eq!(outcomes[3], Fired(Running));
+            assert!(store_fault(&outcomes[1]), "{outcomes:?}");
+            assert_eq!(outcomes[4], Skipped, "b's pairs are one run");
+        } else {
+            let runs: [(InstanceId, &[&str]); 5] = [
+                (a, &["invoice"]),
+                (b, &["invoice", "approve"]),
+                (a, &["approve"]),
+                (c, &["invoice"]),
+                (b, &["file"]),
+            ];
+            let outcomes = rt.fire_runs(&runs);
+            assert_eq!(outcomes[0], [Fired(Running)]);
+            assert_eq!(outcomes[2], [Fired(Running)]);
+            assert_eq!(outcomes[3], [Fired(Running)]);
+            assert!(store_fault(&outcomes[1][0]), "{outcomes:?}");
+            assert_eq!(outcomes[1][1], Skipped);
+            assert!(store_fault(&outcomes[4][0]), "each run says why");
+        }
+        assert_eq!(rt.journal(a).unwrap(), ["invoice", "approve"]);
+        assert_eq!(rt.journal(b).unwrap(), Vec::<String>::new());
+        assert_eq!(rt.journal(c).unwrap(), ["invoice"]);
+        assert_eq!(rt.eligible(b).unwrap(), ["invoice"], "b rolled back whole");
+        // What was acknowledged is what a restart finds, and b goes on.
+        let reopened = SharedRuntime::open(Arc::clone(&store) as Arc<dyn Store>).unwrap();
+        assert_eq!(reopened.snapshot(), rt.snapshot());
+        assert_eq!(
+            rt.fire_batch(b, &["invoice", "reject"]).unwrap(),
+            [Fired(Running), Fired(Running)]
+        );
+    }
+}

@@ -163,22 +163,26 @@ impl Instance {
         stepped
     }
 
-    /// [`Instance::step_symbol`] for an event named by a client, with
-    /// the typed refusal. Returns the status after the step.
+    /// **Step** for an event named by a client, with the typed refusal:
+    /// the cursor resolves the name against its own program
+    /// (`Scheduler::fire_named`) and hands back the symbol to stage.
+    /// Returns the status after the step.
+    ///
+    /// Event names come from clients, so the global interner is not
+    /// consulted, let alone grown: a name the program does not have —
+    /// never interned, or interned by some other deployment — is
+    /// refused like any event that is not eligible now.
     fn step(&mut self, id: InstanceId, event: &str) -> Result<InstanceStatus, RuntimeError> {
         if self.stepped_status() == InstanceStatus::Completed {
             return Err(RuntimeError::AlreadyComplete(id));
         }
-        // Non-interning lookup: event names come from clients, and a name
-        // that was never interned cannot be in any deployed program — it
-        // is rejected without permanently growing the global symbol
-        // table on behalf of unknown (possibly hostile) input.
-        if !Symbol::try_get(event).is_some_and(|symbol| self.step_symbol(symbol)) {
+        let Some(symbol) = self.cursor.fire_named(event) else {
             return Err(RuntimeError::NotEligible {
                 event: event.to_owned(),
                 eligible: self.eligible_names(),
             });
-        }
+        };
+        self.journal.push(symbol);
         Ok(self.stepped_status())
     }
 
@@ -382,18 +386,21 @@ pub(crate) fn reject_runs<'a>(
 
 /// One instance's burst, the batched-firing primitive under
 /// `fire_batch`, `fire_many` and `fire_runs`. `events` is the burst's
-/// runs flattened ([`one_run`]); `out`, empty on entry, receives one
-/// outcome per event. A run commits its events in order and stops at
-/// its first failure (the failing event says why, the rest of the run
-/// is [`FireOutcome::Skipped`]) without stopping the runs after it —
-/// exactly as if each run had been submitted alone. Everything the
+/// runs flattened ([`one_run`]); `out` receives one outcome per event,
+/// appended after whatever it already holds (the outcomes of a wider
+/// burst's earlier instances). A run commits its events in order and
+/// stops at its first failure (the failing event says why, the rest of
+/// the run is [`FireOutcome::Skipped`]) without stopping the runs after
+/// it — exactly as if each run had been submitted alone. Everything the
 /// burst stepped reaches the store through **one** append.
 ///
 /// The burst is consequently one commit unit: if that append fails,
 /// every run rolls back and reports `Rejected(Store)` on its first
 /// event ([`reject_runs`]) — nothing was acknowledged, so no caller can
 /// have observed the discarded prefix. `Err` is reserved for a rollback
-/// that itself finds the journal unreplayable.
+/// that itself finds the journal unreplayable; `out` may then hold part
+/// of this burst's outcomes past its length on entry, which the caller
+/// discards.
 pub(crate) fn fire_burst<'a>(
     inst: &mut Instance,
     id: InstanceId,
@@ -402,7 +409,7 @@ pub(crate) fn fire_burst<'a>(
     timers: &mut impl Timers,
     store: Option<&dyn Store>,
 ) -> Result<(), RuntimeError> {
-    let from = inst.journal.len();
+    let (from, first) = (inst.journal.len(), out.len());
     let mut stopped = false;
     for (opens_run, event) in events.clone() {
         stopped &= !opens_run;
@@ -420,7 +427,7 @@ pub(crate) fn fire_burst<'a>(
     }
     match commit_events(inst, id, from, timers, store) {
         Err(e @ RuntimeError::Store(_)) => {
-            out.clear();
+            out.truncate(first);
             reject_runs(events, &e, out);
             Ok(())
         }

@@ -59,7 +59,7 @@ pub use enact::{
     AttemptOutcome, AttemptRecord, Backoff, ChoicePolicy, EnactError, EnactReport, Enactor, Fault,
     FaultPlan, Handler, RetryPolicy,
 };
-pub use shared::SharedRuntime;
+pub use shared::{BurstScratch, SharedRuntime};
 pub use stats::{simulate, simulate_par, Simulation};
 pub use wheel::{TimerToken, TimerWheel};
 
@@ -208,6 +208,9 @@ impl Deployment {
     pub(crate) fn new(name: &str, compiled: Goal) -> Result<Deployment, RuntimeError> {
         let program =
             Program::compile(&compiled).map_err(|e| RuntimeError::Compile(e.to_string()))?;
+        // Instances are fired by name: index the names now, not under
+        // the first client's instance lock.
+        program.index_names();
         let mut timers: Vec<DeployedTimer> = compiled
             .events()
             .iter()

@@ -24,6 +24,21 @@
 //! events exactly one wins and the loser gets
 //! [`RuntimeError::NotEligible`] with the post-commit alternatives.
 //!
+//! ## Bursts
+//!
+//! The cross-instance entry points ([`SharedRuntime::fire_many`],
+//! [`SharedRuntime::fire_runs`], [`SharedRuntime::fire_runs_into`]) ride
+//! one linear *planner*: a single pass over the burst — no sort — groups
+//! its runs by instance in first-appearance order, each referenced shard
+//! is locked once to resolve the cells, and each instance is then locked
+//! once while the core fires its share and pushes the outcomes straight
+//! into the burst's one outcome vector. The planner's tables and that
+//! vector are a [`BurstScratch`] the caller may keep: a connection
+//! thread submitting burst after burst allocates nothing for them. No
+//! step of a fire takes a process-wide lock — the event a client names
+//! is resolved by the instance's own program, not by the symbol
+//! interner.
+//!
 //! ## Lock order
 //!
 //! `registry < shard[0] < … < shard[SHARD_COUNT−1] < instance locks <
@@ -38,7 +53,7 @@
 //! | `deploy_*` | registry (write) | registry (write) |
 //! | `start` | registry (read, released), shard, timer (brief, twice) | destination shard |
 //! | `fire`, `fire_batch`, `try_complete`, `cancel_timer` | shard (lookup, released), instance, timer (brief, only if a timer settles) | instance |
-//! | `fire_many`, `fire_runs` | each referenced shard once, ascending, one at a time; then each referenced instance, one at a time | instance |
+//! | `fire_many`, `fire_runs`, `fire_runs_into` | each referenced shard once, ascending, one at a time; then each referenced instance, one at a time | instance |
 //! | `advance` | timer alone (pop the batch); then per expiry shard (lookup, released), instance, timer (brief); timer (move the clock) | instance |
 //! | `snapshot`, `checkpoint` | registry (read), every shard ascending, every instance — all held to the end | — (the freeze) |
 //!
@@ -200,10 +215,90 @@ impl Inner {
     }
 }
 
-/// One instance's share of a burst: its id, its cell (`None` if the id
-/// is unknown) and where its input positions sit in the position list
-/// [`SharedRuntime::resolve`] returns alongside.
-type Group = (InstanceId, Option<InstanceCell>, Range<usize>);
+/// End of an intrusive list, empty table entry.
+const NIL: u32 = u32::MAX;
+
+/// One instance's share of a burst.
+struct Group {
+    id: InstanceId,
+    /// `None` if the id is unknown.
+    cell: Option<InstanceCell>,
+    /// The group's runs by input position, first and last, linked in
+    /// input order through [`Run::next`].
+    head: u32,
+    tail: u32,
+    /// The next group whose instance lives on the same shard.
+    shard_next: u32,
+}
+
+/// One run of a burst, by input position.
+#[derive(Clone, Copy)]
+struct Run {
+    /// The next run against the same instance, or [`NIL`].
+    next: u32,
+    /// Where the run's outcomes sit in [`BurstScratch::outcomes`].
+    offset: u32,
+    len: u32,
+}
+
+/// The working memory of [`SharedRuntime::fire_runs_into`]: the burst
+/// planner's tables and the burst's outcomes. Owned by the caller, so a
+/// connection that submits burst after burst reuses one set of
+/// allocations.
+///
+/// The outcomes of a burst sit in **one** vector, instance by instance
+/// in first-appearance order and, within an instance, run by run in
+/// input order — the order the fleet core produces them in, so it
+/// pushes straight into it. [`BurstScratch::outcomes`] finds a run's by
+/// its input position.
+#[derive(Default)]
+pub struct BurstScratch {
+    /// One per distinct instance, in first-appearance order.
+    groups: Vec<Group>,
+    /// Open-addressed instance id → index into `groups`; a power of two
+    /// in size and at most half full.
+    table: Vec<u32>,
+    runs: Vec<Run>,
+    outcomes: Vec<FireOutcome>,
+}
+
+impl BurstScratch {
+    /// An empty scratch; it sizes itself to the bursts it is given.
+    pub fn new() -> BurstScratch {
+        BurstScratch::default()
+    }
+
+    /// The outcomes of the `run`-th run of the burst last fired through
+    /// this scratch, one per event of the run.
+    pub fn outcomes(&self, run: usize) -> &[FireOutcome] {
+        &self.outcomes[self.span(run)]
+    }
+
+    fn span(&self, run: usize) -> Range<usize> {
+        let run = self.runs[run];
+        run.offset as usize..(run.offset + run.len) as usize
+    }
+
+    /// Moves a run's outcomes out, for the adapters that return owned
+    /// vectors.
+    fn take_outcomes(&mut self, run: usize) -> impl Iterator<Item = FireOutcome> + '_ {
+        let span = self.span(run);
+        self.outcomes[span]
+            .iter_mut()
+            .map(|outcome| std::mem::replace(outcome, FireOutcome::Skipped))
+    }
+}
+
+/// The input positions of the runs of the group whose first is `head`,
+/// in input order.
+fn runs_from(runs: &[Run], head: u32) -> impl Iterator<Item = usize> + Clone + '_ {
+    let mut at = head;
+    std::iter::from_fn(move || {
+        let run = (at != NIL).then_some(at as usize)?;
+        at = runs[run].next;
+        Some(run)
+    })
+}
 
 impl SharedRuntime {
     /// Wraps an empty runtime.
@@ -391,68 +486,139 @@ impl SharedRuntime {
         Ok(outcomes)
     }
 
-    /// Groups a burst's input positions — position `i` addresses
-    /// instance `id_at(i)` — by instance and resolves each instance's
-    /// cell: the one grouping under [`SharedRuntime::fire_many`] and
-    /// [`SharedRuntime::fire_runs`]. Returns the positions arranged so
-    /// that each instance's are contiguous and in input order, and one
-    /// [`Group`] per instance in first-appearance order, so
-    /// cross-instance progress stays deterministic.
+    /// The burst planner under [`SharedRuntime::fire_many`] and
+    /// [`SharedRuntime::fire_runs_into`]: groups a burst's `n` runs —
+    /// `run_at(i)` is the `i`-th run's instance and event count — by
+    /// instance, resolves each instance's cell and lays the burst's
+    /// outcomes out. One pass over the runs, no sort: a run finds its
+    /// group through a small hash table and joins the tail of the
+    /// group's list, so groups come out in first-appearance order (which
+    /// keeps cross-instance progress deterministic) with their runs in
+    /// input order.
     ///
     /// Shard locks are taken one at a time in ascending index order,
     /// each released before the next, one acquisition per *referenced
-    /// shard* rather than one per position; no instance lock is taken.
-    fn resolve(&self, n: usize, id_at: impl Fn(usize) -> InstanceId) -> (Vec<usize>, Vec<Group>) {
-        let mut positions: Vec<usize> = (0..n).collect();
-        positions.sort_unstable_by_key(|&i| (shard_of(id_at(i)), id_at(i), i));
-        let mut groups: Vec<Group> = Vec::new();
-        let mut at = 0;
-        for in_shard in positions.chunk_by(|&a, &b| shard_of(id_at(a)) == shard_of(id_at(b))) {
-            let shard = lock(&self.inner.shard(id_at(in_shard[0])).instances);
-            for of_instance in in_shard.chunk_by(|&a, &b| id_at(a) == id_at(b)) {
-                let id = id_at(of_instance[0]);
-                groups.push((id, shard.get(&id).cloned(), at..at + of_instance.len()));
-                at += of_instance.len();
+    /// shard* rather than one per run; no instance lock is taken.
+    fn plan(
+        &self,
+        n: usize,
+        run_at: impl Fn(usize) -> (InstanceId, usize),
+        scratch: &mut BurstScratch,
+    ) {
+        let BurstScratch {
+            groups,
+            table,
+            runs,
+            outcomes,
+        } = scratch;
+        let slots = (n * 2).next_power_of_two().max(2);
+        assert!(slots <= NIL as usize, "a burst of {n} runs");
+        groups.clear();
+        runs.clear();
+        outcomes.clear();
+        table.clear();
+        table.resize(slots, NIL);
+        let mut shard_heads = [NIL; SHARD_COUNT];
+        for i in 0..n {
+            let (id, len) = run_at(i);
+            let len = u32::try_from(len).expect("a run of more than u32::MAX events");
+            runs.push(Run {
+                next: NIL,
+                offset: 0,
+                len,
+            });
+            // Fibonacci hashing: sequential ids spread over the table.
+            let mut at = (id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & (slots - 1);
+            while table[at] != NIL && groups[table[at] as usize].id != id {
+                at = (at + 1) & (slots - 1);
+            }
+            match table[at] {
+                NIL => {
+                    table[at] = groups.len() as u32;
+                    let shard_next = std::mem::replace(&mut shard_heads[shard_of(id)], table[at]);
+                    groups.push(Group {
+                        id,
+                        cell: None,
+                        head: i as u32,
+                        tail: i as u32,
+                        shard_next,
+                    });
+                }
+                g => {
+                    let group = &mut groups[g as usize];
+                    runs[group.tail as usize].next = i as u32;
+                    group.tail = i as u32;
+                }
             }
         }
-        groups.sort_unstable_by_key(|(_, _, range)| positions[range.start]);
-        (positions, groups)
+        for (shard, &head) in self.inner.shards.iter().zip(&shard_heads) {
+            if head == NIL {
+                continue;
+            }
+            let shard = lock(&shard.instances);
+            let mut g = head;
+            while g != NIL {
+                let group = &mut groups[g as usize];
+                group.cell = shard.get(&group.id).cloned();
+                g = group.shard_next;
+            }
+        }
+        let mut total = 0u32;
+        for group in groups.iter() {
+            let mut at = group.head;
+            while at != NIL {
+                let run = &mut runs[at as usize];
+                run.offset = total;
+                total = total
+                    .checked_add(run.len)
+                    .expect("a burst of more than u32::MAX events");
+                at = run.next;
+            }
+        }
+        outcomes.reserve(total as usize);
     }
 
     /// One instance's share of a burst that addresses many, fired under
-    /// one acquisition of its lock (see `fleet::fire_burst`); `out`,
-    /// empty on entry, receives one outcome per event. A group that
-    /// cannot be tried at all — the id is unknown, or a rollback found
-    /// the journal unreplayable — fails alone: every one of its runs
-    /// rejects its first event with the reason and skips the rest,
-    /// exactly as back-to-back submissions against that instance would,
-    /// and the other groups proceed.
+    /// one acquisition of its lock (see `fleet::fire_burst`); `out`
+    /// receives one outcome per event, after the outcomes of the groups
+    /// before it. A group that cannot be tried at all — the id is
+    /// unknown, or a rollback found the journal unreplayable — fails
+    /// alone: every one of its runs rejects its first event with the
+    /// reason and skips the rest, exactly as back-to-back submissions
+    /// against that instance would, and the other groups proceed.
     fn fire_group<'a>(
         &self,
-        id: InstanceId,
-        cell: Option<&InstanceCell>,
+        group: &Group,
         events: impl Iterator<Item = (bool, &'a str)> + Clone,
         out: &mut Vec<FireOutcome>,
     ) {
-        let tried = match cell {
+        let first = out.len();
+        let tried = match &group.cell {
             Some(cell) => {
                 let mut inst = lock(cell);
                 let timers = &mut self.timers();
-                fleet::fire_burst(&mut inst, id, events.clone(), out, timers, self.store())
+                fleet::fire_burst(
+                    &mut inst,
+                    group.id,
+                    events.clone(),
+                    out,
+                    timers,
+                    self.store(),
+                )
             }
-            None => Err(RuntimeError::UnknownInstance(id)),
+            None => Err(RuntimeError::UnknownInstance(group.id)),
         };
         if let Err(e) = tried {
-            out.clear();
+            out.truncate(first);
             fleet::reject_runs(events, &e, out);
         }
     }
 
     /// Fires a mixed batch of `(instance, event)` pairs, amortizing lock
-    /// traffic across the fleet: the batch is grouped by shard (one
-    /// shard-lock acquisition per *referenced shard* to resolve ids, not
-    /// one per event), then by instance (one instance-lock acquisition
-    /// per referenced instance, processed in first-appearance order).
+    /// traffic across the fleet: the batch is grouped by instance in one
+    /// linear pass, ids are resolved with one shard-lock acquisition per
+    /// *referenced shard* (not one per event), and each referenced
+    /// instance is locked once, in first-appearance order.
     ///
     /// Within each instance its events fire in input order with
     /// [`Runtime::fire_batch`] semantics: first failure stops *that
@@ -466,23 +632,18 @@ impl SharedRuntime {
     /// ascending index order (each released before the next), and
     /// instance locks one at a time after all shard locks are released.
     pub fn fire_many<S: AsRef<str>>(&self, batch: &[(InstanceId, S)]) -> Vec<FireOutcome> {
-        let (positions, groups) = self.resolve(batch.len(), |i| batch[i].0);
-        let mut outcomes = vec![FireOutcome::Skipped; batch.len()];
-        let mut fired = Vec::new();
-        for (id, cell, range) in groups {
-            // An instance's pairs are one run, spliced back to their
-            // input positions.
-            let positions = &positions[range];
-            let events = positions
-                .iter()
+        let mut scratch = BurstScratch::new();
+        self.plan(batch.len(), |i| (batch[i].0, 1), &mut scratch);
+        for group in &scratch.groups {
+            // An instance's pairs are one run.
+            let events = runs_from(&scratch.runs, group.head)
                 .enumerate()
-                .map(|(k, &i)| (k == 0, batch[i].1.as_ref()));
-            self.fire_group(id, cell.as_ref(), events, &mut fired);
-            for (&i, outcome) in positions.iter().zip(fired.drain(..)) {
-                outcomes[i] = outcome;
-            }
+                .map(|(k, i)| (k == 0, batch[i].1.as_ref()));
+            self.fire_group(group, events, &mut scratch.outcomes);
         }
-        outcomes
+        (0..batch.len())
+            .map(|i| scratch.take_outcomes(i).next().expect("one per pair"))
+            .collect()
     }
 
     /// Fires a burst of independent *runs* — `(instance, events)`
@@ -499,27 +660,38 @@ impl SharedRuntime {
     /// one burst and gets per-request outcomes identical to submitting
     /// them one by one — batching amortizes, it never merges requests
     /// into a wider failure domain (except store-append failure, where
-    /// the burst is one commit unit and nothing is acknowledged).
+    /// an instance's share of the burst is one commit unit and nothing
+    /// of it is acknowledged).
     ///
-    /// Returns one outcome vector per input run, in input positions.
-    /// Every run against an unknown instance rejects its own first
-    /// event and skips the rest. Lock order is the
-    /// [`SharedRuntime::fire_many`] order: shard locks one at a time
-    /// ascending, then instance locks one at a time.
-    pub fn fire_runs<S: AsRef<str>>(&self, runs: &[(InstanceId, &[S])]) -> Vec<Vec<FireOutcome>> {
-        let (positions, groups) = self.resolve(runs.len(), |i| runs[i].0);
-        let mut outcomes: Vec<Vec<FireOutcome>> = Vec::new();
-        outcomes.resize_with(runs.len(), Vec::new);
-        let mut fired = Vec::new();
-        for (id, cell, range) in groups {
-            let positions = &positions[range];
-            let events = positions.iter().flat_map(|&i| fleet::one_run(runs[i].1));
-            self.fire_group(id, cell.as_ref(), events, &mut fired);
-            for &i in positions {
-                outcomes[i] = fired.drain(..runs[i].1.len()).collect();
-            }
+    /// The outcomes land in `scratch`, one slice per input run
+    /// ([`BurstScratch::outcomes`]); a caller that keeps its scratch
+    /// allocates nothing per burst. Every run against an unknown
+    /// instance rejects its own first event and skips the rest. Lock
+    /// order is the [`SharedRuntime::fire_many`] order: shard locks one
+    /// at a time ascending, then instance locks one at a time.
+    pub fn fire_runs_into<S: AsRef<str>>(
+        &self,
+        runs: &[(InstanceId, &[S])],
+        scratch: &mut BurstScratch,
+    ) {
+        self.plan(runs.len(), |i| (runs[i].0, runs[i].1.len()), scratch);
+        for group in &scratch.groups {
+            let events =
+                runs_from(&scratch.runs, group.head).flat_map(|i| fleet::one_run(runs[i].1));
+            self.fire_group(group, events, &mut scratch.outcomes);
         }
-        outcomes
+        // The cells go back; the capacity stays.
+        scratch.groups.clear();
+    }
+
+    /// [`SharedRuntime::fire_runs_into`] with owned results: one outcome
+    /// vector per input run, in input positions.
+    pub fn fire_runs<S: AsRef<str>>(&self, runs: &[(InstanceId, &[S])]) -> Vec<Vec<FireOutcome>> {
+        let mut scratch = BurstScratch::new();
+        self.fire_runs_into(runs, &mut scratch);
+        (0..runs.len())
+            .map(|i| scratch.take_outcomes(i).collect())
+            .collect()
     }
 
     // --- Timers -------------------------------------------------------------

@@ -58,8 +58,9 @@ pub struct Client {
     stream: TcpStream,
     /// Requests encoded but not yet written.
     tx: Vec<u8>,
-    /// Bytes read but not yet decoded.
+    /// Bytes read; `rx[rx_at..]` are not yet decoded.
     rx: Vec<u8>,
+    rx_at: usize,
     chunk: Vec<u8>,
     /// Payload scratch reused across `send` calls.
     scratch: Vec<u8>,
@@ -74,6 +75,7 @@ impl Client {
             stream,
             tx: Vec::new(),
             rx: Vec::new(),
+            rx_at: 0,
             chunk: vec![0u8; 64 * 1024],
             scratch: Vec::new(),
         })
@@ -106,11 +108,15 @@ impl Client {
     /// Reads the next response (FIFO with respect to sent requests).
     pub fn recv(&mut self) -> Result<Response, ClientError> {
         loop {
-            if let Some((consumed, payload)) = protocol::split_frame(&self.rx)? {
+            if let Some((consumed, payload)) = protocol::split_frame(&self.rx[self.rx_at..])? {
                 let resp = protocol::decode_response(payload)?;
-                self.rx.drain(..consumed);
+                self.rx_at += consumed;
                 return Ok(resp);
             }
+            // Compact once per socket read, not once per response: what
+            // is left is at most the prefix of one frame.
+            self.rx.drain(..self.rx_at);
+            self.rx_at = 0;
             let n = self.stream.read(&mut self.chunk)?;
             if n == 0 {
                 return Err(ClientError::Closed);
@@ -253,5 +259,63 @@ impl Client {
             Response::Error(fault) => Err(ClientError::Fault(fault)),
             _ => Err(ClientError::Unexpected("shutdown wants Unit")),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+    use std::sync::mpsc;
+
+    /// Responses arriving several to a read, with a frame torn across
+    /// two reads, come back whole and in order: the receive cursor and
+    /// the once-per-read compaction lose and duplicate nothing.
+    #[test]
+    fn recv_walks_a_read_of_many_frames_and_a_torn_one() {
+        let responses: Vec<Response> = (0..40u64)
+            .map(|i| match i % 3 {
+                0 => Response::InstanceId(i),
+                1 => Response::Name(format!("workflow_{i}")),
+                _ => Response::Status(WireStatus::Running),
+            })
+            .collect();
+        let mut bytes = Vec::new();
+        let mut ends = Vec::new();
+        for resp in &responses {
+            let mut payload = Vec::new();
+            protocol::encode_response(resp, &mut payload);
+            protocol::encode_frame(&payload, &mut bytes);
+            ends.push(bytes.len());
+        }
+        // Tear inside frame 13's header and inside frame 29's payload.
+        let cuts = [ends[12] + 3, ends[28] + protocol::FRAME_HEADER + 1];
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (go, wait) = mpsc::channel::<()>();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut from = 0;
+            for to in cuts.into_iter().chain([bytes.len()]) {
+                stream.write_all(&bytes[from..to]).unwrap();
+                stream.flush().unwrap();
+                from = to;
+                // The next piece leaves only once the client has used
+                // up this one.
+                let _ = wait.recv();
+            }
+        });
+        let mut client = Client::connect(addr).unwrap();
+        for (i, want) in responses.iter().enumerate() {
+            if i == 13 || i == 29 {
+                go.send(()).unwrap();
+            }
+            assert_eq!(&client.recv().unwrap(), want, "response {i}");
+        }
+        assert_eq!(client.rx_at, client.rx.len(), "nothing left over");
+        drop(go);
+        server.join().unwrap();
+        assert!(matches!(client.recv(), Err(ClientError::Closed)));
     }
 }

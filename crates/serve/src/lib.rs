@@ -8,9 +8,10 @@
 //! * [`protocol`] — the length-prefixed, CRC-checked binary wire
 //!   format (see `DESIGN.md` §16 for the spec);
 //! * [`server`] — a thread-per-connection TCP server whose read loop
-//!   coalesces pipelined `fire`/`fire_batch` requests into
-//!   `SharedRuntime::fire_runs` bursts: one instance-lock acquisition
-//!   and one WAL group commit per instance per network read burst;
+//!   decodes pipelined `fire`/`fire_batch` requests in place and
+//!   coalesces them into `SharedRuntime::fire_runs_into` bursts: one
+//!   instance-lock acquisition and one WAL group commit per instance
+//!   per network read burst, and no allocation for being served;
 //! * [`client`] — a blocking client with explicit pipelining;
 //! * [`loadgen`] — the load driver behind `ctr load`: closed- and
 //!   open-loop traffic against a serving endpoint, with latency

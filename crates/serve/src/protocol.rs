@@ -27,6 +27,7 @@
 
 use ctr_runtime::{FireOutcome, InstanceStatus, RuntimeError, Symbol};
 use std::fmt;
+use std::ops::Range;
 
 /// Hard ceiling on a frame's payload length. Large enough for any
 /// realistic snapshot page or batch, small enough that a corrupt or
@@ -157,12 +158,18 @@ impl<'a> Reader<'a> {
         ))
     }
 
-    fn take_str(&mut self) -> Result<String, WireError> {
+    /// A string field, borrowed from the payload.
+    fn take_str(&mut self) -> Result<&'a str, WireError> {
         let len = self.take_u32()? as usize;
         // The length is bounded by the frame, so `take` rejects any
         // claim the payload cannot back.
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8)
+        std::str::from_utf8(bytes).map_err(|_| WireError::BadUtf8)
+    }
+
+    /// A string field, copied out.
+    fn take_string(&mut self) -> Result<String, WireError> {
+        self.take_str().map(str::to_owned)
     }
 
     fn take_count(&mut self) -> Result<usize, WireError> {
@@ -201,9 +208,9 @@ const VERB_ADVANCE: u8 = 0x0B;
 const VERB_CANCEL_TIMER: u8 = 0x0C;
 
 /// One client request. The `Fire`/`FireBatch` verbs are the hot path:
-/// the server coalesces adjacent pipelined ones into a single
-/// `SharedRuntime::fire_runs` burst (see `server.rs`); everything else
-/// is a barrier executed in order.
+/// the server decodes them as [`RequestView`]s and coalesces adjacent
+/// pipelined ones into a single `SharedRuntime::fire_runs_into` burst
+/// (see `server.rs`); everything else is a barrier executed in order.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Request {
     /// Deploy a workflow from source text; answers [`Response::Name`].
@@ -291,59 +298,137 @@ pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
     }
 }
 
-/// Decodes a request payload. Total: a complete frame yields exactly
-/// one request or one typed error.
-pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
-    let mut r = Reader::new(payload);
-    let req = match r.take_u8()? {
-        VERB_DEPLOY => Request::Deploy {
-            source: r.take_str()?,
-        },
-        VERB_START => Request::Start {
-            workflow: r.take_str()?,
-        },
-        VERB_FIRE => Request::Fire {
+/// A decoded request as the server's read loop holds it: the hot verbs
+/// as views whose event names still sit in the payload they were decoded
+/// from, every other verb owned.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RequestView<'a> {
+    /// [`Request::Fire`].
+    Fire { instance: u64, event: &'a str },
+    /// [`Request::FireBatch`]; its events are `names[events]` of the
+    /// vector [`decode_request_view`] appended them to.
+    FireBatch { instance: u64, events: Range<usize> },
+    /// Any other verb.
+    Owned(Request),
+}
+
+impl<'a> RequestView<'a> {
+    /// A hot verb as the run it asks `SharedRuntime::fire_runs_into`
+    /// for; `None` for the barrier verbs. `names` is the vector the view
+    /// was decoded into.
+    pub fn as_run<'r>(&'r self, names: &'r [&'a str]) -> Option<(u64, &'r [&'a str])> {
+        match self {
+            RequestView::Fire { instance, event } => Some((*instance, std::slice::from_ref(event))),
+            RequestView::FireBatch { instance, events } => {
+                Some((*instance, &names[events.clone()]))
+            }
+            RequestView::Owned(_) => None,
+        }
+    }
+
+    /// The request, owning its strings. (Inlined, like `take_request`, so
+    /// that [`decode_request`] builds the owned request in one go.)
+    #[inline]
+    pub fn into_request(self, names: &[&str]) -> Request {
+        match self {
+            RequestView::Fire { instance, event } => Request::Fire {
+                instance,
+                event: event.to_owned(),
+            },
+            RequestView::FireBatch { instance, events } => Request::FireBatch {
+                instance,
+                events: names[events].iter().map(|&e| e.to_owned()).collect(),
+            },
+            RequestView::Owned(req) => req,
+        }
+    }
+}
+
+/// Decodes a request payload in place — the one request decoder. Total:
+/// a complete frame yields exactly one request or one typed error, and
+/// an error leaves `names` as it found it. Only a `fire_batch` appends
+/// to `names`; the strings of the barrier verbs are copied out.
+pub fn decode_request_view<'a>(
+    payload: &'a [u8],
+    names: &mut Vec<&'a str>,
+) -> Result<RequestView<'a>, WireError> {
+    let first = names.len();
+    let view = take_request(Reader::new(payload), names);
+    if view.is_err() {
+        names.truncate(first);
+    }
+    view
+}
+
+/// The decoder itself. On an error `names` may keep what a batch pushed
+/// before it failed; the two callers deal with that.
+#[inline]
+fn take_request<'a>(
+    mut r: Reader<'a>,
+    names: &mut Vec<&'a str>,
+) -> Result<RequestView<'a>, WireError> {
+    let view = match r.take_u8()? {
+        VERB_FIRE => RequestView::Fire {
             instance: r.take_u64()?,
             event: r.take_str()?,
         },
         VERB_FIRE_BATCH => {
             let instance = r.take_u64()?;
             let n = r.take_count()?;
-            let mut events = Vec::with_capacity(n);
+            let first = names.len();
             for _ in 0..n {
-                events.push(r.take_str()?);
+                names.push(r.take_str()?);
             }
-            Request::FireBatch { instance, events }
-        }
-        VERB_FIRE_MANY => {
-            let n = r.take_count()?;
-            let mut pairs = Vec::with_capacity(n);
-            for _ in 0..n {
-                let instance = r.take_u64()?;
-                pairs.push((instance, r.take_str()?));
+            RequestView::FireBatch {
+                instance,
+                events: first..names.len(),
             }
-            Request::FireMany { pairs }
         }
-        VERB_ELIGIBLE => Request::Eligible {
-            instance: r.take_u64()?,
-        },
-        VERB_SNAPSHOT => Request::Snapshot,
-        VERB_STATS => Request::Stats,
-        VERB_SHUTDOWN => Request::Shutdown,
-        VERB_TIMERS => Request::Timers {
-            instance: r.take_u64()?,
-        },
-        VERB_ADVANCE => Request::Advance {
-            to_ms: r.take_u64()?,
-        },
-        VERB_CANCEL_TIMER => Request::CancelTimer {
-            instance: r.take_u64()?,
-            event: r.take_str()?,
-        },
-        verb => return Err(WireError::UnknownVerb(verb)),
+        verb => RequestView::Owned(match verb {
+            VERB_DEPLOY => Request::Deploy {
+                source: r.take_string()?,
+            },
+            VERB_START => Request::Start {
+                workflow: r.take_string()?,
+            },
+            VERB_FIRE_MANY => {
+                let n = r.take_count()?;
+                let mut pairs = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let instance = r.take_u64()?;
+                    pairs.push((instance, r.take_string()?));
+                }
+                Request::FireMany { pairs }
+            }
+            VERB_ELIGIBLE => Request::Eligible {
+                instance: r.take_u64()?,
+            },
+            VERB_SNAPSHOT => Request::Snapshot,
+            VERB_STATS => Request::Stats,
+            VERB_SHUTDOWN => Request::Shutdown,
+            VERB_TIMERS => Request::Timers {
+                instance: r.take_u64()?,
+            },
+            VERB_ADVANCE => Request::Advance {
+                to_ms: r.take_u64()?,
+            },
+            VERB_CANCEL_TIMER => Request::CancelTimer {
+                instance: r.take_u64()?,
+                event: r.take_string()?,
+            },
+            verb => return Err(WireError::UnknownVerb(verb)),
+        }),
     };
     r.finish()?;
-    Ok(req)
+    Ok(view)
+}
+
+/// Decodes a request payload, owning its strings: the view decoder,
+/// then [`RequestView::into_request`].
+pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
+    let mut names = Vec::new();
+    let view = take_request(Reader::new(payload), &mut names)?;
+    Ok(view.into_request(&names))
 }
 
 // --- Responses -------------------------------------------------------------
@@ -548,21 +633,7 @@ pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
             out.push(KIND_OUTCOMES);
             out.extend_from_slice(&(outcomes.len() as u32).to_le_bytes());
             for outcome in outcomes {
-                match outcome {
-                    WireOutcome::Fired(status) => {
-                        out.push(OUTCOME_FIRED);
-                        out.push(match status {
-                            WireStatus::Running => STATUS_RUNNING,
-                            WireStatus::Completed => STATUS_COMPLETED,
-                        });
-                    }
-                    WireOutcome::Rejected(fault) => {
-                        out.push(OUTCOME_REJECTED);
-                        out.push(fault.code as u8);
-                        put_str(out, &fault.message);
-                    }
-                    WireOutcome::Skipped => out.push(OUTCOME_SKIPPED),
-                }
+                put_outcome(out, outcome);
             }
         }
         Response::Names(names) => {
@@ -617,6 +688,35 @@ pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
     }
 }
 
+fn put_outcome(out: &mut Vec<u8>, outcome: &WireOutcome) {
+    match outcome {
+        WireOutcome::Fired(status) => {
+            out.push(OUTCOME_FIRED);
+            out.push(match status {
+                WireStatus::Running => STATUS_RUNNING,
+                WireStatus::Completed => STATUS_COMPLETED,
+            });
+        }
+        WireOutcome::Rejected(fault) => {
+            out.push(OUTCOME_REJECTED);
+            out.push(fault.code as u8);
+            put_str(out, &fault.message);
+        }
+        WireOutcome::Skipped => out.push(OUTCOME_SKIPPED),
+    }
+}
+
+/// Encodes the [`Response::Outcomes`] payload of `outcomes` straight
+/// from the runtime's own — the server's answer to a `fire_batch`,
+/// without the intermediate `Vec<WireOutcome>`.
+pub fn encode_outcomes(outcomes: &[FireOutcome], out: &mut Vec<u8>) {
+    out.push(KIND_OUTCOMES);
+    out.extend_from_slice(&(outcomes.len() as u32).to_le_bytes());
+    for outcome in outcomes {
+        put_outcome(out, &WireOutcome::from_runtime(outcome));
+    }
+}
+
 fn take_status(r: &mut Reader<'_>) -> Result<WireStatus, WireError> {
     match r.take_u8()? {
         STATUS_RUNNING => Ok(WireStatus::Running),
@@ -630,7 +730,7 @@ fn take_fault(r: &mut Reader<'_>) -> Result<Fault, WireError> {
     let code = FaultCode::from_u8(code).ok_or(WireError::UnknownKind(code))?;
     Ok(Fault {
         code,
-        message: r.take_str()?,
+        message: r.take_string()?,
     })
 }
 
@@ -638,7 +738,7 @@ fn take_fault(r: &mut Reader<'_>) -> Result<Fault, WireError> {
 pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
     let mut r = Reader::new(payload);
     let resp = match r.take_u8()? {
-        KIND_NAME => Response::Name(r.take_str()?),
+        KIND_NAME => Response::Name(r.take_string()?),
         KIND_ID => Response::InstanceId(r.take_u64()?),
         KIND_STATUS => Response::Status(take_status(&mut r)?),
         KIND_OUTCOMES => {
@@ -658,11 +758,11 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
             let n = r.take_count()?;
             let mut names = Vec::with_capacity(n);
             for _ in 0..n {
-                names.push(r.take_str()?);
+                names.push(r.take_string()?);
             }
             Response::Names(names)
         }
-        KIND_TEXT => Response::Text(r.take_str()?),
+        KIND_TEXT => Response::Text(r.take_string()?),
         KIND_UNIT => Response::Unit,
         KIND_STATS => Response::Stats(WireStats {
             appends: r.take_u64()?,
@@ -676,7 +776,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
             let n = r.take_count()?;
             let mut timers = Vec::with_capacity(n);
             for _ in 0..n {
-                let tick = r.take_str()?;
+                let tick = r.take_string()?;
                 timers.push((tick, r.take_u64()?));
             }
             Response::Timers(timers)
@@ -686,7 +786,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
             let mut fired = Vec::with_capacity(n);
             for _ in 0..n {
                 let instance = r.take_u64()?;
-                fired.push((instance, r.take_str()?));
+                fired.push((instance, r.take_string()?));
             }
             Response::Fired(fired)
         }

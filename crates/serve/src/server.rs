@@ -8,15 +8,22 @@
 //! [`ServeOptions::max_burst_bytes`]), decodes every complete frame,
 //! and executes the whole **burst** before writing any response:
 //!
+//! * the hot verbs are decoded *in place* — a `fire`'s event name is a
+//!   `&str` into the receive buffer, not a `String`
+//!   ([`protocol::decode_request_view`]);
 //! * maximal runs of adjacent `fire` / `fire_batch` requests are
-//!   submitted as **one** [`SharedRuntime::fire_runs`] burst — one
+//!   submitted as **one** [`SharedRuntime::fire_runs_into`] burst — one
 //!   shard-lock resolution, one instance-lock acquisition per
 //!   referenced instance, and one WAL append (one group commit) per
-//!   instance per burst, instead of one of each per request;
+//!   instance per burst, instead of one of each per request — and
+//!   answered from the burst's one outcome vector;
 //! * every other verb is a barrier executed in arrival order;
 //! * all responses of the burst leave in one `write` + flush.
 //!
-//! Request *semantics* are untouched: `fire_runs` keeps every
+//! Every vector this takes belongs to the connection and is reused, so
+//! serving a fire allocates nothing the fire itself does not.
+//!
+//! Request *semantics* are untouched: `fire_runs_into` keeps every
 //! pipelined request's identity (its failure stops only itself), and
 //! responses are FIFO, so a client cannot distinguish a batching
 //! server from a naive one except by throughput. Per-instance journal
@@ -48,11 +55,13 @@
 //! A connection thread calls into the runtime with **no** locks of its
 //! own, so the runtime's lock order is the whole story: in particular
 //! a `snapshot` request (which takes every shard and instance lock)
-//! runs *between* `fire_runs` bursts, never inside one, so it cannot
+//! runs *between* `fire_runs_into` bursts, never inside one, so it cannot
 //! deadlock against this or any other connection's burst.
 
-use crate::protocol::{self, Fault, FaultCode, Request, Response, WireOutcome, WireStats};
-use ctr_runtime::{FireOutcome, SharedRuntime};
+use crate::protocol::{
+    self, Fault, FaultCode, Request, RequestView, Response, WireOutcome, WireStats,
+};
+use ctr_runtime::{BurstScratch, FireOutcome, SharedRuntime};
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -196,17 +205,69 @@ impl Server {
     }
 }
 
+/// The responses of one burst, framed back to back in request order —
+/// the one place the server encodes anything it sends.
+#[derive(Default)]
+struct Replies {
+    /// The frames, written to the socket in one piece.
+    frames: Vec<u8>,
+    /// The payload being framed.
+    payload: Vec<u8>,
+}
+
+impl Replies {
+    fn push(&mut self, resp: &Response) {
+        self.frame(|payload| protocol::encode_response(resp, payload));
+    }
+
+    /// The answer to a `fire_batch`, from the runtime's outcomes.
+    fn push_outcomes(&mut self, outcomes: &[FireOutcome]) {
+        self.frame(|payload| protocol::encode_outcomes(outcomes, payload));
+    }
+
+    fn frame(&mut self, encode: impl FnOnce(&mut Vec<u8>)) {
+        self.payload.clear();
+        encode(&mut self.payload);
+        protocol::encode_frame(&self.payload, &mut self.frames);
+    }
+}
+
+/// One fire verb as `SharedRuntime::fire_runs_into` takes it.
+type Run<'r, 'a> = (u64, &'r [&'a str]);
+
+/// `v`, emptied, as a vector whose elements may borrow from somewhere
+/// else: how a connection keeps the allocation of a vector of views
+/// from one burst to the next although each burst's views borrow the
+/// receive buffer afresh. Only for `T` and `U` that differ in lifetimes
+/// alone — the standard library then collects in place and the
+/// capacity carries over (CI pins the allocation count that shows it).
+fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter()
+        .map(|_| unreachable!("the vector was cleared"))
+        .collect()
+}
+
 /// Drives one connection; returns on client close, protocol fault,
 /// I/O error, or shutdown.
+///
+/// Everything a burst needs — the decoded views, the event names they
+/// point to, the runs handed to the runtime, the planner's tables and
+/// outcomes, the encoded replies — lives in vectors this function owns
+/// and reuses, so a connection in steady state allocates nothing per
+/// burst, whether the burst is one request or 256.
 fn serve_connection(rt: &SharedRuntime, mut stream: TcpStream, inner: &Inner) -> io::Result<()> {
     // Responses are written in one buffered burst; Nagle would only
     // add latency on top of that.
     let _ = stream.set_nodelay(true);
     let mut rx: Vec<u8> = Vec::new();
     let mut chunk = vec![0u8; 64 * 1024];
-    let mut tx: Vec<u8> = Vec::new();
-    let mut payload: Vec<u8> = Vec::new();
-    let mut requests: Vec<Request> = Vec::new();
+    let mut replies = Replies::default();
+    let mut planner = BurstScratch::new();
+    // Empty between bursts ([`recycle`]).
+    let mut spare_requests: Vec<RequestView<'static>> = Vec::new();
+    let mut spare_names: Vec<&'static str> = Vec::new();
+    let mut spare_runs: Vec<Run<'static, 'static>> = Vec::new();
     loop {
         // Blocking read for the first byte of the next burst…
         let n = match stream.read(&mut chunk) {
@@ -218,7 +279,7 @@ fn serve_connection(rt: &SharedRuntime, mut stream: TcpStream, inner: &Inner) ->
         rx.extend_from_slice(&chunk[..n]);
         // …then drain whatever else is already buffered, without
         // blocking — this is the window that turns a pipelined client
-        // into one `fire_runs` burst.
+        // into one `fire_runs_into` burst.
         if rx.len() < inner.opts.max_burst_bytes {
             stream.set_nonblocking(true)?;
             loop {
@@ -240,49 +301,43 @@ fn serve_connection(rt: &SharedRuntime, mut stream: TcpStream, inner: &Inner) ->
             }
             stream.set_nonblocking(false)?;
         }
-        // Decode every complete frame of the burst.
-        requests.clear();
+        // Decode every complete frame of the burst, in place.
+        let mut requests: Vec<RequestView<'_>> = std::mem::take(&mut spare_requests);
+        let mut names: Vec<&str> = std::mem::take(&mut spare_names);
+        let mut runs: Vec<Run<'_, '_>> = std::mem::take(&mut spare_runs);
         let mut consumed = 0usize;
-        let mut wire_fault = None;
-        loop {
-            match protocol::split_frame(&rx[consumed..]) {
-                Ok(None) => break,
-                Ok(Some((frame_len, frame_payload))) => {
-                    match protocol::decode_request(frame_payload) {
-                        Ok(req) => {
-                            consumed += frame_len;
-                            requests.push(req);
-                        }
-                        Err(e) => {
-                            wire_fault = Some(e);
-                            break;
-                        }
-                    }
+        let wire_fault = loop {
+            let view = match protocol::split_frame(&rx[consumed..]) {
+                Ok(None) => break None,
+                Ok(Some((frame_len, payload))) => {
+                    consumed += frame_len;
+                    protocol::decode_request_view(payload, &mut names)
                 }
-                Err(e) => {
-                    wire_fault = Some(e);
-                    break;
-                }
+                Err(e) => Err(e),
+            };
+            match view {
+                Ok(view) => requests.push(view),
+                Err(e) => break Some(e),
             }
-        }
-        rx.drain(..consumed);
+        };
         // Execute the burst and write every response at once.
-        tx.clear();
-        let shutdown = execute_burst(rt, &requests, inner.opts.max_burst_requests, |resp| {
-            payload.clear();
-            protocol::encode_response(resp, &mut payload);
-            protocol::encode_frame(&payload, &mut tx);
-        });
+        replies.frames.clear();
+        let shutdown = execute_burst(
+            rt,
+            &requests,
+            &names,
+            inner.opts.max_burst_requests,
+            &mut runs,
+            &mut planner,
+            &mut replies,
+        );
         if let Some(e) = &wire_fault {
-            let fault = Response::Error(Fault {
+            replies.push(&Response::Error(Fault {
                 code: FaultCode::Protocol,
                 message: e.to_string(),
-            });
-            payload.clear();
-            protocol::encode_response(&fault, &mut payload);
-            protocol::encode_frame(&payload, &mut tx);
+            }));
         }
-        stream.write_all(&tx)?;
+        stream.write_all(&replies.frames)?;
         stream.flush()?;
         if wire_fault.is_some() {
             // Framing is in doubt: close rather than resynchronize.
@@ -293,73 +348,66 @@ fn serve_connection(rt: &SharedRuntime, mut stream: TcpStream, inner: &Inner) ->
             inner.trigger_shutdown();
             return Ok(());
         }
+        spare_runs = recycle(runs);
+        spare_names = recycle(names);
+        spare_requests = recycle(requests);
+        // What is left is the prefix of a frame still on its way.
+        rx.drain(..consumed);
     }
 }
 
-/// Executes one burst in request order, emitting one response per
-/// request through `emit`; returns whether a shutdown was requested.
+/// Executes one burst in request order, pushing one response per
+/// request onto `replies`; returns whether a shutdown was requested.
 ///
-/// Maximal runs of `Fire`/`FireBatch` become one `fire_runs` call;
-/// requests beyond `budget` are answered `Busy` unexecuted.
-fn execute_burst(
+/// Maximal runs of `Fire`/`FireBatch` become one `fire_runs_into` call
+/// (`names` is what the views were decoded into, `runs` and `planner`
+/// are working memory); requests beyond `budget` are answered `Busy`
+/// unexecuted.
+fn execute_burst<'r, 'a>(
     rt: &SharedRuntime,
-    requests: &[Request],
+    requests: &'r [RequestView<'a>],
+    names: &'r [&'a str],
     budget: usize,
-    mut emit: impl FnMut(&Response),
+    runs: &mut Vec<Run<'r, 'a>>,
+    planner: &mut BurstScratch,
+    replies: &mut Replies,
 ) -> bool {
     let (admitted, refused) = requests.split_at(budget.min(requests.len()));
     let mut shutdown = false;
     let mut i = 0;
     while i < admitted.len() {
-        match &admitted[i] {
-            Request::Fire { .. } | Request::FireBatch { .. } => {
-                let start = i;
-                while i < admitted.len()
-                    && matches!(
-                        admitted[i],
-                        Request::Fire { .. } | Request::FireBatch { .. }
-                    )
-                {
-                    i += 1;
-                }
-                let runs: Vec<(u64, &[String])> = admitted[start..i]
-                    .iter()
-                    .map(|req| match req {
-                        Request::Fire { instance, event } => {
-                            (*instance, std::slice::from_ref(event))
-                        }
-                        Request::FireBatch { instance, events } => (*instance, events.as_slice()),
-                        _ => unreachable!("run contains only fire verbs"),
-                    })
-                    .collect();
-                let outcomes = rt.fire_runs(&runs);
-                for (req, run) in admitted[start..i].iter().zip(&outcomes) {
-                    match req {
-                        Request::Fire { .. } => emit(&match &run[0] {
-                            FireOutcome::Fired(status) => Response::Status((*status).into()),
-                            FireOutcome::Rejected(e) => Response::Error(Fault::from_runtime(e)),
-                            FireOutcome::Skipped => {
-                                unreachable!("a singleton run is never skipped")
-                            }
-                        }),
-                        Request::FireBatch { .. } => emit(&Response::Outcomes(
-                            run.iter().map(WireOutcome::from_runtime).collect(),
-                        )),
-                        _ => unreachable!(),
-                    }
-                }
-            }
-            req => {
-                emit(&execute_one(rt, req, &mut shutdown));
-                i += 1;
+        if let RequestView::Owned(req) = &admitted[i] {
+            replies.push(&execute_one(rt, req, &mut shutdown));
+            i += 1;
+            continue;
+        }
+        let start = i;
+        runs.clear();
+        while let Some(run) = admitted.get(i).and_then(|req| req.as_run(names)) {
+            runs.push(run);
+            i += 1;
+        }
+        rt.fire_runs_into(runs, planner);
+        for (run, req) in admitted[start..i].iter().enumerate() {
+            let outcomes = planner.outcomes(run);
+            match req {
+                RequestView::Fire { .. } => replies.push(&match &outcomes[0] {
+                    FireOutcome::Fired(status) => Response::Status((*status).into()),
+                    FireOutcome::Rejected(e) => Response::Error(Fault::from_runtime(e)),
+                    FireOutcome::Skipped => unreachable!("a singleton run is never skipped"),
+                }),
+                _ => replies.push_outcomes(outcomes),
             }
         }
     }
-    for _ in refused {
-        emit(&Response::Error(Fault {
+    if !refused.is_empty() {
+        let busy = Response::Error(Fault {
             code: FaultCode::Busy,
             message: format!("burst budget of {budget} requests exceeded; retry"),
-        }));
+        });
+        for _ in refused {
+            replies.push(&busy);
+        }
     }
     shutdown
 }
@@ -417,7 +465,7 @@ fn execute_one(rt: &SharedRuntime, req: &Request, shutdown: &mut bool) -> Respon
             Response::Unit
         }
         Request::Fire { .. } | Request::FireBatch { .. } => {
-            unreachable!("fire verbs batch through fire_runs")
+            unreachable!("the decoder hands fire verbs out as views")
         }
     }
 }
@@ -429,10 +477,44 @@ mod tests {
 
     const PAY: &str = "workflow pay { graph invoice * (approve + reject) * file; }";
 
+    /// Runs `requests` as one burst the way a connection would — from
+    /// their wire form, through the view decoder — and decodes what it
+    /// answered; also whether the burst asked for a shutdown.
+    fn run_burst(rt: &SharedRuntime, requests: &[Request], budget: usize) -> (Vec<Response>, bool) {
+        let payloads: Vec<Vec<u8>> = requests
+            .iter()
+            .map(|req| {
+                let mut payload = Vec::new();
+                protocol::encode_request(req, &mut payload);
+                payload
+            })
+            .collect();
+        let mut names = Vec::new();
+        let views: Vec<RequestView<'_>> = payloads
+            .iter()
+            .map(|payload| protocol::decode_request_view(payload, &mut names).unwrap())
+            .collect();
+        let mut replies = Replies::default();
+        let shutdown = execute_burst(
+            rt,
+            &views,
+            &names,
+            budget,
+            &mut Vec::new(),
+            &mut BurstScratch::new(),
+            &mut replies,
+        );
+        let mut responses = Vec::new();
+        let mut rest = replies.frames.as_slice();
+        while let Some((len, payload)) = protocol::split_frame(rest).unwrap() {
+            responses.push(protocol::decode_response(payload).unwrap());
+            rest = &rest[len..];
+        }
+        (responses, shutdown)
+    }
+
     fn collect_burst(rt: &SharedRuntime, requests: &[Request], budget: usize) -> Vec<Response> {
-        let mut out = Vec::new();
-        execute_burst(rt, requests, budget, |resp| out.push(resp.clone()));
-        out
+        run_burst(rt, requests, budget).0
     }
 
     #[test]
@@ -465,8 +547,8 @@ mod tests {
             other => panic!("expected Outcomes, got {other:?}"),
         }
         match &responses[2] {
-            Response::Symbols(events) => assert!(events.is_empty(), "completed: {events:?}"),
-            other => panic!("expected Symbols, got {other:?}"),
+            Response::Names(events) => assert!(events.is_empty(), "completed: {events:?}"),
+            other => panic!("expected Names, got {other:?}"),
         }
         assert_eq!(
             rt.journal(id).unwrap(),
@@ -571,8 +653,7 @@ mod tests {
                 event: "invoice".into(),
             },
         ];
-        let mut out = Vec::new();
-        let shutdown = execute_burst(&rt, &requests, 256, |resp| out.push(resp.clone()));
+        let (out, shutdown) = run_burst(&rt, &requests, 256);
         assert!(shutdown);
         assert!(matches!(out[0], Response::Unit));
         assert!(matches!(out[1], Response::Status(WireStatus::Running)));

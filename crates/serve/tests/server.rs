@@ -4,7 +4,9 @@
 
 use ctr_runtime::SharedRuntime;
 use ctr_serve::protocol::{self, FaultCode};
-use ctr_serve::{Client, ClientError, Request, Response, ServeOptions, Server, WireStatus};
+use ctr_serve::{
+    Client, ClientError, Request, Response, ServeOptions, Server, WireOutcome, WireStatus,
+};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
@@ -118,8 +120,10 @@ fn pipelined_burst_over_one_connection_matches_in_process() {
             }
         } else {
             let outcomes = local.fire_batch(*local_id, events).unwrap();
+            let outcomes: Vec<WireOutcome> =
+                outcomes.iter().map(WireOutcome::from_runtime).collect();
             match &wire_responses[i] {
-                Response::Outcomes(wire) => assert_eq!(wire.len(), outcomes.len()),
+                Response::Outcomes(wire) => assert_eq!(wire, &outcomes, "request {i}"),
                 other => panic!("request {i}: expected Outcomes, got {other:?}"),
             }
         }
@@ -144,9 +148,6 @@ fn a_corrupt_frame_gets_a_typed_error_then_the_connection_closes() {
     let id = rt.start("pay").unwrap();
     let (addr, handle, join) = spawn(rt.clone());
 
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream.set_nodelay(true).unwrap();
-
     // One well-formed request followed by a CRC-corrupt frame in the
     // same write: the good request still executes, the fault gets a
     // typed Protocol error, then the server closes the connection.
@@ -165,17 +166,8 @@ fn a_corrupt_frame_gets_a_typed_error_then_the_connection_closes() {
     let last = bad.len() - 1;
     bad[last] ^= 0x40; // corrupt the payload under an unchanged CRC
     bytes.extend_from_slice(&bad);
-    stream.write_all(&bytes).unwrap();
 
-    // Read until EOF, then decode everything the server sent.
-    let mut rx = Vec::new();
-    stream.read_to_end(&mut rx).unwrap();
-    let mut responses = Vec::new();
-    while let Some((consumed, payload)) = protocol::split_frame(&rx).unwrap() {
-        responses.push(protocol::decode_response(payload).unwrap());
-        rx.drain(..consumed);
-    }
-    assert!(rx.is_empty(), "no torn trailing bytes from the server");
+    let responses = write_then_read_to_eof(addr, &bytes);
     assert_eq!(responses.len(), 2, "good request answered, fault typed");
     assert!(matches!(
         responses[0],
@@ -186,6 +178,74 @@ fn a_corrupt_frame_gets_a_typed_error_then_the_connection_closes() {
         other => panic!("expected Protocol fault, got {other:?}"),
     }
     // The committed fire survived the connection teardown.
+    assert_eq!(rt.journal(id).unwrap(), vec!["invoice"]);
+
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
+/// Writes `bytes` in one piece, reads until the server closes, and
+/// decodes everything it sent.
+fn write_then_read_to_eof(addr: SocketAddr, bytes: &[u8]) -> Vec<Response> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream.write_all(bytes).unwrap();
+    let mut rx = Vec::new();
+    stream.read_to_end(&mut rx).unwrap();
+    let mut responses = Vec::new();
+    while let Some((consumed, payload)) = protocol::split_frame(&rx).unwrap() {
+        responses.push(protocol::decode_response(payload).unwrap());
+        rx.drain(..consumed);
+    }
+    assert!(rx.is_empty(), "no torn trailing bytes from the server");
+    responses
+}
+
+#[test]
+fn a_bad_name_deep_in_a_batch_commits_nothing_of_its_frame() {
+    let rt = SharedRuntime::new();
+    rt.deploy_source(PAY).unwrap();
+    let id = rt.start("pay").unwrap();
+    let (addr, handle, join) = spawn(rt.clone());
+
+    // A good fire, then — same write, intact CRC — a fire_batch whose
+    // third name is not UTF-8. Its first two names are eligible events:
+    // were the batch executed as far as it decodes, they would commit.
+    let mut bytes = Vec::new();
+    let mut payload = Vec::new();
+    protocol::encode_request(
+        &Request::Fire {
+            instance: id,
+            event: "invoice".to_owned(),
+        },
+        &mut payload,
+    );
+    protocol::encode_frame(&payload, &mut bytes);
+    payload.clear();
+    protocol::encode_request(
+        &Request::FireBatch {
+            instance: id,
+            events: vec!["approve".to_owned(), "file".to_owned(), "zz".to_owned()],
+        },
+        &mut payload,
+    );
+    let len = payload.len();
+    payload[len - 2..].copy_from_slice(&[0xff, 0xfe]);
+    protocol::encode_frame(&payload, &mut bytes);
+
+    let responses = write_then_read_to_eof(addr, &bytes);
+    assert_eq!(responses.len(), 2, "{responses:?}");
+    assert!(matches!(
+        responses[0],
+        Response::Status(WireStatus::Running)
+    ));
+    match &responses[1] {
+        Response::Error(fault) => {
+            assert_eq!(fault.code, FaultCode::Protocol);
+            assert!(fault.message.contains("utf-8"), "{}", fault.message);
+        }
+        other => panic!("expected Protocol fault, got {other:?}"),
+    }
     assert_eq!(rt.journal(id).unwrap(), vec!["invoice"]);
 
     handle.shutdown();

@@ -8,8 +8,14 @@
 //! single-threaded `Runtime` accepts every event), and a `snapshot()`
 //! taken at any moment must parse and restore.
 
-use ctr_runtime::{Runtime, RuntimeError, SharedRuntime};
+use ctr_runtime::shared::SHARD_COUNT;
+use ctr_runtime::{
+    BurstScratch, FireOutcome, InstanceId, MemStore, Runtime, RuntimeError, SharedRuntime, Store,
+};
+use ctr_store::Record;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 const SPEC: &str = r"
     workflow claims {
@@ -202,5 +208,156 @@ fn eligible_symbols_agrees_with_eligible() {
         if rt.is_complete(id).unwrap() {
             break;
         }
+    }
+}
+
+// --- Bursts against one `fire_batch` at a time --------------------------------
+
+/// More instances than the planner's table has entries for a small
+/// burst, several to a shard.
+const FLEET: u64 = 5 * SHARD_COUNT as u64;
+
+/// One complete execution of `SPEC`.
+const PATH: [&str; 5] = ["file", "triage", "verify_policy", "approve_claim", "notify"];
+
+fn fleet_with(store: Option<Arc<dyn Store>>) -> SharedRuntime {
+    let rt = store.map_or_else(SharedRuntime::new, SharedRuntime::with_store);
+    rt.deploy_source(SPEC).unwrap();
+    for id in 0..FLEET {
+        assert_eq!(rt.start("claims").unwrap(), id);
+    }
+    rt
+}
+
+/// A random burst: runs of zero to three events, mostly the next events
+/// of their instance's path (so bursts commit), some drawn blindly (a
+/// refusal mid-run), against a hot set of instances that keeps coming
+/// back, the whole fleet, and ids nobody started. `at` is the
+/// generator's guess of each instance's progress, carried from burst to
+/// burst.
+fn random_burst(
+    rng: &mut u64,
+    len: usize,
+    at: &mut [usize],
+) -> Vec<(InstanceId, Vec<&'static str>)> {
+    (0..len)
+        .map(|_| {
+            let id = match next(rng) % 10 {
+                0 => 1_000 + next(rng) % 3,
+                1..=5 => next(rng) % 8 * 7 % FLEET,
+                _ => next(rng) % FLEET,
+            };
+            let events = (0..next(rng) % 4)
+                .map(|_| match at.get_mut(id as usize) {
+                    Some(at) if !next(rng).is_multiple_of(5) => {
+                        *at += 1;
+                        PATH[(*at - 1) % PATH.len()]
+                    }
+                    _ => EVENTS[next(rng) as usize % EVENTS.len()],
+                })
+                .collect();
+            (id, events)
+        })
+        .collect()
+}
+
+/// What a run reports when it was not tried at all.
+fn untried(events: usize, why: RuntimeError) -> Vec<FireOutcome> {
+    let mut outcomes = vec![FireOutcome::Skipped; events];
+    if let Some(first) = outcomes.first_mut() {
+        *first = FireOutcome::Rejected(why);
+    }
+    outcomes
+}
+
+/// `fire_batch`, with an unknown id reported the way a burst reports it.
+fn one_batch(rt: &SharedRuntime, id: InstanceId, events: &[&str]) -> Vec<FireOutcome> {
+    rt.fire_batch(id, events)
+        .unwrap_or_else(|e| untried(events.len(), e))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// A burst through `fire_runs`, through `fire_runs_into` with a
+    /// scratch kept from burst to burst and, flattened to pairs, through
+    /// `fire_many` answers exactly what a twin runtime answers to the
+    /// same runs submitted one `fire_batch` at a time — every outcome,
+    /// every journal, the snapshot bytes — and reaches the store as one
+    /// record per instance in first-appearance order.
+    #[test]
+    fn bursts_match_one_fire_batch_at_a_time(
+        seed in 0u64..1_000_000,
+        lens in proptest::collection::vec(0usize..260, 1..4),
+    ) {
+        let store = Arc::new(MemStore::new());
+        let by_runs = fleet_with(Some(Arc::clone(&store) as Arc<dyn Store>));
+        let by_runs_into = fleet_with(None);
+        let run_twin = fleet_with(None);
+        let by_pairs = fleet_with(None);
+        let pair_twin = fleet_with(None);
+        let mut scratch = BurstScratch::new();
+        let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut at = vec![0usize; FLEET as usize];
+        for len in lens {
+            let burst = random_burst(&mut rng, len, &mut at);
+            let runs: Vec<(InstanceId, &[&str])> =
+                burst.iter().map(|(id, events)| (*id, events.as_slice())).collect();
+
+            // Runs: each one alone on the twin, in input order.
+            let logged = store.replay().unwrap().records.len();
+            let outcomes = by_runs.fire_runs(&runs);
+            by_runs_into.fire_runs_into(&runs, &mut scratch);
+            prop_assert_eq!(outcomes.len(), runs.len());
+            let mut committed: Vec<(InstanceId, Vec<String>)> = Vec::new();
+            for (i, &(id, events)) in runs.iter().enumerate() {
+                let want = one_batch(&run_twin, id, events);
+                prop_assert_eq!(&outcomes[i], &want, "run {} of {:?}", i, runs);
+                prop_assert_eq!(scratch.outcomes(i), want.as_slice(), "run {} of {:?}", i, runs);
+                let fired = want.iter().filter(|o| matches!(o, FireOutcome::Fired(_))).count();
+                let fired = events[..fired].iter().map(|&e| e.to_owned());
+                match committed.iter_mut().find(|(instance, _)| *instance == id) {
+                    Some((_, so_far)) => so_far.extend(fired),
+                    None => committed.push((id, fired.collect())),
+                }
+            }
+            let appended: Vec<(InstanceId, Vec<String>)> = store.replay().unwrap().records[logged..]
+                .iter()
+                .map(|record| match record {
+                    Record::Events { instance, events } => (*instance, events.clone()),
+                    other => panic!("a burst appends only events, not {other:?}"),
+                })
+                .collect();
+            committed.retain(|(_, events)| !events.is_empty());
+            prop_assert_eq!(appended, committed, "one append per instance, in order of appearance");
+
+            // Pairs: an instance's pairs are one batch on the twin.
+            let pairs: Vec<(InstanceId, &str)> = runs
+                .iter()
+                .flat_map(|&(id, events)| events.iter().map(move |&event| (id, event)))
+                .collect();
+            let outcomes = by_pairs.fire_many(&pairs);
+            let mut by_instance: BTreeMap<InstanceId, Vec<usize>> = BTreeMap::new();
+            for (position, &(id, _)) in pairs.iter().enumerate() {
+                by_instance.entry(id).or_default().push(position);
+            }
+            let mut want = vec![FireOutcome::Skipped; pairs.len()];
+            for (id, positions) in by_instance {
+                let events: Vec<&str> = positions.iter().map(|&p| pairs[p].1).collect();
+                for (p, outcome) in positions.into_iter().zip(one_batch(&pair_twin, id, &events)) {
+                    want[p] = outcome;
+                }
+            }
+            prop_assert_eq!(outcomes, want, "pairs {:?}", pairs);
+        }
+        for id in 0..FLEET {
+            prop_assert_eq!(by_runs.journal(id).unwrap(), run_twin.journal(id).unwrap());
+            prop_assert_eq!(by_pairs.journal(id).unwrap(), pair_twin.journal(id).unwrap());
+        }
+        prop_assert_eq!(by_runs.snapshot(), run_twin.snapshot());
+        prop_assert_eq!(by_runs_into.snapshot(), run_twin.snapshot());
+        prop_assert_eq!(by_pairs.snapshot(), pair_twin.snapshot());
+        let recovered = SharedRuntime::open(store as Arc<dyn Store>).unwrap();
+        prop_assert_eq!(recovered.snapshot(), run_twin.snapshot());
     }
 }
