@@ -205,7 +205,7 @@ impl Instance {
         }
         if let Err(e) = append(store, || record(&self.journal[from..])) {
             self.journal.truncate(from);
-            self.rebuild_cursor(Arc::clone(&self.program))?;
+            self.rebuild_cursor(Arc::clone(self.cursor.holder()))?;
             return Err(e);
         }
         self.status = self.stepped_status();

@@ -265,13 +265,12 @@ pub(crate) struct Instance {
     pub(crate) workflow: Arc<str>,
     pub(crate) journal: Vec<Symbol>,
     pub(crate) status: InstanceStatus,
-    /// The program this instance pinned at start — also held by
-    /// `cursor`, kept separately so the store-failure rollback path can
-    /// rebuild the cursor without resolving the deployment registry.
-    pub(crate) program: Arc<Program>,
-    /// Cached cursor over the deployment's program: always equal to the
-    /// state obtained by replaying `journal` against a fresh scheduler
-    /// (replay is deterministic), but maintained incrementally.
+    /// Cached cursor over the program this instance pinned at start
+    /// (the cursor co-owns it, so the store-failure rollback rebuilds
+    /// from `cursor.holder()` without resolving the deployment
+    /// registry): always equal to the state obtained by replaying
+    /// `journal` against a fresh scheduler (replay is deterministic),
+    /// but maintained incrementally.
     pub(crate) cursor: Scheduler<Arc<Program>>,
     /// Timers still pending for this instance (few per instance; linear
     /// scans). The wheel holds the mirror entry; `token` ties the two.
@@ -282,8 +281,7 @@ impl Instance {
     /// A fresh instance of `deployment`: its cursor is a copy of the
     /// program's initial one.
     pub(crate) fn new(deployment: &Deployment) -> Instance {
-        let program = Arc::clone(&deployment.program);
-        let cursor = Scheduler::new(Arc::clone(&program));
+        let cursor = Scheduler::new(Arc::clone(&deployment.program));
         let status = if cursor.is_complete() {
             InstanceStatus::Completed
         } else {
@@ -293,7 +291,6 @@ impl Instance {
             workflow: Arc::clone(&deployment.name),
             journal: Vec::new(),
             status,
-            program,
             cursor,
             timers: Vec::new(),
         }
@@ -401,7 +398,7 @@ impl Instance {
     /// `debug_assert!`, i.e. silent cursor corruption in release builds;
     /// with journals coming back from disk it must be a real error.)
     pub(crate) fn rebuild_cursor(&mut self, program: Arc<Program>) -> Result<u64, RuntimeError> {
-        let mut cursor = Scheduler::new(Arc::clone(&program));
+        let mut cursor = Scheduler::new(program);
         for &event in &self.journal {
             if !cursor.fire_event(event) {
                 return Err(RuntimeError::Journal(format!(
@@ -410,7 +407,6 @@ impl Instance {
                 )));
             }
         }
-        self.program = program;
         self.cursor = cursor;
         Ok(self.journal.len() as u64)
     }
@@ -594,10 +590,13 @@ impl Runtime {
                 "duplicate start record for instance {id}"
             )));
         }
+        let successor = id.checked_add(1).ok_or_else(|| {
+            RuntimeError::Journal(format!("start record for instance {id} leaves no next id"))
+        })?;
         let mut instance = Instance::new(&deployment);
         fleet::adopt(&mut instance, id, &deployment, arms, &mut self.timers);
         self.instances.insert(id, instance);
-        self.next_id = self.next_id.max(id + 1);
+        self.next_id = self.next_id.max(successor);
         Ok(())
     }
 
@@ -929,8 +928,16 @@ impl Runtime {
                         "instance {id} references unknown workflow `{workflow}`"
                     )));
                 };
+                let successor = id.checked_add(1).ok_or_else(|| {
+                    RuntimeError::Snapshot(format!("instance {id} leaves no next id"))
+                })?;
+                // A second line for an id would replace the first's
+                // journal and strand its timers on the wheel.
+                if rt.instances.contains_key(&id) {
+                    return Err(RuntimeError::Snapshot(format!("duplicate instance {id}")));
+                }
                 rt.instances.insert(id, Instance::new(deployment));
-                rt.next_id = rt.next_id.max(id + 1);
+                rt.next_id = rt.next_id.max(successor);
                 // Replay through the public API so every journaled event
                 // is re-validated. This is the one place cursors are
                 // materialized by replay rather than advanced in place.
@@ -1134,6 +1141,58 @@ mod tests {
             Runtime::restore(&snap),
             Err(RuntimeError::NotEligible { .. })
         ));
+    }
+
+    #[test]
+    fn snapshot_rejects_an_instance_id_with_no_successor() {
+        let mut rt = runtime_with_pay();
+        rt.start("pay").unwrap();
+        let snap = rt
+            .snapshot()
+            .replace("instance 0 ", "instance 18446744073709551615 ");
+        assert_eq!(
+            Runtime::restore(&snap).err(),
+            Some(RuntimeError::Snapshot(
+                "instance 18446744073709551615 leaves no next id".to_owned()
+            ))
+        );
+        // So does the same id in a durable start record.
+        let store = Arc::new(MemStore::new());
+        let mut rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn Store>);
+        rt.deploy_source(PAY).unwrap();
+        store
+            .append(&Record::Start {
+                instance: u64::MAX,
+                workflow: "pay".to_owned(),
+            })
+            .unwrap();
+        assert!(matches!(
+            Runtime::open(store).err(),
+            Some(RuntimeError::Journal(_))
+        ));
+        // The last id that has one restores, with nothing left to start.
+        let snap = rt.snapshot() + "instance 18446744073709551614 of pay [running]: invoice\n";
+        let rt = Runtime::restore(&snap).unwrap();
+        assert_eq!(rt.instances(), vec![u64::MAX - 1]);
+    }
+
+    #[test]
+    fn snapshot_rejects_a_second_line_for_an_instance() {
+        let mut rt = Runtime::new();
+        rt.deploy_source("workflow timed { graph invoice * approve; deadline(approve, 1h); }")
+            .unwrap();
+        let id = rt.start("timed").unwrap();
+        rt.fire(id, "invoice").unwrap();
+        let snap = rt.snapshot();
+        assert_eq!(Runtime::restore(&snap).unwrap().pending_timer_count(), 1);
+        // The later line used to replace the instance and its journal,
+        // leaving the first one's timer a phantom on the wheel.
+        let twice = format!("{snap}instance {id} of timed [running]: \n");
+        assert_eq!(
+            Runtime::restore(&twice).err(),
+            Some(RuntimeError::Snapshot(format!("duplicate instance {id}")))
+        );
+        assert!(SharedRuntime::restore(&twice).is_err());
     }
 
     #[test]

@@ -8,10 +8,15 @@
 //!
 //! * a **read-mostly deployment registry** behind an [`RwLock`] — deploys
 //!   are rare, `start`/`fire` are hot, and readers only clone an `Arc`;
-//! * an **instance table striped across [`SHARD_COUNT`] shards** keyed by
-//!   `InstanceId`, each shard a small map behind its own [`Mutex`];
-//! * **per-instance state behind its own lock**, so two clients firing
-//!   events on *different* instances never contend;
+//! * an **instance table striped across [`SHARD_COUNT`] shards**:
+//!   instance `id` is slot `id / SHARD_COUNT` of shard
+//!   `id % SHARD_COUNT`, in a dense append-only table whose cells never
+//!   move and are **read without a lock**. Each shard has a *gate*
+//!   mutex that only the writers (`start`, `from_runtime`) and the
+//!   snapshot freeze take;
+//! * **per-instance state behind its own lock**, the only lock an
+//!   operation on a known instance acquires, so two clients firing
+//!   events on *different* instances share nothing they write;
 //! * the **timer wheel and logical clock** behind one mutex.
 //!
 //! This module is a *holder*: it resolves ids and takes locks, and hands
@@ -24,24 +29,50 @@
 //! events exactly one wins and the loser gets
 //! [`RuntimeError::NotEligible`] with the post-commit alternatives.
 //!
+//! ## The instance table
+//!
+//! A shard's table is a fixed directory of geometrically growing
+//! buckets of 64-cell chunks, every level a [`OnceLock`]: written once
+//! under the gate, found afterwards by arithmetic on the id and two
+//! loads. Instances are never removed, so a cell is handed out as a
+//! plain `&Mutex<Instance>` borrowed from the runtime. Three rules keep
+//! what a locked map gave for free:
+//!
+//! * **A miss is confirmed under the gate** before it becomes
+//!   [`RuntimeError::UnknownInstance`]. `start` arms the wheel before
+//!   it publishes the instance (both under the gate), so an
+//!   [`SharedRuntime::advance`] that has already popped one of its
+//!   timers misses, waits on the gate, and then finds the instance
+//!   complete with the timer it is about to fire — rather than dropping
+//!   the expiry.
+//! * **Memory follows the instances held, not the largest id.** A
+//!   restored snapshot may name any id; one that would leave the dense
+//!   table under about a quarter full goes to a small ordered *overflow*
+//!   map inside the gate (the one place a cell is an `Arc`, so that it
+//!   can be used after the gate is released). Lookups of such ids take
+//!   the miss path every time, which is the cost the whole table used
+//!   to have.
+//! * **Ids are unique**: `start` draws them from one counter and
+//!   [`Runtime::restore`] rejects a snapshot that names one twice, so a
+//!   cell is never written a second time.
+//!
 //! ## Bursts
 //!
 //! The cross-instance entry points ([`SharedRuntime::fire_many`],
 //! [`SharedRuntime::fire_runs`], [`SharedRuntime::fire_runs_into`]) ride
-//! one linear *planner*: a single pass over the burst — no sort — groups
-//! its runs by instance in first-appearance order, each referenced shard
-//! is locked once to resolve the cells, and each instance is then locked
-//! once while the core fires its share and pushes the outcomes straight
-//! into the burst's one outcome vector. The planner's tables and that
-//! vector are a [`BurstScratch`] the caller may keep: a connection
-//! thread submitting burst after burst allocates nothing for them. No
-//! step of a fire takes a process-wide lock — the event a client names
-//! is resolved by the instance's own program, not by the symbol
-//! interner.
+//! one linear *planner*: a single pass over the burst — no sort, no
+//! lock — groups its runs by instance in first-appearance order; each
+//! instance is then looked up and locked once while the core fires its
+//! share and pushes the outcomes straight into the burst's one outcome
+//! vector. The planner's tables and that vector are a [`BurstScratch`]
+//! the caller may keep: a connection thread submitting burst after
+//! burst allocates nothing for them. No step of a fire takes a
+//! process-wide lock — the event a client names is resolved by the
+//! instance's own program, not by the symbol interner.
 //!
 //! ## Lock order
 //!
-//! `registry < shard[0] < … < shard[SHARD_COUNT−1] < instance locks <
+//! `registry < gate[0] < … < gate[SHARD_COUNT−1] < instance locks <
 //! timer state < the store's own stripe locks`. The store's locks are
 //! only ever taken inside a [`Store`] call, never around one. The timer
 //! mutex is taken by the core alone, for a few instructions at a time
@@ -51,13 +82,17 @@
 //! | operation | locks, in order | held across its append |
 //! |---|---|---|
 //! | `deploy_*` | registry (write) | registry (write) |
-//! | `start` | registry (read, released), shard, timer (brief, twice) | destination shard |
-//! | `fire`, `fire_batch`, `try_complete`, `cancel_timer` | shard (lookup, released), instance, timer (brief, only if a timer settles) | instance |
-//! | `fire_many`, `fire_runs`, `fire_runs_into` | each referenced shard once, ascending, one at a time; then each referenced instance, one at a time | instance |
-//! | `advance` | timer alone (pop the batch); then per expiry shard (lookup, released), instance, timer (brief); timer (move the clock) | instance |
-//! | `snapshot`, `checkpoint` | registry (read), every shard ascending, every instance — all held to the end | — (the freeze) |
+//! | `start` | registry (read, released), gate, timer (brief, twice) | destination gate |
+//! | `fire`, `fire_batch`, `try_complete`, `cancel_timer` | instance, timer (brief, only if a timer settles) | instance |
+//! | `fire_many`, `fire_runs`, `fire_runs_into` | each referenced instance, one at a time | instance |
+//! | `advance` | timer alone (pop the batch); then per expiry instance, timer (brief); timer (move the clock) | instance |
+//! | `snapshot`, `checkpoint` | registry (read), every gate ascending, every instance — all held to the end | — (the freeze) |
 //!
-//! No path ever waits on the registry or a shard lock while holding an
+//! Every lookup that misses the dense table — an unknown id, an
+//! overflow id, an instance still being published — also takes its
+//! shard's gate, alone and released before the instance lock.
+//!
+//! No path ever waits on the registry or a gate while holding an
 //! instance lock, so the order is acyclic. (This matters for more than
 //! tidiness: `RwLock` readers can queue behind a waiting writer, so a
 //! registry read taken under an instance lock could deadlock against
@@ -67,19 +102,13 @@
 //! Each durable **control-record append rides inside the lock that
 //! publishes its effect** (last column). That discipline is what makes
 //! [`SharedRuntime::checkpoint`]'s freeze a true cut — holding the
-//! registry read lock, every shard lock, and every instance lock
-//! excludes every in-flight control append, so no record can take a
-//! sequence number below the checkpoint cut while the state it
-//! describes is still invisible to the snapshot. (Without it, a start
-//! could append its record, the checkpoint could truncate that record
-//! behind a snapshot that misses the instance, and recovery would fail
-//! on the instance's surviving event records.)
-//!
-//! A started instance is inserted into its shard only after its wheel
-//! entries and its own timer list agree, still under the shard lock: an
-//! [`SharedRuntime::advance`] that already popped one of its timers
-//! waits on that shard lock for the lookup and then finds the instance
-//! complete with the timer it is about to fire.
+//! registry read lock, every gate, and every instance lock excludes
+//! every in-flight control append, so no record can take a sequence
+//! number below the checkpoint cut while the state it describes is
+//! still invisible to the snapshot. (Without it, a start could append
+//! its record, the checkpoint could truncate that record behind a
+//! snapshot that misses the instance, and recovery would fail on the
+//! instance's surviving event records.)
 //!
 //! Snapshot output is **byte-identical** to [`Runtime::snapshot`] on the
 //! same logical state — both serialize through the same
@@ -122,14 +151,13 @@ use crate::{Deployment, FireOutcome, Instance, InstanceId, InstanceStatus, Runti
 use ctr::symbol::Symbol;
 use ctr_store::Store;
 use std::collections::BTreeMap;
-use std::ops::Range;
+use std::ops::{Deref, Range};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard};
 
 /// Number of stripes in the instance table. Ids are assigned round-robin
 /// (`id % SHARD_COUNT`), so load spreads evenly; a power of two keeps the
-/// modulo cheap. Contention on a shard lock is only the map *lookup* —
-/// the per-event work happens under the instance's own lock.
+/// modulo cheap.
 pub const SHARD_COUNT: usize = 16;
 
 /// Locks a mutex, recovering from poisoning (see module docs).
@@ -145,16 +173,160 @@ impl Timers for &Mutex<TimerState> {
     }
 }
 
-type InstanceCell = Arc<Mutex<Instance>>;
+type Cell = Mutex<Instance>;
 
-fn shard_of(id: InstanceId) -> usize {
-    (id % SHARD_COUNT as u64) as usize
+/// Cells per chunk of a shard's dense table.
+const CHUNK: u64 = 64;
+type Chunk = [OnceLock<Cell>; CHUNK as usize];
+
+/// Directory buckets per shard. Bucket `b` holds `2^b` chunks — chunks
+/// `2^b − 1 ..= 2^(b+1) − 2` — so the dense table ends at slot
+/// `CHUNK · (2^BUCKETS − 1)`.
+const BUCKETS: usize = 32;
+type Bucket = Box<[OnceLock<Box<Chunk>>]>;
+
+/// Where a shard's dense table keeps `slot`: the directory bucket, the
+/// chunk within the bucket and the cell within the chunk. `None` past
+/// the directory.
+fn locate(slot: u64) -> Option<(usize, usize, usize)> {
+    let chunk = slot / CHUNK + 1;
+    let bucket = chunk.ilog2() as usize;
+    (bucket < BUCKETS).then(|| {
+        (
+            bucket,
+            (chunk - (1 << bucket)) as usize,
+            (slot % CHUNK) as usize,
+        )
+    })
 }
 
-/// One stripe of the instance table.
+/// One stripe of the instance table: instance `id` is slot
+/// `id / SHARD_COUNT` of shard `id % SHARD_COUNT`.
+///
+/// The **dense table** is append-only and read without a lock: a
+/// directory of geometrically growing buckets of fixed-size chunks of
+/// cells. Buckets, chunks and cells are each written once (under the
+/// gate) and never move, so a reader that finds a cell keeps a plain
+/// reference to it for as long as it holds the runtime.
+///
+/// The **gate** serializes the writers — `start`, `from_runtime` — and
+/// is what the snapshot freeze takes to keep them out. A reader takes
+/// it only to confirm a miss ([`Shard::find`]).
+///
+/// Memory stays proportional to the instances held, not to the largest
+/// id: an id that would leave the dense table under about a quarter
+/// full (a restored snapshot may name any id) goes to the small ordered
+/// **overflow** map inside the gate instead.
 #[derive(Default)]
 struct Shard {
-    instances: Mutex<BTreeMap<InstanceId, InstanceCell>>,
+    dir: [OnceLock<Bucket>; BUCKETS],
+    gate: Mutex<Gate>,
+}
+
+#[derive(Default)]
+struct Gate {
+    /// Instances the shard holds, dense and overflow.
+    held: u64,
+    overflow: BTreeMap<InstanceId, Arc<Cell>>,
+}
+
+/// An instance's cell as [`Shard::find`] hands it out: borrowed from
+/// the dense table, or co-owned out of the overflow map (whose entries
+/// live inside the gate, which the holder has let go of).
+enum Found<'a> {
+    Dense(&'a Cell),
+    Overflow(Arc<Cell>),
+}
+
+impl Deref for Found<'_> {
+    type Target = Cell;
+    fn deref(&self) -> &Cell {
+        match self {
+            Found::Dense(cell) => cell,
+            Found::Overflow(cell) => cell,
+        }
+    }
+}
+
+impl Shard {
+    /// The lock-free lookup: two directory loads and the cell's.
+    fn dense(&self, id: InstanceId) -> Option<&Cell> {
+        let (bucket, chunk, cell) = locate(id / SHARD_COUNT as u64)?;
+        self.dir[bucket].get()?.get(chunk)?.get()?[cell].get()
+    }
+
+    /// Instance `id`'s cell. A hit takes no lock. A **miss is confirmed
+    /// under the gate** before it counts: `start` arms the wheel before
+    /// it publishes the instance, so an `advance` that has already
+    /// popped that timer must wait out the publish here rather than
+    /// drop the expiry. The gate is released before the cell is handed
+    /// out — the caller locks the instance without it.
+    fn find(&self, id: InstanceId) -> Option<Found<'_>> {
+        if let Some(cell) = self.dense(id) {
+            return Some(Found::Dense(cell));
+        }
+        let gate = lock(&self.gate);
+        match self.dense(id) {
+            Some(cell) => Some(Found::Dense(cell)),
+            None => gate.overflow.get(&id).cloned().map(Found::Overflow),
+        }
+    }
+
+    /// Publishes `instance` as `id`, under the shard's gate.
+    fn publish(&self, gate: &mut Gate, id: InstanceId, instance: Instance) {
+        let slot = id / SHARD_COUNT as u64;
+        let cell = Mutex::new(instance);
+        let quarter_full = slot < gate.held.saturating_mul(4).saturating_add(CHUNK);
+        let fresh = match locate(slot).filter(|_| quarter_full) {
+            Some((bucket, chunk, at)) => {
+                let chunks = self.dir[bucket]
+                    .get_or_init(|| (0..1usize << bucket).map(|_| OnceLock::new()).collect());
+                let chunk = chunks[chunk]
+                    .get_or_init(|| Box::new(std::array::from_fn(|_| OnceLock::new())));
+                chunk[at].set(cell).is_ok()
+            }
+            None => gate.overflow.insert(id, Arc::new(cell)).is_none(),
+        };
+        // `start` draws ids from a counter, `Runtime` keys a map by them.
+        assert!(fresh, "instance {id} published twice");
+        gate.held += 1;
+    }
+
+    /// Bytes the dense table has allocated.
+    #[cfg(test)]
+    fn table_bytes(&self) -> usize {
+        let buckets = self.dir.iter().filter_map(OnceLock::get);
+        buckets
+            .map(|chunks| {
+                std::mem::size_of_val(&**chunks)
+                    + chunks.iter().filter_map(OnceLock::get).count() * std::mem::size_of::<Chunk>()
+            })
+            .sum()
+    }
+
+    /// Every instance of the shard (the `index`-th), under its gate:
+    /// the dense table's ascending, then the overflow's ascending.
+    fn for_each<'a>(
+        &'a self,
+        index: usize,
+        gate: &'a Gate,
+        mut f: impl FnMut(InstanceId, &'a Cell),
+    ) {
+        for (bucket, chunks) in self.dir.iter().enumerate() {
+            let first = (1u64 << bucket) - 1;
+            for (chunk, cells) in chunks.get().into_iter().flat_map(|c| c.iter()).enumerate() {
+                for (at, cell) in cells.get().into_iter().flat_map(|c| c.iter()).enumerate() {
+                    if let Some(cell) = cell.get() {
+                        let slot = (first + chunk as u64) * CHUNK + at as u64;
+                        f(slot * SHARD_COUNT as u64 + index as u64, cell);
+                    }
+                }
+            }
+        }
+        for (&id, cell) in &gate.overflow {
+            f(id, cell);
+        }
+    }
 }
 
 struct Inner {
@@ -200,7 +372,7 @@ impl Default for Inner {
 
 impl Inner {
     fn shard(&self, id: InstanceId) -> &Shard {
-        &self.shards[shard_of(id)]
+        &self.shards[(id % SHARD_COUNT as u64) as usize]
     }
 
     fn registry(&self) -> RwLockReadGuard<'_, BTreeMap<String, Arc<Deployment>>> {
@@ -221,14 +393,10 @@ const NIL: u32 = u32::MAX;
 /// One instance's share of a burst.
 struct Group {
     id: InstanceId,
-    /// `None` if the id is unknown.
-    cell: Option<InstanceCell>,
     /// The group's runs by input position, first and last, linked in
     /// input order through [`Run::next`].
     head: u32,
     tail: u32,
-    /// The next group whose instance lives on the same shard.
-    shard_next: u32,
 }
 
 /// One run of a burst, by input position.
@@ -325,7 +493,8 @@ impl SharedRuntime {
             .write()
             .unwrap_or_else(PoisonError::into_inner) = rt.deployments;
         for (id, instance) in rt.instances {
-            lock(&shared.inner.shard(id).instances).insert(id, Arc::new(Mutex::new(instance)));
+            let shard = shared.inner.shard(id);
+            shard.publish(&mut lock(&shard.gate), id, instance);
         }
         shared.inner.next_id.store(rt.next_id, Ordering::Relaxed);
         shared.inner.replayed.store(rt.replayed, Ordering::Relaxed);
@@ -363,15 +532,15 @@ impl SharedRuntime {
     }
 
     /// Lookup and locking for one instance: runs `f` under the
-    /// instance's own lock. The shard lock is held only to resolve the
-    /// id and released before the instance lock is taken, so operations
-    /// on different instances proceed in parallel.
+    /// instance's own lock — on a hit the only lock taken
+    /// ([`Shard::find`]), so operations on different instances share
+    /// nothing they write.
     fn with_instance<R>(
         &self,
         id: InstanceId,
         f: impl FnOnce(&mut Instance) -> R,
     ) -> Result<R, RuntimeError> {
-        let cell = lock(&self.inner.shard(id).instances).get(&id).cloned();
+        let cell = self.inner.shard(id).find(id);
         let cell = cell.ok_or(RuntimeError::UnknownInstance(id))?;
         let mut inst = lock(&cell);
         Ok(f(&mut inst))
@@ -414,22 +583,23 @@ impl SharedRuntime {
     }
 
     /// See [`Runtime::start`]. Takes the registry read lock (shared with
-    /// other starters) and one shard lock covering the durable appends,
-    /// the arming of the instance's timers *and* the insert. With a
-    /// store attached the start record is durable before the instance
-    /// becomes visible — so any event subsequently fired on it lands in
-    /// the log strictly after its start (same stripe, later sequence
-    /// number) — and, because the appends happen *under the destination
-    /// shard's lock*, a fleet frozen by [`SharedRuntime::checkpoint`]
-    /// (which holds every shard lock) has no in-flight start whose
-    /// record could predate the checkpoint cut yet miss its snapshot. A
-    /// failed persist burns the allocated id, which is harmless: ids
-    /// only ever need to be unique and monotonic.
+    /// other starters) and the destination shard's gate, which covers
+    /// the durable appends, the arming of the instance's timers *and*
+    /// the publish. With a store attached the start record is durable
+    /// before the instance becomes visible — so any event subsequently
+    /// fired on it lands in the log strictly after its start (same
+    /// stripe, later sequence number) — and, because the appends happen
+    /// *under the destination shard's gate*, a fleet frozen by
+    /// [`SharedRuntime::checkpoint`] (which holds every gate) has no
+    /// in-flight start whose record could predate the checkpoint cut
+    /// yet miss its snapshot. A failed persist burns the allocated id,
+    /// which is harmless: ids only ever need to be unique and monotonic.
     pub fn start(&self, workflow: &str) -> Result<InstanceId, RuntimeError> {
         let deployment = self.inner.deployment(workflow)?;
         let mut instance = Instance::new(&deployment);
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let mut shard = lock(&self.inner.shard(id).instances);
+        let shard = self.inner.shard(id);
+        let mut gate = lock(&shard.gate);
         fleet::start(
             &mut instance,
             id,
@@ -437,15 +607,15 @@ impl SharedRuntime {
             &mut self.timers(),
             self.store(),
         )?;
-        shard.insert(id, Arc::new(Mutex::new(instance)));
+        shard.publish(&mut gate, id, instance);
         Ok(id)
     }
 
     /// Running and completed instance ids, ascending.
     pub fn instances(&self) -> Vec<InstanceId> {
         let mut ids: Vec<InstanceId> = Vec::new();
-        for shard in &self.inner.shards {
-            ids.extend(lock(&shard.instances).keys().copied());
+        for (index, shard) in self.inner.shards.iter().enumerate() {
+            shard.for_each(index, &lock(&shard.gate), |id, _| ids.push(id));
         }
         ids.sort_unstable();
         ids
@@ -460,7 +630,7 @@ impl SharedRuntime {
     }
 
     /// See [`Runtime::fire_batch`]: fires a batch of events against one
-    /// instance under a **single** shard-lock resolution and a **single**
+    /// instance under a **single** lookup and a **single**
     /// instance-lock acquisition — the whole batch is one atomic section
     /// with respect to other clients of this instance. Partial-failure
     /// semantics are those of [`Runtime::fire_batch`] (stop at first
@@ -489,22 +659,13 @@ impl SharedRuntime {
     /// The burst planner under [`SharedRuntime::fire_many`] and
     /// [`SharedRuntime::fire_runs_into`]: groups a burst's `n` runs —
     /// `run_at(i)` is the `i`-th run's instance and event count — by
-    /// instance, resolves each instance's cell and lays the burst's
-    /// outcomes out. One pass over the runs, no sort: a run finds its
-    /// group through a small hash table and joins the tail of the
-    /// group's list, so groups come out in first-appearance order (which
-    /// keeps cross-instance progress deterministic) with their runs in
-    /// input order.
-    ///
-    /// Shard locks are taken one at a time in ascending index order,
-    /// each released before the next, one acquisition per *referenced
-    /// shard* rather than one per run; no instance lock is taken.
-    fn plan(
-        &self,
-        n: usize,
-        run_at: impl Fn(usize) -> (InstanceId, usize),
-        scratch: &mut BurstScratch,
-    ) {
+    /// instance and lays the burst's outcomes out. One pass over the
+    /// runs, no sort: a run finds its group through a small hash table
+    /// and joins the tail of the group's list, so groups come out in
+    /// first-appearance order (which keeps cross-instance progress
+    /// deterministic) with their runs in input order. It touches no
+    /// runtime state and takes no lock.
+    fn plan(n: usize, run_at: impl Fn(usize) -> (InstanceId, usize), scratch: &mut BurstScratch) {
         let BurstScratch {
             groups,
             table,
@@ -518,7 +679,6 @@ impl SharedRuntime {
         outcomes.clear();
         table.clear();
         table.resize(slots, NIL);
-        let mut shard_heads = [NIL; SHARD_COUNT];
         for i in 0..n {
             let (id, len) = run_at(i);
             let len = u32::try_from(len).expect("a run of more than u32::MAX events");
@@ -535,13 +695,10 @@ impl SharedRuntime {
             match table[at] {
                 NIL => {
                     table[at] = groups.len() as u32;
-                    let shard_next = std::mem::replace(&mut shard_heads[shard_of(id)], table[at]);
                     groups.push(Group {
                         id,
-                        cell: None,
                         head: i as u32,
                         tail: i as u32,
-                        shard_next,
                     });
                 }
                 g => {
@@ -549,18 +706,6 @@ impl SharedRuntime {
                     runs[group.tail as usize].next = i as u32;
                     group.tail = i as u32;
                 }
-            }
-        }
-        for (shard, &head) in self.inner.shards.iter().zip(&shard_heads) {
-            if head == NIL {
-                continue;
-            }
-            let shard = lock(&shard.instances);
-            let mut g = head;
-            while g != NIL {
-                let group = &mut groups[g as usize];
-                group.cell = shard.get(&group.id).cloned();
-                g = group.shard_next;
             }
         }
         let mut total = 0u32;
@@ -593,21 +738,12 @@ impl SharedRuntime {
         out: &mut Vec<FireOutcome>,
     ) {
         let first = out.len();
-        let tried = match &group.cell {
-            Some(cell) => {
-                let mut inst = lock(cell);
+        let tried = self
+            .with_instance(group.id, |inst| {
                 let timers = &mut self.timers();
-                fleet::fire_burst(
-                    &mut inst,
-                    group.id,
-                    events.clone(),
-                    out,
-                    timers,
-                    self.store(),
-                )
-            }
-            None => Err(RuntimeError::UnknownInstance(group.id)),
-        };
+                fleet::fire_burst(inst, group.id, events.clone(), out, timers, self.store())
+            })
+            .and_then(|tried| tried);
         if let Err(e) = tried {
             out.truncate(first);
             fleet::reject_runs(events, &e, out);
@@ -616,9 +752,8 @@ impl SharedRuntime {
 
     /// Fires a mixed batch of `(instance, event)` pairs, amortizing lock
     /// traffic across the fleet: the batch is grouped by instance in one
-    /// linear pass, ids are resolved with one shard-lock acquisition per
-    /// *referenced shard* (not one per event), and each referenced
-    /// instance is locked once, in first-appearance order.
+    /// linear pass, and each referenced instance is looked up and locked
+    /// once, in first-appearance order.
     ///
     /// Within each instance its events fire in input order with
     /// [`Runtime::fire_batch`] semantics: first failure stops *that
@@ -628,12 +763,11 @@ impl SharedRuntime {
     /// event with [`RuntimeError::UnknownInstance`] and skips the rest.
     /// Returns one [`FireOutcome`] per input pair, in input positions.
     ///
-    /// Lock order is preserved: shard locks are taken one at a time in
-    /// ascending index order (each released before the next), and
-    /// instance locks one at a time after all shard locks are released.
+    /// Instance locks are taken one at a time, none held while the next
+    /// is waited for.
     pub fn fire_many<S: AsRef<str>>(&self, batch: &[(InstanceId, S)]) -> Vec<FireOutcome> {
         let mut scratch = BurstScratch::new();
-        self.plan(batch.len(), |i| (batch[i].0, 1), &mut scratch);
+        Self::plan(batch.len(), |i| (batch[i].0, 1), &mut scratch);
         for group in &scratch.groups {
             // An instance's pairs are one run.
             let events = runs_from(&scratch.runs, group.head)
@@ -666,22 +800,19 @@ impl SharedRuntime {
     /// The outcomes land in `scratch`, one slice per input run
     /// ([`BurstScratch::outcomes`]); a caller that keeps its scratch
     /// allocates nothing per burst. Every run against an unknown
-    /// instance rejects its own first event and skips the rest. Lock
-    /// order is the [`SharedRuntime::fire_many`] order: shard locks one
-    /// at a time ascending, then instance locks one at a time.
+    /// instance rejects its own first event and skips the rest. Locking
+    /// is [`SharedRuntime::fire_many`]'s: instance locks, one at a time.
     pub fn fire_runs_into<S: AsRef<str>>(
         &self,
         runs: &[(InstanceId, &[S])],
         scratch: &mut BurstScratch,
     ) {
-        self.plan(runs.len(), |i| (runs[i].0, runs[i].1.len()), scratch);
+        Self::plan(runs.len(), |i| (runs[i].0, runs[i].1.len()), scratch);
         for group in &scratch.groups {
             let events =
                 runs_from(&scratch.runs, group.head).flat_map(|i| fleet::one_run(runs[i].1));
             self.fire_group(group, events, &mut scratch.outcomes);
         }
-        // The cells go back; the capacity stays.
-        scratch.groups.clear();
     }
 
     /// [`SharedRuntime::fire_runs_into`] with owned results: one outcome
@@ -817,7 +948,7 @@ impl SharedRuntime {
     /// A consistent point-in-time snapshot, byte-identical to
     /// [`Runtime::snapshot`] on the same state.
     ///
-    /// Takes the registry read lock, then every shard lock in ascending
+    /// Takes the registry read lock, then every shard's gate in ascending
     /// index order, then every instance lock — the fleet is frozen while
     /// the text is built, so the snapshot is an atomic cut: it contains
     /// exactly the fires that committed before the cut, instance by
@@ -843,24 +974,22 @@ impl SharedRuntime {
         })
     }
 
-    /// Freezes the fleet (registry read lock, every shard lock in
+    /// Freezes the fleet (registry read lock, every shard's gate in
     /// ascending index order, then every instance lock), renders the
     /// snapshot text, and runs `consume` on it *before* releasing
     /// anything — the shared underpinning of [`SharedRuntime::snapshot`]
     /// and [`SharedRuntime::checkpoint`].
     fn frozen_snapshot<R>(&self, consume: impl FnOnce(String) -> R) -> R {
         let registry = self.inner.registry();
-        let shard_guards: Vec<MutexGuard<'_, BTreeMap<InstanceId, InstanceCell>>> = self
-            .inner
-            .shards
-            .iter()
-            .map(|s| lock(&s.instances))
-            .collect();
-        let mut instance_guards: Vec<(InstanceId, MutexGuard<'_, Instance>)> = Vec::new();
-        for shard in &shard_guards {
-            for (&id, cell) in shard.iter() {
+        let shards = &self.inner.shards;
+        let gates: Vec<MutexGuard<'_, Gate>> = shards.iter().map(|s| lock(&s.gate)).collect();
+        let held: u64 = gates.iter().map(|gate| gate.held).sum();
+        let mut instance_guards: Vec<(InstanceId, MutexGuard<'_, Instance>)> =
+            Vec::with_capacity(held as usize);
+        for (index, (shard, gate)) in shards.iter().zip(&gates).enumerate() {
+            shard.for_each(index, gate, |id, cell| {
                 instance_guards.push((id, lock(cell)));
-            }
+            });
         }
         // Ids interleave across shards (round-robin); the output orders
         // them globally, exactly like the BTreeMap iteration in
@@ -966,7 +1095,7 @@ mod tests {
             .collect();
         // Sequential ids land round-robin: every shard holds exactly two.
         for shard in &rt.inner.shards {
-            assert_eq!(lock(&shard.instances).len(), 2);
+            assert_eq!(lock(&shard.gate).held, 2);
         }
         assert_eq!(rt.instances(), ids);
     }
@@ -1615,5 +1744,162 @@ mod tests {
         );
         assert_eq!(rt.eligible(42), Err(RuntimeError::UnknownInstance(42)));
         assert_eq!(rt.fire(42, "x"), Err(RuntimeError::UnknownInstance(42)));
+    }
+
+    #[test]
+    fn unknown_ids_miss_wherever_the_table_puts_them() {
+        let rt = shared_pay();
+        for _ in 0..3 {
+            rt.start("pay").unwrap();
+        }
+        let shards = SHARD_COUNT as u64;
+        for ghost in [
+            5,              // a shard that has allocated nothing
+            shards,         // an allocated chunk's empty cell
+            CHUNK * shards, // shard 0's second bucket, unallocated
+            u64::MAX,       // past the directory
+        ] {
+            assert!(rt.inner.shard(ghost).dense(ghost).is_none());
+            let unknown = RuntimeError::UnknownInstance(ghost);
+            assert_eq!(rt.eligible(ghost), Err(unknown.clone()));
+            assert_eq!(rt.fire(ghost, "invoice"), Err(unknown.clone()));
+            assert_eq!(
+                rt.fire_many(&[(ghost, "invoice")]),
+                vec![FireOutcome::Rejected(unknown)]
+            );
+        }
+        assert!(locate(u64::MAX / shards).is_none());
+        assert_eq!(rt.instances(), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn a_far_id_restores_into_the_overflow_not_a_table_sized_for_it() {
+        const FAR: InstanceId = 1 << 40;
+        let plain = {
+            let mut rt = Runtime::new();
+            rt.deploy_source(PAY).unwrap();
+            rt.start("pay").unwrap();
+            rt.snapshot()
+        };
+        let text = format!("{plain}instance {FAR} of pay [running]: invoice\n");
+        let mut plain = Runtime::restore(&text).unwrap();
+        let shared = SharedRuntime::restore(&text).unwrap();
+        assert_eq!(shared.snapshot(), text);
+        let table: usize = shared.inner.shards.iter().map(Shard::table_bytes).sum();
+        assert!(table < 1 << 20, "{table} B of table for two instances");
+        assert_eq!(lock(&shared.inner.shard(FAR).gate).overflow.len(), 1);
+        // The far instance and its successors work like any other.
+        assert_eq!(shared.fire(FAR, "approve"), plain.fire(FAR, "approve"));
+        assert_eq!(shared.start("pay"), Ok(FAR + 1));
+        assert_eq!(plain.start("pay"), Ok(FAR + 1));
+        let burst = [(FAR + 1, "invoice"), (FAR, "file"), (0, "invoice")];
+        let one_by_one: Vec<FireOutcome> = burst
+            .iter()
+            .map(|&(id, event)| {
+                plain
+                    .fire(id, event)
+                    .map_or_else(FireOutcome::Rejected, FireOutcome::Fired)
+            })
+            .collect();
+        assert_eq!(shared.fire_many(&burst), one_by_one);
+        assert_eq!(shared.instances(), plain.instances());
+        assert_eq!(shared.snapshot(), plain.snapshot());
+    }
+
+    const INSTANT: &str = "workflow instant { graph go * done; after(go, 0ms); }";
+    const TICK: &str = "go@after0";
+
+    #[test]
+    fn advance_waits_out_a_start_that_has_armed_but_not_published() {
+        let rt = SharedRuntime::new();
+        rt.deploy_source(INSTANT).unwrap();
+        // `start`, stopped between arming the wheel and publishing.
+        let deployment = rt.inner.deployment("instant").unwrap();
+        let mut instance = Instance::new(&deployment);
+        let id = rt.inner.next_id.fetch_add(1, Ordering::Relaxed);
+        let shard = rt.inner.shard(id);
+        let mut gate = lock(&shard.gate);
+        fleet::start(&mut instance, id, &deployment, &mut rt.timers(), None).unwrap();
+        std::thread::scope(|scope| {
+            let advancing = scope.spawn(|| rt.advance(1).unwrap());
+            // The advance has popped the timer: its lookup misses and
+            // must block on the gate, not report the instance unknown.
+            while rt.pending_timer_count() > 0 {
+                std::thread::yield_now();
+            }
+            shard.publish(&mut gate, id, instance);
+            drop(gate);
+            assert_eq!(advancing.join().unwrap(), vec![(id, TICK.to_owned())]);
+        });
+        assert_eq!(rt.journal(id).unwrap(), vec![TICK]);
+    }
+
+    /// `start` on one thread against `advance` on another, over a
+    /// workflow whose timer is due the moment it is armed.
+    fn starts_racing_advances(store: Option<Arc<FaultyStore>>) {
+        let rt = match &store {
+            Some(store) => SharedRuntime::with_store(Arc::clone(store) as Arc<dyn Store>),
+            None => SharedRuntime::new(),
+        };
+        rt.deploy_source(INSTANT).unwrap();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let (ids, mut fired, mut clock) = std::thread::scope(|scope| {
+            let starting = scope.spawn(|| {
+                let mut ids = Vec::new();
+                for i in 0..3_000 {
+                    if let Some(store) = &store {
+                        store.fail.store(i % 5 == 4, Ordering::Relaxed);
+                    }
+                    ids.extend(rt.start("instant"));
+                }
+                done.store(true, Ordering::SeqCst);
+                ids
+            });
+            let advancing = scope.spawn(|| {
+                let (mut fired, mut clock) = (0, 0);
+                while !done.load(Ordering::SeqCst) {
+                    clock += 1;
+                    // A failed advance re-arms what it did not commit.
+                    fired += rt.advance(clock).map_or(0, |fired| fired.len());
+                }
+                (fired, clock)
+            });
+            let (fired, clock) = advancing.join().unwrap();
+            (starting.join().unwrap(), fired, clock)
+        });
+        if let Some(store) = &store {
+            store.fail.store(false, Ordering::Relaxed);
+        }
+        for _ in 0..2 {
+            clock += 1;
+            fired += rt.advance(clock).unwrap().len();
+        }
+        assert_eq!(rt.pending_timer_count(), 0);
+        assert_eq!(rt.instances(), ids);
+        for &id in &ids {
+            assert_eq!(rt.journal(id).unwrap(), vec![TICK], "instance {id}");
+        }
+        match store {
+            // An advance that fails reports nothing of what it fired.
+            Some(store) => {
+                assert!(fired <= ids.len());
+                let recovered = SharedRuntime::open(store as Arc<dyn Store>).unwrap();
+                assert_eq!(recovered.snapshot(), rt.snapshot());
+            }
+            None => assert_eq!(fired, ids.len(), "every timer fired exactly once"),
+        }
+    }
+
+    #[test]
+    fn starts_racing_advances_fire_every_timer_exactly_once() {
+        starts_racing_advances(None);
+    }
+
+    #[test]
+    fn starts_racing_advances_survive_store_failures() {
+        starts_racing_advances(Some(Arc::new(FaultyStore {
+            inner: ctr_store::MemStore::new(),
+            fail: std::sync::atomic::AtomicBool::new(false),
+        })));
     }
 }

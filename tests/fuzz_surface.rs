@@ -24,6 +24,20 @@ fn seed_snapshot() -> String {
     rt.snapshot()
 }
 
+/// The seed as it is, and with a line restore must refuse spliced in
+/// before the instance lines: an id with no successor (`id + 1` used to
+/// overflow), and a second line for an id the seed already holds.
+fn seed_snapshots() -> [String; 3] {
+    let seed = seed_snapshot();
+    let at = seed.find("instance ").unwrap();
+    let with = |line: &str| format!("{}{line}\n{}", &seed[..at], &seed[at..]);
+    [
+        with("instance 18446744073709551615 of ship [running]: pick"),
+        with("instance 1 of pay [running]: invoice"),
+        seed,
+    ]
+}
+
 /// A scratch directory holding a small write-ahead log (a deploy, two
 /// starts, a few fires, optionally a checkpoint) whose files the tests
 /// then corrupt.
@@ -161,11 +175,12 @@ proptest! {
     /// never a panic.
     #[test]
     fn restore_is_total_on_corrupted_snapshots(
+        which in 0..3usize,
         cut in 0..400usize,
         pos in 0..400usize,
         noise in proptest::collection::vec(0..=255u8, 0..24),
     ) {
-        let base = seed_snapshot().into_bytes();
+        let base = seed_snapshots()[which].clone().into_bytes();
         let mut mangled = base.clone();
         mangled.truncate(cut.min(base.len()));
         let at = pos.min(mangled.len());

@@ -211,6 +211,99 @@ fn eligible_symbols_agrees_with_eligible() {
     }
 }
 
+// --- The instance table ----------------------------------------------------------
+
+/// A snapshot whose ids have holes (burned ids), a gap wide enough to
+/// leave the dense table, and one far id restores into the same fleet
+/// as the single-threaded oracle: same ids in the same order, same
+/// bytes, and the same answers afterwards.
+#[test]
+fn restore_with_holes_and_a_far_id_matches_the_oracle() {
+    const FAR: InstanceId = 1_099_511_627_776;
+    let ids: [InstanceId; 9] = [0, 1, 2, 40, 41, 5_000, 5_001, 5_017, FAR];
+    let mut dense = Runtime::new();
+    dense.deploy_source(SPEC).unwrap();
+    for k in 0..ids.len() {
+        let id = dense.start("claims").unwrap();
+        dense.fire_batch(id, &PATH[..k % PATH.len()]).unwrap();
+    }
+    let text: String = dense
+        .snapshot()
+        .lines()
+        .map(|line| match line.strip_prefix("instance ") {
+            Some(rest) => {
+                let (k, rest) = rest.split_once(' ').unwrap();
+                format!("instance {} {rest}\n", ids[k.parse::<usize>().unwrap()])
+            }
+            None => format!("{line}\n"),
+        })
+        .collect();
+
+    let mut oracle = Runtime::restore(&text).unwrap();
+    let shared = SharedRuntime::restore(&text).unwrap();
+    assert_eq!(shared.instances(), ids);
+    assert_eq!(shared.instances(), oracle.instances());
+    assert_eq!(shared.snapshot(), text);
+    for &id in &ids {
+        assert_eq!(shared.eligible(id), oracle.eligible(id), "instance {id}");
+        let next = oracle.journal(id).unwrap().len();
+        if let Some(event) = PATH.get(next) {
+            assert_eq!(shared.fire(id, event), oracle.fire(id, event));
+        }
+    }
+    // Ids between and beyond the restored ones are unknown to both.
+    for ghost in [3, 39, 4_999, 5_002, FAR - 16, FAR + 16, u64::MAX] {
+        assert_eq!(shared.status(ghost), oracle.status(ghost));
+        assert_eq!(
+            shared.status(ghost),
+            Err(RuntimeError::UnknownInstance(ghost))
+        );
+    }
+    assert_eq!(shared.start("claims"), oracle.start("claims"));
+    assert_eq!(shared.fire(FAR + 1, "file"), oracle.fire(FAR + 1, "file"));
+    assert_eq!(shared.instances(), oracle.instances());
+    assert_eq!(shared.snapshot(), oracle.snapshot());
+}
+
+/// Starters hand each id to a client thread the moment `start` returns
+/// it; every call on it resolves — single fires, probes and bursts —
+/// while the table grows under them. A shard's first directory bucket
+/// ends at id 64·16 and its second at 3·64·16, so 3 400 ids cross two
+/// growths.
+#[test]
+fn ids_resolve_as_soon_as_start_hands_them_out() {
+    const PAIRS: u64 = 2;
+    const EACH: u64 = 1_700;
+    let rt = SharedRuntime::new();
+    rt.deploy_source("workflow two { graph a * b; }").unwrap();
+    std::thread::scope(|scope| {
+        for _ in 0..PAIRS {
+            let (handed, ids) = std::sync::mpsc::channel::<InstanceId>();
+            let rt = &rt;
+            scope.spawn(move || {
+                for _ in 0..EACH {
+                    handed.send(rt.start("two").unwrap()).unwrap();
+                }
+            });
+            scope.spawn(move || {
+                for id in ids {
+                    assert_eq!(rt.eligible(id).unwrap(), vec!["a".to_owned()]);
+                    rt.fire(id, "a").unwrap();
+                    let outcomes = rt.fire_runs(&[(id, &["b"][..])]);
+                    assert!(
+                        matches!(outcomes[0][..], [FireOutcome::Fired(_)]),
+                        "instance {id}: {outcomes:?}"
+                    );
+                }
+            });
+        }
+    });
+    assert_eq!(rt.instances(), (0..PAIRS * EACH).collect::<Vec<_>>());
+    for id in rt.instances() {
+        assert!(rt.is_complete(id).unwrap(), "instance {id}");
+    }
+}
+
 // --- Bursts against one `fire_batch` at a time --------------------------------
 
 /// More instances than the planner's table has entries for a small
