@@ -999,6 +999,18 @@ mod tests {
     }
 
     #[test]
+    fn a_channel_id_at_the_top_of_u32_checks_and_schedules() {
+        // The compiler needs a fresh id next to ξ_MAX and the scheduler
+        // tables for it; both used to go by the id's value.
+        let spec = "workflow w { graph a * send(xi4294967295) * receive(xi4294967295) * b * c; \
+                    constraint before(a, c); }";
+        assert!(cmd_check(spec).unwrap().contains("CONSISTENT"));
+        assert!(cmd_schedule(spec)
+            .unwrap()
+            .contains("schedule: a -> b -> c"));
+    }
+
+    #[test]
     fn enumerate_lists_allowed_executions() {
         let out = cmd_enumerate(SPEC, 50).unwrap();
         // b before c in every listed execution; d closes each.

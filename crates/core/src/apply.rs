@@ -34,116 +34,90 @@
 //! strategy over the rules, not a second set of them. The public functions
 //! here run the rules over `Scratch`, the zero-sized table that records
 //! nothing; [`crate::memo::Memo`] is the table that remembers. Both yield
-//! structurally equal goals by construction.
+//! structurally equal goals by construction: there is one loop, and it
+//! runs on the caller's thread. What is independent in `Apply(C, G)` — the
+//! `d ≤ 3` disjuncts of one normal form — is too little to repay a thread
+//! (measured: never ahead, up to 70 % behind), so this crate spawns none;
+//! the cost lever is which constraints meet, `O(d^N · |G|)`.
 
 use crate::constraints::{Basic, Conjunct, Constraint, NormalForm};
 use crate::excise::ExciseResult;
 use crate::goal::{conc, isolated, or, seq, Channel, Goal};
 use crate::symbol::Symbol;
-use std::sync::OnceLock;
-
-/// How the compiler distributes independent rewriting work over threads.
-///
-/// The parallel and sequential paths produce **bit-identical** output:
-/// channel numbering is fixed up front by pre-partitioning the allocator
-/// (see [`ChannelAlloc::reserve`]) and results are merged in input order,
-/// so the mode only changes wall-clock time, never the compiled goal.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Parallelism {
-    /// Parallelize when the estimated work is large enough to amortize
-    /// thread spawn cost and there is more than one CPU to run it on;
-    /// stay sequential otherwise.
-    #[default]
-    Auto,
-    /// Always sequential — the reference path for differential tests.
-    Never,
-    /// Always parallel, regardless of size — lets tests exercise the
-    /// threaded path on small inputs.
-    Always,
-}
-
-/// Estimated work (goal nodes × independent tasks) each worker thread must
-/// get before `Parallelism::Auto` fans out. Spawning and joining a scoped
-/// thread takes ≈ 12 µs, so a worker's share repays ten spawns as long as
-/// a node·task costs at least 6 ns. The traced `compile_scratch` run
-/// (`bash benchmark/run.sh --workload compile_scratch --seed 1 --trace 1`)
-/// puts both rewrites above that: `core.excise.ns_per_in_node` is 36 ns
-/// and `core.apply.ns_per_out_node` 200 ns. The margin stays because an
-/// `Apply` task mostly walks nodes it hands back unchanged, and because
-/// `benchmark/results/README.md` measured the old, lower floor's `Auto`
-/// slower than `Never` on two vCPUs.
-const PAR_WORKER_FLOOR: usize = 20_000;
-
-/// CPUs this process may run on, read once: the query walks the affinity
-/// mask and the cgroup quota files, too slow to repeat per compile.
-pub(crate) fn available_cpus() -> usize {
-    static CPUS: OnceLock<usize> = OnceLock::new();
-    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
-impl Parallelism {
-    /// Whether to fan out `tasks` independent pieces of work, each over
-    /// an input of `size` units. Shared by every consumer of the knob (the
-    /// compiler's disjunct fan-out, `Excise`'s branch fan-out, the
-    /// runtime's Monte-Carlo sampler) so "how much work justifies threads"
-    /// is decided in one place: each of them deals its tasks to at most
-    /// one worker per CPU, and `Auto` fans out when every worker's share
-    /// reaches the floor. On a single CPU it never does: threads there
-    /// only add spawn and switch cost.
-    pub fn fan_out(self, size: usize, tasks: usize) -> bool {
-        match self {
-            Parallelism::Never => false,
-            Parallelism::Always => tasks > 1,
-            Parallelism::Auto => {
-                let workers = tasks.min(available_cpus());
-                workers > 1 && size.saturating_mul(tasks) / workers >= PAR_WORKER_FLOOR
-            }
-        }
-    }
-}
 
 /// Allocator of fresh synchronization channels.
 ///
 /// Each order-constraint compilation must use a channel "new" with respect
 /// to the goal (Definition 5.3); the compiler threads one allocator through
 /// a whole compilation so channels never collide.
-#[derive(Clone, Debug, Default)]
+///
+/// # Panics
+///
+/// [`fresh`](ChannelAlloc::fresh) and [`reserve`](ChannelAlloc::reserve)
+/// panic when the allocator's run of ids is used up. The run is never
+/// shorter than `2³² / (k + 1)` ids for a goal mentioning `k` channels,
+/// and ids are never reused, wrapped or handed out twice.
+#[derive(Clone, Debug)]
 pub struct ChannelAlloc {
-    next: u32,
+    /// The ids `next..end` are free; `end ≤ 2³²`, which is why both are
+    /// wider than a [`Channel`].
+    next: u64,
+    end: u64,
+}
+
+impl Default for ChannelAlloc {
+    fn default() -> ChannelAlloc {
+        ChannelAlloc::new()
+    }
 }
 
 impl ChannelAlloc {
     /// A fresh allocator starting at channel 0.
     pub fn new() -> ChannelAlloc {
-        ChannelAlloc::default()
+        ChannelAlloc {
+            next: 0,
+            end: 1 << 32,
+        }
     }
 
     /// An allocator whose channels are fresh with respect to `goal` —
     /// needed when the input goal already contains channels (e.g. incremental
-    /// re-compilation of an already-compiled workflow).
+    /// re-compilation of an already-compiled workflow). It owns the longest
+    /// run of ids the goal does not mention: everything above the largest
+    /// one, unless text or a snapshot put that in the upper half of the id
+    /// space.
     pub fn fresh_for(goal: &Goal) -> ChannelAlloc {
-        let next = goal.channels().iter().map(|c| c.0 + 1).max().unwrap_or(0);
-        ChannelAlloc { next }
+        let mut longest = ChannelAlloc { next: 0, end: 0 };
+        let mut next = 0;
+        let mentioned = goal.channels();
+        for end in mentioned.iter().map(|c| u64::from(c.0)).chain([1 << 32]) {
+            if end - next > longest.end - longest.next {
+                longest = ChannelAlloc { next, end };
+            }
+            next = end + 1;
+        }
+        longest
     }
 
     /// Allocates the next fresh channel.
     pub fn fresh(&mut self) -> Channel {
-        let c = Channel(self.next);
-        self.next += 1;
-        c
+        let id = self.reserve(1).next;
+        Channel(u32::try_from(id).expect("a free id is below 2³²"))
     }
 
     /// Splits off an allocator owning the next `budget` channel numbers,
-    /// advancing `self` past them. Pre-partitioning ranges this way gives
-    /// every independent disjunct a fixed numbering regardless of the
-    /// order (or thread) it runs on, which is what makes the parallel
-    /// compile bit-identical to the sequential one. Unused slots in a
-    /// range are simply never materialized; channels stay unique either
-    /// way.
+    /// advancing `self` past them. Setting ranges aside this way gives
+    /// every independent disjunct of a normal form a fixed numbering,
+    /// whatever the disjuncts before it allocated. Unused slots in a range
+    /// are simply never materialized; channels stay unique either way.
     pub fn reserve(&mut self, budget: u32) -> ChannelAlloc {
         let start = self.next;
-        self.next += budget;
-        ChannelAlloc { next: start }
+        self.next += u64::from(budget);
+        assert!(self.next <= self.end, "channel ids exhausted");
+        ChannelAlloc {
+            next: start,
+            end: self.next,
+        }
     }
 }
 
@@ -168,11 +142,6 @@ pub(crate) enum Op {
 /// recorded result. Answers are pure functions of their keys, so all
 /// tables produce structurally equal goals.
 pub(crate) trait Table: Sized {
-    /// The fan-out mode of whole compilations through this table. A
-    /// `&mut` table cannot cross the fan-out threads (their workers run
-    /// on [`Scratch`]), so a table that holds state stays sequential.
-    const PAR: Parallelism;
-
     /// The answer to `op` on `goal`: a recorded one, or `rule`'s — which
     /// gets the table back for its recursive calls.
     fn rewrite(&mut self, op: Op, goal: &Goal, rule: impl FnOnce(&mut Self) -> Goal) -> Goal;
@@ -190,8 +159,6 @@ pub(crate) trait Table: Sized {
 pub(crate) struct Scratch;
 
 impl Table for Scratch {
-    const PAR: Parallelism = Parallelism::Auto;
-
     #[inline]
     fn rewrite(&mut self, _: Op, _: &Goal, rule: impl FnOnce(&mut Self) -> Goal) -> Goal {
         rule(self)
@@ -420,19 +387,17 @@ pub(crate) fn apply_conjunct_in<T: Table>(
     current
 }
 
-/// [`apply_normal_form_with`] through `table`.
+/// [`apply_normal_form`] through `table`.
 ///
 /// The disjuncts are independent — each rewrites the *same* input goal —
-/// so they can fan out across threads. Channel ranges are pre-partitioned
-/// per disjunct (see [`ChannelAlloc::reserve`]) whether or not they do,
-/// and the results merged in disjunct order, making the output identical
-/// across modes and tables.
+/// and each draws its channels from a range set aside for it up front (see
+/// [`ChannelAlloc::reserve`]), so a disjunct's numbering does not depend
+/// on what the ones before it allocated.
 pub(crate) fn apply_normal_form_in<T: Table>(
     table: &mut T,
     nf: &NormalForm,
     goal: &Goal,
     channels: &mut ChannelAlloc,
-    par: Parallelism,
 ) -> Goal {
     let disjuncts = &nf.disjuncts;
     if disjuncts.len() == 1 {
@@ -442,62 +407,33 @@ pub(crate) fn apply_normal_form_in<T: Table>(
         .iter()
         .map(|conj| channels.reserve(order_budget(conj)))
         .collect();
-    let results: Vec<Goal> = if par.fan_out(goal.size(), disjuncts.len()) {
-        // Contiguous runs of disjuncts, one worker per CPU at most.
-        // `table` cannot be shared with the workers; see `Table::PAR`.
-        let run = disjuncts
-            .len()
-            .div_ceil(available_cpus().min(disjuncts.len()));
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = disjuncts
-                .chunks(run)
-                .zip(allocs.chunks_mut(run))
-                .map(|(conjs, allocs)| {
-                    scope.spawn(move || {
-                        conjs
-                            .iter()
-                            .zip(allocs)
-                            .map(|(conj, alloc)| apply_conjunct_in(&mut Scratch, conj, goal, alloc))
-                            .collect::<Vec<Goal>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("apply worker panicked"))
-                .collect()
-        })
-    } else {
-        disjuncts
-            .iter()
-            .zip(allocs.iter_mut())
-            .map(|(conj, alloc)| apply_conjunct_in(table, conj, goal, alloc))
-            .collect()
-    };
-    or(results)
+    or(disjuncts
+        .iter()
+        .zip(allocs.iter_mut())
+        .map(|(conj, alloc)| apply_conjunct_in(table, conj, goal, alloc))
+        .collect())
 }
 
-/// [`apply_all_with`] through `table`. With a table that records, an
+/// [`apply_all`] through `table`. With a table that records, an
 /// unchanged constraint prefix replays as one top-level hit per basic.
 pub(crate) fn apply_all_in<T: Table>(
     table: &mut T,
     constraints: &[Constraint],
     goal: &Goal,
     channels: &mut ChannelAlloc,
-    par: Parallelism,
 ) -> Goal {
     // No constraints: the goal compiles to itself — share it untouched.
     let Some((first, rest)) = constraints.split_first() else {
         return goal.clone();
     };
     let nf = table.normalize(first);
-    let mut current = apply_normal_form_in(table, &nf, goal, channels, par);
+    let mut current = apply_normal_form_in(table, &nf, goal, channels);
     for c in rest {
         if current.is_nopath() {
             return Goal::NoPath;
         }
         let nf = table.normalize(c);
-        current = apply_normal_form_in(table, &nf, &current, channels, par);
+        current = apply_normal_form_in(table, &nf, &current, channels);
     }
     current
 }
@@ -547,21 +483,8 @@ pub fn apply_conjunct(conj: &Conjunct, goal: &Goal, channels: &mut ChannelAlloc)
 
 /// `Apply` of one normalized constraint:
 /// `Apply(C₁ ∨ C₂, T) = Apply(C₁, T) ∨ Apply(C₂, T)`.
-///
-/// Equivalent to [`apply_normal_form_with`] at [`Parallelism::Auto`].
 pub fn apply_normal_form(nf: &NormalForm, goal: &Goal, channels: &mut ChannelAlloc) -> Goal {
-    apply_normal_form_with(nf, goal, channels, Parallelism::Auto)
-}
-
-/// [`apply_normal_form`] with an explicit parallelism mode for the
-/// disjunct fan-out; the output is identical across modes.
-pub fn apply_normal_form_with(
-    nf: &NormalForm,
-    goal: &Goal,
-    channels: &mut ChannelAlloc,
-    par: Parallelism,
-) -> Goal {
-    apply_normal_form_in(&mut Scratch, nf, goal, channels, par)
+    apply_normal_form_in(&mut Scratch, nf, goal, channels)
 }
 
 /// `Apply(C, G)` for a whole constraint set `C = δ₁ ∧ … ∧ δₙ`
@@ -572,38 +495,36 @@ pub fn apply_normal_form_with(
 /// The result may still contain *knots* — cyclic send/receive waits — and
 /// must be passed through [`excise`](crate::excise::excise) before it is
 /// used as an executable specification.
-///
-/// Equivalent to [`apply_all_with`] at [`Parallelism::Auto`].
 pub fn apply_all(constraints: &[Constraint], goal: &Goal, channels: &mut ChannelAlloc) -> Goal {
-    apply_all_with(constraints, goal, channels, Parallelism::Auto)
-}
-
-/// [`apply_all`] with an explicit parallelism mode. Constraints still
-/// compose sequentially (each rewrites the previous output); only the
-/// disjuncts *within* each constraint fan out.
-pub fn apply_all_with(
-    constraints: &[Constraint],
-    goal: &Goal,
-    channels: &mut ChannelAlloc,
-    par: Parallelism,
-) -> Goal {
-    apply_all_in(&mut Scratch, constraints, goal, channels, par)
+    apply_all_in(&mut Scratch, constraints, goal, channels)
 }
 
 /// Convenience wrapper: compiles `constraints` into `goal` with channels
 /// fresh for the goal.
 pub fn apply(constraints: &[Constraint], goal: &Goal) -> Goal {
-    apply_with(constraints, goal, Parallelism::Auto)
-}
-
-/// [`apply`] with an explicit parallelism mode.
-pub fn apply_with(constraints: &[Constraint], goal: &Goal, par: Parallelism) -> Goal {
     if constraints.is_empty() {
         // Skip even the channel scan — nothing will be allocated.
         return goal.clone();
     }
     let mut channels = ChannelAlloc::fresh_for(goal);
-    apply_all_with(constraints, goal, &mut channels, par)
+    apply_all(constraints, goal, &mut channels)
+}
+
+/// The one value [`apply_with`] and
+/// [`excise_with_diagnostics_par`](crate::excise::excise_with_diagnostics_par)
+/// take. Every rewrite runs on the caller's thread; the type and those two
+/// aliases are kept only because `benchmark/` names them, and go with the
+/// next change to it.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug)]
+pub enum Parallelism {
+    Auto,
+}
+
+/// [`apply`], under the name `benchmark/` calls; see [`Parallelism`].
+#[doc(hidden)]
+pub fn apply_with(constraints: &[Constraint], goal: &Goal, _: Parallelism) -> Goal {
+    apply(constraints, goal)
 }
 
 #[cfg(test)]
@@ -800,13 +721,39 @@ mod tests {
     }
 
     #[test]
-    fn auto_fans_out_only_with_a_second_cpu() {
-        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-        // Far above the work floor: only the CPU count can say no.
-        assert_eq!(Parallelism::Auto.fan_out(1 << 20, 8), cpus > 1);
-        assert!(!Parallelism::Auto.fan_out(1, 2), "below the work floor");
-        assert!(Parallelism::Always.fan_out(1, 2));
-        assert!(!Parallelism::Never.fan_out(1 << 20, 8));
+    fn channel_allocator_is_fresh_beside_ids_at_the_top_of_u32() {
+        // Text can name any id; `max + 1` used to wrap (release) or
+        // overflow (debug) here. The longest free run is what is owned.
+        let top = seq(vec![Goal::Send(Channel(u32::MAX)), g("a")]);
+        let mut ch = ChannelAlloc::fresh_for(&top);
+        assert_eq!(ch.fresh(), Channel(0));
+        let ends = seq(vec![Goal::Send(Channel(0)), Goal::Send(Channel(u32::MAX))]);
+        let mut ch = ChannelAlloc::fresh_for(&ends);
+        assert_eq!(ch.reserve(3).fresh(), Channel(1));
+        assert_eq!(ch.fresh(), Channel(4));
+        let low = seq(vec![Goal::Send(Channel(7)), Goal::Send(Channel(1 << 31))]);
+        assert_eq!(
+            ChannelAlloc::fresh_for(&low).fresh(),
+            Channel((1 << 31) + 1)
+        );
+        // And `Apply` through it: the order's channel is a new one.
+        let goal = conc(vec![
+            g("a"),
+            seq(vec![Goal::Send(Channel(u32::MAX)), g("b")]),
+        ]);
+        let compiled = apply(&[Constraint::order("a", "b")], &goal);
+        assert_eq!(
+            compiled.channels(),
+            [Channel(0), Channel(u32::MAX)].into_iter().collect()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "channel ids exhausted")]
+    fn a_used_up_range_panics_instead_of_wrapping() {
+        let mut range = ChannelAlloc::new().reserve(1);
+        range.fresh();
+        range.fresh();
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //! knot-entangled choices and runs in time proportional to the goal size
 //! (Theorem 5.11) — measured in experiment E2.
 
-use crate::apply::{available_cpus, Op, Parallelism, Scratch, Table};
+use crate::apply::{Op, Parallelism, Scratch, Table};
 use crate::goal::{Channel, Goal};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -111,84 +111,30 @@ pub fn excise(goal: &Goal) -> Goal {
     excise_with_diagnostics(goal).goal
 }
 
-/// [`excise`] with `G_fail` diagnostics. Equivalent to
-/// [`excise_with_diagnostics_par`] at [`Parallelism::Auto`].
+/// [`excise`] with `G_fail` diagnostics.
 pub fn excise_with_diagnostics(goal: &Goal) -> ExciseResult {
-    excise_with_diagnostics_par(goal, Parallelism::Auto)
+    excise_in(&mut Scratch, goal)
 }
 
-/// [`excise_with_diagnostics`] with an explicit parallelism mode.
-///
-/// A goal whose root is `∨` excises each branch independently (step 1 of
-/// the algorithm — the distribution is exact), so the branches fan out
-/// across threads. Branch results, knot reports, and the knot-freeness
-/// flag are merged back in branch order, making the output identical
-/// across modes.
-pub fn excise_with_diagnostics_par(goal: &Goal, par: Parallelism) -> ExciseResult {
-    excise_in(&mut Scratch, goal, par)
+/// [`excise_with_diagnostics`], under the name `benchmark/` calls; see
+/// [`Parallelism`].
+#[doc(hidden)]
+pub fn excise_with_diagnostics_par(goal: &Goal, _: Parallelism) -> ExciseResult {
+    excise_with_diagnostics(goal)
 }
 
-/// [`excise_with_diagnostics_par`] through `table`, which is asked for
-/// each region's outcome (diagnostics included) and for the final
+/// [`excise_with_diagnostics`] through `table`, which is asked for each
+/// region's outcome (diagnostics included) and for the final
 /// canonicalization.
-pub(crate) fn excise_in<T: Table>(table: &mut T, goal: &Goal, par: Parallelism) -> ExciseResult {
+pub(crate) fn excise_in<T: Table>(table: &mut T, goal: &Goal) -> ExciseResult {
     let mut reports = Vec::new();
     let mut guaranteed = true;
-    let out = match goal {
-        // The branches partition the goal: `n` tasks of `size / n` each
-        // (a hand-built `∨` may have no branches at all).
-        Goal::Or(gs) if par.fan_out(goal.size() / gs.len().max(1), gs.len()) => {
-            crate::goal::or(excise_branches_parallel(gs, &mut reports, &mut guaranteed))
-        }
-        _ => excise_inner(table, goal, &mut reports, &mut guaranteed),
-    };
+    let out = excise_inner(table, goal, &mut reports, &mut guaranteed);
     ExciseResult {
         goal: table.rewrite(Op::Simplify, &out, |_| out.simplify()),
         reports,
         guaranteed_knot_free: guaranteed,
     }
-}
-
-/// Excises the branches of a root `∨` on a pool of scoped threads: the
-/// branch list is split into contiguous chunks, one worker per chunk,
-/// each collecting its own reports; chunk results are then concatenated
-/// in order so the merged output matches the sequential path exactly.
-fn excise_branches_parallel(
-    gs: &[Goal],
-    reports: &mut Vec<KnotReport>,
-    guaranteed: &mut bool,
-) -> Vec<Goal> {
-    let workers = available_cpus().min(gs.len());
-    let chunk_len = gs.len().div_ceil(workers);
-    let chunk_results: Vec<(Vec<Goal>, Vec<KnotReport>, bool)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = gs
-            .chunks(chunk_len)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    let mut chunk_reports = Vec::new();
-                    let mut chunk_guaranteed = true;
-                    let excised: Vec<Goal> = chunk
-                        .iter()
-                        .map(|g| {
-                            excise_inner(&mut Scratch, g, &mut chunk_reports, &mut chunk_guaranteed)
-                        })
-                        .collect();
-                    (excised, chunk_reports, chunk_guaranteed)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("excise worker panicked"))
-            .collect()
-    });
-    let mut branches = Vec::with_capacity(gs.len());
-    for (excised, chunk_reports, chunk_guaranteed) in chunk_results {
-        branches.extend(excised);
-        reports.extend(chunk_reports);
-        *guaranteed &= chunk_guaranteed;
-    }
-    branches
 }
 
 fn excise_inner<T: Table>(

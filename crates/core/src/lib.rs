@@ -18,8 +18,8 @@
 //! | [`unique`] | §3 | the unique-event property (Definition 3.1), linear-time check |
 //! | [`constraints`] | §3 | the algebra `CONSTR`, negation closure (Lemma 3.4), splitting (Prop 3.3), normal form (Cor 3.5) |
 //! | [`semantics`] | §2 | reference trace semantics — the oracle for `Apply(σ,T) ≡ T ∧ σ` |
-//! | [`apply`](mod@apply) | §5 | the `Apply` rules and `sync` (Defs 5.1/5.3/5.5), each written once over a table strategy; event-index pruning, deterministic parallel disjunct fan-out (`Parallelism`) |
-//! | [`excise`](mod@excise) | §5 | knot detection and removal, `G_fail` diagnostics, parallel `∨`-branch fan-out; region outcomes go through the same table |
+//! | [`apply`](mod@apply) | §5 | the `Apply` rules and `sync` (Defs 5.1/5.3/5.5), each written once over a table strategy and run on the caller's thread; event-index pruning, a channel range set aside per disjunct |
+//! | [`excise`](mod@excise) | §5 | knot detection and removal, `G_fail` diagnostics; a root `∨` excises branch by branch, region outcomes go through the same table |
 //! | [`analysis`] | §4 | consistency, verification, redundancy (Thms 5.8–5.10): the [`Analyzer`] session holds each query once; the one-shot functions are sessions over the table that records nothing |
 //! | [`memo`] | §5 | the table that remembers: hash-consed subgoals ([`memo::GoalTable`]) and recorded rewrite answers ([`Memo`]), which an [`Analyzer`] keeps across queries |
 //! | [`formula`] | §2 | full CTR formulas (adds `∧`, `¬`) with declarative trace satisfaction |

@@ -31,7 +31,7 @@
 //! what can still differ — that each answer is a function of its key.
 
 use crate::analysis::{compile_in, mentions_conditions, Compiled};
-use crate::apply::{ChannelAlloc, Op, Parallelism, Table};
+use crate::apply::{ChannelAlloc, Op, Table};
 use crate::constraints::{Basic, Conjunct, Constraint, NormalForm};
 use crate::excise::ExciseResult;
 use crate::goal::{Channel, FxBuildHasher, Goal};
@@ -161,8 +161,6 @@ pub struct Memo {
 }
 
 impl Table for Memo {
-    const PAR: Parallelism = Parallelism::Never;
-
     fn rewrite(&mut self, op: Op, goal: &Goal, rule: impl FnOnce(&mut Memo) -> Goal) -> Goal {
         // Leaves are O(1) rewrites and never touch the tables. The `Apply`
         // rewrites never look inside ◇; only `simplify` descends into it.
@@ -302,7 +300,7 @@ impl Memo {
         goal: &Goal,
         channels: &mut ChannelAlloc,
     ) -> Goal {
-        crate::apply::apply_normal_form_in(self, nf, goal, channels, Memo::PAR)
+        crate::apply::apply_normal_form_in(self, nf, goal, channels)
     }
 
     /// Tabled `Apply(C, G)` for a whole constraint set — see
@@ -314,7 +312,7 @@ impl Memo {
         goal: &Goal,
         channels: &mut ChannelAlloc,
     ) -> Goal {
-        crate::apply::apply_all_in(self, constraints, goal, channels, Memo::PAR)
+        crate::apply::apply_all_in(self, constraints, goal, channels)
     }
 
     /// Tabled `Excise` with diagnostics — see
@@ -322,7 +320,7 @@ impl Memo {
     /// per choice-rooted-free region (the unit the pass analyzes),
     /// including the exact `G_fail` reports it appended.
     pub fn excise_with_diagnostics(&mut self, goal: &Goal) -> ExciseResult {
-        crate::excise::excise_in(self, goal, Memo::PAR)
+        crate::excise::excise_in(self, goal)
     }
 
     /// Tabled `Excise` without diagnostics — see [`crate::excise::excise`].
@@ -340,7 +338,6 @@ impl Memo {
             constraints,
             ChannelAlloc::fresh_for(goal),
             mentions_conditions(goal),
-            Memo::PAR,
         )
     }
 }

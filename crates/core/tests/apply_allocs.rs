@@ -7,7 +7,7 @@
 //! which is what lets this one install a counting allocator; the counter
 //! is per thread because the harness runs tests side by side.
 
-use ctr::apply::{apply_must, apply_normal_form_with, ChannelAlloc, Parallelism};
+use ctr::apply::{apply_must, apply_normal_form, ChannelAlloc};
 use ctr::gen::{random_3sat, sat_to_workflow};
 use ctr::goal::Goal;
 use ctr::sym;
@@ -91,9 +91,7 @@ fn a_clause_costs_a_fixed_count_per_term_and_literal() {
         for clause in &clauses {
             let nf = clause.normalize();
             let pairs = terms(&current) * nf.disjunct_count() as u64;
-            let (next, count) = allocations(|| {
-                apply_normal_form_with(&nf, &current, &mut channels, Parallelism::Never)
-            });
+            let (next, count) = allocations(|| apply_normal_form(&nf, &current, &mut channels));
             assert!(
                 count <= PER_TERM_AND_LITERAL * pairs + PER_CLAUSE,
                 "seed {seed}: {count} allocations for {pairs} (term, literal) pairs"

@@ -167,8 +167,17 @@ enum NodeKind {
     Conc(Vec<NodeId>),
     Or(Vec<NodeId>),
     Iso(NodeId),
-    Send(Channel),
-    Recv(Channel),
+    /// `send`/`receive` on a channel. `rank` is the channel's index among
+    /// those the goal mentions, ascending by id: what [`Program`]'s
+    /// receive table and a cursor's `sent` bits go by, so their size
+    /// follows the goal's wherever in `u32` text put the id.
+    Send {
+        rank: u32,
+        channel: Channel,
+    },
+    Recv {
+        rank: u32,
+    },
     Empty,
 }
 
@@ -244,11 +253,9 @@ pub struct Program {
     nodes: Vec<Node>,
     root: NodeId,
     /// `receive` nodes by channel, consulted when a `send` fires to
-    /// promote newly enabled receives into the frontier: channel `c`'s
-    /// are `recv_nodes[recv_start[c]..recv_start[c + 1]]`, in node order.
-    /// Channel ids are dense (`ChannelAlloc` hands them out
-    /// contiguously), so `recv_start` has one entry per id up to the
-    /// largest mentioned, plus one.
+    /// promote newly enabled receives into the frontier: those of the
+    /// channel ranked `r` are `recv_nodes[recv_start[r]..recv_start[r + 1]]`,
+    /// in node order.
     recv_start: Vec<u32>,
     recv_nodes: Vec<u32>,
     /// Event symbol → dense slot id, assigned at compile time. The one
@@ -284,18 +291,32 @@ impl Program {
             ..Builder::default()
         };
         let root = b.build(&simplified);
-        // Stable, so each channel's receives stay in node order.
-        b.recvs.sort_by_key(|&(c, _)| c);
-        let mut recv_start = vec![0u32; b.channel_bound as usize + 1];
-        for &(c, _) in &b.recvs {
-            recv_start[c as usize + 1] += 1;
+        // Rank the channels mentioned, ascending by id, and tell their nodes.
+        let mut channels: Vec<u32> = b.channel_ops.iter().map(|&(c, _)| c).collect();
+        channels.sort_unstable();
+        channels.dedup();
+        let mut recv_start = vec![0u32; channels.len() + 1];
+        let mut recvs = Vec::new();
+        for &(c, node) in &b.channel_ops {
+            let at = channels.binary_search(&c).expect("collected above") as u32;
+            match &mut b.nodes[node as usize].kind {
+                NodeKind::Send { rank, .. } => *rank = at,
+                NodeKind::Recv { rank } => {
+                    *rank = at;
+                    recv_start[at as usize + 1] += 1;
+                    recvs.push((at, node));
+                }
+                _ => unreachable!("only channel nodes are recorded"),
+            }
         }
-        for c in 0..b.channel_bound as usize {
-            recv_start[c + 1] += recv_start[c];
+        // Stable, so each channel's receives stay in node order.
+        recvs.sort_by_key(|&(rank, _)| rank);
+        for r in 0..channels.len() {
+            recv_start[r + 1] += recv_start[r];
         }
         let node_words = b.nodes.len().div_ceil(64);
         let sent = 3 * node_words;
-        let seq_pos = sent + (b.channel_bound as usize).div_ceil(64);
+        let seq_pos = sent + channels.len().div_ceil(64);
         let or_choice = seq_pos + (b.seqs as usize).div_ceil(2);
         let evt_head = or_choice + (b.ors as usize).div_ceil(2);
         let evt_next = evt_head + b.slots.len().div_ceil(2);
@@ -303,7 +324,7 @@ impl Program {
             nodes: b.nodes,
             root,
             recv_start,
-            recv_nodes: b.recvs.iter().map(|&(_, n)| n).collect(),
+            recv_nodes: recvs.iter().map(|&(_, n)| n).collect(),
             slots: b.slots,
             layout: Layout {
                 locked: node_words,
@@ -345,10 +366,10 @@ impl Program {
         rank >= anc.pre && rank < anc.end
     }
 
-    /// The `receive` nodes listening on a channel.
-    fn recvs_on(&self, c: Channel) -> &[u32] {
-        let c = c.0 as usize;
-        &self.recv_nodes[self.recv_start[c] as usize..self.recv_start[c + 1] as usize]
+    /// The `receive` nodes listening on the channel ranked `r`.
+    fn recvs_on(&self, r: u32) -> &[u32] {
+        let r = r as usize;
+        &self.recv_nodes[self.recv_start[r] as usize..self.recv_start[r + 1] as usize]
     }
 
     /// The cursor every execution of this program starts from.
@@ -389,10 +410,9 @@ struct Builder {
     ors: u32,
     leaves: u32,
     slots: SymbolMap<u32>,
-    /// One past the largest channel id mentioned.
-    channel_bound: u32,
-    /// `(channel, node)` of every `receive`, in node order.
-    recvs: Vec<(u32, u32)>,
+    /// `(channel id, node)` of every `send` and `receive`, in node order;
+    /// their ranks are filled in once all of them are known.
+    channel_ops: Vec<(u32, u32)>,
 }
 
 impl Builder {
@@ -430,13 +450,15 @@ impl Builder {
             Goal::Isolated(g) => NodeKind::Iso(self.build(g)),
             Goal::Possible(_) | Goal::Empty => NodeKind::Empty,
             Goal::Send(c) => {
-                self.channel_bound = self.channel_bound.max(c.0 + 1);
-                NodeKind::Send(*c)
+                self.channel_ops.push((c.0, self.nodes.len() as u32));
+                NodeKind::Send {
+                    rank: NIL,
+                    channel: *c,
+                }
             }
             Goal::Receive(c) => {
-                self.channel_bound = self.channel_bound.max(c.0 + 1);
-                self.recvs.push((c.0, self.nodes.len() as u32));
-                NodeKind::Recv(*c)
+                self.channel_ops.push((c.0, self.nodes.len() as u32));
+                NodeKind::Recv { rank: NIL }
             }
             Goal::NoPath => unreachable!("simplified non-¬path goals contain no ¬path"),
         };
@@ -483,21 +505,6 @@ fn half(words: &[u64], base: usize, i: usize) -> u32 {
 fn set_half(words: &mut [u64], base: usize, i: usize, v: u32) {
     let (word, shift) = (&mut words[base + i / 2], i % 2 * 32);
     *word = *word & !(u64::from(u32::MAX) << shift) | u64::from(v) << shift;
-}
-
-/// The indices of the set bits of `words`, ascending.
-fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
-    words.iter().enumerate().flat_map(|(i, &word)| {
-        let mut w = word;
-        std::iter::from_fn(move || {
-            if w == 0 {
-                return None;
-            }
-            let bit = w.trailing_zeros() as usize;
-            w &= w - 1;
-            Some(i * 64 + bit)
-        })
-    })
 }
 
 /// One schedulable step.
@@ -582,14 +589,10 @@ impl Cursor {
         bit(&self.arena, p.layout.in_frontier, node)
     }
 
+    /// Whether the channel ranked `r` has been sent on.
     #[inline]
-    fn is_sent(&self, p: &Program, c: Channel) -> bool {
-        bit(&self.arena, p.layout.sent, c.0 as usize)
-    }
-
-    /// The channels sent on so far, ascending.
-    fn sent<'a>(&'a self, p: &Program) -> impl Iterator<Item = u32> + 'a {
-        ones(&self.arena[p.layout.sent..p.layout.seq_pos]).map(|c| c as u32)
+    fn is_sent(&self, p: &Program, r: u32) -> bool {
+        bit(&self.arena, p.layout.sent, r as usize)
     }
 
     /// Index of the current child of the `⊗` node `n`.
@@ -741,11 +744,11 @@ impl Cursor {
         let n = &p.nodes[node];
         match &n.kind {
             NodeKind::Event(_) => self.insert_choice(p, node, true),
-            NodeKind::Send(_) | NodeKind::Empty => self.insert_choice(p, node, false),
-            NodeKind::Recv(c) => {
+            NodeKind::Send { .. } | NodeKind::Empty => self.insert_choice(p, node, false),
+            NodeKind::Recv { rank } => {
                 // A blocked receive stays out of the frontier; the send
                 // that enables it promotes it via `recvs_on`.
-                if self.is_sent(p, *c) {
+                if self.is_sent(p, *rank) {
                     self.insert_choice(p, node, false);
                 }
             }
@@ -838,13 +841,13 @@ impl Cursor {
         self.lock[entered..].reverse();
     }
 
-    /// Records a fired `send` and promotes any receive on the channel
-    /// that is already walk-reachable into the frontier.
-    fn send_effect(&mut self, p: &Program, c: Channel) {
+    /// Records a fired `send` on the channel ranked `c` and promotes any
+    /// receive on it that is already walk-reachable into the frontier.
+    fn send_effect(&mut self, p: &Program, c: u32) {
         if self.is_sent(p, c) {
             return;
         }
-        set_bit(&mut self.arena, p.layout.sent, c.0 as usize, true);
+        set_bit(&mut self.arena, p.layout.sent, c as usize, true);
         for &r in p.recvs_on(c) {
             let r = r as NodeId;
             if !self.is_done(r) && !self.in_frontier(p, r) && self.walk_reachable(p, r) {
@@ -931,8 +934,8 @@ impl Cursor {
         self.commit_path(p, node);
         match &p.nodes[node].kind {
             NodeKind::Event(_) => self.trace.push(node as u32),
-            NodeKind::Send(c) => self.send_effect(p, *c),
-            NodeKind::Recv(_) | NodeKind::Empty => {}
+            NodeKind::Send { rank, .. } => self.send_effect(p, *rank),
+            NodeKind::Recv { .. } | NodeKind::Empty => {}
             other => unreachable!("only leaves fire, got {other:?}"),
         }
         self.complete(p, node);
@@ -960,8 +963,8 @@ impl Cursor {
                 let enabled = !observable
                     && self.scoped_visible(p, node)
                     && match &p.nodes[node].kind {
-                        NodeKind::Send(_) | NodeKind::Empty => true,
-                        NodeKind::Recv(c) => self.is_sent(p, *c),
+                        NodeKind::Send { .. } | NodeKind::Empty => true,
+                        NodeKind::Recv { rank } => self.is_sent(p, *rank),
                         _ => false,
                     }
                     && self.commitment_free(p, node);
@@ -969,8 +972,8 @@ impl Cursor {
                     i += 1;
                     continue;
                 }
-                if let NodeKind::Send(c) = &p.nodes[node].kind {
-                    self.send_effect(p, *c);
+                if let NodeKind::Send { rank, .. } = &p.nodes[node].kind {
+                    self.send_effect(p, *rank);
                 }
                 // Removes entry `i`; the next candidate slides into it.
                 self.complete(p, node);
@@ -1012,7 +1015,7 @@ impl Cursor {
         let n = &p.nodes[node];
         match &n.kind {
             NodeKind::Event(_) => (n.slot == slot).then_some(node),
-            NodeKind::Send(_) | NodeKind::Recv(_) | NodeKind::Empty => None,
+            NodeKind::Send { .. } | NodeKind::Recv { .. } | NodeKind::Empty => None,
             NodeKind::Seq(cs) => {
                 let mut pos = self.seq_pos(p, n);
                 let mut via = None;
@@ -1027,8 +1030,8 @@ impl Cursor {
                     // The event may hide behind this child — but only if
                     // the child is a silent leaf that is enabled *now*.
                     let silent = match &p.nodes[cur].kind {
-                        NodeKind::Send(_) | NodeKind::Empty => true,
-                        NodeKind::Recv(c) => self.is_sent(p, *c),
+                        NodeKind::Send { .. } | NodeKind::Empty => true,
+                        NodeKind::Recv { rank } => self.is_sent(p, *rank),
                         _ => false,
                     };
                     if !silent {
@@ -1061,12 +1064,12 @@ impl Cursor {
                 node,
                 observable: true,
             }),
-            NodeKind::Send(_) => out.push(Choice {
+            NodeKind::Send { .. } => out.push(Choice {
                 node,
                 observable: false,
             }),
-            NodeKind::Recv(c) => {
-                if self.is_sent(p, *c) {
+            NodeKind::Recv { rank } => {
+                if self.is_sent(p, *rank) {
                     out.push(Choice {
                         node,
                         observable: false,
@@ -1301,18 +1304,29 @@ impl<P: std::ops::Deref<Target = Program>> Scheduler<P> {
     pub fn state_key(&self) -> Vec<u8> {
         let (p, c): (&Program, &Cursor) = (&self.program, &self.cursor);
         let mut key = Vec::with_capacity(p.nodes.len() * 9 + 16);
+        let mut sent = Vec::new();
         for (node, n) in p.nodes.iter().enumerate() {
             let (pos, choice) = match n.kind {
                 NodeKind::Seq(_) => (c.seq_pos(p, n) as u32, NIL),
                 NodeKind::Or(_) => (0, c.or_choice(p, n)),
+                NodeKind::Send { rank, channel } => {
+                    if c.is_sent(p, rank) {
+                        sent.push(channel.0);
+                    }
+                    (0, NIL)
+                }
                 _ => (0, NIL),
             };
             key.push(c.is_done(node) as u8);
             key.extend_from_slice(&pos.to_le_bytes());
             key.extend_from_slice(&choice.to_le_bytes());
         }
+        // The channels sent on, by id, ascending — each once however many
+        // `send` nodes name it.
+        sent.sort_unstable();
+        sent.dedup();
         key.push(0xFE);
-        for ch in c.sent(p) {
+        for ch in sent {
             key.extend_from_slice(&ch.to_le_bytes());
         }
         key.push(0xFD);
@@ -1695,7 +1709,45 @@ mod tests {
     }
 
     #[test]
-    fn set_bits_iterate_ascending_across_words() {
+    fn tables_are_sized_by_the_channels_mentioned_not_by_their_ids() {
+        // Ids as text or a snapshot may set them; 70 sparse ones for a
+        // `sent` section of two words.
+        for ids in [
+            vec![u32::MAX],
+            vec![300_000_000],
+            (0..70).map(|i| u32::MAX - 1_000 * i).collect::<Vec<u32>>(),
+        ] {
+            let gated = ids
+                .iter()
+                .flat_map(|&id| [Goal::Send(Channel(id)), Goal::Receive(Channel(id))]);
+            let goal = seq([g("a")].into_iter().chain(gated).chain([g("b")]).collect());
+            let p = compile(&goal);
+            assert_eq!(p.recv_start.len(), ids.len() + 1);
+            assert_eq!(p.layout.seq_pos - p.layout.sent, ids.len().div_ceil(64));
+            let s = Scheduler::new(&p);
+            assert!(s.cursor.bytes() < 1024, "{} bytes", s.cursor.bytes());
+            assert_eq!(
+                s.enumerate_traces(10),
+                ctr::semantics::event_traces(&goal, 10_000).unwrap()
+            );
+            let mut s = Scheduler::new(&p);
+            assert!(s.fire_event(sym("a")));
+            let mut sent: Vec<u8> = Vec::new();
+            let mut ascending = ids.clone();
+            ascending.sort_unstable();
+            for id in ascending {
+                sent.extend_from_slice(&id.to_le_bytes());
+            }
+            let key = s.state_key();
+            let tail = &key[p.len() * 9..];
+            assert_eq!(tail[0], 0xFE);
+            assert_eq!(&tail[1..tail.len() - 1], &sent[..], "the key names ids");
+            assert!(s.fire_event(sym("b")) && s.is_complete());
+        }
+    }
+
+    #[test]
+    fn bits_are_set_and_cleared_across_words() {
         let mut words = [0u64; 5];
         for id in [200usize, 3, 64, 0, 127, 65] {
             assert!(!bit(&words, 1, id));
@@ -1704,10 +1756,9 @@ mod tests {
         }
         assert!(!bit(&words, 1, 63));
         assert_eq!(words[0], 0, "the section before `base` is untouched");
-        let ids: Vec<usize> = ones(&words[1..]).collect();
-        assert_eq!(ids, vec![0, 3, 64, 65, 127, 200]);
+        assert_eq!(words[1..], [0b1001, 0b11 | 1 << 63, 0, 1 << 8]);
         set_bit(&mut words, 1, 64, false);
-        assert_eq!(ones(&words[1..]).nth(2), Some(65));
+        assert_eq!(words[2], 0b10 | 1 << 63);
     }
 
     #[test]
@@ -1968,7 +2019,7 @@ mod tests {
     /// a random corpus goal rarely has.
     fn case_goal(seed: u64, family: usize) -> Goal {
         let mut rng = seed ^ 0x5DEE_CE66;
-        // Channel ids start in the second or third bitset word.
+        // Channel ids are sparse and start past 64: tables go by rank.
         let mut chan = 64 + (seed as u32 % 2) * 70;
         // A corpus goal of at least `min_nodes`, decorated, then gated
         // into a last event so at least one channel is always in play.
@@ -2113,8 +2164,13 @@ mod tests {
                 .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
                 .collect()
         };
-        let sent: Vec<u32> = s.cursor.sent(p).collect();
-        assert!(sent.windows(2).all(|w| w[0] < w[1]), "channels ascend");
+        let sent: BTreeSet<u32> = (p.nodes.iter())
+            .filter_map(|n| match n.kind {
+                NodeKind::Send { rank, channel } if s.cursor.is_sent(p, rank) => Some(channel.0),
+                _ => None,
+            })
+            .collect();
+        let sent: Vec<u32> = sent.into_iter().collect();
         let locks_at = 2 + 4 * sent.len();
         assert_eq!((tail[0], tail[locks_at - 1]), (0xFE, 0xFD));
         assert_eq!(words(&tail[1..locks_at - 1]), sent);
@@ -2149,8 +2205,17 @@ mod tests {
                 _ => {}
             }
             if family <= 2 {
-                prop_assert!(p.layout.seq_pos - p.layout.sent >= 2, "channel ids ≥ 64 in play");
+                prop_assert!(goal.channels().iter().all(|c| c.0 >= 64), "sparse ids in play");
             }
+            let ranks = p.nodes.iter().filter_map(|n| match n.kind {
+                NodeKind::Send { rank, .. } | NodeKind::Recv { rank } => Some(rank as usize + 1),
+                _ => None,
+            });
+            prop_assert_eq!(
+                p.layout.seq_pos - p.layout.sent,
+                ranks.max().unwrap_or(0).div_ceil(64),
+                "one `sent` bit per channel, whatever the ids"
+            );
             let events: Vec<Symbol> = goal.events().into_iter().collect();
 
             let sibling = Scheduler::new(&p);

@@ -60,7 +60,7 @@ pub use enact::{
     FaultPlan, Handler, RetryPolicy,
 };
 pub use shared::{BurstScratch, SharedRuntime};
-pub use stats::{simulate, simulate_par, Simulation};
+pub use stats::{simulate, Simulation};
 pub use wheel::{TimerToken, TimerWheel};
 
 /// Identifier of a running instance.

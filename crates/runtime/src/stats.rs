@@ -13,11 +13,11 @@
 //! [`StoreStats`] — appends, journal events per append (group sizes),
 //! commit fsyncs (with rotation and checkpoint syncs attributed
 //! separately), group-size and fsync-latency histograms, compactions,
-//! and recovered/torn byte counts — which is how the `durability/*`
-//! benches and the CLI `recover` verb report what the log actually did.
+//! and recovered/torn byte counts — which is how `benchmark/`'s
+//! `store.wal.*` probes, its `serve_durable` workload and the CLI
+//! `recover` verb report what the log actually did.
 
 use crate::{Runtime, SharedRuntime};
-use ctr::apply::Parallelism;
 use ctr::symbol::Symbol;
 use ctr_engine::scheduler::{Program, Scheduler};
 use ctr_store::StoreStats;
@@ -159,29 +159,51 @@ fn join_attributed<T>(handle: std::thread::ScopedJoinHandle<'_, T>, (lo, hi): (u
     }
 }
 
-/// Samples `runs` randomized schedules of `program` (seeds
-/// `seed, seed+1, …`) and aggregates. Uses [`Parallelism::Auto`]; see
-/// [`simulate_par`] to pin the mode.
-pub fn simulate(program: &Program, runs: usize, seed: u64) -> Simulation {
-    simulate_par(program, runs, seed, Parallelism::Auto)
-}
+/// Work (program nodes × runs) each sampler thread must get before
+/// [`simulate`] spawns any. A node·run samples in 2–5 ns, so the floor is
+/// 40–100 µs of sampling against the ≈ 12 µs it takes to spawn and join a
+/// scoped thread; below it the threads cost more than they sample. Far
+/// above it they pay where the runs are long (2 000 runs of a 27 948-node
+/// program: ≈ 105 ms on one thread, ≈ 55 ms on two vCPUs) and merely
+/// break even where they are short and allocation-bound (20 000 runs of a
+/// 1 644-node program: ≈ 133 ms either way on the same host).
+const WORKER_FLOOR: usize = 20_000;
 
-/// [`simulate`] with an explicit [`Parallelism`] mode — the same knob the
-/// compiler's fan-out uses. Runs are independent samples, so they
-/// partition across worker threads and the partial aggregates merge;
-/// every mode produces the **identical** `Simulation` (each run's seed
-/// depends only on its global index, and all merge operations are
-/// commutative sums/min/max/unions).
-pub fn simulate_par(program: &Program, runs: usize, seed: u64, par: Parallelism) -> Simulation {
-    let workers = if par.fan_out(program.len(), runs) {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .min(runs)
+/// How many threads [`simulate`] samples on: one per CPU this process may
+/// run on, as long as each gets [`WORKER_FLOOR`] of work — else one, and
+/// always one on a single CPU, where threads only add spawn and switch
+/// cost. The floor is tested for two workers before the CPUs are counted:
+/// that query walks the affinity mask and the cgroup quota files, which a
+/// µs-sized simulation must not pay for.
+fn sampler_workers(program: &Program, runs: usize) -> usize {
+    let work = program.len().saturating_mul(runs);
+    if work / 2 < WORKER_FLOOR {
+        return 1;
+    }
+    let workers = std::thread::available_parallelism()
+        .map_or(1, std::num::NonZeroUsize::get)
+        .min(runs);
+    if workers > 1 && work / workers >= WORKER_FLOOR {
+        workers
     } else {
         1
-    };
+    }
+}
 
+/// Samples `runs` randomized schedules of `program` (seeds
+/// `seed, seed+1, …`) and aggregates.
+///
+/// Runs are independent samples, so large simulations partition them
+/// across threads and merge the partial aggregates; the `Simulation` is
+/// **identical** however many there are (each run's seed depends only on
+/// its global index, and all merge operations are commutative
+/// sums/min/max/unions).
+pub fn simulate(program: &Program, runs: usize, seed: u64) -> Simulation {
+    simulate_on(sampler_workers(program, runs), program, runs, seed)
+}
+
+/// [`simulate`] on exactly `workers` threads (the caller's, for one).
+fn simulate_on(workers: usize, program: &Program, runs: usize, seed: u64) -> Simulation {
     let partials: Vec<Partial> = if workers <= 1 {
         vec![sample_range(program, 0, runs, seed)]
     } else {
@@ -295,20 +317,28 @@ mod tests {
     }
 
     #[test]
-    fn parallel_modes_produce_identical_simulations() {
-        // Runs are independent samples seeded by global index, so the
-        // threaded fan-out must be invisible in the aggregate.
+    fn worker_count_is_invisible_in_the_simulation() {
+        // Runs are independent samples seeded by global index, so how many
+        // threads sample them must not show in the aggregate — including
+        // however many `simulate` picks here: the runs are sized from the
+        // host so that every CPU's share is past the floor, and it fans out
+        // to all of them wherever there is a second one.
         let goal = seq(vec![
             conc(vec![Goal::atom("p"), Goal::atom("q")]),
             or(vec![Goal::atom("b"), Goal::atom("c")]),
         ]);
         let p = program(&goal, &[]);
-        let sequential = simulate_par(&p, 300, 42, Parallelism::Never);
-        let threaded = simulate_par(&p, 300, 42, Parallelism::Always);
-        let auto = simulate_par(&p, 300, 42, Parallelism::Auto);
-        assert_eq!(sequential, threaded);
-        assert_eq!(sequential, auto);
-        assert!(sequential.distinct_traces >= 2);
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let runs = WORKER_FLOOR * cpus.max(2) / p.len() + 1;
+        assert_eq!(sampler_workers(&p, runs), cpus);
+        assert_eq!(sampler_workers(&p, 300), 1, "below the work floor");
+        let one = simulate_on(1, &p, runs, 42);
+        assert_eq!(one, simulate_on(3, &p, runs, 42));
+        assert_eq!(one, simulate(&p, runs, 42));
+        assert_eq!(one.runs, runs);
+        assert!(one.distinct_traces >= 2);
+        // More workers than runs: the spare ones sample nothing.
+        assert_eq!(simulate_on(1, &p, 2, 42), simulate_on(3, &p, 2, 42));
     }
 
     #[test]

@@ -27,8 +27,9 @@
 //!
 //! * [`MemStore`] — records in a `Vec`, no I/O. Attaching it to a
 //!   runtime reproduces today's purely in-memory behavior byte for
-//!   byte; it is also the honest baseline the `durability/*` benches
-//!   compare the WAL against.
+//!   byte; it is also the honest baseline `benchmark/` sets the WAL
+//!   against (`store.mem.append_ns` beside the `store.wal.*` probes,
+//!   `serve_pipelined` beside the `serve_durable` workload).
 //! * [`wal::WalStore`] — an append-only segmented log per shard with
 //!   length-prefixed, CRC-checked records, a cross-thread group-commit
 //!   pipeline (N concurrent appends on a stripe cost one fsync — see

@@ -24,18 +24,64 @@ fn seed_snapshot() -> String {
     rt.snapshot()
 }
 
-/// The seed as it is, and with a line restore must refuse spliced in
-/// before the instance lines: an id with no successor (`id + 1` used to
-/// overflow), and a second line for an id the seed already holds.
-fn seed_snapshots() -> [String; 3] {
+/// Workflow lines whose channel ids sit as far up `u32` as text can put
+/// them: tables sized by the id's value used to overflow on the first
+/// and take 1.2 GB for the second.
+const FAR_CHANNELS: [&str; 2] = [
+    "workflow w := a * send(xi4294967295) * receive(xi4294967295) * b",
+    "workflow w := a * send(xi300000000) * receive(xi300000000) * b",
+];
+
+/// The seed as it is, and with a line spliced in before the instance
+/// lines: two restore must refuse — an id with no successor (`id + 1`
+/// used to overflow), a second line for an id the seed already holds —
+/// and the [`FAR_CHANNELS`].
+fn seed_snapshots() -> [String; 5] {
     let seed = seed_snapshot();
     let at = seed.find("instance ").unwrap();
     let with = |line: &str| format!("{}{line}\n{}", &seed[..at], &seed[at..]);
     [
         with("instance 18446744073709551615 of ship [running]: pick"),
         with("instance 1 of pay [running]: invoice"),
+        with(FAR_CHANNELS[0]),
+        with(FAR_CHANNELS[1]),
         seed,
     ]
+}
+
+/// A channel id from text costs what the goal costs, wherever in `u32`
+/// it lies: a restored or deployed workflow naming one starts, runs to
+/// completion and snapshots back to the same bytes.
+#[test]
+fn far_channel_ids_restore_deploy_and_run() {
+    use ctr_runtime::{InstanceStatus, Runtime, SharedRuntime};
+    let run = |rt: &mut Runtime, events: &[&str]| {
+        let id = rt.start("w").unwrap();
+        for event in events {
+            rt.fire(id, event).unwrap();
+        }
+        assert_eq!(rt.try_complete(id).unwrap(), InstanceStatus::Completed);
+        let snapshot = rt.snapshot();
+        assert_eq!(Runtime::restore(&snapshot).unwrap().snapshot(), snapshot);
+        assert_eq!(
+            SharedRuntime::restore(&snapshot).unwrap().snapshot(),
+            snapshot
+        );
+    };
+    for line in FAR_CHANNELS {
+        let text = format!("ctr-runtime snapshot v1\n{line}\n");
+        let mut rt = Runtime::restore(&text).unwrap();
+        assert_eq!(rt.snapshot(), text);
+        run(&mut rt, &["a", "b"]);
+    }
+    // Through the compiler, which needs an id of its own for `before`.
+    let mut rt = Runtime::new();
+    rt.deploy_source(
+        "workflow w { graph a * send(xi4294967295) * receive(xi4294967295) * b * c; \
+         constraint before(a, c); }",
+    )
+    .unwrap();
+    run(&mut rt, &["a", "b", "c"]);
 }
 
 /// A scratch directory holding a small write-ahead log (a deploy, two
@@ -175,7 +221,7 @@ proptest! {
     /// never a panic.
     #[test]
     fn restore_is_total_on_corrupted_snapshots(
-        which in 0..3usize,
+        which in 0..5usize,
         cut in 0..400usize,
         pos in 0..400usize,
         noise in proptest::collection::vec(0..=255u8, 0..24),

@@ -122,33 +122,6 @@ proptest! {
         }
     }
 
-    /// The parallel compile path is a pure performance variant: for any
-    /// generated workload it produces the exact same `Compiled` output as
-    /// the sequential reference — same goal (hence same deterministic
-    /// channel numbering), same knot diagnostics, same flags.
-    #[test]
-    fn parallel_compile_matches_sequential(seed in 0u64..10_000, cseed in 0u64..10_000, n in 1usize..5) {
-        use ctr::apply::Parallelism;
-        let (goal, events) = random_goal(seed, shape(), "par");
-        prop_assume!(events.len() >= 2);
-        let constraints = random_constraints(cseed, &events, n);
-        let sequential = ctr::analysis::compile_unchecked_with(&goal, &constraints, Parallelism::Never);
-        let parallel = ctr::analysis::compile_unchecked_with(&goal, &constraints, Parallelism::Always);
-        prop_assert_eq!(&parallel.goal, &sequential.goal, "goals diverge on {}", goal);
-        prop_assert_eq!(parallel.goal.channels(), sequential.goal.channels());
-        prop_assert_eq!(parallel.knots.len(), sequential.knots.len());
-        prop_assert_eq!(parallel.applied_size, sequential.applied_size);
-        prop_assert_eq!(parallel.guaranteed_knot_free, sequential.guaranteed_knot_free);
-        prop_assert_eq!(parallel.has_conditions, sequential.has_conditions);
-        // Both are trace-equivalent to each other on small outputs (they
-        // are structurally equal, so this exercises the checker cheaply).
-        if sequential.goal.size() <= 60 {
-            if let Ok(eq) = ctr::semantics::equivalent(&parallel.goal, &sequential.goal, 20_000) {
-                prop_assert!(eq);
-            }
-        }
-    }
-
     /// Scheduling from a compiled program never deadlocks when Excise
     /// guaranteed knot-freedom.
     #[test]
