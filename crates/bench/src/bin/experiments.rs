@@ -136,6 +136,30 @@ fn e2_excise_linear() {
         "\nPower-law exponent of Excise time vs |Apply|: {:.2} (paper: 1.0 — proportional)\n",
         power_law_exponent(&pts)
     );
+
+    // The family above never puts more than ten channel operations in a
+    // region. Here they grow with |Apply|: n orders over a pipeline are one
+    // region of 2n sends and receives.
+    println!("Order chain over a pipeline (N orders, one region of 2N channel operations):\n");
+    let mut table = Table::new(&["N", "|Apply|", "Excise time", "ns / node"]);
+    let mut pts = Vec::new();
+    for n in [16usize, 32, 64, 128, 256, 512, 1024] {
+        let applied = apply(&gen::order_chain(n), &gen::pipeline_workflow(2 * n + 2));
+        let size = applied.size();
+        let t = time_mean(25, || excise(&applied));
+        pts.push((size as f64, t.as_nanos() as f64));
+        table.row(vec![
+            n.to_string(),
+            size.to_string(),
+            fmt_ns(t),
+            format!("{:.0}", t.as_nanos() as f64 / size as f64),
+        ]);
+    }
+    print!("{}", table.render());
+    println!(
+        "\nPower-law exponent of Excise time vs |Apply| on the chain: {:.2} (paper: 1.0)\n",
+        power_law_exponent(&pts)
+    );
 }
 
 fn e3_serial_linear() {

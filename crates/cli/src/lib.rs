@@ -906,6 +906,24 @@ mod tests {
     }
 
     #[test]
+    fn check_flags_hostile_nesting_with_code_2_instead_of_aborting() {
+        // 20 000 levels overflowed even the main thread's 8 MiB.
+        let deep = format!(
+            "workflow deep {{ graph {}a{}; }}",
+            "iso(".repeat(20_000),
+            ")".repeat(20_000)
+        );
+        let err = cmd_check(&deep).unwrap_err();
+        assert_eq!(err.code, 2);
+        assert!(
+            err.message
+                .contains("parse error: nesting exceeds the limit"),
+            "{}",
+            err.message
+        );
+    }
+
+    #[test]
     fn compile_prints_a_goal() {
         let out = cmd_compile(SPEC).unwrap();
         assert!(out.contains("send(") && out.contains("receive("));

@@ -220,7 +220,7 @@ fn or_of(alternatives: impl Iterator<Item = Goal>) -> Goal {
 /// allocation as the original child the node itself is handed back, so
 /// sharing with the input goal survives even when the event fingerprint
 /// gave a false positive; otherwise untouched children are `Arc` bumps.
-fn map_connective(goal: &Goal, mut f: impl FnMut(&Goal) -> Goal) -> Goal {
+pub(crate) fn map_connective(goal: &Goal, mut f: impl FnMut(&Goal) -> Goal) -> Goal {
     match goal {
         Goal::Seq(gs) | Goal::Conc(gs) | Goal::Or(gs) => {
             let first_change = gs.iter().enumerate().find_map(|(i, child)| {

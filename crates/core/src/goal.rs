@@ -28,11 +28,13 @@
 //! a goal is a reference-count bump and a rewrite that leaves a subtree
 //! untouched can return the *same* allocation (observable through
 //! [`std::sync::Arc::ptr_eq`]). [`GoalList`] additionally caches, per
-//! node, the subtree size, a bloom fingerprint of the event symbols
-//! occurring below (see [`Goal::may_mention`]), and a structural hash —
-//! all computed once at construction — which makes [`Goal::size`],
-//! event-pruning tests, and `∨`-idempotence checks O(1) instead of
-//! O(subtree).
+//! node, the subtree size, whether a `send`/`receive` occurs below (one
+//! bit of the size word, so the struct stays 48 bytes), a bloom
+//! fingerprint of the event symbols occurring below (see
+//! [`Goal::may_mention`]), and a structural hash — all computed once at
+//! construction — which makes [`Goal::size`], event-pruning tests,
+//! `∨`-idempotence checks and the channel-free skip of `Excise` and
+//! [`Goal::channels`] O(1) instead of O(subtree).
 
 use crate::symbol::Symbol;
 use crate::term::Atom;
@@ -59,7 +61,9 @@ impl fmt::Display for Channel {
 /// mutated afterwards.
 pub struct GoalList {
     children: Vec<Goal>,
-    /// Nodes in this subtree including the connective node itself.
+    /// Nodes in this subtree including the connective node itself, in the
+    /// low bits; [`HAS_CHANNELS`] on top of them. Packed so the struct
+    /// stays 48 bytes and its `Arc` in the 64-byte allocator bin.
     size: usize,
     /// Bloom fingerprint (2 bits per symbol in a 64-bit word) of every
     /// event symbol occurring anywhere below, including under `◇`/`⊙`.
@@ -69,20 +73,29 @@ pub struct GoalList {
     hash: u64,
 }
 
+/// Top bit of [`GoalList`]'s `size` word: a `send`/`receive` occurs
+/// somewhere below, under `◇` included.
+const HAS_CHANNELS: usize = 1 << (usize::BITS - 1);
+
 impl GoalList {
     /// Builds a list, computing the cached size/fingerprint/hash.
     pub fn new(children: Vec<Goal>) -> GoalList {
         let mut size = 1usize;
+        let mut has_channels = false;
         let mut events_fp = 0u64;
         let mut hash = 0xA076_1D64_78BD_642Fu64; // arbitrary non-zero init
         for child in &children {
             size += child.size();
+            has_channels |= child.has_channels();
             events_fp |= child.events_fingerprint();
             hash = mix64(hash ^ child.structural_hash());
         }
+        // A size that reached the flag bit could only set it spuriously,
+        // which costs a walk that finds nothing.
+        debug_assert!(size < HAS_CHANNELS, "goal size overflows its word");
         GoalList {
             children,
-            size,
+            size: size | if has_channels { HAS_CHANNELS } else { 0 },
             events_fp,
             hash,
         }
@@ -276,8 +289,22 @@ impl Goal {
     pub fn size(&self) -> usize {
         match self {
             Goal::Atom(_) | Goal::Send(_) | Goal::Receive(_) | Goal::Empty | Goal::NoPath => 1,
-            Goal::Seq(gs) | Goal::Conc(gs) | Goal::Or(gs) => gs.size,
+            Goal::Seq(gs) | Goal::Conc(gs) | Goal::Or(gs) => gs.size & !HAS_CHANNELS,
             Goal::Isolated(g) | Goal::Possible(g) => 1 + g.size(),
+        }
+    }
+
+    /// True if a `send`/`receive` occurs anywhere in the goal, under `◇`
+    /// included. O(1) for the n-ary connectives (cached at construction):
+    /// what lets `Excise`, [`Goal::channels`] and
+    /// [`ChannelAlloc::fresh_for`](crate::apply::ChannelAlloc::fresh_for)
+    /// pass over the channel-free bulk of a goal without walking it.
+    pub(crate) fn has_channels(&self) -> bool {
+        match self {
+            Goal::Send(_) | Goal::Receive(_) => true,
+            Goal::Seq(gs) | Goal::Conc(gs) | Goal::Or(gs) => gs.size & HAS_CHANNELS != 0,
+            Goal::Isolated(g) | Goal::Possible(g) => g.has_channels(),
+            Goal::Atom(_) | Goal::Empty | Goal::NoPath => false,
         }
     }
 
@@ -408,6 +435,9 @@ impl Goal {
     }
 
     fn collect_channels(&self, set: &mut BTreeSet<Channel>) {
+        if !self.has_channels() {
+            return;
+        }
         match self {
             Goal::Send(c) | Goal::Receive(c) => {
                 set.insert(*c);
@@ -996,6 +1026,23 @@ mod tests {
         let g = seq(vec![a(), conc(vec![b(), c()])]);
         // Seq node + a + Conc node + b + c
         assert_eq!(g.size(), 5);
+    }
+
+    #[test]
+    fn channel_flag_rides_in_the_size_word() {
+        // 48 bytes: with the two counters of its `Arc`, the 64-byte bin.
+        assert_eq!(std::mem::size_of::<GoalList>(), 48);
+        let free = seq(vec![a(), conc(vec![b(), c()])]);
+        assert!(!free.has_channels());
+        let sends = seq(vec![a(), conc(vec![b(), Goal::Send(Channel(3))])]);
+        assert!(sends.has_channels());
+        assert_eq!(sends.size(), free.size());
+        // Through the unary modalities, ◇ included: `channels` reports them.
+        let hidden = or(vec![a(), isolated(possible(Goal::Receive(Channel(3))))]);
+        assert!(hidden.has_channels());
+        assert_eq!(hidden.channels().len(), 1);
+        assert_eq!(hidden.size(), 5);
+        assert!(free.channels().is_empty());
     }
 
     #[test]

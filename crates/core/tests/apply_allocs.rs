@@ -1,4 +1,5 @@
-//! Allocation budget of the `∇α` kernel, counted rather than timed.
+//! Allocation budgets of the `∇α` kernel and of `Excise`, counted rather
+//! than timed.
 //!
 //! The counts are a function of the input alone, so they repeat exactly
 //! on any host: a rewrite that starts copying child vectors it does not
@@ -7,8 +8,9 @@
 //! which is what lets this one install a counting allocator; the counter
 //! is per thread because the harness runs tests side by side.
 
-use ctr::apply::{apply_must, apply_normal_form, ChannelAlloc};
-use ctr::gen::{random_3sat, sat_to_workflow};
+use ctr::apply::{apply, apply_must, apply_normal_form, ChannelAlloc};
+use ctr::excise::excise;
+use ctr::gen::{order_chain, pipeline_workflow, random_3sat, sat_to_workflow};
 use ctr::goal::Goal;
 use ctr::sym;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -65,7 +67,7 @@ fn terms(goal: &Goal) -> u64 {
 #[test]
 fn must_of_a_forced_event_allocates_nothing() {
     let (goal, clauses) = sat_to_workflow(&random_3sat(5, 8, 12));
-    let dnf = ctr::apply::apply(&clauses[..4], &goal);
+    let dnf = apply(&clauses[..4], &goal);
     let alpha = sym("x0_t");
     let forced = apply_must(alpha, &dnf);
     assert!(terms(&forced) > 16, "want a DNF past the inline dedup scan");
@@ -99,4 +101,48 @@ fn a_clause_costs_a_fixed_count_per_term_and_literal() {
             current = next;
         }
     }
+}
+
+/// `Excise(Apply(order_chain(n), pipeline(2n + 2)))`: one region, `2n`
+/// channel operations, no knot.
+fn excise_of_the_order_chain(n: usize) -> u64 {
+    let applied = apply(&order_chain(n), &pipeline_workflow(2 * n + 2));
+    assert_eq!(applied.channels().len(), n);
+    let (excised, count) = allocations(|| excise(&applied));
+    assert!(excised.ptr_eq(&applied));
+    count
+}
+
+#[test]
+fn excise_allocates_per_call_not_per_occurrence() {
+    // A call works in one fixed set of flat vectors — the arena, the edges,
+    // the channel operations, the rows of the graph, Tarjan's arrays —
+    // whatever the number of regions. The three that are pushed into
+    // double as they fill; the rest are sized once per region. (One vector
+    // per occurrence, or per vertex, would be thousands.)
+    const VECTORS: u64 = 32;
+    const GROWING: u64 = 4;
+    let small = excise_of_the_order_chain(64);
+    let large = excise_of_the_order_chain(1024);
+    assert!(small <= VECTORS, "{small} allocations at n = 64");
+    // 16 times the occurrences: four doublings of each growing vector.
+    assert!(
+        large <= small + 4 * GROWING,
+        "{small} allocations at n = 64, {large} at n = 1024"
+    );
+}
+
+#[test]
+fn excise_of_a_channel_free_goal_allocates_nothing_of_its_own() {
+    // A 3-SAT DNF holds no channel: every term answers from its cached
+    // flag and the `∨` comes back as it is. What is left is the final
+    // canonicity check, which `simplify` alone costs as well (the dedup
+    // arrays of an `∨` past the inline scan).
+    let (goal, clauses) = sat_to_workflow(&random_3sat(5, 8, 12));
+    let dnf = apply(&clauses[..4], &goal);
+    assert!(terms(&dnf) > 16 && dnf.channels().is_empty());
+    let (_, canonicity_check) = allocations(|| dnf.simplify());
+    let (excised, count) = allocations(|| excise(&dnf));
+    assert!(excised.ptr_eq(&dnf));
+    assert_eq!(count, canonicity_check);
 }

@@ -75,11 +75,33 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// The most goals, constraints or terms that may be open inside each other
+/// at any point of the input. The parser recurses once per level, and so
+/// does every later pass over what it built (lowering, the unique-event
+/// check, `Apply`, `Excise`, program compilation, `Drop`), on whatever
+/// stack the caller happens to have — 2 MiB on a server's connection
+/// thread or a test's. An overflow there aborts the process, which no
+/// caller can catch; this bound is what turns hostile nesting into an
+/// error instead.
+///
+/// One level of text can be four of the tree (`a + b # c * iso(…)`), and
+/// `Apply`, the heaviest pass, overflows 2 MiB between 920 and 1 020 tree
+/// levels unoptimized (between 2 050 and 4 100 optimized; this parser
+/// between 255 and 300 of its own levels unoptimized): 128 leaves the
+/// slowest build a factor of 1.8. Hand-written specifications nest two
+/// or three deep.
+const MAX_NESTING: usize = 128;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     /// Variable-name → index mapping, scoped per top-level parse.
     vars: BTreeMap<String, Var>,
+    /// Goals, constraints and terms currently open around the cursor.
+    depth: usize,
+    /// The most that were open at once since the counter was last reset
+    /// (see the `repeat` form, which nests what it unrolls).
+    deepest: usize,
 }
 
 /// Which timer item keyword introduced the declaration.
@@ -96,6 +118,8 @@ impl Parser {
             tokens: lex(input)?,
             pos: 0,
             vars: BTreeMap::new(),
+            depth: 0,
+            deepest: 0,
         })
     }
 
@@ -118,6 +142,25 @@ impl Parser {
             line: t.line,
             col: t.col,
         }
+    }
+
+    fn nesting_error(&self) -> ParseError {
+        self.error(format!("nesting exceeds the limit of {MAX_NESTING} levels"))
+    }
+
+    /// Runs `parse` one nesting level down.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Parser) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.nesting_error());
+        }
+        self.depth += 1;
+        self.deepest = self.deepest.max(self.depth);
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
     }
 
     fn expect(&mut self, kind: &TokenKind) -> Result<(), ParseError> {
@@ -157,12 +200,14 @@ impl Parser {
     // --- Goals -----------------------------------------------------------
 
     fn goal(&mut self) -> Result<Goal, ParseError> {
-        let mut parts = vec![self.conc_expr()?];
-        while self.peek().kind == TokenKind::Plus {
-            self.advance();
-            parts.push(self.conc_expr()?);
-        }
-        Ok(or(parts))
+        self.nested(|p| {
+            let mut parts = vec![p.conc_expr()?];
+            while p.peek().kind == TokenKind::Plus {
+                p.advance();
+                parts.push(p.conc_expr()?);
+            }
+            Ok(or(parts))
+        })
     }
 
     fn conc_expr(&mut self) -> Result<Goal, ParseError> {
@@ -216,6 +261,7 @@ impl Parser {
                 "repeat" => {
                     self.advance();
                     self.expect(&TokenKind::LParen)?;
+                    let around = std::mem::replace(&mut self.deepest, self.depth);
                     let body = self.goal()?;
                     self.expect(&TokenKind::Comma)?;
                     let min = self.eat_bound()?;
@@ -227,6 +273,13 @@ impl Parser {
                             "repeat bounds must satisfy 0 <= min <= max and max > 0, got ({min}, {max})"
                         )));
                     }
+                    // Each optional iteration holds the next one level
+                    // further in, the body's own nesting at the bottom.
+                    let unrolled = self.deepest.saturating_add(max - min);
+                    if unrolled > MAX_NESTING {
+                        return Err(self.nesting_error());
+                    }
+                    self.deepest = around.max(unrolled);
                     Ok(ctr_workflow::unroll(&body, min, max).goal)
                 }
                 // §7 failure semantics: `guarded(s₁ * s₂ * …)` inserts a
@@ -316,6 +369,10 @@ impl Parser {
     }
 
     fn term(&mut self) -> Result<Term, ParseError> {
+        self.nested(Parser::term_open)
+    }
+
+    fn term_open(&mut self) -> Result<Term, ParseError> {
         match &self.peek().kind {
             TokenKind::Int(n) => {
                 let n = *n;
@@ -354,17 +411,19 @@ impl Parser {
     // --- Constraints -------------------------------------------------------
 
     fn constraint(&mut self) -> Result<Constraint, ParseError> {
-        let mut parts = vec![self.constraint_and()?];
-        while self.eat_keyword("or") {
-            parts.push(self.constraint_and()?);
-        }
-        let left = Constraint::or(parts);
-        if self.eat_keyword("implies") {
-            let right = self.constraint()?;
-            Ok(Constraint::implies(left, right))
-        } else {
-            Ok(left)
-        }
+        self.nested(|p| {
+            let mut parts = vec![p.constraint_and()?];
+            while p.eat_keyword("or") {
+                parts.push(p.constraint_and()?);
+            }
+            let left = Constraint::or(parts);
+            if p.eat_keyword("implies") {
+                let right = p.constraint()?;
+                Ok(Constraint::implies(left, right))
+            } else {
+                Ok(left)
+            }
+        })
     }
 
     fn constraint_and(&mut self) -> Result<Constraint, ParseError> {
@@ -759,6 +818,86 @@ mod tests {
         assert!(parse_goal("repeat(a, 3, 1)").is_err());
         assert!(parse_goal("repeat(a, 0, 0)").is_err());
         assert!(parse_goal("repeat(a, -1, 2)").is_err());
+    }
+
+    /// `open` × `levels`, `core`, then `close` × `levels`.
+    fn nest(open: &str, core: &str, close: &str, levels: usize) -> String {
+        format!("{}{core}{}", open.repeat(levels), close.repeat(levels))
+    }
+
+    fn assert_nesting_error(e: ParseError, col: usize) {
+        assert_eq!(
+            (e.message.as_str(), e.line, e.col),
+            ("nesting exceeds the limit of 128 levels", 1, col),
+        );
+    }
+
+    #[test]
+    fn goals_nest_to_the_limit_and_no_further() {
+        // The goal itself is the first level.
+        for (open, parenthesis) in [("(", 1), ("iso(", 4), ("poss(", 5), ("a * (b + ", 5)] {
+            let deepest = nest(open, "a", ")", MAX_NESTING - 1);
+            assert!(parse_goal(&deepest).is_ok(), "{open}");
+            let spec = format!("workflow w {{ graph {deepest}; }}");
+            assert!(parse_spec(&spec).is_ok(), "{open}");
+            // Refused at the token after the parenthesis that opens one
+            // level too many.
+            let past = nest(open, "a", ")", MAX_NESTING);
+            let e = parse_goal(&past).unwrap_err();
+            assert_nesting_error(e, open.len() * (MAX_NESTING - 1) + parenthesis + 1);
+        }
+        // What took 2 MiB of stack to refuse is refused the same way.
+        let e = parse_goal(&nest("iso(", "a", ")", 100_000)).unwrap_err();
+        assert_nesting_error(e, 4 * MAX_NESTING + 1);
+    }
+
+    #[test]
+    fn constraints_nest_to_the_limit_and_no_further() {
+        for (open, width) in [("not(", 4), ("(", 1)] {
+            let deepest = nest(open, "exists(a)", ")", MAX_NESTING - 1);
+            assert!(parse_constraint(&deepest).is_ok(), "{open}");
+            let past = nest(open, "exists(a)", ")", MAX_NESTING);
+            assert_nesting_error(
+                parse_constraint(&past).unwrap_err(),
+                width * MAX_NESTING + 1,
+            );
+        }
+        // `implies` nests to the right without a parenthesis.
+        let chain = |n: usize| vec!["exists(a)"; n].join(" implies ");
+        assert!(parse_constraint(&chain(MAX_NESTING)).is_ok());
+        assert!(parse_constraint(&chain(MAX_NESTING + 1)).is_err());
+        let spec = format!(
+            "workflow w {{ graph a; constraint {}; }}",
+            nest("not(", "exists(a)", ")", 100_000)
+        );
+        assert!(parse_spec(&spec).unwrap_err().message.contains("nesting"));
+    }
+
+    #[test]
+    fn terms_nest_to_the_limit_and_no_further() {
+        // The goal is one level, each `f(` another.
+        let deepest = format!("p({})", nest("f(", "x", ")", MAX_NESTING - 2));
+        assert!(parse_goal(&deepest).is_ok());
+        let past = format!("p({})", nest("f(", "x", ")", MAX_NESTING - 1));
+        assert_nesting_error(parse_goal(&past).unwrap_err(), 2 * MAX_NESTING + 1);
+        assert!(parse_goal(&format!("p({})", nest("f(", "x", ")", 100_000))).is_err());
+    }
+
+    #[test]
+    fn repeat_counts_the_nesting_it_unrolls_into() {
+        // Each optional iteration holds the rest one level further in.
+        assert!(parse_goal(&format!("repeat(a, 0, {})", MAX_NESTING - 2)).is_ok());
+        assert!(parse_goal(&format!("repeat(a, 7, {})", MAX_NESTING + 5)).is_ok());
+        let e = parse_goal(&format!("repeat(a, 0, {})", MAX_NESTING - 1)).unwrap_err();
+        assert!(e.message.contains("nesting exceeds"), "{e}");
+        assert!(parse_goal("repeat(repeat(a, 0, 100), 0, 100)").is_err());
+        assert!(parse_goal("repeat(a, 0, 4000000000)").is_err());
+        // A body's nesting does not count against its siblings.
+        let side_by_side = format!("repeat(a, 0, 100) * {}", nest("(", "b", ")", 100));
+        assert!(parse_goal(&side_by_side).is_ok());
+        // What is accepted prints to text the parser takes back.
+        let unrolled = parse_goal(&format!("repeat(a, 0, {})", MAX_NESTING - 2)).unwrap();
+        assert_eq!(parse_goal(&unrolled.to_string()).unwrap(), unrolled);
     }
 
     #[test]

@@ -84,6 +84,87 @@ fn far_channel_ids_restore_deploy_and_run() {
     run(&mut rt, &["a", "b", "c"]);
 }
 
+/// `iso(iso(…a…))`, 3 000 deep: 15 KB of text that took more stack to
+/// parse than a 2 MiB thread — a test's, a server connection's — has, and
+/// an overflow aborts the process.
+fn hostile_nesting() -> String {
+    format!("{}a{}", "iso(".repeat(3_000), ")".repeat(3_000))
+}
+
+/// Nesting past the parser's bound is a typed error at every door text
+/// comes in through, on this default-stack test thread.
+#[test]
+fn hostile_nesting_is_a_typed_error_wherever_text_enters() {
+    use ctr_runtime::{Runtime, RuntimeError, SharedRuntime};
+    let deep = hostile_nesting();
+    let spec = format!("workflow deep {{ graph {deep}; }}");
+    for error in [
+        parse_goal(&deep).unwrap_err(),
+        parse_spec(&spec).unwrap_err(),
+        parse_constraint(&deep.replace("iso(", "not(").replace('a', "exists(a)")).unwrap_err(),
+        parse_goal(&deep.replace("iso(", "f(").replace("f(a", "p(a")).unwrap_err(),
+    ] {
+        assert_eq!(error.message, "nesting exceeds the limit of 128 levels");
+        assert_eq!(error.line, 1);
+    }
+    let refused = |e: &str| e.contains("nesting exceeds the limit of 128 levels at 1:");
+    assert!(matches!(
+        Runtime::new().deploy_source(&spec),
+        Err(RuntimeError::Parse(e)) if refused(&e)
+    ));
+    assert!(matches!(
+        SharedRuntime::new().deploy_source(&spec),
+        Err(RuntimeError::Parse(e)) if refused(&e)
+    ));
+    // The same text as a snapshot's workflow line.
+    let snapshot = format!("ctr-runtime snapshot v1\nworkflow deep := {deep}\n");
+    assert!(matches!(
+        Runtime::restore(&snapshot),
+        Err(RuntimeError::Snapshot(e)) if refused(&e)
+    ));
+    assert!(matches!(
+        SharedRuntime::restore(&snapshot),
+        Err(RuntimeError::Snapshot(e)) if refused(&e)
+    ));
+}
+
+/// What the bound lets through, every later recursion gets through too,
+/// on a thread with the default stack: 127 levels that each put a `∨`, a
+/// `|`, a `⊗` and a `⊙` on the way down (four tree levels per level of
+/// text) go through lowering, the unique-event check, `Apply` and `Excise`
+/// (an order across all the blocks), program compilation, a scheduler run,
+/// a snapshot, its restore, and `Drop`.
+#[test]
+fn the_deepest_accepted_nesting_runs_through_every_pass() {
+    use ctr_runtime::{InstanceStatus, Runtime};
+    let levels = 127;
+    let graph = (0..levels).rev().fold("z".to_owned(), |inner, i| {
+        format!("a{i} + b{i} # c{i} * iso({inner})")
+    });
+    let source = format!("workflow deep {{ graph {graph}; constraint before(b0, z); }}");
+    std::thread::spawn(move || {
+        let spec = parse_spec(&source).unwrap();
+        let compiled = spec.compile().unwrap();
+        assert!(compiled.is_consistent());
+        assert_eq!(compiled.goal.channels().len(), 1);
+        let program = ctr_engine::Program::compile(&compiled.goal).unwrap();
+        let path = ctr_engine::Scheduler::new(&program).run_first().unwrap();
+        assert!(path.iter().any(|step| step.pred.as_str() == "z"));
+
+        let mut rt = Runtime::new();
+        rt.deploy_source(&source).unwrap();
+        let id = rt.start("deep").unwrap();
+        for event in &path {
+            rt.fire(id, event.pred.as_str()).unwrap();
+        }
+        assert_eq!(rt.try_complete(id).unwrap(), InstanceStatus::Completed);
+        let snapshot = rt.snapshot();
+        assert_eq!(Runtime::restore(&snapshot).unwrap().snapshot(), snapshot);
+    })
+    .join()
+    .unwrap();
+}
+
 /// A scratch directory holding a small write-ahead log (a deploy, two
 /// starts, a few fires, optionally a checkpoint) whose files the tests
 /// then corrupt.

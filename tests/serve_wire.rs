@@ -127,3 +127,40 @@ proptest! {
         join.join().unwrap().unwrap();
     }
 }
+
+/// A 15 KB `deploy` frame — `iso(` 3 000 deep — used to overflow the
+/// connection thread's stack in the parser and abort the whole server.
+/// It is a typed fault now, and the same server, over the same
+/// connection, answers the next request.
+#[test]
+fn hostile_nesting_in_a_deploy_frame_is_a_typed_fault_and_the_server_lives() {
+    let server =
+        Server::bind(SharedRuntime::new(), "127.0.0.1:0", ServeOptions::default()).unwrap();
+    let addr = server.local_addr();
+    let handle = server.handle();
+    let join = std::thread::spawn(move || server.run());
+
+    let mut client = Client::connect(addr).unwrap();
+    let deep = format!(
+        "workflow deep {{ graph {}a{}; }}",
+        "iso(".repeat(3_000),
+        ")".repeat(3_000)
+    );
+    match client.deploy(&deep) {
+        Err(ctr_serve::ClientError::Fault(fault)) => {
+            assert_eq!(fault.code, ctr_serve::FaultCode::Spec);
+            assert!(
+                fault.message.contains("nesting exceeds the limit of"),
+                "{fault}"
+            );
+        }
+        other => panic!("expected a spec fault, got {other:?}"),
+    }
+    assert_eq!(client.stats().unwrap().instances, 0);
+    assert_eq!(client.deploy(PAY).unwrap(), "pay");
+    // … and so does a second connection.
+    assert_eq!(Client::connect(addr).unwrap().stats().unwrap().instances, 0);
+
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
