@@ -1161,7 +1161,44 @@ impl<P: std::ops::Deref<Target = Program>> Scheduler<P> {
 
     /// The trace as propositional event names.
     pub fn trace_names(&self) -> Vec<Symbol> {
-        self.trace().filter_map(Atom::as_event).collect()
+        self.history_from(0).collect()
+    }
+
+    /// How many events have fired — the length of [`Scheduler::trace`].
+    pub fn history_len(&self) -> usize {
+        self.cursor.trace.len()
+    }
+
+    /// The names of the events fired from the `from`-th on, read off the
+    /// trace without allocating; empty past the end. Atoms that carry
+    /// arguments have no name and are left out — `fire_event` and
+    /// `fire_named` never fire one.
+    pub fn history_from(&self, from: usize) -> impl Iterator<Item = Symbol> + '_ {
+        let fired = self.cursor.trace.get(from..).unwrap_or_default();
+        fired
+            .iter()
+            .filter_map(|&n| self.program.event(n as NodeId)?.as_event())
+    }
+
+    /// This cursor as it stood after its first `n` fires: a fresh cursor
+    /// over the same holder with the first `n` entries of the history
+    /// fired again by event. [`Scheduler::fire_event`] dispatches
+    /// deterministically, so a cursor driven only by event comes back
+    /// with the state, eligible set and history it had then. `None` if
+    /// `n` exceeds the history or the replay leaves the recorded nodes —
+    /// [`Scheduler::fire`] can commit silently, which no history records.
+    pub fn rewound(&self, n: usize) -> Option<Scheduler<P>>
+    where
+        P: Clone,
+    {
+        let mut fresh = Scheduler::new(self.program.clone());
+        for &node in self.cursor.trace.get(..n)? {
+            let slot = self.program.nodes[node as usize].slot;
+            if slot == NIL || !fresh.fire_slot(slot) || fresh.cursor.trace.last() != Some(&node) {
+                return None;
+            }
+        }
+        Some(fresh)
     }
 
     /// True when the whole workflow has completed. O(1).
@@ -2257,6 +2294,68 @@ mod tests {
             prop_assert_eq!(sibling.trace().len(), 0);
             prop_assert_eq!(Scheduler::new(&p).state_key(), initial_key, "template moved");
         }
+
+        /// A cursor driven by event — eligible picks, gated events
+        /// pulled through their τ-steps and refusals alike — rewound to
+        /// any length `n` is the cursor that stopped after `n` fires:
+        /// same state, same eligible set, same history.
+        #[test]
+        fn rewound_is_the_cursor_that_stopped_there(
+            seed in 0u64..10_000,
+            case in 0usize..10_000,
+            script in 0u64..u64::MAX,
+        ) {
+            let goal = case_goal(seed, case % FAMILIES);
+            let p = compile(&goal);
+            let events: Vec<Symbol> = goal.events().into_iter().collect();
+            let mut s = Scheduler::new(&p);
+            let mut stops = vec![s.clone()];
+            let mut rng = script;
+            for _ in 0..96 {
+                if s.is_complete() {
+                    break;
+                }
+                let offered: Vec<Symbol> = (s.eligible().iter())
+                    .filter_map(|c| p.event(c.node)?.as_event())
+                    .collect();
+                let event = if offered.is_empty() || lcg(&mut rng).is_multiple_of(3) {
+                    events[lcg(&mut rng) as usize % events.len()]
+                } else {
+                    offered[lcg(&mut rng) as usize % offered.len()]
+                };
+                if s.fire_event(event) {
+                    stops.push(s.clone());
+                }
+            }
+            prop_assert_eq!(s.history_len(), stops.len() - 1);
+            for (n, stop) in stops.iter().enumerate() {
+                let back = s.rewound(n).expect("an event-driven history retraces");
+                prop_assert_eq!(back.state_key(), stop.state_key(), "at {} on {}", n, goal);
+                prop_assert_eq!(back.eligible(), stop.eligible());
+                prop_assert_eq!(&back.cursor.trace, &stop.cursor.trace);
+                prop_assert_eq!(back.history_len(), n);
+                prop_assert_eq!(back.is_complete(), stop.is_complete());
+                let tail: Vec<Symbol> = s.history_from(n).collect();
+                prop_assert_eq!(tail.as_slice(), &s.trace_names()[n..]);
+            }
+            prop_assert!(s.rewound(stops.len()).is_none(), "past the end");
+            prop_assert_eq!(s.history_from(stops.len()).count(), 0);
+        }
+    }
+
+    #[test]
+    fn rewound_refuses_a_history_fire_event_would_not_retrace() {
+        // Fired by node into the second `a`; by event the first one wins.
+        let p = compile(&or(vec![
+            seq(vec![g("a"), g("b")]),
+            seq(vec![g("a"), g("c")]),
+        ]));
+        let mut s = Scheduler::new(&p);
+        let second = s.eligible()[1].node;
+        s.fire(second);
+        assert_eq!(s.trace_names(), vec![sym("a")]);
+        assert!(s.rewound(0).is_some());
+        assert!(s.rewound(1).is_none());
     }
 
     #[test]

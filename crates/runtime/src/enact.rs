@@ -865,7 +865,7 @@ impl Enactor {
                     scheduler.fire(node);
                     continue;
                 }
-                if scheduler.trace_names().contains(&tick.base) {
+                if scheduler.history_from(0).any(|e| e == tick.base) {
                     // The guarded event committed in time; the tick node
                     // is evicted when the dismissal branch resolves.
                     continue;

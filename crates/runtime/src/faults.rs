@@ -3,7 +3,8 @@
 //! when its append fails, whichever append of the operation it is.
 
 use crate::{
-    FireOutcome, InstanceId, InstanceStatus, MemStore, Runtime, RuntimeError, SharedRuntime, Store,
+    fleet, FireOutcome, InstanceId, InstanceStatus, MemStore, Runtime, RuntimeError, SharedRuntime,
+    Store,
 };
 use ctr_store::{Record, Replay, StoreError, StoreStats};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -79,6 +80,10 @@ trait Fleet: Sized {
     fn begin(&mut self, workflow: &str) -> Result<InstanceId, RuntimeError>;
     fn fire1(&mut self, id: InstanceId, event: &str) -> Result<InstanceStatus, RuntimeError>;
     fn batch(&mut self, id: InstanceId, events: &[&str]) -> Result<Vec<FireOutcome>, RuntimeError>;
+    /// Several runs against one instance as one burst — one append —
+    /// with one outcome per event, in order.
+    fn burst(&mut self, id: InstanceId, runs: &[&[&str]])
+        -> Result<Vec<FireOutcome>, RuntimeError>;
     fn tick(&mut self, to_ms: u64) -> Result<Vec<(InstanceId, String)>, RuntimeError>;
     fn cancel(&mut self, id: InstanceId, event: &str) -> Result<(), RuntimeError>;
     fn finish(&mut self, id: InstanceId) -> Result<InstanceStatus, RuntimeError>;
@@ -87,11 +92,43 @@ trait Fleet: Sized {
 }
 
 /// Snapshot, clock, fleet-wide pending count, and per instance its
-/// pending timers and eligible events.
-type Observed = (String, u64, usize, Vec<(Vec<(String, u64)>, Vec<String>)>);
+/// pending timers, eligible events and journal.
+type Observed = (
+    String,
+    u64,
+    usize,
+    Vec<(Vec<(String, u64)>, Vec<String>, Vec<String>)>,
+);
+
+/// `Runtime` has no multi-run entry point of its own: the core's
+/// `fire_burst`, the way `fire_batch` calls it.
+fn burst_single(
+    rt: &mut Runtime,
+    id: InstanceId,
+    runs: &[&[&str]],
+) -> Result<Vec<FireOutcome>, RuntimeError> {
+    let inst = rt
+        .instances
+        .get_mut(&id)
+        .ok_or(RuntimeError::UnknownInstance(id))?;
+    let events = runs.iter().flat_map(|run| fleet::one_run(run));
+    let mut outcomes = Vec::new();
+    let store = rt.store.as_deref();
+    fleet::fire_burst(inst, id, events, &mut outcomes, &mut rt.timers, store)?;
+    Ok(outcomes)
+}
+
+fn burst_shared(
+    rt: &mut SharedRuntime,
+    id: InstanceId,
+    runs: &[&[&str]],
+) -> Result<Vec<FireOutcome>, RuntimeError> {
+    let runs: Vec<(InstanceId, &[&str])> = runs.iter().map(|&run| (id, run)).collect();
+    Ok(rt.fire_runs(&runs).into_iter().flatten().collect())
+}
 
 macro_rules! impl_fleet {
-    ($ty:ty) => {
+    ($ty:ty, $burst:ident) => {
         impl Fleet for $ty {
             fn with(store: Option<Arc<dyn Store>>) -> Self {
                 store.map_or_else(<$ty>::new, <$ty>::with_store)
@@ -119,6 +156,13 @@ macro_rules! impl_fleet {
             ) -> Result<Vec<FireOutcome>, RuntimeError> {
                 self.fire_batch(id, events)
             }
+            fn burst(
+                &mut self,
+                id: InstanceId,
+                runs: &[&[&str]],
+            ) -> Result<Vec<FireOutcome>, RuntimeError> {
+                $burst(self, id, runs)
+            }
             fn tick(&mut self, to_ms: u64) -> Result<Vec<(InstanceId, String)>, RuntimeError> {
                 self.advance(to_ms)
             }
@@ -138,6 +182,7 @@ macro_rules! impl_fleet {
                             (
                                 self.pending_timers(id).expect("started"),
                                 self.eligible(id).expect("started"),
+                                self.journal(id).expect("started"),
                             )
                         })
                         .collect(),
@@ -146,8 +191,8 @@ macro_rules! impl_fleet {
         }
     };
 }
-impl_fleet!(Runtime);
-impl_fleet!(SharedRuntime);
+impl_fleet!(Runtime, burst_single);
+impl_fleet!(SharedRuntime, burst_shared);
 
 const TIMED: &str = "workflow timed { graph invoice * approve * file; after(approve, 30s); }";
 const GUARDED: &str = "workflow guarded { graph invoice * approve; deadline(approve, 1h); }";
@@ -161,20 +206,23 @@ enum Op {
     Start(&'static str),
     Fire(usize, &'static str),
     FireBatch(usize, &'static [&'static str]),
+    FireRuns(usize, &'static [&'static [&'static str]]),
     Advance(u64),
     Cancel(usize, &'static str),
     TryComplete(usize),
 }
 
 /// Every kind of operation that appends, each at least once, with a
-/// timed start (two appends) and an expiry among them.
+/// timed start (two appends), an expiry, and a burst of two runs — the
+/// first stopped by a refusal, the second firing the event that
+/// settles the instance's deadline — among them.
 const SCRIPT: &[Op] = &[
     Op::Deploy(TIMED),
     Op::Deploy(GUARDED),
     Op::Start("timed"),
     Op::Start("guarded"),
     Op::Fire(0, "invoice"),
-    Op::FireBatch(1, &["invoice", "approve"]),
+    Op::FireRuns(1, &[&["invoice", "file"], &["approve"]]),
     Op::Advance(30_000),
     Op::Start("timed"),
     Op::Cancel(2, "approve@after30000"),
@@ -182,8 +230,9 @@ const SCRIPT: &[Op] = &[
     Op::FireBatch(0, &["approve", "file"]),
 ];
 
-/// Applies one step. A batch the store refused reports it in its
-/// outcomes; that is folded into `Err` like every other operation's.
+/// Applies one step. A batch or burst the store refused reports it in
+/// its outcomes; that is folded into `Err` like every other
+/// operation's.
 fn apply(fleet: &mut impl Fleet, op: Op, ids: &mut Vec<InstanceId>) -> Result<(), RuntimeError> {
     match op {
         Op::Deploy(source) => fleet.deploy(source).map(drop),
@@ -195,6 +244,19 @@ fn apply(fleet: &mut impl Fleet, op: Op, ids: &mut Vec<InstanceId>) -> Result<()
             match outcomes.into_iter().next() {
                 Some(FireOutcome::Rejected(e @ RuntimeError::Store(_))) => Err(e),
                 _ => Ok(()),
+            }
+        }
+        Op::FireRuns(i, runs) => {
+            use FireOutcome::{Fired, Rejected, Skipped};
+            let outcomes = fleet.burst(ids[i], runs)?;
+            match &outcomes[..] {
+                // One commit unit: every run says why, nothing else ran.
+                [Rejected(e @ RuntimeError::Store(_)), Skipped, Rejected(again)] => {
+                    assert_eq!(e, again);
+                    Err(e.clone())
+                }
+                [Fired(_), Rejected(RuntimeError::NotEligible { .. }), Fired(_)] => Ok(()),
+                other => panic!("burst outcomes {other:?}"),
             }
         }
         Op::Advance(to_ms) => fleet.tick(to_ms).map(drop),
@@ -213,16 +275,20 @@ fn script_survives_failed_append<F: Fleet>(nth: usize) -> bool {
     let (mut ids, mut oracle_ids) = (Vec::new(), Vec::new());
     let mut failed = None;
     for (step, &op) in SCRIPT.iter().enumerate() {
+        let before = faulty.observe(&ids);
         let Err(e) = apply(&mut faulty, op, &mut ids) else {
             apply(&mut oracle, op, &mut oracle_ids).expect("the script is valid");
             continue;
         };
         assert!(matches!(e, RuntimeError::Store(_)), "step {step}: {e}");
         assert!(failed.replace(op).is_none(), "one injected failure");
-        // Nothing the holder shows may tell it from the oracle, which
-        // never tried the operation.
+        // Nothing the holder shows — snapshot bytes, timers, eligible
+        // sets, journals — may tell it from what it was, or from the
+        // oracle, which never tried the operation.
+        let after = faulty.observe(&ids);
+        assert_eq!(after, before, "step {step} left a mark");
         assert_eq!(
-            faulty.observe(&ids),
+            after,
             oracle.observe(&oracle_ids),
             "append {nth} failed in step {step}"
         );

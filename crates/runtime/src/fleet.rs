@@ -11,9 +11,10 @@
 //!    eligibility; nothing else is consulted);
 //! 2. **append** the operation's record — the one [`append`] below, a
 //!    no-op without a store. A failed append leaves the fleet exactly
-//!    as it was: a stepped cursor is rolled back by replaying the
-//!    unchanged journal, nothing was acknowledged;
-//! 3. **commit** in memory (journal, status, timer lists);
+//!    as it was: a stepped cursor is rewound to the history it had
+//!    before the step, nothing was acknowledged;
+//! 3. **commit** in memory (status, timer lists — the events are
+//!    already in the cursor's history, the only list of them kept);
 //! 4. **derived disarms**: timers the committed events settle leave the
 //!    wheel. They write no record — replaying the events re-derives them.
 //!
@@ -148,25 +149,13 @@ impl Instance {
         }
     }
 
-    /// **Step**: advances the cursor by `symbol` and stages it at the
-    /// journal's tail, touching nothing else. `false` (cursor and
-    /// journal untouched) if the instance is done or the cursor refuses
-    /// the event. Staged events are not part of the instance until
-    /// [`Instance::commit`]; the `&mut` the holder handed in is what
-    /// keeps anyone from seeing them before.
-    fn step_symbol(&mut self, symbol: Symbol) -> bool {
-        let stepped =
-            self.stepped_status() == InstanceStatus::Running && self.cursor.fire_event(symbol);
-        if stepped {
-            self.journal.push(symbol);
-        }
-        stepped
-    }
-
-    /// **Step** for an event named by a client, with the typed refusal:
-    /// the cursor resolves the name against its own program
-    /// (`Scheduler::fire_named`) and hands back the symbol to stage.
-    /// Returns the status after the step.
+    /// **Step**: advances the cursor by the event a client named, which
+    /// stages it at the tail of the cursor's history, touching nothing
+    /// else; the cursor resolves the name against its own program
+    /// (`Scheduler::fire_named`). Returns the status after the step, or
+    /// the typed refusal with the cursor untouched. Staged events are
+    /// not part of the instance until [`Instance::commit`]; the `&mut`
+    /// the holder handed in keeps anyone from seeing them before.
     ///
     /// Event names come from clients, so the global interner is not
     /// consulted, let alone grown: a name the program does not have —
@@ -176,36 +165,38 @@ impl Instance {
         if self.stepped_status() == InstanceStatus::Completed {
             return Err(RuntimeError::AlreadyComplete(id));
         }
-        let Some(symbol) = self.cursor.fire_named(event) else {
+        if self.cursor.fire_named(event).is_none() {
             return Err(RuntimeError::NotEligible {
                 event: event.to_owned(),
                 eligible: self.eligible_names(),
             });
-        };
-        self.journal.push(symbol);
+        }
         Ok(self.stepped_status())
     }
 
-    /// **Commit**: makes the events staged at `journal[from..]` part of
-    /// the instance, write-ahead. `record` (built from the staged
-    /// events) must be durable first; if its append fails the stage is
-    /// dropped and the cursor rolled back by replaying the journal that
-    /// remains, so nothing half-fires — `Err(Store)`, or `Err(Journal)`
-    /// should that replay itself diverge. Otherwise the status follows
-    /// the cursor and the timers the events settle leave the wheel.
+    /// **Commit**: makes the events staged past the first `from` of
+    /// the history part of the instance, write-ahead. `record` (built
+    /// from the stepped instance) must be durable first; if its append
+    /// fails the cursor is rewound to its first `from` fires, so nothing
+    /// half-fires — `Err(Store)`, or `Err(Journal)` should the history
+    /// not retrace. Otherwise the status follows the cursor and the
+    /// timers the events settle leave the wheel.
     fn commit(
         &mut self,
         from: usize,
-        record: impl FnOnce(&[Symbol]) -> Record,
+        record: impl FnOnce(&Instance) -> Record,
         timers: &mut impl Timers,
         store: Option<&dyn Store>,
     ) -> Result<(), RuntimeError> {
-        if from == self.journal.len() {
+        if from == self.cursor.history_len() {
             return Ok(());
         }
-        if let Err(e) = append(store, || record(&self.journal[from..])) {
-            self.journal.truncate(from);
-            self.rebuild_cursor(Arc::clone(self.cursor.holder()))?;
+        if let Err(e) = append(store, || record(self)) {
+            self.cursor = self.cursor.rewound(from).ok_or_else(|| {
+                RuntimeError::Journal(format!(
+                    "rollback diverged: the first {from} fired events do not replay under the deployed program"
+                ))
+            })?;
             return Err(e);
         }
         self.status = self.stepped_status();
@@ -214,7 +205,7 @@ impl Instance {
     }
 }
 
-/// Derived timer bookkeeping after `journal[from..]` committed (or the
+/// Derived timer bookkeeping after the history past `from` committed (or the
 /// instance completed): a tick that fired by any path disarms itself,
 /// a deadline whose base event fired is satisfied, and a completed
 /// instance — it has no future — drains every pending timer. The timer
@@ -225,10 +216,11 @@ fn settle(inst: &mut Instance, from: usize, timers: &mut impl Timers) {
         return;
     }
     let done = inst.status == InstanceStatus::Completed;
-    let fired = &inst.journal[from..];
+    let cursor = &inst.cursor;
     let mut dead = Vec::new();
     inst.timers.retain(|t| {
-        let settled = done || fired.iter().any(|&e| e == t.tick || Some(e) == t.base);
+        let mut fired = cursor.history_from(from);
+        let settled = done || fired.any(|e| e == t.tick || Some(e) == t.base);
         if settled {
             dead.push(t.token);
         }
@@ -243,7 +235,7 @@ fn settle(inst: &mut Instance, from: usize, timers: &mut impl Timers) {
     }
 }
 
-/// Commits `journal[from..]` as client-fired events: one
+/// Commits the history past `from` as client-fired events: one
 /// [`Record::Events`], whatever number of runs staged them.
 fn commit_events(
     inst: &mut Instance,
@@ -254,9 +246,9 @@ fn commit_events(
 ) -> Result<(), RuntimeError> {
     inst.commit(
         from,
-        |staged| Record::Events {
+        |stepped| Record::Events {
             instance: id,
-            events: staged.iter().map(|s| s.as_str().to_owned()).collect(),
+            events: stepped.history_names(from),
         },
         timers,
         store,
@@ -352,7 +344,7 @@ pub(crate) fn fire(
     timers: &mut impl Timers,
     store: Option<&dyn Store>,
 ) -> Result<InstanceStatus, RuntimeError> {
-    let from = inst.journal.len();
+    let from = inst.cursor.history_len();
     inst.step(id, event)?;
     commit_events(inst, id, from, timers, store)?;
     Ok(inst.status)
@@ -398,7 +390,7 @@ pub(crate) fn reject_runs<'a>(
 /// every run rolls back and reports `Rejected(Store)` on its first
 /// event ([`reject_runs`]) — nothing was acknowledged, so no caller can
 /// have observed the discarded prefix. `Err` is reserved for a rollback
-/// that itself finds the journal unreplayable; `out` may then hold part
+/// that itself finds the history unreplayable; `out` may then hold part
 /// of this burst's outcomes past its length on entry, which the caller
 /// discards.
 pub(crate) fn fire_burst<'a>(
@@ -409,7 +401,7 @@ pub(crate) fn fire_burst<'a>(
     timers: &mut impl Timers,
     store: Option<&dyn Store>,
 ) -> Result<(), RuntimeError> {
-    let (from, first) = (inst.journal.len(), out.len());
+    let (from, first) = (inst.cursor.history_len(), out.len());
     let mut stopped = false;
     for (opens_run, event) in events.clone() {
         stopped &= !opens_run;
@@ -448,12 +440,12 @@ pub(crate) fn try_complete(
     if inst.status == InstanceStatus::Completed {
         return Ok(InstanceStatus::Completed);
     }
-    // Silent steps are fired on a copy: they are NOT journaled, so
-    // they must not leak into the cached cursor either — the cache
-    // always mirrors exactly what journal replay would produce. A
-    // silent *choice* is re-resolved after restore, so completion
-    // is recorded in the status instead. The copy is made only
-    // once there is a silent step to fire.
+    // Silent steps are fired on a copy: they are no events, so no
+    // record carries them and they must not leak into the instance's
+    // cursor either — it always is exactly what replaying its history
+    // would produce. A silent *choice* is re-resolved after restore,
+    // so completion is recorded in the status instead. The copy is
+    // made only once there is a silent step to fire.
     let mut probe: Option<Scheduler<Arc<Program>>> = None;
     loop {
         let at = probe.as_ref().unwrap_or(&inst.cursor);
@@ -468,7 +460,7 @@ pub(crate) fn try_complete(
     }
     append(store, || Record::Complete { instance: id })?;
     inst.status = InstanceStatus::Completed;
-    settle(inst, inst.journal.len(), timers);
+    settle(inst, inst.cursor.history_len(), timers);
     Ok(InstanceStatus::Completed)
 }
 
@@ -514,8 +506,8 @@ fn expire(
     timers: &mut impl Timers,
     store: Option<&dyn Store>,
 ) -> Result<bool, RuntimeError> {
-    let from = inst.journal.len();
-    if !inst.step_symbol(tick) {
+    let from = inst.cursor.history_len();
+    if inst.stepped_status() != InstanceStatus::Running || !inst.cursor.fire_event(tick) {
         persist_cancel(id, tick.as_str(), store)?;
         return Ok(false);
     }

@@ -9,19 +9,20 @@
 //! **snapshot/restore** everything as plain text.
 //!
 //! Instances are **event-sourced**: the only persistent state is the
-//! journal of fired events. Each instance holds a **cached incremental
-//! cursor** over its deployment's `Arc`-shared compiled [`Program`]:
-//! the cursor is materialized once at [`Runtime::start`], advanced in
-//! place on every [`Runtime::fire`], and rebuilt by journal replay only
-//! on [`Runtime::restore`] — so steady-state work per fire is constant
-//! in the journal length ([`Runtime::replayed_steps`] counts the replay
-//! work and stays at zero outside recovery). The cache is sound because
-//! replay is deterministic: the compiled scheduler resolves
-//! event-to-node ambiguity by a fixed rule, so replaying the journal
-//! from scratch always reproduces the cached cursor state. This keeps
-//! crash recovery trivial (replay) and the snapshot format
-//! human-readable: the compiled goal in its concrete syntax plus one
-//! journal line per instance.
+//! sequence of fired events, and an instance keeps it once — as the
+//! history of its **cursor** over its deployment's `Arc`-shared compiled
+//! [`Program`]. The cursor is materialized at [`Runtime::start`] and
+//! advanced in place on every [`Runtime::fire`]; [`Runtime::journal`]
+//! and the snapshot read the events back off it. Only
+//! [`Runtime::restore`] and [`Runtime::open`] build a cursor by replay —
+//! so steady-state work per fire is constant in the history's length
+//! ([`Runtime::replayed_steps`] counts the replay work and stays at zero
+//! outside recovery). Replay is deterministic: the compiled scheduler
+//! resolves event-to-node ambiguity by a fixed rule, so replaying the
+//! events from scratch always reproduces the cursor. This keeps crash
+//! recovery trivial (replay) and the snapshot format human-readable: the
+//! compiled goal in its concrete syntax plus one line of events per
+//! instance.
 //!
 //! ```
 //! use ctr_runtime::Runtime;
@@ -97,6 +98,9 @@ pub enum RuntimeError {
     /// A journal failed to replay against its deployed program — the
     /// journal (or the program it was validated against) is corrupt.
     Journal(String),
+    /// Every instance id that has a successor is taken: nothing can be
+    /// started, and nothing was appended or armed for the refused call.
+    InstanceIdsExhausted,
     /// No pending timer with this tick event on the instance.
     UnknownTimer {
         /// The instance polled or cancelled against.
@@ -128,6 +132,9 @@ impl fmt::Display for RuntimeError {
             RuntimeError::Snapshot(e) => write!(f, "snapshot error: {e}"),
             RuntimeError::Store(e) => write!(f, "store error: {e}"),
             RuntimeError::Journal(e) => write!(f, "journal error: {e}"),
+            RuntimeError::InstanceIdsExhausted => {
+                write!(f, "instance ids exhausted: no id left to start under")
+            }
             RuntimeError::UnknownTimer { instance, event } => {
                 write!(f, "instance #{instance} has no pending timer `{event}`")
             }
@@ -255,22 +262,20 @@ pub(crate) struct ArmedTimer {
     pub(crate) base: Option<Symbol>,
 }
 
-/// One running instance: the journal (sole persistent state) plus the
-/// cached cursor. Its transitions live in the `fleet` module, so the
-/// single-threaded [`Runtime`] and the sharded [`SharedRuntime`] run the
-/// exact same logic — the latter merely wraps each `Instance` in its own
-/// lock.
+/// One running instance: a cursor, whose history is the instance's
+/// journal (sole persistent state). Its transitions live in the `fleet`
+/// module, so the single-threaded [`Runtime`] and the sharded
+/// [`SharedRuntime`] run the exact same logic — the latter merely wraps
+/// each `Instance` in its own lock.
 pub(crate) struct Instance {
     /// The deployment's name ([`Deployment::name`], shared).
     pub(crate) workflow: Arc<str>,
-    pub(crate) journal: Vec<Symbol>,
     pub(crate) status: InstanceStatus,
-    /// Cached cursor over the program this instance pinned at start
-    /// (the cursor co-owns it, so the store-failure rollback rebuilds
-    /// from `cursor.holder()` without resolving the deployment
-    /// registry): always equal to the state obtained by replaying
-    /// `journal` against a fresh scheduler (replay is deterministic),
-    /// but maintained incrementally.
+    /// Cursor over the program this instance pinned at start (the
+    /// cursor co-owns it). Its history is the only list of the
+    /// instance's fired events: the journal accessors, the snapshot
+    /// line and the durable records are read off it, and the
+    /// store-failure rollback rewinds it.
     pub(crate) cursor: Scheduler<Arc<Program>>,
     /// Timers still pending for this instance (few per instance; linear
     /// scans). The wheel holds the mirror entry; `token` ties the two.
@@ -289,7 +294,6 @@ impl Instance {
         };
         Instance {
             workflow: Arc::clone(&deployment.name),
-            journal: Vec::new(),
             status,
             cursor,
             timers: Vec::new(),
@@ -323,9 +327,10 @@ impl Instance {
             .collect()
     }
 
-    /// The journal as owned strings.
-    pub(crate) fn journal_names(&self) -> Vec<String> {
-        self.journal.iter().map(|s| s.as_str().to_owned()).collect()
+    /// The events fired from the `from`-th on, as owned strings.
+    pub(crate) fn history_names(&self, from: usize) -> Vec<String> {
+        let fired = self.cursor.history_from(from);
+        fired.map(|s| s.as_str().to_owned()).collect()
     }
 
     /// Pending timers as `(tick event, absolute due ms)` pairs, sorted
@@ -341,7 +346,7 @@ impl Instance {
     }
 
     /// Appends this instance's snapshot line (shared serialization path;
-    /// see [`Deployment::snapshot_line`]). Writes the journal symbols
+    /// see [`Deployment::snapshot_line`]). Writes the history's symbols
     /// straight into `out` — no intermediate `Vec` or `join` allocation
     /// per instance, which matters once compaction snapshots a large
     /// fleet on the hot path.
@@ -352,7 +357,7 @@ impl Instance {
             "instance {id} of {} [{}]: ",
             self.workflow, self.status
         );
-        for (i, event) in self.journal.iter().enumerate() {
+        for (i, event) in self.cursor.history_from(0).enumerate() {
             if i > 0 {
                 out.push(' ');
             }
@@ -378,8 +383,8 @@ impl Instance {
             + id_digits
             + self.workflow.len()
             + self
-                .journal
-                .iter()
+                .cursor
+                .history_from(0)
                 .map(|s| s.as_str().len() + 1)
                 .sum::<usize>()
             + self
@@ -387,28 +392,6 @@ impl Instance {
                 .iter()
                 .map(|t| "timer   due \n".len() + id_digits + t.tick.as_str().len() + 20)
                 .sum::<usize>()
-    }
-
-    /// Rebuilds the cursor by replaying the journal against `program`,
-    /// re-pinning the instance to it; returns the number of replayed
-    /// events. A journal that no longer replays — corrupt storage, or a
-    /// program that does not match the one the journal was validated
-    /// against — is a typed [`RuntimeError::Journal`] error, and the
-    /// instance keeps its previous cursor untouched. (This used to be a
-    /// `debug_assert!`, i.e. silent cursor corruption in release builds;
-    /// with journals coming back from disk it must be a real error.)
-    pub(crate) fn rebuild_cursor(&mut self, program: Arc<Program>) -> Result<u64, RuntimeError> {
-        let mut cursor = Scheduler::new(program);
-        for &event in &self.journal {
-            if !cursor.fire_event(event) {
-                return Err(RuntimeError::Journal(format!(
-                    "replay diverged: journaled event `{}` is not eligible under the deployed program",
-                    event.as_str()
-                )));
-            }
-        }
-        self.cursor = cursor;
-        Ok(self.journal.len() as u64)
     }
 }
 
@@ -448,9 +431,9 @@ pub struct Runtime {
     pub(crate) deployments: BTreeMap<String, Arc<Deployment>>,
     pub(crate) instances: BTreeMap<InstanceId, Instance>,
     pub(crate) next_id: InstanceId,
-    /// Journal events re-fired to (re)materialize cursors — replay work.
-    /// Stays 0 in steady state; grows only on [`Runtime::restore`] and
-    /// explicit [`Runtime::invalidate`].
+    /// Events re-fired to materialize cursors — replay work. Stays 0 in
+    /// steady state; grows only in [`Runtime::restore`] and
+    /// [`Runtime::open`].
     pub(crate) replayed: u64,
     /// The durability backend, if any. `None` (the default) keeps every
     /// path purely in-memory with zero overhead; with a store attached,
@@ -644,12 +627,17 @@ impl Runtime {
     /// which recovery drops harmlessly; the reverse order could recover
     /// an instance whose deadlines were silently lost. A failed persist
     /// burns the allocated id: ids only ever need to be unique and
-    /// monotonic, and an orphan arm must not meet a later start.
+    /// monotonic, and an orphan arm must not meet a later start. An id
+    /// with no successor is never handed out — recovery would refuse
+    /// its start record — so at `next_id == u64::MAX` the call fails
+    /// with [`RuntimeError::InstanceIdsExhausted`] before any append.
     pub fn start(&mut self, workflow: &str) -> Result<InstanceId, RuntimeError> {
         let deployment = Arc::clone(self.deployment(workflow)?);
-        let mut instance = Instance::new(&deployment);
         let id = self.next_id;
-        self.next_id += 1;
+        self.next_id = id
+            .checked_add(1)
+            .ok_or(RuntimeError::InstanceIdsExhausted)?;
+        let mut instance = Instance::new(&deployment);
         fleet::start(
             &mut instance,
             id,
@@ -672,35 +660,17 @@ impl Runtime {
             .ok_or(RuntimeError::UnknownInstance(id))
     }
 
-    /// Total journal events re-fired to (re)materialize cursors. Zero in
-    /// steady state — `eligible`/`fire`/`try_complete` use the cached
-    /// incremental cursor; only [`Runtime::restore`] and
-    /// [`Runtime::invalidate`] replay.
+    /// Total events re-fired to materialize cursors. Zero in steady
+    /// state — `eligible`/`fire`/`try_complete` use the instance's
+    /// cursor as it stands; only [`Runtime::restore`] and
+    /// [`Runtime::open`] replay.
     pub fn replayed_steps(&self) -> u64 {
         self.replayed
     }
 
-    /// Discards the cached cursor of `id` and rebuilds it by replaying
-    /// the journal from scratch — the crash-recovery code path, exposed
-    /// so it can be exercised (and its equivalence with the incremental
-    /// cursor asserted) directly. A journal the *current* deployment
-    /// cannot replay (e.g. the name was re-deployed with an incompatible
-    /// body) is a typed [`RuntimeError::Journal`] error and leaves the
-    /// instance's cursor untouched.
-    pub fn invalidate(&mut self, id: InstanceId) -> Result<(), RuntimeError> {
-        let inst = instance_mut(&mut self.instances, id)?;
-        let deployment = self
-            .deployments
-            .get(&*inst.workflow)
-            .ok_or_else(|| RuntimeError::UnknownWorkflow(inst.workflow.to_string()))?;
-        let replayed = inst.rebuild_cursor(Arc::clone(&deployment.program))?;
-        self.replayed += replayed;
-        Ok(())
-    }
-
     /// The observable events eligible to fire now, deduplicated and
     /// sorted — the pro-active scheduler's answer to "what can happen
-    /// next?" (§4). Reads the cached cursor: O(eligible), not O(journal).
+    /// next?" (§4). Reads the cursor: O(eligible), not O(journal).
     ///
     /// Allocates one `String` per name; hot polling loops should prefer
     /// [`Runtime::eligible_symbols`].
@@ -717,18 +687,18 @@ impl Runtime {
     /// Fires an external event against an instance. Rejects events the
     /// compiled schedule does not allow at this stage — no run-time
     /// constraint checking, just structural eligibility. Advances the
-    /// cached cursor in place: per-fire work is independent of the
-    /// journal length. With a store attached this is write-ahead: the
-    /// event record must be durable before the in-memory journal
-    /// commits, and a failed persist rolls the cursor back (by
-    /// replaying the unchanged journal) so nothing half-fires.
+    /// cursor in place: per-fire work is independent of the journal
+    /// length. With a store attached this is write-ahead: the event
+    /// record must be durable before the fire commits, and a failed
+    /// persist rewinds the cursor to the history it had, so nothing
+    /// half-fires.
     pub fn fire(&mut self, id: InstanceId, event: &str) -> Result<InstanceStatus, RuntimeError> {
         let inst = instance_mut(&mut self.instances, id)?;
         fleet::fire(inst, id, event, &mut self.timers, self.store.as_deref())
     }
 
     /// Fires a batch of events against one instance in order, under a
-    /// single instance resolution and a single journal extend — and,
+    /// single instance resolution — and,
     /// with a store attached, a single durable append: the whole batch
     /// is one group commit (one fsync on the WAL backend).
     ///
@@ -850,7 +820,7 @@ impl Runtime {
 
     /// The journal of fired events.
     pub fn journal(&self, id: InstanceId) -> Result<Vec<String>, RuntimeError> {
-        Ok(self.instance(id)?.journal_names())
+        Ok(self.instance(id)?.history_names(0))
     }
 
     /// Instance status.
@@ -1437,23 +1407,39 @@ mod tests {
     }
 
     #[test]
-    fn diverged_journal_rebuild_is_a_typed_error_not_a_debug_assert() {
-        // Re-deploy an incompatible body, then ask the instance to
-        // rebuild from its (now unreplayable) journal: this used to be
-        // a debug_assert! — a panic in debug builds, silent cursor
-        // corruption in release. It must be a typed Journal error.
+    fn a_history_that_does_not_replay_under_its_workflow_line_is_a_typed_error() {
+        // The instance line names events its workflow line's program
+        // never offers: restore is the one place a cursor is built from
+        // text, and it must refuse with an error, not panic or adopt a
+        // cursor that disagrees with its history.
         let mut rt = runtime_with_pay();
         let id = rt.start("pay").unwrap();
         rt.fire(id, "invoice").unwrap();
         rt.fire(id, "approve").unwrap();
-        rt.deploy_source("workflow pay { graph other * things; }")
-            .unwrap();
-        let err = rt.invalidate(id).unwrap_err();
-        assert!(matches!(err, RuntimeError::Journal(_)), "got {err:?}");
-        // The failed rebuild left the old cursor untouched and usable.
+        let snap = rt.snapshot();
+        let swapped = snap.replace("invoice * (approve + reject) * file", "other * things");
+        assert_ne!(swapped, snap);
+        for restored in [
+            Runtime::restore(&swapped).err(),
+            SharedRuntime::restore(&swapped).err(),
+        ] {
+            assert!(
+                matches!(restored, Some(RuntimeError::NotEligible { .. })),
+                "got {restored:?}"
+            );
+        }
+        // The untouched text restores, and the instance goes on.
+        let mut rt = Runtime::restore(&snap).unwrap();
         assert_eq!(rt.eligible(id).unwrap(), vec!["file".to_owned()]);
         rt.fire(id, "file").unwrap();
         assert!(rt.is_complete(id).unwrap());
+    }
+
+    #[test]
+    fn an_instance_is_its_cursor_a_name_a_status_and_its_timers() {
+        // One history: no second list of fired events beside the
+        // cursor's. With the journal `Vec` this was 200.
+        assert_eq!(std::mem::size_of::<Instance>(), 200 - 24);
     }
 
     #[test]

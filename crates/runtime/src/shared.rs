@@ -24,9 +24,9 @@
 //! `fleet` module, which owns every transition and its write-ahead
 //! ordering (and is the same code [`Runtime`] runs single-threaded).
 //! The single-instance atomicity guarantee is *per instance*:
-//! eligibility check and journal append happen under that instance's
-//! lock, so of two clients racing to fire mutually-exclusive branch
-//! events exactly one wins and the loser gets
+//! eligibility check, step and journal append happen under that
+//! instance's lock, so of two clients racing to fire mutually-exclusive
+//! branch events exactly one wins and the loser gets
 //! [`RuntimeError::NotEligible`] with the post-commit alternatives.
 //!
 //! ## The instance table
@@ -52,9 +52,11 @@
 //!   can be used after the gate is released). Lookups of such ids take
 //!   the miss path every time, which is the cost the whole table used
 //!   to have.
-//! * **Ids are unique**: `start` draws them from one counter and
-//!   [`Runtime::restore`] rejects a snapshot that names one twice, so a
-//!   cell is never written a second time.
+//! * **Ids are unique**: `start` draws them from one counter that
+//!   refuses to step past `u64::MAX` rather than wrap
+//!   ([`RuntimeError::InstanceIdsExhausted`]) and [`Runtime::restore`]
+//!   rejects a snapshot that names one twice, so a cell is never
+//!   written a second time.
 //!
 //! ## Bursts
 //!
@@ -96,8 +98,8 @@
 //! instance lock, so the order is acyclic. (This matters for more than
 //! tidiness: `RwLock` readers can queue behind a waiting writer, so a
 //! registry read taken under an instance lock could deadlock against
-//! `snapshot` + a pending deploy. `invalidate` therefore resolves the
-//! deployment *between* instance-lock critical sections.)
+//! `snapshot` + a pending deploy. An instance needs none: its cursor
+//! co-owns the program it runs.)
 //!
 //! Each durable **control-record append rides inside the lock that
 //! publishes its effect** (last column). That discipline is what makes
@@ -335,9 +337,9 @@ struct Inner {
     registry: RwLock<BTreeMap<String, Arc<Deployment>>>,
     shards: [Shard; SHARD_COUNT],
     next_id: AtomicU64,
-    /// Replay work counter, aggregated across instances (see
+    /// Replay work recovery did before the fleet was sharded (see
     /// [`Runtime::replayed_steps`]).
-    replayed: AtomicU64,
+    replayed: u64,
     /// Durability backend shared by every shard; immutable for the life
     /// of the handle, so reads need no lock. The WAL backend stripes
     /// its segments by the same `id % SHARD_COUNT` rule as the instance
@@ -363,7 +365,7 @@ impl Default for Inner {
             registry: RwLock::new(BTreeMap::new()),
             shards: std::array::from_fn(|_| Shard::default()),
             next_id: AtomicU64::new(0),
-            replayed: AtomicU64::new(0),
+            replayed: 0,
             store: None,
             timers: Mutex::new(TimerState::default()),
         }
@@ -484,6 +486,8 @@ impl SharedRuntime {
                 // The timer state moves over whole: instance timer
                 // tokens stay valid against the wheel's slab.
                 timers: Mutex::new(rt.timers),
+                next_id: AtomicU64::new(rt.next_id),
+                replayed: rt.replayed,
                 ..Inner::default()
             }),
         };
@@ -496,8 +500,6 @@ impl SharedRuntime {
             let shard = shared.inner.shard(id);
             shard.publish(&mut lock(&shard.gate), id, instance);
         }
-        shared.inner.next_id.store(rt.next_id, Ordering::Relaxed);
-        shared.inner.replayed.store(rt.replayed, Ordering::Relaxed);
         shared
     }
 
@@ -593,11 +595,17 @@ impl SharedRuntime {
     /// [`SharedRuntime::checkpoint`] (which holds every gate) has no
     /// in-flight start whose record could predate the checkpoint cut
     /// yet miss its snapshot. A failed persist burns the allocated id,
-    /// which is harmless: ids only ever need to be unique and monotonic.
+    /// which is harmless: ids only ever need to be unique and monotonic
+    /// — so the counter stops at `u64::MAX` instead of wrapping onto a
+    /// live id, and that last id, which has no successor, is refused
+    /// before any append ([`RuntimeError::InstanceIdsExhausted`]).
     pub fn start(&self, workflow: &str) -> Result<InstanceId, RuntimeError> {
         let deployment = self.inner.deployment(workflow)?;
+        let next_id = &self.inner.next_id;
+        let id = next_id
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |id| id.checked_add(1))
+            .map_err(|_| RuntimeError::InstanceIdsExhausted)?;
         let mut instance = Instance::new(&deployment);
-        let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
         let shard = self.inner.shard(id);
         let mut gate = lock(&shard.gate);
         fleet::start(
@@ -727,7 +735,7 @@ impl SharedRuntime {
     /// one acquisition of its lock (see `fleet::fire_burst`); `out`
     /// receives one outcome per event, after the outcomes of the groups
     /// before it. A group that cannot be tried at all — the id is
-    /// unknown, or a rollback found the journal unreplayable — fails
+    /// unknown, or a rollback found the history unreplayable — fails
     /// alone: every one of its runs rejects its first event with the
     /// reason and skips the rest, exactly as back-to-back submissions
     /// against that instance would, and the other groups proceed.
@@ -888,7 +896,7 @@ impl SharedRuntime {
 
     /// See [`Runtime::journal`].
     pub fn journal(&self, id: InstanceId) -> Result<Vec<String>, RuntimeError> {
-        self.with_instance(id, |inst| inst.journal_names())
+        self.with_instance(id, |inst| inst.history_names(0))
     }
 
     /// See [`Runtime::status`].
@@ -921,28 +929,9 @@ impl SharedRuntime {
         Ok(enactor.run_report(&deployment.program))
     }
 
-    /// See [`Runtime::invalidate`] — rebuilds one instance's cursor by
-    /// replay, under that instance's lock.
-    ///
-    /// The registry lookup happens *between* two instance-lock critical
-    /// sections, never while the instance lock is held — taking the
-    /// registry lock inside an instance lock would invert the documented
-    /// lock order and deadlock against `snapshot` + a queued deploy (a
-    /// waiting writer can block new readers). The workflow name is
-    /// immutable for the life of an instance, so the two-step read is not
-    /// a TOCTOU; events fired by other clients in the gap are simply part
-    /// of the journal the rebuild replays.
-    pub fn invalidate(&self, id: InstanceId) -> Result<(), RuntimeError> {
-        let workflow = self.with_instance(id, |inst| inst.workflow.clone())?;
-        let program = Arc::clone(&self.inner.deployment(&workflow)?.program);
-        let replayed = self.with_instance(id, |inst| inst.rebuild_cursor(program))??;
-        self.inner.replayed.fetch_add(replayed, Ordering::Relaxed);
-        Ok(())
-    }
-
     /// See [`Runtime::replayed_steps`].
     pub fn replayed_steps(&self) -> u64 {
-        self.inner.replayed.load(Ordering::Relaxed)
+        self.inner.replayed
     }
 
     /// A consistent point-in-time snapshot, byte-identical to
@@ -1210,60 +1199,19 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_replays_and_matches_incremental_cursor() {
+    fn restore_replays_once_and_the_cursor_goes_on_from_there() {
         let rt = shared_pay();
         let id = rt.start("pay").unwrap();
         rt.fire(id, "invoice").unwrap();
         rt.fire(id, "reject").unwrap();
         assert_eq!(rt.replayed_steps(), 0);
-        rt.invalidate(id).unwrap();
+        let rt = SharedRuntime::restore(&rt.snapshot()).unwrap();
         assert_eq!(rt.replayed_steps(), 2);
+        assert_eq!(rt.journal(id).unwrap(), vec!["invoice", "reject"]);
         assert_eq!(rt.eligible(id).unwrap(), vec!["file".to_owned()]);
         rt.fire(id, "file").unwrap();
         assert!(rt.is_complete(id).unwrap());
-    }
-
-    #[test]
-    fn snapshot_invalidate_deploy_storm_does_not_deadlock() {
-        // Regression: invalidate used to take the registry read lock
-        // while holding an instance lock. With snapshot holding the
-        // registry read lock while collecting instance locks and a deploy
-        // writer queued (std RwLock may block new readers behind waiting
-        // writers), the fleet could deadlock. Hammer all three paths
-        // concurrently; completion of every thread is the assertion.
-        let rt = shared_pay();
-        let ids: Vec<_> = (0..8).map(|_| rt.start("pay").unwrap()).collect();
-        for &id in &ids {
-            rt.fire(id, "invoice").unwrap();
-        }
-        std::thread::scope(|scope| {
-            for &id in &ids {
-                let rt = rt.clone();
-                scope.spawn(move || {
-                    for _ in 0..50 {
-                        rt.invalidate(id).unwrap();
-                    }
-                });
-            }
-            let snapper = rt.clone();
-            scope.spawn(move || {
-                for _ in 0..50 {
-                    Runtime::restore(&snapper.snapshot()).expect("consistent snapshot");
-                }
-            });
-            let deployer = rt.clone();
-            scope.spawn(move || {
-                for _ in 0..50 {
-                    deployer.deploy_source(PAY).unwrap();
-                }
-            });
-        });
-        for &id in &ids {
-            assert_eq!(
-                rt.eligible(id).unwrap(),
-                vec!["approve".to_owned(), "reject".to_owned()]
-            );
-        }
+        assert_eq!(rt.replayed_steps(), 2, "fires replay nothing");
     }
 
     #[test]

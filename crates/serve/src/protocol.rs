@@ -517,7 +517,11 @@ impl Fault {
             RuntimeError::Parse(_) | RuntimeError::Compile(_) | RuntimeError::Inconsistent(_) => {
                 FaultCode::Spec
             }
-            RuntimeError::Snapshot(_) | RuntimeError::Journal(_) => FaultCode::Corrupt,
+            // Only a snapshot naming an id at the top of the id space
+            // gets a server here; no retry helps.
+            RuntimeError::Snapshot(_)
+            | RuntimeError::Journal(_)
+            | RuntimeError::InstanceIdsExhausted => FaultCode::Corrupt,
             RuntimeError::UnknownTimer { .. } => FaultCode::UnknownTimer,
         };
         Fault {

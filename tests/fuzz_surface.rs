@@ -165,6 +165,75 @@ fn the_deepest_accepted_nesting_runs_through_every_pass() {
     .unwrap();
 }
 
+/// The last id that has a successor. A snapshot may name it — an
+/// operator's edit, another system's export — and `start` then has
+/// nothing left to hand out: the one id above it is the id recovery
+/// refuses ("leaves no next id"), and past that the counter would wrap
+/// onto live instances. `start` must say so with a typed error before it
+/// appends or arms anything, every time, and leave the store openable
+/// and the instances it holds running. (It used to acknowledge
+/// `u64::MAX`, append its `Start`, and every later open failed.)
+#[test]
+fn start_refuses_the_id_recovery_would_refuse() {
+    use ctr_runtime::{MemStore, Runtime, RuntimeError, SharedRuntime, Store, WalStore};
+    use std::sync::Arc;
+    const LAST: u64 = u64::MAX - 1;
+    const TIMED: &str = "workflow timed { graph invoice * approve * file; deadline(approve, 1h); }";
+
+    // `reopen` hands out the store afresh; no two handles live at once.
+    fn check(reopen: &dyn Fn() -> Arc<dyn Store>) {
+        let records = || reopen().replay().unwrap().records.len();
+        {
+            let store = reopen();
+            let mut rt = Runtime::with_store(Arc::clone(&store));
+            rt.deploy_source(TIMED).unwrap();
+            let id = rt.start("timed").unwrap();
+            rt.fire(id, "invoice").unwrap();
+            let snapshot = rt
+                .snapshot()
+                .replace(&format!("instance {id} "), &format!("instance {LAST} "))
+                .replace(&format!("timer {id} "), &format!("timer {LAST} "));
+            store.checkpoint(&snapshot).unwrap();
+        }
+        assert_eq!(records(), 0, "the checkpoint covers everything");
+        macro_rules! refused {
+            ($holder:ty) => {{
+                #[allow(unused_mut)]
+                let mut rt = <$holder>::open(reopen()).unwrap();
+                assert_eq!(rt.instances(), [LAST]);
+                let before = (rt.snapshot(), rt.pending_timer_count());
+                for _ in 0..2 {
+                    assert_eq!(rt.start("timed"), Err(RuntimeError::InstanceIdsExhausted));
+                    assert_eq!((rt.snapshot(), rt.pending_timer_count()), before);
+                }
+                drop(rt);
+                assert_eq!(records(), 0, "a refused start appends nothing");
+            }};
+        }
+        refused!(Runtime);
+        refused!(SharedRuntime);
+        // The instance the store holds goes on, durably, under both.
+        let mut rt = Runtime::open(reopen()).unwrap();
+        rt.fire(LAST, "approve").unwrap();
+        assert_eq!(rt.start("timed"), Err(RuntimeError::InstanceIdsExhausted));
+        drop(rt);
+        let rt = SharedRuntime::open(reopen()).unwrap();
+        rt.fire(LAST, "file").unwrap();
+        assert_eq!(rt.start("timed"), Err(RuntimeError::InstanceIdsExhausted));
+        drop(rt);
+        assert_eq!(records(), 2);
+        let rt = Runtime::open(reopen()).unwrap();
+        assert_eq!(rt.journal(LAST).unwrap(), ["invoice", "approve", "file"]);
+    }
+
+    let mem: Arc<dyn Store> = Arc::new(MemStore::new());
+    check(&|| Arc::clone(&mem));
+    let dir = std::env::temp_dir().join(format!("ctr_fuzz_last_id_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    check(&|| Arc::new(WalStore::open(&dir).unwrap()));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A scratch directory holding a small write-ahead log (a deploy, two
 /// starts, a few fires, optionally a checkpoint) whose files the tests
 /// then corrupt.
