@@ -1143,13 +1143,6 @@ impl<P: std::ops::Deref<Target = Program>> Scheduler<P> {
         &self.program
     }
 
-    /// The holder this cursor keeps its program through — for a
-    /// co-owning cursor, the `Arc` a fresh cursor over the same program
-    /// is built from.
-    pub fn holder(&self) -> &P {
-        &self.program
-    }
-
     /// The events fired so far, in order.
     pub fn trace(&self) -> impl ExactSizeIterator<Item = &Atom> + '_ {
         let p: &Program = &self.program;

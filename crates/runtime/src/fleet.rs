@@ -93,7 +93,7 @@ pub(crate) fn tick_base(tick: &str) -> Option<Symbol> {
 
 /// Arms one timer: the wheel entry and the instance's mirror entry,
 /// tied together by the token.
-pub(crate) fn arm(
+fn arm(
     inst: &mut Instance,
     id: InstanceId,
     tick: Symbol,
@@ -588,20 +588,22 @@ pub(crate) fn advance(
 
 // --- Recovery ---------------------------------------------------------------
 
-/// Re-arms a recovered instance from its buffered [`Record::TimerArm`]
-/// dues (absolute ms), exactly as the pre-crash start armed them. Only
-/// arms whose tick `deployment` declares are kept: an orphan arm — its
-/// start never became durable — is dropped, including when a later
-/// instance came to reuse its id.
-pub(crate) fn adopt(
+/// Re-arms a recovered instance from the absolute dues (ms) durable
+/// state holds for it — a buffered [`Record::TimerArm`] or a snapshot's
+/// `timer` lines — exactly as the pre-crash start armed them. Only arms
+/// whose tick `deployment` declares are kept: an orphan arm — its start
+/// never became durable — is dropped, including when a later instance
+/// came to reuse its id.
+pub(crate) fn adopt<S: AsRef<str>>(
     inst: &mut Instance,
     id: InstanceId,
     deployment: &Deployment,
-    arms: &[(String, u64)],
+    arms: &[(S, u64)],
     ts: &mut TimerState,
 ) {
     for t in &deployment.timers {
-        if let Some(&(_, due)) = arms.iter().find(|(name, _)| name == t.tick.as_str()) {
+        let named = |(name, _): &&(S, u64)| name.as_ref() == t.tick.as_str();
+        if let Some(&(_, due)) = arms.iter().find(named) {
             arm(inst, id, t.tick, due, t.base, ts);
         }
     }

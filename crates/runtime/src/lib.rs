@@ -14,8 +14,11 @@
 //! [`Program`]. The cursor is materialized at [`Runtime::start`] and
 //! advanced in place on every [`Runtime::fire`]; [`Runtime::journal`]
 //! and the snapshot read the events back off it. Only
-//! [`Runtime::restore`] and [`Runtime::open`] build a cursor by replay —
-//! so steady-state work per fire is constant in the history's length
+//! [`Runtime::restore`] and [`Runtime::open`] build a cursor by replay,
+//! both through one routine (a snapshot's lines and the log's records
+//! are adopted, re-fired and completed by the same calls, so durable
+//! state meets one set of checks in whichever form it comes back) — so
+//! steady-state work per fire is constant in the history's length
 //! ([`Runtime::replayed_steps`] counts the replay work and stays at zero
 //! outside recovery). Replay is deterministic: the compiled scheduler
 //! resolves event-to-node ambiguity by a fixed rule, so replaying the
@@ -505,17 +508,15 @@ impl Runtime {
                 }
                 Record::Start { instance, workflow } => {
                     let arms = buffered_arms.remove(&instance).unwrap_or_default();
-                    rt.adopt_instance(instance, &workflow, &arms)?;
+                    rt.adopt_instance(instance, &workflow, &arms, RuntimeError::Journal)?;
                 }
                 Record::Events { instance, events } => {
-                    for event in &events {
-                        rt.fire(instance, event).map_err(|e| {
+                    rt.replay_events(instance, events.iter().map(String::as_str))
+                        .map_err(|(event, e)| {
                             RuntimeError::Journal(format!(
                                 "instance {instance}: replaying event `{event}`: {e}"
                             ))
                         })?;
-                        rt.replayed += 1;
-                    }
                 }
                 Record::TimerFire {
                     instance,
@@ -557,29 +558,53 @@ impl Runtime {
             .map_err(|e| RuntimeError::Store(e.to_string()))
     }
 
-    /// Adopts an instance under a caller-chosen id — the recovery path
-    /// for durable [`Record::Start`] records, which must reproduce the
-    /// exact ids clients were given before the crash. `arms` carries
-    /// the instance's buffered [`Record::TimerArm`] dues.
-    fn adopt_instance(
+    /// Adopts an instance under the id durable state gives it — the one
+    /// way back for a [`Record::Start`] and for a snapshot's instance
+    /// line alike, which must reproduce the exact ids clients were given.
+    /// `arms` carries the instance's pending dues (a buffered
+    /// [`Record::TimerArm`], or the `timer` lines under the instance
+    /// line); only ticks the workflow declares are armed. The caller
+    /// names the variant a refusal comes back as.
+    fn adopt_instance<S: AsRef<str>>(
         &mut self,
         id: InstanceId,
         workflow: &str,
-        arms: &[(String, u64)],
+        arms: &[(S, u64)],
+        refuse: fn(String) -> RuntimeError,
     ) -> Result<(), RuntimeError> {
-        let deployment = Arc::clone(self.deployment(workflow)?);
-        if self.instances.contains_key(&id) {
-            return Err(RuntimeError::Journal(format!(
-                "duplicate start record for instance {id}"
+        let Some(deployment) = self.deployments.get(workflow).map(Arc::clone) else {
+            return Err(refuse(format!(
+                "instance {id} references unknown workflow `{workflow}`"
             )));
+        };
+        // A second adoption of an id would replace the first's history
+        // and strand its timers on the wheel.
+        if self.instances.contains_key(&id) {
+            return Err(refuse(format!("duplicate instance {id}")));
         }
-        let successor = id.checked_add(1).ok_or_else(|| {
-            RuntimeError::Journal(format!("start record for instance {id} leaves no next id"))
-        })?;
+        let successor = id
+            .checked_add(1)
+            .ok_or_else(|| refuse(format!("instance {id} leaves no next id")))?;
         let mut instance = Instance::new(&deployment);
         fleet::adopt(&mut instance, id, &deployment, arms, &mut self.timers);
         self.instances.insert(id, instance);
         self.next_id = self.next_id.max(successor);
+        Ok(())
+    }
+
+    /// Re-fires an adopted instance's durable events through the public
+    /// API, so each is re-validated — the one place cursors are
+    /// materialized by replay rather than advanced in place. On a
+    /// refusal, the event that did not replay and why.
+    fn replay_events<'a>(
+        &mut self,
+        id: InstanceId,
+        events: impl Iterator<Item = &'a str>,
+    ) -> Result<(), (&'a str, RuntimeError)> {
+        for event in events {
+            self.fire(id, event).map_err(|e| (event, e))?;
+            self.replayed += 1;
+        }
         Ok(())
     }
 
@@ -857,8 +882,13 @@ impl Runtime {
         );
     }
 
-    /// Restores a runtime from a snapshot, re-validating every journal by
-    /// replay.
+    /// Restores a runtime from a snapshot. Only the reader of the text:
+    /// workflow lines are deployed and instance lines adopted, replayed
+    /// and completed through the calls [`Runtime::open`] makes for the
+    /// log's records, so one set of checks validates both. An instance's
+    /// `timer` lines directly follow its line and must be what is pending
+    /// on it once its events replayed — an undeclared tick, an ordinary
+    /// event, a repeated or misplaced line is a [`RuntimeError::Snapshot`].
     pub fn restore(snapshot: &str) -> Result<Runtime, RuntimeError> {
         let mut lines = snapshot.lines();
         if lines.next() != Some(SNAPSHOT_HEADER) {
@@ -866,11 +896,10 @@ impl Runtime {
                 "missing or unknown header".to_owned(),
             ));
         }
+        let mut lines = lines.filter(|l| !l.trim().is_empty()).peekable();
         let mut rt = Runtime::new();
-        for line in lines {
-            if line.trim().is_empty() {
-                continue;
-            }
+        let mut arms: Vec<(&str, u64)> = Vec::new();
+        while let Some(line) = lines.next() {
             if let Some(rest) = line.strip_prefix("workflow ") {
                 let (name, goal_text) = rest
                     .split_once(" := ")
@@ -890,66 +919,53 @@ impl Runtime {
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| RuntimeError::Snapshot(format!("bad instance id: {line}")))?;
                 let workflow = match (parts.next(), parts.next()) {
-                    (Some("of"), Some(w)) => w.to_owned(),
+                    (Some("of"), Some(w)) => w,
                     _ => return Err(RuntimeError::Snapshot(format!("bad instance line: {line}"))),
                 };
-                let Some(deployment) = rt.deployments.get(&workflow) else {
-                    return Err(RuntimeError::Snapshot(format!(
-                        "instance {id} references unknown workflow `{workflow}`"
-                    )));
-                };
-                let successor = id.checked_add(1).ok_or_else(|| {
-                    RuntimeError::Snapshot(format!("instance {id} leaves no next id"))
-                })?;
-                // A second line for an id would replace the first's
-                // journal and strand its timers on the wheel.
-                if rt.instances.contains_key(&id) {
-                    return Err(RuntimeError::Snapshot(format!("duplicate instance {id}")));
+                arms.clear();
+                while let Some(arm) = lines.peek().and_then(|l| timer_line(l, id)) {
+                    arms.push(arm);
+                    lines.next();
                 }
-                rt.instances.insert(id, Instance::new(deployment));
-                rt.next_id = rt.next_id.max(successor);
-                // Replay through the public API so every journaled event
-                // is re-validated. This is the one place cursors are
-                // materialized by replay rather than advanced in place.
-                for event in journal_text.split_whitespace() {
-                    rt.fire(id, event)?;
-                    rt.replayed += 1;
-                }
+                rt.adopt_instance(id, workflow, &arms, RuntimeError::Snapshot)?;
+                rt.replay_events(id, journal_text.split_whitespace())
+                    .map_err(|(_, e)| e)?;
                 if head.ends_with("[completed") {
                     // Completion may have come from silent finishing.
                     rt.try_complete(id)?;
                 }
-            } else if let Some(rest) = line.strip_prefix("timer ") {
-                // timer <instance> <tick> due <ms>
-                let mut parts = rest.split_whitespace();
-                let id: InstanceId = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| RuntimeError::Snapshot(format!("bad timer line: {line}")))?;
-                let (name, due) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
-                    (Some(name), Some("due"), Some(due), None) => (
-                        name,
-                        due.parse::<u64>().map_err(|_| {
-                            RuntimeError::Snapshot(format!("bad timer due: {line}"))
-                        })?,
-                    ),
-                    _ => return Err(RuntimeError::Snapshot(format!("bad timer line: {line}"))),
-                };
-                let Some(inst) = rt.instances.get_mut(&id) else {
-                    return Err(RuntimeError::Snapshot(format!(
-                        "timer line references unknown instance {id}"
-                    )));
-                };
-                // The tick was interned when the workflow goal parsed.
-                let tick = Symbol::try_get(name).ok_or_else(|| {
-                    RuntimeError::Snapshot(format!("timer line references unknown event `{name}`"))
-                })?;
-                fleet::arm(inst, id, tick, due, fleet::tick_base(name), &mut rt.timers);
+                // Adoption arms each declared tick once and replay only
+                // disarms, so a line nothing pending answers to, or a
+                // second line for a tick, is all that can differ.
+                let pending = &rt.instances[&id].timers;
+                for (k, &(tick, due)) in arms.iter().enumerate() {
+                    let armed = |t: &ArmedTimer| t.tick.as_str() == tick && t.due == due;
+                    if !pending.iter().any(armed) || arms[..k].iter().any(|a| a.0 == tick) {
+                        return Err(RuntimeError::Snapshot(format!(
+                            "instance {id} has no such timer pending after its events: timer {id} {tick} due {due}"
+                        )));
+                    }
+                }
+            } else if line.starts_with("timer ") {
+                return Err(RuntimeError::Snapshot(format!(
+                    "timer line is malformed or does not follow its instance's line: {line}"
+                )));
             } else {
                 return Err(RuntimeError::Snapshot(format!("unrecognized line: {line}")));
             }
         }
         Ok(rt)
+    }
+}
+
+/// Reads `timer <instance> <tick> due <ms>` as `(tick, ms)` — if `line`
+/// is that, and for instance `id`.
+fn timer_line(line: &str, id: InstanceId) -> Option<(&str, u64)> {
+    let mut parts = line.strip_prefix("timer ")?.split_whitespace();
+    let fields = [parts.next()?, parts.next()?, parts.next()?, parts.next()?];
+    match (fields, parts.next()) {
+        ([of, tick, "due", due], None) if of.parse() == Ok(id) => Some((tick, due.parse().ok()?)),
+        _ => None,
     }
 }
 

@@ -80,7 +80,7 @@ use crate::{
     StoreError, StoreStats,
 };
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read as _, Write as _};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -268,7 +268,7 @@ impl WalStore {
         for s in 0..options.shards {
             let dir = root.join(format!("shard-{s:02}"));
             fs::create_dir_all(&dir).map_err(|e| io_err("creating", &dir, e))?;
-            let scan = scan_stripe(&dir, cut)?;
+            let scan = scan_stripe(&dir, cut, true)?;
             counters.on_recovered(scan.good_bytes, scan.torn_bytes);
             if let Some(&(seq, _)) = scan.records.last() {
                 max_seq = max_seq.max(seq + 1);
@@ -394,61 +394,61 @@ fn segment_index(name: &std::ffi::OsStr) -> Option<u64> {
     name.strip_suffix(".seg")?.parse().ok()
 }
 
-/// Scans one stripe directory: walks its segments in order, collecting
-/// every whole record with `seq ≥ cut`. The first bad frame marks a
-/// torn tail — the segment is truncated there and any later segments of
-/// the stripe are deleted (they would replay records out of order past
-/// a hole). Returns where the stripe's writer should resume.
-fn scan_stripe(dir: &Path, cut: u64) -> Result<StripeScan, StoreError> {
-    let mut segments: Vec<u64> = fs::read_dir(dir)
+/// A stripe's segment files as `(index, path)`, in index order.
+fn stripe_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, StoreError> {
+    let mut segments: Vec<(u64, PathBuf)> = fs::read_dir(dir)
         .map_err(|e| io_err("listing", dir, e))?
         .filter_map(|entry| entry.ok())
-        .filter_map(|entry| segment_index(&entry.file_name()))
+        .filter_map(|entry| Some((segment_index(&entry.file_name())?, entry.path())))
         .collect();
     segments.sort_unstable();
+    Ok(segments)
+}
 
+/// Scans one stripe directory: walks its segments in order, collecting
+/// every whole record with `seq ≥ cut` up to the first bad frame, which
+/// marks a torn tail. With `repair` (open; a live re-scan only reads)
+/// the segment is truncated there and any later segments of the stripe
+/// are deleted (they would replay records out of order past a hole).
+/// Returns where the stripe's writer should resume.
+fn scan_stripe(dir: &Path, cut: u64, repair: bool) -> Result<StripeScan, StoreError> {
     let mut scan = StripeScan {
         records: Vec::new(),
-        seg_index: *segments.last().unwrap_or(&0),
+        seg_index: 0,
         seg_bytes: 0,
         good_bytes: 0,
         torn_bytes: 0,
     };
-    let mut torn_at: Option<u64> = None; // segment where the tail tore
-    for (i, &index) in segments.iter().enumerate() {
-        let path = dir.join(format!("{index:08}.seg"));
-        if let Some(first_torn) = torn_at {
+    let mut torn = false;
+    for (index, path) in stripe_segments(dir)? {
+        if torn {
             // Everything after a tear is unreachable history; drop it.
-            let len = fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-            scan.torn_bytes += len;
-            fs::remove_file(&path).map_err(|e| io_err("removing", &path, e))?;
-            debug_assert!(index > first_torn);
+            if repair {
+                scan.torn_bytes += fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+                fs::remove_file(&path).map_err(|e| io_err("removing", &path, e))?;
+            }
             continue;
         }
-        let mut bytes = Vec::new();
-        File::open(&path)
-            .and_then(|mut f| f.read_to_end(&mut bytes))
-            .map_err(|e| io_err("reading", &path, e))?;
+        let bytes = fs::read(&path).map_err(|e| io_err("reading", &path, e))?;
         let (good_end, records) = scan_segment(&bytes, cut);
         scan.records.extend(records);
         scan.good_bytes += good_end;
+        scan.seg_index = index;
+        scan.seg_bytes = good_end;
         if (good_end as usize) < bytes.len() {
-            // Torn tail: truncate the segment to its valid prefix.
+            torn = true;
             scan.torn_bytes += bytes.len() as u64 - good_end;
-            let file = OpenOptions::new()
-                .write(true)
-                .open(&path)
-                .map_err(|e| io_err("opening for repair", &path, e))?;
-            file.set_len(good_end)
-                .and_then(|()| file.sync_all())
-                .map_err(|e| io_err("truncating torn tail of", &path, e))?;
-            sync_dir(dir)?;
-            torn_at = Some(index);
-            scan.seg_index = index;
-            scan.seg_bytes = good_end;
-        } else if i == segments.len() - 1 {
-            scan.seg_index = index;
-            scan.seg_bytes = good_end;
+            if repair {
+                // Truncate the segment to its valid prefix.
+                let file = OpenOptions::new()
+                    .write(true)
+                    .open(&path)
+                    .map_err(|e| io_err("opening for repair", &path, e))?;
+                file.set_len(good_end)
+                    .and_then(|()| file.sync_all())
+                    .map_err(|e| io_err("truncating torn tail of", &path, e))?;
+                sync_dir(dir)?;
+            }
         }
     }
     Ok(scan)
@@ -623,23 +623,7 @@ impl WalInner {
         let (snapshot, cut) = read_checkpoint(&self.root)?;
         let mut per_shard = Vec::with_capacity(self.options.shards);
         for log in &logs {
-            let mut segments: Vec<u64> = fs::read_dir(&log.dir)
-                .map_err(|e| io_err("listing", &log.dir, e))?
-                .filter_map(|entry| entry.ok())
-                .filter_map(|entry| segment_index(&entry.file_name()))
-                .collect();
-            segments.sort_unstable();
-            let mut records = Vec::new();
-            for index in segments {
-                let path = log.segment_path(index);
-                let mut bytes = Vec::new();
-                File::open(&path)
-                    .and_then(|mut f| f.read_to_end(&mut bytes))
-                    .map_err(|e| io_err("reading", &path, e))?;
-                let (_, segment_records) = scan_segment(&bytes, cut);
-                records.extend(segment_records);
-            }
-            per_shard.push(records);
+            per_shard.push(scan_stripe(&log.dir, cut, false)?.records);
         }
         Ok(Replay {
             snapshot,
@@ -682,12 +666,7 @@ impl WalInner {
         // crash before these deletes finish is harmless: replay skips
         // records below the cut.
         for log in logs.iter_mut() {
-            let entries = fs::read_dir(&log.dir).map_err(|e| io_err("listing", &log.dir, e))?;
-            for entry in entries.filter_map(|e| e.ok()) {
-                if segment_index(&entry.file_name()).is_none() {
-                    continue;
-                }
-                let path = entry.path();
+            for (_, path) in stripe_segments(&log.dir)? {
                 match fs::remove_file(&path) {
                     Ok(()) => {}
                     Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}

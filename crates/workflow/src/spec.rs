@@ -20,7 +20,6 @@ use crate::triggers::{compile_triggers, Trigger};
 use ctr::analysis::{self, CompileError, Compiled, Verification};
 use ctr::apply::{apply_all, ChannelAlloc};
 use ctr::constraints::Constraint;
-use ctr::excise::excise_with_diagnostics;
 use ctr::goal::Goal;
 use ctr::symbol::Symbol;
 use std::collections::BTreeMap;
@@ -119,34 +118,37 @@ impl SubWorkflows {
         }
     }
 
-    /// Expands with per-sub-workflow transformation: each definition body
-    /// is passed through `transform(name, expanded_body)` before
-    /// substitution. The hook for modular constraint compilation.
-    fn expand_with(&self, goal: &Goal, transform: &impl Fn(Symbol, Goal) -> Goal) -> Goal {
+    /// Expands with constraints scoped to sub-workflows (§7): each
+    /// definition named in `local` has its constraints applied to its
+    /// expanded body before substitution, all from one allocator so
+    /// channels stay globally fresh.
+    fn expand_scoped(
+        &self,
+        goal: &Goal,
+        local: &BTreeMap<Symbol, Vec<Constraint>>,
+        channels: &mut ChannelAlloc,
+    ) -> Goal {
+        let mut each = |gs: &[Goal]| -> Vec<Goal> {
+            gs.iter()
+                .map(|g| self.expand_scoped(g, local, channels))
+                .collect()
+        };
         match goal {
             Goal::Atom(a) if a.is_prop() && self.defines(a.pred) => {
-                let expanded = ctr::goal::or(
-                    self.bodies(a.pred)
-                        .iter()
-                        .map(|b| self.expand_with(b, transform))
-                        .collect(),
-                );
-                transform(a.pred, expanded)
+                let expanded = ctr::goal::or(each(self.bodies(a.pred)));
+                match local.get(&a.pred) {
+                    Some(constraints) => apply_all(constraints, &expanded, channels),
+                    None => expanded,
+                }
             }
             Goal::Atom(_) | Goal::Send(_) | Goal::Receive(_) | Goal::Empty | Goal::NoPath => {
                 goal.clone()
             }
-            Goal::Seq(gs) => {
-                ctr::goal::seq(gs.iter().map(|g| self.expand_with(g, transform)).collect())
-            }
-            Goal::Conc(gs) => {
-                ctr::goal::conc(gs.iter().map(|g| self.expand_with(g, transform)).collect())
-            }
-            Goal::Or(gs) => {
-                ctr::goal::or(gs.iter().map(|g| self.expand_with(g, transform)).collect())
-            }
-            Goal::Isolated(g) => ctr::goal::isolated(self.expand_with(g, transform)),
-            Goal::Possible(g) => ctr::goal::possible(self.expand_with(g, transform)),
+            Goal::Seq(gs) => ctr::goal::seq(each(gs)),
+            Goal::Conc(gs) => ctr::goal::conc(each(gs)),
+            Goal::Or(gs) => ctr::goal::or(each(gs)),
+            Goal::Isolated(g) => ctr::goal::isolated(self.expand_scoped(g, local, channels)),
+            Goal::Possible(g) => ctr::goal::possible(self.expand_scoped(g, local, channels)),
         }
     }
 
@@ -216,13 +218,17 @@ impl WorkflowSpec {
     }
 
     /// The flattened goal: sub-workflows expanded, triggers and timers
-    /// compiled, constraints *not* yet applied. Timers compile after
-    /// triggers so a gate or watchdog also covers trigger-duplicated
-    /// occurrences of its event.
+    /// compiled, constraints *not* yet applied.
     pub fn to_goal(&self) -> Goal {
-        let expanded = self.subworkflows.expand(&self.graph);
-        let mut channels = ChannelAlloc::fresh_for(&expanded);
-        let triggered = compile_triggers(&expanded, &self.triggers, &mut channels);
+        self.lower(&self.subworkflows.expand(&self.graph))
+    }
+
+    /// Triggers and timers compiled into an already expanded graph.
+    /// Timers compile after triggers so a gate or watchdog also covers
+    /// trigger-duplicated occurrences of its event.
+    fn lower(&self, expanded: &Goal) -> Goal {
+        let mut channels = ChannelAlloc::fresh_for(expanded);
+        let triggered = compile_triggers(expanded, &self.triggers, &mut channels);
         compile_timers(&triggered, &self.timers, &mut channels)
     }
 
@@ -261,32 +267,10 @@ pub fn compile_modular(
     spec: &WorkflowSpec,
     local: &BTreeMap<Symbol, Vec<Constraint>>,
 ) -> Result<Compiled, CompileError> {
-    // Shared across the per-sub-workflow closures so channels stay
-    // globally fresh.
-    let channels = std::cell::RefCell::new(ChannelAlloc::new());
-    let flattened =
-        spec.subworkflows
-            .expand_with(&spec.graph, &|name, body| match local.get(&name) {
-                Some(constraints) => apply_all(constraints, &body, &mut channels.borrow_mut()),
-                None => body,
-            });
-    let mut alloc = ChannelAlloc::fresh_for(&flattened);
-    let with_triggers = compile_triggers(&flattened, &spec.triggers, &mut alloc);
-    let with_triggers = compile_timers(&with_triggers, &spec.timers, &mut alloc);
-    ctr::unique::check_unique_events(&with_triggers).map_err(CompileError::NotUniqueEvent)?;
-    let applied = apply_all(&spec.constraints, &with_triggers, &mut alloc);
-    let applied_size = applied.size();
-    let excised = excise_with_diagnostics(&applied);
-    // Delegate the condition scan (and its §7 soundness caveat) to the
-    // canonical pipeline on a constraint-free pass.
-    let has_conditions = analysis::compile_unchecked(&with_triggers, &[]).has_conditions;
-    Ok(Compiled {
-        goal: excised.goal,
-        knots: excised.reports,
-        applied_size,
-        guaranteed_knot_free: excised.guaranteed_knot_free,
-        has_conditions,
-    })
+    let flattened = spec
+        .subworkflows
+        .expand_scoped(&spec.graph, local, &mut ChannelAlloc::new());
+    analysis::compile(&spec.lower(&flattened), &spec.constraints)
 }
 
 #[cfg(test)]

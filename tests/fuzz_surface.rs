@@ -32,11 +32,25 @@ const FAR_CHANNELS: [&str; 2] = [
     "workflow w := a * send(xi300000000) * receive(xi300000000) * b",
 ];
 
+/// A snapshot with `timer` lines: two timed workflows, an instance of
+/// each, its one timer pending under it.
+fn timed_snapshot() -> String {
+    let mut rt = ctr_runtime::Runtime::new();
+    rt.deploy_source("workflow timed { graph invoice * approve * file; deadline(approve, 1h); }")
+        .unwrap();
+    rt.deploy_source("workflow other { graph a * b; after(b, 5s); }")
+        .unwrap();
+    let timed = rt.start("timed").unwrap();
+    rt.fire(timed, "invoice").unwrap();
+    rt.start("other").unwrap();
+    rt.snapshot()
+}
+
 /// The seed as it is, and with a line spliced in before the instance
 /// lines: two restore must refuse — an id with no successor (`id + 1`
 /// used to overflow), a second line for an id the seed already holds —
-/// and the [`FAR_CHANNELS`].
-fn seed_snapshots() -> [String; 5] {
+/// and the [`FAR_CHANNELS`]; and the [`timed_snapshot`].
+fn seed_snapshots() -> [String; 6] {
     let seed = seed_snapshot();
     let at = seed.find("instance ").unwrap();
     let with = |line: &str| format!("{}{line}\n{}", &seed[..at], &seed[at..]);
@@ -46,7 +60,37 @@ fn seed_snapshots() -> [String; 5] {
         with(FAR_CHANNELS[0]),
         with(FAR_CHANNELS[1]),
         seed,
+        timed_snapshot(),
     ]
+}
+
+/// What a canonical snapshot's `timer` lines must satisfy: each sits
+/// under its own instance's line, names a tick that instance's workflow
+/// declares, and is the only line for it.
+fn assert_timer_lines_are_declared_ticks(snapshot: &str) {
+    let mut ticks_of = std::collections::BTreeMap::new();
+    let (mut instance, mut seen) = (None, Vec::new());
+    for line in snapshot.lines() {
+        if let Some(rest) = line.strip_prefix("workflow ") {
+            let (name, goal) = rest.split_once(" := ").unwrap();
+            let events = parse_goal(goal).unwrap().events();
+            let ticks: Vec<&str> = events.iter().map(|e| e.as_str()).collect();
+            ticks_of.insert(name, ticks);
+        } else if let Some(rest) = line.strip_prefix("instance ") {
+            let mut words = rest.split_whitespace();
+            instance = Some((words.next().unwrap(), words.nth(1).unwrap()));
+            seen.clear();
+        } else if let Some(rest) = line.strip_prefix("timer ") {
+            let mut words = rest.split_whitespace();
+            let (id, tick) = (words.next().unwrap(), words.next().unwrap());
+            let (of, workflow) = instance.expect("a timer line follows an instance line");
+            assert_eq!(id, of, "{line}");
+            assert!(ctr::timer::parse_tick(tick).is_some(), "{line}");
+            assert!(ticks_of[workflow].contains(&tick), "{line}");
+            assert!(!seen.contains(&tick), "{line}");
+            seen.push(tick);
+        }
+    }
 }
 
 /// A channel id from text costs what the goal costs, wherever in `u32`
@@ -234,6 +278,87 @@ fn start_refuses_the_id_recovery_would_refuse() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A checkpoint's `timer` line is checked like the log's arm record —
+/// and, since no crash produces a stray one, refused where the log's
+/// orphan arm is dropped. Each doctored line used to be armed as it
+/// stood: an ordinary event then "expired" into the journal as an
+/// activity nobody performed, a repeated line armed its tick twice.
+/// Refusal is an `Err` from `restore` and `open` alike, under both
+/// holders: no runtime comes back, so nothing is armed.
+#[test]
+fn a_doctored_timer_line_is_refused_not_armed() {
+    use ctr_runtime::{MemStore, Runtime, RuntimeError, SharedRuntime, Store, WalStore};
+    use std::sync::Arc;
+    const DEADLINE: &str = "timer 0 approve@deadline3600000 due 3600000\n";
+    const AFTER: &str = "timer 1 b@after5000 due 5000\n";
+
+    let snapshot = timed_snapshot();
+    let under_0 = snapshot.find(DEADLINE).unwrap() + DEADLINE.len();
+    assert!(snapshot.ends_with(AFTER), "{snapshot}");
+    let spliced = |at: usize, line: &str| format!("{}{line}{}", &snapshot[..at], &snapshot[at..]);
+    let doctored = [
+        // An ordinary event of the workflow, one still to happen.
+        spliced(under_0, "timer 0 approve due 5\n"),
+        // A tick, but of the other deployed workflow.
+        spliced(under_0, "timer 0 b@after5000 due 5\n"),
+        // The instance's own tick, a second time.
+        spliced(under_0, DEADLINE),
+        spliced(under_0, "timer 0 approve@deadline3600000 due 7\n"),
+        // An instance nobody started: at the end, and before every instance line.
+        spliced(
+            snapshot.len(),
+            "timer 7 approve@deadline3600000 due 3600000\n",
+        ),
+        spliced(snapshot.find("instance 0 ").unwrap(), DEADLINE),
+        // Instance 0's timer line, moved below instance 1's line.
+        snapshot.replacen(DEADLINE, "", 1) + DEADLINE,
+    ];
+
+    // `reopen` hands out the store afresh; no two handles live at once.
+    let check = |reopen: &dyn Fn() -> Arc<dyn Store>| {
+        macro_rules! holder {
+            ($holder:ty) => {{
+                for text in &doctored {
+                    reopen().checkpoint(text).unwrap();
+                    for refused in [
+                        <$holder>::restore(text).err(),
+                        <$holder>::open(reopen()).err(),
+                    ] {
+                        assert!(
+                            matches!(refused, Some(RuntimeError::Snapshot(_))),
+                            "{refused:?} for\n{text}"
+                        );
+                    }
+                    assert_eq!(reopen().replay().unwrap().records.len(), 0);
+                }
+                reopen().checkpoint(&snapshot).unwrap();
+                for rt in [<$holder>::restore(&snapshot), <$holder>::open(reopen())] {
+                    #[allow(unused_mut)]
+                    let mut rt = rt.unwrap();
+                    assert_eq!(rt.snapshot(), snapshot);
+                    assert_eq!(rt.pending_timer_count(), 2);
+                    assert_eq!(
+                        rt.advance(4_000_000).unwrap(),
+                        [
+                            (1, "b@after5000".to_owned()),
+                            (0, "approve@deadline3600000".to_owned())
+                        ]
+                    );
+                }
+            }};
+        }
+        holder!(Runtime);
+        holder!(SharedRuntime);
+    };
+
+    let mem: Arc<dyn Store> = Arc::new(MemStore::new());
+    check(&|| Arc::clone(&mem));
+    let dir = std::env::temp_dir().join(format!("ctr_fuzz_timer_line_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    check(&|| Arc::new(WalStore::open(&dir).unwrap()));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A scratch directory holding a small write-ahead log (a deploy, two
 /// starts, a few fires, optionally a checkpoint) whose files the tests
 /// then corrupt.
@@ -371,7 +496,7 @@ proptest! {
     /// never a panic.
     #[test]
     fn restore_is_total_on_corrupted_snapshots(
-        which in 0..5usize,
+        which in 0..6usize,
         cut in 0..400usize,
         pos in 0..400usize,
         noise in proptest::collection::vec(0..=255u8, 0..24),
@@ -382,8 +507,16 @@ proptest! {
         let at = pos.min(mangled.len());
         mangled.splice(at..at, noise);
         let text = String::from_utf8_lossy(&mangled);
-        let _ = ctr_runtime::Runtime::restore(&text);
         let _ = ctr_runtime::SharedRuntime::restore(&text);
+        // Accepted ⇒ canonical: what restore takes in, it writes back
+        // as text that restores to the same bytes, and every timer it
+        // armed is a tick of its instance's workflow, once.
+        if let Ok(rt) = ctr_runtime::Runtime::restore(&text) {
+            let canonical = rt.snapshot();
+            let again = ctr_runtime::Runtime::restore(&canonical).map(|rt| rt.snapshot());
+            prop_assert_eq!(again.as_ref(), Ok(&canonical));
+            assert_timer_lines_are_declared_ticks(&canonical);
+        }
     }
 
     /// Write-ahead-log recovery is total on torn and bit-flipped files:
