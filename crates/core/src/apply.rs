@@ -8,7 +8,7 @@
 //! *compilation* step: after it (and [`excise`](mod@crate::excise)), scheduling
 //! needs no run-time constraint checking.
 //!
-//! Three layers, following Definitions 5.1, 5.3, and 5.5:
+//! Four layers, following Definitions 5.1, 5.3, and 5.5:
 //!
 //! 1. **Primitive constraints** `∇α` / `¬∇α` rewrite structurally. For
 //!    `∇α`, serial and concurrent conjunctions distribute into a
@@ -21,7 +21,18 @@
 //!    occurrence of `α` becomes `α ⊗ send(ξ)` and every occurrence of `β`
 //!    becomes `receive(ξ) ⊗ β` for a fresh channel `ξ`, after both
 //!    existence compilations.
-//! 3. **General constraints** in the normal form of Corollary 3.5 compile
+//! 3. **Runs.** A conjunction of basics is *defined* as their sequential
+//!    composition (Definition 5.5; `apply_fold` below), which walks the
+//!    goal three times per order. On a unique-event goal the composition
+//!    has a closed form, and that is what runs: one *restriction* walk for
+//!    every `∇`/`¬∇` of the run at once, the channels drawn in list order,
+//!    one *sync* walk that dresses each event in all its channels. A run
+//!    is a maximal stretch of constraints whose normal form has a single
+//!    disjunct, or one conjunct of a wider normal form — `N` order
+//!    constraints cost two walks, not `3N`, which is what makes the
+//!    order-only fragment (Proposition 4.1) linear in time as well as in
+//!    size.
+//! 4. **General constraints** in the normal form of Corollary 3.5 compile
 //!    by `Apply(C₁ ∨ C₂, T) = Apply(C₁, T) ∨ Apply(C₂, T)` and sequential
 //!    composition over `∧` — yielding the `O(d^N · |T|)` size bound of
 //!    Theorem 5.11.
@@ -35,15 +46,18 @@
 //! here run the rules over `Scratch`, the zero-sized table that records
 //! nothing; [`crate::memo::Memo`] is the table that remembers. Both yield
 //! structurally equal goals by construction: there is one loop, and it
-//! runs on the caller's thread. What is independent in `Apply(C, G)` — the
-//! `d ≤ 3` disjuncts of one normal form — is too little to repay a thread
-//! (measured: never ahead, up to 70 % behind), so this crate spawns none;
-//! the cost lever is which constraints meet, `O(d^N · |G|)`.
+//! runs on the caller's thread. A primitive asks the table at every
+//! connective it descends through; a run asks once, at the root, and its
+//! two walks are plain recursion. What is independent in `Apply(C, G)` —
+//! the `d ≤ 3` disjuncts of one normal form — is too little to repay a
+//! thread (measured: never ahead, up to 70 % behind), so this crate spawns
+//! none; the cost lever is which constraints meet, `O(d^N · |G|)`.
 
 use crate::constraints::{Basic, Conjunct, Constraint, NormalForm};
 use crate::excise::ExciseResult;
-use crate::goal::{conc, isolated, or, seq, Channel, Goal};
+use crate::goal::{conc, event_fp_bits, isolated, or, seq, Channel, Goal};
 use crate::symbol::Symbol;
+use std::borrow::Borrow;
 
 /// Allocator of fresh synchronization channels.
 ///
@@ -133,6 +147,10 @@ pub(crate) enum Op {
     /// part of the key, so the answer is a function of the key even though
     /// `apply_order` allocates the channel freshly per compilation.
     Sync(Symbol, Symbol, u32),
+    /// A whole run: the id [`Table::run_id`] gave its basics, and the
+    /// first channel it draws (0 when it holds no order). The channels of
+    /// a run are consecutive, so the two fix every one of them.
+    Run(u32, u32),
     /// Canonicalizing [`Goal::simplify`].
     Simplify,
 }
@@ -150,8 +168,15 @@ pub(crate) trait Table: Sized {
     /// recorded one, or `analyze`'s.
     fn region(&mut self, goal: &Goal, analyze: impl FnOnce() -> ExciseResult) -> ExciseResult;
 
+    /// How a normal form is handed out: the table's own copy, or a share
+    /// of the recorded one — never a clone per question.
+    type Normal: Borrow<NormalForm>;
+
     /// [`Constraint::normalize`], possibly recorded.
-    fn normalize(&mut self, constraint: &Constraint) -> NormalForm;
+    fn normalize(&mut self, constraint: &Constraint) -> Self::Normal;
+
+    /// The id that stands for the basics of `run` in [`Op::Run`].
+    fn run_id(&mut self, run: &[Basic]) -> u32;
 }
 
 /// The table that records nothing: every question runs its rule. Zero-
@@ -169,18 +194,24 @@ impl Table for Scratch {
         analyze()
     }
 
+    type Normal = NormalForm;
+
     #[inline]
     fn normalize(&mut self, constraint: &Constraint) -> NormalForm {
         constraint.normalize()
     }
+
+    /// Nothing is keyed, so every run may share an id.
+    #[inline]
+    fn run_id(&mut self, _: &[Basic]) -> u32 {
+        0
+    }
 }
 
-/// Upper bound on the channels one conjunct can allocate: one per order
-/// basic ([`apply_order`] allocates at most once, and only for orders).
-fn order_budget(conj: &Conjunct) -> u32 {
-    conj.iter()
-        .filter(|b| matches!(b, Basic::Order(..)))
-        .count() as u32
+/// The channels a run draws unless it comes to `¬path`: one per order.
+fn order_budget(run: &[Basic]) -> u32 {
+    let orders = run.iter().filter(|b| matches!(b, Basic::Order(..)));
+    u32::try_from(orders.count()).expect("more orders than channel ids")
 }
 
 /// The `⊗`/`|` node `node` with its `i`-th child replaced by `new`: one
@@ -327,64 +358,326 @@ pub(crate) fn sync_in<T: Table>(
     })
 }
 
-/// [`apply_order`] through `table`. The channel is drawn from `channels`
-/// whatever the table, so it cannot be part of a recorded answer; only
-/// the two `∇` stages and the `sync` stage at the drawn channel are.
-pub(crate) fn apply_order_in<T: Table>(
-    table: &mut T,
-    alpha: Symbol,
-    beta: Symbol,
-    goal: &Goal,
-    channels: &mut ChannelAlloc,
-) -> Goal {
-    if alpha == beta {
-        // ∇α ⊗ ∇α requires two occurrences of α: unsatisfiable on
-        // unique-event goals.
-        return Goal::NoPath;
-    }
-    let after_beta = apply_must_in(table, beta, goal);
-    let inner = apply_must_in(table, alpha, &after_beta);
-    if inner.is_nopath() {
-        return Goal::NoPath;
-    }
-    let xi = channels.fresh();
-    sync_in(table, alpha, beta, xi, &inner)
-}
-
-/// [`apply_basic`] through `table`.
-pub(crate) fn apply_basic_in<T: Table>(
-    table: &mut T,
-    basic: &Basic,
-    goal: &Goal,
-    channels: &mut ChannelAlloc,
-) -> Goal {
-    match *basic {
-        Basic::Must(e) => apply_must_in(table, e, goal),
-        Basic::MustNot(e) => apply_must_not_in(table, e, goal),
-        Basic::Order(a, b) => apply_order_in(table, a, b, goal, channels),
-    }
-}
-
-/// [`apply_conjunct`] through `table`.
-pub(crate) fn apply_conjunct_in<T: Table>(
-    table: &mut T,
-    conj: &Conjunct,
-    goal: &Goal,
-    channels: &mut ChannelAlloc,
-) -> Goal {
-    // An empty conjunct is the trivially-true constraint: the input goal
-    // is its own compilation (shared, not copied).
-    let Some((first, rest)) = conj.split_first() else {
-        return goal.clone();
-    };
-    let mut current = apply_basic_in(table, first, goal, channels);
-    for basic in rest {
+/// `Apply` of the basics of `run` one at a time — Definitions 5.1, 5.3
+/// and 5.5 as they are written, each application taking the output of the
+/// one before. This is what a run is defined to equal: [`apply_run`] is
+/// its closed form on unique-event goals, falls back to it on the others,
+/// and is held to it by the tests.
+fn apply_fold(run: &[Basic], goal: &Goal, channels: &mut ChannelAlloc) -> Goal {
+    let mut current = goal.clone();
+    for basic in run {
+        current = match *basic {
+            Basic::Must(e) => apply_must(e, &current),
+            Basic::MustNot(e) => apply_must_not(e, &current),
+            // ∇α ⊗ ∇α requires two occurrences of α: unsatisfiable on
+            // unique-event goals.
+            Basic::Order(a, b) if a == b => Goal::NoPath,
+            Basic::Order(a, b) => {
+                let both = apply_must(a, &apply_must(b, &current));
+                if both.is_nopath() {
+                    Goal::NoPath
+                } else {
+                    sync(a, b, channels.fresh(), &both)
+                }
+            }
+        };
         if current.is_nopath() {
             return Goal::NoPath;
         }
-        current = apply_basic_in(table, basic, &current, channels);
     }
     current
+}
+
+/// Event-index pruning for a walk that serves several events at once:
+/// false proves that `goal` mentions none of `events`, whose fingerprints'
+/// union is `union`. One test of the union clears most subgoals when the
+/// events are few; a subgoal it does not clear is asked about each event's
+/// own two bits — as precise as the single-event rules — unless it is so
+/// small that walking it costs no more than asking.
+fn may_mention_any(
+    goal: &Goal,
+    union: u64,
+    mut events: impl ExactSizeIterator<Item = Symbol>,
+) -> bool {
+    goal.events_fingerprint() & union != 0
+        && (goal.size() <= events.len() || events.any(|e| goal.may_mention(e)))
+}
+
+/// What a run asks of one event: `∇` (an order asks it of both its
+/// events), `¬∇`, or — a contradiction the goal answers with `¬path` —
+/// both.
+struct Demand {
+    event: Symbol,
+    must: bool,
+    must_not: bool,
+}
+
+/// The events a run names, each once, sorted for the lookup every atom of
+/// the goal makes. An event's position is its *slot*.
+struct Demands {
+    events: Vec<Demand>,
+    /// How many of them carry `∇`.
+    musts: usize,
+    /// Union of the events' fingerprints, for [`may_mention_any`].
+    fingerprint: u64,
+}
+
+impl Demands {
+    /// `None` for a run holding `∇α ⊗ ∇α`, which no unique-event goal
+    /// satisfies.
+    fn of(run: &[Basic]) -> Option<Demands> {
+        let mut events = Vec::with_capacity(2 * run.len());
+        let mut ask = |event, must| {
+            events.push(Demand {
+                event,
+                must,
+                must_not: !must,
+            })
+        };
+        for basic in run {
+            match *basic {
+                Basic::Must(e) => ask(e, true),
+                Basic::MustNot(e) => ask(e, false),
+                Basic::Order(a, b) if a == b => return None,
+                Basic::Order(a, b) => {
+                    ask(a, true);
+                    ask(b, true);
+                }
+            }
+        }
+        events.sort_unstable_by_key(|d| d.event);
+        events.dedup_by(|again, first| {
+            let same = again.event == first.event;
+            if same {
+                first.must |= again.must;
+                first.must_not |= again.must_not;
+            }
+            same
+        });
+        Some(Demands {
+            musts: events.iter().filter(|d| d.must).count(),
+            fingerprint: events.iter().fold(0, |fp, d| fp | event_fp_bits(d.event)),
+            events,
+        })
+    }
+
+    fn slot(&self, event: Symbol) -> Option<usize> {
+        self.events.binary_search_by_key(&event, |d| d.event).ok()
+    }
+}
+
+/// The restriction walk: every `∇`/`¬∇` of a run in one pass over the
+/// goal.
+///
+/// A node's answer is its rewrite and the `∇`-events that occur in it
+/// (outside `◇`, where nothing occurs). An atom under `¬∇` is `¬path`; in
+/// a `⊗`/`|` node occurs what occurs in its children; an `∨` keeps exactly
+/// the branches in which everything occurs that occurs in any — a
+/// `∇`-event of the `∨` cannot occur beside it, the goal being
+/// unique-event, so a branch without it has no execution with it. In the
+/// root, all of them must occur. Nodes are rebuilt like [`map_connective`]
+/// rebuilds them, so on a goal in the smart constructors' canonical form
+/// the result is the goal [`apply_fold`] reaches one primitive at a time.
+///
+/// The sets are not built: `seen` holds the slots met so far, a node's
+/// share being the tail pushed since it was entered, once each.
+struct Restriction<'a> {
+    demands: &'a Demands,
+    seen: Vec<usize>,
+    /// Per slot, the last [`Restriction::once_each`] that met it.
+    stamps: Vec<u64>,
+    stamp: u64,
+    /// Rewritten `∨`-branches awaiting their verdict, with the length of
+    /// each one's share; a stack, one frame per open `∨`.
+    branches: Vec<(Goal, usize)>,
+    /// A `∇`-event occurs in two children of a `⊗`/`|`: the goal is not
+    /// unique-event and the closed form does not hold.
+    shared: bool,
+}
+
+impl Restriction<'_> {
+    fn rewrite(&mut self, goal: &Goal) -> Goal {
+        // A subgoal naming none of the events is its own restriction.
+        let events = self.demands.events.iter().map(|d| d.event);
+        if !may_mention_any(goal, self.demands.fingerprint, events) {
+            return goal.clone();
+        }
+        match goal {
+            Goal::Atom(a) => {
+                let Some(slot) = a.as_event().and_then(|e| self.demands.slot(e)) else {
+                    return goal.clone();
+                };
+                if self.demands.events[slot].must_not {
+                    return Goal::NoPath;
+                }
+                self.seen.push(slot);
+                goal.clone()
+            }
+            Goal::Seq(_) | Goal::Conc(_) => {
+                let entered = self.seen.len();
+                let out = map_connective(goal, |g| self.rewrite(g));
+                if self.seen.len() - entered > 1 && self.once_each(entered) {
+                    self.shared = true;
+                }
+                out
+            }
+            Goal::Or(gs) => {
+                let entered = self.seen.len();
+                let frame = self.branches.len();
+                for g in gs.iter() {
+                    let before = self.seen.len();
+                    let out = self.rewrite(g);
+                    self.branches.push((out, self.seen.len() - before));
+                }
+                self.once_each(entered);
+                let all = self.seen.len() - entered;
+                let untouched = (self.branches[frame..].iter().zip(gs.iter()))
+                    .all(|((out, share), g)| *share == all && out.ptr_eq(g));
+                if untouched {
+                    self.branches.truncate(frame);
+                    return goal.clone();
+                }
+                let complete = self.branches.drain(frame..).filter(|(_, n)| *n == all);
+                or_of(complete.map(|(out, _)| out))
+            }
+            Goal::Isolated(_) => map_connective(goal, |g| self.rewrite(g)),
+            // Nothing under ◇ occurs, and the other leaves name no event.
+            _ => goal.clone(),
+        }
+    }
+
+    /// Leaves each slot of `seen[from..]` once, in the order first met;
+    /// true if one was there twice.
+    fn once_each(&mut self, from: usize) -> bool {
+        self.stamp += 1;
+        let mut kept = from;
+        for i in from..self.seen.len() {
+            let slot = self.seen[i];
+            if std::mem::replace(&mut self.stamps[slot], self.stamp) != self.stamp {
+                self.seen[kept] = slot;
+                kept += 1;
+            }
+        }
+        let twice = kept < self.seen.len();
+        self.seen.truncate(kept);
+        twice
+    }
+}
+
+/// One end of an order of a run: `event` sends on, or receives from,
+/// `channel`.
+struct Link {
+    event: Symbol,
+    send: bool,
+    channel: Channel,
+}
+
+/// Draws a channel per order of `run`, in list order, and groups the ends
+/// by event: `receive(ξ…)` in list order, then `send(ξ…)` in reverse list
+/// order — the order in which syncing one constraint at a time stacks them
+/// around the event, each new `receive` going directly before it and each
+/// new `send` directly after.
+fn draw_links(run: &[Basic], channels: &mut ChannelAlloc) -> Vec<Link> {
+    let mut links = Vec::with_capacity(2 * order_budget(run) as usize);
+    for basic in run {
+        if let Basic::Order(a, b) = *basic {
+            let channel = channels.fresh();
+            links.extend([(a, true), (b, false)].map(|(event, send)| Link {
+                event,
+                send,
+                channel,
+            }));
+        }
+    }
+    // Channels of one allocator ascend in drawing order.
+    links.sort_unstable_by_key(|l| {
+        let Channel(xi) = l.channel;
+        (l.event, l.send, if l.send { !xi } else { xi })
+    });
+    links
+}
+
+/// The sync walk: every `sync(α<β, ·)` of a run in one pass — each event
+/// becomes `receive(ξ…) ⊗ event ⊗ send(ξ…)` over its `links`.
+fn sync_all(links: &[Link], fingerprint: u64, goal: &Goal) -> Goal {
+    if !may_mention_any(goal, fingerprint, links.iter().map(|l| l.event)) {
+        return goal.clone();
+    }
+    let Goal::Atom(a) = goal else {
+        return map_connective(goal, |g| sync_all(links, fingerprint, g));
+    };
+    let Some(e) = a.as_event() else {
+        return goal.clone();
+    };
+    let around = &links[links.partition_point(|l| l.event < e)..];
+    let around = &around[..around.partition_point(|l| l.event == e)];
+    let (receives, sends) = around.split_at(around.partition_point(|l| !l.send));
+    let mut parts = Vec::with_capacity(around.len() + 1);
+    parts.extend(receives.iter().map(|l| Goal::Receive(l.channel)));
+    parts.push(goal.clone());
+    parts.extend(sends.iter().map(|l| Goal::Send(l.channel)));
+    seq(parts)
+}
+
+/// `Apply` of a run, untabled: the closed form of [`apply_fold`] — one
+/// restriction walk, the channels, one sync walk.
+fn apply_run(run: &[Basic], goal: &Goal, channels: &mut ChannelAlloc) -> Goal {
+    let Some(demands) = Demands::of(run) else {
+        return Goal::NoPath;
+    };
+    let mut restriction = Restriction {
+        seen: Vec::new(),
+        stamps: vec![0; demands.events.len()],
+        stamp: 0,
+        branches: Vec::new(),
+        shared: false,
+        demands: &demands,
+    };
+    let restricted = restriction.rewrite(goal);
+    if restriction.shared {
+        return apply_fold(run, goal, channels);
+    }
+    if restricted.is_nopath() || restriction.seen.len() != demands.musts {
+        return Goal::NoPath;
+    }
+    let links = draw_links(run, channels);
+    let fingerprint = (links.iter()).fold(0, |fp, l| fp | event_fp_bits(l.event));
+    sync_all(&links, fingerprint, &restricted)
+}
+
+/// [`apply_conjunct`] through `table`. A run of one primitive is that
+/// primitive, tabled per subgoal as ever. Any other run is *one* answer of
+/// the table, keyed at the root subgoal by its basics and the first
+/// channel it draws; its two walks ask the table nothing, so a replayed
+/// run is one probe and a changed one is two linear walks that leave no
+/// per-step entries behind.
+pub(crate) fn apply_run_in<T: Table>(
+    table: &mut T,
+    run: &[Basic],
+    goal: &Goal,
+    channels: &mut ChannelAlloc,
+) -> Goal {
+    match *run {
+        // An empty conjunct is the trivially-true constraint: the input
+        // goal is its own compilation (shared, not copied).
+        [] => goal.clone(),
+        [Basic::Must(e)] => apply_must_in(table, e, goal),
+        [Basic::MustNot(e)] => apply_must_not_in(table, e, goal),
+        _ => {
+            let orders = order_budget(run);
+            // Truncating: `next` is 2³² once the ids are used up, and then
+            // the key only has to name *an* answer — drawing, or `reserve`
+            // after a hit, panics.
+            let first = if orders == 0 { 0 } else { channels.next as u32 };
+            let mut drawn = channels.clone();
+            let op = Op::Run(table.run_id(run), first);
+            let out = table.rewrite(op, goal, |_| apply_run(run, goal, &mut drawn));
+            if !out.is_nopath() {
+                channels.reserve(orders);
+            }
+            out
+        }
+    }
 }
 
 /// [`apply_normal_form`] through `table`.
@@ -399,43 +692,50 @@ pub(crate) fn apply_normal_form_in<T: Table>(
     goal: &Goal,
     channels: &mut ChannelAlloc,
 ) -> Goal {
-    let disjuncts = &nf.disjuncts;
-    if disjuncts.len() == 1 {
-        return apply_conjunct_in(table, &disjuncts[0], goal, channels);
+    if let [only] = nf.disjuncts.as_slice() {
+        return apply_run_in(table, only, goal, channels);
     }
-    let mut allocs: Vec<ChannelAlloc> = disjuncts
-        .iter()
+    let mut allocs: Vec<ChannelAlloc> = (nf.disjuncts.iter())
         .map(|conj| channels.reserve(order_budget(conj)))
         .collect();
-    or(disjuncts
+    or(nf
+        .disjuncts
         .iter()
         .zip(allocs.iter_mut())
-        .map(|(conj, alloc)| apply_conjunct_in(table, conj, goal, alloc))
+        .map(|(conj, alloc)| apply_run_in(table, conj, goal, alloc))
         .collect())
 }
 
-/// [`apply_all`] through `table`. With a table that records, an
-/// unchanged constraint prefix replays as one top-level hit per basic.
+/// [`apply_all`] through `table`. Consecutive constraints whose normal
+/// form has one disjunct are flattened into one run, so an order-only
+/// list is two walks however long it is, and with a table that records,
+/// an unchanged prefix of runs and wider constraints replays as one
+/// top-level hit each.
 pub(crate) fn apply_all_in<T: Table>(
     table: &mut T,
     constraints: &[Constraint],
     goal: &Goal,
     channels: &mut ChannelAlloc,
 ) -> Goal {
-    // No constraints: the goal compiles to itself — share it untouched.
-    let Some((first, rest)) = constraints.split_first() else {
-        return goal.clone();
-    };
-    let nf = table.normalize(first);
-    let mut current = apply_normal_form_in(table, &nf, goal, channels);
-    for c in rest {
+    let mut current = goal.clone();
+    let mut run: Vec<Basic> = Vec::new();
+    for c in constraints {
+        let nf = table.normalize(c);
+        let nf: &NormalForm = nf.borrow();
+        if let [only] = nf.disjuncts.as_slice() {
+            run.extend_from_slice(only);
+            continue;
+        }
+        current = apply_run_in(table, &run, &current, channels);
+        run.clear();
+        if !current.is_nopath() {
+            current = apply_normal_form_in(table, nf, &current, channels);
+        }
         if current.is_nopath() {
             return Goal::NoPath;
         }
-        let nf = table.normalize(c);
-        current = apply_normal_form_in(table, &nf, &current, channels);
     }
-    current
+    apply_run_in(table, &run, &current, channels)
 }
 
 /// `Apply(∇α, T)` — Definition 5.1, positive primitive.
@@ -466,19 +766,20 @@ pub fn sync(alpha: Symbol, beta: Symbol, xi: Channel, goal: &Goal) -> Goal {
 /// `Apply(∇α ⊗ ∇β, T)` — Definition 5.3:
 /// `sync(α<β, Apply(∇α, Apply(∇β, T)))` with a fresh channel.
 pub fn apply_order(alpha: Symbol, beta: Symbol, goal: &Goal, channels: &mut ChannelAlloc) -> Goal {
-    apply_order_in(&mut Scratch, alpha, beta, goal, channels)
+    apply_run_in(&mut Scratch, &[Basic::Order(alpha, beta)], goal, channels)
 }
 
 /// `Apply` of a single basic constraint.
 pub fn apply_basic(basic: &Basic, goal: &Goal, channels: &mut ChannelAlloc) -> Goal {
-    apply_basic_in(&mut Scratch, basic, goal, channels)
+    apply_run_in(&mut Scratch, std::slice::from_ref(basic), goal, channels)
 }
 
 /// `Apply` of a conjunction of basics: sequential composition — each
 /// application preserves the unique-event property, so the next may be
-/// applied to its output (Definition 5.5).
+/// applied to its output (Definition 5.5). Computed as one run: two walks
+/// of the goal however many basics, with the composition's result.
 pub fn apply_conjunct(conj: &Conjunct, goal: &Goal, channels: &mut ChannelAlloc) -> Goal {
-    apply_conjunct_in(&mut Scratch, conj, goal, channels)
+    apply_run_in(&mut Scratch, conj, goal, channels)
 }
 
 /// `Apply` of one normalized constraint:
@@ -489,8 +790,9 @@ pub fn apply_normal_form(nf: &NormalForm, goal: &Goal, channels: &mut ChannelAll
 
 /// `Apply(C, G)` for a whole constraint set `C = δ₁ ∧ … ∧ δₙ`
 /// (Definition 5.5): constraints are normalized (Corollary 3.5) and
-/// compiled in sequence. The output size is `O(d^N · |G|)` in the worst
-/// case (Theorem 5.11).
+/// compiled in sequence, every stretch of them with a single disjunct each
+/// as one run. The output size is `O(d^N · |G|)` in the worst case
+/// (Theorem 5.11).
 ///
 /// The result may still contain *knots* — cyclic send/receive waits — and
 /// must be passed through [`excise`](crate::excise::excise) before it is
@@ -530,8 +832,13 @@ pub fn apply_with(constraints: &[Constraint], goal: &Goal, _: Parallelism) -> Go
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::goal::possible;
     use crate::semantics::{event_traces, satisfies};
     use crate::symbol::sym;
+    use crate::term::Atom;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::collections::BTreeSet;
 
     const BUDGET: usize = 200_000;
@@ -862,6 +1169,224 @@ mod tests {
         }
         // From the second application on, nothing is left to add.
         assert_eq!(apply(&clauses[4..5], &twice), twice);
+    }
+
+    /// [`apply_run`] against [`apply_fold`] on one input, each drawing
+    /// from its own copy of the same allocator: equal goals, equal text,
+    /// and — unless the answer is `¬path`, where the fold may have drawn
+    /// for orders it got through before the one that failed — the same
+    /// channels left.
+    fn assert_run_is_fold(run: &[Basic], goal: &Goal) -> Goal {
+        let mut drawn = ChannelAlloc::fresh_for(goal);
+        let mut folded = drawn.clone();
+        let got = apply_run(run, goal, &mut drawn);
+        let want = apply_fold(run, goal, &mut folded);
+        assert_eq!(got, want, "run {run:?} on {goal}");
+        assert_eq!(got.to_string(), want.to_string(), "run {run:?} on {goal}");
+        if !want.is_nopath() {
+            assert_eq!(drawn.next, folded.next, "run {run:?} on {goal}");
+        }
+        got
+    }
+
+    /// A goal over `events`, unique-event by construction: `⊗` and `|`
+    /// deal the pool out among their children, the branches of an `∨`
+    /// each draw on all of it (so they share events), and `◇` — whose
+    /// content does not occur — draws on `all`.
+    fn sharing_goal(rng: &mut StdRng, events: &[Symbol], all: &[Symbol], depth: usize) -> Goal {
+        if events.is_empty() || rng.gen_bool(0.05) {
+            return Goal::Empty;
+        }
+        if depth == 0 || events.len() == 1 || rng.gen_bool(0.15) {
+            return Goal::Atom(Atom::prop(events[rng.gen_range(0..events.len())]));
+        }
+        match rng.gen_range(0..10) {
+            0..=2 => or((0..rng.gen_range(2..=3))
+                .map(|_| sharing_goal(rng, events, all, depth - 1))
+                .collect()),
+            3 => isolated(sharing_goal(rng, events, all, depth - 1)),
+            4 => possible(sharing_goal(rng, all, all, depth - 1)),
+            kind => {
+                let (left, right) = events.split_at(rng.gen_range(1..events.len()));
+                let children = vec![
+                    sharing_goal(rng, left, all, depth - 1),
+                    sharing_goal(rng, right, all, depth - 1),
+                ];
+                if kind % 2 == 0 {
+                    seq(children)
+                } else {
+                    conc(children)
+                }
+            }
+        }
+    }
+
+    /// A goal of [`sharing_goal`] and a run of one to four basics, mostly
+    /// over events the goal holds (one in eight over an event it lacks)
+    /// and mostly `∇` and orders, so that a fair share of the cases stays
+    /// executable.
+    fn random_case(seed: u64) -> (Goal, Vec<Basic>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pool: Vec<Symbol> = (0..6).map(|i| sym(&format!("q{i}"))).collect();
+        let goal = sharing_goal(&mut rng, &pool, &pool, 4);
+        let mut named: Vec<Symbol> = goal.events().into_iter().collect();
+        named.push(sym("q_absent"));
+        let run = (0..rng.gen_range(1..=4))
+            .map(|_| {
+                let mut pick = || match rng.gen_range(0..8) {
+                    0 => named[named.len() - 1],
+                    _ => named[rng.gen_range(0..named.len())],
+                };
+                let (a, b) = (pick(), pick());
+                match rng.gen_range(0..10) {
+                    0..=4 => Basic::Order(a, b),
+                    5..=7 => Basic::Must(a),
+                    _ => Basic::MustNot(a),
+                }
+            })
+            .collect();
+        (goal, run)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The closed form is the definition: on random goals with shared
+        /// `∨`-branches, `⊙`, `◇` and `ε`, a run mixing `∇`, `¬∇` and
+        /// orders compiles to the goal the fold compiles it to.
+        #[test]
+        fn a_run_is_the_fold_of_its_basics(seed in 0u64..1_000_000) {
+            let (goal, run) = random_case(seed);
+            prop_assert!(crate::unique::is_unique_event(&goal), "{}", goal);
+            assert_run_is_fold(&run, &goal);
+        }
+    }
+
+    #[test]
+    fn the_random_runs_are_not_all_nopath() {
+        let executable = (0..1024)
+            .filter(|&seed| {
+                let (goal, run) = random_case(seed);
+                !apply_run(&run, &goal, &mut ChannelAlloc::new()).is_nopath()
+            })
+            .count();
+        assert!(
+            executable >= 128,
+            "only {executable} of 1024 compile to a goal"
+        );
+    }
+
+    #[test]
+    fn a_run_stacks_its_channels_around_an_event_like_the_fold() {
+        // b receives from a, then sends to c; c receives in list order; a
+        // sends in reverse list order (each later send went directly
+        // after a).
+        let goal = conc(vec![g("a"), g("b"), g("c")]);
+        let run = [
+            Basic::Order(sym("a"), sym("b")),
+            Basic::Order(sym("a"), sym("c")),
+            Basic::Order(sym("b"), sym("c")),
+        ];
+        let (x0, x1, x2) = (Channel(0), Channel(1), Channel(2));
+        assert_eq!(
+            assert_run_is_fold(&run, &goal),
+            conc(vec![
+                seq(vec![g("a"), Goal::Send(x1), Goal::Send(x0)]),
+                seq(vec![Goal::Receive(x0), g("b"), Goal::Send(x2)]),
+                seq(vec![Goal::Receive(x1), Goal::Receive(x2), g("c")]),
+            ])
+        );
+    }
+
+    #[test]
+    fn degenerate_runs_take_the_folds_answer() {
+        use Basic::{Must, MustNot, Order};
+        let goal = seq(vec![g("a"), or(vec![g("b"), g("c")]), g("d")]);
+        let [a, b, c, d, absent] = ["a", "b", "c", "d", "zzz"].map(sym);
+        let nopath: [&[Basic]; 7] = [
+            &[Order(a, a)],
+            &[Must(b), Order(a, a)],
+            &[Must(b), MustNot(b)],
+            &[MustNot(b), Must(b)],
+            &[Order(a, absent)],
+            &[Must(a), Must(absent)],
+            &[Must(b), Must(c)],
+        ];
+        for run in nopath {
+            assert!(assert_run_is_fold(run, &goal).is_nopath(), "run {run:?}");
+        }
+        let executable: [&[Basic]; 5] = [
+            &[MustNot(absent), Must(a)],
+            &[Must(a), Must(a)],
+            &[Order(a, d), Order(a, d)],
+            &[Order(a, b), MustNot(c), Order(b, d)],
+            &[MustNot(b), MustNot(c)],
+        ];
+        for run in executable {
+            // (¬∇b ∧ ¬∇c empties the ∨, which takes the ⊗ with it.)
+            let dead = run == [MustNot(b), MustNot(c)];
+            assert_eq!(
+                assert_run_is_fold(run, &goal).is_nopath(),
+                dead,
+                "run {run:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_goal_that_is_not_unique_event_takes_the_folds_answer() {
+        // `compile` refuses such a goal; the unchecked functions do not.
+        // a and b occur in both conjuncts, so ∇a ∧ ∇b is witnessed two
+        // ways and the fold keeps both — the closed form would keep none.
+        let choice = || or(vec![g("a"), g("b")]);
+        let goal = seq(vec![choice(), choice()]);
+        let (a, b, d) = (sym("a"), sym("b"), sym("d"));
+        assert_eq!(
+            assert_run_is_fold(&[Basic::Must(a), Basic::Must(b)], &goal),
+            or(vec![seq(vec![g("a"), g("b")]), seq(vec![g("b"), g("a")])])
+        );
+        assert!(!assert_run_is_fold(&[Basic::Order(a, b)], &goal).is_nopath());
+        // The same through the entry points, under either table.
+        let constraints = [Constraint::must("a"), Constraint::must("b")];
+        let untabled = apply(&constraints, &goal);
+        assert_eq!(
+            untabled,
+            apply_fold(
+                &[Basic::Must(a), Basic::Must(b)],
+                &goal,
+                &mut ChannelAlloc::new()
+            )
+        );
+        let tabled =
+            crate::memo::Memo::new().apply_all(&constraints, &goal, &mut ChannelAlloc::new());
+        assert_eq!(tabled, untabled);
+        // Shared across `|`, deeper down, beside a ¬∇.
+        let goal = conc(vec![g("a"), seq(vec![g("c"), or(vec![g("a"), g("d")])])]);
+        assert_run_is_fold(&[Basic::Must(a), Basic::MustNot(d)], &goal);
+        assert_run_is_fold(&[Basic::MustNot(d), Basic::Order(a, sym("c"))], &goal);
+        // A repeated event no ∇ asks about is no obstacle to the closed
+        // form: ¬∇ and sync rewrite every occurrence alike.
+        assert_run_is_fold(&[Basic::MustNot(a), Basic::Must(d)], &goal);
+    }
+
+    #[test]
+    fn a_run_over_a_thousand_events_takes_the_folds_answer() {
+        // More distinct ∇-events than any inline bitset is wide.
+        let name = |lane: &str, i: usize| sym(&format!("{lane}{i}"));
+        let goal = seq((0..1000)
+            .map(|i| or(vec![Goal::atom(name("t", i)), Goal::atom(name("s", i))]))
+            .collect());
+        let mut run: Vec<Basic> = (0..1000).map(|i| Basic::Must(name("t", i))).collect();
+        run.extend(
+            (0..999)
+                .step_by(7)
+                .map(|i| Basic::Order(name("t", i + 1), name("t", i))),
+        );
+        let compiled = assert_run_is_fold(&run, &goal);
+        assert_eq!(compiled.channels().len(), 143);
+        // … and the thousand-and-first, which excludes the five-hundredth.
+        run.push(Basic::Must(name("s", 500)));
+        assert!(assert_run_is_fold(&run, &goal).is_nopath());
     }
 
     #[test]

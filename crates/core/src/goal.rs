@@ -138,7 +138,7 @@ fn mix64(mut z: u64) -> u64 {
 }
 
 /// Two-bit bloom mask for one event symbol.
-fn event_fp_bits(event: Symbol) -> u64 {
+pub(crate) fn event_fp_bits(event: Symbol) -> u64 {
     let h = mix64(event.index() as u64 ^ 0xD6E8_FEB8_6659_FD93);
     (1u64 << (h & 63)) | (1u64 << ((h >> 6) & 63))
 }

@@ -19,11 +19,13 @@
 //!    therefore share one id, and re-encountering a cached `Arc` costs one
 //!    pointer compare.
 //! 2. [`Memo`] — the answers, keyed on `(op, event, node_id)`: `∇α`,
-//!    `¬∇α`, `sync` at a fixed channel, `simplify`, per-region `Excise`
-//!    outcomes, and normal forms per constraint. `apply_order` draws a
-//!    fresh channel, so its output depends on allocator state and is not
-//!    an answer as a unit; its two `∇` stages are, and so is the `sync`
-//!    stage keyed on the *concrete* channel it was given (DESIGN.md §13).
+//!    `¬∇α`, `sync` at a fixed channel, a whole *run* of basics,
+//!    `simplify`, per-region `Excise` outcomes, and normal forms per
+//!    constraint. An order draws a fresh channel, so what it compiles to
+//!    depends on allocator state: a run — a stretch of constraints with
+//!    one disjunct each, or one conjunct of a wider normal form — is an
+//!    answer at its root subgoal keyed on its interned basics *and* the
+//!    first channel it draws, which fixes the rest (DESIGN.md §13).
 //!
 //! The session that keeps one `Memo` across queries is [`Analyzer`]. The
 //! rules being shared, a `Memo` yields goals structurally equal to the
@@ -37,6 +39,7 @@ use crate::excise::ExciseResult;
 use crate::goal::{Channel, FxBuildHasher, Goal};
 use crate::symbol::Symbol;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 pub use crate::analysis::Analyzer;
 
@@ -155,7 +158,10 @@ pub struct Memo {
     /// Per-region `Excise` outcomes: the rewritten goal plus the exact
     /// diagnostics the analysis appended.
     excise: HashMap<NodeId, ExciseResult, FxBuildHasher>,
-    normal_forms: HashMap<Constraint, NormalForm, FxBuildHasher>,
+    normal_forms: HashMap<Constraint, Arc<NormalForm>, FxBuildHasher>,
+    /// The basics of every run asked about, interned to the id that
+    /// stands for them in [`Op::Run`].
+    runs: HashMap<Box<[Basic]>, u32, FxBuildHasher>,
     hits: u64,
     misses: u64,
 }
@@ -202,17 +208,31 @@ impl Table for Memo {
         out
     }
 
+    type Normal = Arc<NormalForm>;
+
     /// Constraint sets replay verbatim across queries, so the normal form
-    /// is computed once per distinct constraint.
-    fn normalize(&mut self, constraint: &Constraint) -> NormalForm {
+    /// is computed once per distinct constraint and shared from then on.
+    fn normalize(&mut self, constraint: &Constraint) -> Arc<NormalForm> {
         if let Some(nf) = self.normal_forms.get(constraint) {
             self.hits += 1;
-            return nf.clone();
+            return Arc::clone(nf);
         }
         self.misses += 1;
-        let nf = constraint.normalize();
-        self.normal_forms.insert(constraint.clone(), nf.clone());
+        let nf = Arc::new(constraint.normalize());
+        self.normal_forms
+            .insert(constraint.clone(), Arc::clone(&nf));
         nf
+    }
+
+    fn run_id(&mut self, run: &[Basic]) -> u32 {
+        if let Some(&id) = self.runs.get(run) {
+            self.hits += 1;
+            return id;
+        }
+        self.misses += 1;
+        let id = u32::try_from(self.runs.len()).expect("fewer than 2^32 distinct runs");
+        self.runs.insert(run.into(), id);
+        id
     }
 }
 
@@ -222,13 +242,16 @@ impl Memo {
         Memo::default()
     }
 
-    /// Current counters. `entries` sums the rewrite, excise, and
-    /// normal-form tables; `interned` is the hash-consing table size.
+    /// Current counters. `entries` sums the rewrite, excise, normal-form
+    /// and run tables; `interned` is the hash-consing table size.
     pub fn stats(&self) -> MemoStats {
         MemoStats {
             hits: self.hits,
             misses: self.misses,
-            entries: self.rewrites.len() + self.excise.len() + self.normal_forms.len(),
+            entries: self.rewrites.len()
+                + self.excise.len()
+                + self.normal_forms.len()
+                + self.runs.len(),
             interned: self.table.len(),
         }
     }
@@ -262,9 +285,9 @@ impl Memo {
         self.rewrite(Op::Simplify, goal, |_| goal.simplify())
     }
 
-    /// Tabled `Apply(∇α ⊗ ∇β, T)` — see [`crate::apply::apply_order`].
-    /// The channel is drawn from `channels` exactly like the one-shot
-    /// path, then keys the `sync` answer.
+    /// Tabled `Apply(∇α ⊗ ∇β, T)` — see [`crate::apply::apply_order`]:
+    /// a run of one order, keyed on the channel `channels` has next and
+    /// drawn from it exactly like the one-shot path.
     pub fn apply_order(
         &mut self,
         alpha: Symbol,
@@ -272,13 +295,13 @@ impl Memo {
         goal: &Goal,
         channels: &mut ChannelAlloc,
     ) -> Goal {
-        crate::apply::apply_order_in(self, alpha, beta, goal, channels)
+        crate::apply::apply_run_in(self, &[Basic::Order(alpha, beta)], goal, channels)
     }
 
     /// Tabled `Apply` of a single basic constraint — see
     /// [`crate::apply::apply_basic`].
     pub fn apply_basic(&mut self, basic: &Basic, goal: &Goal, channels: &mut ChannelAlloc) -> Goal {
-        crate::apply::apply_basic_in(self, basic, goal, channels)
+        crate::apply::apply_run_in(self, std::slice::from_ref(basic), goal, channels)
     }
 
     /// Tabled `Apply` of a conjunction of basics — see
@@ -289,7 +312,7 @@ impl Memo {
         goal: &Goal,
         channels: &mut ChannelAlloc,
     ) -> Goal {
-        crate::apply::apply_conjunct_in(self, conj, goal, channels)
+        crate::apply::apply_run_in(self, conj, goal, channels)
     }
 
     /// Tabled `Apply` of one normalized constraint — see
@@ -305,7 +328,9 @@ impl Memo {
 
     /// Tabled `Apply(C, G)` for a whole constraint set — see
     /// [`crate::apply::apply_all`]. On a warm table, re-running an
-    /// unchanged constraint prefix costs one top-level hit per basic.
+    /// unchanged constraint prefix costs one top-level hit per run and
+    /// per wider constraint; a run that changed anywhere is recomputed
+    /// whole, in two walks of the goal.
     pub fn apply_all(
         &mut self,
         constraints: &[Constraint],
@@ -566,6 +591,41 @@ mod tests {
         assert_eq!(replay.knots, reference.knots, "cached reports replay");
     }
 
+    #[test]
+    fn a_replayed_run_draws_its_channels_again() {
+        let goal = conc(vec![g("a"), g("b"), g("c")]);
+        let run = vec![
+            Basic::Order(sym("a"), sym("b")),
+            Basic::Order(sym("b"), sym("c")),
+        ];
+        let mut memo = Memo::new();
+        let mut cold_channels = ChannelAlloc::new();
+        let cold = memo.apply_conjunct(&run, &goal, &mut cold_channels);
+        assert_eq!(
+            cold,
+            crate::apply::apply_conjunct(&run, &goal, &mut ChannelAlloc::new())
+        );
+        // The answer comes from the table; the allocator moves on as if
+        // it had been computed.
+        let before = memo.stats();
+        let mut warm_channels = ChannelAlloc::new();
+        let warm = memo.apply_conjunct(&run, &goal, &mut warm_channels);
+        assert_eq!(warm, cold);
+        assert_eq!(memo.stats().misses, before.misses, "one probe, no walk");
+        assert_eq!(warm_channels.fresh(), Channel(2));
+        assert_eq!(cold_channels.fresh(), Channel(2));
+        // The first channel is part of the key: drawn from elsewhere, the
+        // same run is another answer.
+        let mut later = ChannelAlloc::new();
+        later.fresh();
+        let shifted = memo.apply_conjunct(&run, &goal, &mut later);
+        assert_eq!(
+            shifted.channels(),
+            [Channel(1), Channel(2)].into_iter().collect()
+        );
+        assert_eq!(later.fresh(), Channel(3));
+    }
+
     /// The script's nine event names, drawn so that no name's bloom mask is
     /// covered by the union of the others' and `may_mention` never answers
     /// "maybe" for an absent one. A mask is a function of the id the
@@ -596,9 +656,13 @@ mod tests {
     }
 
     /// *What* is tabled is part of the contract: the counters of a fixed
-    /// session script, recorded at the commit before the rules became
-    /// generic over the table. A change to which subgoals are interned,
-    /// probed or recorded moves these numbers.
+    /// session script. A change to which subgoals are interned, probed or
+    /// recorded moves these numbers — as the run key did (cold compile
+    /// 40 → 16 misses): a run of two or more basics, or of one order, is
+    /// one answer keyed at its root subgoal by (interned basics, first
+    /// channel), where every `∇`, `¬∇` and `sync` stage used to be an
+    /// answer at every connective below it. A run of one `∇` or `¬∇` is
+    /// still that primitive, tabled per subgoal.
     #[test]
     fn table_granularity_is_pinned() {
         let [a, b, c, d, e, f, h, i, j] = collision_free_events();
@@ -625,13 +689,13 @@ mod tests {
         };
         let mut an = Analyzer::new(&goal, &constraints).unwrap();
         an.compiled();
-        assert_eq!(an.stats(), stats(0, 40, 40, 17), "cold compile");
+        assert_eq!(an.stats(), stats(0, 16, 16, 7), "cold compile");
         an.verify(&Constraint::klein_order(ev(&a), ev(&j)));
         an.verify(&Constraint::must(ev(&f)));
-        assert_eq!(an.stats(), stats(24, 50, 50, 21), "two verifications");
+        assert_eq!(an.stats(), stats(14, 23, 23, 8), "two verifications");
         an.replace_constraint(1, Constraint::order(ev(&e), ev(&i)));
         an.minimize_constraints();
-        assert_eq!(an.stats(), stats(47, 152, 152, 56), "edit, then minimize");
+        assert_eq!(an.stats(), stats(28, 65, 65, 31), "edit, then minimize");
     }
 
     #[test]

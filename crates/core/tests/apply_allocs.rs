@@ -1,5 +1,5 @@
-//! Allocation budgets of the `∇α` kernel and of `Excise`, counted rather
-//! than timed.
+//! Allocation budgets of the `∇α` kernel, of a run of orders and of
+//! `Excise`, counted rather than timed.
 //!
 //! The counts are a function of the input alone, so they repeat exactly
 //! on any host: a rewrite that starts copying child vectors it does not
@@ -18,17 +18,24 @@ use std::cell::Cell;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Books one allocator call asking for `size` bytes.
+fn count(size: usize) {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    BYTES.with(|n| n.set(n.get() + size as u64));
 }
 
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the only addition is a bump of a thread-local
-// `Cell<u64>` that is const-initialized and has no destructor, so touching
-// it can neither allocate nor run during thread teardown.
+// `GlobalAlloc` contract; the only addition is a bump of two thread-local
+// `Cell<u64>`s that are const-initialized and have no destructor, so
+// touching them can neither allocate nor run during thread teardown.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        count(layout.size());
         // SAFETY: `layout` is the caller's, passed through.
         unsafe { System.alloc(layout) }
     }
@@ -40,7 +47,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        count(new_size);
         // SAFETY: as for `dealloc`; `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -54,6 +61,14 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// Bytes this thread asks the allocator for inside `f` (every `alloc`'s
+/// size and every `realloc`'s new size; nothing is taken off for frees).
+fn bytes_requested<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (out, BYTES.with(Cell::get) - before)
 }
 
 /// Number of `|`-terms of a DNF (1 for a goal that is a single term).
@@ -101,6 +116,31 @@ fn a_clause_costs_a_fixed_count_per_term_and_literal() {
             current = next;
         }
     }
+}
+
+/// Bytes `Apply(order_chain(n), pipeline(2n + 2))` asks for: `n` order
+/// constraints, one run, a compiled goal of `4n + 3` nodes.
+fn apply_of_the_order_chain(n: usize) -> u64 {
+    let (goal, constraints) = (pipeline_workflow(2 * n + 2), order_chain(n));
+    let (applied, bytes) = bytes_requested(|| apply(&constraints, &goal));
+    assert_eq!(applied.size(), 4 * n + 3);
+    bytes
+}
+
+#[test]
+fn apply_of_the_order_chain_allocates_linear_bytes() {
+    // The order-only fragment is polynomial (Prop 4.1) and its compiled
+    // size linear (Thm 5.11 at d = 1); so is the work. A run is two walks
+    // whatever its length: the restriction finds every event where it
+    // stands and hands the goal back, the sync walk builds the one new
+    // child list. Folding the orders one at a time rebuilt a list that
+    // grows with n once per order — 256× the bytes for 16× the orders.
+    let small = apply_of_the_order_chain(64);
+    let large = apply_of_the_order_chain(1024);
+    assert!(
+        large <= 20 * small,
+        "{small} bytes at n = 64, {large} at n = 1024"
+    );
 }
 
 /// `Excise(Apply(order_chain(n), pipeline(2n + 2)))`: one region, `2n`
