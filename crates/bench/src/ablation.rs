@@ -1,6 +1,7 @@
-//! Ablation: what the `Apply` implementation's eager `¬path` pruning buys.
+//! Ablation: what the `Apply` implementation's eager `¬path` pruning,
+//! `∨`-idempotence and `∨`-absorption buy.
 //!
-//! DESIGN.md calls out two implementation choices in the compiler:
+//! DESIGN.md calls out three implementation choices in the compiler:
 //!
 //! 1. **Eager pruning** — `Apply(∇α, ·)` positions are built through the
 //!    smart constructors, so subtrees without `α` collapse to `¬path`
@@ -16,12 +17,44 @@
 //!    compilation with raw constructors (flattening and `¬path`
 //!    absorption, but no duplicate merging) to expose the difference on
 //!    the SAT workloads.
+//! 3. **`∨`-absorption** — a disjunctive constraint is applied one
+//!    alternative of the goal at a time, and an alternative some disjunct
+//!    already holds on is kept as it stands. [`apply_literal`] is the rule
+//!    as Theorem 5.11 reads it, `Apply(C₁, T) ∨ … ∨ Apply(C_d, T)` with `T`
+//!    the whole goal, composed from the public per-conjunct API — the one
+//!    copy of it, which `tests/absorption_referee.rs` also holds the
+//!    compiler to.
 //!
 //! Measured in the `a1_ablation` experiment section and bench.
 
+use ctr::apply::{apply_conjunct, ChannelAlloc};
 use ctr::constraints::{Basic, Constraint};
-use ctr::goal::Goal;
+use ctr::goal::{or, Goal};
 use ctr::symbol::Symbol;
+
+/// `Apply(C, G)` by the literal rule: every constraint's disjuncts each
+/// rewrite the whole goal built so far, whatever its alternatives already
+/// satisfy. Channels are numbered as `ctr::apply::apply_all` numbers them
+/// (a range per disjunct, set aside up front), so what the compiler keeps
+/// is `==` to alternatives of this goal.
+pub fn apply_literal(constraints: &[Constraint], goal: &Goal, channels: &mut ChannelAlloc) -> Goal {
+    let mut current = goal.clone();
+    for c in constraints {
+        let nf = c.normalize();
+        let orders = |conj: &[Basic]| {
+            conj.iter()
+                .filter(|b| matches!(b, Basic::Order(..)))
+                .count()
+        };
+        let mut ranges: Vec<ChannelAlloc> = (nf.disjuncts.iter())
+            .map(|conj| channels.reserve(orders(conj) as u32))
+            .collect();
+        let rewrites = (nf.disjuncts.iter().zip(&mut ranges))
+            .map(|(conj, range)| apply_conjunct(conj, &current, range));
+        current = or(rewrites.collect());
+    }
+    current
+}
 
 /// `or` with flattening and `¬path` dropping but **no** idempotence.
 fn or_no_dedup(goals: Vec<Goal>) -> Goal {

@@ -35,7 +35,16 @@
 //! 4. **General constraints** in the normal form of Corollary 3.5 compile
 //!    by `Apply(C₁ ∨ C₂, T) = Apply(C₁, T) ∨ Apply(C₂, T)` and sequential
 //!    composition over `∧` — yielding the `O(d^N · |T|)` size bound of
-//!    Theorem 5.11.
+//!    Theorem 5.11. That bound is a worst case, and the rule is applied so
+//!    that it is not the typical one: when `T` is itself a `∨` (it is,
+//!    from the first such constraint on) the constraint meets its
+//!    alternatives one at a time, `Apply(C, A₁ ∨ … ∨ Aₘ) = ∨ᵢ Apply(C, Aᵢ)`,
+//!    and an alternative `A` that one disjunct hands back unchanged —
+//!    `A ⊨ Cᵢ`, so `A ∧ (C₁ ∨ C₂) ≡ A` — is the answer for itself. The
+//!    literal rule would keep `A` *and* `Apply(C₂, A)`, a subset of it, and
+//!    pay every later constraint on both. The result is the literal
+//!    rule's, up to such absorbed alternatives: the same executions, a
+//!    subset of its alternatives, the same channel numbers.
 //!
 //! # Rules × table
 //!
@@ -48,7 +57,8 @@
 //! structurally equal goals by construction: there is one loop, and it
 //! runs on the caller's thread. A primitive asks the table at every
 //! connective it descends through; a run asks once, at the root, and its
-//! two walks are plain recursion. What is independent in `Apply(C, G)` —
+//! two walks are plain recursion; a normal form of several disjuncts asks
+//! once at the root and then per alternative. What is independent in `Apply(C, G)` —
 //! the `d ≤ 3` disjuncts of one normal form — is too little to repay a
 //! thread (measured: never ahead, up to 70 % behind), so this crate spawns
 //! none; the cost lever is which constraints meet, `O(d^N · |G|)`.
@@ -151,6 +161,10 @@ pub(crate) enum Op {
     /// first channel it draws (0 when it holds no order). The channels of
     /// a run are consecutive, so the two fix every one of them.
     Run(u32, u32),
+    /// A whole normal form of two or more disjuncts: the id
+    /// [`Table::normal_id`] gave it, and the first channel set aside for
+    /// its disjuncts (0 when none holds an order).
+    Normal(u32, u32),
     /// Canonicalizing [`Goal::simplify`].
     Simplify,
 }
@@ -177,6 +191,9 @@ pub(crate) trait Table: Sized {
 
     /// The id that stands for the basics of `run` in [`Op::Run`].
     fn run_id(&mut self, run: &[Basic]) -> u32;
+
+    /// The id that stands for the disjuncts of `nf` in [`Op::Normal`].
+    fn normal_id(&mut self, nf: &NormalForm) -> u32;
 }
 
 /// The table that records nothing: every question runs its rule. Zero-
@@ -204,6 +221,11 @@ impl Table for Scratch {
     /// Nothing is keyed, so every run may share an id.
     #[inline]
     fn run_id(&mut self, _: &[Basic]) -> u32 {
+        0
+    }
+
+    #[inline]
+    fn normal_id(&mut self, _: &NormalForm) -> u32 {
         0
     }
 }
@@ -480,9 +502,11 @@ impl Demands {
 /// the result is the goal [`apply_fold`] reaches one primitive at a time.
 ///
 /// The sets are not built: `seen` holds the slots met so far, a node's
-/// share being the tail pushed since it was entered, once each.
-struct Restriction<'a> {
-    demands: &'a Demands,
+/// share being the tail pushed since it was entered, once each. The
+/// vectors outlive a walk, so the alternatives of a `∨` a run meets one at
+/// a time are restricted in the same ones.
+struct Restriction {
+    demands: Demands,
     seen: Vec<usize>,
     /// Per slot, the last [`Restriction::once_each`] that met it.
     stamps: Vec<u64>,
@@ -495,7 +519,33 @@ struct Restriction<'a> {
     shared: bool,
 }
 
-impl Restriction<'_> {
+impl Restriction {
+    fn new(demands: Demands) -> Restriction {
+        Restriction {
+            seen: Vec::new(),
+            stamps: vec![0; demands.events.len()],
+            stamp: 0,
+            branches: Vec::new(),
+            shared: false,
+            demands,
+        }
+    }
+
+    /// The restriction of `goal`, or `None` where the closed form does not
+    /// hold; `¬path` unless every `∇`-event occurs.
+    fn of(&mut self, goal: &Goal) -> Option<Goal> {
+        self.seen.clear();
+        self.shared = false;
+        let restricted = self.rewrite(goal);
+        if self.shared {
+            None
+        } else if self.seen.len() == self.demands.musts {
+            Some(restricted)
+        } else {
+            Some(Goal::NoPath)
+        }
+    }
+
     fn rewrite(&mut self, goal: &Goal) -> Goal {
         // A subgoal naming none of the events is its own restriction.
         let events = self.demands.events.iter().map(|d| d.event);
@@ -619,73 +669,135 @@ fn sync_all(links: &[Link], fingerprint: u64, goal: &Goal) -> Goal {
     seq(parts)
 }
 
-/// `Apply` of a run, untabled: the closed form of [`apply_fold`] — one
-/// restriction walk, the channels, one sync walk.
-fn apply_run(run: &[Basic], goal: &Goal, channels: &mut ChannelAlloc) -> Goal {
-    let Some(demands) = Demands::of(run) else {
-        return Goal::NoPath;
-    };
-    let mut restriction = Restriction {
-        seen: Vec::new(),
-        stamps: vec![0; demands.events.len()],
-        stamp: 0,
-        branches: Vec::new(),
-        shared: false,
-        demands: &demands,
-    };
-    let restricted = restriction.rewrite(goal);
-    if restriction.shared {
-        return apply_fold(run, goal, channels);
-    }
-    if restricted.is_nopath() || restriction.seen.len() != demands.musts {
-        return Goal::NoPath;
-    }
-    let links = draw_links(run, channels);
-    let fingerprint = (links.iter()).fold(0, |fp, l| fp | event_fp_bits(l.event));
-    sync_all(&links, fingerprint, &restricted)
+/// A run at the channels it draws, made ready on first use to rewrite any
+/// number of goals: what depends on the run alone — the demands, the
+/// channels' ends, the walk's vectors — is built once, however many
+/// alternatives of a `∨` the run meets.
+struct Run<'a> {
+    basics: &'a [Basic],
+    /// Owns the channels the run draws, from the first.
+    channels: ChannelAlloc,
+    plan: Option<Box<Plan>>,
 }
 
-/// [`apply_conjunct`] through `table`. A run of one primitive is that
-/// primitive, tabled per subgoal as ever. Any other run is *one* answer of
-/// the table, keyed at the root subgoal by its basics and the first
-/// channel it draws; its two walks ask the table nothing, so a replayed
-/// run is one probe and a changed one is two linear walks that leave no
-/// per-step entries behind.
+/// The closed form of a run: one restriction walk, one sync walk.
+struct Plan {
+    /// `None` for a run holding `∇α ⊗ ∇α`.
+    restriction: Option<Restriction>,
+    links: Vec<Link>,
+    /// Union of the linked events' fingerprints.
+    fingerprint: u64,
+}
+
+impl Run<'_> {
+    /// `Apply` of the run, untabled: the closed form of [`apply_fold`].
+    fn apply(&mut self, goal: &Goal) -> Goal {
+        let plan = self.plan.get_or_insert_with(|| {
+            let links = draw_links(self.basics, &mut self.channels.clone());
+            Box::new(Plan {
+                restriction: Demands::of(self.basics).map(Restriction::new),
+                fingerprint: (links.iter()).fold(0, |fp, l| fp | event_fp_bits(l.event)),
+                links,
+            })
+        });
+        let Some(restriction) = &mut plan.restriction else {
+            return Goal::NoPath;
+        };
+        match restriction.of(goal) {
+            Some(restricted) => sync_all(&plan.links, plan.fingerprint, &restricted),
+            None => apply_fold(self.basics, goal, &mut self.channels.clone()),
+        }
+    }
+}
+
+/// How a run is asked of a goal through a table, settled once for any
+/// number of goals. A run of one primitive is that primitive, tabled per
+/// subgoal as ever. Any other run is *one* answer of the table, keyed at
+/// the root subgoal by its basics and the first channel it draws; its two
+/// walks ask the table nothing, so a replayed run is one probe and a
+/// changed one is two linear walks that leave no per-step entries behind.
+enum Asked<'a> {
+    /// The empty conjunct is the trivially-true constraint: a goal is its
+    /// own compilation (shared, not copied).
+    Trivial,
+    Must(Symbol),
+    MustNot(Symbol),
+    Keyed(Op, Run<'a>),
+}
+
+impl<'a> Asked<'a> {
+    /// `run`, drawing its channels from the start of `channels`.
+    fn new<T: Table>(table: &mut T, run: &'a [Basic], channels: ChannelAlloc) -> Asked<'a> {
+        match *run {
+            [] => Asked::Trivial,
+            [Basic::Must(e)] => Asked::Must(e),
+            [Basic::MustNot(e)] => Asked::MustNot(e),
+            _ => {
+                // Truncating: `next` is 2³² once the ids are used up, and
+                // then the key only has to name *an* answer — drawing, or
+                // `reserve` after a hit, panics.
+                let drawn = order_budget(run) != 0;
+                let first = if drawn { channels.next as u32 } else { 0 };
+                let run = Run {
+                    basics: run,
+                    channels,
+                    plan: None,
+                };
+                Asked::Keyed(Op::Run(table.run_id(run.basics), first), run)
+            }
+        }
+    }
+
+    fn of<T: Table>(&mut self, table: &mut T, goal: &Goal) -> Goal {
+        match self {
+            Asked::Trivial => goal.clone(),
+            Asked::Must(e) => apply_must_in(table, *e, goal),
+            Asked::MustNot(e) => apply_must_not_in(table, *e, goal),
+            Asked::Keyed(op, run) => table.rewrite(*op, goal, |_| run.apply(goal)),
+        }
+    }
+}
+
+/// [`apply_conjunct`] through `table`; see [`Asked`].
 pub(crate) fn apply_run_in<T: Table>(
     table: &mut T,
     run: &[Basic],
     goal: &Goal,
     channels: &mut ChannelAlloc,
 ) -> Goal {
-    match *run {
-        // An empty conjunct is the trivially-true constraint: the input
-        // goal is its own compilation (shared, not copied).
-        [] => goal.clone(),
-        [Basic::Must(e)] => apply_must_in(table, e, goal),
-        [Basic::MustNot(e)] => apply_must_not_in(table, e, goal),
-        _ => {
-            let orders = order_budget(run);
-            // Truncating: `next` is 2³² once the ids are used up, and then
-            // the key only has to name *an* answer — drawing, or `reserve`
-            // after a hit, panics.
-            let first = if orders == 0 { 0 } else { channels.next as u32 };
-            let mut drawn = channels.clone();
-            let op = Op::Run(table.run_id(run), first);
-            let out = table.rewrite(op, goal, |_| apply_run(run, goal, &mut drawn));
-            if !out.is_nopath() {
-                channels.reserve(orders);
-            }
-            out
-        }
+    let out = Asked::new(table, run, channels.clone()).of(table, goal);
+    if !out.is_nopath() {
+        channels.reserve(order_budget(run));
     }
+    out
 }
 
-/// [`apply_normal_form`] through `table`.
+/// [`apply_normal_form`] through `table`: `Apply(C₁ ∨ … ∨ C_d, ·)` one
+/// alternative of the goal at a time,
+/// `Apply(C, A₁ ∨ … ∨ Aₘ) = ∨ᵢ Apply(C, Aᵢ)` (a goal that is no `∨` is
+/// its own single alternative).
 ///
-/// The disjuncts are independent — each rewrites the *same* input goal —
+/// An alternative that some disjunct hands back unchanged satisfies that
+/// disjunct on every execution, so `A ∧ (C₁ ∨ … ∨ C_d) ≡ A`
+/// (Propositions 5.2/5.4/5.6): it is the answer for itself as it stands,
+/// the disjuncts after it are not asked and what the ones before it built
+/// — subsets of `A` — is dropped. Only an alternative no disjunct holds on
+/// is multiplied by `d`. The result is what the literal rule
+/// `Apply(C₁, T) ∨ … ∨ Apply(C_d, T)` yields less those subsets, and `T`
+/// itself when every alternative was kept.
+///
+/// The disjuncts are independent — each rewrites the *same* alternative —
 /// and each draws its channels from a range set aside for it up front (see
-/// [`ChannelAlloc::reserve`]), so a disjunct's numbering does not depend
-/// on what the ones before it allocated.
+/// [`ChannelAlloc::reserve`]), the same for every alternative, like one
+/// sync walk over the whole `∨` uses one channel. The ranges are taken
+/// whatever becomes of the disjuncts, so the numbering of what follows is
+/// a function of the constraint list alone.
+///
+/// The whole normal form is one answer of the table at the root subgoal,
+/// keyed like a run by its interned disjuncts and the first channel set
+/// aside; below it every alternative is asked through the keys of
+/// [`Asked`], so an edit that changes a few alternatives recomputes those
+/// few.
 pub(crate) fn apply_normal_form_in<T: Table>(
     table: &mut T,
     nf: &NormalForm,
@@ -695,15 +807,55 @@ pub(crate) fn apply_normal_form_in<T: Table>(
     if let [only] = nf.disjuncts.as_slice() {
         return apply_run_in(table, only, goal, channels);
     }
-    let mut allocs: Vec<ChannelAlloc> = (nf.disjuncts.iter())
-        .map(|conj| channels.reserve(order_budget(conj)))
-        .collect();
-    or(nf
-        .disjuncts
-        .iter()
-        .zip(allocs.iter_mut())
-        .map(|(conj, alloc)| apply_run_in(table, conj, goal, alloc))
-        .collect())
+    let ranges = channels.clone();
+    for conj in &nf.disjuncts {
+        channels.reserve(order_budget(conj));
+    }
+    // Truncating, as in a run's key.
+    let drawn = channels.next != ranges.next;
+    let first = if drawn { ranges.next as u32 } else { 0 };
+    let op = Op::Normal(table.normal_id(nf), first);
+    table.rewrite(op, goal, |table| {
+        let alternatives = match goal {
+            Goal::Or(gs) => &gs[..],
+            single => std::slice::from_ref(single),
+        };
+        let mut ranges = ranges.clone();
+        let mut disjuncts: Vec<Asked> = (nf.disjuncts.iter())
+            .map(|conj| Asked::new(table, conj, ranges.reserve(order_budget(conj))))
+            .collect();
+        // As in `map_connective`: nothing is collected until an
+        // alternative comes back as anything but itself.
+        let mut out: Option<Vec<Goal>> = None;
+        let mut built = Vec::new();
+        for (i, alternative) in alternatives.iter().enumerate() {
+            let holds = disjuncts.iter_mut().any(|disjunct| {
+                let rewritten = disjunct.of(table, alternative);
+                // The same allocation, when the rule ran; a table may hand
+                // back an equal goal it recorded for an earlier copy of
+                // the alternative (`==` asks pointer and hash first).
+                let same = rewritten == *alternative;
+                if !same && !rewritten.is_nopath() {
+                    built.push(rewritten);
+                }
+                same
+            });
+            if holds {
+                built.clear();
+                if let Some(out) = &mut out {
+                    out.push(alternative.clone());
+                }
+            } else {
+                out.get_or_insert_with(|| {
+                    let mut kept = Vec::with_capacity(alternatives.len() + built.len());
+                    kept.extend_from_slice(&alternatives[..i]);
+                    kept
+                })
+                .append(&mut built);
+            }
+        }
+        out.map_or_else(|| goal.clone(), or)
+    })
 }
 
 /// [`apply_all`] through `table`. Consecutive constraints whose normal
@@ -783,7 +935,13 @@ pub fn apply_conjunct(conj: &Conjunct, goal: &Goal, channels: &mut ChannelAlloc)
 }
 
 /// `Apply` of one normalized constraint:
-/// `Apply(C₁ ∨ C₂, T) = Apply(C₁, T) ∨ Apply(C₂, T)`.
+/// `Apply(C₁ ∨ C₂, T) = Apply(C₁, T) ∨ Apply(C₂, T)`, one alternative of
+/// `T` at a time. An alternative some disjunct already holds on is kept as
+/// it stands instead of being joined by its own subsets, so the result is
+/// the literal rule's up to those absorbed alternatives — the same
+/// executions, a subset of its alternatives under the same channel
+/// numbers — and `T` itself when every alternative was kept. Every
+/// disjunct's channels are set aside whether it comes to draw them or not.
 pub fn apply_normal_form(nf: &NormalForm, goal: &Goal, channels: &mut ChannelAlloc) -> Goal {
     apply_normal_form_in(&mut Scratch, nf, goal, channels)
 }
@@ -791,8 +949,11 @@ pub fn apply_normal_form(nf: &NormalForm, goal: &Goal, channels: &mut ChannelAll
 /// `Apply(C, G)` for a whole constraint set `C = δ₁ ∧ … ∧ δₙ`
 /// (Definition 5.5): constraints are normalized (Corollary 3.5) and
 /// compiled in sequence, every stretch of them with a single disjunct each
-/// as one run. The output size is `O(d^N · |G|)` in the worst case
-/// (Theorem 5.11).
+/// as one run, every wider one per alternative of the goal built so far
+/// (see [`apply_normal_form`]). The output size is `O(d^N · |G|)` in the
+/// worst case (Theorem 5.11) — reached when no alternative a constraint
+/// meets already satisfies one of its disjuncts — and the result is the
+/// literal rule's up to absorbed alternatives.
 ///
 /// The result may still contain *knots* — cyclic send/receive waits — and
 /// must be passed through [`excise`](crate::excise::excise) before it is
@@ -832,16 +993,31 @@ pub fn apply_with(constraints: &[Constraint], goal: &Goal, _: Parallelism) -> Go
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::goal::possible;
+    use crate::gen::sharing_goal;
+
     use crate::semantics::{event_traces, satisfies};
     use crate::symbol::sym;
-    use crate::term::Atom;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::BTreeSet;
 
     const BUDGET: usize = 200_000;
+
+    /// The closed form of `run` — of one primitive, too — drawing from
+    /// `channels` what it uses.
+    fn apply_run(run: &[Basic], goal: &Goal, channels: &mut ChannelAlloc) -> Goal {
+        let mut closed = Run {
+            basics: run,
+            channels: channels.clone(),
+            plan: None,
+        };
+        let out = closed.apply(goal);
+        if !out.is_nopath() {
+            channels.reserve(order_budget(run));
+        }
+        out
+    }
 
     fn g(name: &str) -> Goal {
         Goal::atom(name)
@@ -1149,26 +1325,45 @@ mod tests {
     }
 
     #[test]
-    fn reapplying_a_clause_hands_back_the_terms_it_already_forced() {
-        // Applying a clause to its own output is not the identity on the
-        // `∨` (a term that forces one literal also spawns the variants
-        // forcing the others), but every term that survives unchanged is
-        // the same allocation — the outer dedup compares pointers.
+    fn reapplying_a_clause_is_the_identity() {
+        // Every term of a clause's output forces one of its literals, so
+        // a second application absorbs them all and hands the `∨` back —
+        // where the literal rule added, per term, the variants forcing
+        // the other literals.
         let (dnf, clauses) = sat_dnf();
         let once = apply(&clauses[4..5], &dnf);
-        let twice = apply(&clauses[4..5], &once);
-        let (Goal::Or(before), Goal::Or(after)) = (&once, &twice) else {
-            panic!("expected DNFs, got {once} and {twice}");
+        assert!(matches!(once, Goal::Or(_)), "got {once}");
+        assert!(apply(&clauses[4..5], &once).ptr_eq(&once));
+    }
+
+    #[test]
+    fn an_alternative_a_disjunct_holds_on_is_kept_as_it_is() {
+        // (a ∨ x) | (b ∨ y) under ¬∇a ∨ ¬∇b ∨ a<b, then ¬∇a ∨ ∇y: the
+        // alternative without `a` satisfies the second constraint as it
+        // stands and is not split into "without a" and "with y".
+        let t = conc(vec![or(vec![g("a"), g("x")]), or(vec![g("b"), g("y")])]);
+        let first = apply(&[Constraint::klein_order("a", "b")], &t);
+        let Goal::Or(alternatives) = &first else {
+            panic!("expected three alternatives, got {first}");
         };
-        for term in before.iter() {
-            let kept = after
-                .iter()
-                .find(|t| *t == term)
-                .unwrap_or_else(|| panic!("`{term}` satisfies the clause and must survive"));
-            assert!(kept.ptr_eq(term), "`{term}` was rebuilt");
-        }
-        // From the second application on, nothing is left to add.
-        assert_eq!(apply(&clauses[4..5], &twice), twice);
+        let without_a = &alternatives[0];
+        assert_eq!(*without_a, conc(vec![g("x"), or(vec![g("b"), g("y")])]));
+        let nf = Constraint::klein_exists("a", "y").normalize();
+        let second = apply_normal_form(&nf, &first, &mut ChannelAlloc::fresh_for(&first));
+        let Goal::Or(kept) = &second else {
+            panic!("expected alternatives, got {second}");
+        };
+        assert!(kept[0].ptr_eq(without_a));
+        assert!(!kept.contains(&conc(vec![g("x"), g("y")])));
+        assert_apply_equiv(
+            &[
+                Constraint::klein_order("a", "b"),
+                Constraint::klein_exists("a", "y"),
+            ],
+            &t,
+        );
+        // A goal that is no `∨` is its own single alternative.
+        assert!(apply_normal_form(&nf, without_a, &mut ChannelAlloc::new()).ptr_eq(without_a));
     }
 
     /// [`apply_run`] against [`apply_fold`] on one input, each drawing
@@ -1187,38 +1382,6 @@ mod tests {
             assert_eq!(drawn.next, folded.next, "run {run:?} on {goal}");
         }
         got
-    }
-
-    /// A goal over `events`, unique-event by construction: `⊗` and `|`
-    /// deal the pool out among their children, the branches of an `∨`
-    /// each draw on all of it (so they share events), and `◇` — whose
-    /// content does not occur — draws on `all`.
-    fn sharing_goal(rng: &mut StdRng, events: &[Symbol], all: &[Symbol], depth: usize) -> Goal {
-        if events.is_empty() || rng.gen_bool(0.05) {
-            return Goal::Empty;
-        }
-        if depth == 0 || events.len() == 1 || rng.gen_bool(0.15) {
-            return Goal::Atom(Atom::prop(events[rng.gen_range(0..events.len())]));
-        }
-        match rng.gen_range(0..10) {
-            0..=2 => or((0..rng.gen_range(2..=3))
-                .map(|_| sharing_goal(rng, events, all, depth - 1))
-                .collect()),
-            3 => isolated(sharing_goal(rng, events, all, depth - 1)),
-            4 => possible(sharing_goal(rng, all, all, depth - 1)),
-            kind => {
-                let (left, right) = events.split_at(rng.gen_range(1..events.len()));
-                let children = vec![
-                    sharing_goal(rng, left, all, depth - 1),
-                    sharing_goal(rng, right, all, depth - 1),
-                ];
-                if kind % 2 == 0 {
-                    seq(children)
-                } else {
-                    conc(children)
-                }
-            }
-        }
     }
 
     /// A goal of [`sharing_goal`] and a run of one to four basics, mostly

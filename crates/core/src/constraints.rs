@@ -320,7 +320,7 @@ pub type Conjunct = Vec<Basic>;
 ///
 /// The number of disjuncts is the `d` of Theorem 5.11: `Apply` multiplies
 /// the goal by at most `d` per constraint.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct NormalForm {
     /// The disjuncts; an execution satisfies the constraint iff it
     /// satisfies every basic of at least one disjunct. An empty disjunct

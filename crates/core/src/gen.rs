@@ -12,8 +12,9 @@
 //! Proposition 4.1.
 
 use crate::constraints::Constraint;
-use crate::goal::{conc, or, seq, Goal};
+use crate::goal::{conc, isolated, or, possible, seq, Goal};
 use crate::symbol::{sym, Symbol};
+use crate::term::Atom;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -150,6 +151,53 @@ pub fn klein_chain(k: usize) -> Vec<Constraint> {
             Constraint::klein_order(a, b)
         })
         .collect()
+}
+
+/// `k` Klein order constraints no two of which share an event, over a `|`
+/// of `2k` binary choices `p{i} ∨ q{i}`: no alternative one of them yields
+/// satisfies another ahead of time, so `Apply` reaches the `3^k`
+/// alternatives of Theorem 5.11's worst case.
+pub fn independent_kleins(k: usize) -> (Goal, Vec<Constraint>) {
+    let name = |side: &str, i: usize| sym(&format!("{side}{i}"));
+    let choice = |i| or(vec![Goal::atom(name("p", i)), Goal::atom(name("q", i))]);
+    let goal = conc((0..2 * k).map(choice).collect());
+    let constraints = (0..k)
+        .map(|i| Constraint::klein_order(name("p", 2 * i), name("p", 2 * i + 1)))
+        .collect();
+    (goal, constraints)
+}
+
+/// A goal over `events`, unique-event by construction, that uses every
+/// connective: `⊗` and `|` deal the pool out among their children, the
+/// branches of an `∨` each draw on all of it (so they share events), `⊙`
+/// wraps, `ε` appears, and `◇` — whose content does not occur — draws on
+/// `all`.
+pub fn sharing_goal(rng: &mut StdRng, events: &[Symbol], all: &[Symbol], depth: usize) -> Goal {
+    if events.is_empty() || rng.gen_bool(0.05) {
+        return Goal::Empty;
+    }
+    if depth == 0 || events.len() == 1 || rng.gen_bool(0.15) {
+        return Goal::Atom(Atom::prop(events[rng.gen_range(0..events.len())]));
+    }
+    match rng.gen_range(0..10) {
+        0..=2 => or((0..rng.gen_range(2..=3))
+            .map(|_| sharing_goal(rng, events, all, depth - 1))
+            .collect()),
+        3 => isolated(sharing_goal(rng, events, all, depth - 1)),
+        4 => possible(sharing_goal(rng, all, all, depth - 1)),
+        kind => {
+            let (left, right) = events.split_at(rng.gen_range(1..events.len()));
+            let children = vec![
+                sharing_goal(rng, left, all, depth - 1),
+                sharing_goal(rng, right, all, depth - 1),
+            ];
+            if kind % 2 == 0 {
+                seq(children)
+            } else {
+                conc(children)
+            }
+        }
+    }
 }
 
 /// `k` plain order constraints (`d = 1`) over a pipeline's tasks:

@@ -19,9 +19,9 @@
 //!    therefore share one id, and re-encountering a cached `Arc` costs one
 //!    pointer compare.
 //! 2. [`Memo`] — the answers, keyed on `(op, event, node_id)`: `∇α`,
-//!    `¬∇α`, `sync` at a fixed channel, a whole *run* of basics,
-//!    `simplify`, per-region `Excise` outcomes, and normal forms per
-//!    constraint. An order draws a fresh channel, so what it compiles to
+//!    `¬∇α`, `sync` at a fixed channel, a whole *run* of basics, a whole
+//!    normal form of several disjuncts, `simplify`, per-region `Excise`
+//!    outcomes, and normal forms per constraint. An order draws a fresh channel, so what it compiles to
 //!    depends on allocator state: a run — a stretch of constraints with
 //!    one disjunct each, or one conjunct of a wider normal form — is an
 //!    answer at its root subgoal keyed on its interned basics *and* the
@@ -162,6 +162,9 @@ pub struct Memo {
     /// The basics of every run asked about, interned to the id that
     /// stands for them in [`Op::Run`].
     runs: HashMap<Box<[Basic]>, u32, FxBuildHasher>,
+    /// The same for every normal form of two or more disjuncts, and
+    /// [`Op::Normal`].
+    normals: HashMap<NormalForm, u32, FxBuildHasher>,
     hits: u64,
     misses: u64,
 }
@@ -234,6 +237,17 @@ impl Table for Memo {
         self.runs.insert(run.into(), id);
         id
     }
+
+    fn normal_id(&mut self, nf: &NormalForm) -> u32 {
+        if let Some(&id) = self.normals.get(nf) {
+            self.hits += 1;
+            return id;
+        }
+        self.misses += 1;
+        let id = u32::try_from(self.normals.len()).expect("fewer than 2^32 distinct normal forms");
+        self.normals.insert(nf.clone(), id);
+        id
+    }
 }
 
 impl Memo {
@@ -251,7 +265,8 @@ impl Memo {
             entries: self.rewrites.len()
                 + self.excise.len()
                 + self.normal_forms.len()
-                + self.runs.len(),
+                + self.runs.len()
+                + self.normals.len(),
             interned: self.table.len(),
         }
     }
@@ -330,7 +345,8 @@ impl Memo {
     /// [`crate::apply::apply_all`]. On a warm table, re-running an
     /// unchanged constraint prefix costs one top-level hit per run and
     /// per wider constraint; a run that changed anywhere is recomputed
-    /// whole, in two walks of the goal.
+    /// whole, in two walks of the goal, and a wider constraint for the
+    /// alternatives that changed.
     pub fn apply_all(
         &mut self,
         constraints: &[Constraint],
@@ -626,6 +642,103 @@ mod tests {
         assert_eq!(later.fresh(), Channel(3));
     }
 
+    #[test]
+    fn channel_numbering_is_a_function_of_the_constraint_list() {
+        // Every disjunct's range is set aside whether the disjunct drew
+        // from it, came to ¬path, was never asked because its alternative
+        // was absorbed, or the whole normal form was one hit at the root:
+        // otherwise a warm session and a cold compile would number the
+        // orders that follow differently.
+        let goal = seq(vec![
+            g("a"),
+            conc(vec![or(vec![g("b"), g("c")]), or(vec![g("d"), g("e")])]),
+            g("f"),
+            conc(vec![g("h"), g("i")]),
+        ]);
+        let constraints = vec![
+            // ¬∇b ∨ ¬∇d ∨ (b < d): the third disjunct draws ξ0.
+            Constraint::klein_order("b", "d"),
+            // ¬∇zzz holds on every alternative: absorbed whole, ξ1 unused.
+            Constraint::klein_order("zzz", "d"),
+            // ∇zzz comes to ¬path; the order draws ξ2.
+            Constraint::or(vec![Constraint::must("zzz"), Constraint::order("h", "i")]),
+            Constraint::klein_order("c", "e"),
+            // One run of two plain orders: ξ4, ξ5.
+            Constraint::order("a", "f"),
+            Constraint::order("a", "i"),
+        ];
+        let mut channels = ChannelAlloc::new();
+        let untabled = crate::apply::apply_all(&constraints, &goal, &mut channels);
+        assert_eq!(channels.fresh(), Channel(6));
+        let xis: Vec<Channel> = untabled.channels().into_iter().collect();
+        assert_eq!(xis, [0, 2, 3, 4, 5].map(Channel));
+        let mut memo = Memo::new();
+        for pass in ["cold", "warm"] {
+            let mut channels = ChannelAlloc::new();
+            let tabled = memo.apply_all(&constraints, &goal, &mut channels);
+            assert_eq!(tabled, untabled, "{pass}");
+            assert_eq!(channels.fresh(), Channel(6), "{pass}");
+        }
+        // A head edit and its undo, through one warm session.
+        let mut an = Analyzer::new(&goal, &constraints).unwrap();
+        let original = analysis::compile(&goal, &constraints).unwrap().goal;
+        assert_eq!(an.compiled().goal, original);
+        let mut edited = constraints.clone();
+        edited[0] = Constraint::klein_order("c", "d");
+        let old = an.replace_constraint(0, edited[0].clone());
+        assert_eq!(
+            an.compiled().goal,
+            analysis::compile(&goal, &edited).unwrap().goal
+        );
+        an.replace_constraint(0, old);
+        assert_eq!(an.compiled().goal, original);
+        // An unsatisfiable tail: ¬path either way, the allocator alike.
+        let mut dead = constraints;
+        dead.push(Constraint::or(vec![
+            Constraint::must("zzz"),
+            Constraint::order("f", "a"),
+        ]));
+        dead.push(Constraint::and(vec![
+            Constraint::must("b"),
+            Constraint::must("c"),
+        ]));
+        let mut channels = ChannelAlloc::new();
+        assert!(crate::apply::apply_all(&dead, &goal, &mut channels).is_nopath());
+        let mut tabled_channels = ChannelAlloc::new();
+        assert!(memo
+            .apply_all(&dead, &goal, &mut tabled_channels)
+            .is_nopath());
+        assert_eq!(channels.fresh(), tabled_channels.fresh());
+    }
+
+    #[test]
+    fn an_alternative_recorded_earlier_is_absorbed_like_a_fresh_one() {
+        // After an edit the goal reaches a clause as new allocations of
+        // alternatives the table has already answered about; the recorded
+        // answer to "does this literal hold" is then an *equal* goal, not
+        // the same one, and has to count all the same.
+        let inst = crate::gen::random_3sat(7, 10, 43);
+        let (goal, clauses) = crate::gen::sat_to_workflow(&inst);
+        let mut an = Analyzer::new(&goal, &clauses).unwrap();
+        assert_eq!(
+            an.compiled().goal,
+            analysis::compile(&goal, &clauses).unwrap().goal
+        );
+        let last = an.remove_constraint(clauses.len() - 1);
+        let head = &clauses[..clauses.len() - 1];
+        assert_eq!(
+            an.compiled().goal,
+            analysis::compile(&goal, head).unwrap().goal
+        );
+        an.replace_constraint(0, last);
+        let mut edited = head.to_vec();
+        edited[0] = clauses[clauses.len() - 1].clone();
+        assert_eq!(
+            an.compiled().goal,
+            analysis::compile(&goal, &edited).unwrap().goal
+        );
+    }
+
     /// The script's nine event names, drawn so that no name's bloom mask is
     /// covered by the union of the others' and `may_mention` never answers
     /// "maybe" for an absent one. A mask is a function of the id the
@@ -662,7 +775,12 @@ mod tests {
     /// one answer keyed at its root subgoal by (interned basics, first
     /// channel), where every `∇`, `¬∇` and `sync` stage used to be an
     /// answer at every connective below it. A run of one `∇` or `¬∇` is
-    /// still that primitive, tabled per subgoal.
+    /// still that primitive, tabled per subgoal. A normal form of two or
+    /// more disjuncts is keyed at two levels (cold compile 16 → 18 misses,
+    /// the replays 14 → 10 and 28 → 20 hits): whole, at the root subgoal,
+    /// by (interned disjuncts, first channel set aside) — a replayed
+    /// constraint is that one probe, where it was one per disjunct — and
+    /// below it per alternative of the goal, through its disjuncts' keys.
     #[test]
     fn table_granularity_is_pinned() {
         let [a, b, c, d, e, f, h, i, j] = collision_free_events();
@@ -689,13 +807,13 @@ mod tests {
         };
         let mut an = Analyzer::new(&goal, &constraints).unwrap();
         an.compiled();
-        assert_eq!(an.stats(), stats(0, 16, 16, 7), "cold compile");
+        assert_eq!(an.stats(), stats(0, 18, 18, 7), "cold compile");
         an.verify(&Constraint::klein_order(ev(&a), ev(&j)));
         an.verify(&Constraint::must(ev(&f)));
-        assert_eq!(an.stats(), stats(14, 23, 23, 8), "two verifications");
+        assert_eq!(an.stats(), stats(10, 25, 25, 8), "two verifications");
         an.replace_constraint(1, Constraint::order(ev(&e), ev(&i)));
         an.minimize_constraints();
-        assert_eq!(an.stats(), stats(28, 65, 65, 31), "edit, then minimize");
+        assert_eq!(an.stats(), stats(20, 68, 68, 31), "edit, then minimize");
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //! which is what lets this one install a counting allocator; the counter
 //! is per thread because the harness runs tests side by side.
 
-use ctr::apply::{apply, apply_must, apply_normal_form, ChannelAlloc};
+use ctr::apply::{apply, apply_conjunct, apply_must, apply_normal_form, ChannelAlloc};
+use ctr::constraints::{Basic, Constraint, NormalForm};
 use ctr::excise::excise;
-use ctr::gen::{order_chain, pipeline_workflow, random_3sat, sat_to_workflow};
-use ctr::goal::Goal;
+use ctr::gen::{independent_kleins, order_chain, pipeline_workflow, random_3sat, sat_to_workflow};
+use ctr::goal::{or, Goal};
 use ctr::sym;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -71,12 +72,17 @@ fn bytes_requested<R>(f: impl FnOnce() -> R) -> (R, u64) {
     (out, BYTES.with(Cell::get) - before)
 }
 
-/// Number of `|`-terms of a DNF (1 for a goal that is a single term).
-fn terms(goal: &Goal) -> u64 {
+/// The `|`-terms of a DNF (a goal that is a single term is its own).
+fn dnf_terms(goal: &Goal) -> &[Goal] {
     match goal {
-        Goal::Or(gs) => gs.len() as u64,
-        _ => 1,
+        Goal::Or(gs) => gs,
+        single => std::slice::from_ref(single),
     }
+}
+
+/// Number of `|`-terms of a DNF.
+fn terms(goal: &Goal) -> u64 {
+    dnf_terms(goal).len() as u64
 }
 
 #[test]
@@ -91,30 +97,124 @@ fn must_of_a_forced_event_allocates_nothing() {
     assert_eq!(count, 0, "re-forcing α walked {} terms", terms(&forced));
 }
 
+/// The (term, literal) pairs of `clause` on `dnf` that build something:
+/// per term, the literals whose lane is still open in it, up to the first
+/// literal the term already forces.
+fn building_pairs(clause: &NormalForm, dnf: &Goal) -> u64 {
+    let mut pairs = 0;
+    for term in dnf_terms(dnf) {
+        for literal in &clause.disjuncts {
+            let [Basic::Must(literal)] = literal[..] else {
+                panic!("a clause is a disjunction of ∇-literals");
+            };
+            let forced = apply_must(literal, term);
+            if forced.ptr_eq(term) {
+                break;
+            }
+            pairs += u64::from(!forced.is_nopath());
+        }
+    }
+    pairs
+}
+
 #[test]
 fn a_clause_costs_a_fixed_count_per_term_and_literal() {
-    // Per (term, literal): the spliced child vector and its `Arc`, when
-    // the literal's lane is still open; nothing when it is forced either
-    // way. Per clause on top: for each literal the alternatives of the
-    // `∨` walk, the dedup's two flat arrays and the new `∨` node, the
-    // same again for the outer `∨`, and the channel ranges. The most any
-    // clause below needs beyond two per pair is 10.
+    // A clause meets the terms one at a time. Per (term, literal): the
+    // spliced child vector and its `Arc`, when the literal's lane is still
+    // open; nothing when it is forced either way. A literal the term
+    // already forces ends the term: it stays as it is, the literals after
+    // it are not asked — a term its first literal forces costs the whole
+    // clause nothing, where rewriting the whole `∨` per literal paid 2 per
+    // open lane of every term — and what the literals before it built is
+    // dropped, not kept. Per clause on top: the vector a term's variants
+    // are gathered in, the output vector and its doublings, the dedup's
+    // two flat arrays and the new `∨` node.
     const PER_TERM_AND_LITERAL: u64 = 2;
     const PER_CLAUSE: u64 = 16;
     for (seed, vars) in [(1, 6), (2, 8), (3, 10)] {
         let (goal, clauses) = sat_to_workflow(&random_3sat(seed, vars, 4 * vars));
         let mut channels = ChannelAlloc::new();
         let mut current = goal;
+        let mut ended_early = 0;
         for clause in &clauses {
             let nf = clause.normalize();
-            let pairs = terms(&current) * nf.disjunct_count() as u64;
+            let pairs = building_pairs(&nf, &current);
+            ended_early += terms(&current) * nf.disjunct_count() as u64 - pairs;
             let (next, count) = allocations(|| apply_normal_form(&nf, &current, &mut channels));
             assert!(
                 count <= PER_TERM_AND_LITERAL * pairs + PER_CLAUSE,
-                "seed {seed}: {count} allocations for {pairs} (term, literal) pairs"
+                "seed {seed}: {count} allocations for {pairs} building (term, literal) pairs"
             );
             current = next;
         }
+        assert!(ended_early > 0, "seed {seed}: no term forced a literal");
+    }
+}
+
+#[test]
+fn a_clause_every_term_satisfies_allocates_nothing_per_term() {
+    // Every term of a clause's own output forces one of its literals: the
+    // second application hands the `∨` back. Where the forcing literal is
+    // each term's first, all it asks the allocator for is the vector the
+    // clause's disjuncts are made ready in.
+    let (goal, clauses) = sat_to_workflow(&random_3sat(5, 8, 12));
+    let dnf = apply(&clauses[..4], &goal);
+    let nf = clauses[4].normalize();
+    let once = apply_normal_form(&nf, &dnf, &mut ChannelAlloc::new());
+    assert!(terms(&once) > 16, "want a DNF past the inline dedup scan");
+    let twice = apply_normal_form(&nf, &once, &mut ChannelAlloc::new());
+    assert!(twice.ptr_eq(&once));
+    let forced = apply_conjunct(&nf.disjuncts[0], &once, &mut ChannelAlloc::new());
+    assert!(terms(&forced) > 16);
+    let (again, count) = allocations(|| apply_normal_form(&nf, &forced, &mut ChannelAlloc::new()));
+    assert!(again.ptr_eq(&forced));
+    assert_eq!(
+        count,
+        1,
+        "{} terms, each forcing the first literal",
+        terms(&forced)
+    );
+}
+
+/// The literal rule on `constraints`, `Apply(C₁, T) ∨ … ∨ Apply(C_d, T)`
+/// with `T` the whole goal built so far, numbered like `apply`.
+fn apply_literal(constraints: &[Constraint], goal: &Goal) -> Goal {
+    let mut channels = ChannelAlloc::new();
+    constraints.iter().fold(goal.clone(), |current, c| {
+        let orders = |conj: &[Basic]| {
+            conj.iter()
+                .filter(|b| matches!(b, Basic::Order(..)))
+                .count()
+        };
+        let nf = c.normalize();
+        let mut ranges: Vec<ChannelAlloc> = (nf.disjuncts.iter())
+            .map(|conj| channels.reserve(orders(conj) as u32))
+            .collect();
+        or((nf.disjuncts.iter().zip(&mut ranges))
+            .map(|(conj, range)| apply_conjunct(conj, &current, range))
+            .collect())
+    })
+}
+
+#[test]
+fn a_clause_no_term_satisfies_costs_no_more_than_the_literal_rule() {
+    // Where nothing is absorbed the per-alternative loop must not be the
+    // slower path: it makes the same rewrites of the same alternatives,
+    // and one `∨` per constraint where the literal rule builds one per
+    // disjunct and another around them.
+    for k in [6, 8] {
+        let (goal, constraints) = independent_kleins(k);
+        let ((literal, literal_count), literal_bytes) =
+            bytes_requested(|| allocations(|| apply_literal(&constraints, &goal)));
+        let ((absorbed, count), bytes) =
+            bytes_requested(|| allocations(|| apply(&constraints, &goal)));
+        assert_eq!(terms(&absorbed), 3u64.pow(k as u32));
+        assert_eq!(absorbed.size(), literal.size());
+        assert!(
+            count <= literal_count && bytes <= literal_bytes,
+            "k = {k}: {count} allocations and {bytes} bytes, the literal rule \
+             {literal_count} and {literal_bytes}"
+        );
     }
 }
 
