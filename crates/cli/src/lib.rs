@@ -220,22 +220,23 @@ fn parse_fault_plan(spec: &str, seed: u64) -> Result<ctr_runtime::FaultPlan, Cli
     Ok(plan)
 }
 
-/// `ctr enact`: run the compiled schedule through the fault-tolerant
-/// dispatcher — activities complete instantly unless the `--faults` plan
-/// injects failures — and print the per-attempt log, committed trace,
+/// `ctr enact`: deploy the specification on a fresh runtime, enact the
+/// deployment through the fault-tolerant dispatcher
+/// ([`ctr_runtime::Runtime::enact`]) — activities complete instantly
+/// unless the `--faults` plan injects failures — and print the
+/// per-attempt log, committed trace,
 /// and (on abort) the typed error with the compensation-relevant prefix.
 /// Deterministic for a fixed `(spec, options)` pair.
 pub fn cmd_enact(input: &str, opts: &EnactOptions) -> Result<String, CliError> {
-    use ctr_runtime::{AttemptOutcome, ChoicePolicy, RetryPolicy};
-    let spec = load(input)?;
-    let compiled = compile_spec(&spec)?;
-    if !compiled.is_consistent() {
-        return Err(CliError::analysis(
-            "inconsistent specification: nothing to enact\n",
-        ));
-    }
-    let program =
-        Program::compile(&compiled.goal).map_err(|e| CliError::analysis(format!("{e}\n")))?;
+    use ctr_runtime::{AttemptOutcome, ChoicePolicy, RetryPolicy, Runtime, RuntimeError};
+    let mut runtime = Runtime::new();
+    let name = runtime.deploy_source(input).map_err(|e| match e {
+        RuntimeError::Inconsistent(_) => {
+            CliError::analysis("inconsistent specification: nothing to enact\n")
+        }
+        RuntimeError::Compile(message) => CliError::usage(message),
+        e => CliError::usage(e.to_string()),
+    })?;
     let mut policy = RetryPolicy::attempts(opts.attempts.max(1));
     if let Some(ms) = opts.timeout_ms {
         policy = policy.with_timeout(std::time::Duration::from_millis(ms));
@@ -251,13 +252,15 @@ pub fn cmd_enact(input: &str, opts: &EnactOptions) -> Result<String, CliError> {
         })?;
         enactor.compensate(event, undo);
     }
-    let report = enactor.run_report(&program);
+    let report = runtime
+        .enact(&name, &enactor)
+        .map_err(|e| CliError::analysis(format!("{e}\n")))?;
 
     let mut out = String::new();
     let _ = writeln!(
         out,
         "enacting `{}` (seed {}, attempts {}{})",
-        spec.name,
+        name,
         opts.seed,
         opts.attempts.max(1),
         match opts.timeout_ms {

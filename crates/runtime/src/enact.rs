@@ -54,11 +54,25 @@
 //! their completions go nowhere. This is inherent to timing out real
 //! work — the compensation plan in the report is the tool for undoing
 //! what such stragglers may have externally committed.
+//!
+//! ## One clock
+//!
+//! Every wait of a run is an entry on one [`TimerWheel`], counted in µs
+//! since the run started: a timer tick's due, a retry's backoff, an
+//! attempt's timeout. Each turn of the loop reads the elapsed time once,
+//! settles the completions that arrived, pops what is due, dispatches,
+//! and sleeps until the wheel's next due or the next completion. The
+//! ticks are the deployment's timer table (`Deployment::new` builds it;
+//! [`Enactor::run_report`] builds the same table for a bare program).
+//! Durations saturate into the wheel's `u64`, so `Duration::MAX` means
+//! "never".
 
+use crate::wheel::{TimerToken, TimerWheel};
+use crate::DeployedTimer;
 use ctr::goal::Goal;
 use ctr::symbol::Symbol;
 use ctr::term::Atom;
-use ctr::timer::{parse_tick, render_delay, TimerKind};
+use ctr::timer::render_delay;
 use ctr_engine::scheduler::{Choice, Program, Scheduler};
 use ctr_workflow::compensation::{compensation_plan, SagaStep};
 use std::collections::{BTreeMap, BTreeSet};
@@ -180,9 +194,17 @@ impl RetryPolicy {
         if !self.jitter || base.is_zero() {
             return base;
         }
-        let span = (base.as_nanos() / 2).max(1) as u64;
-        base + Duration::from_nanos(splitmix(salt ^ u64::from(next_attempt)) % span)
+        let span = u64::try_from(base.as_nanos() / 2).map_or(u64::MAX, |s| s.max(1));
+        base.saturating_add(Duration::from_nanos(
+            splitmix(salt ^ u64::from(next_attempt)) % span,
+        ))
     }
+}
+
+/// `d` in whole µs, the wheel's unit, saturating: `Duration::MAX` is a due
+/// that never comes.
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 /// One injected fault, applied to every attempt it matches *before* the
@@ -292,7 +314,8 @@ pub struct AttemptRecord {
 /// failure by [`Enactor::run_report`].
 #[derive(Clone, Debug)]
 pub struct EnactReport {
-    /// The committed trace (every fired atom, silent steps included).
+    /// The committed trace: the atom of every fired event node, in commit
+    /// order. Silent steps carry no atom and leave no entry.
     pub trace: Vec<Atom>,
     /// The committed observable events, in commit order.
     pub completed: Vec<Symbol>,
@@ -369,8 +392,7 @@ pub enum EnactError {
     /// the knot-free guarantee).
     Deadlock,
     /// A worker thread ended without reporting a result on every allowed
-    /// attempt (detected by the send-on-drop sentinel), or the
-    /// completion channel disconnected with work outstanding.
+    /// attempt (detected by the send-on-drop sentinel).
     WorkerLost {
         /// Events committed before the worker vanished.
         completed: Vec<Symbol>,
@@ -388,31 +410,6 @@ impl EnactError {
             | EnactError::DeadlineExpired { completed, .. }
             | EnactError::WorkerLost { completed } => completed,
             EnactError::Deadlock => &[],
-        }
-    }
-
-    fn with_completed(self, completed: Vec<Symbol>) -> EnactError {
-        match self {
-            EnactError::HandlerFailed { event, reason, .. } => EnactError::HandlerFailed {
-                event,
-                reason,
-                completed,
-            },
-            EnactError::HandlerPanicked { event, message, .. } => EnactError::HandlerPanicked {
-                event,
-                message,
-                completed,
-            },
-            EnactError::TimedOut { event, .. } => EnactError::TimedOut { event, completed },
-            EnactError::DeadlineExpired {
-                event, delay_ms, ..
-            } => EnactError::DeadlineExpired {
-                event,
-                delay_ms,
-                completed,
-            },
-            EnactError::WorkerLost { .. } => EnactError::WorkerLost { completed },
-            EnactError::Deadlock => EnactError::Deadlock,
         }
     }
 }
@@ -452,17 +449,11 @@ impl std::error::Error for EnactError {}
 // Worker protocol
 // ---------------------------------------------------------------------------
 
-/// A worker's completion verdict.
-enum Verdict {
-    Ok,
-    Fail(String),
-    Panic(String),
-    Lost,
-}
-
+/// A worker's report: how the attempt under `ticket` ended. Never
+/// [`AttemptOutcome::TimedOut`] — only the dispatcher's clock says that.
 struct Done {
     ticket: u64,
-    verdict: Verdict,
+    outcome: AttemptOutcome,
 }
 
 /// The send-on-drop sentinel: every worker owns one, so *some* message
@@ -475,12 +466,16 @@ struct SendGuard {
 }
 
 impl SendGuard {
-    fn complete(mut self, verdict: Verdict) {
+    fn complete(mut self, outcome: AttemptOutcome) {
+        self.send(outcome);
+    }
+
+    fn send(&mut self, outcome: AttemptOutcome) {
         if let Some(tx) = self.tx.take() {
             // The loop may have aborted already; a closed channel is fine.
             let _ = tx.send(Done {
                 ticket: self.ticket,
-                verdict,
+                outcome,
             });
         }
     }
@@ -488,12 +483,7 @@ impl SendGuard {
 
 impl Drop for SendGuard {
     fn drop(&mut self) {
-        if let Some(tx) = self.tx.take() {
-            let _ = tx.send(Done {
-                ticket: self.ticket,
-                verdict: Verdict::Lost,
-            });
-        }
+        self.send(AttemptOutcome::Lost);
     }
 }
 
@@ -521,16 +511,64 @@ struct Pending {
     node: usize,
     event: Symbol,
     attempt: u32,
-    started: Instant,
-    deadline: Option<Instant>,
+    /// Dispatch time, in µs since the run started.
+    started: u64,
+    /// Its [`Wake::Timeout`] entry, if the policy sets a timeout.
+    timeout: Option<TimerToken>,
     policy: RetryPolicy,
 }
 
-/// One scheduled retry, waiting out its backoff.
-struct QueuedRetry {
-    due: Instant,
-    node: usize,
-    attempt: u32,
+/// What an entry on the run's wheel wakes the loop for.
+enum Wake {
+    /// The `i`-th timer of the run's table came due.
+    Tick(usize),
+    /// Attempt `attempt` of `node` has waited out its backoff.
+    Retry { node: usize, attempt: u32 },
+    /// The attempt under this ticket ran out of time.
+    Timeout(u64),
+}
+
+/// Why a run stopped short. It becomes an [`EnactError`] once, when the
+/// committed prefix is known.
+enum Abort {
+    /// The activity's last allowed attempt ended so.
+    Exhausted(Symbol, AttemptOutcome),
+    /// The deadline on the event, due this many ms after the start,
+    /// came due before the event committed.
+    Deadline(Symbol, u64),
+    Deadlock,
+}
+
+impl Abort {
+    fn into_error(self, completed: Vec<Symbol>) -> EnactError {
+        match self {
+            Abort::Exhausted(event, outcome) => {
+                let event = event.to_string();
+                match outcome {
+                    AttemptOutcome::Failed(reason) => EnactError::HandlerFailed {
+                        event,
+                        reason,
+                        completed,
+                    },
+                    AttemptOutcome::Panicked(message) => EnactError::HandlerPanicked {
+                        event,
+                        message,
+                        completed,
+                    },
+                    AttemptOutcome::TimedOut => EnactError::TimedOut { event, completed },
+                    AttemptOutcome::Lost | AttemptOutcome::Success => {
+                        EnactError::WorkerLost { completed }
+                    }
+                }
+            }
+            Abort::Deadline(event, delay_ms) => EnactError::DeadlineExpired {
+                event: event.to_string(),
+                delay_ms,
+                completed,
+            },
+            Abort::Deadlock => EnactError::Deadlock,
+        }
+    }
 }
 
 /// The per-run dispatch state, split out of the main loop so attempt
@@ -538,16 +576,18 @@ struct QueuedRetry {
 struct Dispatch<'e> {
     enactor: &'e Enactor,
     tx: mpsc::Sender<Done>,
+    /// Every wait of the run, in µs since it started.
+    wheel: TimerWheel<Wake>,
     pending: BTreeMap<u64, Pending>,
+    /// Nodes with an attempt in flight or a retry on the wheel.
     busy: BTreeSet<usize>,
-    retries: Vec<QueuedRetry>,
     log: Vec<AttemptRecord>,
     next_ticket: u64,
 }
 
 impl Dispatch<'_> {
-    /// Spawns a detached worker for attempt `attempt` of `node`.
-    fn spawn(&mut self, node: usize, atom: &Atom, attempt: u32) {
+    /// Spawns a detached worker for attempt `attempt` of `node` at `now`.
+    fn spawn(&mut self, node: usize, atom: &Atom, attempt: u32, now: u64) {
         let event = atom
             .as_event()
             .unwrap_or_else(|| Symbol::intern(&atom.to_string()));
@@ -558,7 +598,10 @@ impl Dispatch<'_> {
             .unwrap_or(&self.enactor.default_retry);
         let ticket = self.next_ticket;
         self.next_ticket += 1;
-        let started = Instant::now();
+        let timeout = policy.timeout.map(|t| {
+            self.wheel
+                .arm(now.saturating_add(micros(t)), Wake::Timeout(ticket))
+        });
         self.busy.insert(node);
         self.pending.insert(
             ticket,
@@ -566,8 +609,8 @@ impl Dispatch<'_> {
                 node,
                 event,
                 attempt,
-                started,
-                deadline: policy.timeout.map(|t| started + t),
+                started: now,
+                timeout,
                 policy,
             },
         );
@@ -609,68 +652,55 @@ impl Dispatch<'_> {
                 }
             }));
             guard.complete(match result {
-                Ok(Ok(())) => Verdict::Ok,
-                Ok(Err(reason)) => Verdict::Fail(reason),
-                Err(payload) => Verdict::Panic(panic_message(&*payload)),
+                Ok(Ok(())) => AttemptOutcome::Success,
+                Ok(Err(reason)) => AttemptOutcome::Failed(reason),
+                Err(payload) => AttemptOutcome::Panicked(panic_message(&*payload)),
             });
         });
     }
 
-    /// Records a failed attempt and either schedules a retry (returning
-    /// `None`) or produces the fatal error (with `completed` left for
-    /// the caller to fill in).
-    fn after_failure(&mut self, p: Pending, outcome: AttemptOutcome) -> Option<EnactError> {
+    /// Logs how attempt `p` ended at `now` and disarms its timeout. A
+    /// success frees the node and returns it, for the caller to fire;
+    /// any other outcome arms the retry, or — the attempts spent — is the
+    /// run's abort reason.
+    fn finish(
+        &mut self,
+        p: Pending,
+        outcome: AttemptOutcome,
+        now: u64,
+    ) -> Result<Option<usize>, Abort> {
+        if let Some(token) = p.timeout {
+            self.wheel.cancel(token);
+        }
         let latency = match outcome {
             AttemptOutcome::TimedOut => p.policy.timeout.unwrap_or_default(),
-            _ => p.started.elapsed(),
+            _ => Duration::from_micros(now.saturating_sub(p.started)),
         };
+        let success = outcome == AttemptOutcome::Success;
+        let spent = !success && p.attempt >= p.policy.max_attempts;
+        let abort = spent.then(|| Abort::Exhausted(p.event, outcome.clone()));
         self.log.push(AttemptRecord {
             event: p.event,
             attempt: p.attempt,
-            outcome: outcome.clone(),
+            outcome,
             latency,
         });
-        if p.attempt < p.policy.max_attempts {
-            let salt =
-                self.enactor.seed ^ self.enactor.faults.seed ^ (u64::from(p.event.index()) << 32);
-            let due = Instant::now() + p.policy.delay_before(p.attempt + 1, salt);
-            self.retries.push(QueuedRetry {
-                due,
-                node: p.node,
-                attempt: p.attempt + 1,
-            });
-            return None;
+        if success {
+            self.busy.remove(&p.node);
+            return Ok(Some(p.node));
         }
-        let event = p.event.to_string();
-        Some(match outcome {
-            AttemptOutcome::Failed(reason) => EnactError::HandlerFailed {
-                event,
-                reason,
-                completed: Vec::new(),
-            },
-            AttemptOutcome::Panicked(message) => EnactError::HandlerPanicked {
-                event,
-                message,
-                completed: Vec::new(),
-            },
-            AttemptOutcome::TimedOut => EnactError::TimedOut {
-                event,
-                completed: Vec::new(),
-            },
-            AttemptOutcome::Lost | AttemptOutcome::Success => EnactError::WorkerLost {
-                completed: Vec::new(),
-            },
-        })
-    }
-
-    /// The next instant the loop must act without a message: the
-    /// earliest attempt deadline or retry due time.
-    fn next_wake(&self) -> Option<Instant> {
-        self.pending
-            .values()
-            .filter_map(|p| p.deadline)
-            .chain(self.retries.iter().map(|r| r.due))
-            .min()
+        if let Some(abort) = abort {
+            return Err(abort);
+        }
+        let salt =
+            self.enactor.seed ^ self.enactor.faults.seed ^ (u64::from(p.event.index()) << 32);
+        let backoff = micros(p.policy.delay_before(p.attempt + 1, salt));
+        let retry = Wake::Retry {
+            node: p.node,
+            attempt: p.attempt + 1,
+        };
+        self.wheel.arm(now.saturating_add(backoff), retry);
+        Ok(None)
     }
 }
 
@@ -781,38 +811,25 @@ impl Enactor {
     /// that blocks forever *without* a configured timeout blocks the run
     /// by design (the caller asked to wait).
     pub fn run_report(&self, program: &Program) -> EnactReport {
-        let run_started = Instant::now();
-        let mut scheduler = Scheduler::new(program);
+        let events = (0..program.len()).filter_map(|node| program.event(node)?.as_event());
+        self.run_timed(program, &DeployedTimer::table(events))
+    }
 
-        // Timer ticks are wall-clock alarms, not activities: an event
-        // node named by the tick scheme is never dispatched to a worker.
-        // An `after` tick fires when its delay (from run start) elapses,
-        // opening the delay gate it feeds; a `deadline` tick that comes
-        // due before its base event committed aborts the run.
-        struct ArmedTick {
-            base: Symbol,
-            deadline: bool,
-            due: Instant,
-        }
-        let mut tick_nodes: BTreeSet<usize> = BTreeSet::new();
-        let mut ticks: BTreeMap<usize, ArmedTick> = BTreeMap::new();
-        for node in 0..program.len() {
-            let Some(sym) = program.event(node).and_then(Atom::as_event) else {
-                continue;
-            };
-            let Some(tick) = parse_tick(sym.as_str()) else {
-                continue;
-            };
-            tick_nodes.insert(node);
-            ticks.insert(
-                node,
-                ArmedTick {
-                    base: Symbol::intern(tick.base),
-                    deadline: tick.kind == TimerKind::Deadline,
-                    due: run_started + Duration::from_millis(tick.delay_ms),
-                },
-            );
-        }
+    /// [`Enactor::run_report`] with `program`'s timer table given — the
+    /// one its deployment built.
+    pub(crate) fn run_timed(&self, program: &Program, timers: &[DeployedTimer]) -> EnactReport {
+        let started = Instant::now();
+        let mut scheduler = Scheduler::new(program);
+        // Timer ticks are alarms, not activities: a node carrying one is
+        // never dispatched or picked. Its timer's `Tick` entry marks it
+        // due; a due `after` tick fires as soon as its node is eligible,
+        // opening the gate it feeds; a due deadline aborts the run unless
+        // its base event committed.
+        let tick_of = |node: usize| {
+            let event = program.event(node).and_then(Atom::as_event);
+            timers.iter().position(|t| Some(t.tick) == event)
+        };
+        let mut due = vec![false; timers.len()];
         let mut rng_state = match self.policy {
             ChoicePolicy::Random(seed) => seed,
             ChoicePolicy::First => 0,
@@ -821,105 +838,111 @@ impl Enactor {
         let mut d = Dispatch {
             enactor: self,
             tx,
+            wheel: TimerWheel::new(),
             pending: BTreeMap::new(),
             busy: BTreeSet::new(),
-            retries: Vec::new(),
             log: Vec::new(),
             next_ticket: 0,
         };
+        for (i, t) in timers.iter().enumerate() {
+            d.wheel.arm(t.delay_ms.saturating_mul(1_000), Wake::Tick(i));
+        }
+        let mut batch: Vec<Done> = Vec::new();
 
-        let error: Option<EnactError> = 'run: loop {
-            // Launch retries whose backoff has elapsed.
-            let now = Instant::now();
-            let mut i = 0;
-            while i < d.retries.len() {
-                if d.retries[i].due <= now {
-                    let retry = d.retries.swap_remove(i);
-                    let atom = program
-                        .event(retry.node)
-                        .expect("retried node carries an event")
-                        .clone();
-                    d.spawn(retry.node, &atom, retry.attempt);
-                } else {
-                    i += 1;
+        let abort: Option<Abort> = 'run: loop {
+            let now = micros(started.elapsed());
+
+            // Completions first, so a base event that beat its deadline
+            // is in the trace before the tick is looked at.
+            for done in batch.drain(..) {
+                // A stale ticket is a timed-out attempt's worker reporting
+                // late: its claim was withdrawn.
+                let Some(p) = d.pending.remove(&done.ticket) else {
+                    continue;
+                };
+                match d.finish(p, done.outcome, now) {
+                    Ok(Some(node)) => scheduler.fire(node),
+                    Ok(None) => {}
+                    Err(abort) => break 'run Some(abort),
                 }
             }
 
-            // Fire timer ticks whose due time has arrived and whose node
-            // is eligible. Completions queued before the due instant were
-            // drained at the bottom of the previous iteration, so a base
-            // event that beat its deadline is already in the trace.
-            let now = Instant::now();
-            let due: Vec<usize> = ticks
-                .iter()
-                .filter(|(node, t)| {
-                    t.due <= now && scheduler.eligible().iter().any(|c| c.node == **node)
-                })
-                .map(|(&node, _)| node)
-                .collect();
-            for node in due {
-                let tick = ticks.remove(&node).expect("just listed");
-                if !tick.deadline {
-                    // An elapsed delay gate: fire the tick so its paired
-                    // send opens the gated branch.
-                    scheduler.fire(node);
+            for (_, wake) in d.wheel.advance_to(now) {
+                match wake {
+                    Wake::Tick(i) => due[i] = true,
+                    Wake::Retry { node, attempt } => {
+                        let atom = program.event(node).expect("retried node carries an event");
+                        d.spawn(node, atom, attempt, now);
+                    }
+                    Wake::Timeout(ticket) => {
+                        // The worker runs on, detached; its report will be
+                        // stale. A finished attempt cancelled this entry.
+                        let p = d
+                            .pending
+                            .remove(&ticket)
+                            .expect("timed-out attempt pending");
+                        if let Err(abort) = d.finish(p, AttemptOutcome::TimedOut, now) {
+                            break 'run Some(abort);
+                        }
+                    }
+                }
+            }
+
+            let ready = scheduler.eligible().iter().find_map(|c| {
+                let i = tick_of(c.node).filter(|&i| due[i])?;
+                match timers[i].base {
+                    None => Some(Ok(c.node)),
+                    // Met in time: the watchdog's silent branch dismisses it.
+                    Some(base) if scheduler.history_from(0).any(|e| e == base) => None,
+                    Some(base) => Some(Err(Abort::Deadline(base, timers[i].delay_ms))),
+                }
+            });
+            match ready {
+                Some(Ok(gate)) => {
+                    scheduler.fire(gate);
                     continue;
                 }
-                if scheduler.history_from(0).any(|e| e == tick.base) {
-                    // The guarded event committed in time; the tick node
-                    // is evicted when the dismissal branch resolves.
-                    continue;
-                }
-                let delay_ms = tick.due.saturating_duration_since(run_started).as_millis() as u64;
-                break 'run Some(EnactError::DeadlineExpired {
-                    event: tick.base.to_string(),
-                    delay_ms,
-                    completed: Vec::new(),
-                });
+                Some(Err(abort)) => break 'run Some(abort),
+                None => {}
             }
 
             // Dispatch every eligible, commitment-free, observable step
-            // that is not already being attempted. Tick nodes are fired
-            // by the clock above, never handed to workers.
+            // that is not already being attempted.
             for choice in scheduler.eligible() {
                 if !choice.observable
-                    || tick_nodes.contains(&choice.node)
+                    || tick_of(choice.node).is_some()
                     || d.busy.contains(&choice.node)
                     || !scheduler.is_commitment_free(choice.node)
                 {
                     continue;
                 }
-                let Some(atom) = program.event(choice.node) else {
-                    continue;
-                };
-                let atom = atom.clone();
-                d.spawn(choice.node, &atom, 1);
+                if let Some(atom) = program.event(choice.node) {
+                    d.spawn(choice.node, atom, 1, now);
+                }
             }
 
-            if d.pending.is_empty() && d.retries.is_empty() {
+            if d.busy.is_empty() {
                 if scheduler.is_complete() {
                     break 'run None;
                 }
                 // Nothing runnable without committing: resolve a choice
                 // via the policy (silent steps included — a silent
-                // branch may be the only way to finish). Tick nodes are
-                // not picked — the clock fires them.
+                // branch may be the only way to finish).
                 let eligible: Vec<Choice> = scheduler
                     .eligible()
                     .iter()
-                    .filter(|c| !tick_nodes.contains(&c.node))
+                    .filter(|c| tick_of(c.node).is_none())
                     .copied()
                     .collect();
                 if eligible.is_empty() {
-                    // Only ticks (or nothing) are left: if an armed one
-                    // can still fire, wait for its due time instead of
-                    // declaring a deadlock.
+                    // Only ticks (or nothing) are left: wait for one
+                    // still on the wheel instead of declaring a deadlock.
                     let waiting = scheduler
                         .eligible()
                         .iter()
-                        .any(|c| ticks.contains_key(&c.node));
+                        .any(|c| tick_of(c.node).is_some_and(|i| !due[i]));
                     if !waiting {
-                        break 'run Some(EnactError::Deadlock);
+                        break 'run Some(Abort::Deadlock);
                     }
                 } else {
                     let idx = match self.policy {
@@ -932,122 +955,39 @@ impl Enactor {
                         }
                     };
                     let pick = eligible[idx];
-                    let observable_event = program.event(pick.node).filter(|_| pick.observable);
-                    match observable_event.cloned() {
+                    match program.event(pick.node).filter(|_| pick.observable) {
                         // The branch is committed when its first activity
                         // *succeeds* (work-then-claim): the attempt runs
                         // through the normal retry machinery and the node is
                         // fired on success. Nothing else dispatches until
                         // then — the schedule cannot move under the attempt.
-                        Some(atom) => d.spawn(pick.node, &atom, 1),
+                        Some(atom) => d.spawn(pick.node, atom, 1, now),
                         None => scheduler.fire(pick.node),
                     }
                     continue;
                 }
             }
 
-            // Wait for the next completion, deadline, retry due time, or
-            // eligible armed tick.
-            let tick_wake = ticks
-                .iter()
-                .filter(|(node, _)| scheduler.eligible().iter().any(|c| c.node == **node))
-                .map(|(_, t)| t.due)
-                .min();
-            let first = match d.next_wake().into_iter().chain(tick_wake).min() {
-                // The sentinel protocol guarantees one message per
-                // in-flight attempt, so this blocks only as long as an
-                // (untimed) handler runs.
-                None => match rx.recv() {
-                    Ok(msg) => Some(msg),
-                    Err(_) => {
-                        break 'run Some(EnactError::WorkerLost {
-                            completed: Vec::new(),
-                        })
-                    }
-                },
-                Some(at) => {
-                    let now = Instant::now();
-                    if at <= now {
-                        None
-                    } else {
-                        match rx.recv_timeout(at - now) {
-                            Ok(msg) => Some(msg),
-                            Err(mpsc::RecvTimeoutError::Timeout) => None,
-                            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                                break 'run Some(EnactError::WorkerLost {
-                                    completed: Vec::new(),
-                                })
-                            }
-                        }
-                    }
-                }
-            };
-
+            // Wait for the wheel's next due or the next completion. The
+            // sentinel protocol guarantees one message per in-flight
+            // attempt, so an empty wheel blocks only as long as an
+            // (untimed) handler runs; `d` holds a sender, so the channel
+            // never disconnects. The last µs before a due is spun, not
+            // slept: a retry without backoff is due the µs after its
+            // failure, and a sleep that short would cost a wake-up.
+            let wait = d.wheel.next_due().map_or(Duration::MAX, |at| {
+                Duration::from_micros(at.saturating_sub(now + 1))
+            });
+            batch.extend(rx.recv_timeout(wait).ok());
             // Opportunistically drain every completion already queued: a
             // burst of finished workers is fired as one batch. Safe
             // because every dispatched step was commitment-free at
             // dispatch time, so firing one cannot cancel another.
-            let mut batch: Vec<Done> = first.into_iter().collect();
             batch.extend(std::iter::from_fn(|| rx.try_recv().ok()));
-            for done in batch {
-                let Some(p) = d.pending.remove(&done.ticket) else {
-                    // Stale ticket: a previously timed-out attempt's
-                    // worker finally reported. Its claim was withdrawn;
-                    // ignore it.
-                    continue;
-                };
-                match done.verdict {
-                    Verdict::Ok => {
-                        d.log.push(AttemptRecord {
-                            event: p.event,
-                            attempt: p.attempt,
-                            outcome: AttemptOutcome::Success,
-                            latency: p.started.elapsed(),
-                        });
-                        d.busy.remove(&p.node);
-                        scheduler.fire(p.node);
-                    }
-                    Verdict::Fail(reason) => {
-                        if let Some(err) = d.after_failure(p, AttemptOutcome::Failed(reason)) {
-                            break 'run Some(err);
-                        }
-                    }
-                    Verdict::Panic(message) => {
-                        if let Some(err) = d.after_failure(p, AttemptOutcome::Panicked(message)) {
-                            break 'run Some(err);
-                        }
-                    }
-                    Verdict::Lost => {
-                        if let Some(err) = d.after_failure(p, AttemptOutcome::Lost) {
-                            break 'run Some(err);
-                        }
-                    }
-                }
-            }
-
-            // Withdraw attempts whose deadline passed: the worker keeps
-            // running detached, but its claim on the node is released to
-            // the retry machinery and its eventual message is stale.
-            let now = Instant::now();
-            let expired: Vec<u64> = d
-                .pending
-                .iter()
-                .filter(|(_, p)| p.deadline.is_some_and(|at| at <= now))
-                .map(|(&ticket, _)| ticket)
-                .collect();
-            for ticket in expired {
-                let p = d.pending.remove(&ticket).expect("just listed");
-                if let Some(err) = d.after_failure(p, AttemptOutcome::TimedOut) {
-                    break 'run Some(err);
-                }
-            }
         };
 
         let completed = scheduler.trace_names();
-        let error = error.map(|e| match e {
-            EnactError::Deadlock => EnactError::Deadlock,
-            e => e.with_completed(completed.clone()),
-        });
+        let error = abort.map(|abort| abort.into_error(completed.clone()));
         let compensation = if error.is_some() {
             self.compensation_for(&completed)
         } else {
@@ -1058,7 +998,7 @@ impl Enactor {
             completed,
             attempts: d.log,
             compensation,
-            elapsed: run_started.elapsed(),
+            elapsed: started.elapsed(),
             error,
         }
     }
@@ -1611,6 +1551,97 @@ mod tests {
     }
 
     #[test]
+    fn exponential_backoff_saturates_at_duration_max_with_jitter() {
+        // From the fourth retry on the base delay saturates; adding
+        // jitter to it used to overflow.
+        let policy = RetryPolicy::attempts(64)
+            .with_backoff(Backoff::Exponential {
+                base: Duration::from_millis(1),
+                factor: u32::MAX,
+                max: Duration::MAX,
+            })
+            .with_jitter();
+        assert!(policy.delay_before(2, 5) < Duration::from_secs(1));
+        for n in 5..=64 {
+            assert_eq!(policy.delay_before(n, 5), Duration::MAX, "attempt {n}");
+        }
+    }
+
+    #[test]
+    fn a_timeout_of_duration_max_waits_forever() {
+        let p = program(&seq(vec![Goal::atom("a"), Goal::atom("b")]), &[]);
+        let enactor =
+            Enactor::new().with_default_retry(RetryPolicy::attempts(2).with_timeout(Duration::MAX));
+        let report = enactor.run_report(&p);
+        assert!(report.is_success(), "error: {:?}", report.error);
+        assert_eq!(report.completed, vec![sym("a"), sym("b")]);
+    }
+
+    #[test]
+    fn a_backoff_of_duration_max_never_comes_due() {
+        // The retry of `approve` is due never; the deadline still fires.
+        let p = timed_program(
+            &seq(vec![Goal::atom("book"), Goal::atom("approve")]),
+            &ctr_workflow::TimerSpec::deadline("approve", 40),
+        );
+        let enactor = Enactor::new()
+            .with_faults(FaultPlan::new(9).fail("approve", 1))
+            .with_retry(
+                "approve",
+                RetryPolicy::attempts(2).with_backoff(Backoff::Fixed(Duration::MAX)),
+            );
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(enactor.run_report(&p));
+        });
+        let report = rx.recv_timeout(WATCHDOG).expect("run terminates");
+        assert!(
+            matches!(
+                report.error,
+                Some(EnactError::DeadlineExpired { delay_ms: 40, .. })
+            ),
+            "{:?}",
+            report.error
+        );
+        assert_eq!(report.completed, vec![sym("book")]);
+        assert_eq!(report.attempts_for(sym("approve")), 1);
+    }
+
+    #[test]
+    fn a_retry_and_a_timeout_in_one_wheel_slot_both_fire_in_due_order() {
+        // Armed at 0, dues 70 and 120 µs share level 1's slot 1 (64 µs
+        // wide); armed in the opposite order to their dues.
+        let mut wheel = TimerWheel::new();
+        wheel.arm(120, Wake::Timeout(7));
+        wheel.arm(
+            70,
+            Wake::Retry {
+                node: 3,
+                attempt: 2,
+            },
+        );
+        assert_eq!(wheel.next_due(), Some(64), "the slot, not either due");
+        assert!(wheel.advance_to(69).is_empty());
+        let fired = wheel.advance_to(200);
+        assert!(
+            matches!(
+                fired.as_slice(),
+                [
+                    (
+                        70,
+                        Wake::Retry {
+                            node: 3,
+                            attempt: 2
+                        }
+                    ),
+                    (120, Wake::Timeout(7))
+                ]
+            ),
+            "both fire, the retry first"
+        );
+    }
+
+    #[test]
     fn report_success_shape() {
         let p = program(&seq(vec![Goal::atom("one"), Goal::atom("two")]), &[]);
         let report = Enactor::new().run_report(&p);
@@ -1631,7 +1662,7 @@ mod tests {
         drop(guard);
         let done = rx.recv_timeout(WATCHDOG).expect("sentinel message");
         assert_eq!(done.ticket, 9);
-        assert!(matches!(done.verdict, Verdict::Lost));
+        assert!(matches!(done.outcome, AttemptOutcome::Lost));
     }
 
     #[test]
@@ -1641,9 +1672,9 @@ mod tests {
             tx: Some(tx),
             ticket: 3,
         };
-        guard.complete(Verdict::Ok);
+        guard.complete(AttemptOutcome::Success);
         let done = rx.recv_timeout(WATCHDOG).expect("completion message");
-        assert!(matches!(done.verdict, Verdict::Ok));
+        assert!(matches!(done.outcome, AttemptOutcome::Success));
         assert!(rx.try_recv().is_err(), "exactly one message per attempt");
     }
 }

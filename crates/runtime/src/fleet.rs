@@ -37,7 +37,6 @@ use crate::{
 };
 use ctr::goal::Goal;
 use ctr::symbol::Symbol;
-use ctr::timer::{parse_tick, TimerKind};
 use ctr_engine::scheduler::{Program, Scheduler};
 use ctr_store::{Record, Store};
 use std::sync::Arc;
@@ -79,16 +78,6 @@ fn append(store: Option<&dyn Store>, record: impl FnOnce() -> Record) -> Result<
             .map_err(|e| RuntimeError::Store(e.to_string())),
         None => Ok(()),
     }
-}
-
-/// The event a deadline tick watches — the one whose firing satisfies
-/// the deadline and therefore disarms it. `None` for `after` ticks and
-/// for names that are not ticks.
-pub(crate) fn tick_base(tick: &str) -> Option<Symbol> {
-    parse_tick(tick).and_then(|t| match t.kind {
-        TimerKind::Deadline => Symbol::try_get(t.base),
-        TimerKind::After => None,
-    })
 }
 
 /// Arms one timer: the wheel entry and the instance's mirror entry,

@@ -49,7 +49,7 @@ pub mod stats;
 pub mod wheel;
 
 use ctr::goal::Goal;
-use ctr::timer::parse_tick;
+use ctr::timer::{parse_tick, TimerKind};
 use ctr_engine::scheduler::{Program, Scheduler};
 use ctr_store::Record;
 use fleet::TimerState;
@@ -188,13 +188,34 @@ pub enum FireOutcome {
 
 /// One timer declared by a deployment's compiled goal: the synthetic
 /// tick event carries its own delay in its name (`base@after30000`),
-/// parsed once at deploy time. `base` is `Some` only for deadline
+/// parsed once at deploy time. `base` is `Some` exactly for deadline
 /// ticks — the event whose firing structurally satisfies the deadline
 /// and therefore disarms it.
 pub(crate) struct DeployedTimer {
     pub(crate) tick: Symbol,
     pub(crate) delay_ms: u64,
     pub(crate) base: Option<Symbol>,
+}
+
+impl DeployedTimer {
+    /// The timer table of a goal or program whose events are `events`:
+    /// one entry per tick event, sorted by tick name.
+    pub(crate) fn table(events: impl IntoIterator<Item = Symbol>) -> Vec<DeployedTimer> {
+        let mut timers: Vec<DeployedTimer> = events
+            .into_iter()
+            .filter_map(|tick| {
+                let parsed = parse_tick(tick.as_str())?;
+                Some(DeployedTimer {
+                    tick,
+                    delay_ms: parsed.delay_ms,
+                    base: (parsed.kind == TimerKind::Deadline).then(|| Symbol::intern(parsed.base)),
+                })
+            })
+            .collect();
+        timers.sort_by(|a, b| a.tick.as_str().cmp(b.tick.as_str()));
+        timers.dedup_by_key(|t| t.tick);
+        timers
+    }
 }
 
 pub(crate) struct Deployment {
@@ -221,24 +242,11 @@ impl Deployment {
         // Instances are fired by name: index the names now, not under
         // the first client's instance lock.
         program.index_names();
-        let mut timers: Vec<DeployedTimer> = compiled
-            .events()
-            .iter()
-            .filter_map(|&event| {
-                let tick = parse_tick(event.as_str())?;
-                Some(DeployedTimer {
-                    tick: event,
-                    delay_ms: tick.delay_ms,
-                    base: fleet::tick_base(event.as_str()),
-                })
-            })
-            .collect();
-        timers.sort_by(|a, b| a.tick.as_str().cmp(b.tick.as_str()));
         Ok(Deployment {
             name: name.into(),
             rendered: compiled.to_string(),
             program: Arc::new(program),
-            timers,
+            timers: DeployedTimer::table(compiled.events()),
         })
     }
 
@@ -831,16 +839,18 @@ impl Runtime {
     /// latencies, and (on abort) the typed error plus compensation plan.
     ///
     /// Enactment is **deployment-level**: it runs against the
-    /// deployment's compiled program and does *not* create a journaled
-    /// instance. An enactor may legitimately commit *silent* `∨`-branches
-    /// (policy picks), and a silent commit is not an event — replaying
-    /// the observable trace through `fire_event` on a fresh cursor could
-    /// not reproduce it, which would break the journal-replay invariant
-    /// every instance relies on. Callers that want a journaled record can
-    /// [`Runtime::start`] an instance and [`Runtime::fire_batch`] the
-    /// report's `completed` events, which the runtime then re-validates.
+    /// deployment's compiled program and timer table and creates no
+    /// journaled instance, because an instance could not follow it. The
+    /// enactor commits `∨`-branches node by node — silent ones too, and a
+    /// silent commit is no event a journal could record — while an
+    /// instance is driven by event name, which commits to the *first*
+    /// `∨`-alternative carrying the event. So the report's `completed`
+    /// events need not replay on an instance at all: the compiled goal
+    /// `a * send(ξ) * receive(ξ) * e + a * f` enacts `a → f`, yet an
+    /// instance that fired `a` refuses `f` (ROADMAP item 7).
     pub fn enact(&self, workflow: &str, enactor: &Enactor) -> Result<EnactReport, RuntimeError> {
-        Ok(enactor.run_report(&self.deployment(workflow)?.program))
+        let deployment = self.deployment(workflow)?;
+        Ok(enactor.run_timed(&deployment.program, &deployment.timers))
     }
 
     /// The journal of fired events.

@@ -926,7 +926,7 @@ impl SharedRuntime {
         enactor: &crate::Enactor,
     ) -> Result<crate::EnactReport, RuntimeError> {
         let deployment = self.inner.deployment(workflow)?;
-        Ok(enactor.run_report(&deployment.program))
+        Ok(enactor.run_timed(&deployment.program, &deployment.timers))
     }
 
     /// See [`Runtime::replayed_steps`].

@@ -29,7 +29,9 @@
 //! runtime owns the logical clock and drives [`TimerWheel::advance_to`]
 //! explicitly, which is what makes expiry deterministic under test and
 //! byte-identical across a recovered fleet and its never-crashed
-//! oracle.
+//! oracle. The unit is the caller's: the fleet's clock counts ms, an
+//! enactment's counts µs since the run started (its own reading of the
+//! wall clock), and the spans above scale with it.
 
 /// Number of levels; level `l` has granularity `2^(6l)` ms.
 const LEVELS: usize = 6;

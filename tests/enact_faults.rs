@@ -10,14 +10,22 @@
 //! * a typed `EnactError` whose `completed` prefix is a valid schedule
 //!   prefix (every event replays in order on a fresh scheduler).
 //!
-//! Goals are generated constraint-free with unique atoms (no channels ⇒
-//! no silent steps), so the observable trace *is* the full trace and
-//! `fire_event`-replay is exact.
+//! Goals are grown with unique atoms. Odd seeds keep them plain: no
+//! channels, no silent steps, so the observable trace *is* the full
+//! trace. Even seeds compile them as a specification is compiled: an
+//! `after` gate (a few ms) and a `deadline` watchdog on events every
+//! execution performs (`ctr_workflow::compile_timers`), then an order
+//! constraint between two events (`analysis::compile`). Their channels
+//! and the watchdog's dismissal branch are silent steps no trace names,
+//! so a replay fires the trace's events by name and then completes
+//! through silent steps alone, as `Runtime::try_complete` does.
 
+use ctr::constraints::Constraint;
 use ctr::goal::{conc, or, seq, Goal};
 use ctr::symbol::Symbol;
 use ctr_engine::scheduler::{Program, Scheduler};
 use ctr_runtime::{Backoff, ChoicePolicy, EnactReport, Enactor, Fault, FaultPlan, RetryPolicy};
+use ctr_workflow::TimerSpec;
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -58,6 +66,52 @@ fn events_of(goal: &Goal) -> Vec<Symbol> {
     events
 }
 
+/// The events of `goal` under no `∨`: every execution performs them.
+fn mandatory(goal: &Goal, out: &mut Vec<Symbol>) {
+    match goal {
+        Goal::Atom(atom) => out.extend(atom.as_event()),
+        Goal::Seq(children) | Goal::Conc(children) => {
+            children.iter().for_each(|child| mandatory(child, out));
+        }
+        _ => {}
+    }
+}
+
+/// The corpus entry of `goal_seed`: the goal to enact and the events a
+/// fault plan may target (timer ticks are the clock's, not activities).
+/// A timed entry's deadline is `deadline_ms` after the start; `None` if
+/// its order constraint leaves nothing to execute.
+fn corpus(goal_seed: u64, deadline_ms: u64) -> Option<(Goal, Vec<Symbol>)> {
+    let mut rng = goal_seed.wrapping_mul(2).wrapping_add(1);
+    let mut counter = 0;
+    let goal = build_goal(&mut rng, 3, &mut counter);
+    let events = events_of(&goal);
+    if goal_seed % 2 == 1 || events.is_empty() {
+        return Some((goal, events));
+    }
+    let mut always = Vec::new();
+    mandatory(&goal, &mut always);
+    let mut timed = goal.clone();
+    if !always.is_empty() {
+        let gated = always[next(&mut rng) as usize % always.len()];
+        let watched = always[next(&mut rng) as usize % always.len()];
+        let timers = [
+            TimerSpec::after(gated, 1 + next(&mut rng) % 3),
+            TimerSpec::deadline(watched, deadline_ms),
+        ];
+        let mut channels = ctr::apply::ChannelAlloc::fresh_for(&goal);
+        timed = ctr_workflow::compile_timers(&goal, &timers, &mut channels);
+    }
+    let a = events[next(&mut rng) as usize % events.len()];
+    let b = events[next(&mut rng) as usize % events.len()];
+    let constraints: Vec<Constraint> = (a != b)
+        .then(|| Constraint::order(a, b))
+        .into_iter()
+        .collect();
+    let compiled = ctr::analysis::compile(&timed, &constraints).unwrap();
+    compiled.is_consistent().then_some((compiled.goal, events))
+}
+
 /// Runs the enactor under a watchdog: the property is *bounded-time*
 /// termination, so a wedged dispatcher must fail the test, not hang it.
 fn run_watchdogged(enactor: Enactor, program: Program) -> EnactReport {
@@ -80,6 +134,18 @@ fn assert_valid_prefix<'p>(program: &'p Program, completed: &[Symbol]) -> Schedu
         );
     }
     replay
+}
+
+/// Completes `replay` through silent steps alone, if it can.
+fn completes_silently(mut replay: Scheduler<&Program>) -> bool {
+    while !replay.is_complete() {
+        let Some(silent) = replay.eligible().iter().find(|c| !c.observable) else {
+            return false;
+        };
+        let node = silent.node;
+        replay.fire(node);
+    }
+    true
 }
 
 fn multiset(events: &[Symbol]) -> Vec<Symbol> {
@@ -136,11 +202,12 @@ proptest! {
         goal_seed in 0u64..1_000_000,
         fault_seed in 0u64..u64::MAX,
     ) {
-        let mut rng = goal_seed.wrapping_mul(2).wrapping_add(1);
-        let mut counter = 0;
-        let goal = build_goal(&mut rng, 3, &mut counter);
+        // Faults may hold an activity past any deadline of a few ms, so
+        // here the watchdog is always met and dismissed.
+        let corpus = corpus(goal_seed, 60_000);
+        prop_assume!(corpus.is_some());
+        let (goal, events) = corpus.unwrap();
         let program = Program::compile(&goal).unwrap();
-        let events = events_of(&goal);
         prop_assume!(!events.is_empty());
 
         let oracle = run_watchdogged(Enactor::new(), Program::compile(&goal).unwrap());
@@ -164,9 +231,11 @@ proptest! {
             "same committed multiset as the no-fault oracle"
         );
         let replay = assert_valid_prefix(&program, &report.completed);
-        prop_assert!(replay.is_complete(), "successful trace must replay to completion");
+        prop_assert!(completes_silently(replay), "successful trace must replay to completion");
         // Every retry the log records was caused by an injected fault.
-        prop_assert!(report.attempts.len() >= report.completed.len());
+        // (An `after` tick commits without an attempt: it is no activity.)
+        let activities = report.completed.iter().filter(|e| events.contains(e)).count();
+        prop_assert!(report.attempts.len() >= activities);
     }
 
     /// Arbitrary (possibly unrecoverable) plans: the run terminates with
@@ -179,11 +248,12 @@ proptest! {
         recoverable_bit in 0u64..2,
     ) {
         let recoverable = recoverable_bit == 1;
-        let mut rng = goal_seed.wrapping_mul(2).wrapping_add(1);
-        let mut counter = 0;
-        let goal = build_goal(&mut rng, 3, &mut counter);
+        // A deadline of a few ms: faults may make it expire, a typed
+        // error like any other.
+        let corpus = corpus(goal_seed, 6 + goal_seed % 4);
+        prop_assume!(corpus.is_some());
+        let (goal, events) = corpus.unwrap();
         let program = Program::compile(&goal).unwrap();
-        let events = events_of(&goal);
         prop_assume!(!events.is_empty());
 
         let enactor = Enactor::new()
@@ -198,7 +268,7 @@ proptest! {
                 let oracle = run_watchdogged(Enactor::new(), Program::compile(&goal).unwrap());
                 prop_assert_eq!(multiset(&report.completed), multiset(&oracle.completed));
                 let replay = assert_valid_prefix(&program, &report.completed);
-                prop_assert!(replay.is_complete());
+                prop_assert!(completes_silently(replay));
             }
             Some(err) => {
                 // The typed error's prefix and the report's committed

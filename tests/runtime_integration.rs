@@ -99,6 +99,27 @@ fn enactment_respects_compiled_constraints() {
     }
 }
 
+/// Every execution the compiled goal allows can be fired by name. Here
+/// `a * send(ξ) * receive(ξ) * e + a * f` allows `a → f` (`ctr
+/// enumerate` lists it, the enactor commits it), but `fire_named`
+/// commits `a` to the first `∨`-alternative carrying it, which has no `f`.
+#[test]
+#[ignore = "ROADMAP item 7: by-name firing commits to the first ∨-alternative carrying the event"]
+fn by_name_firing_admits_every_allowed_execution() {
+    let mut rt = Runtime::new();
+    rt.deploy_source(
+        "workflow amb { graph a * (e + f); constraint (exists(e) and before(a, e)) or exists(f); }",
+    )
+    .unwrap();
+    // `ctr enact --seed 0`'s policy.
+    let enactor = Enactor::new().with_policy(ChoicePolicy::Random(0));
+    let enacted = rt.enact("amb", &enactor).unwrap();
+    assert_eq!(enacted.completed, vec![sym("a"), sym("f")]);
+    let id = rt.start("amb").unwrap();
+    rt.fire(id, "a").unwrap();
+    assert_eq!(rt.fire(id, "f"), Ok(ctr_runtime::InstanceStatus::Completed));
+}
+
 /// Simulation statistics over the same program reflect the compiled
 /// constraint structure.
 #[test]
