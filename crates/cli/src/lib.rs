@@ -726,11 +726,6 @@ USAGE:
         blocks until a client sends `shutdown`. --addr defaults to
         127.0.0.1:7171; port 0 binds an ephemeral port. --burst caps
         admitted requests per read burst (excess answer Busy).
-    ctr load ADDR [flags]
-        drive a serving endpoint with a closed- or open-loop client
-        and print one report (`ctr load --help` for flags and
-        examples; serving benchmarks are benchmark/'s serve_*
-        workloads)
 
 CONSTRAINT SYNTAX:
     exists(e)  absent(e)  before(a,b)  serial(a,b,c)
@@ -853,15 +848,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             cmd_run(dir, durability, verb, rest)
         }
         "serve" => cmd_serve(&args[1..]),
-        "load" => {
-            let rest = &args[1..];
-            if rest.is_empty() {
-                return Ok(format!("{}\n", ctr_serve::loadgen::LOAD_USAGE));
-            }
-            ctr_serve::loadgen::cli_main(rest)
-                .map(|text| format!("{text}\n"))
-                .map_err(CliError::usage)
-        }
         "help" | "--help" | "-h" | "" => Ok(USAGE.to_owned()),
         other => Err(CliError::usage(format!(
             "unknown command `{other}`\n\n{USAGE}"

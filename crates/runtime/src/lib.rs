@@ -235,16 +235,23 @@ pub(crate) struct Deployment {
 
 impl Deployment {
     /// Compiles a goal into a deployment, caching its rendered text and
-    /// scanning its event alphabet once for timer ticks.
+    /// scanning its event alphabet once for timer ticks. A goal whose
+    /// rendered text the parser refuses (it prints deeper than the parser
+    /// reads) is refused here: recovery reads that text back, so accepting
+    /// it would leave a store no later open gets past.
     pub(crate) fn new(name: &str, compiled: Goal) -> Result<Deployment, RuntimeError> {
         let program =
             Program::compile(&compiled).map_err(|e| RuntimeError::Compile(e.to_string()))?;
+        let rendered = compiled.to_string();
+        ctr_parser::parse_goal(&rendered).map_err(|e| {
+            RuntimeError::Compile(format!("the compiled goal does not read back: {e}"))
+        })?;
         // Instances are fired by name: index the names now, not under
         // the first client's instance lock.
         program.index_names();
         Ok(Deployment {
             name: name.into(),
-            rendered: compiled.to_string(),
+            rendered,
             program: Arc::new(program),
             timers: DeployedTimer::table(compiled.events()),
         })

@@ -2,7 +2,7 @@
 //! pipelining: `send` buffers requests locally, `flush` pushes them in
 //! one write, `recv` reads responses back in FIFO order. The
 //! convenience methods (`fire`, `start`, …) are send + flush + recv —
-//! one round trip each — and are what the CLI uses; the load harness
+//! one round trip each — and are what the CLI uses; a pipelining caller
 //! uses the split form to keep many requests in flight.
 
 use crate::protocol::{
@@ -81,8 +81,8 @@ impl Client {
         })
     }
 
-    /// The underlying stream — the open-loop load driver clones it to
-    /// split sending and receiving across threads.
+    /// The underlying stream — for a caller that clones it to split
+    /// sending and receiving across threads.
     pub fn raw_stream(&self) -> &TcpStream {
         &self.stream
     }

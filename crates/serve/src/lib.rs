@@ -12,14 +12,12 @@
 //!   coalesces them into `SharedRuntime::fire_runs_into` bursts: one
 //!   instance-lock acquisition and one WAL group commit per instance
 //!   per network read burst, and no allocation for being served;
-//! * [`client`] — a blocking client with explicit pipelining;
-//! * [`loadgen`] — the load driver behind `ctr load`: closed- and
-//!   open-loop traffic against a serving endpoint, with latency
-//!   percentiles. Serving *benchmarks* are the `serve_*` workloads and
-//!   `serve.*` probes of `benchmark/` (see `benchmark/README.md`).
+//! * [`client`] — a blocking client with explicit pipelining.
+//!
+//! Serving *benchmarks* are the `serve_*` workloads and `serve.*` probes
+//! of `benchmark/` (see `benchmark/README.md`).
 
 pub mod client;
-pub mod loadgen;
 pub mod protocol;
 pub mod server;
 

@@ -573,7 +573,7 @@ impl WireOutcome {
     }
 }
 
-/// Store / fleet counters over the wire — enough for a load harness to
+/// Store / fleet counters over the wire — enough for a client to
 /// compute fsyncs-per-fire without touching the server's disk.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WireStats {

@@ -4,9 +4,9 @@
 //!
 //! A connection thread's read loop does not process one request per
 //! socket read. It blocks for the *first* byte, then drains everything
-//! the kernel has already buffered (a non-blocking drain, bounded by
-//! [`ServeOptions::max_burst_bytes`]), decodes every complete frame,
-//! and executes the whole **burst** before writing any response:
+//! the kernel has already buffered (a non-blocking drain, bounded at
+//! 256 KiB), decodes every complete frame, and executes the whole
+//! **burst** before writing any response:
 //!
 //! * the hot verbs are decoded *in place* — a `fire`'s event name is a
 //!   `&str` into the receive buffer, not a `String`
@@ -33,7 +33,7 @@
 //! ## Admission control
 //!
 //! In-flight state per connection is bounded twice over: the drain
-//! stops at `max_burst_bytes` (the kernel's socket buffer then applies
+//! stops at 256 KiB (the kernel's socket buffer then applies
 //! TCP backpressure to the client), and a burst executes at most
 //! [`ServeOptions::max_burst_requests`] requests — the excess is
 //! answered with a typed [`FaultCode::Busy`] error instead of queueing
@@ -68,23 +68,22 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Tuning knobs for [`Server`]; the defaults suit both tests and the
-/// load harness.
+/// Stop draining the socket once this many unprocessed bytes are
+/// buffered (TCP backpressure bounds the rest).
+const MAX_BURST_BYTES: usize = 256 * 1024;
+
+/// Tuning knobs for [`Server`].
 #[derive(Clone, Copy, Debug)]
 pub struct ServeOptions {
     /// Most requests one burst will execute; the rest get
     /// [`FaultCode::Busy`].
     pub max_burst_requests: usize,
-    /// Stop draining the socket once this many unprocessed bytes are
-    /// buffered (TCP backpressure bounds the rest).
-    pub max_burst_bytes: usize,
 }
 
 impl Default for ServeOptions {
     fn default() -> ServeOptions {
         ServeOptions {
             max_burst_requests: 256,
-            max_burst_bytes: 256 * 1024,
         }
     }
 }
@@ -280,14 +279,14 @@ fn serve_connection(rt: &SharedRuntime, mut stream: TcpStream, inner: &Inner) ->
         // …then drain whatever else is already buffered, without
         // blocking — this is the window that turns a pipelined client
         // into one `fire_runs_into` burst.
-        if rx.len() < inner.opts.max_burst_bytes {
+        if rx.len() < MAX_BURST_BYTES {
             stream.set_nonblocking(true)?;
             loop {
                 match stream.read(&mut chunk) {
                     Ok(0) => break,
                     Ok(n) => {
                         rx.extend_from_slice(&chunk[..n]);
-                        if rx.len() >= inner.opts.max_burst_bytes {
+                        if rx.len() >= MAX_BURST_BYTES {
                             break;
                         }
                     }

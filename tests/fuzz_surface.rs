@@ -209,6 +209,65 @@ fn the_deepest_accepted_nesting_runs_through_every_pass() {
     .unwrap();
 }
 
+/// Text inside the parser's bound can compile to a goal that prints past
+/// it: 130 one-level defines, each expanded where its name stands, nest
+/// the compiled goal 130 deep. That printed goal is the deploy record and
+/// the snapshot line, so the deploy used to be acknowledged and every
+/// later open of the store failed on its own record. The deploy is refused
+/// with a typed error under both holders (a `Spec` fault over the wire),
+/// appends nothing, and the store that saw the refusal still opens.
+#[test]
+fn a_deploy_that_would_not_read_back_is_refused() {
+    use ctr_runtime::{Runtime, RuntimeError, SharedRuntime, WalStore};
+    use ctr_serve::{Fault, FaultCode};
+    use std::sync::Arc;
+    const PAY: &str = "workflow pay { graph invoice * (approve + reject) * file; }";
+    let levels = 130;
+    let defines: String = (0..levels)
+        .map(|i| format!("define s{i} := (a{i} + b{i} * s{}); ", i + 1))
+        .collect();
+    let deep = format!("workflow deeps {{ graph s0; {defines}define s{levels} := leaf; }}");
+    assert!(parse_spec(&deep)
+        .unwrap()
+        .compile()
+        .unwrap()
+        .is_consistent());
+    let refused = |e: RuntimeError| {
+        assert_eq!(Fault::from_runtime(&e).code, FaultCode::Spec);
+        assert!(
+            matches!(&e, RuntimeError::Compile(m) if m.contains("nesting exceeds the limit of 128 levels")),
+            "{e:?}"
+        );
+    };
+
+    let dir = std::env::temp_dir().join(format!("ctr_fuzz_deep_deploy_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let wal = || Arc::new(WalStore::open(&dir).unwrap());
+    {
+        let mut rt = Runtime::with_store(wal());
+        refused(rt.deploy_source(&deep).unwrap_err());
+        rt.deploy_source(PAY).unwrap();
+        let id = rt.start("pay").unwrap();
+        rt.fire(id, "invoice").unwrap();
+    }
+    {
+        let rt = SharedRuntime::open(wal()).unwrap();
+        refused(rt.deploy_source(&deep).unwrap_err());
+        assert_eq!(rt.workflows(), ["pay"]);
+        let snapshot = rt.snapshot();
+        assert_eq!(Runtime::restore(&snapshot).unwrap().snapshot(), snapshot);
+        assert_eq!(
+            SharedRuntime::restore(&snapshot).unwrap().snapshot(),
+            snapshot
+        );
+    }
+    let rt = Runtime::open(wal()).unwrap();
+    assert_eq!(rt.workflows(), ["pay"]);
+    assert_eq!(rt.journal(0).unwrap(), ["invoice"]);
+    drop(rt);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The last id that has a successor. A snapshot may name it — an
 /// operator's edit, another system's export — and `start` then has
 /// nothing left to hand out: the one id above it is the id recovery
