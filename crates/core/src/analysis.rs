@@ -10,7 +10,11 @@
 //!   `Excise(Apply(¬Φ ∧ C, G)) = ¬path`; otherwise the rewritten goal *is*
 //!   the most general counterexample.
 //! * **Redundancy** (Thm 5.10): `Φ ∈ C` is redundant iff every execution
-//!   of `G ∧ (C − {Φ})` satisfies `Φ`.
+//!   of `G ∧ (C − {Φ})` satisfies `Φ`. Where every constraint is a run of
+//!   `∇`, `¬∇` and orders, and `G` is events, each occurring once, under
+//!   `⊗`, `|` and `∨`, [`Analyzer::minimize_constraints`] decides that on
+//!   `G`'s series-parallel order instead, in polynomial time (Prop 4.1)
+//!   and with no compile; [`is_redundant`] is always the compile.
 //!
 //! The compiled artifact is also the pro-active scheduling structure of
 //! §4: a "compressed" explicit representation of all allowed executions,
@@ -24,12 +28,14 @@
 //! nothing, ask once, and drop it.
 
 use crate::apply::{apply_all_in, apply_must_in, apply_must_not_in, ChannelAlloc, Scratch, Table};
-use crate::constraints::Constraint;
+use crate::constraints::{Basic, Constraint, NormalForm};
 use crate::excise::{excise_in, KnotReport};
 use crate::goal::Goal;
 use crate::memo::{Memo, MemoStats};
+use crate::redundancy::SeriesParallel;
 use crate::symbol::Symbol;
 use crate::unique::{check_unique_events, DuplicateEvent};
+use std::borrow::Borrow;
 use std::fmt;
 
 /// Errors from workflow compilation.
@@ -354,12 +360,34 @@ impl<T: Table> Analyzer<T> {
     }
 
     /// Greedy redundancy elimination (Theorem 5.10): the indices of a
-    /// retained subset with every redundant constraint removed. Later
-    /// constraints are checked against the already-retained ones, so the
-    /// result is a minimal equivalent subset with respect to this
-    /// elimination order. The session's constraint set itself is left
-    /// unchanged.
+    /// retained subset with every redundant constraint removed. Each
+    /// constraint in turn is checked against the retained ones before it
+    /// and all the ones after it, so the result is a minimal equivalent
+    /// subset with respect to this elimination order. The session's
+    /// constraint set itself is left unchanged.
+    ///
+    /// When every constraint's normal form has one disjunct and the goal is
+    /// built of events, each occurring once, with `⊗`, `|`, `∨` and `ε`,
+    /// each probe is decided on the goal's series-parallel order (Prop 4.1):
+    /// linear in `|G| + |C|`, and the table is not asked for anything but
+    /// the normal forms. Any other input compiles `G ∧ (C − φ) ∧ ¬φ` per
+    /// probe through the table. Either way the answer is what a greedy
+    /// replay of [`is_redundant`] gives.
     pub fn minimize_constraints(&mut self) -> Vec<usize> {
+        if let Some(order) = SeriesParallel::of(&self.goal) {
+            let normal: Vec<T::Normal> = (self.constraints.iter())
+                .map(|c| self.table.normalize(c))
+                .collect();
+            let runs: Option<Vec<&[Basic]>> = (normal.iter())
+                .map(|nf| match &Borrow::<NormalForm>::borrow(nf).disjuncts[..] {
+                    [run] => Some(&run[..]),
+                    _ => None,
+                })
+                .collect();
+            if let Some(runs) = runs {
+                return order.minimize(&self.goal, &runs);
+            }
+        }
         let mut retained: Vec<usize> = (0..self.constraints.len()).collect();
         // The list is edited in place by moves and restored at the end:
         // each probe takes φᵢ out, pushes ¬φᵢ, compiles — the same sequence
@@ -430,6 +458,11 @@ pub fn verify(
 /// Redundancy (Theorem 5.10): is `constraints[index]` implied by the rest
 /// of the specification — does every execution of `G ∧ (C − {φ})` satisfy
 /// `φ`?
+///
+/// This is the theorem's probe as it is written, one [`verify`] of `φ`
+/// against the rest, whatever the input. It is the referee that
+/// [`Analyzer::minimize_constraints`], which decides the order fragment on
+/// a graph instead, is held to (`tests/redundancy_referee.rs`).
 pub fn is_redundant(
     goal: &Goal,
     constraints: &[Constraint],
@@ -553,6 +586,19 @@ mod tests {
         ];
         let kept = minimize_constraints(&goal, &constraints).unwrap();
         assert_eq!(kept, vec![0, 1]);
+    }
+
+    #[test]
+    fn a_reflexive_order_is_neither_implied_nor_redundant() {
+        // ∇a ⊗ ∇a needs a second `a`: no execution satisfies it, so no
+        // property of that shape holds and no such constraint is implied.
+        let goal = seq(vec![g("a"), conc(vec![g("b"), g("c")])]);
+        let reflexive = [Constraint::order("a", "a")];
+        assert!(!is_consistent(&goal, &reflexive).unwrap());
+        assert!(!is_redundant(&goal, &reflexive, 0).unwrap());
+        assert_eq!(minimize_constraints(&goal, &reflexive).unwrap(), vec![0]);
+        let v = verify(&goal, &[], &Constraint::order("b", "b")).unwrap();
+        assert_eq!(v, Verification::CounterExample(goal));
     }
 
     #[test]

@@ -393,10 +393,15 @@ pub fn push_negation(c: &Constraint) -> Constraint {
                 // Split first (Prop 3.3): ∇e₁⊗⋯⊗∇eₙ ≡ ∧ᵢ (∇eᵢ ⊗ ∇eᵢ₊₁),
                 // then negate the conjunction; the negation of a binary
                 // order constraint is ¬∇a ∨ ¬∇b ∨ (∇b ⊗ ∇a) under the
-                // unique-event assumptions (2).
+                // unique-event assumptions (2). Under them ∇a ⊗ ∇a is
+                // false, so its negation is true — not the ¬∇a the unfolding
+                // would leave once normalization drops the false ∇a ⊗ ∇a.
                 let pairs: Vec<Constraint> = es
                     .windows(2)
                     .map(|w| {
+                        if w[0] == w[1] {
+                            return Constraint::and(Vec::new());
+                        }
                         Constraint::or(vec![
                             Constraint::MustNot(w[0]),
                             Constraint::MustNot(w[1]),
@@ -616,6 +621,18 @@ mod tests {
     #[test]
     fn reflexive_order_is_unsat() {
         assert_eq!(Constraint::order("a", "a").normalize(), NormalForm::unsat());
+    }
+
+    #[test]
+    fn negated_reflexive_order_is_trivial() {
+        // ¬(∇a ⊗ ∇a) holds on every unique-event execution; it used to
+        // normalize to ¬∇a.
+        let negated = Constraint::not(Constraint::order("a", "a"));
+        assert_eq!(negated.normalize(), NormalForm::trivial());
+        // A serial with one repeated step is false, and its negation true.
+        let serial = Constraint::serial(vec![sym("a"), sym("a"), sym("b")]);
+        let nf = Constraint::not(serial).normalize();
+        assert!(nf.disjuncts.contains(&Vec::new()), "{nf:?}");
     }
 
     #[test]

@@ -101,6 +101,54 @@ pub fn random_constraints(seed: u64, events: &[Symbol], count: usize) -> Vec<Con
         .collect()
 }
 
+/// Picks `count` random constraints of the *run* fragment — those whose
+/// normal form has a single disjunct, the ones a run of `Apply` takes in
+/// two walks — over `events` (the goal's) and one event outside them:
+/// orders (reflexive ones included), three-event serials, `∇`, `¬∇`, and
+/// conjunctions of two of these. [`random_constraints`] never emits a
+/// plain order, so it never puts two orders before the trace oracle.
+pub fn random_run_constraints(seed: u64, events: &[Symbol], count: usize) -> Vec<Constraint> {
+    assert!(!events.is_empty(), "need an event to constrain");
+    let mut rng = StdRng::seed_from_u64(seed);
+    let absent = (0..)
+        .map(|k| sym(&format!("absent{k}")))
+        .find(|e| !events.contains(e))
+        .expect("a name outside a finite pool");
+    let pick = |rng: &mut StdRng| {
+        if rng.gen_bool(0.1) {
+            absent
+        } else {
+            events[rng.gen_range(0..events.len())]
+        }
+    };
+    // `k` events, a repeat among them (a reflexive order) now and then.
+    let draw = |rng: &mut StdRng, k: usize| {
+        let mut drawn: Vec<Symbol> = Vec::with_capacity(k);
+        while drawn.len() < k {
+            let e = pick(rng);
+            if !drawn.contains(&e) || rng.gen_bool(0.05) {
+                drawn.push(e);
+            }
+        }
+        drawn
+    };
+    let basic = |rng: &mut StdRng| match rng.gen_range(0..8) {
+        0..=3 => Constraint::serial(draw(rng, 2)),
+        4 => Constraint::serial(draw(rng, 3)),
+        5 | 6 => Constraint::must(pick(rng)),
+        _ => Constraint::must_not(pick(rng)),
+    };
+    (0..count)
+        .map(|_| {
+            if rng.gen_bool(0.2) {
+                Constraint::and(vec![basic(&mut rng), basic(&mut rng)])
+            } else {
+                basic(&mut rng)
+            }
+        })
+        .collect()
+}
+
 /// A layered series-parallel workflow: `layers` sequential stages, each a
 /// concurrent block of `lanes` branches, each branch an `∨` of two
 /// activities (`l{i}_{j}` / `r{i}_{j}`) — the structured shape of
@@ -373,6 +421,28 @@ mod tests {
         assert!(!unsat.brute_force_sat());
         let (g, c) = sat_to_workflow(&unsat);
         assert!(!is_consistent(&g, &c).unwrap());
+    }
+
+    #[test]
+    fn random_run_constraints_stay_in_the_run_fragment() {
+        let events: Vec<Symbol> = (0..5).map(|i| sym(&format!("v{i}"))).collect();
+        let cs = random_run_constraints(7, &events, 200);
+        let mut seen = [false; 4];
+        for c in &cs {
+            let nf = c.normalize();
+            // A reflexive order, or a serial repeating an event, is false.
+            assert!(nf.disjunct_count() <= 1, "{c}");
+            if let Constraint::Serial(es) = c {
+                seen[0] |= es.len() == 2 && es[0] != es[1];
+                seen[1] |= es.len() == 2 && es[0] == es[1];
+                seen[2] |= es.len() == 3;
+            }
+            seen[3] |= c.events().iter().any(|e| !events.contains(e));
+        }
+        assert_eq!(
+            seen, [true; 4],
+            "orders, reflexive orders, serials, an absent event"
+        );
     }
 
     #[test]

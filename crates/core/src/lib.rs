@@ -20,7 +20,7 @@
 //! | [`semantics`] | §2 | reference trace semantics — the oracle for `Apply(σ,T) ≡ T ∧ σ` |
 //! | [`apply`](mod@apply) | §5 | the `Apply` rules and `sync` (Defs 5.1/5.3/5.5), each written once over a table strategy and run on the caller's thread; event-index pruning, a channel range set aside per disjunct |
 //! | [`excise`](mod@excise) | §5 | knot detection and removal, `G_fail` diagnostics; a root `∨` excises branch by branch, region outcomes go through the same table |
-//! | [`analysis`] | §4 | consistency, verification, redundancy (Thms 5.8–5.10): the [`Analyzer`] session holds each query once; the one-shot functions are sessions over the table that records nothing |
+//! | [`analysis`] | §4 | consistency, verification, redundancy (Thms 5.8–5.10): the [`Analyzer`] session holds each query once; the one-shot functions are sessions over the table that records nothing; redundancy among runs over a goal whose events occur once is decided on its series-parallel order (Prop 4.1), without a compile |
 //! | [`memo`] | §5 | the table that remembers: hash-consed subgoals ([`memo::GoalTable`]) and recorded rewrite answers ([`Memo`]), which an [`Analyzer`] keeps across queries |
 //! | [`formula`] | §2 | full CTR formulas (adds `∧`, `¬`) with declarative trace satisfaction |
 //! | [`timer`] | — | timer ticks as plain event *names* (`ev@after30000`): the tag scheme shared by the workflow compiler, runtime wheel, and enactor |
@@ -57,6 +57,7 @@ pub mod formula;
 pub mod gen;
 pub mod goal;
 pub mod memo;
+mod redundancy;
 pub mod semantics;
 pub mod symbol;
 pub mod term;

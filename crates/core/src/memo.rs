@@ -3,12 +3,13 @@
 //!
 //! Verification (Theorem 5.9) is NP-complete, and across the queries of a
 //! session — a batch of properties, a re-verification after one edit, the
-//! n+1 compiles of `minimize_constraints` — the *same* subgoals are
-//! rewritten by the *same* primitive operations over and over. That is the
-//! shape SLG-style tabling (Swift/Warren) exploits: remember subgoal
-//! answers, keyed on structure. The rules live in [`mod@crate::apply`] and
-//! [`mod@crate::excise`], written once over a table strategy; this module
-//! is the strategy that remembers:
+//! compile per probe of `minimize_constraints` outside the order fragment
+//! (inside it a probe is a graph test that asks no table) — the *same*
+//! subgoals are rewritten by the *same* primitive operations over and
+//! over. That is the shape SLG-style tabling (Swift/Warren) exploits:
+//! remember subgoal answers, keyed on structure. The rules live in
+//! [`mod@crate::apply`] and [`mod@crate::excise`], written once over a
+//! table strategy; this module is the strategy that remembers:
 //!
 //! 1. [`GoalTable`] — a hash-consing table interning `Goal` subtrees into
 //!    stable [`NodeId`]s. Buckets are keyed by the cached

@@ -18,7 +18,7 @@
 use ctr::analysis::{compile, Verification};
 use ctr::constraints::Constraint;
 use ctr::excise::excise;
-use ctr::gen::{random_constraints, random_goal, GoalShape};
+use ctr::gen::{random_constraints, random_goal, random_run_constraints, GoalShape};
 use ctr::goal::Goal;
 use ctr::memo::Analyzer;
 use ctr::semantics::{event_traces, satisfies};
@@ -44,22 +44,25 @@ fn traces(goal: &Goal) -> Option<BTreeSet<Vec<Symbol>>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Apply + Excise computes exactly { t ∈ traces(G) | t ⊨ C }.
+    /// Apply + Excise computes exactly { t ∈ traces(G) | t ⊨ C }, for the
+    /// catalogue's constraints and for runs of orders, serials, `∇` and
+    /// `¬∇` (reflexive orders among them).
     #[test]
     fn compile_equals_filtered_semantics(seed in 0u64..5000, cseed in 0u64..5000, n in 1usize..4) {
         let (goal, events) = random_goal(seed, shape(), "e");
         prop_assume!(events.len() >= 2);
-        let constraints = random_constraints(cseed, &events, n);
         let Some(base) = traces(&goal) else { return Ok(()) };
+        for constraints in [random_constraints(cseed, &events, n), random_run_constraints(cseed, &events, n)] {
+            let compiled = compile(&goal, &constraints).expect("generated goals are unique-event");
+            let Some(got) = traces(&compiled.goal) else { continue };
 
-        let compiled = compile(&goal, &constraints).expect("generated goals are unique-event");
-        let Some(got) = traces(&compiled.goal) else { return Ok(()) };
-
-        let want: BTreeSet<Vec<Symbol>> = base
-            .into_iter()
-            .filter(|t| constraints.iter().all(|c| satisfies(t, c)))
-            .collect();
-        prop_assert_eq!(got, want, "goal {} constraints {:?}", goal, constraints);
+            let want: BTreeSet<Vec<Symbol>> = base
+                .iter()
+                .filter(|t| constraints.iter().all(|c| satisfies(t, c)))
+                .cloned()
+                .collect();
+            prop_assert_eq!(got, want, "goal {} constraints {:?}", goal, constraints);
+        }
     }
 
     /// Excise never changes the trace semantics, only the structure.
@@ -90,22 +93,25 @@ proptest! {
     }
 
     /// The verification decision (Theorem 5.9) agrees with checking the
-    /// property on every trace, and counterexamples are genuine.
+    /// property on every trace, and counterexamples are genuine — for a
+    /// property from the catalogue and one from the run fragment.
     #[test]
     fn verification_matches_semantics(seed in 0u64..5000, cseed in 0u64..5000) {
         let (goal, events) = random_goal(seed, shape(), "v");
         prop_assume!(events.len() >= 2);
-        let property = random_constraints(cseed, &events, 1).pop().expect("one constraint");
         let Some(base) = traces(&goal) else { return Ok(()) };
-        let all_satisfy = base.iter().all(|t| satisfies(t, &property));
-        match ctr::analysis::verify(&goal, &[], &property).unwrap() {
-            ctr::analysis::Verification::Holds => prop_assert!(all_satisfy),
-            ctr::analysis::Verification::CounterExample(ce) => {
-                prop_assert!(!all_satisfy);
-                if let Some(ce_traces) = traces(&ce) {
-                    prop_assert!(!ce_traces.is_empty());
-                    for t in &ce_traces {
-                        prop_assert!(!satisfies(t, &property), "counterexample trace {:?} satisfies {}", t, property);
+        let properties = [random_constraints(cseed, &events, 1), random_run_constraints(cseed, &events, 1)];
+        for property in properties.iter().flatten() {
+            let all_satisfy = base.iter().all(|t| satisfies(t, property));
+            match ctr::analysis::verify(&goal, &[], property).unwrap() {
+                ctr::analysis::Verification::Holds => prop_assert!(all_satisfy, "{} on {}", property, goal),
+                ctr::analysis::Verification::CounterExample(ce) => {
+                    prop_assert!(!all_satisfy, "{} on {}", property, goal);
+                    if let Some(ce_traces) = traces(&ce) {
+                        prop_assert!(!ce_traces.is_empty());
+                        for t in &ce_traces {
+                            prop_assert!(!satisfies(t, property), "counterexample trace {:?} satisfies {}", t, property);
+                        }
                     }
                 }
             }
