@@ -86,20 +86,22 @@ pub fn cmd_check(input: &str) -> Result<String, CliError> {
              sound but not complete (paper §7) — confirm by execution"
         );
     }
-    if compiled.is_consistent() {
-        let _ = writeln!(
-            out,
-            "  CONSISTENT ({} compiled nodes)",
-            compiled.goal.size()
-        );
-        Ok(out)
-    } else {
+    if !compiled.is_consistent() {
         let _ = writeln!(
             out,
             "  INCONSISTENT: no execution satisfies all constraints"
         );
-        Err(CliError::analysis(out))
+        return Err(CliError::analysis(out));
     }
+    // What a deploy would refuse is not CONSISTENT: ask the one refusal,
+    // so no bound of the runtime's is restated here.
+    let size = compiled.goal.size();
+    if let Err(e) = ctr_runtime::Runtime::new().deploy_compiled(&spec.name, compiled.goal) {
+        let _ = writeln!(out, "  NOT DEPLOYABLE: {e}");
+        return Err(CliError::analysis(out));
+    }
+    let _ = writeln!(out, "  CONSISTENT ({size} compiled nodes)");
+    Ok(out)
 }
 
 /// `ctr compile`: print the executable compiled goal.
@@ -462,8 +464,9 @@ pub fn cmd_enumerate(input: &str, limit: usize) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Parses a `--durability` value: `strict` (one fsync per append),
-/// `coalesced` (cross-thread group commit, still durable-on-return), or
+/// Parses a `--durability` value: `strict` (durable on return, through
+/// cross-thread group commit), `coalesced` (the same, the leader
+/// lingering to grow each group), or
 /// `periodic` (acknowledge at staging; background sync bounds the loss
 /// window — relaxed, documented as such).
 pub fn parse_durability(value: &str) -> Result<ctr_runtime::Durability, CliError> {
@@ -482,7 +485,7 @@ pub fn parse_durability(value: &str) -> Result<ctr_runtime::Durability, CliError
 /// a durable workflow session. Every invocation opens the write-ahead
 /// store at `dir` (creating it on first use), replays it into a fresh
 /// runtime — recovery failure is a nonzero exit — applies the verb, and
-/// returns. All mutations (`deploy`, `start`, `fire`, `pump`) are
+/// returns. All mutations (`deploy`, `start`, `fire`, `advance`) are
 /// durable before the command prints anything (under `periodic`:
 /// durable within one sync interval or on clean exit, whichever comes
 /// first), so the session survives `kill -9` between (or during)
@@ -610,19 +613,6 @@ pub fn cmd_run(
                 let _ = writeln!(out, "store: {stats}");
             }
         }
-        ("pump", [workflow, count]) => {
-            let count: u64 = count
-                .parse()
-                .map_err(|_| CliError::usage("pump needs a numeric instance count"))?;
-            for _ in 0..count {
-                let id = rt.start(workflow).map_err(step)?;
-                while let Some(event) = rt.eligible(id).map_err(step)?.first().cloned() {
-                    rt.fire(id, &event).map_err(step)?;
-                }
-                rt.try_complete(id).map_err(step)?;
-            }
-            let _ = writeln!(out, "pumped {count} instances of `{workflow}`");
-        }
         _ => return Err(CliError::usage(USAGE)),
     }
     Ok(out)
@@ -712,13 +702,12 @@ USAGE:
         status [<id>]
         snapshot              print + compact to a checkpoint
         recover               recovery report (exit 1 on corruption)
-        pump <workflow> <n>   start+drive n instances to completion
         timers <id>           pending timers of one instance
         advance <ms>          move the logical clock, firing due timers
         cancel-timer <id> <tick>    disarm a pending timer by tick name
-        (--durability: strict = fsync per append; coalesced = group
-         commit, still durable-on-return; periodic = ack at staging,
-         synced within ~5ms — a crash may lose that window)
+        (--durability: strict = durable-on-return group commit;
+         coalesced = the same, lingering to grow groups; periodic =
+         ack at staging, synced within ~5ms — a crash may lose that window)
     ctr serve [--addr HOST:PORT] [--store <dir> [--durability <p>]]
               [--burst N]
         serve the runtime over TCP (binary wire protocol; see
@@ -885,6 +874,28 @@ mod tests {
         let err = cmd_check(INCONSISTENT).unwrap_err();
         assert_eq!(err.code, 1);
         assert!(err.message.contains("INCONSISTENT"));
+    }
+
+    #[test]
+    fn check_refuses_what_a_deploy_refuses() {
+        // 130 one-level defines parse and compile consistent, but the
+        // compiled goal nests 130 deep and prints past what the parser
+        // reads back, so a deploy refuses it.
+        let levels = 130;
+        let defines: String = (0..levels)
+            .map(|i| format!("define s{i} := (a{i} + b{i} * s{}); ", i + 1))
+            .collect();
+        let deeps = format!("workflow deeps {{ graph s0; {defines}define s{levels} := leaf; }}");
+        let err = cmd_check(&deeps).unwrap_err();
+        assert_eq!(err.code, 1);
+        assert!(
+            err.message.contains("does not read back"),
+            "{}",
+            err.message
+        );
+        assert!(!err.message.contains("  CONSISTENT"), "{}", err.message);
+        let saga = include_str!("../../../examples/specs/payment_saga.ctr");
+        assert!(cmd_check(saga).unwrap().contains("  CONSISTENT"));
     }
 
     #[test]
@@ -1275,29 +1286,6 @@ mod tests {
     }
 
     #[test]
-    fn run_store_pump_drives_instances_to_completion() {
-        let dir = std::env::temp_dir().join(format!("ctr_cli_pump_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let spec = std::env::temp_dir().join("ctr_cli_pump_spec.ctr");
-        std::fs::write(&spec, SPEC).unwrap();
-
-        session(&dir, &["deploy", &spec.display().to_string()]).unwrap();
-        let out = session(&dir, &["pump", "demo", "3"]).unwrap();
-        assert!(out.contains("pumped 3 instances of `demo`"), "{out}");
-        let out = session(&dir, &["recover"]).unwrap();
-        assert!(out.contains("3 instances"), "{out}");
-        assert_eq!(
-            session(&dir, &["status"])
-                .unwrap()
-                .matches("[completed]")
-                .count(),
-            3
-        );
-
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn run_store_durability_flag_round_trips_a_session() {
         let dir = std::env::temp_dir().join(format!("ctr_cli_coalesced_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
@@ -1312,11 +1300,15 @@ mod tests {
                 .unwrap()
                 .contains("deployed `demo`")
         );
-        assert!(
-            session(&dir, &["--durability", "periodic", "pump", "demo", "2"])
-                .unwrap()
-                .contains("pumped 2 instances")
-        );
+        for id in ["0", "1"] {
+            let periodic = |verb: &[&str]| {
+                let mut args = vec!["--durability", "periodic"];
+                args.extend(verb);
+                session(&dir, &args).unwrap()
+            };
+            assert!(periodic(&["start", "demo"]).contains(&format!("started instance {id}")));
+            assert!(periodic(&["fire", id, "a", "b", "c", "d"]).contains("[completed]"));
+        }
         let out = session(&dir, &["--durability", "strict", "recover"]).unwrap();
         assert!(out.contains("2 instances"), "{out}");
 

@@ -6,11 +6,14 @@
 //!   at once. Every answer equals what a single-threaded [`Runtime`]
 //!   answers to the same requests, and a wire `shutdown` ends the process
 //!   with exit 0 and "server exited".
-//! * **Kill drill** — a store-backed server under coalesced group commit
-//!   is SIGKILLed while pipelined fires are in flight. The journal is an
-//!   instance's sole persistent state, and coalesced commit acknowledges
-//!   only what is durable, so every acknowledged start and fire must be
-//!   there after recovery, and nothing past the chain may be.
+//! * **Kill drill** — a store-backed server, under `strict` and then under
+//!   `coalesced` durability, is SIGKILLed while pipelined fires are in
+//!   flight. The journal is an instance's sole persistent state, and both
+//!   levels acknowledge only what is durable, so every acknowledged start
+//!   and fire must be there after recovery and after a checkpoint of it,
+//!   and nothing past the chain may be. An idle instance started before
+//!   the load keeps its armed deadline, due as before, and `advance`
+//!   fires it.
 
 use ctr_runtime::{Runtime, SharedRuntime, WalStore};
 use ctr_serve::{Client, ClientError, Fault, Request, Response};
@@ -271,15 +274,52 @@ fn fire_until_killed(mut client: Client, acks: Sender<usize>) -> BTreeMap<u64, u
     }
 }
 
+/// The workflow of the drill's idle instance: its deadline is armed at
+/// start and stays pending while nothing fires.
+const TIMED: &str = "workflow timed { graph a * b; deadline(b, 1s); }";
+
+/// Runs `ctr run --store STORE ARGS…`, which must succeed, and returns
+/// what it printed.
+fn ctr_run(store: &str, args: &[&str]) -> String {
+    let run = Command::new(CTR)
+        .args(["run", "--store", store])
+        .args(args)
+        .output()
+        .unwrap();
+    let out = String::from_utf8_lossy(&run.stdout).into_owned();
+    assert!(
+        run.status.success(),
+        "`ctr run {}`: {out}{}",
+        args.join(" "),
+        String::from_utf8_lossy(&run.stderr)
+    );
+    out
+}
+
 #[test]
 fn every_acknowledged_fire_survives_kill_9() {
+    for durability in ["strict", "coalesced"] {
+        kill_drill(durability);
+    }
+}
+
+/// SIGKILLs a store-backed server at `durability` under pipelined load,
+/// then checks what recovery finds against what the server acknowledged.
+fn kill_drill(durability: &str) {
     const KILL_AFTER: usize = 1_000;
-    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
-        .join(format!("serve_drills_kill_{}", std::process::id()));
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!(
+        "serve_drills_kill_{durability}_{}",
+        std::process::id()
+    ));
     std::fs::remove_dir_all(&dir).ok();
     let store = dir.to_str().unwrap();
-    let mut served = Served::spawn(&["--store", store, "--durability", "coalesced"]);
-    assert_eq!(served.connect().deploy(&chain_source()).unwrap(), WORKFLOW);
+    let mut served = Served::spawn(&["--store", store, "--durability", durability]);
+    let mut control = served.connect();
+    assert_eq!(control.deploy(&chain_source()).unwrap(), WORKFLOW);
+    assert_eq!(control.deploy(TIMED).unwrap(), "timed");
+    let idle = control.start("timed").unwrap();
+    let deadline = ("b@deadline1000".to_owned(), 1000);
+    assert_eq!(control.timers(idle).unwrap(), [deadline]);
 
     let (acks, acked_so_far) = mpsc::channel();
     let acked: BTreeMap<u64, usize> = std::thread::scope(|scope| {
@@ -311,19 +351,13 @@ fn every_acknowledged_fire_survives_kill_9() {
     let fires: usize = acked.values().sum();
     assert!(
         fires >= KILL_AFTER,
-        "only {fires} fires acknowledged before the kill"
+        "{durability}: only {fires} fires acknowledged before the kill"
     );
 
-    let recover = Command::new(CTR)
-        .args(["run", "--store", store, "recover"])
-        .output()
-        .unwrap();
-    let report = String::from_utf8_lossy(&recover.stdout);
-    assert!(
-        recover.status.success() && report.contains("recovered"),
-        "{report}{}",
-        String::from_utf8_lossy(&recover.stderr)
-    );
+    // Recover, checkpoint what came back, and recover from the checkpoint.
+    assert!(ctr_run(store, &["recover"]).contains("recovered"));
+    ctr_run(store, &["snapshot"]);
+    assert!(ctr_run(store, &["recover"]).contains("recovered"));
 
     let rt = SharedRuntime::open(Arc::new(WalStore::open(&dir).unwrap())).unwrap();
     let chain: Vec<String> = (0..EVENTS).map(event).collect();
@@ -340,9 +374,21 @@ fn every_acknowledged_fire_survives_kill_9() {
         journaled += journal.len();
     }
     println!(
-        "{fires} acknowledged fires over {} instances, all recovered ({journaled} journaled)",
+        "{durability}: {fires} acknowledged fires over {} instances, all recovered \
+         ({journaled} journaled)",
         acked.len()
     );
     drop(rt);
+
+    // The idle instance's deadline is back with the same due, and
+    // advancing the recovered clock fires it.
+    let idle = idle.to_string();
+    let timers = ctr_run(store, &["timers", &idle]);
+    assert!(timers.contains("b@deadline1000 due 1000ms"), "{timers}");
+    let advanced = ctr_run(store, &["advance", "1000"]);
+    assert!(
+        advanced.contains(&format!("instance {idle}: b@deadline1000")),
+        "{advanced}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

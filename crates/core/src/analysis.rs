@@ -109,13 +109,6 @@ pub(crate) fn mentions_conditions(goal: &Goal) -> bool {
 /// `Apply` for every constraint, then `Excise`.
 pub fn compile(goal: &Goal, constraints: &[Constraint]) -> Result<Compiled, CompileError> {
     check_unique_events(goal).map_err(CompileError::NotUniqueEvent)?;
-    Ok(compile_unchecked(goal, constraints))
-}
-
-/// [`compile`] without the unique-event check, for callers that have
-/// already established the property (e.g. goals generated by construction
-/// or produced by a previous compilation).
-pub fn compile_unchecked(goal: &Goal, constraints: &[Constraint]) -> Compiled {
     let channels = if constraints.is_empty() {
         // Nothing will be allocated: skip the channel scan.
         ChannelAlloc::new()
@@ -123,7 +116,13 @@ pub fn compile_unchecked(goal: &Goal, constraints: &[Constraint]) -> Compiled {
         ChannelAlloc::fresh_for(goal)
     };
     let has_conditions = mentions_conditions(goal);
-    compile_in(&mut Scratch, goal, constraints, channels, has_conditions)
+    Ok(compile_in(
+        &mut Scratch,
+        goal,
+        constraints,
+        channels,
+        has_conditions,
+    ))
 }
 
 /// `Excise(Apply(C, G))` through `table`, with the channel scan and the
@@ -223,7 +222,7 @@ impl Analyzer {
     /// Opens a session. Fails (once) if `goal` violates the unique-event
     /// property — the same precondition [`compile`] checks per call.
     pub fn new(goal: &Goal, constraints: &[Constraint]) -> Result<Analyzer, CompileError> {
-        Analyzer::over(Memo::new(), goal, constraints)
+        Analyzer::over(Memo::default(), goal, constraints)
     }
 
     /// Memo-table counters for this session.
@@ -586,6 +585,26 @@ mod tests {
         ];
         let kept = minimize_constraints(&goal, &constraints).unwrap();
         assert_eq!(kept, vec![0, 1]);
+    }
+
+    #[test]
+    fn a_kept_two_cycle_of_orders_makes_every_later_constraint_redundant() {
+        // Runs over a goal whose events occur once: decided on the graph.
+        // Each of `a < b` and `b < a` is consistent with the rest, so both
+        // are kept; once both are, the 2-cycle is a knot, `G ∧ R` has no
+        // execution, and it implies everything after them.
+        let goal = conc(vec![g("a"), g("b"), seq(vec![g("c"), g("d")]), g("e")]);
+        let constraints = [
+            Constraint::order("a", "b"),
+            Constraint::order("b", "a"),
+            Constraint::order("d", "e"),
+            Constraint::must("c"),
+            Constraint::order("c", "d"),
+        ];
+        assert_eq!(
+            minimize_constraints(&goal, &constraints).unwrap(),
+            vec![0, 1]
+        );
     }
 
     #[test]

@@ -155,7 +155,7 @@ pub(crate) enum Op {
     MustNot(Symbol),
     /// `sync(α<β, ·)` at a fixed, caller-supplied channel. The channel is
     /// part of the key, so the answer is a function of the key even though
-    /// `apply_order` allocates the channel freshly per compilation.
+    /// an order draws its channel freshly per compilation.
     Sync(Symbol, Symbol, u32),
     /// A whole run: the id [`Table::run_id`] gave its basics, and the
     /// first channel it draws (0 when it holds no order). The channels of
@@ -921,19 +921,8 @@ pub fn apply_must_not(alpha: Symbol, goal: &Goal) -> Goal {
 /// The `sync(α<β, T)` rewriting of Definition 5.3: every occurrence of
 /// event `α` becomes `α ⊗ send(ξ)` and every occurrence of `β` becomes
 /// `receive(ξ) ⊗ β`.
-pub fn sync(alpha: Symbol, beta: Symbol, xi: Channel, goal: &Goal) -> Goal {
+fn sync(alpha: Symbol, beta: Symbol, xi: Channel, goal: &Goal) -> Goal {
     sync_in(&mut Scratch, alpha, beta, xi, goal)
-}
-
-/// `Apply(∇α ⊗ ∇β, T)` — Definition 5.3:
-/// `sync(α<β, Apply(∇α, Apply(∇β, T)))` with a fresh channel.
-pub fn apply_order(alpha: Symbol, beta: Symbol, goal: &Goal, channels: &mut ChannelAlloc) -> Goal {
-    apply_run_in(&mut Scratch, &[Basic::Order(alpha, beta)], goal, channels)
-}
-
-/// `Apply` of a single basic constraint.
-pub fn apply_basic(basic: &Basic, goal: &Goal, channels: &mut ChannelAlloc) -> Goal {
-    apply_run_in(&mut Scratch, std::slice::from_ref(basic), goal, channels)
 }
 
 /// `Apply` of a conjunction of basics: sequential composition — each
@@ -1098,7 +1087,7 @@ mod tests {
         // (a knot — detected later by Excise).
         let t = or(vec![g("gamma"), seq(vec![g("beta"), g("alpha")])]);
         let mut ch = ChannelAlloc::new();
-        let result = apply_order(sym("alpha"), sym("beta"), &t, &mut ch);
+        let result = apply_conjunct(&vec![Basic::Order(sym("alpha"), sym("beta"))], &t, &mut ch);
         let xi = Channel(0);
         assert_eq!(
             result,
@@ -1116,7 +1105,7 @@ mod tests {
         // Apply(∇α ⊗ ∇β, α | β | ρ) = (α ⊗ send ξ) | (receive ξ ⊗ β) | ρ
         let t = conc(vec![g("alpha"), g("beta"), g("rho")]);
         let mut ch = ChannelAlloc::new();
-        let result = apply_order(sym("alpha"), sym("beta"), &t, &mut ch);
+        let result = apply_conjunct(&vec![Basic::Order(sym("alpha"), sym("beta"))], &t, &mut ch);
         let xi = Channel(0);
         assert_eq!(
             result,
@@ -1253,7 +1242,8 @@ mod tests {
     fn reflexive_order_is_nopath() {
         let t = conc(vec![g("a"), g("b")]);
         let mut ch = ChannelAlloc::new();
-        assert_eq!(apply_order(sym("a"), sym("a"), &t, &mut ch), Goal::NoPath);
+        let reflexive = vec![Basic::Order(sym("a"), sym("a"))];
+        assert_eq!(apply_conjunct(&reflexive, &t, &mut ch), Goal::NoPath);
     }
 
     #[test]
@@ -1530,8 +1520,8 @@ mod tests {
                 &mut ChannelAlloc::new()
             )
         );
-        let tabled =
-            crate::memo::Memo::new().apply_all(&constraints, &goal, &mut ChannelAlloc::new());
+        let mut memo = crate::memo::Memo::default();
+        let tabled = apply_all_in(&mut memo, &constraints, &goal, &mut ChannelAlloc::new());
         assert_eq!(tabled, untabled);
         // Shared across `|`, deeper down, beside a ¬∇.
         let goal = conc(vec![g("a"), seq(vec![g("c"), or(vec![g("a"), g("d")])])]);

@@ -47,7 +47,8 @@
 //! 4. Otherwise the graph gets its channel edges `send(ξ) → receive(ξ)`
 //!    between co-occurring pairs, each lifted to the end/begin of the
 //!    outermost block only one of its ends is in, and one Tarjan pass over
-//!    flat adjacency finds the strongly connected components. Each one
+//!    flat adjacency finds the strongly connected components (`graph.rs`,
+//!    whose cycle test redundancy in the run fragment asks too). Each one
 //!    with more than one vertex is a **knot**. The one acted on is a
 //!    function of the goal: the knot holding the earliest occurrence in
 //!    walk order, its occurrences taken in walk order. The first
@@ -75,6 +76,7 @@
 
 use crate::apply::{map_connective, Op, Parallelism, Scratch, Table};
 use crate::goal::{Channel, Goal};
+use crate::graph::Graph;
 use std::fmt;
 
 /// Why a region was rewritten to `¬path`.
@@ -203,7 +205,7 @@ fn excise_inner<T: Table>(
 // ---------------------------------------------------------------------------
 
 /// "No such node": the parent of the root, the block of a node outside
-/// every `⊙`, the knot of a vertex on no cycle.
+/// every `⊙`.
 const NONE: u32 = u32::MAX;
 
 /// What an arena node is. `Send`, `Recv`, `Begin` and `End` are the
@@ -269,12 +271,8 @@ struct Region {
     edges: Vec<(u32, u32)>,
     /// The `send`s and `receive`s, sorted for [`by_channel`].
     ops: Vec<ChannelOp>,
-    /// Per vertex, the knot it is on; see [`Region::find_knots`].
-    knot: Vec<u32>,
-    /// [`Region::find_knots`]' rows, targets, indices, low-links and two
-    /// stacks.
-    tarjan: [Vec<u32>; 5],
-    call: Vec<(u32, u32)>,
+    /// The edges in compressed rows, with the knot each vertex is on.
+    graph: Graph,
 }
 
 /// A `send` or `receive` of a region: `(channel, is a receive, node)`.
@@ -561,93 +559,6 @@ impl Region {
         }
         (src, dst)
     }
-
-    /// Fills `knot`: for each vertex the knot it is on — a strongly
-    /// connected component of more than one vertex, named by one of them —
-    /// or [`NONE`]. One iterative Tarjan pass over the edges in compressed
-    /// rows. (No vertex has an edge to itself, so a component of one is on
-    /// no cycle.)
-    fn find_knots(&mut self) {
-        /// `n` copies of `value` in place of what `vector` held.
-        fn refill(vector: &mut Vec<u32>, n: usize, value: u32) {
-            vector.clear();
-            vector.resize(n, value);
-        }
-        let n = self.nodes.len();
-        assert!(self.edges.len() < NONE as usize, "fewer than 2^32 edges");
-        let (knot, call) = (&mut self.knot, &mut self.call);
-        let [row, targets, index, low, open] = &mut self.tarjan;
-        // Rows: the successors of `v` are `targets[row[v]..row[v + 1]]`.
-        refill(row, n + 2, 0);
-        for &(u, _) in &self.edges {
-            row[u as usize + 2] += 1;
-        }
-        for v in 2..row.len() {
-            row[v] += row[v - 1];
-        }
-        refill(targets, self.edges.len(), 0);
-        for &(u, v) in &self.edges {
-            let at = &mut row[u as usize + 1];
-            targets[*at as usize] = v;
-            *at += 1;
-        }
-
-        /// `low` of a vertex whose component is complete.
-        const DONE: u32 = u32::MAX;
-        refill(index, n, NONE);
-        refill(low, n, 0);
-        refill(knot, n, NONE);
-        // `open` is Tarjan's stack; `call` the recursion's: (vertex, next
-        // edge of its row to look at). Neither holds a vertex twice.
-        open.clear();
-        open.reserve(n);
-        call.clear();
-        call.reserve(n);
-        let mut next_index = 0u32;
-        for start in 0..n as u32 {
-            if index[start as usize] != NONE {
-                continue;
-            }
-            call.push((start, row[start as usize]));
-            while let Some(top) = call.last_mut() {
-                let (v, edge) = *top;
-                let vi = v as usize;
-                if index[vi] == NONE {
-                    index[vi] = next_index;
-                    low[vi] = next_index;
-                    next_index += 1;
-                    open.push(v);
-                }
-                if edge < row[vi + 1] {
-                    top.1 += 1;
-                    let w = targets[edge as usize];
-                    if index[w as usize] == NONE {
-                        call.push((w, row[w as usize]));
-                    } else if low[w as usize] != DONE {
-                        low[vi] = low[vi].min(index[w as usize]);
-                    }
-                    continue;
-                }
-                call.pop();
-                let low_v = low[vi];
-                if low_v == index[vi] {
-                    let alone = open.last() == Some(&v);
-                    while let Some(w) = open.pop() {
-                        low[w as usize] = DONE;
-                        if !alone {
-                            knot[w as usize] = v;
-                        }
-                        if w == v {
-                            break;
-                        }
-                    }
-                } else if let Some(&(parent, _)) = call.last() {
-                    let pi = parent as usize;
-                    low[pi] = low[pi].min(low_v);
-                }
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -692,15 +603,16 @@ fn excise_region(
 
     // --- Cycle analysis ----------------------------------------------------
     *guaranteed &= region.add_waits();
-    region.find_knots();
+    region.graph.fill(region.nodes.len(), &region.edges, &[]);
+    region.graph.find_knots();
     // Which knot is acted on is a function of the goal: the one holding
     // the earliest occurrence in walk order, its occurrences taken in walk
     // order.
-    let knot = |v: u32| region.knot[v as usize];
-    let Some(chosen) = region.occurrences().map(knot).find(|&k| k != NONE) else {
+    let knot = |v: u32| region.graph.knot(v);
+    let Some(chosen) = region.occurrences().find_map(knot) else {
         return goal.clone();
     };
-    let members = || region.occurrences().filter(|&v| knot(v) == chosen);
+    let members = || region.occurrences().filter(|&v| knot(v) == Some(chosen));
     // Conditional participants are resolved by expanding one of their
     // choices; a fully unconditional cycle kills the region.
     let guarded = members().find(|&v| region.node(v).ors > 0);

@@ -11,8 +11,8 @@
 //! [`mod@crate::apply`] and [`mod@crate::excise`], written once over a
 //! table strategy; this module is the strategy that remembers:
 //!
-//! 1. [`GoalTable`] — a hash-consing table interning `Goal` subtrees into
-//!    stable [`NodeId`]s. Buckets are keyed by the cached
+//! 1. `GoalTable` — a hash-consing table interning `Goal` subtrees into
+//!    stable `NodeId`s. Buckets are keyed by the cached
 //!    [`Goal::structural_hash`]; inside a bucket candidates are compared
 //!    with a *real* equality check (pointer comparison first, exactly like
 //!    [`crate::goal::or`]'s idempotence dedup — hash equality alone is NOT
@@ -28,17 +28,16 @@
 //!    answer at its root subgoal keyed on its interned basics *and* the
 //!    first channel it draws, which fixes the rest (DESIGN.md §13).
 //!
-//! The session that keeps one `Memo` across queries is [`Analyzer`]. The
-//! rules being shared, a `Memo` yields goals structurally equal to the
-//! one-shot functions' by construction; `tests/tabled_analysis.rs` pins
-//! what can still differ — that each answer is a function of its key.
+//! A `Memo` has no method of its own: the one tabled API is the session
+//! that keeps one across queries, [`Analyzer`]. The rules being shared, it
+//! yields goals structurally equal to the one-shot functions' by
+//! construction; `tests/tabled_analysis.rs` pins what can still differ —
+//! that each answer is a function of its key.
 
-use crate::analysis::{compile_in, mentions_conditions, Compiled};
-use crate::apply::{ChannelAlloc, Op, Table};
-use crate::constraints::{Basic, Conjunct, Constraint, NormalForm};
+use crate::apply::{Op, Table};
+use crate::constraints::{Basic, Constraint, NormalForm};
 use crate::excise::ExciseResult;
-use crate::goal::{Channel, FxBuildHasher, Goal};
-use crate::symbol::Symbol;
+use crate::goal::{FxBuildHasher, Goal};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -47,7 +46,7 @@ pub use crate::analysis::Analyzer;
 /// Stable id of an interned goal subtree. Ids are dense indices into the
 /// owning [`GoalTable`]; equal goals always receive the same id.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct NodeId(u32);
+struct NodeId(u32);
 
 /// Hash-consing table: interns `Goal` subtrees into stable [`NodeId`]s.
 ///
@@ -57,7 +56,7 @@ pub struct NodeId(u32);
 /// collide on the hash therefore land in the same bucket but keep distinct
 /// ids — see the `hash_collision_keeps_distinct_ids` test.
 #[derive(Default)]
-pub struct GoalTable {
+struct GoalTable {
     nodes: Vec<Goal>,
     /// Per node, the next node of its bucket ([`NO_NODE`] ends the chain).
     next_in_bucket: Vec<u32>,
@@ -69,14 +68,9 @@ pub struct GoalTable {
 const NO_NODE: u32 = u32::MAX;
 
 impl GoalTable {
-    /// An empty table.
-    pub fn new() -> GoalTable {
-        GoalTable::default()
-    }
-
     /// Interns a goal, returning its stable id. Equal goals (by structural
     /// equality) always return the same id.
-    pub fn intern(&mut self, goal: &Goal) -> NodeId {
+    fn intern(&mut self, goal: &Goal) -> NodeId {
         self.intern_hashed(goal, goal.structural_hash())
     }
 
@@ -105,19 +99,9 @@ impl GoalTable {
         NodeId(id)
     }
 
-    /// The goal a node id stands for.
-    pub fn resolve(&self, id: NodeId) -> &Goal {
-        &self.nodes[id.0 as usize]
-    }
-
     /// Number of interned subtrees.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// True when nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 }
 
@@ -148,10 +132,10 @@ impl std::fmt::Display for MemoStats {
 /// so repeated queries over overlapping goals (the [`Analyzer`] pattern)
 /// replay shared regions as O(1) hits.
 ///
-/// Each public method runs the same rule as the function of the same name
-/// in [`mod@crate::apply`] / [`mod@crate::excise`] / [`crate::goal`], through
-/// this table; the table only changes how often the structural recursion
-/// actually runs.
+/// It has no method of its own: the rules of [`mod@crate::apply`] and
+/// [`mod@crate::excise`] run through it, and an [`Analyzer`] is how a
+/// caller asks them. The table only changes how often the structural
+/// recursion actually runs.
 #[derive(Default)]
 pub struct Memo {
     table: GoalTable,
@@ -252,14 +236,9 @@ impl Table for Memo {
 }
 
 impl Memo {
-    /// A fresh memo with empty tables.
-    pub fn new() -> Memo {
-        Memo::default()
-    }
-
     /// Current counters. `entries` sums the rewrite, excise, normal-form
     /// and run tables; `interned` is the hash-consing table size.
-    pub fn stats(&self) -> MemoStats {
+    pub(crate) fn stats(&self) -> MemoStats {
         MemoStats {
             hits: self.hits,
             misses: self.misses,
@@ -273,126 +252,31 @@ impl Memo {
     }
 
     /// Resets the hit/miss counters (entries are kept).
-    pub fn reset_counters(&mut self) {
+    pub(crate) fn reset_counters(&mut self) {
         self.hits = 0;
         self.misses = 0;
-    }
-
-    /// Tabled `Apply(∇α, T)` — see [`crate::apply::apply_must`].
-    pub fn apply_must(&mut self, alpha: Symbol, goal: &Goal) -> Goal {
-        crate::apply::apply_must_in(self, alpha, goal)
-    }
-
-    /// Tabled `Apply(¬∇α, T)` — see [`crate::apply::apply_must_not`].
-    pub fn apply_must_not(&mut self, alpha: Symbol, goal: &Goal) -> Goal {
-        crate::apply::apply_must_not_in(self, alpha, goal)
-    }
-
-    /// Tabled `sync(α<β, T)` at a fixed channel — see
-    /// [`crate::apply::sync`]. The channel is part of the key; see the
-    /// module docs for why the answer stays a function of it.
-    pub fn sync(&mut self, alpha: Symbol, beta: Symbol, xi: Channel, goal: &Goal) -> Goal {
-        crate::apply::sync_in(self, alpha, beta, xi, goal)
-    }
-
-    /// Tabled canonicalization — see [`Goal::simplify`]. Tabled at
-    /// whole-subtree granularity.
-    pub fn simplify(&mut self, goal: &Goal) -> Goal {
-        self.rewrite(Op::Simplify, goal, |_| goal.simplify())
-    }
-
-    /// Tabled `Apply(∇α ⊗ ∇β, T)` — see [`crate::apply::apply_order`]:
-    /// a run of one order, keyed on the channel `channels` has next and
-    /// drawn from it exactly like the one-shot path.
-    pub fn apply_order(
-        &mut self,
-        alpha: Symbol,
-        beta: Symbol,
-        goal: &Goal,
-        channels: &mut ChannelAlloc,
-    ) -> Goal {
-        crate::apply::apply_run_in(self, &[Basic::Order(alpha, beta)], goal, channels)
-    }
-
-    /// Tabled `Apply` of a single basic constraint — see
-    /// [`crate::apply::apply_basic`].
-    pub fn apply_basic(&mut self, basic: &Basic, goal: &Goal, channels: &mut ChannelAlloc) -> Goal {
-        crate::apply::apply_run_in(self, std::slice::from_ref(basic), goal, channels)
-    }
-
-    /// Tabled `Apply` of a conjunction of basics — see
-    /// [`crate::apply::apply_conjunct`].
-    pub fn apply_conjunct(
-        &mut self,
-        conj: &Conjunct,
-        goal: &Goal,
-        channels: &mut ChannelAlloc,
-    ) -> Goal {
-        crate::apply::apply_run_in(self, conj, goal, channels)
-    }
-
-    /// Tabled `Apply` of one normalized constraint — see
-    /// [`crate::apply::apply_normal_form`].
-    pub fn apply_normal_form(
-        &mut self,
-        nf: &NormalForm,
-        goal: &Goal,
-        channels: &mut ChannelAlloc,
-    ) -> Goal {
-        crate::apply::apply_normal_form_in(self, nf, goal, channels)
-    }
-
-    /// Tabled `Apply(C, G)` for a whole constraint set — see
-    /// [`crate::apply::apply_all`]. On a warm table, re-running an
-    /// unchanged constraint prefix costs one top-level hit per run and
-    /// per wider constraint; a run that changed anywhere is recomputed
-    /// whole, in two walks of the goal, and a wider constraint for the
-    /// alternatives that changed.
-    pub fn apply_all(
-        &mut self,
-        constraints: &[Constraint],
-        goal: &Goal,
-        channels: &mut ChannelAlloc,
-    ) -> Goal {
-        crate::apply::apply_all_in(self, constraints, goal, channels)
-    }
-
-    /// Tabled `Excise` with diagnostics — see
-    /// [`crate::excise::excise_with_diagnostics`]. Outcomes are recorded
-    /// per choice-rooted-free region (the unit the pass analyzes),
-    /// including the exact `G_fail` reports it appended.
-    pub fn excise_with_diagnostics(&mut self, goal: &Goal) -> ExciseResult {
-        crate::excise::excise_in(self, goal)
-    }
-
-    /// Tabled `Excise` without diagnostics — see [`crate::excise::excise`].
-    pub fn excise(&mut self, goal: &Goal) -> Goal {
-        self.excise_with_diagnostics(goal).goal
-    }
-
-    /// Tabled compilation of `G ∧ C` — see
-    /// [`crate::analysis::compile_unchecked`] (the caller is responsible
-    /// for the unique-event property, as there).
-    pub fn compile_unchecked(&mut self, goal: &Goal, constraints: &[Constraint]) -> Compiled {
-        compile_in(
-            self,
-            goal,
-            constraints,
-            ChannelAlloc::fresh_for(goal),
-            mentions_conditions(goal),
-        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::{self, CompileError};
-    use crate::goal::{conc, isolated, or, seq};
+    use crate::analysis::{self, compile_in, mentions_conditions, CompileError, Compiled};
+    use crate::apply::{
+        apply_all_in, apply_must_in, apply_must_not_in, apply_run_in, sync_in, ChannelAlloc,
+        Scratch,
+    };
+    use crate::goal::{conc, isolated, or, seq, Channel};
     use crate::symbol::sym;
 
     fn g(name: &str) -> Goal {
         Goal::atom(name)
+    }
+
+    /// `G ∧ C` compiled through `memo`, as a session compiles it.
+    fn compile_through(memo: &mut Memo, goal: &Goal, constraints: &[Constraint]) -> Compiled {
+        let channels = ChannelAlloc::fresh_for(goal);
+        compile_in(memo, goal, constraints, channels, mentions_conditions(goal))
     }
 
     fn demo() -> (Goal, Vec<Constraint>) {
@@ -407,7 +291,7 @@ mod tests {
 
     #[test]
     fn interner_shares_ids_for_equal_goals() {
-        let mut table = GoalTable::new();
+        let mut table = GoalTable::default();
         let g1 = seq(vec![g("a"), g("b")]);
         let g2 = seq(vec![g("a"), g("b")]); // equal, distinct Arc
         let g3 = seq(vec![g("b"), g("a")]);
@@ -416,7 +300,7 @@ mod tests {
         assert_eq!(table.intern(&g1.clone()), id1, "Arc bump hits ptr_eq");
         assert_ne!(table.intern(&g3), id1);
         assert_eq!(table.len(), 2);
-        assert_eq!(table.resolve(id1), &g1);
+        assert_eq!(table.nodes[id1.0 as usize], g1);
     }
 
     #[test]
@@ -424,7 +308,7 @@ mod tests {
         // Force two structurally distinct goals through one bucket: the
         // in-bucket equality check must keep them apart — hash equality
         // alone is not identity.
-        let mut table = GoalTable::new();
+        let mut table = GoalTable::default();
         let g1 = seq(vec![g("a"), g("b")]);
         let g2 = conc(vec![g("x"), g("y")]);
         let forced = 0xDEAD_BEEF;
@@ -436,34 +320,34 @@ mod tests {
         // original ids.
         assert_eq!(table.intern_hashed(&g1, forced), id1);
         assert_eq!(table.intern_hashed(&g2, forced), id2);
-        assert_eq!(table.resolve(id1), &g1);
-        assert_eq!(table.resolve(id2), &g2);
+        assert_eq!(table.nodes[id1.0 as usize], g1);
+        assert_eq!(table.nodes[id2.0 as usize], g2);
     }
 
     #[test]
     fn tabled_rewrites_match_untabled() {
         let (goal, _) = demo();
-        let mut memo = Memo::new();
+        let mut memo = Memo::default();
         for event in ["a", "b", "c", "d", "e", "zzz"] {
             let e = sym(event);
             assert_eq!(
-                memo.apply_must(e, &goal),
+                apply_must_in(&mut memo, e, &goal),
                 crate::apply::apply_must(e, &goal)
             );
             assert_eq!(
-                memo.apply_must_not(e, &goal),
+                apply_must_not_in(&mut memo, e, &goal),
                 crate::apply::apply_must_not(e, &goal)
             );
         }
         let xi = Channel(9);
         assert_eq!(
-            memo.sync(sym("b"), sym("c"), xi, &goal),
-            crate::apply::sync(sym("b"), sym("c"), xi, &goal)
+            sync_in(&mut memo, sym("b"), sym("c"), xi, &goal),
+            sync_in(&mut Scratch, sym("b"), sym("c"), xi, &goal)
         );
         // Replaying an op answers from the table at the root.
         let before = memo.stats();
         assert_eq!(
-            memo.apply_must(sym("b"), &goal),
+            apply_must_in(&mut memo, sym("b"), &goal),
             crate::apply::apply_must(sym("b"), &goal)
         );
         let after = memo.stats();
@@ -474,8 +358,8 @@ mod tests {
     #[test]
     fn tabled_compile_matches_untabled() {
         let (goal, constraints) = demo();
-        let mut memo = Memo::new();
-        let tabled = memo.compile_unchecked(&goal, &constraints);
+        let mut memo = Memo::default();
+        let tabled = compile_through(&mut memo, &goal, &constraints);
         let untabled = analysis::compile(&goal, &constraints).unwrap();
         assert_eq!(tabled.goal, untabled.goal);
         assert_eq!(tabled.knots, untabled.knots);
@@ -484,7 +368,7 @@ mod tests {
         assert_eq!(tabled.has_conditions, untabled.has_conditions);
         // A verbatim replay is pure table hits at the top level.
         let before = memo.stats();
-        let replay = memo.compile_unchecked(&goal, &constraints);
+        let replay = compile_through(&mut memo, &goal, &constraints);
         assert_eq!(replay.goal, untabled.goal);
         let after = memo.stats();
         assert!(after.hits > before.hits);
@@ -598,13 +482,13 @@ mod tests {
         // A knotted compile (paper Example 4): receive ⊗ β ⊗ α ⊗ send.
         let t = or(vec![g("gamma"), seq(vec![g("beta"), g("alpha")])]);
         let constraints = vec![Constraint::order("alpha", "beta")];
-        let mut memo = Memo::new();
-        let first = memo.compile_unchecked(&t, &constraints);
+        let mut memo = Memo::default();
+        let first = compile_through(&mut memo, &t, &constraints);
         let reference = analysis::compile(&t, &constraints).unwrap();
         assert_eq!(first.goal, reference.goal);
         assert_eq!(first.knots, reference.knots);
         assert!(!first.knots.is_empty(), "the knot is reported");
-        let replay = memo.compile_unchecked(&t, &constraints);
+        let replay = compile_through(&mut memo, &t, &constraints);
         assert_eq!(replay.knots, reference.knots, "cached reports replay");
     }
 
@@ -615,9 +499,9 @@ mod tests {
             Basic::Order(sym("a"), sym("b")),
             Basic::Order(sym("b"), sym("c")),
         ];
-        let mut memo = Memo::new();
+        let mut memo = Memo::default();
         let mut cold_channels = ChannelAlloc::new();
-        let cold = memo.apply_conjunct(&run, &goal, &mut cold_channels);
+        let cold = apply_run_in(&mut memo, &run, &goal, &mut cold_channels);
         assert_eq!(
             cold,
             crate::apply::apply_conjunct(&run, &goal, &mut ChannelAlloc::new())
@@ -626,7 +510,7 @@ mod tests {
         // it had been computed.
         let before = memo.stats();
         let mut warm_channels = ChannelAlloc::new();
-        let warm = memo.apply_conjunct(&run, &goal, &mut warm_channels);
+        let warm = apply_run_in(&mut memo, &run, &goal, &mut warm_channels);
         assert_eq!(warm, cold);
         assert_eq!(memo.stats().misses, before.misses, "one probe, no walk");
         assert_eq!(warm_channels.fresh(), Channel(2));
@@ -635,7 +519,7 @@ mod tests {
         // same run is another answer.
         let mut later = ChannelAlloc::new();
         later.fresh();
-        let shifted = memo.apply_conjunct(&run, &goal, &mut later);
+        let shifted = apply_run_in(&mut memo, &run, &goal, &mut later);
         assert_eq!(
             shifted.channels(),
             [Channel(1), Channel(2)].into_iter().collect()
@@ -673,10 +557,10 @@ mod tests {
         assert_eq!(channels.fresh(), Channel(6));
         let xis: Vec<Channel> = untabled.channels().into_iter().collect();
         assert_eq!(xis, [0, 2, 3, 4, 5].map(Channel));
-        let mut memo = Memo::new();
+        let mut memo = Memo::default();
         for pass in ["cold", "warm"] {
             let mut channels = ChannelAlloc::new();
-            let tabled = memo.apply_all(&constraints, &goal, &mut channels);
+            let tabled = apply_all_in(&mut memo, &constraints, &goal, &mut channels);
             assert_eq!(tabled, untabled, "{pass}");
             assert_eq!(channels.fresh(), Channel(6), "{pass}");
         }
@@ -706,9 +590,7 @@ mod tests {
         let mut channels = ChannelAlloc::new();
         assert!(crate::apply::apply_all(&dead, &goal, &mut channels).is_nopath());
         let mut tabled_channels = ChannelAlloc::new();
-        assert!(memo
-            .apply_all(&dead, &goal, &mut tabled_channels)
-            .is_nopath());
+        assert!(apply_all_in(&mut memo, &dead, &goal, &mut tabled_channels).is_nopath());
         assert_eq!(channels.fresh(), tabled_channels.fresh());
     }
 

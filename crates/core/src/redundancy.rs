@@ -29,6 +29,8 @@
 //! * `a < b`: both occur outside every `∨`, and `b` is reachable from `a`.
 //!
 //! A probe is linear in `|G| + |C|`, and asks the session's table nothing.
+//! Its cycle and reachability tests are those of `graph.rs`, the graph
+//! `Excise` finds knots on: a cycle here is a knot there.
 //! It needs no restriction walk (`H` is `G`) when `R` asks no `∇` of an
 //! event that is under an `∨` or absent, and no `¬∇` of one that is present.
 //! [`is_redundant`](crate::analysis::is_redundant) stays the literal
@@ -42,6 +44,7 @@
 use crate::apply::restrict;
 use crate::constraints::Basic;
 use crate::goal::Goal;
+use crate::graph::Graph;
 use crate::symbol::Symbol;
 
 /// The series-parallel graph of a goal in the fragment.
@@ -190,51 +193,7 @@ impl SeriesParallel {
 struct Probe {
     /// `R`'s orders, as edges.
     orders: Vec<(u32, u32)>,
-    rows: Rows,
-    /// In-degrees for the cycle test, then visit marks.
-    marks: Vec<u32>,
-    stack: Vec<u32>,
-}
-
-/// A graph in compressed rows: the successors of `v` are
-/// `targets[row[v]..row[v + 1]]`.
-#[derive(Default)]
-struct Rows {
-    row: Vec<u32>,
-    targets: Vec<u32>,
-}
-
-impl Rows {
-    /// The graph of `edges` over `vertices` vertices, in place of this one.
-    fn fill<'a, E>(&mut self, vertices: u32, edges: impl Fn() -> E)
-    where
-        E: Iterator<Item = &'a (u32, u32)>,
-    {
-        self.row.clear();
-        self.row.resize(vertices as usize + 2, 0);
-        for &(u, _) in edges() {
-            self.row[u as usize + 2] += 1;
-        }
-        for v in 2..self.row.len() {
-            self.row[v] += self.row[v - 1];
-        }
-        self.targets.clear();
-        self.targets
-            .resize(self.row[self.row.len() - 1] as usize, 0);
-        for &(u, v) in edges() {
-            let at = &mut self.row[u as usize + 1];
-            self.targets[*at as usize] = v;
-            *at += 1;
-        }
-    }
-
-    fn vertices(&self) -> usize {
-        self.row.len() - 2
-    }
-
-    fn successors(&self, v: u32) -> &[u32] {
-        &self.targets[self.row[v as usize] as usize..self.row[v as usize + 1] as usize]
-    }
+    graph: Graph,
 }
 
 impl Probe {
@@ -243,64 +202,19 @@ impl Probe {
     fn redundant(&mut self, h: &SeriesParallel, rest: &[Basic], phi: &[Basic]) -> bool {
         self.orders.clear();
         self.orders.extend(h.orders(rest));
-        let orders = &self.orders;
-        self.rows.fill(h.vertices, || h.edges.iter().chain(orders));
-        if !self.acyclic() {
-            // G ∧ R has no execution.
+        let graph = &mut self.graph;
+        graph.fill(h.vertices as usize, &h.edges, &self.orders);
+        if graph.find_knots() {
+            // A cycle: G ∧ R has no execution.
             return true;
         }
         phi.iter().all(|basic| match *basic {
             Basic::Must(e) => h.unguarded(e).is_some(),
             Basic::MustNot(e) => h.find(e).is_none(),
             Basic::Order(a, b) => match (h.unguarded(a), h.unguarded(b)) {
-                (Some(a), Some(b)) => self.reaches(a, b),
+                (Some(a), Some(b)) => graph.reaches(a, b),
                 _ => false,
             },
         })
-    }
-
-    /// Kahn's test: true if the rows hold no cycle.
-    fn acyclic(&mut self) -> bool {
-        let n = self.rows.vertices();
-        let indegree = &mut self.marks;
-        indegree.clear();
-        indegree.resize(n, 0);
-        for &v in &self.rows.targets {
-            indegree[v as usize] += 1;
-        }
-        self.stack.clear();
-        self.stack
-            .extend((0..n as u32).filter(|&v| indegree[v as usize] == 0));
-        let mut sorted = 0;
-        while let Some(u) = self.stack.pop() {
-            sorted += 1;
-            for &v in self.rows.successors(u) {
-                indegree[v as usize] -= 1;
-                if indegree[v as usize] == 0 {
-                    self.stack.push(v);
-                }
-            }
-        }
-        sorted == n
-    }
-
-    /// True if the rows hold a path from `from` to `to`.
-    fn reaches(&mut self, from: u32, to: u32) -> bool {
-        self.marks.clear();
-        self.marks.resize(self.rows.vertices(), 0);
-        self.stack.clear();
-        self.stack.push(from);
-        while let Some(u) = self.stack.pop() {
-            for &v in self.rows.successors(u) {
-                if v == to {
-                    return true;
-                }
-                if self.marks[v as usize] == 0 {
-                    self.marks[v as usize] = 1;
-                    self.stack.push(v);
-                }
-            }
-        }
-        false
     }
 }

@@ -121,13 +121,12 @@
 //! With a [`crate::WalStore`] attached, [`crate::Durability`] (set via
 //! [`crate::WalOptions`]) decides how long those in-lock appends block:
 //!
-//! * `Strict` — every append blocks its instance lock for a full
-//!   private fsync; appends on the same log stripe serialize.
-//! * `Coalesced` — an append still blocks until its record is durable,
-//!   but concurrent appends on a stripe share **one** fsync (the
-//!   store's commit pipeline): the instance lock is held across the
-//!   group wait, other instances proceed, and total fsync pressure
-//!   drops with concurrency. This is the recommended policy for
+//! * `Strict` and `Coalesced` — an append blocks until its record is
+//!   durable, but concurrent appends on a stripe share **one** fsync
+//!   (the store's commit pipeline): the instance lock is held across
+//!   the group wait, other instances proceed, and total fsync pressure
+//!   drops with concurrency. `Coalesced` also lets the group's leader
+//!   linger to gather more of it; it is the recommended policy for
 //!   multi-client services.
 //! * `Periodic` — appends return at staging time, so instance locks
 //!   are barely held; a crash may lose up to one sync interval of

@@ -12,8 +12,8 @@
 //!    lock* (where the global sequence number is also allocated, so the
 //!    checkpoint-cut invariant is unchanged), pushes the bytes onto the
 //!    stripe's commit queue, takes a monotonically increasing *ticket*,
-//!    and — under [`Durability::Coalesced`] — waits on the stripe's
-//!    durable-watermark condvar.
+//!    and — under [`Durability::Strict`] and [`Durability::Coalesced`] —
+//!    waits on the stripe's durable-watermark condvar.
 //! 2. **Lead.** The first waiter to observe no active leader becomes
 //!    the **leader**: it may wait up to `max_wait` for the group to
 //!    grow, then drains *every* staged frame, releases the staging lock,
@@ -61,9 +61,11 @@ use std::time::{Duration, Instant};
 /// crash may therefore lose. Set via [`crate::WalOptions::durability`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Durability {
-    /// One fsync per append, serialized under the stripe lock — exactly
-    /// the pre-pipeline behavior. Strongest latency ordering, slowest
-    /// under concurrency (N appenders pay N serial fsyncs).
+    /// Group commit with no linger: every `append` returns only after its
+    /// record is durable. A lone append pays its own fsync; appends that
+    /// stage while a leader is inside `sync_data` share the next one.
+    /// [`Durability::Coalesced`] with `max_wait` zero, under the name
+    /// the default has always had.
     #[default]
     Strict,
     /// Leader/follower group commit: concurrent appends on a stripe
@@ -161,18 +163,17 @@ impl CommitQueue {
 }
 
 impl WalInner {
-    /// The queued append path ([`Durability::Coalesced`] and
-    /// [`Durability::Periodic`]): stage the frame under the staging
-    /// lock, then either wait for the durable watermark (coalesced) or
-    /// acknowledge immediately (periodic).
-    pub(crate) fn append_queued(&self, s: usize, record: &Record) -> Result<(), StoreError> {
+    /// The append path of every level: stage the frame under the staging
+    /// lock, then either wait for the durable watermark (strict,
+    /// coalesced) or acknowledge immediately (periodic).
+    pub(crate) fn append(&self, s: usize, record: &Record) -> Result<(), StoreError> {
         let stripe = &self.stripes[s];
         let mut q = crate::wal::lock(&stripe.staging);
 
         let (wait, window) = match self.options.durability {
+            Durability::Strict => (true, Duration::ZERO),
             Durability::Coalesced { max_wait } => (true, max_wait),
             Durability::Periodic { .. } => (false, Duration::ZERO),
-            Durability::Strict => unreachable!("strict appends use append_strict"),
         };
         if !wait {
             // A background sync failed since the last append: the
@@ -248,14 +249,13 @@ impl WalInner {
         // fsync is still in flight we wait here with the staging lock
         // free, so frames staged meanwhile join *this* group instead of
         // the one after — group size tracks concurrency, not luck. Safe
-        // against the staging→I/O order used by strict appends and
-        // checkpoint/replay: only a leader takes the locks in this
-        // order, at most one leader runs per stripe (the `leader`
-        // flag), strict mode never has leaders at all, and
-        // checkpoint/replay only take a stripe's I/O lock while holding
-        // its staging lock *after* quiescing it — with `leader` false
-        // and staging held, no new leader can exist to hold the I/O
-        // side. So the inverted acquisition can never form a cycle.
+        // against the staging→I/O order used by checkpoint/replay: only
+        // a leader takes the locks in this order, at most one leader
+        // runs per stripe (the `leader` flag), and checkpoint/replay only
+        // take a stripe's I/O lock while holding its staging lock
+        // *after* quiescing it — with `leader` false and staging held,
+        // no new leader can exist to hold the I/O side. So the inverted
+        // acquisition can never form a cycle.
         let mut io = crate::wal::lock(&stripe.io);
         let mut q = crate::wal::lock(&stripe.staging);
 
@@ -270,7 +270,8 @@ impl WalInner {
         // past the target and the target adapts upward for free (and
         // downward after one timed-out window). An uncontended stripe
         // (no company staged, last group a singleton) skips the linger
-        // entirely and pays nothing over a strict append.
+        // entirely and pays nothing over a strict append, which never
+        // lingers.
         if !window.is_zero() && (q.staged_frames() > 1 || q.last_group > 1) {
             let target = q.last_group.max(2) as usize;
             let deadline = Instant::now() + window;
@@ -298,14 +299,16 @@ impl WalInner {
         drop(io);
 
         let mut q = crate::wal::lock(&stripe.staging);
+        // Periodic appends have no waiters: they were counted at
+        // acknowledgement time, and a failure has no one to go to.
+        let periodic = matches!(self.options.durability, Durability::Periodic { .. });
         match outcome {
             Ok(latency) => {
                 // `max`, not assignment: the next leader can race ahead
                 // and publish a higher watermark before we re-acquire
                 // the staging lock; the watermark must never regress.
                 q.durable = q.durable.max(last);
-                if matches!(self.options.durability, Durability::Coalesced { .. }) {
-                    // Periodic already counted at acknowledgement time.
+                if !periodic {
                     for &events in &frame_events {
                         self.counters.on_append(events);
                     }
@@ -318,12 +321,12 @@ impl WalInner {
                 // waiter may be told "durable" past that point, so the
                 // watermark stays put and every ticket in the group
                 // gets the typed error.
-                if matches!(self.options.durability, Durability::Coalesced { .. }) {
+                if periodic {
+                    q.sticky_error = Some(err);
+                } else {
                     for ticket in first..=last {
                         q.failures.insert(ticket, err.clone());
                     }
-                } else {
-                    q.sticky_error = Some(err);
                 }
             }
         }
@@ -421,6 +424,46 @@ mod tests {
         drop(store);
         let store = WalStore::open_with(&dir, options).unwrap();
         assert_eq!(store.replay().unwrap().records.len(), 4);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn strict_appends_from_many_threads_are_all_durable() {
+        const THREADS: u64 = 4;
+        const EACH: u64 = 25;
+        let dir = scratch("strict-threads");
+        let options = one_stripe(Durability::Strict);
+        let store = WalStore::open_with(&dir, options).unwrap();
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let store = &store;
+                scope.spawn(move || {
+                    for i in 0..EACH {
+                        store.append(&ev(t, &format!("e{i}"))).unwrap();
+                    }
+                });
+            }
+        });
+        let stats = store.stats();
+        assert_eq!(stats.appends, THREADS * EACH);
+        assert!(
+            (1..=stats.appends).contains(&stats.fsyncs),
+            "{} fsyncs for {} appends",
+            stats.fsyncs,
+            stats.appends
+        );
+        drop(store);
+        // Every acknowledged record is back, each thread's in its order.
+        let store = WalStore::open_with(&dir, options).unwrap();
+        let records = store.replay().unwrap().records;
+        assert_eq!(records.len() as u64, THREADS * EACH);
+        for t in 0..THREADS {
+            let mine: Vec<&Record> = (records.iter())
+                .filter(|r| matches!(r, Record::Events { instance, .. } if *instance == t))
+                .collect();
+            let sent: Vec<Record> = (0..EACH).map(|i| ev(t, &format!("e{i}"))).collect();
+            assert_eq!(mine, sent.iter().collect::<Vec<_>>(), "thread {t}");
+        }
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -49,8 +49,8 @@
 //!
 //! | [`Durability`]        | acknowledged when…        | crash may lose |
 //! |-----------------------|---------------------------|----------------|
-//! | `Strict` (default)    | its own fsync returns     | nothing acknowledged |
-//! | `Coalesced{max_wait}` | its *group's* fsync returns | nothing acknowledged |
+//! | `Strict` (default)    | its *group's* fsync returns | nothing acknowledged |
+//! | `Coalesced{max_wait}` | the same, the leader lingering ≤ `max_wait` | nothing acknowledged |
 //! | `Periodic{interval}`  | staged (fsync in ≤ interval) | up to one interval, always a contiguous per-stripe suffix |
 //!
 //! On top of cross-thread coalescing, the runtime's `fire_batch` path
@@ -76,8 +76,7 @@
 
 use crate::commit::{CommitQueue, Durability};
 use crate::{
-    crc32, decode_payload, encode_payload, merge_by_seq, Counters, Record, Replay, Store,
-    StoreError, StoreStats,
+    crc32, decode_payload, merge_by_seq, Counters, Record, Replay, Store, StoreError, StoreStats,
 };
 use std::fs::{self, File, OpenOptions};
 use std::io::Write as _;
@@ -488,12 +487,7 @@ impl Store for WalStore {
     fn append(&self, record: &Record) -> Result<(), StoreError> {
         record.validate_encodable()?;
         let s = record.shard(self.inner.options.shards);
-        match self.inner.options.durability {
-            Durability::Strict => self.inner.append_strict(s, record),
-            Durability::Coalesced { .. } | Durability::Periodic { .. } => {
-                self.inner.append_queued(s, record)
-            }
-        }
+        self.inner.append(s, record)
     }
 
     fn replay(&self) -> Result<Replay, StoreError> {
@@ -527,26 +521,6 @@ impl WalInner {
                 "record payload of {len} bytes exceeds the {MAX_PAYLOAD} byte frame limit"
             )));
         }
-        Ok(())
-    }
-
-    /// The [`Durability::Strict`] append path: one critical section per
-    /// append — the staging lock is held across the whole write, so
-    /// strict appends on a stripe serialize and each pays its own fsync,
-    /// exactly the pre-pipeline behavior.
-    fn append_strict(&self, s: usize, record: &Record) -> Result<(), StoreError> {
-        let stripe = &self.stripes[s];
-        let _q = lock(&stripe.staging);
-        let seq = self.next_seq();
-        let payload = encode_payload(seq, record);
-        self.check_payload_size(payload.len())?;
-        let frame = build_frame(&payload);
-        let latency = {
-            let mut io = lock(&stripe.io);
-            self.write_group(&mut io, &frame)?
-        };
-        self.counters.on_append(record.event_count());
-        self.counters.on_commit(1, latency);
         Ok(())
     }
 

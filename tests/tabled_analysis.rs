@@ -10,7 +10,7 @@
 use ctr::analysis;
 use ctr::constraints::Constraint;
 use ctr::gen::{random_constraints, random_goal, GoalShape};
-use ctr::memo::{Analyzer, Memo};
+use ctr::memo::Analyzer;
 use proptest::prelude::*;
 
 fn shape() -> GoalShape {
@@ -24,10 +24,10 @@ fn shape() -> GoalShape {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `Memo::compile_unchecked` reproduces the untabled compilation
-    /// exactly: same compiled goal, same knot reports in the same order,
-    /// same sizes and flags. Compiling twice through one memo (warm
-    /// tables) must also stay identical.
+    /// A session's compile reproduces the untabled compilation exactly:
+    /// same compiled goal, same knot reports in the same order, same sizes
+    /// and flags. Compiling again in the same session — the cached compile
+    /// dropped by a no-op edit, the tables warm — must also stay identical.
     #[test]
     fn tabled_compile_is_bit_identical(seed in 0u64..5000, cseed in 0u64..5000, n in 1usize..4) {
         let (goal, events) = random_goal(seed, shape(), "t");
@@ -35,9 +35,12 @@ proptest! {
         let constraints = random_constraints(cseed, &events, n);
 
         let reference = analysis::compile(&goal, &constraints).expect("unique-event by construction");
-        let mut memo = Memo::new();
+        let mut session = Analyzer::new(&goal, &constraints).expect("unique-event by construction");
         for round in 0..2 {
-            let tabled = memo.compile_unchecked(&goal, &constraints);
+            if round > 0 {
+                session.replace_constraint(0, constraints[0].clone());
+            }
+            let tabled = session.compiled();
             prop_assert_eq!(&tabled.goal, &reference.goal, "round {} goal {}", round, goal);
             prop_assert_eq!(&tabled.knots, &reference.knots, "round {}", round);
             prop_assert_eq!(tabled.applied_size, reference.applied_size, "round {}", round);
@@ -48,7 +51,7 @@ proptest! {
             );
             prop_assert_eq!(tabled.has_conditions, reference.has_conditions, "round {}", round);
         }
-        let stats = memo.stats();
+        let stats = session.stats();
         prop_assert!(stats.hits > 0, "the second compile replays from the tables");
     }
 
