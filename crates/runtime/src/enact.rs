@@ -1608,9 +1608,9 @@ mod tests {
     }
 
     #[test]
-    fn a_retry_and_a_timeout_in_one_wheel_slot_both_fire_in_due_order() {
-        // Armed at 0, dues 70 and 120 µs share level 1's slot 1 (64 µs
-        // wide); armed in the opposite order to their dues.
+    fn a_retry_and_a_timeout_armed_out_of_order_both_fire_in_due_order() {
+        // Armed at 0, dues 70 and 120 µs, in the opposite order to their
+        // dues.
         let mut wheel = TimerWheel::new();
         wheel.arm(120, Wake::Timeout(7));
         wheel.arm(
@@ -1620,7 +1620,7 @@ mod tests {
                 attempt: 2,
             },
         );
-        assert_eq!(wheel.next_due(), Some(64), "the slot, not either due");
+        assert_eq!(wheel.next_due(), Some(70), "the earlier due, exactly");
         assert!(wheel.advance_to(69).is_empty());
         let fired = wheel.advance_to(200);
         assert!(

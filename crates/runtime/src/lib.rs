@@ -793,13 +793,17 @@ impl Runtime {
         Ok(self.instance(id)?.pending_timers())
     }
 
-    /// Total pending timers across the fleet — O(1) from the wheel.
+    /// Total pending timers across the fleet.
     pub fn pending_timer_count(&self) -> usize {
         self.timers.wheel.len()
     }
 
-    /// The earliest pending due across all instances, as a lower bound
-    /// usable for sleeping; `None` when nothing is armed.
+    /// The earliest pending due across all instances, exactly; `None`
+    /// when nothing is armed. A due at or before [`clock_ms`] (a timer
+    /// re-armed after a failed advance) fires on the next advance that
+    /// moves the clock.
+    ///
+    /// [`clock_ms`]: Runtime::clock_ms
     pub fn next_timer_due(&self) -> Option<u64> {
         self.timers.wheel.next_due()
     }
@@ -1514,6 +1518,7 @@ mod tests {
             vec![("approve@after30000".to_owned(), 30_000)]
         );
         assert_eq!(rt.pending_timer_count(), 1);
+        assert_eq!(rt.next_timer_due(), Some(30_000), "exact, not a bound");
         rt.fire(id, "invoice").unwrap();
         // The gate holds: approve is not eligible (and the tick is
         // internal, never listed).
@@ -1756,6 +1761,23 @@ mod tests {
         rt.fire(id, "poll@2").unwrap();
         rt.fire(id, "done").unwrap();
         assert!(rt.is_complete(id).unwrap());
+    }
+
+    #[test]
+    fn ties_on_a_due_expire_by_instance_then_tick() {
+        // `c`'s tick is declared before `b`'s; both are due at 30 s on
+        // two instances, live and restored from a snapshot.
+        let mut rt = Runtime::new();
+        rt.deploy_source("workflow w { graph a * (c # b); after(c, 30s); after(b, 30s); }")
+            .unwrap();
+        let ids = [rt.start("w").unwrap(), rt.start("w").unwrap()];
+        let mut restored = Runtime::restore(&rt.snapshot()).unwrap();
+        let expected: Vec<(InstanceId, String)> = ids
+            .iter()
+            .flat_map(|&id| ["b@after30000", "c@after30000"].map(|tick| (id, tick.to_owned())))
+            .collect();
+        assert_eq!(rt.advance(30_000).unwrap(), expected);
+        assert_eq!(restored.advance(30_000).unwrap(), expected);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! * **per-instance state behind its own lock**, the only lock an
 //!   operation on a known instance acquires, so two clients firing
 //!   events on *different* instances share nothing they write;
-//! * the **timer wheel and logical clock** behind one mutex.
+//! * the **timer queue and logical clock** behind one mutex.
 //!
 //! This module is a *holder*: it resolves ids and takes locks, and hands
 //! the `&mut Instance` it locked, the timer mutex and the store to the
@@ -845,12 +845,13 @@ impl SharedRuntime {
         self.with_instance(id, |inst| inst.pending_timers())
     }
 
-    /// See [`Runtime::pending_timer_count`].
+    /// See [`Runtime::pending_timer_count`] — under the timer lock.
     pub fn pending_timer_count(&self) -> usize {
         lock(self.timers()).wheel.len()
     }
 
-    /// See [`Runtime::next_timer_due`].
+    /// See [`Runtime::next_timer_due`] — exact, under the timer lock, and
+    /// equal to what a `Runtime` holding the same fleet answers.
     pub fn next_timer_due(&self) -> Option<u64> {
         lock(self.timers()).wheel.next_due()
     }
@@ -1572,6 +1573,39 @@ mod tests {
         plain.fire(g, "approve").unwrap();
         assert!(shared.pending_timers(g).unwrap().is_empty());
         assert_eq!(shared.snapshot(), plain.snapshot());
+    }
+
+    #[test]
+    fn a_far_future_tick_does_not_stall_advance() {
+        // Durations parse up to i64::MAX ms; a due of 2^62 ms must not
+        // make `advance` walk the time in between under the timer lock.
+        const FAR: &str = "workflow w { graph a * b; after(b, 4611686018427387904ms); }";
+        const TICK: &str = "b@after4611686018427387904";
+        let (tx, rx) = std::sync::mpsc::channel();
+        let single = tx.clone();
+        std::thread::spawn(move || {
+            let mut rt = Runtime::new();
+            rt.deploy_source(FAR).unwrap();
+            let id = rt.start("w").unwrap();
+            let fired = rt.advance(1 << 62).unwrap() == vec![(id, TICK.to_owned())];
+            single
+                .send(("Runtime", fired && rt.clock_ms() == 1 << 62))
+                .unwrap();
+        });
+        std::thread::spawn(move || {
+            let rt = SharedRuntime::new();
+            rt.deploy_source(FAR).unwrap();
+            let id = rt.start("w").unwrap();
+            let fired = rt.advance(1 << 62).unwrap() == vec![(id, TICK.to_owned())];
+            tx.send(("SharedRuntime", fired && rt.clock_ms() == 1 << 62))
+                .unwrap();
+        });
+        for _ in 0..2 {
+            let (holder, fired) = rx
+                .recv_timeout(std::time::Duration::from_secs(5))
+                .expect("advance returns");
+            assert!(fired, "{holder}: the far tick fires at its due");
+        }
     }
 
     #[test]

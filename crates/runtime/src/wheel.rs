@@ -1,81 +1,37 @@
-//! A hierarchical timer wheel: millions of pending timers, O(1) arm
-//! and cancel, expirations in due order.
+//! The timer queue: pending timers in `(due, arm order)` order, so
+//! expirations come out due-ordered with ties in arm order.
 //!
-//! Six levels of 64 slots each, with level `l` spanning ticks of
-//! `2^(6l)` ms — level 0 resolves milliseconds, level 1 ~64 ms, level
-//! 2 ~4 s, level 3 ~4.4 min, level 4 ~4.7 h, and level 5 ~12.7 days
-//! per slot (dues past the top level's ~2.2-year horizon park in its
-//! farthest slot and re-cascade). An entry is filed at the level
-//! spanning its remaining distance (`level = hsb(due - now) / 6`), the
-//! coarsest level whose slot is still unambiguous before the clock can
-//! wrap past it — the **cascade invariant**: when the clock enters a
-//! level-`l` slot, every entry in it has come within `2^(6l)` ms of
-//! its due, so re-filing sends it strictly downward and each entry
-//! cascades at most once per level.
+//! One ordered map keyed by `(due, arm sequence)` holds every pending
+//! timer. The key is the [`TimerToken`]: arm inserts, cancel removes,
+//! the first key is the next due, and an advance pops the map's head up
+//! to the target — already in expiry order. Arm, cancel and each expiry
+//! are O(log n); nothing is proportional to elapsed time, so an advance
+//! to a due as far off as `u64::MAX` costs what an advance of 1 ms does.
 //!
-//! * **Arm** computes a level and slot with two shifts and pushes onto
-//!   the slot's vector — O(1), no allocation beyond the slab.
-//! * **Cancel** bumps the entry's generation and frees the slab index
-//!   — O(1) *lazy deletion*: the `(index, generation)` pair left in
-//!   the slot no longer matches and is skipped when the slot drains,
-//!   and a reused index can never be confused with its previous
-//!   tenant.
-//! * **Advance** jumps boundary to boundary using per-level occupancy
-//!   bitmaps (one `u64` per level), so an idle wheel advances a year
-//!   in a few dozen probes — cost tracks *occupied* slots crossed and
-//!   entries moved, not elapsed time.
-//!
-//! The wheel is a pure data structure (no threads, no wall clock): the
+//! The queue is a pure data structure (no threads, no wall clock): the
 //! runtime owns the logical clock and drives [`TimerWheel::advance_to`]
 //! explicitly, which is what makes expiry deterministic under test and
 //! byte-identical across a recovered fleet and its never-crashed
 //! oracle. The unit is the caller's: the fleet's clock counts ms, an
 //! enactment's counts µs since the run started (its own reading of the
-//! wall clock), and the spans above scale with it.
+//! wall clock).
 
-/// Number of levels; level `l` has granularity `2^(6l)` ms.
-const LEVELS: usize = 6;
-/// log2(slots per level).
-const SLOT_BITS: u32 = 6;
-/// Slots per level.
-const SLOTS: usize = 1 << SLOT_BITS;
-/// Mask for a slot index.
-const SLOT_MASK: u64 = (SLOTS - 1) as u64;
+use std::collections::BTreeMap;
 
-/// Handle returned by [`TimerWheel::arm`]; spends on cancel or expiry.
-/// The generation makes tokens single-use even though slab indices are
-/// recycled.
+/// Handle returned by [`TimerWheel::arm`]: the timer's `(due, arm
+/// sequence)` key. Sequences are never reused, so a token spends on
+/// cancel or expiry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TimerToken {
-    index: u32,
-    generation: u32,
-}
-
-struct Entry<T> {
     due: u64,
-    /// Arm order; ties on `due` expire in arm order.
     seq: u64,
-    /// Bumped on fire and cancel; slot references and tokens carrying
-    /// an older generation are dead.
-    generation: u32,
-    /// `None` once fired or cancelled (the slab hole awaiting reuse).
-    data: Option<T>,
 }
 
-/// The wheel. `T` is the per-timer payload handed back on expiry.
+/// The queue. `T` is the per-timer payload handed back on expiry.
 pub struct TimerWheel<T> {
-    /// `slots[level][slot]` holds `(slab index, generation)` pairs in
-    /// insertion order; stale pairs are skipped on drain.
-    slots: Vec<Vec<Vec<(u32, u32)>>>,
-    /// Bit `s` of `occupancy[level]` set iff `slots[level][s]` is
-    /// non-empty (may be stale-set by lazily cancelled entries, never
-    /// stale-clear).
-    occupancy: [u64; LEVELS],
-    entries: Vec<Entry<T>>,
-    free: Vec<u32>,
+    pending: BTreeMap<(u64, u64), T>,
     now: u64,
     next_seq: u64,
-    pending: usize,
 }
 
 impl<T> Default for TimerWheel<T> {
@@ -85,230 +41,72 @@ impl<T> Default for TimerWheel<T> {
 }
 
 impl<T> TimerWheel<T> {
-    /// An empty wheel at clock 0.
+    /// An empty queue at clock 0.
     pub fn new() -> TimerWheel<T> {
         TimerWheel {
-            slots: (0..LEVELS)
-                .map(|_| (0..SLOTS).map(|_| Vec::new()).collect())
-                .collect(),
-            occupancy: [0; LEVELS],
-            entries: Vec::new(),
-            free: Vec::new(),
+            pending: BTreeMap::new(),
             now: 0,
             next_seq: 0,
-            pending: 0,
         }
     }
 
-    /// The wheel's current clock, in ms.
+    /// The queue's current clock, in the caller's unit.
     pub fn now(&self) -> u64 {
         self.now
     }
 
     /// Live (armed, not yet fired or cancelled) timers.
     pub fn len(&self) -> usize {
-        self.pending
+        self.pending.len()
     }
 
     /// True when no timer is pending.
     pub fn is_empty(&self) -> bool {
-        self.pending == 0
+        self.pending.is_empty()
     }
 
-    /// The level and slot an entry fireable at `at` files under, given
-    /// the current clock: the level spanning the remaining *distance*
-    /// (`hsb(at - now) / 6`), under which the slot's coarse index is at
-    /// most 64 ahead of the clock — always a boundary the advance loop
-    /// still visits before that slot index recurs. `at` must be
-    /// strictly greater than `now` — the loop only visits future
-    /// boundaries, so already-due entries are filed at `now + 1` by the
-    /// caller.
-    fn place(&self, at: u64) -> (usize, usize) {
-        debug_assert!(at > self.now);
-        let delta = at - self.now;
-        let level = ((63 - delta.leading_zeros()) / SLOT_BITS) as usize;
-        if level < LEVELS {
-            (
-                level,
-                ((at >> (SLOT_BITS * level as u32)) & SLOT_MASK) as usize,
-            )
-        } else {
-            // Beyond the top level's horizon: park in the farthest
-            // future slot — its boundary (`now + 63·2^30` at the
-            // latest) is strictly before any due at distance `≥ 2^36`,
-            // so a parked entry always re-cascades, never fires late.
-            let top = LEVELS - 1;
-            let coarse_now = self.now >> (SLOT_BITS * top as u32);
-            (top, ((coarse_now + SLOT_MASK) & SLOT_MASK) as usize)
-        }
-    }
-
-    fn file(&mut self, index: u32) {
-        let e = &self.entries[index as usize];
-        let (due, generation) = (e.due, e.generation);
-        let (level, slot) = self.place(due.max(self.now + 1));
-        self.slots[level][slot].push((index, generation));
-        self.occupancy[level] |= 1 << slot;
-    }
-
-    /// Arms a timer due at absolute clock `due` (immediately due if not
-    /// in the future — it fires on the next advance). O(1).
+    /// Arms a timer due at absolute clock `due`. A due not in the future
+    /// fires on the next advance that moves the clock.
     pub fn arm(&mut self, due: u64, data: T) -> TimerToken {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let index = match self.free.pop() {
-            Some(i) => {
-                let e = &mut self.entries[i as usize];
-                e.due = due;
-                e.seq = seq;
-                e.data = Some(data);
-                i
-            }
-            None => {
-                self.entries.push(Entry {
-                    due,
-                    seq,
-                    generation: 0,
-                    data: Some(data),
-                });
-                (self.entries.len() - 1) as u32
-            }
+        let token = TimerToken {
+            due,
+            seq: self.next_seq,
         };
-        self.pending += 1;
-        self.file(index);
-        TimerToken {
-            index,
-            generation: self.entries[index as usize].generation,
-        }
+        self.next_seq += 1;
+        self.pending.insert((due, token.seq), data);
+        token
     }
 
     /// Cancels a pending timer, returning its payload; `None` if the
-    /// token was already spent (fired or cancelled). O(1): the slot
-    /// reference is abandoned in place and skipped when its slot
-    /// drains.
+    /// token was already spent (fired or cancelled).
     pub fn cancel(&mut self, token: TimerToken) -> Option<T> {
-        let e = self.entries.get_mut(token.index as usize)?;
-        if e.generation != token.generation {
-            return None;
-        }
-        let data = e.data.take()?;
-        e.generation = e.generation.wrapping_add(1);
-        self.pending -= 1;
-        self.free.push(token.index);
-        Some(data)
+        self.pending.remove(&(token.due, token.seq))
     }
 
-    /// The earliest pending due, as a lower bound usable for sleeping:
-    /// exact for entries within 64 ms of the clock, otherwise the
-    /// start of the coarse slot the entry currently waits in.
+    /// The earliest pending due, exactly; `None` when nothing is armed.
+    /// It is at or before [`now`](TimerWheel::now) for a timer armed in
+    /// the past.
     pub fn next_due(&self) -> Option<u64> {
-        if self.pending == 0 {
-            return None;
-        }
-        let mut best: Option<u64> = None;
-        for level in 0..LEVELS {
-            let shift = SLOT_BITS * level as u32;
-            let coarse_now = self.now >> shift;
-            let occ = self.occupancy[level];
-            if occ == 0 {
-                continue;
-            }
-            for d in 1..=SLOTS as u64 {
-                let slot = ((coarse_now + d) & SLOT_MASK) as usize;
-                if occ & (1 << slot) != 0 {
-                    // Confirm liveness lazily (the bit may outlive its
-                    // cancelled entries).
-                    let live = self.slots[level][slot]
-                        .iter()
-                        .any(|&(i, g)| self.entries[i as usize].generation == g);
-                    if live {
-                        let t = ((coarse_now + d) << shift).max(self.now);
-                        best = Some(best.map_or(t, |b: u64| b.min(t)));
-                        break;
-                    }
-                }
-            }
-        }
-        best
+        self.pending.first_key_value().map(|(&(due, _), _)| due)
     }
 
-    /// Advances the clock to `to`, draining every boundary crossed:
-    /// entries within reach fire, coarser slots cascade downward.
-    /// Returns the fired `(due, payload)` pairs in `(due, arm order)`
-    /// order. Cost is proportional to occupied slots crossed plus
-    /// entries moved — an empty wheel advances any distance in
-    /// O(levels).
+    /// Advances the clock to `to` and returns every timer due by then as
+    /// `(due, payload)` pairs in `(due, arm order)` order. The clock only
+    /// moves forward: `to ≤ now` fires nothing and leaves it alone.
     pub fn advance_to(&mut self, to: u64) -> Vec<(u64, T)> {
-        let mut fired: Vec<(u64, u64, T)> = Vec::new();
-        while self.now < to {
-            let Some(boundary) = self.next_boundary(to) else {
-                self.now = to;
+        let mut fired = Vec::new();
+        if to <= self.now {
+            return fired;
+        }
+        self.now = to;
+        while let Some(entry) = self.pending.first_entry() {
+            if entry.key().0 > to {
                 break;
-            };
-            self.now = boundary;
-            // Drain every level whose slot boundary this is, coarsest
-            // first so cascading entries re-file into finer slots the
-            // clock has not yet passed.
-            for level in (0..LEVELS).rev() {
-                let shift = SLOT_BITS * level as u32;
-                if level > 0 && self.now & ((1 << shift) - 1) != 0 {
-                    continue; // not a boundary of this level
-                }
-                let slot = ((self.now >> shift) & SLOT_MASK) as usize;
-                if self.occupancy[level] & (1 << slot) == 0 {
-                    continue;
-                }
-                let drained = std::mem::take(&mut self.slots[level][slot]);
-                self.occupancy[level] &= !(1 << slot);
-                for (index, generation) in drained {
-                    let e = &mut self.entries[index as usize];
-                    if e.generation != generation {
-                        continue; // lazily cancelled (or index reused)
-                    }
-                    if e.due <= self.now {
-                        let data = e.data.take().expect("live entry has data");
-                        e.generation = e.generation.wrapping_add(1);
-                        self.pending -= 1;
-                        self.free.push(index);
-                        fired.push((e.due, e.seq, data));
-                    } else {
-                        self.file(index); // cascade downward
-                    }
-                }
             }
+            let ((due, _), data) = entry.remove_entry();
+            fired.push((due, data));
         }
-        fired.sort_by_key(|a| (a.0, a.1));
         fired
-            .into_iter()
-            .map(|(due, _, data)| (due, data))
-            .collect()
-    }
-
-    /// The earliest slot boundary in `(now, to]` that could hold work,
-    /// or `None` when no occupied slot intervenes.
-    fn next_boundary(&self, to: u64) -> Option<u64> {
-        let mut best: Option<u64> = None;
-        for level in 0..LEVELS {
-            let shift = SLOT_BITS * level as u32;
-            let occ = self.occupancy[level];
-            if occ == 0 {
-                continue;
-            }
-            let coarse_now = self.now >> shift;
-            for d in 1..=SLOTS as u64 {
-                let coarse = coarse_now + d;
-                let slot = (coarse & SLOT_MASK) as usize;
-                let t = coarse << shift;
-                if t > to {
-                    break;
-                }
-                if occ & (1 << slot) != 0 {
-                    best = Some(best.map_or(t, |b: u64| b.min(t)));
-                    break;
-                }
-            }
-        }
-        best
     }
 }
 
@@ -466,5 +264,40 @@ mod tests {
         assert_eq!(fired.len(), expected.len());
         assert_eq!(fired, expected);
         assert!(w.is_empty());
+    }
+
+    #[test]
+    fn far_future_dues_fire_exactly_and_promptly() {
+        // A due past any fixed horizon must not make an advance walk the
+        // time in between; the watchdog catches one that does.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut w = TimerWheel::new();
+            for d in [1u64 << 60, 1 << 63, u64::MAX] {
+                w.arm(d, d);
+            }
+            for d in [1u64 << 60, 1 << 63, u64::MAX] {
+                assert!(w.advance_to(d - 1).is_empty(), "early fire before {d}");
+                assert_eq!(w.next_due(), Some(d), "exact next due");
+                assert_eq!(w.advance_to(d), vec![(d, d)], "exact fire at {d}");
+            }
+            assert!(w.is_empty());
+            assert_eq!(w.now(), u64::MAX);
+            tx.send(()).unwrap();
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(5))
+            .expect("far-future advances return");
+    }
+
+    #[test]
+    fn the_clock_only_moves_forward() {
+        let mut w = TimerWheel::new();
+        w.advance_to(50);
+        w.arm(40, "past");
+        assert_eq!(w.next_due(), Some(40), "a past due reads back as armed");
+        assert!(w.advance_to(50).is_empty(), "to == now moves nothing");
+        assert!(w.advance_to(10).is_empty(), "to < now moves nothing");
+        assert_eq!(w.now(), 50);
+        assert_eq!(w.advance_to(51), vec![(40, "past")]);
     }
 }

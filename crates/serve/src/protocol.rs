@@ -7,8 +7,9 @@
 //! ```
 //!
 //! `len` is the payload length (at most [`MAX_FRAME`]); `crc` is the
-//! CRC-32 (IEEE) of the payload, computed with the same
-//! [`ctr_store::crc32`] the WAL uses for its record frames. The check
+//! CRC-32 (IEEE) of the payload. The WAL's record frames have the same
+//! layout, and both are written by [`ctr_store::put_frame`] and split by
+//! [`ctr_store::split_frame`]; only the length ceiling differs. The check
 //! is not decorative: a frame whose CRC mismatches is a transport-level
 //! fault ([`WireError::BadCrc`]), and the server closes the connection
 //! rather than guess at intent.
@@ -26,6 +27,7 @@
 //! correlation is positional, like Redis.
 
 use ctr_runtime::{FireOutcome, InstanceStatus, RuntimeError, Symbol};
+use ctr_store::FrameError;
 use std::fmt;
 use std::ops::Range;
 
@@ -35,7 +37,7 @@ use std::ops::Range;
 pub const MAX_FRAME: usize = 1 << 20;
 
 /// Frame header length: payload length + CRC, both `u32` LE.
-pub const FRAME_HEADER: usize = 8;
+pub const FRAME_HEADER: usize = ctr_store::FRAME_HEADER;
 
 /// Typed decoding faults. Any of these on the server side earns the
 /// client a [`FaultCode::Protocol`] error response (best effort) and a
@@ -81,9 +83,7 @@ impl std::error::Error for WireError {}
 /// Appends one frame carrying `payload` to `out`.
 pub fn encode_frame(payload: &[u8], out: &mut Vec<u8>) {
     debug_assert!(payload.len() <= MAX_FRAME);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&ctr_store::crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    ctr_store::put_frame(payload, out);
 }
 
 /// Attempts to split one frame off the front of `buf`.
@@ -94,21 +94,10 @@ pub fn encode_frame(payload: &[u8], out: &mut Vec<u8>) {
 /// errors — the caller must drop the connection, since byte alignment
 /// can no longer be trusted.
 pub fn split_frame(buf: &[u8]) -> Result<Option<(usize, &[u8])>, WireError> {
-    if buf.len() < FRAME_HEADER {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes(buf[0..4].try_into().expect("4 bytes")) as usize;
-    if len > MAX_FRAME {
-        return Err(WireError::Oversized(len));
-    }
-    let crc = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
-    let Some(payload) = buf.get(FRAME_HEADER..FRAME_HEADER + len) else {
-        return Ok(None);
-    };
-    if ctr_store::crc32(payload) != crc {
-        return Err(WireError::BadCrc);
-    }
-    Ok(Some((FRAME_HEADER + len, payload)))
+    ctr_store::split_frame(buf, MAX_FRAME).map_err(|e| match e {
+        FrameError::Oversized(len) => WireError::Oversized(len),
+        FrameError::BadCrc => WireError::BadCrc,
+    })
 }
 
 // --- Body primitives -------------------------------------------------------

@@ -196,11 +196,10 @@ impl WalInner {
         let seq = self.next_seq();
         let payload = encode_payload(seq, record);
         self.check_payload_size(payload.len())?;
-        let frame = crate::wal::build_frame(&payload);
 
         let ticket = q.next_ticket;
         q.next_ticket += 1;
-        q.buf.extend_from_slice(&frame);
+        crate::put_frame(&payload, &mut q.buf);
         q.frame_events.push(record.event_count());
         // Wake a leader lingering in its grow-the-group window.
         stripe.staged_cv.notify_all();

@@ -678,6 +678,52 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
+// --- Frames ----------------------------------------------------------------
+
+/// Frame header length: payload length + CRC, both `u32` LE.
+pub const FRAME_HEADER: usize = 8;
+
+/// Why [`split_frame`] refused the bytes in front of it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FrameError {
+    /// The length prefix exceeds the caller's ceiling.
+    Oversized(usize),
+    /// The payload does not match its CRC.
+    BadCrc,
+}
+
+/// Appends one frame carrying `payload` to `out`:
+/// `[len: u32 LE] [crc32(payload): u32 LE] [payload]` — the record frame
+/// of the WAL and the message frame of the wire.
+pub fn put_frame(payload: &[u8], out: &mut Vec<u8>) {
+    debug_assert!(u32::try_from(payload.len()).is_ok());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+}
+
+/// Splits one frame off the front of `buf`: `Ok(None)` while `buf` holds
+/// only a prefix of one, `Ok(Some((consumed, payload)))` for a whole,
+/// CRC-checked frame. A length over `max` is refused before any payload
+/// byte is waited for, so a torn or hostile prefix cannot ask for more.
+pub fn split_frame(buf: &[u8], max: usize) -> Result<Option<(usize, &[u8])>, FrameError> {
+    let Some(header) = buf.get(..FRAME_HEADER) else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
+    if len > max {
+        return Err(FrameError::Oversized(len));
+    }
+    let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
+    let Some(payload) = buf.get(FRAME_HEADER..FRAME_HEADER + len) else {
+        return Ok(None);
+    };
+    if crc32(payload) != crc {
+        return Err(FrameError::BadCrc);
+    }
+    Ok(Some((FRAME_HEADER + len, payload)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -687,6 +733,20 @@ mod tests {
         // The canonical IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn frames_split_back_whole_or_wait_or_refuse() {
+        let mut buf = Vec::new();
+        put_frame(b"hello", &mut buf);
+        assert_eq!(&buf[..8], &[5, 0, 0, 0, 0x86, 0xA6, 0x10, 0x36]);
+        for cut in 0..buf.len() {
+            assert_eq!(split_frame(&buf[..cut], 64), Ok(None), "prefix of {cut}");
+        }
+        assert_eq!(split_frame(&buf, 64), Ok(Some((13, &b"hello"[..]))));
+        assert_eq!(split_frame(&buf, 4), Err(FrameError::Oversized(5)));
+        buf[12] ^= 1;
+        assert_eq!(split_frame(&buf, 64), Err(FrameError::BadCrc));
     }
 
     /// The textbook loop, one table lookup per byte.

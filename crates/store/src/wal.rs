@@ -76,7 +76,8 @@
 
 use crate::commit::{CommitQueue, Durability};
 use crate::{
-    crc32, decode_payload, merge_by_seq, Counters, Record, Replay, Store, StoreError, StoreStats,
+    decode_payload, merge_by_seq, split_frame, Counters, Record, Replay, Store, StoreError,
+    StoreStats,
 };
 use std::fs::{self, File, OpenOptions};
 use std::io::Write as _;
@@ -212,16 +213,6 @@ pub(crate) fn wait_timeout<'a, T>(
     cv.wait_timeout(guard, timeout)
         .map(|(guard, _)| guard)
         .unwrap_or_else(|e| e.into_inner().0)
-}
-
-/// Wraps an encoded payload in the on-disk frame:
-/// `[len: u32 LE] [crc32: u32 LE] [payload]`.
-pub(crate) fn build_frame(payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(8 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(payload).to_le_bytes());
-    frame.extend_from_slice(payload);
-    frame
 }
 
 /// Syncs a directory so renames/creates/unlinks in it are durable.
@@ -459,23 +450,11 @@ fn scan_stripe(dir: &Path, cut: u64, repair: bool) -> Result<StripeScan, StoreEr
 fn scan_segment(bytes: &[u8], cut: u64) -> (u64, Vec<(u64, Record)>) {
     let mut records = Vec::new();
     let mut offset = 0usize;
-    while let Some(header) = bytes.get(offset..offset + 8) {
-        let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
-        let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        if len > MAX_PAYLOAD {
-            break;
-        }
-        let start = offset + 8;
-        let Some(payload) = bytes.get(start..start + len as usize) else {
-            break;
-        };
-        if crc32(payload) != crc {
-            break;
-        }
+    while let Ok(Some((used, payload))) = split_frame(&bytes[offset..], MAX_PAYLOAD as usize) {
         let Ok((seq, record)) = decode_payload(payload) else {
             break;
         };
-        offset = start + len as usize;
+        offset += used;
         if seq >= cut {
             records.push((seq, record));
         }
