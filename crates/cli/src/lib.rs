@@ -6,7 +6,9 @@
 //! specification and run the paper's decision procedures on it.
 //!
 //! ```text
-//! ctr check <file>                     consistency (Thm 5.8) + knot report
+//! ctr check <file>                     consistency (Thm 5.8) + knot report;
+//!                                      if inconsistent, a minimal set of
+//!                                      constraints that conflict
 //! ctr compile <file>                   print the compiled, executable goal
 //! ctr verify <file> -p '<c>' [-p ...]  property verification (Thm 5.9),
 //!                                      one tabled session for all -p flags
@@ -62,7 +64,9 @@ fn compile_spec(spec: &WorkflowSpec) -> Result<ctr::analysis::Compiled, CliError
     spec.compile().map_err(|e| CliError::usage(e.to_string()))
 }
 
-/// `ctr check`: consistency verdict with knot diagnostics.
+/// `ctr check`: consistency verdict with knot diagnostics; an
+/// inconsistent specification names a minimal conflicting subset of its
+/// constraints.
 pub fn cmd_check(input: &str) -> Result<String, CliError> {
     let spec = load(input)?;
     let compiled = compile_spec(&spec)?;
@@ -87,10 +91,11 @@ pub fn cmd_check(input: &str) -> Result<String, CliError> {
         );
     }
     if !compiled.is_consistent() {
-        let _ = writeln!(
-            out,
-            "  INCONSISTENT: no execution satisfies all constraints"
-        );
+        // Only an inconsistent spec pays for naming the conflict.
+        let conflict = (spec.conflict())
+            .map_err(|e| CliError::usage(e.to_string()))?
+            .unwrap_or_else(|| "no execution satisfies all constraints".to_owned());
+        let _ = writeln!(out, "  INCONSISTENT: {conflict}");
         return Err(CliError::analysis(out));
     }
     // What a deploy would refuse is not CONSISTENT: ask the one refusal,
@@ -233,7 +238,7 @@ pub fn cmd_enact(input: &str, opts: &EnactOptions) -> Result<String, CliError> {
     use ctr_runtime::{AttemptOutcome, ChoicePolicy, RetryPolicy, Runtime, RuntimeError};
     let mut runtime = Runtime::new();
     let name = runtime.deploy_source(input).map_err(|e| match e {
-        RuntimeError::Inconsistent(_) => {
+        RuntimeError::Inconsistent { .. } => {
             CliError::analysis("inconsistent specification: nothing to enact\n")
         }
         RuntimeError::Compile(message) => CliError::usage(message),
@@ -873,7 +878,50 @@ mod tests {
     fn check_rejects_inconsistent_spec_with_code_1() {
         let err = cmd_check(INCONSISTENT).unwrap_err();
         assert_eq!(err.code, 1);
-        assert!(err.message.contains("INCONSISTENT"));
+        assert!(
+            (err.message)
+                .contains("INCONSISTENT: constraint 1 (serial(a, b)) conflicts with the graph"),
+            "{}",
+            err.message
+        );
+    }
+
+    #[test]
+    fn check_names_a_minimal_conflicting_subset() {
+        // Orders only, over a goal whose events occur once: the subset is
+        // found on the graph. `exists(d)` takes no part in the cycle.
+        let cycle = "workflow cyc { graph a # b # c # d; constraint before(a, b); \
+                     constraint before(b, c); constraint exists(d); constraint before(c, a); }";
+        let err = cmd_check(cycle).unwrap_err();
+        assert_eq!(err.code, 1);
+        assert!(
+            (err.message).contains(
+                "INCONSISTENT: constraints 1 (serial(a, b)), 2 (serial(b, c)) \
+                 and 4 (serial(c, a)) conflict"
+            ),
+            "{}",
+            err.message
+        );
+        // A Klein order has three disjuncts: the subset is found by
+        // compiles. Once `b` precedes `a`, the two `exists` are implied.
+        let klein = "workflow kl { graph a # b # c; constraint klein_order(a, b); \
+                     constraint exists(a); constraint exists(b); constraint before(b, a); }";
+        let err = cmd_check(klein).unwrap_err();
+        assert!(
+            (err.message).contains(
+                "INCONSISTENT: constraints 1 (absent(a) or absent(b) or serial(a, b)) \
+                 and 4 (serial(b, a)) conflict"
+            ),
+            "{}",
+            err.message
+        );
+        // A deploy refuses with the same words.
+        let err = ctr_runtime::Runtime::new()
+            .deploy_source(cycle)
+            .unwrap_err();
+        assert!(err
+            .to_string()
+            .ends_with("2 (serial(b, c)) and 4 (serial(c, a)) conflict"));
     }
 
     #[test]

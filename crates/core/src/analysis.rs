@@ -1,7 +1,7 @@
 //! Consistency checking, property verification, and redundancy elimination
 //! (paper, §4 and Theorems 5.8–5.10).
 //!
-//! All three problems reduce to one constructive primitive: compile
+//! The theorems answer all three by one constructive primitive: compile
 //! `G ∧ C` with `Apply`, then `Excise` the knots.
 //!
 //! * **Consistency** (Thm 5.8): `G ∧ C` is inconsistent iff
@@ -10,11 +10,20 @@
 //!   `Excise(Apply(¬Φ ∧ C, G)) = ¬path`; otherwise the rewritten goal *is*
 //!   the most general counterexample.
 //! * **Redundancy** (Thm 5.10): `Φ ∈ C` is redundant iff every execution
-//!   of `G ∧ (C − {Φ})` satisfies `Φ`. Where every constraint is a run of
-//!   `∇`, `¬∇` and orders, and `G` is events, each occurring once, under
-//!   `⊗`, `|` and `∨`, [`Analyzer::minimize_constraints`] decides that on
-//!   `G`'s series-parallel order instead, in polynomial time (Prop 4.1)
-//!   and with no compile; [`is_redundant`] is always the compile.
+//!   of `G ∧ (C − {Φ})` satisfies `Φ`.
+//!
+//! The one-shot [`is_consistent`], [`verify`] and [`is_redundant`] are
+//! those compiles as written, whatever the input: they are the referees
+//! the [`Analyzer`] is held to.
+//!
+//! An [`Analyzer`] session compiles only where it must. Where every
+//! constraint is a run of `∇`, `¬∇` and orders, and `G` is events, each
+//! occurring once, under `⊗`, `|`, `∨` and `ε` — the *run fragment* —
+//! Proposition 4.1 puts the three questions in P, and the session decides
+//! consistency, a holding property and redundancy on `G`'s series-parallel
+//! order with no compile (`redundancy.rs`). A violated property still
+//! compiles there, because its answer is the counterexample. Outside the
+//! fragment every query compiles through the session's table.
 //!
 //! The compiled artifact is also the pro-active scheduling structure of
 //! §4: a "compressed" explicit representation of all allowed executions,
@@ -24,15 +33,16 @@
 //! Each query is written once, as a method of the [`Analyzer`] session,
 //! generic over the table the rules run under (see [`mod@crate::apply`]).
 //! A session over a [`Memo`] keeps its answers across queries and edits;
-//! the one-shot functions here open a session over the table that records
-//! nothing, ask once, and drop it.
+//! the other one-shot functions here open a session over the table that
+//! records nothing (over a [`Memo`] for [`conflict`], whose probes share
+//! work), ask once, and drop it.
 
 use crate::apply::{apply_all_in, apply_must_in, apply_must_not_in, ChannelAlloc, Scratch, Table};
-use crate::constraints::{Basic, Constraint, NormalForm};
+use crate::constraints::Constraint;
 use crate::excise::{excise_in, KnotReport};
 use crate::goal::Goal;
 use crate::memo::{Memo, MemoStats};
-use crate::redundancy::SeriesParallel;
+use crate::redundancy::{Runs, SeriesParallel};
 use crate::symbol::Symbol;
 use crate::unique::{check_unique_events, DuplicateEvent};
 use std::borrow::Borrow;
@@ -149,6 +159,10 @@ pub(crate) fn compile_in<T: Table>(
 
 /// Consistency (Theorem 5.8): does some execution of `G` satisfy all of
 /// `C`?
+///
+/// The theorem as written, `Excise(Apply(C, G))`, on every input: the
+/// referee of [`Analyzer::is_consistent`], which decides the run fragment
+/// on a graph instead (`tests/consistency_referee.rs`).
 pub fn is_consistent(goal: &Goal, constraints: &[Constraint]) -> Result<bool, CompileError> {
     Ok(compile(goal, constraints)?.is_consistent())
 }
@@ -200,12 +214,15 @@ pub enum Ordering {
 
 /// An analysis session over one workflow goal and its constraint set.
 ///
-/// Opening a session checks the unique-event property once; every query
-/// after that compiles through the session's table. Over a [`Memo`] (the
-/// public instance) the table persists, so repeated and incrementally
-/// edited queries replay shared work as hits. The one-shot functions of
-/// this module run the same methods over the table that records nothing,
-/// so their verdicts and compiled goals are structurally equal.
+/// Opening a session checks the unique-event property once. In the run
+/// fragment (see the module doc) consistency, holding properties,
+/// redundancy and conflicts are then decided on the goal's series-parallel
+/// graph; every other query compiles through the session's table. Over a
+/// [`Memo`] (the public instance) the table persists, so repeated and
+/// incrementally edited queries replay shared work as hits. The one-shot
+/// functions of this module answer as a session over the table that
+/// records nothing would, or, for the referees, by the theorem's compile:
+/// their verdicts and compiled goals are structurally equal.
 pub struct Analyzer<T = Memo> {
     goal: Goal,
     constraints: Vec<Constraint>,
@@ -216,6 +233,9 @@ pub struct Analyzer<T = Memo> {
     has_conditions: bool,
     /// Compiled `G ∧ C`, invalidated by constraint edits.
     compiled: Option<Compiled>,
+    /// The constraints as runs over the goal's series-parallel graph, kept
+    /// in step with every edit; `None` when the goal has no such graph.
+    runs: Option<Runs>,
 }
 
 impl Analyzer {
@@ -242,6 +262,7 @@ impl Analyzer {
 impl<T: Table> Analyzer<T> {
     fn over(table: T, goal: &Goal, constraints: &[Constraint]) -> Result<Self, CompileError> {
         check_unique_events(goal).map_err(CompileError::NotUniqueEvent)?;
+        let runs = SeriesParallel::of(goal).map(|order| Runs::new(order, constraints.len()));
         Ok(Analyzer {
             base_channels: ChannelAlloc::fresh_for(goal),
             has_conditions: mentions_conditions(goal),
@@ -249,6 +270,7 @@ impl<T: Table> Analyzer<T> {
             constraints: constraints.to_vec(),
             table,
             compiled: None,
+            runs,
         })
     }
 
@@ -281,6 +303,15 @@ impl<T: Table> Analyzer<T> {
         compiled
     }
 
+    /// Is `G ∧ C ∧ extra` consistent? Decided on the graph in the run
+    /// fragment (`extra` may have any number of disjuncts); `None` outside
+    /// it.
+    fn decide(&mut self, extra: &Constraint) -> Option<bool> {
+        let runs = fragment(&mut self.runs, &mut self.table, &self.constraints)?;
+        let nf = self.table.normalize(extra);
+        Some(runs.satisfiable(&self.goal, &nf.borrow().disjuncts))
+    }
+
     /// The compiled `G ∧ C` — computed on first use, cached until a
     /// constraint edit, structurally equal to [`compile`]'s.
     pub fn compiled(&mut self) -> &Compiled {
@@ -290,8 +321,14 @@ impl<T: Table> Analyzer<T> {
         self.compiled.as_ref().expect("just computed")
     }
 
-    /// Consistency (Theorem 5.8) of the current specification.
+    /// Consistency (Theorem 5.8) of the current specification: one graph
+    /// test in the run fragment, the compiled goal's verdict otherwise.
     pub fn is_consistent(&mut self) -> bool {
+        if self.compiled.is_none() {
+            if let Some(runs) = fragment(&mut self.runs, &mut self.table, &self.constraints) {
+                return runs.satisfiable(&self.goal, &[Vec::new()]);
+            }
+        }
         self.compiled().is_consistent()
     }
 
@@ -300,9 +337,15 @@ impl<T: Table> Analyzer<T> {
     ///
     /// Constructive: compiles `G ∧ C ∧ ¬property`; if the result is
     /// `¬path` the property holds, otherwise the compiled goal is returned
-    /// as the most general counterexample.
+    /// as the most general counterexample. In the run fragment a property
+    /// that holds is told on the graph, one test per disjunct of
+    /// `¬property`, and only a violated one compiles.
     pub fn verify(&mut self, property: &Constraint) -> Verification {
-        let compiled = self.query(Constraint::not(property.clone()));
+        let negation = Constraint::not(property.clone());
+        if self.decide(&negation) == Some(false) {
+            return Verification::Holds;
+        }
+        let compiled = self.query(negation);
         if compiled.is_consistent() {
             Verification::CounterExample(compiled.goal)
         } else {
@@ -314,6 +357,7 @@ impl<T: Table> Analyzer<T> {
     /// the runs and wider constraints of `C` replay as hits from the
     /// second property on — up to the last run, when `¬property` has a
     /// single disjunct and joins it (one more pair of walks, not a hit).
+    /// In the run fragment only the violated properties compile.
     pub fn verify_all(&mut self, properties: &[Constraint]) -> Vec<Verification> {
         properties.iter().map(|p| self.verify(p)).collect()
     }
@@ -346,7 +390,11 @@ impl<T: Table> Analyzer<T> {
     /// the specification — two Klein-order verifications (Theorem 5.9).
     pub fn ordering(&mut self, a: Symbol, b: Symbol) -> Ordering {
         let together = Constraint::and(vec![Constraint::Must(a), Constraint::Must(b)]);
-        if !self.query(together).is_consistent() {
+        let together = match self.decide(&together) {
+            Some(consistent) => consistent,
+            None => self.query(together).is_consistent(),
+        };
+        if !together {
             return Ordering::NeverTogether;
         }
         let before = self.verify(&Constraint::klein_order(a, b)).holds();
@@ -365,46 +413,66 @@ impl<T: Table> Analyzer<T> {
     /// subset with respect to this elimination order. The session's
     /// constraint set itself is left unchanged.
     ///
-    /// When every constraint's normal form has one disjunct and the goal is
-    /// built of events, each occurring once, with `⊗`, `|`, `∨` and `ε`,
-    /// each probe is decided on the goal's series-parallel order (Prop 4.1):
-    /// linear in `|G| + |C|`, and the table is not asked for anything but
-    /// the normal forms. Any other input compiles `G ∧ (C − φ) ∧ ¬φ` per
-    /// probe through the table. Either way the answer is what a greedy
-    /// replay of [`is_redundant`] gives.
+    /// In the run fragment each probe is decided on the goal's
+    /// series-parallel order (Prop 4.1): linear in `|G| + |C|`, and the
+    /// table is asked for nothing but the normal forms of constraints
+    /// edited since the last query. Any other input compiles
+    /// `G ∧ (C − φ) ∧ ¬φ` per probe through the table. Either way the
+    /// answer is what a greedy replay of [`is_redundant`] gives.
     pub fn minimize_constraints(&mut self) -> Vec<usize> {
-        if let Some(order) = SeriesParallel::of(&self.goal) {
-            let normal: Vec<T::Normal> = (self.constraints.iter())
-                .map(|c| self.table.normalize(c))
-                .collect();
-            let runs: Option<Vec<&[Basic]>> = (normal.iter())
-                .map(|nf| match &Borrow::<NormalForm>::borrow(nf).disjuncts[..] {
-                    [run] => Some(&run[..]),
-                    _ => None,
-                })
-                .collect();
-            if let Some(runs) = runs {
-                return order.minimize(&self.goal, &runs);
-            }
+        if let Some(runs) = fragment(&mut self.runs, &mut self.table, &self.constraints) {
+            return runs.minimize(&self.goal);
         }
+        self.eliminate(true)
+    }
+
+    /// A minimal conflicting subset of an inconsistent specification, as
+    /// constraint indices in list order: `G` with them has no execution,
+    /// and `G` with any one of them dropped has one. `None` when the
+    /// specification is consistent.
+    ///
+    /// Found by deletion: each constraint in turn is dropped when the rest
+    /// of the subset still in play stays inconsistent without it. That is
+    /// one graph test per constraint in the run fragment, and one compile
+    /// through the table per constraint outside it; a consistent
+    /// specification pays for the consistency test only.
+    pub fn conflict(&mut self) -> Option<Vec<usize>> {
+        if self.is_consistent() {
+            return None;
+        }
+        if let Some(runs) = fragment(&mut self.runs, &mut self.table, &self.constraints) {
+            return Some(runs.conflict(&self.goal));
+        }
+        Some(self.eliminate(false))
+    }
+
+    /// The compile path of [`Analyzer::minimize_constraints`] and
+    /// [`Analyzer::conflict`]: each constraint `φ` in turn is taken out of
+    /// the list of those still kept, and the rest is compiled through the
+    /// table, with `¬φ` added when `negate` — the redundancy probe
+    /// `verify(goal, rest, φ)` compiles — and as it is otherwise. `φ` is
+    /// kept when that compile is consistent. Returns the kept indices.
+    ///
+    /// The list is edited in place by moves and restored at the end, with
+    /// no per-iteration O(n) re-clone of the kept set.
+    fn eliminate(&mut self, negate: bool) -> Vec<usize> {
         let mut retained: Vec<usize> = (0..self.constraints.len()).collect();
-        // The list is edited in place by moves and restored at the end:
-        // each probe takes φᵢ out, pushes ¬φᵢ, compiles — the same sequence
-        // `verify(goal, rest, φ)` would compile — and puts φᵢ back only if
-        // it is needed, with no per-iteration O(n) re-clone of the
-        // retained set.
         let original = self.constraints.clone();
         let mut i = 0;
         while i < retained.len() {
             let phi = self.constraints.remove(i);
-            self.constraints.push(Constraint::not(phi));
-            let consistent = self.compile().is_consistent();
-            let Some(Constraint::Not(phi)) = self.constraints.pop() else {
-                unreachable!("pushed ¬φ above");
+            let (consistent, phi) = if negate {
+                self.constraints.push(Constraint::not(phi));
+                let consistent = self.compile().is_consistent();
+                let Some(Constraint::Not(phi)) = self.constraints.pop() else {
+                    unreachable!("pushed ¬φ above");
+                };
+                (consistent, *phi)
+            } else {
+                (self.compile().is_consistent(), phi)
             };
             if consistent {
-                // Some execution of the rest violates φ: keep it.
-                self.constraints.insert(i, *phi);
+                self.constraints.insert(i, phi);
                 i += 1;
             } else {
                 retained.remove(i);
@@ -420,15 +488,22 @@ impl<T: Table> Analyzer<T> {
     /// from there — the run the new constraint joins, if its normal form
     /// has one disjunct, in two walks of the goal whatever its length.
     pub fn add_constraint(&mut self, constraint: Constraint) -> usize {
+        let index = self.constraints.len();
+        if let Some(runs) = &mut self.runs {
+            runs.insert(index);
+        }
         self.constraints.push(constraint);
         self.compiled = None;
-        self.constraints.len() - 1
+        index
     }
 
     /// Removes and returns the constraint at `index` (panics if out of
     /// range). Invalidates the cached compile; the table persists.
     pub fn remove_constraint(&mut self, index: usize) -> Constraint {
         let removed = self.constraints.remove(index);
+        if let Some(runs) = &mut self.runs {
+            runs.remove(index);
+        }
         self.compiled = None;
         removed
     }
@@ -440,18 +515,45 @@ impl<T: Table> Analyzer<T> {
     /// as hits.
     pub fn replace_constraint(&mut self, index: usize, constraint: Constraint) -> Constraint {
         let old = std::mem::replace(&mut self.constraints[index], constraint);
+        if let Some(runs) = &mut self.runs {
+            runs.replace(index);
+        }
         self.compiled = None;
         old
     }
 }
 
-/// [`Analyzer::verify`] as a one-shot call.
+/// A session's runs, when it is in the run fragment — every constraint is
+/// a run over a goal that has a series-parallel graph — with the runs of
+/// the constraints edited since the last query placed.
+fn fragment<'a, T: Table>(
+    runs: &'a mut Option<Runs>,
+    table: &mut T,
+    constraints: &[Constraint],
+) -> Option<&'a mut Runs> {
+    let runs = runs.as_mut()?;
+    runs.refresh(|i| table.normalize(&constraints[i]))
+        .then_some(runs)
+}
+
+/// [`Analyzer::verify`] as a one-shot call, and its referee: the
+/// theorem's probe as written, `Excise(Apply(C ∧ ¬property, G))`, on
+/// every input. It opens no session, so it never takes the graph path the
+/// session takes in the run fragment: a wrong `Holds` there cannot agree
+/// with itself here (`tests/consistency_referee.rs`).
 pub fn verify(
     goal: &Goal,
     constraints: &[Constraint],
     property: &Constraint,
 ) -> Result<Verification, CompileError> {
-    Ok(Analyzer::over(Scratch, goal, constraints)?.verify(property))
+    let mut with_negation = constraints.to_vec();
+    with_negation.push(Constraint::not(property.clone()));
+    let compiled = compile(goal, &with_negation)?;
+    Ok(if compiled.is_consistent() {
+        Verification::CounterExample(compiled.goal)
+    } else {
+        Verification::Holds
+    })
 }
 
 /// Redundancy (Theorem 5.10): is `constraints[index]` implied by the rest
@@ -459,18 +561,29 @@ pub fn verify(
 /// `φ`?
 ///
 /// This is the theorem's probe as it is written, one [`verify`] of `φ`
-/// against the rest, whatever the input. It is the referee that
-/// [`Analyzer::minimize_constraints`], which decides the order fragment on
-/// a graph instead, is held to (`tests/redundancy_referee.rs`).
+/// against the rest — a compile — whatever the input. It is the referee
+/// that [`Analyzer::minimize_constraints`], which decides the run fragment
+/// on a graph instead, is held to (`tests/redundancy_referee.rs`).
 pub fn is_redundant(
     goal: &Goal,
     constraints: &[Constraint],
     index: usize,
 ) -> Result<bool, CompileError> {
     assert!(index < constraints.len(), "constraint index out of range");
-    let mut rest = Analyzer::over(Scratch, goal, constraints)?;
-    let phi = rest.remove_constraint(index);
-    Ok(rest.verify(&phi).holds())
+    let mut rest = constraints.to_vec();
+    let phi = rest.remove(index);
+    Ok(verify(goal, &rest, &phi)?.holds())
+}
+
+/// [`Analyzer::conflict`] as a one-shot call: a minimal conflicting subset
+/// of an inconsistent specification, `None` when it is consistent. Outside
+/// the run fragment each deletion probe compiles, so the session runs over
+/// a [`Memo`] and replays what the probes share.
+pub fn conflict(
+    goal: &Goal,
+    constraints: &[Constraint],
+) -> Result<Option<Vec<usize>>, CompileError> {
+    Ok(Analyzer::new(goal, constraints)?.conflict())
 }
 
 /// [`Analyzer::activity_report`] as a one-shot call.

@@ -1,12 +1,14 @@
-//! The one directed-graph type of the compiler, and the two questions it
-//! is asked: which vertices lie on a cycle, and does one vertex reach
-//! another.
+//! The one directed-graph type of the compiler, and the questions it is
+//! asked: which vertices lie on a cycle, is there a cycle at all, and does
+//! one vertex reach another.
 //!
 //! Both of its callers ask whether a precedence graph — a goal's
 //! series-parallel order plus extra edges — has a cycle. `Excise` adds a
 //! region's `send(ξ) → receive(ξ)` waits and excises what lies on a cycle
-//! (a *knot*, `excise.rs`); redundancy in the run fragment adds the kept
-//! constraints' orders, and `G ∧ R` has an execution iff none is on one
+//! (a *knot*, `excise.rs`). The run fragment's consistency test — behind
+//! an `Analyzer`'s consistency, verification, redundancy and conflict
+//! queries there — adds a run's orders, and `G ∧ R` has an execution iff
+//! there is none, which Kahn's peeling tells without naming the knots
 //! (Prop 4.1, `redundancy.rs`). Neither makes an edge from a vertex to
 //! itself, so a cycle is a strongly connected component of more than one
 //! vertex.
@@ -25,10 +27,11 @@ pub(crate) struct Graph {
     /// Per vertex, the knot it is on; see [`Graph::find_knots`].
     knot: Vec<u32>,
     /// Tarjan's indices and low-links; `index` doubles as the visit marks
-    /// of [`Graph::reaches`].
+    /// of [`Graph::reaches`] and the in-degrees of [`Graph::acyclic`].
     index: Vec<u32>,
     low: Vec<u32>,
-    /// Tarjan's stack, and the search stack of [`Graph::reaches`].
+    /// Tarjan's stack, the search stack of [`Graph::reaches`] and the
+    /// ready list of [`Graph::acyclic`].
     open: Vec<u32>,
     /// The recursion's stack: (vertex, next edge of its row to look at).
     call: Vec<(u32, u32)>,
@@ -137,6 +140,34 @@ impl Graph {
         any
     }
 
+    /// True if the graph has no cycle: Kahn's peeling of vertices with no
+    /// edge left into them, which is all the run fragment's consistency
+    /// test asks and lighter than finding the knots.
+    pub(crate) fn acyclic(&mut self) -> bool {
+        let n = self.vertices();
+        let (row, targets) = (&self.row, &self.targets);
+        let (waiting, ready) = (&mut self.index, &mut self.open);
+        refill(waiting, n, 0);
+        for &v in targets.iter() {
+            waiting[v as usize] += 1;
+        }
+        ready.clear();
+        ready.extend((0..n as u32).filter(|&v| waiting[v as usize] == 0));
+        let mut peeled = 0;
+        while let Some(u) = ready.pop() {
+            peeled += 1;
+            let u = u as usize;
+            for &v in &targets[row[u] as usize..row[u + 1] as usize] {
+                let left = &mut waiting[v as usize];
+                *left -= 1;
+                if *left == 0 {
+                    ready.push(v);
+                }
+            }
+        }
+        peeled == n
+    }
+
     /// The knot `v` is on, as [`Graph::find_knots`] last found them.
     pub(crate) fn knot(&self, v: u32) -> Option<u32> {
         let knot = self.knot[v as usize];
@@ -175,6 +206,7 @@ mod tests {
     fn a_dag_has_no_knot_and_reaches_along_its_edges() {
         let mut dag = Graph::default();
         dag.fill(4, &[(0, 1), (1, 2)], &[(0, 3)]);
+        assert!(dag.acyclic());
         assert!(!dag.find_knots());
         assert!((0..4).all(|v| dag.knot(v).is_none()));
         assert!(dag.reaches(0, 2));
@@ -191,6 +223,7 @@ mod tests {
             &[(0, 1), (1, 2), (2, 0), (2, 3)],
             &[(3, 4), (4, 3), (4, 5)],
         );
+        assert!(!g.acyclic());
         assert!(g.find_knots());
         let knots: Vec<Option<u32>> = (0..6).map(|v| g.knot(v)).collect();
         assert!(knots[0].is_some() && knots[..3].iter().all(|&k| k == knots[0]));
@@ -199,6 +232,7 @@ mod tests {
         assert_eq!(knots[5], None);
         // A refill forgets the graph before it.
         g.fill(2, &[(0, 1)], &[]);
+        assert!(g.acyclic());
         assert!(!g.find_knots());
     }
 }

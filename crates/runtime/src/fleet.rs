@@ -249,14 +249,20 @@ fn commit_events(
 /// Parses and compiles a specification from its textual source into
 /// its name and compiled goal. Inconsistent specifications are rejected
 /// outright (Theorem 5.8 at deployment time: there would be nothing to
-/// schedule).
+/// schedule), with the constraints that conflict named.
 pub(crate) fn compile_source(source: &str) -> Result<(String, Goal), RuntimeError> {
     let spec = ctr_parser::parse_spec(source).map_err(|e| RuntimeError::Parse(e.to_string()))?;
     let compiled = spec
         .compile()
         .map_err(|e| RuntimeError::Compile(e.to_string()))?;
     if !compiled.is_consistent() {
-        return Err(RuntimeError::Inconsistent(spec.name));
+        let conflict = (spec.conflict())
+            .map_err(|e| RuntimeError::Compile(e.to_string()))?
+            .unwrap_or_else(|| "no execution satisfies all constraints".to_owned());
+        return Err(RuntimeError::Inconsistent {
+            name: spec.name,
+            conflict,
+        });
     }
     Ok((spec.name, compiled.goal))
 }

@@ -78,7 +78,14 @@ pub enum RuntimeError {
     /// The specification failed to compile (e.g. not unique-event).
     Compile(String),
     /// The specification is inconsistent: it was rejected at deployment.
-    Inconsistent(String),
+    Inconsistent {
+        /// The workflow's name.
+        name: String,
+        /// Which of its constraints conflict, as
+        /// [`WorkflowSpec::conflict`](ctr_workflow::WorkflowSpec::conflict)
+        /// names them.
+        conflict: String,
+    },
     /// No workflow deployed under this name.
     UnknownWorkflow(String),
     /// No instance with this id.
@@ -118,10 +125,10 @@ impl fmt::Display for RuntimeError {
         match self {
             RuntimeError::Parse(e) => write!(f, "parse error: {e}"),
             RuntimeError::Compile(e) => write!(f, "compile error: {e}"),
-            RuntimeError::Inconsistent(name) => {
+            RuntimeError::Inconsistent { name, conflict } => {
                 write!(
                     f,
-                    "workflow `{name}` is inconsistent and cannot be deployed"
+                    "workflow `{name}` is inconsistent and cannot be deployed: {conflict}"
                 )
             }
             RuntimeError::UnknownWorkflow(name) => write!(f, "no workflow named `{name}`"),
@@ -1060,7 +1067,18 @@ mod tests {
         let err = rt
             .deploy_source("workflow bad { graph b * a; constraint before(a, b); }")
             .unwrap_err();
-        assert_eq!(err, RuntimeError::Inconsistent("bad".to_owned()));
+        assert_eq!(
+            err,
+            RuntimeError::Inconsistent {
+                name: "bad".to_owned(),
+                conflict: "constraint 1 (serial(a, b)) conflicts with the graph".to_owned(),
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "workflow `bad` is inconsistent and cannot be deployed: \
+             constraint 1 (serial(a, b)) conflicts with the graph"
+        );
     }
 
     #[test]

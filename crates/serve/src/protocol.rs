@@ -503,9 +503,9 @@ impl Fault {
             RuntimeError::UnknownWorkflow(_) => FaultCode::UnknownWorkflow,
             RuntimeError::AlreadyComplete(_) => FaultCode::AlreadyComplete,
             RuntimeError::Store(_) => FaultCode::Store,
-            RuntimeError::Parse(_) | RuntimeError::Compile(_) | RuntimeError::Inconsistent(_) => {
-                FaultCode::Spec
-            }
+            RuntimeError::Parse(_)
+            | RuntimeError::Compile(_)
+            | RuntimeError::Inconsistent { .. } => FaultCode::Spec,
             // Only a snapshot naming an id at the top of the id space
             // gets a server here; no retry helps.
             RuntimeError::Snapshot(_)

@@ -253,6 +253,25 @@ impl WorkflowSpec {
     pub fn is_redundant(&self, index: usize) -> Result<bool, CompileError> {
         analysis::is_redundant(&self.to_goal(), &self.constraints, index)
     }
+
+    /// Why an inconsistent specification is: a minimal set of its
+    /// constraints that no execution of the graph meets together (any one
+    /// of them dropped, one does), named by their 1-based positions and
+    /// text — "constraints 1 (serial(a, b)) and 2 (serial(b, a))
+    /// conflict". `None` when the specification is consistent.
+    pub fn conflict(&self) -> Result<Option<String>, CompileError> {
+        let Some(subset) = analysis::conflict(&self.to_goal(), &self.constraints)? else {
+            return Ok(None);
+        };
+        let named: Vec<String> = (subset.iter())
+            .map(|&i| format!("{} ({})", i + 1, self.constraints[i]))
+            .collect();
+        Ok(Some(match &named[..] {
+            [] => "the graph has no execution".to_owned(),
+            [one] => format!("constraint {one} conflicts with the graph"),
+            [init @ .., last] => format!("constraints {} and {last} conflict", init.join(", ")),
+        }))
+    }
 }
 
 /// Modular compilation (§7): constraints in `local` are scoped to one

@@ -164,3 +164,32 @@ fn hostile_nesting_in_a_deploy_frame_is_a_typed_fault_and_the_server_lives() {
     handle.shutdown();
     join.join().unwrap().unwrap();
 }
+
+/// An inconsistent `deploy` is a `Spec` fault whose message names the
+/// constraints that conflict, as `ctr check` does.
+#[test]
+fn an_inconsistent_deploy_names_its_conflict_over_the_wire() {
+    let server =
+        Server::bind(SharedRuntime::new(), "127.0.0.1:0", ServeOptions::default()).unwrap();
+    let addr = server.local_addr();
+    let handle = server.handle();
+    let join = std::thread::spawn(move || server.run());
+
+    let spec = "workflow knot { graph a # b # c; constraint before(a, b); \
+                constraint exists(c); constraint before(b, a); }";
+    match Client::connect(addr).unwrap().deploy(spec) {
+        Err(ctr_serve::ClientError::Fault(fault)) => {
+            assert_eq!(fault.code, ctr_serve::FaultCode::Spec);
+            assert!(
+                (fault.message).ends_with(
+                    "cannot be deployed: constraints 1 (serial(a, b)) and 3 (serial(b, a)) conflict"
+                ),
+                "{fault}"
+            );
+        }
+        other => panic!("expected a spec fault, got {other:?}"),
+    }
+
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
