@@ -236,7 +236,7 @@ fn parse_fault_plan(spec: &str, seed: u64) -> Result<ctr_runtime::FaultPlan, Cli
 /// Deterministic for a fixed `(spec, options)` pair.
 pub fn cmd_enact(input: &str, opts: &EnactOptions) -> Result<String, CliError> {
     use ctr_runtime::{AttemptOutcome, ChoicePolicy, RetryPolicy, Runtime, RuntimeError};
-    let mut runtime = Runtime::new();
+    let runtime = Runtime::new();
     let name = runtime.deploy_source(input).map_err(|e| match e {
         RuntimeError::Inconsistent { .. } => {
             CliError::analysis("inconsistent specification: nothing to enact\n")
@@ -512,7 +512,7 @@ pub fn cmd_run(
         WalStore::open_with(dir, options)
             .map_err(|e| CliError::analysis(format!("store `{dir}`: {e}\n")))?,
     );
-    let mut rt = Runtime::open(Arc::clone(&store))
+    let rt = Runtime::open(Arc::clone(&store))
         .map_err(|e| CliError::analysis(format!("recovery from `{dir}` failed: {e}\n")))?;
     let step = |e: ctr_runtime::RuntimeError| CliError::analysis(format!("{e}\n"));
 
@@ -624,12 +624,12 @@ pub fn cmd_run(
 }
 
 /// `ctr serve [--addr HOST:PORT] [--store <dir> [--durability <p>]]
-/// [--burst N]`: serve the shared runtime over TCP until a client
+/// [--burst N]`: serve the runtime over TCP until a client
 /// sends the `shutdown` verb. Prints the bound address on its own
 /// line and flushes *before* blocking, so scripts binding port 0 can
 /// read the ephemeral port from the first line of output.
 pub fn cmd_serve(rest: &[String]) -> Result<String, CliError> {
-    use ctr_runtime::{SharedRuntime, Store, WalOptions, WalStore};
+    use ctr_runtime::{Runtime, Store, WalOptions, WalStore};
     use std::sync::Arc;
 
     let mut addr = "127.0.0.1:7171".to_owned();
@@ -667,10 +667,10 @@ pub fn cmd_serve(rest: &[String]) -> Result<String, CliError> {
                 WalStore::open_with(dir, options)
                     .map_err(|e| CliError::analysis(format!("store `{dir}`: {e}\n")))?,
             );
-            SharedRuntime::open(store)
+            Runtime::open(store)
                 .map_err(|e| CliError::analysis(format!("recovery from `{dir}` failed: {e}\n")))?
         }
-        None => SharedRuntime::new(),
+        None => Runtime::new(),
     };
     let server = ctr_serve::Server::bind(runtime, &addr, opts)
         .map_err(|e| CliError::analysis(format!("cannot bind `{addr}`: {e}\n")))?;

@@ -3,7 +3,7 @@
 //!
 //! * **Smoke** — a server on an ephemeral port takes a deploy, starts,
 //!   and fires at depth 1 and pipelined at depth 64 from two connections
-//!   at once. Every answer equals what a single-threaded [`Runtime`]
+//!   at once. Every answer equals what an in-process [`Runtime`]
 //!   answers to the same requests, and a wire `shutdown` ends the process
 //!   with exit 0 and "server exited".
 //! * **Kill drill** — a store-backed server, under `strict` and then under
@@ -206,7 +206,7 @@ fn serve_smoke_answers_what_one_runtime_answers_then_shuts_down() {
     // The oracle: the same requests, one connection after the other.
     // Connections share no instance, so each instance sees its requests
     // in the order the server did.
-    let mut oracle = Runtime::new();
+    let oracle = Runtime::new();
     assert_eq!(deployed, oracle.deploy_source(&source).unwrap());
     let mut refused = 0;
     for log in &logs {

@@ -1,10 +1,9 @@
-//! Store-fault tests of the fleet core, driven through both holders:
+//! Store-fault tests of the fleet core, driven through the runtime:
 //! every operation that appends must leave the fleet exactly as it was
 //! when its append fails, whichever append of the operation it is.
 
 use crate::{
-    fleet, FireOutcome, InstanceId, InstanceStatus, MemStore, Runtime, RuntimeError, SharedRuntime,
-    Store,
+    FireOutcome, InstanceId, InstanceStatus, MemStore, Runtime, RuntimeError, SharedRuntime, Store,
 };
 use ctr_store::{Record, Replay, StoreError, StoreStats};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -72,7 +71,7 @@ impl Store for FailNth {
     }
 }
 
-/// What the script needs of a holder, so one driver runs both.
+/// What the script needs of the runtime.
 trait Fleet: Sized {
     fn with(store: Option<Arc<dyn Store>>) -> Self;
     fn recover(store: Arc<dyn Store>) -> Self;
@@ -87,7 +86,7 @@ trait Fleet: Sized {
     fn tick(&mut self, to_ms: u64) -> Result<Vec<(InstanceId, String)>, RuntimeError>;
     fn cancel(&mut self, id: InstanceId, event: &str) -> Result<(), RuntimeError>;
     fn finish(&mut self, id: InstanceId) -> Result<InstanceStatus, RuntimeError>;
-    /// Everything the holder shows of its state.
+    /// Everything the runtime shows of its state.
     fn observe(&self, ids: &[InstanceId]) -> Observed;
 }
 
@@ -100,106 +99,66 @@ type Observed = (
     Vec<(Vec<(String, u64)>, Vec<String>, Vec<String>)>,
 );
 
-/// `Runtime` has no multi-run entry point of its own: the core's
-/// `fire_burst`, the way `fire_batch` calls it.
-fn burst_single(
-    rt: &mut Runtime,
-    id: InstanceId,
-    runs: &[&[&str]],
-) -> Result<Vec<FireOutcome>, RuntimeError> {
-    let inst = rt
-        .instances
-        .get_mut(&id)
-        .ok_or(RuntimeError::UnknownInstance(id))?;
-    let events = runs.iter().flat_map(|run| fleet::one_run(run));
-    let mut outcomes = Vec::new();
-    let store = rt.store.as_deref();
-    fleet::fire_burst(inst, id, events, &mut outcomes, &mut rt.timers, store)?;
-    Ok(outcomes)
+impl Fleet for Runtime {
+    fn with(store: Option<Arc<dyn Store>>) -> Self {
+        store.map_or_else(Runtime::new, Runtime::with_store)
+    }
+    fn recover(store: Arc<dyn Store>) -> Self {
+        Runtime::open(store).expect("the store replays")
+    }
+    fn deploy(&mut self, source: &str) -> Result<String, RuntimeError> {
+        self.deploy_source(source)
+    }
+    fn begin(&mut self, workflow: &str) -> Result<InstanceId, RuntimeError> {
+        self.start(workflow)
+    }
+    fn fire1(&mut self, id: InstanceId, event: &str) -> Result<InstanceStatus, RuntimeError> {
+        self.fire(id, event)
+    }
+    fn batch(&mut self, id: InstanceId, events: &[&str]) -> Result<Vec<FireOutcome>, RuntimeError> {
+        self.fire_batch(id, events)
+    }
+    fn burst(
+        &mut self,
+        id: InstanceId,
+        runs: &[&[&str]],
+    ) -> Result<Vec<FireOutcome>, RuntimeError> {
+        let runs: Vec<(InstanceId, &[&str])> = runs.iter().map(|&run| (id, run)).collect();
+        Ok(self.fire_runs(&runs).into_iter().flatten().collect())
+    }
+    fn tick(&mut self, to_ms: u64) -> Result<Vec<(InstanceId, String)>, RuntimeError> {
+        self.advance(to_ms)
+    }
+    fn cancel(&mut self, id: InstanceId, event: &str) -> Result<(), RuntimeError> {
+        self.cancel_timer(id, event)
+    }
+    fn finish(&mut self, id: InstanceId) -> Result<InstanceStatus, RuntimeError> {
+        self.try_complete(id)
+    }
+    fn observe(&self, ids: &[InstanceId]) -> Observed {
+        (
+            self.snapshot(),
+            self.clock_ms(),
+            self.pending_timer_count(),
+            ids.iter()
+                .map(|&id| {
+                    (
+                        self.pending_timers(id).expect("started"),
+                        self.eligible(id).expect("started"),
+                        self.journal(id).expect("started"),
+                    )
+                })
+                .collect(),
+        )
+    }
 }
-
-fn burst_shared(
-    rt: &mut SharedRuntime,
-    id: InstanceId,
-    runs: &[&[&str]],
-) -> Result<Vec<FireOutcome>, RuntimeError> {
-    let runs: Vec<(InstanceId, &[&str])> = runs.iter().map(|&run| (id, run)).collect();
-    Ok(rt.fire_runs(&runs).into_iter().flatten().collect())
-}
-
-macro_rules! impl_fleet {
-    ($ty:ty, $burst:ident) => {
-        impl Fleet for $ty {
-            fn with(store: Option<Arc<dyn Store>>) -> Self {
-                store.map_or_else(<$ty>::new, <$ty>::with_store)
-            }
-            fn recover(store: Arc<dyn Store>) -> Self {
-                <$ty>::open(store).expect("the store replays")
-            }
-            fn deploy(&mut self, source: &str) -> Result<String, RuntimeError> {
-                self.deploy_source(source)
-            }
-            fn begin(&mut self, workflow: &str) -> Result<InstanceId, RuntimeError> {
-                self.start(workflow)
-            }
-            fn fire1(
-                &mut self,
-                id: InstanceId,
-                event: &str,
-            ) -> Result<InstanceStatus, RuntimeError> {
-                self.fire(id, event)
-            }
-            fn batch(
-                &mut self,
-                id: InstanceId,
-                events: &[&str],
-            ) -> Result<Vec<FireOutcome>, RuntimeError> {
-                self.fire_batch(id, events)
-            }
-            fn burst(
-                &mut self,
-                id: InstanceId,
-                runs: &[&[&str]],
-            ) -> Result<Vec<FireOutcome>, RuntimeError> {
-                $burst(self, id, runs)
-            }
-            fn tick(&mut self, to_ms: u64) -> Result<Vec<(InstanceId, String)>, RuntimeError> {
-                self.advance(to_ms)
-            }
-            fn cancel(&mut self, id: InstanceId, event: &str) -> Result<(), RuntimeError> {
-                self.cancel_timer(id, event)
-            }
-            fn finish(&mut self, id: InstanceId) -> Result<InstanceStatus, RuntimeError> {
-                self.try_complete(id)
-            }
-            fn observe(&self, ids: &[InstanceId]) -> Observed {
-                (
-                    self.snapshot(),
-                    self.clock_ms(),
-                    self.pending_timer_count(),
-                    ids.iter()
-                        .map(|&id| {
-                            (
-                                self.pending_timers(id).expect("started"),
-                                self.eligible(id).expect("started"),
-                                self.journal(id).expect("started"),
-                            )
-                        })
-                        .collect(),
-                )
-            }
-        }
-    };
-}
-impl_fleet!(Runtime, burst_single);
-impl_fleet!(SharedRuntime, burst_shared);
 
 const TIMED: &str = "workflow timed { graph invoice * approve * file; after(approve, 30s); }";
 const GUARDED: &str = "workflow guarded { graph invoice * approve; deadline(approve, 1h); }";
 const PLAIN: &str = "workflow plain { graph invoice * (approve + reject) * file; }";
 
 /// One step of the script. Instances are named by start order, so the
-/// script does not depend on which ids a holder hands out.
+/// script does not depend on which ids the runtime hands out.
 #[derive(Clone, Copy)]
 enum Op {
     Deploy(&'static str),
@@ -282,7 +241,7 @@ fn script_survives_failed_append<F: Fleet>(nth: usize) -> bool {
         };
         assert!(matches!(e, RuntimeError::Store(_)), "step {step}: {e}");
         assert!(failed.replace(op).is_none(), "one injected failure");
-        // Nothing the holder shows — snapshot bytes, timers, eligible
+        // Nothing the runtime shows — snapshot bytes, timers, eligible
         // sets, journals — may tell it from what it was, or from the
         // oracle, which never tried the operation.
         let after = faulty.observe(&ids);
@@ -340,11 +299,6 @@ fn runtime_survives_every_failed_append() {
     every_failed_append_leaves_the_fleet_as_it_was::<Runtime>();
 }
 
-#[test]
-fn shared_runtime_survives_every_failed_append() {
-    every_failed_append_leaves_the_fleet_as_it_was::<SharedRuntime>();
-}
-
 /// A start whose `Start` append failed after its `TimerArm` succeeded
 /// must not hand its id to the next start: the orphan arm would meet
 /// that instance at recovery.
@@ -371,11 +325,6 @@ fn failed_start_burns_its_id<F: Fleet>() {
 #[test]
 fn runtime_failed_start_burns_its_id() {
     failed_start_burns_its_id::<Runtime>();
-}
-
-#[test]
-fn shared_runtime_failed_start_burns_its_id() {
-    failed_start_burns_its_id::<SharedRuntime>();
 }
 
 /// The documented orphan-arm crash — a `TimerArm` durable, its `Start`
@@ -405,11 +354,6 @@ fn orphan_arm_never_becomes_a_phantom_timer<F: Fleet>() {
 #[test]
 fn runtime_orphan_arm_never_becomes_a_phantom_timer() {
     orphan_arm_never_becomes_a_phantom_timer::<Runtime>();
-}
-
-#[test]
-fn shared_runtime_orphan_arm_never_becomes_a_phantom_timer() {
-    orphan_arm_never_becomes_a_phantom_timer::<SharedRuntime>();
 }
 
 /// A burst's outcomes share one buffer, instance after instance, so a

@@ -1,10 +1,9 @@
 //! The fleet core: every state transition of a workflow fleet, and the
 //! write-ahead ordering around it, written once.
 //!
-//! [`Runtime`](crate::Runtime) and [`SharedRuntime`](crate::SharedRuntime)
-//! are *holders*. They resolve ids and take locks; for everything that
-//! changes an instance, the timer wheel or the store they call in here
-//! with the `&mut Instance` they looked up, their [`Timers`] and
+//! [`Runtime`](crate::Runtime) resolves ids and takes locks; for
+//! everything that changes an instance, the timer queue or the store it
+//! calls in here with the `&mut Instance` it locked, the timer mutex and
 //! `Option<&dyn Store>`. Every operation has the same shape:
 //!
 //! 1. **validate** against the in-memory state (the cursor decides
@@ -29,6 +28,12 @@
 //!
 //! Recovery ([`adopt`], [`replay_timer_fire`], [`replay_timer_cancel`])
 //! runs the same transitions without a store.
+//!
+//! The timer mutex sits at the bottom of the lock order. The core takes
+//! it for a few instructions at a time — never across a store append,
+//! never while waiting for anything else, and never around a call that
+//! takes it itself ([`expire`] and [`Instance::commit`] do, in
+//! [`settle`]; `std::sync::Mutex` is not re-entrant).
 
 use crate::wheel::TimerWheel;
 use crate::{
@@ -39,7 +44,7 @@ use ctr::goal::Goal;
 use ctr::symbol::Symbol;
 use ctr_engine::scheduler::{Program, Scheduler};
 use ctr_store::{Record, Store};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The fleet's timer wheel and logical clock. Wheel entries key back to
 /// their instances; each instance's `timers` list holds the mirror
@@ -54,18 +59,11 @@ pub(crate) struct TimerState {
     pub(crate) clock_ms: u64,
 }
 
-/// How a holder reaches its [`TimerState`]: `Runtime` owns it, the
-/// sharded runtime keeps it behind the mutex at the bottom of its lock
-/// order. The core only ever holds it for the duration of one `f` —
-/// never across a store append, never while waiting for anything else.
-pub(crate) trait Timers {
-    fn with<R>(&mut self, f: impl FnOnce(&mut TimerState) -> R) -> R;
-}
-
-impl Timers for TimerState {
-    fn with<R>(&mut self, f: impl FnOnce(&mut TimerState) -> R) -> R {
-        f(self)
-    }
+/// Locks a mutex, recovering from poisoning: a panic mid-operation
+/// either completed its journal append or left it untouched, so the
+/// inner state is always valid.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The one place a record reaches the store. `record` is only built
@@ -144,7 +142,7 @@ impl Instance {
     /// (`Scheduler::fire_named`). Returns the status after the step, or
     /// the typed refusal with the cursor untouched. Staged events are
     /// not part of the instance until [`Instance::commit`]; the `&mut`
-    /// the holder handed in keeps anyone from seeing them before.
+    /// the runtime handed in keeps anyone from seeing them before.
     ///
     /// Event names come from clients, so the global interner is not
     /// consulted, let alone grown: a name the program does not have —
@@ -174,7 +172,7 @@ impl Instance {
         &mut self,
         from: usize,
         record: impl FnOnce(&Instance) -> Record,
-        timers: &mut impl Timers,
+        timers: &Mutex<TimerState>,
         store: Option<&dyn Store>,
     ) -> Result<(), RuntimeError> {
         if from == self.cursor.history_len() {
@@ -198,9 +196,9 @@ impl Instance {
 /// instance completed): a tick that fired by any path disarms itself,
 /// a deadline whose base event fired is satisfied, and a completed
 /// instance — it has no future — drains every pending timer. The timer
-/// state is taken only if something is actually settled: on the
-/// sharded holder that is a mutex every fire would otherwise pay for.
-fn settle(inst: &mut Instance, from: usize, timers: &mut impl Timers) {
+/// mutex is taken only if something is actually settled: every fire
+/// would otherwise pay for it.
+fn settle(inst: &mut Instance, from: usize, timers: &Mutex<TimerState>) {
     if inst.timers.is_empty() {
         return;
     }
@@ -216,11 +214,10 @@ fn settle(inst: &mut Instance, from: usize, timers: &mut impl Timers) {
         !settled
     });
     if !dead.is_empty() {
-        timers.with(|ts| {
-            for token in dead {
-                ts.wheel.cancel(token);
-            }
-        });
+        let mut ts = lock(timers);
+        for token in dead {
+            ts.wheel.cancel(token);
+        }
     }
 }
 
@@ -230,7 +227,7 @@ fn commit_events(
     inst: &mut Instance,
     id: InstanceId,
     from: usize,
-    timers: &mut impl Timers,
+    timers: &Mutex<TimerState>,
     store: Option<&dyn Store>,
 ) -> Result<(), RuntimeError> {
     inst.commit(
@@ -267,7 +264,7 @@ pub(crate) fn compile_source(source: &str) -> Result<(String, Goal), RuntimeErro
     Ok((spec.name, compiled.goal))
 }
 
-/// The write-ahead half of a deploy: the holder inserts `deployment`
+/// The write-ahead half of a deploy: the runtime inserts `deployment`
 /// into its registry only once this returned `Ok`.
 pub(crate) fn persist_deploy(
     deployment: &Deployment,
@@ -280,7 +277,7 @@ pub(crate) fn persist_deploy(
 }
 
 /// Starts `inst`, a fresh instance of `deployment`, under the id the
-/// holder allocated; the holder publishes it once this returned `Ok`
+/// runtime allocated; the runtime publishes it once this returned `Ok`
 /// (and never reuses the id if it did not).
 ///
 /// Durability order is **arm-before-visible**: the instance's
@@ -294,14 +291,14 @@ pub(crate) fn start(
     inst: &mut Instance,
     id: InstanceId,
     deployment: &Deployment,
-    timers: &mut impl Timers,
+    timers: &Mutex<TimerState>,
     store: Option<&dyn Store>,
 ) -> Result<(), RuntimeError> {
     let declared = &deployment.timers;
     let clock = if declared.is_empty() {
         0
     } else {
-        timers.with(|ts| ts.clock_ms)
+        lock(timers).clock_ms
     };
     let due = |t: &DeployedTimer| clock.saturating_add(t.delay_ms);
     if !declared.is_empty() {
@@ -318,11 +315,10 @@ pub(crate) fn start(
         workflow: deployment.name.to_string(),
     })?;
     if !declared.is_empty() {
-        timers.with(|ts| {
-            for t in declared {
-                arm(inst, id, t.tick, due(t), t.base, ts);
-            }
-        });
+        let mut ts = lock(timers);
+        for t in declared {
+            arm(inst, id, t.tick, due(t), t.base, &mut ts);
+        }
     }
     Ok(())
 }
@@ -336,7 +332,7 @@ pub(crate) fn fire(
     inst: &mut Instance,
     id: InstanceId,
     event: &str,
-    timers: &mut impl Timers,
+    timers: &Mutex<TimerState>,
     store: Option<&dyn Store>,
 ) -> Result<InstanceStatus, RuntimeError> {
     let from = inst.cursor.history_len();
@@ -393,7 +389,7 @@ pub(crate) fn fire_burst<'a>(
     id: InstanceId,
     events: impl Iterator<Item = (bool, &'a str)> + Clone,
     out: &mut Vec<FireOutcome>,
-    timers: &mut impl Timers,
+    timers: &Mutex<TimerState>,
     store: Option<&dyn Store>,
 ) -> Result<(), RuntimeError> {
     let (from, first) = (inst.cursor.history_len(), out.len());
@@ -429,7 +425,7 @@ pub(crate) fn fire_burst<'a>(
 pub(crate) fn try_complete(
     inst: &mut Instance,
     id: InstanceId,
-    timers: &mut impl Timers,
+    timers: &Mutex<TimerState>,
     store: Option<&dyn Store>,
 ) -> Result<InstanceStatus, RuntimeError> {
     if inst.status == InstanceStatus::Completed {
@@ -469,7 +465,7 @@ pub(crate) fn cancel_timer(
     inst: &mut Instance,
     id: InstanceId,
     event: &str,
-    timers: &mut impl Timers,
+    timers: &Mutex<TimerState>,
     store: Option<&dyn Store>,
 ) -> Result<(), RuntimeError> {
     let Some(tick) = Symbol::try_get(event).filter(|s| inst.timers.iter().any(|t| t.tick == *s))
@@ -480,7 +476,7 @@ pub(crate) fn cancel_timer(
         });
     };
     persist_cancel(id, event, store)?;
-    timers.with(|ts| disarm(inst, tick, ts));
+    disarm(inst, tick, &mut lock(timers));
     Ok(())
 }
 
@@ -498,7 +494,7 @@ fn expire(
     id: InstanceId,
     tick: Symbol,
     at_ms: u64,
-    timers: &mut impl Timers,
+    timers: &Mutex<TimerState>,
     store: Option<&dyn Store>,
 ) -> Result<bool, RuntimeError> {
     let from = inst.cursor.history_len();
@@ -525,7 +521,7 @@ fn expire(
 /// `to_ms` is left alone.
 ///
 /// The expired batch is popped under the timer state alone. Each expiry
-/// then runs inside `visit`, the holder's lookup: it calls the closure
+/// then runs inside `visit`, the runtime's lookup: it calls the closure
 /// it is handed on instance `id` under whatever lock guards that
 /// instance, or not at all if the id is unknown. A timer disarmed
 /// between pop and visit is skipped — the instance's own list is the
@@ -541,11 +537,11 @@ fn expire(
 /// retries exactly it.
 pub(crate) fn advance(
     to_ms: u64,
-    timers: &mut impl Timers,
+    timers: &Mutex<TimerState>,
     store: Option<&dyn Store>,
     mut visit: impl FnMut(InstanceId, &mut dyn FnMut(&mut Instance)),
 ) -> Result<Vec<(InstanceId, String)>, RuntimeError> {
-    let mut due_now = timers.with(|ts| ts.wheel.advance_to(to_ms));
+    let mut due_now = lock(timers).wheel.advance_to(to_ms);
     // Wheel order is (due, arm order); re-sort ties by (instance,
     // tick name) so expiry order is independent of arm history
     // (snapshot restore re-arms in sorted order, replay in journal
@@ -570,14 +566,16 @@ pub(crate) fn advance(
                 }
             }
             if failed.is_some() {
-                timers.with(|ts| arm(inst, id, tick, armed.due, armed.base, ts));
+                arm(inst, id, tick, armed.due, armed.base, &mut lock(timers));
             }
         });
     }
     if failed.is_none() {
         reached = to_ms;
     }
-    timers.with(|ts| ts.clock_ms = ts.clock_ms.max(reached));
+    let mut ts = lock(timers);
+    ts.clock_ms = ts.clock_ms.max(reached);
+    drop(ts);
     failed.map_or(Ok(fired), Err)
 }
 
@@ -611,16 +609,20 @@ pub(crate) fn replay_timer_fire(
     id: InstanceId,
     event: &str,
     at_ms: u64,
-    ts: &mut TimerState,
+    timers: &Mutex<TimerState>,
 ) -> Result<(), RuntimeError> {
-    ts.clock_ms = ts.clock_ms.max(at_ms);
-    let tick = Symbol::try_get(event).ok_or_else(|| {
-        RuntimeError::Journal(format!(
-            "timer fire for instance {id} references unknown event `{event}`"
-        ))
-    })?;
-    disarm(inst, tick, ts);
-    if !expire(inst, id, tick, at_ms, ts, None)? {
+    let tick = {
+        let mut ts = lock(timers);
+        ts.clock_ms = ts.clock_ms.max(at_ms);
+        let tick = Symbol::try_get(event).ok_or_else(|| {
+            RuntimeError::Journal(format!(
+                "timer fire for instance {id} references unknown event `{event}`"
+            ))
+        })?;
+        disarm(inst, tick, &mut ts);
+        tick
+    };
+    if !expire(inst, id, tick, at_ms, timers, None)? {
         return Err(RuntimeError::Journal(format!(
             "instance {id}: replaying timer fire `{event}`: not eligible"
         )));

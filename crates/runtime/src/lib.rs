@@ -27,10 +27,15 @@
 //! compiled goal in its concrete syntax plus one line of events per
 //! instance.
 //!
+//! A [`Runtime`] is one cloneable `Send + Sync` handle over one sharded
+//! instance table (the [`shared`] module): every verb takes `&self`, an
+//! operation on a known instance locks that instance alone, and recovery
+//! adopts straight into the table.
+//!
 //! ```
 //! use ctr_runtime::Runtime;
 //!
-//! let mut rt = Runtime::new();
+//! let rt = Runtime::new();
 //! rt.deploy_source("workflow pay { graph invoice * (approve + reject) * file; }").unwrap();
 //! let id = rt.start("pay").unwrap();
 //! assert_eq!(rt.eligible(id).unwrap(), vec!["invoice".to_owned()]);
@@ -52,9 +57,11 @@ use ctr::goal::Goal;
 use ctr::timer::{parse_tick, TimerKind};
 use ctr_engine::scheduler::{Program, Scheduler};
 use ctr_store::Record;
-use fleet::TimerState;
+use fleet::lock;
+use shared::Inner;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 pub use ctr::symbol::Symbol;
@@ -63,7 +70,7 @@ pub use enact::{
     AttemptOutcome, AttemptRecord, Backoff, ChoicePolicy, EnactError, EnactReport, Enactor, Fault,
     FaultPlan, Handler, RetryPolicy,
 };
-pub use shared::{BurstScratch, SharedRuntime};
+pub use shared::BurstScratch;
 pub use stats::{simulate, Simulation};
 pub use wheel::{TimerToken, TimerWheel};
 
@@ -174,7 +181,7 @@ impl fmt::Display for InstanceStatus {
 }
 
 /// Per-event result of a batched fire ([`Runtime::fire_batch`],
-/// [`SharedRuntime::fire_batch`], [`SharedRuntime::fire_many`]).
+/// [`Runtime::fire_many`], [`Runtime::fire_runs`]).
 ///
 /// A batch commits its events in order and stops at the first failure:
 /// the committed prefix is journaled exactly as if fired individually,
@@ -185,7 +192,7 @@ pub enum FireOutcome {
     /// The event fired; the instance's status immediately after it.
     Fired(InstanceStatus),
     /// The event was rejected (not eligible, instance already complete,
-    /// or unknown instance in [`SharedRuntime::fire_many`]); the batch
+    /// or unknown instance in [`Runtime::fire_many`]); the batch
     /// stopped here.
     Rejected(RuntimeError),
     /// A preceding event of the same instance's batch failed; this one
@@ -264,8 +271,8 @@ impl Deployment {
         })
     }
 
-    /// Appends this deployment's snapshot line. Both runtimes serialize
-    /// through here, which is what keeps their formats byte-identical.
+    /// Appends this deployment's snapshot line: the same rendered goal
+    /// its durable deploy record carries.
     pub(crate) fn snapshot_line(&self, out: &mut String, name: &str) {
         use std::fmt::Write as _;
         let _ = writeln!(out, "workflow {name} := {}", self.rendered);
@@ -289,9 +296,8 @@ pub(crate) struct ArmedTimer {
 
 /// One running instance: a cursor, whose history is the instance's
 /// journal (sole persistent state). Its transitions live in the `fleet`
-/// module, so the single-threaded [`Runtime`] and the sharded
-/// [`SharedRuntime`] run the exact same logic — the latter merely wraps
-/// each `Instance` in its own lock.
+/// module; the [`Runtime`]'s table keeps each `Instance` behind its own
+/// lock.
 pub(crate) struct Instance {
     /// The deployment's name ([`Deployment::name`], shared).
     pub(crate) workflow: Arc<str>,
@@ -420,18 +426,15 @@ impl Instance {
     }
 }
 
-/// Renders the canonical snapshot text into `out`, clearing it first —
-/// the single serialization path under [`Runtime::snapshot`],
-/// [`SharedRuntime::snapshot`], and both checkpoints, which is what
-/// keeps their bytes identical. The buffer is pre-sized in one counting
-/// pass, so a caller reusing one `String` across snapshots settles into
-/// a single steady-state allocation.
-pub(crate) fn render_snapshot<'a, D, I>(deployments: D, instances: I, out: &mut String)
+/// Renders the canonical snapshot text — the single serialization path
+/// under [`Runtime::snapshot`] and [`Runtime::checkpoint`]. The buffer
+/// is pre-sized in one counting pass, so a large fleet's snapshot does
+/// not grow through repeated doublings.
+pub(crate) fn render_snapshot<'a, D, I>(deployments: D, instances: I) -> String
 where
     D: Iterator<Item = (&'a String, &'a Deployment)> + Clone,
     I: Iterator<Item = (InstanceId, &'a Instance)> + Clone,
 {
-    out.clear();
     let mut len = SNAPSHOT_HEADER.len() + 1;
     for (name, d) in deployments.clone() {
         len += d.snapshot_len(name);
@@ -439,48 +442,35 @@ where
     for (id, inst) in instances.clone() {
         len += inst.snapshot_len(id);
     }
-    out.reserve(len);
+    let mut out = String::with_capacity(len);
     out.push_str(SNAPSHOT_HEADER);
     out.push('\n');
     for (name, d) in deployments {
-        d.snapshot_line(out, name);
+        d.snapshot_line(&mut out, name);
     }
     for (id, inst) in instances {
-        inst.snapshot_line(out, id);
+        inst.snapshot_line(&mut out, id);
     }
+    out
 }
 
-/// The workflow runtime: deployed definitions plus running instances.
-#[derive(Default)]
+/// The workflow runtime: deployed definitions plus running instances,
+/// behind one cloneable, `Send + Sync` handle — clones share the
+/// runtime.
+///
+/// Every verb takes `&self`. The instances live in one sharded table
+/// (the [`shared`] module has the table and the lock order): an
+/// operation on a known instance takes that instance's lock and no
+/// other, so clients firing events on different instances share
+/// nothing they write.
+#[derive(Clone, Default)]
 pub struct Runtime {
-    pub(crate) deployments: BTreeMap<String, Arc<Deployment>>,
-    pub(crate) instances: BTreeMap<InstanceId, Instance>,
-    pub(crate) next_id: InstanceId,
-    /// Events re-fired to materialize cursors — replay work. Stays 0 in
-    /// steady state; grows only in [`Runtime::restore`] and
-    /// [`Runtime::open`].
-    pub(crate) replayed: u64,
-    /// The durability backend, if any. `None` (the default) keeps every
-    /// path purely in-memory with zero overhead; with a store attached,
-    /// every deploy, start, fire, and silent completion is appended
-    /// *before* the in-memory commit (write-ahead discipline).
-    pub(crate) store: Option<Arc<dyn Store>>,
-    /// Pending timers across the fleet, keyed back to their instances,
-    /// and the logical clock.
-    pub(crate) timers: TimerState,
+    pub(crate) inner: Arc<Inner>,
 }
 
-/// Resolves an instance id for a mutating operation. A free function
-/// over the map, so the borrow leaves the runtime's timers and store
-/// free for the fleet core.
-fn instance_mut(
-    instances: &mut BTreeMap<InstanceId, Instance>,
-    id: InstanceId,
-) -> Result<&mut Instance, RuntimeError> {
-    instances
-        .get_mut(&id)
-        .ok_or(RuntimeError::UnknownInstance(id))
-}
+/// [`Runtime`]'s former name for its concurrent handle, kept while
+/// `benchmark/` still spells it.
+pub type SharedRuntime = Runtime;
 
 impl Runtime {
     /// An empty runtime.
@@ -491,177 +481,83 @@ impl Runtime {
     /// An empty runtime persisting through `store`. Anything the store
     /// already holds is ignored — use [`Runtime::open`] to recover.
     pub fn with_store(store: Arc<dyn Store>) -> Runtime {
+        let mut inner = Inner::default();
+        inner.store = Some(store);
         Runtime {
-            store: Some(store),
-            ..Runtime::default()
+            inner: Arc::new(inner),
         }
     }
 
     /// Recovers a runtime from everything `store` retained — the latest
     /// checkpoint snapshot first, then every post-checkpoint record in
     /// append order, each re-validated exactly like a live call (replayed
-    /// fires count toward [`Runtime::replayed_steps`]). The store is
-    /// attached only after replay, so recovery never re-appends its own
-    /// input. Fails with [`RuntimeError::Store`] if the store cannot be
-    /// read, or a replay-level error if its contents do not re-validate.
+    /// fires count toward [`Runtime::replayed_steps`]). Instances are
+    /// adopted straight into the instance table. The store is attached
+    /// only after replay, so recovery never re-appends its own input.
+    /// Fails with [`RuntimeError::Store`] if the store cannot be read, or
+    /// a replay-level error if its contents do not re-validate.
     pub fn open(store: Arc<dyn Store>) -> Result<Runtime, RuntimeError> {
         let replay = store
             .replay()
             .map_err(|e| RuntimeError::Store(e.to_string()))?;
-        let mut rt = match &replay.snapshot {
-            Some(snapshot) => Runtime::restore(snapshot)?,
-            None => Runtime::new(),
+        let mut inner = match &replay.snapshot {
+            Some(snapshot) => Inner::restore(snapshot)?,
+            None => Inner::default(),
         };
-        // Arm-before-visible buffering: a TimerArm only takes effect
-        // when its Start follows. A crash between the two appends
-        // leaves an orphan arm, which either never leaves this map or
-        // meets a start that does not declare its ticks.
-        let mut buffered_arms: BTreeMap<InstanceId, Vec<(String, u64)>> = BTreeMap::new();
-        for record in replay.records {
-            match record {
-                Record::Deploy { name, goal } => {
-                    let goal = ctr_parser::parse_goal(&goal).map_err(|e| {
-                        RuntimeError::Journal(format!("deploy record for `{name}`: {e}"))
-                    })?;
-                    rt.deploy_compiled(&name, goal)?;
-                }
-                Record::TimerArm { instance, timers } => {
-                    buffered_arms.insert(instance, timers);
-                }
-                Record::Start { instance, workflow } => {
-                    let arms = buffered_arms.remove(&instance).unwrap_or_default();
-                    rt.adopt_instance(instance, &workflow, &arms, RuntimeError::Journal)?;
-                }
-                Record::Events { instance, events } => {
-                    rt.replay_events(instance, events.iter().map(String::as_str))
-                        .map_err(|(event, e)| {
-                            RuntimeError::Journal(format!(
-                                "instance {instance}: replaying event `{event}`: {e}"
-                            ))
-                        })?;
-                }
-                Record::TimerFire {
-                    instance,
-                    event,
-                    at_ms,
-                } => {
-                    let inst = rt.instances.get_mut(&instance).ok_or_else(|| {
-                        RuntimeError::Journal(format!("timer fire for unknown instance {instance}"))
-                    })?;
-                    fleet::replay_timer_fire(inst, instance, &event, at_ms, &mut rt.timers)?;
-                    rt.replayed += 1;
-                }
-                Record::TimerCancel { instance, event } => {
-                    if let Some(inst) = rt.instances.get_mut(&instance) {
-                        fleet::replay_timer_cancel(inst, &event, &mut rt.timers);
-                    }
-                }
-                Record::Complete { instance } => {
-                    rt.try_complete(instance)?;
-                }
-            }
-        }
-        rt.store = Some(store);
-        Ok(rt)
+        inner.replay(replay.records)?;
+        inner.store = Some(store);
+        Ok(Runtime {
+            inner: Arc::new(inner),
+        })
     }
 
-    /// Compacts the attached store: freezes the current state as a text
-    /// snapshot (the ordinary [`Runtime::snapshot`] bytes) and lets the
-    /// store truncate every record the snapshot covers. Errors if no
-    /// store is attached.
-    pub fn checkpoint(&mut self) -> Result<(), RuntimeError> {
-        let Some(store) = &self.store else {
-            return Err(RuntimeError::Store(
-                "no store attached to checkpoint into".to_owned(),
-            ));
-        };
-        store
-            .checkpoint(&self.snapshot())
-            .map_err(|e| RuntimeError::Store(e.to_string()))
+    /// Restores a runtime from a snapshot. Only the reader of the text:
+    /// workflow lines are deployed and instance lines adopted, replayed
+    /// and completed through the calls [`Runtime::open`] makes for the
+    /// log's records, so one set of checks validates both. An instance's
+    /// `timer` lines directly follow its line and must be what is pending
+    /// on it once its events replayed — an undeclared tick, an ordinary
+    /// event, a repeated or misplaced line is a [`RuntimeError::Snapshot`].
+    pub fn restore(snapshot: &str) -> Result<Runtime, RuntimeError> {
+        Ok(Runtime {
+            inner: Arc::new(Inner::restore(snapshot)?),
+        })
     }
 
-    /// Adopts an instance under the id durable state gives it — the one
-    /// way back for a [`Record::Start`] and for a snapshot's instance
-    /// line alike, which must reproduce the exact ids clients were given.
-    /// `arms` carries the instance's pending dues (a buffered
-    /// [`Record::TimerArm`], or the `timer` lines under the instance
-    /// line); only ticks the workflow declares are armed. The caller
-    /// names the variant a refusal comes back as.
-    fn adopt_instance<S: AsRef<str>>(
-        &mut self,
-        id: InstanceId,
-        workflow: &str,
-        arms: &[(S, u64)],
-        refuse: fn(String) -> RuntimeError,
-    ) -> Result<(), RuntimeError> {
-        let Some(deployment) = self.deployments.get(workflow).map(Arc::clone) else {
-            return Err(refuse(format!(
-                "instance {id} references unknown workflow `{workflow}`"
-            )));
-        };
-        // A second adoption of an id would replace the first's history
-        // and strand its timers on the wheel.
-        if self.instances.contains_key(&id) {
-            return Err(refuse(format!("duplicate instance {id}")));
-        }
-        let successor = id
-            .checked_add(1)
-            .ok_or_else(|| refuse(format!("instance {id} leaves no next id")))?;
-        let mut instance = Instance::new(&deployment);
-        fleet::adopt(&mut instance, id, &deployment, arms, &mut self.timers);
-        self.instances.insert(id, instance);
-        self.next_id = self.next_id.max(successor);
-        Ok(())
-    }
-
-    /// Re-fires an adopted instance's durable events through the public
-    /// API, so each is re-validated — the one place cursors are
-    /// materialized by replay rather than advanced in place. On a
-    /// refusal, the event that did not replay and why.
-    fn replay_events<'a>(
-        &mut self,
-        id: InstanceId,
-        events: impl Iterator<Item = &'a str>,
-    ) -> Result<(), (&'a str, RuntimeError)> {
-        for event in events {
-            self.fire(id, event).map_err(|e| (event, e))?;
-            self.replayed += 1;
-        }
-        Ok(())
-    }
-
-    fn deployment(&self, workflow: &str) -> Result<&Arc<Deployment>, RuntimeError> {
-        self.deployments
-            .get(workflow)
-            .ok_or_else(|| RuntimeError::UnknownWorkflow(workflow.to_owned()))
+    /// The attached store, if any (`stats.rs` surfaces its counters as
+    /// [`StoreStats`]).
+    pub(crate) fn store(&self) -> Option<&dyn Store> {
+        self.inner.store.as_deref()
     }
 
     /// Deploys a specification from its textual source. Compiles the
-    /// graph, triggers, sub-workflows, and constraints once; inconsistent
-    /// specifications are rejected outright (there would be nothing to
-    /// schedule).
-    pub fn deploy_source(&mut self, source: &str) -> Result<String, RuntimeError> {
+    /// graph, triggers, sub-workflows, and constraints once, outside any
+    /// lock; inconsistent specifications are rejected outright (there
+    /// would be nothing to schedule).
+    pub fn deploy_source(&self, source: &str) -> Result<String, RuntimeError> {
         let (name, goal) = fleet::compile_source(source)?;
         self.deploy_compiled(&name, goal)?;
         Ok(name)
     }
 
-    /// Deploys an already-compiled goal under a name.
+    /// Deploys an already-compiled goal under a name. Compilation runs
+    /// outside any lock; the registry write lock covers the durable
+    /// deploy append *and* the insert, so the record is durable before
+    /// the registry exposes the deployment — and a fleet frozen under
+    /// the registry read lock ([`Runtime::checkpoint`]) has no in-flight
+    /// deploy whose record could predate the checkpoint cut yet miss its
+    /// snapshot.
     ///
     /// Re-deploying a name only affects instances started afterwards:
     /// running instances keep (and share, via `Arc`) the program they
     /// were started with.
-    pub fn deploy_compiled(&mut self, name: &str, compiled: Goal) -> Result<(), RuntimeError> {
-        let deployment = Deployment::new(name, compiled)?;
-        fleet::persist_deploy(&deployment, self.store.as_deref())?;
-        self.deployments
-            .insert(name.to_owned(), Arc::new(deployment));
-        Ok(())
+    pub fn deploy_compiled(&self, name: &str, compiled: Goal) -> Result<(), RuntimeError> {
+        self.inner.deploy_compiled(name, compiled)
     }
 
     /// Deployed workflow names.
     pub fn workflows(&self) -> Vec<String> {
-        self.deployments.keys().cloned().collect()
+        self.inner.registry().keys().cloned().collect()
     }
 
     /// Starts a new instance of a deployed workflow, materializing its
@@ -672,39 +568,48 @@ impl Runtime {
     /// [`Record::TimerArm`] goes to the store *before* its
     /// [`Record::Start`]. A crash between the two leaves an orphan arm,
     /// which recovery drops harmlessly; the reverse order could recover
-    /// an instance whose deadlines were silently lost. A failed persist
-    /// burns the allocated id: ids only ever need to be unique and
-    /// monotonic, and an orphan arm must not meet a later start. An id
-    /// with no successor is never handed out — recovery would refuse
-    /// its start record — so at `next_id == u64::MAX` the call fails
-    /// with [`RuntimeError::InstanceIdsExhausted`] before any append.
-    pub fn start(&mut self, workflow: &str) -> Result<InstanceId, RuntimeError> {
-        let deployment = Arc::clone(self.deployment(workflow)?);
-        let id = self.next_id;
-        self.next_id = id
-            .checked_add(1)
-            .ok_or(RuntimeError::InstanceIdsExhausted)?;
+    /// an instance whose deadlines were silently lost. Both appends, the
+    /// arming *and* the publish happen under the destination shard's
+    /// gate, so an event fired on the instance lands in the log strictly
+    /// after its start, and a fleet frozen by [`Runtime::checkpoint`]
+    /// (which holds every gate) has no in-flight start whose record
+    /// could predate the checkpoint cut yet miss its snapshot.
+    ///
+    /// A failed persist burns the allocated id: ids only ever need to be
+    /// unique and monotonic, and an orphan arm must not meet a later
+    /// start. An id with no successor is never handed out — recovery
+    /// would refuse its start record — so the counter stops at
+    /// `u64::MAX` and the call fails with
+    /// [`RuntimeError::InstanceIdsExhausted`] before any append.
+    pub fn start(&self, workflow: &str) -> Result<InstanceId, RuntimeError> {
+        let deployment = self.inner.deployment(workflow)?;
+        let id = self
+            .inner
+            .next_id
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |id| id.checked_add(1))
+            .map_err(|_| RuntimeError::InstanceIdsExhausted)?;
         let mut instance = Instance::new(&deployment);
+        let shard = self.inner.shard(id);
+        let mut gate = lock(&shard.gate);
         fleet::start(
             &mut instance,
             id,
             &deployment,
-            &mut self.timers,
-            self.store.as_deref(),
+            &self.inner.timers,
+            self.store(),
         )?;
-        self.instances.insert(id, instance);
+        shard.publish(&mut gate, id, instance);
         Ok(id)
     }
 
-    /// Running and completed instance ids.
+    /// Running and completed instance ids, ascending.
     pub fn instances(&self) -> Vec<InstanceId> {
-        self.instances.keys().copied().collect()
-    }
-
-    fn instance(&self, id: InstanceId) -> Result<&Instance, RuntimeError> {
-        self.instances
-            .get(&id)
-            .ok_or(RuntimeError::UnknownInstance(id))
+        let mut ids: Vec<InstanceId> = Vec::new();
+        for (index, shard) in self.inner.shards.iter().enumerate() {
+            shard.for_each(index, &lock(&shard.gate), |id, _| ids.push(id));
+        }
+        ids.sort_unstable();
+        ids
     }
 
     /// Total events re-fired to materialize cursors. Zero in steady
@@ -712,23 +617,25 @@ impl Runtime {
     /// cursor as it stands; only [`Runtime::restore`] and
     /// [`Runtime::open`] replay.
     pub fn replayed_steps(&self) -> u64 {
-        self.replayed
+        self.inner.replayed
     }
 
     /// The observable events eligible to fire now, deduplicated and
     /// sorted — the pro-active scheduler's answer to "what can happen
-    /// next?" (§4). Reads the cursor: O(eligible), not O(journal).
+    /// next?" (§4). Reads the cursor: O(eligible), not O(journal). The
+    /// answer is a snapshot: another client may commit a branch before
+    /// you act on it — `fire` remains the arbiter.
     ///
     /// Allocates one `String` per name; hot polling loops should prefer
     /// [`Runtime::eligible_symbols`].
     pub fn eligible(&self, id: InstanceId) -> Result<Vec<String>, RuntimeError> {
-        Ok(self.instance(id)?.eligible_names())
+        self.inner.with_instance(id, |inst| inst.eligible_names())
     }
 
     /// [`Runtime::eligible`] without the per-name allocations: returns
     /// interned [`Symbol`]s (same order — sorted by name, deduplicated).
     pub fn eligible_symbols(&self, id: InstanceId) -> Result<Vec<Symbol>, RuntimeError> {
-        Ok(self.instance(id)?.eligible_symbols())
+        self.inner.with_instance(id, |inst| inst.eligible_symbols())
     }
 
     /// Fires an external event against an instance. Rejects events the
@@ -738,16 +645,22 @@ impl Runtime {
     /// length. With a store attached this is write-ahead: the event
     /// record must be durable before the fire commits, and a failed
     /// persist rewinds the cursor to the history it had, so nothing
-    /// half-fires.
-    pub fn fire(&mut self, id: InstanceId, event: &str) -> Result<InstanceStatus, RuntimeError> {
-        let inst = instance_mut(&mut self.instances, id)?;
-        fleet::fire(inst, id, event, &mut self.timers, self.store.as_deref())
+    /// half-fires. Atomic with respect to other clients *of this
+    /// instance*; clients of other instances proceed concurrently, so of
+    /// two clients racing to fire mutually-exclusive branch events
+    /// exactly one wins and the loser gets [`RuntimeError::NotEligible`]
+    /// with the post-commit alternatives.
+    pub fn fire(&self, id: InstanceId, event: &str) -> Result<InstanceStatus, RuntimeError> {
+        self.inner.with_instance(id, |inst| {
+            fleet::fire(inst, id, event, &self.inner.timers, self.store())
+        })?
     }
 
     /// Fires a batch of events against one instance in order, under a
-    /// single instance resolution — and,
-    /// with a store attached, a single durable append: the whole batch
-    /// is one group commit (one fsync on the WAL backend).
+    /// single lookup and instance-lock acquisition — one atomic section
+    /// with respect to other clients of this instance — and, with a
+    /// store attached, a single durable append: the whole batch is one
+    /// group commit (one fsync on the WAL backend).
     ///
     /// Partial-failure semantics: the batch stops at the first event that
     /// cannot fire — the committed prefix stays journaled (exactly the
@@ -760,29 +673,26 @@ impl Runtime {
     /// [`FireOutcome`] per input event; `Err` only when the instance id
     /// itself is unknown.
     pub fn fire_batch<S: AsRef<str>>(
-        &mut self,
+        &self,
         id: InstanceId,
         events: &[S],
     ) -> Result<Vec<FireOutcome>, RuntimeError> {
-        let inst = instance_mut(&mut self.instances, id)?;
         let mut outcomes = Vec::with_capacity(events.len());
-        fleet::fire_burst(
-            inst,
-            id,
-            fleet::one_run(events),
-            &mut outcomes,
-            &mut self.timers,
-            self.store.as_deref(),
-        )?;
+        self.inner.with_instance(id, |inst| {
+            let run = fleet::one_run(events);
+            let timers = &self.inner.timers;
+            fleet::fire_burst(inst, id, run, &mut outcomes, timers, self.store())
+        })??;
         Ok(outcomes)
     }
 
     /// Tries to finish an instance through silent steps only (committing
     /// `∨`-branches made of bookkeeping, e.g. an optional tail that was
     /// compiled away). Returns the resulting status.
-    pub fn try_complete(&mut self, id: InstanceId) -> Result<InstanceStatus, RuntimeError> {
-        let inst = instance_mut(&mut self.instances, id)?;
-        fleet::try_complete(inst, id, &mut self.timers, self.store.as_deref())
+    pub fn try_complete(&self, id: InstanceId) -> Result<InstanceStatus, RuntimeError> {
+        self.inner.with_instance(id, |inst| {
+            fleet::try_complete(inst, id, &self.inner.timers, self.store())
+        })?
     }
 
     // --- Timers -------------------------------------------------------------
@@ -791,18 +701,19 @@ impl Runtime {
     /// only through [`Runtime::advance`] — the runtime has no wall
     /// clock of its own, which keeps expiry deterministic under test.
     pub fn clock_ms(&self) -> u64 {
-        self.timers.clock_ms
+        lock(&self.inner.timers).clock_ms
     }
 
     /// Pending timers of an instance as `(tick event, absolute due ms)`
-    /// pairs, sorted by tick name.
+    /// pairs, sorted by tick name — read off the instance's own list,
+    /// under its lock.
     pub fn pending_timers(&self, id: InstanceId) -> Result<Vec<(String, u64)>, RuntimeError> {
-        Ok(self.instance(id)?.pending_timers())
+        self.inner.with_instance(id, |inst| inst.pending_timers())
     }
 
     /// Total pending timers across the fleet.
     pub fn pending_timer_count(&self) -> usize {
-        self.timers.wheel.len()
+        lock(&self.inner.timers).wheel.len()
     }
 
     /// The earliest pending due across all instances, exactly; `None`
@@ -812,7 +723,7 @@ impl Runtime {
     ///
     /// [`clock_ms`]: Runtime::clock_ms
     pub fn next_timer_due(&self) -> Option<u64> {
-        self.timers.wheel.next_due()
+        lock(&self.inner.timers).wheel.next_due()
     }
 
     /// Advances the logical clock to `to_ms`, expiring every timer due
@@ -824,37 +735,44 @@ impl Runtime {
     /// at or past `to_ms` is left alone. Returns the `(instance, tick)`
     /// pairs that fired.
     ///
+    /// The expired batch is popped under the timer lock alone; each
+    /// expiry then fires under its own instance lock, so a fleet-wide
+    /// advance never serializes unrelated client fires, and the clock
+    /// moves last. A timer a client disarmed between pop and fire is
+    /// skipped — the instance's own list is the source of truth, and
+    /// taking the timer off it under the instance lock makes each expiry
+    /// exactly-once.
+    ///
     /// On a store error the failed expiry and everything due after it
     /// are re-armed untouched — a later advance retries exactly the
     /// unfired tail.
-    pub fn advance(&mut self, to_ms: u64) -> Result<Vec<(InstanceId, String)>, RuntimeError> {
-        let instances = &mut self.instances;
-        fleet::advance(
-            to_ms,
-            &mut self.timers,
-            self.store.as_deref(),
-            |id, expire| {
-                if let Some(inst) = instances.get_mut(&id) {
-                    expire(inst);
-                }
-            },
-        )
+    pub fn advance(&self, to_ms: u64) -> Result<Vec<(InstanceId, String)>, RuntimeError> {
+        let timers = &self.inner.timers;
+        fleet::advance(to_ms, timers, self.store(), |id, expire| {
+            // An instance that is gone takes its timers with it.
+            let _ = self.inner.with_instance(id, expire);
+        })
     }
 
     /// Explicitly disarms a pending timer by its tick event name,
-    /// journaling [`Record::TimerCancel`] write-ahead. Unlike the
-    /// derived disarms (deadline satisfied, instance completed), an API
-    /// cancel is not reproducible from the event journal, so it must be
-    /// its own record.
-    pub fn cancel_timer(&mut self, id: InstanceId, event: &str) -> Result<(), RuntimeError> {
-        let inst = instance_mut(&mut self.instances, id)?;
-        fleet::cancel_timer(inst, id, event, &mut self.timers, self.store.as_deref())
+    /// journaling [`Record::TimerCancel`] write-ahead, under the instance
+    /// lock like any other control record. Unlike the derived disarms
+    /// (deadline satisfied, instance completed), an API cancel is not
+    /// reproducible from the event journal, so it must be its own record.
+    pub fn cancel_timer(&self, id: InstanceId, event: &str) -> Result<(), RuntimeError> {
+        self.inner.with_instance(id, |inst| {
+            fleet::cancel_timer(inst, id, event, &self.inner.timers, self.store())
+        })?
     }
 
     /// Enacts a deployed workflow with the given [`Enactor`]: dispatches
     /// activity handlers under the compiled schedule and returns the full
     /// [`EnactReport`] — committed trace, per-attempt outcomes and
     /// latencies, and (on abort) the typed error plus compensation plan.
+    /// The deployment is resolved under a brief registry read lock; the
+    /// enactment itself — which may run for as long as the slowest
+    /// handler chain — holds **no** runtime lock, so concurrent deploys,
+    /// fires and snapshots proceed untouched.
     ///
     /// Enactment is **deployment-level**: it runs against the
     /// deployment's compiled program and timer table and creates no
@@ -867,57 +785,64 @@ impl Runtime {
     /// `a * send(ξ) * receive(ξ) * e + a * f` enacts `a → f`, yet an
     /// instance that fired `a` refuses `f` (ROADMAP item 7).
     pub fn enact(&self, workflow: &str, enactor: &Enactor) -> Result<EnactReport, RuntimeError> {
-        let deployment = self.deployment(workflow)?;
+        let deployment = self.inner.deployment(workflow)?;
         Ok(enactor.run_timed(&deployment.program, &deployment.timers))
     }
 
     /// The journal of fired events.
     pub fn journal(&self, id: InstanceId) -> Result<Vec<String>, RuntimeError> {
-        Ok(self.instance(id)?.history_names(0))
+        self.inner.with_instance(id, |inst| inst.history_names(0))
     }
 
     /// Instance status.
     pub fn status(&self, id: InstanceId) -> Result<InstanceStatus, RuntimeError> {
-        Ok(self.instance(id)?.status)
+        self.inner.with_instance(id, |inst| inst.status)
     }
 
     /// Completion check.
     pub fn is_complete(&self, id: InstanceId) -> Result<bool, RuntimeError> {
-        Ok(self.instance(id)?.status == InstanceStatus::Completed)
+        Ok(self.status(id)? == InstanceStatus::Completed)
     }
 
     // --- Snapshots ---------------------------------------------------------
 
     /// Serializes the whole runtime — deployments as compiled goals in
     /// the concrete syntax, instances as journals — into a line-based
-    /// textual snapshot.
+    /// textual snapshot: a consistent point-in-time cut. The fleet is
+    /// frozen while the text is built (the registry read lock, every
+    /// shard's gate, every instance lock), so the snapshot contains
+    /// exactly the fires that committed before the cut, instance by
+    /// instance, and always restores.
     pub fn snapshot(&self) -> String {
-        let mut out = String::new();
-        self.snapshot_into(&mut out);
-        out
+        self.inner.frozen_snapshot(|snapshot| snapshot)
     }
 
-    /// [`Runtime::snapshot`] into a caller-owned buffer: the buffer is
-    /// cleared, pre-sized from the deployment renders and journal
-    /// lengths, and filled — so a loop snapshotting repeatedly (e.g.
-    /// periodic compaction) reuses one allocation instead of growing a
-    /// fresh `String` through repeated doublings each time.
-    pub fn snapshot_into(&self, out: &mut String) {
-        render_snapshot(
-            self.deployments.iter().map(|(n, d)| (n, &**d)),
-            self.instances.iter().map(|(id, inst)| (*id, inst)),
-            out,
-        );
+    /// Compacts the attached store behind a consistent cut: freezes the
+    /// fleet exactly like [`Runtime::snapshot`] and hands the snapshot to
+    /// [`Store::checkpoint`] **while the freeze is still held** — so no
+    /// fire can slip between the snapshot and the log truncation and be
+    /// lost to both. Errors if no store is attached.
+    pub fn checkpoint(&self) -> Result<(), RuntimeError> {
+        let store = self.store().ok_or_else(|| {
+            RuntimeError::Store("no store attached to checkpoint into".to_owned())
+        })?;
+        self.inner.frozen_snapshot(|snapshot| {
+            store
+                .checkpoint(&snapshot)
+                .map_err(|e| RuntimeError::Store(e.to_string()))
+        })
     }
+}
 
-    /// Restores a runtime from a snapshot. Only the reader of the text:
-    /// workflow lines are deployed and instance lines adopted, replayed
-    /// and completed through the calls [`Runtime::open`] makes for the
-    /// log's records, so one set of checks validates both. An instance's
-    /// `timer` lines directly follow its line and must be what is pending
-    /// on it once its events replayed — an undeclared tick, an ordinary
-    /// event, a repeated or misplaced line is a [`RuntimeError::Snapshot`].
-    pub fn restore(snapshot: &str) -> Result<Runtime, RuntimeError> {
+// --- Recovery ---------------------------------------------------------------
+
+/// The one way back from durable state. Recovery owns the table it
+/// builds — it goes behind the `Arc` only once every instance is
+/// adopted, replayed and completed — so its counters are plain fields
+/// and nothing else can see a half-recovered fleet.
+impl Inner {
+    /// Reads a snapshot into a fresh table (see [`Runtime::restore`]).
+    fn restore(snapshot: &str) -> Result<Inner, RuntimeError> {
         let mut lines = snapshot.lines();
         if lines.next() != Some(SNAPSHOT_HEADER) {
             return Err(RuntimeError::Snapshot(
@@ -925,7 +850,7 @@ impl Runtime {
             ));
         }
         let mut lines = lines.filter(|l| !l.trim().is_empty()).peekable();
-        let mut rt = Runtime::new();
+        let mut inner = Inner::default();
         let mut arms: Vec<(&str, u64)> = Vec::new();
         while let Some(line) = lines.next() {
             if let Some(rest) = line.strip_prefix("workflow ") {
@@ -934,7 +859,7 @@ impl Runtime {
                     .ok_or_else(|| RuntimeError::Snapshot(format!("bad workflow line: {line}")))?;
                 let goal = ctr_parser::parse_goal(goal_text)
                     .map_err(|e| RuntimeError::Snapshot(e.to_string()))?;
-                rt.deploy_compiled(name, goal)?;
+                inner.deploy_compiled(name, goal)?;
             } else if let Some(rest) = line.strip_prefix("instance ") {
                 let (head, journal_text) = rest
                     .split_once("]: ")
@@ -955,25 +880,30 @@ impl Runtime {
                     arms.push(arm);
                     lines.next();
                 }
-                rt.adopt_instance(id, workflow, &arms, RuntimeError::Snapshot)?;
-                rt.replay_events(id, journal_text.split_whitespace())
+                inner.adopt_instance(id, workflow, &arms, RuntimeError::Snapshot)?;
+                inner
+                    .replay_events(id, journal_text.split_whitespace())
                     .map_err(|(_, e)| e)?;
-                if head.ends_with("[completed") {
-                    // Completion may have come from silent finishing.
-                    rt.try_complete(id)?;
-                }
+                let completed = head.ends_with("[completed");
                 // Adoption arms each declared tick once and replay only
                 // disarms, so a line nothing pending answers to, or a
                 // second line for a tick, is all that can differ.
-                let pending = &rt.instances[&id].timers;
-                for (k, &(tick, due)) in arms.iter().enumerate() {
-                    let armed = |t: &ArmedTimer| t.tick.as_str() == tick && t.due == due;
-                    if !pending.iter().any(armed) || arms[..k].iter().any(|a| a.0 == tick) {
-                        return Err(RuntimeError::Snapshot(format!(
-                            "instance {id} has no such timer pending after its events: timer {id} {tick} due {due}"
-                        )));
+                inner.with_instance(id, |inst| {
+                    if completed {
+                        // Completion may have come from silent finishing.
+                        fleet::try_complete(inst, id, &inner.timers, None)?;
                     }
-                }
+                    for (k, &(tick, due)) in arms.iter().enumerate() {
+                        let armed = |t: &ArmedTimer| t.tick.as_str() == tick && t.due == due;
+                        if !inst.timers.iter().any(armed) || arms[..k].iter().any(|a| a.0 == tick)
+                        {
+                            return Err(RuntimeError::Snapshot(format!(
+                                "instance {id} has no such timer pending after its events: timer {id} {tick} due {due}"
+                            )));
+                        }
+                    }
+                    Ok(())
+                })??;
             } else if line.starts_with("timer ") {
                 return Err(RuntimeError::Snapshot(format!(
                     "timer line is malformed or does not follow its instance's line: {line}"
@@ -982,7 +912,126 @@ impl Runtime {
                 return Err(RuntimeError::Snapshot(format!("unrecognized line: {line}")));
             }
         }
-        Ok(rt)
+        Ok(inner)
+    }
+
+    /// Replays the log's records, in append order, on top of what the
+    /// checkpoint snapshot restored (see [`Runtime::open`]).
+    fn replay(&mut self, records: Vec<Record>) -> Result<(), RuntimeError> {
+        // Arm-before-visible buffering: a TimerArm only takes effect
+        // when its Start follows. A crash between the two appends
+        // leaves an orphan arm, which either never leaves this map or
+        // meets a start that does not declare its ticks.
+        let mut buffered_arms: BTreeMap<InstanceId, Vec<(String, u64)>> = BTreeMap::new();
+        for record in records {
+            match record {
+                Record::Deploy { name, goal } => {
+                    let goal = ctr_parser::parse_goal(&goal).map_err(|e| {
+                        RuntimeError::Journal(format!("deploy record for `{name}`: {e}"))
+                    })?;
+                    self.deploy_compiled(&name, goal)?;
+                }
+                Record::TimerArm { instance, timers } => {
+                    buffered_arms.insert(instance, timers);
+                }
+                Record::Start { instance, workflow } => {
+                    let arms = buffered_arms.remove(&instance).unwrap_or_default();
+                    self.adopt_instance(instance, &workflow, &arms, RuntimeError::Journal)?;
+                }
+                Record::Events { instance, events } => {
+                    self.replay_events(instance, events.iter().map(String::as_str))
+                        .map_err(|(event, e)| {
+                            RuntimeError::Journal(format!(
+                                "instance {instance}: replaying event `{event}`: {e}"
+                            ))
+                        })?;
+                }
+                Record::TimerFire {
+                    instance,
+                    event,
+                    at_ms,
+                } => {
+                    self.with_instance(instance, |inst| {
+                        fleet::replay_timer_fire(inst, instance, &event, at_ms, &self.timers)
+                    })
+                    .map_err(unknown("timer fire", instance))??;
+                    self.replayed += 1;
+                }
+                Record::TimerCancel { instance, event } => {
+                    let _ = self.with_instance(instance, |inst| {
+                        fleet::replay_timer_cancel(inst, &event, &mut lock(&self.timers));
+                    });
+                }
+                Record::Complete { instance } => {
+                    self.with_instance(instance, |inst| {
+                        fleet::try_complete(inst, instance, &self.timers, None)
+                    })
+                    .map_err(unknown("completion", instance))??;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Adopts an instance under the id durable state gives it — the one
+    /// way back for a [`Record::Start`] and for a snapshot's instance
+    /// line alike, which must reproduce the exact ids clients were given.
+    /// `arms` carries the instance's pending dues (a buffered
+    /// [`Record::TimerArm`], or the `timer` lines under the instance
+    /// line); only ticks the workflow declares are armed. The caller
+    /// names the variant a refusal comes back as.
+    fn adopt_instance<S: AsRef<str>>(
+        &mut self,
+        id: InstanceId,
+        workflow: &str,
+        arms: &[(S, u64)],
+        refuse: fn(String) -> RuntimeError,
+    ) -> Result<(), RuntimeError> {
+        let Ok(deployment) = self.deployment(workflow) else {
+            return Err(refuse(format!(
+                "instance {id} references unknown workflow `{workflow}`"
+            )));
+        };
+        // The table publishes a cell once (`Shard::publish` asserts
+        // it), so a durable state that names an id twice is refused
+        // here, before anything is armed.
+        let shard = self.shard(id);
+        if shard.find(id).is_some() {
+            return Err(refuse(format!("duplicate instance {id}")));
+        }
+        let successor = id
+            .checked_add(1)
+            .ok_or_else(|| refuse(format!("instance {id} leaves no next id")))?;
+        let mut instance = Instance::new(&deployment);
+        fleet::adopt(
+            &mut instance,
+            id,
+            &deployment,
+            arms,
+            &mut lock(&self.timers),
+        );
+        shard.publish(&mut lock(&shard.gate), id, instance);
+        let next_id = self.next_id.get_mut();
+        *next_id = (*next_id).max(successor);
+        Ok(())
+    }
+
+    /// Re-fires an adopted instance's durable events, so each is
+    /// re-validated exactly like a live fire — the one place cursors are
+    /// materialized by replay rather than advanced in place. On a
+    /// refusal, the event that did not replay and why.
+    fn replay_events<'a>(
+        &mut self,
+        id: InstanceId,
+        events: impl Iterator<Item = &'a str>,
+    ) -> Result<(), (&'a str, RuntimeError)> {
+        for event in events {
+            self.with_instance(id, |inst| fleet::fire(inst, id, event, &self.timers, None))
+                .and_then(|fired| fired)
+                .map_err(|e| (event, e))?;
+            self.replayed += 1;
+        }
+        Ok(())
     }
 }
 
@@ -995,6 +1044,12 @@ fn timer_line(line: &str, id: InstanceId) -> Option<(&str, u64)> {
         ([of, tick, "due", due], None) if of.parse() == Ok(id) => Some((tick, due.parse().ok()?)),
         _ => None,
     }
+}
+
+/// Recovery's refusal for a record naming an instance no adoption
+/// published.
+fn unknown(what: &'static str, id: InstanceId) -> impl FnOnce(RuntimeError) -> RuntimeError {
+    move |_| RuntimeError::Journal(format!("{what} for unknown instance {id}"))
 }
 
 /// First line of every snapshot; version-checks the format.
@@ -1012,14 +1067,14 @@ mod tests {
     ";
 
     fn runtime_with_pay() -> Runtime {
-        let mut rt = Runtime::new();
+        let rt = Runtime::new();
         rt.deploy_source(PAY).unwrap();
         rt
     }
 
     #[test]
     fn deploy_start_fire_complete() {
-        let mut rt = runtime_with_pay();
+        let rt = runtime_with_pay();
         assert_eq!(rt.workflows(), vec!["pay".to_owned()]);
         let id = rt.start("pay").unwrap();
         assert_eq!(rt.eligible(id).unwrap(), vec!["invoice".to_owned()]);
@@ -1036,7 +1091,7 @@ mod tests {
 
     #[test]
     fn ineligible_events_are_rejected_with_alternatives() {
-        let mut rt = runtime_with_pay();
+        let rt = runtime_with_pay();
         let id = rt.start("pay").unwrap();
         let err = rt.fire(id, "file").unwrap_err();
         let RuntimeError::NotEligible { event, eligible } = err else {
@@ -1050,7 +1105,7 @@ mod tests {
 
     #[test]
     fn firing_into_completed_instance_fails() {
-        let mut rt = runtime_with_pay();
+        let rt = runtime_with_pay();
         let id = rt.start("pay").unwrap();
         for e in ["invoice", "approve", "file"] {
             rt.fire(id, e).unwrap();
@@ -1063,7 +1118,7 @@ mod tests {
 
     #[test]
     fn inconsistent_specs_are_rejected_at_deploy() {
-        let mut rt = Runtime::new();
+        let rt = Runtime::new();
         let err = rt
             .deploy_source("workflow bad { graph b * a; constraint before(a, b); }")
             .unwrap_err();
@@ -1085,7 +1140,7 @@ mod tests {
     fn constraints_gate_eligibility_at_runtime() {
         // A compiled order constraint: the runtime refuses the late event
         // until its predecessor fired — with zero constraint checking.
-        let mut rt = Runtime::new();
+        let rt = Runtime::new();
         let compiled = ctr::analysis::compile(
             &ctr::goal::conc(vec![Goal::atom("a"), Goal::atom("b")]),
             &[Constraint::order("a", "b")],
@@ -1105,7 +1160,7 @@ mod tests {
 
     #[test]
     fn multiple_instances_progress_independently() {
-        let mut rt = runtime_with_pay();
+        let rt = runtime_with_pay();
         let i1 = rt.start("pay").unwrap();
         let i2 = rt.start("pay").unwrap();
         rt.fire(i1, "invoice").unwrap();
@@ -1119,7 +1174,7 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_mid_flight() {
-        let mut rt = runtime_with_pay();
+        let rt = runtime_with_pay();
         let i1 = rt.start("pay").unwrap();
         let i2 = rt.start("pay").unwrap();
         rt.fire(i1, "invoice").unwrap();
@@ -1136,14 +1191,14 @@ mod tests {
             vec!["approve".to_owned(), "reject".to_owned()]
         );
         // New instances allocate past the restored ids.
-        let mut restored = restored;
+        let restored = restored;
         let i3 = restored.start("pay").unwrap();
         assert!(i3 > i2);
     }
 
     #[test]
     fn snapshot_round_trips_completed_instances() {
-        let mut rt = runtime_with_pay();
+        let rt = runtime_with_pay();
         let id = rt.start("pay").unwrap();
         for e in ["invoice", "approve", "file"] {
             rt.fire(id, e).unwrap();
@@ -1159,7 +1214,7 @@ mod tests {
             Runtime::restore("ctr-runtime snapshot v1\ninstance 0 of ghost [running]: x").is_err()
         );
         // A journal that replay rejects.
-        let mut rt = runtime_with_pay();
+        let rt = runtime_with_pay();
         rt.start("pay").unwrap();
         let snap = rt.snapshot().replace("[running]: ", "[running]: file");
         assert!(matches!(
@@ -1170,7 +1225,7 @@ mod tests {
 
     #[test]
     fn snapshot_rejects_an_instance_id_with_no_successor() {
-        let mut rt = runtime_with_pay();
+        let rt = runtime_with_pay();
         rt.start("pay").unwrap();
         let snap = rt
             .snapshot()
@@ -1183,7 +1238,7 @@ mod tests {
         );
         // So does the same id in a durable start record.
         let store = Arc::new(MemStore::new());
-        let mut rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn Store>);
+        let rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn Store>);
         rt.deploy_source(PAY).unwrap();
         store
             .append(&Record::Start {
@@ -1203,7 +1258,7 @@ mod tests {
 
     #[test]
     fn snapshot_rejects_a_second_line_for_an_instance() {
-        let mut rt = Runtime::new();
+        let rt = Runtime::new();
         rt.deploy_source("workflow timed { graph invoice * approve; deadline(approve, 1h); }")
             .unwrap();
         let id = rt.start("timed").unwrap();
@@ -1228,7 +1283,7 @@ mod tests {
             Goal::atom("a"),
             ctr::goal::or(vec![Goal::Send(ctr::goal::Channel(0)), Goal::atom("b")]),
         ]);
-        let mut rt = Runtime::new();
+        let rt = Runtime::new();
         rt.deploy_compiled("opt", goal).unwrap();
         let id = rt.start("opt").unwrap();
         rt.fire(id, "a").unwrap();
@@ -1238,7 +1293,7 @@ mod tests {
 
     #[test]
     fn unknown_ids_and_names_error() {
-        let mut rt = Runtime::new();
+        let rt = Runtime::new();
         assert_eq!(
             rt.start("ghost"),
             Err(RuntimeError::UnknownWorkflow("ghost".to_owned()))
@@ -1251,8 +1306,8 @@ mod tests {
     fn fire_batch_matches_individual_fires() {
         // A full batch produces the same journal, statuses, and snapshot
         // as the same events fired one by one.
-        let mut batched = runtime_with_pay();
-        let mut single = runtime_with_pay();
+        let batched = runtime_with_pay();
+        let single = runtime_with_pay();
         let ib = batched.start("pay").unwrap();
         let is_ = single.start("pay").unwrap();
         let events = ["invoice", "approve", "file"];
@@ -1271,7 +1326,7 @@ mod tests {
 
     #[test]
     fn fire_batch_journals_prefix_and_skips_suffix() {
-        let mut rt = runtime_with_pay();
+        let rt = runtime_with_pay();
         let id = rt.start("pay").unwrap();
         // The second "invoice" is ineligible: the batch must stop there
         // with the first fire already committed.
@@ -1298,7 +1353,7 @@ mod tests {
 
     #[test]
     fn fire_batch_rejects_past_completion() {
-        let mut rt = runtime_with_pay();
+        let rt = runtime_with_pay();
         let id = rt.start("pay").unwrap();
         let outcomes = rt
             .fire_batch(id, &["invoice", "approve", "file", "invoice"])
@@ -1312,7 +1367,7 @@ mod tests {
 
     #[test]
     fn fire_batch_unknown_instance_is_err() {
-        let mut rt = runtime_with_pay();
+        let rt = runtime_with_pay();
         assert_eq!(
             rt.fire_batch(42, &["invoice"]),
             Err(RuntimeError::UnknownInstance(42))
@@ -1321,7 +1376,7 @@ mod tests {
 
     #[test]
     fn empty_fire_batch_is_a_no_op() {
-        let mut rt = runtime_with_pay();
+        let rt = runtime_with_pay();
         let id = rt.start("pay").unwrap();
         let outcomes = rt.fire_batch::<&str>(id, &[]).unwrap();
         assert!(outcomes.is_empty());
@@ -1330,7 +1385,7 @@ mod tests {
 
     #[test]
     fn rejected_unknown_event_names_do_not_grow_the_interner() {
-        let mut rt = runtime_with_pay();
+        let rt = runtime_with_pay();
         let id = rt.start("pay").unwrap();
         // Submitting never-interned names must not permanently intern
         // them: a hostile client pumping random names would otherwise
@@ -1400,7 +1455,7 @@ mod tests {
         let store = Arc::new(MemStore::new());
         let snap_before;
         {
-            let mut rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn ctr_store::Store>);
+            let rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn ctr_store::Store>);
             rt.deploy_source(PAY).unwrap();
             let i1 = rt.start("pay").unwrap();
             let i2 = rt.start("pay").unwrap();
@@ -1414,7 +1469,7 @@ mod tests {
         assert!(rt.is_complete(0).unwrap());
         assert_eq!(rt.replayed_steps(), 4, "recovery replays every fire");
         // Recovered runtimes keep persisting: new ids continue the line.
-        let mut rt = rt;
+        let rt = rt;
         assert_eq!(rt.start("pay").unwrap(), 2);
     }
 
@@ -1426,7 +1481,7 @@ mod tests {
         ]);
         let store = Arc::new(MemStore::new());
         {
-            let mut rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn ctr_store::Store>);
+            let rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn ctr_store::Store>);
             rt.deploy_compiled("opt", goal).unwrap();
             let id = rt.start("opt").unwrap();
             rt.fire(id, "a").unwrap();
@@ -1437,9 +1492,62 @@ mod tests {
     }
 
     #[test]
+    fn a_record_for_an_instance_no_start_adopted_is_a_journal_error() {
+        let orphan = |record: Record| {
+            let store = Arc::new(MemStore::new());
+            Runtime::with_store(Arc::clone(&store) as Arc<dyn Store>)
+                .deploy_source(PAY)
+                .unwrap();
+            store.append(&record).unwrap();
+            Runtime::open(store).err()
+        };
+        assert_eq!(
+            orphan(Record::Complete { instance: 7 }),
+            Some(RuntimeError::Journal(
+                "completion for unknown instance 7".to_owned()
+            ))
+        );
+        assert_eq!(
+            orphan(Record::TimerFire {
+                instance: 7,
+                event: "invoice".to_owned(),
+                at_ms: 0,
+            }),
+            Some(RuntimeError::Journal(
+                "timer fire for unknown instance 7".to_owned()
+            ))
+        );
+        assert!(matches!(
+            orphan(Record::Events {
+                instance: 7,
+                events: vec!["invoice".to_owned()],
+            }),
+            Some(RuntimeError::Journal(e)) if e.starts_with("instance 7: replaying event `invoice`")
+        ));
+    }
+
+    #[test]
+    fn a_log_that_starts_an_id_twice_is_refused_not_published_twice() {
+        let store = Arc::new(MemStore::new());
+        let rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn Store>);
+        rt.deploy_source(PAY).unwrap();
+        for _ in 0..2 {
+            let start = Record::Start {
+                instance: 3,
+                workflow: "pay".to_owned(),
+            };
+            store.append(&start).unwrap();
+        }
+        assert_eq!(
+            Runtime::open(store).err(),
+            Some(RuntimeError::Journal("duplicate instance 3".to_owned()))
+        );
+    }
+
+    #[test]
     fn checkpoint_compacts_and_reopens_identically() {
         let store = Arc::new(MemStore::new());
-        let mut rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn ctr_store::Store>);
+        let rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn ctr_store::Store>);
         rt.deploy_source(PAY).unwrap();
         let id = rt.start("pay").unwrap();
         rt.fire(id, "invoice").unwrap();
@@ -1457,7 +1565,7 @@ mod tests {
 
     #[test]
     fn storeless_checkpoint_is_a_typed_error() {
-        let mut rt = runtime_with_pay();
+        let rt = runtime_with_pay();
         assert!(matches!(rt.checkpoint(), Err(RuntimeError::Store(_))));
     }
 
@@ -1467,7 +1575,7 @@ mod tests {
         // never offers: restore is the one place a cursor is built from
         // text, and it must refuse with an error, not panic or adopt a
         // cursor that disagrees with its history.
-        let mut rt = runtime_with_pay();
+        let rt = runtime_with_pay();
         let id = rt.start("pay").unwrap();
         rt.fire(id, "invoice").unwrap();
         rt.fire(id, "approve").unwrap();
@@ -1484,7 +1592,7 @@ mod tests {
             );
         }
         // The untouched text restores, and the instance goes on.
-        let mut rt = Runtime::restore(&snap).unwrap();
+        let rt = Runtime::restore(&snap).unwrap();
         assert_eq!(rt.eligible(id).unwrap(), vec!["file".to_owned()]);
         rt.fire(id, "file").unwrap();
         assert!(rt.is_complete(id).unwrap());
@@ -1495,21 +1603,6 @@ mod tests {
         // One history: no second list of fired events beside the
         // cursor's. With the journal `Vec` this was 200.
         assert_eq!(std::mem::size_of::<Instance>(), 200 - 24);
-    }
-
-    #[test]
-    fn snapshot_into_reuses_the_buffer() {
-        let mut rt = runtime_with_pay();
-        let id = rt.start("pay").unwrap();
-        rt.fire(id, "invoice").unwrap();
-        let expected = rt.snapshot();
-        let mut buf = String::from("stale content from a previous use");
-        rt.snapshot_into(&mut buf);
-        assert_eq!(buf, expected);
-        let cap = buf.capacity();
-        rt.snapshot_into(&mut buf);
-        assert_eq!(buf, expected);
-        assert_eq!(buf.capacity(), cap, "steady state allocates nothing");
     }
 
     const TIMED: &str = r"
@@ -1528,7 +1621,7 @@ mod tests {
 
     #[test]
     fn after_gates_its_event_until_the_clock_advances() {
-        let mut rt = Runtime::new();
+        let rt = Runtime::new();
         rt.deploy_source(TIMED).unwrap();
         let id = rt.start("timed").unwrap();
         assert_eq!(
@@ -1558,7 +1651,7 @@ mod tests {
 
     #[test]
     fn deadline_satisfied_by_its_base_event_disarms() {
-        let mut rt = Runtime::new();
+        let rt = Runtime::new();
         rt.deploy_source(GUARDED).unwrap();
         let id = rt.start("guarded").unwrap();
         assert_eq!(
@@ -1577,7 +1670,7 @@ mod tests {
 
     #[test]
     fn deadline_expiry_fires_the_tick_as_a_journal_event() {
-        let mut rt = Runtime::new();
+        let rt = Runtime::new();
         rt.deploy_source(GUARDED).unwrap();
         let id = rt.start("guarded").unwrap();
         rt.fire(id, "invoice").unwrap();
@@ -1596,7 +1689,7 @@ mod tests {
 
     #[test]
     fn completion_drains_pending_timers() {
-        let mut rt = Runtime::new();
+        let rt = Runtime::new();
         rt.deploy_source(GUARDED).unwrap();
         let id = rt.start("guarded").unwrap();
         rt.fire(id, "invoice").unwrap();
@@ -1608,7 +1701,7 @@ mod tests {
 
     #[test]
     fn cancel_timer_disarms_and_rejects_unknowns() {
-        let mut rt = Runtime::new();
+        let rt = Runtime::new();
         rt.deploy_source(TIMED).unwrap();
         let id = rt.start("timed").unwrap();
         assert_eq!(
@@ -1633,7 +1726,7 @@ mod tests {
 
     #[test]
     fn timer_snapshot_round_trips_and_expires_identically() {
-        let mut rt = Runtime::new();
+        let rt = Runtime::new();
         rt.deploy_source(TIMED).unwrap();
         rt.deploy_source(GUARDED).unwrap();
         let t = rt.start("timed").unwrap();
@@ -1645,7 +1738,7 @@ mod tests {
             snap.contains("timer 0 approve@after30000 due 30000"),
             "{snap}"
         );
-        let mut restored = Runtime::restore(&snap).unwrap();
+        let restored = Runtime::restore(&snap).unwrap();
         assert_eq!(restored.snapshot(), snap, "snapshot round-trips");
         assert_eq!(
             restored.pending_timers(t).unwrap(),
@@ -1664,7 +1757,7 @@ mod tests {
         let store = Arc::new(MemStore::new());
         let snap_before;
         {
-            let mut rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn ctr_store::Store>);
+            let rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn ctr_store::Store>);
             rt.deploy_source(TIMED).unwrap();
             let id = rt.start("timed").unwrap();
             rt.fire(id, "invoice").unwrap();
@@ -1682,7 +1775,7 @@ mod tests {
             .position(|r| matches!(r, Record::Start { .. }))
             .expect("start record present");
         assert!(arm < start, "arm-before-visible: {records:?}");
-        let mut rt = Runtime::open(store).unwrap();
+        let rt = Runtime::open(store).unwrap();
         assert_eq!(rt.snapshot(), snap_before);
         assert_eq!(
             rt.pending_timers(0).unwrap(),
@@ -1698,7 +1791,7 @@ mod tests {
         let store = Arc::new(MemStore::new());
         let snap_before;
         {
-            let mut rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn ctr_store::Store>);
+            let rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn ctr_store::Store>);
             rt.deploy_source(GUARDED).unwrap();
             let id = rt.start("guarded").unwrap();
             rt.fire(id, "invoice").unwrap();
@@ -1723,7 +1816,7 @@ mod tests {
     #[test]
     fn cancel_records_replay_and_checkpoint_keeps_timer_lines() {
         let store = Arc::new(MemStore::new());
-        let mut rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn ctr_store::Store>);
+        let rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn ctr_store::Store>);
         rt.deploy_source(TIMED).unwrap();
         rt.deploy_source(GUARDED).unwrap();
         let t = rt.start("timed").unwrap();
@@ -1742,7 +1835,7 @@ mod tests {
         // The goal text still names the tick event; only the armed-timer
         // line must be gone.
         assert!(!baseline.contains("timer 0 "), "cancelled timer gone");
-        let mut rt = Runtime::open(store).unwrap();
+        let rt = Runtime::open(store).unwrap();
         assert_eq!(rt.snapshot(), snap);
         assert!(rt.pending_timers(t).unwrap().is_empty());
         let fired = rt.advance(3_600_000).unwrap();
@@ -1751,7 +1844,7 @@ mod tests {
 
     #[test]
     fn every_timers_stagger_and_fire_in_order() {
-        let mut rt = Runtime::new();
+        let rt = Runtime::new();
         rt.deploy_source(
             "workflow poller { graph connect * repeat(poll, 1, 2) * done; every(poll, 5s); }",
         )
@@ -1785,11 +1878,11 @@ mod tests {
     fn ties_on_a_due_expire_by_instance_then_tick() {
         // `c`'s tick is declared before `b`'s; both are due at 30 s on
         // two instances, live and restored from a snapshot.
-        let mut rt = Runtime::new();
+        let rt = Runtime::new();
         rt.deploy_source("workflow w { graph a * (c # b); after(c, 30s); after(b, 30s); }")
             .unwrap();
         let ids = [rt.start("w").unwrap(), rt.start("w").unwrap()];
-        let mut restored = Runtime::restore(&rt.snapshot()).unwrap();
+        let restored = Runtime::restore(&rt.snapshot()).unwrap();
         let expected: Vec<(InstanceId, String)> = ids
             .iter()
             .flat_map(|&id| ["b@after30000", "c@after30000"].map(|tick| (id, tick.to_owned())))

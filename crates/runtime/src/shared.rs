@@ -1,10 +1,9 @@
-//! The thread-safe handle over the runtime, for services where many
-//! clients report events concurrently.
+//! The instance table and its locking model.
 //!
-//! [`SharedRuntime`] is **sharded**: a fleet of independent workflow
-//! instances is exactly the workload the paper's compiled scheduler makes
-//! cheap per instance, so the service layer must not re-serialize it
-//! behind one lock. The state splits four ways:
+//! A fleet of independent workflow instances is exactly the workload the
+//! paper's compiled scheduler makes cheap per instance, so the
+//! [`Runtime`] must not re-serialize it behind one lock. Its state
+//! splits four ways:
 //!
 //! * a **read-mostly deployment registry** behind an [`RwLock`] — deploys
 //!   are rare, `start`/`fire` are hot, and readers only clone an `Arc`;
@@ -12,22 +11,26 @@
 //!   instance `id` is slot `id / SHARD_COUNT` of shard
 //!   `id % SHARD_COUNT`, in a dense append-only table whose cells never
 //!   move and are **read without a lock**. Each shard has a *gate*
-//!   mutex that only the writers (`start`, `from_runtime`) and the
-//!   snapshot freeze take;
+//!   mutex that only its writers (`start`, and recovery's adoption)
+//!   and the snapshot freeze take;
 //! * **per-instance state behind its own lock**, the only lock an
 //!   operation on a known instance acquires, so two clients firing
 //!   events on *different* instances share nothing they write;
 //! * the **timer queue and logical clock** behind one mutex.
 //!
-//! This module is a *holder*: it resolves ids and takes locks, and hands
-//! the `&mut Instance` it locked, the timer mutex and the store to the
+//! The runtime resolves ids and takes locks, and hands the
+//! `&mut Instance` it locked, the timer mutex and the store to the
 //! `fleet` module, which owns every transition and its write-ahead
-//! ordering (and is the same code [`Runtime`] runs single-threaded).
-//! The single-instance atomicity guarantee is *per instance*:
+//! ordering. The single-instance atomicity guarantee is *per instance*:
 //! eligibility check, step and journal append happen under that
 //! instance's lock, so of two clients racing to fire mutually-exclusive
 //! branch events exactly one wins and the loser gets
 //! [`RuntimeError::NotEligible`] with the post-commit alternatives.
+//!
+//! Recovery ([`Runtime::open`], [`Runtime::restore`]) adopts, replays
+//! and completes every instance straight into this table, while it
+//! still owns it: the table goes behind the handle's `Arc` only once
+//! recovery is done.
 //!
 //! ## The instance table
 //!
@@ -40,8 +43,8 @@
 //!
 //! * **A miss is confirmed under the gate** before it becomes
 //!   [`RuntimeError::UnknownInstance`]. `start` arms the wheel before
-//!   it publishes the instance (both under the gate), so an
-//!   [`SharedRuntime::advance`] that has already popped one of its
+//!   it publishes the instance (both under the gate), so a
+//!   [`Runtime::advance`] that has already popped one of its
 //!   timers misses, waits on the gate, and then finds the instance
 //!   complete with the timer it is about to fire — rather than dropping
 //!   the expiry.
@@ -54,14 +57,14 @@
 //!   to have.
 //! * **Ids are unique**: `start` draws them from one counter that
 //!   refuses to step past `u64::MAX` rather than wrap
-//!   ([`RuntimeError::InstanceIdsExhausted`]) and [`Runtime::restore`]
-//!   rejects a snapshot that names one twice, so a cell is never
+//!   ([`RuntimeError::InstanceIdsExhausted`]), and recovery refuses an
+//!   id the table already holds before it publishes, so a cell is never
 //!   written a second time.
 //!
 //! ## Bursts
 //!
-//! The cross-instance entry points ([`SharedRuntime::fire_many`],
-//! [`SharedRuntime::fire_runs`], [`SharedRuntime::fire_runs_into`]) ride
+//! The cross-instance entry points ([`Runtime::fire_many`],
+//! [`Runtime::fire_runs`], [`Runtime::fire_runs_into`]) ride
 //! one linear *planner*: a single pass over the burst — no sort, no
 //! lock — groups its runs by instance in first-appearance order; each
 //! instance is then looked up and locked once while the core fires its
@@ -103,7 +106,7 @@
 //!
 //! Each durable **control-record append rides inside the lock that
 //! publishes its effect** (last column). That discipline is what makes
-//! [`SharedRuntime::checkpoint`]'s freeze a true cut — holding the
+//! [`Runtime::checkpoint`]'s freeze a true cut — holding the
 //! registry read lock, every gate, and every instance lock excludes
 //! every in-flight control append, so no record can take a sequence
 //! number below the checkpoint cut while the state it describes is
@@ -111,10 +114,6 @@
 //! its record, the checkpoint could truncate that record behind a
 //! snapshot that misses the instance, and recovery would fail on the
 //! instance's surviving event records.)
-//!
-//! Snapshot output is **byte-identical** to [`Runtime::snapshot`] on the
-//! same logical state — both serialize through the same
-//! per-deployment/per-instance code.
 //!
 //! ## Durability policy and blocking
 //!
@@ -146,33 +145,21 @@
 //! untouched, so the inner state is always valid. The symbol interner
 //! follows the same discipline (see `ctr::symbol`).
 
-use crate::fleet::{self, TimerState, Timers};
-use crate::render_snapshot;
-use crate::{Deployment, FireOutcome, Instance, InstanceId, InstanceStatus, Runtime, RuntimeError};
-use ctr::symbol::Symbol;
+use crate::fleet::{self, lock, TimerState};
+use crate::{
+    render_snapshot, Deployment, FireOutcome, Instance, InstanceId, Runtime, RuntimeError,
+};
+use ctr::goal::Goal;
 use ctr_store::Store;
 use std::collections::BTreeMap;
 use std::ops::{Deref, Range};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard};
 
 /// Number of stripes in the instance table. Ids are assigned round-robin
 /// (`id % SHARD_COUNT`), so load spreads evenly; a power of two keeps the
 /// modulo cheap.
 pub const SHARD_COUNT: usize = 16;
-
-/// Locks a mutex, recovering from poisoning (see module docs).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The timer state behind the bottom-of-order mutex: locked for the
-/// duration of one closure of the core's, and no longer.
-impl Timers for &Mutex<TimerState> {
-    fn with<R>(&mut self, f: impl FnOnce(&mut TimerState) -> R) -> R {
-        f(&mut lock(self))
-    }
-}
 
 type Cell = Mutex<Instance>;
 
@@ -210,22 +197,22 @@ fn locate(slot: u64) -> Option<(usize, usize, usize)> {
 /// gate) and never move, so a reader that finds a cell keeps a plain
 /// reference to it for as long as it holds the runtime.
 ///
-/// The **gate** serializes the writers — `start`, `from_runtime` — and
-/// is what the snapshot freeze takes to keep them out. A reader takes
-/// it only to confirm a miss ([`Shard::find`]).
+/// The **gate** serializes the writers — `start`, and recovery's
+/// adoption — and is what the snapshot freeze takes to keep them out. A
+/// reader takes it only to confirm a miss ([`Shard::find`]).
 ///
 /// Memory stays proportional to the instances held, not to the largest
 /// id: an id that would leave the dense table under about a quarter
 /// full (a restored snapshot may name any id) goes to the small ordered
 /// **overflow** map inside the gate instead.
 #[derive(Default)]
-struct Shard {
+pub(crate) struct Shard {
     dir: [OnceLock<Bucket>; BUCKETS],
-    gate: Mutex<Gate>,
+    pub(crate) gate: Mutex<Gate>,
 }
 
 #[derive(Default)]
-struct Gate {
+pub(crate) struct Gate {
     /// Instances the shard holds, dense and overflow.
     held: u64,
     overflow: BTreeMap<InstanceId, Arc<Cell>>,
@@ -233,8 +220,8 @@ struct Gate {
 
 /// An instance's cell as [`Shard::find`] hands it out: borrowed from
 /// the dense table, or co-owned out of the overflow map (whose entries
-/// live inside the gate, which the holder has let go of).
-enum Found<'a> {
+/// live inside the gate, which the caller has let go of).
+pub(crate) enum Found<'a> {
     Dense(&'a Cell),
     Overflow(Arc<Cell>),
 }
@@ -262,7 +249,7 @@ impl Shard {
     /// popped that timer must wait out the publish here rather than
     /// drop the expiry. The gate is released before the cell is handed
     /// out — the caller locks the instance without it.
-    fn find(&self, id: InstanceId) -> Option<Found<'_>> {
+    pub(crate) fn find(&self, id: InstanceId) -> Option<Found<'_>> {
         if let Some(cell) = self.dense(id) {
             return Some(Found::Dense(cell));
         }
@@ -274,7 +261,7 @@ impl Shard {
     }
 
     /// Publishes `instance` as `id`, under the shard's gate.
-    fn publish(&self, gate: &mut Gate, id: InstanceId, instance: Instance) {
+    pub(crate) fn publish(&self, gate: &mut Gate, id: InstanceId, instance: Instance) {
         let slot = id / SHARD_COUNT as u64;
         let cell = Mutex::new(instance);
         let quarter_full = slot < gate.held.saturating_mul(4).saturating_add(CHUNK);
@@ -288,7 +275,8 @@ impl Shard {
             }
             None => gate.overflow.insert(id, Arc::new(cell)).is_none(),
         };
-        // `start` draws ids from a counter, `Runtime` keys a map by them.
+        // `start` draws ids from a counter, and adoption refuses an id
+        // `find` finds.
         assert!(fresh, "instance {id} published twice");
         gate.held += 1;
     }
@@ -307,7 +295,7 @@ impl Shard {
 
     /// Every instance of the shard (the `index`-th), under its gate:
     /// the dense table's ascending, then the overflow's ascending.
-    fn for_each<'a>(
+    pub(crate) fn for_each<'a>(
         &'a self,
         index: usize,
         gate: &'a Gate,
@@ -330,32 +318,24 @@ impl Shard {
     }
 }
 
-struct Inner {
+/// The runtime's state, shared by every clone of a [`Runtime`] handle.
+pub(crate) struct Inner {
     /// Read-mostly: `start` takes a read lock and clones an `Arc`;
     /// only deployment takes the write lock.
     registry: RwLock<BTreeMap<String, Arc<Deployment>>>,
-    shards: [Shard; SHARD_COUNT],
-    next_id: AtomicU64,
-    /// Replay work recovery did before the fleet was sharded (see
-    /// [`Runtime::replayed_steps`]).
-    replayed: u64,
+    pub(crate) shards: [Shard; SHARD_COUNT],
+    pub(crate) next_id: AtomicU64,
+    /// Replay work recovery did (see [`Runtime::replayed_steps`]);
+    /// written only while recovery still owns the table.
+    pub(crate) replayed: u64,
     /// Durability backend shared by every shard; immutable for the life
     /// of the handle, so reads need no lock. The WAL backend stripes
     /// its segments by the same `id % SHARD_COUNT` rule as the instance
     /// table, so two instances on different shards never contend on a
     /// log stripe either.
     pub(crate) store: Option<Arc<dyn Store>>,
-    /// Timer wheel + logical clock; strictly below every other lock.
-    timers: Mutex<TimerState>,
-}
-
-/// A cloneable, `Send + Sync`, sharded handle to a workflow runtime.
-///
-/// See the module docs for the locking model. The API mirrors
-/// [`Runtime`]; every method is `&self`.
-#[derive(Clone, Default)]
-pub struct SharedRuntime {
-    inner: Arc<Inner>,
+    /// Timer queue + logical clock; strictly below every other lock.
+    pub(crate) timers: Mutex<TimerState>,
 }
 
 impl Default for Inner {
@@ -372,19 +352,72 @@ impl Default for Inner {
 }
 
 impl Inner {
-    fn shard(&self, id: InstanceId) -> &Shard {
+    pub(crate) fn shard(&self, id: InstanceId) -> &Shard {
         &self.shards[(id % SHARD_COUNT as u64) as usize]
     }
 
-    fn registry(&self) -> RwLockReadGuard<'_, BTreeMap<String, Arc<Deployment>>> {
+    pub(crate) fn registry(&self) -> RwLockReadGuard<'_, BTreeMap<String, Arc<Deployment>>> {
         self.registry.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn deployment(&self, workflow: &str) -> Result<Arc<Deployment>, RuntimeError> {
+    pub(crate) fn deployment(&self, workflow: &str) -> Result<Arc<Deployment>, RuntimeError> {
         self.registry()
             .get(workflow)
             .cloned()
             .ok_or_else(|| RuntimeError::UnknownWorkflow(workflow.to_owned()))
+    }
+
+    /// See [`Runtime::deploy_compiled`]: the durable append and the
+    /// insert, both under the registry write lock.
+    pub(crate) fn deploy_compiled(&self, name: &str, compiled: Goal) -> Result<(), RuntimeError> {
+        let deployment = Arc::new(Deployment::new(name, compiled)?);
+        let mut registry = self
+            .registry
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        fleet::persist_deploy(&deployment, self.store.as_deref())?;
+        registry.insert(name.to_owned(), deployment);
+        Ok(())
+    }
+
+    /// Lookup and locking for one instance: runs `f` under the
+    /// instance's own lock — on a hit the only lock taken
+    /// ([`Shard::find`]), so operations on different instances share
+    /// nothing they write.
+    pub(crate) fn with_instance<R>(
+        &self,
+        id: InstanceId,
+        f: impl FnOnce(&mut Instance) -> R,
+    ) -> Result<R, RuntimeError> {
+        let cell = self.shard(id).find(id);
+        let cell = cell.ok_or(RuntimeError::UnknownInstance(id))?;
+        let mut inst = lock(&cell);
+        Ok(f(&mut inst))
+    }
+
+    /// Freezes the fleet (registry read lock, every shard's gate in
+    /// ascending index order, then every instance lock), renders the
+    /// snapshot text, and runs `consume` on it *before* releasing
+    /// anything — the shared underpinning of [`Runtime::snapshot`] and
+    /// [`Runtime::checkpoint`].
+    pub(crate) fn frozen_snapshot<R>(&self, consume: impl FnOnce(String) -> R) -> R {
+        let registry = self.registry();
+        let gates: Vec<MutexGuard<'_, Gate>> = self.shards.iter().map(|s| lock(&s.gate)).collect();
+        let held: u64 = gates.iter().map(|gate| gate.held).sum();
+        let mut instance_guards: Vec<(InstanceId, MutexGuard<'_, Instance>)> =
+            Vec::with_capacity(held as usize);
+        for (index, (shard, gate)) in self.shards.iter().zip(&gates).enumerate() {
+            shard.for_each(index, gate, |id, cell| {
+                instance_guards.push((id, lock(cell)));
+            });
+        }
+        // Ids interleave across shards (round-robin); the output orders
+        // them globally.
+        instance_guards.sort_unstable_by_key(|(id, _)| *id);
+        consume(render_snapshot(
+            registry.iter().map(|(n, d)| (n, &**d)),
+            instance_guards.iter().map(|(id, guard)| (*id, &**guard)),
+        ))
     }
 }
 
@@ -410,7 +443,7 @@ struct Run {
     len: u32,
 }
 
-/// The working memory of [`SharedRuntime::fire_runs_into`]: the burst
+/// The working memory of [`Runtime::fire_runs_into`]: the burst
 /// planner's tables and the burst's outcomes. Owned by the caller, so a
 /// connection that submits burst after burst reuses one set of
 /// allocations.
@@ -469,202 +502,10 @@ fn runs_from(runs: &[Run], head: u32) -> impl Iterator<Item = usize> + Clone + '
     })
 }
 
-impl SharedRuntime {
-    /// Wraps an empty runtime.
-    pub fn new() -> SharedRuntime {
-        SharedRuntime::default()
-    }
-
-    /// Adopts the state of an existing single-threaded runtime —
-    /// including its attached store, if any — distributing its
-    /// instances over the shards.
-    pub fn from_runtime(rt: Runtime) -> SharedRuntime {
-        let shared = SharedRuntime {
-            inner: Arc::new(Inner {
-                store: rt.store,
-                // The timer state moves over whole: instance timer
-                // tokens stay valid against the wheel's slab.
-                timers: Mutex::new(rt.timers),
-                next_id: AtomicU64::new(rt.next_id),
-                replayed: rt.replayed,
-                ..Inner::default()
-            }),
-        };
-        *shared
-            .inner
-            .registry
-            .write()
-            .unwrap_or_else(PoisonError::into_inner) = rt.deployments;
-        for (id, instance) in rt.instances {
-            let shard = shared.inner.shard(id);
-            shard.publish(&mut lock(&shard.gate), id, instance);
-        }
-        shared
-    }
-
-    /// See [`Runtime::restore`]: replay-validates the snapshot, then
-    /// shards the result.
-    pub fn restore(snapshot: &str) -> Result<SharedRuntime, RuntimeError> {
-        Ok(SharedRuntime::from_runtime(Runtime::restore(snapshot)?))
-    }
-
-    /// An empty sharded runtime persisting through `store`; see
-    /// [`Runtime::with_store`].
-    pub fn with_store(store: Arc<dyn Store>) -> SharedRuntime {
-        SharedRuntime::from_runtime(Runtime::with_store(store))
-    }
-
-    /// Recovers a sharded runtime from `store` — see [`Runtime::open`]
-    /// — then distributes the recovered fleet over the shards with the
-    /// store attached.
-    pub fn open(store: Arc<dyn Store>) -> Result<SharedRuntime, RuntimeError> {
-        Ok(SharedRuntime::from_runtime(Runtime::open(store)?))
-    }
-
-    /// The attached store, if any (`stats.rs` surfaces its counters as
-    /// [`crate::StoreStats`]).
-    pub(crate) fn store(&self) -> Option<&dyn Store> {
-        self.inner.store.as_deref()
-    }
-
-    /// The timer mutex, as the core takes it.
-    fn timers(&self) -> &Mutex<TimerState> {
-        &self.inner.timers
-    }
-
-    /// Lookup and locking for one instance: runs `f` under the
-    /// instance's own lock — on a hit the only lock taken
-    /// ([`Shard::find`]), so operations on different instances share
-    /// nothing they write.
-    fn with_instance<R>(
-        &self,
-        id: InstanceId,
-        f: impl FnOnce(&mut Instance) -> R,
-    ) -> Result<R, RuntimeError> {
-        let cell = self.inner.shard(id).find(id);
-        let cell = cell.ok_or(RuntimeError::UnknownInstance(id))?;
-        let mut inst = lock(&cell);
-        Ok(f(&mut inst))
-    }
-
-    /// See [`Runtime::deploy_source`]; parsing and compilation run
-    /// outside any lock (see [`SharedRuntime::deploy_compiled`]).
-    pub fn deploy_source(&self, source: &str) -> Result<String, RuntimeError> {
-        let (name, goal) = fleet::compile_source(source)?;
-        self.deploy_compiled(&name, goal)?;
-        Ok(name)
-    }
-
-    /// See [`Runtime::deploy_compiled`]. Compilation runs outside any
-    /// lock; the registry write lock covers the durable deploy append
-    /// *and* the insert, so the record is durable before the registry
-    /// exposes the deployment — and a fleet frozen under the registry
-    /// read lock ([`SharedRuntime::checkpoint`]) has no in-flight deploy
-    /// whose record could predate the checkpoint cut yet miss its
-    /// snapshot. Running instances keep the program they started with.
-    pub fn deploy_compiled(
-        &self,
-        name: &str,
-        compiled: ctr::goal::Goal,
-    ) -> Result<(), RuntimeError> {
-        let deployment = Arc::new(Deployment::new(name, compiled)?);
-        let mut registry = self
-            .inner
-            .registry
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        fleet::persist_deploy(&deployment, self.store())?;
-        registry.insert(name.to_owned(), deployment);
-        Ok(())
-    }
-
-    /// Deployed workflow names.
-    pub fn workflows(&self) -> Vec<String> {
-        self.inner.registry().keys().cloned().collect()
-    }
-
-    /// See [`Runtime::start`]. Takes the registry read lock (shared with
-    /// other starters) and the destination shard's gate, which covers
-    /// the durable appends, the arming of the instance's timers *and*
-    /// the publish. With a store attached the start record is durable
-    /// before the instance becomes visible — so any event subsequently
-    /// fired on it lands in the log strictly after its start (same
-    /// stripe, later sequence number) — and, because the appends happen
-    /// *under the destination shard's gate*, a fleet frozen by
-    /// [`SharedRuntime::checkpoint`] (which holds every gate) has no
-    /// in-flight start whose record could predate the checkpoint cut
-    /// yet miss its snapshot. A failed persist burns the allocated id,
-    /// which is harmless: ids only ever need to be unique and monotonic
-    /// — so the counter stops at `u64::MAX` instead of wrapping onto a
-    /// live id, and that last id, which has no successor, is refused
-    /// before any append ([`RuntimeError::InstanceIdsExhausted`]).
-    pub fn start(&self, workflow: &str) -> Result<InstanceId, RuntimeError> {
-        let deployment = self.inner.deployment(workflow)?;
-        let next_id = &self.inner.next_id;
-        let id = next_id
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |id| id.checked_add(1))
-            .map_err(|_| RuntimeError::InstanceIdsExhausted)?;
-        let mut instance = Instance::new(&deployment);
-        let shard = self.inner.shard(id);
-        let mut gate = lock(&shard.gate);
-        fleet::start(
-            &mut instance,
-            id,
-            &deployment,
-            &mut self.timers(),
-            self.store(),
-        )?;
-        shard.publish(&mut gate, id, instance);
-        Ok(id)
-    }
-
-    /// Running and completed instance ids, ascending.
-    pub fn instances(&self) -> Vec<InstanceId> {
-        let mut ids: Vec<InstanceId> = Vec::new();
-        for (index, shard) in self.inner.shards.iter().enumerate() {
-            shard.for_each(index, &lock(&shard.gate), |id, _| ids.push(id));
-        }
-        ids.sort_unstable();
-        ids
-    }
-
-    /// See [`Runtime::fire`] — atomic with respect to other clients *of
-    /// this instance*; clients of other instances proceed concurrently.
-    pub fn fire(&self, id: InstanceId, event: &str) -> Result<InstanceStatus, RuntimeError> {
-        self.with_instance(id, |inst| {
-            fleet::fire(inst, id, event, &mut self.timers(), self.store())
-        })?
-    }
-
-    /// See [`Runtime::fire_batch`]: fires a batch of events against one
-    /// instance under a **single** lookup and a **single**
-    /// instance-lock acquisition — the whole batch is one atomic section
-    /// with respect to other clients of this instance. Partial-failure
-    /// semantics are those of [`Runtime::fire_batch`] (stop at first
-    /// failure, committed prefix journaled, suffix
-    /// [`FireOutcome::Skipped`]).
-    pub fn fire_batch<S: AsRef<str>>(
-        &self,
-        id: InstanceId,
-        events: &[S],
-    ) -> Result<Vec<FireOutcome>, RuntimeError> {
-        let mut outcomes = Vec::with_capacity(events.len());
-        self.with_instance(id, |inst| {
-            let run = fleet::one_run(events);
-            fleet::fire_burst(
-                inst,
-                id,
-                run,
-                &mut outcomes,
-                &mut self.timers(),
-                self.store(),
-            )
-        })??;
-        Ok(outcomes)
-    }
-
-    /// The burst planner under [`SharedRuntime::fire_many`] and
-    /// [`SharedRuntime::fire_runs_into`]: groups a burst's `n` runs —
+/// The burst entry points.
+impl Runtime {
+    /// The burst planner under [`Runtime::fire_many`] and
+    /// [`Runtime::fire_runs_into`]: groups a burst's `n` runs —
     /// `run_at(i)` is the `i`-th run's instance and event count — by
     /// instance and lays the burst's outcomes out. One pass over the
     /// runs, no sort: a run finds its group through a small hash table
@@ -746,8 +587,9 @@ impl SharedRuntime {
     ) {
         let first = out.len();
         let tried = self
+            .inner
             .with_instance(group.id, |inst| {
-                let timers = &mut self.timers();
+                let timers = &self.inner.timers;
                 fleet::fire_burst(inst, group.id, events.clone(), out, timers, self.store())
             })
             .and_then(|tried| tried);
@@ -808,7 +650,7 @@ impl SharedRuntime {
     /// ([`BurstScratch::outcomes`]); a caller that keeps its scratch
     /// allocates nothing per burst. Every run against an unknown
     /// instance rejects its own first event and skips the rest. Locking
-    /// is [`SharedRuntime::fire_many`]'s: instance locks, one at a time.
+    /// is [`Runtime::fire_many`]'s: instance locks, one at a time.
     pub fn fire_runs_into<S: AsRef<str>>(
         &self,
         runs: &[(InstanceId, &[S])],
@@ -822,7 +664,7 @@ impl SharedRuntime {
         }
     }
 
-    /// [`SharedRuntime::fire_runs_into`] with owned results: one outcome
+    /// [`Runtime::fire_runs_into`] with owned results: one outcome
     /// vector per input run, in input positions.
     pub fn fire_runs<S: AsRef<str>>(&self, runs: &[(InstanceId, &[S])]) -> Vec<Vec<FireOutcome>> {
         let mut scratch = BurstScratch::new();
@@ -831,174 +673,13 @@ impl SharedRuntime {
             .map(|i| scratch.take_outcomes(i).collect())
             .collect()
     }
-
-    // --- Timers -------------------------------------------------------------
-
-    /// See [`Runtime::clock_ms`].
-    pub fn clock_ms(&self) -> u64 {
-        lock(self.timers()).clock_ms
-    }
-
-    /// See [`Runtime::pending_timers`] — reads only the instance's own
-    /// timer list, under its lock.
-    pub fn pending_timers(&self, id: InstanceId) -> Result<Vec<(String, u64)>, RuntimeError> {
-        self.with_instance(id, |inst| inst.pending_timers())
-    }
-
-    /// See [`Runtime::pending_timer_count`] — under the timer lock.
-    pub fn pending_timer_count(&self) -> usize {
-        lock(self.timers()).wheel.len()
-    }
-
-    /// See [`Runtime::next_timer_due`] — exact, under the timer lock, and
-    /// equal to what a `Runtime` holding the same fleet answers.
-    pub fn next_timer_due(&self) -> Option<u64> {
-        lock(self.timers()).wheel.next_due()
-    }
-
-    /// See [`Runtime::advance`] — same deterministic `(due, instance,
-    /// tick)` expiry order and write-ahead discipline. The expired
-    /// batch is popped under the timer lock alone; each expiry then
-    /// fires under its own instance lock, so a fleet-wide advance never
-    /// serializes unrelated client fires, and the clock moves last. A
-    /// timer a client disarmed between pop and fire is skipped — the
-    /// instance's own list is the source of truth, and taking the timer
-    /// off it under the instance lock makes each expiry exactly-once.
-    pub fn advance(&self, to_ms: u64) -> Result<Vec<(InstanceId, String)>, RuntimeError> {
-        fleet::advance(to_ms, &mut self.timers(), self.store(), |id, expire| {
-            // An instance that is gone takes its timers with it.
-            let _ = self.with_instance(id, expire);
-        })
-    }
-
-    /// See [`Runtime::cancel_timer`] — the write-ahead
-    /// [`ctr_store::Record::TimerCancel`] append rides under the
-    /// instance lock, so a checkpoint freeze excludes it like any other
-    /// control record.
-    pub fn cancel_timer(&self, id: InstanceId, event: &str) -> Result<(), RuntimeError> {
-        self.with_instance(id, |inst| {
-            fleet::cancel_timer(inst, id, event, &mut self.timers(), self.store())
-        })?
-    }
-
-    /// See [`Runtime::eligible`]. The answer is a snapshot: another
-    /// client may commit a branch before you act on it — `fire` remains
-    /// the arbiter.
-    pub fn eligible(&self, id: InstanceId) -> Result<Vec<String>, RuntimeError> {
-        self.with_instance(id, |inst| inst.eligible_names())
-    }
-
-    /// See [`Runtime::eligible_symbols`] — the allocation-free probe for
-    /// hot polling loops.
-    pub fn eligible_symbols(&self, id: InstanceId) -> Result<Vec<Symbol>, RuntimeError> {
-        self.with_instance(id, |inst| inst.eligible_symbols())
-    }
-
-    /// See [`Runtime::journal`].
-    pub fn journal(&self, id: InstanceId) -> Result<Vec<String>, RuntimeError> {
-        self.with_instance(id, |inst| inst.history_names(0))
-    }
-
-    /// See [`Runtime::status`].
-    pub fn status(&self, id: InstanceId) -> Result<InstanceStatus, RuntimeError> {
-        self.with_instance(id, |inst| inst.status)
-    }
-
-    /// See [`Runtime::is_complete`].
-    pub fn is_complete(&self, id: InstanceId) -> Result<bool, RuntimeError> {
-        Ok(self.status(id)? == InstanceStatus::Completed)
-    }
-
-    /// See [`Runtime::try_complete`].
-    pub fn try_complete(&self, id: InstanceId) -> Result<InstanceStatus, RuntimeError> {
-        self.with_instance(id, |inst| {
-            fleet::try_complete(inst, id, &mut self.timers(), self.store())
-        })?
-    }
-
-    /// See [`Runtime::enact`]. The deployment `Arc` is resolved under a
-    /// brief registry read lock; the enactment itself — which may run for
-    /// as long as the slowest handler chain — holds **no** runtime locks,
-    /// so concurrent deploys, fires, and snapshots proceed untouched.
-    pub fn enact(
-        &self,
-        workflow: &str,
-        enactor: &crate::Enactor,
-    ) -> Result<crate::EnactReport, RuntimeError> {
-        let deployment = self.inner.deployment(workflow)?;
-        Ok(enactor.run_timed(&deployment.program, &deployment.timers))
-    }
-
-    /// See [`Runtime::replayed_steps`].
-    pub fn replayed_steps(&self) -> u64 {
-        self.inner.replayed
-    }
-
-    /// A consistent point-in-time snapshot, byte-identical to
-    /// [`Runtime::snapshot`] on the same state.
-    ///
-    /// Takes the registry read lock, then every shard's gate in ascending
-    /// index order, then every instance lock — the fleet is frozen while
-    /// the text is built, so the snapshot is an atomic cut: it contains
-    /// exactly the fires that committed before the cut, instance by
-    /// instance, and always restores.
-    pub fn snapshot(&self) -> String {
-        self.frozen_snapshot(|snapshot| snapshot)
-    }
-
-    /// Compacts the attached store behind a consistent cut: freezes the
-    /// fleet exactly like [`SharedRuntime::snapshot`], and hands the
-    /// snapshot to [`ctr_store::Store::checkpoint`] **while the freeze
-    /// is still held** — so no fire can slip between the snapshot and
-    /// the log truncation and be lost to both. Errors if no store is
-    /// attached.
-    pub fn checkpoint(&self) -> Result<(), RuntimeError> {
-        let store = self.store().ok_or_else(|| {
-            RuntimeError::Store("no store attached to checkpoint into".to_owned())
-        })?;
-        self.frozen_snapshot(|snapshot| {
-            store
-                .checkpoint(&snapshot)
-                .map_err(|e| RuntimeError::Store(e.to_string()))
-        })
-    }
-
-    /// Freezes the fleet (registry read lock, every shard's gate in
-    /// ascending index order, then every instance lock), renders the
-    /// snapshot text, and runs `consume` on it *before* releasing
-    /// anything — the shared underpinning of [`SharedRuntime::snapshot`]
-    /// and [`SharedRuntime::checkpoint`].
-    fn frozen_snapshot<R>(&self, consume: impl FnOnce(String) -> R) -> R {
-        let registry = self.inner.registry();
-        let shards = &self.inner.shards;
-        let gates: Vec<MutexGuard<'_, Gate>> = shards.iter().map(|s| lock(&s.gate)).collect();
-        let held: u64 = gates.iter().map(|gate| gate.held).sum();
-        let mut instance_guards: Vec<(InstanceId, MutexGuard<'_, Instance>)> =
-            Vec::with_capacity(held as usize);
-        for (index, (shard, gate)) in shards.iter().zip(&gates).enumerate() {
-            shard.for_each(index, gate, |id, cell| {
-                instance_guards.push((id, lock(cell)));
-            });
-        }
-        // Ids interleave across shards (round-robin); the output orders
-        // them globally, exactly like the BTreeMap iteration in
-        // `Runtime::snapshot`.
-        instance_guards.sort_unstable_by_key(|(id, _)| *id);
-
-        let mut out = String::new();
-        render_snapshot(
-            registry.iter().map(|(n, d)| (n, &**d)),
-            instance_guards.iter().map(|(id, guard)| (*id, &**guard)),
-            &mut out,
-        );
-        consume(out)
-    }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::faults::FaultyStore;
+    use crate::{InstanceStatus, SharedRuntime};
+    use std::sync::atomic::Ordering;
 
     const PAY: &str = "workflow pay { graph invoice * (approve + reject) * file; }";
 
@@ -1140,7 +821,7 @@ mod tests {
         // Build the same logical state through both front-ends; the
         // snapshot text must match byte for byte.
         let shared = shared_pay();
-        let mut plain = Runtime::new();
+        let plain = Runtime::new();
         plain.deploy_source(PAY).unwrap();
         for _ in 0..SHARD_COUNT + 3 {
             let a = shared.start("pay").unwrap();
@@ -1217,7 +898,7 @@ mod tests {
     #[test]
     fn shared_fire_batch_matches_runtime_fire_batch() {
         let shared = shared_pay();
-        let mut plain = Runtime::new();
+        let plain = Runtime::new();
         plain.deploy_source(PAY).unwrap();
         let a = shared.start("pay").unwrap();
         let b = plain.start("pay").unwrap();
@@ -1542,7 +1223,7 @@ mod tests {
     #[test]
     fn shared_timers_match_the_single_runtime() {
         let shared = SharedRuntime::new();
-        let mut plain = Runtime::new();
+        let plain = Runtime::new();
         for src in [TIMED, GUARDED] {
             shared.deploy_source(src).unwrap();
             plain.deploy_source(src).unwrap();
@@ -1584,7 +1265,7 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         let single = tx.clone();
         std::thread::spawn(move || {
-            let mut rt = Runtime::new();
+            let rt = Runtime::new();
             rt.deploy_source(FAR).unwrap();
             let id = rt.start("w").unwrap();
             let fired = rt.advance(1 << 62).unwrap() == vec![(id, TICK.to_owned())];
@@ -1757,13 +1438,13 @@ mod tests {
     fn a_far_id_restores_into_the_overflow_not_a_table_sized_for_it() {
         const FAR: InstanceId = 1 << 40;
         let plain = {
-            let mut rt = Runtime::new();
+            let rt = Runtime::new();
             rt.deploy_source(PAY).unwrap();
             rt.start("pay").unwrap();
             rt.snapshot()
         };
         let text = format!("{plain}instance {FAR} of pay [running]: invoice\n");
-        let mut plain = Runtime::restore(&text).unwrap();
+        let plain = Runtime::restore(&text).unwrap();
         let shared = SharedRuntime::restore(&text).unwrap();
         assert_eq!(shared.snapshot(), text);
         let table: usize = shared.inner.shards.iter().map(Shard::table_bytes).sum();
@@ -1800,7 +1481,7 @@ mod tests {
         let id = rt.inner.next_id.fetch_add(1, Ordering::Relaxed);
         let shard = rt.inner.shard(id);
         let mut gate = lock(&shard.gate);
-        fleet::start(&mut instance, id, &deployment, &mut rt.timers(), None).unwrap();
+        fleet::start(&mut instance, id, &deployment, &rt.inner.timers, None).unwrap();
         std::thread::scope(|scope| {
             let advancing = scope.spawn(|| rt.advance(1).unwrap());
             // The advance has popped the timer: its lookup misses and

@@ -8,8 +8,8 @@
 //! activity run, how long are the paths, which activities always/never
 //! co-occur in practice.
 //!
-//! The **store counters** also surface here: [`Runtime::store_stats`] /
-//! [`SharedRuntime::store_stats`] expose the attached backend's
+//! The **store counters** also surface here: [`Runtime::store_stats`]
+//! exposes the attached backend's
 //! [`StoreStats`] — appends, journal events per append (group sizes),
 //! commit fsyncs (with rotation and checkpoint syncs attributed
 //! separately), group-size and fsync-latency histograms, compactions,
@@ -17,7 +17,7 @@
 //! `store.wal.*` probes, its `serve_durable` workload and the CLI
 //! `recover` verb report what the log actually did.
 
-use crate::{Runtime, SharedRuntime};
+use crate::Runtime;
 use ctr::symbol::Symbol;
 use ctr_engine::scheduler::{Program, Scheduler};
 use ctr_store::StoreStats;
@@ -26,13 +26,6 @@ use std::collections::{BTreeMap, BTreeSet};
 impl Runtime {
     /// Traffic counters of the attached store ([`StoreStats`]), or
     /// `None` when the runtime is purely in-memory.
-    pub fn store_stats(&self) -> Option<StoreStats> {
-        self.store.as_ref().map(|s| s.stats())
-    }
-}
-
-impl SharedRuntime {
-    /// See [`Runtime::store_stats`].
     pub fn store_stats(&self) -> Option<StoreStats> {
         self.store().map(|s| s.stats())
     }

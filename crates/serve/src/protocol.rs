@@ -198,7 +198,7 @@ const VERB_CANCEL_TIMER: u8 = 0x0C;
 
 /// One client request. The `Fire`/`FireBatch` verbs are the hot path:
 /// the server decodes them as [`RequestView`]s and coalesces adjacent
-/// pipelined ones into a single `SharedRuntime::fire_runs_into` burst
+/// pipelined ones into a single `Runtime::fire_runs_into` burst
 /// (see `server.rs`); everything else is a barrier executed in order.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Request {
@@ -302,7 +302,7 @@ pub enum RequestView<'a> {
 }
 
 impl<'a> RequestView<'a> {
-    /// A hot verb as the run it asks `SharedRuntime::fire_runs_into`
+    /// A hot verb as the run it asks `Runtime::fire_runs_into`
     /// for; `None` for the barrier verbs. `names` is the vector the view
     /// was decoded into.
     pub fn as_run<'r>(&'r self, names: &'r [&'a str]) -> Option<(u64, &'r [&'a str])> {

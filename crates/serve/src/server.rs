@@ -1,4 +1,4 @@
-//! Thread-per-connection TCP server over one [`SharedRuntime`].
+//! Thread-per-connection TCP server over one [`Runtime`].
 //!
 //! ## Burst batching — the perf core
 //!
@@ -12,7 +12,7 @@
 //!   `&str` into the receive buffer, not a `String`
 //!   ([`protocol::decode_request_view`]);
 //! * maximal runs of adjacent `fire` / `fire_batch` requests are
-//!   submitted as **one** [`SharedRuntime::fire_runs_into`] burst — one
+//!   submitted as **one** [`Runtime::fire_runs_into`] burst — one
 //!   shard-lock resolution, one instance-lock acquisition per
 //!   referenced instance, and one WAL append (one group commit) per
 //!   instance per burst, instead of one of each per request — and
@@ -61,7 +61,7 @@
 use crate::protocol::{
     self, Fault, FaultCode, Request, RequestView, Response, WireOutcome, WireStats,
 };
-use ctr_runtime::{BurstScratch, FireOutcome, SharedRuntime};
+use ctr_runtime::{BurstScratch, FireOutcome, Runtime};
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -135,7 +135,7 @@ impl ServerHandle {
 /// The TCP front-end: `bind`, then `run` (which blocks until the wire
 /// `shutdown` verb or a [`ServerHandle::shutdown`]).
 pub struct Server {
-    runtime: SharedRuntime,
+    runtime: Runtime,
     listener: TcpListener,
     inner: Arc<Inner>,
 }
@@ -143,7 +143,7 @@ pub struct Server {
 impl Server {
     /// Binds to `addr` (use port 0 for an ephemeral port; read it back
     /// with [`Server::local_addr`]).
-    pub fn bind(runtime: SharedRuntime, addr: &str, opts: ServeOptions) -> io::Result<Server> {
+    pub fn bind(runtime: Runtime, addr: &str, opts: ServeOptions) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         Ok(Server {
@@ -231,7 +231,7 @@ impl Replies {
     }
 }
 
-/// One fire verb as `SharedRuntime::fire_runs_into` takes it.
+/// One fire verb as `Runtime::fire_runs_into` takes it.
 type Run<'r, 'a> = (u64, &'r [&'a str]);
 
 /// `v`, emptied, as a vector whose elements may borrow from somewhere
@@ -255,7 +255,7 @@ fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
 /// outcomes, the encoded replies — lives in vectors this function owns
 /// and reuses, so a connection in steady state allocates nothing per
 /// burst, whether the burst is one request or 256.
-fn serve_connection(rt: &SharedRuntime, mut stream: TcpStream, inner: &Inner) -> io::Result<()> {
+fn serve_connection(rt: &Runtime, mut stream: TcpStream, inner: &Inner) -> io::Result<()> {
     // Responses are written in one buffered burst; Nagle would only
     // add latency on top of that.
     let _ = stream.set_nodelay(true);
@@ -363,7 +363,7 @@ fn serve_connection(rt: &SharedRuntime, mut stream: TcpStream, inner: &Inner) ->
 /// are working memory); requests beyond `budget` are answered `Busy`
 /// unexecuted.
 fn execute_burst<'r, 'a>(
-    rt: &SharedRuntime,
+    rt: &Runtime,
     requests: &'r [RequestView<'a>],
     names: &'r [&'a str],
     budget: usize,
@@ -412,7 +412,7 @@ fn execute_burst<'r, 'a>(
 }
 
 /// Executes one barrier request.
-fn execute_one(rt: &SharedRuntime, req: &Request, shutdown: &mut bool) -> Response {
+fn execute_one(rt: &Runtime, req: &Request, shutdown: &mut bool) -> Response {
     match req {
         Request::Deploy { source } => match rt.deploy_source(source) {
             Ok(name) => Response::Name(name),
@@ -479,7 +479,7 @@ mod tests {
     /// Runs `requests` as one burst the way a connection would — from
     /// their wire form, through the view decoder — and decodes what it
     /// answered; also whether the burst asked for a shutdown.
-    fn run_burst(rt: &SharedRuntime, requests: &[Request], budget: usize) -> (Vec<Response>, bool) {
+    fn run_burst(rt: &Runtime, requests: &[Request], budget: usize) -> (Vec<Response>, bool) {
         let payloads: Vec<Vec<u8>> = requests
             .iter()
             .map(|req| {
@@ -512,13 +512,13 @@ mod tests {
         (responses, shutdown)
     }
 
-    fn collect_burst(rt: &SharedRuntime, requests: &[Request], budget: usize) -> Vec<Response> {
+    fn collect_burst(rt: &Runtime, requests: &[Request], budget: usize) -> Vec<Response> {
         run_burst(rt, requests, budget).0
     }
 
     #[test]
     fn bursts_answer_every_request_in_order() {
-        let rt = SharedRuntime::new();
+        let rt = Runtime::new();
         rt.deploy_source(PAY).unwrap();
         let id = rt.start("pay").unwrap();
         let requests = vec![
@@ -560,7 +560,7 @@ mod tests {
     fn timer_verbs_list_advance_and_cancel() {
         const TIMED: &str =
             "workflow timed { graph invoice * approve * file; after(approve, 30s); }";
-        let rt = SharedRuntime::new();
+        let rt = Runtime::new();
         rt.deploy_source(TIMED).unwrap();
         let id = rt.start("timed").unwrap();
         let requests = vec![
@@ -604,7 +604,7 @@ mod tests {
 
     #[test]
     fn requests_beyond_the_burst_budget_are_busy_not_executed() {
-        let rt = SharedRuntime::new();
+        let rt = Runtime::new();
         rt.deploy_source(PAY).unwrap();
         let id = rt.start("pay").unwrap();
         let requests = vec![
@@ -642,7 +642,7 @@ mod tests {
 
     #[test]
     fn shutdown_mid_burst_still_answers_the_rest() {
-        let rt = SharedRuntime::new();
+        let rt = Runtime::new();
         rt.deploy_source(PAY).unwrap();
         let id = rt.start("pay").unwrap();
         let requests = vec![

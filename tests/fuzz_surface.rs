@@ -9,7 +9,7 @@ use proptest::prelude::*;
 /// A small but representative runtime snapshot to corrupt: two
 /// workflows, a running instance and a completed one.
 fn seed_snapshot() -> String {
-    let mut rt = ctr_runtime::Runtime::new();
+    let rt = ctr_runtime::Runtime::new();
     rt.deploy_source("workflow pay { graph invoice * (approve # audit) * archive; }")
         .unwrap();
     rt.deploy_source("workflow ship { graph pick * pack * dispatch; }")
@@ -35,7 +35,7 @@ const FAR_CHANNELS: [&str; 2] = [
 /// A snapshot with `timer` lines: two timed workflows, an instance of
 /// each, its one timer pending under it.
 fn timed_snapshot() -> String {
-    let mut rt = ctr_runtime::Runtime::new();
+    let rt = ctr_runtime::Runtime::new();
     rt.deploy_source("workflow timed { graph invoice * approve * file; deadline(approve, 1h); }")
         .unwrap();
     rt.deploy_source("workflow other { graph a * b; after(b, 5s); }")
@@ -195,7 +195,7 @@ fn the_deepest_accepted_nesting_runs_through_every_pass() {
         let path = ctr_engine::Scheduler::new(&program).run_first().unwrap();
         assert!(path.iter().any(|step| step.pred.as_str() == "z"));
 
-        let mut rt = Runtime::new();
+        let rt = Runtime::new();
         rt.deploy_source(&source).unwrap();
         let id = rt.start("deep").unwrap();
         for event in &path {
@@ -244,7 +244,7 @@ fn a_deploy_that_would_not_read_back_is_refused() {
     std::fs::remove_dir_all(&dir).ok();
     let wal = || Arc::new(WalStore::open(&dir).unwrap());
     {
-        let mut rt = Runtime::with_store(wal());
+        let rt = Runtime::with_store(wal());
         refused(rt.deploy_source(&deep).unwrap_err());
         rt.deploy_source(PAY).unwrap();
         let id = rt.start("pay").unwrap();
@@ -288,7 +288,7 @@ fn start_refuses_the_id_recovery_would_refuse() {
         let records = || reopen().replay().unwrap().records.len();
         {
             let store = reopen();
-            let mut rt = Runtime::with_store(Arc::clone(&store));
+            let rt = Runtime::with_store(Arc::clone(&store));
             rt.deploy_source(TIMED).unwrap();
             let id = rt.start("timed").unwrap();
             rt.fire(id, "invoice").unwrap();
@@ -316,7 +316,7 @@ fn start_refuses_the_id_recovery_would_refuse() {
         refused!(Runtime);
         refused!(SharedRuntime);
         // The instance the store holds goes on, durably, under both.
-        let mut rt = Runtime::open(reopen()).unwrap();
+        let rt = Runtime::open(reopen()).unwrap();
         rt.fire(LAST, "approve").unwrap();
         assert_eq!(rt.start("timed"), Err(RuntimeError::InstanceIdsExhausted));
         drop(rt);
@@ -425,7 +425,7 @@ fn seed_wal(tag: &str, n: u64, checkpoint: bool) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("ctr_fuzz_wal_{tag}_{}_{n}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let store = std::sync::Arc::new(ctr_runtime::WalStore::open(&dir).unwrap());
-    let mut rt = ctr_runtime::Runtime::with_store(store);
+    let rt = ctr_runtime::Runtime::with_store(store);
     rt.deploy_source("workflow pay { graph invoice * (approve # audit) * archive; }")
         .unwrap();
     let a = rt.start("pay").unwrap();

@@ -30,7 +30,7 @@ fn constraints() -> Vec<Constraint> {
 /// reimplemented related-work validators.
 #[test]
 fn runtime_journals_satisfy_constraints_per_baselines() {
-    let mut rt = Runtime::new();
+    let rt = Runtime::new();
     rt.deploy_source(SPEC).unwrap();
     let validator = PassiveValidator::new(&constraints());
     let product = ProductScheduler::new(&constraints());
@@ -106,7 +106,7 @@ fn enactment_respects_compiled_constraints() {
 #[test]
 #[ignore = "ROADMAP item 7: by-name firing commits to the first ∨-alternative carrying the event"]
 fn by_name_firing_admits_every_allowed_execution() {
-    let mut rt = Runtime::new();
+    let rt = Runtime::new();
     rt.deploy_source(
         "workflow amb { graph a * (e + f); constraint (exists(e) and before(a, e)) or exists(f); }",
     )
@@ -146,7 +146,7 @@ fn simulation_reflects_constraint_structure() {
 #[test]
 fn per_fire_work_is_flat_in_journal_length() {
     let n = 10_000usize;
-    let mut rt = Runtime::new();
+    let rt = Runtime::new();
     rt.deploy_compiled("pipe", ctr::gen::pipeline_workflow(n))
         .unwrap();
     let id = rt.start("pipe").unwrap();
@@ -242,7 +242,7 @@ mod cursor_oracle {
             prop_assume!(!events.is_empty());
             let mut batched = Runtime::new();
             prop_assume!(batched.deploy_compiled("w", goal.clone()).is_ok());
-            let mut single = Runtime::new();
+            let single = Runtime::new();
             single.deploy_compiled("w", goal).unwrap();
             let id = batched.start("w").unwrap();
             single.start("w").unwrap();

@@ -47,7 +47,7 @@ fn next(state: &mut u64) -> u64 {
 /// Replays `journal` on a fresh single-threaded runtime; every event must
 /// be accepted in order (the oracle for per-instance linearizability).
 fn replay_oracle(journal: &[String]) -> Result<Runtime, RuntimeError> {
-    let mut oracle = Runtime::new();
+    let oracle = Runtime::new();
     oracle.deploy_source(SPEC)?;
     let id = oracle.start("claims")?;
     for event in journal {
@@ -221,7 +221,7 @@ fn eligible_symbols_agrees_with_eligible() {
 fn restore_with_holes_and_a_far_id_matches_the_oracle() {
     const FAR: InstanceId = 1_099_511_627_776;
     let ids: [InstanceId; 9] = [0, 1, 2, 40, 41, 5_000, 5_001, 5_017, FAR];
-    let mut dense = Runtime::new();
+    let dense = Runtime::new();
     dense.deploy_source(SPEC).unwrap();
     for k in 0..ids.len() {
         let id = dense.start("claims").unwrap();
@@ -239,11 +239,16 @@ fn restore_with_holes_and_a_far_id_matches_the_oracle() {
         })
         .collect();
 
-    let mut oracle = Runtime::restore(&text).unwrap();
+    let oracle = Runtime::restore(&text).unwrap();
     let shared = SharedRuntime::restore(&text).unwrap();
     assert_eq!(shared.instances(), ids);
     assert_eq!(shared.instances(), oracle.instances());
     assert_eq!(shared.snapshot(), text);
+    // Both sides run the same table, so the absolute referee is what
+    // the script fired.
+    for (k, &id) in ids.iter().enumerate() {
+        assert_eq!(shared.journal(id).unwrap(), PATH[..k % PATH.len()]);
+    }
     for &id in &ids {
         assert_eq!(shared.eligible(id), oracle.eligible(id), "instance {id}");
         let next = oracle.journal(id).unwrap().len();
@@ -259,7 +264,9 @@ fn restore_with_holes_and_a_far_id_matches_the_oracle() {
             Err(RuntimeError::UnknownInstance(ghost))
         );
     }
-    assert_eq!(shared.start("claims"), oracle.start("claims"));
+    let started = shared.start("claims");
+    assert_eq!(started, Ok(FAR + 1));
+    assert_eq!(started, oracle.start("claims"));
     assert_eq!(shared.fire(FAR + 1, "file"), oracle.fire(FAR + 1, "file"));
     assert_eq!(shared.instances(), oracle.instances());
     assert_eq!(shared.snapshot(), oracle.snapshot());

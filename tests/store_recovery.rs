@@ -363,10 +363,10 @@ proptest! {
         let expected = recovered.snapshot();
         drop(recovered);
 
-        let mut by_log = Runtime::open(Arc::new(WalStore::open(&dir).unwrap())).unwrap();
+        let by_log = Runtime::open(Arc::new(WalStore::open(&dir).unwrap())).unwrap();
         prop_assert_eq!(by_log.snapshot(), expected);
 
-        let mut by_text = Runtime::restore(&oracle.snapshot()).unwrap();
+        let by_text = Runtime::restore(&oracle.snapshot()).unwrap();
         prop_assert_eq!(by_text.snapshot(), by_log.snapshot());
         prop_assert_eq!(by_text.instances(), by_log.instances());
         let mut horizon = 0;
@@ -401,7 +401,7 @@ proptest! {
     ) {
         let dir = scratch("expiry");
         let (name, source) = SPECS[TIMED];
-        let mut rt = Runtime::with_store(Arc::new(WalStore::open(&dir).unwrap()));
+        let rt = Runtime::with_store(Arc::new(WalStore::open(&dir).unwrap()));
         rt.deploy_source(source).expect("deploy");
         let ids: Vec<_> = (0..fleet).map(|_| rt.start(name).expect("start")).collect();
 
@@ -429,7 +429,7 @@ proptest! {
         // behind the restored clock, so every still-armed 30s gate
         // (torn away mid-advance) expires now; every gate whose
         // TimerFire survived is already in its journal and disarmed.
-        let mut recovered = Runtime::open(Arc::new(WalStore::open(&dir).unwrap())).unwrap();
+        let recovered = Runtime::open(Arc::new(WalStore::open(&dir).unwrap())).unwrap();
         recovered.advance(30_000).expect("advance after recovery");
         let tick = "approve@after30000";
         for &id in &ids {
