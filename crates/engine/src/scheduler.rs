@@ -15,24 +15,25 @@
 //! The scheduler's "knows all events" promise is implemented literally:
 //! eligibility is **stateful and incremental**, not recomputed. The
 //! cursor maintains a persistent *frontier* — the eligible-node set, kept
-//! sorted in the program's DFS pre-order, plus an event-symbol index over
-//! it — and every `fire` delta-updates it: only the fired leaf's
-//! root-to-leaf path (committed `∨`-branches lose their abandoned
-//! siblings, newly reached `⊗`-successors and enabled `receive`s join)
-//! changes; the rest of the frontier is untouched. [`Scheduler::eligible`]
-//! therefore returns a cached slice, [`Scheduler::fire_event`] is a hash
-//! lookup, and [`Scheduler::is_complete`]/[`Scheduler::is_deadlocked`]
-//! are O(1) flag/length reads. The delta rules and their soundness
-//! argument are written up in DESIGN.md §11; the from-scratch recursive
-//! walk is retained as [`Scheduler::eligible_reference`] and proptests
-//! pin the two observationally identical.
+//! sorted in the program's DFS pre-order — and every `fire` delta-updates
+//! it: only the fired leaf's root-to-leaf path (committed `∨`-branches
+//! lose their abandoned siblings, newly reached `⊗`-successors and
+//! enabled `receive`s join) changes; the rest of the frontier is
+//! untouched. The frontier is the cursor's one record of what is
+//! eligible. A `⊙` subtree is a rank interval, so
+//! [`Scheduler::eligible`] is a slice of it found by binary search,
+//! [`Scheduler::fire_event`] is a hash lookup and a scan of that slice,
+//! and [`Scheduler::is_complete`] reads the root's done bit. The delta
+//! rules and their soundness argument are written up in DESIGN.md §11;
+//! the from-scratch recursive walk is retained as
+//! [`Scheduler::eligible_reference`] and proptests pin the two
+//! observationally identical.
 //!
 //! A position in the compiled goal is all a running workflow needs, so
 //! the cursor is kept small: everything whose size the program fixes —
-//! done/locked/frontier/sent bits, one `u32` per `⊗`, `∨` and event
-//! leaf — sits in one arena laid out at compile time, and a new cursor
-//! is a copy of the program's cached initial one (DESIGN.md §11,
-//! "The cursor").
+//! done and sent bits, one `u32` per `⊗` and `∨` — sits in one arena
+//! laid out at compile time, and a new cursor is a copy of the program's
+//! cached initial one (DESIGN.md §11, "The cursor").
 
 use ctr::goal::{Channel, Goal};
 use ctr::symbol::Symbol;
@@ -46,7 +47,7 @@ use std::sync::OnceLock;
 pub type NodeId = usize;
 
 /// Sentinel in every `u32` the program and its cursors store: no parent,
-/// no slot, end of list, uncommitted `∨`.
+/// no slot, no dense index, uncommitted `∨`.
 const NIL: u32 = u32::MAX;
 
 /// FxHash-style mixer for the compile-time symbol→slot map. The key is a
@@ -193,15 +194,14 @@ struct Node {
     pre: u32,
     /// One past the last pre-order rank inside the node's subtree.
     end: u32,
-    /// Dense slot of the node's event symbol; [`NIL`] for nodes that are
-    /// not event leaves. Lets the cursor's event index update without
-    /// hashing.
+    /// Slot of the node's event symbol; [`NIL`] for nodes that are not
+    /// event leaves. Dispatch compares it while it scans the eligible
+    /// frontier, so no symbol is hashed there.
     slot: u32,
     /// The node's index among the nodes of its kind that own a `u32` of
-    /// cursor state: `⊗` nodes (position), `∨` nodes (choice) and event
-    /// leaves (dispatch-list link) are each numbered densely from 0, so
-    /// a cursor stores one word per such node instead of one per node.
-    /// [`NIL`] for every other node.
+    /// cursor state: `⊗` nodes (position) and `∨` nodes (choice) are
+    /// each numbered densely from 0, so a cursor stores one word per
+    /// such node instead of one per node. [`NIL`] for every other node.
     dense: u32,
 }
 
@@ -229,21 +229,16 @@ impl fmt::Display for ScheduleError {
 impl std::error::Error for ScheduleError {}
 
 /// Where each section of a cursor's arena starts, in `u64` words; fixed
-/// once per program by [`Program::compile`]. Three bitsets over nodes
-/// (`done` at word 0, then `locked`, `in_frontier`), one over channels
-/// (`sent`), then four sections of `u32`s packed two to a word:
-/// `seq_pos` per `⊗` node, `or_choice` per `∨` node, `evt_head` per
-/// event slot and `evt_next` per event leaf. The `u32` sections from
-/// `or_choice` on start out all-[`NIL`], the rest all-zero.
+/// once per program by [`Program::compile`]. A bitset over nodes
+/// (`done`, at word 0), one over channels (`sent`), then two sections
+/// of `u32`s packed two to a word: `seq_pos` per `⊗` node and
+/// `or_choice` per `∨` node. `or_choice` starts out all-[`NIL`], the
+/// rest all-zero.
 #[derive(Clone, Copy, Debug)]
 struct Layout {
-    locked: usize,
-    in_frontier: usize,
     sent: usize,
     seq_pos: usize,
     or_choice: usize,
-    evt_head: usize,
-    evt_next: usize,
     words: usize,
 }
 
@@ -260,7 +255,7 @@ pub struct Program {
     recv_nodes: Vec<u32>,
     /// Event symbol → dense slot id, assigned at compile time. The one
     /// hashed lookup on the `fire_event` path; everything downstream
-    /// indexes by slot.
+    /// compares slots.
     slots: SymbolMap<u32>,
     layout: Layout,
     /// `slots` keyed by event *name* — the one lookup on the
@@ -314,12 +309,9 @@ impl Program {
         for r in 0..channels.len() {
             recv_start[r + 1] += recv_start[r];
         }
-        let node_words = b.nodes.len().div_ceil(64);
-        let sent = 3 * node_words;
+        let sent = b.nodes.len().div_ceil(64);
         let seq_pos = sent + channels.len().div_ceil(64);
         let or_choice = seq_pos + (b.seqs as usize).div_ceil(2);
-        let evt_head = or_choice + (b.ors as usize).div_ceil(2);
-        let evt_next = evt_head + b.slots.len().div_ceil(2);
         Ok(Program {
             nodes: b.nodes,
             root,
@@ -327,14 +319,10 @@ impl Program {
             recv_nodes: recvs.iter().map(|&(_, n)| n).collect(),
             slots: b.slots,
             layout: Layout {
-                locked: node_words,
-                in_frontier: 2 * node_words,
                 sent,
                 seq_pos,
                 or_choice,
-                evt_head,
-                evt_next,
-                words: evt_next + (b.leaves as usize).div_ceil(2),
+                words: or_choice + (b.ors as usize).div_ceil(2),
             },
             names: OnceLock::new(),
             initial: OnceLock::new(),
@@ -408,7 +396,6 @@ struct Builder {
     rank: u32,
     seqs: u32,
     ors: u32,
-    leaves: u32,
     slots: SymbolMap<u32>,
     /// `(channel id, node)` of every `send` and `receive`, in node order;
     /// their ranks are filled in once all of them are known.
@@ -429,8 +416,6 @@ impl Builder {
                 if let Some(s) = a.as_event() {
                     let next = self.slots.len() as u32;
                     slot = *self.slots.entry(s).or_insert(next);
-                    dense = self.leaves;
-                    self.leaves += 1;
                 }
                 NodeKind::Event(a.clone())
             }
@@ -486,14 +471,11 @@ fn bit(words: &[u64], base: usize, i: usize) -> bool {
     words[base + i / 64] >> (i % 64) & 1 != 0
 }
 
+/// Sets a bit. No arena bit is ever cleared: `done` and `sent` only
+/// grow along a run.
 #[inline]
-fn set_bit(words: &mut [u64], base: usize, i: usize, on: bool) {
-    let (word, mask) = (&mut words[base + i / 64], 1u64 << (i % 64));
-    if on {
-        *word |= mask;
-    } else {
-        *word &= !mask;
-    }
+fn set_bit(words: &mut [u64], base: usize, i: usize) {
+    words[base + i / 64] |= 1 << (i % 64);
 }
 
 #[inline]
@@ -525,33 +507,25 @@ pub struct Choice {
 /// `arena`, laid out by the program's [`Layout`]: a *marking* in the DCR
 /// sense — bits per node, not machine words — plus one `u32` for each
 /// node that needs one. What remains are the few lists whose length
-/// depends on the run. Starting an execution is a copy of
-/// [`Program::initial`].
+/// depends on the run, and nothing is kept that one of them already
+/// says. Starting an execution is a copy of [`Program::initial`].
 #[derive(Clone, Debug)]
 struct Cursor {
-    /// `done`, `locked` (membership mirror of `lock`), `in_frontier`
-    /// (membership mirror of `frontier`) and `sent` (channels sent on)
-    /// as bitsets; `seq_pos` (current child of each `⊗`) and
-    /// `or_choice` (committed child of each `∨`, [`NIL`] before); and
-    /// `fire_event`'s dispatch index — eligible *event* nodes by
-    /// event-symbol slot, as intrusive singly-linked lists: `evt_head`
-    /// of a slot is the first frontier node carrying that symbol,
-    /// `evt_next` of a leaf the next one (both [`NIL`]-terminated).
-    /// Maintenance is word writes — no hashing, no allocation; lists are
-    /// unordered and ties resolve by pre-order at dispatch.
+    /// `done` and `sent` (channels sent on) as bitsets; `seq_pos`
+    /// (current child of each `⊗`) and `or_choice` (committed child of
+    /// each `∨`, [`NIL`] before).
     arena: Box<[u64]>,
-    /// Stack of entered, unfinished `⊙` nodes (innermost last).
+    /// Stack of entered, unfinished `⊙` nodes (innermost last). It is as
+    /// deep as the `⊙` nesting, so membership is a scan.
     lock: Vec<u32>,
     /// The event nodes fired so far; [`Program::event`] gives the atoms.
     trace: Vec<u32>,
-    finished: bool,
     /// The eligible set, ignoring `⊙`-scoping, sorted by DFS pre-order
     /// rank (== the recursive walk's emission order). Invariant: a node
-    /// is here iff the walk from the root would emit it.
+    /// is here iff the walk from the root would emit it. Ranks are
+    /// unique, so membership, insertion point and the `⊙` view are
+    /// binary searches by rank.
     frontier: Vec<Choice>,
-    /// `frontier` filtered to the innermost `⊙` subtree; refreshed after
-    /// every mutation while a lock is active, unused (empty) otherwise.
-    scoped: Vec<Choice>,
 }
 
 impl Cursor {
@@ -564,13 +538,10 @@ impl Cursor {
             arena,
             lock: Vec::new(),
             trace: Vec::new(),
-            finished: false,
             frontier: Vec::new(),
-            scoped: Vec::new(),
         };
         cursor.add_subtree(p, p.root);
         cursor.drain_silent(p);
-        cursor.finished = cursor.is_done(p.root);
         cursor
     }
 
@@ -579,14 +550,10 @@ impl Cursor {
         bit(&self.arena, 0, node)
     }
 
+    /// Whether the `⊙` node `node` is entered and unfinished.
     #[inline]
-    fn is_locked(&self, p: &Program, node: NodeId) -> bool {
-        bit(&self.arena, p.layout.locked, node)
-    }
-
-    #[inline]
-    fn in_frontier(&self, p: &Program, node: NodeId) -> bool {
-        bit(&self.arena, p.layout.in_frontier, node)
+    fn is_locked(&self, node: NodeId) -> bool {
+        self.lock.contains(&(node as u32))
     }
 
     /// Whether the channel ranked `r` has been sent on.
@@ -607,27 +574,26 @@ impl Cursor {
         half(&self.arena, p.layout.or_choice, n.dense as usize)
     }
 
+    /// The index of the first frontier entry whose pre-order rank is at
+    /// least `rank`.
     #[inline]
-    fn evt_head(&self, p: &Program, slot: u32) -> u32 {
-        half(&self.arena, p.layout.evt_head, slot as usize)
+    fn at_rank(&self, p: &Program, rank: u32) -> usize {
+        self.frontier
+            .partition_point(|c| p.nodes[c.node].pre < rank)
     }
 
+    /// The frontier as the current `⊙`-scoping shows it: the entries
+    /// inside the innermost active lock's subtree — the rank interval
+    /// `[pre, end)` — or all of them when no lock is active.
     #[inline]
-    fn set_evt_head(&mut self, p: &Program, slot: u32, node: u32) {
-        set_half(&mut self.arena, p.layout.evt_head, slot as usize, node);
-    }
-
-    /// The dispatch-list successor of the event leaf `node`.
-    #[inline]
-    fn evt_next(&self, p: &Program, node: u32) -> u32 {
-        let leaf = p.nodes[node as usize].dense as usize;
-        half(&self.arena, p.layout.evt_next, leaf)
-    }
-
-    #[inline]
-    fn set_evt_next(&mut self, p: &Program, node: u32, next: u32) {
-        let leaf = p.nodes[node as usize].dense as usize;
-        set_half(&mut self.arena, p.layout.evt_next, leaf, next);
+    fn visible(&self, p: &Program) -> &[Choice] {
+        match self.lock.last() {
+            Some(&l) => {
+                let l = &p.nodes[l as usize];
+                &self.frontier[self.at_rank(p, l.pre)..self.at_rank(p, l.end)]
+            }
+            None => &self.frontier,
+        }
     }
 
     /// True if `node` is visible through the current `⊙`-scoping: inside
@@ -641,95 +607,27 @@ impl Cursor {
         }
     }
 
-    /// Rebuilds the scoped frontier view. Called at the end of every
-    /// mutating operation; a no-op (empty) when no lock is active, since
-    /// `eligible()` then serves the unscoped frontier directly.
-    fn refresh_scoped(&mut self, p: &Program) {
-        self.scoped.clear();
-        if let Some(&l) = self.lock.last() {
-            let l = l as NodeId;
-            self.scoped.extend(
-                self.frontier
-                    .iter()
-                    .filter(|c| p.in_subtree(l, c.node))
-                    .copied(),
-            );
-        }
-    }
-
-    /// Inserts a leaf into the frontier at its pre-order position and
-    /// indexes its event symbol.
+    /// Inserts a leaf into the frontier at its pre-order position (no-op
+    /// if present).
     fn insert_choice(&mut self, p: &Program, node: NodeId, observable: bool) {
-        if self.in_frontier(p, node) {
-            return;
-        }
-        set_bit(&mut self.arena, p.layout.in_frontier, node, true);
-        let n = &p.nodes[node];
-        let pos = self
-            .frontier
-            .partition_point(|c| p.nodes[c.node].pre < n.pre);
-        self.frontier.insert(pos, Choice { node, observable });
-        if n.slot != NIL {
-            self.set_evt_next(p, node as u32, self.evt_head(p, n.slot));
-            self.set_evt_head(p, n.slot, node as u32);
+        let pos = self.at_rank(p, p.nodes[node].pre);
+        if self.frontier.get(pos).is_none_or(|c| c.node != node) {
+            self.frontier.insert(pos, Choice { node, observable });
         }
     }
 
     /// Removes a node from the frontier (no-op if absent).
     fn remove_choice(&mut self, p: &Program, node: NodeId) {
-        if !self.in_frontier(p, node) {
-            return;
-        }
-        set_bit(&mut self.arena, p.layout.in_frontier, node, false);
-        let rank = p.nodes[node].pre;
-        let pos = self
-            .frontier
-            .partition_point(|c| p.nodes[c.node].pre < rank);
-        debug_assert_eq!(self.frontier[pos].node, node);
-        self.frontier.remove(pos);
-        self.unindex_event(p, node);
-    }
-
-    /// Unlinks `node` from its symbol's dispatch list. The walk is over
-    /// frontier nodes *sharing one event symbol* — almost always a
-    /// singleton — not the frontier.
-    fn unindex_event(&mut self, p: &Program, node: NodeId) {
-        let slot = p.nodes[node].slot;
-        if slot == NIL {
-            return;
-        }
-        let target = node as u32;
-        let after = self.evt_next(p, target);
-        let mut cur = self.evt_head(p, slot);
-        if cur == target {
-            self.set_evt_head(p, slot, after);
-            self.set_evt_next(p, target, NIL);
-            return;
-        }
-        while cur != NIL {
-            let next = self.evt_next(p, cur);
-            if next == target {
-                self.set_evt_next(p, cur, after);
-                self.set_evt_next(p, target, NIL);
-                return;
-            }
-            cur = next;
+        let pos = self.at_rank(p, p.nodes[node].pre);
+        if self.frontier.get(pos).is_some_and(|c| c.node == node) {
+            self.frontier.remove(pos);
         }
     }
 
     /// Evicts every frontier entry whose pre-order rank lies in
     /// `[lo, hi)` — the subtrees abandoned by an `∨`-commit.
     fn evict_range(&mut self, p: &Program, lo: u32, hi: u32) {
-        if lo >= hi {
-            return;
-        }
-        let start = self.frontier.partition_point(|c| p.nodes[c.node].pre < lo);
-        let stop = self.frontier.partition_point(|c| p.nodes[c.node].pre < hi);
-        for i in start..stop {
-            let node = self.frontier[i].node;
-            set_bit(&mut self.arena, p.layout.in_frontier, node, false);
-            self.unindex_event(p, node);
-        }
+        let (start, stop) = (self.at_rank(p, lo), self.at_rank(p, hi));
         self.frontier.drain(start..stop);
     }
 
@@ -827,10 +725,7 @@ impl Cursor {
                     self.evict_range(p, n.pre, chosen.pre);
                     self.evict_range(p, chosen.end, n.end);
                 }
-                NodeKind::Iso(_) if !self.is_locked(p, a) => {
-                    self.lock.push(cur);
-                    set_bit(&mut self.arena, p.layout.locked, a, true);
-                }
+                NodeKind::Iso(_) if !self.is_locked(a) => self.lock.push(cur),
                 _ => {}
             }
             child = a;
@@ -847,10 +742,10 @@ impl Cursor {
         if self.is_sent(p, c) {
             return;
         }
-        set_bit(&mut self.arena, p.layout.sent, c as usize, true);
+        set_bit(&mut self.arena, p.layout.sent, c as usize);
         for &r in p.recvs_on(c) {
             let r = r as NodeId;
-            if !self.is_done(r) && !self.in_frontier(p, r) && self.walk_reachable(p, r) {
+            if !self.is_done(r) && self.walk_reachable(p, r) {
                 self.insert_choice(p, r, false);
             }
         }
@@ -860,7 +755,7 @@ impl Cursor {
     /// frontier in sync: the completed node leaves it, a `⊗`-parent's
     /// next child enters it, an exiting `⊙` unlocks.
     fn complete(&mut self, p: &Program, node: NodeId) {
-        set_bit(&mut self.arena, 0, node, true);
+        set_bit(&mut self.arena, 0, node);
         self.remove_choice(p, node);
         let up = p.nodes[node].parent;
         if up == NIL {
@@ -901,7 +796,6 @@ impl Cursor {
                 } else {
                     self.lock.retain(|&l| l != up);
                 }
-                set_bit(&mut self.arena, p.layout.locked, parent, false);
                 self.complete(p, parent);
             }
             other => unreachable!("leaf parent must be a connective, got {other:?}"),
@@ -916,7 +810,7 @@ impl Cursor {
             let n = &p.nodes[a];
             match &n.kind {
                 NodeKind::Or(_) if self.or_choice(p, n) == NIL => return false,
-                NodeKind::Iso(_) if !self.is_locked(p, a) && !self.is_done(a) => return false,
+                NodeKind::Iso(_) if !self.is_locked(a) && !self.is_done(a) => return false,
                 _ => {}
             }
             cur = n.parent;
@@ -925,10 +819,10 @@ impl Cursor {
     }
 
     /// Fires one step's effects: path commitment, trace/channel effect,
-    /// completion cascade, silent drain, finish flag, scoped refresh.
+    /// completion cascade, silent drain.
     fn fire(&mut self, p: &Program, node: NodeId) {
         debug_assert!(
-            self.in_frontier(p, node) && self.scoped_visible(p, node),
+            self.visible(p).iter().any(|c| c.node == node),
             "fired node must be eligible"
         );
         self.commit_path(p, node);
@@ -940,8 +834,6 @@ impl Cursor {
         }
         self.complete(p, node);
         self.drain_silent(p);
-        self.finished = self.is_done(p.root);
-        self.refresh_scoped(p);
     }
 
     /// Fires, to fixpoint, every eligible internal step that commits
@@ -988,16 +880,8 @@ impl Cursor {
     /// The first node in pre-order, among the eligible ones, that
     /// carries the event symbol `slot`.
     fn first_carrying(&self, p: &Program, slot: u32) -> Option<NodeId> {
-        let mut best: Option<(u32, u32)> = None;
-        let mut cur = self.evt_head(p, slot);
-        while cur != NIL {
-            let rank = p.nodes[cur as usize].pre;
-            if self.scoped_visible(p, cur as NodeId) && best.is_none_or(|(r, _)| rank < r) {
-                best = Some((rank, cur));
-            }
-            cur = self.evt_next(p, cur);
-        }
-        best.map(|(_, n)| n as NodeId)
+        let mut eligible = self.visible(p).iter().map(|c| c.node);
+        eligible.find(|&n| p.nodes[n].slot == slot)
     }
 
     /// Locates the next step toward an event node carrying `slot` whose
@@ -1111,7 +995,7 @@ impl Cursor {
         std::mem::size_of::<Cursor>()
             + std::mem::size_of_val(&*self.arena)
             + (self.lock.capacity() + self.trace.capacity()) * std::mem::size_of::<u32>()
-            + (self.frontier.capacity() + self.scoped.capacity()) * std::mem::size_of::<Choice>()
+            + self.frontier.capacity() * std::mem::size_of::<Choice>()
     }
 }
 
@@ -1194,28 +1078,25 @@ impl<P: std::ops::Deref<Target = Program>> Scheduler<P> {
         Some(fresh)
     }
 
-    /// True when the whole workflow has completed. O(1).
+    /// True when the whole workflow has completed: the root's done bit.
     pub fn is_complete(&self) -> bool {
-        self.cursor.finished
+        self.cursor.is_done(self.program.root)
     }
 
     /// True when incomplete with nothing eligible — a knot at run time
     /// (cannot happen on `Excise`d programs with `guaranteed_knot_free`).
-    /// O(1): a flag read and a cached-slice length check.
+    /// A bit read and [`Scheduler::eligible`]'s length.
     pub fn is_deadlocked(&self) -> bool {
         !self.is_complete() && self.eligible().is_empty()
     }
 
     /// All steps eligible to start now: the pro-active scheduler's
-    /// knowledge at this stage of the execution. Returns the cached
-    /// frontier — no walk, no allocation — in the DFS pre-order the
-    /// recursive walk would emit.
+    /// knowledge at this stage of the execution. Returns a slice of the
+    /// frontier — all of it, or under a `⊙` the part inside its subtree,
+    /// found by two binary searches; no walk, no allocation — in the DFS
+    /// pre-order the recursive walk would emit.
     pub fn eligible(&self) -> &[Choice] {
-        if self.cursor.lock.is_empty() {
-            &self.cursor.frontier
-        } else {
-            &self.cursor.scoped
-        }
+        self.cursor.visible(&self.program)
     }
 
     /// The innermost active `⊙`, or the root: where eligibility starts.
@@ -1251,7 +1132,8 @@ impl<P: std::ops::Deref<Target = Program>> Scheduler<P> {
     /// returns false when absent. When several branches offer the event
     /// any is valid (the program is knot-free); the first in frontier
     /// order is picked deterministically — the same node the recursive
-    /// walk's first match would yield. One hash lookup; no allocation.
+    /// walk's first match would yield. One hash lookup and a scan of
+    /// [`Scheduler::eligible`]; no allocation.
     ///
     /// When no frontier node carries the event, a weak-transition
     /// fallback looks for it behind enabled silent leaves on its own
@@ -1777,18 +1659,16 @@ mod tests {
     }
 
     #[test]
-    fn bits_are_set_and_cleared_across_words() {
+    fn bits_are_set_across_words() {
         let mut words = [0u64; 5];
         for id in [200usize, 3, 64, 0, 127, 65] {
             assert!(!bit(&words, 1, id));
-            set_bit(&mut words, 1, id, true);
+            set_bit(&mut words, 1, id);
             assert!(bit(&words, 1, id));
         }
         assert!(!bit(&words, 1, 63));
         assert_eq!(words[0], 0, "the section before `base` is untouched");
         assert_eq!(words[1..], [0b1001, 0b11 | 1 << 63, 0, 1 << 8]);
-        set_bit(&mut words, 1, 64, false);
-        assert_eq!(words[2], 0b10 | 1 << 63);
     }
 
     #[test]
@@ -2043,7 +1923,7 @@ mod tests {
         }
     }
 
-    const FAMILIES: usize = 7;
+    const FAMILIES: usize = 8;
 
     /// The goal of one property case; `family` forces the arena shapes
     /// a random corpus goal rarely has.
@@ -2095,6 +1975,13 @@ mod tests {
                 ])),
                 g("free"),
             ]),
+            // Every event in two differently decorated copies, so a fire
+            // by event has two carriers to pick from, ⊙ or no ⊙.
+            6 => conc(
+                [0, 1]
+                    .map(|_| decorate(&corpus_goal_over(seed, 0), &mut rng, &mut chan))
+                    .into(),
+            ),
             // What Apply + Excise emit: the fleet benchmark's program.
             _ => layered16x2_orders(),
         }
@@ -2206,7 +2093,6 @@ mod tests {
         assert_eq!(words(&tail[1..locks_at - 1]), sent);
         let locks = words(&tail[locks_at..]);
         assert_eq!(locks, s.cursor.lock);
-        assert!(locks.iter().all(|&l| s.cursor.is_locked(p, l as NodeId)));
     }
 
     proptest! {
@@ -2231,7 +2117,7 @@ mod tests {
                 1 => prop_assert!(p.len() > 64),
                 2 => prop_assert!(p.len() > 128),
                 3 => prop_assert_eq!(p.layout.seq_pos, p.layout.or_choice, "no ⊗ words"),
-                4 => prop_assert_eq!(p.layout.or_choice, p.layout.evt_head, "no ∨ words"),
+                4 => prop_assert_eq!(p.layout.or_choice, p.layout.words, "no ∨ words"),
                 _ => {}
             }
             if family <= 2 {
@@ -2264,8 +2150,23 @@ mod tests {
                 } else {
                     Step::Node(s.eligible()[lcg(&mut rng) as usize % s.eligible().len()].node)
                 };
+                // The referee for dispatch by event: the recursive walk's
+                // first eligible node carrying the event is the one fired.
+                let carrier = match step {
+                    Step::Event(e) => s.eligible_reference().into_iter().find(|c| {
+                        p.event(c.node).and_then(Atom::as_event) == Some(e)
+                    }),
+                    Step::Node(_) => None,
+                };
                 apply(&mut s, step);
                 steps.push(step);
+                if let Some(c) = carrier {
+                    prop_assert_eq!(
+                        s.cursor.trace.last(),
+                        Some(&(c.node as u32)),
+                        "after {:?} on {}", steps, goal
+                    );
+                }
 
                 let mut replay = untemplated(&p);
                 for &step in &steps {
@@ -2352,12 +2253,12 @@ mod tests {
     }
 
     #[test]
-    fn resident_cursor_of_the_fleet_workflow_fits_a_kibibyte() {
+    fn resident_cursor_of_the_fleet_workflow_fits_384_bytes() {
         let p = compile(&layered16x2_orders());
         let fresh = Scheduler::new(&p);
         assert!(p.len() > 64, "multi-word bitsets ({} nodes)", p.len());
         assert!(
-            fresh.cursor.bytes() <= 1024,
+            fresh.cursor.bytes() <= 384,
             "{} B for {} nodes",
             fresh.cursor.bytes(),
             p.len()

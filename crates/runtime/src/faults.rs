@@ -71,25 +71,6 @@ impl Store for FailNth {
     }
 }
 
-/// What the script needs of the runtime.
-trait Fleet: Sized {
-    fn with(store: Option<Arc<dyn Store>>) -> Self;
-    fn recover(store: Arc<dyn Store>) -> Self;
-    fn deploy(&mut self, source: &str) -> Result<String, RuntimeError>;
-    fn begin(&mut self, workflow: &str) -> Result<InstanceId, RuntimeError>;
-    fn fire1(&mut self, id: InstanceId, event: &str) -> Result<InstanceStatus, RuntimeError>;
-    fn batch(&mut self, id: InstanceId, events: &[&str]) -> Result<Vec<FireOutcome>, RuntimeError>;
-    /// Several runs against one instance as one burst — one append —
-    /// with one outcome per event, in order.
-    fn burst(&mut self, id: InstanceId, runs: &[&[&str]])
-        -> Result<Vec<FireOutcome>, RuntimeError>;
-    fn tick(&mut self, to_ms: u64) -> Result<Vec<(InstanceId, String)>, RuntimeError>;
-    fn cancel(&mut self, id: InstanceId, event: &str) -> Result<(), RuntimeError>;
-    fn finish(&mut self, id: InstanceId) -> Result<InstanceStatus, RuntimeError>;
-    /// Everything the runtime shows of its state.
-    fn observe(&self, ids: &[InstanceId]) -> Observed;
-}
-
 /// Snapshot, clock, fleet-wide pending count, and per instance its
 /// pending timers, eligible events and journal.
 type Observed = (
@@ -99,58 +80,22 @@ type Observed = (
     Vec<(Vec<(String, u64)>, Vec<String>, Vec<String>)>,
 );
 
-impl Fleet for Runtime {
-    fn with(store: Option<Arc<dyn Store>>) -> Self {
-        store.map_or_else(Runtime::new, Runtime::with_store)
-    }
-    fn recover(store: Arc<dyn Store>) -> Self {
-        Runtime::open(store).expect("the store replays")
-    }
-    fn deploy(&mut self, source: &str) -> Result<String, RuntimeError> {
-        self.deploy_source(source)
-    }
-    fn begin(&mut self, workflow: &str) -> Result<InstanceId, RuntimeError> {
-        self.start(workflow)
-    }
-    fn fire1(&mut self, id: InstanceId, event: &str) -> Result<InstanceStatus, RuntimeError> {
-        self.fire(id, event)
-    }
-    fn batch(&mut self, id: InstanceId, events: &[&str]) -> Result<Vec<FireOutcome>, RuntimeError> {
-        self.fire_batch(id, events)
-    }
-    fn burst(
-        &mut self,
-        id: InstanceId,
-        runs: &[&[&str]],
-    ) -> Result<Vec<FireOutcome>, RuntimeError> {
-        let runs: Vec<(InstanceId, &[&str])> = runs.iter().map(|&run| (id, run)).collect();
-        Ok(self.fire_runs(&runs).into_iter().flatten().collect())
-    }
-    fn tick(&mut self, to_ms: u64) -> Result<Vec<(InstanceId, String)>, RuntimeError> {
-        self.advance(to_ms)
-    }
-    fn cancel(&mut self, id: InstanceId, event: &str) -> Result<(), RuntimeError> {
-        self.cancel_timer(id, event)
-    }
-    fn finish(&mut self, id: InstanceId) -> Result<InstanceStatus, RuntimeError> {
-        self.try_complete(id)
-    }
-    fn observe(&self, ids: &[InstanceId]) -> Observed {
-        (
-            self.snapshot(),
-            self.clock_ms(),
-            self.pending_timer_count(),
-            ids.iter()
-                .map(|&id| {
-                    (
-                        self.pending_timers(id).expect("started"),
-                        self.eligible(id).expect("started"),
-                        self.journal(id).expect("started"),
-                    )
-                })
-                .collect(),
-        )
-    }
+/// Everything the runtime shows of its state.
+fn observe(rt: &Runtime, ids: &[InstanceId]) -> Observed {
+    (
+        rt.snapshot(),
+        rt.clock_ms(),
+        rt.pending_timer_count(),
+        ids.iter()
+            .map(|&id| {
+                (
+                    rt.pending_timers(id).expect("started"),
+                    rt.eligible(id).expect("started"),
+                    rt.journal(id).expect("started"),
+                )
+            })
+            .collect(),
+    )
 }
 
 const TIMED: &str = "workflow timed { graph invoice * approve * file; after(approve, 30s); }";
@@ -192,13 +137,13 @@ const SCRIPT: &[Op] = &[
 /// Applies one step. A batch or burst the store refused reports it in
 /// its outcomes; that is folded into `Err` like every other
 /// operation's.
-fn apply(fleet: &mut impl Fleet, op: Op, ids: &mut Vec<InstanceId>) -> Result<(), RuntimeError> {
+fn apply(rt: &Runtime, op: Op, ids: &mut Vec<InstanceId>) -> Result<(), RuntimeError> {
     match op {
-        Op::Deploy(source) => fleet.deploy(source).map(drop),
-        Op::Start(workflow) => fleet.begin(workflow).map(|id| ids.push(id)),
-        Op::Fire(i, event) => fleet.fire1(ids[i], event).map(drop),
+        Op::Deploy(source) => rt.deploy_source(source).map(drop),
+        Op::Start(workflow) => rt.start(workflow).map(|id| ids.push(id)),
+        Op::Fire(i, event) => rt.fire(ids[i], event).map(drop),
         Op::FireBatch(i, events) => {
-            let outcomes = fleet.batch(ids[i], events)?;
+            let outcomes = rt.fire_batch(ids[i], events)?;
             assert_eq!(outcomes.len(), events.len());
             match outcomes.into_iter().next() {
                 Some(FireOutcome::Rejected(e @ RuntimeError::Store(_))) => Err(e),
@@ -207,7 +152,10 @@ fn apply(fleet: &mut impl Fleet, op: Op, ids: &mut Vec<InstanceId>) -> Result<()
         }
         Op::FireRuns(i, runs) => {
             use FireOutcome::{Fired, Rejected, Skipped};
-            let outcomes = fleet.burst(ids[i], runs)?;
+            // Several runs against one instance as one burst — one
+            // append — with one outcome per event, in order.
+            let runs: Vec<(InstanceId, &[&str])> = runs.iter().map(|&run| (ids[i], run)).collect();
+            let outcomes: Vec<FireOutcome> = rt.fire_runs(&runs).into_iter().flatten().collect();
             match &outcomes[..] {
                 // One commit unit: every run says why, nothing else ran.
                 [Rejected(e @ RuntimeError::Store(_)), Skipped, Rejected(again)] => {
@@ -218,25 +166,25 @@ fn apply(fleet: &mut impl Fleet, op: Op, ids: &mut Vec<InstanceId>) -> Result<()
                 other => panic!("burst outcomes {other:?}"),
             }
         }
-        Op::Advance(to_ms) => fleet.tick(to_ms).map(drop),
-        Op::Cancel(i, event) => fleet.cancel(ids[i], event),
-        Op::TryComplete(i) => fleet.finish(ids[i]).map(drop),
+        Op::Advance(to_ms) => rt.advance(to_ms).map(drop),
+        Op::Cancel(i, event) => rt.cancel_timer(ids[i], event),
+        Op::TryComplete(i) => rt.try_complete(ids[i]).map(drop),
     }
 }
 
 /// Runs the script against a store that fails its `nth` append, next
 /// to a store-less oracle that skips whatever operation that fails.
 /// Returns `false` once `nth` is past the script's last append.
-fn script_survives_failed_append<F: Fleet>(nth: usize) -> bool {
+fn script_survives_failed_append(nth: usize) -> bool {
     let store = FailNth::new(nth);
-    let mut faulty = F::with(Some(Arc::clone(&store) as Arc<dyn Store>));
-    let mut oracle = F::with(None);
+    let faulty = Runtime::with_store(Arc::clone(&store) as Arc<dyn Store>);
+    let oracle = Runtime::new();
     let (mut ids, mut oracle_ids) = (Vec::new(), Vec::new());
     let mut failed = None;
     for (step, &op) in SCRIPT.iter().enumerate() {
-        let before = faulty.observe(&ids);
-        let Err(e) = apply(&mut faulty, op, &mut ids) else {
-            apply(&mut oracle, op, &mut oracle_ids).expect("the script is valid");
+        let before = observe(&faulty, &ids);
+        let Err(e) = apply(&faulty, op, &mut ids) else {
+            apply(&oracle, op, &mut oracle_ids).expect("the script is valid");
             continue;
         };
         assert!(matches!(e, RuntimeError::Store(_)), "step {step}: {e}");
@@ -244,11 +192,11 @@ fn script_survives_failed_append<F: Fleet>(nth: usize) -> bool {
         // Nothing the runtime shows — snapshot bytes, timers, eligible
         // sets, journals — may tell it from what it was, or from the
         // oracle, which never tried the operation.
-        let after = faulty.observe(&ids);
+        let after = observe(&faulty, &ids);
         assert_eq!(after, before, "step {step} left a mark");
         assert_eq!(
             after,
-            oracle.observe(&oracle_ids),
+            observe(&oracle, &oracle_ids),
             "append {nth} failed in step {step}"
         );
         // The retry goes through. A failed advance has consumed the
@@ -258,15 +206,15 @@ fn script_survives_failed_append<F: Fleet>(nth: usize) -> bool {
             Op::Advance(to_ms) => Op::Advance(to_ms + 1),
             other => other,
         };
-        apply(&mut faulty, retry, &mut ids).expect("the retried operation succeeds");
-        apply(&mut oracle, retry, &mut oracle_ids).expect("the script is valid");
+        apply(&faulty, retry, &mut ids).expect("the retried operation succeeds");
+        apply(&oracle, retry, &mut oracle_ids).expect("the script is valid");
         if let Op::Start(_) = op {
             // The failed start burned its id.
             assert_eq!(ids.last().unwrap() - 1, *oracle_ids.last().unwrap());
         }
     }
     // Apart from a burned id the two fleets end up the same …
-    let (end, oracle_end) = (faulty.observe(&ids), oracle.observe(&oracle_ids));
+    let (end, oracle_end) = (observe(&faulty, &ids), observe(&oracle, &oracle_ids));
     assert_eq!(
         (end.1, end.2, &end.3),
         (oracle_end.1, oracle_end.2, &oracle_end.3)
@@ -276,7 +224,7 @@ fn script_survives_failed_append<F: Fleet>(nth: usize) -> bool {
     }
     // … and what was acknowledged is what a restart finds. (The clock
     // is not part of the snapshot: recovery restores its watermark.)
-    let reopened = F::recover(store as Arc<dyn Store>).observe(&ids);
+    let reopened = observe(&Runtime::open(store).expect("the store replays"), &ids);
     assert_eq!(
         (&reopened.0, reopened.2, &reopened.3),
         (&end.0, end.2, &end.3)
@@ -284,9 +232,10 @@ fn script_survives_failed_append<F: Fleet>(nth: usize) -> bool {
     failed.is_some()
 }
 
-fn every_failed_append_leaves_the_fleet_as_it_was<F: Fleet>() {
+#[test]
+fn every_failed_append_leaves_the_fleet_as_it_was() {
     let mut nth = 0;
-    while script_survives_failed_append::<F>(nth) {
+    while script_survives_failed_append(nth) {
         nth += 1;
     }
     // 2 deploys, 3 timed starts of 2 records each, 2 fires and batches
@@ -294,48 +243,36 @@ fn every_failed_append_leaves_the_fleet_as_it_was<F: Fleet>() {
     assert_eq!(nth, 14);
 }
 
-#[test]
-fn runtime_survives_every_failed_append() {
-    every_failed_append_leaves_the_fleet_as_it_was::<Runtime>();
-}
-
 /// A start whose `Start` append failed after its `TimerArm` succeeded
 /// must not hand its id to the next start: the orphan arm would meet
 /// that instance at recovery.
-fn failed_start_burns_its_id<F: Fleet>() {
+#[test]
+fn failed_start_burns_its_id() {
     // Appends: 0 = Deploy, 1 = TimerArm, 2 = Start.
     let store = FailNth::new(2);
-    let mut fleet = F::with(Some(Arc::clone(&store) as Arc<dyn Store>));
-    fleet.deploy(TIMED).unwrap();
-    assert!(matches!(fleet.begin("timed"), Err(RuntimeError::Store(_))));
-    assert_eq!(
-        fleet.begin("timed"),
-        Ok(1),
-        "id 0 stays with the orphan arm"
-    );
-    let live = fleet.observe(&[1]);
+    let rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn Store>);
+    rt.deploy_source(TIMED).unwrap();
+    assert!(matches!(rt.start("timed"), Err(RuntimeError::Store(_))));
+    assert_eq!(rt.start("timed"), Ok(1), "id 0 stays with the orphan arm");
+    let live = observe(&rt, &[1]);
     assert_eq!(live.2, 1, "the failed start armed nothing");
-    let reopened = F::recover(store as Arc<dyn Store>).observe(&[1]);
+    let reopened = observe(&Runtime::open(store).expect("the store replays"), &[1]);
     assert_eq!(
         (reopened.0, reopened.2, reopened.3),
         (live.0, live.2, live.3)
     );
 }
 
-#[test]
-fn runtime_failed_start_burns_its_id() {
-    failed_start_burns_its_id::<Runtime>();
-}
-
 /// The documented orphan-arm crash — a `TimerArm` durable, its `Start`
 /// not — followed by a restart that reuses the id for an untimed
 /// workflow: the next recovery must not hang the orphan's timer on it.
-fn orphan_arm_never_becomes_a_phantom_timer<F: Fleet>() {
+#[test]
+fn orphan_arm_never_becomes_a_phantom_timer() {
     let store = Arc::new(MemStore::new());
     {
-        let mut fleet = F::with(Some(Arc::clone(&store) as Arc<dyn Store>));
-        fleet.deploy(TIMED).unwrap();
-        fleet.deploy(PLAIN).unwrap();
+        let rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn Store>);
+        rt.deploy_source(TIMED).unwrap();
+        rt.deploy_source(PLAIN).unwrap();
     }
     store
         .append(&Record::TimerArm {
@@ -343,17 +280,12 @@ fn orphan_arm_never_becomes_a_phantom_timer<F: Fleet>() {
             timers: vec![("approve@after30000".to_owned(), 30_000)],
         })
         .unwrap();
-    let mut fleet = F::recover(Arc::clone(&store) as Arc<dyn Store>);
-    assert_eq!(fleet.begin("plain"), Ok(0));
-    let live = fleet.observe(&[0]);
-    let reopened = F::recover(store as Arc<dyn Store>).observe(&[0]);
+    let rt = Runtime::open(Arc::clone(&store) as Arc<dyn Store>).expect("the store replays");
+    assert_eq!(rt.start("plain"), Ok(0));
+    let live = observe(&rt, &[0]);
+    let reopened = observe(&Runtime::open(store).expect("the store replays"), &[0]);
     assert!(reopened.3[0].0.is_empty(), "phantom: {:?}", reopened.3[0].0);
     assert_eq!(reopened, live);
-}
-
-#[test]
-fn runtime_orphan_arm_never_becomes_a_phantom_timer() {
-    orphan_arm_never_becomes_a_phantom_timer::<Runtime>();
 }
 
 /// A burst's outcomes share one buffer, instance after instance, so a

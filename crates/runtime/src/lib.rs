@@ -1600,9 +1600,9 @@ mod tests {
 
     #[test]
     fn an_instance_is_its_cursor_a_name_a_status_and_its_timers() {
-        // One history: no second list of fired events beside the
-        // cursor's. With the journal `Vec` this was 200.
-        assert_eq!(std::mem::size_of::<Instance>(), 200 - 24);
+        // One history and one record of what is eligible: no list of
+        // fired events beside the cursor's, no copy of its frontier.
+        assert_eq!(std::mem::size_of::<Instance>(), 144);
     }
 
     const TIMED: &str = r"
