@@ -15,7 +15,7 @@
 //!   the load keeps its armed deadline, due as before, and `advance`
 //!   fires it.
 
-use ctr_runtime::{Runtime, SharedRuntime, WalStore};
+use ctr_runtime::{Runtime, WalStore};
 use ctr_serve::{Client, ClientError, Fault, Request, Response};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read};
@@ -359,7 +359,7 @@ fn kill_drill(durability: &str) {
     ctr_run(store, &["snapshot"]);
     assert!(ctr_run(store, &["recover"]).contains("recovered"));
 
-    let rt = SharedRuntime::open(Arc::new(WalStore::open(&dir).unwrap())).unwrap();
+    let rt = Runtime::open(Arc::new(WalStore::open(&dir).unwrap())).unwrap();
     let chain: Vec<String> = (0..EVENTS).map(event).collect();
     let mut journaled = 0;
     for (&id, &n) in &acked {

@@ -1129,10 +1129,16 @@ impl<P: std::ops::Deref<Target = Program>> Scheduler<P> {
     }
 
     /// Fires the atom named `event` if an eligible node carries it;
-    /// returns false when absent. When several branches offer the event
-    /// any is valid (the program is knot-free); the first in frontier
-    /// order is picked deterministically — the same node the recursive
-    /// walk's first match would yield. One hash lookup and a scan of
+    /// returns false when absent. When several nodes offer the event the
+    /// first in frontier order is picked deterministically — the same
+    /// node the recursive walk's first match would yield — and every `∨`
+    /// on its path commits to it. That is a known limitation, not a free
+    /// choice: `Apply` of a disjunctive constraint copies events into
+    /// several `∨` alternatives, and committing to the first can shut
+    /// out an execution only another alternative allows (ROADMAP item 7;
+    /// the reproducer is the ignored
+    /// `by_name_firing_admits_every_allowed_execution` in
+    /// `tests/runtime_integration.rs`). One hash lookup and a scan of
     /// [`Scheduler::eligible`]; no allocation.
     ///
     /// When no frontier node carries the event, a weak-transition

@@ -1,74 +1,21 @@
-//! Store-fault tests of the fleet core, driven through the runtime:
-//! every operation that appends must leave the fleet exactly as it was
-//! when its append fails, whichever append of the operation it is.
+//! Store-fault tests of the fleet core, driven through the runtime over
+//! a write-ahead log on a simulated file system: every operation that
+//! appends must leave the fleet exactly as it was when a file-system
+//! operation under it fails, whichever operation of the script it is.
 
-use crate::{
-    FireOutcome, InstanceId, InstanceStatus, MemStore, Runtime, RuntimeError, SharedRuntime, Store,
-};
-use ctr_store::{Record, Replay, StoreError, StoreStats};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use crate::{FireOutcome, InstanceId, InstanceStatus, MemStore, Runtime, RuntimeError, Store};
+use ctr_store::sim::{self, Fault, SimFs};
+use ctr_store::{Record, WalOptions, WalStore};
 use std::sync::Arc;
 
-/// A store that fails every append while `fail` is set.
-pub(crate) struct FaultyStore {
-    pub(crate) inner: MemStore,
-    pub(crate) fail: AtomicBool,
+/// A write-ahead log on `fs`.
+pub(crate) fn wal_on(fs: &Arc<SimFs>) -> Arc<dyn Store> {
+    Arc::new(WalStore::open_on(fs.clone(), "wal", WalOptions::default()).expect("the store opens"))
 }
 
-impl Store for FaultyStore {
-    fn append(&self, record: &Record) -> Result<(), StoreError> {
-        if self.fail.load(Ordering::Relaxed) {
-            return Err(StoreError::Io("injected append failure".to_owned()));
-        }
-        self.inner.append(record)
-    }
-    fn replay(&self) -> Result<Replay, StoreError> {
-        self.inner.replay()
-    }
-    fn checkpoint(&self, snapshot: &str) -> Result<(), StoreError> {
-        self.inner.checkpoint(snapshot)
-    }
-    fn stats(&self) -> StoreStats {
-        self.inner.stats()
-    }
-}
-
-/// A [`FaultyStore`] that fails exactly the `nth` append (0-based) it
-/// is asked for, and no other.
-struct FailNth {
-    store: FaultyStore,
-    nth: usize,
-    asked: AtomicUsize,
-}
-
-impl FailNth {
-    fn new(nth: usize) -> Arc<FailNth> {
-        Arc::new(FailNth {
-            store: FaultyStore {
-                inner: MemStore::new(),
-                fail: AtomicBool::new(false),
-            },
-            nth,
-            asked: AtomicUsize::new(0),
-        })
-    }
-}
-
-impl Store for FailNth {
-    fn append(&self, record: &Record) -> Result<(), StoreError> {
-        let hit = self.asked.fetch_add(1, Ordering::Relaxed) == self.nth;
-        self.store.fail.store(hit, Ordering::Relaxed);
-        self.store.append(record)
-    }
-    fn replay(&self) -> Result<Replay, StoreError> {
-        self.store.replay()
-    }
-    fn checkpoint(&self, snapshot: &str) -> Result<(), StoreError> {
-        self.store.checkpoint(snapshot)
-    }
-    fn stats(&self) -> StoreStats {
-        self.store.stats()
-    }
+/// The fleet recovered from `fs` after a crash.
+pub(crate) fn recovered(fs: &SimFs) -> Runtime {
+    Runtime::open(wal_on(&fs.reboot())).expect("the store replays")
 }
 
 /// Snapshot, clock, fleet-wide pending count, and per instance its
@@ -172,12 +119,14 @@ fn apply(rt: &Runtime, op: Op, ids: &mut Vec<InstanceId>) -> Result<(), RuntimeE
     }
 }
 
-/// Runs the script against a store that fails its `nth` append, next
-/// to a store-less oracle that skips whatever operation that fails.
-/// Returns `false` once `nth` is past the script's last append.
-fn script_survives_failed_append(nth: usize) -> bool {
-    let store = FailNth::new(nth);
-    let faulty = Runtime::with_store(Arc::clone(&store) as Arc<dyn Store>);
+/// Runs the script against a store whose `nth` file-system operation
+/// fails, next to a store-less oracle that skips whatever operation
+/// that fails. Returns `false` once `nth` is past the script's last
+/// file-system operation.
+fn script_survives_failed_operation(nth: u64) -> bool {
+    let fs = SimFs::new(nth);
+    let faulty = Runtime::with_store(wal_on(&fs));
+    fs.inject(None, nth, Fault::Eio, false);
     let oracle = Runtime::new();
     let (mut ids, mut oracle_ids) = (Vec::new(), Vec::new());
     let mut failed = None;
@@ -189,6 +138,7 @@ fn script_survives_failed_append(nth: usize) -> bool {
         };
         assert!(matches!(e, RuntimeError::Store(_)), "step {step}: {e}");
         assert!(failed.replace(op).is_none(), "one injected failure");
+        assert_eq!(fs.injected(), 1, "step {step} failed on its own");
         // Nothing the runtime shows — snapshot bytes, timers, eligible
         // sets, journals — may tell it from what it was, or from the
         // oracle, which never tried the operation.
@@ -197,7 +147,7 @@ fn script_survives_failed_append(nth: usize) -> bool {
         assert_eq!(
             after,
             observe(&oracle, &oracle_ids),
-            "append {nth} failed in step {step}"
+            "operation {nth} failed in step {step}"
         );
         // The retry goes through. A failed advance has consumed the
         // wheel's time all the same, so its tail fires on the next
@@ -224,23 +174,26 @@ fn script_survives_failed_append(nth: usize) -> bool {
     }
     // … and what was acknowledged is what a restart finds. (The clock
     // is not part of the snapshot: recovery restores its watermark.)
-    let reopened = observe(&Runtime::open(store).expect("the store replays"), &ids);
+    let reopened = observe(&recovered(&fs), &ids);
     assert_eq!(
         (&reopened.0, reopened.2, &reopened.3),
         (&end.0, end.2, &end.3)
     );
+    assert_eq!(failed.is_some(), fs.injected() == 1);
     failed.is_some()
 }
 
 #[test]
 fn every_failed_append_leaves_the_fleet_as_it_was() {
     let mut nth = 0;
-    while script_survives_failed_append(nth) {
+    while script_survives_failed_operation(nth) {
         nth += 1;
     }
-    // 2 deploys, 3 timed starts of 2 records each, 2 fires and batches
-    // … : every append of the script was the failing one once.
-    assert_eq!(nth, 14);
+    // 14 appends of one write and one sync each, and on each of the
+    // three stripes the script touches a segment create and the
+    // directory sync behind it: every file-system operation of the
+    // script was the failing one once.
+    assert_eq!(nth, 34);
 }
 
 /// A start whose `Start` append failed after its `TimerArm` succeeded
@@ -249,14 +202,15 @@ fn every_failed_append_leaves_the_fleet_as_it_was() {
 #[test]
 fn failed_start_burns_its_id() {
     // Appends: 0 = Deploy, 1 = TimerArm, 2 = Start.
-    let store = FailNth::new(2);
-    let rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn Store>);
+    let fs = SimFs::new(2);
+    let rt = Runtime::with_store(wal_on(&fs));
+    fs.inject(Some(sim::Op::Append), 2, Fault::Eio, false);
     rt.deploy_source(TIMED).unwrap();
     assert!(matches!(rt.start("timed"), Err(RuntimeError::Store(_))));
     assert_eq!(rt.start("timed"), Ok(1), "id 0 stays with the orphan arm");
     let live = observe(&rt, &[1]);
     assert_eq!(live.2, 1, "the failed start armed nothing");
-    let reopened = observe(&Runtime::open(store).expect("the store replays"), &[1]);
+    let reopened = observe(&recovered(&fs), &[1]);
     assert_eq!(
         (reopened.0, reopened.2, reopened.3),
         (live.0, live.2, live.3)
@@ -297,13 +251,14 @@ fn orphan_arm_never_becomes_a_phantom_timer() {
 fn a_store_fault_mid_burst_rejects_only_its_own_instance() {
     use FireOutcome::{Fired, Rejected, Skipped};
     use InstanceStatus::Running;
-    // Appends: 0 = Deploy, 1–3 = Start, then one per instance of the
-    // burst in first-appearance order: 4 = a, 5 = b, 6 = c.
+    // Appends after the starts: one per instance of the burst in
+    // first-appearance order, 0 = a, 1 = b, 2 = c.
     for by_pairs in [false, true] {
-        let store = FailNth::new(5);
-        let rt = SharedRuntime::with_store(Arc::clone(&store) as Arc<dyn Store>);
+        let fs = SimFs::new(5);
+        let rt = Runtime::with_store(wal_on(&fs));
         rt.deploy_source(PLAIN).unwrap();
         let [a, b, c] = [(); 3].map(|()| rt.start("plain").unwrap());
+        fs.inject(Some(sim::Op::Append), 1, Fault::Eio, false);
         let store_fault = |o: &FireOutcome| matches!(o, Rejected(RuntimeError::Store(_)));
         if by_pairs {
             let outcomes = rt.fire_many(&[
@@ -338,12 +293,17 @@ fn a_store_fault_mid_burst_rejects_only_its_own_instance() {
         assert_eq!(rt.journal(b).unwrap(), Vec::<String>::new());
         assert_eq!(rt.journal(c).unwrap(), ["invoice"]);
         assert_eq!(rt.eligible(b).unwrap(), ["invoice"], "b rolled back whole");
-        // What was acknowledged is what a restart finds, and b goes on.
-        let reopened = SharedRuntime::open(Arc::clone(&store) as Arc<dyn Store>).unwrap();
+        // What was acknowledged is what a restart finds (recovered from
+        // a copy of the disk, so the live store stays up), and b goes on
+        // on both.
+        let reopened = Runtime::open(wal_on(&fs.fork().reboot())).expect("the store replays");
         assert_eq!(reopened.snapshot(), rt.snapshot());
-        assert_eq!(
-            rt.fire_batch(b, &["invoice", "reject"]).unwrap(),
-            [Fired(Running), Fired(Running)]
-        );
+        for fleet in [&rt, &reopened] {
+            assert_eq!(
+                fleet.fire_batch(b, &["invoice", "reject"]).unwrap(),
+                [Fired(Running), Fired(Running)]
+            );
+        }
+        assert_eq!(recovered(&fs).snapshot(), rt.snapshot());
     }
 }

@@ -468,8 +468,8 @@ pub struct Runtime {
     pub(crate) inner: Arc<Inner>,
 }
 
-/// [`Runtime`]'s former name for its concurrent handle, kept while
-/// `benchmark/` still spells it.
+/// [`Runtime`]'s former name. It exists for `benchmark/` alone, which
+/// still spells it; nothing in this workspace does.
 pub type SharedRuntime = Runtime;
 
 impl Runtime {
@@ -1272,7 +1272,6 @@ mod tests {
             Runtime::restore(&twice).err(),
             Some(RuntimeError::Snapshot(format!("duplicate instance {id}")))
         );
-        assert!(SharedRuntime::restore(&twice).is_err());
     }
 
     #[test]
@@ -1582,15 +1581,11 @@ mod tests {
         let snap = rt.snapshot();
         let swapped = snap.replace("invoice * (approve + reject) * file", "other * things");
         assert_ne!(swapped, snap);
-        for restored in [
-            Runtime::restore(&swapped).err(),
-            SharedRuntime::restore(&swapped).err(),
-        ] {
-            assert!(
-                matches!(restored, Some(RuntimeError::NotEligible { .. })),
-                "got {restored:?}"
-            );
-        }
+        let restored = Runtime::restore(&swapped).err();
+        assert!(
+            matches!(restored, Some(RuntimeError::NotEligible { .. })),
+            "got {restored:?}"
+        );
         // The untouched text restores, and the instance goes on.
         let rt = Runtime::restore(&snap).unwrap();
         assert_eq!(rt.eligible(id).unwrap(), vec!["file".to_owned()]);

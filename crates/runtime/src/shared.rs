@@ -677,14 +677,15 @@ impl Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::FaultyStore;
-    use crate::{InstanceStatus, SharedRuntime};
+    use crate::faults::{recovered, wal_on};
+    use crate::InstanceStatus;
+    use ctr_store::sim::{Fault, Op, SimFs};
     use std::sync::atomic::Ordering;
 
     const PAY: &str = "workflow pay { graph invoice * (approve + reject) * file; }";
 
-    fn shared_pay() -> SharedRuntime {
-        let rt = SharedRuntime::new();
+    fn shared_pay() -> Runtime {
+        let rt = Runtime::new();
         rt.deploy_source(PAY).unwrap();
         rt
     }
@@ -692,7 +693,7 @@ mod tests {
     #[test]
     fn handles_are_send_sync_and_cloneable() {
         fn assert_send_sync<T: Send + Sync + Clone>() {}
-        assert_send_sync::<SharedRuntime>();
+        assert_send_sync::<Runtime>();
     }
 
     #[test]
@@ -817,24 +818,31 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_format_is_byte_identical_to_runtime() {
-        // Build the same logical state through both front-ends; the
-        // snapshot text must match byte for byte.
-        let shared = shared_pay();
-        let plain = Runtime::new();
-        plain.deploy_source(PAY).unwrap();
-        for _ in 0..SHARD_COUNT + 3 {
-            let a = shared.start("pay").unwrap();
-            let b = plain.start("pay").unwrap();
-            assert_eq!(a, b);
+    fn a_fleet_across_shards_snapshots_in_id_order() {
+        // Ids run on across every shard, and the snapshot lists the
+        // instances in id order whichever shard holds them.
+        let rt = shared_pay();
+        let n = SHARD_COUNT as u64 + 3;
+        for id in 0..n {
+            assert_eq!(rt.start("pay"), Ok(id));
         }
         for id in [0u64, 3, 7, 17] {
-            shared.fire(id, "invoice").unwrap();
-            plain.fire(id, "invoice").unwrap();
+            rt.fire(id, "invoice").unwrap();
         }
-        shared.fire(3, "approve").unwrap();
-        plain.fire(3, "approve").unwrap();
-        assert_eq!(shared.snapshot(), plain.snapshot());
+        rt.fire(3, "approve").unwrap();
+        let journal = |id| match id {
+            3 => "invoice approve",
+            0 | 7 | 17 => "invoice",
+            _ => "",
+        };
+        let instances: Vec<String> = (rt.snapshot().lines())
+            .filter(|line| line.starts_with("instance "))
+            .map(str::to_owned)
+            .collect();
+        let expected: Vec<String> = (0..n)
+            .map(|id| format!("instance {id} of pay [running]: {}", journal(id)))
+            .collect();
+        assert_eq!(instances, expected);
     }
 
     #[test]
@@ -845,7 +853,7 @@ mod tests {
         rt.fire(i1, "invoice").unwrap();
         rt.fire(i1, "approve").unwrap();
         rt.fire(i2, "invoice").unwrap();
-        let restored = SharedRuntime::restore(&rt.snapshot()).unwrap();
+        let restored = Runtime::restore(&rt.snapshot()).unwrap();
         assert_eq!(restored.journal(i1).unwrap(), vec!["invoice", "approve"]);
         assert_eq!(
             restored.eligible(i2).unwrap(),
@@ -886,7 +894,7 @@ mod tests {
         rt.fire(id, "invoice").unwrap();
         rt.fire(id, "reject").unwrap();
         assert_eq!(rt.replayed_steps(), 0);
-        let rt = SharedRuntime::restore(&rt.snapshot()).unwrap();
+        let rt = Runtime::restore(&rt.snapshot()).unwrap();
         assert_eq!(rt.replayed_steps(), 2);
         assert_eq!(rt.journal(id).unwrap(), vec!["invoice", "reject"]);
         assert_eq!(rt.eligible(id).unwrap(), vec!["file".to_owned()]);
@@ -896,19 +904,25 @@ mod tests {
     }
 
     #[test]
-    fn shared_fire_batch_matches_runtime_fire_batch() {
-        let shared = shared_pay();
-        let plain = Runtime::new();
-        plain.deploy_source(PAY).unwrap();
-        let a = shared.start("pay").unwrap();
-        let b = plain.start("pay").unwrap();
-        assert_eq!(a, b);
+    fn fire_batch_stops_at_the_first_refusal() {
+        let rt = shared_pay();
+        let id = rt.start("pay").unwrap();
         let events = ["invoice", "reject", "reject", "file"];
+        use FireOutcome::{Fired, Rejected, Skipped};
+        let refused = RuntimeError::NotEligible {
+            event: "reject".to_owned(),
+            eligible: vec!["file".to_owned()],
+        };
         assert_eq!(
-            shared.fire_batch(a, &events).unwrap(),
-            plain.fire_batch(b, &events).unwrap()
+            rt.fire_batch(id, &events).unwrap(),
+            [
+                Fired(InstanceStatus::Running),
+                Fired(InstanceStatus::Running),
+                Rejected(refused),
+                Skipped
+            ]
         );
-        assert_eq!(shared.snapshot(), plain.snapshot());
+        assert_eq!(rt.journal(id).unwrap(), ["invoice", "reject"]);
     }
 
     #[test]
@@ -1067,7 +1081,7 @@ mod tests {
     fn fire_runs_appends_once_per_instance_per_burst() {
         use ctr_store::MemStore;
         let store = Arc::new(MemStore::new());
-        let rt = SharedRuntime::with_store(Arc::clone(&store) as Arc<dyn Store>);
+        let rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn Store>);
         rt.deploy_source(PAY).unwrap();
         let a = rt.start("pay").unwrap();
         let b = rt.start("pay").unwrap();
@@ -1084,21 +1098,18 @@ mod tests {
         }
         assert_eq!(store.stats().appends - before, 2);
         // The grouped appends replay to the same fleet.
-        let recovered = SharedRuntime::open(store).unwrap();
+        let recovered = Runtime::open(store).unwrap();
         assert_eq!(recovered.snapshot(), rt.snapshot());
     }
 
     #[test]
     fn fire_runs_store_failure_rolls_back_the_whole_burst() {
-        let store = Arc::new(FaultyStore {
-            inner: ctr_store::MemStore::new(),
-            fail: std::sync::atomic::AtomicBool::new(false),
-        });
-        let rt = SharedRuntime::with_store(Arc::clone(&store) as Arc<dyn Store>);
+        let fs = SimFs::new(1);
+        let rt = Runtime::with_store(wal_on(&fs));
         rt.deploy_source(PAY).unwrap();
         let id = rt.start("pay").unwrap();
         rt.fire(id, "invoice").unwrap();
-        store.fail.store(true, Ordering::Relaxed);
+        fs.inject(Some(Op::Append), 0, Fault::Eio, true);
         let runs: Vec<(InstanceId, &[&str])> = vec![(id, &["approve"]), (id, &["file"])];
         let outcomes = rt.fire_runs(&runs);
         // Every run reports the store failure shape; nothing committed.
@@ -1113,7 +1124,7 @@ mod tests {
         assert_eq!(rt.journal(id).unwrap(), vec!["invoice"]);
         assert_eq!(rt.status(id).unwrap(), InstanceStatus::Running);
         // The instance stays usable once the store heals.
-        store.fail.store(false, Ordering::Relaxed);
+        fs.heal();
         rt.fire(id, "approve").unwrap();
         rt.fire(id, "file").unwrap();
         assert!(rt.is_complete(id).unwrap());
@@ -1125,7 +1136,7 @@ mod tests {
         let store = Arc::new(MemStore::new());
         let snap_before;
         {
-            let rt = SharedRuntime::with_store(Arc::clone(&store) as Arc<dyn Store>);
+            let rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn Store>);
             rt.deploy_source(PAY).unwrap();
             // Span several shards.
             let ids: Vec<_> = (0..SHARD_COUNT as u64 + 3)
@@ -1138,7 +1149,7 @@ mod tests {
             rt.fire(3, "approve").unwrap();
             snap_before = rt.snapshot();
         }
-        let rt = SharedRuntime::open(store).unwrap();
+        let rt = Runtime::open(store).unwrap();
         assert_eq!(rt.snapshot(), snap_before);
         assert_eq!(rt.journal(3).unwrap(), vec!["invoice", "approve"]);
         let stats = rt.store_stats().expect("store stays attached");
@@ -1149,7 +1160,7 @@ mod tests {
     fn shared_checkpoint_compacts_under_the_freeze() {
         use ctr_store::{MemStore, Store as _};
         let store = Arc::new(MemStore::new());
-        let rt = SharedRuntime::with_store(Arc::clone(&store) as Arc<dyn Store>);
+        let rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn Store>);
         rt.deploy_source(PAY).unwrap();
         let id = rt.start("pay").unwrap();
         rt.fire(id, "invoice").unwrap();
@@ -1170,7 +1181,7 @@ mod tests {
         }
         writer.join().unwrap();
         rt.checkpoint().unwrap();
-        let recovered = SharedRuntime::open(store).unwrap();
+        let recovered = Runtime::open(store).unwrap();
         assert_eq!(recovered.snapshot(), rt.snapshot());
         assert!(recovered.is_complete(id).unwrap());
     }
@@ -1187,7 +1198,7 @@ mod tests {
         // Hammer starts, fires, redeploys, and checkpoints concurrently;
         // recovery reproducing the exact fleet is the assertion.
         let store = Arc::new(MemStore::new());
-        let rt = SharedRuntime::with_store(Arc::clone(&store) as Arc<dyn Store>);
+        let rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn Store>);
         rt.deploy_source(PAY).unwrap();
         std::thread::scope(|scope| {
             for _ in 0..4 {
@@ -1212,7 +1223,7 @@ mod tests {
                 }
             });
         });
-        let recovered = SharedRuntime::open(store).unwrap();
+        let recovered = Runtime::open(store).unwrap();
         assert_eq!(recovered.snapshot(), rt.snapshot());
         assert_eq!(recovered.instances().len(), 200);
     }
@@ -1221,39 +1232,31 @@ mod tests {
     const GUARDED: &str = "workflow guarded { graph invoice * approve; deadline(approve, 1h); }";
 
     #[test]
-    fn shared_timers_match_the_single_runtime() {
-        let shared = SharedRuntime::new();
-        let plain = Runtime::new();
+    fn timers_arm_expire_and_settle() {
+        let rt = Runtime::new();
         for src in [TIMED, GUARDED] {
-            shared.deploy_source(src).unwrap();
-            plain.deploy_source(src).unwrap();
+            rt.deploy_source(src).unwrap();
         }
-        let t = shared.start("timed").unwrap();
-        assert_eq!(t, plain.start("timed").unwrap());
-        let g = shared.start("guarded").unwrap();
-        assert_eq!(g, plain.start("guarded").unwrap());
-        assert_eq!(shared.pending_timer_count(), plain.pending_timer_count());
-        assert_eq!(shared.next_timer_due(), plain.next_timer_due());
-        shared.fire(t, "invoice").unwrap();
-        plain.fire(t, "invoice").unwrap();
-        assert_eq!(shared.snapshot(), plain.snapshot());
+        let t = rt.start("timed").unwrap();
+        let g = rt.start("guarded").unwrap();
+        assert_eq!(rt.pending_timer_count(), 2);
+        assert_eq!(rt.next_timer_due(), Some(30_000));
+        rt.fire(t, "invoice").unwrap();
         assert_eq!(
-            shared.advance(30_000).unwrap(),
-            plain.advance(30_000).unwrap()
+            rt.advance(30_000).unwrap(),
+            vec![(t, "approve@after30000".to_owned())]
         );
-        assert_eq!(shared.clock_ms(), 30_000);
-        assert_eq!(shared.pending_timers(t).unwrap(), Vec::new());
+        assert_eq!(rt.clock_ms(), 30_000);
+        assert_eq!(rt.pending_timers(t).unwrap(), Vec::new());
         assert_eq!(
-            shared.pending_timers(g).unwrap(),
-            plain.pending_timers(g).unwrap()
+            rt.pending_timers(g).unwrap(),
+            vec![("approve@deadline3600000".to_owned(), 3_600_000)]
         );
-        // The guarded deadline is satisfied by its base event on both.
-        shared.fire(g, "invoice").unwrap();
-        plain.fire(g, "invoice").unwrap();
-        shared.fire(g, "approve").unwrap();
-        plain.fire(g, "approve").unwrap();
-        assert!(shared.pending_timers(g).unwrap().is_empty());
-        assert_eq!(shared.snapshot(), plain.snapshot());
+        // The guarded deadline is satisfied by its base event.
+        rt.fire(g, "invoice").unwrap();
+        rt.fire(g, "approve").unwrap();
+        assert!(rt.pending_timers(g).unwrap().is_empty());
+        assert_eq!(rt.pending_timer_count(), 0);
     }
 
     #[test]
@@ -1263,35 +1266,22 @@ mod tests {
         const FAR: &str = "workflow w { graph a * b; after(b, 4611686018427387904ms); }";
         const TICK: &str = "b@after4611686018427387904";
         let (tx, rx) = std::sync::mpsc::channel();
-        let single = tx.clone();
         std::thread::spawn(move || {
             let rt = Runtime::new();
             rt.deploy_source(FAR).unwrap();
             let id = rt.start("w").unwrap();
             let fired = rt.advance(1 << 62).unwrap() == vec![(id, TICK.to_owned())];
-            single
-                .send(("Runtime", fired && rt.clock_ms() == 1 << 62))
-                .unwrap();
+            tx.send(fired && rt.clock_ms() == 1 << 62).unwrap();
         });
-        std::thread::spawn(move || {
-            let rt = SharedRuntime::new();
-            rt.deploy_source(FAR).unwrap();
-            let id = rt.start("w").unwrap();
-            let fired = rt.advance(1 << 62).unwrap() == vec![(id, TICK.to_owned())];
-            tx.send(("SharedRuntime", fired && rt.clock_ms() == 1 << 62))
-                .unwrap();
-        });
-        for _ in 0..2 {
-            let (holder, fired) = rx
-                .recv_timeout(std::time::Duration::from_secs(5))
-                .expect("advance returns");
-            assert!(fired, "{holder}: the far tick fires at its due");
-        }
+        let fired = rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("advance returns");
+        assert!(fired, "the far tick fires at its due");
     }
 
     #[test]
     fn shared_cancel_timer_disarms_and_rejects_unknowns() {
-        let rt = SharedRuntime::new();
+        let rt = Runtime::new();
         rt.deploy_source(TIMED).unwrap();
         let id = rt.start("timed").unwrap();
         assert_eq!(
@@ -1308,7 +1298,7 @@ mod tests {
 
     #[test]
     fn concurrent_advances_fire_each_timer_exactly_once() {
-        let rt = SharedRuntime::new();
+        let rt = Runtime::new();
         rt.deploy_source(TIMED).unwrap();
         let n = 64u64;
         let ids: Vec<_> = (0..n).map(|_| rt.start("timed").unwrap()).collect();
@@ -1345,7 +1335,7 @@ mod tests {
         let store = Arc::new(MemStore::new());
         let snap_before;
         {
-            let rt = SharedRuntime::with_store(Arc::clone(&store) as Arc<dyn Store>);
+            let rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn Store>);
             rt.deploy_source(TIMED).unwrap();
             let id = rt.start("timed").unwrap();
             rt.fire(id, "invoice").unwrap();
@@ -1362,7 +1352,7 @@ mod tests {
             .position(|r| matches!(r, ctr_store::Record::Start { .. }))
             .expect("start record present");
         assert!(arm < start, "arm-before-visible: {records:?}");
-        let rt = SharedRuntime::open(store).unwrap();
+        let rt = Runtime::open(store).unwrap();
         assert_eq!(rt.snapshot(), snap_before);
         assert_eq!(
             rt.pending_timers(0).unwrap(),
@@ -1377,7 +1367,7 @@ mod tests {
     fn shared_timer_fires_are_durable_and_survive_checkpoint() {
         use ctr_store::MemStore;
         let store = Arc::new(MemStore::new());
-        let rt = SharedRuntime::with_store(Arc::clone(&store) as Arc<dyn Store>);
+        let rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn Store>);
         rt.deploy_source(TIMED).unwrap();
         rt.deploy_source(GUARDED).unwrap();
         let t = rt.start("timed").unwrap();
@@ -1388,7 +1378,7 @@ mod tests {
         rt.fire(g, "invoice").unwrap();
         let snap = rt.snapshot();
         drop(rt);
-        let rt = SharedRuntime::open(store).unwrap();
+        let rt = Runtime::open(store).unwrap();
         assert_eq!(rt.snapshot(), snap);
         assert_eq!(rt.clock_ms(), 0, "clock is not part of the snapshot");
         // The surviving deadline still expires (files past-due on the
@@ -1399,7 +1389,7 @@ mod tests {
 
     #[test]
     fn unknown_ids_and_names_error() {
-        let rt = SharedRuntime::new();
+        let rt = Runtime::new();
         assert_eq!(
             rt.start("ghost"),
             Err(RuntimeError::UnknownWorkflow("ghost".to_owned()))
@@ -1444,28 +1434,22 @@ mod tests {
             rt.snapshot()
         };
         let text = format!("{plain}instance {FAR} of pay [running]: invoice\n");
-        let plain = Runtime::restore(&text).unwrap();
-        let shared = SharedRuntime::restore(&text).unwrap();
-        assert_eq!(shared.snapshot(), text);
-        let table: usize = shared.inner.shards.iter().map(Shard::table_bytes).sum();
+        let rt = Runtime::restore(&text).unwrap();
+        assert_eq!(rt.snapshot(), text);
+        let table: usize = rt.inner.shards.iter().map(Shard::table_bytes).sum();
         assert!(table < 1 << 20, "{table} B of table for two instances");
-        assert_eq!(lock(&shared.inner.shard(FAR).gate).overflow.len(), 1);
+        assert_eq!(lock(&rt.inner.shard(FAR).gate).overflow.len(), 1);
         // The far instance and its successors work like any other.
-        assert_eq!(shared.fire(FAR, "approve"), plain.fire(FAR, "approve"));
-        assert_eq!(shared.start("pay"), Ok(FAR + 1));
-        assert_eq!(plain.start("pay"), Ok(FAR + 1));
+        assert_eq!(rt.fire(FAR, "approve"), Ok(InstanceStatus::Running));
+        assert_eq!(rt.start("pay"), Ok(FAR + 1));
         let burst = [(FAR + 1, "invoice"), (FAR, "file"), (0, "invoice")];
-        let one_by_one: Vec<FireOutcome> = burst
-            .iter()
-            .map(|&(id, event)| {
-                plain
-                    .fire(id, event)
-                    .map_or_else(FireOutcome::Rejected, FireOutcome::Fired)
-            })
-            .collect();
-        assert_eq!(shared.fire_many(&burst), one_by_one);
-        assert_eq!(shared.instances(), plain.instances());
-        assert_eq!(shared.snapshot(), plain.snapshot());
+        use InstanceStatus::{Completed, Running};
+        assert_eq!(
+            rt.fire_many(&burst),
+            [Running, Completed, Running].map(FireOutcome::Fired)
+        );
+        assert_eq!(rt.instances(), vec![0, FAR, FAR + 1]);
+        assert_eq!(rt.journal(FAR).unwrap(), ["invoice", "approve", "file"]);
     }
 
     const INSTANT: &str = "workflow instant { graph go * done; after(go, 0ms); }";
@@ -1473,7 +1457,7 @@ mod tests {
 
     #[test]
     fn advance_waits_out_a_start_that_has_armed_but_not_published() {
-        let rt = SharedRuntime::new();
+        let rt = Runtime::new();
         rt.deploy_source(INSTANT).unwrap();
         // `start`, stopped between arming the wheel and publishing.
         let deployment = rt.inner.deployment("instant").unwrap();
@@ -1498,10 +1482,10 @@ mod tests {
 
     /// `start` on one thread against `advance` on another, over a
     /// workflow whose timer is due the moment it is armed.
-    fn starts_racing_advances(store: Option<Arc<FaultyStore>>) {
-        let rt = match &store {
-            Some(store) => SharedRuntime::with_store(Arc::clone(store) as Arc<dyn Store>),
-            None => SharedRuntime::new(),
+    fn starts_racing_advances(fs: Option<Arc<SimFs>>) {
+        let rt = match &fs {
+            Some(fs) => Runtime::with_store(wal_on(fs)),
+            None => Runtime::new(),
         };
         rt.deploy_source(INSTANT).unwrap();
         let done = std::sync::atomic::AtomicBool::new(false);
@@ -1509,8 +1493,10 @@ mod tests {
             let starting = scope.spawn(|| {
                 let mut ids = Vec::new();
                 for i in 0..3_000 {
-                    if let Some(store) = &store {
-                        store.fail.store(i % 5 == 4, Ordering::Relaxed);
+                    match &fs {
+                        Some(fs) if i % 5 == 4 => fs.inject(Some(Op::Append), 0, Fault::Eio, true),
+                        Some(fs) => fs.heal(),
+                        None => {}
                     }
                     ids.extend(rt.start("instant"));
                 }
@@ -1529,8 +1515,8 @@ mod tests {
             let (fired, clock) = advancing.join().unwrap();
             (starting.join().unwrap(), fired, clock)
         });
-        if let Some(store) = &store {
-            store.fail.store(false, Ordering::Relaxed);
+        if let Some(fs) = &fs {
+            fs.heal();
         }
         for _ in 0..2 {
             clock += 1;
@@ -1541,12 +1527,11 @@ mod tests {
         for &id in &ids {
             assert_eq!(rt.journal(id).unwrap(), vec![TICK], "instance {id}");
         }
-        match store {
+        match fs {
             // An advance that fails reports nothing of what it fired.
-            Some(store) => {
+            Some(fs) => {
                 assert!(fired <= ids.len());
-                let recovered = SharedRuntime::open(store as Arc<dyn Store>).unwrap();
-                assert_eq!(recovered.snapshot(), rt.snapshot());
+                assert_eq!(recovered(&fs).snapshot(), rt.snapshot());
             }
             None => assert_eq!(fired, ids.len(), "every timer fired exactly once"),
         }
@@ -1559,9 +1544,6 @@ mod tests {
 
     #[test]
     fn starts_racing_advances_survive_store_failures() {
-        starts_racing_advances(Some(Arc::new(FaultyStore {
-            inner: ctr_store::MemStore::new(),
-            fail: std::sync::atomic::AtomicBool::new(false),
-        })));
+        starts_racing_advances(Some(SimFs::new(1)));
     }
 }

@@ -2,7 +2,7 @@
 //! pipelining on one connection, protocol-fault handling, and clean
 //! shutdown with idle connections open.
 
-use ctr_runtime::SharedRuntime;
+use ctr_runtime::Runtime;
 use ctr_serve::protocol::{self, FaultCode};
 use ctr_serve::{
     Client, ClientError, Request, Response, ServeOptions, Server, WireOutcome, WireStatus,
@@ -13,7 +13,7 @@ use std::net::{SocketAddr, TcpStream};
 const PAY: &str = "workflow pay { graph invoice * (approve + reject) * file; }";
 
 fn spawn(
-    runtime: SharedRuntime,
+    runtime: Runtime,
 ) -> (
     SocketAddr,
     ctr_serve::ServerHandle,
@@ -28,7 +28,7 @@ fn spawn(
 
 #[test]
 fn every_verb_round_trips_and_shutdown_is_clean() {
-    let rt = SharedRuntime::new();
+    let rt = Runtime::new();
     let (addr, _handle, join) = spawn(rt.clone());
 
     // An idle second connection must not block shutdown.
@@ -73,9 +73,9 @@ fn every_verb_round_trips_and_shutdown_is_clean() {
 
 #[test]
 fn pipelined_burst_over_one_connection_matches_in_process() {
-    let served = SharedRuntime::new();
+    let served = Runtime::new();
     let (addr, handle, join) = spawn(served.clone());
-    let local = SharedRuntime::new();
+    let local = Runtime::new();
 
     let mut client = Client::connect(addr).unwrap();
     client.deploy(PAY).unwrap();
@@ -143,7 +143,7 @@ fn pipelined_burst_over_one_connection_matches_in_process() {
 
 #[test]
 fn a_corrupt_frame_gets_a_typed_error_then_the_connection_closes() {
-    let rt = SharedRuntime::new();
+    let rt = Runtime::new();
     rt.deploy_source(PAY).unwrap();
     let id = rt.start("pay").unwrap();
     let (addr, handle, join) = spawn(rt.clone());
@@ -203,7 +203,7 @@ fn write_then_read_to_eof(addr: SocketAddr, bytes: &[u8]) -> Vec<Response> {
 
 #[test]
 fn a_bad_name_deep_in_a_batch_commits_nothing_of_its_frame() {
-    let rt = SharedRuntime::new();
+    let rt = Runtime::new();
     rt.deploy_source(PAY).unwrap();
     let id = rt.start("pay").unwrap();
     let (addr, handle, join) = spawn(rt.clone());
@@ -254,7 +254,7 @@ fn a_bad_name_deep_in_a_batch_commits_nothing_of_its_frame() {
 
 #[test]
 fn handle_shutdown_unblocks_a_server_with_no_traffic() {
-    let (_, handle, join) = spawn(SharedRuntime::new());
+    let (_, handle, join) = spawn(Runtime::new());
     handle.shutdown();
     join.join().unwrap().unwrap();
 }

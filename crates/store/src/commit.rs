@@ -369,19 +369,14 @@ impl WalInner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::{Fault, Op, SimFs};
     use crate::wal::{WalOptions, WalStore};
     use crate::{Store, StoreError};
-    use std::fs;
-    use std::path::PathBuf;
-    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
-    fn scratch(tag: &str) -> PathBuf {
-        static N: AtomicU64 = AtomicU64::new(0);
-        let n = N.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("ctr-commit-{tag}-{}-{n}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        dir
+    /// A store over `fs`, opened on the same root every time.
+    fn open(fs: &Arc<SimFs>, options: WalOptions) -> WalStore {
+        WalStore::open_on(fs.clone(), "wal", options).unwrap()
     }
 
     fn ev(instance: u64, name: &str) -> Record {
@@ -399,13 +394,16 @@ mod tests {
         }
     }
 
+    /// Coalescing comes from sync latency: appends that stage while a
+    /// leader syncs share the next group.
     #[test]
     fn coalesced_appends_share_fsyncs_across_threads() {
-        let dir = scratch("coalesce");
+        let fs = SimFs::new(1);
+        fs.set_sync_latency(Duration::from_millis(5));
         let options = one_stripe(Durability::Coalesced {
             max_wait: Duration::from_millis(250),
         });
-        let store = Arc::new(WalStore::open_with(&dir, options).unwrap());
+        let store = Arc::new(open(&fs, options));
         std::thread::scope(|scope| {
             for t in 0..4u64 {
                 let store = &store;
@@ -421,18 +419,17 @@ mod tests {
         );
         assert!(stats.fsyncs >= 1);
         drop(store);
-        let store = WalStore::open_with(&dir, options).unwrap();
+        let store = open(&fs.reboot(), options);
         assert_eq!(store.replay().unwrap().records.len(), 4);
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn strict_appends_from_many_threads_are_all_durable() {
         const THREADS: u64 = 4;
         const EACH: u64 = 25;
-        let dir = scratch("strict-threads");
+        let fs = SimFs::new(2);
         let options = one_stripe(Durability::Strict);
-        let store = WalStore::open_with(&dir, options).unwrap();
+        let store = open(&fs, options);
         std::thread::scope(|scope| {
             for t in 0..THREADS {
                 let store = &store;
@@ -453,7 +450,7 @@ mod tests {
         );
         drop(store);
         // Every acknowledged record is back, each thread's in its order.
-        let store = WalStore::open_with(&dir, options).unwrap();
+        let store = open(&fs.reboot(), options);
         let records = store.replay().unwrap().records;
         assert_eq!(records.len() as u64, THREADS * EACH);
         for t in 0..THREADS {
@@ -463,54 +460,51 @@ mod tests {
             let sent: Vec<Record> = (0..EACH).map(|i| ev(t, &format!("e{i}"))).collect();
             assert_eq!(mine, sent.iter().collect::<Vec<_>>(), "thread {t}");
         }
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn periodic_acknowledges_before_durable_and_flushes_on_drop() {
-        let dir = scratch("periodic-drop");
+        let fs = SimFs::new(3);
         // An interval far beyond the test: only the Drop flush syncs.
         let options = one_stripe(Durability::Periodic {
             interval: Duration::from_secs(3600),
         });
-        let store = WalStore::open_with(&dir, options).unwrap();
+        let store = open(&fs, options);
         store.append(&ev(0, "a")).unwrap();
         store.append(&ev(0, "b")).unwrap();
         assert_eq!(store.stats().appends, 2, "acknowledged at staging time");
         assert_eq!(store.stats().fsyncs, 0, "nothing synced yet");
         drop(store);
-        let store = WalStore::open_with(&dir, options).unwrap();
+        let store = open(&fs.reboot(), options);
         assert_eq!(
             store.replay().unwrap().records,
             vec![ev(0, "a"), ev(0, "b")],
             "drop flushed the staged window"
         );
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn periodic_background_syncer_drains_within_the_interval() {
-        let dir = scratch("periodic-sync");
+        let fs = SimFs::new(4);
         let options = one_stripe(Durability::Periodic {
             interval: Duration::from_millis(2),
         });
-        let store = WalStore::open_with(&dir, options).unwrap();
+        let store = open(&fs, options);
         store.append(&ev(0, "a")).unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
         while store.stats().fsyncs == 0 {
             assert!(Instant::now() < deadline, "syncer never drained the queue");
             std::thread::sleep(Duration::from_millis(1));
         }
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn one_group_write_records_its_size_in_the_histogram() {
-        let dir = scratch("grouphist");
+        let fs = SimFs::new(5);
         let options = one_stripe(Durability::Periodic {
             interval: Duration::from_secs(3600),
         });
-        let store = WalStore::open_with(&dir, options).unwrap();
+        let store = open(&fs, options);
         for i in 0..4u64 {
             store.append(&ev(0, &format!("e{i}"))).unwrap();
         }
@@ -524,23 +518,22 @@ mod tests {
         // Bucket 2 covers group sizes 4..8.
         assert_eq!(stats.group_size_hist[2], 1, "{:?}", stats.group_size_hist);
         assert!(stats.fsync_p50_micros() <= stats.fsync_p99_micros());
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn leader_failure_fails_every_waiter_then_the_stripe_repairs() {
-        let dir = scratch("leaderfail");
+        let fs = SimFs::new(6);
         let options = one_stripe(Durability::Coalesced {
             max_wait: Duration::from_millis(100),
         });
-        let store = Arc::new(WalStore::open_with(&dir, options).unwrap());
+        let store = Arc::new(open(&fs, options));
         store.append(&ev(0, "durable")).unwrap();
 
-        // Every group write fails (with a real partial frame written)
-        // until the hook is cleared — however the racing appends below
-        // group themselves, each one's group fails and each waiter must
-        // get the typed error.
-        store.inner().fail_writes.store(u32::MAX, Ordering::Relaxed);
+        // Every group write fails, leaving a partial frame behind, until
+        // the fault heals — however the racing appends below group
+        // themselves, each one's group fails and each waiter must get
+        // the typed error.
+        fs.inject(Some(Op::Append), 0, Fault::ShortWrite, true);
         let failures: Vec<StoreError> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..3u64)
                 .map(|t| {
@@ -560,27 +553,26 @@ mod tests {
 
         // The stripe repaired itself: the next append lands with no
         // partial frame ahead of it, and recovery sees no torn bytes.
-        store.inner().fail_writes.store(0, Ordering::Relaxed);
+        fs.heal();
         store.append(&ev(0, "after")).unwrap();
         drop(store);
-        let store = WalStore::open_with(&dir, options).unwrap();
+        let store = open(&fs.reboot(), options);
         assert_eq!(store.stats().torn_bytes, 0, "no injected garbage survived");
         assert_eq!(
             store.replay().unwrap().records,
             vec![ev(0, "durable"), ev(0, "after")]
         );
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn periodic_sync_failure_latches_until_reopen() {
-        let dir = scratch("stickylatch");
+        let fs = SimFs::new(7);
         // Huge interval: the background syncer never runs, so the only
         // sync points are the deterministic quiesces below.
         let options = one_stripe(Durability::Periodic {
             interval: Duration::from_secs(3600),
         });
-        let store = WalStore::open_with(&dir, options).unwrap();
+        let store = open(&fs, options);
         store.append(&ev(0, "durable")).unwrap();
         // The first replay hands back the open-time scan without
         // touching the pipeline; the second quiesces, committing
@@ -592,7 +584,7 @@ mod tests {
         // time, then the quiesce inside replay hits the injected write
         // error, truncates the stripe back to the acknowledged tail,
         // and latches the sticky error.
-        store.inner().fail_writes.store(u32::MAX, Ordering::Relaxed);
+        fs.inject(Some(Op::Append), 0, Fault::ShortWrite, true);
         store.append(&ev(0, "doomed")).unwrap();
         assert_eq!(store.replay().unwrap().records, vec![ev(0, "durable")]);
 
@@ -601,7 +593,7 @@ mod tests {
         // appender that got one `Ok` never looks back. Pre-fix, the
         // `take()` meant only the first of these three observed the
         // error and the other two were silently acknowledged.
-        store.inner().fail_writes.store(0, Ordering::Relaxed);
+        fs.heal();
         for i in 0..3 {
             let err = store.append(&ev(0, &format!("latched{i}"))).unwrap_err();
             assert!(matches!(err, StoreError::Io(_)), "append {i}: {err:?}");
@@ -610,23 +602,22 @@ mod tests {
         // Explicit reopen is the repair: it rescans the segments and
         // starts a fresh pipeline, and appends flow again.
         drop(store);
-        let store = WalStore::open_with(&dir, options).unwrap();
+        let store = open(&fs, options);
         store.append(&ev(0, "after")).unwrap();
         let _ = store.replay().unwrap();
         assert_eq!(
             store.replay().unwrap().records,
             vec![ev(0, "durable"), ev(0, "after")]
         );
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn checkpoint_quiesces_a_relaxed_pipeline_before_cutting() {
-        let dir = scratch("ckptflush");
+        let fs = SimFs::new(8);
         let options = one_stripe(Durability::Periodic {
             interval: Duration::from_secs(3600),
         });
-        let store = WalStore::open_with(&dir, options).unwrap();
+        let store = open(&fs, options);
         store.append(&ev(0, "staged")).unwrap();
         // The staged frame is acknowledged but not yet durable; the
         // checkpoint must flush it before choosing the cut, or its
@@ -634,10 +625,9 @@ mod tests {
         store.checkpoint("snap").unwrap();
         store.append(&ev(0, "after")).unwrap();
         drop(store);
-        let store = WalStore::open_with(&dir, options).unwrap();
+        let store = open(&fs.reboot(), options);
         let replay = store.replay().unwrap();
         assert_eq!(replay.snapshot.as_deref(), Some("snap"));
         assert_eq!(replay.records, vec![ev(0, "after")]);
-        fs::remove_dir_all(&dir).ok();
     }
 }

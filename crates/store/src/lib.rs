@@ -36,14 +36,22 @@
 //!   [`commit`]), tunable [`Durability`], snapshot compaction, and
 //!   torn-tail crash recovery.
 //!
+//! The WAL reaches the disk only through [`Fs`]: [`OsFs`] in
+//! production, [`sim::SimFs`] — a seeded in-memory file system that
+//! crashes at any operation and fails the operations it is told to — in
+//! every test that fails or crashes the store.
+//!
 //! The crate is deliberately independent of the runtime: records carry
 //! plain strings, so the store can be tested, fuzzed, and benchmarked
 //! without compiling a single workflow.
 
 pub mod commit;
+pub mod fs;
+pub mod sim;
 pub mod wal;
 
 pub use commit::Durability;
+pub use fs::{Fs, OsFs, Segment};
 pub use wal::{WalOptions, WalStore};
 
 use std::collections::BTreeMap;

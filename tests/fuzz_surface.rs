@@ -98,7 +98,7 @@ fn assert_timer_lines_are_declared_ticks(snapshot: &str) {
 /// completion and snapshots back to the same bytes.
 #[test]
 fn far_channel_ids_restore_deploy_and_run() {
-    use ctr_runtime::{InstanceStatus, Runtime, SharedRuntime};
+    use ctr_runtime::{InstanceStatus, Runtime};
     let run = |rt: &mut Runtime, events: &[&str]| {
         let id = rt.start("w").unwrap();
         for event in events {
@@ -107,10 +107,6 @@ fn far_channel_ids_restore_deploy_and_run() {
         assert_eq!(rt.try_complete(id).unwrap(), InstanceStatus::Completed);
         let snapshot = rt.snapshot();
         assert_eq!(Runtime::restore(&snapshot).unwrap().snapshot(), snapshot);
-        assert_eq!(
-            SharedRuntime::restore(&snapshot).unwrap().snapshot(),
-            snapshot
-        );
     };
     for line in FAR_CHANNELS {
         let text = format!("ctr-runtime snapshot v1\n{line}\n");
@@ -139,7 +135,7 @@ fn hostile_nesting() -> String {
 /// comes in through, on this default-stack test thread.
 #[test]
 fn hostile_nesting_is_a_typed_error_wherever_text_enters() {
-    use ctr_runtime::{Runtime, RuntimeError, SharedRuntime};
+    use ctr_runtime::{Runtime, RuntimeError};
     let deep = hostile_nesting();
     let spec = format!("workflow deep {{ graph {deep}; }}");
     for error in [
@@ -156,18 +152,10 @@ fn hostile_nesting_is_a_typed_error_wherever_text_enters() {
         Runtime::new().deploy_source(&spec),
         Err(RuntimeError::Parse(e)) if refused(&e)
     ));
-    assert!(matches!(
-        SharedRuntime::new().deploy_source(&spec),
-        Err(RuntimeError::Parse(e)) if refused(&e)
-    ));
     // The same text as a snapshot's workflow line.
     let snapshot = format!("ctr-runtime snapshot v1\nworkflow deep := {deep}\n");
     assert!(matches!(
         Runtime::restore(&snapshot),
-        Err(RuntimeError::Snapshot(e)) if refused(&e)
-    ));
-    assert!(matches!(
-        SharedRuntime::restore(&snapshot),
         Err(RuntimeError::Snapshot(e)) if refused(&e)
     ));
 }
@@ -214,11 +202,11 @@ fn the_deepest_accepted_nesting_runs_through_every_pass() {
 /// the compiled goal 130 deep. That printed goal is the deploy record and
 /// the snapshot line, so the deploy used to be acknowledged and every
 /// later open of the store failed on its own record. The deploy is refused
-/// with a typed error under both holders (a `Spec` fault over the wire),
-/// appends nothing, and the store that saw the refusal still opens.
+/// with a typed error (a `Spec` fault over the wire), appends nothing,
+/// and the store that saw the refusal still opens.
 #[test]
 fn a_deploy_that_would_not_read_back_is_refused() {
-    use ctr_runtime::{Runtime, RuntimeError, SharedRuntime, WalStore};
+    use ctr_runtime::{Runtime, RuntimeError, WalStore};
     use ctr_serve::{Fault, FaultCode};
     use std::sync::Arc;
     const PAY: &str = "workflow pay { graph invoice * (approve + reject) * file; }";
@@ -251,15 +239,11 @@ fn a_deploy_that_would_not_read_back_is_refused() {
         rt.fire(id, "invoice").unwrap();
     }
     {
-        let rt = SharedRuntime::open(wal()).unwrap();
+        let rt = Runtime::open(wal()).unwrap();
         refused(rt.deploy_source(&deep).unwrap_err());
         assert_eq!(rt.workflows(), ["pay"]);
         let snapshot = rt.snapshot();
         assert_eq!(Runtime::restore(&snapshot).unwrap().snapshot(), snapshot);
-        assert_eq!(
-            SharedRuntime::restore(&snapshot).unwrap().snapshot(),
-            snapshot
-        );
     }
     let rt = Runtime::open(wal()).unwrap();
     assert_eq!(rt.workflows(), ["pay"]);
@@ -278,7 +262,7 @@ fn a_deploy_that_would_not_read_back_is_refused() {
 /// `u64::MAX`, append its `Start`, and every later open failed.)
 #[test]
 fn start_refuses_the_id_recovery_would_refuse() {
-    use ctr_runtime::{MemStore, Runtime, RuntimeError, SharedRuntime, Store, WalStore};
+    use ctr_runtime::{MemStore, Runtime, RuntimeError, Store, WalStore};
     use std::sync::Arc;
     const LAST: u64 = u64::MAX - 1;
     const TIMED: &str = "workflow timed { graph invoice * approve * file; deadline(approve, 1h); }";
@@ -299,28 +283,21 @@ fn start_refuses_the_id_recovery_would_refuse() {
             store.checkpoint(&snapshot).unwrap();
         }
         assert_eq!(records(), 0, "the checkpoint covers everything");
-        macro_rules! refused {
-            ($holder:ty) => {{
-                #[allow(unused_mut)]
-                let mut rt = <$holder>::open(reopen()).unwrap();
-                assert_eq!(rt.instances(), [LAST]);
-                let before = (rt.snapshot(), rt.pending_timer_count());
-                for _ in 0..2 {
-                    assert_eq!(rt.start("timed"), Err(RuntimeError::InstanceIdsExhausted));
-                    assert_eq!((rt.snapshot(), rt.pending_timer_count()), before);
-                }
-                drop(rt);
-                assert_eq!(records(), 0, "a refused start appends nothing");
-            }};
+        let rt = Runtime::open(reopen()).unwrap();
+        assert_eq!(rt.instances(), [LAST]);
+        let before = (rt.snapshot(), rt.pending_timer_count());
+        for _ in 0..2 {
+            assert_eq!(rt.start("timed"), Err(RuntimeError::InstanceIdsExhausted));
+            assert_eq!((rt.snapshot(), rt.pending_timer_count()), before);
         }
-        refused!(Runtime);
-        refused!(SharedRuntime);
-        // The instance the store holds goes on, durably, under both.
+        drop(rt);
+        assert_eq!(records(), 0, "a refused start appends nothing");
+        // The instance the store holds goes on, durably, across reopens.
         let rt = Runtime::open(reopen()).unwrap();
         rt.fire(LAST, "approve").unwrap();
         assert_eq!(rt.start("timed"), Err(RuntimeError::InstanceIdsExhausted));
         drop(rt);
-        let rt = SharedRuntime::open(reopen()).unwrap();
+        let rt = Runtime::open(reopen()).unwrap();
         rt.fire(LAST, "file").unwrap();
         assert_eq!(rt.start("timed"), Err(RuntimeError::InstanceIdsExhausted));
         drop(rt);
@@ -342,11 +319,11 @@ fn start_refuses_the_id_recovery_would_refuse() {
 /// orphan arm is dropped. Each doctored line used to be armed as it
 /// stood: an ordinary event then "expired" into the journal as an
 /// activity nobody performed, a repeated line armed its tick twice.
-/// Refusal is an `Err` from `restore` and `open` alike, under both
-/// holders: no runtime comes back, so nothing is armed.
+/// Refusal is an `Err` from `restore` and `open` alike: no runtime comes
+/// back, so nothing is armed.
 #[test]
 fn a_doctored_timer_line_is_refused_not_armed() {
-    use ctr_runtime::{MemStore, Runtime, RuntimeError, SharedRuntime, Store, WalStore};
+    use ctr_runtime::{MemStore, Runtime, RuntimeError, Store, WalStore};
     use std::sync::Arc;
     const DEADLINE: &str = "timer 0 approve@deadline3600000 due 3600000\n";
     const AFTER: &str = "timer 1 b@after5000 due 5000\n";
@@ -375,39 +352,29 @@ fn a_doctored_timer_line_is_refused_not_armed() {
 
     // `reopen` hands out the store afresh; no two handles live at once.
     let check = |reopen: &dyn Fn() -> Arc<dyn Store>| {
-        macro_rules! holder {
-            ($holder:ty) => {{
-                for text in &doctored {
-                    reopen().checkpoint(text).unwrap();
-                    for refused in [
-                        <$holder>::restore(text).err(),
-                        <$holder>::open(reopen()).err(),
-                    ] {
-                        assert!(
-                            matches!(refused, Some(RuntimeError::Snapshot(_))),
-                            "{refused:?} for\n{text}"
-                        );
-                    }
-                    assert_eq!(reopen().replay().unwrap().records.len(), 0);
-                }
-                reopen().checkpoint(&snapshot).unwrap();
-                for rt in [<$holder>::restore(&snapshot), <$holder>::open(reopen())] {
-                    #[allow(unused_mut)]
-                    let mut rt = rt.unwrap();
-                    assert_eq!(rt.snapshot(), snapshot);
-                    assert_eq!(rt.pending_timer_count(), 2);
-                    assert_eq!(
-                        rt.advance(4_000_000).unwrap(),
-                        [
-                            (1, "b@after5000".to_owned()),
-                            (0, "approve@deadline3600000".to_owned())
-                        ]
-                    );
-                }
-            }};
+        for text in &doctored {
+            reopen().checkpoint(text).unwrap();
+            for refused in [Runtime::restore(text).err(), Runtime::open(reopen()).err()] {
+                assert!(
+                    matches!(refused, Some(RuntimeError::Snapshot(_))),
+                    "{refused:?} for\n{text}"
+                );
+            }
+            assert_eq!(reopen().replay().unwrap().records.len(), 0);
         }
-        holder!(Runtime);
-        holder!(SharedRuntime);
+        reopen().checkpoint(&snapshot).unwrap();
+        for rt in [Runtime::restore(&snapshot), Runtime::open(reopen())] {
+            let rt = rt.unwrap();
+            assert_eq!(rt.snapshot(), snapshot);
+            assert_eq!(rt.pending_timer_count(), 2);
+            assert_eq!(
+                rt.advance(4_000_000).unwrap(),
+                [
+                    (1, "b@after5000".to_owned()),
+                    (0, "approve@deadline3600000".to_owned())
+                ]
+            );
+        }
     };
 
     let mem: Arc<dyn Store> = Arc::new(MemStore::new());
@@ -566,7 +533,6 @@ proptest! {
         let at = pos.min(mangled.len());
         mangled.splice(at..at, noise);
         let text = String::from_utf8_lossy(&mangled);
-        let _ = ctr_runtime::SharedRuntime::restore(&text);
         // Accepted ⇒ canonical: what restore takes in, it writes back
         // as text that restores to the same bytes, and every timer it
         // armed is a tick of its instance's workflow, once.

@@ -309,7 +309,7 @@ mod cursor_oracle {
 /// a driver thread restore correctly at any point.
 #[test]
 fn concurrent_drive_and_snapshot() {
-    let rt = ctr_runtime::SharedRuntime::new();
+    let rt = ctr_runtime::Runtime::new();
     rt.deploy_source(SPEC).unwrap();
     let ids: Vec<_> = (0..6).map(|_| rt.start("claims").unwrap()).collect();
     let drivers: Vec<_> = ids

@@ -6,7 +6,7 @@
 //! must never reorder one instance's requests or leak one request's
 //! failure into another.
 
-use ctr_runtime::SharedRuntime;
+use ctr_runtime::Runtime;
 use ctr_serve::{Client, Request, Response, ServeOptions, Server};
 use proptest::prelude::*;
 
@@ -42,7 +42,7 @@ proptest! {
     ) {
         // Served side: one connection, every op pipelined into a
         // single flush so the server sees (up to) one big burst.
-        let served = SharedRuntime::new();
+        let served = Runtime::new();
         let server =
             Server::bind(served.clone(), "127.0.0.1:0", ServeOptions::default()).unwrap();
         let addr = server.local_addr();
@@ -54,7 +54,7 @@ proptest! {
         let wire_ids: Vec<u64> = (0..INSTANCES).map(|_| client.start("pay").unwrap()).collect();
 
         // In-process oracle: the same sequence, one call at a time.
-        let local = SharedRuntime::new();
+        let local = Runtime::new();
         local.deploy_source(PAY).unwrap();
         let local_ids: Vec<u64> = (0..INSTANCES).map(|_| local.start("pay").unwrap()).collect();
 
@@ -134,8 +134,7 @@ proptest! {
 /// connection, answers the next request.
 #[test]
 fn hostile_nesting_in_a_deploy_frame_is_a_typed_fault_and_the_server_lives() {
-    let server =
-        Server::bind(SharedRuntime::new(), "127.0.0.1:0", ServeOptions::default()).unwrap();
+    let server = Server::bind(Runtime::new(), "127.0.0.1:0", ServeOptions::default()).unwrap();
     let addr = server.local_addr();
     let handle = server.handle();
     let join = std::thread::spawn(move || server.run());
@@ -169,8 +168,7 @@ fn hostile_nesting_in_a_deploy_frame_is_a_typed_fault_and_the_server_lives() {
 /// constraints that conflict, as `ctr check` does.
 #[test]
 fn an_inconsistent_deploy_names_its_conflict_over_the_wire() {
-    let server =
-        Server::bind(SharedRuntime::new(), "127.0.0.1:0", ServeOptions::default()).unwrap();
+    let server = Server::bind(Runtime::new(), "127.0.0.1:0", ServeOptions::default()).unwrap();
     let addr = server.local_addr();
     let handle = server.handle();
     let join = std::thread::spawn(move || server.run());

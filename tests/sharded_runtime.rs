@@ -1,4 +1,4 @@
-//! Concurrency tests for the sharded `SharedRuntime`: random
+//! Concurrency tests for the sharded `Runtime`: random
 //! multi-threaded interleavings checked against the single-threaded
 //! replay oracle, and snapshot consistency under write storms.
 //!
@@ -9,9 +9,7 @@
 //! taken at any moment must parse and restore.
 
 use ctr_runtime::shared::SHARD_COUNT;
-use ctr_runtime::{
-    BurstScratch, FireOutcome, InstanceId, MemStore, Runtime, RuntimeError, SharedRuntime, Store,
-};
+use ctr_runtime::{BurstScratch, FireOutcome, InstanceId, MemStore, Runtime, RuntimeError, Store};
 use ctr_store::Record;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -70,7 +68,7 @@ proptest! {
         threads in 2usize..5,
         ops in 30usize..100,
     ) {
-        let rt = SharedRuntime::new();
+        let rt = Runtime::new();
         rt.deploy_source(SPEC).unwrap();
         // A shared pool of instances all threads race on; threads also
         // start fresh instances mid-run.
@@ -151,7 +149,7 @@ proptest! {
 /// tears an instance (journals in the snapshot are valid prefixes).
 #[test]
 fn snapshot_mid_storm_parses_and_restores() {
-    let rt = SharedRuntime::new();
+    let rt = Runtime::new();
     rt.deploy_source(SPEC).unwrap();
     let ids: Vec<_> = (0..16).map(|_| rt.start("claims").unwrap()).collect();
 
@@ -193,7 +191,7 @@ fn snapshot_mid_storm_parses_and_restores() {
 /// agrees with the `String` variant (which delegates to it).
 #[test]
 fn eligible_symbols_agrees_with_eligible() {
-    let rt = SharedRuntime::new();
+    let rt = Runtime::new();
     rt.deploy_source(SPEC).unwrap();
     let id = rt.start("claims").unwrap();
     loop {
@@ -215,61 +213,60 @@ fn eligible_symbols_agrees_with_eligible() {
 
 /// A snapshot whose ids have holes (burned ids), a gap wide enough to
 /// leave the dense table, and one far id restores into the same fleet
-/// as the single-threaded oracle: same ids in the same order, same
-/// bytes, and the same answers afterwards.
+/// as the oracle, the dense fleet the text was written from: instance
+/// `k` there is `ids[k]` here, with the same history, the same answers
+/// and, renumbered, the same bytes afterwards.
 #[test]
 fn restore_with_holes_and_a_far_id_matches_the_oracle() {
     const FAR: InstanceId = 1_099_511_627_776;
-    let ids: [InstanceId; 9] = [0, 1, 2, 40, 41, 5_000, 5_001, 5_017, FAR];
-    let dense = Runtime::new();
-    dense.deploy_source(SPEC).unwrap();
-    for k in 0..ids.len() {
-        let id = dense.start("claims").unwrap();
-        dense.fire_batch(id, &PATH[..k % PATH.len()]).unwrap();
+    let ids: [InstanceId; 10] = [0, 1, 2, 40, 41, 5_000, 5_001, 5_017, FAR, FAR + 1];
+    let oracle = Runtime::new();
+    oracle.deploy_source(SPEC).unwrap();
+    for k in 0..ids.len() - 1 {
+        let id = oracle.start("claims").unwrap();
+        oracle.fire_batch(id, &PATH[..k % PATH.len()]).unwrap();
     }
-    let text: String = dense
-        .snapshot()
-        .lines()
-        .map(|line| match line.strip_prefix("instance ") {
-            Some(rest) => {
-                let (k, rest) = rest.split_once(' ').unwrap();
-                format!("instance {} {rest}\n", ids[k.parse::<usize>().unwrap()])
-            }
-            None => format!("{line}\n"),
-        })
-        .collect();
+    // The oracle's snapshot with instance `k` renamed `ids[k]`.
+    let renumbered = || -> String {
+        (oracle.snapshot().lines())
+            .map(|line| match line.strip_prefix("instance ") {
+                Some(rest) => {
+                    let (k, rest) = rest.split_once(' ').unwrap();
+                    format!("instance {} {rest}\n", ids[k.parse::<usize>().unwrap()])
+                }
+                None => format!("{line}\n"),
+            })
+            .collect()
+    };
+    let text = renumbered();
 
-    let oracle = Runtime::restore(&text).unwrap();
-    let shared = SharedRuntime::restore(&text).unwrap();
-    assert_eq!(shared.instances(), ids);
-    assert_eq!(shared.instances(), oracle.instances());
-    assert_eq!(shared.snapshot(), text);
-    // Both sides run the same table, so the absolute referee is what
-    // the script fired.
-    for (k, &id) in ids.iter().enumerate() {
-        assert_eq!(shared.journal(id).unwrap(), PATH[..k % PATH.len()]);
-    }
-    for &id in &ids {
-        assert_eq!(shared.eligible(id), oracle.eligible(id), "instance {id}");
-        let next = oracle.journal(id).unwrap().len();
-        if let Some(event) = PATH.get(next) {
-            assert_eq!(shared.fire(id, event), oracle.fire(id, event));
+    let restored = Runtime::restore(&text).unwrap();
+    assert_eq!(restored.instances(), ids[..ids.len() - 1]);
+    assert_eq!(restored.snapshot(), text);
+    for (k, &id) in ids[..ids.len() - 1].iter().enumerate() {
+        let dense = k as InstanceId;
+        assert_eq!(restored.journal(id).unwrap(), PATH[..k % PATH.len()]);
+        assert_eq!(
+            restored.eligible(id),
+            oracle.eligible(dense),
+            "instance {id}"
+        );
+        if let Some(event) = PATH.get(k % PATH.len()) {
+            assert_eq!(restored.fire(id, event), oracle.fire(dense, event));
         }
     }
-    // Ids between and beyond the restored ones are unknown to both.
+    // Ids between and beyond the restored ones are unknown.
     for ghost in [3, 39, 4_999, 5_002, FAR - 16, FAR + 16, u64::MAX] {
-        assert_eq!(shared.status(ghost), oracle.status(ghost));
         assert_eq!(
-            shared.status(ghost),
+            restored.status(ghost),
             Err(RuntimeError::UnknownInstance(ghost))
         );
     }
-    let started = shared.start("claims");
-    assert_eq!(started, Ok(FAR + 1));
-    assert_eq!(started, oracle.start("claims"));
-    assert_eq!(shared.fire(FAR + 1, "file"), oracle.fire(FAR + 1, "file"));
-    assert_eq!(shared.instances(), oracle.instances());
-    assert_eq!(shared.snapshot(), oracle.snapshot());
+    let dense = oracle.start("claims").unwrap();
+    assert_eq!(restored.start("claims"), Ok(FAR + 1));
+    assert_eq!(restored.fire(FAR + 1, "file"), oracle.fire(dense, "file"));
+    assert_eq!(restored.instances(), ids);
+    assert_eq!(restored.snapshot(), renumbered());
 }
 
 /// Starters hand each id to a client thread the moment `start` returns
@@ -281,7 +278,7 @@ fn restore_with_holes_and_a_far_id_matches_the_oracle() {
 fn ids_resolve_as_soon_as_start_hands_them_out() {
     const PAIRS: u64 = 2;
     const EACH: u64 = 1_700;
-    let rt = SharedRuntime::new();
+    let rt = Runtime::new();
     rt.deploy_source("workflow two { graph a * b; }").unwrap();
     std::thread::scope(|scope| {
         for _ in 0..PAIRS {
@@ -320,8 +317,8 @@ const FLEET: u64 = 5 * SHARD_COUNT as u64;
 /// One complete execution of `SPEC`.
 const PATH: [&str; 5] = ["file", "triage", "verify_policy", "approve_claim", "notify"];
 
-fn fleet_with(store: Option<Arc<dyn Store>>) -> SharedRuntime {
-    let rt = store.map_or_else(SharedRuntime::new, SharedRuntime::with_store);
+fn fleet_with(store: Option<Arc<dyn Store>>) -> Runtime {
+    let rt = store.map_or_else(Runtime::new, Runtime::with_store);
     rt.deploy_source(SPEC).unwrap();
     for id in 0..FLEET {
         assert_eq!(rt.start("claims").unwrap(), id);
@@ -371,7 +368,7 @@ fn untried(events: usize, why: RuntimeError) -> Vec<FireOutcome> {
 }
 
 /// `fire_batch`, with an unknown id reported the way a burst reports it.
-fn one_batch(rt: &SharedRuntime, id: InstanceId, events: &[&str]) -> Vec<FireOutcome> {
+fn one_batch(rt: &Runtime, id: InstanceId, events: &[&str]) -> Vec<FireOutcome> {
     rt.fire_batch(id, events)
         .unwrap_or_else(|e| untried(events.len(), e))
 }
@@ -457,7 +454,7 @@ proptest! {
         prop_assert_eq!(by_runs.snapshot(), run_twin.snapshot());
         prop_assert_eq!(by_runs_into.snapshot(), run_twin.snapshot());
         prop_assert_eq!(by_pairs.snapshot(), pair_twin.snapshot());
-        let recovered = SharedRuntime::open(store as Arc<dyn Store>).unwrap();
+        let recovered = Runtime::open(store as Arc<dyn Store>).unwrap();
         prop_assert_eq!(recovered.snapshot(), run_twin.snapshot());
     }
 }

@@ -1,30 +1,31 @@
-//! Kill-recover property: crash the write-ahead store at a random byte
-//! offset inside the last operation's write, recover, and the replayed
-//! runtime must byte-match a never-crashed oracle.
+//! Kill-recover property: crash the write-ahead store, on a simulated
+//! file system, at one of the last operation's file-system calls,
+//! recover, and the replayed runtime must byte-match a never-crashed
+//! oracle.
 //!
 //! Every *tail-eligible* operation below replays all-or-nothing under
-//! a torn tail, so a tear inside the final operation's bytes
-//! invalidates exactly that operation: recovery lands on the state
-//! just before it. A tear that removes the whole frame — or no tear at
-//! all, when the operation wrote nothing — lands on the state just
-//! after it. Both are checked against an oracle [`Runtime`] that ran
-//! the corresponding prefix with no store attached.
+//! a torn tail, so a crash inside the final operation's writes lands
+//! recovery on the state just before it or just after it (the crash
+//! keeps a seeded prefix of what was not yet synced, possibly all of
+//! it); a crash past its last call lands on the state after it. Both
+//! are checked against an oracle [`Runtime`] that ran the
+//! corresponding prefix with no store attached.
 //!
 //! Most operations issue at most one store append (the group commit
 //! discipline). [`Op::Start`] on a timed workflow issues two
-//! (`TimerArm` write-ahead of `Start`), but any tear through the pair
+//! (`TimerArm` write-ahead of `Start`), but a crash through the pair
 //! erases the whole start: an arm whose start never landed is an
 //! orphan the recovery scan drops. The one genuine exception is
-//! [`Op::Advance`], which appends one `TimerFire` per expiry — a tear
+//! [`Op::Advance`], which appends one `TimerFire` per expiry — a crash
 //! mid-advance matches neither oracle state, so `Advance` appears only
-//! in prefixes, never as the torn final operation; the partial-advance
-//! crash gets its own dedicated exactly-once property below instead.
+//! in prefixes, never as the crashed final operation; the
+//! partial-advance crash gets its own dedicated exactly-once property
+//! below instead.
 
-use ctr_runtime::{Runtime, WalStore};
+use ctr_runtime::{Runtime, RuntimeError, Store, WalStore};
+use ctr_store::sim::SimFs;
+use ctr_store::WalOptions;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const SPECS: [(&str, &str); 3] = [
@@ -44,7 +45,7 @@ const SPECS: [(&str, &str); 3] = [
 const TIMED: usize = 2;
 
 /// One session operation. Each variant performs at most one store
-/// append when applied, which is what makes the torn-tail oracle exact.
+/// append when applied, which is what makes the crash oracle exact.
 #[derive(Clone, Debug)]
 enum Op {
     /// Deploy `SPECS[i]` (skipped once deployed).
@@ -69,24 +70,24 @@ enum Op {
 /// Applies `op` identically on the durable runtime and the oracle: all
 /// choices (which instance, which events) read only deterministic,
 /// sorted runtime state, so the two sides stay in lockstep.
-fn apply(rt: &mut Runtime, op: &Op, durable: bool) {
+fn apply(rt: &Runtime, op: &Op, durable: bool) -> Result<(), RuntimeError> {
     match *op {
         Op::Deploy(i) => {
             let (name, source) = SPECS[i];
             if !rt.workflows().contains(&name.to_owned()) {
-                rt.deploy_source(source).expect("deploy");
+                rt.deploy_source(source)?;
             }
         }
         Op::Start(i) => {
             let (name, _) = SPECS[i];
             if rt.workflows().contains(&name.to_owned()) {
-                rt.start(name).expect("start");
+                rt.start(name)?;
             }
         }
         Op::FireBatch(slot, k) => {
             let ids = rt.instances();
             let Some(&id) = ids.get(slot % ids.len().max(1)) else {
-                return;
+                return Ok(());
             };
             let events: Vec<String> = rt
                 .eligible(id)
@@ -95,7 +96,7 @@ fn apply(rt: &mut Runtime, op: &Op, durable: bool) {
                 .take(k)
                 .collect();
             if !events.is_empty() {
-                rt.fire_batch(id, &events).expect("fire_batch");
+                rt.fire_batch(id, &events)?;
             }
         }
         Op::Complete(slot) => {
@@ -107,53 +108,49 @@ fn apply(rt: &mut Runtime, op: &Op, durable: bool) {
         Op::CancelTimer(slot) => {
             let ids = rt.instances();
             let Some(&id) = ids.get(slot % ids.len().max(1)) else {
-                return;
+                return Ok(());
             };
-            let pending = rt.pending_timers(id).expect("pending_timers");
+            let pending = rt.pending_timers(id)?;
             if let Some((tick, _)) = pending.first() {
-                rt.cancel_timer(id, tick).expect("cancel_timer");
+                rt.cancel_timer(id, tick)?;
             }
         }
         Op::Advance(delta) => {
             let to = rt.clock_ms().saturating_add(delta);
-            rt.advance(to).expect("advance");
+            rt.advance(to)?;
         }
         Op::Checkpoint => {
             if durable {
-                rt.checkpoint().expect("checkpoint");
+                rt.checkpoint()?;
             }
         }
     }
+    Ok(())
 }
 
-/// Byte length of every `.seg` file under `dir`, keyed by path.
-fn seg_sizes(dir: &Path) -> BTreeMap<PathBuf, u64> {
-    let mut sizes = BTreeMap::new();
-    let Ok(shards) = std::fs::read_dir(dir) else {
-        return sizes;
-    };
-    for shard in shards.flatten() {
-        let Ok(entries) = std::fs::read_dir(shard.path()) else {
-            continue;
-        };
-        for entry in entries.flatten() {
-            if entry.path().extension().is_some_and(|e| e == "seg") {
-                sizes.insert(entry.path(), entry.metadata().map(|m| m.len()).unwrap_or(0));
-            }
-        }
-    }
-    sizes
+/// A write-ahead log on `fs`.
+fn wal(fs: &Arc<SimFs>) -> Arc<dyn Store> {
+    Arc::new(WalStore::open_on(fs.clone(), "wal", WalOptions::default()).unwrap())
 }
 
-fn scratch(tag: &str) -> PathBuf {
-    static N: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "ctr_recovery_{tag}_{}_{}",
-        std::process::id(),
-        N.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
+/// The fleet recovered from `fs` after a crash.
+fn recover(fs: &SimFs) -> Runtime {
+    Runtime::open(wal(&fs.reboot())).unwrap()
+}
+
+/// What a fleet shows of itself: its snapshot and, through the query
+/// API too (so a `pending_timers` / snapshot divergence cannot hide),
+/// its armed timers. The clock is *not* part of it: the recovered clock
+/// is the durable `TimerFire` watermark and legitimately lags an oracle
+/// whose advances expired nothing.
+fn shown(rt: &Runtime) -> (String, usize, Vec<Vec<(String, u64)>>) {
+    (
+        rt.snapshot(),
+        rt.pending_timer_count(),
+        (rt.instances().into_iter())
+            .map(|id| rt.pending_timers(id).unwrap())
+            .collect(),
+    )
 }
 
 /// Operations whose replayed effect is all-or-nothing under a torn
@@ -186,89 +183,70 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Crash the WAL at a random byte offset inside the final
-    /// operation's write; the recovered snapshot byte-matches the
-    /// oracle that stopped just before (torn) or just after (untouched)
-    /// that operation.
+    /// Crash the WAL at one of the final operation's file-system calls;
+    /// the recovered fleet byte-matches the oracle that stopped just
+    /// before or just after that operation. A final operation that makes
+    /// no call is not crashed, and recovery must land after it.
     #[test]
     fn kill_recover_matches_the_never_crashed_oracle(
         prefix in proptest::collection::vec(op_strategy(), 0..15),
         last in tail_op_strategy(),
-        tear in 1..4096usize,
+        tear in 0..4096u64,
     ) {
-        let dir = scratch("kill");
-
-        let mut rt = Runtime::with_store(Arc::new(WalStore::open(&dir).unwrap()));
-        for op in &prefix {
-            apply(&mut rt, op, true);
-        }
-        let before = seg_sizes(&dir);
-        apply(&mut rt, &last, true);
-        drop(rt); // the crash: no shutdown hook runs, files stay as-is
-
-        // Tear `1..=written` bytes off the end of whichever segment the
-        // final operation extended (checkpoints and no-op finals extend
-        // nothing and are left alone).
-        let after = seg_sizes(&dir);
-        let grown = after
-            .iter()
-            .find(|(path, len)| before.get(*path).copied().unwrap_or(0) < **len);
-        let torn = if let Some((path, &len)) = grown {
-            let written = len - before.get(path).copied().unwrap_or(0);
-            let cut = len - 1 - (tear as u64 - 1) % written;
-            let file = std::fs::OpenOptions::new().write(true).open(path).unwrap();
-            file.set_len(cut).unwrap();
-            true
-        } else {
-            false
+        // A schedule on one seed runs the same calls every time: a dry
+        // run counts the final operation's.
+        let (start, calls) = {
+            let dry = SimFs::new(tear);
+            let rt = Runtime::with_store(wal(&dry));
+            for op in &prefix {
+                apply(&rt, op, true).unwrap();
+            }
+            let start = dry.ops();
+            apply(&rt, &last, true).unwrap();
+            (start, dry.ops() - start)
         };
 
-        let mut oracle = Runtime::new();
+        let fs = SimFs::new(tear);
+        let rt = Runtime::with_store(wal(&fs));
         for op in &prefix {
-            apply(&mut oracle, op, false);
+            apply(&rt, op, true).unwrap();
         }
-        if !torn {
-            apply(&mut oracle, &last, false);
+        prop_assert_eq!(fs.ops(), start);
+        if calls > 0 {
+            fs.crash_at(start + tear % calls);
         }
+        let _ = apply(&rt, &last, true);
+        prop_assert_eq!(fs.is_down(), calls > 0);
+        let recovered = shown(&recover(&fs));
 
-        let store = Arc::new(WalStore::open(&dir).unwrap());
-        let recovered = Runtime::open(store).unwrap();
-        prop_assert_eq!(recovered.snapshot(), oracle.snapshot());
-        // The snapshot already carries timer lines; assert the armed
-        // set through the query API too, so a pending_timers /
-        // snapshot divergence cannot hide. The clocks are *not*
-        // compared: the recovered clock is the durable TimerFire
-        // watermark and legitimately lags an oracle whose advances
-        // expired nothing.
-        prop_assert_eq!(
-            recovered.pending_timer_count(),
-            oracle.pending_timer_count()
-        );
-        for id in oracle.instances() {
-            prop_assert_eq!(
-                recovered.pending_timers(id).unwrap(),
-                oracle.pending_timers(id).unwrap()
-            );
+        let oracle = Runtime::new();
+        for op in &prefix {
+            apply(&oracle, op, false).unwrap();
         }
-
-        std::fs::remove_dir_all(&dir).ok();
+        let before = shown(&oracle);
+        apply(&oracle, &last, false).unwrap();
+        let after = shown(&oracle);
+        if calls > 0 {
+            prop_assert!(recovered == before || recovered == after, "{:?}", recovered);
+        } else {
+            prop_assert_eq!(recovered, after);
+        }
     }
 
-    /// Crash at a random byte offset inside a *coalesced group's*
-    /// single write: every record acknowledged before the crash point
-    /// survives recovery, and the group's staged records drop only as a
-    /// contiguous seq suffix of the stripe — never a gap. (The torn
-    /// byte invalidates its own frame and everything after it in the
-    /// group's one `write_all`; frames before it are whole and
-    /// checksum-clean, so the scan keeps them.)
+    /// Crash inside a *coalesced group* commit of several frames: every
+    /// record acknowledged survives recovery, and the group's records
+    /// drop only as a contiguous seq suffix of the stripe, never a gap.
+    /// (The crash keeps a seeded prefix of the group's one unsynced
+    /// write; a torn byte invalidates its own frame and everything after
+    /// it, while frames before it are whole and checksum-clean, so the
+    /// scan keeps them.)
     #[test]
     fn coalesced_group_tear_drops_only_a_contiguous_seq_suffix(
         acked in 1..6usize,
-        group in 2..6usize,
+        group in 3..7usize,
         tear in 0..100_000u64,
     ) {
-        use ctr_store::{Durability, Record, Store, WalOptions, WalStore};
-        let dir = scratch("grouptear");
+        use ctr_store::{Durability, Record};
         let options = WalOptions {
             shards: 1,
             durability: Durability::Coalesced {
@@ -281,58 +259,65 @@ proptest! {
             events: vec![format!("e{n}")],
         };
 
-        // Phase 1: sequential appends, each acknowledged durable before
-        // the next — these must survive any later crash.
-        let store = WalStore::open_with(&dir, options).unwrap();
-        for i in 0..acked {
-            store.append(&ev(i)).unwrap();
-        }
-        let seg = dir.join("shard-00").join("00000000.seg");
-        let base = std::fs::metadata(&seg).unwrap().len();
-
-        // Phase 2: concurrent appends riding the commit pipeline — the
-        // tear below lands somewhere inside their group write(s).
-        let store = Arc::new(store);
-        std::thread::scope(|scope| {
-            for t in 0..group {
-                let store = &store;
-                scope.spawn(move || store.append(&ev(acked + t)).unwrap());
+        // Groups form from timing, so a run whose second group is a
+        // single frame is run again; a handful of tries always suffice.
+        let mut torn = None;
+        for attempt in 0..10 {
+            let fs = SimFs::new(tear + attempt);
+            // Phase 1: sequential appends, each acknowledged durable
+            // before the next; these must survive any later crash.
+            let store = WalStore::open_on(fs.clone(), "wal", options).unwrap();
+            for i in 0..acked {
+                store.append(&ev(i)).unwrap();
             }
-        });
-        drop(store);
 
-        // Capture the untorn history: the durable order the group's
-        // frames actually landed in (concurrent, so not fixed).
-        let store = WalStore::open_with(&dir, options).unwrap();
-        let full = store.replay().unwrap().records;
-        prop_assert_eq!(full.len(), acked + group);
-        drop(store);
+            // Phase 2: concurrent appends. The first to stage commits
+            // alone (a write, then a sync); the others stage while that
+            // sync takes its time and form the second group, whose
+            // sync the crash lands on, with its write unsynced.
+            fs.set_sync_latency(std::time::Duration::from_millis(2));
+            fs.crash_at(fs.ops() + 3);
+            let store = Arc::new(store);
+            let acks: Vec<bool> = std::thread::scope(|scope| {
+                let appends: Vec<_> = (0..group)
+                    .map(|t| {
+                        let store = &store;
+                        scope.spawn(move || store.append(&ev(acked + t)).is_ok())
+                    })
+                    .collect();
+                appends.into_iter().map(|append| append.join().unwrap()).collect()
+            });
 
-        // The crash: cut the segment at a random byte at or past the
-        // group region's start — at least the final frame tears.
-        let len = std::fs::metadata(&seg).unwrap().len();
-        let cut = base + tear % (len - base);
-        let file = std::fs::OpenOptions::new().write(true).open(&seg).unwrap();
-        file.set_len(cut).unwrap();
-        drop(file);
-
-        let store = WalStore::open_with(&dir, options).unwrap();
-        let recovered = store.replay().unwrap().records;
+            // The history as written, in the order the frames landed
+            // (concurrent, so not fixed): the group the crash hit is
+            // what follows the acknowledged ones.
+            let written = WalStore::open_on(fs.fork(), "wal", options).unwrap();
+            let full = written.replay().unwrap().records;
+            let first = acked + acks.iter().filter(|&&ok| ok).count();
+            if !fs.is_down() || full.len() < first + 2 {
+                continue;
+            }
+            let disk = fs.reboot();
+            drop(store);
+            let recovered = WalStore::open_on(disk, "wal", options).unwrap();
+            torn = Some((acks, full, recovered.replay().unwrap().records));
+            break;
+        }
+        let Some((acks, full, recovered)) = torn else {
+            return Err(TestCaseError::fail("no try formed a group of several frames"));
+        };
         prop_assert!(
             recovered.len() >= acked,
             "an individually acknowledged record was lost: {} < {}",
             recovered.len(), acked
         );
-        prop_assert!(
-            recovered.len() < acked + group,
-            "a torn group write cannot survive whole"
-        );
+        for (t, _) in acks.iter().enumerate().filter(|(_, acked)| **acked) {
+            prop_assert!(recovered.contains(&ev(acked + t)), "acknowledged e{} is gone", acked + t);
+        }
         // Contiguous-prefix survival == contiguous-suffix loss: no
         // recovered record may be reordered or skipped past a hole.
+        prop_assert!(recovered.len() <= full.len());
         prop_assert_eq!(&recovered[..], &full[..recovered.len()]);
-        drop(store);
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The recovered runtime is live, not just a matching snapshot: it
@@ -345,25 +330,25 @@ proptest! {
     fn recovery_composes_with_further_work(
         ops in proptest::collection::vec(op_strategy(), 1..10),
     ) {
-        let dir = scratch("compose");
-
-        let mut oracle = Runtime::new();
-        let mut rt = Runtime::with_store(Arc::new(WalStore::open(&dir).unwrap()));
+        let fs = SimFs::new(ops.len() as u64);
+        let oracle = Runtime::new();
+        let rt = Runtime::with_store(wal(&fs));
         for op in &ops {
-            apply(&mut rt, op, true);
-            apply(&mut oracle, op, false);
+            apply(&rt, op, true).unwrap();
+            apply(&oracle, op, false).unwrap();
         }
-        drop(rt);
 
-        let mut recovered = Runtime::open(Arc::new(WalStore::open(&dir).unwrap())).unwrap();
+        let disk = fs.reboot();
+        drop(rt);
+        let recovered = Runtime::open(wal(&disk)).unwrap();
         for op in [Op::Deploy(0), Op::Start(0), Op::FireBatch(7, 2)] {
-            apply(&mut recovered, &op, true);
-            apply(&mut oracle, &op, false);
+            apply(&recovered, &op, true).unwrap();
+            apply(&oracle, &op, false).unwrap();
         }
         let expected = recovered.snapshot();
-        drop(recovered);
 
-        let by_log = Runtime::open(Arc::new(WalStore::open(&dir).unwrap())).unwrap();
+        let by_log = recover(&disk);
+        drop(recovered);
         prop_assert_eq!(by_log.snapshot(), expected);
 
         let by_text = Runtime::restore(&oracle.snapshot()).unwrap();
@@ -382,12 +367,10 @@ proptest! {
         prop_assert_eq!(by_text.advance(horizon), by_log.advance(horizon));
         prop_assert_eq!(by_text.pending_timer_count(), 0);
         prop_assert_eq!(by_text.snapshot(), by_log.snapshot());
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// An expiry racing the crash fires exactly once. `advance` appends
-    /// one `TimerFire` per expired timer; tearing inside that run of
+    /// one `TimerFire` per expired timer; crashing inside that run of
     /// appends un-fires a suffix of them. Recovery re-arms exactly the
     /// un-fired timers (their `TimerArm` survived inside `Start`, their
     /// `TimerFire` did not), so repeating the advance fires each of
@@ -396,40 +379,28 @@ proptest! {
     #[test]
     fn expiry_racing_the_crash_fires_exactly_once(
         fleet in 1..5usize,
-        pick in 0..64usize,
-        tear in 1..4096u64,
+        tear in 0..4096u64,
     ) {
-        let dir = scratch("expiry");
+        let fs = SimFs::new(tear);
         let (name, source) = SPECS[TIMED];
-        let rt = Runtime::with_store(Arc::new(WalStore::open(&dir).unwrap()));
+        let rt = Runtime::with_store(wal(&fs));
         rt.deploy_source(source).expect("deploy");
         let ids: Vec<_> = (0..fleet).map(|_| rt.start(name).expect("start")).collect();
 
-        let before = seg_sizes(&dir);
-        let fired = rt.advance(30_000).expect("advance");
-        prop_assert_eq!(fired.len(), fleet); // one after-gate each
-        drop(rt); // crash mid-durability: files stay as-is
-
-        // Tear inside one of the advance's TimerFire runs. The fleet
-        // shards across segments, so several may have grown; cut one.
-        let after = seg_sizes(&dir);
-        let grown: Vec<_> = after
-            .iter()
-            .filter(|(path, len)| before.get(*path).copied().unwrap_or(0) < **len)
-            .collect();
-        prop_assert!(!grown.is_empty());
-        let (path, &len) = grown[pick % grown.len()];
-        let written = len - before.get(path).copied().unwrap_or(0);
-        let cut = len - 1 - (tear - 1) % written;
-        let file = std::fs::OpenOptions::new().write(true).open(path).unwrap();
-        file.set_len(cut).unwrap();
-        drop(file);
+        // One write and one sync per expiry (one after-gate each): the
+        // crash lands on one of them, or past the last.
+        fs.crash_at(fs.ops() + tear % (2 * fleet as u64 + 1));
+        let fired = rt.advance(30_000);
+        prop_assert_eq!(fired.is_ok(), !fs.is_down());
+        if let Ok(fired) = &fired {
+            prop_assert_eq!(fired.len(), fleet);
+        }
 
         // Recover and repeat the advance: the recovered wheel starts
         // behind the restored clock, so every still-armed 30s gate
         // (torn away mid-advance) expires now; every gate whose
         // TimerFire survived is already in its journal and disarmed.
-        let recovered = Runtime::open(Arc::new(WalStore::open(&dir).unwrap())).unwrap();
+        let recovered = recover(&fs);
         recovered.advance(30_000).expect("advance after recovery");
         let tick = "approve@after30000";
         for &id in &ids {
@@ -451,7 +422,5 @@ proptest! {
                 id
             );
         }
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
