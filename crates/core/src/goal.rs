@@ -143,18 +143,17 @@ pub(crate) fn event_fp_bits(event: Symbol) -> u64 {
     (1u64 << (h & 63)) | (1u64 << ((h >> 6) & 63))
 }
 
-/// FxHash-style hasher for the crate's in-memory tables: the first-order
-/// `Atom` case of [`Goal::structural_hash`] and the maps of
-/// [`crate::memo`], whose keys are already-mixed structural hashes, dense
-/// node ids and interned symbols.
+/// FxHash-style hasher for in-memory tables: the first-order `Atom` case
+/// of [`Goal::structural_hash`], the maps of [`crate::memo`], whose keys
+/// are already-mixed structural hashes, dense node ids and interned
+/// symbols, and the engine's index of a program's event names.
 ///
 /// None of these hashes is persisted and none of the keys is chosen by a
 /// peer, so a keyed SipHash pass per probe is pure overhead: one
 /// rotate-xor-multiply round per written word spreads interned symbol ids
-/// and small term payloads well enough for bucketing. Same mixer as the
-/// engine's symbol→slot map.
+/// and small term payloads well enough for bucketing.
 #[derive(Default)]
-pub(crate) struct FxHasher(u64);
+pub struct FxHasher(u64);
 
 /// [`FxHasher`] as a `HashMap` parameter.
 pub(crate) type FxBuildHasher = std::hash::BuildHasherDefault<FxHasher>;

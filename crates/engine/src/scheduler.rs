@@ -7,25 +7,27 @@
 //! execution of a workflow, the scheduler knows all events that are
 //! eligible to start."
 //!
-//! [`Program`] is the goal flattened into an arena; [`Scheduler`] is a
-//! cursor over it. Each [`Scheduler::fire`] commits the `∨`-choices and
-//! `⊙`-entries on the fired node's path, appends the event to the trace,
-//! and silently drains enabled `send`/`receive` bookkeeping.
+//! [`Program`] is the goal flattened into an arena in DFS pre-order, so a
+//! node's id is its pre-order rank and `[id, end)` is its subtree;
+//! [`Scheduler`] is a cursor over it. Each [`Scheduler::fire`] commits
+//! the `∨`-choices and `⊙`-entries on the fired node's path, appends the
+//! event to the trace, and silently drains enabled `send`/`receive`
+//! bookkeeping.
 //!
 //! The scheduler's "knows all events" promise is implemented literally:
 //! eligibility is **stateful and incremental**, not recomputed. The
-//! cursor maintains a persistent *frontier* — the eligible-node set, kept
-//! sorted in the program's DFS pre-order — and every `fire` delta-updates
-//! it: only the fired leaf's root-to-leaf path (committed `∨`-branches
-//! lose their abandoned siblings, newly reached `⊗`-successors and
-//! enabled `receive`s join) changes; the rest of the frontier is
-//! untouched. The frontier is the cursor's one record of what is
-//! eligible. A `⊙` subtree is a rank interval, so
+//! cursor maintains a persistent *frontier* — the eligible node ids,
+//! sorted, which reproduces the recursive walk's emission order — and
+//! every `fire` delta-updates it: only the fired leaf's root-to-leaf path
+//! (committed `∨`-branches lose their abandoned siblings, newly reached
+//! `⊗`-successors and enabled `receive`s join) changes; the rest of the
+//! frontier is untouched. The frontier is the cursor's one record of
+//! what is eligible. A `⊙` subtree is an id interval, so
 //! [`Scheduler::eligible`] is a slice of it found by binary search,
-//! [`Scheduler::fire_event`] is a hash lookup and a scan of that slice,
-//! and [`Scheduler::is_complete`] reads the root's done bit. The delta
-//! rules and their soundness argument are written up in DESIGN.md §11;
-//! the from-scratch recursive walk is retained as
+//! [`Scheduler::fire_event`] is a probe of the program's name index and
+//! a scan of that slice, and [`Scheduler::is_complete`] reads the root's
+//! done bit. The delta rules and their soundness argument are written up
+//! in DESIGN.md §11; the from-scratch recursive walk is retained as
 //! [`Scheduler::eligible_reference`] and proptests pin the two
 //! observationally identical.
 //!
@@ -35,68 +37,37 @@
 //! laid out at compile time, and a new cursor is a copy of the program's
 //! cached initial one (DESIGN.md §11, "The cursor").
 
-use ctr::goal::{Channel, Goal};
+use ctr::goal::{Channel, FxHasher, Goal};
 use ctr::symbol::Symbol;
 use ctr::term::Atom;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::Hasher;
 use std::sync::OnceLock;
 
-/// Index of a node in a [`Program`].
+/// Index of a node in a [`Program`]: its DFS pre-order rank.
 pub type NodeId = usize;
 
+/// The root's id.
+const ROOT: NodeId = 0;
+
 /// Sentinel in every `u32` the program and its cursors store: no parent,
-/// no slot, no dense index, uncommitted `∨`.
+/// no dense index, uncommitted `∨`.
 const NIL: u32 = u32::MAX;
 
-/// FxHash-style mixer for the compile-time symbol→slot map. The key is a
-/// single interned `u32` id, so a full SipHash pass per `fire_event`
-/// dispatch is pure overhead; one rotate-xor-multiply round is enough to
-/// spread sequential interner ids across buckets.
-#[derive(Default)]
-struct SymbolIdHasher(u64);
-
-impl Hasher for SymbolIdHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(u64::from(v));
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-type SymbolMap<V> = HashMap<Symbol, V, BuildHasherDefault<SymbolIdHasher>>;
-
-/// One event of a program as [`Scheduler::fire_named`] finds it: the
-/// interned name, its symbol and the symbol's dispatch slot.
+/// One event of a program as the name index holds it.
 #[derive(Clone, Copy, Debug)]
 struct Named {
     name: &'static str,
     symbol: Symbol,
-    slot: u32,
 }
 
-/// Event name → `(symbol, slot)`, for events that arrive as text: one
-/// hash and one string compare replace the interner's locked SipHash
-/// lookup *and* the symbol → slot lookup behind it. Open-addressed with
-/// linear probing, a power of two in size and at most half full, so a
-/// probe always ends at an empty entry.
+/// The program's events by name — its one event map. An event that
+/// arrives as text costs one hash and one string compare here, never the
+/// interner's locked lookup; one that arrives as a symbol is probed with
+/// its name and matched by symbol id. Open-addressed with linear probing,
+/// a power of two in size and at most half full, so a probe always ends
+/// at an empty entry.
 ///
 /// The mixer is not keyed. That is safe here because only the program's
 /// own event names are ever *inserted*: a name from outside is looked up
@@ -111,28 +82,28 @@ struct NameIndex {
 }
 
 impl NameIndex {
-    fn build(slots: &SymbolMap<u32>) -> NameIndex {
-        let len = (slots.len() * 2).next_power_of_two().max(2);
+    /// The index of `events`, which are distinct.
+    fn build(events: &[Symbol]) -> NameIndex {
+        let len = (events.len() * 2).next_power_of_two().max(2);
         let mut index = NameIndex {
             entries: vec![None; len].into_boxed_slice(),
             shift: u64::BITS - len.trailing_zeros(),
         };
-        for (&symbol, &slot) in slots {
+        for &symbol in events {
             let name = symbol.as_str();
             let mut at = index.home(name);
             while index.entries[at].is_some() {
                 at = (at + 1) & (len - 1);
             }
-            index.entries[at] = Some(Named { name, symbol, slot });
+            index.entries[at] = Some(Named { name, symbol });
         }
         index
     }
 
     /// Where the probe for `name` starts: the name hashed a word at a
-    /// time (length first, the tail zero-padded) through the symbol-id
-    /// mixer.
+    /// time (length first, the tail zero-padded) through `FxHasher`.
     fn home(&self, name: &str) -> usize {
-        let mut hasher = SymbolIdHasher::default();
+        let mut hasher = FxHasher::default();
         hasher.write_u64(name.len() as u64);
         let mut words = name.as_bytes().chunks_exact(8);
         for word in &mut words {
@@ -147,27 +118,41 @@ impl NameIndex {
         (hasher.finish() >> self.shift) as usize
     }
 
-    fn get(&self, name: &str) -> Option<Named> {
+    /// The first entry from `name`'s home on that `hit` accepts.
+    fn probe(&self, name: &str, hit: impl Fn(&Named) -> bool) -> Option<Named> {
         let mut at = self.home(name);
         loop {
             let entry = self.entries[at]?;
-            if entry.name == name {
+            if hit(&entry) {
                 return Some(entry);
             }
             at = (at + 1) & (self.entries.len() - 1);
         }
     }
+
+    fn get(&self, name: &str) -> Option<Named> {
+        self.probe(name, |entry| entry.name == name)
+    }
+
+    fn contains(&self, symbol: Symbol) -> bool {
+        self.probe(symbol.as_str(), |entry| entry.symbol == symbol)
+            .is_some()
+    }
 }
 
+/// What a node is. A connective's children are the subtrees that tile
+/// `[id + 1, end)`: the first starts at `id + 1`, each next one where the
+/// one before ends.
 #[derive(Clone, Debug)]
 enum NodeKind {
     /// A workflow activity/event (any atom: the scheduler is the
     /// propositional layer; state effects belong to the interpreter).
     Event(Atom),
-    Seq(Vec<NodeId>),
-    Conc(Vec<NodeId>),
-    Or(Vec<NodeId>),
-    Iso(NodeId),
+    Seq,
+    Conc,
+    Or,
+    /// `⊙`; its body is `id + 1`.
+    Iso,
     /// `send`/`receive` on a channel. `rank` is the channel's index among
     /// those the goal mentions, ascending by id: what [`Program`]'s
     /// receive table and a cursor's `sent` bits go by, so their size
@@ -187,19 +172,12 @@ struct Node {
     kind: NodeKind,
     /// The parent node; [`NIL`] at the root.
     parent: u32,
-    /// DFS pre-order rank. The frontier is kept sorted by this rank,
-    /// which reproduces the recursive walk's emission order;
-    /// `[pre, end)` is the node's subtree as a rank interval, making
-    /// descendant tests and subtree evictions O(1)/O(evicted).
-    pre: u32,
-    /// One past the last pre-order rank inside the node's subtree.
+    /// One past the last id inside the node's subtree, so `[id, end)` is
+    /// the subtree: descendant tests and subtree evictions are O(1) and
+    /// O(evicted).
     end: u32,
-    /// Slot of the node's event symbol; [`NIL`] for nodes that are not
-    /// event leaves. Dispatch compares it while it scans the eligible
-    /// frontier, so no symbol is hashed there.
-    slot: u32,
     /// The node's index among the nodes of its kind that own a `u32` of
-    /// cursor state: `⊗` nodes (position) and `∨` nodes (choice) are
+    /// cursor state: `⊗` nodes (current child) and `∨` nodes (choice) are
     /// each numbered densely from 0, so a cursor stores one word per
     /// such node instead of one per node. [`NIL`] for every other node.
     dense: u32,
@@ -232,8 +210,8 @@ impl std::error::Error for ScheduleError {}
 /// once per program by [`Program::compile`]. A bitset over nodes
 /// (`done`, at word 0), one over channels (`sent`), then two sections
 /// of `u32`s packed two to a word: `seq_pos` per `⊗` node and
-/// `or_choice` per `∨` node. `or_choice` starts out all-[`NIL`], the
-/// rest all-zero.
+/// `or_choice` per `∨` node. `seq_pos` starts out at each `⊗`'s first
+/// child, `or_choice` all-[`NIL`], the rest all-zero.
 #[derive(Clone, Copy, Debug)]
 struct Layout {
     sent: usize,
@@ -245,24 +223,18 @@ struct Layout {
 /// A compiled, schedulable workflow program.
 #[derive(Clone, Debug)]
 pub struct Program {
+    /// The goal's nodes in DFS pre-order; the root is 0.
     nodes: Vec<Node>,
-    root: NodeId,
     /// `receive` nodes by channel, consulted when a `send` fires to
     /// promote newly enabled receives into the frontier: those of the
     /// channel ranked `r` are `recv_nodes[recv_start[r]..recv_start[r + 1]]`,
     /// in node order.
     recv_start: Vec<u32>,
     recv_nodes: Vec<u32>,
-    /// Event symbol → dense slot id, assigned at compile time. The one
-    /// hashed lookup on the `fire_event` path; everything downstream
-    /// compares slots.
-    slots: SymbolMap<u32>,
     layout: Layout,
-    /// `slots` keyed by event *name* — the one lookup on the
-    /// `fire_named` path. Filled by [`Program::index_names`] or the first
-    /// fire by name: a program that is only compiled, enumerated or
-    /// scheduled by symbol never pays for it.
-    names: OnceLock<NameIndex>,
+    /// The program's events by name, the one lookup on the `fire_event`
+    /// and `fire_named` paths; everything downstream compares symbols.
+    names: NameIndex,
     /// The cursor every execution starts from — initial frontier built,
     /// leading silent steps drained. Filled by the first
     /// [`Scheduler::new`]; later ones copy it instead of walking the
@@ -285,7 +257,7 @@ impl Program {
             nodes: Vec::with_capacity(simplified.size()),
             ..Builder::default()
         };
-        let root = b.build(&simplified);
+        b.build(&simplified, NIL);
         // Rank the channels mentioned, ascending by id, and tell their nodes.
         let mut channels: Vec<u32> = b.channel_ops.iter().map(|&(c, _)| c).collect();
         channels.sort_unstable();
@@ -309,22 +281,22 @@ impl Program {
         for r in 0..channels.len() {
             recv_start[r + 1] += recv_start[r];
         }
+        b.events.sort_unstable();
+        b.events.dedup();
         let sent = b.nodes.len().div_ceil(64);
         let seq_pos = sent + channels.len().div_ceil(64);
         let or_choice = seq_pos + (b.seqs as usize).div_ceil(2);
         Ok(Program {
             nodes: b.nodes,
-            root,
             recv_start,
             recv_nodes: recvs.iter().map(|&(_, n)| n).collect(),
-            slots: b.slots,
             layout: Layout {
                 sent,
                 seq_pos,
                 or_choice,
                 words: or_choice + (b.ors as usize).div_ceil(2),
             },
-            names: OnceLock::new(),
+            names: NameIndex::build(&b.events),
             initial: OnceLock::new(),
         })
     }
@@ -336,7 +308,7 @@ impl Program {
 
     /// True if the program is a single `Empty` node.
     pub fn is_empty(&self) -> bool {
-        matches!(self.nodes[self.root].kind, NodeKind::Empty)
+        matches!(self.nodes[ROOT].kind, NodeKind::Empty)
     }
 
     /// The event atom of a node, if it is an event node.
@@ -347,11 +319,29 @@ impl Program {
         }
     }
 
+    /// The event symbol of a node, if it is an event node with a name.
+    #[inline]
+    fn symbol(&self, node: NodeId) -> Option<Symbol> {
+        self.event(node)?.as_event()
+    }
+
+    /// One past the last id of `node`'s subtree.
+    #[inline]
+    fn end(&self, node: NodeId) -> NodeId {
+        self.nodes[node].end as NodeId
+    }
+
+    /// The children of `node`, in order: the subtrees tiling `[node + 1, end)`.
+    fn children(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let end = self.end(node);
+        let first = (node + 1 < end).then_some(node + 1);
+        std::iter::successors(first, move |&c| Some(self.end(c)).filter(|&c| c < end))
+    }
+
     /// True if `node` lies in `anc`'s subtree (including `anc` itself).
     #[inline]
     fn in_subtree(&self, anc: NodeId, node: NodeId) -> bool {
-        let (anc, rank) = (&self.nodes[anc], self.nodes[node].pre);
-        rank >= anc.pre && rank < anc.end
+        node >= anc && node < self.end(anc)
     }
 
     /// The `receive` nodes listening on the channel ranked `r`.
@@ -364,102 +354,71 @@ impl Program {
     fn initial(&self) -> &Cursor {
         self.initial.get_or_init(|| Cursor::build(self))
     }
-
-    /// The program's events by name.
-    fn names(&self) -> &NameIndex {
-        self.names.get_or_init(|| NameIndex::build(&self.slots))
-    }
-
-    /// Builds the name index [`Scheduler::fire_named`] resolves events
-    /// in, unless it is built already. The first fire by name would do
-    /// it too; whoever deploys a program to be driven by name calls this
-    /// then, so that no fire pays for it.
-    pub fn index_names(&self) {
-        self.names();
-    }
-}
-
-fn children_of(kind: &NodeKind) -> &[NodeId] {
-    match kind {
-        NodeKind::Seq(cs) | NodeKind::Conc(cs) | NodeKind::Or(cs) => cs,
-        NodeKind::Iso(c) => std::slice::from_ref(c),
-        _ => &[],
-    }
 }
 
 /// State of one [`Program::compile`]: the arena under construction and
-/// the counters its single recursive pass keeps — pre-order rank, the
-/// per-kind dense indices, the event slots and the channels seen.
+/// the counters its single recursive pass keeps — the per-kind dense
+/// indices, the events and the channels seen.
 #[derive(Default)]
 struct Builder {
     nodes: Vec<Node>,
-    rank: u32,
     seqs: u32,
     ors: u32,
-    slots: SymbolMap<u32>,
+    /// The symbol of every event leaf, repeats included.
+    events: Vec<Symbol>,
     /// `(channel id, node)` of every `send` and `receive`, in node order;
     /// their ranks are filled in once all of them are known.
     channel_ops: Vec<(u32, u32)>,
 }
 
 impl Builder {
-    /// Pushes `goal`'s subtree (children first, so a node's id is its
-    /// post-order position) and returns the id of its root. Ranks, slots
-    /// and dense indices are assigned on the way; `parent` is wired when
-    /// the parent itself is pushed.
-    fn build(&mut self, goal: &Goal) -> NodeId {
-        let pre = self.rank;
-        self.rank += 1;
-        let (mut slot, mut dense) = (NIL, NIL);
-        let kind = match goal {
+    /// Pushes `goal`'s subtree under `parent`, the node itself before its
+    /// children, so a node's id is its pre-order rank.
+    fn build(&mut self, goal: &Goal, parent: u32) {
+        let id = self.nodes.len() as u32;
+        let mut dense = NIL;
+        let (kind, children): (NodeKind, &[Goal]) = match goal {
             Goal::Atom(a) => {
-                if let Some(s) = a.as_event() {
-                    let next = self.slots.len() as u32;
-                    slot = *self.slots.entry(s).or_insert(next);
-                }
-                NodeKind::Event(a.clone())
+                self.events.extend(a.as_event());
+                (NodeKind::Event(a.clone()), &[])
             }
             Goal::Seq(gs) => {
-                let cs = gs.iter().map(|g| self.build(g)).collect();
                 dense = self.seqs;
                 self.seqs += 1;
-                NodeKind::Seq(cs)
+                (NodeKind::Seq, gs)
             }
-            Goal::Conc(gs) => NodeKind::Conc(gs.iter().map(|g| self.build(g)).collect()),
+            Goal::Conc(gs) => (NodeKind::Conc, gs),
             Goal::Or(gs) => {
-                let cs = gs.iter().map(|g| self.build(g)).collect();
                 dense = self.ors;
                 self.ors += 1;
-                NodeKind::Or(cs)
+                (NodeKind::Or, gs)
             }
-            Goal::Isolated(g) => NodeKind::Iso(self.build(g)),
-            Goal::Possible(_) | Goal::Empty => NodeKind::Empty,
+            Goal::Isolated(g) => (NodeKind::Iso, std::slice::from_ref(&**g)),
+            Goal::Possible(_) | Goal::Empty => (NodeKind::Empty, &[]),
             Goal::Send(c) => {
-                self.channel_ops.push((c.0, self.nodes.len() as u32));
-                NodeKind::Send {
+                self.channel_ops.push((c.0, id));
+                let kind = NodeKind::Send {
                     rank: NIL,
                     channel: *c,
-                }
+                };
+                (kind, &[])
             }
             Goal::Receive(c) => {
-                self.channel_ops.push((c.0, self.nodes.len() as u32));
-                NodeKind::Recv { rank: NIL }
+                self.channel_ops.push((c.0, id));
+                (NodeKind::Recv { rank: NIL }, &[])
             }
             Goal::NoPath => unreachable!("simplified non-¬path goals contain no ¬path"),
         };
-        let id = self.nodes.len();
-        for &c in children_of(&kind) {
-            self.nodes[c].parent = id as u32;
-        }
         self.nodes.push(Node {
             kind,
-            parent: NIL,
-            pre,
-            end: self.rank,
-            slot,
+            parent,
+            end: NIL,
             dense,
         });
-        id
+        for child in children {
+            self.build(child, id);
+        }
+        self.nodes[id as usize].end = self.nodes.len() as u32;
     }
 }
 
@@ -489,14 +448,13 @@ fn set_half(words: &mut [u64], base: usize, i: usize, v: u32) {
     *word = *word & !(u64::from(u32::MAX) << shift) | u64::from(v) << shift;
 }
 
-/// One schedulable step.
+/// One schedulable step: an observable event when [`Program::event`]
+/// names one, otherwise internal `send`/`receive`/`Empty` bookkeeping
+/// that needs a choice commitment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Choice {
     /// The node to fire.
     pub node: NodeId,
-    /// True if this step is an observable event (false: internal
-    /// `send`/`receive` bookkeeping requiring a choice commitment).
-    pub observable: bool,
 }
 
 /// The mutable cursor state, split out of [`Scheduler`] so the frontier
@@ -507,24 +465,24 @@ pub struct Choice {
 /// `arena`, laid out by the program's [`Layout`]: a *marking* in the DCR
 /// sense — bits per node, not machine words — plus one `u32` for each
 /// node that needs one. What remains are the few lists whose length
-/// depends on the run, and nothing is kept that one of them already
-/// says. Starting an execution is a copy of [`Program::initial`].
+/// depends on the run, and nothing is kept that one of them, or the
+/// program, already says. Starting an execution is a copy of
+/// [`Program::initial`].
 #[derive(Clone, Debug)]
 struct Cursor {
     /// `done` and `sent` (channels sent on) as bitsets; `seq_pos`
-    /// (current child of each `⊗`) and `or_choice` (committed child of
-    /// each `∨`, [`NIL`] before).
+    /// (current child of each `⊗`, its `end` once all are done) and
+    /// `or_choice` (committed child of each `∨`, [`NIL`] before).
     arena: Box<[u64]>,
     /// Stack of entered, unfinished `⊙` nodes (innermost last). It is as
     /// deep as the `⊙` nesting, so membership is a scan.
     lock: Vec<u32>,
     /// The event nodes fired so far; [`Program::event`] gives the atoms.
     trace: Vec<u32>,
-    /// The eligible set, ignoring `⊙`-scoping, sorted by DFS pre-order
-    /// rank (== the recursive walk's emission order). Invariant: a node
-    /// is here iff the walk from the root would emit it. Ranks are
-    /// unique, so membership, insertion point and the `⊙` view are
-    /// binary searches by rank.
+    /// The eligible set, ignoring `⊙`-scoping, sorted by id (== the
+    /// recursive walk's emission order). Invariant: a node is here iff
+    /// the walk from the root would emit it. Membership, insertion point
+    /// and the `⊙` view are binary searches.
     frontier: Vec<Choice>,
 }
 
@@ -532,15 +490,19 @@ impl Cursor {
     /// The initial cursor, from scratch: a blank arena, the root's ready
     /// leaves, leading silent steps drained.
     fn build(p: &Program) -> Cursor {
-        let mut arena = vec![0u64; p.layout.words].into_boxed_slice();
-        arena[p.layout.or_choice..].fill(u64::MAX);
         let mut cursor = Cursor {
-            arena,
+            arena: vec![0u64; p.layout.words].into_boxed_slice(),
             lock: Vec::new(),
             trace: Vec::new(),
             frontier: Vec::new(),
         };
-        cursor.add_subtree(p, p.root);
+        cursor.arena[p.layout.or_choice..].fill(u64::MAX);
+        for (id, n) in p.nodes.iter().enumerate() {
+            if let NodeKind::Seq = n.kind {
+                cursor.set_seq_pos(p, n, id + 1);
+            }
+        }
+        cursor.add_subtree(p, ROOT);
         cursor.drain_silent(p);
         cursor
     }
@@ -562,10 +524,21 @@ impl Cursor {
         bit(&self.arena, p.layout.sent, r as usize)
     }
 
-    /// Index of the current child of the `⊗` node `n`.
+    /// The current child of the `⊗` node `n`, or its `end` once every
+    /// child is done.
     #[inline]
-    fn seq_pos(&self, p: &Program, n: &Node) -> usize {
-        half(&self.arena, p.layout.seq_pos, n.dense as usize) as usize
+    fn seq_pos(&self, p: &Program, n: &Node) -> NodeId {
+        half(&self.arena, p.layout.seq_pos, n.dense as usize) as NodeId
+    }
+
+    /// Moves the `⊗` node `n` on to `child` (its `end`: past the last).
+    fn set_seq_pos(&mut self, p: &Program, n: &Node, child: NodeId) {
+        set_half(
+            &mut self.arena,
+            p.layout.seq_pos,
+            n.dense as usize,
+            child as u32,
+        );
     }
 
     /// The committed child of the `∨` node `n`, or [`NIL`].
@@ -574,23 +547,21 @@ impl Cursor {
         half(&self.arena, p.layout.or_choice, n.dense as usize)
     }
 
-    /// The index of the first frontier entry whose pre-order rank is at
-    /// least `rank`.
+    /// The index of the first frontier entry whose id is at least `id`.
     #[inline]
-    fn at_rank(&self, p: &Program, rank: u32) -> usize {
-        self.frontier
-            .partition_point(|c| p.nodes[c.node].pre < rank)
+    fn at_rank(&self, id: NodeId) -> usize {
+        self.frontier.partition_point(|c| c.node < id)
     }
 
     /// The frontier as the current `⊙`-scoping shows it: the entries
-    /// inside the innermost active lock's subtree — the rank interval
-    /// `[pre, end)` — or all of them when no lock is active.
+    /// inside the innermost active lock's subtree — the id interval
+    /// `[l, end)` — or all of them when no lock is active.
     #[inline]
     fn visible(&self, p: &Program) -> &[Choice] {
         match self.lock.last() {
             Some(&l) => {
-                let l = &p.nodes[l as usize];
-                &self.frontier[self.at_rank(p, l.pre)..self.at_rank(p, l.end)]
+                let l = l as NodeId;
+                &self.frontier[self.at_rank(l)..self.at_rank(p.end(l))]
             }
             None => &self.frontier,
         }
@@ -607,27 +578,27 @@ impl Cursor {
         }
     }
 
-    /// Inserts a leaf into the frontier at its pre-order position (no-op
-    /// if present).
-    fn insert_choice(&mut self, p: &Program, node: NodeId, observable: bool) {
-        let pos = self.at_rank(p, p.nodes[node].pre);
+    /// Inserts a leaf into the frontier at its position (no-op if
+    /// present).
+    fn insert_choice(&mut self, node: NodeId) {
+        let pos = self.at_rank(node);
         if self.frontier.get(pos).is_none_or(|c| c.node != node) {
-            self.frontier.insert(pos, Choice { node, observable });
+            self.frontier.insert(pos, Choice { node });
         }
     }
 
     /// Removes a node from the frontier (no-op if absent).
-    fn remove_choice(&mut self, p: &Program, node: NodeId) {
-        let pos = self.at_rank(p, p.nodes[node].pre);
+    fn remove_choice(&mut self, node: NodeId) {
+        let pos = self.at_rank(node);
         if self.frontier.get(pos).is_some_and(|c| c.node == node) {
             self.frontier.remove(pos);
         }
     }
 
-    /// Evicts every frontier entry whose pre-order rank lies in
-    /// `[lo, hi)` — the subtrees abandoned by an `∨`-commit.
-    fn evict_range(&mut self, p: &Program, lo: u32, hi: u32) {
-        let (start, stop) = (self.at_rank(p, lo), self.at_rank(p, hi));
+    /// Evicts every frontier entry whose id lies in `[lo, hi)` — the
+    /// subtrees abandoned by an `∨`-commit.
+    fn evict_range(&mut self, lo: NodeId, hi: NodeId) {
+        let (start, stop) = (self.at_rank(lo), self.at_rank(hi));
         self.frontier.drain(start..stop);
     }
 
@@ -641,34 +612,36 @@ impl Cursor {
         }
         let n = &p.nodes[node];
         match &n.kind {
-            NodeKind::Event(_) => self.insert_choice(p, node, true),
-            NodeKind::Send { .. } | NodeKind::Empty => self.insert_choice(p, node, false),
+            NodeKind::Event(_) | NodeKind::Send { .. } | NodeKind::Empty => {
+                self.insert_choice(node)
+            }
             NodeKind::Recv { rank } => {
                 // A blocked receive stays out of the frontier; the send
                 // that enables it promotes it via `recvs_on`.
                 if self.is_sent(p, *rank) {
-                    self.insert_choice(p, node, false);
+                    self.insert_choice(node);
                 }
             }
-            NodeKind::Seq(cs) => {
-                if let Some(&cur) = cs.get(self.seq_pos(p, n)) {
+            NodeKind::Seq => {
+                let cur = self.seq_pos(p, n);
+                if cur < n.end as NodeId {
                     self.add_subtree(p, cur);
                 }
             }
-            NodeKind::Conc(cs) => {
-                for &c in cs {
+            NodeKind::Conc => {
+                for c in p.children(node) {
                     self.add_subtree(p, c);
                 }
             }
-            NodeKind::Or(cs) => match self.or_choice(p, n) {
+            NodeKind::Or => match self.or_choice(p, n) {
                 NIL => {
-                    for &c in cs {
+                    for c in p.children(node) {
                         self.add_subtree(p, c);
                     }
                 }
                 chosen => self.add_subtree(p, chosen as NodeId),
             },
-            NodeKind::Iso(body) => self.add_subtree(p, *body),
+            NodeKind::Iso => self.add_subtree(p, node + 1),
         }
     }
 
@@ -686,8 +659,8 @@ impl Cursor {
             }
             let n = &p.nodes[a];
             match &n.kind {
-                NodeKind::Seq(cs) if cs.get(self.seq_pos(p, n)) != Some(&child) => return false,
-                NodeKind::Or(_) => {
+                NodeKind::Seq if self.seq_pos(p, n) != child => return false,
+                NodeKind::Or => {
                     let chosen = self.or_choice(p, n);
                     if chosen != NIL && chosen as NodeId != child {
                         return false;
@@ -703,7 +676,7 @@ impl Cursor {
 
     /// Commits every unchosen `∨` and un-entered `⊙` on the way to
     /// `node`, evicting the frontier entries of abandoned `∨`-siblings
-    /// (the rank-interval complement of the committed child inside its
+    /// (the id-interval complement of the committed child inside its
     /// parent). One upward walk, no buffer: nothing a commit writes is
     /// read further up.
     fn commit_path(&mut self, p: &Program, node: NodeId) {
@@ -714,18 +687,17 @@ impl Cursor {
             let a = cur as NodeId;
             let n = &p.nodes[a];
             match &n.kind {
-                NodeKind::Or(_) if self.or_choice(p, n) == NIL => {
+                NodeKind::Or if self.or_choice(p, n) == NIL => {
                     set_half(
                         &mut self.arena,
                         p.layout.or_choice,
                         n.dense as usize,
                         child as u32,
                     );
-                    let chosen = &p.nodes[child];
-                    self.evict_range(p, n.pre, chosen.pre);
-                    self.evict_range(p, chosen.end, n.end);
+                    self.evict_range(a, child);
+                    self.evict_range(p.end(child), n.end as NodeId);
                 }
-                NodeKind::Iso(_) if !self.is_locked(a) => self.lock.push(cur),
+                NodeKind::Iso if !self.is_locked(a) => self.lock.push(cur),
                 _ => {}
             }
             child = a;
@@ -746,7 +718,7 @@ impl Cursor {
         for &r in p.recvs_on(c) {
             let r = r as NodeId;
             if !self.is_done(r) && self.walk_reachable(p, r) {
-                self.insert_choice(p, r, false);
+                self.insert_choice(r);
             }
         }
     }
@@ -756,7 +728,7 @@ impl Cursor {
     /// next child enters it, an exiting `⊙` unlocks.
     fn complete(&mut self, p: &Program, node: NodeId) {
         set_bit(&mut self.arena, 0, node);
-        self.remove_choice(p, node);
+        self.remove_choice(node);
         let up = p.nodes[node].parent;
         if up == NIL {
             return;
@@ -764,33 +736,28 @@ impl Cursor {
         let parent = up as NodeId;
         let n = &p.nodes[parent];
         match &n.kind {
-            NodeKind::Seq(cs) => {
-                let mut pos = self.seq_pos(p, n);
-                while pos < cs.len() && self.is_done(cs[pos]) {
-                    pos += 1;
+            NodeKind::Seq => {
+                let (mut cur, end) = (self.seq_pos(p, n), n.end as NodeId);
+                while cur < end && self.is_done(cur) {
+                    cur = p.end(cur);
                 }
-                set_half(
-                    &mut self.arena,
-                    p.layout.seq_pos,
-                    n.dense as usize,
-                    pos as u32,
-                );
-                if pos == cs.len() {
+                self.set_seq_pos(p, n, cur);
+                if cur == end {
                     self.complete(p, parent);
                 } else {
-                    self.add_subtree(p, cs[pos]);
+                    self.add_subtree(p, cur);
                 }
             }
-            NodeKind::Conc(cs) => {
-                if cs.iter().all(|&c| self.is_done(c)) {
+            NodeKind::Conc => {
+                if p.children(parent).all(|c| self.is_done(c)) {
                     self.complete(p, parent);
                 }
             }
-            NodeKind::Or(_) => {
+            NodeKind::Or => {
                 debug_assert_eq!(self.or_choice(p, n), node as u32);
                 self.complete(p, parent);
             }
-            NodeKind::Iso(_) => {
+            NodeKind::Iso => {
                 if self.lock.last() == Some(&up) {
                     self.lock.pop();
                 } else {
@@ -809,8 +776,8 @@ impl Cursor {
             let a = cur as NodeId;
             let n = &p.nodes[a];
             match &n.kind {
-                NodeKind::Or(_) if self.or_choice(p, n) == NIL => return false,
-                NodeKind::Iso(_) if !self.is_locked(a) && !self.is_done(a) => return false,
+                NodeKind::Or if self.or_choice(p, n) == NIL => return false,
+                NodeKind::Iso if !self.is_locked(a) && !self.is_done(a) => return false,
                 _ => {}
             }
             cur = n.parent;
@@ -851,9 +818,8 @@ impl Cursor {
         loop {
             let mut fired = false;
             let mut i = 0;
-            while let Some(&Choice { node, observable }) = self.frontier.get(i) {
-                let enabled = !observable
-                    && self.scoped_visible(p, node)
+            while let Some(&Choice { node }) = self.frontier.get(i) {
+                let enabled = self.scoped_visible(p, node)
                     && match &p.nodes[node].kind {
                         NodeKind::Send { .. } | NodeKind::Empty => true,
                         NodeKind::Recv { rank } => self.is_sent(p, *rank),
@@ -877,14 +843,14 @@ impl Cursor {
         }
     }
 
-    /// The first node in pre-order, among the eligible ones, that
-    /// carries the event symbol `slot`.
-    fn first_carrying(&self, p: &Program, slot: u32) -> Option<NodeId> {
+    /// The first eligible node, in id order, that carries the event
+    /// `symbol`.
+    fn first_carrying(&self, p: &Program, symbol: Symbol) -> Option<NodeId> {
         let mut eligible = self.visible(p).iter().map(|c| c.node);
-        eligible.find(|&n| p.nodes[n].slot == slot)
+        eligible.find(|&n| p.symbol(n) == Some(symbol))
     }
 
-    /// Locates the next step toward an event node carrying `slot` whose
+    /// Locates the next step toward an event node carrying `symbol` whose
     /// only blockers are enabled silent leaves on its own path: returns
     /// the event node itself when nothing precedes it, otherwise the
     /// first such silent leaf to fire. This is the weak-transition view
@@ -892,23 +858,23 @@ impl Cursor {
     /// perform the internal (τ) steps that uniquely precede it — e.g. a
     /// timer gate's `seq(receive ξ, e)` inside an uncommitted `∨` —
     /// because choosing `e` is exactly the decision those steps commit.
-    fn step_toward(&self, p: &Program, node: NodeId, slot: u32) -> Option<NodeId> {
+    fn step_toward(&self, p: &Program, node: NodeId, symbol: Symbol) -> Option<NodeId> {
         if self.is_done(node) {
             return None;
         }
         let n = &p.nodes[node];
         match &n.kind {
-            NodeKind::Event(_) => (n.slot == slot).then_some(node),
+            NodeKind::Event(a) => (a.as_event() == Some(symbol)).then_some(node),
             NodeKind::Send { .. } | NodeKind::Recv { .. } | NodeKind::Empty => None,
-            NodeKind::Seq(cs) => {
-                let mut pos = self.seq_pos(p, n);
+            NodeKind::Seq => {
+                let (mut cur, end) = (self.seq_pos(p, n), n.end as NodeId);
                 let mut via = None;
-                while let Some(&cur) = cs.get(pos) {
+                while cur < end {
                     if self.is_done(cur) {
-                        pos += 1;
+                        cur = p.end(cur);
                         continue;
                     }
-                    if let Some(step) = self.step_toward(p, cur, slot) {
+                    if let Some(step) = self.step_toward(p, cur, symbol) {
                         return Some(via.unwrap_or(step));
                     }
                     // The event may hide behind this child — but only if
@@ -922,16 +888,20 @@ impl Cursor {
                         return None;
                     }
                     via.get_or_insert(cur);
-                    pos += 1;
+                    cur = p.end(cur);
                 }
                 None
             }
-            NodeKind::Conc(cs) => cs.iter().find_map(|&c| self.step_toward(p, c, slot)),
-            NodeKind::Or(cs) => match self.or_choice(p, n) {
-                NIL => cs.iter().find_map(|&c| self.step_toward(p, c, slot)),
-                chosen => self.step_toward(p, chosen as NodeId, slot),
+            NodeKind::Conc => p
+                .children(node)
+                .find_map(|c| self.step_toward(p, c, symbol)),
+            NodeKind::Or => match self.or_choice(p, n) {
+                NIL => p
+                    .children(node)
+                    .find_map(|c| self.step_toward(p, c, symbol)),
+                chosen => self.step_toward(p, chosen as NodeId, symbol),
             },
-            NodeKind::Iso(body) => self.step_toward(p, *body, slot),
+            NodeKind::Iso => self.step_toward(p, node + 1, symbol),
         }
     }
 
@@ -944,48 +914,37 @@ impl Cursor {
         }
         let n = &p.nodes[node];
         match &n.kind {
-            NodeKind::Event(_) => out.push(Choice {
-                node,
-                observable: true,
-            }),
-            NodeKind::Send { .. } => out.push(Choice {
-                node,
-                observable: false,
-            }),
-            NodeKind::Recv { rank } => {
-                if self.is_sent(p, *rank) {
-                    out.push(Choice {
-                        node,
-                        observable: false,
-                    });
-                }
-            }
             // A ready Empty is only still pending when choosing it would
             // commit something (e.g. an ∨-branch that is just the empty
             // goal); taking that branch is a silent scheduling decision.
-            NodeKind::Empty => out.push(Choice {
-                node,
-                observable: false,
-            }),
-            NodeKind::Seq(cs) => {
-                if let Some(&cur) = cs.get(self.seq_pos(p, n)) {
+            NodeKind::Event(_) | NodeKind::Send { .. } | NodeKind::Empty => {
+                out.push(Choice { node })
+            }
+            NodeKind::Recv { rank } => {
+                if self.is_sent(p, *rank) {
+                    out.push(Choice { node });
+                }
+            }
+            NodeKind::Seq => {
+                let cur = self.seq_pos(p, n);
+                if cur < n.end as NodeId {
                     self.collect_eligible_recursive(p, cur, out);
                 }
             }
-            NodeKind::Conc(cs) => {
-                for &c in cs {
+            NodeKind::Conc => {
+                for c in p.children(node) {
                     self.collect_eligible_recursive(p, c, out);
                 }
             }
-            NodeKind::Or(cs) => match self.or_choice(p, n) {
+            NodeKind::Or => match self.or_choice(p, n) {
                 NIL => {
-                    for &c in cs {
+                    for c in p.children(node) {
                         self.collect_eligible_recursive(p, c, out);
                     }
                 }
                 chosen => self.collect_eligible_recursive(p, chosen as NodeId, out),
             },
-            NodeKind::Iso(body) => self.collect_eligible_recursive(p, *body, out),
+            NodeKind::Iso => self.collect_eligible_recursive(p, node + 1, out),
         }
     }
 
@@ -998,7 +957,6 @@ impl Cursor {
             + self.frontier.capacity() * std::mem::size_of::<Choice>()
     }
 }
-
 /// A cursor executing a [`Program`].
 ///
 /// Generic over how the program is held: `Scheduler<&Program>` borrows
@@ -1070,8 +1028,8 @@ impl<P: std::ops::Deref<Target = Program>> Scheduler<P> {
     {
         let mut fresh = Scheduler::new(self.program.clone());
         for &node in self.cursor.trace.get(..n)? {
-            let slot = self.program.nodes[node as usize].slot;
-            if slot == NIL || !fresh.fire_slot(slot) || fresh.cursor.trace.last() != Some(&node) {
+            let symbol = self.program.symbol(node as NodeId)?;
+            if !fresh.fire_symbol(symbol) || fresh.cursor.trace.last() != Some(&node) {
                 return None;
             }
         }
@@ -1080,7 +1038,7 @@ impl<P: std::ops::Deref<Target = Program>> Scheduler<P> {
 
     /// True when the whole workflow has completed: the root's done bit.
     pub fn is_complete(&self) -> bool {
-        self.cursor.is_done(self.program.root)
+        self.cursor.is_done(ROOT)
     }
 
     /// True when incomplete with nothing eligible — a knot at run time
@@ -1101,10 +1059,7 @@ impl<P: std::ops::Deref<Target = Program>> Scheduler<P> {
 
     /// The innermost active `⊙`, or the root: where eligibility starts.
     fn scope_root(&self) -> NodeId {
-        self.cursor
-            .lock
-            .last()
-            .map_or(self.program.root, |&l| l as NodeId)
+        self.cursor.lock.last().map_or(ROOT, |&l| l as NodeId)
     }
 
     /// The eligible set recomputed from scratch by the original recursive
@@ -1138,8 +1093,8 @@ impl<P: std::ops::Deref<Target = Program>> Scheduler<P> {
     /// out an execution only another alternative allows (ROADMAP item 7;
     /// the reproducer is the ignored
     /// `by_name_firing_admits_every_allowed_execution` in
-    /// `tests/runtime_integration.rs`). One hash lookup and a scan of
-    /// [`Scheduler::eligible`]; no allocation.
+    /// `tests/runtime_integration.rs`). One probe of the program's name
+    /// index and a scan of [`Scheduler::eligible`]; no allocation.
     ///
     /// When no frontier node carries the event, a weak-transition
     /// fallback looks for it behind enabled silent leaves on its own
@@ -1149,10 +1104,7 @@ impl<P: std::ops::Deref<Target = Program>> Scheduler<P> {
     /// then the event itself; choosing the event *is* the decision they
     /// commit, so no unrelated choice is ever taken on its behalf.
     pub fn fire_event(&mut self, event: Symbol) -> bool {
-        match self.program.slots.get(&event) {
-            Some(&slot) => self.fire_slot(slot),
-            None => false,
-        }
+        self.program.names.contains(event) && self.fire_symbol(event)
     }
 
     /// [`Scheduler::fire_event`] for an event that arrives as text:
@@ -1162,25 +1114,25 @@ impl<P: std::ops::Deref<Target = Program>> Scheduler<P> {
     /// name the program does not have costs one hash, takes no lock and
     /// interns nothing, whoever else may have interned it.
     pub fn fire_named(&mut self, event: &str) -> Option<Symbol> {
-        let named = self.program.names().get(event)?;
-        self.fire_slot(named.slot).then_some(named.symbol)
+        let named = self.program.names.get(event)?;
+        self.fire_symbol(named.symbol).then_some(named.symbol)
     }
 
-    /// Fires the event whose dispatch slot is `slot`, if eligible.
-    fn fire_slot(&mut self, slot: u32) -> bool {
+    /// Fires the event `symbol`, if eligible.
+    fn fire_symbol(&mut self, symbol: Symbol) -> bool {
         loop {
-            if let Some(n) = self.cursor.first_carrying(&self.program, slot) {
+            if let Some(n) = self.cursor.first_carrying(&self.program, symbol) {
                 self.fire(n);
                 return true;
             }
             let step = self
                 .cursor
-                .step_toward(&self.program, self.scope_root(), slot);
+                .step_toward(&self.program, self.scope_root(), symbol);
             match step {
                 // Fire the leading τ-step and retry: each iteration
                 // completes a node, so the loop is bounded by |program|.
                 Some(n) => {
-                    let carries_event = self.program.nodes[n].slot == slot;
+                    let carries_event = self.program.symbol(n) == Some(symbol);
                     self.fire(n);
                     if carries_event {
                         return true;
@@ -1215,18 +1167,39 @@ impl<P: std::ops::Deref<Target = Program>> Scheduler<P> {
     /// the same continuations — the state identity used by explicit-state
     /// model checking over the marking graph.
     ///
-    /// Per node, in node order: the done flag, the `⊗` position (0 for
-    /// any other node) and the `∨` choice (`u32::MAX` for any other node
-    /// or before the commit) — a full record for every node whatever its
-    /// kind, so the bytes do not depend on how the cursor packs them.
+    /// Per node, in the goal's post-order (children before parents): the
+    /// done flag, the `⊗` position as a child index (0 for any other
+    /// node) and the `∨` choice as the chosen child's post-order position
+    /// (`u32::MAX` for any other node or before the commit) — a full
+    /// record for every node whatever its kind, so the bytes depend
+    /// neither on how the cursor packs them nor on how the program
+    /// numbers its nodes. Then the channels sent on and the `⊙` stack,
+    /// its nodes by post-order position too.
     pub fn state_key(&self) -> Vec<u8> {
         let (p, c): (&Program, &Cursor) = (&self.program, &self.cursor);
-        let mut key = Vec::with_capacity(p.nodes.len() * 9 + 16);
+        // A node's post-order position is the ids up to its subtree's
+        // end, less itself and its ancestors.
+        let post = |node: NodeId, depth: usize| (p.end(node) - 1 - depth) as u32;
+        let mut key = vec![0u8; p.nodes.len() * 9];
+        key.reserve(16);
         let mut sent = Vec::new();
+        // The subtree ends of the node's ancestors: their count is its depth.
+        let mut open: Vec<NodeId> = Vec::new();
         for (node, n) in p.nodes.iter().enumerate() {
+            while open.last().is_some_and(|&end| end <= node) {
+                open.pop();
+            }
+            let depth = open.len();
             let (pos, choice) = match n.kind {
-                NodeKind::Seq(_) => (c.seq_pos(p, n) as u32, NIL),
-                NodeKind::Or(_) => (0, c.or_choice(p, n)),
+                NodeKind::Seq => {
+                    let at = c.seq_pos(p, n);
+                    let pos = p.children(node).take_while(|&child| child < at).count();
+                    (pos as u32, NIL)
+                }
+                NodeKind::Or => match c.or_choice(p, n) {
+                    NIL => (0, NIL),
+                    chosen => (0, post(chosen as NodeId, depth + 1)),
+                },
                 NodeKind::Send { rank, channel } => {
                     if c.is_sent(p, rank) {
                         sent.push(channel.0);
@@ -1235,9 +1208,11 @@ impl<P: std::ops::Deref<Target = Program>> Scheduler<P> {
                 }
                 _ => (0, NIL),
             };
-            key.push(c.is_done(node) as u8);
-            key.extend_from_slice(&pos.to_le_bytes());
-            key.extend_from_slice(&choice.to_le_bytes());
+            let record = &mut key[post(node, depth) as usize * 9..][..9];
+            record[0] = c.is_done(node) as u8;
+            record[1..5].copy_from_slice(&pos.to_le_bytes());
+            record[5..].copy_from_slice(&choice.to_le_bytes());
+            open.push(n.end as NodeId);
         }
         // The channels sent on, by id, ascending — each once however many
         // `send` nodes name it.
@@ -1248,8 +1223,13 @@ impl<P: std::ops::Deref<Target = Program>> Scheduler<P> {
             key.extend_from_slice(&ch.to_le_bytes());
         }
         key.push(0xFD);
-        for l in &c.lock {
-            key.extend_from_slice(&l.to_le_bytes());
+        for &l in &c.lock {
+            let (mut depth, mut up) = (0, p.nodes[l as usize].parent);
+            while up != NIL {
+                depth += 1;
+                up = p.nodes[up as usize].parent;
+            }
+            key.extend_from_slice(&post(l as NodeId, depth).to_le_bytes());
         }
         key
     }
@@ -1316,6 +1296,12 @@ mod tests {
         Goal::atom(name)
     }
 
+    impl Program {
+        fn names(&self) -> &NameIndex {
+            &self.names
+        }
+    }
+
     fn compile(goal: &Goal) -> Program {
         Program::compile(goal).expect("consistent goal")
     }
@@ -1343,7 +1329,7 @@ mod tests {
         let p = compile(&conc(vec![g("a"), g("b"), g("c")]));
         let s = Scheduler::new(&p);
         assert_eq!(s.eligible().len(), 3);
-        assert!(s.eligible().iter().all(|c| c.observable));
+        assert!(s.eligible().iter().all(|c| p.event(c.node).is_some()));
     }
 
     #[test]
@@ -1523,9 +1509,15 @@ mod tests {
         s.fire_event(sym("a"));
         let eligible = s.eligible();
         assert_eq!(eligible.len(), 2);
-        assert_eq!(eligible.iter().filter(|c| c.observable).count(), 1);
+        assert_eq!(
+            eligible
+                .iter()
+                .filter(|c| p.event(c.node).is_some())
+                .count(),
+            1
+        );
         // Take the silent branch.
-        let silent = *eligible.iter().find(|c| !c.observable).unwrap();
+        let silent = *eligible.iter().find(|c| p.event(c.node).is_none()).unwrap();
         s.fire(silent.node);
         assert!(s.is_complete());
         assert_eq!(s.trace_names(), vec![sym("a")]);
@@ -1843,7 +1835,7 @@ mod tests {
         for name in &names {
             let found = index.get(name).expect("every event is indexed");
             assert_eq!((found.name, found.symbol), (name.as_str(), sym(name)));
-            assert_eq!(Some(&found.slot), p.slots.get(&found.symbol));
+            assert!(index.contains(found.symbol));
             assert!(index.get(&format!("{name}z")).is_none());
         }
         assert!(index.get("").is_none());
@@ -2028,6 +2020,21 @@ mod tests {
         }
     }
 
+    /// Each node's post-order position — where `state_key` puts its
+    /// record — from a recursive walk of the children.
+    fn post_order(p: &Program) -> Vec<usize> {
+        fn walk(p: &Program, node: NodeId, next: &mut usize, out: &mut [usize]) {
+            for child in p.children(node) {
+                walk(p, child, next, out);
+            }
+            out[node] = *next;
+            *next += 1;
+        }
+        let mut out = vec![usize::MAX; p.len()];
+        walk(p, ROOT, &mut 0, &mut out);
+        out
+    }
+
     /// Decodes `state_key` and checks it against the tree: every `⊗`
     /// position, `∨` choice and done flag must be the one its node's
     /// children imply, and nodes of other kinds must carry the neutral
@@ -2036,8 +2043,9 @@ mod tests {
     fn assert_key_is_coherent(s: &Scheduler<&Program>) {
         let p = s.program();
         let key = s.state_key();
+        let post = post_order(p);
         let record = |n: NodeId| -> (bool, u32, u32) {
-            let r = &key[n * 9..n * 9 + 9];
+            let r = &key[post[n] * 9..post[n] * 9 + 9];
             (
                 r[0] == 1,
                 u32::from_le_bytes(r[1..5].try_into().unwrap()),
@@ -2048,33 +2056,36 @@ mod tests {
         for (id, node) in p.nodes.iter().enumerate() {
             let (is_done, pos, choice) = record(id);
             assert_eq!(is_done, s.cursor.is_done(id));
+            let cs: Vec<NodeId> = p.children(id).collect();
             match &node.kind {
-                NodeKind::Seq(cs) => {
+                NodeKind::Seq => {
                     let pos = pos as usize;
                     assert!(cs[..pos].iter().all(|&c| done(c)), "⊗ {id} skipped a child");
                     assert!(cs.get(pos).is_none_or(|&c| !done(c)), "⊗ {id} lags");
                     assert_eq!(is_done, pos == cs.len());
                     assert_eq!(choice, NIL);
                 }
-                NodeKind::Or(cs) => {
+                NodeKind::Or => {
                     assert_eq!(pos, 0);
                     match choice {
                         NIL => assert!(!is_done && cs.iter().all(|&c| !done(c))),
                         c => {
-                            assert!(cs.contains(&(c as NodeId)), "∨ {id} chose a stranger");
-                            assert_eq!(is_done, done(c as NodeId));
+                            let chosen = cs.iter().find(|&&child| post[child] == c as usize);
+                            let chosen = *chosen.expect("∨ chose a stranger");
+                            assert_eq!(is_done, done(chosen));
                         }
                     }
                 }
-                NodeKind::Conc(cs) => {
+                NodeKind::Conc => {
                     assert_eq!((pos, choice), (0, NIL));
                     assert_eq!(is_done, cs.iter().all(|&c| done(c)));
                 }
-                NodeKind::Iso(body) => {
+                NodeKind::Iso => {
                     assert_eq!((pos, choice), (0, NIL));
-                    assert_eq!(is_done, done(*body));
+                    assert_eq!(cs, [id + 1]);
+                    assert_eq!(is_done, done(id + 1));
                 }
-                _ => assert_eq!((pos, choice), (0, NIL)),
+                _ => assert_eq!((pos, choice, cs.len()), (0, NIL, 0)),
             }
         }
         for &n in &s.cursor.trace {
@@ -2098,7 +2109,13 @@ mod tests {
         assert_eq!((tail[0], tail[locks_at - 1]), (0xFE, 0xFD));
         assert_eq!(words(&tail[1..locks_at - 1]), sent);
         let locks = words(&tail[locks_at..]);
-        assert_eq!(locks, s.cursor.lock);
+        let expected: Vec<u32> = s
+            .cursor
+            .lock
+            .iter()
+            .map(|&l| post[l as usize] as u32)
+            .collect();
+        assert_eq!(locks, expected);
     }
 
     proptest! {
@@ -2259,12 +2276,12 @@ mod tests {
     }
 
     #[test]
-    fn resident_cursor_of_the_fleet_workflow_fits_384_bytes() {
+    fn resident_cursor_of_the_fleet_workflow_fits_272_bytes() {
         let p = compile(&layered16x2_orders());
         let fresh = Scheduler::new(&p);
         assert!(p.len() > 64, "multi-word bitsets ({} nodes)", p.len());
         assert!(
-            fresh.cursor.bytes() <= 384,
+            fresh.cursor.bytes() <= 272,
             "{} B for {} nodes",
             fresh.cursor.bytes(),
             p.len()

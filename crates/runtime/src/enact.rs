@@ -909,14 +909,13 @@ impl Enactor {
             // Dispatch every eligible, commitment-free, observable step
             // that is not already being attempted.
             for choice in scheduler.eligible() {
-                if !choice.observable
-                    || tick_of(choice.node).is_some()
-                    || d.busy.contains(&choice.node)
-                    || !scheduler.is_commitment_free(choice.node)
-                {
+                let Some(atom) = program.event(choice.node) else {
                     continue;
-                }
-                if let Some(atom) = program.event(choice.node) {
+                };
+                if tick_of(choice.node).is_none()
+                    && !d.busy.contains(&choice.node)
+                    && scheduler.is_commitment_free(choice.node)
+                {
                     d.spawn(choice.node, atom, 1, now);
                 }
             }
@@ -955,7 +954,7 @@ impl Enactor {
                         }
                     };
                     let pick = eligible[idx];
-                    match program.event(pick.node).filter(|_| pick.observable) {
+                    match program.event(pick.node) {
                         // The branch is committed when its first activity
                         // *succeeds* (work-then-claim): the attempt runs
                         // through the normal retry machinery and the node is

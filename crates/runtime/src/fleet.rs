@@ -443,7 +443,12 @@ pub(crate) fn try_complete(
         if at.is_complete() {
             break;
         }
-        let Some(silent) = at.eligible().iter().find(|c| !c.observable) else {
+        let program = at.program();
+        let Some(silent) = at
+            .eligible()
+            .iter()
+            .find(|c| program.event(c.node).is_none())
+        else {
             return Ok(inst.status);
         };
         let node = silent.node;

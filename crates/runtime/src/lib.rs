@@ -260,9 +260,6 @@ impl Deployment {
         ctr_parser::parse_goal(&rendered).map_err(|e| {
             RuntimeError::Compile(format!("the compiled goal does not read back: {e}"))
         })?;
-        // Instances are fired by name: index the names now, not under
-        // the first client's instance lock.
-        program.index_names();
         Ok(Deployment {
             name: name.into(),
             rendered,
@@ -1544,25 +1541,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_compacts_and_reopens_identically() {
-        let store = Arc::new(MemStore::new());
-        let rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn ctr_store::Store>);
-        rt.deploy_source(PAY).unwrap();
-        let id = rt.start("pay").unwrap();
-        rt.fire(id, "invoice").unwrap();
-        rt.checkpoint().unwrap();
-        // Post-checkpoint traffic lands as fresh records.
-        rt.fire(id, "approve").unwrap();
-        let snap = rt.snapshot();
-        drop(rt);
-        let replay = store.replay().unwrap();
-        assert!(replay.snapshot.is_some(), "checkpoint installed a baseline");
-        assert_eq!(replay.records.len(), 1, "only the post-checkpoint fire");
-        let rt = Runtime::open(store).unwrap();
-        assert_eq!(rt.snapshot(), snap);
-    }
-
-    #[test]
     fn storeless_checkpoint_is_a_typed_error() {
         let rt = runtime_with_pay();
         assert!(matches!(rt.checkpoint(), Err(RuntimeError::Store(_))));
@@ -1708,6 +1686,7 @@ mod tests {
         );
         rt.cancel_timer(id, "approve@after30000").unwrap();
         assert!(rt.pending_timers(id).unwrap().is_empty());
+        assert_eq!(rt.pending_timer_count(), 0);
         assert_eq!(
             rt.cancel_timer(id, "approve@after30000"),
             Err(RuntimeError::UnknownTimer {
@@ -1779,6 +1758,7 @@ mod tests {
         // The recovered wheel still expires.
         let fired = rt.advance(30_000).unwrap();
         assert_eq!(fired, vec![(0, "approve@after30000".to_owned())]);
+        assert_eq!(rt.clock_ms(), 30_000);
     }
 
     #[test]

@@ -1280,23 +1280,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_cancel_timer_disarms_and_rejects_unknowns() {
-        let rt = Runtime::new();
-        rt.deploy_source(TIMED).unwrap();
-        let id = rt.start("timed").unwrap();
-        assert_eq!(
-            rt.cancel_timer(id, "nope"),
-            Err(RuntimeError::UnknownTimer {
-                instance: id,
-                event: "nope".to_owned()
-            })
-        );
-        rt.cancel_timer(id, "approve@after30000").unwrap();
-        assert_eq!(rt.pending_timer_count(), 0);
-        assert!(rt.advance(100_000).unwrap().is_empty());
-    }
-
-    #[test]
     fn concurrent_advances_fire_each_timer_exactly_once() {
         let rt = Runtime::new();
         rt.deploy_source(TIMED).unwrap();
@@ -1330,40 +1313,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_timer_recovery_rearms_from_the_wal() {
-        use ctr_store::MemStore;
-        let store = Arc::new(MemStore::new());
-        let snap_before;
-        {
-            let rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn Store>);
-            rt.deploy_source(TIMED).unwrap();
-            let id = rt.start("timed").unwrap();
-            rt.fire(id, "invoice").unwrap();
-            snap_before = rt.snapshot();
-        }
-        // Arm-before-visible: the arm record precedes the start record.
-        let records = store.replay().unwrap().records;
-        let arm = records
-            .iter()
-            .position(|r| matches!(r, ctr_store::Record::TimerArm { .. }))
-            .expect("arm record present");
-        let start = records
-            .iter()
-            .position(|r| matches!(r, ctr_store::Record::Start { .. }))
-            .expect("start record present");
-        assert!(arm < start, "arm-before-visible: {records:?}");
-        let rt = Runtime::open(store).unwrap();
-        assert_eq!(rt.snapshot(), snap_before);
-        assert_eq!(
-            rt.pending_timers(0).unwrap(),
-            vec![("approve@after30000".to_owned(), 30_000)]
-        );
-        let fired = rt.advance(30_000).unwrap();
-        assert_eq!(fired, vec![(0, "approve@after30000".to_owned())]);
-        assert_eq!(rt.clock_ms(), 30_000);
-    }
-
-    #[test]
     fn shared_timer_fires_are_durable_and_survive_checkpoint() {
         use ctr_store::MemStore;
         let store = Arc::new(MemStore::new());
@@ -1385,17 +1334,6 @@ mod tests {
         // recovered wheel) and fires as a compensationable event.
         let fired = rt.advance(3_600_000).unwrap();
         assert_eq!(fired, vec![(g, "approve@deadline3600000".to_owned())]);
-    }
-
-    #[test]
-    fn unknown_ids_and_names_error() {
-        let rt = Runtime::new();
-        assert_eq!(
-            rt.start("ghost"),
-            Err(RuntimeError::UnknownWorkflow("ghost".to_owned()))
-        );
-        assert_eq!(rt.eligible(42), Err(RuntimeError::UnknownInstance(42)));
-        assert_eq!(rt.fire(42, "x"), Err(RuntimeError::UnknownInstance(42)));
     }
 
     #[test]

@@ -139,7 +139,12 @@ fn assert_valid_prefix<'p>(program: &'p Program, completed: &[Symbol]) -> Schedu
 /// Completes `replay` through silent steps alone, if it can.
 fn completes_silently(mut replay: Scheduler<&Program>) -> bool {
     while !replay.is_complete() {
-        let Some(silent) = replay.eligible().iter().find(|c| !c.observable) else {
+        let program = replay.program();
+        let Some(silent) = replay
+            .eligible()
+            .iter()
+            .find(|c| program.event(c.node).is_none())
+        else {
             return false;
         };
         let node = silent.node;
