@@ -189,11 +189,10 @@ fn every_failed_append_leaves_the_fleet_as_it_was() {
     while script_survives_failed_operation(nth) {
         nth += 1;
     }
-    // 14 appends of one write and one sync each, and on each of the
-    // three stripes the script touches a segment create and the
-    // directory sync behind it: every file-system operation of the
-    // script was the failing one once.
-    assert_eq!(nth, 34);
+    // 14 appends of one write and one sync each, and the log's one
+    // segment create and the directory sync behind it: every
+    // file-system operation of the script was the failing one once.
+    assert_eq!(nth, 30);
 }
 
 /// A start whose `Start` append failed after its `TimerArm` succeeded

@@ -78,7 +78,7 @@
 //! ## Lock order
 //!
 //! `registry < gate[0] < … < gate[SHARD_COUNT−1] < instance locks <
-//! timer state < the store's own stripe locks`. The store's locks are
+//! timer state < the store's own locks`. The store's locks are
 //! only ever taken inside a [`Store`] call, never around one. The timer
 //! mutex is taken by the core alone, for a few instructions at a time
 //! (read the clock, arm, cancel, pop the expired batch), never across a
@@ -121,15 +121,15 @@
 //! [`crate::WalOptions`]) decides how long those in-lock appends block:
 //!
 //! * `Strict` and `Coalesced` — an append blocks until its record is
-//!   durable, but concurrent appends on a stripe share **one** fsync
-//!   (the store's commit pipeline): the instance lock is held across
-//!   the group wait, other instances proceed, and total fsync pressure
-//!   drops with concurrency. `Coalesced` also lets the group's leader
+//!   durable, but concurrent appends share **one** fsync (the store's
+//!   commit pipeline): the instance lock is held across the group
+//!   wait, other instances proceed, and total fsync pressure drops
+//!   with concurrency. `Coalesced` also lets the group's leader
 //!   linger to gather more of it; it is the recommended policy for
 //!   multi-client services.
 //! * `Periodic` — appends return at staging time, so instance locks
 //!   are barely held; a crash may lose up to one sync interval of
-//!   *acknowledged* records (always a contiguous per-stripe suffix).
+//!   *acknowledged* records (always a suffix of the log).
 //!   Only for deployments that accept that loss window.
 //!
 //! The checkpoint cut is durability-safe in every mode: the store
@@ -329,10 +329,7 @@ pub(crate) struct Inner {
     /// written only while recovery still owns the table.
     pub(crate) replayed: u64,
     /// Durability backend shared by every shard; immutable for the life
-    /// of the handle, so reads need no lock. The WAL backend stripes
-    /// its segments by the same `id % SHARD_COUNT` rule as the instance
-    /// table, so two instances on different shards never contend on a
-    /// log stripe either.
+    /// of the handle, so reads need no lock.
     pub(crate) store: Option<Arc<dyn Store>>,
     /// Timer queue + logical clock; strictly below every other lock.
     pub(crate) timers: Mutex<TimerState>,

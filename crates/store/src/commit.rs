@@ -1,9 +1,9 @@
 //! Cross-thread group commit: the WAL commit pipeline.
 //!
-//! PR 7's append path held the stripe lock across `write_all` +
-//! `sync_data`, so N concurrent appenders on one stripe paid N serial
-//! fsyncs — the cliff between the ladder rungs `store_mem` (0.4 µs per
-//! fire) and `store_wal_strict` (104 µs, one fsync per fire) in
+//! PR 7's append path held the log lock across `write_all` +
+//! `sync_data`, so N concurrent appenders paid N serial fsyncs — the
+//! cliff between the ladder rungs `store_mem` (0.4 µs per fire) and
+//! `store_wal_strict` (104 µs, one fsync per fire) in
 //! `benchmark/results/trace-seed1.json`. This module replaces that
 //! with the classic leader/follower group commit of production
 //! databases:
@@ -11,14 +11,14 @@
 //! 1. **Stage.** An appender encodes its frame *under a short staging
 //!    lock* (where the global sequence number is also allocated, so the
 //!    checkpoint-cut invariant is unchanged), pushes the bytes onto the
-//!    stripe's commit queue, takes a monotonically increasing *ticket*,
-//!    and — under [`Durability::Strict`] and [`Durability::Coalesced`] —
-//!    waits on the stripe's durable-watermark condvar.
+//!    commit queue, takes a monotonically increasing *ticket*, and —
+//!    under [`Durability::Strict`] and [`Durability::Coalesced`] —
+//!    waits on the durable-watermark condvar.
 //! 2. **Lead.** The first waiter to observe no active leader becomes
 //!    the **leader**: it may wait up to `max_wait` for the group to
 //!    grow, then drains *every* staged frame, releases the staging lock,
 //!    and commits the whole group with **one** `write_all` and **one**
-//!    `sync_data` under the stripe's separate I/O lock.
+//!    `sync_data` under the separate I/O lock.
 //! 3. **Publish.** Back under the staging lock the leader advances the
 //!    durable watermark past the group's tickets, steps down, and wakes
 //!    the group. Waiters whose ticket is at or below the watermark
@@ -31,26 +31,26 @@
 //!    win shows up even on a single-CPU host (fsync is I/O-bound; the
 //!    kernel runs the other appenders while the leader blocks).
 //!
-//! **Failure discipline.** A failed group write poisons the stripe
+//! **Failure discipline.** A failed group write poisons the log
 //! (`dirty`), truncates the segment back to the last *acknowledged*
 //! byte, and fails **every** waiter in the group with the typed
 //! [`StoreError`] — the durable watermark never advances past a
 //! truncation point, so no waiter can be told "durable" for bytes that
 //! were cut. Under [`Durability::Periodic`] there are no waiters; the
-//! error is *latched* as a sticky per-stripe error that fails every
-//! subsequent `append` on that stripe until the store is reopened —
-//! one observer is not enough, because acknowledged-but-unsynced
-//! records were already dropped and later appenders would otherwise
-//! stage into a silently lossy stripe.
+//! error is *latched* as a sticky error that fails every subsequent
+//! `append` until the store is reopened — one observer is not enough,
+//! because acknowledged-but-unsynced records were already dropped and
+//! later appenders would otherwise stage into a silently lossy log.
+//! Frames that staged behind the failed group are discarded with it,
+//! so the loss stays a suffix of the log, never a gap.
 //!
-//! **Lock order.** Within a stripe: staging before I/O, and the I/O
-//! lock is never held while (re)acquiring the staging lock — the leader
-//! drops staging for the write and drops I/O before publishing. Across
-//! stripes only `checkpoint`/`replay` lock more than one, always in
-//! ascending index order, quiescing each stripe's pipeline
-//! (`WalInner::quiesce_stripe`) before freezing its I/O state.
+//! **Lock order.** Staging before I/O, and the I/O lock is never held
+//! while (re)acquiring the staging lock — the leader drops staging for
+//! the write and drops I/O before publishing. `checkpoint` and `replay`
+//! quiesce the pipeline (`WalInner::quiesce`) before freezing the I/O
+//! state.
 
-use crate::wal::{Stripe, WalInner};
+use crate::wal::WalInner;
 use crate::{encode_payload, Record, StoreError};
 use std::collections::BTreeMap;
 use std::mem;
@@ -68,16 +68,16 @@ pub enum Durability {
     /// the default has always had.
     #[default]
     Strict,
-    /// Leader/follower group commit: concurrent appends on a stripe
-    /// coalesce into one `write_all` + one `sync_data`, and every
-    /// `append` still returns only after its record is durable — a
-    /// crash can never lose an acknowledged record. Before writing, the
-    /// leader lingers in short slices *while the group keeps growing*,
-    /// up to `max_wait` total — enough for followers woken by the
-    /// previous commit to join this group instead of forcing the next
-    /// one, at a bounded latency cost ([`Duration::ZERO`] disables the
-    /// linger and relies purely on the batching that fsync latency
-    /// itself provides). See [`Durability::coalesced`] for the default.
+    /// Leader/follower group commit: concurrent appends coalesce into
+    /// one `write_all` + one `sync_data`, and every `append` still
+    /// returns only after its record is durable — a crash can never
+    /// lose an acknowledged record. Before writing, the leader lingers
+    /// in short slices *while the group keeps growing*, up to
+    /// `max_wait` total — enough for followers woken by the previous
+    /// commit to join this group instead of forcing the next one, at a
+    /// bounded latency cost ([`Duration::ZERO`] disables the linger and
+    /// relies purely on the batching that fsync latency itself
+    /// provides). See [`Durability::coalesced`] for the default.
     Coalesced {
         /// Upper bound on the leader's grow-the-group linger.
         max_wait: Duration,
@@ -85,10 +85,10 @@ pub enum Durability {
     /// Relaxed: `append` acknowledges after *staging*; a background
     /// syncer thread commits staged frames every `interval`. A crash
     /// may lose up to one interval of acknowledged records (always a
-    /// contiguous per-stripe suffix, never a gap). For workloads where
+    /// contiguous suffix of the log, never a gap). For workloads where
     /// the journal is a log, not a ledger.
     Periodic {
-        /// How often the background syncer drains the commit queues.
+        /// How often the background syncer drains the commit queue.
         interval: Duration,
     },
 }
@@ -111,10 +111,14 @@ impl Durability {
     }
 }
 
-/// A stripe's commit queue: staged frames awaiting the next group
-/// write, plus the ticket bookkeeping that orders acknowledgements.
-/// Lives behind the stripe's staging mutex.
+/// The commit queue: staged frames awaiting the next group write, the
+/// ticket bookkeeping that orders acknowledgements, and the sequence
+/// allocator. Lives behind the staging mutex.
 pub(crate) struct CommitQueue {
+    /// Global sequence number of the next record. Allocated under the
+    /// staging lock, so `checkpoint` (which holds it) observes a
+    /// frontier no in-flight append can cross.
+    pub(crate) next_seq: u64,
     /// Next ticket to hand out (the first staged frame gets ticket 1).
     next_ticket: u64,
     /// Highest ticket already drained into a group (written or failed).
@@ -124,7 +128,7 @@ pub(crate) struct CommitQueue {
     /// A leader is currently committing a group.
     leader: bool,
     /// Size of the group the last leader drained — the linger's
-    /// concurrency signal: a stripe whose groups are singletons has no
+    /// concurrency signal: a log whose groups are singletons has no
     /// followers worth waiting for.
     last_group: u64,
     /// Concatenated frames awaiting the next group write.
@@ -136,14 +140,15 @@ pub(crate) struct CommitQueue {
     /// bounded by the number of concurrently failed appends.
     failures: BTreeMap<u64, StoreError>,
     /// Background-sync failure under [`Durability::Periodic`] (no
-    /// waiter to deliver it to); latched — every subsequent append on
-    /// the stripe fails with a clone until the store is reopened.
+    /// waiter to deliver it to); latched — every subsequent append
+    /// fails with a clone until the store is reopened.
     sticky_error: Option<StoreError>,
 }
 
 impl CommitQueue {
-    pub(crate) fn new() -> CommitQueue {
+    pub(crate) fn new(next_seq: u64) -> CommitQueue {
         CommitQueue {
+            next_seq,
             next_ticket: 1,
             drained: 0,
             durable: 0,
@@ -166,9 +171,8 @@ impl WalInner {
     /// The append path of every level: stage the frame under the staging
     /// lock, then either wait for the durable watermark (strict,
     /// coalesced) or acknowledge immediately (periodic).
-    pub(crate) fn append(&self, s: usize, record: &Record) -> Result<(), StoreError> {
-        let stripe = &self.stripes[s];
-        let mut q = crate::wal::lock(&stripe.staging);
+    pub(crate) fn append(&self, record: &Record) -> Result<(), StoreError> {
+        let mut q = crate::wal::lock(&self.staging);
 
         let (wait, window) = match self.options.durability {
             Durability::Strict => (true, Duration::ZERO),
@@ -180,29 +184,26 @@ impl WalInner {
             // staged window it covered is gone (truncated back to the
             // acknowledged tail). The error is *latched*, not consumed:
             // a Periodic appender that saw one `Ok` has no later chance
-            // to learn the stripe is broken, so every subsequent append
-            // on the stripe must keep failing until the store is
-            // reopened (which rescans and repairs the segment). Taking
-            // the error here would acknowledge new records into a
-            // stripe whose acknowledged window was already cut.
+            // to learn the log is broken, so every subsequent append
+            // must keep failing until the store is reopened (which
+            // rescans and repairs the segment). Taking the error here
+            // would acknowledge new records into a log whose
+            // acknowledged window was already cut.
             if let Some(err) = &q.sticky_error {
                 return Err(err.clone());
             }
         }
 
-        // Sequence allocation stays under the staging lock on purpose:
-        // checkpoint quiesces and holds every staging lock while the
-        // cut is chosen, so no append can hold an unwritten seq.
-        let seq = self.next_seq();
-        let payload = encode_payload(seq, record);
+        let payload = encode_payload(q.next_seq, record);
         self.check_payload_size(payload.len())?;
+        q.next_seq += 1;
 
         let ticket = q.next_ticket;
         q.next_ticket += 1;
         crate::put_frame(&payload, &mut q.buf);
         q.frame_events.push(record.event_count());
         // Wake a leader lingering in its grow-the-group window.
-        stripe.staged_cv.notify_all();
+        self.staged_cv.notify_all();
 
         if !wait {
             // Periodic: acknowledged now, durable within one interval.
@@ -222,24 +223,23 @@ impl WalInner {
                 return Ok(());
             }
             if q.leader {
-                q = crate::wal::wait(&stripe.durable_cv, q);
+                q = crate::wal::wait(&self.durable_cv, q);
             } else {
                 // Leader election is the wait loop itself: the first
                 // waiter to observe no leader commits everyone staged
                 // so far (its own frame included), then re-checks.
                 q.leader = true;
-                q = self.lead(stripe, q, window);
+                q = self.lead(q, window);
             }
         }
     }
 
-    /// Commits one group as the stripe's leader. Called with the
-    /// staging lock held and `leader` already set; returns with the
-    /// staging lock re-held, `leader` cleared, and the group's verdict
-    /// published (watermark advanced or per-ticket failures recorded).
+    /// Commits one group as the leader. Called with the staging lock
+    /// held and `leader` already set; returns with the staging lock
+    /// re-held, `leader` cleared, and the group's verdict published
+    /// (watermark advanced or per-ticket failures recorded).
     fn lead<'a>(
-        &self,
-        stripe: &'a Stripe,
+        &'a self,
         q: MutexGuard<'a, CommitQueue>,
         window: Duration,
     ) -> MutexGuard<'a, CommitQueue> {
@@ -250,16 +250,16 @@ impl WalInner {
         // the one after — group size tracks concurrency, not luck. Safe
         // against the staging→I/O order used by checkpoint/replay: only
         // a leader takes the locks in this order, at most one leader
-        // runs per stripe (the `leader` flag), and checkpoint/replay only
-        // take a stripe's I/O lock while holding its staging lock
-        // *after* quiescing it — with `leader` false and staging held,
-        // no new leader can exist to hold the I/O side. So the inverted
+        // runs at a time (the `leader` flag), and checkpoint/replay only
+        // take the I/O lock while holding the staging lock *after*
+        // quiescing — with `leader` false and staging held, no new
+        // leader can exist to hold the I/O side. So the inverted
         // acquisition can never form a cycle.
-        let mut io = crate::wal::lock(&stripe.io);
-        let mut q = crate::wal::lock(&stripe.staging);
+        let mut io = crate::wal::lock(&self.io);
+        let mut q = crate::wal::lock(&self.staging);
 
         // Linger up to `window` for the group to reach the size of the
-        // *previous* group — the stripe's observed concurrency: the
+        // *previous* group — the log's observed concurrency: the
         // followers the last commit woke are re-appending right now,
         // and waiting a fraction of an fsync lets them stage into this
         // group instead of forcing the next one. Every stage notifies
@@ -267,8 +267,8 @@ impl WalInner {
         // in steady state the linger costs nothing — and the drain
         // below takes *everything* staged, so groups can always grow
         // past the target and the target adapts upward for free (and
-        // downward after one timed-out window). An uncontended stripe
-        // (no company staged, last group a singleton) skips the linger
+        // downward after one timed-out window). An uncontended log (no
+        // company staged, last group a singleton) skips the linger
         // entirely and pays nothing over a strict append, which never
         // lingers.
         if !window.is_zero() && (q.staged_frames() > 1 || q.last_group > 1) {
@@ -279,7 +279,7 @@ impl WalInner {
                 if now >= deadline {
                     break;
                 }
-                q = crate::wal::wait_timeout(&stripe.staged_cv, q, deadline - now);
+                q = crate::wal::wait_timeout(&self.staged_cv, q, deadline - now);
             }
         }
         let buf = mem::take(&mut q.buf);
@@ -297,7 +297,7 @@ impl WalInner {
         let outcome = self.write_group(&mut io, &buf);
         drop(io);
 
-        let mut q = crate::wal::lock(&stripe.staging);
+        let mut q = crate::wal::lock(&self.staging);
         // Periodic appends have no waiters: they were counted at
         // acknowledgement time, and a failure has no one to go to.
         let periodic = matches!(self.options.durability, Durability::Periodic { .. });
@@ -315,12 +315,18 @@ impl WalInner {
                 self.counters.on_commit(frames, latency);
             }
             Err(err) => {
-                // The stripe was poisoned and truncated back to the
-                // last acknowledged byte inside `write_group`; no
-                // waiter may be told "durable" past that point, so the
-                // watermark stays put and every ticket in the group
-                // gets the typed error.
+                // The log was poisoned and truncated back to the last
+                // acknowledged byte inside `write_group`; no waiter may
+                // be told "durable" past that point, so the watermark
+                // stays put and every ticket in the group gets the
+                // typed error.
                 if periodic {
+                    // Frames staged behind the group were acknowledged
+                    // before the error latched; writing them later would
+                    // leave a gap where the group was, so they go too.
+                    q.buf.clear();
+                    q.drained += q.frame_events.len() as u64;
+                    q.frame_events.clear();
                     q.sticky_error = Some(err);
                 } else {
                     for ticket in first..=last {
@@ -330,38 +336,35 @@ impl WalInner {
             }
         }
         q.leader = false;
-        stripe.durable_cv.notify_all();
+        self.durable_cv.notify_all();
         q
     }
 
-    /// Drains a stripe's commit queue until it is empty and no leader
-    /// is active, then returns the staging guard — with it held, no new
+    /// Drains the commit queue until it is empty and no leader is
+    /// active, then returns the staging guard — with it held, no new
     /// frame can stage and no leader can start, so the caller
-    /// (`checkpoint`, `replay`, `Drop`) sees a fully quiesced stripe.
-    pub(crate) fn quiesce_stripe(&self, s: usize) -> MutexGuard<'_, CommitQueue> {
-        let stripe = &self.stripes[s];
-        let mut q = crate::wal::lock(&stripe.staging);
+    /// (`checkpoint`, `replay`, `Drop`) sees a fully quiesced log.
+    pub(crate) fn quiesce(&self) -> MutexGuard<'_, CommitQueue> {
+        let mut q = crate::wal::lock(&self.staging);
         loop {
             if q.leader {
-                q = crate::wal::wait(&stripe.durable_cv, q);
+                q = crate::wal::wait(&self.durable_cv, q);
             } else if q.staged_frames() > 0 {
                 q.leader = true;
-                q = self.lead(stripe, q, Duration::ZERO);
+                q = self.lead(q, Duration::ZERO);
             } else {
                 return q;
             }
         }
     }
 
-    /// One background-syncer pass over a stripe: commit whatever is
-    /// staged, without waiting for an idle pipeline.
-    pub(crate) fn sync_stripe_once(&self, s: usize) {
-        let stripe = &self.stripes[s];
-        let q = crate::wal::lock(&stripe.staging);
+    /// One background-syncer pass: commit whatever is staged, without
+    /// waiting for an idle pipeline.
+    pub(crate) fn sync_once(&self) {
+        let mut q = crate::wal::lock(&self.staging);
         if !q.leader && q.staged_frames() > 0 {
-            let mut q = q;
             q.leader = true;
-            drop(self.lead(stripe, q, Duration::ZERO));
+            drop(self.lead(q, Duration::ZERO));
         }
     }
 }
@@ -386,9 +389,8 @@ mod tests {
         }
     }
 
-    fn one_stripe(durability: Durability) -> WalOptions {
+    fn under(durability: Durability) -> WalOptions {
         WalOptions {
-            shards: 1,
             durability,
             ..WalOptions::default()
         }
@@ -400,7 +402,7 @@ mod tests {
     fn coalesced_appends_share_fsyncs_across_threads() {
         let fs = SimFs::new(1);
         fs.set_sync_latency(Duration::from_millis(5));
-        let options = one_stripe(Durability::Coalesced {
+        let options = under(Durability::Coalesced {
             max_wait: Duration::from_millis(250),
         });
         let store = Arc::new(open(&fs, options));
@@ -428,7 +430,7 @@ mod tests {
         const THREADS: u64 = 4;
         const EACH: u64 = 25;
         let fs = SimFs::new(2);
-        let options = one_stripe(Durability::Strict);
+        let options = under(Durability::Strict);
         let store = open(&fs, options);
         std::thread::scope(|scope| {
             for t in 0..THREADS {
@@ -466,7 +468,7 @@ mod tests {
     fn periodic_acknowledges_before_durable_and_flushes_on_drop() {
         let fs = SimFs::new(3);
         // An interval far beyond the test: only the Drop flush syncs.
-        let options = one_stripe(Durability::Periodic {
+        let options = under(Durability::Periodic {
             interval: Duration::from_secs(3600),
         });
         let store = open(&fs, options);
@@ -486,7 +488,7 @@ mod tests {
     #[test]
     fn periodic_background_syncer_drains_within_the_interval() {
         let fs = SimFs::new(4);
-        let options = one_stripe(Durability::Periodic {
+        let options = under(Durability::Periodic {
             interval: Duration::from_millis(2),
         });
         let store = open(&fs, options);
@@ -501,7 +503,7 @@ mod tests {
     #[test]
     fn one_group_write_records_its_size_in_the_histogram() {
         let fs = SimFs::new(5);
-        let options = one_stripe(Durability::Periodic {
+        let options = under(Durability::Periodic {
             interval: Duration::from_secs(3600),
         });
         let store = open(&fs, options);
@@ -521,9 +523,9 @@ mod tests {
     }
 
     #[test]
-    fn leader_failure_fails_every_waiter_then_the_stripe_repairs() {
+    fn leader_failure_fails_every_waiter_then_the_log_repairs() {
         let fs = SimFs::new(6);
-        let options = one_stripe(Durability::Coalesced {
+        let options = under(Durability::Coalesced {
             max_wait: Duration::from_millis(100),
         });
         let store = Arc::new(open(&fs, options));
@@ -551,7 +553,7 @@ mod tests {
             assert!(matches!(err, StoreError::Io(_)), "typed i/o error: {err:?}");
         }
 
-        // The stripe repaired itself: the next append lands with no
+        // The log repaired itself: the next append lands with no
         // partial frame ahead of it, and recovery sees no torn bytes.
         fs.heal();
         store.append(&ev(0, "after")).unwrap();
@@ -569,7 +571,7 @@ mod tests {
         let fs = SimFs::new(7);
         // Huge interval: the background syncer never runs, so the only
         // sync points are the deterministic quiesces below.
-        let options = one_stripe(Durability::Periodic {
+        let options = under(Durability::Periodic {
             interval: Duration::from_secs(3600),
         });
         let store = open(&fs, options);
@@ -582,13 +584,13 @@ mod tests {
 
         // The next sync fails: "doomed" is acknowledged at staging
         // time, then the quiesce inside replay hits the injected write
-        // error, truncates the stripe back to the acknowledged tail,
+        // error, truncates the log back to the acknowledged tail,
         // and latches the sticky error.
         fs.inject(Some(Op::Append), 0, Fault::ShortWrite, true);
         store.append(&ev(0, "doomed")).unwrap();
         assert_eq!(store.replay().unwrap().records, vec![ev(0, "durable")]);
 
-        // Even with the fault gone, the stripe must stay failed: the
+        // Even with the fault gone, the log must stay failed: the
         // acknowledged "doomed" record is already lost, and a Periodic
         // appender that got one `Ok` never looks back. Pre-fix, the
         // `take()` meant only the first of these three observed the
@@ -611,10 +613,51 @@ mod tests {
         );
     }
 
+    /// A frame that stages while a Periodic group is being written is
+    /// acknowledged before the group fails; it must go with the group,
+    /// or a later flush writes it past the lost records and recovery
+    /// sees a gap instead of a prefix.
+    #[test]
+    fn periodic_failed_group_discards_what_staged_behind_it() {
+        let fs = SimFs::new(9);
+        let options = under(Durability::Periodic {
+            interval: Duration::from_secs(3600),
+        });
+        let store = open(&fs, options);
+        store.append(&ev(0, "durable")).unwrap();
+        let _ = store.replay().unwrap();
+        assert_eq!(store.replay().unwrap().records, vec![ev(0, "durable")]);
+
+        // The next group's append lands, then its sync sleeps and fails;
+        // "behind" stages during the sleep, before the failure latches.
+        store.append(&ev(0, "lost")).unwrap();
+        let append_op = fs.ops();
+        fs.inject(Some(Op::Sync), 0, Fault::Eio, false);
+        fs.set_sync_latency(Duration::from_millis(300));
+        let behind = std::thread::scope(|scope| {
+            let appender = scope.spawn(|| {
+                while fs.ops() <= append_op {
+                    std::thread::yield_now();
+                }
+                store.append(&ev(1, "behind"))
+            });
+            assert_eq!(store.replay().unwrap().records, vec![ev(0, "durable")]);
+            appender.join().unwrap()
+        });
+        assert!(behind.is_ok(), "staged during the failing sync: {behind:?}");
+        fs.set_sync_latency(Duration::ZERO);
+        assert!(store.append(&ev(0, "latched")).is_err());
+
+        // Neither the replay's quiesce nor the drop's flush wrote it.
+        drop(store);
+        let store = open(&fs.reboot(), options);
+        assert_eq!(store.replay().unwrap().records, vec![ev(0, "durable")]);
+    }
+
     #[test]
     fn checkpoint_quiesces_a_relaxed_pipeline_before_cutting() {
         let fs = SimFs::new(8);
-        let options = one_stripe(Durability::Periodic {
+        let options = under(Durability::Periodic {
             interval: Duration::from_secs(3600),
         });
         let store = open(&fs, options);

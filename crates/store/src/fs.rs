@@ -17,7 +17,8 @@ use std::path::{Path, PathBuf};
 pub trait Fs: Send + Sync {
     /// Creates `dir` and any missing parents.
     fn create_dir_all(&self, dir: &Path) -> Result<(), StoreError>;
-    /// The files directly under `dir` as `(name, length)`, in no order.
+    /// The entries directly under `dir` as `(name, length)`, in no
+    /// order; a subdirectory is listed too, its length meaning nothing.
     fn list(&self, dir: &Path) -> Result<Vec<(String, u64)>, StoreError>;
     /// The whole content of `path`, or `None` when there is no such file.
     fn read(&self, path: &Path) -> Result<Option<Vec<u8>>, StoreError>;

@@ -30,9 +30,9 @@
 //!   byte; it is also the honest baseline `benchmark/` sets the WAL
 //!   against (`store.mem.append_ns` beside the `store.wal.*` probes,
 //!   `serve_pipelined` beside the `serve_durable` workload).
-//! * [`wal::WalStore`] — an append-only segmented log per shard with
+//! * [`wal::WalStore`] — one append-only segmented log with
 //!   length-prefixed, CRC-checked records, a cross-thread group-commit
-//!   pipeline (N concurrent appends on a stripe cost one fsync — see
+//!   pipeline (N concurrent appends cost one fsync — see
 //!   [`commit`]), tunable [`Durability`], snapshot compaction, and
 //!   torn-tail crash recovery.
 //!
@@ -54,7 +54,6 @@ pub use commit::Durability;
 pub use fs::{Fs, OsFs, Segment};
 pub use wal::{WalOptions, WalStore};
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -158,23 +157,6 @@ pub enum Record {
 }
 
 impl Record {
-    /// Which of `shards` log stripes this record belongs to. Instance
-    /// records ride their instance's stripe (`id % shards` — the same
-    /// striping the sharded runtime uses), so all records of one
-    /// instance live in one shard and keep their relative order without
-    /// any cross-shard coordination. Deploys go to stripe 0.
-    pub fn shard(&self, shards: usize) -> usize {
-        match self {
-            Record::Deploy { .. } => 0,
-            Record::Start { instance, .. }
-            | Record::Events { instance, .. }
-            | Record::Complete { instance }
-            | Record::TimerArm { instance, .. }
-            | Record::TimerFire { instance, .. }
-            | Record::TimerCancel { instance, .. } => (*instance % shards as u64) as usize,
-        }
-    }
-
     /// Number of journal events this record carries (its group size).
     pub fn event_count(&self) -> u64 {
         match self {
@@ -253,7 +235,7 @@ pub struct StoreStats {
     /// attributed separately so `fsyncs / appends` measures commit
     /// coalescing cleanly.
     pub fsyncs: u64,
-    /// Directory syncs from segment creation and stripe repair.
+    /// Syncs from segment creation and log repair.
     pub rotation_syncs: u64,
     /// File and directory syncs issued by checkpoint compaction.
     pub checkpoint_syncs: u64,
@@ -609,20 +591,6 @@ fn parse_id(field: &str, text: &str) -> Result<u64, StoreError> {
         .map_err(|_| StoreError::Corrupt(format!("bad instance id: {text:?}")))
 }
 
-/// Merges per-shard record streams back into one global append order by
-/// sequence number. Within a shard the scan already yields ascending
-/// seqs; across shards the global `AtomicU64` allocator makes them
-/// unique, so a stable sort restores the exact interleaving.
-pub(crate) fn merge_by_seq(per_shard: Vec<Vec<(u64, Record)>>) -> Vec<Record> {
-    let mut merged: BTreeMap<u64, Record> = BTreeMap::new();
-    for shard in per_shard {
-        for (seq, record) in shard {
-            merged.insert(seq, record);
-        }
-    }
-    merged.into_values().collect()
-}
-
 // --- CRC32 (IEEE) ----------------------------------------------------------
 
 /// The slicing-by-8 tables: `t[0]` is the classic byte table, and
@@ -888,35 +856,6 @@ mod tests {
     }
 
     #[test]
-    fn records_stripe_by_instance_and_deploys_pin_to_zero() {
-        let deploy = Record::Deploy {
-            name: "w".to_owned(),
-            goal: "a".to_owned(),
-        };
-        assert_eq!(deploy.shard(16), 0);
-        for id in [0u64, 1, 15, 16, 17, 255] {
-            let start = Record::Start {
-                instance: id,
-                workflow: "w".to_owned(),
-            };
-            assert_eq!(start.shard(16), (id % 16) as usize);
-            // Timer records ride their instance's stripe, so an arm and
-            // its start share a segment and tear together.
-            let arm = Record::TimerArm {
-                instance: id,
-                timers: vec![("t@after5".to_owned(), 5)],
-            };
-            assert_eq!(arm.shard(16), (id % 16) as usize);
-            let fire = Record::TimerFire {
-                instance: id,
-                event: "t@after5".to_owned(),
-                at_ms: 5,
-            };
-            assert_eq!(fire.shard(16), (id % 16) as usize);
-        }
-    }
-
-    #[test]
     fn timer_records_validate_like_event_records() {
         assert!(Record::TimerArm {
             instance: 0,
@@ -981,19 +920,5 @@ mod tests {
         assert_eq!(stats.max_group, 2);
         assert_eq!(stats.compactions, 1);
         assert_eq!(stats.fsyncs, 0, "memory is not durable and says so");
-    }
-
-    #[test]
-    fn merge_by_seq_restores_global_order() {
-        let e = |seq: u64| (seq, Record::Complete { instance: seq * 10 });
-        let merged = merge_by_seq(vec![vec![e(0), e(3)], vec![e(1), e(4)], vec![e(2)]]);
-        let ids: Vec<u64> = merged
-            .iter()
-            .map(|r| match r {
-                Record::Complete { instance } => *instance,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(ids, vec![0, 10, 20, 30, 40]);
     }
 }

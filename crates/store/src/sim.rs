@@ -458,12 +458,12 @@ impl Fs for SimFs {
         let mut state = self.state();
         state.enter(Op::List, dir)?;
         state.check_dir(Op::List, dir)?;
-        Ok((state.names.iter())
+        let files =
+            (state.names.iter()).map(|(path, &ino)| (path, state.inodes[ino].live.len() as u64));
+        let dirs = state.dirs.iter().map(|path| (path, 0));
+        Ok((files.chain(dirs))
             .filter(|(path, _)| path.parent() == Some(dir))
-            .filter_map(|(path, &ino)| {
-                let name = path.file_name()?.to_str()?.to_owned();
-                Some((name, state.inodes[ino].live.len() as u64))
-            })
+            .filter_map(|(path, len)| Some((path.file_name()?.to_str()?.to_owned(), len)))
             .collect())
     }
 

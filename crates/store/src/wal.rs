@@ -5,20 +5,18 @@
 //! ```text
 //! <root>/
 //!   checkpoint.snap          latest compaction snapshot (atomic rename)
-//!   shard-00/ 00000001.seg   append-only segments, rotated by size
-//!   shard-01/ ...
+//!   00000001.seg ...         the log: append-only segments, rotated by size
 //! ```
 //!
 //! Every file-system call goes through the store's [`Fs`]: [`OsFs`]
 //! for [`WalStore::open`], any other for [`WalStore::open_on`].
 //!
-//! One log stripe per shard, matching the sharded runtime's instance
-//! striping: every record of one instance lands in one stripe (see
-//! [`Record::shard`]), so per-instance order needs no cross-shard
-//! coordination. A global `AtomicU64` sequence number — allocated
-//! *under the destination stripe's staging lock* — stamps every record,
-//! and recovery merges the stripes back into the exact global append
-//! order.
+//! The log is one segment sequence. A sequence number, allocated under
+//! the staging lock that queues the frame, stamps every record, so a
+//! record's place in the log is its seq order, and a crash or a failed
+//! group write loses only a suffix of the whole history. A root holding
+//! the `shard-NN/` directories of the old striped layout is refused
+//! with [`StoreError::Corrupt`]; nothing migrates it.
 //!
 //! ## Record frame
 //!
@@ -28,37 +26,37 @@
 //! scan stops there: everything from the first bad byte on is a **torn
 //! tail**, truncated at open and counted in
 //! [`StoreStats::torn_bytes`]. Only a tail can legitimately tear —
-//! appends are sequential and synced — so any later segments of that
-//! stripe are discarded with it rather than replayed out of order. Open
-//! unlinks them and syncs the directory *before* it truncates the torn
-//! segment: a crash inside that repair leaves the segment still torn
-//! ahead of whatever later segment survived, and the next open repairs
-//! to the same records.
+//! appends are sequential and synced — so any later segments are
+//! discarded with it rather than replayed out of order. Open unlinks
+//! them and syncs the directory *before* it truncates the torn segment:
+//! a crash inside that repair leaves the segment still torn ahead of
+//! whatever later segment survived, and the next open repairs to the
+//! same records.
 //!
 //! The write path defends that invariant: payloads over `MAX_PAYLOAD`
 //! and records the text format cannot round-trip (see
 //! [`Record::validate_encodable`]) are rejected with
 //! [`StoreError::Unencodable`] before any byte lands, and a failed
 //! write or fsync truncates the segment back to its last acknowledged
-//! byte (poisoning the stripe until the truncation succeeds) — so a
+//! byte (poisoning the log until the truncation succeeds) — so a
 //! mid-segment frame that fails the scan can only mean external
 //! corruption, never a write the store itself acknowledged past.
 //!
 //! ## The commit pipeline
 //!
-//! Appending is a two-lock pipeline per stripe (see [`crate::commit`]
-//! for the full protocol): frames *stage* into a commit queue under a
-//! short **staging** lock, and a per-stripe **leader** drains every
-//! staged frame into one `write_all` + one `sync_data` under the
-//! separate **I/O** lock — so N concurrent appends on a stripe cost
-//! one fsync, not N, while each `append()` still returns only after
-//! its record is durable. [`WalOptions::durability`] picks the policy:
+//! Appending is a two-lock pipeline (see [`crate::commit`] for the full
+//! protocol): frames *stage* into a commit queue under a short
+//! **staging** lock, and a **leader** drains every staged frame into
+//! one `write_all` + one `sync_data` under the separate **I/O** lock —
+//! so N concurrent appends cost one fsync, not N, while each `append()`
+//! still returns only after its record is durable.
+//! [`WalOptions::durability`] picks the policy:
 //!
 //! | [`Durability`]        | acknowledged when…        | crash may lose |
 //! |-----------------------|---------------------------|----------------|
 //! | `Strict` (default)    | its *group's* fsync returns | nothing acknowledged |
 //! | `Coalesced{max_wait}` | the same, the leader lingering ≤ `max_wait` | nothing acknowledged |
-//! | `Periodic{interval}`  | staged (fsync in ≤ interval) | up to one interval, always a contiguous per-stripe suffix |
+//! | `Periodic{interval}`  | staged (fsync in ≤ interval) | up to one interval, always a contiguous suffix of the log |
 //!
 //! On top of cross-thread coalescing, the runtime's `fire_batch` path
 //! still funnels a whole batch into a single record: one frame per
@@ -69,29 +67,24 @@
 //!
 //! ## Checkpoint compaction
 //!
-//! [`WalStore::checkpoint`] quiesces every stripe's pipeline (staged
-//! frames flush, leaders drain) and then freezes all stripes — taking
-//! every staging and I/O lock in ascending order, which also blocks the
-//! sequence allocator — writes `checkpoint.tmp` — a one-line header
-//! `ctr-store checkpoint v1 <cut>` followed by the runtime's ordinary
-//! text snapshot — syncs it, renames it over `checkpoint.snap`, syncs
-//! the directory, and only then deletes the covered segments — each
-//! stripe detached from its open segment (and a poisoned one repaired)
-//! before its first unlink, so a failure partway leaves it appending to
-//! a fresh segment, never to an unlinked one. A crash anywhere in that
-//! sequence is safe: before the rename the old baseline still rules;
-//! after it, leftover segments only contain whole records with
-//! `seq < cut`, which replay skips. Recovery can therefore never land
-//! *behind* a committed snapshot.
+//! [`WalStore::checkpoint`] quiesces the pipeline (staged frames flush,
+//! leaders drain) and then freezes the log — holding the staging and
+//! I/O locks, which also blocks the sequence allocator — writes
+//! `checkpoint.tmp` — a one-line header `ctr-store checkpoint v1 <cut>`
+//! followed by the runtime's ordinary text snapshot — syncs it, renames
+//! it over `checkpoint.snap`, syncs the directory, and only then deletes
+//! the covered segments — the log detached from its open segment (and a
+//! poisoned one repaired) before the first unlink, so a failure partway
+//! leaves it appending to a fresh segment, never to an unlinked one. A
+//! crash anywhere in that sequence is safe: before the rename the old
+//! baseline still rules; after it, leftover segments only contain whole
+//! records with `seq < cut`, which replay skips. Recovery can therefore
+//! never land *behind* a committed snapshot.
 
 use crate::commit::{CommitQueue, Durability};
 use crate::fs::{Fs, OsFs, Segment};
-use crate::{
-    decode_payload, merge_by_seq, split_frame, Counters, Record, Replay, Store, StoreError,
-    StoreStats,
-};
+use crate::{decode_payload, split_frame, Counters, Record, Replay, Store, StoreError, StoreStats};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -107,8 +100,9 @@ const MAX_PAYLOAD: u32 = 1 << 28;
 /// Tuning knobs for [`WalStore`].
 #[derive(Clone, Copy, Debug)]
 pub struct WalOptions {
-    /// Number of log stripes. Match the runtime's shard count (16) so
-    /// instance striping and log striping agree.
+    /// Must be 1: the log is one segment sequence. Kept only so that
+    /// struct literals naming it still compile.
+    #[doc(hidden)]
     pub shards: usize,
     /// Rotate a segment once it holds at least this many bytes.
     pub segment_bytes: u64,
@@ -120,44 +114,42 @@ pub struct WalOptions {
 impl Default for WalOptions {
     fn default() -> WalOptions {
         WalOptions {
-            shards: 16,
+            shards: 1,
             segment_bytes: 4 << 20,
             durability: Durability::Strict,
         }
     }
 }
 
-/// Mutable per-stripe file state: the open segment and its write
-/// position. Lives behind the stripe's I/O lock.
-pub(crate) struct StripeLog {
-    pub(crate) dir: PathBuf,
+/// The log's file state: the open segment and its write position.
+/// Lives behind the I/O lock.
+pub(crate) struct LogFile {
     /// Open segment file, if any writes happened since open/rotation.
-    pub(crate) file: Option<Box<dyn Segment>>,
+    file: Option<Box<dyn Segment>>,
     /// Index of the current (or, if `file` is `None`, next) segment.
-    pub(crate) seg_index: u64,
+    seg_index: u64,
     /// Bytes written to the current segment.
-    pub(crate) seg_bytes: u64,
+    seg_bytes: u64,
     /// A failed append may have left a partial frame after `seg_bytes`.
     /// While set, no further append may land — the next write after
     /// garbage would be unreachable at recovery (the scan truncates at
     /// the first bad frame). [`WalInner::repair`] truncates the segment
     /// back to `seg_bytes` and clears the flag.
-    pub(crate) dirty: bool,
+    dirty: bool,
 }
 
-impl StripeLog {
-    pub(crate) fn segment_path(&self, index: u64) -> PathBuf {
-        self.dir.join(format!("{index:08}.seg"))
-    }
-}
-
-/// One log stripe: the commit queue (staging side) and the segment
-/// file state (I/O side), each behind its own lock so appenders can
-/// stage the next group while the leader blocks in `sync_data`.
+/// The shared guts of a [`WalStore`], behind an `Arc` so the periodic
+/// background syncer thread can hold them too.
 ///
-/// Lock order within a stripe: staging before I/O; the I/O lock is
-/// never held while (re)acquiring the staging lock.
-pub(crate) struct Stripe {
+/// The commit queue (staging side) and the segment file state (I/O
+/// side) each sit behind their own lock, so appenders can stage the
+/// next group while the leader blocks in `sync_data`. Lock order:
+/// staging before I/O; the I/O lock is never held while (re)acquiring
+/// the staging lock.
+pub(crate) struct WalInner {
+    fs: Arc<dyn Fs>,
+    root: PathBuf,
+    pub(crate) options: WalOptions,
     pub(crate) staging: Mutex<CommitQueue>,
     /// Wakes waiters when the durable watermark advances, a group
     /// fails, or leadership frees up (the wait loop is also the leader
@@ -166,21 +158,7 @@ pub(crate) struct Stripe {
     /// Wakes a leader lingering in its grow-the-group window when a
     /// new frame stages.
     pub(crate) staged_cv: Condvar,
-    pub(crate) io: Mutex<StripeLog>,
-}
-
-/// The shared guts of a [`WalStore`], behind an `Arc` so the periodic
-/// background syncer thread can hold them too.
-pub(crate) struct WalInner {
-    fs: Arc<dyn Fs>,
-    pub(crate) root: PathBuf,
-    pub(crate) options: WalOptions,
-    /// Next global sequence number. Allocated while holding the
-    /// destination stripe's staging lock, so `checkpoint` (which holds
-    /// *all* staging locks) observes a frontier no in-flight append can
-    /// cross.
-    seq: AtomicU64,
-    pub(crate) stripes: Vec<Stripe>,
+    pub(crate) io: Mutex<LogFile>,
     pub(crate) counters: Counters,
     /// Scan result from [`WalStore::open`], handed out by the first
     /// [`WalStore::replay`] so recovery does not re-read the disk.
@@ -190,7 +168,7 @@ pub(crate) struct WalInner {
     stop_cv: Condvar,
 }
 
-/// The durable backend: an append-only segmented log per stripe with a
+/// The durable backend: one append-only segmented log with a
 /// cross-thread group-commit pipeline. See the module docs for the
 /// on-disk contract and [`crate::commit`] for the pipeline protocol.
 pub struct WalStore {
@@ -217,9 +195,11 @@ pub(crate) fn wait_timeout<'a, T>(
         .unwrap_or_else(|e| e.into_inner().0)
 }
 
-/// Result of scanning one stripe directory.
-struct StripeScan {
-    records: Vec<(u64, Record)>,
+/// Result of scanning the log.
+struct LogScan {
+    records: Vec<Record>,
+    /// The seq the next append gets: past the cut and every frame read.
+    next_seq: u64,
     /// Index of the last existing segment (next writes continue there).
     seg_index: u64,
     /// Size of that segment after any torn-tail truncation.
@@ -251,50 +231,31 @@ impl WalStore {
         options: WalOptions,
     ) -> Result<WalStore, StoreError> {
         let root = root.into();
-        assert!(options.shards > 0, "need at least one stripe");
+        assert_eq!(options.shards, 1, "the log is one segment sequence");
         fs.create_dir_all(&root)?;
 
         let (snapshot, cut) = read_checkpoint(&*fs, &root)?;
-
+        let scan = scan_log(&*fs, &root, cut, true)?;
         let counters = Counters::default();
-        let mut stripes = Vec::with_capacity(options.shards);
-        let mut per_shard = Vec::with_capacity(options.shards);
-        let mut max_seq = cut; // next seq must be ≥ the checkpoint cut
-        for s in 0..options.shards {
-            let dir = root.join(format!("shard-{s:02}"));
-            fs.create_dir_all(&dir)?;
-            let scan = scan_stripe(&*fs, &dir, cut, true)?;
-            counters.on_recovered(scan.good_bytes, scan.torn_bytes);
-            if let Some(&(seq, _)) = scan.records.last() {
-                max_seq = max_seq.max(seq + 1);
-            }
-            per_shard.push(scan.records);
-            stripes.push(Stripe {
-                staging: Mutex::new(CommitQueue::new()),
-                durable_cv: Condvar::new(),
-                staged_cv: Condvar::new(),
-                io: Mutex::new(StripeLog {
-                    dir,
-                    file: None,
-                    seg_index: scan.seg_index,
-                    seg_bytes: scan.seg_bytes,
-                    dirty: false,
-                }),
-            });
-        }
-
-        let replay = Replay {
-            snapshot,
-            records: merge_by_seq(per_shard),
-        };
+        counters.on_recovered(scan.good_bytes, scan.torn_bytes);
         let inner = Arc::new(WalInner {
             fs,
             root,
             options,
-            seq: AtomicU64::new(max_seq),
-            stripes,
+            staging: Mutex::new(CommitQueue::new(scan.next_seq)),
+            durable_cv: Condvar::new(),
+            staged_cv: Condvar::new(),
+            io: Mutex::new(LogFile {
+                file: None,
+                seg_index: scan.seg_index,
+                seg_bytes: scan.seg_bytes,
+                dirty: false,
+            }),
             counters,
-            recovered: Mutex::new(Some(replay)),
+            recovered: Mutex::new(Some(Replay {
+                snapshot,
+                records: scan.records,
+            })),
             stop: Mutex::new(false),
             stop_cv: Condvar::new(),
         });
@@ -317,9 +278,7 @@ impl WalStore {
                                 return;
                             }
                             drop(stop);
-                            for s in 0..inner.options.shards {
-                                inner.sync_stripe_once(s);
-                            }
+                            inner.sync_once();
                             stop = lock(&inner.stop);
                         }
                     })
@@ -348,9 +307,7 @@ impl Drop for WalStore {
         // best effort: a failure here is exactly the bounded loss the
         // relaxed policy documents. Strict/Coalesced queues are empty
         // by construction (their appends return only after the sync).
-        for s in 0..self.inner.options.shards {
-            drop(self.inner.quiesce_stripe(s));
-        }
+        drop(self.inner.quiesce());
     }
 }
 
@@ -375,38 +332,51 @@ fn read_checkpoint(fs: &dyn Fs, root: &Path) -> Result<(Option<String>, u64), St
     Ok((Some(body.to_owned()), cut))
 }
 
-/// A stripe's segment files as `(index, path, length)`, in index order.
-fn stripe_segments(fs: &dyn Fs, dir: &Path) -> Result<Vec<(u64, PathBuf, u64)>, StoreError> {
-    let mut segments: Vec<(u64, PathBuf, u64)> = (fs.list(dir)?.into_iter())
-        .filter_map(|(name, len)| {
-            let index = name.strip_suffix(".seg")?.parse().ok()?;
-            Some((index, dir.join(name), len))
-        })
-        .collect();
+fn segment_path(root: &Path, index: u64) -> PathBuf {
+    root.join(format!("{index:08}.seg"))
+}
+
+/// The log's segment files as `(index, path, length)`, in index order.
+/// A `shard-NN/` directory belongs to the old striped layout, which
+/// this store does not read: it is refused, not silently ignored.
+fn log_segments(fs: &dyn Fs, root: &Path) -> Result<Vec<(u64, PathBuf, u64)>, StoreError> {
+    let mut segments = Vec::new();
+    for (name, len) in fs.list(root)? {
+        if name.starts_with("shard-") {
+            return Err(StoreError::Corrupt(format!(
+                "{} holds `{name}/` of the striped log layout, which this \
+                 store does not read: it keeps one segment sequence under its root",
+                root.display()
+            )));
+        }
+        if let Some(index) = name.strip_suffix(".seg").and_then(|i| i.parse().ok()) {
+            segments.push((index, segment_path(root, index), len));
+        }
+    }
     segments.sort_unstable();
     Ok(segments)
 }
 
-/// Scans one stripe directory: walks its segments in order, collecting
-/// every whole record with `seq ≥ cut` up to the first bad frame, which
-/// marks a torn tail. With `repair` (open; a live re-scan only reads)
-/// any later segments of the stripe are unlinked (they would replay
-/// records out of order past a hole) and the directory synced, and only
-/// then is the torn segment truncated to its valid prefix. Returns
-/// where the stripe's writer should resume.
-fn scan_stripe(fs: &dyn Fs, dir: &Path, cut: u64, repair: bool) -> Result<StripeScan, StoreError> {
-    let mut scan = StripeScan {
+/// Scans the log: walks its segments in order, collecting every whole
+/// record with `seq ≥ cut` up to the first bad frame, which marks a
+/// torn tail. With `repair` (open; a live re-scan only reads) any later
+/// segments are unlinked (they would replay records out of order past a
+/// hole) and the directory synced, and only then is the torn segment
+/// truncated to its valid prefix. Returns where the writer should
+/// resume.
+fn scan_log(fs: &dyn Fs, root: &Path, cut: u64, repair: bool) -> Result<LogScan, StoreError> {
+    let mut scan = LogScan {
         records: Vec::new(),
+        next_seq: cut,
         seg_index: 0,
         seg_bytes: 0,
         good_bytes: 0,
         torn_bytes: 0,
     };
-    let segments = stripe_segments(fs, dir)?;
+    let segments = log_segments(fs, root)?;
     for (at, (index, path, _)) in segments.iter().enumerate() {
         let bytes = fs.read(path)?.unwrap_or_default();
-        let (good_end, records) = scan_segment(&bytes, cut);
-        scan.records.extend(records);
+        let good_end = scan_segment(&bytes, cut, &mut scan);
         scan.good_bytes += good_end;
         scan.seg_index = *index;
         scan.seg_bytes = good_end;
@@ -420,7 +390,7 @@ fn scan_stripe(fs: &dyn Fs, dir: &Path, cut: u64, repair: bool) -> Result<Stripe
                     fs.remove(later)?;
                 }
                 if !later.is_empty() {
-                    fs.sync_dir(dir)?;
+                    fs.sync_dir(root)?;
                 }
                 fs.truncate(path, good_end)?;
             }
@@ -430,29 +400,29 @@ fn scan_stripe(fs: &dyn Fs, dir: &Path, cut: u64, repair: bool) -> Result<Stripe
     Ok(scan)
 }
 
-/// Walks frames in one segment's bytes. Returns the byte offset of the
-/// end of the last whole, checksum-valid, parseable record (everything
-/// before it decoded) — the scan's truncation point on a torn tail.
-fn scan_segment(bytes: &[u8], cut: u64) -> (u64, Vec<(u64, Record)>) {
-    let mut records = Vec::new();
+/// Walks frames in one segment's bytes into `scan`. Returns the byte
+/// offset of the end of the last whole, checksum-valid, parseable
+/// record (everything before it decoded) — the scan's truncation point
+/// on a torn tail.
+fn scan_segment(bytes: &[u8], cut: u64, scan: &mut LogScan) -> u64 {
     let mut offset = 0usize;
     while let Ok(Some((used, payload))) = split_frame(&bytes[offset..], MAX_PAYLOAD as usize) {
         let Ok((seq, record)) = decode_payload(payload) else {
             break;
         };
         offset += used;
+        scan.next_seq = scan.next_seq.max(seq + 1);
         if seq >= cut {
-            records.push((seq, record));
+            scan.records.push(record);
         }
     }
-    (offset as u64, records)
+    offset as u64
 }
 
 impl Store for WalStore {
     fn append(&self, record: &Record) -> Result<(), StoreError> {
         record.validate_encodable()?;
-        let s = record.shard(self.inner.options.shards);
-        self.inner.append(s, record)
+        self.inner.append(record)
     }
 
     fn replay(&self) -> Result<Replay, StoreError> {
@@ -469,17 +439,9 @@ impl Store for WalStore {
 }
 
 impl WalInner {
-    /// Allocates the next global sequence number. Must be called with
-    /// the destination stripe's staging lock held (see `seq`).
-    pub(crate) fn next_seq(&self) -> u64 {
-        self.seq.fetch_add(1, Ordering::Relaxed)
-    }
-
     /// Rejects payloads the frame scan would refuse on read — a frame
     /// written past [`MAX_PAYLOAD`] would be discarded at recovery as a
-    /// torn tail, taking every later record of the stripe with it. (A
-    /// burned seq is a harmless gap — recovery merges by seq and never
-    /// requires contiguity.)
+    /// torn tail, taking every later record with it.
     pub(crate) fn check_payload_size(&self, len: usize) -> Result<(), StoreError> {
         if len > MAX_PAYLOAD as usize {
             return Err(StoreError::Unencodable(format!(
@@ -489,17 +451,17 @@ impl WalInner {
         Ok(())
     }
 
-    /// Writes one group (one or more whole frames) to a stripe's open
-    /// segment and syncs it: repair-if-poisoned, rotate-if-full, one
-    /// `write_all`, one `sync_data`. On failure the stripe is poisoned
-    /// and immediately truncated back to its last acknowledged byte —
-    /// a handle whose write or fsync failed cannot be trusted about
-    /// what is durable, and writing after a partial frame would strand
-    /// every later record behind an unreadable frame at recovery.
-    /// Returns the write+sync latency. Called with the I/O lock held.
+    /// Writes one group (one or more whole frames) to the open segment
+    /// and syncs it: repair-if-poisoned, rotate-if-full, one
+    /// `write_all`, one `sync_data`. On failure the log is poisoned and
+    /// immediately truncated back to its last acknowledged byte — a
+    /// handle whose write or fsync failed cannot be trusted about what
+    /// is durable, and writing after a partial frame would strand every
+    /// later record behind an unreadable frame at recovery. Returns the
+    /// write+sync latency. Called with the I/O lock held.
     pub(crate) fn write_group(
         &self,
-        log: &mut StripeLog,
+        log: &mut LogFile,
         buf: &[u8],
     ) -> Result<Duration, StoreError> {
         if log.dirty {
@@ -526,50 +488,34 @@ impl WalInner {
     }
 
     /// Reads everything back; see [`Store::replay`]. Re-scans after the
-    /// first call quiesce every stripe's pipeline (so a relaxed
-    /// policy's staged-but-unsynced tail is flushed and visible) and
-    /// hold all staging + I/O locks for the whole scan — the same
-    /// freeze checkpoint takes, in the same ascending order — so
-    /// concurrent appends and checkpoints cannot interleave mid-scan
-    /// and the merged result is a single point in time across stripes.
+    /// first call quiesce the pipeline (so a relaxed policy's
+    /// staged-but-unsynced tail is flushed and visible) and hold the
+    /// staging and I/O locks for the whole scan — the same freeze
+    /// checkpoint takes — so concurrent appends and checkpoints cannot
+    /// interleave mid-scan.
     fn replay(&self) -> Result<Replay, StoreError> {
         if let Some(replay) = lock(&self.recovered).take() {
             return Ok(replay);
         }
-        let mut queues = Vec::with_capacity(self.options.shards);
-        let mut logs = Vec::with_capacity(self.options.shards);
-        for s in 0..self.options.shards {
-            queues.push(self.quiesce_stripe(s));
-            logs.push(lock(&self.stripes[s].io));
-        }
+        let _queue = self.quiesce();
+        let _log = lock(&self.io);
         let (snapshot, cut) = read_checkpoint(&*self.fs, &self.root)?;
-        let mut per_shard = Vec::with_capacity(self.options.shards);
-        for log in &logs {
-            per_shard.push(scan_stripe(&*self.fs, &log.dir, cut, false)?.records);
-        }
-        Ok(Replay {
-            snapshot,
-            records: merge_by_seq(per_shard),
-        })
+        let records = scan_log(&*self.fs, &self.root, cut, false)?.records;
+        Ok(Replay { snapshot, records })
     }
 
-    /// Compacts; see [`Store::checkpoint`]. Quiesces and freezes every
-    /// stripe (ascending order — the only multi-stripe path, so no
-    /// ordering conflicts). Quiescing first flushes any staged frames:
-    /// under [`Durability::Periodic`] those are acknowledged records
-    /// whose effects the caller's snapshot already covers, and they
-    /// must not evaporate with the deleted segments. With all staging
-    /// locks held no append can allocate a sequence number, so `cut`
-    /// cleanly splits history: everything below is in `snapshot`,
-    /// everything at or above will be appended after we release.
+    /// Compacts; see [`Store::checkpoint`]. Quiesces and freezes the
+    /// log. Quiescing first flushes any staged frames: under
+    /// [`Durability::Periodic`] those are acknowledged records whose
+    /// effects the caller's snapshot already covers, and they must not
+    /// evaporate with the deleted segments. With the staging lock held
+    /// no append can allocate a sequence number, so `cut` cleanly splits
+    /// history: everything below is in `snapshot`, everything at or
+    /// above will be appended after we release.
     fn checkpoint(&self, snapshot: &str) -> Result<(), StoreError> {
-        let mut queues = Vec::with_capacity(self.options.shards);
-        let mut logs = Vec::with_capacity(self.options.shards);
-        for s in 0..self.options.shards {
-            queues.push(self.quiesce_stripe(s));
-            logs.push(lock(&self.stripes[s].io));
-        }
-        let cut = self.seq.load(Ordering::Relaxed);
+        let queue = self.quiesce();
+        let mut log = lock(&self.io);
+        let cut = queue.next_seq;
 
         let tmp = self.root.join("checkpoint.tmp");
         let path = self.root.join("checkpoint.snap");
@@ -584,62 +530,58 @@ impl WalInner {
         // (every record they hold has seq < cut) are dead weight. A
         // crash or failure before these deletes finish is harmless:
         // replay skips records below the cut.
-        for log in logs.iter_mut() {
-            // A partial frame left by a failed write goes first: should
-            // its segment outlive a failed unlink, the scan must not
-            // take it for a tear and drop the segments after it.
-            if log.dirty {
-                self.repair(log)?;
-            }
-            // Detach before the first unlink, so that whatever fails
-            // below, the next append opens a fresh segment instead of
-            // writing to one that is gone.
-            log.file = None;
-            log.seg_index += 1;
-            log.seg_bytes = 0;
-            for (_, path, _) in stripe_segments(&*self.fs, &log.dir)? {
-                self.fs.remove(&path)?;
-            }
-            self.fs.sync_dir(&log.dir)?;
-            self.counters.on_checkpoint_sync();
+        //
+        // A partial frame left by a failed write goes first: should its
+        // segment outlive a failed unlink, the scan must not take it for
+        // a tear and drop the segments after it.
+        if log.dirty {
+            self.repair(&mut log)?;
         }
-        drop(queues);
+        // Detach before the first unlink, so that whatever fails below,
+        // the next append opens a fresh segment instead of writing to
+        // one that is gone.
+        log.file = None;
+        log.seg_index += 1;
+        log.seg_bytes = 0;
+        for (_, path, _) in log_segments(&*self.fs, &self.root)? {
+            self.fs.remove(&path)?;
+        }
+        self.fs.sync_dir(&self.root)?;
+        self.counters.on_checkpoint_sync();
         self.counters.on_compaction();
         Ok(())
     }
 
-    /// Truncates a stripe's open segment back to its last acknowledged
-    /// byte after a failed write (possibly) left a partial frame past
+    /// Truncates the open segment back to its last acknowledged byte
+    /// after a failed write (possibly) left a partial frame past
     /// `seg_bytes` — writing after that garbage would strand every
     /// later record behind an unreadable frame at recovery. The failed
     /// handle is discarded (after a failed write or fsync its state is
     /// untrustworthy); the next write reopens the segment fresh.
     /// Called with the I/O lock held.
-    fn repair(&self, log: &mut StripeLog) -> Result<(), StoreError> {
+    fn repair(&self, log: &mut LogFile) -> Result<(), StoreError> {
         log.file = None;
         self.fs
-            .truncate(&log.segment_path(log.seg_index), log.seg_bytes)?;
+            .truncate(&segment_path(&self.root, log.seg_index), log.seg_bytes)?;
         self.counters.on_rotation_sync();
         log.dirty = false;
         Ok(())
     }
 
-    /// Opens the next segment file for a stripe (called with the I/O
-    /// lock held).
-    fn rotate(&self, log: &mut StripeLog) -> Result<(), StoreError> {
+    /// Opens the next segment file (called with the I/O lock held).
+    fn rotate(&self, log: &mut LogFile) -> Result<(), StoreError> {
         if log.file.is_some() {
             log.seg_index += 1;
         } else if log.seg_bytes > 0 {
             // Resuming after open(): continue the existing segment.
-            let path = log.segment_path(log.seg_index);
+            let path = segment_path(&self.root, log.seg_index);
             log.file = Some(self.fs.open_append(&path, false)?);
             return Ok(());
         }
-        let file = self
-            .fs
-            .open_append(&log.segment_path(log.seg_index), true)?;
+        let path = segment_path(&self.root, log.seg_index);
+        let file = self.fs.open_append(&path, true)?;
         // Make the new directory entry durable before its records are.
-        self.fs.sync_dir(&log.dir)?;
+        self.fs.sync_dir(&self.root)?;
         self.counters.on_rotation_sync();
         log.file = Some(file);
         log.seg_bytes = 0;
@@ -651,6 +593,7 @@ impl WalInner {
 mod tests {
     use super::*;
     use std::fs;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Unique scratch directory under the target dir (no external
     /// tempdir crate in this environment).
@@ -660,6 +603,13 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ctr-store-{tag}-{}-{n}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// How many segment files the log under `dir` has.
+    fn segments(dir: &Path) -> usize {
+        (fs::read_dir(dir).unwrap().filter_map(|e| e.ok()))
+            .filter(|e| e.file_name().to_string_lossy().ends_with(".seg"))
+            .count()
     }
 
     fn ev(instance: u64, events: &[&str]) -> Record {
@@ -676,7 +626,6 @@ mod tests {
     fn periodic_store_drops_promptly_whenever_the_syncer_is_caught() {
         let dir = scratch("periodic-prompt-drop");
         let options = WalOptions {
-            shards: 1,
             durability: Durability::Periodic {
                 interval: Duration::from_secs(3600),
             },
@@ -761,8 +710,8 @@ mod tests {
                 .unwrap();
             store.append(&ev(1, &["a"])).unwrap();
         }
-        // Tear the last record: chop bytes off the stripe-01 segment.
-        let seg = dir.join("shard-01").join("00000000.seg");
+        // Tear the last record: chop bytes off the log's one segment.
+        let seg = dir.join("00000000.seg");
         let bytes = fs::read(&seg).unwrap();
         fs::write(&seg, &bytes[..bytes.len() - 3]).unwrap();
 
@@ -798,7 +747,7 @@ mod tests {
                 store.append(&ev(32, &[&format!("e{i}")])).unwrap();
             }
         }
-        let seg = dir.join("shard-00").join("00000000.seg");
+        let seg = dir.join("00000000.seg");
         let mut bytes = fs::read(&seg).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
@@ -824,11 +773,7 @@ mod tests {
             store.append(&ev(3, &["b"])).unwrap();
             store.checkpoint("the-snapshot").unwrap();
             // Segments covered by the checkpoint are gone.
-            let survivors: Vec<_> = fs::read_dir(dir.join("shard-03"))
-                .unwrap()
-                .filter_map(|e| e.ok())
-                .collect();
-            assert!(survivors.is_empty(), "compaction removed segments");
+            assert_eq!(segments(&dir), 0, "compaction removed segments");
             store.append(&ev(3, &["c"])).unwrap();
             assert_eq!(store.stats().compactions, 1);
             assert!(
@@ -850,7 +795,7 @@ mod tests {
         // Simulate a crash between checkpoint rename and segment
         // deletion: put a pre-cut segment back and reopen.
         let dir = scratch("stale");
-        let seg = dir.join("shard-05").join("00000000.seg");
+        let seg = dir.join("00000000.seg");
         {
             let store = WalStore::open(&dir).unwrap();
             store.append(&ev(5, &["old"])).unwrap();
@@ -876,7 +821,6 @@ mod tests {
     fn segments_rotate_by_size_and_replay_in_order() {
         let dir = scratch("rotate");
         let options = WalOptions {
-            shards: 4,
             segment_bytes: 64,
             ..WalOptions::default()
         };
@@ -886,7 +830,7 @@ mod tests {
                 store.append(&ev(i % 4, &[&format!("e{i}")])).unwrap();
             }
         }
-        let segs = fs::read_dir(dir.join("shard-00")).unwrap().count();
+        let segs = segments(&dir);
         assert!(
             segs > 1,
             "size limit forces rotation, got {segs} segment(s)"
@@ -916,7 +860,7 @@ mod tests {
             })
             .unwrap_err();
         assert!(matches!(err, StoreError::Unencodable(_)), "got {err:?}");
-        // Nothing landed; the stripe still accepts normal traffic.
+        // Nothing landed; the log still accepts normal traffic.
         assert_eq!(store.stats().appends, 0);
         store.append(&ev(2, &["fine"])).unwrap();
         drop(store);
@@ -929,7 +873,7 @@ mod tests {
     #[test]
     fn oversized_payloads_are_rejected_before_any_write() {
         // The scan rejects frames over MAX_PAYLOAD on read; writing one
-        // anyway would strand it (and every later record of the stripe)
+        // anyway would strand it (and every later record of the log)
         // as a torn tail at recovery. The write path must refuse first.
         let dir = scratch("toolarge");
         let store = WalStore::open(&dir).unwrap();

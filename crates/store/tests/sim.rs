@@ -2,19 +2,19 @@
 //!
 //! [`seeded_schedules_keep_the_store_invariants`] runs 10 000 seeded
 //! schedules. Each opens a [`WalStore`] on a [`SimFs`] under one
-//! [`Durability`] with 1–4 stripes and a segment size small enough to
-//! rotate often, then draws a script of appends, checkpoints, live
-//! replays, injected faults (`EIO`, `ENOSPC`, short writes; on one
-//! kind of operation or any, once or until healed), heals, and crashes
-//! followed by a reopen. A reopen may flip a byte of a segment first (a
-//! media error) and may crash inside its own repair. Every schedule ends
-//! with a crash and a reopen. What is checked, after every recovery and
+//! [`Durability`] with a segment size small enough to rotate often,
+//! then draws a script of appends, checkpoints, live replays, injected
+//! faults (`EIO`, `ENOSPC`, short writes; on one kind of operation or
+//! any, once or until healed), heals, and crashes followed by a reopen.
+//! A reopen may flip a byte of a segment first (a media error) and may
+//! crash inside its own repair. Every schedule ends with a crash and a
+//! reopen. What is checked, after every recovery and
 //! every live replay:
 //!
 //! 1. **acknowledged ⇒ recovered** under `Strict` and `Coalesced`;
-//! 2. under `Periodic`, what is lost of a stripe's acknowledged records
-//!    is a suffix, and once an append on a stripe has failed, every
-//!    later one fails until the store is reopened;
+//! 2. under `Periodic`, what is lost of the acknowledged records is a
+//!    **global** suffix, and once an append has failed, every later one
+//!    fails until the store is reopened;
 //! 3. **no partial frame precedes an acknowledged record**: a live
 //!    replay, which stops at the first bad frame, sees every one;
 //! 4. **recovery is idempotent**: an open that crashes anywhere inside
@@ -29,7 +29,7 @@
 //! seed and the step it was found at.
 
 use ctr_store::sim::{Fault, Op, Rng, SimFs};
-use ctr_store::{Durability, Fs, Record, Replay, Store, WalOptions, WalStore};
+use ctr_store::{Durability, Fs, Record, Replay, Store, StoreError, WalOptions, WalStore};
 use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::Arc;
@@ -37,10 +37,10 @@ use std::time::Duration;
 
 const ROOT: &str = "wal";
 
-/// Record `id`, on `stripe` of `shards`.
-fn record(id: u64, stripe: usize, shards: usize) -> Record {
+/// Record `id`, of one of three instances.
+fn record(id: u64) -> Record {
     Record::Events {
-        instance: (stripe + shards * (id % 3) as usize) as u64,
+        instance: id % 3,
         events: vec![format!("r{id}")],
     }
 }
@@ -82,14 +82,13 @@ struct Model {
     /// recovered, what a checkpoint since covered, and under `Strict`
     /// and `Coalesced` every acknowledged append.
     kept: BTreeSet<u64>,
-    /// Under `Periodic`: per stripe, the appends acknowledged since the
-    /// last open or checkpoint, in order.
-    unsynced: Vec<Vec<u64>>,
+    /// Under `Periodic`: the appends acknowledged since the last open
+    /// or checkpoint, in order.
+    unsynced: Vec<u64>,
     /// Appends that failed: they may come back or not.
     maybe: BTreeSet<u64>,
-    /// Under `Periodic`: stripes an append has failed on since the last
-    /// open.
-    latched: Vec<bool>,
+    /// Under `Periodic`: an append has failed since the last open.
+    latched: bool,
     /// A byte was flipped since the last recovery: losses are allowed.
     corrupted: bool,
     next_id: u64,
@@ -103,7 +102,7 @@ impl Model {
     /// Every id the fleet holds now, as a checkpoint snapshot lists it.
     fn snapshot(&self) -> String {
         let mut ids: BTreeSet<u64> = self.kept.clone();
-        ids.extend(self.unsynced.iter().flatten());
+        ids.extend(&self.unsynced);
         let ids: Vec<String> = ids.iter().map(u64::to_string).collect();
         ids.join(" ")
     }
@@ -118,9 +117,8 @@ impl Model {
             ));
         }
         for id in got.snapshot.iter().chain(&got.log) {
-            let known = self.kept.contains(id)
-                || self.maybe.contains(id)
-                || self.unsynced.iter().any(|ids| ids.contains(id));
+            let known =
+                self.kept.contains(id) || self.maybe.contains(id) || self.unsynced.contains(id);
             if !known {
                 return Err(format!("r{id} was never appended"));
             }
@@ -131,14 +129,10 @@ impl Model {
         if let Some(id) = self.kept.iter().find(|&&id| !got.holds(id)) {
             return Err(format!("acknowledged r{id} is gone"));
         }
-        for (stripe, ids) in self.unsynced.iter().enumerate() {
-            let kept = ids.iter().take_while(|&&id| got.holds(id)).count();
-            if let Some(id) = ids[kept..].iter().find(|&&id| got.holds(id)) {
-                return Err(format!(
-                    "stripe {stripe} lost r{} but kept the later r{id}",
-                    ids[kept]
-                ));
-            }
+        let ids = &self.unsynced;
+        let kept = ids.iter().take_while(|&&id| got.holds(id)).count();
+        if let Some(id) = ids[kept..].iter().find(|&&id| got.holds(id)) {
+            return Err(format!("lost r{} but kept the later r{id}", ids[kept]));
         }
         Ok(())
     }
@@ -146,8 +140,8 @@ impl Model {
     /// Starts over from what an open recovered.
     fn recovered(&mut self, got: &Recovered) {
         self.kept = got.snapshot.iter().chain(&got.log).copied().collect();
-        self.unsynced.iter_mut().for_each(Vec::clear);
-        self.latched.iter_mut().for_each(|latched| *latched = false);
+        self.unsynced.clear();
+        self.latched = false;
         self.maybe.clear();
         self.corrupted = false;
     }
@@ -173,11 +167,12 @@ fn crash_and_reopen(
 ) -> Result<(Arc<SimFs>, WalStore), String> {
     let mut disk = fs.reboot();
     if rng.one_in(3) {
-        let dir = Path::new(ROOT).join(format!("shard-{:02}", rng.below(model.options.shards)));
-        let segments = disk.list(&dir).map_err(|e| e.to_string())?;
+        let root = Path::new(ROOT);
+        let mut segments = disk.list(root).map_err(|e| e.to_string())?;
+        segments.retain(|(name, _)| name.ends_with(".seg"));
         if !segments.is_empty() {
             let (name, _) = &segments[rng.below(segments.len())];
-            model.corrupted |= disk.corrupt(&dir.join(name), rng.next_u64());
+            model.corrupted |= disk.corrupt(&root.join(name), rng.next_u64());
         }
     }
     // The uninterrupted open of this disk is the reference.
@@ -245,16 +240,16 @@ fn run_schedule(seed: u64) -> Result<(), String> {
         },
     };
     let options = WalOptions {
-        shards: 1 + rng.below(4),
         segment_bytes: [24, 64, 160, 4096][rng.below(4)],
         durability,
+        ..WalOptions::default()
     };
     let mut model = Model {
         options,
         kept: BTreeSet::new(),
-        unsynced: vec![Vec::new(); options.shards],
+        unsynced: Vec::new(),
         maybe: BTreeSet::new(),
-        latched: vec![false; options.shards],
+        latched: false,
         corrupted: false,
         next_id: 0,
     };
@@ -266,20 +261,17 @@ fn run_schedule(seed: u64) -> Result<(), String> {
         let choice = if step == steps { 99 } else { rng.below(20) };
         match choice {
             0..=8 => {
-                let stripe = rng.below(options.shards);
                 let id = model.next_id;
                 model.next_id += 1;
-                let acked = store.append(&record(id, stripe, options.shards)).is_ok();
+                let acked = store.append(&record(id)).is_ok();
                 if model.periodic() {
-                    if acked && model.latched[stripe] {
-                        return Err(at(format!(
-                            "stripe {stripe} acknowledged r{id} after an append on it failed"
-                        )));
+                    if acked && model.latched {
+                        return Err(at(format!("acknowledged r{id} after an append failed")));
                     }
                     if acked {
-                        model.unsynced[stripe].push(id);
+                        model.unsynced.push(id);
                     } else {
-                        model.latched[stripe] = true;
+                        model.latched = true;
                     }
                 } else if acked {
                     model.kept.insert(id);
@@ -289,9 +281,7 @@ fn run_schedule(seed: u64) -> Result<(), String> {
             }
             9 | 10 => {
                 if store.checkpoint(&model.snapshot()).is_ok() {
-                    let covered: Vec<u64> =
-                        model.unsynced.iter_mut().flat_map(std::mem::take).collect();
-                    model.kept.extend(covered);
+                    model.kept.extend(std::mem::take(&mut model.unsynced));
                 }
             }
             11 | 12 => {
@@ -352,31 +342,24 @@ fn ev(name: &str) -> Record {
     }
 }
 
-fn one_stripe() -> WalOptions {
-    WalOptions {
-        shards: 1,
-        ..WalOptions::default()
-    }
-}
-
-/// A checkpoint unlinks every segment of a stripe, the open one too. If
-/// the directory sync after the unlinks fails, the stripe must not go on
+/// A checkpoint unlinks every segment, the open one too. If the
+/// directory sync after the unlinks fails, the log must not go on
 /// appending to the unlinked segment: an append acknowledged after the
 /// failed checkpoint is recovered.
 #[test]
-fn a_failed_checkpoint_leaves_no_stripe_on_an_unlinked_segment() {
+fn a_failed_checkpoint_leaves_no_append_on_an_unlinked_segment() {
     let fs = SimFs::new(1);
-    let store = WalStore::open_on(fs.clone(), ROOT, one_stripe()).unwrap();
+    let store = WalStore::open_on(fs.clone(), ROOT, WalOptions::default()).unwrap();
     store.append(&ev("e0")).unwrap();
-    // The checkpoint's first directory sync is the root's, after the
-    // rename; the second is the stripe's, after the unlinks.
+    // The checkpoint's first directory sync is after the rename; the
+    // second is after the unlinks.
     fs.inject(Some(Op::SyncDir), 1, Fault::Eio, false);
     assert!(store.checkpoint("snap").is_err());
     assert_eq!(fs.injected(), 1);
     store.append(&ev("e1")).unwrap();
     let disk = fs.reboot();
     drop(store);
-    let store = WalStore::open_on(disk, ROOT, one_stripe()).unwrap();
+    let store = WalStore::open_on(disk, ROOT, WalOptions::default()).unwrap();
     let replay = store.replay().unwrap();
     assert_eq!(replay.snapshot.as_deref(), Some("snap"));
     assert_eq!(replay.records, vec![ev("e1")]);
@@ -389,7 +372,6 @@ fn a_failed_checkpoint_leaves_no_stripe_on_an_unlinked_segment() {
 #[test]
 fn a_crash_inside_open_repair_recovers_what_an_uninterrupted_open_does() {
     let options = WalOptions {
-        shards: 1,
         // One frame per segment.
         segment_bytes: 1,
         ..WalOptions::default()
@@ -402,7 +384,7 @@ fn a_crash_inside_open_repair_recovers_what_an_uninterrupted_open_does() {
         }
         drop(store);
         let disk = fs.reboot();
-        assert!(disk.corrupt(&Path::new(ROOT).join("shard-00/00000001.seg"), 12));
+        assert!(disk.corrupt(&Path::new(ROOT).join("00000001.seg"), 12));
 
         let reference = disk.fork();
         let store = WalStore::open_on(reference.clone(), ROOT, options).unwrap();
@@ -430,7 +412,7 @@ fn a_crash_inside_open_repair_recovers_what_an_uninterrupted_open_does() {
 #[test]
 fn partial_frame_from_a_failed_append_is_repaired_before_the_next() {
     let fs = SimFs::new(3);
-    let store = WalStore::open_on(fs.clone(), ROOT, one_stripe()).unwrap();
+    let store = WalStore::open_on(fs.clone(), ROOT, WalOptions::default()).unwrap();
     store.append(&ev("a")).unwrap();
     // A short write, then every operation fails: the repair as well.
     fs.inject(None, 0, Fault::ShortWrite, true);
@@ -439,19 +421,19 @@ fn partial_frame_from_a_failed_append_is_repaired_before_the_next() {
     store.append(&ev("b")).unwrap();
     let disk = fs.reboot();
     drop(store);
-    let store = WalStore::open_on(disk, ROOT, one_stripe()).unwrap();
+    let store = WalStore::open_on(disk, ROOT, WalOptions::default()).unwrap();
     assert_eq!(store.stats().torn_bytes, 0, "no garbage survived");
     assert_eq!(store.replay().unwrap().records, vec![ev("a"), ev("b")]);
 }
 
-/// A checkpoint whose unlink fails leaves the stripe's old segment
-/// behind. A partial frame in it, from a failed append whose repair
-/// failed too, would read as a tear at the next open and take every
-/// later segment with it: the checkpoint repairs the stripe first.
+/// A checkpoint whose unlink fails leaves the old segment behind. A
+/// partial frame in it, from a failed append whose repair failed too,
+/// would read as a tear at the next open and take every later segment
+/// with it: the checkpoint repairs the log first.
 #[test]
 fn a_failed_checkpoint_leaves_no_partial_frame_ahead_of_later_appends() {
     let fs = SimFs::new(4);
-    let store = WalStore::open_on(fs.clone(), ROOT, one_stripe()).unwrap();
+    let store = WalStore::open_on(fs.clone(), ROOT, WalOptions::default()).unwrap();
     store.append(&ev("a")).unwrap();
     fs.inject(None, 0, Fault::ShortWrite, true);
     assert!(store.append(&ev("doomed")).is_err());
@@ -461,8 +443,24 @@ fn a_failed_checkpoint_leaves_no_partial_frame_ahead_of_later_appends() {
     store.append(&ev("b")).unwrap();
     let disk = fs.reboot();
     drop(store);
-    let store = WalStore::open_on(disk, ROOT, one_stripe()).unwrap();
+    let store = WalStore::open_on(disk, ROOT, WalOptions::default()).unwrap();
     let replay = store.replay().unwrap();
     assert_eq!(replay.snapshot.as_deref(), Some("snap"));
     assert_eq!(replay.records, vec![ev("b")]);
+}
+
+/// A root holding the `shard-NN/` directories of the old striped layout
+/// is refused with a typed error that names the layout, not opened as
+/// an empty log beside them.
+#[test]
+fn a_root_in_the_striped_layout_is_refused_by_name() {
+    let fs = SimFs::new(5);
+    let stripe = Path::new(ROOT).join("shard-03");
+    fs.create_dir_all(&stripe).unwrap();
+    fs.write_synced(&stripe.join("00000000.seg"), b"old")
+        .unwrap();
+    match WalStore::open_on(fs, ROOT, WalOptions::default()) {
+        Err(StoreError::Corrupt(why)) => assert!(why.contains("striped log layout"), "{why}"),
+        other => panic!("opened the striped layout: {:?}", other.err()),
+    }
 }

@@ -21,12 +21,18 @@
 //! in prefixes, never as the crashed final operation; the
 //! partial-advance crash gets its own dedicated exactly-once property
 //! below instead.
+//!
+//! Under `Durability::Periodic` an append is acknowledged before it is
+//! durable, so a crash may lose acknowledged records, but only a suffix
+//! of the one log: the recovered fleet is the oracle after *some*
+//! prefix of the operations, and the store always reopens.
 
 use ctr_runtime::{Runtime, RuntimeError, Store, WalStore};
-use ctr_store::sim::SimFs;
-use ctr_store::WalOptions;
+use ctr_store::sim::{Fault, Op as FsOp, SimFs};
+use ctr_store::{Durability, WalOptions};
 use proptest::prelude::*;
 use std::sync::Arc;
+use std::time::Duration;
 
 const SPECS: [(&str, &str); 3] = [
     (
@@ -138,6 +144,26 @@ fn recover(fs: &SimFs) -> Runtime {
     Runtime::open(wal(&fs.reboot())).unwrap()
 }
 
+/// `Periodic` with an interval no test reaches: the syncer never runs,
+/// so staged records reach the disk only when the log is quiesced.
+fn periodic() -> Durability {
+    Durability::Periodic {
+        interval: Duration::from_secs(3600),
+    }
+}
+
+/// A write-ahead log on `fs` under `durability`, its open-time scan
+/// already handed out, so that every later `replay` quiesces the log.
+fn wal_under(fs: &Arc<SimFs>, durability: Durability) -> Arc<WalStore> {
+    let options = WalOptions {
+        durability,
+        ..WalOptions::default()
+    };
+    let store = WalStore::open_on(fs.clone(), "wal", options).unwrap();
+    store.replay().unwrap();
+    Arc::new(store)
+}
+
 /// What a fleet shows of itself: its snapshot and, through the query
 /// API too (so a `pending_timers` / snapshot divergence cannot hide),
 /// its armed timers. The clock is *not* part of it: the recovered clock
@@ -178,6 +204,49 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         tail_op_strategy(),
         (1u64..2_000_000).prop_map(Op::Advance),
     ]
+}
+
+/// A group write that fails loses the whole group, at every level, so
+/// recovery lands on a prefix of the history. Under `Periodic` the
+/// group holds a redeploy and an instance started and fired under it:
+/// the instance must not survive the deploy it ran under.
+#[test]
+fn redeploy_survives_a_lost_group_at_every_durability() {
+    for durability in [Durability::Strict, Durability::coalesced(), periodic()] {
+        let fs = SimFs::new(1);
+        let store = wal_under(&fs, durability);
+        let rt = Runtime::with_store(store.clone());
+        let oracle = Runtime::new();
+        for rt in [&rt, &oracle] {
+            rt.deploy_source("workflow w { graph a * b; }").unwrap();
+            let first = rt.start("w").unwrap();
+            rt.start("w").unwrap();
+            rt.fire(first, "a").unwrap();
+        }
+        // Everything so far reaches the disk.
+        store.replay().unwrap();
+
+        fs.inject(Some(FsOp::Append), 0, Fault::ShortWrite, false);
+        let redeployed = rt.deploy_source("workflow w { graph c * d; }");
+        if let Ok(id) = rt.start("w") {
+            let _ = rt.fire(id, "c");
+        }
+        let _ = store.replay();
+        let live = rt.snapshot();
+
+        let disk = fs.reboot();
+        drop((rt, store));
+        let reopened = Runtime::open(wal_under(&disk, durability))
+            .unwrap_or_else(|e| panic!("{durability:?}: the store does not reopen: {e}"));
+        if durability == periodic() {
+            assert_eq!(reopened.snapshot(), oracle.snapshot(), "{durability:?}");
+        } else {
+            // The failed append was the redeploy's, refused before it
+            // became visible: what the fleet acknowledged is what recovers.
+            assert!(redeployed.is_err(), "{durability:?}");
+            assert_eq!(reopened.snapshot(), live, "{durability:?}");
+        }
+    }
 }
 
 proptest! {
@@ -421,6 +490,61 @@ proptest! {
                 "instance {} still holds the fired gate",
                 id
             );
+        }
+    }
+}
+
+proptest! {
+    // About one script in 25 orders its records so that a log striped
+    // by instance would lose more than a suffix: more cases than above.
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Crash a `Periodic` log at each file-system operation of a script
+    /// whose steps may each be followed by a flush (a live replay, which
+    /// quiesces the log): the store reopens, and the recovered fleet is
+    /// the never-crashed oracle after some prefix of the script.
+    #[test]
+    fn periodic_kill_recover_matches_the_oracle_after_some_prefix(
+        script in proptest::collection::vec(
+            (tail_op_strategy(), 0..5u8).prop_map(|(op, flush)| (op, flush == 0)),
+            1..24,
+        ),
+        seed in 0..4096u64,
+    ) {
+        // Runs the script, crashing at its `crash_at`-th file-system
+        // operation (the open's not counted); returns how many it made.
+        let run = |fs: &Arc<SimFs>, crash_at: Option<u64>| {
+            let store = wal_under(fs, periodic());
+            let opened = fs.ops();
+            if let Some(n) = crash_at {
+                fs.crash_at(opened + n);
+            }
+            let rt = Runtime::with_store(store.clone());
+            for (op, flush) in &script {
+                let _ = apply(&rt, op, true);
+                if *flush {
+                    let _ = store.replay();
+                }
+            }
+            drop((rt, store));
+            fs.ops() - opened
+        };
+        let oracle = Runtime::new();
+        let mut prefixes = vec![shown(&oracle)];
+        for (op, _) in &script {
+            apply(&oracle, op, false).unwrap();
+            prefixes.push(shown(&oracle));
+        }
+        // A run on one seed makes the same calls every time: a dry run
+        // counts them, the drop's flush included.
+        let calls = run(&SimFs::new(seed), None);
+        for crash in 0..=calls {
+            let fs = SimFs::new(seed);
+            run(&fs, Some(crash));
+            let recovered = Runtime::open(wal(&fs.reboot()));
+            prop_assert!(recovered.is_ok(), "crash at {}: {:?}", crash, recovered.err());
+            let recovered = shown(&recovered.unwrap());
+            prop_assert!(prefixes.contains(&recovered), "crash at {}: {:?}", crash, recovered);
         }
     }
 }
