@@ -16,14 +16,17 @@
 //! those compiles as written, whatever the input: they are the referees
 //! the [`Analyzer`] is held to.
 //!
-//! An [`Analyzer`] session compiles only where it must. Where every
-//! constraint is a run of `∇`, `¬∇` and orders, and `G` is events, each
-//! occurring once, under `⊗`, `|`, `∨` and `ε` — the *run fragment* —
-//! Proposition 4.1 puts the three questions in P, and the session decides
-//! consistency, a holding property and redundancy on `G`'s series-parallel
-//! order with no compile (`redundancy.rs`). A violated property still
-//! compiles there, because its answer is the counterexample. Outside the
-//! fragment every query compiles through the session's table.
+//! An [`Analyzer`] session compiles only where it must. Where `G` is
+//! events, each occurring once, under `⊗`, `|`, `∨` and `ε` — the *graph
+//! fragment*, whatever the constraints — the session decides consistency,
+//! a holding property, redundancy and the conflict with no compile
+//! (`redundancy.rs`): on `G`'s series-parallel order while every
+//! constraint is a run of `∇`, `¬∇` and orders (Proposition 4.1 puts the
+//! questions in P there), and by a search for one disjunct per constraint
+//! once one has several or none (where Proposition 4.1's hardness lives).
+//! A violated property still compiles there, because its answer is the
+//! counterexample. Outside the fragment every query compiles through the
+//! session's table.
 //!
 //! The compiled artifact is also the pro-active scheduling structure of
 //! §4: a "compressed" explicit representation of all allowed executions,
@@ -161,8 +164,8 @@ pub(crate) fn compile_in<T: Table>(
 /// `C`?
 ///
 /// The theorem as written, `Excise(Apply(C, G))`, on every input: the
-/// referee of [`Analyzer::is_consistent`], which decides the run fragment
-/// on a graph instead (`tests/consistency_referee.rs`).
+/// referee of [`Analyzer::is_consistent`], which decides the graph
+/// fragment without a compile (`tests/consistency_referee.rs`).
 pub fn is_consistent(goal: &Goal, constraints: &[Constraint]) -> Result<bool, CompileError> {
     Ok(compile(goal, constraints)?.is_consistent())
 }
@@ -214,10 +217,10 @@ pub enum Ordering {
 
 /// An analysis session over one workflow goal and its constraint set.
 ///
-/// Opening a session checks the unique-event property once. In the run
+/// Opening a session checks the unique-event property once. In the graph
 /// fragment (see the module doc) consistency, holding properties,
-/// redundancy and conflicts are then decided on the goal's series-parallel
-/// graph; every other query compiles through the session's table. Over a
+/// redundancy and conflicts are then decided without a compile; every
+/// other query compiles through the session's table. Over a
 /// [`Memo`] (the public instance) the table persists, so repeated and
 /// incrementally edited queries replay shared work as hits. The one-shot
 /// functions of this module answer as a session over the table that
@@ -233,8 +236,8 @@ pub struct Analyzer<T = Memo> {
     has_conditions: bool,
     /// Compiled `G ∧ C`, invalidated by constraint edits.
     compiled: Option<Compiled>,
-    /// The constraints as runs over the goal's series-parallel graph, kept
-    /// in step with every edit; `None` when the goal has no such graph.
+    /// The constraints over the goal's series-parallel graph, kept in step
+    /// with every edit; `None` when the goal has no such graph.
     runs: Option<Runs>,
 }
 
@@ -303,9 +306,8 @@ impl<T: Table> Analyzer<T> {
         compiled
     }
 
-    /// Is `G ∧ C ∧ extra` consistent? Decided on the graph in the run
-    /// fragment (`extra` may have any number of disjuncts); `None` outside
-    /// it.
+    /// Is `G ∧ C ∧ extra` consistent? Decided without a compile in the
+    /// graph fragment, one test per disjunct of `extra`; `None` outside it.
     fn decide(&mut self, extra: &Constraint) -> Option<bool> {
         let runs = fragment(&mut self.runs, &mut self.table, &self.constraints)?;
         let nf = self.table.normalize(extra);
@@ -321,8 +323,8 @@ impl<T: Table> Analyzer<T> {
         self.compiled.as_ref().expect("just computed")
     }
 
-    /// Consistency (Theorem 5.8) of the current specification: one graph
-    /// test in the run fragment, the compiled goal's verdict otherwise.
+    /// Consistency (Theorem 5.8) of the current specification: one test in
+    /// the graph fragment, the compiled goal's verdict otherwise.
     pub fn is_consistent(&mut self) -> bool {
         if self.compiled.is_none() {
             if let Some(runs) = fragment(&mut self.runs, &mut self.table, &self.constraints) {
@@ -337,9 +339,9 @@ impl<T: Table> Analyzer<T> {
     ///
     /// Constructive: compiles `G ∧ C ∧ ¬property`; if the result is
     /// `¬path` the property holds, otherwise the compiled goal is returned
-    /// as the most general counterexample. In the run fragment a property
-    /// that holds is told on the graph, one test per disjunct of
-    /// `¬property`, and only a violated one compiles.
+    /// as the most general counterexample. In the graph fragment a
+    /// property that holds is told without a compile, one test per
+    /// disjunct of `¬property`, and only a violated one compiles.
     pub fn verify(&mut self, property: &Constraint) -> Verification {
         let negation = Constraint::not(property.clone());
         if self.decide(&negation) == Some(false) {
@@ -357,7 +359,7 @@ impl<T: Table> Analyzer<T> {
     /// the runs and wider constraints of `C` replay as hits from the
     /// second property on — up to the last run, when `¬property` has a
     /// single disjunct and joins it (one more pair of walks, not a hit).
-    /// In the run fragment only the violated properties compile.
+    /// In the graph fragment only the violated properties compile.
     pub fn verify_all(&mut self, properties: &[Constraint]) -> Vec<Verification> {
         properties.iter().map(|p| self.verify(p)).collect()
     }
@@ -413,15 +415,19 @@ impl<T: Table> Analyzer<T> {
     /// subset with respect to this elimination order. The session's
     /// constraint set itself is left unchanged.
     ///
-    /// In the run fragment each probe is decided on the goal's
-    /// series-parallel order (Prop 4.1): linear in `|G| + |C|`, and the
-    /// table is asked for nothing but the normal forms of constraints
-    /// edited since the last query. Any other input compiles
-    /// `G ∧ (C − φ) ∧ ¬φ` per probe through the table. Either way the
-    /// answer is what a greedy replay of [`is_redundant`] gives.
+    /// In the graph fragment each probe is decided without a compile: on
+    /// the goal's series-parallel order while every constraint is a run
+    /// (Prop 4.1: linear in `|G| + |C|`), otherwise by one search per
+    /// disjunct of `¬φ` — and the table is asked for nothing but the normal
+    /// forms of constraints edited since the last query. Any other input
+    /// compiles `G ∧ (C − φ) ∧ ¬φ` per probe through the table. Either way
+    /// the answer is what a greedy replay of [`is_redundant`] gives.
     pub fn minimize_constraints(&mut self) -> Vec<usize> {
         if let Some(runs) = fragment(&mut self.runs, &mut self.table, &self.constraints) {
-            return runs.minimize(&self.goal);
+            let constraints = &self.constraints;
+            return runs.minimize(&self.goal, |i| {
+                Constraint::not(constraints[i].clone()).normalize()
+            });
         }
         self.eliminate(true)
     }
@@ -433,7 +439,7 @@ impl<T: Table> Analyzer<T> {
     ///
     /// Found by deletion: each constraint in turn is dropped when the rest
     /// of the subset still in play stays inconsistent without it. That is
-    /// one graph test per constraint in the run fragment, and one compile
+    /// one test per constraint in the graph fragment, and one compile
     /// through the table per constraint outside it; a consistent
     /// specification pays for the consistency test only.
     pub fn conflict(&mut self) -> Option<Vec<usize>> {
@@ -523,23 +529,23 @@ impl<T: Table> Analyzer<T> {
     }
 }
 
-/// A session's runs, when it is in the run fragment — every constraint is
-/// a run over a goal that has a series-parallel graph — with the runs of
-/// the constraints edited since the last query placed.
+/// A session's constraints, when it is in the graph fragment — its goal
+/// has a series-parallel graph — with those edited since the last query
+/// placed.
 fn fragment<'a, T: Table>(
     runs: &'a mut Option<Runs>,
     table: &mut T,
     constraints: &[Constraint],
 ) -> Option<&'a mut Runs> {
     let runs = runs.as_mut()?;
-    runs.refresh(|i| table.normalize(&constraints[i]))
-        .then_some(runs)
+    runs.refresh(|i| table.normalize(&constraints[i]));
+    Some(runs)
 }
 
 /// [`Analyzer::verify`] as a one-shot call, and its referee: the
 /// theorem's probe as written, `Excise(Apply(C ∧ ¬property, G))`, on
 /// every input. It opens no session, so it never takes the graph path the
-/// session takes in the run fragment: a wrong `Holds` there cannot agree
+/// session takes in the graph fragment: a wrong `Holds` there cannot agree
 /// with itself here (`tests/consistency_referee.rs`).
 pub fn verify(
     goal: &Goal,
@@ -562,8 +568,8 @@ pub fn verify(
 ///
 /// This is the theorem's probe as it is written, one [`verify`] of `φ`
 /// against the rest — a compile — whatever the input. It is the referee
-/// that [`Analyzer::minimize_constraints`], which decides the run fragment
-/// on a graph instead, is held to (`tests/redundancy_referee.rs`).
+/// that [`Analyzer::minimize_constraints`], which decides the graph
+/// fragment without a compile, is held to (`tests/redundancy_referee.rs`).
 pub fn is_redundant(
     goal: &Goal,
     constraints: &[Constraint],
@@ -577,7 +583,7 @@ pub fn is_redundant(
 
 /// [`Analyzer::conflict`] as a one-shot call: a minimal conflicting subset
 /// of an inconsistent specification, `None` when it is consistent. Outside
-/// the run fragment each deletion probe compiles, so the session runs over
+/// the graph fragment each deletion probe compiles, so the session runs over
 /// a [`Memo`] and replays what the probes share.
 pub fn conflict(
     goal: &Goal,

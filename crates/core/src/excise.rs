@@ -48,7 +48,7 @@
 //!    between co-occurring pairs, each lifted to the end/begin of the
 //!    outermost block only one of its ends is in, and one Tarjan pass over
 //!    flat adjacency finds the strongly connected components (`graph.rs`,
-//!    whose cycle test the run fragment asks too). Each one with more
+//!    whose cycle test the graph fragment asks too). Each one with more
 //!    than one vertex is a **knot**. The one acted on is a
 //!    function of the goal: the knot holding the earliest occurrence in
 //!    walk order, its occurrences taken in walk order. The first

@@ -5,13 +5,14 @@
 //! Both of its callers ask whether a precedence graph — a goal's
 //! series-parallel order plus extra edges — has a cycle. `Excise` adds a
 //! region's `send(ξ) → receive(ξ)` waits and excises what lies on a cycle
-//! (a *knot*, `excise.rs`). The run fragment's consistency test — behind
+//! (a *knot*, `excise.rs`). The graph fragment's one-run test — behind
 //! an `Analyzer`'s consistency, verification, redundancy and conflict
 //! queries there — adds a run's orders, and `G ∧ R` has an execution iff
 //! there is none, which Kahn's peeling tells without naming the knots
-//! (Prop 4.1, `redundancy.rs`). Neither makes an edge from a vertex to
-//! itself, so a cycle is a strongly connected component of more than one
-//! vertex.
+//! (Prop 4.1, `redundancy.rs`); its selection search asks, as it chooses
+//! an order `a < b`, whether `b` already reaches `a`. Neither makes an
+//! edge from a vertex to itself, so a cycle is a strongly connected
+//! component of more than one vertex.
 
 /// "No such vertex": the knot of a vertex on no cycle.
 const NONE: u32 = u32::MAX;
@@ -141,7 +142,7 @@ impl Graph {
     }
 
     /// True if the graph has no cycle: Kahn's peeling of vertices with no
-    /// edge left into them, which is all the run fragment's consistency
+    /// edge left into them, which is all the graph fragment's one-run
     /// test asks and lighter than finding the knots.
     pub(crate) fn acyclic(&mut self) -> bool {
         let n = self.vertices();
@@ -174,8 +175,10 @@ impl Graph {
         (knot != NONE).then_some(knot)
     }
 
-    /// True if the graph holds a path from `from` to `to`.
-    pub(crate) fn reaches(&mut self, from: u32, to: u32) -> bool {
+    /// True if the graph with the edges `more` added holds a path from
+    /// `from` to `to`. Each vertex reached scans `more`, so it is meant to
+    /// be short.
+    pub(crate) fn reaches(&mut self, from: u32, to: u32, more: &[(u32, u32)]) -> bool {
         let n = self.vertices();
         let (row, targets) = (&self.row, &self.targets);
         let (seen, stack) = (&mut self.index, &mut self.open);
@@ -183,8 +186,12 @@ impl Graph {
         stack.clear();
         stack.push(from);
         while let Some(u) = stack.pop() {
+            let extra = more.iter().filter(|e| e.0 == u).map(|e| &e.1);
             let u = u as usize;
-            for &v in &targets[row[u] as usize..row[u + 1] as usize] {
+            for &v in targets[row[u] as usize..row[u + 1] as usize]
+                .iter()
+                .chain(extra)
+            {
                 if v == to {
                     return true;
                 }
@@ -209,9 +216,10 @@ mod tests {
         assert!(dag.acyclic());
         assert!(!dag.find_knots());
         assert!((0..4).all(|v| dag.knot(v).is_none()));
-        assert!(dag.reaches(0, 2));
-        assert!(!dag.reaches(2, 0));
-        assert!(!dag.reaches(3, 1));
+        assert!(dag.reaches(0, 2, &[]));
+        assert!(!dag.reaches(2, 0, &[]));
+        assert!(dag.reaches(2, 0, &[(2, 3), (3, 0)]));
+        assert!(!dag.reaches(3, 1, &[]));
     }
 
     #[test]

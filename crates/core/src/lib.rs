@@ -20,7 +20,7 @@
 //! | [`semantics`] | §2 | reference trace semantics — the oracle for `Apply(σ,T) ≡ T ∧ σ` |
 //! | [`apply`](mod@apply) | §5 | the `Apply` rules and `sync` (Defs 5.1/5.3/5.5), each written once over a table strategy and run on the caller's thread; event-index pruning, a channel range set aside per disjunct |
 //! | [`excise`](mod@excise) | §5 | knot detection and removal, `G_fail` diagnostics; a root `∨` excises branch by branch, region outcomes go through the same table; knots are found on the one graph type, which the run fragment's tests share |
-//! | [`analysis`] | §4 | consistency, verification, redundancy (Thms 5.8–5.10) and a minimal conflicting subset: the [`Analyzer`] session holds each query once; the one-shot referees are the theorems' compiles as written; among runs over a goal whose events occur once, the session decides consistency, holding properties and redundancy on the goal's series-parallel order (Prop 4.1), without a compile |
+//! | [`analysis`] | §4 | consistency, verification, redundancy (Thms 5.8–5.10) and a minimal conflicting subset: the [`Analyzer`] session holds each query once; the one-shot referees are the theorems' compiles as written; over a goal whose events occur once, the session decides consistency, holding properties and redundancy without a compile: on the goal's series-parallel order among runs (Prop 4.1), by a search of one disjunct per constraint otherwise |
 //! | [`memo`] | §5 | the table that remembers: hash-consed subgoals and recorded rewrite answers ([`Memo`]), which an [`Analyzer`] — the one tabled API — keeps across queries |
 //! | [`formula`] | §2 | full CTR formulas (adds `∧`, `¬`) with declarative trace satisfaction |
 //! | [`timer`] | — | timer ticks as plain event *names* (`ev@after30000`): the tag scheme shared by the workflow compiler, runtime wheel, and enactor |

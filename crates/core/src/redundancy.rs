@@ -1,50 +1,86 @@
-//! The run fragment: consistency, verification and redundancy decided on
+//! The graph fragment: consistency, verification and redundancy decided on
 //! the goal's series-parallel order instead of by compiling (Theorems
-//! 5.8–5.10 where Proposition 4.1 puts the questions in P).
+//! 5.8–5.10, with Proposition 4.1's hardness left where it lives: in the
+//! choice of one disjunct per constraint).
 //!
-//! A session is in the fragment when every constraint is a *run* — its
-//! normal form has one disjunct: `∇e`, `¬∇e`, orders, serials and
-//! conjunctions of them — and the goal is built of events, each occurring
-//! once, with `⊗`, `|`, `∨` and `ε`. All three queries of the
-//! [`Analyzer`](crate::analysis::Analyzer) come down to one test there:
-//! is `G ∧ R` consistent, for a run `R`?
+//! A session is in the fragment when its goal is built of events, each
+//! occurring once, with `⊗`, `|`, `∨` and `ε`; its constraints may be
+//! anything. By Cor 3.5 each constraint's normal form is `∨ᵢ Rᵢ`, each `Rᵢ`
+//! a *run* — `∇e`, `¬∇e` and orders, conjoined — so `G ∧ C` is consistent
+//! iff some choice of one disjunct per constraint gives a consistent
+//! concatenated run. All the queries of the
+//! [`Analyzer`](crate::analysis::Analyzer) come down to one test: is
+//! `G ∧ C ∧ extra` consistent, for a run `extra`?
 //!
-//! Let `H` be `G` restricted by `R`'s `∇`/`¬∇` demands, an order's ends
-//! counting as `∇`: the restriction walk of a run (`apply.rs`, layer 3).
-//! Each event occurring once, every `∇`-event of `R` lies outside every `∨`
-//! of `H` — of an `∨` above it only its own branch survives — so `R`'s
-//! orders join events that every execution of `H` holds, whichever branches
-//! it takes. `G ∧ R` is then consistent iff `H` is not `¬path` and its
-//! *series-parallel graph* — `⊗` chains its children exit to entry, `|` and
-//! `∨` fan out from an entry vertex and back in to an exit vertex, as the
-//! region graph of `excise.rs` does for channels — stays acyclic with `R`'s
-//! orders added as edges. It needs no restriction walk (`H` is `G`) when
-//! `R` asks no `∇` of an event that is under an `∨` or absent, and no `¬∇`
-//! of one that is present. The cycle test is that of `graph.rs`, the graph
-//! `Excise` finds knots on: a cycle here is a knot there.
+//! **One run.** Let `H` be `G` restricted by a run `R`'s `∇`/`¬∇` demands,
+//! an order's ends counting as `∇`: the restriction walk of a run
+//! (`apply.rs`, layer 3). Each event occurring once, every `∇`-event of `R`
+//! lies outside every `∨` of `H` — of an `∨` above it only its own branch
+//! survives — so `R`'s orders join events that every execution of `H`
+//! holds, whichever branches it takes. `G ∧ R` is then consistent iff `H`
+//! is not `¬path` and its *series-parallel graph* — `⊗` chains its
+//! children exit to entry, `|` and `∨` fan out from an entry vertex and
+//! back in to an exit vertex, as the region graph of `excise.rs` does for
+//! channels — stays acyclic with `R`'s orders added as edges. It needs no
+//! restriction walk (`H` is `G`) when `R` asks no `∇` of an event that is
+//! under an `∨` or absent, and no `¬∇` of one that is present. The cycle
+//! test is that of `graph.rs`, the graph `Excise` finds knots on: a cycle
+//! here is a knot there.
 //!
-//! * **Consistency** (Thm 5.8): `R` is the concatenation of the
-//!   constraints' runs.
+//! **Every constraint a run** (`d = 1`): the run is the concatenation of
+//! the constraints' runs, and the session keeps the graph of `G` with
+//! `C`'s orders from one query to the next, so a question that is one
+//! order `a < b` is one reachability test: consistent iff `b` does not
+//! reach `a`. A redundancy probe asks whether each basic of `φ` holds on
+//! `H`'s graph: without `⊙` the executions of `H` are, choice of branches
+//! by choice of branches, the linear extensions of its graph, so `∇e`
+//! holds iff `e` occurs in `H` outside every `∨`, `¬∇e` iff `e` does not
+//! occur in `H`, and `a < b` iff both occur outside every `∨` and `b` is
+//! reachable from `a`.
+//!
+//! **Some constraint wide** (`d ≠ 1`): a *selection search* picks one
+//! disjunct per constraint, backtracking chronologically, over a state
+//! kept on `G`'s tree and undone by a trail: which branch each `∨` has
+//! committed to (a `∇e` commits every `∨` above `e`), and which subtrees
+//! are dead (a `¬∇e` kills `e`; the death climbs through `⊗` and `|`, and
+//! through an `∨` once all its branches are dead). A conflict is a kill
+//! that reaches a committed branch or the root, or a `∇` of an event that
+//! is dead or under another branch of a committed `∨`. That state is the
+//! restriction walk's, one basic at a time. Per event it reads *forced*
+//! (every `∨` above committed towards it), *excluded* (dead, or under a
+//! branch not taken) or open, and each disjunct counts its basics the
+//! state implies and those it contradicts, through per-event occurrence
+//! lists, so a step touches only the constraints whose events changed.
+//! Propagation skips a constraint one of whose disjuncts the state
+//! implies, forces one with a single live disjunct, and backtracks from
+//! one with none. An order `a < b` is tested as it is chosen: a cycle iff
+//! `b` reaches `a` in `G`'s graph with the chosen orders added. That graph
+//! is `G`'s, not `H`'s, and the test is still exact, because every chosen
+//! order joins forced events, and a path of `G` between two events of `H`
+//! that runs through a pruned branch enters it at its `∨`'s entry vertex
+//! and leaves at its exit vertex, which a branch that survives — there is
+//! one, or the `∨` would be dead — joins as well: the path can always be
+//! re-routed through the live branch. Every complete choice is confirmed
+//! by the one-run test above, so the pruning only has to be sound; the
+//! answer is exact. The search allocates nothing once its vectors are warm
+//! (the confirming restriction walk aside), and it is built on the first
+//! query of a session that has a wide constraint.
+//!
+//! * **Consistency** (Thm 5.8): `extra` is empty.
 //! * **Verification** (Thm 5.9): `φ` holds iff no disjunct of `¬φ`'s
-//!   normal form, appended to the constraints' runs, is consistent — at
-//!   most `d` tests, one for a Klein order. A session keeps the graph of
-//!   `G` with `C`'s orders from one query to the next, so a disjunct that
-//!   is one order `a < b` is one reachability test: it is consistent iff
-//!   `b` does not reach `a`. Only a violated property compiles, for its
-//!   most general counterexample.
-//! * **Redundancy** (Thm 5.10): without `⊙` the executions of `H` are,
-//!   choice of branches by choice of branches, the linear extensions of its
-//!   graph, so `φ` is implied by the kept runs `R` iff `G ∧ R` is
-//!   inconsistent or each basic of `φ` holds on the graph: `∇e` iff `e`
-//!   occurs in `H` outside every `∨`; `¬∇e` iff `e` does not occur in `H`;
-//!   `a < b` iff both occur outside every `∨` and `b` is reachable from
-//!   `a`.
+//!   normal form is consistent with `C` — at most `d` tests, one for a
+//!   Klein order. Only a violated property compiles, for its most general
+//!   counterexample.
+//! * **Redundancy** (Thm 5.10): `φ` is implied by the kept constraints iff
+//!   they are inconsistent with every disjunct of `¬φ` (with every
+//!   constraint a run, iff each basic of `φ` holds on `H`'s graph).
 //! * **The conflict**: an inconsistent list's minimal conflicting subset,
 //!   found by deletion, one test per constraint.
 //!
-//! A test is linear in `|G| + |C|` and asks the session's table for
-//! nothing but the normal forms of constraints edited since the last one.
-//! [`is_consistent`](crate::analysis::is_consistent),
+//! A test asks the session's table for nothing but the normal forms of
+//! constraints edited since the last one. It is linear in `|G| + |C|`
+//! while every constraint is a run; Prop 4.1 keeps the search exponential
+//! in the worst case. [`is_consistent`](crate::analysis::is_consistent),
 //! [`verify`](crate::analysis::verify) and
 //! [`is_redundant`](crate::analysis::is_redundant) stay the theorems'
 //! compiles as written and are the referees
@@ -228,7 +264,7 @@ impl Probe {
             Basic::Must(e) => h.unguarded(e).is_some(),
             Basic::MustNot(e) => h.find(e).is_none(),
             Basic::Order(a, b) => match (h.unguarded(a), h.unguarded(b)) {
-                (Some(a), Some(b)) => graph.reaches(a, b),
+                (Some(a), Some(b)) => graph.reaches(a, b, &[]),
                 _ => false,
             },
         })
@@ -242,7 +278,7 @@ fn acyclic(graph: &mut Graph, h: &SeriesParallel, orders: &[(u32, u32)]) -> bool
     graph.acyclic()
 }
 
-/// A basic of a session's run, placed on the goal's graph.
+/// A basic of a session's constraint, placed on the goal's graph.
 #[derive(Clone, Copy)]
 struct Placed {
     basic: Basic,
@@ -252,25 +288,28 @@ struct Placed {
     edge: Option<(u32, u32)>,
 }
 
-/// Where a constraint's basics end in [`Runs`]' `placed`, whether its
-/// normal form is one run (a constraint that is not has none), and whether
-/// it was edited since they were placed.
+/// Where a constraint's basics end in [`Runs`]' `placed` and its disjuncts
+/// in `cuts`, whether its normal form is one run, and whether it was
+/// edited since they were placed.
 #[derive(Clone, Copy)]
 struct Slot {
     end: usize,
+    cut: usize,
     run: bool,
     stale: bool,
 }
 
-/// A session's constraints as runs over its goal's series-parallel graph,
-/// kept in step with the constraint list: an edit marks its own
-/// constraint, and the next query places that constraint's run in place of
-/// the old one, so that a query only tests.
+/// A session's constraints over its goal's series-parallel graph, kept in
+/// step with the constraint list: an edit marks its own constraint, and the
+/// next query places that constraint's disjuncts in place of the old ones,
+/// so that a query only tests.
 pub(crate) struct Runs {
     /// The goal's graph.
     order: SeriesParallel,
-    /// The basics of every constraint that is a run, in list order.
+    /// The basics of every disjunct of every constraint, in list order.
     placed: Vec<Placed>,
+    /// How many basics of `placed` each disjunct has, in the same order.
+    cuts: Vec<u32>,
     /// One per constraint.
     slots: Vec<Slot>,
     /// How many constraints are not runs.
@@ -281,10 +320,14 @@ pub(crate) struct Runs {
     stale: usize,
     /// The goal's graph with every order of `placed` added, and whether it
     /// is acyclic — filled by the first test that needs it after an edit,
-    /// while no basic disturbs the goal.
+    /// while every constraint is a run and none disturbs the goal.
     whole: Graph,
     whole_acyclic: Option<bool>,
     probe: Probe,
+    /// The selection search, built by the first query that has a wide
+    /// constraint, and whether its constraints are those of `placed`.
+    search: Option<Box<Search>>,
+    indexed: bool,
 }
 
 impl Runs {
@@ -293,12 +336,14 @@ impl Runs {
     pub(crate) fn new(order: SeriesParallel, constraints: usize) -> Runs {
         let stale = Slot {
             end: 0,
+            cut: 0,
             run: true,
             stale: true,
         };
         Runs {
             order,
             placed: Vec::new(),
+            cuts: Vec::new(),
             slots: vec![stale; constraints],
             wider: 0,
             disturbing: 0,
@@ -306,21 +351,23 @@ impl Runs {
             whole: Graph::default(),
             whole_acyclic: None,
             probe: Probe::default(),
+            search: None,
+            indexed: false,
         }
     }
 
-    /// Where constraint `i`'s basics begin in `placed`.
-    fn start(&self, i: usize) -> usize {
-        if i == 0 {
-            0
-        } else {
-            self.slots[i - 1].end
+    /// Where constraint `i`'s basics begin in `placed`, and its disjuncts
+    /// in `cuts`.
+    fn start(&self, i: usize) -> (usize, usize) {
+        match i.checked_sub(1) {
+            Some(before) => (self.slots[before].end, self.slots[before].cut),
+            None => (0, 0),
         }
     }
 
     /// Where constraint `i`'s basics lie in `placed`.
     fn span(&self, i: usize) -> std::ops::Range<usize> {
-        self.start(i)..self.slots[i].end
+        self.start(i).0..self.slots[i].end
     }
 
     /// Constraint `i` was replaced.
@@ -332,8 +379,10 @@ impl Runs {
 
     /// A constraint was inserted at `i`.
     pub(crate) fn insert(&mut self, i: usize) {
+        let (end, cut) = self.start(i);
         let slot = Slot {
-            end: self.start(i),
+            end,
+            cut,
             run: true,
             stale: true,
         };
@@ -343,28 +392,27 @@ impl Runs {
 
     /// Constraint `i` was removed.
     pub(crate) fn remove(&mut self, i: usize) {
-        let span = self.span(i);
-        let gone = span.len();
+        let (span, cut) = (self.span(i), self.start(i).1);
+        let (gone, gone_cuts) = (span.len(), self.slots[i].cut - cut);
         self.disturbing -= (self.placed[span.clone()].iter())
             .filter(|p| !p.alone)
             .count();
         self.placed.drain(span);
+        self.cuts.drain(cut..cut + gone_cuts);
         let slot = self.slots.remove(i);
         self.wider -= usize::from(!slot.run);
         self.stale -= usize::from(slot.stale);
         for slot in &mut self.slots[i..] {
             slot.end -= gone;
+            slot.cut -= gone_cuts;
         }
         self.whole_acyclic = None;
+        self.indexed = false;
     }
 
-    /// Places the run of every stale constraint, `normal(i)` being the
-    /// normal form of constraint `i`, and returns true when every
-    /// constraint is a run: the session is in the fragment.
-    pub(crate) fn refresh<N: Borrow<NormalForm>>(
-        &mut self,
-        mut normal: impl FnMut(usize) -> N,
-    ) -> bool {
+    /// Places the disjuncts of every stale constraint, `normal(i)` being
+    /// the normal form of constraint `i`.
+    pub(crate) fn refresh<N: Borrow<NormalForm>>(&mut self, mut normal: impl FnMut(usize) -> N) {
         if self.stale > 0 {
             for i in 0..self.slots.len() {
                 if self.slots[i].stale {
@@ -372,46 +420,47 @@ impl Runs {
                 }
             }
             self.whole_acyclic = None;
+            self.indexed = false;
         }
-        self.wider == 0
     }
 
-    /// Puts `nf`'s run in place of constraint `i`'s basics.
+    /// Puts `nf`'s disjuncts in place of constraint `i`'s.
     fn put(&mut self, i: usize, nf: &NormalForm) {
-        let run = match &nf.disjuncts[..] {
-            [run] => Some(&run[..]),
-            _ => None,
-        };
-        let span = self.span(i);
-        let (was, basics) = (span.len(), run.unwrap_or_default());
+        let (span, cut) = (self.span(i), self.start(i).1);
+        let cuts = cut..self.slots[i].cut;
+        let (was, now) = (span.len(), nf.disjuncts.iter().map(Vec::len).sum());
+        let (was_cuts, now_cuts) = (cuts.len(), nf.disjuncts.len());
         let gone = (self.placed[span.clone()].iter())
             .filter(|p| !p.alone)
             .count();
         let (order, mut added) = (&self.order, 0);
-        let placed = basics.iter().map(|&basic| {
+        let placed = nf.disjuncts.iter().flatten().map(|&basic| {
             let placed = order.place(basic);
             added += usize::from(!placed.alone);
             placed
         });
-        if was == basics.len() {
+        let lengths = nf.disjuncts.iter().map(|d| d.len() as u32);
+        if (was, was_cuts) == (now, now_cuts) {
             for (old, new) in self.placed[span].iter_mut().zip(placed) {
+                *old = new;
+            }
+            for (old, new) in self.cuts[cuts].iter_mut().zip(lengths) {
                 *old = new;
             }
         } else {
             self.placed.splice(span, placed);
+            self.cuts.splice(cuts, lengths);
             for slot in &mut self.slots[i..] {
-                slot.end = slot.end + basics.len() - was;
+                slot.end = slot.end + now - was;
+                slot.cut = slot.cut + now_cuts - was_cuts;
             }
         }
         self.disturbing = self.disturbing + added - gone;
-        let slot = &mut self.slots[i];
-        self.wider = self.wider + usize::from(run.is_none()) - usize::from(!slot.run);
+        let (slot, run) = (&mut self.slots[i], now_cuts == 1);
+        self.wider = self.wider + usize::from(!run) - usize::from(!slot.run);
         self.stale -= 1;
-        *slot = Slot {
-            end: slot.end,
-            run: run.is_some(),
-            stale: false,
-        };
+        slot.run = run;
+        slot.stale = false;
     }
 
     /// Is `G ∧ C ∧ extra` consistent, `C` being every constraint, each a
@@ -433,7 +482,7 @@ impl Runs {
             return match probe.orders[..] {
                 _ if !consistent => false,
                 [] => true,
-                [(a, b)] => !whole.reaches(b, a),
+                [(a, b)] => !whole.reaches(b, a, &[]),
                 _ => {
                     probe.orders.extend(placed.iter().filter_map(|p| p.edge));
                     acyclic(&mut probe.graph, order, &probe.orders)
@@ -446,11 +495,28 @@ impl Runs {
         probe.consistent(order, goal, false)
     }
 
+    /// Is `G ∧ C' ∧ extra` consistent, `C'` being the constraints `keep`
+    /// admits? The selection search, for a session with a wide constraint.
+    fn select(&mut self, goal: &Goal, keep: impl Fn(usize) -> bool, extra: &[Basic]) -> bool {
+        let order = &self.order;
+        let search = (self.search).get_or_insert_with(|| Box::new(Search::new(goal, order)));
+        if !self.indexed {
+            search.index(&self.slots, &self.cuts, &self.placed);
+            self.indexed = true;
+        }
+        for (i, active) in search.active.iter_mut().enumerate() {
+            *active = keep(i);
+        }
+        search.run(goal, order, &mut self.probe, extra)
+    }
+
     /// Does some execution of `G ∧ C` satisfy one of `disjuncts`, the
-    /// normal form of a constraint? Asked after [`Runs::refresh`] said the
-    /// session is in the fragment, as are [`Runs::minimize`] and
-    /// [`Runs::conflict`].
+    /// normal form of a constraint? Asked after [`Runs::refresh`], as are
+    /// [`Runs::minimize`] and [`Runs::conflict`].
     pub(crate) fn satisfiable(&mut self, goal: &Goal, disjuncts: &[Conjunct]) -> bool {
+        if self.wider > 0 {
+            return disjuncts.iter().any(|d| self.select(goal, |_| true, d));
+        }
         disjuncts.iter().any(|d| self.consistent(goal, d))
     }
 
@@ -472,8 +538,24 @@ impl Runs {
     /// Greedy redundancy elimination: the indices
     /// [`Analyzer::minimize_constraints`](crate::analysis::Analyzer::minimize_constraints)
     /// returns. Each constraint in turn is dropped when the kept ones before
-    /// it and all the ones after it imply it.
-    pub(crate) fn minimize(&mut self, goal: &Goal) -> Vec<usize> {
+    /// it and all the ones after it imply it; `negation(i)` is the normal
+    /// form of `¬φ` for constraint `i`, which a session with a wide
+    /// constraint tests against them.
+    pub(crate) fn minimize<N: Borrow<NormalForm>>(
+        &mut self,
+        goal: &Goal,
+        mut negation: impl FnMut(usize) -> N,
+    ) -> Vec<usize> {
+        if self.wider > 0 {
+            let mut kept = vec![true; self.slots.len()];
+            for i in 0..kept.len() {
+                kept[i] = false;
+                let negation = negation(i);
+                let disjuncts = &negation.borrow().disjuncts;
+                kept[i] = disjuncts.iter().any(|d| self.select(goal, |j| kept[j], d));
+            }
+            return (0..kept.len()).filter(|&j| kept[j]).collect();
+        }
         let mut retained: Vec<usize> = (0..self.slots.len()).collect();
         let mut i = 0;
         while i < retained.len() {
@@ -496,6 +578,14 @@ impl Runs {
     /// subset still in play stays inconsistent without it. What is left
     /// is inconsistent, and consistent with any one of its members dropped.
     pub(crate) fn conflict(&mut self, goal: &Goal) -> Vec<usize> {
+        if self.wider > 0 {
+            let mut kept = vec![true; self.slots.len()];
+            for i in 0..kept.len() {
+                kept[i] = false;
+                kept[i] = self.select(goal, |j| kept[j], &[]);
+            }
+            return (0..kept.len()).filter(|&j| kept[j]).collect();
+        }
         let mut kept: Vec<usize> = (0..self.slots.len()).collect();
         let mut i = 0;
         while i < kept.len() {
@@ -507,5 +597,593 @@ impl Runs {
             }
         }
         kept
+    }
+}
+
+/// "No such node, event or branch" in the search's numbering.
+const NONE: u32 = u32::MAX;
+
+/// What the search state says of an event.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Status {
+    /// Some execution of the state may or may not hold it.
+    Open,
+    /// Every execution holds it: every `∨` above it is committed to it.
+    Forced,
+    /// No execution holds it: it is dead, or under a branch not taken.
+    Excluded,
+}
+
+/// How a basic of a disjunct mentions an event: its occurrence list entry.
+#[derive(Clone, Copy)]
+enum Role {
+    /// `∇e`: implied once `e` is forced, dead once it is excluded.
+    Must,
+    /// `¬∇e`: implied once `e` is excluded, dead once it is forced.
+    MustNot,
+    /// An end of an order: dead once `e` is excluded, never implied.
+    End,
+}
+
+impl Role {
+    /// What the event becoming forced, or else excluded, does to a basic
+    /// that mentions it so: true if it implies it, false if it kills it.
+    fn implied(self, forced: bool) -> Option<bool> {
+        match (self, forced) {
+            (Role::Must, true) | (Role::MustNot, false) => Some(true),
+            (Role::End, true) => None,
+            _ => Some(false),
+        }
+    }
+}
+
+/// One change to the search state, undone by [`Search::undo_to`].
+#[derive(Clone, Copy)]
+enum Step {
+    /// An `∨` lost a live branch.
+    Live(u32),
+    /// An `∨` committed to a branch.
+    Commit(u32),
+    /// An open event became forced or excluded.
+    Event(u32),
+    /// A constraint's disjunct was chosen.
+    Chosen(u32),
+}
+
+/// A basic with its events numbered, [`NONE`] for an event outside the
+/// goal.
+#[derive(Clone, Copy)]
+struct Resolved {
+    placed: Placed,
+    a: u32,
+    b: u32,
+}
+
+impl Resolved {
+    /// The events the basic mentions, with how: none when it can hold in
+    /// no state (an event outside the goal, a reflexive order).
+    fn mentions(&self) -> impl Iterator<Item = (u32, Role)> {
+        let (a, b) = (self.a, self.b);
+        let mentions = match self.placed.basic {
+            Basic::Must(_) => [(a, Role::Must), (NONE, Role::End)],
+            Basic::MustNot(_) => [(a, Role::MustNot), (NONE, Role::End)],
+            Basic::Order(..) if a != NONE && b != NONE && a != b => {
+                [(a, Role::End), (b, Role::End)]
+            }
+            Basic::Order(..) => [(NONE, Role::End); 2],
+        };
+        mentions.into_iter().filter(|&(e, _)| e != NONE)
+    }
+}
+
+/// How far the state had come: the lengths of the trail, the chosen
+/// orders and the applied basics.
+#[derive(Clone, Copy)]
+struct Mark {
+    trail: usize,
+    edges: usize,
+    applied: usize,
+}
+
+/// An open choice of the search: constraint `c`, whose disjuncts before
+/// `next` have been tried from the state at `mark`.
+#[derive(Clone, Copy)]
+struct Frame {
+    c: usize,
+    next: u32,
+    mark: Mark,
+}
+
+/// The selection search over a goal in the fragment: its tree, the
+/// constraints indexed by event, and the state a search moves through,
+/// which is back at the goal's own between searches.
+#[derive(Default)]
+struct Search {
+    /// The goal's nodes in pre-order: each node's parent ([`NONE`] for the
+    /// root), whether it is an `∨`, and the events under it,
+    /// `first[n]..end[n]` (events are numbered in pre-order too).
+    parent: Vec<u32>,
+    or: Vec<bool>,
+    first: Vec<u32>,
+    end: Vec<u32>,
+    /// Per event: its node, its vertex in `graph`, and how many `∨` are
+    /// above it.
+    leaf: Vec<u32>,
+    vertex: Vec<u32>,
+    guards: Vec<u32>,
+    /// Every event's name with its number, sorted.
+    names: Vec<(Symbol, u32)>,
+    /// The goal's series-parallel graph, for the order test.
+    graph: Graph,
+
+    /// Per constraint, its disjuncts `ways[c]..ways[c + 1]`; per disjunct,
+    /// its basics `cut[k]..cut[k + 1]` of `resolved` and its constraint.
+    ways: Vec<u32>,
+    cut: Vec<u32>,
+    owner: Vec<u32>,
+    resolved: Vec<Resolved>,
+    /// Per event, the disjuncts that mention it,
+    /// `occurs[rows[e]..rows[e + 1]]`.
+    rows: Vec<u32>,
+    occurs: Vec<(u32, Role)>,
+
+    /// Per `∨` node, its live branches and the branch it committed to.
+    live: Vec<u32>,
+    commit: Vec<u32>,
+    /// Per event, how many `∨` above it have not committed, and its status.
+    pending: Vec<u32>,
+    status: Vec<Status>,
+    /// Per disjunct, how many of its basics the state does not imply and
+    /// how many reasons it has to be dead.
+    open: Vec<u32>,
+    killed: Vec<u32>,
+    /// Per constraint, how many disjuncts the state implies and how many
+    /// are dead, whether one was chosen, and whether the search counts it.
+    implied: Vec<u32>,
+    dead: Vec<u32>,
+    chosen: Vec<bool>,
+    active: Vec<bool>,
+    trail: Vec<Step>,
+    /// The chosen orders, as edges of `graph`.
+    edges: Vec<(u32, u32)>,
+    /// Every basic applied, for the confirming test.
+    applied: Vec<Placed>,
+    /// Constraints to look at: a disjunct of theirs died.
+    queue: Vec<u32>,
+    frames: Vec<Frame>,
+}
+
+impl Search {
+    /// The search over `goal`, whose graph is `order`, with no constraint.
+    fn new(goal: &Goal, order: &SeriesParallel) -> Search {
+        let mut search = Search::default();
+        search.lay(goal, NONE, 0);
+        search.names.sort_unstable();
+        search.vertex = vec![0; search.leaf.len()];
+        for &(name, e) in &search.names {
+            let (vertex, _) = order.find(name).expect("the goal's events");
+            search.vertex[e as usize] = vertex;
+        }
+        search
+            .graph
+            .fill(order.vertices as usize, &order.edges, &[]);
+        search.commit = vec![NONE; search.parent.len()];
+        search.pending = search.guards.clone();
+        search.status = (search.guards.iter())
+            .map(|&g| if g == 0 { Status::Forced } else { Status::Open })
+            .collect();
+        search
+    }
+
+    /// Adds `goal`'s nodes under `parent`, with `guards` `∨` above it.
+    fn lay(&mut self, goal: &Goal, parent: u32, guards: u32) {
+        let n = self.parent.len();
+        let is_or = matches!(goal, Goal::Or(_));
+        self.parent.push(parent);
+        self.or.push(is_or);
+        self.first.push(self.leaf.len() as u32);
+        self.end.push(0);
+        self.live.push(0);
+        match goal {
+            Goal::Atom(a) => {
+                let event = a.as_event().expect("the fragment's atoms are events");
+                self.names.push((event, self.leaf.len() as u32));
+                self.leaf.push(n as u32);
+                self.guards.push(guards);
+            }
+            Goal::Seq(gs) | Goal::Conc(gs) | Goal::Or(gs) => {
+                for g in gs.iter() {
+                    self.lay(g, n as u32, guards + u32::from(is_or));
+                }
+                self.live[n] = gs.len() as u32;
+            }
+            _ => {}
+        }
+        self.end[n] = self.leaf.len() as u32;
+    }
+
+    /// `placed` with its events numbered.
+    fn resolve(&self, placed: Placed) -> Resolved {
+        let number = |e: Symbol| match self.names.binary_search_by_key(&e, |n| n.0) {
+            Ok(at) => self.names[at].1,
+            Err(_) => NONE,
+        };
+        let (a, b) = match placed.basic {
+            Basic::Must(e) | Basic::MustNot(e) => (number(e), NONE),
+            Basic::Order(a, b) => (number(a), number(b)),
+        };
+        Resolved { placed, a, b }
+    }
+
+    /// Indexes the constraints of `slots`, whose disjuncts' lengths are
+    /// `cuts` and basics `placed`, and counts what the goal's own state
+    /// implies of them. The state is the goal's own.
+    fn index(&mut self, slots: &[Slot], cuts: &[u32], placed: &[Placed]) {
+        debug_assert!(self.trail.is_empty());
+        for vector in [&mut self.ways, &mut self.cut, &mut self.owner] {
+            vector.clear();
+        }
+        self.resolved.clear();
+        self.open.clear();
+        self.killed.clear();
+        self.ways.push(0);
+        self.cut.push(0);
+        let (mut at, mut k) = (0, 0);
+        for (c, slot) in slots.iter().enumerate() {
+            for &length in &cuts[k..slot.cut] {
+                // What no state changes: an event outside the goal, a
+                // reflexive order.
+                let (mut open, mut killed) = (0, 0);
+                for &p in &placed[at..at + length as usize] {
+                    let r = self.resolve(p);
+                    let (implied, dead) = match r.placed.basic {
+                        Basic::Must(_) => (false, r.a == NONE),
+                        Basic::MustNot(_) => (r.a == NONE, false),
+                        Basic::Order(..) => (false, r.mentions().next().is_none()),
+                    };
+                    open += u32::from(!implied);
+                    killed += u32::from(dead);
+                    self.resolved.push(r);
+                }
+                at += length as usize;
+                self.cut.push(self.resolved.len() as u32);
+                self.owner.push(c as u32);
+                self.open.push(open);
+                self.killed.push(killed);
+            }
+            k = slot.cut;
+            self.ways.push(self.owner.len() as u32);
+        }
+        // The occurrence lists, in compressed rows.
+        let (rows, occurs) = (&mut self.rows, &mut self.occurs);
+        rows.clear();
+        rows.resize(self.leaf.len() + 2, 0);
+        for (e, _) in self.resolved.iter().flat_map(Resolved::mentions) {
+            rows[e as usize + 2] += 1;
+        }
+        for e in 2..rows.len() {
+            rows[e] += rows[e - 1];
+        }
+        occurs.clear();
+        occurs.resize(rows[rows.len() - 1] as usize, (0, Role::End));
+        for (k, basics) in self.cut.windows(2).enumerate() {
+            for r in &self.resolved[basics[0] as usize..basics[1] as usize] {
+                for (e, role) in r.mentions() {
+                    let at = &mut rows[e as usize + 1];
+                    occurs[*at as usize] = (k as u32, role);
+                    *at += 1;
+                }
+            }
+        }
+        rows.pop();
+        // What the goal's own state does: the events outside every `∨` are
+        // forced.
+        for e in 0..self.leaf.len() {
+            if self.status[e] == Status::Forced {
+                for &(k, role) in &occurs[rows[e] as usize..rows[e + 1] as usize] {
+                    match role.implied(true) {
+                        Some(true) => self.open[k as usize] -= 1,
+                        Some(false) => self.killed[k as usize] += 1,
+                        None => {}
+                    }
+                }
+            }
+        }
+        let n = slots.len();
+        for counts in [&mut self.implied, &mut self.dead] {
+            counts.clear();
+            counts.resize(n, 0);
+        }
+        for (k, &c) in self.owner.iter().enumerate() {
+            self.implied[c as usize] += u32::from(self.open[k] == 0);
+            self.dead[c as usize] += u32::from(self.killed[k] > 0);
+        }
+        self.chosen.clear();
+        self.chosen.resize(n, false);
+        self.active.clear();
+        self.active.resize(n, true);
+    }
+
+    fn status(&self, e: u32) -> Status {
+        self.status[e as usize]
+    }
+
+    fn mark(&self) -> Mark {
+        Mark {
+            trail: self.trail.len(),
+            edges: self.edges.len(),
+            applied: self.applied.len(),
+        }
+    }
+
+    /// Is the goal, with the active constraints and the basics `extra`,
+    /// consistent? The state is the goal's own again afterwards.
+    fn run(
+        &mut self,
+        goal: &Goal,
+        order: &SeriesParallel,
+        probe: &mut Probe,
+        extra: &[Basic],
+    ) -> bool {
+        let base = self.mark();
+        let settled = extra.iter().all(|&basic| {
+            let r = self.resolve(order.place(basic));
+            self.apply(r)
+        }) && {
+            self.queue.extend((0..self.active.len() as u32).rev());
+            self.propagate()
+        };
+        let consistent = settled && self.descend(goal, order, probe);
+        self.undo_to(base);
+        self.queue.clear();
+        self.frames.clear();
+        consistent
+    }
+
+    /// True if constraint `c` needs no choice: it is not counted, a
+    /// disjunct of it was chosen, or the state implies one.
+    fn settled(&self, c: usize) -> bool {
+        !self.active[c] || self.chosen[c] || self.implied[c] > 0
+    }
+
+    /// The depth-first search over the open constraints, in list order,
+    /// from a propagated state: true at the first complete choice the
+    /// one-run test confirms.
+    fn descend(&mut self, goal: &Goal, order: &SeriesParallel, probe: &mut Probe) -> bool {
+        let n = self.active.len();
+        let mut at = 0;
+        loop {
+            while at < n && self.settled(at) {
+                at += 1;
+            }
+            if at == n {
+                probe.rest.clear();
+                probe.rest.extend(self.applied.iter().map(|p| p.basic));
+                let alone = self.applied.iter().all(|p| p.alone);
+                if probe.consistent(order, goal, alone) {
+                    return true;
+                }
+            } else {
+                let (next, mark) = (self.ways[at], self.mark());
+                self.frames.push(Frame { c: at, next, mark });
+            }
+            // The next live disjunct of the deepest open choice.
+            loop {
+                let Some(&Frame { c, next, mark }) = self.frames.last() else {
+                    return false;
+                };
+                self.undo_to(mark);
+                let mut ways = next..self.ways[c + 1];
+                let Some(k) = ways.find(|&k| self.killed[k as usize] == 0) else {
+                    self.frames.pop();
+                    continue;
+                };
+                self.frames.last_mut().expect("just read").next = k + 1;
+                if self.choose(c, k) && self.propagate() {
+                    at = c + 1;
+                    break;
+                }
+                self.queue.clear();
+            }
+        }
+    }
+
+    /// Forces, or refutes, the queued constraints: one with a single live
+    /// disjunct takes it, one with none is a conflict.
+    fn propagate(&mut self) -> bool {
+        while let Some(c) = self.queue.pop() {
+            let c = c as usize;
+            if self.settled(c) {
+                continue;
+            }
+            let ways = self.ways[c]..self.ways[c + 1];
+            match ways.len() as u32 - self.dead[c] {
+                0 => return false,
+                1 => {
+                    let k = (ways.clone())
+                        .find(|&k| self.killed[k as usize] == 0)
+                        .expect("one live disjunct");
+                    if !self.choose(c, k) {
+                        return false;
+                    }
+                }
+                _ => {}
+            }
+        }
+        true
+    }
+
+    /// Chooses disjunct `k` of constraint `c`: false on a conflict.
+    fn choose(&mut self, c: usize, k: u32) -> bool {
+        self.chosen[c] = true;
+        self.trail.push(Step::Chosen(c as u32));
+        let basics = self.cut[k as usize] as usize..self.cut[k as usize + 1] as usize;
+        basics.into_iter().all(|r| self.apply(self.resolved[r]))
+    }
+
+    /// Applies one basic to the state: false on a conflict.
+    fn apply(&mut self, r: Resolved) -> bool {
+        self.applied.push(r.placed);
+        match r.placed.basic {
+            Basic::Must(_) => self.must(r.a),
+            Basic::MustNot(_) => self.must_not(r.a),
+            Basic::Order(..) => {
+                if r.a == r.b || !self.must(r.a) || !self.must(r.b) {
+                    return false;
+                }
+                let (a, b) = (self.vertex[r.a as usize], self.vertex[r.b as usize]);
+                self.edges.push((a, b));
+                !self.graph.reaches(b, a, &self.edges)
+            }
+        }
+    }
+
+    /// `∇e`: commits every `∨` above `e` to it.
+    fn must(&mut self, e: u32) -> bool {
+        if e == NONE {
+            return false;
+        }
+        match self.status(e) {
+            Status::Forced => true,
+            Status::Excluded => false,
+            Status::Open => {
+                // Nothing above an event that is not excluded is dead or
+                // committed elsewhere.
+                let mut n = self.leaf[e as usize];
+                let mut p = self.parent[n as usize];
+                while p != NONE {
+                    if self.or[p as usize] && self.commit[p as usize] == NONE {
+                        self.commit_to(p, n);
+                    }
+                    debug_assert!(!self.or[p as usize] || self.commit[p as usize] == n);
+                    (n, p) = (p, self.parent[p as usize]);
+                }
+                true
+            }
+        }
+    }
+
+    /// `¬∇e`: kills `e`, and the death climbs through `⊗` and `|`, and
+    /// through an `∨` that has no live branch left.
+    fn must_not(&mut self, e: u32) -> bool {
+        if e == NONE {
+            return true;
+        }
+        match self.status(e) {
+            Status::Excluded => true,
+            Status::Forced => false,
+            Status::Open => {
+                let mut n = self.leaf[e as usize];
+                loop {
+                    let p = self.parent[n as usize];
+                    if p == NONE {
+                        return false;
+                    }
+                    if self.or[p as usize] {
+                        if self.commit[p as usize] == n {
+                            return false;
+                        }
+                        self.live[p as usize] -= 1;
+                        self.trail.push(Step::Live(p));
+                        if self.live[p as usize] > 0 {
+                            break;
+                        }
+                    }
+                    n = p;
+                }
+                self.exclude_range(self.first[n as usize]..self.end[n as usize]);
+                true
+            }
+        }
+    }
+
+    /// Commits the `∨` node `p` to its branch `n`.
+    fn commit_to(&mut self, p: u32, n: u32) {
+        self.commit[p as usize] = n;
+        self.trail.push(Step::Commit(p));
+        for e in self.first[n as usize]..self.end[n as usize] {
+            self.pending[e as usize] -= 1;
+            if self.pending[e as usize] == 0 && self.status(e) == Status::Open {
+                self.set(e, Status::Forced);
+            }
+        }
+        let (p, n) = (p as usize, n as usize);
+        self.exclude_range(self.first[p]..self.first[n]);
+        self.exclude_range(self.end[n]..self.end[p]);
+    }
+
+    fn exclude_range(&mut self, events: std::ops::Range<u32>) {
+        for e in events {
+            if self.status(e) == Status::Open {
+                self.set(e, Status::Excluded);
+            }
+        }
+    }
+
+    /// Moves the open event `e` to `status` and tells every disjunct that
+    /// mentions it.
+    fn set(&mut self, e: u32, status: Status) {
+        self.status[e as usize] = status;
+        self.trail.push(Step::Event(e));
+        let forced = status == Status::Forced;
+        for at in self.rows[e as usize]..self.rows[e as usize + 1] {
+            let (k, role) = self.occurs[at as usize];
+            let (k, c) = (k as usize, self.owner[k as usize]);
+            match role.implied(forced) {
+                Some(true) => {
+                    self.open[k] -= 1;
+                    self.implied[c as usize] += u32::from(self.open[k] == 0);
+                }
+                Some(false) => {
+                    self.killed[k] += 1;
+                    if self.killed[k] == 1 {
+                        self.dead[c as usize] += 1;
+                        self.queue.push(c);
+                    }
+                }
+                None => {}
+            }
+        }
+    }
+
+    /// [`Search::set`] undone.
+    fn unset(&mut self, e: u32) {
+        let forced = self.status(e) == Status::Forced;
+        self.status[e as usize] = Status::Open;
+        for at in self.rows[e as usize]..self.rows[e as usize + 1] {
+            let (k, role) = self.occurs[at as usize];
+            let (k, c) = (k as usize, self.owner[k as usize] as usize);
+            match role.implied(forced) {
+                Some(true) => {
+                    self.implied[c] -= u32::from(self.open[k] == 0);
+                    self.open[k] += 1;
+                }
+                Some(false) => {
+                    self.killed[k] -= 1;
+                    self.dead[c] -= u32::from(self.killed[k] == 0);
+                }
+                None => {}
+            }
+        }
+    }
+
+    /// Undoes every step after `mark`.
+    fn undo_to(&mut self, mark: Mark) {
+        while self.trail.len() > mark.trail {
+            match self.trail.pop().expect("longer than the mark") {
+                Step::Live(p) => self.live[p as usize] += 1,
+                Step::Commit(p) => {
+                    let n = self.commit[p as usize] as usize;
+                    for e in self.first[n]..self.end[n] {
+                        self.pending[e as usize] += 1;
+                    }
+                    self.commit[p as usize] = NONE;
+                }
+                Step::Event(e) => self.unset(e),
+                Step::Chosen(c) => self.chosen[c as usize] = false,
+            }
+        }
+        self.edges.truncate(mark.edges);
+        self.applied.truncate(mark.applied);
     }
 }

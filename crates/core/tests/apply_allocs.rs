@@ -1,5 +1,6 @@
-//! Allocation budgets of the `∇α` kernel, of a run of orders and of
-//! `Excise`, counted rather than timed.
+//! Allocation budgets of the `∇α` kernel, of a run of orders, of
+//! `Excise` and of the analysis session's selection search, counted rather
+//! than timed.
 //!
 //! The counts are a function of the input alone, so they repeat exactly
 //! on any host: a rewrite that starts copying child vectors it does not
@@ -13,6 +14,7 @@ use ctr::constraints::{Basic, Constraint, NormalForm};
 use ctr::excise::excise;
 use ctr::gen::{independent_kleins, order_chain, pipeline_workflow, random_3sat, sat_to_workflow};
 use ctr::goal::{or, Goal};
+use ctr::memo::Analyzer;
 use ctr::sym;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -285,4 +287,31 @@ fn excise_of_a_channel_free_goal_allocates_nothing_of_its_own() {
     let (excised, count) = allocations(|| excise(&dnf));
     assert!(excised.ptr_eq(&dnf));
     assert_eq!(count, canonicity_check);
+}
+
+#[test]
+fn a_warm_selection_search_allocates_nothing() {
+    // An unsatisfiable 3-SAT session is decided by the selection search
+    // alone: the search refutes every choice before it is complete, so
+    // the confirming restriction walk never runs. Once the first query has
+    // sized the search's vectors, the next one asks the allocator for
+    // nothing, nor does one with a clause's negation (a `verify`).
+    let inst = (0..)
+        .map(|seed| random_3sat(seed, 8, 40))
+        .find(|inst| !inst.brute_force_sat())
+        .expect("an unsatisfiable instance");
+    let (goal, clauses) = sat_to_workflow(&inst);
+    let mut session = Analyzer::new(&goal, &clauses).unwrap();
+    assert!(!session.is_consistent());
+    let (consistent, count) = allocations(|| session.is_consistent());
+    assert!(!consistent);
+    assert_eq!(count, 0);
+    let property = &clauses[0];
+    assert!(session.verify(property).holds());
+    let (verdict, count) = allocations(|| session.verify(property));
+    assert!(verdict.holds());
+    // Building the negation allocates; its normal form is a table hit,
+    // and the search adds nothing.
+    let (_, negation) = allocations(|| Constraint::not(property.clone()));
+    assert_eq!(count, negation);
 }

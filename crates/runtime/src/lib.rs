@@ -53,6 +53,7 @@ pub mod shared;
 pub mod stats;
 pub mod wheel;
 
+use ctr::excise::excise_with_diagnostics;
 use ctr::goal::Goal;
 use ctr::timer::{parse_tick, TimerKind};
 use ctr_engine::scheduler::{Program, Scheduler};
@@ -92,6 +93,14 @@ pub enum RuntimeError {
         /// [`WorkflowSpec::conflict`](ctr_workflow::WorkflowSpec::conflict)
         /// names them.
         conflict: String,
+    },
+    /// The compiled goal has a knot (Excise's `G_fail`): an instance of it
+    /// would wait for ever. It was refused at deployment.
+    Knotted {
+        /// The workflow's name.
+        name: String,
+        /// The first knot, as Excise reports it.
+        knot: String,
     },
     /// No workflow deployed under this name.
     UnknownWorkflow(String),
@@ -136,6 +145,12 @@ impl fmt::Display for RuntimeError {
                 write!(
                     f,
                     "workflow `{name}` is inconsistent and cannot be deployed: {conflict}"
+                )
+            }
+            RuntimeError::Knotted { name, knot } => {
+                write!(
+                    f,
+                    "workflow `{name}` has a knot and cannot be deployed: {knot}"
                 )
             }
             RuntimeError::UnknownWorkflow(name) => write!(f, "no workflow named `{name}`"),
@@ -252,8 +267,17 @@ impl Deployment {
     /// scanning its event alphabet once for timer ticks. A goal whose
     /// rendered text the parser refuses (it prints deeper than the parser
     /// reads) is refused here: recovery reads that text back, so accepting
-    /// it would leave a store no later open gets past.
+    /// it would leave a store no later open gets past. So is a goal with a
+    /// knot, which the scheduler assumes away: whether it came from a
+    /// caller, a snapshot or a log record, Excise's knot detection (linear
+    /// in the goal, Thm 5.11) runs on it here.
     pub(crate) fn new(name: &str, compiled: Goal) -> Result<Deployment, RuntimeError> {
+        if let Some(knot) = excise_with_diagnostics(&compiled).reports.first() {
+            return Err(RuntimeError::Knotted {
+                name: name.to_owned(),
+                knot: knot.to_string(),
+            });
+        }
         let program =
             Program::compile(&compiled).map_err(|e| RuntimeError::Compile(e.to_string()))?;
         let rendered = compiled.to_string();
@@ -1218,6 +1242,54 @@ mod tests {
             Runtime::restore(&snap),
             Err(RuntimeError::NotEligible { .. })
         ));
+    }
+
+    /// `a` waits on a channel that only its own completion sends on: an
+    /// instance of it would start with nothing eligible, for ever.
+    const KNOTTED: &str = "receive(xi0) * a * send(xi0)";
+
+    /// The refusal names the knot as Excise reports it.
+    fn refused_as_knotted<T>(result: Result<T, RuntimeError>) {
+        match result {
+            Err(RuntimeError::Knotted { name, knot }) => {
+                assert_eq!(name, "w");
+                assert!(
+                    knot.starts_with("cyclic wait among channels [xi0]"),
+                    "{knot}"
+                );
+            }
+            Err(e) => panic!("refused for another reason: {e}"),
+            Ok(_) => panic!("a knotted goal was deployed"),
+        }
+    }
+
+    #[test]
+    fn deploy_compiled_refuses_a_knotted_goal() {
+        let rt = Runtime::new();
+        let goal = ctr_parser::parse_goal(KNOTTED).unwrap();
+        refused_as_knotted(rt.deploy_compiled("w", goal));
+        assert!(rt.workflows().is_empty());
+        assert!(matches!(
+            rt.start("w"),
+            Err(RuntimeError::UnknownWorkflow(_))
+        ));
+    }
+
+    #[test]
+    fn restore_refuses_a_knotted_deployment() {
+        let snapshot = format!("{SNAPSHOT_HEADER}\nworkflow w := {KNOTTED}\n");
+        refused_as_knotted(Runtime::restore(&snapshot));
+    }
+
+    #[test]
+    fn open_refuses_a_logged_knotted_deployment() {
+        let store = Arc::new(MemStore::new());
+        let deploy = Record::Deploy {
+            name: "w".to_owned(),
+            goal: KNOTTED.to_owned(),
+        };
+        store.append(&deploy).unwrap();
+        refused_as_knotted(Runtime::open(store as Arc<dyn Store>));
     }
 
     #[test]

@@ -505,7 +505,8 @@ impl Fault {
             RuntimeError::Store(_) => FaultCode::Store,
             RuntimeError::Parse(_)
             | RuntimeError::Compile(_)
-            | RuntimeError::Inconsistent { .. } => FaultCode::Spec,
+            | RuntimeError::Inconsistent { .. }
+            | RuntimeError::Knotted { .. } => FaultCode::Spec,
             // Only a snapshot naming an id at the top of the id space
             // gets a server here; no retry helps.
             RuntimeError::Snapshot(_)

@@ -1,9 +1,11 @@
 //! `minimize_constraints` held to its referee.
 //!
-//! In the run fragment — every constraint's normal form has one disjunct,
-//! and the goal is built of events, each occurring once, with `⊗`, `|`,
-//! `∨` and `ε` — an `Analyzer` decides each redundancy probe on the goal's
-//! series-parallel order and compiles nothing. `analysis::is_redundant` is
+//! In the graph fragment — the goal is built of events, each occurring
+//! once, with `⊗`, `|`, `∨` and `ε` — an `Analyzer` compiles nothing for a
+//! redundancy probe: it decides it on the goal's series-parallel order
+//! when every constraint's normal form has one disjunct (the *run
+//! fragment*, the lists here), and by a selection search otherwise
+//! (`tests/consistency_referee.rs` holds that path to the same replay). `analysis::is_redundant` is
 //! Theorem 5.10's probe as written, one compile per question: replayed
 //! greedily, it is what `minimize_constraints` must return, one-shot and
 //! in a session, on every input. Where the goal's traces can be
@@ -148,7 +150,8 @@ fn minimize_in_the_run_fragment_compiles_nothing() {
 
 /// Outside the fragment every probe is a compile through the table (each
 /// `¬φ` is a normal form it has not seen), and the answer is the same
-/// replay's.
+/// replay's. (A constraint of two or more disjuncts was a fifth case here;
+/// it is in the fragment now, below.)
 #[test]
 fn inputs_outside_the_fragment_take_the_compile() {
     let [a, b, c, d] = ["a", "b", "c", "d"].map(Goal::atom);
@@ -180,15 +183,6 @@ fn inputs_outside_the_fragment_take_the_compile() {
             seq(vec![frozen, conc(vec![a.clone(), b.clone(), c.clone()])]),
             orders(),
         ),
-        // A constraint of two or more disjuncts.
-        (
-            conc(vec![a.clone(), b.clone(), c.clone()]),
-            vec![
-                Constraint::order("a", "b"),
-                Constraint::klein_order("b", "c"),
-                Constraint::order("a", "c"),
-            ],
-        ),
         // Events shared by `∨`-branches: unique-event, but `a`, in every
         // execution, lies under the `∨`.
         (
@@ -213,4 +207,35 @@ fn inputs_outside_the_fragment_take_the_compile() {
             "{goal}"
         );
     }
+}
+
+/// A constraint of two or more disjuncts is in the fragment: the session
+/// decides each probe by the selection search, so a compiled session's
+/// table gains no entry and no interned subgoal across the call (each probe
+/// compiling, as outside the fragment, they went 16 → 47 and 5 → 14), and
+/// the answer is the same replay's.
+#[test]
+fn a_wide_constraint_takes_the_search_not_the_compile() {
+    let goal = conc(["a", "b", "c"].map(Goal::atom).to_vec());
+    let constraints = [
+        Constraint::order("a", "b"),
+        Constraint::klein_order("b", "c"),
+        Constraint::order("a", "c"),
+    ];
+    assert!(constraints[1].normalize().disjunct_count() > 1);
+    let mut session = Analyzer::new(&goal, &constraints).unwrap();
+    session.compiled();
+    let before = session.stats();
+    let kept = session.minimize_constraints();
+    let after = session.stats();
+    assert_eq!(
+        (after.entries, after.interned),
+        (before.entries, before.interned)
+    );
+    let want = replay_is_redundant(&goal, &constraints);
+    assert_eq!(kept, want);
+    assert_eq!(
+        analysis::minimize_constraints(&goal, &constraints).unwrap(),
+        want
+    );
 }
