@@ -20,9 +20,11 @@
 //! `ctr::semantics` on the traces both sides can decide.
 
 pub mod attie;
+pub mod equivalence;
 pub mod modelcheck;
 pub mod singh;
 
 pub use attie::{AutoState, ConstraintAutomaton, ProductScheduler};
+pub use equivalence::{equivalent, Equivalence};
 pub use modelcheck::{check, explore, Exploration};
 pub use singh::{Admission, PassiveValidator, ReorderingScheduler};

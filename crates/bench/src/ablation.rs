@@ -24,10 +24,16 @@
 //!    the whole goal, composed from the public per-conjunct API — the one
 //!    copy of it, which `tests/absorption_referee.rs` also holds the
 //!    compiler to.
+//! 4. **Scope and Order** — `apply` runs the single-disjunct constraints
+//!    first and applies each wider one at the lowest subgoal holding its
+//!    events. [`apply_unscoped`] is `Apply` without them: the constraints
+//!    in list order, each over the whole goal built so far — what
+//!    `tests/absorption_referee.rs` holds to the literal rule, and what
+//!    E7 and the scope referee compare `apply` with.
 //!
 //! Measured in the `a1_ablation` experiment section and bench.
 
-use ctr::apply::{apply_conjunct, ChannelAlloc};
+use ctr::apply::{apply_conjunct, apply_normal_form, ChannelAlloc};
 use ctr::constraints::{Basic, Constraint};
 use ctr::goal::{or, Goal};
 use ctr::symbol::Symbol;
@@ -52,6 +58,27 @@ pub fn apply_literal(constraints: &[Constraint], goal: &Goal, channels: &mut Cha
         let rewrites = (nf.disjuncts.iter().zip(&mut ranges))
             .map(|(conj, range)| apply_conjunct(conj, &current, range));
         current = or(rewrites.collect());
+    }
+    current
+}
+
+/// `Apply(C, G)` as Definition 5.5 folds it: every constraint's normal
+/// form, in list order, over the whole goal built so far
+/// (`ctr::apply::apply_normal_form`, absorbing alternatives a disjunct
+/// holds on). Trace-equivalent to `ctr::apply::apply_all` from the same
+/// allocator, and node-identical to it on a list whose constraints all
+/// have one disjunct.
+pub fn apply_unscoped(
+    constraints: &[Constraint],
+    goal: &Goal,
+    channels: &mut ChannelAlloc,
+) -> Goal {
+    let mut current = goal.clone();
+    for c in constraints {
+        current = apply_normal_form(&c.normalize(), &current, channels);
+        if current.is_nopath() {
+            return Goal::NoPath;
+        }
     }
     current
 }

@@ -8,7 +8,8 @@
 //! *compilation* step: after it (and [`excise`](mod@crate::excise)), scheduling
 //! needs no run-time constraint checking.
 //!
-//! Four layers, following Definitions 5.1, 5.3, and 5.5:
+//! Four layers, following Definitions 5.1, 5.3, and 5.5, and two levers
+//! in front of them (5 and 6):
 //!
 //! 1. **Primitive constraints** `∇α` / `¬∇α` rewrite structurally. For
 //!    `∇α`, serial and concurrent conjunctions distribute into a
@@ -45,6 +46,24 @@
 //!    pay every later constraint on both. The result is the literal
 //!    rule's, up to such absorbed alternatives: the same executions, a
 //!    subset of its alternatives, the same channel numbers.
+//! 5. **Order.** Every single-disjunct constraint joins one run, in list
+//!    order, applied first at the root; the wide normal forms follow,
+//!    stably sorted by the pre-order position of the last event each names,
+//!    so each meets the alternatives of the ones before it while they are
+//!    few. A list of runs alone compiles node for node as written.
+//! 6. **Scope.** By §7, `Apply(C, x₁ ⋯ xₙ) = x₁ ⋯ Apply(C, xᵢ) ⋯ xₙ` when
+//!    `xᵢ` holds every event `C` names, for `⊗`, `|` and `⊙` — not `∨`,
+//!    whose other branches `C` may rule out. Each wide normal form is
+//!    applied at the lowest subgoal reached through those alone that holds
+//!    its events — a contiguous run of a `⊗`'s children or a subset of a
+//!    `|`'s, regrouped — found on an exact index of event positions;
+//!    constraints whose scopes overlap share the merged one, and a scope
+//!    widens until it splits no `send`/`receive` pair, so `Excise` takes a
+//!    scope's `∨` apart where it stands. Disjoint scopes cost
+//!    `Σ d^{Nᵢ}·|xᵢ|` instead of `d^{ΣNᵢ}·|G|`, and the root `∨` goes. The
+//!    output is trace-equivalent to the unscoped fold, not node-identical
+//!    (`tests/scope_referee.rs` holds it to it with
+//!    `ctr_baselines::equivalent`).
 //!
 //! # Rules × table
 //!
@@ -58,7 +77,7 @@
 //! runs on the caller's thread. A primitive asks the table at every
 //! connective it descends through; a run asks once, at the root, and its
 //! two walks are plain recursion; a normal form of several disjuncts asks
-//! once at the root and then per alternative. What is independent in `Apply(C, G)` —
+//! once at its scope and then per alternative. What is independent in `Apply(C, G)` —
 //! the `d ≤ 3` disjuncts of one normal form — is too little to repay a
 //! thread (measured: never ahead, up to 70 % behind), so this crate spawns
 //! none; the cost lever is which constraints meet, `O(d^N · |G|)`.
@@ -803,11 +822,11 @@ pub(crate) fn apply_run_in<T: Table>(
 /// whatever becomes of the disjuncts, so the numbering of what follows is
 /// a function of the constraint list alone.
 ///
-/// The whole normal form is one answer of the table at the root subgoal,
-/// keyed like a run by its interned disjuncts and the first channel set
-/// aside; below it every alternative is asked through the keys of
-/// [`Asked`], so an edit that changes a few alternatives recomputes those
-/// few.
+/// The whole normal form is one answer of the table at the subgoal it
+/// is asked of (its scope, under [`apply_all`]), keyed like a run by its
+/// interned disjuncts and the first channel set aside; below it every
+/// alternative is asked through the keys of [`Asked`], so an edit that
+/// changes a few alternatives recomputes those few.
 pub(crate) fn apply_normal_form_in<T: Table>(
     table: &mut T,
     nf: &NormalForm,
@@ -868,36 +887,379 @@ pub(crate) fn apply_normal_form_in<T: Table>(
     })
 }
 
-/// [`apply_all`] through `table`. Consecutive constraints whose normal
-/// form has one disjunct are flattened into one run, so an order-only
-/// list is two walks however long it is, and with a table that records,
-/// an unchanged prefix of runs and wider constraints replays as one
-/// top-level hit each.
+/// [`apply_all`] through `table`: Order, then Scope (see the module doc).
+/// Every constraint whose normal form has one disjunct joins one run, in
+/// list order, applied at the root first — so a list of runs alone is two
+/// walks however long it is. The wide ones follow in [`Scopes`]' order,
+/// each at its scope, drawing channels in that order from `channels`.
+/// With a table that records, the run and each scope's wide constraints
+/// are asked of the subgoal they rewrite, so an edit replays what it
+/// leaves alone.
 pub(crate) fn apply_all_in<T: Table>(
     table: &mut T,
     constraints: &[Constraint],
     goal: &Goal,
     channels: &mut ChannelAlloc,
 ) -> Goal {
-    let mut current = goal.clone();
     let mut run: Vec<Basic> = Vec::new();
+    let mut wide: Vec<T::Normal> = Vec::new();
     for c in constraints {
         let nf = table.normalize(c);
-        let nf: &NormalForm = nf.borrow();
-        if let [only] = nf.disjuncts.as_slice() {
-            run.extend_from_slice(only);
-            continue;
+        match nf.borrow().disjuncts.as_slice() {
+            [only] => run.extend_from_slice(only),
+            _ => wide.push(nf),
         }
-        current = apply_run_in(table, &run, &current, channels);
-        run.clear();
-        if !current.is_nopath() {
-            current = apply_normal_form_in(table, nf, &current, channels);
-        }
-        if current.is_nopath() {
+    }
+    let current = apply_run_in(table, &run, goal, channels);
+    if wide.is_empty() || current.is_nopath() {
+        return current;
+    }
+    let wide: Vec<&NormalForm> = wide.iter().map(Borrow::borrow).collect();
+    let scopes = Scopes::of(&current, &wide);
+    let ins: Vec<Goal> = (scopes.groups.iter())
+        .map(|group| group.scope.subgoal(&current))
+        .collect();
+    let mut outs = ins.clone();
+    // A constraint naming no event of the goal holds on all of its
+    // executions or on none, as on the empty one.
+    let mut nothing = Goal::Empty;
+    for &(k, group) in &scopes.order {
+        let out = match group {
+            Some(g) => &mut outs[g],
+            None => &mut nothing,
+        };
+        *out = apply_normal_form_in(table, wide[k], out, channels);
+        if out.is_nopath() {
+            // Only `⊗`, `|` and `⊙` lie above a scope.
             return Goal::NoPath;
         }
     }
-    apply_run_in(table, &run, &current, channels)
+    // A scope its constraints left as it was stays as it stood. A table
+    // may hand back an equal goal it recorded for an earlier copy, so
+    // "as it was" is `==`, not the same allocation.
+    let mut done: Vec<(&Scope, Goal)> = (scopes.groups.iter().zip(ins).zip(outs))
+        .filter(|((_, before), after)| after != before)
+        .map(|((group, _), after)| (&group.scope, after))
+        .collect();
+    done.sort_unstable_by_key(|(scope, _)| scope.id);
+    splice_scopes(&current, 0, &done)
+}
+
+// ---------------------------------------------------------------------------
+// Scope and Order
+// ---------------------------------------------------------------------------
+
+/// Where the events the wide constraints of a list name, and the channel
+/// operations, occur in a goal: `(item, position)` pairs, sorted, a
+/// position being a leaf's pre-order rank, so a node at `id` holds
+/// `[id, id + size)`. Exact: the fingerprint only lets the walk skip
+/// subtrees that hold none of them.
+struct EventIndex {
+    events: Vec<(Symbol, u32)>,
+    channels: Vec<(Channel, u32)>,
+}
+
+impl EventIndex {
+    /// The occurrences of `wanted` (sorted, each once) and of every
+    /// channel in `goal`, `◇` bodies included.
+    fn of(goal: &Goal, wanted: &[Symbol]) -> EventIndex {
+        let mut index = EventIndex {
+            events: Vec::new(),
+            channels: Vec::new(),
+        };
+        let fingerprint = wanted.iter().fold(0, |fp, &e| fp | event_fp_bits(e));
+        index.walk(goal, 0, wanted, fingerprint);
+        index.events.sort_unstable();
+        index.channels.sort_unstable();
+        index
+    }
+
+    fn walk(&mut self, goal: &Goal, id: u32, wanted: &[Symbol], fingerprint: u64) {
+        let events = wanted.iter().copied();
+        if !goal.has_channels() && !may_mention_any(goal, fingerprint, events) {
+            return;
+        }
+        match goal {
+            Goal::Atom(a) => {
+                if let Some(e) = a.as_event().filter(|e| wanted.binary_search(e).is_ok()) {
+                    self.events.push((e, id));
+                }
+            }
+            Goal::Send(c) | Goal::Receive(c) => self.channels.push((*c, id)),
+            Goal::Seq(gs) | Goal::Conc(gs) | Goal::Or(gs) => {
+                let mut child = id + 1;
+                for g in gs.iter() {
+                    self.walk(g, child, wanted, fingerprint);
+                    child += g.size() as u32;
+                }
+            }
+            Goal::Isolated(g) | Goal::Possible(g) => self.walk(g, id + 1, wanted, fingerprint),
+            Goal::Empty | Goal::NoPath => {}
+        }
+    }
+
+    /// The positions of `event`.
+    fn of_event(&self, event: Symbol) -> impl Iterator<Item = u32> + '_ {
+        let from = self.events.partition_point(|&(e, _)| e < event);
+        self.events[from..]
+            .iter()
+            .take_while(move |&&(e, _)| e == event)
+            .map(|&(_, p)| p)
+    }
+}
+
+/// The subgoal a group of wide constraints is applied at: the node at
+/// pre-order `id`, reached from the root through `⊗`, `|` and `⊙` alone
+/// along `path` — whole, or `children` of it regrouped (a contiguous run
+/// of a `⊗`, a subset of a `|`). By §7, `Apply(C, x₁ ⋯ xₙ) = x₁ ⋯
+/// Apply(C, xᵢ) ⋯ xₙ` when `xᵢ` holds every event `C` names, and so is it
+/// for `|` and `⊙`; not for `∨`, whose other branches `C` may rule out.
+struct Scope {
+    path: Vec<u32>,
+    id: u32,
+    /// Ascending; empty for the whole node.
+    children: Vec<u32>,
+    /// The positions the scope covers: `[start, end)` intervals, ascending.
+    region: Vec<(u32, u32)>,
+}
+
+impl Scope {
+    /// The lowest subgoal of `goal` that holds every position of
+    /// `members` (sorted, not empty) with only `⊗`, `|` and `⊙` above it.
+    fn holding(goal: &Goal, members: &[u32]) -> Scope {
+        let (first, last) = (members[0], members[members.len() - 1]);
+        let (mut node, mut id, mut path) = (goal, 0u32, Vec::new());
+        loop {
+            match node {
+                Goal::Seq(gs) | Goal::Conc(gs) => {
+                    let mut start = id + 1;
+                    let mut spans = Vec::with_capacity(gs.len());
+                    for g in gs.iter() {
+                        let end = start + g.size() as u32;
+                        spans.push((start, end));
+                        start = end;
+                    }
+                    let k = spans.partition_point(|&(_, end)| end <= first);
+                    if last < spans[k].1 {
+                        path.push(k as u32);
+                        (node, id) = (&gs[k], spans[k].0);
+                        continue;
+                    }
+                    let holds = |&(start, end): &(u32, u32)| {
+                        let at = members.partition_point(|&p| p < start);
+                        members.get(at).is_some_and(|&p| p < end)
+                    };
+                    let mut children: Vec<u32> = (0u32..)
+                        .zip(&spans)
+                        .filter(|(_, span)| holds(span))
+                        .map(|(k, _)| k)
+                        .collect();
+                    if matches!(node, Goal::Seq(_)) {
+                        // A run of a `⊗`: the children between are in it.
+                        children = (children[0]..=children[children.len() - 1]).collect();
+                    }
+                    if children.len() == gs.len() {
+                        break;
+                    }
+                    let region = children.iter().map(|&k| spans[k as usize]).collect();
+                    return Scope {
+                        path,
+                        id,
+                        children,
+                        region,
+                    };
+                }
+                Goal::Isolated(g) => {
+                    path.push(0);
+                    (node, id) = (g, id + 1);
+                }
+                _ => break,
+            }
+        }
+        Scope {
+            path,
+            id,
+            children: Vec::new(),
+            region: vec![(id, id + node.size() as u32)],
+        }
+    }
+
+    fn covers(&self, position: u32) -> bool {
+        (self.region.iter()).any(|&(start, end)| start <= position && position < end)
+    }
+
+    fn overlaps(&self, other: &Scope) -> bool {
+        (self.region.iter())
+            .any(|&(s, e)| (other.region.iter()).any(|&(start, end)| s < end && start < e))
+    }
+
+    /// The subgoal of `goal` the scope stands for.
+    fn subgoal(&self, goal: &Goal) -> Goal {
+        let mut node = goal;
+        for &k in &self.path {
+            node = match node {
+                Goal::Seq(gs) | Goal::Conc(gs) => &gs[k as usize],
+                Goal::Isolated(g) => g,
+                other => unreachable!("a scope's path leads through `{other}`"),
+            };
+        }
+        let taken = |gs: &[Goal]| {
+            self.children
+                .iter()
+                .map(|&k| gs[k as usize].clone())
+                .collect()
+        };
+        match node {
+            _ if self.children.is_empty() => node.clone(),
+            Goal::Seq(gs) => seq(taken(gs)),
+            Goal::Conc(gs) => conc(taken(gs)),
+            other => unreachable!("children of `{other}` in a scope"),
+        }
+    }
+}
+
+/// Some wide constraints and the scope they share: the positions of
+/// their events, and of the channels' other ends.
+struct Group {
+    members: Vec<u32>,
+    scope: Scope,
+}
+
+impl Group {
+    /// The scope of `members`, widened until it splits no channel: a
+    /// `send` and its `receive` stay on one side, so `Excise` can take a
+    /// scope's `∨` apart where it stands.
+    fn settle(goal: &Goal, index: &EventIndex, mut members: Vec<u32>) -> Group {
+        loop {
+            members.sort_unstable();
+            members.dedup();
+            let scope = Scope::holding(goal, &members);
+            let before = members.len();
+            for ops in index.channels.chunk_by(|a, b| a.0 == b.0) {
+                if ops.iter().any(|&(_, p)| scope.covers(p)) {
+                    members.extend(ops.iter().map(|&(_, p)| p).filter(|&p| !scope.covers(p)));
+                }
+            }
+            if members.len() == before {
+                return Group { members, scope };
+            }
+        }
+    }
+}
+
+/// The plan for the wide constraints of a list over a goal: disjoint
+/// scopes, and the order to apply the constraints in.
+///
+/// **Order**: stably, by the pre-order position of the last event each
+/// names — the position of the rightmost lane or stage it touches — so
+/// each one's product meets alternatives the ones before it left small.
+/// **Scope**: each one at the lowest subgoal holding its events; scopes
+/// that overlap merge into one, which takes their constraints in that
+/// order. Positions come from an exact [`EventIndex`]: a scope widened by
+/// a fingerprint's false positive would have `Excise` re-expand what it
+/// saved.
+struct Scopes {
+    groups: Vec<Group>,
+    /// `(k, group)` per wide constraint, `k` indexing the list, in the
+    /// order they apply; no group for one naming no event of the goal.
+    order: Vec<(usize, Option<usize>)>,
+}
+
+impl Scopes {
+    fn of(goal: &Goal, wide: &[&NormalForm]) -> Scopes {
+        let named: Vec<Vec<Symbol>> = wide.iter().map(|nf| events_of(nf)).collect();
+        let mut wanted: Vec<Symbol> = named.iter().flatten().copied().collect();
+        wanted.sort_unstable();
+        wanted.dedup();
+        let index = EventIndex::of(goal, &wanted);
+        let members: Vec<Vec<u32>> = (named.iter())
+            .map(|events| events.iter().flat_map(|&e| index.of_event(e)).collect())
+            .collect();
+        let mut order: Vec<usize> = (0..wide.len()).collect();
+        order.sort_by_key(|&k| members[k].iter().max().copied());
+        let mut groups: Vec<Group> = Vec::new();
+        for &k in &order {
+            if members[k].is_empty() {
+                continue;
+            }
+            let mut group = Group::settle(goal, &index, members[k].clone());
+            while let Some(j) = groups.iter().position(|g| g.scope.overlaps(&group.scope)) {
+                let mut merged = groups.swap_remove(j).members;
+                merged.append(&mut group.members);
+                group = Group::settle(goal, &index, merged);
+            }
+            groups.push(group);
+        }
+        // The groups are disjoint: a constraint's is the one holding any
+        // of its events.
+        let group_of = |k: usize| {
+            let &first = members[k].first()?;
+            groups.iter().position(|g| g.scope.covers(first))
+        };
+        Scopes {
+            order: order.iter().map(|&k| (k, group_of(k))).collect(),
+            groups,
+        }
+    }
+}
+
+/// The events a normal form names, each once.
+fn events_of(nf: &NormalForm) -> Vec<Symbol> {
+    let mut events: Vec<Symbol> = (nf.disjuncts.iter().flatten())
+        .flat_map(|basic| match *basic {
+            Basic::Must(e) | Basic::MustNot(e) => [Some(e), None],
+            Basic::Order(a, b) => [Some(a), Some(b)],
+        })
+        .flatten()
+        .collect();
+    events.sort_unstable();
+    events.dedup();
+    events
+}
+
+/// `goal`, at pre-order `id`, with each scope of `done` — sorted by node,
+/// all inside `goal` — replaced by what its constraints made of it: a
+/// regrouped scope stands where its first child stood.
+fn splice_scopes(goal: &Goal, id: u32, done: &[(&Scope, Goal)]) -> Goal {
+    if done.is_empty() {
+        return goal.clone();
+    }
+    if let [(scope, out)] = done {
+        if scope.id == id && scope.children.is_empty() {
+            return out.clone();
+        }
+    }
+    match goal {
+        Goal::Seq(gs) | Goal::Conc(gs) => {
+            let (here, mut below) = done.split_at(done.partition_point(|(s, _)| s.id == id));
+            let mut children = Vec::with_capacity(gs.len());
+            let mut start = id + 1;
+            for (k, child) in (0u32..).zip(gs.iter()) {
+                let end = start + child.size() as u32;
+                if let Some((scope, out)) = here.iter().find(|(s, _)| s.children.contains(&k)) {
+                    if scope.children[0] == k {
+                        children.push(out.clone());
+                    }
+                } else {
+                    let (inside, after) =
+                        below.split_at(below.partition_point(|(s, _)| s.id < end));
+                    below = after;
+                    children.push(if inside.is_empty() {
+                        child.clone()
+                    } else {
+                        splice_scopes(child, start, inside)
+                    });
+                }
+                start = end;
+            }
+            match goal {
+                Goal::Seq(_) => seq(children),
+                _ => conc(children),
+            }
+        }
+        Goal::Isolated(g) => isolated(splice_scopes(g, id + 1, done)),
+        other => unreachable!("a scope below `{other}`"),
+    }
 }
 
 /// `Apply(∇α, T)` — Definition 5.1, positive primitive.
@@ -946,13 +1308,15 @@ pub fn apply_normal_form(nf: &NormalForm, goal: &Goal, channels: &mut ChannelAll
 }
 
 /// `Apply(C, G)` for a whole constraint set `C = δ₁ ∧ … ∧ δₙ`
-/// (Definition 5.5): constraints are normalized (Corollary 3.5) and
-/// compiled in sequence, every stretch of them with a single disjunct each
-/// as one run, every wider one per alternative of the goal built so far
-/// (see [`apply_normal_form`]). The output size is `O(d^N · |G|)` in the
-/// worst case (Theorem 5.11) — reached when no alternative a constraint
-/// meets already satisfies one of its disjuncts — and the result is the
-/// literal rule's up to absorbed alternatives.
+/// (Definition 5.5): constraints are normalized (Corollary 3.5), those
+/// with a single disjunct compiled first as one run, every wider one then
+/// per alternative of its scope — the lowest subgoal holding its events —
+/// in the order of its last event (see the module doc and
+/// [`apply_normal_form`]). The output size is `O(d^N · |G|)` in the worst
+/// case (Theorem 5.11) — reached when every scope is the whole goal and no
+/// alternative a constraint meets already satisfies one of its disjuncts —
+/// and `O(Σ d^{Nᵢ} · |G|)` over disjoint scopes. The result has the
+/// executions of the constraints folded in list order over the whole goal.
 ///
 /// The result may still contain *knots* — cyclic send/receive waits — and
 /// must be passed through [`excise`](crate::excise::excise) before it is

@@ -34,6 +34,12 @@
 //!    goal caches that per node — so a channel-free region is not walked
 //!    at all. Two occurrences can **co-occur** when their lowest common
 //!    ancestor, found over the parent links, is not an `∨`.
+//!    An `∨` of the region whose channels are its own — every operation
+//!    of each channel it holds lies below it — is excised first, where it
+//!    stands, branch by branch as a root `∨` is, and the walk laid again
+//!    passing over it: no wait crosses it and a subtree is a module of the
+//!    series-parallel order, so no knot enters it and comes back. The `∨`s
+//!    `Apply` leaves at its scopes are such, and stay where they are.
 //! 3. The `send`s and `receive`s are grouped by channel (one sort, walk
 //!    order kept inside a group), and every question below looks only at
 //!    its own channel's group. A `receive` with no co-occurrence-guaranteed
@@ -273,6 +279,9 @@ struct Region {
     ops: Vec<ChannelOp>,
     /// The edges in compressed rows, with the knot each vertex is on.
     graph: Graph,
+    /// The closed `∨`s of the region, excised where they stand: the walk
+    /// passes over them as over channel-free subtrees.
+    opaque: Vec<Goal>,
 }
 
 /// A `send` or `receive` of a region: `(channel, is a receive, node)`.
@@ -307,7 +316,7 @@ impl Region {
     /// subtree's entry and exit vertices. A subtree with no occurrence on
     /// the path leaves the region as it found it.
     fn walk(&mut self, goal: &Goal, at: Node) -> Option<(u32, u32)> {
-        if !goal.has_channels() {
+        if !goal.has_channels() || self.opaque.iter().any(|o| o.ptr_eq(goal)) {
             return None;
         }
         let me = u32::try_from(self.nodes.len()).expect("fewer than 2^32 nodes in a region");
@@ -429,6 +438,37 @@ impl Region {
             });
         self.ops.extend(ops);
         self.ops.sort_unstable();
+    }
+
+    /// The outermost *closed* `∨`s laid out, in walk order: each holds an
+    /// operation, and every operation of each channel it holds one of
+    /// lies below it.
+    fn closed_ors(&self) -> Vec<u32> {
+        let mut closed = Vec::new();
+        let mut covered = 0;
+        for (v, n) in (0u32..).zip(&self.nodes) {
+            if n.kind != Kind::Or || v < covered {
+                continue;
+            }
+            // Its subtree: the nodes laid after it (and its `Join`) down to
+            // the first that is no deeper than it.
+            let end = (v + 2..)
+                .zip(&self.nodes[v as usize + 2..])
+                .find_map(|(i, m)| (m.depth <= n.depth).then_some(i))
+                .unwrap_or(self.nodes.len() as u32);
+            let inside = |op: &ChannelOp| (v..end).contains(&op.2);
+            let (mut held, mut own) = (false, true);
+            for channel in self.ops.chunk_by(|a, b| a.0 == b.0) {
+                let any = channel.iter().any(inside);
+                own &= !any || channel.iter().all(inside);
+                held |= any;
+            }
+            if held && own {
+                closed.push(v);
+                covered = end;
+            }
+        }
+        closed
     }
 
     /// Child indices from the region root down to `v`.
@@ -571,10 +611,48 @@ fn excise_region(
     reports: &mut Vec<KnotReport>,
     guaranteed: &mut bool,
 ) -> Goal {
+    region.opaque.clear();
     if !region.lay(goal) {
         return goal.clone();
     }
     region.gather_ops();
+    // The closed `∨`s, excised where they stand: no wait crosses one, and
+    // a series-parallel subtree is a module of the order, so a cycle that
+    // enters one and comes back lies inside it, and one that passes
+    // through needs none of its operations. Each branch is its own region,
+    // as under a root `∨`, and the walk passes over what comes back. This
+    // is what keeps the `∨`s `Apply` leaves at its scopes where `Apply` put
+    // them, their alternatives analyzed apart instead of multiplied out.
+    let closed = region.closed_ors();
+    let settled;
+    let goal = if closed.is_empty() {
+        goal
+    } else {
+        let paths: Vec<Vec<usize>> = closed.iter().map(|&v| region.path(v)).collect();
+        let excised: Vec<Goal> = (paths.iter())
+            .map(|path| {
+                excise_inner(
+                    &mut Scratch,
+                    subtree_at(goal, path),
+                    region,
+                    reports,
+                    guaranteed,
+                )
+            })
+            .collect();
+        region.opaque = excised
+            .iter()
+            .filter(|g| matches!(g, Goal::Or(_)))
+            .cloned()
+            .collect();
+        let at: Vec<(Vec<usize>, Goal)> = paths.into_iter().zip(excised).collect();
+        settled = replace_all(goal, 0, &at);
+        if !region.lay(&settled) {
+            return settled;
+        }
+        region.gather_ops();
+        &settled
+    };
 
     // --- Dead-receive analysis -------------------------------------------
     if let Some(((channel, _, r), sends)) = region.dead_receive() {
@@ -678,6 +756,33 @@ fn expand_and_recurse(
         })
         .collect();
     crate::goal::or(variants)
+}
+
+/// Rebuilds `goal` with the subtree at each path of `at` — disjoint, in
+/// walk order, `depth` steps of each already taken — replaced by its goal,
+/// through the smart constructors, so a `¬path` takes its conjunctions
+/// with it.
+fn replace_all(goal: &Goal, depth: usize, at: &[(Vec<usize>, Goal)]) -> Goal {
+    if let [(path, new)] = at {
+        if path.len() == depth {
+            return new.clone();
+        }
+    }
+    let children = |gs: &[Goal]| {
+        let mut out = gs.to_vec();
+        for group in at.chunk_by(|a, b| a.0[depth] == b.0[depth]) {
+            let i = group[0].0[depth];
+            out[i] = replace_all(&gs[i], depth + 1, group);
+        }
+        out
+    };
+    match goal {
+        Goal::Seq(gs) => crate::goal::seq(children(gs)),
+        Goal::Conc(gs) => crate::goal::conc(children(gs)),
+        Goal::Or(gs) => crate::goal::or(children(gs)),
+        Goal::Isolated(g) => crate::goal::isolated(replace_all(g, depth + 1, at)),
+        _ => unreachable!("a path descends through `{goal}`"),
+    }
 }
 
 /// Rebuilds `goal` with the `∨` at `path` replaced by its `branch`-th child.
@@ -1030,12 +1135,14 @@ mod tests {
         }
     }
 
-    struct Collector {
+    struct Collector<'a> {
         occs: Vec<Occ>,
         next_block: usize,
+        opaque: &'a [Goal],
     }
 
-    fn collect_occurrences(goal: &Goal) -> Vec<Occ> {
+    /// The occurrences of `goal`, the `∨`s of `opaque` passed over.
+    fn collect_occurrences(goal: &Goal, opaque: &[Goal]) -> Vec<Occ> {
         fn walk(
             goal: &Goal,
             path: &mut Vec<usize>,
@@ -1043,6 +1150,9 @@ mod tests {
             blocks: &mut Vec<usize>,
             col: &mut Collector,
         ) {
+            if col.opaque.iter().any(|o| o.ptr_eq(goal)) {
+                return;
+            }
             match goal {
                 Goal::Send(c) => col.occs.push(Occ {
                     kind: OccKind::Send(*c),
@@ -1112,6 +1222,7 @@ mod tests {
         let mut col = Collector {
             occs: Vec::new(),
             next_block: 0,
+            opaque,
         };
         walk(
             goal,
@@ -1123,8 +1234,87 @@ mod tests {
         col.occs
     }
 
+    /// The closed-`∨` step of `excise_region` over the specification: an
+    /// `∨` is closed when every occurrence of each channel it holds lies
+    /// below it, and the outermost ones are excised top-down.
+    fn spec_settle(
+        goal: &Goal,
+        opaque: &mut Vec<Goal>,
+        reports: &mut Vec<KnotReport>,
+        guaranteed: &mut bool,
+    ) -> Goal {
+        fn go(
+            goal: &Goal,
+            path: &mut Vec<usize>,
+            occs: &[Occ],
+            opaque: &mut Vec<Goal>,
+            reports: &mut Vec<KnotReport>,
+            guaranteed: &mut bool,
+        ) -> Goal {
+            let channel = |o: &Occ| match o.kind {
+                OccKind::Send(c) | OccKind::Recv(c) => Some(c),
+                _ => None,
+            };
+            let below = |o: &Occ| o.path.starts_with(path);
+            let held: BTreeSet<Channel> = occs
+                .iter()
+                .filter(|o| below(o))
+                .filter_map(channel)
+                .collect();
+            if held.is_empty() {
+                return goal.clone();
+            }
+            let closed =
+                (occs.iter()).all(|o| channel(o).is_none_or(|c| !held.contains(&c) || below(o)));
+            if matches!(goal, Goal::Or(_)) && closed {
+                let out = spec_inner(goal, reports, guaranteed);
+                if matches!(out, Goal::Or(_)) {
+                    opaque.push(out.clone());
+                }
+                return out;
+            }
+            let mut child = |i: usize, g: &Goal| {
+                path.push(i);
+                let out = go(g, path, occs, opaque, reports, guaranteed);
+                path.pop();
+                out
+            };
+            match goal {
+                Goal::Seq(gs) | Goal::Conc(gs) | Goal::Or(gs) => {
+                    let children: Vec<Goal> =
+                        gs.iter().enumerate().map(|(i, g)| child(i, g)).collect();
+                    if children
+                        .iter()
+                        .zip(gs.iter())
+                        .all(|(new, old)| new.ptr_eq(old))
+                    {
+                        return goal.clone();
+                    }
+                    match goal {
+                        Goal::Seq(_) => seq(children),
+                        Goal::Conc(_) => conc(children),
+                        _ => or(children),
+                    }
+                }
+                Goal::Isolated(g) => {
+                    let new = child(0, g);
+                    if new.ptr_eq(g) {
+                        goal.clone()
+                    } else {
+                        isolated(new)
+                    }
+                }
+                _ => goal.clone(),
+            }
+        }
+        let occs = collect_occurrences(goal, &[]);
+        go(goal, &mut Vec::new(), &occs, opaque, reports, guaranteed)
+    }
+
     fn spec_region(goal: &Goal, reports: &mut Vec<KnotReport>, guaranteed: &mut bool) -> Goal {
-        let occs = collect_occurrences(goal);
+        let mut opaque = Vec::new();
+        let goal = &spec_settle(goal, &mut opaque, reports, guaranteed);
+        let occs = collect_occurrences(goal, &opaque);
         if occs.is_empty() {
             return goal.clone();
         }

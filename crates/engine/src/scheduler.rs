@@ -1234,6 +1234,57 @@ impl<P: std::ops::Deref<Target = Program>> Scheduler<P> {
         key
     }
 
+    /// What this cursor may still do: two cursors of one program with
+    /// equal keys admit the same continuations. Unlike
+    /// [`Scheduler::state_key`] it forgets how the run came here — a
+    /// finished subtree is its done flag, a `⊗` its current child, a
+    /// committed `∨` its chosen branch, and what those leave behind is
+    /// not read — so a program's cursors have as many keys as it has
+    /// futures, not as it has histories. Then the channels sent on and the
+    /// `⊙` stack. It names nodes by id, so it compares cursors of one
+    /// program only; the trace-equivalence walk of `ctr-baselines` keys
+    /// its states by it.
+    pub fn residual_key(&self) -> Vec<u8> {
+        let (p, c): (&Program, &Cursor) = (&self.program, &self.cursor);
+        let mut key = Vec::new();
+        let mut todo = vec![ROOT];
+        while let Some(node) = todo.pop() {
+            let n = &p.nodes[node];
+            let done = c.is_done(node);
+            key.push(done as u8);
+            if done {
+                continue;
+            }
+            // The parts below that still matter, pushed last to first.
+            match n.kind {
+                NodeKind::Seq => {
+                    let at = c.seq_pos(p, n);
+                    key.extend_from_slice(&(at as u32).to_le_bytes());
+                    todo.push(at);
+                }
+                NodeKind::Or => {
+                    let chosen = c.or_choice(p, n);
+                    key.extend_from_slice(&chosen.to_le_bytes());
+                    if chosen != NIL {
+                        todo.push(chosen as NodeId);
+                    }
+                }
+                NodeKind::Conc | NodeKind::Iso => {
+                    let first = todo.len();
+                    todo.extend(p.children(node));
+                    todo[first..].reverse();
+                }
+                _ => {}
+            }
+        }
+        let channels = p.recv_start.len() - 1;
+        key.extend((0..channels as u32).map(|r| c.is_sent(p, r) as u8));
+        for &l in &c.lock {
+            key.extend_from_slice(&l.to_le_bytes());
+        }
+        key
+    }
+
     /// Drives the schedule to completion with a deterministic pseudo-random
     /// policy (a splitmix-style generator over `seed`): at each stage one
     /// of the eligible steps is picked uniformly. Returns the trace, or
@@ -1567,6 +1618,45 @@ mod tests {
         let p = compile(&goal);
         let trace = Scheduler::new(&p).run_first().unwrap();
         assert_eq!(trace.len(), 64);
+    }
+
+    #[test]
+    fn residual_key_forgets_the_history_and_keeps_the_future() {
+        // After `a` or after `b` only `c` is left: one future, two
+        // histories — the state keys tell the two apart, the residual
+        // keys do not.
+        let p = compile(&seq(vec![or(vec![g("a"), g("b")]), g("c")]));
+        let after = |event: &str| {
+            let mut s = Scheduler::new(&p);
+            assert!(s.fire_event(sym(event)));
+            s
+        };
+        let (left, right) = (after("a"), after("b"));
+        assert_ne!(left.state_key(), right.state_key());
+        assert_eq!(left.residual_key(), right.residual_key());
+        // Two futures: `c` or `d` is left.
+        let p = compile(&or(vec![
+            seq(vec![g("a"), g("c")]),
+            seq(vec![g("b"), g("d")]),
+        ]));
+        let mut left = Scheduler::new(&p);
+        let mut right = Scheduler::new(&p);
+        assert_eq!(left.residual_key(), right.residual_key());
+        assert!(left.fire_event(sym("a")) && right.fire_event(sym("b")));
+        assert_ne!(left.residual_key(), right.residual_key());
+        // Interleavings of a `|` that end alike meet, sends included.
+        let xi = Channel(3);
+        let p = compile(&conc(vec![
+            g("a"),
+            seq(vec![g("b"), Goal::Send(xi)]),
+            seq(vec![Goal::Receive(xi), g("c")]),
+        ]));
+        let mut ab = Scheduler::new(&p);
+        let mut ba = Scheduler::new(&p);
+        assert!(ab.fire_event(sym("a")) && ab.fire_event(sym("b")));
+        assert!(ba.fire_event(sym("b")) && ba.fire_event(sym("a")));
+        assert_eq!(ab.residual_key(), ba.residual_key());
+        assert_ne!(ab.residual_key(), Scheduler::new(&p).residual_key());
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //!   `receive` channel goals plus synthetic tick events (no new goal
 //!   forms; the runtime's timer wheel interprets the tick names);
 //! * [`spec`] — complete specifications (graph, sub-workflows, triggers,
-//!   timers, global constraints) with the full `Apply`/`Excise` pipeline
-//!   and the §7 modular compilation.
+//!   timers, global constraints) with the full `Apply`/`Excise` pipeline,
+//!   whose `Apply` scopes each constraint to the subgoal holding its
+//!   events (§7's modular compilation).
 
 pub mod cfg;
 pub mod compensation;
@@ -33,6 +34,6 @@ pub use cfg::{ActivityId, Arc, Cfg, CfgError, SplitKind};
 pub use compensation::{guarded_seq, saga, SagaStep};
 pub use dot::goal_to_dot;
 pub use loops::{unroll, Unrolling};
-pub use spec::{compile_modular, RecursiveDefinition, SubWorkflows, WorkflowSpec};
+pub use spec::{RecursiveDefinition, SubWorkflows, WorkflowSpec};
 pub use timers::{compile_timer, compile_timers, TimerRule, TimerSpec};
 pub use triggers::{compile_trigger, compile_triggers, Trigger, TriggerSemantics};

@@ -9,16 +9,16 @@
 //! 3. global constraints are compiled with `Apply` and knots are removed
 //!    with `Excise` (§5).
 //!
-//! [`compile_modular`] implements the §7 refinement: when global
-//! dependencies do not span sub-workflow boundaries, constraints local to
-//! a sub-workflow are compiled into its definition *before* expansion, so
-//! the exponent in Theorem 5.11 drops from the total constraint count `N`
-//! to the largest per-sub-workflow count `M`.
+//! The §7 refinement needs no separate entry point: `Apply` applies each
+//! constraint at the lowest subgoal that holds its events, so constraints
+//! whose events stay inside one sub-workflow's expansion are compiled
+//! there, and the exponent in Theorem 5.11 drops from the total
+//! constraint count `N` to the largest count `M` whose scopes overlap.
 
 use crate::timers::{compile_timers, TimerSpec};
 use crate::triggers::{compile_triggers, Trigger};
 use ctr::analysis::{self, CompileError, Compiled, Verification};
-use ctr::apply::{apply_all, ChannelAlloc};
+use ctr::apply::ChannelAlloc;
 use ctr::constraints::Constraint;
 use ctr::goal::Goal;
 use ctr::symbol::Symbol;
@@ -115,40 +115,6 @@ impl SubWorkflows {
             Goal::Or(gs) => ctr::goal::or(gs.iter().map(|g| self.expand(g)).collect()),
             Goal::Isolated(g) => ctr::goal::isolated(self.expand(g)),
             Goal::Possible(g) => ctr::goal::possible(self.expand(g)),
-        }
-    }
-
-    /// Expands with constraints scoped to sub-workflows (§7): each
-    /// definition named in `local` has its constraints applied to its
-    /// expanded body before substitution, all from one allocator so
-    /// channels stay globally fresh.
-    fn expand_scoped(
-        &self,
-        goal: &Goal,
-        local: &BTreeMap<Symbol, Vec<Constraint>>,
-        channels: &mut ChannelAlloc,
-    ) -> Goal {
-        let mut each = |gs: &[Goal]| -> Vec<Goal> {
-            gs.iter()
-                .map(|g| self.expand_scoped(g, local, channels))
-                .collect()
-        };
-        match goal {
-            Goal::Atom(a) if a.is_prop() && self.defines(a.pred) => {
-                let expanded = ctr::goal::or(each(self.bodies(a.pred)));
-                match local.get(&a.pred) {
-                    Some(constraints) => apply_all(constraints, &expanded, channels),
-                    None => expanded,
-                }
-            }
-            Goal::Atom(_) | Goal::Send(_) | Goal::Receive(_) | Goal::Empty | Goal::NoPath => {
-                goal.clone()
-            }
-            Goal::Seq(gs) => ctr::goal::seq(each(gs)),
-            Goal::Conc(gs) => ctr::goal::conc(each(gs)),
-            Goal::Or(gs) => ctr::goal::or(each(gs)),
-            Goal::Isolated(g) => ctr::goal::isolated(self.expand_scoped(g, local, channels)),
-            Goal::Possible(g) => ctr::goal::possible(self.expand_scoped(g, local, channels)),
         }
     }
 
@@ -274,30 +240,11 @@ impl WorkflowSpec {
     }
 }
 
-/// Modular compilation (§7): constraints in `local` are scoped to one
-/// sub-workflow and compiled into its definition before substitution;
-/// `spec.constraints` remain global. With `M` = the largest local
-/// constraint count, the compiled size is `O(d^M · |G|)` instead of
-/// `O(d^N · |G|)` — reproduced in experiment E7.
-///
-/// Correct when each local constraint's events occur only inside its
-/// sub-workflow (dependencies do not span boundaries).
-pub fn compile_modular(
-    spec: &WorkflowSpec,
-    local: &BTreeMap<Symbol, Vec<Constraint>>,
-) -> Result<Compiled, CompileError> {
-    let flattened = spec
-        .subworkflows
-        .expand_scoped(&spec.graph, local, &mut ChannelAlloc::new());
-    analysis::compile(&spec.lower(&flattened), &spec.constraints)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ctr::semantics::{event_traces, satisfies};
     use ctr::symbol::sym;
-    use std::collections::BTreeSet;
 
     fn g(name: &str) -> Goal {
         Goal::atom(name)
@@ -369,92 +316,5 @@ mod tests {
         assert!(spec.is_redundant(0).unwrap());
         assert!(spec.verify(&Constraint::order("a", "b")).unwrap().holds());
         assert!(spec.is_consistent().unwrap());
-    }
-
-    #[test]
-    fn modular_compilation_matches_flat_semantics() {
-        // Two sub-workflows with one local constraint each; the modular
-        // and flat compilations must accept the same executions.
-        let mut spec = WorkflowSpec::new(
-            "modular",
-            ctr::goal::seq(vec![
-                g("start"),
-                ctr::goal::conc(vec![g("sub1"), g("sub2")]),
-                g("end"),
-            ]),
-        );
-        spec.subworkflows
-            .define("sub1", ctr::goal::conc(vec![g("a1"), g("b1")]))
-            .unwrap();
-        spec.subworkflows
-            .define("sub2", ctr::goal::conc(vec![g("a2"), g("b2")]))
-            .unwrap();
-        let local: BTreeMap<Symbol, Vec<Constraint>> = [
-            (sym("sub1"), vec![Constraint::order("a1", "b1")]),
-            (sym("sub2"), vec![Constraint::order("a2", "b2")]),
-        ]
-        .into_iter()
-        .collect();
-
-        let modular = compile_modular(&spec, &local).unwrap();
-
-        let mut flat = spec.clone();
-        flat.constraints = vec![Constraint::order("a1", "b1"), Constraint::order("a2", "b2")];
-        let flat_compiled = flat.compile().unwrap();
-
-        let m: BTreeSet<_> = event_traces(&modular.goal, 1_000_000).unwrap();
-        let f: BTreeSet<_> = event_traces(&flat_compiled.goal, 1_000_000).unwrap();
-        assert_eq!(m, f);
-    }
-
-    #[test]
-    fn modular_compilation_with_disjunctive_locals_is_smaller() {
-        // K sub-workflows, each with one Klein constraint (d = 3). Global
-        // compilation multiplies the whole goal 3^K times; modular only
-        // multiplies each sub-workflow by 3.
-        let k = 4;
-        let mut spec = WorkflowSpec::new(
-            "mod-size",
-            ctr::goal::seq((0..k).map(|i| g(&format!("sub{i}"))).collect()),
-        );
-        let mut local: BTreeMap<Symbol, Vec<Constraint>> = BTreeMap::new();
-        for i in 0..k {
-            spec.subworkflows
-                .define(
-                    format!("sub{i}").as_str(),
-                    ctr::goal::conc(vec![
-                        ctr::goal::or(vec![g(&format!("a{i}")), g(&format!("x{i}"))]),
-                        g(&format!("b{i}")),
-                    ]),
-                )
-                .unwrap();
-            local.insert(
-                sym(&format!("sub{i}")),
-                vec![Constraint::klein_order(
-                    format!("a{i}").as_str(),
-                    format!("b{i}").as_str(),
-                )],
-            );
-        }
-        let modular = compile_modular(&spec, &local).unwrap();
-
-        let mut flat = spec.clone();
-        flat.constraints = (0..k)
-            .map(|i| Constraint::klein_order(format!("a{i}").as_str(), format!("b{i}").as_str()))
-            .collect();
-        let flat_compiled = flat.compile().unwrap();
-
-        assert!(
-            modular.applied_size * 2 < flat_compiled.applied_size,
-            "modular {} vs flat {}",
-            modular.applied_size,
-            flat_compiled.applied_size
-        );
-        // And they accept the same executions.
-        let m = event_traces(&modular.goal, 2_000_000);
-        let f = event_traces(&flat_compiled.goal, 2_000_000);
-        if let (Ok(m), Ok(f)) = (m, f) {
-            assert_eq!(m, f);
-        }
     }
 }

@@ -4,8 +4,11 @@
 //! `Apply(C₁ ∨ … ∨ C_d, ·)` works one alternative of the goal at a time and
 //! keeps an alternative some disjunct already holds on as it stands; the
 //! literal rule (`ctr_bench::ablation::apply_literal`, composed from the
-//! public per-conjunct API) rewrites the whole goal once per disjunct. The
-//! two must agree up to the alternatives absorbed, and that is decided
+//! public per-conjunct API) rewrites the whole goal once per disjunct.
+//! Absorb is refereed without Scope and Order: the constraints in list
+//! order over the whole goal (`ctr_bench::ablation::apply_unscoped`),
+//! whose output `tests/scope_referee.rs` holds `apply`'s to. The two must
+//! agree up to the alternatives absorbed, and that is decided
 //! structurally, per spec family of the benchmark's `compile_scratch`:
 //!
 //! 1. every alternative the compiler keeps **is** (`==`, channel numbers
@@ -23,7 +26,7 @@ use ctr::goal::{conc, isolated, or, seq, Channel, Goal};
 use ctr::semantics::event_traces;
 use ctr::symbol::{sym, Symbol};
 use ctr::term::Atom;
-use ctr_bench::ablation::apply_literal;
+use ctr_bench::ablation::{apply_literal, apply_unscoped};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -147,9 +150,14 @@ fn alternatives(goal: &Goal) -> &[Goal] {
     }
 }
 
+/// Absorb alone, numbered like the literal rule.
+fn unscoped(constraints: &[Constraint], goal: &Goal) -> Goal {
+    apply_unscoped(constraints, goal, &mut ChannelAlloc::fresh_for(goal))
+}
+
 /// The two assertions, on one spec.
 fn assert_absorbed_is_literal(name: &str, goal: &Goal, constraints: &[Constraint]) {
-    let absorbed = apply(constraints, goal);
+    let absorbed = unscoped(constraints, goal);
     let literal = apply_literal(constraints, goal, &mut ChannelAlloc::fresh_for(goal));
     let (kept, all) = (alternatives(&absorbed), alternatives(&literal));
     assert!(
@@ -317,7 +325,7 @@ fn blow_up_families_keep_a_subset_of_the_literal_alternatives() {
     for k in [3, 5] {
         let (goal, constraints) = gen::independent_kleins(k);
         assert_absorbed_is_literal(&format!("independent{k}"), &goal, &constraints);
-        let absorbed = apply(&constraints, &goal);
+        let absorbed = unscoped(&constraints, &goal);
         let literal = apply_literal(&constraints, &goal, &mut ChannelAlloc::new());
         assert_eq!(alternatives(&absorbed).len(), 3usize.pow(k as u32));
         assert_eq!(absorbed.size(), literal.size());
@@ -397,7 +405,7 @@ fn refinement_case(seed: u64) -> (Goal, Vec<Goal>) {
     let a = if dressed.is_nopath() { bare } else { dressed };
     let mut candidates = vec![
         apply_conjunct(&random_run(&mut rng, &a), &a, channels),
-        apply(&gen::random_constraints(seed, &pool, 2), &a),
+        unscoped(&gen::random_constraints(seed, &pool, 2), &a),
     ];
     for _ in 0..4 {
         let from = &candidates[rng.gen_range(0..candidates.len())];

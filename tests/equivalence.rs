@@ -18,12 +18,17 @@
 use ctr::analysis::{compile, Verification};
 use ctr::constraints::Constraint;
 use ctr::excise::excise;
-use ctr::gen::{random_constraints, random_goal, random_run_constraints, GoalShape};
+use ctr::gen::{
+    layered_events, layered_workflow, random_constraints, random_goal, random_run_constraints,
+    GoalShape,
+};
 use ctr::goal::Goal;
 use ctr::memo::Analyzer;
 use ctr::semantics::{event_traces, satisfies};
 use ctr::symbol::Symbol;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 
 const BUDGET: usize = 60_000;
@@ -62,6 +67,44 @@ proptest! {
                 .cloned()
                 .collect();
             prop_assert_eq!(got, want, "goal {} constraints {:?}", goal, constraints);
+        }
+    }
+
+    /// Scope on the shape it is for: Klein orders between adjacent stages
+    /// of a layered workflow, their windows disjoint or overlapping, in
+    /// either direction, compile to exactly the filtered traces — each
+    /// applied over its own window of layers, not the whole goal.
+    #[test]
+    fn scoped_klein_chains_equal_filtered_semantics(
+        seed in 0u64..5000, layers in 2usize..5, lanes in 1usize..3, k in 1usize..4
+    ) {
+        let goal = layered_workflow(layers, lanes);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut pick = |stage| {
+            let (left, right) = layered_events(stage, rng.gen_range(0..lanes));
+            if rng.gen_bool(0.5) { left } else { right }
+        };
+        let stages: Vec<usize> = (0..k).map(|i| (3 * i + seed as usize) % (layers - 1)).collect();
+        let constraints: Vec<Constraint> = (stages.iter().enumerate())
+            .map(|(i, &stage)| {
+                let (a, b) = (pick(stage), pick(stage + 1));
+                if i % 2 == 0 { Constraint::klein_order(a, b) } else { Constraint::klein_order(b, a) }
+            })
+            .collect();
+        let Some(base) = traces(&goal) else { return Ok(()) };
+        let compiled = compile(&goal, &constraints).expect("layered goals are unique-event");
+        let want: BTreeSet<Vec<Symbol>> = base
+            .into_iter()
+            .filter(|t| constraints.iter().all(|c| satisfies(t, c)))
+            .collect();
+        prop_assert_eq!(traces(&compiled.goal), Some(want), "{:?}", constraints);
+        // A layer no window takes is still a layer of the compiled goal.
+        if let (Goal::Seq(before), Goal::Seq(after)) = (&goal, &compiled.goal) {
+            for (j, layer) in before.iter().enumerate() {
+                if !stages.iter().any(|&s| s == j || s + 1 == j) {
+                    prop_assert!(after.contains(layer), "layer {} in {}", j, compiled.goal);
+                }
+            }
         }
     }
 
