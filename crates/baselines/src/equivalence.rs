@@ -6,8 +6,7 @@
 //! fired event a labelled step. Several nodes may carry one event (`Apply`
 //! copies events into the alternatives of a `∨`), so each side is a
 //! *set* of cursors — the subset construction — keyed by their sorted
-//! [`Scheduler::residual_key`]s: unlike a `state_key`, which keeps which
-//! branch every finished `∨` took, these forget the history, so the walk
+//! [`Scheduler::residual_key`]s, which forget the history, so the walk
 //! is as large as the programs' futures, not exponential in the trace
 //! length. Silent steps (`send`, `receive`, `ε` that
 //! commit a choice) are closed eagerly: a set holds every cursor they

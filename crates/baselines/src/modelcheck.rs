@@ -5,9 +5,10 @@
 //! size of the control flow graph (the state-explosion problem), while
 //! `Apply` is linear in the graph and exponential only in the (much
 //! smaller) constraint set. This module makes that comparison measurable:
-//! it builds the reachable marking graph of a workflow — every scheduler
-//! cursor state — optionally in product with the constraint automata, and
-//! verifies properties by exhaustive exploration.
+//! it builds the reachable marking graph of a workflow — every distinct
+//! future of a scheduler cursor, [`Scheduler::residual_key`] being the
+//! state identity — optionally in product with the constraint automata,
+//! and verifies properties by exhaustive exploration.
 
 use crate::attie::{AutoState, ConstraintAutomaton};
 use ctr::constraints::Constraint;
@@ -21,9 +22,6 @@ pub struct Exploration {
     /// Number of distinct reachable markings (× automaton states when a
     /// property is attached).
     pub states: usize,
-    /// Number of complete executions encountered (capped runs may
-    /// undercount).
-    pub complete_paths: usize,
     /// Whether exploration hit the state cap before exhausting the space.
     pub truncated: bool,
     /// A violating trace, if the property check failed.
@@ -60,17 +58,15 @@ fn explore_with_property(
         scheduler: Scheduler::new(&program),
         auto: AutoState::default(),
     };
-    let key = |n: &Node| -> (Vec<u8>, AutoState) { (n.scheduler.state_key(), n.auto.clone()) };
+    let key = |n: &Node| -> (Vec<u8>, AutoState) { (n.scheduler.residual_key(), n.auto.clone()) };
 
     let mut seen: BTreeSet<(Vec<u8>, AutoState)> = BTreeSet::from([key(&initial)]);
     let mut queue = VecDeque::from([initial]);
-    let mut complete_paths = 0usize;
     let mut truncated = false;
     let mut counterexample = None;
 
     while let Some(node) = queue.pop_front() {
         if node.scheduler.is_complete() {
-            complete_paths += 1;
             if let Some(auto) = &automaton {
                 if !auto.accepts(&node.auto) && counterexample.is_none() {
                     counterexample = Some(node.scheduler.trace_names());
@@ -101,7 +97,6 @@ fn explore_with_property(
 
     Ok(Exploration {
         states: seen.len(),
-        complete_paths,
         truncated,
         counterexample,
     })
@@ -121,7 +116,6 @@ mod tests {
     fn pipeline_has_linear_state_space() {
         let e = explore(&ctr::gen::pipeline_workflow(10), 1_000_000).unwrap();
         assert!(!e.truncated);
-        assert_eq!(e.complete_paths, 1);
         // One marking per prefix (plus completion bookkeeping).
         assert!(e.states <= 12, "states = {}", e.states);
     }

@@ -291,7 +291,8 @@ fn e5_scheduling() {
     let mut active_pts = Vec::new();
     let mut singh_pts = Vec::new();
     let mut attie_pts = Vec::new();
-    for layers in [8usize, 16, 32, 64, 128] {
+    let mut crossover = None;
+    for layers in [8usize, 16, 32, 64, 128, 256, 512] {
         // Constraint count grows with the workflow, as it does in practice.
         let goal = gen::layered_workflow(layers, 2);
         let constraints = stage_orders(layers - 1);
@@ -311,6 +312,9 @@ fn e5_scheduling() {
         let product = ProductScheduler::new(&constraints);
         let t_attie = time_mean(20, || product.validate(&trace));
 
+        if t_active < t_singh {
+            crossover.get_or_insert(trace.len());
+        }
         let n = trace.len() as f64;
         active_pts.push((n, t_active.as_nanos() as f64));
         singh_pts.push((n, t_singh.as_nanos() as f64));
@@ -330,6 +334,10 @@ fn e5_scheduling() {
         power_law_exponent(&singh_pts),
         power_law_exponent(&attie_pts),
     );
+    match crossover {
+        Some(n) => println!("Pro-active first beats Singh's validator at {n} events/path.\n"),
+        None => println!("Singh's validator stays ahead through the last row.\n"),
+    }
 }
 
 fn e6_vs_modelcheck() {
@@ -372,6 +380,43 @@ fn e6_vs_modelcheck() {
         "\nMC state growth per unit width: {:.2}× (state explosion); Apply growth: {:.2}×\n",
         log_growth_factor(&mc_pts),
         log_growth_factor(&apply_pts),
+    );
+
+    // The same walk over what `compile` emits on E5's family: its states
+    // are the compiled program's futures, `∨` branches included.
+    println!("Compiled: `layered_workflow(L, 2)` under `stage_orders(L − 1)`, E5's family.\n");
+    let mut table = Table::new(&[
+        "layers L",
+        "|G|",
+        "compile time",
+        "|Apply|",
+        "MC states",
+        "MC time",
+    ]);
+    let mut mc_pts = Vec::new();
+    for layers in [8usize, 16, 32, 64] {
+        let goal = gen::layered_workflow(layers, 2);
+        let constraints = stage_orders(layers - 1);
+        let t_compile = time_mean(10, || compile(&goal, &constraints).unwrap());
+        let compiled = compile(&goal, &constraints).unwrap();
+        let t0 = Instant::now();
+        let mc = explore(&compiled.goal, 10_000_000).unwrap();
+        let t_mc = t0.elapsed();
+        assert!(!mc.truncated, "the compiled walk finishes at L = {layers}");
+        mc_pts.push((layers as f64, mc.states as f64));
+        table.row(vec![
+            layers.to_string(),
+            goal.size().to_string(),
+            fmt_ns(t_compile),
+            compiled.applied_size.to_string(),
+            mc.states.to_string(),
+            fmt_ns(t_mc),
+        ]);
+    }
+    print!("{}", table.render());
+    println!(
+        "\nMC states vs L: power-law exponent {:.2}\n",
+        power_law_exponent(&mc_pts)
     );
 }
 
