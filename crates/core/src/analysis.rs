@@ -47,7 +47,7 @@ use crate::goal::Goal;
 use crate::memo::{Memo, MemoStats};
 use crate::redundancy::{Runs, SeriesParallel};
 use crate::symbol::Symbol;
-use crate::unique::{check_unique_events, DuplicateEvent};
+use crate::unique::{ensure_unique_events, DuplicateEvent};
 use std::borrow::Borrow;
 use std::fmt;
 
@@ -121,7 +121,7 @@ pub(crate) fn mentions_conditions(goal: &Goal) -> bool {
 /// Compiles a workflow `G ∧ C`: checks the unique-event property, runs
 /// `Apply` for every constraint, then `Excise`.
 pub fn compile(goal: &Goal, constraints: &[Constraint]) -> Result<Compiled, CompileError> {
-    check_unique_events(goal).map_err(CompileError::NotUniqueEvent)?;
+    ensure_unique_events(goal).map_err(CompileError::NotUniqueEvent)?;
     let channels = if constraints.is_empty() {
         // Nothing will be allocated: skip the channel scan.
         ChannelAlloc::new()
@@ -264,7 +264,7 @@ impl Analyzer {
 #[allow(private_bounds)]
 impl<T: Table> Analyzer<T> {
     fn over(table: T, goal: &Goal, constraints: &[Constraint]) -> Result<Self, CompileError> {
-        check_unique_events(goal).map_err(CompileError::NotUniqueEvent)?;
+        ensure_unique_events(goal).map_err(CompileError::NotUniqueEvent)?;
         let runs = SeriesParallel::of(goal).map(|order| Runs::new(order, constraints.len()));
         Ok(Analyzer {
             base_channels: ChannelAlloc::fresh_for(goal),

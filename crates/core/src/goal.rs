@@ -28,13 +28,14 @@
 //! a goal is a reference-count bump and a rewrite that leaves a subtree
 //! untouched can return the *same* allocation (observable through
 //! [`std::sync::Arc::ptr_eq`]). [`GoalList`] additionally caches, per
-//! node, the subtree size, whether a `send`/`receive` occurs below (one
-//! bit of the size word, so the struct stays 48 bytes), a bloom
-//! fingerprint of the event symbols occurring below (see
-//! [`Goal::may_mention`]), and a structural hash — all computed once at
-//! construction — which makes [`Goal::size`], event-pruning tests,
-//! `∨`-idempotence checks and the channel-free skip of `Excise` and
-//! [`Goal::channels`] O(1) instead of O(subtree).
+//! node, the subtree size, whether a `send`/`receive` occurs below and
+//! whether the node is in canonical form (two bits of the size word, so
+//! the struct stays 48 bytes), a bloom fingerprint of the event symbols
+//! occurring below (see [`Goal::may_mention`]), and a structural hash —
+//! all computed once at construction — which makes [`Goal::size`],
+//! event-pruning tests, `∨`-idempotence checks, the channel-free skip of
+//! `Excise` and [`Goal::channels`], and [`Goal::simplify`] of a goal the
+//! smart constructors built O(1) instead of O(subtree).
 
 use crate::symbol::Symbol;
 use crate::term::Atom;
@@ -62,8 +63,9 @@ impl fmt::Display for Channel {
 pub struct GoalList {
     children: Vec<Goal>,
     /// Nodes in this subtree including the connective node itself, in the
-    /// low bits; [`HAS_CHANNELS`] on top of them. Packed so the struct
-    /// stays 48 bytes and its `Arc` in the 64-byte allocator bin.
+    /// low bits; [`HAS_CHANNELS`] and [`CANONICAL`] on top of them. Packed
+    /// so the struct stays 48 bytes and its `Arc` in the 64-byte allocator
+    /// bin.
     size: usize,
     /// Bloom fingerprint (2 bits per symbol in a 64-bit word) of every
     /// event symbol occurring anywhere below, including under `◇`/`⊙`.
@@ -77,25 +79,72 @@ pub struct GoalList {
 /// somewhere below, under `◇` included.
 const HAS_CHANNELS: usize = 1 << (usize::BITS - 1);
 
+/// Next bit of [`GoalList`]'s `size` word: the node is in the canonical
+/// form [`Goal::simplify`] produces, so it is its own simplification.
+/// Only [`seq`], [`conc`] and [`or`] set it, and only when every child is
+/// canonical and is neither a unit their tautologies drop nor the same
+/// connective; the `raw_*` constructors never do.
+const CANONICAL: usize = 1 << (usize::BITS - 2);
+
+/// The flag bits of the `size` word.
+const FLAGS: usize = HAS_CHANNELS | CANONICAL;
+
+/// An n-ary connective, for the per-child tests of canonical form.
+#[derive(Clone, Copy)]
+enum Connective {
+    Seq,
+    Conc,
+    Or,
+}
+
+impl Connective {
+    /// True when the connective's smart constructor would not keep
+    /// `child` as it is: a unit its tautologies drop or absorb into, or
+    /// the same connective, which it flattens.
+    fn absorbs(self, child: &Goal) -> bool {
+        match self {
+            Connective::Seq => matches!(child, Goal::Seq(_) | Goal::Empty | Goal::NoPath),
+            Connective::Conc => matches!(child, Goal::Conc(_) | Goal::Empty | Goal::NoPath),
+            Connective::Or => matches!(child, Goal::Or(_) | Goal::NoPath),
+        }
+    }
+}
+
 impl GoalList {
     /// Builds a list, computing the cached size/fingerprint/hash.
     pub fn new(children: Vec<Goal>) -> GoalList {
+        GoalList::build(children, None)
+    }
+
+    /// [`GoalList::new`], and for a smart constructor (`built_by`) the
+    /// canonical flag, in the same pass over the children. The caller
+    /// vouches for what the children cannot show: at least two of them,
+    /// and for `∨` no two equal.
+    fn build(children: Vec<Goal>, built_by: Option<Connective>) -> GoalList {
         let mut size = 1usize;
         let mut has_channels = false;
+        let mut canonical = built_by.is_some();
         let mut events_fp = 0u64;
         let mut hash = 0xA076_1D64_78BD_642Fu64; // arbitrary non-zero init
         for child in &children {
             size += child.size();
             has_channels |= child.has_channels();
+            canonical =
+                canonical && built_by.is_some_and(|c| !c.absorbs(child) && child.is_canonical());
             events_fp |= child.events_fingerprint();
             hash = mix64(hash ^ child.structural_hash());
         }
-        // A size that reached the flag bit could only set it spuriously,
-        // which costs a walk that finds nothing.
-        debug_assert!(size < HAS_CHANNELS, "goal size overflows its word");
+        // A size that reached the flag bits could only set them
+        // spuriously: a channel flag costs a walk that finds nothing, a
+        // canonical one would skip a needed rebuild.
+        debug_assert!(size < CANONICAL, "goal size overflows its word");
+        let mut flags = if has_channels { HAS_CHANNELS } else { 0 };
+        if canonical {
+            flags |= CANONICAL;
+        }
         GoalList {
             children,
-            size: size | if has_channels { HAS_CHANNELS } else { 0 },
+            size: size | flags,
             events_fp,
             hash,
         }
@@ -137,8 +186,9 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Two-bit bloom mask for one event symbol.
-pub(crate) fn event_fp_bits(event: Symbol) -> u64 {
+/// Two-bit bloom mask for one event symbol: the bits it sets in the
+/// [`Goal::events_fingerprint`] of every goal that mentions it.
+pub fn event_fp_bits(event: Symbol) -> u64 {
     let h = mix64(event.index() as u64 ^ 0xD6E8_FEB8_6659_FD93);
     (1u64 << (h & 63)) | (1u64 << ((h >> 6) & 63))
 }
@@ -164,10 +214,19 @@ impl std::hash::Hasher for FxHasher {
         self.0
     }
 
+    /// Eight bytes a round: the engine's name index hashes whole event
+    /// names.
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_le_bytes(word.try_into().expect("eight bytes")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut tail = [0u8; 8];
+            tail[..rest.len()].copy_from_slice(rest);
+            self.write_u64(u64::from_le_bytes(tail));
         }
     }
 
@@ -288,7 +347,7 @@ impl Goal {
     pub fn size(&self) -> usize {
         match self {
             Goal::Atom(_) | Goal::Send(_) | Goal::Receive(_) | Goal::Empty | Goal::NoPath => 1,
-            Goal::Seq(gs) | Goal::Conc(gs) | Goal::Or(gs) => gs.size & !HAS_CHANNELS,
+            Goal::Seq(gs) | Goal::Conc(gs) | Goal::Or(gs) => gs.size & !FLAGS,
             Goal::Isolated(g) | Goal::Possible(g) => 1 + g.size(),
         }
     }
@@ -304,6 +363,22 @@ impl Goal {
             Goal::Seq(gs) | Goal::Conc(gs) | Goal::Or(gs) => gs.size & HAS_CHANNELS != 0,
             Goal::Isolated(g) | Goal::Possible(g) => g.has_channels(),
             Goal::Atom(_) | Goal::Empty | Goal::NoPath => false,
+        }
+    }
+
+    /// True when the goal is in the canonical form [`Goal::simplify`]
+    /// produces, as its flag records: every leaf is, and every goal
+    /// [`seq`], [`conc`], [`or`], [`isolated`] and [`possible`] build from
+    /// canonical parts. A `raw_*` node answers `false` whatever its shape,
+    /// so `simplify` walks it. O(1) but for a chain of `⊙`/`◇` above the
+    /// first connective.
+    pub fn is_canonical(&self) -> bool {
+        match self {
+            Goal::Seq(gs) | Goal::Conc(gs) | Goal::Or(gs) => gs.size & CANONICAL != 0,
+            Goal::Isolated(g) | Goal::Possible(g) => {
+                !matches!(**g, Goal::Empty | Goal::NoPath) && g.is_canonical()
+            }
+            Goal::Atom(_) | Goal::Send(_) | Goal::Receive(_) | Goal::Empty | Goal::NoPath => true,
         }
     }
 
@@ -497,39 +572,27 @@ impl Goal {
 
     /// Sharing-aware worker for [`Goal::simplify`]: returns `None` when the
     /// subtree is already in canonical form, so callers reuse the existing
-    /// `Arc` instead of rebuilding. On goals produced by this crate's own
-    /// transformations (which go through the smart constructors) this is a
-    /// pure check walk with no allocation.
+    /// `Arc` instead of rebuilding. A node the smart constructors built
+    /// answers from its flag, without a walk; only `raw_*` nodes are
+    /// checked child by child.
     fn simplify_shared(&self) -> Option<Goal> {
+        if self.is_canonical() {
+            return None;
+        }
         match self {
             Goal::Seq(gs) => match Self::simplify_children(gs) {
                 Some(kids) => Some(seq(kids)),
-                None if gs.len() < 2
-                    || gs
-                        .iter()
-                        .any(|g| matches!(g, Goal::Seq(_) | Goal::Empty | Goal::NoPath)) =>
-                {
-                    Some(seq(gs.to_vec()))
-                }
+                None if Self::breaks_form(gs, Connective::Seq) => Some(seq(gs.to_vec())),
                 None => None,
             },
             Goal::Conc(gs) => match Self::simplify_children(gs) {
                 Some(kids) => Some(conc(kids)),
-                None if gs.len() < 2
-                    || gs
-                        .iter()
-                        .any(|g| matches!(g, Goal::Conc(_) | Goal::Empty | Goal::NoPath)) =>
-                {
-                    Some(conc(gs.to_vec()))
-                }
+                None if Self::breaks_form(gs, Connective::Conc) => Some(conc(gs.to_vec())),
                 None => None,
             },
             Goal::Or(gs) => match Self::simplify_children(gs) {
                 Some(kids) => Some(or(kids)),
-                None if gs.len() < 2
-                    || gs.iter().any(|g| matches!(g, Goal::Or(_) | Goal::NoPath))
-                    || Self::has_duplicates(gs) =>
-                {
+                None if Self::breaks_form(gs, Connective::Or) || Self::has_duplicates(gs) => {
                     Some(or(gs.to_vec()))
                 }
                 None => None,
@@ -564,6 +627,13 @@ impl Goal {
             }
         }
         out
+    }
+
+    /// True when the list, under `connective`, is not what its smart
+    /// constructor would build from it: fewer than two children, or one
+    /// the constructor drops or flattens.
+    fn breaks_form(gs: &GoalList, connective: Connective) -> bool {
+        gs.len() < 2 || gs.iter().any(|g| connective.absorbs(g))
     }
 
     /// True when two children are structurally equal — what forces the
@@ -713,8 +783,8 @@ fn conjunction(serial: bool, goals: Vec<Goal>) -> Goal {
     match out.len() {
         0 => Goal::Empty,
         1 => out.pop().expect("len checked"),
-        _ if serial => Goal::raw_seq(out),
-        _ => Goal::raw_conc(out),
+        _ if serial => Goal::Seq(Arc::new(GoalList::build(out, Some(Connective::Seq)))),
+        _ => Goal::Conc(Arc::new(GoalList::build(out, Some(Connective::Conc)))),
     }
 }
 
@@ -849,7 +919,7 @@ pub fn or(goals: Vec<Goal>) -> Goal {
     match out.len() {
         0 => Goal::NoPath,
         1 => out.pop().expect("len checked"),
-        _ => Goal::raw_or(out),
+        _ => Goal::Or(Arc::new(GoalList::build(out, Some(Connective::Or)))),
     }
 }
 
@@ -1217,6 +1287,145 @@ mod tests {
     fn simplify_is_idempotent_on_canonical_goals() {
         let g = seq(vec![a(), conc(vec![b(), c()])]);
         assert_eq!(g.simplify(), g);
+    }
+
+    /// [`Goal::simplify_shared`] as it was before the canonical flag: a
+    /// check walk of every node, rebuilding where a child changed or the
+    /// node breaks the form.
+    fn reference_shared(goal: &Goal) -> Option<Goal> {
+        fn kids(gs: &GoalList) -> Option<Vec<Goal>> {
+            let mut out: Option<Vec<Goal>> = None;
+            for (i, child) in gs.iter().enumerate() {
+                match reference_shared(child) {
+                    Some(new) => out.get_or_insert_with(|| gs[..i].to_vec()).push(new),
+                    None => {
+                        if let Some(v) = out.as_mut() {
+                            v.push(child.clone());
+                        }
+                    }
+                }
+            }
+            out
+        }
+        let breaks = |gs: &GoalList, bad: fn(&Goal) -> bool| gs.len() < 2 || gs.iter().any(bad);
+        match goal {
+            Goal::Seq(gs) => match kids(gs) {
+                Some(k) => Some(seq(k)),
+                None if breaks(gs, |g| {
+                    matches!(g, Goal::Seq(_) | Goal::Empty | Goal::NoPath)
+                }) =>
+                {
+                    Some(seq(gs.to_vec()))
+                }
+                None => None,
+            },
+            Goal::Conc(gs) => match kids(gs) {
+                Some(k) => Some(conc(k)),
+                None if breaks(gs, |g| {
+                    matches!(g, Goal::Conc(_) | Goal::Empty | Goal::NoPath)
+                }) =>
+                {
+                    Some(conc(gs.to_vec()))
+                }
+                None => None,
+            },
+            Goal::Or(gs) => match kids(gs) {
+                Some(k) => Some(or(k)),
+                None if breaks(gs, |g| matches!(g, Goal::Or(_) | Goal::NoPath))
+                    || !duplicate_positions(gs).is_empty() =>
+                {
+                    Some(or(gs.to_vec()))
+                }
+                None => None,
+            },
+            Goal::Isolated(g) => match reference_shared(g) {
+                Some(new) => Some(isolated(new)),
+                None if matches!(**g, Goal::Empty | Goal::NoPath) => Some(isolated((**g).clone())),
+                None => None,
+            },
+            Goal::Possible(g) => match reference_shared(g) {
+                Some(new) => Some(possible(new)),
+                None if matches!(**g, Goal::Empty | Goal::NoPath) => Some(possible((**g).clone())),
+                None => None,
+            },
+            _ => None,
+        }
+    }
+
+    /// A random goal in no particular form: units, channels, repeated
+    /// atoms from a pool of three, lists of 0–4 children under raw or
+    /// smart connectives (so singletons, nested same connectives and
+    /// equal `∨` alternatives all occur, raw under smart and smart under
+    /// raw), `⊙`/`◇` raw or smart.
+    fn unruly(rng: &mut rand::rngs::StdRng, depth: usize) -> Goal {
+        use rand::Rng;
+        if depth == 0 || rng.gen_bool(0.25) {
+            return match rng.gen_range(0..8) {
+                0 => Goal::Empty,
+                1 => Goal::NoPath,
+                2 => Goal::Send(Channel(rng.gen_range(0..2))),
+                _ => Goal::atom(["a", "b", "c"][rng.gen_range(0..3usize)]),
+            };
+        }
+        let pick = rng.gen_range(0..10);
+        if pick >= 6 {
+            let inner = unruly(rng, depth - 1);
+            return match pick {
+                6 => Goal::raw_isolated(inner),
+                7 => Goal::raw_possible(inner),
+                8 => isolated(inner),
+                _ => possible(inner),
+            };
+        }
+        let width = rng.gen_range(0..=4);
+        let kids: Vec<Goal> = (0..width).map(|_| unruly(rng, depth - 1)).collect();
+        match pick {
+            0 => Goal::raw_seq(kids),
+            1 => Goal::raw_conc(kids),
+            2 => Goal::raw_or(kids),
+            3 => seq(kids),
+            4 => conc(kids),
+            _ => or(kids),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(2048))]
+
+        /// The canonical flag is sound: `simplify` with it is the check
+        /// walk without it, and every flagged subgoal is a fixed point of
+        /// that walk.
+        #[test]
+        fn the_canonical_flag_skips_only_what_the_walk_keeps(seed in 0u64..1_000_000) {
+            let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
+            let goal = unruly(&mut rng, 4);
+            let want = reference_shared(&goal).unwrap_or_else(|| goal.clone());
+            proptest::prop_assert_eq!(&goal.simplify(), &want, "{}", goal);
+            let mut all = Vec::new();
+            subgoals(&goal, &mut all);
+            subgoals(&want, &mut all);
+            for sub in all.iter().filter(|g| g.is_canonical()) {
+                proptest::prop_assert!(reference_shared(sub).is_none(), "flagged {} in {}", sub, goal);
+            }
+        }
+    }
+
+    #[test]
+    fn constructors_flag_what_they_build_and_raw_nodes_are_not() {
+        let built = or(vec![seq(vec![a(), b()]), conc(vec![isolated(c()), a()])]);
+        assert!(built.is_canonical());
+        assert!(built.simplify().ptr_eq(&built));
+        // Raw, even in canonical shape: walked, and kept as it is.
+        let raw = Goal::raw_seq(vec![a(), b()]);
+        assert!(!raw.is_canonical());
+        assert!(raw.simplify().ptr_eq(&raw));
+        // A smart node over a raw child that breaks the form is not
+        // flagged, so the child still gets rebuilt.
+        let over_raw = conc(vec![c(), Goal::raw_seq(vec![a(), Goal::Empty])]);
+        assert!(!over_raw.is_canonical());
+        assert_eq!(over_raw.simplify(), conc(vec![c(), a()]));
+        assert!(!isolated(Goal::raw_or(vec![a()])).is_canonical());
+        assert!(possible(a()).is_canonical());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! |--------|--------------|----------|
 //! | [`symbol`], [`term`] | §2 | interned names, first-order terms, atoms |
 //! | [`goal`] | §2 | concurrent-Horn goals (`⊗`, `\|`, `∨`, `⊙`, `◇`), `send`/`receive`, `¬path` tautologies; `Arc`-shared subtrees with cached size / event fingerprint / structural hash |
-//! | [`unique`] | §3 | the unique-event property (Definition 3.1), linear-time check |
+//! | [`unique`] | §3 | the unique-event property (Definition 3.1), one pre-order walk |
 //! | [`constraints`] | §3 | the algebra `CONSTR`, negation closure (Lemma 3.4), splitting (Prop 3.3), normal form (Cor 3.5) |
 //! | [`semantics`] | §2 | reference trace semantics — the oracle for `Apply(σ,T) ≡ T ∧ σ` |
 //! | [`apply`](mod@apply) | §5 | the `Apply` rules and `sync` (Defs 5.1/5.3/5.5), each written once over a table strategy and run on the caller's thread; event-index pruning, a channel range set aside per disjunct |

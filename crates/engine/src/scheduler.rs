@@ -105,16 +105,7 @@ impl NameIndex {
     fn home(&self, name: &str) -> usize {
         let mut hasher = FxHasher::default();
         hasher.write_u64(name.len() as u64);
-        let mut words = name.as_bytes().chunks_exact(8);
-        for word in &mut words {
-            hasher.write_u64(u64::from_le_bytes(word.try_into().expect("8 bytes")));
-        }
-        let tail = words.remainder();
-        if !tail.is_empty() {
-            let mut word = [0u8; 8];
-            word[..tail.len()].copy_from_slice(tail);
-            hasher.write_u64(u64::from_le_bytes(word));
-        }
+        hasher.write(name.as_bytes());
         (hasher.finish() >> self.shift) as usize
     }
 
@@ -247,6 +238,11 @@ impl Program {
     /// at compile time: in the propositional scheduling layer a simplified
     /// non-`¬path` body is always executable, so they reduce to `Empty`
     /// (state-dependent `◇` belongs to the interpreter).
+    ///
+    /// The goal is simplified first. On what `Excise` returns, or anything
+    /// else the smart constructors built, that is the goal's canonical
+    /// flag read once and the same `Arc` back; only hand-built `raw_*`
+    /// nodes are walked and rebuilt.
     pub fn compile(goal: &Goal) -> Result<Program, ScheduleError> {
         let simplified = goal.simplify();
         if simplified.is_nopath() {

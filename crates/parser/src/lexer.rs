@@ -5,25 +5,30 @@
 //! `◇`, and `\+` (or `!`) for negated query atoms. Keywords are plain
 //! identifiers recognized by the parser, so activity names like `exists`
 //! are still usable in goal position.
+//!
+//! The lexer reads bytes: every token is ASCII, so only whitespace and
+//! the offending character of an error are ever decoded. An identifier
+//! borrows its text from the source, and a token is `Copy`. Columns count
+//! characters, not bytes.
 
 use std::fmt;
 
 /// A token with its source position.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Token {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Token<'a> {
     /// The token kind and payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// 1-based line.
     pub line: usize,
-    /// 1-based column.
+    /// 1-based column, in characters.
     pub col: usize,
 }
 
 /// Token kinds.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TokenKind {
-    /// Identifier: `[A-Za-z_][A-Za-z0-9_]*`.
-    Ident(String),
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TokenKind<'a> {
+    /// Identifier: `[A-Za-z_][A-Za-z0-9_@]*`, borrowed from the source.
+    Ident(&'a str),
     /// Integer literal.
     Int(i64),
     /// `*`
@@ -52,7 +57,7 @@ pub enum TokenKind {
     Eof,
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::Ident(s) => write!(f, "identifier `{s}`"),
@@ -80,7 +85,7 @@ pub struct LexError {
     pub found: char,
     /// 1-based line.
     pub line: usize,
-    /// 1-based column.
+    /// 1-based column, in characters.
     pub col: usize,
 }
 
@@ -97,169 +102,78 @@ impl fmt::Display for LexError {
 impl std::error::Error for LexError {}
 
 /// Tokenizes `input`. `//` comments run to end of line.
-pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
+pub fn lex(input: &str) -> Result<Vec<Token<'_>>, LexError> {
+    let bytes = input.as_bytes();
     let mut tokens = Vec::new();
-    let mut chars = input.chars().peekable();
-    let (mut line, mut col) = (1usize, 1usize);
+    let (mut at, mut line, mut col) = (0usize, 1usize, 1usize);
+    let error = |found: char, line: usize, col: usize| LexError { found, line, col };
 
-    macro_rules! push {
-        ($kind:expr, $len:expr) => {{
-            tokens.push(Token {
-                kind: $kind,
-                line,
-                col,
-            });
-            col += $len;
-        }};
-    }
-
-    while let Some(&c) = chars.peek() {
-        match c {
-            '\n' => {
-                chars.next();
+    while let Some(&b) = bytes.get(at) {
+        let (kind, len) = match b {
+            b'\n' => {
+                at += 1;
                 line += 1;
                 col = 1;
+                continue;
             }
-            c if c.is_whitespace() => {
-                chars.next();
+            b'*' => (TokenKind::Star, 1),
+            b'#' => (TokenKind::Hash, 1),
+            b'+' => (TokenKind::Plus, 1),
+            b'(' => (TokenKind::LParen, 1),
+            b')' => (TokenKind::RParen, 1),
+            b'{' => (TokenKind::LBrace, 1),
+            b'}' => (TokenKind::RBrace, 1),
+            b',' => (TokenKind::Comma, 1),
+            b';' => (TokenKind::Semi, 1),
+            b'!' => (TokenKind::Bang, 1),
+            b'/' if bytes.get(at + 1) == Some(&b'/') => {
+                // A comment: on to the end of the line, which the next
+                // round counts. No byte of a multi-byte character is a
+                // newline.
+                at = bytes[at..]
+                    .iter()
+                    .position(|&c| c == b'\n')
+                    .map_or(bytes.len(), |n| at + n);
+                continue;
+            }
+            b'\\' if bytes.get(at + 1) == Some(&b'+') => (TokenKind::Bang, 2),
+            b':' if bytes.get(at + 1) == Some(&b'=') => (TokenKind::Define, 2),
+            b'/' | b'\\' | b':' => return Err(error(char::from(b), line, col)),
+            b'0'..=b'9' | b'-' => {
+                let digits = usize::from(b == b'-');
+                let len = digits + ascii_run(&bytes[at + digits..], u8::is_ascii_digit);
+                if len == digits {
+                    return Err(error('-', line, col));
+                }
+                let value: i64 = input[at..at + len]
+                    .parse()
+                    .map_err(|_| error(char::from(b), line, col))?;
+                (TokenKind::Int(value), len)
+            }
+            // `@` continues an identifier: loop unrolling renames
+            // occurrences to `event@iteration` (ctr-workflow::loops).
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                let len = ascii_run(&bytes[at..], |&c| {
+                    c.is_ascii_alphanumeric() || c == b'_' || c == b'@'
+                });
+                (TokenKind::Ident(&input[at..at + len]), len)
+            }
+            _ => {
+                // Whitespace — any Unicode space is one column — or an
+                // error naming the whole character.
+                let c = input[at..].chars().next().expect("at a character boundary");
+                if !c.is_whitespace() {
+                    return Err(error(c, line, col));
+                }
+                at += c.len_utf8();
                 col += 1;
+                continue;
             }
-            '/' => {
-                chars.next();
-                if chars.peek() == Some(&'/') {
-                    for nc in chars.by_ref() {
-                        if nc == '\n' {
-                            line += 1;
-                            col = 1;
-                            break;
-                        }
-                    }
-                } else {
-                    return Err(LexError {
-                        found: '/',
-                        line,
-                        col,
-                    });
-                }
-            }
-            '*' => {
-                chars.next();
-                push!(TokenKind::Star, 1);
-            }
-            '#' => {
-                chars.next();
-                push!(TokenKind::Hash, 1);
-            }
-            '+' => {
-                chars.next();
-                push!(TokenKind::Plus, 1);
-            }
-            '(' => {
-                chars.next();
-                push!(TokenKind::LParen, 1);
-            }
-            ')' => {
-                chars.next();
-                push!(TokenKind::RParen, 1);
-            }
-            '{' => {
-                chars.next();
-                push!(TokenKind::LBrace, 1);
-            }
-            '}' => {
-                chars.next();
-                push!(TokenKind::RBrace, 1);
-            }
-            ',' => {
-                chars.next();
-                push!(TokenKind::Comma, 1);
-            }
-            ';' => {
-                chars.next();
-                push!(TokenKind::Semi, 1);
-            }
-            '!' => {
-                chars.next();
-                push!(TokenKind::Bang, 1);
-            }
-            '\\' => {
-                chars.next();
-                if chars.peek() == Some(&'+') {
-                    chars.next();
-                    push!(TokenKind::Bang, 2);
-                } else {
-                    return Err(LexError {
-                        found: '\\',
-                        line,
-                        col,
-                    });
-                }
-            }
-            ':' => {
-                chars.next();
-                if chars.peek() == Some(&'=') {
-                    chars.next();
-                    push!(TokenKind::Define, 2);
-                } else {
-                    return Err(LexError {
-                        found: ':',
-                        line,
-                        col,
-                    });
-                }
-            }
-            c if c.is_ascii_digit() || c == '-' => {
-                let mut text = String::new();
-                if c == '-' {
-                    text.push(c);
-                    chars.next();
-                    if !chars.peek().is_some_and(char::is_ascii_digit) {
-                        return Err(LexError {
-                            found: '-',
-                            line,
-                            col,
-                        });
-                    }
-                }
-                while let Some(&d) = chars.peek() {
-                    if d.is_ascii_digit() {
-                        text.push(d);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                let value: i64 = text.parse().map_err(|_| LexError {
-                    found: c,
-                    line,
-                    col,
-                })?;
-                let len = text.len();
-                push!(TokenKind::Int(value), len);
-            }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let mut text = String::new();
-                // `@` continues an identifier: loop unrolling renames
-                // occurrences to `event@iteration` (ctr-workflow::loops).
-                while let Some(&d) = chars.peek() {
-                    if d.is_ascii_alphanumeric() || d == '_' || d == '@' {
-                        text.push(d);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                let len = text.len();
-                push!(TokenKind::Ident(text), len);
-            }
-            other => {
-                return Err(LexError {
-                    found: other,
-                    line,
-                    col,
-                })
-            }
-        }
+        };
+        tokens.push(Token { kind, line, col });
+        // Every token is ASCII: its bytes are its columns.
+        at += len;
+        col += len;
     }
     tokens.push(Token {
         kind: TokenKind::Eof,
@@ -269,11 +183,16 @@ pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
     Ok(tokens)
 }
 
+/// Length of the leading run of `bytes` that `accept` takes.
+fn ascii_run(bytes: &[u8], accept: impl Fn(&u8) -> bool) -> usize {
+    bytes.iter().position(|c| !accept(c)).unwrap_or(bytes.len())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn kinds(input: &str) -> Vec<TokenKind> {
+    fn kinds(input: &str) -> Vec<TokenKind<'_>> {
         lex(input).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -282,13 +201,13 @@ mod tests {
         assert_eq!(
             kinds("a * b # c + d"),
             vec![
-                TokenKind::Ident("a".into()),
+                TokenKind::Ident("a"),
                 TokenKind::Star,
-                TokenKind::Ident("b".into()),
+                TokenKind::Ident("b"),
                 TokenKind::Hash,
-                TokenKind::Ident("c".into()),
+                TokenKind::Ident("c"),
                 TokenKind::Plus,
-                TokenKind::Ident("d".into()),
+                TokenKind::Ident("d"),
                 TokenKind::Eof,
             ]
         );
@@ -299,9 +218,9 @@ mod tests {
         assert_eq!(
             kinds("ship := pack; { }"),
             vec![
-                TokenKind::Ident("ship".into()),
+                TokenKind::Ident("ship"),
                 TokenKind::Define,
-                TokenKind::Ident("pack".into()),
+                TokenKind::Ident("pack"),
                 TokenKind::Semi,
                 TokenKind::LBrace,
                 TokenKind::RBrace,
@@ -316,9 +235,9 @@ mod tests {
             kinds("!frozen \\+frozen"),
             vec![
                 TokenKind::Bang,
-                TokenKind::Ident("frozen".into()),
+                TokenKind::Ident("frozen"),
                 TokenKind::Bang,
-                TokenKind::Ident("frozen".into()),
+                TokenKind::Ident("frozen"),
                 TokenKind::Eof,
             ]
         );
@@ -329,7 +248,7 @@ mod tests {
         assert_eq!(
             kinds("f(3, -12)"),
             vec![
-                TokenKind::Ident("f".into()),
+                TokenKind::Ident("f"),
                 TokenKind::LParen,
                 TokenKind::Int(3),
                 TokenKind::Comma,
@@ -344,11 +263,7 @@ mod tests {
     fn comments_are_skipped() {
         assert_eq!(
             kinds("a // this is a comment\n b"),
-            vec![
-                TokenKind::Ident("a".into()),
-                TokenKind::Ident("b".into()),
-                TokenKind::Eof
-            ]
+            vec![TokenKind::Ident("a"), TokenKind::Ident("b"), TokenKind::Eof]
         );
     }
 
@@ -378,7 +293,7 @@ mod tests {
         // a leading `@` is still an error.
         assert_eq!(
             kinds("poll@2"),
-            vec![TokenKind::Ident("poll@2".into()), TokenKind::Eof]
+            vec![TokenKind::Ident("poll@2"), TokenKind::Eof]
         );
         assert!(lex("@poll").is_err());
     }

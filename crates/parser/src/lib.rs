@@ -18,8 +18,15 @@
 //! assert!(spec.compile().unwrap().is_consistent());
 //! ```
 
-pub mod lexer;
+pub(crate) mod lexer;
 pub mod parser;
 
-pub use lexer::{lex, LexError, Token, TokenKind};
+pub use lexer::LexError;
 pub use parser::{parse_constraint, parse_goal, parse_spec, ParseError};
+
+/// Tokenizes `input` and returns how many tokens it holds, the end of
+/// input included, or the first lexical error. The tokens themselves
+/// borrow the source and stay inside the parser.
+pub fn lex(input: &str) -> Result<usize, LexError> {
+    lexer::lex(input).map(|tokens| tokens.len())
+}

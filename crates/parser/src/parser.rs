@@ -36,6 +36,18 @@
 //!          | ('after' | 'deadline' | 'every') '(' ident ',' duration ')' ';'
 //! duration := INT ('ms' | 's' | 'm' | 'h')
 //! ```
+//!
+//! # What a parse allocates
+//!
+//! Little beyond what it builds. Tokens borrow their text from the
+//! source and are copied, never cloned; a name is interned straight from
+//! that borrowed text, and interning a name already known allocates
+//! nothing. A grammar level with one part returns that part as it is;
+//! one with several gathers them on a stack the parse reuses and hands
+//! them to `seq`/`conc`/`or` (or `Constraint::and`/`or`) in one
+//! exact-size vector, which becomes the node's child list. What is left
+//! is the token vector and per node of the result its own allocations
+//! (`crates/parser/tests/parse_allocs.rs` counts them).
 
 use crate::lexer::{lex, LexError, Token, TokenKind};
 use ctr::constraints::Constraint;
@@ -92,11 +104,18 @@ impl From<LexError> for ParseError {
 /// or three deep.
 const MAX_NESTING: usize = 128;
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
     /// Variable-name → index mapping, scoped per top-level parse.
-    vars: BTreeMap<String, Var>,
+    vars: BTreeMap<&'a str, Var>,
+    /// The parts of every goal level with more than one, gathered here
+    /// and handed to `seq`/`conc`/`or` in one exact-size vector.
+    goals: Vec<Goal>,
+    /// The same for the `and`/`or` levels of constraints.
+    constraints: Vec<Constraint>,
+    /// The events of the constraint form being read.
+    events: Vec<Symbol>,
     /// Goals, constraints and terms currently open around the cursor.
     depth: usize,
     /// The most that were open at once since the counter was last reset
@@ -112,23 +131,26 @@ enum TimerForm {
     Every,
 }
 
-impl Parser {
-    fn new(input: &str) -> Result<Parser, ParseError> {
+impl<'a> Parser<'a> {
+    fn new(input: &'a str) -> Result<Parser<'a>, ParseError> {
         Ok(Parser {
             tokens: lex(input)?,
             pos: 0,
             vars: BTreeMap::new(),
+            goals: Vec::new(),
+            constraints: Vec::new(),
+            events: Vec::new(),
             depth: 0,
             deepest: 0,
         })
     }
 
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos]
+    fn peek(&self) -> Token<'a> {
+        self.tokens[self.pos]
     }
 
-    fn advance(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
+    fn advance(&mut self) -> Token<'a> {
+        let t = self.tokens[self.pos];
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
@@ -151,7 +173,7 @@ impl Parser {
     /// Runs `parse` one nesting level down.
     fn nested<T>(
         &mut self,
-        parse: impl FnOnce(&mut Parser) -> Result<T, ParseError>,
+        parse: impl FnOnce(&mut Parser<'a>) -> Result<T, ParseError>,
     ) -> Result<T, ParseError> {
         if self.depth == MAX_NESTING {
             return Err(self.nesting_error());
@@ -164,7 +186,7 @@ impl Parser {
     }
 
     fn expect(&mut self, kind: &TokenKind) -> Result<(), ParseError> {
-        if &self.peek().kind == kind {
+        if self.peek().kind == *kind {
             self.advance();
             Ok(())
         } else {
@@ -172,10 +194,9 @@ impl Parser {
         }
     }
 
-    fn eat_ident(&mut self) -> Result<String, ParseError> {
-        match &self.peek().kind {
+    fn eat_ident(&mut self) -> Result<&'a str, ParseError> {
+        match self.peek().kind {
             TokenKind::Ident(name) => {
-                let name = name.clone();
                 self.advance();
                 Ok(name)
             }
@@ -183,9 +204,18 @@ impl Parser {
         }
     }
 
+    /// Consumes a `kind` token if it is next; returns whether it was.
+    fn eat(&mut self, kind: TokenKind<'a>) -> bool {
+        let next = self.peek().kind == kind;
+        if next {
+            self.advance();
+        }
+        next
+    }
+
     /// Consumes the identifier `word` if it is next; returns whether it was.
     fn eat_keyword(&mut self, word: &str) -> bool {
-        if matches!(&self.peek().kind, TokenKind::Ident(name) if name == word) {
+        if matches!(self.peek().kind, TokenKind::Ident(name) if name == word) {
             self.advance();
             true
         } else {
@@ -201,35 +231,62 @@ impl Parser {
 
     fn goal(&mut self) -> Result<Goal, ParseError> {
         self.nested(|p| {
-            let mut parts = vec![p.conc_expr()?];
-            while p.peek().kind == TokenKind::Plus {
-                p.advance();
-                parts.push(p.conc_expr()?);
-            }
-            Ok(or(parts))
+            p.level(
+                |p| p.eat(TokenKind::Plus),
+                Parser::conc_expr,
+                |p| &mut p.goals,
+                or,
+            )
         })
     }
 
     fn conc_expr(&mut self) -> Result<Goal, ParseError> {
-        let mut parts = vec![self.serial_expr()?];
-        while self.peek().kind == TokenKind::Hash {
-            self.advance();
-            parts.push(self.serial_expr()?);
-        }
-        Ok(conc(parts))
+        self.level(
+            |p| p.eat(TokenKind::Hash),
+            Parser::serial_expr,
+            |p| &mut p.goals,
+            conc,
+        )
     }
 
     fn serial_expr(&mut self) -> Result<Goal, ParseError> {
-        let mut parts = vec![self.unary_expr()?];
-        while self.peek().kind == TokenKind::Star {
-            self.advance();
-            parts.push(self.unary_expr()?);
+        self.level(
+            |p| p.eat(TokenKind::Star),
+            Parser::unary_expr,
+            |p| &mut p.goals,
+            seq,
+        )
+    }
+
+    /// One level of the grammar: `part (sep part)*`, joined by `join`. A
+    /// lone part is the level's value as it is; several are gathered on
+    /// `stack`, above whatever enclosing levels left there, and handed to
+    /// `join` in one exact-size vector.
+    fn level<T>(
+        &mut self,
+        sep: impl Fn(&mut Parser<'a>) -> bool,
+        part: impl Fn(&mut Parser<'a>) -> Result<T, ParseError>,
+        stack: impl for<'p> Fn(&'p mut Parser<'a>) -> &'p mut Vec<T>,
+        join: impl FnOnce(Vec<T>) -> T,
+    ) -> Result<T, ParseError> {
+        let first = part(self)?;
+        if !sep(self) {
+            return Ok(first);
         }
-        Ok(seq(parts))
+        let base = stack(self).len();
+        stack(self).push(first);
+        loop {
+            let next = part(self)?;
+            stack(self).push(next);
+            if !sep(self) {
+                break;
+            }
+        }
+        Ok(join(stack(self).drain(base..).collect()))
     }
 
     fn unary_expr(&mut self) -> Result<Goal, ParseError> {
-        match &self.peek().kind {
+        match self.peek().kind {
             TokenKind::LParen => {
                 self.advance();
                 let g = self.goal()?;
@@ -241,9 +298,9 @@ impl Parser {
                 let atom = self.atom()?;
                 Ok(Goal::Atom(atom.negate()))
             }
-            TokenKind::Ident(name) => match name.as_str() {
+            TokenKind::Ident(name) => match name {
                 "iso" | "poss" => {
-                    let wrapper = name.clone();
+                    let wrapper = name;
                     self.advance();
                     self.expect(&TokenKind::LParen)?;
                     let g = self.goal()?;
@@ -307,10 +364,10 @@ impl Parser {
                 // goals round-trip through text: `send(xi3)`,
                 // `receive(xi3)`.
                 "send" | "receive" => {
-                    let which = name.clone();
+                    let which = name;
                     self.advance();
                     self.expect(&TokenKind::LParen)?;
-                    let channel = match &self.peek().kind {
+                    let channel = match self.peek().kind {
                         TokenKind::Ident(arg) if arg.starts_with("xi") => {
                             arg["xi".len()..].parse::<u32>().ok()
                         }
@@ -335,9 +392,9 @@ impl Parser {
     }
 
     fn eat_bound(&mut self) -> Result<usize, ParseError> {
-        match &self.peek().kind {
-            TokenKind::Int(n) if *n >= 0 => {
-                let n = *n as usize;
+        match self.peek().kind {
+            TokenKind::Int(n) if n >= 0 => {
+                let n = n as usize;
                 self.advance();
                 Ok(n)
             }
@@ -353,19 +410,16 @@ impl Parser {
             )));
         }
         let mut args = Vec::new();
-        if self.peek().kind == TokenKind::LParen {
-            self.advance();
+        if self.eat(TokenKind::LParen) {
             loop {
                 args.push(self.term()?);
-                if self.peek().kind == TokenKind::Comma {
-                    self.advance();
-                } else {
+                if !self.eat(TokenKind::Comma) {
                     break;
                 }
             }
             self.expect(&TokenKind::RParen)?;
         }
-        Ok(Atom::new(name.as_str(), args))
+        Ok(Atom::new(sym(name), args))
     }
 
     fn term(&mut self) -> Result<Term, ParseError> {
@@ -373,35 +427,31 @@ impl Parser {
     }
 
     fn term_open(&mut self) -> Result<Term, ParseError> {
-        match &self.peek().kind {
+        match self.peek().kind {
             TokenKind::Int(n) => {
-                let n = *n;
                 self.advance();
                 Ok(Term::Int(n))
             }
             TokenKind::Ident(name) => {
-                let name = name.clone();
                 self.advance();
                 if name.starts_with(|c: char| c.is_ascii_uppercase()) {
                     let next = Var(self.vars.len() as u32);
                     let v = *self.vars.entry(name).or_insert(next);
                     return Ok(Term::Var(v));
                 }
-                if self.peek().kind == TokenKind::LParen {
-                    self.advance();
+                if self.eat(TokenKind::LParen) {
                     let mut args = Vec::new();
                     loop {
                         args.push(self.term()?);
-                        if self.peek().kind == TokenKind::Comma {
-                            self.advance();
-                        } else {
+                        if !self.eat(TokenKind::Comma) {
                             break;
                         }
                     }
                     self.expect(&TokenKind::RParen)?;
-                    Ok(Term::compound(&name, args))
+                    // At least one argument: a compound, not a constant.
+                    Ok(Term::Compound(sym(name), args))
                 } else {
-                    Ok(Term::constant(&name))
+                    Ok(Term::Const(sym(name)))
                 }
             }
             other => Err(self.error(format!("expected a term, found {other}"))),
@@ -412,11 +462,12 @@ impl Parser {
 
     fn constraint(&mut self) -> Result<Constraint, ParseError> {
         self.nested(|p| {
-            let mut parts = vec![p.constraint_and()?];
-            while p.eat_keyword("or") {
-                parts.push(p.constraint_and()?);
-            }
-            let left = Constraint::or(parts);
+            let left = p.level(
+                |p| p.eat_keyword("or"),
+                Parser::constraint_and,
+                |p| &mut p.constraints,
+                Constraint::or,
+            )?;
             if p.eat_keyword("implies") {
                 let right = p.constraint()?;
                 Ok(Constraint::implies(left, right))
@@ -427,68 +478,74 @@ impl Parser {
     }
 
     fn constraint_and(&mut self) -> Result<Constraint, ParseError> {
-        let mut parts = vec![self.constraint_prim()?];
-        while self.eat_keyword("and") {
-            parts.push(self.constraint_prim()?);
-        }
-        Ok(Constraint::and(parts))
+        self.level(
+            |p| p.eat_keyword("and"),
+            Parser::constraint_prim,
+            |p| &mut p.constraints,
+            Constraint::and,
+        )
     }
 
-    fn event_args(&mut self, arity: usize) -> Result<Vec<Symbol>, ParseError> {
+    /// Reads `(e₁, …, eₙ)`; an `arity` of 0 takes any number of events.
+    fn event_args(&mut self, arity: usize) -> Result<&[Symbol], ParseError> {
         self.expect(&TokenKind::LParen)?;
-        let mut events = Vec::new();
+        self.events.clear();
         loop {
-            events.push(sym(&self.eat_ident()?));
-            if self.peek().kind == TokenKind::Comma {
-                self.advance();
-            } else {
+            let event = sym(self.eat_ident()?);
+            self.events.push(event);
+            if !self.eat(TokenKind::Comma) {
                 break;
             }
         }
         self.expect(&TokenKind::RParen)?;
-        if arity != 0 && events.len() != arity {
-            return Err(self.error(format!("expected {arity} event(s), found {}", events.len())));
+        let found = self.events.len();
+        if arity != 0 && found != arity {
+            return Err(self.error(format!("expected {arity} event(s), found {found}")));
         }
-        Ok(events)
+        Ok(&self.events)
+    }
+
+    /// Reads `(a, b)`.
+    fn event_pair(&mut self) -> Result<(Symbol, Symbol), ParseError> {
+        let events = self.event_args(2)?;
+        Ok((events[0], events[1]))
     }
 
     fn constraint_prim(&mut self) -> Result<Constraint, ParseError> {
-        if self.peek().kind == TokenKind::LParen {
-            self.advance();
+        if self.eat(TokenKind::LParen) {
             let c = self.constraint()?;
             self.expect(&TokenKind::RParen)?;
             return Ok(c);
         }
         let name = self.eat_ident()?;
-        match name.as_str() {
+        match name {
             "exists" => Ok(Constraint::Must(self.event_args(1)?[0])),
             "absent" => Ok(Constraint::MustNot(self.event_args(1)?[0])),
             "serial" => {
-                let events = self.event_args(0)?;
-                if events.len() < 2 {
+                if self.event_args(0)?.len() < 2 {
                     return Err(self.error("serial(…) needs at least two events"));
                 }
-                Ok(Constraint::serial(events))
+                Ok(Constraint::serial(self.events.clone()))
             }
             "before" => {
-                let events = self.event_args(2)?;
-                Ok(Constraint::order(events[0], events[1]))
+                let (a, b) = self.event_pair()?;
+                Ok(Constraint::order(a, b))
             }
             "klein_order" => {
-                let events = self.event_args(2)?;
-                Ok(Constraint::klein_order(events[0], events[1]))
+                let (a, b) = self.event_pair()?;
+                Ok(Constraint::klein_order(a, b))
             }
             "klein_exists" => {
-                let events = self.event_args(2)?;
-                Ok(Constraint::klein_exists(events[0], events[1]))
+                let (a, b) = self.event_pair()?;
+                Ok(Constraint::klein_exists(a, b))
             }
             "causes" => {
-                let events = self.event_args(2)?;
-                Ok(Constraint::causes_later(events[0], events[1]))
+                let (a, b) = self.event_pair()?;
+                Ok(Constraint::causes_later(a, b))
             }
             "requires" => {
-                let events = self.event_args(2)?;
-                Ok(Constraint::requires_earlier(events[0], events[1]))
+                let (a, b) = self.event_pair()?;
+                Ok(Constraint::requires_earlier(a, b))
             }
             "not" => {
                 self.expect(&TokenKind::LParen)?;
@@ -508,14 +565,14 @@ impl Parser {
     /// Parses the parenthesized tail of a timer item: `(ev, 30s)`.
     fn timer_spec(&mut self, form: TimerForm) -> Result<TimerSpec, ParseError> {
         self.expect(&TokenKind::LParen)?;
-        let event = self.eat_ident()?;
+        let event = sym(self.eat_ident()?);
         self.expect(&TokenKind::Comma)?;
         let ms = self.eat_duration()?;
         self.expect(&TokenKind::RParen)?;
         Ok(match form {
-            TimerForm::After => TimerSpec::after(event.as_str(), ms),
-            TimerForm::Deadline => TimerSpec::deadline(event.as_str(), ms),
-            TimerForm::Every => TimerSpec::every(event.as_str(), ms),
+            TimerForm::After => TimerSpec::after(event, ms),
+            TimerForm::Deadline => TimerSpec::deadline(event, ms),
+            TimerForm::Every => TimerSpec::every(event, ms),
         })
     }
 
@@ -523,9 +580,9 @@ impl Parser {
     /// milliseconds. The lexer splits `30s` into an integer and an
     /// identifier, so the unit arrives as a separate token.
     fn eat_duration(&mut self) -> Result<u64, ParseError> {
-        let n = match &self.peek().kind {
-            TokenKind::Int(n) if *n >= 0 => {
-                let n = *n as u64;
+        let n = match self.peek().kind {
+            TokenKind::Int(n) if n >= 0 => {
+                let n = n as u64;
                 self.advance();
                 n
             }
@@ -536,7 +593,7 @@ impl Parser {
             }
         };
         let unit = self.eat_ident()?;
-        let scale: u64 = match unit.as_str() {
+        let scale: u64 = match unit {
             "ms" => 1,
             "s" => 1_000,
             "m" => 60_000,
@@ -557,7 +614,7 @@ impl Parser {
         }
         let name = self.eat_ident()?;
         self.expect(&TokenKind::LBrace)?;
-        let mut spec = WorkflowSpec::new(&name, Goal::Empty);
+        let mut spec = WorkflowSpec::new(name, Goal::Empty);
         let mut saw_graph = false;
         while self.peek().kind != TokenKind::RBrace {
             if self.eat_keyword("graph") {
@@ -567,11 +624,11 @@ impl Parser {
                 spec.graph = self.goal()?;
                 saw_graph = true;
             } else if self.eat_keyword("define") {
-                let sub = self.eat_ident()?;
+                let sub = sym(self.eat_ident()?);
                 self.expect(&TokenKind::Define)?;
                 let body = self.goal()?;
                 spec.subworkflows
-                    .define(sub.as_str(), body)
+                    .define(sub, body)
                     .map_err(|e| self.error(e.to_string()))?;
             } else if self.eat_keyword("constraint") {
                 spec.constraints.push(self.constraint()?);
@@ -579,7 +636,7 @@ impl Parser {
                 if !self.eat_keyword("on") {
                     return Err(self.error("expected `on <event>` after `trigger`"));
                 }
-                let on = self.eat_ident()?;
+                let on = sym(self.eat_ident()?);
                 let condition = if self.eat_keyword("if") {
                     Some(self.atom()?)
                 } else {
@@ -595,7 +652,7 @@ impl Parser {
                     TriggerSemantics::Immediate
                 };
                 spec.triggers.push(Trigger {
-                    on: sym(&on),
+                    on,
                     condition,
                     action,
                     semantics,
@@ -1012,6 +1069,51 @@ mod tests {
     #[test]
     fn uppercase_predicate_is_rejected() {
         assert!(parse_goal("Approve").is_err());
+    }
+
+    #[test]
+    fn columns_count_characters_not_bytes() {
+        let at = |input: &str| {
+            let e = parse_goal(input).unwrap_err();
+            (e.message, e.line, e.col)
+        };
+        let stray =
+            |c: char, line: usize, col: usize| (format!("unexpected character `{c}`"), line, col);
+        let no_goal =
+            |line: usize, col: usize| ("expected a goal, found `*`".to_owned(), line, col);
+        // A multi-byte character is one column, as an error and as space.
+        assert_eq!(at("a * é"), stray('é', 1, 5));
+        assert_eq!(at("a *\u{3000}\u{3000}@"), stray('@', 1, 6));
+        // A non-breaking space and a tab are one column each.
+        assert_eq!(at("a\u{a0}* *"), no_goal(1, 5));
+        assert_eq!(at("a\u{a0}*\u{a0}\u{a0}@"), stray('@', 1, 6));
+        assert_eq!(at("a\t* *"), no_goal(1, 5));
+        assert_eq!(at("\t\ta * @"), stray('@', 1, 7));
+        // CRLF: the `\r` is a column of the line it ends, the next starts
+        // at 1.
+        assert_eq!(at("a *\r\n  *"), no_goal(2, 3));
+        assert_eq!(at("a\r\n\r\n @"), stray('@', 3, 2));
+        // A comment holding multi-byte text ends at its newline.
+        assert_eq!(at("a // naïve — ok\n * *"), no_goal(2, 4));
+        let eof = ("expected a goal, found end of input".to_owned(), 1, 5);
+        assert_eq!(at("a * // naïve"), eof);
+    }
+
+    proptest::proptest! {
+        /// Display and the parser agree on random canonical goals, `⊙`
+        /// and `◇` wrappers and `ε` alternatives included.
+        #[test]
+        fn canonical_goals_round_trip_through_text(seed in 0u64..1_000_000, wrap in 0u8..4) {
+            let shape = ctr::gen::GoalShape { depth: 5, width: 4, or_bias: 0.3 };
+            let (goal, _) = ctr::gen::random_goal(seed, shape, "e");
+            let goal = match wrap {
+                0 => isolated(goal),
+                1 => seq(vec![possible(goal.clone()), goal]),
+                _ => goal,
+            };
+            let text = goal.to_string();
+            proptest::prop_assert_eq!(parse_goal(&text).unwrap(), goal, "{}", text);
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::triggers::{compile_triggers, Trigger};
 use ctr::analysis::{self, CompileError, Compiled, Verification};
 use ctr::apply::ChannelAlloc;
 use ctr::constraints::Constraint;
-use ctr::goal::Goal;
+use ctr::goal::{event_fp_bits, Goal};
 use ctr::symbol::Symbol;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -101,20 +101,42 @@ impl SubWorkflows {
     }
 
     /// Replaces every defined name in `goal` with the disjunction of its
-    /// bodies, recursively (definitions are acyclic, so this terminates).
+    /// bodies, recursively (definitions are acyclic, so this terminates),
+    /// rebuilding through the smart constructors.
+    ///
+    /// A canonical subgoal whose event fingerprint rules out every defined
+    /// name is returned as it is: the rebuild would only reproduce it. So
+    /// a specification with no `define` lowers its graph without a walk.
     pub fn expand(&self, goal: &Goal) -> Goal {
+        let mask = self
+            .names()
+            .fold(0, |mask, name| mask | event_fp_bits(name));
+        self.expand_under(goal, mask)
+    }
+
+    /// [`SubWorkflows::expand`], given the union of the defined names'
+    /// fingerprints: a node it misses names none of them, and only a node
+    /// it hits asks each name.
+    fn expand_under(&self, goal: &Goal, mask: u64) -> Goal {
+        if goal.is_canonical()
+            && (goal.events_fingerprint() & mask == 0
+                || !self.names().any(|name| goal.may_mention(name)))
+        {
+            return goal.clone();
+        }
+        let expand = |g: &Goal| self.expand_under(g, mask);
         match goal {
             Goal::Atom(a) if a.is_prop() && self.defines(a.pred) => {
-                ctr::goal::or(self.bodies(a.pred).iter().map(|b| self.expand(b)).collect())
+                ctr::goal::or(self.bodies(a.pred).iter().map(expand).collect())
             }
             Goal::Atom(_) | Goal::Send(_) | Goal::Receive(_) | Goal::Empty | Goal::NoPath => {
                 goal.clone()
             }
-            Goal::Seq(gs) => ctr::goal::seq(gs.iter().map(|g| self.expand(g)).collect()),
-            Goal::Conc(gs) => ctr::goal::conc(gs.iter().map(|g| self.expand(g)).collect()),
-            Goal::Or(gs) => ctr::goal::or(gs.iter().map(|g| self.expand(g)).collect()),
-            Goal::Isolated(g) => ctr::goal::isolated(self.expand(g)),
-            Goal::Possible(g) => ctr::goal::possible(self.expand(g)),
+            Goal::Seq(gs) => ctr::goal::seq(gs.iter().map(expand).collect()),
+            Goal::Conc(gs) => ctr::goal::conc(gs.iter().map(expand).collect()),
+            Goal::Or(gs) => ctr::goal::or(gs.iter().map(expand).collect()),
+            Goal::Isolated(g) => ctr::goal::isolated(expand(g)),
+            Goal::Possible(g) => ctr::goal::possible(expand(g)),
         }
     }
 
