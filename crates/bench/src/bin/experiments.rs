@@ -20,7 +20,7 @@ use ctr_baselines::{explore, PassiveValidator, ProductScheduler};
 use ctr_bench::ablation::apply_unscoped;
 use ctr_bench::{fmt_ns, log_growth_factor, power_law_exponent, time_mean, Table};
 use ctr_engine::scheduler::{Program, Scheduler};
-use ctr_workflow::{compile_triggers, Trigger, WorkflowSpec};
+use ctr_workflow::{compile_timer, compile_triggers, unroll, TimerSpec, Trigger, WorkflowSpec};
 use std::time::{Duration, Instant};
 
 fn main() {
@@ -473,7 +473,7 @@ fn e8_triggers() {
     println!("## E8 — §1/[7]: triggers compile into the control flow graph at linear cost\n");
     let mut table = Table::new(&["triggers", "|G| before", "|G| after", "compile time"]);
     let mut pts = Vec::new();
-    for t in [1usize, 2, 4, 8, 16, 32, 64] {
+    for t in [1usize, 2, 4, 8, 16, 32, 64, 128, 256] {
         let goal = gen::pipeline_workflow(t + 4);
         let triggers: Vec<Trigger> = (0..t)
             .map(|i| Trigger::immediate(sym(&format!("t{i}")), Goal::atom(format!("audit{i}"))))
@@ -491,8 +491,32 @@ fn e8_triggers() {
     }
     print!("{}", table.render());
     println!(
-        "\nPower-law exponent of compile time vs trigger count: {:.2} (≈ linear–quadratic \
-         in the trigger list, each pass linear in |G|)\n",
+        "\nPower-law exponent of compile time vs trigger count: {:.2} (the triggers compose \
+         into one substitution, one walk over |G|)\n",
+        power_law_exponent(&pts)
+    );
+
+    println!("`every(poll, 5s)` over a `repeat` family of n members (one after-gate each):\n");
+    let mut table = Table::new(&["members", "|G| before", "|G| after", "compile time"]);
+    let mut pts = Vec::new();
+    let timer = TimerSpec::every("poll", 5_000);
+    for n in [8usize, 16, 32, 64, 128, 256] {
+        let goal = unroll(&Goal::atom("poll"), n, n).goal;
+        let time = time_mean(10, || {
+            compile_timer(&goal, &timer, &mut ChannelAlloc::fresh_for(&goal))
+        });
+        let after = compile_timer(&goal, &timer, &mut ChannelAlloc::fresh_for(&goal));
+        pts.push((n as f64, time.as_nanos() as f64));
+        table.row(vec![
+            n.to_string(),
+            goal.size().to_string(),
+            after.size().to_string(),
+            fmt_ns(time),
+        ]);
+    }
+    print!("{}", table.render());
+    println!(
+        "\nPower-law exponent of compile time vs family size: {:.2}\n",
         power_law_exponent(&pts)
     );
 }

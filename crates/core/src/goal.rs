@@ -558,6 +558,32 @@ impl Goal {
         }
     }
 
+    /// Replaces each event atom `e` for which `f(e)` returns a goal with
+    /// that goal, rebuilding through the smart constructors: the one
+    /// atom-for-goal rewrite behind sub-workflow expansion, loop unrolling
+    /// and trigger and timer lowering. `mask` holds the
+    /// [`event_fp_bits`] of every event `f` may replace; a canonical
+    /// subgoal whose fingerprint misses it is returned as it is, since a
+    /// rebuild would only reproduce it. Atoms are offered to `f` left to
+    /// right.
+    pub fn substitute(&self, mask: u64, f: &mut impl FnMut(Symbol) -> Option<Goal>) -> Goal {
+        if self.events_fingerprint() & mask == 0 && self.is_canonical() {
+            return self.clone();
+        }
+        match self {
+            Goal::Atom(a) => a
+                .as_event()
+                .and_then(&mut *f)
+                .unwrap_or_else(|| self.clone()),
+            Goal::Seq(gs) => seq(gs.iter().map(|g| g.substitute(mask, f)).collect()),
+            Goal::Conc(gs) => conc(gs.iter().map(|g| g.substitute(mask, f)).collect()),
+            Goal::Or(gs) => or(gs.iter().map(|g| g.substitute(mask, f)).collect()),
+            Goal::Isolated(g) => isolated(g.substitute(mask, f)),
+            Goal::Possible(g) => possible(g.substitute(mask, f)),
+            Goal::Send(_) | Goal::Receive(_) | Goal::Empty | Goal::NoPath => self.clone(),
+        }
+    }
+
     /// Rebuilds the goal through the smart constructors, enforcing the
     /// canonical simplified form (flattened connectives, units dropped,
     /// `¬path` absorbed per the tautologies of §5). Goals produced by this

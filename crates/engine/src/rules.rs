@@ -40,9 +40,6 @@ pub enum RuleError {
     Recursive(Symbol),
     /// A rule head is negated, which is not Horn.
     NegatedHead(Symbol),
-    /// Static expansion was requested on a base with recursion enabled;
-    /// bounded recursion cannot be flattened.
-    CannotExpandRecursive,
 }
 
 impl fmt::Display for RuleError {
@@ -54,9 +51,6 @@ impl fmt::Display for RuleError {
                  require acyclic sub-workflow definitions (enable bounded recursion to allow)"
             ),
             RuleError::NegatedHead(p) => write!(f, "rule head `{p}` must not be negated"),
-            RuleError::CannotExpandRecursive => {
-                write!(f, "cannot statically expand a recursive rule base")
-            }
         }
     }
 }
@@ -196,44 +190,6 @@ impl RuleBase {
         }
         None
     }
-
-    /// Fully expands every defined propositional predicate in `goal`,
-    /// replacing each call with the disjunction of its rule bodies. Only
-    /// valid for non-recursive, propositional (variable-free) rule bases —
-    /// the flattening used before constraint compilation when global
-    /// dependencies span sub-workflow boundaries (§7).
-    ///
-    /// # Errors
-    ///
-    /// [`RuleError::CannotExpandRecursive`] if recursion was enabled —
-    /// bounded recursion cannot be flattened statically.
-    pub fn expand(&self, goal: &Goal) -> Result<Goal, RuleError> {
-        if self.allow_recursion {
-            return Err(RuleError::CannotExpandRecursive);
-        }
-        Ok(self.expand_inner(goal))
-    }
-
-    fn expand_inner(&self, goal: &Goal) -> Goal {
-        match goal {
-            Goal::Atom(a) if a.is_prop() && self.defines(a.pred) => {
-                let bodies: Vec<Goal> = self
-                    .rules_for(a.pred)
-                    .iter()
-                    .map(|r| self.expand_inner(&r.body))
-                    .collect();
-                ctr::goal::or(bodies)
-            }
-            Goal::Atom(_) | Goal::Send(_) | Goal::Receive(_) | Goal::Empty | Goal::NoPath => {
-                goal.clone()
-            }
-            Goal::Seq(gs) => ctr::goal::seq(gs.iter().map(|g| self.expand_inner(g)).collect()),
-            Goal::Conc(gs) => ctr::goal::conc(gs.iter().map(|g| self.expand_inner(g)).collect()),
-            Goal::Or(gs) => ctr::goal::or(gs.iter().map(|g| self.expand_inner(g)).collect()),
-            Goal::Isolated(g) => ctr::goal::isolated(self.expand_inner(g)),
-            Goal::Possible(g) => ctr::goal::possible(self.expand_inner(g)),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -305,37 +261,6 @@ mod tests {
             })
             .unwrap_err();
         assert_eq!(err, RuleError::NegatedHead(sym("p")));
-    }
-
-    #[test]
-    fn expand_flattens_nested_subworkflows() {
-        let mut rb = RuleBase::new();
-        rb.define("inner", or(vec![g("x"), g("y")])).unwrap();
-        rb.define("outer", seq(vec![g("a"), g("inner")])).unwrap();
-        let flat = rb.expand(&seq(vec![g("outer"), g("z")])).unwrap();
-        assert_eq!(flat, seq(vec![g("a"), or(vec![g("x"), g("y")]), g("z")]));
-    }
-
-    #[test]
-    fn expand_with_alternative_definitions_becomes_or() {
-        let mut rb = RuleBase::new();
-        rb.define("pay", g("card")).unwrap();
-        rb.define("pay", g("cash")).unwrap();
-        assert_eq!(
-            rb.expand(&g("pay")).unwrap(),
-            or(vec![g("card"), g("cash")])
-        );
-    }
-
-    #[test]
-    fn expand_rejects_recursive_base() {
-        let mut rb = RuleBase::new();
-        rb.allow_recursion();
-        rb.define("loop", or(vec![Goal::Empty, g("loop")])).unwrap();
-        assert_eq!(
-            rb.expand(&g("loop")).unwrap_err(),
-            RuleError::CannotExpandRecursive
-        );
     }
 
     #[test]

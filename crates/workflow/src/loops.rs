@@ -17,7 +17,7 @@
 //! depth bound).
 
 use ctr::constraints::Constraint;
-use ctr::goal::{conc, isolated, or, possible, seq, Goal};
+use ctr::goal::{or, seq, Goal};
 use ctr::symbol::{sym, Symbol};
 use std::collections::BTreeMap;
 
@@ -48,8 +48,19 @@ pub fn unroll(body: &Goal, min: usize, max: usize) -> Unrolling {
     assert!(max > 0, "at least one unrolled iteration is required");
 
     let mut occurrences: BTreeMap<Symbol, Vec<Symbol>> = BTreeMap::new();
+    // Conditions and first-order atoms are state queries, not events:
+    // `substitute` offers only events, so they repeat freely.
     let iterations: Vec<Goal> = (1..=max)
-        .map(|i| rename_iteration(body, i, &mut occurrences))
+        .map(|i| {
+            body.substitute(!0, &mut |e| {
+                let renamed = iteration_event(e, i);
+                let list = occurrences.entry(e).or_default();
+                if !list.contains(&renamed) {
+                    list.push(renamed);
+                }
+                Some(Goal::atom(renamed))
+            })
+        })
         .collect();
 
     // mandatory prefix ⊗ optional nested suffix:
@@ -63,44 +74,6 @@ pub fn unroll(body: &Goal, min: usize, max: usize) -> Unrolling {
     Unrolling {
         goal: seq(parts),
         occurrences,
-    }
-}
-
-fn rename_iteration(
-    goal: &Goal,
-    i: usize,
-    occurrences: &mut BTreeMap<Symbol, Vec<Symbol>>,
-) -> Goal {
-    match goal {
-        Goal::Atom(a) => match a.as_event() {
-            Some(e) => {
-                let renamed = iteration_event(e, i);
-                let list = occurrences.entry(e).or_default();
-                if !list.contains(&renamed) {
-                    list.push(renamed);
-                }
-                Goal::atom(renamed)
-            }
-            // Conditions and first-order atoms are state queries, not
-            // events: they repeat freely.
-            None => goal.clone(),
-        },
-        Goal::Seq(gs) => seq(gs
-            .iter()
-            .map(|g| rename_iteration(g, i, occurrences))
-            .collect()),
-        Goal::Conc(gs) => conc(
-            gs.iter()
-                .map(|g| rename_iteration(g, i, occurrences))
-                .collect(),
-        ),
-        Goal::Or(gs) => or(gs
-            .iter()
-            .map(|g| rename_iteration(g, i, occurrences))
-            .collect()),
-        Goal::Isolated(g) => isolated(rename_iteration(g, i, occurrences)),
-        Goal::Possible(g) => possible(rename_iteration(g, i, occurrences)),
-        other => other.clone(),
     }
 }
 
@@ -177,6 +150,7 @@ impl Unrolling {
 mod tests {
     use super::*;
     use ctr::analysis::compile;
+    use ctr::goal::conc;
     use ctr::semantics::event_traces;
     use ctr::unique::is_unique_event;
 

@@ -15,15 +15,15 @@
 //! there, and the exponent in Theorem 5.11 drops from the total
 //! constraint count `N` to the largest count `M` whose scopes overlap.
 
-use crate::timers::{compile_timers, TimerSpec};
-use crate::triggers::{compile_triggers, Trigger};
+use crate::timers::TimerSpec;
+use crate::triggers::{Trigger, TriggerSemantics};
 use ctr::analysis::{self, CompileError, Compiled, Verification};
 use ctr::apply::ChannelAlloc;
 use ctr::constraints::Constraint;
-use ctr::goal::{event_fp_bits, Goal};
+use ctr::goal::{conc, event_fp_bits, or, seq, Goal};
 use ctr::symbol::Symbol;
 use std::collections::BTreeMap;
-use std::fmt;
+use std::{fmt, iter};
 
 /// Propositional sub-workflow definitions: `name ← body` concurrent-Horn
 /// rules, restricted (per the paper's non-iterative assumption) to acyclic
@@ -102,42 +102,17 @@ impl SubWorkflows {
 
     /// Replaces every defined name in `goal` with the disjunction of its
     /// bodies, recursively (definitions are acyclic, so this terminates),
-    /// rebuilding through the smart constructors.
-    ///
-    /// A canonical subgoal whose event fingerprint rules out every defined
-    /// name is returned as it is: the rebuild would only reproduce it. So
-    /// a specification with no `define` lowers its graph without a walk.
+    /// rebuilding through the smart constructors. A canonical subgoal that
+    /// names nothing defined is returned as it is, so a specification with
+    /// no `define` lowers its graph without a walk.
     pub fn expand(&self, goal: &Goal) -> Goal {
         let mask = self
             .names()
             .fold(0, |mask, name| mask | event_fp_bits(name));
-        self.expand_under(goal, mask)
-    }
-
-    /// [`SubWorkflows::expand`], given the union of the defined names'
-    /// fingerprints: a node it misses names none of them, and only a node
-    /// it hits asks each name.
-    fn expand_under(&self, goal: &Goal, mask: u64) -> Goal {
-        if goal.is_canonical()
-            && (goal.events_fingerprint() & mask == 0
-                || !self.names().any(|name| goal.may_mention(name)))
-        {
-            return goal.clone();
-        }
-        let expand = |g: &Goal| self.expand_under(g, mask);
-        match goal {
-            Goal::Atom(a) if a.is_prop() && self.defines(a.pred) => {
-                ctr::goal::or(self.bodies(a.pred).iter().map(expand).collect())
-            }
-            Goal::Atom(_) | Goal::Send(_) | Goal::Receive(_) | Goal::Empty | Goal::NoPath => {
-                goal.clone()
-            }
-            Goal::Seq(gs) => ctr::goal::seq(gs.iter().map(expand).collect()),
-            Goal::Conc(gs) => ctr::goal::conc(gs.iter().map(expand).collect()),
-            Goal::Or(gs) => ctr::goal::or(gs.iter().map(expand).collect()),
-            Goal::Isolated(g) => ctr::goal::isolated(expand(g)),
-            Goal::Possible(g) => ctr::goal::possible(expand(g)),
-        }
+        goal.substitute(mask, &mut |name| {
+            let bodies = self.defs.get(&name)?;
+            Some(or(bodies.iter().map(|body| self.expand(body)).collect()))
+        })
     }
 
     /// A defined name on a reference cycle, if any.
@@ -216,8 +191,7 @@ impl WorkflowSpec {
     /// trigger-duplicated occurrences of its event.
     fn lower(&self, expanded: &Goal) -> Goal {
         let mut channels = ChannelAlloc::fresh_for(expanded);
-        let triggered = compile_triggers(expanded, &self.triggers, &mut channels);
-        compile_timers(&triggered, &self.timers, &mut channels)
+        lower(expanded, &self.triggers, &self.timers, &mut channels)
     }
 
     /// Full compilation: flatten, `Apply` every constraint, `Excise`
@@ -260,6 +234,86 @@ impl WorkflowSpec {
             [init @ .., last] => format!("constraints {} and {last} conflict", init.join(", ")),
         }))
     }
+}
+
+/// Triggers, then timers, compiled into `goal` in one pass.
+///
+/// Each immediate trigger, and each event a timer matches, is a rule
+/// "every `e` becomes `R`"; a timer's also adds a part that runs beside
+/// the goal. The rules go into the goal together ([`apply_rules`]). An eventual
+/// trigger splits the goal through `apply_must`/`apply_must_not`, so the
+/// rules before it are applied there. Timers match against the events of
+/// the goal the triggers leave, taken once and sorted by name: a timer's
+/// rule adds no event but its tick, which no timer matches. Channels are
+/// drawn in list order, so the result is the rule-by-rule fold's, channel
+/// ids included.
+pub(crate) fn lower(
+    goal: &Goal,
+    triggers: &[Trigger],
+    timers: &[TimerSpec],
+    channels: &mut ChannelAlloc,
+) -> Goal {
+    let mut current = goal.clone();
+    let mut rules = Vec::new();
+    for trigger in triggers {
+        match trigger.semantics {
+            TriggerSemantics::Immediate => {
+                let into = seq(vec![Goal::atom(trigger.on), trigger.guarded_action()]);
+                rules.push((trigger.on, into));
+            }
+            TriggerSemantics::Eventual => {
+                current = trigger.eventually(&apply_rules(current, &rules), channels);
+                rules.clear();
+            }
+        }
+    }
+    current = apply_rules(current, &rules);
+    if timers.is_empty() {
+        return current;
+    }
+    let mut events: Vec<_> = current
+        .events()
+        .into_iter()
+        .map(|e| (e.as_str(), e))
+        .collect();
+    events.sort_unstable();
+    rules.clear();
+    let mut beside = Vec::new();
+    for timer in timers {
+        for (k, target) in timer.matches(&events) {
+            let (into, part) = timer.rule(k, target, channels.fresh());
+            rules.push((target, into));
+            beside.push(part);
+        }
+    }
+    if beside.is_empty() {
+        return current;
+    }
+    conc(
+        iter::once(apply_rules(current, &rules))
+            .chain(beside)
+            .collect(),
+    )
+}
+
+/// `goal` with the rules "every `e` becomes `R`" applied in list order, a
+/// later rule also rewriting what an earlier one put in, by one
+/// [`Goal::substitute`]. The rules compose first, from the last back: what
+/// `e` becomes under the rules from `k` on is rule `k`'s `R` with each
+/// event replaced by what it becomes under the rules after `k`.
+fn apply_rules(goal: Goal, rules: &[(Symbol, Goal)]) -> Goal {
+    if rules.is_empty() {
+        return goal;
+    }
+    let mask = rules
+        .iter()
+        .fold(0, |mask, &(e, _)| mask | event_fp_bits(e));
+    let mut images = BTreeMap::new();
+    for (e, into) in rules.iter().rev() {
+        let image = into.substitute(mask, &mut |y| images.get(&y).cloned());
+        images.insert(*e, image);
+    }
+    goal.substitute(mask, &mut |e| images.get(&e).cloned())
 }
 
 #[cfg(test)]

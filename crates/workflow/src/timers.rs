@@ -34,9 +34,8 @@
 //! event. Declaring the same timer twice mints the same tick name
 //! twice and is rejected downstream by the unique-event check.
 
-use crate::triggers::rewrite_event;
 use ctr::apply::ChannelAlloc;
-use ctr::goal::{conc, or, seq, Goal};
+use ctr::goal::{or, seq, Channel, Goal};
 use ctr::symbol::{sym, Symbol};
 use ctr::timer::{render_delay, tick_name, TimerKind};
 use std::fmt;
@@ -115,41 +114,41 @@ impl fmt::Display for TimerSpec {
     }
 }
 
-/// The events of `goal` matching a timer's `event`: the exact name, or
-/// `repeat`-minted occurrences `event@1`, `event@2`, …. Returned in
-/// occurrence order (the exact name counts as occurrence 0); names
-/// that are themselves ticks never match (a timer cannot time another
-/// timer's tick).
-fn matching_events(goal: &Goal, event: Symbol) -> Vec<(u64, Symbol)> {
-    let base = event.as_str();
-    let mut found: Vec<(u64, Symbol)> = goal
-        .events()
-        .into_iter()
-        .filter(|e| ctr::timer::parse_tick(e.as_str()).is_none())
-        .filter_map(|e| {
-            let name = e.as_str();
-            if name == base {
-                return Some((0, e));
-            }
-            let suffix = name.strip_prefix(base)?.strip_prefix('@')?;
-            if !suffix.is_empty() && suffix.bytes().all(|b| b.is_ascii_digit()) {
-                Some((suffix.parse().ok()?, e))
-            } else {
-                None
-            }
-        })
-        .collect();
-    found.sort_unstable();
-    found
-}
+impl TimerSpec {
+    /// The events this timer matches among `events`, a goal's events
+    /// sorted by name: the exact name, or `repeat`-minted occurrences
+    /// `event@1`, `event@2`, …. Returned in occurrence order (the exact
+    /// name counts as occurrence 0); names that are themselves ticks never
+    /// match (a timer cannot time another timer's tick). Only the names
+    /// that start with the timer's event are looked at.
+    pub(crate) fn matches(&self, events: &[(&str, Symbol)]) -> Vec<(u64, Symbol)> {
+        let base = self.event.as_str();
+        let from = events.partition_point(|&(name, _)| name < base);
+        let mut found: Vec<(u64, Symbol)> = events[from..]
+            .iter()
+            .take_while(|(name, _)| name.starts_with(base))
+            .filter(|(name, _)| ctr::timer::parse_tick(name).is_none())
+            .filter_map(|&(name, e)| {
+                if name == base {
+                    return Some((0, e));
+                }
+                let suffix = name.strip_prefix(base)?.strip_prefix('@')?;
+                if !suffix.is_empty() && suffix.bytes().all(|b| b.is_ascii_digit()) {
+                    Some((suffix.parse().ok()?, e))
+                } else {
+                    None
+                }
+            })
+            .collect();
+        found.sort_unstable();
+        found
+    }
 
-/// Compiles one timer into the goal; identity when the event is
-/// absent. `channels` must be fresh for `goal`
-/// ([`ChannelAlloc::fresh_for`]).
-pub fn compile_timer(goal: &Goal, timer: &TimerSpec, channels: &mut ChannelAlloc) -> Goal {
-    let mut current = goal.clone();
-    for (k, target) in matching_events(goal, timer.event) {
-        let (kind, delay_ms) = match timer.rule {
+    /// The rule for the `k`-th match `target` on channel `xi`: what every
+    /// occurrence of `target` becomes, and the part that runs beside the
+    /// goal.
+    pub(crate) fn rule(&self, k: u64, target: Symbol, xi: Channel) -> (Goal, Goal) {
+        let (kind, delay_ms) = match self.rule {
             TimerRule::After { delay_ms } => (TimerKind::After, delay_ms),
             TimerRule::Deadline { delay_ms } => (TimerKind::Deadline, delay_ms),
             // The k-th family member waits k periods; a bare (non-
@@ -159,43 +158,37 @@ pub fn compile_timer(goal: &Goal, timer: &TimerSpec, channels: &mut ChannelAlloc
             }
         };
         let tick = Goal::atom(sym(&tick_name(target.as_str(), kind, delay_ms)));
-        let xi = channels.fresh();
-        current = match kind {
-            TimerKind::After => {
-                let gated = rewrite_event(
-                    &current,
-                    target,
-                    &seq(vec![Goal::Receive(xi), Goal::atom(target)]),
-                );
-                conc(vec![gated, seq(vec![tick, Goal::Send(xi)])])
-            }
-            TimerKind::Deadline => {
-                let signalling = rewrite_event(
-                    &current,
-                    target,
-                    &seq(vec![Goal::atom(target), Goal::Send(xi)]),
-                );
-                conc(vec![signalling, or(vec![Goal::Receive(xi), tick])])
-            }
-        };
+        match kind {
+            TimerKind::After => (
+                seq(vec![Goal::Receive(xi), Goal::atom(target)]),
+                seq(vec![tick, Goal::Send(xi)]),
+            ),
+            TimerKind::Deadline => (
+                seq(vec![Goal::atom(target), Goal::Send(xi)]),
+                or(vec![Goal::Receive(xi), tick]),
+            ),
+        }
     }
-    current
+}
+
+/// Compiles one timer into the goal; identity when the event is
+/// absent. `channels` must be fresh for `goal`
+/// ([`ChannelAlloc::fresh_for`]).
+pub fn compile_timer(goal: &Goal, timer: &TimerSpec, channels: &mut ChannelAlloc) -> Goal {
+    crate::spec::lower(goal, &[], std::slice::from_ref(timer), channels)
 }
 
 /// Compiles a list of timers in order (like triggers, earlier rewrites
 /// are visible to later ones, so an event carrying both an `after`
 /// gate and a `deadline` watchdog composes).
 pub fn compile_timers(goal: &Goal, timers: &[TimerSpec], channels: &mut ChannelAlloc) -> Goal {
-    let mut current = goal.clone();
-    for t in timers {
-        current = compile_timer(&current, t, channels);
-    }
-    current
+    crate::spec::lower(goal, &[], timers, channels)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ctr::goal::conc;
     use ctr::semantics::event_traces;
     use ctr::timer::parse_tick;
     use std::collections::BTreeSet;

@@ -16,9 +16,12 @@
 //!   fresh channel, and the action body `receive`s before it starts —
 //!   executions without the event keep the original goal:
 //!   `Apply(¬∇e, G) ∨ ((G with e ⊗ send ξ) | (receive ξ ⊗ action))`.
+//!
+//! A list compiles in one pass with the timers (`crate::spec::lower`):
+//! the immediate triggers between two eventual ones are one substitution.
 
 use ctr::apply::{apply_must, apply_must_not, ChannelAlloc};
-use ctr::goal::{conc, or, seq, Goal};
+use ctr::goal::{conc, event_fp_bits, or, seq, Goal};
 use ctr::symbol::Symbol;
 use ctr::term::Atom;
 use std::fmt;
@@ -75,7 +78,7 @@ impl Trigger {
 
     /// The action guarded by the condition:
     /// `(cond ⊗ action) ∨ ¬cond`, or just the action when unconditional.
-    fn guarded_action(&self) -> Goal {
+    pub(crate) fn guarded_action(&self) -> Goal {
         match &self.condition {
             None => self.action.clone(),
             Some(c) => or(vec![
@@ -83,6 +86,27 @@ impl Trigger {
                 Goal::Atom(c.negate()),
             ]),
         }
+    }
+
+    /// An eventual trigger compiled into `goal`: executions without the
+    /// event keep it, and in the others the event signals the action.
+    pub(crate) fn eventually(&self, goal: &Goal, channels: &mut ChannelAlloc) -> Goal {
+        let without = apply_must_not(self.on, goal);
+        let with = apply_must(self.on, goal);
+        if with.is_nopath() {
+            return without;
+        }
+        let xi = channels.fresh();
+        let signalled = with.substitute(event_fp_bits(self.on), &mut |e| {
+            (e == self.on).then(|| seq(vec![Goal::atom(e), Goal::Send(xi)]))
+        });
+        or(vec![
+            without,
+            conc(vec![
+                signalled,
+                seq(vec![Goal::Receive(xi), self.guarded_action()]),
+            ]),
+        ])
     }
 }
 
@@ -100,72 +124,16 @@ impl fmt::Display for Trigger {
     }
 }
 
-/// Rewrites every occurrence of event `e` in the goal to `f(e)`.
-/// Shared with timer compilation (`crate::timers`), which gates and
-/// watchdogs events with the same structural rewrite.
-pub(crate) fn rewrite_event(goal: &Goal, e: Symbol, replacement: &Goal) -> Goal {
-    match goal {
-        Goal::Atom(a) if a.as_event() == Some(e) => replacement.clone(),
-        Goal::Atom(_) | Goal::Send(_) | Goal::Receive(_) | Goal::Empty | Goal::NoPath => {
-            goal.clone()
-        }
-        Goal::Seq(gs) => seq(gs
-            .iter()
-            .map(|g| rewrite_event(g, e, replacement))
-            .collect()),
-        Goal::Conc(gs) => conc(
-            gs.iter()
-                .map(|g| rewrite_event(g, e, replacement))
-                .collect(),
-        ),
-        Goal::Or(gs) => or(gs
-            .iter()
-            .map(|g| rewrite_event(g, e, replacement))
-            .collect()),
-        Goal::Isolated(g) => ctr::goal::isolated(rewrite_event(g, e, replacement)),
-        Goal::Possible(g) => ctr::goal::possible(rewrite_event(g, e, replacement)),
-    }
-}
-
 /// Compiles one trigger into the goal.
 pub fn compile_trigger(goal: &Goal, trigger: &Trigger, channels: &mut ChannelAlloc) -> Goal {
-    let action = trigger.guarded_action();
-    match trigger.semantics {
-        TriggerSemantics::Immediate => {
-            let replacement = seq(vec![Goal::atom(trigger.on), action]);
-            rewrite_event(goal, trigger.on, &replacement)
-        }
-        TriggerSemantics::Eventual => {
-            // Executions without the event: unchanged.
-            let without = apply_must_not(trigger.on, goal);
-            // Executions with the event: event signals the action body.
-            let with = apply_must(trigger.on, goal);
-            if with.is_nopath() {
-                return without;
-            }
-            let xi = channels.fresh();
-            let signalled = rewrite_event(
-                &with,
-                trigger.on,
-                &seq(vec![Goal::atom(trigger.on), Goal::Send(xi)]),
-            );
-            or(vec![
-                without,
-                conc(vec![signalled, seq(vec![Goal::Receive(xi), action])]),
-            ])
-        }
-    }
+    crate::spec::lower(goal, std::slice::from_ref(trigger), &[], channels)
 }
 
 /// Compiles a list of triggers in order. Actions of earlier triggers are
 /// visible to later ones (cascading triggers), so order matters — the
 /// usual ECA-rule priority list.
 pub fn compile_triggers(goal: &Goal, triggers: &[Trigger], channels: &mut ChannelAlloc) -> Goal {
-    let mut current = goal.clone();
-    for t in triggers {
-        current = compile_trigger(&current, t, channels);
-    }
-    current
+    crate::spec::lower(goal, triggers, &[], channels)
 }
 
 #[cfg(test)]
