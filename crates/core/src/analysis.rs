@@ -21,9 +21,10 @@
 //! fragment*, whatever the constraints — the session decides consistency,
 //! a holding property, redundancy and the conflict with no compile
 //! (`redundancy.rs`): on `G`'s series-parallel order while every
-//! constraint is a run of `∇`, `¬∇` and orders (Proposition 4.1 puts the
-//! questions in P there), and by a search for one disjunct per constraint
-//! once one has several or none (where Proposition 4.1's hardness lives).
+//! constraint is a run of `∇`, `¬∇` and orders and every basic leaves `G`
+//! alone (Proposition 4.1 puts the questions in P there), and otherwise
+//! by a search for one disjunct per constraint (where Proposition 4.1's
+//! hardness lives).
 //! A violated property still compiles there, because its answer is the
 //! counterexample. Outside the fragment every query compiles through the
 //! session's table.
@@ -417,9 +418,10 @@ impl<T: Table> Analyzer<T> {
     ///
     /// In the graph fragment each probe is decided without a compile: on
     /// the goal's series-parallel order while every constraint is a run
-    /// (Prop 4.1: linear in `|G| + |C|`), otherwise by one search per
-    /// disjunct of `¬φ` — and the table is asked for nothing but the normal
-    /// forms of constraints edited since the last query. Any other input
+    /// and every basic leaves `G` alone (Prop 4.1: linear in `|G| + |C|`),
+    /// otherwise by one search per disjunct of `¬φ` — and the table is
+    /// asked for nothing but the normal forms of constraints edited since
+    /// the last query. Any other input
     /// compiles `G ∧ (C − φ) ∧ ¬φ` per probe through the table. Either way
     /// the answer is what a greedy replay of [`is_redundant`] gives.
     pub fn minimize_constraints(&mut self) -> Vec<usize> {

@@ -633,16 +633,6 @@ impl Restriction {
     }
 }
 
-/// The restriction walk of `run` on its own — the `∇`/`¬∇` demands, an
-/// order's ends counting as `∇`, with no channel drawn — on a goal the
-/// caller knows to be unique-event.
-pub(crate) fn restrict(run: &[Basic], goal: &Goal) -> Goal {
-    match Demands::of(run) {
-        Some(demands) => (Restriction::new(demands).of(goal)).expect("a unique-event goal"),
-        None => Goal::NoPath,
-    }
-}
-
 /// One end of an order of a run: `event` sends on, or receives from,
 /// `channel`.
 struct Link {

@@ -564,10 +564,11 @@ impl Goal {
     /// and trigger and timer lowering. `mask` holds the
     /// [`event_fp_bits`] of every event `f` may replace; a canonical
     /// subgoal whose fingerprint misses it is returned as it is, since a
-    /// rebuild would only reproduce it. Atoms are offered to `f` left to
-    /// right.
+    /// rebuild would only reproduce it, and so is one whose children all
+    /// come back as they were. Atoms are offered to `f` left to right.
     pub fn substitute(&self, mask: u64, f: &mut impl FnMut(Symbol) -> Option<Goal>) -> Goal {
-        if self.events_fingerprint() & mask == 0 && self.is_canonical() {
+        let canonical = self.is_canonical();
+        if self.events_fingerprint() & mask == 0 && canonical {
             return self.clone();
         }
         match self {
@@ -575,11 +576,36 @@ impl Goal {
                 .as_event()
                 .and_then(&mut *f)
                 .unwrap_or_else(|| self.clone()),
-            Goal::Seq(gs) => seq(gs.iter().map(|g| g.substitute(mask, f)).collect()),
-            Goal::Conc(gs) => conc(gs.iter().map(|g| g.substitute(mask, f)).collect()),
-            Goal::Or(gs) => or(gs.iter().map(|g| g.substitute(mask, f)).collect()),
-            Goal::Isolated(g) => isolated(g.substitute(mask, f)),
-            Goal::Possible(g) => possible(g.substitute(mask, f)),
+            Goal::Seq(gs) | Goal::Conc(gs) | Goal::Or(gs) => {
+                let rebuild = |children: Vec<Goal>| match self {
+                    Goal::Seq(_) => seq(children),
+                    Goal::Conc(_) => conc(children),
+                    _ => or(children),
+                };
+                // No child vector until a child changes.
+                let first_change = gs.iter().enumerate().find_map(|(i, child)| {
+                    let new = child.substitute(mask, f);
+                    (!new.ptr_eq(child)).then_some((i, new))
+                });
+                match first_change {
+                    Some((i, new)) => rebuild(
+                        (gs[..i].iter().cloned())
+                            .chain(std::iter::once(new))
+                            .chain(gs[i + 1..].iter().map(|g| g.substitute(mask, f)))
+                            .collect(),
+                    ),
+                    None if canonical => self.clone(),
+                    None => rebuild(gs.to_vec()),
+                }
+            }
+            Goal::Isolated(g) | Goal::Possible(g) => {
+                let new = g.substitute(mask, f);
+                match self {
+                    _ if canonical && new.ptr_eq(g) => self.clone(),
+                    Goal::Isolated(_) => isolated(new),
+                    _ => possible(new),
+                }
+            }
             Goal::Send(_) | Goal::Receive(_) | Goal::Empty | Goal::NoPath => self.clone(),
         }
     }

@@ -5,9 +5,10 @@
 //! Both of its callers ask whether a precedence graph — a goal's
 //! series-parallel order plus extra edges — has a cycle. `Excise` adds a
 //! region's `send(ξ) → receive(ξ)` waits and excises what lies on a cycle
-//! (a *knot*, `excise.rs`). The graph fragment's one-run test — behind
+//! (a *knot*, `excise.rs`). The graph fragment's graph test — behind
 //! an `Analyzer`'s consistency, verification, redundancy and conflict
-//! queries there — adds a run's orders, and `G ∧ R` has an execution iff
+//! queries while every constraint is a run that leaves the goal alone —
+//! adds the runs' orders, and `G ∧ R` has an execution iff
 //! there is none, which Kahn's peeling tells without naming the knots
 //! (Prop 4.1, `redundancy.rs`); its selection search asks, as it chooses
 //! an order `a < b`, whether `b` already reaches `a`. Neither makes an

@@ -12,59 +12,66 @@
 //! [`Analyzer`](crate::analysis::Analyzer) come down to one test: is
 //! `G ∧ C ∧ extra` consistent, for a run `extra`?
 //!
-//! **One run.** Let `H` be `G` restricted by a run `R`'s `∇`/`¬∇` demands,
-//! an order's ends counting as `∇`: the restriction walk of a run
-//! (`apply.rs`, layer 3). Each event occurring once, every `∇`-event of `R`
-//! lies outside every `∨` of `H` — of an `∨` above it only its own branch
-//! survives — so `R`'s orders join events that every execution of `H`
-//! holds, whichever branches it takes. `G ∧ R` is then consistent iff `H`
-//! is not `¬path` and its *series-parallel graph* — `⊗` chains its
-//! children exit to entry, `|` and `∨` fan out from an entry vertex and
-//! back in to an exit vertex, as the region graph of `excise.rs` does for
-//! channels — stays acyclic with `R`'s orders added as edges. It needs no
-//! restriction walk (`H` is `G`) when `R` asks no `∇` of an event that is
-//! under an `∨` or absent, and no `¬∇` of one that is present. The cycle
-//! test is that of `graph.rs`, the graph `Excise` finds knots on: a cycle
-//! here is a knot there.
+//! **The graph.** The *series-parallel graph* of `G` chains the children
+//! of a `⊗` exit to entry, and fans the children of a `|` or an `∨` out
+//! from an entry vertex and back in to an exit vertex, as the region graph
+//! of `excise.rs` does for channels. Without `⊙` the executions of `G`
+//! are, choice of branches by choice of branches, the linear extensions of
+//! that graph. A basic *leaves `G` alone* when it is a `∇` of an event
+//! outside every `∨`, a `¬∇` of an absent event, or an order of two such
+//! `∇`-events. For a run `R` of such basics, `G ∧ R` is consistent iff the
+//! graph stays acyclic with `R`'s orders added as edges, since they join
+//! events every execution holds. The cycle test is that of `graph.rs`, the
+//! graph `Excise` finds knots on: a cycle here is a knot there.
 //!
-//! **Every constraint a run** (`d = 1`): the run is the concatenation of
-//! the constraints' runs, and the session keeps the graph of `G` with
-//! `C`'s orders from one query to the next, so a question that is one
-//! order `a < b` is one reachability test: consistent iff `b` does not
-//! reach `a`. A redundancy probe asks whether each basic of `φ` holds on
-//! `H`'s graph: without `⊙` the executions of `H` are, choice of branches
-//! by choice of branches, the linear extensions of its graph, so `∇e`
-//! holds iff `e` occurs in `H` outside every `∨`, `¬∇e` iff `e` does not
-//! occur in `H`, and `a < b` iff both occur outside every `∨` and `b` is
-//! reachable from `a`.
+//! **Every basic leaves `G` alone** and every constraint is a run: the
+//! graph decides. The run is the concatenation of the constraints' runs,
+//! and the session keeps the graph of `G` with `C`'s orders from one query
+//! to the next, so a question that is one order `a < b` is one
+//! reachability test: consistent iff `b` does not reach `a`. A redundancy
+//! probe asks whether each basic of `φ` holds: `∇e` iff `e` occurs outside
+//! every `∨`, `¬∇e` iff `e` does not occur, and `a < b` iff both occur
+//! outside every `∨` and `b` is reachable from `a`.
 //!
-//! **Some constraint wide** (`d ≠ 1`): a *selection search* picks one
-//! disjunct per constraint, backtracking chronologically, over a state
-//! kept on `G`'s tree and undone by a trail: which branch each `∨` has
-//! committed to (a `∇e` commits every `∨` above `e`), and which subtrees
-//! are dead (a `¬∇e` kills `e`; the death climbs through `⊗` and `|`, and
-//! through an `∨` once all its branches are dead). A conflict is a kill
-//! that reaches a committed branch or the root, or a `∇` of an event that
-//! is dead or under another branch of a committed `∨`. That state is the
-//! restriction walk's, one basic at a time. Per event it reads *forced*
-//! (every `∨` above committed towards it), *excluded* (dead, or under a
-//! branch not taken) or open, and each disjunct counts its basics the
-//! state implies and those it contradicts, through per-event occurrence
-//! lists, so a step touches only the constraints whose events changed.
-//! Propagation skips a constraint one of whose disjuncts the state
-//! implies, forces one with a single live disjunct, and backtracks from
-//! one with none. An order `a < b` is tested as it is chosen: a cycle iff
-//! `b` reaches `a` in `G`'s graph with the chosen orders added. That graph
-//! is `G`'s, not `H`'s, and the test is still exact, because every chosen
-//! order joins forced events, and a path of `G` between two events of `H`
-//! that runs through a pruned branch enters it at its `∨`'s entry vertex
-//! and leaves at its exit vertex, which a branch that survives — there is
-//! one, or the `∨` would be dead — joins as well: the path can always be
-//! re-routed through the live branch. Every complete choice is confirmed
-//! by the one-run test above, so the pruning only has to be sound; the
-//! answer is exact. The search allocates nothing once its vectors are warm
-//! (the confirming restriction walk aside), and it is built on the first
-//! query of a session that has a wide constraint.
+//! **Anything else** — a constraint of `d ≠ 1` disjuncts, or a basic, of
+//! the list or of the query, that disturbs `G` (a `∇` of an event under an
+//! `∨`, a `¬∇` of a present event, an order on such an event): a
+//! *selection search* picks one disjunct per constraint, backtracking
+//! chronologically, over a state kept on `G`'s tree and undone by a trail:
+//! which branch each `∨` has committed to (a `∇e` commits every `∨` above
+//! `e`), and which subtrees are dead (a `¬∇e` kills `e`; the death climbs
+//! through `⊗` and `|`, and through an `∨` once all its branches are
+//! dead). A conflict is a kill that reaches a committed branch or the
+//! root, or a `∇` of an event that is dead or under another branch of a
+//! committed `∨`. Per event the state reads *forced* (every `∨` above
+//! committed towards it), *excluded* (dead, or under a branch not taken)
+//! or open, and each disjunct counts its basics the state implies and
+//! those it contradicts, through per-event occurrence lists, so a step
+//! touches only the constraints whose events changed. Propagation skips a
+//! constraint one of whose disjuncts the state implies, forces one with a
+//! single live disjunct, and backtracks from one with none. An order
+//! `a < b` is tested as it is chosen: a cycle iff `b` reaches `a` in `G`'s
+//! graph with the orders chosen before it added.
+//!
+//! The search answers at its first complete choice, and that answer is
+//! exact. Let `H` be `G` restricted by the chosen run's `∇`/`¬∇` demands,
+//! an order's ends counting as `∇` (the restriction walk of `apply.rs`,
+//! layer 3). First, the state's commits and kills are that walk applied
+//! one basic at a time, so `H` is not `¬path` and every `∇`-event of the
+//! run is forced in it. Second, each order was tested against `G`'s graph,
+//! not `H`'s, and that is the same test: every chosen order joins forced
+//! events, and a path of `G` between two of them that runs through a
+//! pruned branch enters it at its `∨`'s entry vertex and leaves at its
+//! exit vertex, which a live branch — `ε` included, there is one or the
+//! `∨` would be dead — joins as well, so the path re-routes through it.
+//! Reachability between executed events is the same in both graphs. The
+//! search allocates nothing once its vectors are warm, and it is built on
+//! the first query that needs it.
+//!
+//! Two deciders stay because the split is on the input and each wins on
+//! its own: the graph answers an order with one reachability on a graph
+//! kept across queries, where the search would test the list's orders one
+//! at a time on every query.
 //!
 //! * **Consistency** (Thm 5.8): `extra` is empty.
 //! * **Verification** (Thm 5.9): `φ` holds iff no disjunct of `¬φ`'s
@@ -72,14 +79,14 @@
 //!   Klein order. Only a violated property compiles, for its most general
 //!   counterexample.
 //! * **Redundancy** (Thm 5.10): `φ` is implied by the kept constraints iff
-//!   they are inconsistent with every disjunct of `¬φ` (with every
-//!   constraint a run, iff each basic of `φ` holds on `H`'s graph).
+//!   they are inconsistent with every disjunct of `¬φ` (where the graph
+//!   decides, iff each basic of `φ` holds on it).
 //! * **The conflict**: an inconsistent list's minimal conflicting subset,
 //!   found by deletion, one test per constraint.
 //!
 //! A test asks the session's table for nothing but the normal forms of
 //! constraints edited since the last one. It is linear in `|G| + |C|`
-//! while every constraint is a run; Prop 4.1 keeps the search exponential
+//! while the graph decides; Prop 4.1 keeps the search exponential
 //! in the worst case. [`is_consistent`](crate::analysis::is_consistent),
 //! [`verify`](crate::analysis::verify) and
 //! [`is_redundant`](crate::analysis::is_redundant) stay the theorems'
@@ -91,7 +98,6 @@
 //! execution holds `a`, yet `a` lies under the `∨`. Such goals take the
 //! compile.
 
-use crate::apply::restrict;
 use crate::constraints::{Basic, Conjunct, NormalForm};
 use crate::goal::Goal;
 use crate::graph::Graph;
@@ -112,20 +118,9 @@ impl SeriesParallel {
     /// fragment.
     pub(crate) fn of(goal: &Goal) -> Option<SeriesParallel> {
         let mut graph = SeriesParallel::default();
-        graph.lay_out(goal).then_some(graph)
-    }
-
-    /// Lays `goal` out in place of the graph before, reusing its vectors;
-    /// false when the goal is outside the fragment.
-    fn lay_out(&mut self, goal: &Goal) -> bool {
-        self.events.clear();
-        self.edges.clear();
-        self.vertices = 0;
-        if self.lay(goal, false).is_none() {
-            return false;
-        }
-        self.events.sort_unstable();
-        self.events.windows(2).all(|w| w[0].0 != w[1].0)
+        graph.lay(goal, false)?;
+        graph.events.sort_unstable();
+        (graph.events.windows(2).all(|w| w[0].0 != w[1].0)).then_some(graph)
     }
 
     /// Lays `goal` out and returns its entry and exit vertices.
@@ -201,69 +196,31 @@ impl SeriesParallel {
         };
         Placed { basic, alone, edge }
     }
-
-    /// The edges the orders among `basics` add, from `a` to `b` for each
-    /// `a < b`; their events occur outside every `∨` (it panics otherwise:
-    /// restriction by them has put them there).
-    fn orders<'a>(&'a self, basics: &'a [Basic]) -> impl Iterator<Item = (u32, u32)> + 'a {
-        let vertex = |e| (self.unguarded(e)).expect("R's ∇-events occur in H outside every ∨");
-        basics.iter().filter_map(move |basic| match *basic {
-            Basic::Order(a, b) => Some((vertex(a), vertex(b))),
-            _ => None,
-        })
-    }
 }
 
-/// The vectors a test works in, reused from one test to the next, so that
-/// a session's tests allocate nothing once they are warm (the restriction
-/// walk aside).
+/// The vectors a graph test works in, reused from one test to the next, so
+/// that a session's tests allocate nothing once they are warm.
 #[derive(Default)]
 struct Probe {
-    /// `R`, the basics the test is about.
-    rest: Vec<Basic>,
-    /// `R`'s orders, as edges.
+    /// The orders of `R`, a run that leaves `G` alone, as edges.
     orders: Vec<(u32, u32)>,
-    /// The graph of `H` when the restriction walk changed `G`.
-    restricted: SeriesParallel,
     graph: Graph,
 }
 
 impl Probe {
-    /// Is `G ∧ R` consistent, where `g` is the graph of `goal`, `R` is
-    /// `self.rest`, and `alone` says that `R` leaves `G` alone? When it is,
-    /// [`Probe::holds`] answers on `H`'s graph with `R`'s orders.
-    fn consistent(&mut self, g: &SeriesParallel, goal: &Goal, alone: bool) -> bool {
-        let h = if alone {
-            g
-        } else {
-            let restricted = restrict(&self.rest, goal);
-            if restricted.is_nopath() {
-                return false;
-            }
-            let laid = self.restricted.lay_out(&restricted);
-            assert!(laid, "a restriction stays in the fragment");
-            &self.restricted
-        };
-        self.orders.clear();
-        self.orders.extend(h.orders(&self.rest));
-        acyclic(&mut self.graph, h, &self.orders)
+    /// Is `G ∧ R` consistent, `g` being the graph of `G`?
+    fn consistent(&mut self, g: &SeriesParallel) -> bool {
+        acyclic(&mut self.graph, g, &self.orders)
     }
 
     /// Does every execution of the consistent `G ∧ R` satisfy the basics
-    /// `phi`? Asked right after [`Probe::consistent`] said yes, with the
-    /// same `g` and `alone`.
-    fn holds(
-        &mut self,
-        g: &SeriesParallel,
-        alone: bool,
-        mut phi: impl Iterator<Item = Basic>,
-    ) -> bool {
-        let h = if alone { g } else { &self.restricted };
+    /// `phi`? Asked right after [`Probe::consistent`] said yes.
+    fn holds(&mut self, g: &SeriesParallel, mut phi: impl Iterator<Item = Basic>) -> bool {
         let graph = &mut self.graph;
         phi.all(|basic| match basic {
-            Basic::Must(e) => h.unguarded(e).is_some(),
-            Basic::MustNot(e) => h.find(e).is_none(),
-            Basic::Order(a, b) => match (h.unguarded(a), h.unguarded(b)) {
+            Basic::Must(e) => g.unguarded(e).is_some(),
+            Basic::MustNot(e) => g.find(e).is_none(),
+            Basic::Order(a, b) => match (g.unguarded(a), g.unguarded(b)) {
                 (Some(a), Some(b)) => graph.reaches(a, b, &[]),
                 _ => false,
             },
@@ -282,7 +239,8 @@ fn acyclic(graph: &mut Graph, h: &SeriesParallel, orders: &[(u32, u32)]) -> bool
 #[derive(Clone, Copy)]
 struct Placed {
     basic: Basic,
-    /// True if restricting the goal by the basic hands it back as it is.
+    /// True if the basic leaves the goal alone: a `∇` of an event outside
+    /// every `∨`, a `¬∇` of an absent one, an order of two such `∇`-events.
     alone: bool,
     /// The edge an order that leaves the goal alone adds.
     edge: Option<(u32, u32)>,
@@ -319,8 +277,7 @@ pub(crate) struct Runs {
     /// How many slots are stale.
     stale: usize,
     /// The goal's graph with every order of `placed` added, and whether it
-    /// is acyclic — filled by the first test that needs it after an edit,
-    /// while every constraint is a run and none disturbs the goal.
+    /// is acyclic — filled by the first graph test after an edit.
     whole: Graph,
     whole_acyclic: Option<bool>,
     probe: Probe,
@@ -363,6 +320,12 @@ impl Runs {
             Some(before) => (self.slots[before].end, self.slots[before].cut),
             None => (0, 0),
         }
+    }
+
+    /// True while the graph decides: every constraint is a run and leaves
+    /// the goal alone.
+    fn graphed(&self) -> bool {
+        self.wider == 0 && self.disturbing == 0
     }
 
     /// Where constraint `i`'s basics lie in `placed`.
@@ -463,36 +426,37 @@ impl Runs {
         slot.stale = false;
     }
 
-    /// Is `G ∧ C ∧ extra` consistent, `C` being every constraint, each a
-    /// run and none stale? While `C` and `extra` leave `G` alone this asks
-    /// the graph of `G` and `C`'s orders, kept from one query to the next:
-    /// `extra` of one order `a < b` adds a cycle iff `b` reaches `a` there.
+    /// Is `G ∧ C ∧ extra` consistent, `C` being every constraint, none
+    /// stale? While the graph decides ([`Runs::graphed`]) and `extra`
+    /// leaves `G` alone too, this asks the graph of `G` and `C`'s orders,
+    /// kept from one query to the next: `extra` of one order `a < b` adds
+    /// a cycle iff `b` reaches `a` there. The selection search answers
+    /// everything else.
     fn consistent(&mut self, goal: &Goal, extra: &[Basic]) -> bool {
-        debug_assert!(self.stale == 0 && self.wider == 0);
-        let (order, probe) = (&self.order, &mut self.probe);
-        if self.disturbing == 0 && extra.iter().all(|&b| order.place(b).alone) {
-            let (whole, placed) = (&mut self.whole, &self.placed);
-            let consistent = *self.whole_acyclic.get_or_insert_with(|| {
-                probe.orders.clear();
-                probe.orders.extend(placed.iter().filter_map(|p| p.edge));
-                acyclic(whole, order, &probe.orders)
-            });
-            probe.orders.clear();
-            probe.orders.extend(order.orders(extra));
-            return match probe.orders[..] {
-                _ if !consistent => false,
-                [] => true,
-                [(a, b)] => !whole.reaches(b, a, &[]),
-                _ => {
-                    probe.orders.extend(placed.iter().filter_map(|p| p.edge));
-                    acyclic(&mut probe.graph, order, &probe.orders)
-                }
-            };
+        debug_assert!(self.stale == 0);
+        let order = &self.order;
+        if !self.graphed() || !extra.iter().all(|&b| order.place(b).alone) {
+            return self.select(goal, |_| true, extra);
         }
-        probe.rest.clear();
-        probe.rest.extend(self.placed.iter().map(|p| p.basic));
-        probe.rest.extend_from_slice(extra);
-        probe.consistent(order, goal, false)
+        let (whole, placed, probe) = (&mut self.whole, &self.placed, &mut self.probe);
+        let consistent = *self.whole_acyclic.get_or_insert_with(|| {
+            probe.orders.clear();
+            probe.orders.extend(placed.iter().filter_map(|p| p.edge));
+            acyclic(whole, order, &probe.orders)
+        });
+        probe.orders.clear();
+        probe
+            .orders
+            .extend(extra.iter().filter_map(|&b| order.place(b).edge));
+        match probe.orders[..] {
+            _ if !consistent => false,
+            [] => true,
+            [(a, b)] => !whole.reaches(b, a, &[]),
+            _ => {
+                probe.orders.extend(placed.iter().filter_map(|p| p.edge));
+                probe.consistent(order)
+            }
+        }
     }
 
     /// Is `G ∧ C' ∧ extra` consistent, `C'` being the constraints `keep`
@@ -507,46 +471,40 @@ impl Runs {
         for (i, active) in search.active.iter_mut().enumerate() {
             *active = keep(i);
         }
-        search.run(goal, order, &mut self.probe, extra)
+        search.run(extra)
     }
 
     /// Does some execution of `G ∧ C` satisfy one of `disjuncts`, the
     /// normal form of a constraint? Asked after [`Runs::refresh`], as are
     /// [`Runs::minimize`] and [`Runs::conflict`].
     pub(crate) fn satisfiable(&mut self, goal: &Goal, disjuncts: &[Conjunct]) -> bool {
-        if self.wider > 0 {
-            return disjuncts.iter().any(|d| self.select(goal, |_| true, d));
-        }
         disjuncts.iter().any(|d| self.consistent(goal, d))
     }
 
-    /// Fills `self.probe.rest` with the runs of `kept` but its `skip`-th,
-    /// and returns whether they leave the goal alone.
-    fn gather(&mut self, kept: &[usize], skip: usize) -> bool {
-        self.probe.rest.clear();
-        let mut alone = true;
+    /// Fills `self.probe.orders` with the edges of the runs of `kept` but
+    /// its `skip`-th.
+    fn gather(&mut self, kept: &[usize], skip: usize) {
+        self.probe.orders.clear();
         for (k, &j) in kept.iter().enumerate() {
             if k != skip {
                 let run = &self.placed[self.span(j)];
-                self.probe.rest.extend(run.iter().map(|p| p.basic));
-                alone &= run.iter().all(|p| p.alone);
+                self.probe.orders.extend(run.iter().filter_map(|p| p.edge));
             }
         }
-        alone
     }
 
     /// Greedy redundancy elimination: the indices
     /// [`Analyzer::minimize_constraints`](crate::analysis::Analyzer::minimize_constraints)
     /// returns. Each constraint in turn is dropped when the kept ones before
     /// it and all the ones after it imply it; `negation(i)` is the normal
-    /// form of `¬φ` for constraint `i`, which a session with a wide
-    /// constraint tests against them.
+    /// form of `¬φ` for constraint `i`, which the selection search tests
+    /// against them when the graph does not decide.
     pub(crate) fn minimize<N: Borrow<NormalForm>>(
         &mut self,
         goal: &Goal,
         mut negation: impl FnMut(usize) -> N,
     ) -> Vec<usize> {
-        if self.wider > 0 {
+        if !self.graphed() {
             let mut kept = vec![true; self.slots.len()];
             for i in 0..kept.len() {
                 kept[i] = false;
@@ -559,11 +517,11 @@ impl Runs {
         let mut retained: Vec<usize> = (0..self.slots.len()).collect();
         let mut i = 0;
         while i < retained.len() {
-            let alone = self.gather(&retained, i);
+            self.gather(&retained, i);
             let phi = &self.placed[self.span(retained[i])];
             let (order, probe) = (&self.order, &mut self.probe);
-            let redundant = !probe.consistent(order, goal, alone)
-                || probe.holds(order, alone, phi.iter().map(|p| p.basic));
+            let redundant =
+                !probe.consistent(order) || probe.holds(order, phi.iter().map(|p| p.basic));
             if redundant {
                 retained.remove(i);
             } else {
@@ -578,7 +536,7 @@ impl Runs {
     /// subset still in play stays inconsistent without it. What is left
     /// is inconsistent, and consistent with any one of its members dropped.
     pub(crate) fn conflict(&mut self, goal: &Goal) -> Vec<usize> {
-        if self.wider > 0 {
+        if !self.graphed() {
             let mut kept = vec![true; self.slots.len()];
             for i in 0..kept.len() {
                 kept[i] = false;
@@ -589,8 +547,8 @@ impl Runs {
         let mut kept: Vec<usize> = (0..self.slots.len()).collect();
         let mut i = 0;
         while i < kept.len() {
-            let alone = self.gather(&kept, i);
-            if self.probe.consistent(&self.order, goal, alone) {
+            self.gather(&kept, i);
+            if self.probe.consistent(&self.order) {
                 i += 1;
             } else {
                 kept.remove(i);
@@ -654,7 +612,7 @@ enum Step {
 /// goal.
 #[derive(Clone, Copy)]
 struct Resolved {
-    placed: Placed,
+    basic: Basic,
     a: u32,
     b: u32,
 }
@@ -664,7 +622,7 @@ impl Resolved {
     /// no state (an event outside the goal, a reflexive order).
     fn mentions(&self) -> impl Iterator<Item = (u32, Role)> {
         let (a, b) = (self.a, self.b);
-        let mentions = match self.placed.basic {
+        let mentions = match self.basic {
             Basic::Must(_) => [(a, Role::Must), (NONE, Role::End)],
             Basic::MustNot(_) => [(a, Role::MustNot), (NONE, Role::End)],
             Basic::Order(..) if a != NONE && b != NONE && a != b => {
@@ -676,13 +634,12 @@ impl Resolved {
     }
 }
 
-/// How far the state had come: the lengths of the trail, the chosen
-/// orders and the applied basics.
+/// How far the state had come: the lengths of the trail and the chosen
+/// orders.
 #[derive(Clone, Copy)]
 struct Mark {
     trail: usize,
     edges: usize,
-    applied: usize,
 }
 
 /// An open choice of the search: constraint `c`, whose disjuncts before
@@ -746,8 +703,6 @@ struct Search {
     trail: Vec<Step>,
     /// The chosen orders, as edges of `graph`.
     edges: Vec<(u32, u32)>,
-    /// Every basic applied, for the confirming test.
-    applied: Vec<Placed>,
     /// Constraints to look at: a disjunct of theirs died.
     queue: Vec<u32>,
     frames: Vec<Frame>,
@@ -802,17 +757,17 @@ impl Search {
         self.end[n] = self.leaf.len() as u32;
     }
 
-    /// `placed` with its events numbered.
-    fn resolve(&self, placed: Placed) -> Resolved {
+    /// `basic` with its events numbered.
+    fn resolve(&self, basic: Basic) -> Resolved {
         let number = |e: Symbol| match self.names.binary_search_by_key(&e, |n| n.0) {
             Ok(at) => self.names[at].1,
             Err(_) => NONE,
         };
-        let (a, b) = match placed.basic {
+        let (a, b) = match basic {
             Basic::Must(e) | Basic::MustNot(e) => (number(e), NONE),
             Basic::Order(a, b) => (number(a), number(b)),
         };
-        Resolved { placed, a, b }
+        Resolved { basic, a, b }
     }
 
     /// Indexes the constraints of `slots`, whose disjuncts' lengths are
@@ -835,8 +790,8 @@ impl Search {
                 // reflexive order.
                 let (mut open, mut killed) = (0, 0);
                 for &p in &placed[at..at + length as usize] {
-                    let r = self.resolve(p);
-                    let (implied, dead) = match r.placed.basic {
+                    let r = self.resolve(p.basic);
+                    let (implied, dead) = match r.basic {
                         Basic::Must(_) => (false, r.a == NONE),
                         Basic::MustNot(_) => (r.a == NONE, false),
                         Basic::Order(..) => (false, r.mentions().next().is_none()),
@@ -912,28 +867,18 @@ impl Search {
         Mark {
             trail: self.trail.len(),
             edges: self.edges.len(),
-            applied: self.applied.len(),
         }
     }
 
     /// Is the goal, with the active constraints and the basics `extra`,
     /// consistent? The state is the goal's own again afterwards.
-    fn run(
-        &mut self,
-        goal: &Goal,
-        order: &SeriesParallel,
-        probe: &mut Probe,
-        extra: &[Basic],
-    ) -> bool {
+    fn run(&mut self, extra: &[Basic]) -> bool {
         let base = self.mark();
-        let settled = extra.iter().all(|&basic| {
-            let r = self.resolve(order.place(basic));
-            self.apply(r)
-        }) && {
+        let settled = extra.iter().all(|&basic| self.apply(self.resolve(basic))) && {
             self.queue.extend((0..self.active.len() as u32).rev());
             self.propagate()
         };
-        let consistent = settled && self.descend(goal, order, probe);
+        let consistent = settled && self.descend();
         self.undo_to(base);
         self.queue.clear();
         self.frames.clear();
@@ -947,9 +892,9 @@ impl Search {
     }
 
     /// The depth-first search over the open constraints, in list order,
-    /// from a propagated state: true at the first complete choice the
-    /// one-run test confirms.
-    fn descend(&mut self, goal: &Goal, order: &SeriesParallel, probe: &mut Probe) -> bool {
+    /// from a propagated state: true at the first complete choice, which
+    /// is exact (see the module doc).
+    fn descend(&mut self) -> bool {
         let n = self.active.len();
         let mut at = 0;
         loop {
@@ -957,16 +902,10 @@ impl Search {
                 at += 1;
             }
             if at == n {
-                probe.rest.clear();
-                probe.rest.extend(self.applied.iter().map(|p| p.basic));
-                let alone = self.applied.iter().all(|p| p.alone);
-                if probe.consistent(order, goal, alone) {
-                    return true;
-                }
-            } else {
-                let (next, mark) = (self.ways[at], self.mark());
-                self.frames.push(Frame { c: at, next, mark });
+                return true;
             }
+            let (next, mark) = (self.ways[at], self.mark());
+            self.frames.push(Frame { c: at, next, mark });
             // The next live disjunct of the deepest open choice.
             loop {
                 let Some(&Frame { c, next, mark }) = self.frames.last() else {
@@ -1023,8 +962,7 @@ impl Search {
 
     /// Applies one basic to the state: false on a conflict.
     fn apply(&mut self, r: Resolved) -> bool {
-        self.applied.push(r.placed);
-        match r.placed.basic {
+        match r.basic {
             Basic::Must(_) => self.must(r.a),
             Basic::MustNot(_) => self.must_not(r.a),
             Basic::Order(..) => {
@@ -1184,6 +1122,5 @@ impl Search {
             }
         }
         self.edges.truncate(mark.edges);
-        self.applied.truncate(mark.applied);
     }
 }

@@ -17,7 +17,7 @@ use ctr::gen::{
     independent_kleins, layered_events, layered_workflow, order_chain, pipeline_workflow,
     random_3sat, sat_to_workflow,
 };
-use ctr::goal::{or, Goal};
+use ctr::goal::{or, seq, Goal};
 use ctr::memo::Analyzer;
 use ctr::sym;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -317,11 +317,36 @@ fn excise_of_a_channel_free_goal_allocates_nothing_of_its_own() {
 
 #[test]
 fn a_warm_selection_search_allocates_nothing() {
-    // An unsatisfiable 3-SAT session is decided by the selection search
-    // alone: the search refutes every choice before it is complete, so
-    // the confirming restriction walk never runs. Once the first query has
-    // sized the search's vectors, the next one asks the allocator for
-    // nothing, nor does one with a clause's negation (a `verify`).
+    // A 3-SAT session is decided by the selection search alone, which is
+    // exact at its first complete choice. Once the first query has sized
+    // the search's vectors, the next one asks the allocator for nothing,
+    // whether the instance is satisfiable or not, nor does one with a
+    // clause's negation (a `verify`).
+    let inst = (0..)
+        .map(|seed| random_3sat(seed, 8, 20))
+        .find(|inst| inst.brute_force_sat())
+        .expect("a satisfiable instance");
+    let (goal, clauses) = sat_to_workflow(&inst);
+    let mut session = Analyzer::new(&goal, &clauses).unwrap();
+    assert!(session.is_consistent());
+    let (consistent, count) = allocations(|| session.is_consistent());
+    assert!(consistent);
+    assert_eq!(count, 0);
+
+    // A run list that disturbs the goal (`∇b` prunes the `c`-branch) goes
+    // to the search as well.
+    let goal = seq(vec![
+        Goal::atom("a"),
+        or(vec![Goal::atom("b"), Goal::atom("c")]),
+        Goal::atom("d"),
+    ]);
+    let runs = [Constraint::must("b"), Constraint::order("a", "b")];
+    let mut session = Analyzer::new(&goal, &runs).unwrap();
+    assert!(session.is_consistent());
+    let (consistent, count) = allocations(|| session.is_consistent());
+    assert!(consistent);
+    assert_eq!(count, 0);
+
     let inst = (0..)
         .map(|seed| random_3sat(seed, 8, 40))
         .find(|inst| !inst.brute_force_sat())

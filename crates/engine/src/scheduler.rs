@@ -842,13 +842,15 @@ impl Cursor {
     }
 
     /// Locates the next step toward an event node carrying `symbol` whose
-    /// only blockers are enabled silent leaves on its own path: returns
-    /// the event node itself when nothing precedes it, otherwise the
-    /// first such silent leaf to fire. This is the weak-transition view
-    /// of [`Scheduler::fire_event`]: accepting an observable event may
-    /// perform the internal (τ) steps that uniquely precede it — e.g. a
-    /// timer gate's `seq(receive ξ, e)` inside an uncommitted `∨` —
-    /// because choosing `e` is exactly the decision those steps commit.
+    /// only blockers are enabled silent leaves on its own path, or earlier
+    /// siblings that can finish through such leaves alone: returns the
+    /// event node itself when nothing precedes it, otherwise the first
+    /// such silent leaf to fire. This is the weak-transition view of
+    /// [`Scheduler::fire_event`]: accepting an observable event may
+    /// perform the internal (τ) steps that precede it — e.g. a timer
+    /// gate's `seq(receive ξ, e)` inside an uncommitted `∨`, or the `ε`
+    /// of an optional `x ∨ ε` before it — because choosing `e` is the
+    /// decision those steps commit.
     fn step_toward(&self, p: &Program, node: NodeId, symbol: Symbol) -> Option<NodeId> {
         if self.is_done(node) {
             return None;
@@ -869,16 +871,10 @@ impl Cursor {
                         return Some(via.unwrap_or(step));
                     }
                     // The event may hide behind this child — but only if
-                    // the child is a silent leaf that is enabled *now*.
-                    let silent = match &p.nodes[cur].kind {
-                        NodeKind::Send { .. } | NodeKind::Empty => true,
-                        NodeKind::Recv { rank } => self.is_sent(p, *rank),
-                        _ => false,
-                    };
-                    if !silent {
-                        return None;
-                    }
-                    via.get_or_insert(cur);
+                    // the child can finish *now* through enabled silent
+                    // leaves.
+                    let leaf = self.silent_finish(p, cur)?;
+                    via.get_or_insert(leaf);
                     cur = p.end(cur);
                 }
                 None
@@ -893,6 +889,36 @@ impl Cursor {
                 chosen => self.step_toward(p, chosen as NodeId, symbol),
             },
             NodeKind::Iso => self.step_toward(p, node + 1, symbol),
+        }
+    }
+
+    /// The first leaf to fire when the unfinished `node` can finish now
+    /// through enabled silent leaves alone: an enabled silent leaf itself,
+    /// an `∨` with such a branch (`ε` is the common one), a `|` whose
+    /// unfinished children all can, a `⊗` at its last child that can.
+    /// Never an event, a blocked `receive` or a `⊙`.
+    fn silent_finish(&self, p: &Program, node: NodeId) -> Option<NodeId> {
+        let n = &p.nodes[node];
+        match &n.kind {
+            NodeKind::Send { .. } | NodeKind::Empty => Some(node),
+            NodeKind::Recv { rank } => self.is_sent(p, *rank).then_some(node),
+            NodeKind::Event(_) | NodeKind::Iso => None,
+            NodeKind::Seq => {
+                let (cur, end) = (self.seq_pos(p, n), n.end as NodeId);
+                (cur < end && p.end(cur) == end)
+                    .then(|| self.silent_finish(p, cur))
+                    .flatten()
+            }
+            NodeKind::Conc => {
+                let mut open = p.children(node).filter(|&c| !self.is_done(c));
+                let first = self.silent_finish(p, open.next()?)?;
+                open.all(|c| self.silent_finish(p, c).is_some())
+                    .then_some(first)
+            }
+            NodeKind::Or => match self.or_choice(p, n) {
+                NIL => p.children(node).find_map(|c| self.silent_finish(p, c)),
+                chosen => self.silent_finish(p, chosen as NodeId),
+            },
         }
     }
 
@@ -1087,13 +1113,18 @@ impl<P: std::ops::Deref<Target = Program>> Scheduler<P> {
     /// `tests/runtime_integration.rs`). One probe of the program's name
     /// index and a scan of [`Scheduler::eligible`]; no allocation.
     ///
-    /// When no frontier node carries the event, a weak-transition
-    /// fallback looks for it behind enabled silent leaves on its own
-    /// path (a sent-enabled `receive`, a `send`, an `Empty`) — the shape
-    /// timer gates and eventual triggers compile to inside an
-    /// uncommitted `∨`. Those τ-steps fire first, committing the path,
-    /// then the event itself; choosing the event *is* the decision they
-    /// commit, so no unrelated choice is ever taken on its behalf.
+    /// It accepts events beyond [`Scheduler::eligible`]. When no frontier
+    /// node carries the event, a weak-transition fallback looks for it
+    /// behind enabled silent leaves on its own path (a sent-enabled
+    /// `receive`, a `send`, an `Empty`) — the shape timer gates and
+    /// eventual triggers compile to inside an uncommitted `∨` — and past
+    /// earlier `⊗`-siblings that can finish through such leaves alone:
+    /// an `∨` with such a branch (the `ε` of an optional `x ∨ ε`), a `|`
+    /// whose unfinished children all can, a `⊗` at its last child that
+    /// can, never an event, a blocked `receive` or a `⊙`. Those τ-steps
+    /// fire first, in tree order, then the event itself; choosing the
+    /// event *is* the decision they commit, so no unrelated choice is ever
+    /// taken on its behalf.
     pub fn fire_event(&mut self, event: Symbol) -> bool {
         self.program.names.contains(event) && self.fire_symbol(event)
     }
@@ -1391,6 +1422,33 @@ mod tests {
         assert!(s.fire_event(sym("b")), "both τ-steps precede the event");
         assert!(s.is_complete());
         assert_eq!(s.trace_names(), vec![sym("b")]);
+    }
+
+    #[test]
+    fn fire_event_passes_over_an_optional_branch() {
+        // `(x ∨ ε) ⊗ c`: `c` is not eligible until the `∨` commits, but
+        // choosing `c` is choosing `ε`.
+        let p = compile(&seq(vec![or(vec![g("x"), Goal::Empty]), g("c")]));
+        let mut s = Scheduler::new(&p);
+        assert!(s.fire_event(sym("c")), "the ε-branch is passed over");
+        assert!(s.is_complete());
+        assert_eq!(s.trace_names(), vec![sym("c")]);
+        // A `|` passes when all its unfinished children can finish
+        // silently, a `⊗` when its last child can; an event never does.
+        let goal = seq(vec![
+            conc(vec![
+                seq(vec![g("a"), or(vec![g("z"), Goal::Empty])]),
+                or(vec![Goal::Empty, g("y")]),
+            ]),
+            g("c"),
+        ]);
+        let p = compile(&goal);
+        let mut s = Scheduler::new(&p);
+        assert!(!s.fire_event(sym("c")), "`a` stands before `c`");
+        assert!(s.fire_event(sym("a")));
+        assert!(s.fire_event(sym("c")));
+        assert!(s.is_complete());
+        assert_eq!(s.trace_names(), vec![sym("a"), sym("c")]);
     }
 
     #[test]
@@ -2264,6 +2322,29 @@ mod tests {
             script in 0u64..u64::MAX,
         ) {
             residual_keys_are_sound(seed, script);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// On a goal with no constraint every trace the enumeration lists
+        /// fires event by event by name, and can still complete as itself.
+        #[test]
+        fn every_enumerated_trace_fires_by_name(seed in 0u64..3_000) {
+            const TRACE_CAP: usize = 512;
+            let goal = gen::random_goal(seed, GoalShape::default(), "f").0;
+            let p = compile(&goal);
+            let traces = Scheduler::new(&p).enumerate_traces(TRACE_CAP + 1);
+            if traces.len() <= TRACE_CAP {
+                for trace in &traces {
+                    let mut s = Scheduler::new(&p);
+                    for &event in trace {
+                        prop_assert!(s.fire_event(event), "{:?} on {}", trace, goal);
+                    }
+                    prop_assert!(s.enumerate_traces(TRACE_CAP).contains(trace));
+                }
+            }
         }
     }
 

@@ -99,6 +99,18 @@ fn enactment_respects_compiled_constraints() {
     }
 }
 
+/// By-name firing passes over an optional branch: `(x + empty) * c` has
+/// no constraint, `ctr enumerate` lists `c`, and `c` fires by name.
+#[test]
+fn by_name_firing_passes_over_an_optional_branch() {
+    let rt = Runtime::new();
+    rt.deploy_source("workflow opt { graph (x + empty) * c; }")
+        .unwrap();
+    let id = rt.start("opt").unwrap();
+    assert_eq!(rt.fire(id, "c"), Ok(ctr_runtime::InstanceStatus::Completed));
+    assert_eq!(rt.journal(id).unwrap(), vec!["c"]);
+}
+
 /// Every execution the compiled goal allows can be fired by name. Here
 /// `a * send(ξ) * receive(ξ) * e + a * f` allows `a → f` (`ctr
 /// enumerate` lists it, the enactor commits it), but `fire_named`
