@@ -68,10 +68,14 @@ fn e1_apply_size() {
     let mut table = Table::new(&["N", "d=1 size", "d=2 size", "d=3 size"]);
     let mut pts_by_d: [Vec<(f64, f64)>; 3] = [Vec::new(), Vec::new(), Vec::new()];
     for n in 1..=6usize {
-        let sizes: Vec<usize> = [stage_orders(n), causes_chain(n), gen::klein_chain(n)]
-            .iter()
-            .map(|cs| compile(&goal, cs).unwrap().applied_size)
-            .collect();
+        let sizes: Vec<usize> = [
+            stage_orders(n),
+            causes_chain(n),
+            gen::backward_klein_chain(n),
+        ]
+        .iter()
+        .map(|cs| compile(&goal, cs).unwrap().applied_size)
+        .collect();
         for (d, &s) in sizes.iter().enumerate() {
             pts_by_d[d].push((n as f64, s as f64));
         }
@@ -82,6 +86,15 @@ fn e1_apply_size() {
             sizes[2].to_string(),
         ]);
     }
+    // The forward chain holds on the layers as they stand: `Apply` leaves
+    // every order of it out.
+    let forward = compile(&goal, &gen::klein_chain(6)).unwrap().applied_size;
+    table.row(vec![
+        "6, forward".to_string(),
+        String::new(),
+        String::new(),
+        forward.to_string(),
+    ]);
     print!("{}", table.render());
     println!(
         "\nFitted growth factor per added constraint: d=1 → {:.2}, d=2 → {:.2}, d=3 → {:.2}",
@@ -93,7 +106,7 @@ fn e1_apply_size() {
     // Linearity in |G| at fixed constraints: the theorem's construction,
     // every constraint over the whole goal, and `compile`, which applies
     // the chain over the layers it names.
-    let constraints = gen::klein_chain(3);
+    let constraints = gen::backward_klein_chain(3);
     let mut table = Table::new(&[
         "|G|",
         "unscoped |Apply| (N=3, d=3)",
@@ -140,7 +153,7 @@ fn e2_excise_linear() {
         (32, 5),
     ] {
         let goal = gen::layered_workflow(layers, 2);
-        let applied = apply(&gen::klein_chain(n), &goal);
+        let applied = apply(&gen::backward_klein_chain(n), &goal);
         let size = applied.size();
         let t = time_mean(5, || excise(&applied));
         pts.push((size as f64, t.as_nanos() as f64));

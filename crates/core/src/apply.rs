@@ -8,8 +8,8 @@
 //! *compilation* step: after it (and [`excise`](mod@crate::excise)), scheduling
 //! needs no run-time constraint checking.
 //!
-//! Four layers, following Definitions 5.1, 5.3, and 5.5, and two levers
-//! in front of them (5 and 6):
+//! Four layers, following Definitions 5.1, 5.3, and 5.5, and three levers
+//! in front of them (5 to 7):
 //!
 //! 1. **Primitive constraints** `∇α` / `¬∇α` rewrite structurally. For
 //!    `∇α`, serial and concurrent conjunctions distribute into a
@@ -64,6 +64,15 @@
 //!    output is trace-equivalent to the unscoped fold, not node-identical
 //!    (`tests/scope_referee.rs` holds it to it with
 //!    `ctr_baselines::equivalent`).
+//! 7. **Implied.** A wide normal form that its own scope `S` already
+//!    satisfies — no disjunct of its negation is consistent with `S`,
+//!    Theorem 5.10, asked of the graph fragment's selection search
+//!    (`redundancy.rs`) — is not applied: only `⊗`, `|` and `⊙` lie above
+//!    `S`, which holds every occurrence of its events, so `Apply(C, S) =
+//!    S`. It joins no group and its channel ranges are still set aside. A
+//!    scope outside the fragment (`⊙`, `◇`, channels, conditions) is
+//!    applied as before; runs are never asked, so a list of runs still
+//!    compiles node for node (`tests/implied_referee.rs`).
 //!
 //! # Rules × table
 //!
@@ -85,6 +94,7 @@
 use crate::constraints::{Basic, Conjunct, Constraint, NormalForm};
 use crate::excise::ExciseResult;
 use crate::goal::{conc, event_fp_bits, isolated, or, seq, Channel, Goal};
+use crate::redundancy::Implication;
 use crate::symbol::Symbol;
 use std::borrow::Borrow;
 
@@ -253,6 +263,14 @@ impl Table for Scratch {
 fn order_budget(run: &[Basic]) -> u32 {
     let orders = run.iter().filter(|b| matches!(b, Basic::Order(..)));
     u32::try_from(orders.count()).expect("more orders than channel ids")
+}
+
+/// Sets aside a range for each disjunct of `nf`, in order, whatever
+/// becomes of them.
+fn set_aside(nf: &NormalForm, channels: &mut ChannelAlloc) {
+    for conj in &nf.disjuncts {
+        channels.reserve(order_budget(conj));
+    }
 }
 
 /// The `⊗`/`|` node `node` with its `i`-th child replaced by `new`: one
@@ -827,9 +845,7 @@ pub(crate) fn apply_normal_form_in<T: Table>(
         return apply_run_in(table, only, goal, channels);
     }
     let ranges = channels.clone();
-    for conj in &nf.disjuncts {
-        channels.reserve(order_budget(conj));
-    }
+    set_aside(nf, channels);
     // Truncating, as in a run's key.
     let drawn = channels.next != ranges.next;
     let first = if drawn { ranges.next as u32 } else { 0 };
@@ -913,10 +929,14 @@ pub(crate) fn apply_all_in<T: Table>(
     // A constraint naming no event of the goal holds on all of its
     // executions or on none, as on the empty one.
     let mut nothing = Goal::Empty;
-    for &(k, group) in &scopes.order {
-        let out = match group {
-            Some(g) => &mut outs[g],
-            None => &mut nothing,
+    for &(k, target) in &scopes.order {
+        let out = match target {
+            Target::Scope(g) => &mut outs[g],
+            Target::Nothing => &mut nothing,
+            Target::Implied => {
+                set_aside(wide[k], channels);
+                continue;
+            }
         };
         *out = apply_normal_form_in(table, wide[k], out, channels);
         if out.is_nopath() {
@@ -1137,6 +1157,18 @@ impl Group {
     }
 }
 
+/// Where a wide constraint is applied.
+#[derive(Clone, Copy)]
+enum Target {
+    /// At the scope of a group.
+    Scope(usize),
+    /// At `ε`: it names no event of the goal.
+    Nothing,
+    /// Nowhere: its own scope satisfies it (Theorem 5.10), so
+    /// `Apply(C, S) = S`.
+    Implied,
+}
+
 /// The plan for the wide constraints of a list over a goal: disjoint
 /// scopes, and the order to apply the constraints in.
 ///
@@ -1147,12 +1179,13 @@ impl Group {
 /// that overlap merge into one, which takes their constraints in that
 /// order. Positions come from an exact [`EventIndex`]: a scope widened by
 /// a fingerprint's false positive would have `Excise` re-expand what it
-/// saved.
+/// saved. **Implied**: a constraint of two or more disjuncts that its own
+/// scope already satisfies joins no group (see [`Implication`]).
 struct Scopes {
     groups: Vec<Group>,
-    /// `(k, group)` per wide constraint, `k` indexing the list, in the
-    /// order they apply; no group for one naming no event of the goal.
-    order: Vec<(usize, Option<usize>)>,
+    /// `(k, target)` per wide constraint, `k` indexing the list, in the
+    /// order they apply.
+    order: Vec<(usize, Target)>,
 }
 
 impl Scopes {
@@ -1165,14 +1198,22 @@ impl Scopes {
         let members: Vec<Vec<u32>> = (named.iter())
             .map(|events| events.iter().flat_map(|&e| index.of_event(e)).collect())
             .collect();
-        let mut order: Vec<usize> = (0..wide.len()).collect();
-        order.sort_by_key(|&k| members[k].iter().max().copied());
+        // Every constraint naming an event of the goal gets its target
+        // below; the others keep `Nothing`.
+        let mut order: Vec<(usize, Target)> =
+            (0..wide.len()).map(|k| (k, Target::Nothing)).collect();
+        order.sort_by_key(|&(k, _)| members[k].iter().max().copied());
         let mut groups: Vec<Group> = Vec::new();
-        for &k in &order {
-            if members[k].is_empty() {
+        let mut implication = Implication::new(goal);
+        for (k, target) in &mut order {
+            if members[*k].is_empty() {
                 continue;
             }
-            let mut group = Group::settle(goal, &index, members[k].clone());
+            let mut group = Group::settle(goal, &index, members[*k].clone());
+            if wide[*k].disjuncts.len() >= 2 && implication.holds(&group.scope.region, wide[*k]) {
+                *target = Target::Implied;
+                continue;
+            }
             while let Some(j) = groups.iter().position(|g| g.scope.overlaps(&group.scope)) {
                 let mut merged = groups.swap_remove(j).members;
                 merged.append(&mut group.members);
@@ -1182,14 +1223,13 @@ impl Scopes {
         }
         // The groups are disjoint: a constraint's is the one holding any
         // of its events.
-        let group_of = |k: usize| {
-            let &first = members[k].first()?;
-            groups.iter().position(|g| g.scope.covers(first))
-        };
-        Scopes {
-            order: order.iter().map(|&k| (k, group_of(k))).collect(),
-            groups,
+        for (k, target) in &mut order {
+            if let (Target::Nothing, Some(&first)) = (*target, members[*k].first()) {
+                let group = groups.iter().position(|g| g.scope.covers(first));
+                *target = Target::Scope(group.expect("a group holds it"));
+            }
         }
+        Scopes { order, groups }
     }
 }
 
@@ -1302,9 +1342,10 @@ pub fn apply_normal_form(nf: &NormalForm, goal: &Goal, channels: &mut ChannelAll
 /// with a single disjunct compiled first as one run, every wider one then
 /// per alternative of its scope — the lowest subgoal holding its events —
 /// in the order of its last event (see the module doc and
-/// [`apply_normal_form`]). The output size is `O(d^N · |G|)` in the worst
-/// case (Theorem 5.11) — reached when every scope is the whole goal and no
-/// alternative a constraint meets already satisfies one of its disjuncts —
+/// [`apply_normal_form`]), less those its scope already satisfies. The
+/// output size is `O(d^N · |G|)` in the worst case (Theorem 5.11) —
+/// reached when every scope is the whole goal and no alternative a
+/// constraint meets already satisfies one of its disjuncts —
 /// and `O(Σ d^{Nᵢ} · |G|)` over disjoint scopes. The result has the
 /// executions of the constraints folded in list order over the whole goal.
 ///
@@ -1904,6 +1945,41 @@ mod tests {
         // … and the thousand-and-first, which excludes the five-hundredth.
         run.push(Basic::Must(name("s", 500)));
         assert!(assert_run_is_fold(&run, &goal).is_nopath());
+    }
+
+    #[test]
+    fn a_constraint_its_scope_satisfies_is_left_out_with_its_channels() {
+        // Each stage of the layers runs before the next, so a forward Klein
+        // order holds on its two stages and `Apply` hands the goal back; a
+        // backward one does not, and draws its order's channel after the
+        // one the forward order set aside.
+        let goal = crate::gen::layered_workflow(3, 2);
+        let forward = Constraint::klein_order("l0_0", "l1_0");
+        assert!(apply(std::slice::from_ref(&forward), &goal).ptr_eq(&goal));
+        let backward = Constraint::klein_order("l2_0", "l1_0");
+        let compiled = apply(&[forward, backward.clone()], &goal);
+        assert_eq!(compiled.channels(), [Channel(1)].into_iter().collect());
+        let mut after_one = ChannelAlloc::new();
+        after_one.reserve(1);
+        assert_eq!(compiled, apply_all(&[backward], &goal, &mut after_one));
+    }
+
+    #[test]
+    fn a_scope_whose_branches_share_events_is_applied() {
+        // `a` and `b` occur in both branches, which puts the `∨` outside
+        // the fragment: the Klein orders are applied, not decided on one
+        // occurrence of each event.
+        let (ab, ba) = (seq(vec![g("a"), g("b")]), seq(vec![g("b"), g("a")]));
+        for goal in [or(vec![ab.clone(), ba.clone()]), or(vec![ba, ab])] {
+            for c in [
+                Constraint::klein_order("a", "b"),
+                Constraint::klein_order("b", "a"),
+            ] {
+                let compiled = apply(std::slice::from_ref(&c), &goal);
+                assert!(!compiled.ptr_eq(&goal), "{c} on {goal}");
+                assert_apply_equiv(&[c], &goal);
+            }
+        }
     }
 
     #[test]

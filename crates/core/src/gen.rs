@@ -201,6 +201,17 @@ pub fn klein_chain(k: usize) -> Vec<Constraint> {
         .collect()
 }
 
+/// [`klein_chain`] turned around: `k` Klein orders `l{i+1}_0` before
+/// `l{i}_0`. The layers run each stage before the next, so a forward chain
+/// holds on the workflow as it stands and `Apply` leaves it out; a backward
+/// order holds only on the executions that skip one of its two events, so
+/// every one of them is applied — the `d = 3` workload of Theorem 5.11.
+pub fn backward_klein_chain(k: usize) -> Vec<Constraint> {
+    (0..k)
+        .map(|i| Constraint::klein_order(layered_events(i + 1, 0).0, layered_events(i, 0).0))
+        .collect()
+}
+
 /// `k` Klein order constraints no two of which share an event, over a `|`
 /// of `2k` binary choices `p{i} ∨ q{i}`: no alternative one of them yields
 /// satisfies another ahead of time, so `Apply` reaches the `3^k`
@@ -383,6 +394,10 @@ mod tests {
         let cs = klein_chain(2);
         assert_eq!(cs.len(), 2);
         assert_eq!(cs[0], Constraint::klein_order("l0_0", "l1_0"));
+        assert_eq!(
+            backward_klein_chain(2)[1],
+            Constraint::klein_order("l2_0", "l1_0")
+        );
     }
 
     #[test]

@@ -11,9 +11,13 @@
 //! adds the runs' orders, and `G ∧ R` has an execution iff
 //! there is none, which Kahn's peeling tells without naming the knots
 //! (Prop 4.1, `redundancy.rs`); its selection search asks, as it chooses
-//! an order `a < b`, whether `b` already reaches `a`. Neither makes an
-//! edge from a vertex to itself, so a cycle is a strongly connected
-//! component of more than one vertex.
+//! an order `a < b`, whether `b` already reaches `a`. `Excise` never makes
+//! an edge from a vertex to itself, so [`Graph::find_knots`] takes a knot
+//! to be a strongly connected component of more than one vertex. The
+//! fragment's graph may hold one: `SeriesParallel::place` gives a
+//! reflexive order `a < a` on an event outside every `∨` the edge
+//! `(v, v)`, a cycle of one vertex, which [`Graph::acyclic`] and
+//! [`Graph::reaches`] both see.
 
 /// "No such vertex": the knot of a vertex on no cycle.
 const NONE: u32 = u32::MAX;
@@ -28,8 +32,8 @@ pub(crate) struct Graph {
     targets: Vec<u32>,
     /// Per vertex, the knot it is on; see [`Graph::find_knots`].
     knot: Vec<u32>,
-    /// Tarjan's indices and low-links; `index` doubles as the visit marks
-    /// of [`Graph::reaches`] and the in-degrees of [`Graph::acyclic`].
+    /// Tarjan's indices and low-links; `index` doubles as the marks of
+    /// [`Graph::reaches`] and the in-degrees of [`Graph::acyclic`].
     index: Vec<u32>,
     low: Vec<u32>,
     /// Tarjan's stack, the search stack of [`Graph::reaches`] and the
@@ -40,7 +44,7 @@ pub(crate) struct Graph {
 }
 
 /// `n` copies of `value` in place of what `vector` held.
-fn refill(vector: &mut Vec<u32>, n: usize, value: u32) {
+pub(crate) fn refill(vector: &mut Vec<u32>, n: usize, value: u32) {
     vector.clear();
     vector.resize(n, value);
 }
@@ -76,7 +80,7 @@ impl Graph {
     /// Finds the knots — the strongly connected components of more than
     /// one vertex, each named by one of its vertices — in one iterative
     /// Tarjan pass, and returns true if there is one. A component of one
-    /// is on no cycle: neither caller makes an edge from a vertex to
+    /// is on no cycle: `Excise`, the caller, makes no edge from a vertex to
     /// itself.
     pub(crate) fn find_knots(&mut self) -> bool {
         /// `low` of a vertex whose component is complete.
@@ -177,17 +181,28 @@ impl Graph {
     }
 
     /// True if the graph with the edges `more` added holds a path from
-    /// `from` to `to`. Each vertex reached scans `more`, so it is meant to
-    /// be short.
+    /// `from` to `to`. The sources of `more` are marked first, and only a
+    /// marked vertex scans `more`, so a query costs `O(|G| + k·s)` for `k`
+    /// extra edges out of `s` distinct sources reached.
     pub(crate) fn reaches(&mut self, from: u32, to: u32, more: &[(u32, u32)]) -> bool {
+        const SEEN: u32 = 1;
+        const SOURCE: u32 = 2;
         let n = self.vertices();
         let (row, targets) = (&self.row, &self.targets);
-        let (seen, stack) = (&mut self.index, &mut self.open);
-        refill(seen, n, 0);
+        let (marks, stack) = (&mut self.index, &mut self.open);
+        refill(marks, n, 0);
+        for &(u, _) in more {
+            marks[u as usize] |= SOURCE;
+        }
         stack.clear();
         stack.push(from);
         while let Some(u) = stack.pop() {
-            let extra = more.iter().filter(|e| e.0 == u).map(|e| &e.1);
+            let extra = if marks[u as usize] & SOURCE != 0 {
+                more
+            } else {
+                &[]
+            };
+            let extra = extra.iter().filter(|e| e.0 == u).map(|e| &e.1);
             let u = u as usize;
             for &v in targets[row[u] as usize..row[u + 1] as usize]
                 .iter()
@@ -196,8 +211,8 @@ impl Graph {
                 if v == to {
                     return true;
                 }
-                if seen[v as usize] == 0 {
-                    seen[v as usize] = 1;
+                if marks[v as usize] & SEEN == 0 {
+                    marks[v as usize] |= SEEN;
                     stack.push(v);
                 }
             }
@@ -221,6 +236,60 @@ mod tests {
         assert!(!dag.reaches(2, 0, &[]));
         assert!(dag.reaches(2, 0, &[(2, 3), (3, 0)]));
         assert!(!dag.reaches(3, 1, &[]));
+    }
+
+    /// `to` among the vertices a breadth-first search from `from` reaches
+    /// over `edges` and `more` alike, by at least one edge.
+    fn bfs_reaches(n: u32, edges: &[(u32, u32)], from: u32, to: u32) -> bool {
+        let mut seen = vec![false; n as usize];
+        let mut queue = std::collections::VecDeque::from([from]);
+        while let Some(u) = queue.pop_front() {
+            for &(_, v) in edges.iter().filter(|e| e.0 == u) {
+                if v == to {
+                    return true;
+                }
+                if !std::mem::replace(&mut seen[v as usize], true) {
+                    queue.push_back(v);
+                }
+            }
+        }
+        false
+    }
+
+    #[test]
+    fn reaches_is_a_breadth_first_search_over_both_edge_lists() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(44);
+        let mut g = Graph::default();
+        for _ in 0..500 {
+            let n = rng.gen_range(1..12u32);
+            let edge = |rng: &mut StdRng| (rng.gen_range(0..n), rng.gen_range(0..n));
+            let edges: Vec<(u32, u32)> = (0..rng.gen_range(0..2 * n))
+                .map(|_| edge(&mut rng))
+                .collect();
+            let more: Vec<(u32, u32)> = (0..rng.gen_range(0..6)).map(|_| edge(&mut rng)).collect();
+            g.fill(n as usize, &edges, &[]);
+            let all: Vec<(u32, u32)> = edges.iter().chain(&more).copied().collect();
+            for (from, to) in (0..n).flat_map(|u| (0..n).map(move |v| (u, v))) {
+                assert_eq!(
+                    g.reaches(from, to, &more),
+                    bfs_reaches(n, &all, from, to),
+                    "{from} → {to} over {edges:?} and {more:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_reflexive_edge_is_a_cycle_of_one() {
+        let mut g = Graph::default();
+        g.fill(2, &[(0, 1)], &[(1, 1)]);
+        assert!(!g.acyclic());
+        assert!(g.reaches(1, 1, &[]));
+        g.fill(2, &[(0, 1)], &[]);
+        assert!(g.acyclic());
+        assert!(!g.reaches(1, 1, &[]) && g.reaches(1, 1, &[(1, 1)]));
     }
 
     #[test]

@@ -690,18 +690,20 @@ mod tests {
             entries,
             interned,
         };
-        // The run goes first, at the root; the Klein order, scoped, meets
-        // the `|` of its two lanes alone, so the table keys what it
-        // rewrites there, not the whole goal.
+        // The run goes first, at the root. Its `order(c, i)` prunes `b`, so
+        // the Klein order's own scope, `e`, satisfies it and it is not
+        // applied (cold 9 → 7 misses, the replays 8 → 6 and 19 → 15
+        // hits); after the edit `b` stays, and the Klein order, scoped,
+        // meets the `|` of its two lanes alone, not the whole goal.
         let mut an = Analyzer::new(&goal, &constraints).unwrap();
         an.compiled();
-        assert_eq!(an.stats(), stats(0, 9, 9, 2), "cold compile");
+        assert_eq!(an.stats(), stats(0, 7, 7, 2), "cold compile");
         an.verify(&Constraint::klein_order(ev(&a), ev(&j)));
         an.verify(&Constraint::must(ev(&f)));
-        assert_eq!(an.stats(), stats(8, 16, 16, 3), "two verifications");
+        assert_eq!(an.stats(), stats(6, 14, 14, 3), "two verifications");
         an.replace_constraint(1, Constraint::order(ev(&e), ev(&i)));
         an.minimize_constraints();
-        assert_eq!(an.stats(), stats(19, 59, 59, 22), "edit, then minimize");
+        assert_eq!(an.stats(), stats(15, 59, 59, 22), "edit, then minimize");
     }
 
     #[test]

@@ -83,6 +83,10 @@
 //!   decides, iff each basic of `φ` holds on it).
 //! * **The conflict**: an inconsistent list's minimal conflicting subset,
 //!   found by deletion, one test per constraint.
+//! * **Implication, for `Apply`** ([`Implication`]): does every execution
+//!   of a scope satisfy a wide constraint? One search over the compile's
+//!   goal, laid out once whatever it holds, with `¬C` read off the
+//!   constraint's normal form; a scope outside the fragment answers no.
 //!
 //! A test asks the session's table for nothing but the normal forms of
 //! constraints edited since the last one. It is linear in `|G| + |C|`
@@ -100,15 +104,24 @@
 
 use crate::constraints::{Basic, Conjunct, NormalForm};
 use crate::goal::Goal;
-use crate::graph::Graph;
+use crate::graph::{refill, Graph};
 use crate::symbol::Symbol;
 use std::borrow::Borrow;
+use std::cell::Cell;
 
-/// The series-parallel graph of a goal in the fragment.
+/// The series-parallel graph of a goal, with where the goal leaves the
+/// fragment.
 #[derive(Default)]
 pub(crate) struct SeriesParallel {
-    /// Every event with its vertex and whether an `∨` is above it, sorted.
-    events: Vec<(Symbol, u32, bool)>,
+    /// Every event with its vertex, whether an `∨` is above it, and its
+    /// pre-order position in the goal; sorted.
+    events: Vec<(Symbol, u32, bool, u32)>,
+    /// Each event's vertex, in pre-order.
+    leaves: Vec<u32>,
+    /// The pre-order positions of the nodes outside the fragment, sorted:
+    /// `⊙`, `◇`, channel operations, conditions, `¬path`, and every
+    /// occurrence of an event that occurs twice.
+    foreign: Vec<u32>,
     vertices: u32,
     edges: Vec<(u32, u32)>,
 }
@@ -118,28 +131,50 @@ impl SeriesParallel {
     /// fragment.
     pub(crate) fn of(goal: &Goal) -> Option<SeriesParallel> {
         let mut graph = SeriesParallel::default();
-        graph.lay(goal, false)?;
-        graph.events.sort_unstable();
-        (graph.events.windows(2).all(|w| w[0].0 != w[1].0)).then_some(graph)
+        graph.relay(goal);
+        graph.foreign.is_empty().then_some(graph)
     }
 
-    /// Lays `goal` out and returns its entry and exit vertices.
-    fn lay(&mut self, goal: &Goal, guarded: bool) -> Option<(u32, u32)> {
+    /// The graph of any goal, in place of this one: `⊙` is laid through,
+    /// and every other node outside the fragment stands as one vertex, as
+    /// `ε` does.
+    fn relay(&mut self, goal: &Goal) {
+        self.events.clear();
+        self.leaves.clear();
+        self.foreign.clear();
+        self.edges.clear();
+        self.vertices = 0;
+        self.lay(goal, 0, false);
+        self.events.sort_unstable();
+        for twice in self.events.chunk_by(|x, y| x.0 == y.0) {
+            if twice.len() > 1 {
+                self.foreign.extend(twice.iter().map(|e| e.3));
+            }
+        }
+        self.foreign.sort_unstable();
+    }
+
+    /// Lays `goal`, at pre-order position `id`, out and returns its entry
+    /// and exit vertices.
+    fn lay(&mut self, goal: &Goal, id: u32, guarded: bool) -> (u32, u32) {
         match goal {
             Goal::Atom(a) => {
-                let event = a.as_event()?;
                 let v = self.vertex();
-                self.events.push((event, v, guarded));
-                Some((v, v))
-            }
-            Goal::Empty => {
-                let v = self.vertex();
-                Some((v, v))
+                match a.as_event() {
+                    Some(event) => {
+                        self.events.push((event, v, guarded, id));
+                        self.leaves.push(v);
+                    }
+                    None => self.foreign.push(id),
+                }
+                (v, v)
             }
             Goal::Seq(gs) => {
                 let mut span: Option<(u32, u32)> = None;
+                let mut child = id + 1;
                 for g in gs.iter() {
-                    let (entry, exit) = self.lay(g, guarded)?;
+                    let (entry, exit) = self.lay(g, child, guarded);
+                    child += g.size() as u32;
                     span = Some(match span {
                         Some((first, last)) => {
                             self.edges.push((last, entry));
@@ -148,19 +183,32 @@ impl SeriesParallel {
                         None => (entry, exit),
                     });
                 }
-                span
+                span.unwrap_or_else(|| self.lay(&Goal::Empty, id, guarded))
             }
             Goal::Conc(gs) | Goal::Or(gs) => {
                 let guarded = guarded || matches!(goal, Goal::Or(_));
                 let (entry, exit) = (self.vertex(), self.vertex());
+                let mut child = id + 1;
                 for g in gs.iter() {
-                    let (first, last) = self.lay(g, guarded)?;
+                    let (first, last) = self.lay(g, child, guarded);
+                    child += g.size() as u32;
                     self.edges.extend([(entry, first), (last, exit)]);
                 }
-                Some((entry, exit))
+                (entry, exit)
             }
-            Goal::Isolated(_) | Goal::Possible(_) | Goal::Send(_) | Goal::Receive(_) => None,
-            Goal::NoPath => None,
+            Goal::Isolated(g) => {
+                self.foreign.push(id);
+                self.lay(g, id + 1, guarded)
+            }
+            Goal::Empty => {
+                let v = self.vertex();
+                (v, v)
+            }
+            Goal::Possible(_) | Goal::Send(_) | Goal::Receive(_) | Goal::NoPath => {
+                self.foreign.push(id);
+                let v = self.vertex();
+                (v, v)
+            }
         }
     }
 
@@ -169,10 +217,19 @@ impl SeriesParallel {
         self.vertices - 1
     }
 
+    /// True if a node outside the fragment lies in `region`, pre-order
+    /// `[start, end)` intervals.
+    fn meets_foreign(&self, region: &[(u32, u32)]) -> bool {
+        region.iter().any(|&(start, end)| {
+            let at = self.foreign.partition_point(|&p| p < start);
+            self.foreign.get(at).is_some_and(|&p| p < end)
+        })
+    }
+
     /// `event`'s vertex, and whether an `∨` is above it.
     fn find(&self, event: Symbol) -> Option<(u32, bool)> {
         let at = self.events.binary_search_by_key(&event, |e| e.0).ok()?;
-        let (_, vertex, guarded) = self.events[at];
+        let (_, vertex, guarded, _) = self.events[at];
         Some((vertex, guarded))
     }
 
@@ -451,7 +508,7 @@ impl Runs {
         match probe.orders[..] {
             _ if !consistent => false,
             [] => true,
-            [(a, b)] => !whole.reaches(b, a, &[]),
+            [(a, b)] => a != b && !whole.reaches(b, a, &[]),
             _ => {
                 probe.orders.extend(placed.iter().filter_map(|p| p.edge));
                 probe.consistent(order)
@@ -465,7 +522,8 @@ impl Runs {
         let order = &self.order;
         let search = (self.search).get_or_insert_with(|| Box::new(Search::new(goal, order)));
         if !self.indexed {
-            search.index(&self.slots, &self.cuts, &self.placed);
+            let ends = self.slots.iter().map(|slot| slot.cut);
+            search.index(ends, &self.cuts, |i| self.placed[i].basic);
             self.indexed = true;
         }
         for (i, active) in search.active.iter_mut().enumerate() {
@@ -555,6 +613,125 @@ impl Runs {
             }
         }
         kept
+    }
+}
+
+/// Theorem 5.10 asked of `Apply`'s scopes: does every execution of a
+/// subgoal satisfy a constraint? The goal is laid out once, on the first
+/// question, whatever it holds, and each question names a region of it: a
+/// subgoal with only `⊗`, `|` and `⊙` above it that holds every occurrence
+/// of the constraint's events. A region in the fragment is decided by the
+/// selection search over the whole layout, which is the search over the
+/// subgoal alone: the constraint names no event outside it, a kill that
+/// climbs out of it reaches the root through `⊗`, `|` and `⊙` as it would
+/// reach the subgoal's own root, and no path of the graph leaves a subgoal
+/// and comes back. A region outside the fragment answers no.
+pub(crate) struct Implication<'g> {
+    goal: &'g Goal,
+    laid: Option<Box<Layout>>,
+}
+
+/// A goal laid out for [`Implication`], and `¬C`, rebuilt per question in
+/// the same vectors: a run of the basics that are alone in their
+/// constraint, for [`Search::run`], and the other constraints, for
+/// [`Search::index`].
+#[derive(Default)]
+struct Layout {
+    order: SeriesParallel,
+    search: Search,
+    run: Vec<Basic>,
+    ends: Vec<usize>,
+    cuts: Vec<u32>,
+    basics: Vec<Basic>,
+    /// The search holds no constraint, so an empty list needs no index.
+    unconstrained: bool,
+}
+
+thread_local! {
+    /// The layout the last [`Implication`] on this thread worked in, kept
+    /// for the next: a compile asks a few questions, and the forty-odd
+    /// vectors of a fresh layout cost more to allocate than to ask them.
+    static SPARE: Cell<Option<Box<Layout>>> = const { Cell::new(None) };
+}
+
+impl<'g> Implication<'g> {
+    /// Questions about subgoals of `goal`.
+    pub(crate) fn new(goal: &'g Goal) -> Implication<'g> {
+        Implication { goal, laid: None }
+    }
+
+    /// True if the subgoal at `region` (pre-order `[start, end)`
+    /// intervals) is in the fragment and every execution of it satisfies
+    /// `nf`: no disjunct of `¬nf` is consistent with it. Kept out of
+    /// line: inlined into `Scopes::of`, it slowed the apply of the SAT
+    /// specs, whose clauses it never finds implied, by ≈ 2 %.
+    #[inline(never)]
+    pub(crate) fn holds(&mut self, region: &[(u32, u32)], nf: &NormalForm) -> bool {
+        let goal = self.goal;
+        let laid = self.laid.get_or_insert_with(|| {
+            let mut laid = SPARE.take().unwrap_or_default();
+            laid.order.relay(goal);
+            laid.search.relay(goal, &laid.order);
+            laid.unconstrained = false;
+            laid
+        });
+        if laid.order.meets_foreign(region) {
+            return false;
+        }
+        laid.negate(nf);
+        if !(laid.ends.is_empty() && laid.unconstrained) {
+            let basics = &laid.basics;
+            (laid.search).index(laid.ends.iter().copied(), &laid.cuts, |i| basics[i]);
+            laid.unconstrained = laid.ends.is_empty();
+        }
+        !laid.search.run(&laid.run)
+    }
+}
+
+impl Drop for Implication<'_> {
+    fn drop(&mut self) {
+        if let Some(laid) = self.laid.take() {
+            SPARE.set(Some(laid));
+        }
+    }
+}
+
+impl Layout {
+    /// `¬(∨ᵢ ∧ⱼ bᵢⱼ) = ∧ᵢ ∨ⱼ ¬bᵢⱼ`, read off the normal form: one
+    /// constraint per disjunct `i`, whose disjuncts are the negated basics,
+    /// `¬(a < b)` unfolding to `¬∇a ∨ ¬∇b ∨ b < a` (Lemma 3.4); a lone
+    /// `∇e` or `¬∇e` negates to one basic, which joins the run. A disjunct
+    /// holding `a < a` is false, so its negation holds and is left out.
+    fn negate(&mut self, nf: &NormalForm) {
+        let (ends, cuts, basics) = (&mut self.ends, &mut self.cuts, &mut self.basics);
+        self.run.clear();
+        ends.clear();
+        cuts.clear();
+        basics.clear();
+        for conj in &nf.disjuncts {
+            match conj[..] {
+                [Basic::Must(e)] => self.run.push(Basic::MustNot(e)),
+                [Basic::MustNot(e)] => self.run.push(Basic::Must(e)),
+                _ if conj
+                    .iter()
+                    .any(|b| matches!(b, Basic::Order(x, y) if x == y)) => {}
+                _ => {
+                    for &basic in conj {
+                        match basic {
+                            Basic::Must(e) => basics.push(Basic::MustNot(e)),
+                            Basic::MustNot(e) => basics.push(Basic::Must(e)),
+                            Basic::Order(a, b) => basics.extend([
+                                Basic::MustNot(a),
+                                Basic::MustNot(b),
+                                Basic::Order(b, a),
+                            ]),
+                        }
+                    }
+                    cuts.resize(basics.len(), 1);
+                    ends.push(cuts.len());
+                }
+            }
+        }
     }
 }
 
@@ -710,24 +887,43 @@ struct Search {
 
 impl Search {
     /// The search over `goal`, whose graph is `order`, with no constraint.
+    /// `⊙` is laid through, and the other nodes outside the fragment are
+    /// nodes without events, as they are vertices without events in
+    /// `order`.
     fn new(goal: &Goal, order: &SeriesParallel) -> Search {
         let mut search = Search::default();
-        search.lay(goal, NONE, 0);
-        search.names.sort_unstable();
-        search.vertex = vec![0; search.leaf.len()];
-        for &(name, e) in &search.names {
-            let (vertex, _) = order.find(name).expect("the goal's events");
-            search.vertex[e as usize] = vertex;
+        search.relay(goal, order);
+        search
+    }
+
+    /// [`Search::new`] in this search's vectors.
+    fn relay(&mut self, goal: &Goal, order: &SeriesParallel) {
+        debug_assert!(self.trail.is_empty());
+        for vector in [
+            &mut self.parent,
+            &mut self.first,
+            &mut self.end,
+            &mut self.live,
+            &mut self.leaf,
+            &mut self.guards,
+            &mut self.vertex,
+        ] {
+            vector.clear();
         }
-        search
-            .graph
-            .fill(order.vertices as usize, &order.edges, &[]);
-        search.commit = vec![NONE; search.parent.len()];
-        search.pending = search.guards.clone();
-        search.status = (search.guards.iter())
-            .map(|&g| if g == 0 { Status::Forced } else { Status::Open })
-            .collect();
-        search
+        self.or.clear();
+        self.names.clear();
+        self.lay(goal, NONE, 0);
+        self.names.sort_unstable();
+        debug_assert_eq!(order.leaves.len(), self.leaf.len());
+        self.vertex.extend_from_slice(&order.leaves);
+        (self.graph).fill(order.vertices as usize, &order.edges, &[]);
+        refill(&mut self.commit, self.parent.len(), NONE);
+        self.pending.clone_from(&self.guards);
+        self.status.clear();
+        (self.status).extend(self.guards.iter().map(|&g| match g {
+            0 => Status::Forced,
+            _ => Status::Open,
+        }));
     }
 
     /// Adds `goal`'s nodes under `parent`, with `guards` `∨` above it.
@@ -741,10 +937,11 @@ impl Search {
         self.live.push(0);
         match goal {
             Goal::Atom(a) => {
-                let event = a.as_event().expect("the fragment's atoms are events");
-                self.names.push((event, self.leaf.len() as u32));
-                self.leaf.push(n as u32);
-                self.guards.push(guards);
+                if let Some(event) = a.as_event() {
+                    self.names.push((event, self.leaf.len() as u32));
+                    self.leaf.push(n as u32);
+                    self.guards.push(guards);
+                }
             }
             Goal::Seq(gs) | Goal::Conc(gs) | Goal::Or(gs) => {
                 for g in gs.iter() {
@@ -752,6 +949,7 @@ impl Search {
                 }
                 self.live[n] = gs.len() as u32;
             }
+            Goal::Isolated(g) => self.lay(g, n as u32, guards),
             _ => {}
         }
         self.end[n] = self.leaf.len() as u32;
@@ -770,10 +968,16 @@ impl Search {
         Resolved { basic, a, b }
     }
 
-    /// Indexes the constraints of `slots`, whose disjuncts' lengths are
-    /// `cuts` and basics `placed`, and counts what the goal's own state
-    /// implies of them. The state is the goal's own.
-    fn index(&mut self, slots: &[Slot], cuts: &[u32], placed: &[Placed]) {
+    /// Indexes a constraint list — per constraint, where its disjuncts end
+    /// in `cuts` (`ends`); per disjunct, how many basics it has (`cuts`);
+    /// `basic(i)` being the `i`-th basic of them all — and counts what the
+    /// goal's own state implies of them. The state is the goal's own.
+    fn index(
+        &mut self,
+        ends: impl ExactSizeIterator<Item = usize>,
+        cuts: &[u32],
+        basic: impl Fn(usize) -> Basic,
+    ) {
         debug_assert!(self.trail.is_empty());
         for vector in [&mut self.ways, &mut self.cut, &mut self.owner] {
             vector.clear();
@@ -783,14 +987,14 @@ impl Search {
         self.killed.clear();
         self.ways.push(0);
         self.cut.push(0);
-        let (mut at, mut k) = (0, 0);
-        for (c, slot) in slots.iter().enumerate() {
-            for &length in &cuts[k..slot.cut] {
+        let (n, mut at, mut k) = (ends.len(), 0, 0);
+        for (c, end) in ends.enumerate() {
+            for &length in &cuts[k..end] {
                 // What no state changes: an event outside the goal, a
                 // reflexive order.
                 let (mut open, mut killed) = (0, 0);
-                for &p in &placed[at..at + length as usize] {
-                    let r = self.resolve(p.basic);
+                for i in at..at + length as usize {
+                    let r = self.resolve(basic(i));
                     let (implied, dead) = match r.basic {
                         Basic::Must(_) => (false, r.a == NONE),
                         Basic::MustNot(_) => (r.a == NONE, false),
@@ -806,7 +1010,7 @@ impl Search {
                 self.open.push(open);
                 self.killed.push(killed);
             }
-            k = slot.cut;
+            k = end;
             self.ways.push(self.owner.len() as u32);
         }
         // The occurrence lists, in compressed rows.
@@ -827,24 +1031,19 @@ impl Search {
                     let at = &mut rows[e as usize + 1];
                     occurs[*at as usize] = (k as u32, role);
                     *at += 1;
-                }
-            }
-        }
-        rows.pop();
-        // What the goal's own state does: the events outside every `∨` are
-        // forced.
-        for e in 0..self.leaf.len() {
-            if self.status[e] == Status::Forced {
-                for &(k, role) in &occurs[rows[e] as usize..rows[e + 1] as usize] {
-                    match role.implied(true) {
-                        Some(true) => self.open[k as usize] -= 1,
-                        Some(false) => self.killed[k as usize] += 1,
-                        None => {}
+                    // What the goal's own state does: the events outside
+                    // every `∨` are forced.
+                    if self.status[e as usize] == Status::Forced {
+                        match role.implied(true) {
+                            Some(true) => self.open[k] -= 1,
+                            Some(false) => self.killed[k] += 1,
+                            None => {}
+                        }
                     }
                 }
             }
         }
-        let n = slots.len();
+        rows.pop();
         for counts in [&mut self.implied, &mut self.dead] {
             counts.clear();
             counts.resize(n, 0);
@@ -1122,5 +1321,64 @@ impl Search {
             }
         }
         self.edges.truncate(mark.edges);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::goal::{or, seq};
+    use crate::symbol::sym;
+
+    /// A session's runs over `goal` with the normal forms `nfs`, placed.
+    fn runs(goal: &Goal, nfs: &[NormalForm]) -> Runs {
+        let order = SeriesParallel::of(goal).expect("in the fragment");
+        let mut runs = Runs::new(order, nfs.len());
+        runs.refresh(|i| &nfs[i]);
+        runs
+    }
+
+    #[test]
+    fn a_reflexive_order_is_inconsistent_on_the_graph_and_in_the_search() {
+        // `a` occurs outside every `∨`, so `a < a` leaves the goal alone and
+        // is placed as the edge `(v, v)`.
+        let goal = seq(vec![
+            Goal::atom("a"),
+            or(vec![Goal::atom("b"), Goal::atom("c")]),
+        ]);
+        let (a, b, c) = (sym("a"), sym("b"), sym("c"));
+        let nf = |disjuncts: Vec<Vec<Basic>>| NormalForm { disjuncts };
+        let reflexive = nf(vec![vec![Basic::Order(a, a)]]);
+        let wide = nf(vec![vec![Basic::Must(b)], vec![Basic::Must(c)]]);
+        let nothing = [Vec::new()];
+        // The graph decides: in the list, and as the query.
+        assert!(!runs(&goal, std::slice::from_ref(&reflexive)).satisfiable(&goal, &nothing));
+        assert!(!runs(&goal, &[]).satisfiable(&goal, &reflexive.disjuncts));
+        // A wide constraint sends both to the selection search.
+        let mut searched = runs(&goal, &[reflexive.clone(), wide.clone()]);
+        assert!(!searched.satisfiable(&goal, &nothing));
+        let mut searched = runs(&goal, &[wide]);
+        assert!(searched.satisfiable(&goal, &nothing));
+        assert!(!searched.satisfiable(&goal, &reflexive.disjuncts));
+    }
+
+    #[test]
+    fn a_question_outside_the_fragment_answers_no() {
+        // `exists(b) or exists(c)` holds on `b ∨ c` alone, and on `a ⊗ (b ∨
+        // c)` around it, but not once a `◇` or a channel lies in the region.
+        let (b, c) = (sym("b"), sym("c"));
+        let either = NormalForm {
+            disjuncts: vec![vec![Basic::Must(b)], vec![Basic::Must(c)]],
+        };
+        let choice = or(vec![Goal::atom("b"), Goal::atom("c")]);
+        let goal = seq(vec![Goal::atom("a"), choice.clone()]);
+        let mut implication = Implication::new(&goal);
+        assert!(implication.holds(&[(2, 5)], &either));
+        assert!(implication.holds(&[(0, 5)], &either));
+        let beside = crate::goal::possible(Goal::atom("z"));
+        let goal = seq(vec![Goal::atom("a"), choice, beside]);
+        let mut implication = Implication::new(&goal);
+        assert!(implication.holds(&[(2, 5)], &either));
+        assert!(!implication.holds(&[(2, 7)], &either));
     }
 }
