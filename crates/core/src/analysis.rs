@@ -46,7 +46,7 @@ use crate::constraints::Constraint;
 use crate::excise::{excise_in, KnotReport};
 use crate::goal::Goal;
 use crate::memo::{Memo, MemoStats};
-use crate::redundancy::{Runs, SeriesParallel};
+use crate::redundancy::Runs;
 use crate::symbol::Symbol;
 use crate::unique::{ensure_unique_events, DuplicateEvent};
 use std::borrow::Borrow;
@@ -237,8 +237,8 @@ pub struct Analyzer<T = Memo> {
     has_conditions: bool,
     /// Compiled `G ∧ C`, invalidated by constraint edits.
     compiled: Option<Compiled>,
-    /// The constraints over the goal's series-parallel graph, kept in step
-    /// with every edit; `None` when the goal has no such graph.
+    /// The constraints over the goal's layout, kept in step with every
+    /// edit; `None` when the goal is outside the graph fragment.
     runs: Option<Runs>,
 }
 
@@ -266,7 +266,7 @@ impl Analyzer {
 impl<T: Table> Analyzer<T> {
     fn over(table: T, goal: &Goal, constraints: &[Constraint]) -> Result<Self, CompileError> {
         ensure_unique_events(goal).map_err(CompileError::NotUniqueEvent)?;
-        let runs = SeriesParallel::of(goal).map(|order| Runs::new(order, constraints.len()));
+        let runs = Runs::new(goal, constraints.len());
         Ok(Analyzer {
             base_channels: ChannelAlloc::fresh_for(goal),
             has_conditions: mentions_conditions(goal),
@@ -312,7 +312,7 @@ impl<T: Table> Analyzer<T> {
     fn decide(&mut self, extra: &Constraint) -> Option<bool> {
         let runs = fragment(&mut self.runs, &mut self.table, &self.constraints)?;
         let nf = self.table.normalize(extra);
-        Some(runs.satisfiable(&self.goal, &nf.borrow().disjuncts))
+        Some(runs.satisfiable(&nf.borrow().disjuncts))
     }
 
     /// The compiled `G ∧ C` — computed on first use, cached until a
@@ -329,7 +329,7 @@ impl<T: Table> Analyzer<T> {
     pub fn is_consistent(&mut self) -> bool {
         if self.compiled.is_none() {
             if let Some(runs) = fragment(&mut self.runs, &mut self.table, &self.constraints) {
-                return runs.satisfiable(&self.goal, &[Vec::new()]);
+                return runs.satisfiable(&[Vec::new()]);
             }
         }
         self.compiled().is_consistent()
@@ -427,9 +427,7 @@ impl<T: Table> Analyzer<T> {
     pub fn minimize_constraints(&mut self) -> Vec<usize> {
         if let Some(runs) = fragment(&mut self.runs, &mut self.table, &self.constraints) {
             let constraints = &self.constraints;
-            return runs.minimize(&self.goal, |i| {
-                Constraint::not(constraints[i].clone()).normalize()
-            });
+            return runs.minimize(|i| Constraint::not(constraints[i].clone()).normalize());
         }
         self.eliminate(true)
     }
@@ -449,7 +447,7 @@ impl<T: Table> Analyzer<T> {
             return None;
         }
         if let Some(runs) = fragment(&mut self.runs, &mut self.table, &self.constraints) {
-            return Some(runs.conflict(&self.goal));
+            return Some(runs.conflict());
         }
         Some(self.eliminate(false))
     }
@@ -531,9 +529,8 @@ impl<T: Table> Analyzer<T> {
     }
 }
 
-/// A session's constraints, when it is in the graph fragment — its goal
-/// has a series-parallel graph — with those edited since the last query
-/// placed.
+/// A session's constraints, when its goal is in the graph fragment, with
+/// those edited since the last query placed.
 fn fragment<'a, T: Table>(
     runs: &'a mut Option<Runs>,
     table: &mut T,

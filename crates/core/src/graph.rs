@@ -14,7 +14,7 @@
 //! an order `a < b`, whether `b` already reaches `a`. `Excise` never makes
 //! an edge from a vertex to itself, so [`Graph::find_knots`] takes a knot
 //! to be a strongly connected component of more than one vertex. The
-//! fragment's graph may hold one: `SeriesParallel::place` gives a
+//! fragment's graph may hold one: `Search::place` (`redundancy.rs`) gives a
 //! reflexive order `a < a` on an event outside every `∨` the edge
 //! `(v, v)`, a cycle of one vertex, which [`Graph::acyclic`] and
 //! [`Graph::reaches`] both see.

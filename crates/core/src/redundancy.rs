@@ -12,6 +12,15 @@
 //! [`Analyzer`](crate::analysis::Analyzer) come down to one test: is
 //! `G ∧ C ∧ extra` consistent, for a run `extra`?
 //!
+//! **One layout.** A goal is laid out once, by one pre-order walk
+//! ([`Search::lay`]), whatever it holds: its series-parallel graph, its
+//! tree for the search, one sorted table of its event occurrences (name,
+//! number, pre-order position), the positions of its channel operations,
+//! and the positions of the nodes outside the fragment. An `Analyzer`
+//! session lays its goal out when it opens, and `Apply` lays each
+//! compile's goal out in a per-thread spare and reads both its scopes'
+//! positions and its implication answers off it.
+//!
 //! **The graph.** The *series-parallel graph* of `G` chains the children
 //! of a `⊗` exit to entry, and fans the children of a `|` or an `∨` out
 //! from an entry vertex and back in to an exit vertex, as the region graph
@@ -65,8 +74,7 @@
 //! exit vertex, which a live branch — `ε` included, there is one or the
 //! `∨` would be dead — joins as well, so the path re-routes through it.
 //! Reachability between executed events is the same in both graphs. The
-//! search allocates nothing once its vectors are warm, and it is built on
-//! the first query that needs it.
+//! search allocates nothing once its vectors are warm.
 //!
 //! Two deciders stay because the split is on the input and each wins on
 //! its own: the graph answers an order with one reachability on a graph
@@ -82,11 +90,12 @@
 //!   they are inconsistent with every disjunct of `¬φ` (where the graph
 //!   decides, iff each basic of `φ` holds on it).
 //! * **The conflict**: an inconsistent list's minimal conflicting subset,
-//!   found by deletion, one test per constraint.
-//! * **Implication, for `Apply`** ([`Implication`]): does every execution
-//!   of a scope satisfy a wide constraint? One search over the compile's
-//!   goal, laid out once whatever it holds, with `¬C` read off the
-//!   constraint's normal form; a scope outside the fragment answers no.
+//!   found by deletion, one test per constraint. Redundancy and the
+//!   conflict share one greedy loop ([`Runs::greedy`]).
+//! * **Implication, for `Apply`** ([`Layout::implies`]): does every
+//!   execution of a scope satisfy a wide constraint? One search over the
+//!   compile's layout, with `¬C` read off the constraint's normal form; a
+//!   scope outside the fragment answers no.
 //!
 //! A test asks the session's table for nothing but the normal forms of
 //! constraints edited since the last one. It is linear in `|G| + |C|`
@@ -103,157 +112,11 @@
 //! compile.
 
 use crate::constraints::{Basic, Conjunct, NormalForm};
-use crate::goal::Goal;
+use crate::goal::{Channel, Goal};
 use crate::graph::{refill, Graph};
 use crate::symbol::Symbol;
 use std::borrow::Borrow;
 use std::cell::Cell;
-
-/// The series-parallel graph of a goal, with where the goal leaves the
-/// fragment.
-#[derive(Default)]
-pub(crate) struct SeriesParallel {
-    /// Every event with its vertex, whether an `∨` is above it, and its
-    /// pre-order position in the goal; sorted.
-    events: Vec<(Symbol, u32, bool, u32)>,
-    /// Each event's vertex, in pre-order.
-    leaves: Vec<u32>,
-    /// The pre-order positions of the nodes outside the fragment, sorted:
-    /// `⊙`, `◇`, channel operations, conditions, `¬path`, and every
-    /// occurrence of an event that occurs twice.
-    foreign: Vec<u32>,
-    vertices: u32,
-    edges: Vec<(u32, u32)>,
-}
-
-impl SeriesParallel {
-    /// The graph of `goal`, or `None` when the goal is outside the
-    /// fragment.
-    pub(crate) fn of(goal: &Goal) -> Option<SeriesParallel> {
-        let mut graph = SeriesParallel::default();
-        graph.relay(goal);
-        graph.foreign.is_empty().then_some(graph)
-    }
-
-    /// The graph of any goal, in place of this one: `⊙` is laid through,
-    /// and every other node outside the fragment stands as one vertex, as
-    /// `ε` does.
-    fn relay(&mut self, goal: &Goal) {
-        self.events.clear();
-        self.leaves.clear();
-        self.foreign.clear();
-        self.edges.clear();
-        self.vertices = 0;
-        self.lay(goal, 0, false);
-        self.events.sort_unstable();
-        for twice in self.events.chunk_by(|x, y| x.0 == y.0) {
-            if twice.len() > 1 {
-                self.foreign.extend(twice.iter().map(|e| e.3));
-            }
-        }
-        self.foreign.sort_unstable();
-    }
-
-    /// Lays `goal`, at pre-order position `id`, out and returns its entry
-    /// and exit vertices.
-    fn lay(&mut self, goal: &Goal, id: u32, guarded: bool) -> (u32, u32) {
-        match goal {
-            Goal::Atom(a) => {
-                let v = self.vertex();
-                match a.as_event() {
-                    Some(event) => {
-                        self.events.push((event, v, guarded, id));
-                        self.leaves.push(v);
-                    }
-                    None => self.foreign.push(id),
-                }
-                (v, v)
-            }
-            Goal::Seq(gs) => {
-                let mut span: Option<(u32, u32)> = None;
-                let mut child = id + 1;
-                for g in gs.iter() {
-                    let (entry, exit) = self.lay(g, child, guarded);
-                    child += g.size() as u32;
-                    span = Some(match span {
-                        Some((first, last)) => {
-                            self.edges.push((last, entry));
-                            (first, exit)
-                        }
-                        None => (entry, exit),
-                    });
-                }
-                span.unwrap_or_else(|| self.lay(&Goal::Empty, id, guarded))
-            }
-            Goal::Conc(gs) | Goal::Or(gs) => {
-                let guarded = guarded || matches!(goal, Goal::Or(_));
-                let (entry, exit) = (self.vertex(), self.vertex());
-                let mut child = id + 1;
-                for g in gs.iter() {
-                    let (first, last) = self.lay(g, child, guarded);
-                    child += g.size() as u32;
-                    self.edges.extend([(entry, first), (last, exit)]);
-                }
-                (entry, exit)
-            }
-            Goal::Isolated(g) => {
-                self.foreign.push(id);
-                self.lay(g, id + 1, guarded)
-            }
-            Goal::Empty => {
-                let v = self.vertex();
-                (v, v)
-            }
-            Goal::Possible(_) | Goal::Send(_) | Goal::Receive(_) | Goal::NoPath => {
-                self.foreign.push(id);
-                let v = self.vertex();
-                (v, v)
-            }
-        }
-    }
-
-    fn vertex(&mut self) -> u32 {
-        self.vertices += 1;
-        self.vertices - 1
-    }
-
-    /// True if a node outside the fragment lies in `region`, pre-order
-    /// `[start, end)` intervals.
-    fn meets_foreign(&self, region: &[(u32, u32)]) -> bool {
-        region.iter().any(|&(start, end)| {
-            let at = self.foreign.partition_point(|&p| p < start);
-            self.foreign.get(at).is_some_and(|&p| p < end)
-        })
-    }
-
-    /// `event`'s vertex, and whether an `∨` is above it.
-    fn find(&self, event: Symbol) -> Option<(u32, bool)> {
-        let at = self.events.binary_search_by_key(&event, |e| e.0).ok()?;
-        let (_, vertex, guarded, _) = self.events[at];
-        Some((vertex, guarded))
-    }
-
-    /// `event`'s vertex, if it occurs outside every `∨`.
-    fn unguarded(&self, event: Symbol) -> Option<u32> {
-        match self.find(event) {
-            Some((vertex, false)) => Some(vertex),
-            _ => None,
-        }
-    }
-
-    /// `basic` placed on this graph.
-    fn place(&self, basic: Basic) -> Placed {
-        let (alone, edge) = match basic {
-            Basic::Must(e) => (self.unguarded(e).is_some(), None),
-            Basic::MustNot(e) => (self.find(e).is_none(), None),
-            Basic::Order(a, b) => match (self.unguarded(a), self.unguarded(b)) {
-                (Some(a), Some(b)) => (true, Some((a, b))),
-                _ => (false, None),
-            },
-        };
-        Placed { basic, alone, edge }
-    }
-}
 
 /// The vectors a graph test works in, reused from one test to the next, so
 /// that a session's tests allocate nothing once they are warm.
@@ -265,31 +128,22 @@ struct Probe {
 }
 
 impl Probe {
-    /// Is `G ∧ R` consistent, `g` being the graph of `G`?
-    fn consistent(&mut self, g: &SeriesParallel) -> bool {
-        acyclic(&mut self.graph, g, &self.orders)
+    /// Is `G ∧ R` consistent, `g` being `G` laid out?
+    fn consistent(&mut self, g: &Search) -> bool {
+        g.acyclic(&mut self.graph, &self.orders)
     }
 
     /// Does every execution of the consistent `G ∧ R` satisfy the basics
     /// `phi`? Asked right after [`Probe::consistent`] said yes.
-    fn holds(&mut self, g: &SeriesParallel, mut phi: impl Iterator<Item = Basic>) -> bool {
-        let graph = &mut self.graph;
-        phi.all(|basic| match basic {
-            Basic::Must(e) => g.unguarded(e).is_some(),
-            Basic::MustNot(e) => g.find(e).is_none(),
-            Basic::Order(a, b) => match (g.unguarded(a), g.unguarded(b)) {
-                (Some(a), Some(b)) => graph.reaches(a, b, &[]),
-                _ => false,
-            },
+    fn holds(&mut self, g: &Search, mut phi: impl Iterator<Item = Basic>) -> bool {
+        // A basic that does not leave `G` alone does not hold on it.
+        phi.all(|basic| match g.place(basic) {
+            Placed {
+                edge: Some((a, b)), ..
+            } => self.graph.reaches(a, b, &[]),
+            placed => placed.alone,
         })
     }
-}
-
-/// True if `h`'s graph stays acyclic with the edges `orders` added, filled
-/// into `graph`.
-fn acyclic(graph: &mut Graph, h: &SeriesParallel, orders: &[(u32, u32)]) -> bool {
-    graph.fill(h.vertices as usize, &h.edges, orders);
-    graph.acyclic()
 }
 
 /// A basic of a session's constraint, placed on the goal's graph.
@@ -314,13 +168,13 @@ struct Slot {
     stale: bool,
 }
 
-/// A session's constraints over its goal's series-parallel graph, kept in
-/// step with the constraint list: an edit marks its own constraint, and the
-/// next query places that constraint's disjuncts in place of the old ones,
-/// so that a query only tests.
+/// A session's constraints over its goal's layout, kept in step with the
+/// constraint list: an edit marks its own constraint, and the next query
+/// places that constraint's disjuncts in place of the old ones, so that a
+/// query only tests.
 pub(crate) struct Runs {
-    /// The goal's graph.
-    order: SeriesParallel,
+    /// The goal laid out, and the selection search over it.
+    search: Box<Search>,
     /// The basics of every disjunct of every constraint, in list order.
     placed: Vec<Placed>,
     /// How many basics of `placed` each disjunct has, in the same order.
@@ -338,24 +192,27 @@ pub(crate) struct Runs {
     whole: Graph,
     whole_acyclic: Option<bool>,
     probe: Probe,
-    /// The selection search, built by the first query that has a wide
-    /// constraint, and whether its constraints are those of `placed`.
-    search: Option<Box<Search>>,
+    /// Whether the search's constraints are those of `placed`.
     indexed: bool,
 }
 
 impl Runs {
-    /// The runs of `constraints` constraints, all stale, over `order`, the
-    /// graph of the session's goal.
-    pub(crate) fn new(order: SeriesParallel, constraints: usize) -> Runs {
+    /// The runs of `constraints` constraints, all stale, over `goal`, or
+    /// `None` when the goal is outside the fragment.
+    pub(crate) fn new(goal: &Goal, constraints: usize) -> Option<Runs> {
+        let mut search = Box::<Search>::default();
+        search.lay(goal);
+        if !search.foreign.is_empty() {
+            return None;
+        }
         let stale = Slot {
             end: 0,
             cut: 0,
             run: true,
             stale: true,
         };
-        Runs {
-            order,
+        Some(Runs {
+            search,
             placed: Vec::new(),
             cuts: Vec::new(),
             slots: vec![stale; constraints],
@@ -365,9 +222,8 @@ impl Runs {
             whole: Graph::default(),
             whole_acyclic: None,
             probe: Probe::default(),
-            search: None,
             indexed: false,
-        }
+        })
     }
 
     /// Where constraint `i`'s basics begin in `placed`, and its disjuncts
@@ -453,9 +309,9 @@ impl Runs {
         let gone = (self.placed[span.clone()].iter())
             .filter(|p| !p.alone)
             .count();
-        let (order, mut added) = (&self.order, 0);
+        let (search, mut added) = (&self.search, 0);
         let placed = nf.disjuncts.iter().flatten().map(|&basic| {
-            let placed = order.place(basic);
+            let placed = search.place(basic);
             added += usize::from(!placed.alone);
             placed
         });
@@ -489,38 +345,37 @@ impl Runs {
     /// kept from one query to the next: `extra` of one order `a < b` adds
     /// a cycle iff `b` reaches `a` there. The selection search answers
     /// everything else.
-    fn consistent(&mut self, goal: &Goal, extra: &[Basic]) -> bool {
+    fn consistent(&mut self, extra: &[Basic]) -> bool {
         debug_assert!(self.stale == 0);
-        let order = &self.order;
-        if !self.graphed() || !extra.iter().all(|&b| order.place(b).alone) {
-            return self.select(goal, |_| true, extra);
+        let search = &self.search;
+        if !self.graphed() || !extra.iter().all(|&b| search.place(b).alone) {
+            return self.select(|_| true, extra);
         }
         let (whole, placed, probe) = (&mut self.whole, &self.placed, &mut self.probe);
         let consistent = *self.whole_acyclic.get_or_insert_with(|| {
             probe.orders.clear();
             probe.orders.extend(placed.iter().filter_map(|p| p.edge));
-            acyclic(whole, order, &probe.orders)
+            search.acyclic(whole, &probe.orders)
         });
         probe.orders.clear();
         probe
             .orders
-            .extend(extra.iter().filter_map(|&b| order.place(b).edge));
+            .extend(extra.iter().filter_map(|&b| search.place(b).edge));
         match probe.orders[..] {
             _ if !consistent => false,
             [] => true,
             [(a, b)] => a != b && !whole.reaches(b, a, &[]),
             _ => {
                 probe.orders.extend(placed.iter().filter_map(|p| p.edge));
-                probe.consistent(order)
+                probe.consistent(search)
             }
         }
     }
 
     /// Is `G ∧ C' ∧ extra` consistent, `C'` being the constraints `keep`
     /// admits? The selection search, for a session with a wide constraint.
-    fn select(&mut self, goal: &Goal, keep: impl Fn(usize) -> bool, extra: &[Basic]) -> bool {
-        let order = &self.order;
-        let search = (self.search).get_or_insert_with(|| Box::new(Search::new(goal, order)));
+    fn select(&mut self, keep: impl Fn(usize) -> bool, extra: &[Basic]) -> bool {
+        let search = &mut self.search;
         if !self.indexed {
             let ends = self.slots.iter().map(|slot| slot.cut);
             search.index(ends, &self.cuts, |i| self.placed[i].basic);
@@ -535,20 +390,30 @@ impl Runs {
     /// Does some execution of `G ∧ C` satisfy one of `disjuncts`, the
     /// normal form of a constraint? Asked after [`Runs::refresh`], as are
     /// [`Runs::minimize`] and [`Runs::conflict`].
-    pub(crate) fn satisfiable(&mut self, goal: &Goal, disjuncts: &[Conjunct]) -> bool {
-        disjuncts.iter().any(|d| self.consistent(goal, d))
+    pub(crate) fn satisfiable(&mut self, disjuncts: &[Conjunct]) -> bool {
+        disjuncts.iter().any(|d| self.consistent(d))
     }
 
-    /// Fills `self.probe.orders` with the edges of the runs of `kept` but
-    /// its `skip`-th.
-    fn gather(&mut self, kept: &[usize], skip: usize) {
+    /// Fills `self.probe.orders` with the edges of the runs `kept` admits.
+    fn gather(&mut self, kept: &[bool]) {
         self.probe.orders.clear();
-        for (k, &j) in kept.iter().enumerate() {
-            if k != skip {
-                let run = &self.placed[self.span(j)];
-                self.probe.orders.extend(run.iter().filter_map(|p| p.edge));
-            }
+        for j in (0..kept.len()).filter(|&j| kept[j]) {
+            let run = &self.placed[self.span(j)];
+            self.probe.orders.extend(run.iter().filter_map(|p| p.edge));
         }
+    }
+
+    /// Greedy deletion over a kept mask: each constraint `i` in turn is
+    /// taken out, and `keep(self, kept, i)` — `kept` admitting the ones
+    /// kept before `i` and all the ones after it — says whether it goes
+    /// back. Returns the kept indices.
+    fn greedy(&mut self, mut keep: impl FnMut(&mut Runs, &[bool], usize) -> bool) -> Vec<usize> {
+        let mut kept = vec![true; self.slots.len()];
+        for i in 0..kept.len() {
+            kept[i] = false;
+            kept[i] = keep(self, &kept, i);
+        }
+        (0..kept.len()).filter(|&j| kept[j]).collect()
     }
 
     /// Greedy redundancy elimination: the indices
@@ -559,85 +424,45 @@ impl Runs {
     /// against them when the graph does not decide.
     pub(crate) fn minimize<N: Borrow<NormalForm>>(
         &mut self,
-        goal: &Goal,
         mut negation: impl FnMut(usize) -> N,
     ) -> Vec<usize> {
-        if !self.graphed() {
-            let mut kept = vec![true; self.slots.len()];
-            for i in 0..kept.len() {
-                kept[i] = false;
+        let graphed = self.graphed();
+        self.greedy(|runs, kept, i| {
+            if !graphed {
                 let negation = negation(i);
                 let disjuncts = &negation.borrow().disjuncts;
-                kept[i] = disjuncts.iter().any(|d| self.select(goal, |j| kept[j], d));
+                return disjuncts.iter().any(|d| runs.select(|j| kept[j], d));
             }
-            return (0..kept.len()).filter(|&j| kept[j]).collect();
-        }
-        let mut retained: Vec<usize> = (0..self.slots.len()).collect();
-        let mut i = 0;
-        while i < retained.len() {
-            self.gather(&retained, i);
-            let phi = &self.placed[self.span(retained[i])];
-            let (order, probe) = (&self.order, &mut self.probe);
-            let redundant =
-                !probe.consistent(order) || probe.holds(order, phi.iter().map(|p| p.basic));
-            if redundant {
-                retained.remove(i);
-            } else {
-                i += 1;
-            }
-        }
-        retained
+            runs.gather(kept);
+            let phi = &runs.placed[runs.span(i)];
+            let (search, probe) = (&runs.search, &mut runs.probe);
+            probe.consistent(search) && !probe.holds(search, phi.iter().map(|p| p.basic))
+        })
     }
 
     /// A minimal conflicting subset of an inconsistent constraint list, by
     /// deletion: each constraint in turn is dropped when the rest of the
     /// subset still in play stays inconsistent without it. What is left
     /// is inconsistent, and consistent with any one of its members dropped.
-    pub(crate) fn conflict(&mut self, goal: &Goal) -> Vec<usize> {
-        if !self.graphed() {
-            let mut kept = vec![true; self.slots.len()];
-            for i in 0..kept.len() {
-                kept[i] = false;
-                kept[i] = self.select(goal, |j| kept[j], &[]);
+    pub(crate) fn conflict(&mut self) -> Vec<usize> {
+        let graphed = self.graphed();
+        self.greedy(|runs, kept, _| {
+            if !graphed {
+                return runs.select(|j| kept[j], &[]);
             }
-            return (0..kept.len()).filter(|&j| kept[j]).collect();
-        }
-        let mut kept: Vec<usize> = (0..self.slots.len()).collect();
-        let mut i = 0;
-        while i < kept.len() {
-            self.gather(&kept, i);
-            if self.probe.consistent(&self.order) {
-                i += 1;
-            } else {
-                kept.remove(i);
-            }
-        }
-        kept
+            runs.gather(kept);
+            runs.probe.consistent(&runs.search)
+        })
     }
 }
 
-/// Theorem 5.10 asked of `Apply`'s scopes: does every execution of a
-/// subgoal satisfy a constraint? The goal is laid out once, on the first
-/// question, whatever it holds, and each question names a region of it: a
-/// subgoal with only `⊗`, `|` and `⊙` above it that holds every occurrence
-/// of the constraint's events. A region in the fragment is decided by the
-/// selection search over the whole layout, which is the search over the
-/// subgoal alone: the constraint names no event outside it, a kill that
-/// climbs out of it reaches the root through `⊗`, `|` and `⊙` as it would
-/// reach the subgoal's own root, and no path of the graph leaves a subgoal
-/// and comes back. A region outside the fragment answers no.
-pub(crate) struct Implication<'g> {
-    goal: &'g Goal,
-    laid: Option<Box<Layout>>,
-}
-
-/// A goal laid out for [`Implication`], and `¬C`, rebuilt per question in
-/// the same vectors: a run of the basics that are alone in their
-/// constraint, for [`Search::run`], and the other constraints, for
-/// [`Search::index`].
+/// A compile's goal laid out for `Apply`'s scopes: where its events and
+/// channel operations stand, and Theorem 5.10 asked of a region of it,
+/// with `¬C` rebuilt per question in the same vectors: a run of the basics
+/// that are alone in their constraint, for [`Search::run`], and the other
+/// constraints, for [`Search::index`].
 #[derive(Default)]
-struct Layout {
-    order: SeriesParallel,
+pub(crate) struct Layout {
     search: Search,
     run: Vec<Basic>,
     ends: Vec<usize>,
@@ -648,55 +473,63 @@ struct Layout {
 }
 
 thread_local! {
-    /// The layout the last [`Implication`] on this thread worked in, kept
-    /// for the next: a compile asks a few questions, and the forty-odd
-    /// vectors of a fresh layout cost more to allocate than to ask them.
+    /// The layout the last compile on this thread worked in, kept for the
+    /// next: the forty-odd vectors of a fresh layout cost more to allocate
+    /// than to fill.
     static SPARE: Cell<Option<Box<Layout>>> = const { Cell::new(None) };
 }
 
-impl<'g> Implication<'g> {
-    /// Questions about subgoals of `goal`.
-    pub(crate) fn new(goal: &'g Goal) -> Implication<'g> {
-        Implication { goal, laid: None }
+impl Layout {
+    /// Lays `goal` out in this thread's spare layout and hands it to `f`.
+    pub(crate) fn with<R>(goal: &Goal, f: impl FnOnce(&mut Layout) -> R) -> R {
+        let mut laid = SPARE.take().unwrap_or_default();
+        laid.search.lay(goal);
+        laid.unconstrained = false;
+        let out = f(&mut laid);
+        SPARE.set(Some(laid));
+        out
+    }
+
+    /// The pre-order positions of `event`'s occurrences, `◇` bodies
+    /// included.
+    pub(crate) fn positions(&self, event: Symbol) -> impl Iterator<Item = u32> + '_ {
+        let events = &self.search.events;
+        let from = events.partition_point(|e| e.0 < event);
+        (events[from..].iter())
+            .take_while(move |e| e.0 == event)
+            .map(|e| e.2)
+    }
+
+    /// Every channel operation with its position, sorted.
+    pub(crate) fn channels(&self) -> &[(Channel, u32)] {
+        &self.search.channels
     }
 
     /// True if the subgoal at `region` (pre-order `[start, end)`
     /// intervals) is in the fragment and every execution of it satisfies
-    /// `nf`: no disjunct of `¬nf` is consistent with it. Kept out of
-    /// line: inlined into `Scopes::of`, it slowed the apply of the SAT
+    /// `nf`: no disjunct of `¬nf` is consistent with it. The region is a
+    /// subgoal with only `⊗`, `|` and `⊙` above it that holds every
+    /// occurrence of the constraint's events, so the search over the whole
+    /// layout is the search over the subgoal alone: the constraint names
+    /// no event outside it, a kill that climbs out of it reaches the root
+    /// through `⊗`, `|` and `⊙` as it would reach the subgoal's own root,
+    /// and no path of the graph leaves a subgoal and comes back. Kept out
+    /// of line: inlined into `Scopes::of`, it slowed the apply of the SAT
     /// specs, whose clauses it never finds implied, by ≈ 2 %.
     #[inline(never)]
-    pub(crate) fn holds(&mut self, region: &[(u32, u32)], nf: &NormalForm) -> bool {
-        let goal = self.goal;
-        let laid = self.laid.get_or_insert_with(|| {
-            let mut laid = SPARE.take().unwrap_or_default();
-            laid.order.relay(goal);
-            laid.search.relay(goal, &laid.order);
-            laid.unconstrained = false;
-            laid
-        });
-        if laid.order.meets_foreign(region) {
+    pub(crate) fn implies(&mut self, region: &[(u32, u32)], nf: &NormalForm) -> bool {
+        if self.search.meets_foreign(region) {
             return false;
         }
-        laid.negate(nf);
-        if !(laid.ends.is_empty() && laid.unconstrained) {
-            let basics = &laid.basics;
-            (laid.search).index(laid.ends.iter().copied(), &laid.cuts, |i| basics[i]);
-            laid.unconstrained = laid.ends.is_empty();
+        self.negate(nf);
+        if !(self.ends.is_empty() && self.unconstrained) {
+            let basics = &self.basics;
+            (self.search).index(self.ends.iter().copied(), &self.cuts, |i| basics[i]);
+            self.unconstrained = self.ends.is_empty();
         }
-        !laid.search.run(&laid.run)
+        !self.search.run(&self.run)
     }
-}
 
-impl Drop for Implication<'_> {
-    fn drop(&mut self) {
-        if let Some(laid) = self.laid.take() {
-            SPARE.set(Some(laid));
-        }
-    }
-}
-
-impl Layout {
     /// `¬(∨ᵢ ∧ⱼ bᵢⱼ) = ∧ᵢ ∨ⱼ ¬bᵢⱼ`, read off the normal form: one
     /// constraint per disjunct `i`, whose disjuncts are the negated basics,
     /// `¬(a < b)` unfolding to `¬∇a ∨ ¬∇b ∨ b < a` (Lemma 3.4); a lone
@@ -816,7 +649,7 @@ impl Resolved {
 #[derive(Clone, Copy)]
 struct Mark {
     trail: usize,
-    edges: usize,
+    orders: usize,
 }
 
 /// An open choice of the search: constraint `c`, whose disjuncts before
@@ -828,11 +661,26 @@ struct Frame {
     mark: Mark,
 }
 
-/// The selection search over a goal in the fragment: its tree, the
-/// constraints indexed by event, and the state a search moves through,
+/// A goal laid out — its series-parallel graph, its tree, its event table
+/// and where it leaves the fragment — with the selection search over it:
+/// the constraints indexed by event, and the state a search moves through,
 /// which is back at the goal's own between searches.
 #[derive(Default)]
 struct Search {
+    /// The goal's series-parallel graph: its vertex count and edges, and
+    /// the same filled in for the order test.
+    vertices: u32,
+    edges: Vec<(u32, u32)>,
+    graph: Graph,
+    /// The pre-order positions of the nodes outside the fragment, sorted:
+    /// `⊙`, `◇`, channel operations, conditions, `¬path`, and every
+    /// occurrence of an event that occurs twice.
+    foreign: Vec<u32>,
+    /// Every event occurrence: its name, its number ([`NONE`] below a
+    /// `◇`) and its pre-order position in the goal; sorted.
+    events: Vec<(Symbol, u32, u32)>,
+    /// Every channel operation with its pre-order position, sorted.
+    channels: Vec<(Channel, u32)>,
     /// The goal's nodes in pre-order: each node's parent ([`NONE`] for the
     /// root), whether it is an `∨`, and the events under it,
     /// `first[n]..end[n]` (events are numbered in pre-order too).
@@ -845,10 +693,6 @@ struct Search {
     leaf: Vec<u32>,
     vertex: Vec<u32>,
     guards: Vec<u32>,
-    /// Every event's name with its number, sorted.
-    names: Vec<(Symbol, u32)>,
-    /// The goal's series-parallel graph, for the order test.
-    graph: Graph,
 
     /// Per constraint, its disjuncts `ways[c]..ways[c + 1]`; per disjunct,
     /// its basics `cut[k]..cut[k + 1]` of `resolved` and its constraint.
@@ -879,44 +723,45 @@ struct Search {
     active: Vec<bool>,
     trail: Vec<Step>,
     /// The chosen orders, as edges of `graph`.
-    edges: Vec<(u32, u32)>,
+    orders: Vec<(u32, u32)>,
     /// Constraints to look at: a disjunct of theirs died.
     queue: Vec<u32>,
     frames: Vec<Frame>,
 }
 
 impl Search {
-    /// The search over `goal`, whose graph is `order`, with no constraint.
-    /// `⊙` is laid through, and the other nodes outside the fragment are
-    /// nodes without events, as they are vertices without events in
-    /// `order`.
-    fn new(goal: &Goal, order: &SeriesParallel) -> Search {
-        let mut search = Search::default();
-        search.relay(goal, order);
-        search
-    }
-
-    /// [`Search::new`] in this search's vectors.
-    fn relay(&mut self, goal: &Goal, order: &SeriesParallel) {
+    /// Lays `goal` out in place of the goal before, with no constraint.
+    fn lay(&mut self, goal: &Goal) {
         debug_assert!(self.trail.is_empty());
         for vector in [
+            &mut self.foreign,
             &mut self.parent,
             &mut self.first,
             &mut self.end,
             &mut self.live,
             &mut self.leaf,
-            &mut self.guards,
             &mut self.vertex,
+            &mut self.guards,
         ] {
             vector.clear();
         }
+        self.edges.clear();
+        self.events.clear();
+        self.channels.clear();
         self.or.clear();
-        self.names.clear();
-        self.lay(goal, NONE, 0);
-        self.names.sort_unstable();
-        debug_assert_eq!(order.leaves.len(), self.leaf.len());
-        self.vertex.extend_from_slice(&order.leaves);
-        (self.graph).fill(order.vertices as usize, &order.edges, &[]);
+        self.vertices = 0;
+        self.walk(goal, 0, NONE, 0, true);
+        self.events.sort_unstable();
+        self.channels.sort_unstable();
+        // An event's numbered occurrences come first in its run of the table.
+        for twice in self.events.chunk_by(|x, y| x.0 == y.0) {
+            if twice.len() > 1 && twice[1].1 != NONE {
+                let numbered = twice.iter().take_while(|e| e.1 != NONE);
+                self.foreign.extend(numbered.map(|e| e.2));
+            }
+        }
+        self.foreign.sort_unstable();
+        (self.graph).fill(self.vertices as usize, &self.edges, &[]);
         refill(&mut self.commit, self.parent.len(), NONE);
         self.pending.clone_from(&self.guards);
         self.status.clear();
@@ -926,44 +771,147 @@ impl Search {
         }));
     }
 
-    /// Adds `goal`'s nodes under `parent`, with `guards` `∨` above it.
-    fn lay(&mut self, goal: &Goal, parent: u32, guards: u32) {
-        let n = self.parent.len();
-        let is_or = matches!(goal, Goal::Or(_));
+    /// Lays `goal`, at pre-order position `id`, out below the node `parent`
+    /// with `guards` `∨` above it, and returns its entry and exit vertices.
+    /// A `◇` is one vertex, as `ε` is; its body is laid apart, and an
+    /// event there (`numbered` false) is a position only, which neither
+    /// the graph nor the search sees. `⊙` is laid through.
+    fn walk(
+        &mut self,
+        goal: &Goal,
+        id: u32,
+        parent: u32,
+        guards: u32,
+        numbered: bool,
+    ) -> (u32, u32) {
+        let n = self.parent.len() as u32;
         self.parent.push(parent);
-        self.or.push(is_or);
+        self.or.push(matches!(goal, Goal::Or(_)));
         self.first.push(self.leaf.len() as u32);
         self.end.push(0);
         self.live.push(0);
-        match goal {
-            Goal::Atom(a) => {
-                if let Some(event) = a.as_event() {
-                    self.names.push((event, self.leaf.len() as u32));
-                    self.leaf.push(n as u32);
-                    self.guards.push(guards);
-                }
-            }
-            Goal::Seq(gs) | Goal::Conc(gs) | Goal::Or(gs) => {
+        let span = match goal {
+            Goal::Seq(gs) => {
+                let mut span: Option<(u32, u32)> = None;
+                let mut child = id + 1;
                 for g in gs.iter() {
-                    self.lay(g, n as u32, guards + u32::from(is_or));
+                    let (entry, exit) = self.walk(g, child, n, guards, numbered);
+                    child += g.size() as u32;
+                    span = Some(match span {
+                        Some((first, last)) => {
+                            self.edges.push((last, entry));
+                            (first, exit)
+                        }
+                        None => (entry, exit),
+                    });
                 }
-                self.live[n] = gs.len() as u32;
+                span.unwrap_or_else(|| {
+                    let v = self.add_vertex();
+                    (v, v)
+                })
             }
-            Goal::Isolated(g) => self.lay(g, n as u32, guards),
-            _ => {}
+            Goal::Conc(gs) | Goal::Or(gs) => {
+                let inner = guards + u32::from(self.or[n as usize]);
+                let (entry, exit) = (self.add_vertex(), self.add_vertex());
+                let mut child = id + 1;
+                for g in gs.iter() {
+                    let (first, last) = self.walk(g, child, n, inner, numbered);
+                    child += g.size() as u32;
+                    self.edges.extend([(entry, first), (last, exit)]);
+                }
+                self.live[n as usize] = gs.len() as u32;
+                (entry, exit)
+            }
+            Goal::Isolated(g) => {
+                self.foreign.push(id);
+                self.walk(g, id + 1, n, guards, numbered)
+            }
+            // Every other node is one vertex, as `ε` is.
+            _ => {
+                let v = self.add_vertex();
+                match goal {
+                    Goal::Atom(a) => match a.as_event() {
+                        Some(event) if numbered => {
+                            self.events.push((event, self.leaf.len() as u32, id));
+                            self.leaf.push(n);
+                            self.vertex.push(v);
+                            self.guards.push(guards);
+                        }
+                        Some(event) => self.events.push((event, NONE, id)),
+                        None => self.foreign.push(id),
+                    },
+                    Goal::Possible(g) => {
+                        self.foreign.push(id);
+                        self.walk(g, id + 1, n, guards, false);
+                    }
+                    Goal::Send(c) | Goal::Receive(c) => {
+                        self.foreign.push(id);
+                        self.channels.push((*c, id));
+                    }
+                    Goal::NoPath => self.foreign.push(id),
+                    _ => {}
+                }
+                (v, v)
+            }
+        };
+        self.end[n as usize] = self.leaf.len() as u32;
+        span
+    }
+
+    fn add_vertex(&mut self) -> u32 {
+        self.vertices += 1;
+        self.vertices - 1
+    }
+
+    /// True if a node outside the fragment lies in `region`, pre-order
+    /// `[start, end)` intervals.
+    fn meets_foreign(&self, region: &[(u32, u32)]) -> bool {
+        region.iter().any(|&(start, end)| {
+            let at = self.foreign.partition_point(|&p| p < start);
+            self.foreign.get(at).is_some_and(|&p| p < end)
+        })
+    }
+
+    /// True if the graph stays acyclic with the edges `orders` added,
+    /// filled into `graph`.
+    fn acyclic(&self, graph: &mut Graph, orders: &[(u32, u32)]) -> bool {
+        graph.fill(self.vertices as usize, &self.edges, orders);
+        graph.acyclic()
+    }
+
+    /// `event`'s number, [`NONE`] when it occurs nowhere but below a `◇`.
+    fn number(&self, event: Symbol) -> u32 {
+        let at = self.events.partition_point(|e| e.0 < event);
+        match self.events.get(at) {
+            Some(&(name, number, _)) if name == event => number,
+            _ => NONE,
         }
-        self.end[n] = self.leaf.len() as u32;
+    }
+
+    /// `event`'s vertex, if it occurs outside every `∨`.
+    fn unguarded(&self, event: Symbol) -> Option<u32> {
+        let e = self.number(event);
+        (e != NONE && self.guards[e as usize] == 0).then(|| self.vertex[e as usize])
+    }
+
+    /// `basic` placed on the graph.
+    fn place(&self, basic: Basic) -> Placed {
+        let (alone, edge) = match basic {
+            Basic::Must(e) => (self.unguarded(e).is_some(), None),
+            Basic::MustNot(e) => (self.number(e) == NONE, None),
+            Basic::Order(a, b) => match (self.unguarded(a), self.unguarded(b)) {
+                (Some(a), Some(b)) => (true, Some((a, b))),
+                _ => (false, None),
+            },
+        };
+        Placed { basic, alone, edge }
     }
 
     /// `basic` with its events numbered.
     fn resolve(&self, basic: Basic) -> Resolved {
-        let number = |e: Symbol| match self.names.binary_search_by_key(&e, |n| n.0) {
-            Ok(at) => self.names[at].1,
-            Err(_) => NONE,
-        };
         let (a, b) = match basic {
-            Basic::Must(e) | Basic::MustNot(e) => (number(e), NONE),
-            Basic::Order(a, b) => (number(a), number(b)),
+            Basic::Must(e) | Basic::MustNot(e) => (self.number(e), NONE),
+            Basic::Order(a, b) => (self.number(a), self.number(b)),
         };
         Resolved { basic, a, b }
     }
@@ -1065,7 +1013,7 @@ impl Search {
     fn mark(&self) -> Mark {
         Mark {
             trail: self.trail.len(),
-            edges: self.edges.len(),
+            orders: self.orders.len(),
         }
     }
 
@@ -1169,8 +1117,8 @@ impl Search {
                     return false;
                 }
                 let (a, b) = (self.vertex[r.a as usize], self.vertex[r.b as usize]);
-                self.edges.push((a, b));
-                !self.graph.reaches(b, a, &self.edges)
+                self.orders.push((a, b));
+                !self.graph.reaches(b, a, &self.orders)
             }
         }
     }
@@ -1320,20 +1268,21 @@ impl Search {
                 Step::Chosen(c) => self.chosen[c as usize] = false,
             }
         }
-        self.edges.truncate(mark.edges);
+        self.orders.truncate(mark.orders);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::goal::{or, seq};
+    use crate::gen::{random_goal, GoalShape};
+    use crate::goal::{conc, isolated, or, possible, seq};
     use crate::symbol::sym;
+    use crate::term::{Atom, Term};
 
     /// A session's runs over `goal` with the normal forms `nfs`, placed.
     fn runs(goal: &Goal, nfs: &[NormalForm]) -> Runs {
-        let order = SeriesParallel::of(goal).expect("in the fragment");
-        let mut runs = Runs::new(order, nfs.len());
+        let mut runs = Runs::new(goal, nfs.len()).expect("in the fragment");
         runs.refresh(|i| &nfs[i]);
         runs
     }
@@ -1352,14 +1301,14 @@ mod tests {
         let wide = nf(vec![vec![Basic::Must(b)], vec![Basic::Must(c)]]);
         let nothing = [Vec::new()];
         // The graph decides: in the list, and as the query.
-        assert!(!runs(&goal, std::slice::from_ref(&reflexive)).satisfiable(&goal, &nothing));
-        assert!(!runs(&goal, &[]).satisfiable(&goal, &reflexive.disjuncts));
+        assert!(!runs(&goal, std::slice::from_ref(&reflexive)).satisfiable(&nothing));
+        assert!(!runs(&goal, &[]).satisfiable(&reflexive.disjuncts));
         // A wide constraint sends both to the selection search.
         let mut searched = runs(&goal, &[reflexive.clone(), wide.clone()]);
-        assert!(!searched.satisfiable(&goal, &nothing));
+        assert!(!searched.satisfiable(&nothing));
         let mut searched = runs(&goal, &[wide]);
-        assert!(searched.satisfiable(&goal, &nothing));
-        assert!(!searched.satisfiable(&goal, &reflexive.disjuncts));
+        assert!(searched.satisfiable(&nothing));
+        assert!(!searched.satisfiable(&reflexive.disjuncts));
     }
 
     #[test]
@@ -1372,13 +1321,117 @@ mod tests {
         };
         let choice = or(vec![Goal::atom("b"), Goal::atom("c")]);
         let goal = seq(vec![Goal::atom("a"), choice.clone()]);
-        let mut implication = Implication::new(&goal);
-        assert!(implication.holds(&[(2, 5)], &either));
-        assert!(implication.holds(&[(0, 5)], &either));
-        let beside = crate::goal::possible(Goal::atom("z"));
+        Layout::with(&goal, |layout| {
+            assert!(layout.implies(&[(2, 5)], &either));
+            assert!(layout.implies(&[(0, 5)], &either));
+        });
+        let beside = possible(Goal::atom("z"));
         let goal = seq(vec![Goal::atom("a"), choice, beside]);
-        let mut implication = Implication::new(&goal);
-        assert!(implication.holds(&[(2, 5)], &either));
-        assert!(!implication.holds(&[(2, 7)], &either));
+        Layout::with(&goal, |layout| {
+            assert!(layout.implies(&[(2, 5)], &either));
+            assert!(!layout.implies(&[(2, 7)], &either));
+        });
+    }
+
+    /// The definition the layout is held to: every event occurrence and
+    /// every channel operation of `goal` with its pre-order position, `◇`
+    /// bodies included, by a plain count from `next`.
+    fn count(
+        goal: &Goal,
+        next: &mut u32,
+        events: &mut Vec<(Symbol, u32)>,
+        channels: &mut Vec<(Channel, u32)>,
+    ) {
+        let id = *next;
+        *next += 1;
+        match goal {
+            Goal::Atom(a) => events.extend(a.as_event().map(|e| (e, id))),
+            Goal::Send(c) | Goal::Receive(c) => channels.push((*c, id)),
+            Goal::Seq(gs) | Goal::Conc(gs) | Goal::Or(gs) => {
+                for g in gs.iter() {
+                    count(g, next, events, channels);
+                }
+            }
+            Goal::Isolated(g) | Goal::Possible(g) => count(g, next, events, channels),
+            Goal::Empty | Goal::NoPath => {}
+        }
+    }
+
+    /// True if `goal` is events under `⊗`, `|`, `∨` and `ε`.
+    fn plain(goal: &Goal) -> bool {
+        match goal {
+            Goal::Atom(a) => a.as_event().is_some(),
+            Goal::Seq(gs) | Goal::Conc(gs) | Goal::Or(gs) => gs.iter().all(plain),
+            Goal::Empty => true,
+            _ => false,
+        }
+    }
+
+    /// Holds the layout of `goal` to [`count`] and [`plain`].
+    fn check(goal: &Goal) {
+        let (mut next, mut events, mut channels) = (0, Vec::new(), Vec::new());
+        count(goal, &mut next, &mut events, &mut channels);
+        assert_eq!(next as usize, goal.size(), "{goal}");
+        channels.sort_unstable();
+        let mut names: Vec<Symbol> = events.iter().map(|e| e.0).collect();
+        names.sort_unstable();
+        let once = names.windows(2).all(|w| w[0] != w[1]);
+        names.dedup();
+        let fragment = plain(goal) && once;
+        Layout::with(goal, |layout| {
+            for &name in &names {
+                let mut laid: Vec<u32> = layout.positions(name).collect();
+                laid.sort_unstable();
+                let counted: Vec<u32> = (events.iter())
+                    .filter(|e| e.0 == name)
+                    .map(|e| e.1)
+                    .collect();
+                assert_eq!(laid, counted, "{name} in {goal}");
+            }
+            assert_eq!(layout.search.events.len(), events.len(), "{goal}");
+            assert_eq!(layout.channels(), &channels[..], "{goal}");
+            assert_eq!(layout.search.foreign.is_empty(), fragment, "{goal}");
+        });
+        assert_eq!(Runs::new(goal, 0).is_some(), fragment, "{goal}");
+    }
+
+    #[test]
+    fn the_layout_is_a_plain_pre_order_count() {
+        let (a, b) = (Goal::atom("a"), Goal::atom("b"));
+        let (send, receive) = (Goal::Send(Channel(0)), Goal::Receive(Channel(0)));
+        let condition = Goal::Atom(Atom::new("p", vec![Term::constant("x")]));
+        let negated = Goal::Atom(Atom::prop("q").negate());
+        let hand = [
+            seq(vec![
+                a.clone(),
+                possible(seq(vec![b.clone(), send.clone()])),
+                receive.clone(),
+            ]),
+            isolated(conc(vec![a.clone(), b.clone()])),
+            or(vec![
+                seq(vec![a.clone(), b.clone()]),
+                seq(vec![b.clone(), a.clone()]),
+            ]),
+            seq(vec![a.clone(), possible(a.clone())]),
+            seq(vec![condition, a.clone(), negated]),
+            conc(vec![seq(vec![a.clone(), send]), seq(vec![receive, b])]),
+            or(vec![a, Goal::Empty]),
+            Goal::NoPath,
+            Goal::Empty,
+        ];
+        hand.iter().for_each(check);
+        let shape = GoalShape {
+            depth: 3,
+            width: 3,
+            or_bias: 0.4,
+        };
+        for seed in 0..200 {
+            let (g, _) = random_goal(seed, shape, "e");
+            let (h, _) = random_goal(seed + 1_000, shape, "h");
+            check(&g);
+            check(&seq(vec![g.clone(), possible(h.clone())]));
+            check(&conc(vec![isolated(g.clone()), h]));
+            check(&seq(vec![g.clone(), g]));
+        }
     }
 }

@@ -111,25 +111,75 @@ fn by_name_firing_passes_over_an_optional_branch() {
     assert_eq!(rt.journal(id).unwrap(), vec!["c"]);
 }
 
-/// Every execution the compiled goal allows can be fired by name. Here
-/// `a * send(ξ) * receive(ξ) * e + a * f` allows `a → f` (`ctr
-/// enumerate` lists it, the enactor commits it), but `fire_named`
-/// commits `a` to the first `∨`-alternative carrying it, which has no `f`.
+/// ROADMAP item 7's reproducers: a spec whose constraint its graph does not
+/// imply, so `Apply` keeps it, and an execution of the compiled goal that
+/// by-name firing refuses.
+const AMBIGUOUS: [(&str, &str, &[&str]); 3] = [
+    (
+        "amb3",
+        "workflow amb3 { graph a * (e + f + g); \
+         constraint (exists(e) and before(a, e)) or exists(f); }",
+        &["a", "f"],
+    ),
+    (
+        "amb5",
+        "workflow amb5 { graph a * (b + empty) * (c + d); \
+         constraint absent(b) or (before(a, b) and exists(c)); }",
+        &["a", "b", "c"],
+    ),
+    (
+        "amb7",
+        "workflow amb7 { graph (a # (b + empty)) * c; constraint absent(b) or before(a, b); }",
+        &["a", "b", "c"],
+    ),
+];
+
+/// Every execution the compiled goal allows can be fired by name. Each of
+/// [`AMBIGUOUS`] compiles to alternatives that share an event, and
+/// `fire_named` commits the event to the first alternative carrying it:
+///
+/// * `amb3` compiles to `a * send(xi0) * receive(xi0) * e + a * f`, and
+///   after `a`, `f` is refused (eligible: `e`);
+/// * `amb5` compiles to `a * (c + d) + a * send(xi0) * receive(xi0) * b *
+///   c`, and after `a`, `b` is refused (eligible: `c`, `d`);
+/// * `amb7` compiles to `(a + a * send(xi0) # receive(xi0) * b) * c`, and
+///   after `a`, `b` is refused (eligible: `c`).
 #[test]
 #[ignore = "ROADMAP item 7: by-name firing commits to the first ∨-alternative carrying the event"]
 fn by_name_firing_admits_every_allowed_execution() {
     let rt = Runtime::new();
-    rt.deploy_source(
-        "workflow amb { graph a * (e + f); constraint (exists(e) and before(a, e)) or exists(f); }",
-    )
-    .unwrap();
-    // `ctr enact --seed 0`'s policy.
-    let enactor = Enactor::new().with_policy(ChoicePolicy::Random(0));
-    let enacted = rt.enact("amb", &enactor).unwrap();
-    assert_eq!(enacted.completed, vec![sym("a"), sym("f")]);
-    let id = rt.start("amb").unwrap();
-    rt.fire(id, "a").unwrap();
-    assert_eq!(rt.fire(id, "f"), Ok(ctr_runtime::InstanceStatus::Completed));
+    let mut refused = Vec::new();
+    for (name, source, trace) in AMBIGUOUS {
+        rt.deploy_source(source).unwrap();
+        let id = rt.start(name).unwrap();
+        let fired: Result<Vec<_>, _> = trace.iter().map(|event| rt.fire(id, event)).collect();
+        if fired.as_ref().map(|f| f.last()) != Ok(Some(&ctr_runtime::InstanceStatus::Completed)) {
+            refused.push(format!("{name}: {trace:?} gives {fired:?}"));
+        }
+    }
+    assert!(refused.is_empty(), "{refused:#?}");
+}
+
+/// Keeps [`AMBIGUOUS`] armed: the graph of each spec does not imply its
+/// constraint (the compile-based `verify` finds a counterexample), and the
+/// execution by-name firing refuses is one the compiled program allows.
+#[test]
+fn the_by_name_reproducers_are_allowed_executions() {
+    for (name, source, trace) in AMBIGUOUS {
+        let spec = ctr_parser::parse_spec(source).unwrap();
+        let graph = spec.to_goal();
+        for c in &spec.constraints {
+            let verdict = ctr::analysis::verify(&graph, &[], c).unwrap();
+            assert!(!verdict.holds(), "{name}: the graph implies {c}");
+        }
+        let program = Program::compile(&spec.compile().unwrap().goal).unwrap();
+        let traces = ctr_engine::Scheduler::new(&program).enumerate_traces(100);
+        let trace: Vec<ctr::Symbol> = trace.iter().map(|&e| sym(e)).collect();
+        assert!(
+            traces.contains(&trace),
+            "{name}: {trace:?} not in {traces:?}"
+        );
+    }
 }
 
 /// Simulation statistics over the same program reflect the compiled
